@@ -1,6 +1,5 @@
 //! Agent addresses in the paper's `tcp://host:port` syntax.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from parsing an address.
@@ -29,7 +28,7 @@ impl std::error::Error for AddressError {}
 
 /// A transport address: `tcp://host:port`, the "directions on how to
 /// contact the agent (host, port, transport protocol)" of Fig. 8.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AgentAddress {
     pub scheme: String,
     pub host: String,

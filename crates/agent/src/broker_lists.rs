@@ -12,7 +12,6 @@
 //! brokers reaches the configured number of redundant advertisements, the
 //! advertisement process stops."
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The next advertising actions an agent should take, produced by
@@ -28,7 +27,7 @@ pub struct ReadvertisePlan {
 }
 
 /// Broker-list state for one agent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrokerLists {
     /// Brokers this agent knows about, in discovery order.
     known: Vec<String>,

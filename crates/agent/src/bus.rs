@@ -73,31 +73,14 @@ impl Bus {
 
     /// Delivers a message. Fails if the recipient is not registered.
     pub fn send(&self, from: &str, to: &str, message: Message) -> Result<(), BusError> {
-        let metrics = self.obs.read().clone();
-        let (bytes, started) = match &metrics {
-            Some(_) => (message.wire_size(), Some(Instant::now())),
-            None => (0, None),
-        };
-        let result = (|| {
-            let reg = self.registry.read();
-            let tx = reg.mailboxes.get(to).ok_or_else(|| BusError::UnknownAgent(to.to_string()))?;
-            tx.deliver(Envelope { from: from.to_string(), to: to.to_string(), message })
-        })();
-        if let (Some(m), Some(started)) = (metrics, started) {
-            m.record_batch(1);
-            m.record_send(to, bytes, started.elapsed(), result.is_ok());
-            if result.is_ok() {
-                // In-proc delivery is also the receipt.
-                m.record_recv(bytes);
-            }
-        }
-        result
+        self.send_batch(from, vec![(to.to_string(), message)])
+            .pop()
+            .expect("one result per message") // lint: allow-unwrap
     }
 
     /// Delivers a batch of messages in order under a single registry
-    /// read lock, returning one result per message. Per-sender ordering
-    /// and failure semantics are identical to calling [`Bus::send`] in a
-    /// loop.
+    /// read lock, returning one result per message; a failure for one
+    /// message never prevents delivery of the others.
     pub fn send_batch(
         &self,
         from: &str,
@@ -112,7 +95,7 @@ impl Bus {
         batch
             .into_iter()
             .map(|(to, message)| {
-                let bytes = if metrics.is_some() { message.wire_size() } else { 0 };
+                let size = if metrics.is_some() { message.wire_size() } else { 0 };
                 let result = match reg.mailboxes.get(&to) {
                     None => Err(BusError::UnknownAgent(to.clone())),
                     Some(tx) => {
@@ -120,9 +103,9 @@ impl Bus {
                     }
                 };
                 if let (Some(m), Some(started)) = (&metrics, started) {
-                    m.record_send(&to, bytes, started.elapsed(), result.is_ok());
+                    m.record_send(&to, size, started.elapsed(), result.is_ok());
                     if result.is_ok() {
-                        m.record_recv(bytes);
+                        m.record_recv(size);
                     }
                 }
                 result

@@ -14,7 +14,7 @@
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use crate::transport::{Envelope, Requester, Transport, TransportError, TransportExt};
 use infosleuth_kqml::{Message, Performative, SExpr};
-use infosleuth_obs::{Counter, Gauge, Histogram, Obs, TraceContext, TRACE_PARAM};
+use infosleuth_obs::{Counter, Gauge, Histogram, Obs, SpanGuard, TraceContext, TRACE_PARAM};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -93,8 +93,8 @@ struct RuntimeMetrics {
     /// (`runtime_inflight`) — the watermark the stock `inflight` health
     /// rule watches.
     inflight: Gauge,
-    /// Envelopes per dispatch job (`runtime_batch_size`): 1 for every
-    /// plain dispatch, N when a batching agent drained N at once.
+    /// Envelopes per delivery job (`runtime_batch_size`): 1 for a plain
+    /// agent, up to N when a batching agent drained N at once.
     batch_size: Histogram,
 }
 
@@ -125,29 +125,28 @@ pub trait AgentBehavior: Send + Sync + 'static {
     /// on (timeout-bounded) requests.
     fn on_message(&self, ctx: &AgentContext, env: Envelope);
 
-    /// Maximum envelopes the event loop may drain into one dispatch.
+    /// Maximum envelopes the event loop may drain into one delivery.
     ///
-    /// The default of 1 preserves the per-message path exactly (one
-    /// `recv:<performative>` span per envelope). Returning N > 1 opts
-    /// the agent into [`AgentBehavior::on_batch`]: under load the event
-    /// loop hands the handler up to N queued envelopes at once, letting
-    /// it amortize lock acquisitions and sends across the batch. Each
-    /// batch counts as *one* in-flight job against the per-agent cap,
-    /// so the message-level backpressure bound becomes
+    /// At the default of 1 every delivery carries one envelope. Returning
+    /// N > 1 lets the event loop hand [`AgentBehavior::on_batch`] up to N
+    /// queued envelopes at once under load, so an overriding agent can
+    /// amortize lock acquisitions across them. Each delivery
+    /// counts as *one* in-flight job against the per-agent cap, so the
+    /// message-level backpressure bound becomes
     /// `per_agent_inflight × batch_limit`.
     fn batch_limit(&self) -> usize {
         1
     }
 
-    /// Handles a drained batch of envelopes (only reached when
-    /// [`AgentBehavior::batch_limit`] > 1 and more than one envelope
-    /// was waiting). The default simply loops [`AgentBehavior::on_message`],
-    /// so opting in is semantics-preserving until the agent overrides
-    /// this with an amortized path. The runtime opens no dispatch span
-    /// around a batch — batching agents that care about tracing open
-    /// per-envelope spans themselves as they walk the batch.
+    /// The entry point of every delivery: the envelopes one job drained
+    /// from the mailbox, in arrival order (one, unless
+    /// [`AgentBehavior::batch_limit`] > 1). The provided implementation
+    /// opens each envelope's [`recv` span](AgentContext::recv_span) and
+    /// calls [`AgentBehavior::on_message`]; an agent that overrides this
+    /// with an amortized path opens the per-envelope spans itself.
     fn on_batch(&self, ctx: &AgentContext, batch: Vec<Envelope>) {
         for env in batch {
+            let _span = ctx.recv_span(&env);
             self.on_message(ctx, env);
         }
     }
@@ -223,6 +222,20 @@ impl AgentContext {
         &self.obs
     }
 
+    /// Opens the dispatch span `recv:<performative>` for one delivered
+    /// envelope. It continues the sender's trace when the envelope carried
+    /// `:x-trace` and roots a fresh one otherwise; everything the handler
+    /// does while the guard lives — nested stage spans, outgoing sends
+    /// (stamped from the thread-local context) — hangs off it.
+    pub fn recv_span(&self, env: &Envelope) -> SpanGuard {
+        let parent = env.message.trace().and_then(TraceContext::parse);
+        self.obs.tracer().agent_span(
+            format!("recv:{}", env.message.performative),
+            &self.name,
+            parent,
+        )
+    }
+
     /// Stamps the calling thread's active trace context into the
     /// message as `:x-trace`, unless the caller already attached one.
     fn stamp_trace(message: &mut Message) {
@@ -249,30 +262,6 @@ impl AgentContext {
                 Err(e)
             }
         }
-    }
-
-    /// Sends many messages as this agent through one
-    /// [`Transport::send_batch`] call — one registry lock on the bus,
-    /// coalesced frames and acks over TCP. Per-recipient ordering and
-    /// failure accounting match a loop of [`AgentContext::send`]
-    /// exactly; the returned results are index-aligned with the input.
-    pub fn send_batch(&self, batch: Vec<(String, Message)>) -> Vec<Result<(), TransportError>> {
-        let mut stamped = Vec::with_capacity(batch.len());
-        let mut performatives = Vec::with_capacity(batch.len());
-        for (to, mut message) in batch {
-            message.set("sender", SExpr::atom(&self.name));
-            message.set("receiver", SExpr::atom(&to));
-            Self::stamp_trace(&mut message);
-            performatives.push((to.clone(), message.performative.clone()));
-            stamped.push((to, message));
-        }
-        let results = self.transport.send_batch(&self.name, stamped);
-        for (result, (to, performative)) in results.iter().zip(performatives) {
-            if result.is_err() {
-                self.note_delivery_failure(&to, performative);
-            }
-        }
-        results
     }
 
     /// Records a failed delivery and notifies the monitor agent
@@ -376,8 +365,8 @@ impl AgentSlot {
 }
 
 enum Job {
-    Message(Arc<AgentSlot>, Envelope),
-    Batch(Arc<AgentSlot>, Vec<Envelope>),
+    /// The envelopes one drain took from the agent's mailbox.
+    Deliver(Arc<AgentSlot>, Vec<Envelope>),
     Tick(Arc<AgentSlot>),
 }
 
@@ -636,31 +625,7 @@ impl Drop for AgentHandle {
 fn worker_loop(shared: &RuntimeShared) {
     while let Some(job) = shared.queue.pop() {
         match job {
-            Job::Message(slot, env) => {
-                // The dispatch span continues the sender's trace when
-                // the envelope carried `:x-trace`, and roots a fresh
-                // one otherwise. Everything the handler does — nested
-                // stage spans, outgoing sends (stamped from the
-                // thread-local context) — hangs off it.
-                let parent = env.message.trace().and_then(TraceContext::parse);
-                let span = shared.obs.tracer().agent_span(
-                    format!("recv:{}", env.message.performative),
-                    &slot.name,
-                    parent,
-                );
-                let started = Instant::now();
-                slot.behavior.on_message(&slot.ctx, env);
-                drop(span);
-                shared.metrics.handler_message_seconds.observe_duration(started.elapsed());
-                shared.metrics.dispatch_messages.inc();
-                shared.metrics.batch_size.observe(1.0);
-                slot.inflight.fetch_sub(1, Ordering::AcqRel);
-                shared.metrics.inflight.add(-1);
-            }
-            Job::Batch(slot, batch) => {
-                // One job, many envelopes: the handler amortizes its
-                // locks across the drain. No wrapping span — a batching
-                // behavior opens per-envelope spans itself.
+            Job::Deliver(slot, batch) => {
                 let n = batch.len();
                 let started = Instant::now();
                 slot.behavior.on_batch(&slot.ctx, batch);
@@ -701,11 +666,8 @@ fn event_loop(shared: &RuntimeShared) {
                 continue;
             }
             // Pull messages while under the in-flight cap; the rest wait
-            // in the transport mailbox (backpressure). A batching agent
-            // (batch_limit > 1) gets up to that many envelopes drained
-            // into one job; a lone envelope still takes the exact
-            // per-message path, so batch-capable agents behave
-            // identically to plain ones at low load.
+            // in the transport mailbox (backpressure). Each job carries
+            // up to `batch_limit` envelopes — one, for a plain agent.
             let limit = slot.behavior.batch_limit().max(1);
             while slot.inflight.load(Ordering::Acquire) < cap {
                 let mut drained = Vec::new();
@@ -723,13 +685,7 @@ fn event_loop(shared: &RuntimeShared) {
                 }
                 slot.inflight.fetch_add(1, Ordering::AcqRel);
                 shared.metrics.inflight.add(1);
-                if drained.len() == 1 {
-                    if let Some(env) = drained.pop() {
-                        shared.queue.push(Job::Message(Arc::clone(slot), env));
-                    }
-                } else {
-                    shared.queue.push(Job::Batch(Arc::clone(slot), drained));
-                }
+                shared.queue.push(Job::Deliver(Arc::clone(slot), drained));
                 dispatched = true;
             }
             if let Some(interval) = slot.behavior.tick_interval() {

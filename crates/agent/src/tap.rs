@@ -3,7 +3,7 @@
 //! A [`MessageTap`] sees each message at *send* time — before delivery,
 //! in the global order messages enter the fabric. Wrapping a transport
 //! in a [`TappedTransport`] catches every path an agent can emit on:
-//! `AgentContext::send`, `send_batch`, *and* the ephemeral reply
+//! `AgentContext::send`, `Transport::send_batch`, *and* the ephemeral reply
 //! endpoints `AgentContext::request` conjures (which talk straight to
 //! `Transport::send` and would slip past any higher-level hook).
 //!

@@ -52,7 +52,6 @@ use crate::address::AgentAddress;
 use crate::transport::{
     mailbox, Envelope, Mailbox, MailboxSender, Transport, TransportError, TransportMetrics,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use infosleuth_kqml::Message;
 use infosleuth_obs::Obs;
 use parking_lot::RwLock;
@@ -60,6 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -128,7 +128,7 @@ impl TcpTransport {
             routes: RwLock::new(HashMap::new()),
             obs: RwLock::new(None),
         });
-        let (cmd_tx, cmd_rx) = unbounded();
+        let (cmd_tx, cmd_rx) = channel();
         let reactor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -227,22 +227,22 @@ impl TcpTransport {
             return items.into_iter().map(|(i, _, _)| (i, Err(e.clone()))).collect();
         }
         let mut chunk: Vec<(usize, String, String)> = Vec::new();
-        let mut chunk_bytes = frame_header_len(from);
+        let mut chunk_len = frame_header_len(from);
         for (i, to, text) in items {
-            let item_bytes = 2 + to.len() + 4 + text.len();
+            let item_len = 2 + to.len() + 4 + text.len();
             if to.len() > u16::MAX as usize
-                || frame_header_len(from) + item_bytes > MAX_FRAME as usize
+                || frame_header_len(from) + item_len > MAX_FRAME as usize
             {
                 out.push((i, Err(TransportError::Io(format!("frame too large for '{to}'")))));
                 continue;
             }
             if !chunk.is_empty()
-                && (chunk_bytes + item_bytes > MAX_FRAME as usize || chunk.len() >= MAX_WIRE_BATCH)
+                && (chunk_len + item_len > MAX_FRAME as usize || chunk.len() >= MAX_WIRE_BATCH)
             {
                 self.flush_chunk(sock_addr, from, std::mem::take(&mut chunk), &mut out);
-                chunk_bytes = frame_header_len(from);
+                chunk_len = frame_header_len(from);
             }
-            chunk_bytes += item_bytes;
+            chunk_len += item_len;
             chunk.push((i, to, text));
         }
         if !chunk.is_empty() {
@@ -262,7 +262,7 @@ impl TcpTransport {
         out: &mut Vec<(usize, Result<(), TransportError>)>,
     ) {
         let frame = encode_frame(from, &chunk);
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         let cmd = Cmd::Send { addr, frame, count: chunk.len(), done: done_tx };
         let reply: AckReply = if self.cmd_tx.send(cmd).is_err() {
             Err(TransportError::Closed)
@@ -1173,17 +1173,15 @@ mod tests {
         );
     }
 
+    /// Live `tcp-reactor-*` threads of this process. The whole-process
+    /// `Threads:` count also moves with every sibling test's workers.
     #[cfg(target_os = "linux")]
-    fn os_thread_count() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find(|l| l.starts_with("Threads:"))
-                    .and_then(|l| l.split_whitespace().nth(1))
-                    .and_then(|n| n.parse().ok())
-            })
-            .expect("/proc/self/status has a Threads: line")
+    fn reactor_thread_count() -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task is readable")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("tcp-reactor-"))
+            .count()
     }
 
     #[test]
@@ -1196,7 +1194,7 @@ mod tests {
         probe.shutdown();
         drop(probe);
         #[cfg(target_os = "linux")]
-        let baseline = os_thread_count();
+        let baseline = reactor_thread_count();
         for cycle in 0..10 {
             let n1 = TcpTransport::bind(addr).expect("address is free again");
             let n2 = node();
@@ -1220,7 +1218,19 @@ mod tests {
                 started.elapsed()
             );
         }
+        // `shutdown` joined every reactor this test started; sibling tests
+        // run reactors of their own in this process, so wait theirs out.
         #[cfg(target_os = "linux")]
-        assert_eq!(os_thread_count(), baseline, "reactor threads must all be joined");
+        {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while reactor_thread_count() > baseline && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert!(
+                reactor_thread_count() <= baseline,
+                "reactor threads must all be joined: {} alive, {baseline} before",
+                reactor_thread_count()
+            );
+        }
     }
 }

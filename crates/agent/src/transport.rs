@@ -11,10 +11,10 @@
 //! written against `Arc<dyn Transport>`, so a community can be deployed
 //! in-process or across machines without touching agent code.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use infosleuth_kqml::Message;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,7 +94,7 @@ pub struct MailboxSender {
 
 /// Creates a fresh (delivery, receive) mailbox pair.
 pub fn mailbox() -> (MailboxSender, Mailbox) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (MailboxSender { tx }, Mailbox { rx })
 }
 

@@ -379,9 +379,9 @@ impl Report {
         out
     }
 
-    /// Renders the report as a JSON object. Hand-rolled (this workspace
-    /// vendors only a serde stub), deterministic given a [`Self::sorted`]
-    /// report.
+    /// Renders the report as a JSON object. Hand-rolled (the workspace has
+    /// no serialization dependency), deterministic given a
+    /// [`Self::sorted`] report.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"origin\":");
         json_string(&mut out, &self.origin);

@@ -5,6 +5,15 @@
 //! search with hop counts, follow options and visited-list loop prevention,
 //! liveness pings, and specialization-based admission.
 //!
+//! One handler module per conversation of
+//! [`standard_protocols`](infosleuth_analysis::standard_protocols):
+//! [`mutation`] (advertise / update / unadvertise), [`ask`] (ask-all /
+//! ask-one / recruit-* and `broker-one`, with the inter-broker forward),
+//! [`subscribe`] (subscribe / unsubscribe and the notification fan-out)
+//! and [`ping`] (ping and the liveness sweep). This module holds what they
+//! share: the configuration, the two locks, and the dispatch that routes a
+//! delivered envelope to its handler.
+//!
 //! Incoming messages are handled concurrently on the runtime's bounded
 //! worker pool (up to the per-agent in-flight cap) so that a broker
 //! blocked waiting on a peer's reply never stops serving its own
@@ -12,207 +21,114 @@
 //! otherwise deadlock. The liveness sweep runs as the behavior's periodic
 //! tick, which the runtime guarantees never overlaps itself.
 
+mod ask;
+mod client;
+mod config;
+mod mutation;
+mod ping;
+mod subscribe;
+
+pub use client::{
+    advertise_to, broker_one_content, query_broker, subscribe_to, unadvertise_from,
+    unsubscribe_from,
+};
+pub use config::BrokerConfig;
+
 use crate::codec;
 use crate::digest::{CapabilityDigest, DigestBuilder};
 use crate::match_cache::{MatchCache, MatchCacheStats, DEFAULT_MATCH_CACHE_CAPACITY};
-use crate::matchmaker::{MatchResult, Matchmaker};
-use crate::objective::{AdmissionDecision, BrokerObjective};
-use crate::policy::SearchPolicy;
-use crate::repository::Repository;
-use crate::sub_index::{result_delta, SubId, SubscriptionRegistry};
+use crate::matchmaker::Matchmaker;
+use crate::repository::{Repository, RepositoryError};
+use crate::sub_index::SubscriptionRegistry;
 use infosleuth_agent::{
-    AgentBehavior, AgentContext, AgentHandle, AgentRuntime, Bus, BusError, Requester,
-    RuntimeConfig, Transport,
+    AgentBehavior, AgentContext, AgentHandle, AgentRuntime, Bus, BusError, Envelope, RuntimeConfig,
+    Transport,
 };
 use infosleuth_kqml::{Message, Performative, SExpr};
-use infosleuth_obs::{Counter, Histogram, Obs, TraceContext};
-use infosleuth_ontology::{
-    Advertisement, AgentLocation, AgentType, BrokerAdvertisement, BrokerSpecialization,
-    ServiceQuery,
-};
+use infosleuth_obs::{Counter, Histogram, Obs};
+use infosleuth_ontology::Advertisement;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Static configuration for one broker.
-#[derive(Debug, Clone)]
-pub struct BrokerConfig {
-    pub name: String,
-    /// Advertised contact directions, e.g. `tcp://b1.mcc.com:4356`.
-    pub address: String,
-    pub objective: BrokerObjective,
-    /// Policy used when a requester does not specify one ("if the
-    /// requesting agent did not specify any policy, the default policy set
-    /// by a broker will be used").
-    pub default_policy: SearchPolicy,
-    /// How long to wait for each peer broker during an inter-broker search.
-    pub peer_timeout: Duration,
-    /// Consortium memberships (Fig. 13).
-    pub consortia: BTreeSet<String>,
-    pub matchmaker: Matchmaker,
-    /// Liveness sweep interval: "the broker periodically pings each of the
-    /// agents that have advertised to it, to discover any agents that have
-    /// failed. The broker removes from its repository all information about
-    /// agents that have failed". `None` disables the sweep.
-    pub ping_interval: Option<Duration>,
-    /// Whether standing subscriptions use the inverted
-    /// [`SubscriptionIndex`](crate::SubscriptionIndex) to prune which
-    /// subscriptions a repository mutation re-scores. `false` falls back to
-    /// re-evaluating every subscription on every mutation (the naive
-    /// baseline; notification sequences are identical either way).
-    pub subscription_index: bool,
-    /// Whether inter-broker searches consult peer capability digests to
-    /// prune forwards (DESIGN.md §17). A peer is skipped only when its
-    /// digest — a sound over-approximation of its repository — proves it
-    /// cannot match, and only for terminal forwards (the forwarded hop
-    /// cannot expand further, so the peer answers from its own repository
-    /// alone). `false` restores broad fan-out — the parity tests and the
-    /// bench baseline use it.
-    pub routing_digests: bool,
-    /// Maximum envelopes the hosting runtime may drain into one broker
-    /// dispatch. At 1 (the default) every message takes the classic
-    /// per-message path. Above 1, queued repository mutations
-    /// (advertise / update / unadvertise) are applied under a single
-    /// repository lock and their sub-deltas and acks leave in one
-    /// coalesced transport batch — mutations are still processed
-    /// strictly in arrival order, one at a time, so the emitted
-    /// sequences are byte-identical to the unbatched path.
-    pub batch_limit: usize,
-    /// Test-only seeded bug (compiled only under the `seeded-reorder`
-    /// cargo feature, and inert unless switched on at runtime): the
-    /// batched dispatcher applies each queued mutation run in *reverse*
-    /// arrival order. The interleaving explorer in `infosleuth-check`
-    /// must catch the resulting divergence — it is the oracle proving
-    /// the explorer can detect real ordering bugs.
-    #[cfg(feature = "seeded-reorder")]
-    pub seeded_reorder: bool,
-}
+/// What a handler wants sent once it has let go of the state:
+/// `(recipient, message)` in send order.
+type Outbox = Vec<(String, Message)>;
 
-impl BrokerConfig {
-    pub fn new(name: impl Into<String>, address: impl Into<String>) -> Self {
-        BrokerConfig {
-            name: name.into(),
-            address: address.into(),
-            objective: BrokerObjective::GeneralPurpose,
-            default_policy: SearchPolicy::default(),
-            peer_timeout: Duration::from_secs(2),
-            consortia: BTreeSet::new(),
-            matchmaker: Matchmaker::default(),
-            ping_interval: Some(Duration::from_secs(30)),
-            subscription_index: true,
-            routing_digests: true,
-            batch_limit: 1,
-            #[cfg(feature = "seeded-reorder")]
-            seeded_reorder: false,
-        }
-    }
-
-    /// Arms the seeded dispatcher-reordering bug (see the field doc).
-    #[cfg(feature = "seeded-reorder")]
-    pub fn with_seeded_reorder(mut self, on: bool) -> Self {
-        self.seeded_reorder = on;
-        self
-    }
-
-    /// Opts the broker into batched dispatch: up to `n` queued envelopes
-    /// per job (clamped to at least 1).
-    pub fn with_batch_limit(mut self, n: usize) -> Self {
-        self.batch_limit = n.max(1);
-        self
-    }
-
-    pub fn with_ping_interval(mut self, interval: Option<Duration>) -> Self {
-        self.ping_interval = interval;
-        self
-    }
-
-    /// Enables or disables the inverted subscription index (on by default).
-    pub fn with_subscription_index(mut self, on: bool) -> Self {
-        self.subscription_index = on;
-        self
-    }
-
-    /// Enables or disables digest-based peer pruning (on by default).
-    pub fn with_routing_digests(mut self, on: bool) -> Self {
-        self.routing_digests = on;
-        self
-    }
-
-    pub fn with_objective(mut self, o: BrokerObjective) -> Self {
-        self.objective = o;
-        self
-    }
-
-    pub fn with_consortia<I, S>(mut self, consortia: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.consortia.extend(consortia.into_iter().map(Into::into));
-        self
-    }
-
-    /// This broker's own advertisement to peers.
-    pub fn broker_advertisement(&self) -> BrokerAdvertisement {
-        let base = Advertisement::new(AgentLocation::new(
-            self.name.clone(),
-            self.address.clone(),
-            AgentType::Broker,
-        ));
-        BrokerAdvertisement::new(base)
-            .with_consortia(self.consortia.iter().cloned())
-            .with_specialization(BrokerSpecialization {
-                agent_types: BTreeSet::new(),
-                ontologies: self.objective.ontologies(),
-                restrictions: Vec::new(),
-            })
-    }
-}
-
+/// Everything one broker's handlers share; also the [`AgentBehavior`] the
+/// runtime drives.
 struct Shared {
     config: BrokerConfig,
-    repo: Mutex<Repository>,
+    /// The repository and everything that changes in step with it.
+    state: Mutex<State>,
+    /// What this broker believes about its peers. Taken for one table
+    /// operation at a time by the methods below, so never across a send.
+    routing: Mutex<RoutingTable>,
     /// Epoch-tagged LRU over local match results; consulted (and filled)
     /// by every ask/recommend before any scoring happens.
     cache: MatchCache,
-    /// Standing subscriptions plus their inverted index. Lock order: `repo`
-    /// before `subs`; never take `repo` while holding `subs`.
-    subs: Mutex<SubscriptionRegistry>,
-    /// Routing-digest state. Lock order: `repo` before `digests`; never
-    /// take `repo` (or `subs`) while holding `digests`.
-    digests: Mutex<DigestState>,
-    /// Peers that failed a forward, in retry backoff. Taken last, never
-    /// held across a send.
-    suspects: Mutex<HashMap<String, SuspectEntry>>,
     obs: BrokerObs,
 }
 
-/// The digest half of the routing layer: this broker's own incrementally
-/// maintained [`DigestBuilder`], plus the latest digest received from
-/// each peer broker (DESIGN.md §17).
-struct DigestState {
-    builder: DigestBuilder,
-    /// Repository epoch the builder was last synced at. A mismatch means
-    /// the repository mutated out-of-band (test pre-seeding, rule or
-    /// ontology loads) and the builder is rebuilt from scratch on next use.
-    built_epoch: u64,
+/// The writer state: a repository mutation, the subscriptions it affects
+/// and the digest it feeds are all applied under the one lock around this.
+struct State {
+    repo: Repository,
+    /// Standing subscriptions plus their inverted index.
+    subs: SubscriptionRegistry,
+    /// This broker's own incrementally maintained routing digest
+    /// (DESIGN.md §17).
+    digest: DigestBuilder,
+    /// Repository epoch `digest` was last synced at. A mismatch means the
+    /// repository mutated out-of-band (test pre-seeding, rule or ontology
+    /// loads) and the builder is rebuilt from scratch on next use.
+    digest_built_epoch: u64,
     /// Epoch of the last digest broadcast to peers — re-advertisements are
     /// delta-driven: nothing is sent while this matches the repository.
-    advertised_epoch: Option<u64>,
-    /// Latest digest each peer broker advertised to us.
-    peers: HashMap<String, CapabilityDigest>,
+    digest_advertised_epoch: Option<u64>,
 }
 
-impl DigestState {
-    fn seeded(repo: &Repository) -> DigestState {
-        DigestState {
-            builder: DigestBuilder::from_repo(repo),
-            built_epoch: repo.epoch(),
-            advertised_epoch: None,
-            peers: HashMap::new(),
+/// An agent's advertisement before and after a mutation.
+type AdChange = (Option<Arc<Advertisement>>, Option<Arc<Advertisement>>);
+
+impl State {
+    /// Stores `ad` and keeps the digest builder in step.
+    fn advertise(&mut self, ad: Advertisement) -> Result<AdChange, RepositoryError> {
+        let name = ad.location.name.clone();
+        let old = self.repo.advertisement_arc(&name).cloned();
+        let pre_epoch = self.repo.epoch();
+        self.repo.advertise(ad)?;
+        let new = self.repo.advertisement_arc(&name).cloned();
+        // A builder that was not synced to the pre-mutation epoch skips
+        // the increment; the next `own_digest` rebuilds it instead.
+        if let (Some(new), true) = (&new, self.digest_built_epoch == pre_epoch) {
+            self.digest.advertise(new, &self.repo);
+            self.digest_built_epoch = self.repo.epoch();
         }
+        Ok((old, new))
     }
+
+    /// Removes an agent's advertisement (same digest contract as
+    /// [`State::advertise`]); `None` when it held none.
+    fn unadvertise(&mut self, name: &str) -> Option<Arc<Advertisement>> {
+        let old = self.repo.advertisement_arc(name).cloned()?;
+        let pre_epoch = self.repo.epoch();
+        self.repo.unadvertise(name);
+        if self.digest_built_epoch == pre_epoch {
+            self.digest.unadvertise(name);
+            self.digest_built_epoch = self.repo.epoch();
+        }
+        Some(old)
+    }
+}
+
+/// The routing half of the digest layer: the latest digest each peer
+/// broker advertised to us, and the peers currently in retry backoff.
+#[derive(Default)]
+struct RoutingTable {
+    peers: HashMap<String, CapabilityDigest>,
+    suspects: HashMap<String, SuspectEntry>,
 }
 
 /// A peer that failed a forward: retried with exponential backoff instead
@@ -229,10 +145,10 @@ const SUSPECT_MAX_BACKOFF: Duration = Duration::from_secs(30);
 /// Consecutive forward failures after which the peer is unadvertised.
 const SUSPECT_DROP_AFTER: u32 = 5;
 
-/// The broker's slice of the hosting runtime's metrics registry:
-/// request counters plus the query-side pipeline stages (`parse`,
-/// `scoring`). The repository-side stages (`analysis`, `repository`,
-/// `saturation`) are hooked in via [`Repository::set_obs`].
+/// The broker's slice of the hosting runtime's metrics registry: request
+/// counters plus the `parse` pipeline stage. The repository-side stages
+/// (`analysis`, `repository`, `saturation`, `scoring`) are hooked in via
+/// [`Repository::set_obs`].
 struct BrokerObs {
     obs: Arc<Obs>,
     match_requests: Counter,
@@ -261,7 +177,6 @@ struct BrokerObs {
     /// Forwarded requests that arrived carrying a stale digest epoch.
     digest_stale: Counter,
     parse: Histogram,
-    scoring: Histogram,
     /// End-to-end cost of one mutation's notification fan-out: intersect +
     /// re-score affected + diff + send.
     sub_notify: Histogram,
@@ -270,9 +185,6 @@ struct BrokerObs {
 impl BrokerObs {
     fn new(obs: &Arc<Obs>, broker: &str) -> BrokerObs {
         let reg = obs.registry();
-        let lat = |stage: &str| {
-            reg.latency("broker_stage_seconds", &[("broker", broker), ("stage", stage)])
-        };
         BrokerObs {
             obs: Arc::clone(obs),
             match_requests: reg.counter("broker_match_requests_total", &[("broker", broker)]),
@@ -288,8 +200,7 @@ impl BrokerObs {
             peer_suspect: reg.counter("broker_peer_suspect_total", &[("broker", broker)]),
             digest_updates: reg.counter("broker_digest_updates_total", &[("broker", broker)]),
             digest_stale: reg.counter("broker_digest_stale_total", &[("broker", broker)]),
-            parse: lat("parse"),
-            scoring: lat("scoring"),
+            parse: reg.latency("broker_stage_seconds", &[("broker", broker), ("stage", "parse")]),
             // Fan-out latencies sit in the single-digit-µs range on the
             // indexed path; the coarse default buckets (first bound
             // 100µs) would lump every sample into one bucket, so this
@@ -303,32 +214,219 @@ impl BrokerObs {
     }
 }
 
-/// The broker's [`AgentBehavior`]: message dispatch plus the liveness
-/// sweep as its periodic tick.
-struct BrokerBehavior {
-    shared: Arc<Shared>,
+impl Shared {
+    fn new(obs: &Arc<Obs>, config: BrokerConfig, mut repo: Repository) -> Arc<Shared> {
+        repo.set_obs(obs, &config.name);
+        let state = State {
+            subs: SubscriptionRegistry::new(config.subscription_index),
+            digest: DigestBuilder::from_repo(&repo),
+            digest_built_epoch: repo.epoch(),
+            digest_advertised_epoch: None,
+            repo,
+        };
+        Arc::new(Shared {
+            state: Mutex::new(state),
+            routing: Mutex::new(RoutingTable::default()),
+            cache: MatchCache::new(DEFAULT_MATCH_CACHE_CAPACITY)
+                .with_obs(obs.registry(), &config.name),
+            obs: BrokerObs::new(obs, &config.name),
+            config,
+        })
+    }
+
+    /// The one route a repository write takes: lock the state, apply `f`,
+    /// unlock, then send what `f` queued, one message after the other — the
+    /// state is never held across a send, and a later message never
+    /// overtakes an earlier one, whoever the recipients are.
+    fn with_state<T>(&self, ctx: &AgentContext, f: impl FnOnce(&mut State, &mut Outbox) -> T) -> T {
+        let mut out = Vec::new();
+        let result = f(&mut self.state.lock(), &mut out);
+        for (to, msg) in out {
+            let _ = ctx.send(&to, msg);
+        }
+        result
+    }
+
+    /// This broker's current digest, synced to the repository.
+    fn own_digest(&self, state: &mut State) -> CapabilityDigest {
+        if state.digest_built_epoch != state.repo.epoch() {
+            state.digest = DigestBuilder::from_repo(&state.repo);
+            state.digest_built_epoch = state.repo.epoch();
+        }
+        // Ablated matchmakers (semantic or constraint layers off) can match
+        // agents the digest would rule out, so their digests are marked
+        // unprunable.
+        let semantics_default = self.config.matchmaker == Matchmaker::default();
+        state.digest.snapshot(&self.config.name, &state.repo, semantics_default)
+    }
+
+    /// Queues a digest re-advertisement to every known peer broker when
+    /// the repository changed since the last broadcast. Delta-driven, never
+    /// polled: nothing is sent while the digest epoch is unchanged.
+    fn broadcast_digest(&self, state: &mut State, out: &mut Outbox) {
+        let epoch = state.repo.epoch();
+        if !self.config.routing_digests || state.digest_advertised_epoch == Some(epoch) {
+            return;
+        }
+        let digest = self.own_digest(state);
+        state.digest_advertised_epoch = Some(epoch);
+        let peers = state.repo.peer_brokers();
+        if peers.is_empty() {
+            return;
+        }
+        let fact = codec::digest_to_sexpr(&digest);
+        for peer in peers {
+            let msg = Message::new(Performative::Update)
+                .with_ontology("infosleuth-service")
+                .with_content(fact.clone());
+            push_out(out, &peer, msg);
+        }
+    }
+
+    /// Stores a digest a peer advertised and clears any suspicion of that
+    /// peer — a broker that speaks is alive.
+    fn ingest_digest(&self, digest: CapabilityDigest) {
+        self.obs.digest_updates.inc();
+        let mut routing = self.routing.lock();
+        routing.suspects.remove(&digest.broker);
+        routing.peers.insert(digest.broker.clone(), digest);
+    }
+
+    /// Refreshes the stored digest of whichever broker embedded one in a
+    /// hello or a matches reply.
+    fn ingest_embedded_digest(&self, content: &SExpr) {
+        if let Some(digest) = codec::embedded_digest(content) {
+            self.ingest_digest(digest);
+        }
+    }
+
+    /// A peer that answered or advertised stops being suspect.
+    fn clear_suspect(&self, peer: &str) {
+        self.routing.lock().suspects.remove(peer);
+    }
+
+    /// A departed peer broker takes its digest and suspicion with it.
+    fn forget_peer(&self, peer: &str) {
+        let mut routing = self.routing.lock();
+        routing.peers.remove(peer);
+        routing.suspects.remove(peer);
+    }
 }
 
-impl AgentBehavior for BrokerBehavior {
-    fn on_message(&self, ctx: &AgentContext, env: infosleuth_agent::Envelope) {
-        handle_envelope(&self.shared, ctx, env);
+impl AgentBehavior for Shared {
+    fn on_message(&self, ctx: &AgentContext, env: Envelope) {
+        handle_envelope(self, ctx, env);
     }
 
     fn batch_limit(&self) -> usize {
-        self.shared.config.batch_limit
+        self.config.batch_limit
     }
 
-    fn on_batch(&self, ctx: &AgentContext, batch: Vec<infosleuth_agent::Envelope>) {
-        handle_batch(&self.shared, ctx, batch);
+    /// Consecutive runs of repository mutations are applied under one
+    /// state lock, their outgoing traffic (sub-deltas then acks, in
+    /// mutation order) leaving once it is released; everything else
+    /// dispatches in place, so arrival order is preserved across the whole
+    /// delivery.
+    fn on_batch(&self, ctx: &AgentContext, batch: Vec<Envelope>) {
+        let mut run = Vec::new();
+        for env in batch {
+            if is_repo_mutation(&env.message.performative) {
+                run.push(env);
+            } else {
+                flush_mutation_run(self, ctx, &mut run);
+                let _span = ctx.recv_span(&env);
+                handle_envelope(self, ctx, env);
+            }
+        }
+        flush_mutation_run(self, ctx, &mut run);
     }
 
     fn tick_interval(&self) -> Option<Duration> {
-        self.shared.config.ping_interval
+        self.config.ping_interval
     }
 
     fn on_tick(&self, ctx: &AgentContext) {
-        liveness_sweep(&self.shared, ctx);
+        ping::liveness_sweep(self, ctx);
     }
+}
+
+/// True for the performatives [`mutation::apply`] handles.
+fn is_repo_mutation(p: &Performative) -> bool {
+    matches!(p, Performative::Advertise | Performative::Update | Performative::Unadvertise)
+}
+
+/// Applies a run of queued mutations strictly in order — each one still
+/// bumps the epoch, probes the subscription index, and emits its own
+/// deltas, exactly as if it had arrived alone; only the lock round-trips
+/// are amortized.
+fn flush_mutation_run(shared: &Shared, ctx: &AgentContext, run: &mut Vec<Envelope>) {
+    if run.is_empty() {
+        return;
+    }
+    #[cfg(feature = "seeded-reorder")]
+    if shared.config.seeded_reorder {
+        run.reverse();
+    }
+    shared.with_state(ctx, |state, out| {
+        for env in run.drain(..) {
+            let _span = ctx.recv_span(&env);
+            mutation::apply(shared, state, &env, out);
+        }
+    });
+}
+
+fn handle_envelope(shared: &Shared, ctx: &AgentContext, env: Envelope) {
+    match env.message.performative {
+        ref p if is_repo_mutation(p) => {
+            shared.with_state(ctx, |state, out| mutation::apply(shared, state, &env, out))
+        }
+        Performative::Ping => ping::handle_ping(shared, ctx, &env),
+        Performative::AskAll | Performative::RecruitAll => {
+            ask::handle_query(shared, ctx, &env, None)
+        }
+        Performative::AskOne | Performative::RecruitOne => {
+            ask::handle_query(shared, ctx, &env, Some(1))
+        }
+        Performative::BrokerOne => ask::handle_broker_one(shared, ctx, &env),
+        Performative::Subscribe => subscribe::handle_subscribe(shared, ctx, &env),
+        Performative::Other(ref other) if other == "unsubscribe" => {
+            subscribe::handle_unsubscribe(shared, ctx, &env)
+        }
+        _ => {
+            let text = format!("unsupported performative '{}'", env.message.performative);
+            reply_as_broker(ctx, &env.from, error_reply(&env, text));
+        }
+    }
+}
+
+/// Queues an outgoing message, stamping the active span's trace context
+/// the way [`AgentContext::send`] would have at this point — buffered
+/// sends otherwise leave the handler span before they hit the wire.
+fn push_out(out: &mut Outbox, to: &str, mut msg: Message) {
+    if msg.trace().is_none() {
+        if let Some(c) = infosleuth_obs::current_context() {
+            msg = msg.with_trace(c.encode());
+        }
+    }
+    out.push((to.to_string(), msg));
+}
+
+/// Sends `reply` as the broker (not as a worker's ephemeral endpoint).
+/// A refused delivery is no longer silently swallowed: the context counts
+/// it in the broker's delivery-failure stat and reports it to the
+/// runtime's monitor agent.
+fn reply_as_broker(ctx: &AgentContext, to: &str, reply: Message) {
+    let _ = ctx.send(to, reply);
+}
+
+/// The `error` reply to `env` carrying `text`.
+fn error_reply(env: &Envelope, text: impl Into<String>) -> Message {
+    env.message.reply_skeleton(Performative::Error).with_content(SExpr::string(text))
+}
+
+/// The `sorry` reply to `env` carrying `text`.
+fn sorry_reply(env: &Envelope, text: impl Into<String>) -> Message {
+    env.message.reply_skeleton(Performative::Sorry).with_content(SExpr::string(text))
 }
 
 /// The broker agent. Construct with [`BrokerAgent::spawn`] (in-proc bus),
@@ -376,25 +474,10 @@ impl BrokerAgent {
     pub fn spawn_on(
         runtime: &AgentRuntime,
         config: BrokerConfig,
-        mut repo: Repository,
+        repo: Repository,
     ) -> Result<BrokerHandle, BusError> {
-        repo.set_obs(runtime.obs(), &config.name);
-        let obs = BrokerObs::new(runtime.obs(), &config.name);
-        let cache = MatchCache::new(DEFAULT_MATCH_CACHE_CAPACITY)
-            .with_obs(runtime.obs().registry(), &config.name);
-        let subs = Mutex::new(SubscriptionRegistry::new(config.subscription_index));
-        let digests = Mutex::new(DigestState::seeded(&repo));
-        let shared = Arc::new(Shared {
-            config,
-            repo: Mutex::new(repo),
-            cache,
-            subs,
-            digests,
-            suspects: Mutex::new(HashMap::new()),
-            obs,
-        });
-        let behavior = Arc::new(BrokerBehavior { shared: Arc::clone(&shared) });
-        let agent = runtime.spawn(shared.config.name.clone(), behavior)?;
+        let shared = Shared::new(runtime.obs(), config, repo);
+        let agent = runtime.spawn(shared.config.name.clone(), Arc::clone(&shared) as _)?;
         Ok(BrokerHandle { shared, agent, _runtime: None })
     }
 
@@ -403,24 +486,8 @@ impl BrokerAgent {
     /// the returned [`BrokerCore`]'s behavior directly with a detached
     /// [`AgentContext`], so that *it* — not a worker pool — decides the
     /// order in which envelopes are dispatched.
-    pub fn core(obs: &Arc<Obs>, config: BrokerConfig, mut repo: Repository) -> BrokerCore {
-        repo.set_obs(obs, &config.name);
-        let broker_obs = BrokerObs::new(obs, &config.name);
-        let cache =
-            MatchCache::new(DEFAULT_MATCH_CACHE_CAPACITY).with_obs(obs.registry(), &config.name);
-        let subs = Mutex::new(SubscriptionRegistry::new(config.subscription_index));
-        let digests = Mutex::new(DigestState::seeded(&repo));
-        let shared = Arc::new(Shared {
-            config,
-            repo: Mutex::new(repo),
-            cache,
-            subs,
-            digests,
-            suspects: Mutex::new(HashMap::new()),
-            obs: broker_obs,
-        });
-        let behavior = Arc::new(BrokerBehavior { shared: Arc::clone(&shared) });
-        BrokerCore { shared, behavior }
+    pub fn core(obs: &Arc<Obs>, config: BrokerConfig, repo: Repository) -> BrokerCore {
+        BrokerCore { shared: Shared::new(obs, config, repo) }
     }
 }
 
@@ -430,14 +497,14 @@ impl BrokerAgent {
 /// schedules.
 pub struct BrokerCore {
     shared: Arc<Shared>,
-    behavior: Arc<BrokerBehavior>,
 }
 
 impl BrokerCore {
-    /// The behavior to dispatch envelopes into (`on_message` /
-    /// `on_batch`, exactly as the runtime's event loop would).
+    /// The behavior to dispatch envelopes into (`on_batch`, exactly as the
+    /// runtime's event loop would, or `on_message` for one envelope with
+    /// no dispatch span).
     pub fn behavior(&self) -> Arc<dyn AgentBehavior> {
-        Arc::clone(&self.behavior) as Arc<dyn AgentBehavior>
+        Arc::clone(&self.shared) as Arc<dyn AgentBehavior>
     }
 
     pub fn name(&self) -> &str {
@@ -451,18 +518,20 @@ impl BrokerCore {
 
     /// Repository mutation epoch (bumps once per applied mutation).
     pub fn repo_epoch(&self) -> u64 {
-        self.shared.repo.lock().epoch()
+        self.shared.state.lock().repo.epoch()
     }
 
     /// Canonical byte-stable digest of the repository: every resource and
     /// broker advertisement rendered to KQML text, sorted. Every schedule
     /// of one scenario must converge to an identical fingerprint.
     pub fn repo_fingerprint(&self) -> String {
-        let repo = self.shared.repo.lock();
+        let state = self.shared.state.lock();
         let mut lines: Vec<String> =
-            repo.agents().map(|ad| codec::advertisement_to_sexpr(ad).to_string()).collect();
+            state.repo.agents().map(|ad| codec::advertisement_to_sexpr(ad).to_string()).collect();
         lines.extend(
-            repo.broker_advertisements()
+            state
+                .repo
+                .broker_advertisements()
                 .map(|ad| codec::broker_advertisement_to_sexpr(ad).to_string()),
         );
         lines.sort();
@@ -471,7 +540,7 @@ impl BrokerCore {
 
     /// Number of standing subscriptions currently registered.
     pub fn subscription_count(&self) -> usize {
-        self.shared.subs.lock().len()
+        self.shared.state.lock().subs.len()
     }
 }
 
@@ -504,17 +573,11 @@ impl BrokerHandle {
     /// triggers a digest re-advertisement to peers, exactly as a mutation
     /// arriving as a performative would.
     pub fn with_repository<T>(&self, f: impl FnOnce(&mut Repository) -> T) -> T {
-        let (result, out) = {
-            let mut repo = self.shared.repo.lock();
-            let result = f(&mut repo);
-            let mut out = Vec::new();
-            broadcast_digest(&self.shared, &repo, &mut out);
-            (result, out)
-        };
-        for (to, msg) in out {
-            let _ = self.agent.ctx().send(&to, msg);
-        }
-        result
+        self.shared.with_state(self.agent.ctx(), |state, out| {
+            let result = f(&mut state.repo);
+            self.shared.broadcast_digest(state, out);
+            result
+        })
     }
 
     /// Inter-broker routing counters (digest pruning, suspects, staleness).
@@ -532,15 +595,14 @@ impl BrokerHandle {
 
     /// A fresh snapshot of this broker's own capability digest.
     pub fn digest(&self) -> CapabilityDigest {
-        let repo = self.shared.repo.lock();
-        own_digest(&self.shared, &repo)
+        self.shared.own_digest(&mut self.shared.state.lock())
     }
 
     /// Epoch of the digest this broker currently stores for `peer`
     /// (`None` until the peer's first digest arrives). Tests and benches
     /// use it to wait for digest propagation to quiesce.
     pub fn peer_digest_epoch(&self, peer: &str) -> Option<u64> {
-        self.shared.digests.lock().peers.get(peer).map(|d| d.epoch)
+        self.shared.routing.lock().peers.get(peer).map(|d| d.epoch)
     }
 
     /// Hit/miss/eviction/stale counters of this broker's match cache.
@@ -550,7 +612,7 @@ impl BrokerHandle {
 
     /// Number of standing subscriptions currently registered.
     pub fn subscription_count(&self) -> usize {
-        self.shared.subs.lock().len()
+        self.shared.state.lock().subs.len()
     }
 
     /// Re-evaluates every standing subscription and delivers deltas to the
@@ -559,8 +621,10 @@ impl BrokerHandle {
     /// derived-rule registration or ontology load) — mutations arriving as
     /// performatives notify automatically.
     pub fn resync_subscriptions(&self) {
-        let all = self.shared.subs.lock().ids();
-        notify_subscriptions(&self.shared, self.agent.ctx(), all);
+        self.shared.with_state(self.agent.ctx(), |state, out| {
+            let all = state.subs.ids();
+            subscribe::notify(&self.shared, state, all, out);
+        });
     }
 
     /// Sends by this broker that the transport refused (each one was also
@@ -573,28 +637,23 @@ impl BrokerHandle {
     /// reciprocal advertisement, so both ends know each other (the
     /// bidirectional arrows of Figure 11).
     pub fn connect_peer(&self, peer: &str) -> Result<(), BusError> {
-        let ctx = self.agent.ctx();
-        let my_ad = self.shared.config.broker_advertisement();
+        let shared = &self.shared;
         // The hello carries our current digest so the peer can prune
         // forwards to us from the first exchange on.
-        let digest = if self.shared.config.routing_digests {
-            let repo = self.shared.repo.lock();
-            Some(own_digest(&self.shared, &repo))
-        } else {
-            None
-        };
+        let digest = shared.config.routing_digests.then(|| self.digest());
         let msg = Message::new(Performative::Advertise)
             .with_ontology("infosleuth-service")
-            .with_content(codec::broker_hello_to_sexpr(&my_ad, digest.as_ref()));
-        let reply = ctx.request(peer, msg, self.shared.config.peer_timeout)?;
+            .with_content(codec::broker_hello_to_sexpr(
+                &shared.config.broker_advertisement(),
+                digest.as_ref(),
+            ));
+        let reply = self.agent.ctx().request(peer, msg, shared.config.peer_timeout)?;
         if let Some(content) = reply.content() {
             if let Ok(peer_ad) = codec::broker_advertisement_from_sexpr(content) {
                 let name = peer_ad.base.location.name.clone();
-                let _ = self.shared.repo.lock().advertise_broker(peer_ad);
-                if let Some(d) = codec::embedded_digest(content) {
-                    shared_ingest_digest(&self.shared, d);
-                }
-                self.shared.suspects.lock().remove(&name);
+                let _ = shared.state.lock().repo.advertise_broker(peer_ad);
+                shared.ingest_embedded_digest(content);
+                shared.clear_suspect(&name);
             }
         }
         Ok(())
@@ -622,1257 +681,13 @@ pub fn interconnect(brokers: &[&BrokerHandle]) -> Result<(), BusError> {
     Ok(())
 }
 
-/// Sends `reply` as the broker (not as a worker's ephemeral endpoint).
-/// A refused delivery is no longer silently swallowed: the context counts
-/// it in the broker's delivery-failure stat and reports it to the
-/// runtime's monitor agent.
-fn reply_as_broker(ctx: &AgentContext, to: &str, reply: Message) {
-    let _ = ctx.send(to, reply);
-}
-
-/// True when the configured matchmaker applies the full default
-/// semantics. Ablated matchmakers (semantic or constraint layers off) can
-/// match agents the digest would rule out, so their digests are marked
-/// unprunable.
-fn semantics_default(shared: &Shared) -> bool {
-    shared.config.matchmaker == Matchmaker::default()
-}
-
-/// Rebuilds the digest builder from the repository when an out-of-band
-/// mutation (anything that bumped the epoch without flowing through
-/// [`apply_advertise`] / [`apply_unadvertise`]) left it behind.
-fn sync_builder(digests: &mut DigestState, repo: &Repository) {
-    if digests.built_epoch != repo.epoch() {
-        digests.builder = DigestBuilder::from_repo(repo);
-        digests.built_epoch = repo.epoch();
-    }
-}
-
-/// This broker's current digest, synced to the repository. Caller holds
-/// the `repo` lock; takes `digests` (repo → digests).
-fn own_digest(shared: &Shared, repo: &Repository) -> CapabilityDigest {
-    let mut digests = shared.digests.lock();
-    sync_builder(&mut digests, repo);
-    digests.builder.snapshot(&shared.config.name, repo, semantics_default(shared))
-}
-
-/// Stores a digest a peer advertised and clears any suspicion of that
-/// peer — a broker that speaks is alive.
-fn shared_ingest_digest(shared: &Shared, digest: CapabilityDigest) {
-    let peer = digest.broker.clone();
-    shared.obs.digest_updates.inc();
-    shared.digests.lock().peers.insert(peer.clone(), digest);
-    shared.suspects.lock().remove(&peer);
-}
-
-/// Appends a digest re-advertisement to every known peer broker when the
-/// repository changed since the last broadcast. Delta-driven, never
-/// polled: nothing is sent while the digest epoch is unchanged.
-fn broadcast_digest(shared: &Shared, repo: &Repository, out: &mut Vec<(String, Message)>) {
-    if !shared.config.routing_digests {
-        return;
-    }
-    let epoch = repo.epoch();
-    if shared.digests.lock().advertised_epoch == Some(epoch) {
-        return;
-    }
-    let digest = own_digest(shared, repo);
-    shared.digests.lock().advertised_epoch = Some(epoch);
-    let peers = repo.peer_brokers();
-    if peers.is_empty() {
-        return;
-    }
-    let fact = codec::digest_to_sexpr(&digest);
-    for peer in peers {
-        let msg = Message::new(Performative::Update)
-            .with_ontology("infosleuth-service")
-            .with_content(fact.clone());
-        push_out(out, &peer, msg);
-    }
-}
-
-/// Pings every advertised agent and removes the ones that no longer
-/// respond — the repository-maintenance half of §2.2's lifecycle.
-fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
-    let agents: Vec<String> = {
-        let repo = shared.repo.lock();
-        repo.agent_names().map(str::to_string).collect()
-    };
-    if agents.is_empty() {
-        return;
-    }
-    let mut dead = Vec::new();
-    for agent in agents {
-        let probe = Message::new(Performative::Ping);
-        // A probe the transport refuses counts as a delivery failure (and
-        // is reported to the monitor) in addition to marking the agent
-        // dead — the sweep no longer swallows send errors.
-        if ctx.request(&agent, probe, shared.config.peer_timeout).is_err() {
-            dead.push(agent);
-        }
-    }
-    if !dead.is_empty() {
-        let (affected, mut out) = {
-            let mut repo = shared.repo.lock();
-            let mut affected = BTreeSet::new();
-            for agent in dead {
-                let old = repo.advertisement_arc(&agent).cloned();
-                let pre_epoch = repo.epoch();
-                if repo.unadvertise(&agent) {
-                    digest_unadvertised(shared, &repo, pre_epoch, &agent);
-                    if let Some(old) = &old {
-                        affected.append(&mut subs_affected(shared, &repo, Some(old), None));
-                    }
-                }
-            }
-            let mut out = Vec::new();
-            broadcast_digest(shared, &repo, &mut out);
-            (affected, out)
-        };
-        notify_subscriptions(shared, ctx, affected);
-        for (to, msg) in out.drain(..) {
-            let _ = ctx.send(&to, msg);
-        }
-    }
-}
-
-/// Incrementally applies one successful `repo.advertise` to the digest
-/// builder. `pre_epoch` is the epoch before the mutation: if the builder
-/// wasn't synced to it, the increment is skipped and the next
-/// [`own_digest`] rebuilds from scratch instead.
-fn digest_advertised(shared: &Shared, repo: &Repository, pre_epoch: u64, ad: &Advertisement) {
-    let mut digests = shared.digests.lock();
-    if digests.built_epoch == pre_epoch {
-        digests.builder.advertise(ad, repo);
-        digests.built_epoch = repo.epoch();
-    }
-}
-
-/// Incrementally applies one successful `repo.unadvertise` to the digest
-/// builder (same contract as [`digest_advertised`]).
-fn digest_unadvertised(shared: &Shared, repo: &Repository, pre_epoch: u64, name: &str) {
-    let mut digests = shared.digests.lock();
-    if digests.built_epoch == pre_epoch {
-        digests.builder.unadvertise(name);
-        digests.built_epoch = repo.epoch();
-    }
-}
-
-fn handle_envelope(shared: &Shared, ctx: &AgentContext, env: infosleuth_agent::Envelope) {
-    let msg = &env.message;
-    match msg.performative {
-        Performative::Advertise | Performative::Update => handle_advertise(shared, ctx, &env),
-        Performative::Unadvertise => handle_unadvertise(shared, ctx, &env),
-        Performative::Ping => handle_ping(shared, ctx, &env),
-        Performative::AskAll | Performative::RecruitAll => handle_query(shared, ctx, &env, None),
-        Performative::AskOne | Performative::RecruitOne => handle_query(shared, ctx, &env, Some(1)),
-        Performative::BrokerOne => handle_broker_one(shared, ctx, &env),
-        Performative::Subscribe => handle_subscribe(shared, ctx, &env),
-        Performative::Other(ref other) if other == "unsubscribe" => {
-            handle_unsubscribe(shared, ctx, &env)
-        }
-        _ => {
-            let reply = msg.reply_skeleton(Performative::Error).with_content(SExpr::string(
-                format!("unsupported performative '{}'", msg.performative),
-            ));
-            reply_as_broker(ctx, &env.from, reply);
-        }
-    }
-}
-
-/// True for the performatives the batched path applies under a shared
-/// repository lock.
-fn is_repo_mutation(p: &Performative) -> bool {
-    matches!(p, Performative::Advertise | Performative::Update | Performative::Unadvertise)
-}
-
-/// Batched dispatch (`batch_limit > 1`): consecutive runs of repository
-/// mutations are applied under one repo lock and their outgoing traffic
-/// (sub-deltas then acks, in mutation order) leaves as one coalesced
-/// [`AgentContext::send_batch`]; everything else dispatches through the
-/// classic per-message path in place, so arrival order is preserved
-/// across the whole batch.
-fn handle_batch(shared: &Shared, ctx: &AgentContext, batch: Vec<infosleuth_agent::Envelope>) {
-    let mut run: Vec<infosleuth_agent::Envelope> = Vec::new();
-    for env in batch {
-        if is_repo_mutation(&env.message.performative) {
-            run.push(env);
-        } else {
-            flush_mutation_run(shared, ctx, &mut run);
-            dispatch_with_span(shared, ctx, env);
-        }
-    }
-    flush_mutation_run(shared, ctx, &mut run);
-}
-
-/// Applies a run of queued mutations strictly in order under a single
-/// repository lock — each one still bumps the epoch, probes the
-/// subscription index, and emits its own deltas, exactly as if it had
-/// arrived alone; only the lock round-trips and the transport sends are
-/// amortized.
-fn flush_mutation_run(
-    shared: &Shared,
-    ctx: &AgentContext,
-    run: &mut Vec<infosleuth_agent::Envelope>,
-) {
-    if run.is_empty() {
-        return;
-    }
-    #[cfg(feature = "seeded-reorder")]
-    if shared.config.seeded_reorder {
-        run.reverse();
-    }
-    let mut out = Vec::new();
-    {
-        let mut repo = shared.repo.lock();
-        for env in run.drain(..) {
-            let parent = env.message.trace().and_then(TraceContext::parse);
-            let _span = shared.obs.obs.tracer().agent_span(
-                format!("recv:{}", env.message.performative),
-                ctx.name(),
-                parent,
-            );
-            if env.message.performative == Performative::Unadvertise {
-                apply_unadvertise(shared, &mut repo, &env, &mut out);
-            } else {
-                apply_advertise(shared, &mut repo, &env, &mut out);
-            }
-        }
-    }
-    let _ = ctx.send_batch(out);
-}
-
-/// Runs one non-mutation envelope through the per-message handler,
-/// wrapped in the dispatch span the runtime would have opened had the
-/// envelope not ridden in a batch.
-fn dispatch_with_span(shared: &Shared, ctx: &AgentContext, env: infosleuth_agent::Envelope) {
-    let parent = env.message.trace().and_then(TraceContext::parse);
-    let span = shared.obs.obs.tracer().agent_span(
-        format!("recv:{}", env.message.performative),
-        ctx.name(),
-        parent,
-    );
-    handle_envelope(shared, ctx, env);
-    drop(span);
-}
-
-/// Queues an outgoing message, stamping the active span's trace context
-/// the way [`AgentContext::send`] would have at this point — buffered
-/// sends otherwise leave the handler span before they hit the wire.
-fn push_out(out: &mut Vec<(String, Message)>, to: &str, mut msg: Message) {
-    if msg.trace().is_none() {
-        if let Some(c) = infosleuth_obs::current_context() {
-            msg = msg.with_trace(c.encode());
-        }
-    }
-    out.push((to.to_string(), msg));
-}
-
-fn handle_advertise(shared: &Shared, ctx: &AgentContext, env: &infosleuth_agent::Envelope) {
-    let mut out = Vec::new();
-    {
-        let mut repo = shared.repo.lock();
-        apply_advertise(shared, &mut repo, env, &mut out);
-    }
-    for (to, msg) in out {
-        let _ = ctx.send(&to, msg);
-    }
-}
-
-/// The advertise / update core, against an already-locked repository.
-/// Outgoing traffic (sub-deltas first, the ack last) is pushed onto
-/// `out` in the exact order the unbatched path would have sent it.
-fn apply_advertise(
-    shared: &Shared,
-    repo: &mut Repository,
-    env: &infosleuth_agent::Envelope,
-    out: &mut Vec<(String, Message)>,
-) {
-    shared.obs.advertises.inc();
-    let Some(content) = env.message.content() else {
-        let reply = env
-            .message
-            .reply_skeleton(Performative::Error)
-            .with_content(SExpr::string("advertise without content"));
-        push_out(out, &env.from, reply);
-        return;
-    };
-    // A peer's digest re-advertisement (delta-driven, one-way): refresh
-    // the routing entry; no reply is owed.
-    if let Ok(digest) = codec::digest_from_sexpr(content) {
-        shared_ingest_digest(shared, digest);
-        return;
-    }
-    // Peer broker advertising itself?
-    if let Ok(broker_ad) = codec::broker_advertisement_from_sexpr(content) {
-        let peer = broker_ad.base.location.name.clone();
-        let accepted = repo.advertise_broker(broker_ad);
-        let reply = match accepted {
-            Ok(()) => {
-                // The hello may carry the peer's digest; either way a peer
-                // that advertises stops being suspect.
-                if let Some(d) = codec::embedded_digest(content) {
-                    shared_ingest_digest(shared, d);
-                }
-                shared.suspects.lock().remove(&peer);
-                // Reciprocate with our own advertisement (and digest) so
-                // the sender can store both — one round trip establishes
-                // mutual knowledge.
-                let mine = shared.config.broker_advertisement();
-                let digest = shared.config.routing_digests.then(|| own_digest(shared, repo));
-                env.message
-                    .reply_skeleton(Performative::Tell)
-                    .with_content(codec::broker_hello_to_sexpr(&mine, digest.as_ref()))
-            }
-            Err(e) => env
-                .message
-                .reply_skeleton(Performative::Sorry)
-                .with_content(SExpr::string(e.to_string())),
-        };
-        push_out(out, &env.from, reply);
-        return;
-    }
-    match codec::advertisement_from_sexpr(content) {
-        Ok(ad) => {
-            let decision = {
-                // Fit of each known peer, from their advertised specialties.
-                let peer_fits: Vec<(String, f64)> = repo
-                    .broker_advertisements()
-                    .map(|b| {
-                        let objective = if b.specialization.ontologies.is_empty() {
-                            BrokerObjective::GeneralPurpose
-                        } else {
-                            BrokerObjective::Specialized {
-                                ontologies: b.specialization.ontologies.clone(),
-                            }
-                        };
-                        (b.base.location.name.clone(), objective.fit(&ad))
-                    })
-                    .collect();
-                shared.config.objective.admit(&ad, &peer_fits)
-            };
-            let reply = match decision {
-                AdmissionDecision::Accept => {
-                    let name = ad.location.name.clone();
-                    let old = repo.advertisement_arc(&name).cloned();
-                    let pre_epoch = repo.epoch();
-                    let result = repo.advertise(ad);
-                    let affected = if result.is_ok() {
-                        let new = repo.advertisement_arc(&name).cloned();
-                        if let Some(new) = &new {
-                            digest_advertised(shared, repo, pre_epoch, new);
-                        }
-                        subs_affected(shared, repo, old.as_deref(), new.as_deref())
-                    } else {
-                        BTreeSet::new()
-                    };
-                    // Deltas go out before the ack so a subscriber that is
-                    // also the advertiser sees a deterministic sequence.
-                    notify_subscriptions_locked(shared, repo, affected, out);
-                    // Digest re-advertisements to peers also precede the
-                    // ack: an advertiser that queries right after its ack
-                    // already has the updates ahead of it in peer inboxes.
-                    broadcast_digest(shared, repo, out);
-                    match result {
-                        Ok(()) => env.message.reply_skeleton(Performative::Tell),
-                        Err(e) => env
-                            .message
-                            .reply_skeleton(Performative::Sorry)
-                            .with_content(SExpr::string(e.to_string())),
-                    }
-                }
-                AdmissionDecision::Forward { candidates } => {
-                    // "If no brokers accept the advertisement, the broker …
-                    // will reply with a sorry message", listing better fits
-                    // when it has suggestions.
-                    let mut items = vec![SExpr::atom("forward-to")];
-                    items.extend(candidates.iter().map(|c| SExpr::atom(c.as_str())));
-                    env.message.reply_skeleton(Performative::Sorry).with_content(SExpr::List(items))
-                }
-            };
-            push_out(out, &env.from, reply);
-        }
-        Err(e) => {
-            let reply = env
-                .message
-                .reply_skeleton(Performative::Error)
-                .with_content(SExpr::string(e.to_string()));
-            push_out(out, &env.from, reply);
-        }
-    }
-}
-
-fn handle_unadvertise(shared: &Shared, ctx: &AgentContext, env: &infosleuth_agent::Envelope) {
-    let mut out = Vec::new();
-    {
-        let mut repo = shared.repo.lock();
-        apply_unadvertise(shared, &mut repo, env, &mut out);
-    }
-    for (to, msg) in out {
-        let _ = ctx.send(&to, msg);
-    }
-}
-
-/// The unadvertise core, against an already-locked repository (deltas
-/// first, ack last — same contract as [`apply_advertise`]).
-fn apply_unadvertise(
-    shared: &Shared,
-    repo: &mut Repository,
-    env: &infosleuth_agent::Envelope,
-    out: &mut Vec<(String, Message)>,
-) {
-    shared.obs.unadvertises.inc();
-    // Content is the agent name (atom) or absent (sender unadvertises
-    // itself).
-    let name = env
-        .message
-        .content()
-        .and_then(SExpr::as_text)
-        .map(str::to_string)
-        .unwrap_or_else(|| env.from.clone());
-    let old = repo.advertisement_arc(&name).cloned();
-    let pre_epoch = repo.epoch();
-    let was_agent = repo.unadvertise(&name);
-    let removed = was_agent || repo.unadvertise_broker(&name);
-    if was_agent {
-        digest_unadvertised(shared, repo, pre_epoch, &name);
-    } else if removed {
-        // A departed peer broker takes its digest and suspicion with it.
-        shared.digests.lock().peers.remove(&name);
-        shared.suspects.lock().remove(&name);
-    }
-    let affected = match &old {
-        Some(old) if removed => subs_affected(shared, repo, Some(old), None),
-        _ => BTreeSet::new(),
-    };
-    notify_subscriptions_locked(shared, repo, affected, out);
-    broadcast_digest(shared, repo, out);
-    let perf = if removed { Performative::Tell } else { Performative::Sorry };
-    push_out(out, &env.from, env.message.reply_skeleton(perf));
-}
-
-/// Registers a standing service query (§2.2's "subscribe to changes in the
-/// set of matching agents"). Notifications are `tell`s carrying a
-/// `sub-delta` (only agents that entered or left the match set) to the
-/// `:reply-to` endpoint, tagged with the subscription key as
-/// `:in-reply-to` and the subscribe message's `:x-trace`.
-fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &infosleuth_agent::Envelope) {
-    let msg = &env.message;
-    let Some(content) = msg.content() else {
-        let reply = msg
-            .reply_skeleton(Performative::Error)
-            .with_content(SExpr::string("subscribe without content"));
-        reply_as_broker(ctx, &env.from, reply);
-        return;
-    };
-    let query = match codec::service_query_from_sexpr(content) {
-        Ok(q) => q,
-        Err(e) => {
-            let reply =
-                msg.reply_skeleton(Performative::Error).with_content(SExpr::string(e.to_string()));
-            reply_as_broker(ctx, &env.from, reply);
-            return;
-        }
-    };
-    let subscriber = msg.get_text("reply-to").unwrap_or(&env.from).to_string();
-    // Admission: an unsatisfiable or vacuous standing query would be paid
-    // for on every repository mutation — reject it with the rendered
-    // diagnostics instead.
-    let report = shared.repo.lock().analyze_subscription(&subscriber, &query);
-    if report.has_errors() {
-        let reply = msg
-            .reply_skeleton(Performative::Sorry)
-            .with_content(SExpr::string(report.render_human(None)));
-        reply_as_broker(ctx, &env.from, reply);
-        return;
-    }
-    let trace = msg.trace().map(str::to_string);
-    let (sub_key, initial, epoch) = {
-        let mut repo = shared.repo.lock();
-        let initial = shared.config.matchmaker.match_query_cached(&mut repo, &shared.cache, &query);
-        let epoch = repo.epoch();
-        let mut subs = shared.subs.lock();
-        let sub_key = msg
-            .reply_with()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("sub-{}", subs.next_key()));
-        subs.register(
-            sub_key.clone(),
-            subscriber.clone(),
-            trace.clone(),
-            query,
-            Arc::clone(&initial),
-            &repo,
-        );
-        (sub_key, initial, epoch)
-    };
-    shared.obs.subscribes.inc();
-    // Initial snapshot: the delta against the empty set, so the subscriber
-    // learns the baseline the following deltas build on.
-    let mut snapshot = Message::new(Performative::Tell)
-        .with_in_reply_to(sub_key.clone())
-        .with_ontology("infosleuth-service")
-        .with_content(codec::sub_delta_to_sexpr(epoch, &initial, &[]));
-    if let Some(t) = &trace {
-        snapshot = snapshot.with_trace(t.clone());
-    }
-    let _ = ctx.send(&subscriber, snapshot);
-    // Ack after the snapshot so a subscriber that is also the requester
-    // observes a deterministic sequence.
-    let reply = msg.reply_skeleton(Performative::Tell).with_content(SExpr::atom(sub_key));
-    reply_as_broker(ctx, &env.from, reply);
-}
-
-/// Cancels a standing subscription: content (or `:in-reply-to`) names the
-/// subscription key; only the registered subscriber may cancel it.
-fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &infosleuth_agent::Envelope) {
-    let msg = &env.message;
-    let key =
-        msg.content().and_then(SExpr::as_text).or_else(|| msg.in_reply_to()).map(str::to_string);
-    let subscriber = msg.get_text("reply-to").unwrap_or(&env.from);
-    let removed = key
-        .and_then(|k| {
-            let mut subs = shared.subs.lock();
-            subs.find(&k, subscriber).and_then(|id| subs.remove(id))
-        })
-        .is_some();
-    let perf = if removed { Performative::Tell } else { Performative::Sorry };
-    reply_as_broker(ctx, &env.from, msg.reply_skeleton(perf));
-}
-
-/// The subscriptions a repository mutation must re-score: the inverted
-/// index's candidate set (or everything, in naive mode / under derived
-/// rules). Caller holds the repo lock; takes the subs lock (repo → subs).
-fn subs_affected(
-    shared: &Shared,
-    repo: &Repository,
-    old: Option<&Advertisement>,
-    new: Option<&Advertisement>,
-) -> BTreeSet<SubId> {
-    let mut subs = shared.subs.lock();
-    if subs.is_empty() {
-        return BTreeSet::new();
-    }
-    shared.obs.sub_events.inc();
-    subs.affected(old, new, repo)
-}
-
-/// Re-scores each affected subscription (through the epoch-tagged match
-/// cache) and delivers a `sub-delta` notification to every one whose
-/// result set actually changed. Index false positives die here as empty
-/// deltas. Iteration is in ascending id order, so notification sequences
-/// are deterministic and identical between indexed and naive modes.
-fn notify_subscriptions(shared: &Shared, ctx: &AgentContext, affected: BTreeSet<SubId>) {
-    if affected.is_empty() {
-        return;
-    }
-    let mut out = Vec::new();
-    {
-        let mut repo = shared.repo.lock();
-        notify_subscriptions_locked(shared, &mut repo, affected, &mut out);
-    }
-    for (to, msg) in out {
-        let _ = ctx.send(&to, msg);
-    }
-}
-
-/// The fan-out core, against an already-locked repository: notifications
-/// are pushed onto `out` (in ascending id order) rather than sent, so the
-/// batched path can coalesce them with the mutation acks that follow.
-fn notify_subscriptions_locked(
-    shared: &Shared,
-    repo: &mut Repository,
-    affected: BTreeSet<SubId>,
-    out: &mut Vec<(String, Message)>,
-) {
-    if affected.is_empty() {
-        return;
-    }
-    shared.obs.sub_affected.add(affected.len() as u64);
-    let timer = shared.obs.obs.stage(&shared.obs.sub_notify, "sub-notify");
-    for id in affected {
-        let snapshot = {
-            let subs = shared.subs.lock();
-            subs.entry(id).map(|s| {
-                (
-                    s.query.clone(),
-                    Arc::clone(&s.last),
-                    s.subscriber.clone(),
-                    s.sub_key.clone(),
-                    s.trace.clone(),
-                )
-            })
-        };
-        let Some((query, last, subscriber, sub_key, trace)) = snapshot else {
-            continue;
-        };
-        let new = shared.config.matchmaker.match_query_cached(repo, &shared.cache, &query);
-        let epoch = repo.epoch();
-        let (matched, unmatched) = result_delta(&last, &new);
-        if matched.is_empty() && unmatched.is_empty() {
-            continue;
-        }
-        shared.subs.lock().update_last(id, new);
-        let mut note = Message::new(Performative::Tell)
-            .with_in_reply_to(sub_key)
-            .with_ontology("infosleuth-service")
-            .with_content(codec::sub_delta_to_sexpr(epoch, &matched, &unmatched));
-        if let Some(t) = trace {
-            note = note.with_trace(t);
-        }
-        shared.obs.sub_notifications.inc();
-        push_out(out, &subscriber, note);
-    }
-    drop(timer);
-}
-
-fn handle_ping(shared: &Shared, ctx: &AgentContext, env: &infosleuth_agent::Envelope) {
-    // "In the event that a broker is alive but does not have information
-    // about the agent that is doing the querying, [it] will receive a reply
-    // containing no matches" — modelled as `sorry`.
-    let perf = match env.message.content().and_then(SExpr::as_text) {
-        Some(about) => {
-            let repo = shared.repo.lock();
-            if repo.contains_agent(about) || repo.peer_brokers().iter().any(|b| b == about) {
-                Performative::Reply
-            } else {
-                Performative::Sorry
-            }
-        }
-        None => Performative::Reply,
-    };
-    reply_as_broker(ctx, &env.from, env.message.reply_skeleton(perf));
-}
-
-fn handle_query(
-    shared: &Shared,
-    ctx: &AgentContext,
-    env: &infosleuth_agent::Envelope,
-    force_max: Option<usize>,
-) {
-    shared.obs.match_requests.inc();
-    let Some(content) = env.message.content() else {
-        let reply = env
-            .message
-            .reply_skeleton(Performative::Error)
-            .with_content(SExpr::string("query without content"));
-        reply_as_broker(ctx, &env.from, reply);
-        return;
-    };
-    // Accept either a full broker-search or a bare service-query.
-    let parse_timer = shared.obs.obs.stage(&shared.obs.parse, "parse");
-    let request = match codec::search_request_from_sexpr(content) {
-        Ok(r) => r,
-        Err(_) => match codec::service_query_from_sexpr(content) {
-            Ok(mut query) => {
-                if let Some(n) = force_max {
-                    query.max_matches = Some(query.max_matches.map_or(n, |m| m.min(n)));
-                }
-                let policy = if query.max_matches.is_some() {
-                    SearchPolicy::default_for(query.max_matches)
-                } else {
-                    shared.config.default_policy
-                };
-                codec::SearchRequest { query, policy, visited: Vec::new(), digest_epoch: None }
-            }
-            Err(e) => {
-                let reply = env
-                    .message
-                    .reply_skeleton(Performative::Error)
-                    .with_content(SExpr::string(e.to_string()));
-                reply_as_broker(ctx, &env.from, reply);
-                return;
-            }
-        },
-    };
-    drop(parse_timer);
-    // §4.1 "Agents Discovering Brokers": a query for agents of type
-    // `broker` is answered from the peer-broker table (plus this broker
-    // itself), filtered by advertised specialization when the requester
-    // names a data domain.
-    if request.query.agent_type == Some(AgentType::Broker) {
-        let matches = broker_discovery(shared, &request.query);
-        let perf = if matches.is_empty() { Performative::Sorry } else { Performative::Reply };
-        let reply =
-            env.message.reply_skeleton(perf).with_content(codec::matches_to_sexpr(&matches));
-        reply_as_broker(ctx, &env.from, reply);
-        return;
-    }
-    let matches = collaborative_search(shared, ctx, &request);
-    let perf = if matches.is_empty() { Performative::Sorry } else { Performative::Reply };
-    // A forwarding broker stamps the epoch of our digest it consulted;
-    // when that is stale, piggyback a fresh digest on the reply so the
-    // sender repairs its routing table without an extra round trip.
-    let refresh = request.digest_epoch.and_then(|seen| {
-        if !shared.config.routing_digests {
-            return None;
-        }
-        let repo = shared.repo.lock();
-        if repo.epoch() != seen {
-            shared.obs.digest_stale.inc();
-            Some(own_digest(shared, &repo))
-        } else {
-            None
-        }
-    });
-    let reply = env
-        .message
-        .reply_skeleton(perf)
-        .with_content(codec::matches_reply_to_sexpr(&matches, refresh.as_ref()));
-    reply_as_broker(ctx, &env.from, reply);
-}
-
-/// Answers "which brokers are available (for this domain)?" from the local
-/// broker-advertisement table, so an operational agent can "query the
-/// preferred broker for one or all of the brokers that are available in
-/// the system with the capabilities and data domain that it is interested
-/// in" and reconfigure its preferred-broker list.
-fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
-    let fits = |ontologies: &std::collections::BTreeSet<String>| match &query.ontology {
-        None => true,
-        // A specialist fits if it covers the domain; a general-purpose
-        // broker (empty specialization) fits anything.
-        Some(o) => ontologies.is_empty() || ontologies.contains(o),
-    };
-    let mut out = Vec::new();
-    {
-        let repo = shared.repo.lock();
-        for b in repo.broker_advertisements() {
-            if fits(&b.specialization.ontologies) {
-                out.push(MatchResult {
-                    name: b.base.location.name.clone(),
-                    address: b.base.location.address.clone(),
-                    score: if b.specialization.ontologies.is_empty() { 1 } else { 2 },
-                    ontology: query.ontology.clone(),
-                    ..MatchResult::default()
-                });
-            }
-        }
-    }
-    // This broker itself is also a candidate.
-    if fits(&shared.config.objective.ontologies()) {
-        out.push(MatchResult {
-            name: shared.config.name.clone(),
-            address: shared.config.address.clone(),
-            score: if shared.config.objective.is_general_purpose() { 1 } else { 2 },
-            ontology: query.ontology.clone(),
-            ..MatchResult::default()
-        });
-    }
-    out.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
-    if let Some(n) = query.max_matches {
-        out.truncate(n);
-    }
-    out
-}
-
-/// Local matchmaking plus the §3.3 collaborative expansion: "Each broker
-/// request is forwarded to relevant other brokers … The response to the
-/// broker query contains the union of all agents which have advertised to
-/// some broker that the broker query reached, and which match the request."
-fn collaborative_search(
-    shared: &Shared,
-    ctx: &AgentContext,
-    request: &codec::SearchRequest,
-) -> Vec<MatchResult> {
-    // Local matches first. For the expansion decision we must consider
-    // matches *without* the max_matches truncation, so run untruncated and
-    // truncate at the very end.
-    let mut untruncated = request.query.clone();
-    untruncated.max_matches = None;
-    let mut matches = {
-        let mut repo = shared.repo.lock();
-        // The cache keys the untruncated query, so every policy variant of
-        // the same request shares one entry; peer expansion below always
-        // runs against the request's own policy.
-        let key = MatchCache::query_key(&untruncated);
-        match shared.cache.lookup_keyed(repo.epoch(), &key) {
-            // Peer expansion / truncation below mutate the list, so the
-            // shared rows are copied out here; the copy is proportional
-            // to the answer, not to the scoring work a hit skipped.
-            Some(hit) => (*hit).clone(),
-            None => {
-                // Obtaining the model records the "saturation" stage via the
-                // repository's hooks; candidate narrowing + scoring is its
-                // own stage so one ask-all trace shows the full pipeline.
-                let model = repo.saturated();
-                let _t = shared.obs.obs.stage(&shared.obs.scoring, "scoring");
-                let computed =
-                    Arc::new(shared.config.matchmaker.match_query(&repo, &model, &untruncated));
-                shared.cache.insert_keyed(repo.epoch(), key, Arc::clone(&computed));
-                (*computed).clone()
-            }
-        }
-    };
-
-    if request.policy.should_expand(matches.len()) {
-        let peers = peer_candidates(shared, request, &untruncated);
-        if !peers.is_empty() {
-            // The forwarded visited list contains everywhere the request
-            // has been or is being sent, preventing loops and duplicate
-            // work even across consortium overlaps.
-            let mut visited = request.visited.clone();
-            visited.push(shared.config.name.clone());
-            visited.extend(peers.iter().map(|p| p.name.clone()));
-            let forwarded = codec::SearchRequest {
-                query: untruncated.clone(),
-                policy: request.policy.next_hop(),
-                visited,
-                digest_epoch: None,
-            };
-            if matches!(request.policy.follow, crate::policy::FollowOption::UntilMatch) {
-                // Until-match stays serial: the point is to stop asking as
-                // soon as anyone answers.
-                for peer in &peers {
-                    match forward_to_peer(shared, ctx, peer, &forwarded) {
-                        Ok(peer_matches) => {
-                            note_forward_success(shared, peer, &peer_matches);
-                            matches.extend(peer_matches);
-                            if !matches.is_empty() {
-                                break;
-                            }
-                        }
-                        Err(_) => note_forward_failure(shared, &peer.name),
-                    }
-                }
-            } else {
-                for (peer, result) in forward_to_peers(shared, ctx, &peers, &forwarded) {
-                    match result {
-                        Ok(peer_matches) => {
-                            note_forward_success(shared, &peer, &peer_matches);
-                            matches.extend(peer_matches);
-                        }
-                        Err(_) => note_forward_failure(shared, &peer.name),
-                    }
-                }
-            }
-        }
-    }
-
-    // "…combines them with its own (possibly empty) list of providing
-    // agents, eliminating duplicated entries."
-    let mut deduped: Vec<MatchResult> = Vec::new();
-    for m in matches {
-        match deduped.iter_mut().find(|d| d.name == m.name) {
-            Some(existing) => {
-                if m.score > existing.score {
-                    *existing = m;
-                }
-            }
-            None => deduped.push(m),
-        }
-    }
-    deduped.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
-    if let Some(n) = request.query.max_matches {
-        deduped.truncate(n);
-    }
-    deduped
-}
-
-/// A peer eligible for one forwarded search, with the epoch of the digest
-/// that admitted it (`None`: no digest on file, or digests disabled —
-/// forwarded anyway, since absence of evidence must not lose recall).
-#[derive(Clone)]
-struct PeerTarget {
-    name: String,
-    digest_epoch: Option<u64>,
-}
-
-/// The peers one forwarded search should contact, three filters deep:
-/// the §5.2.2 specialization rule-out, the suspect backoff window, and —
-/// for terminal forwards only — the peer's capability digest. A digest
-/// covers the peer's *local* repository, so pruning on it is sound only
-/// when the forwarded hop cannot expand further; a relay hop (remaining
-/// hop budget) is always contacted.
-fn peer_candidates(
-    shared: &Shared,
-    request: &codec::SearchRequest,
-    untruncated: &ServiceQuery,
-) -> Vec<PeerTarget> {
-    let names: Vec<String> = {
-        let repo = shared.repo.lock();
-        // §5.2.2: "brokers can advertise their capabilities to other
-        // brokers which means that a broker can know in advance which
-        // brokers it can immediately rule out from a query" — a peer
-        // specialized in other ontologies cannot hold a match for this
-        // query's ontology, so we skip it without a network round trip.
-        let wanted_ontology = request.query.ontology.clone();
-        repo.broker_advertisements()
-            .filter(|b| {
-                let name = &b.base.location.name;
-                if request.visited.contains(name) || name == &shared.config.name {
-                    return false;
-                }
-                match (&wanted_ontology, b.specialization.ontologies.is_empty()) {
-                    // General-purpose peers, or no ontology requested:
-                    // always worth asking.
-                    (_, true) | (None, _) => true,
-                    (Some(o), false) => b.specialization.ontologies.contains(o),
-                }
-            })
-            .map(|b| b.base.location.name.clone())
-            .collect()
-    };
-    let now = Instant::now();
-    let names: Vec<String> = {
-        let suspects = shared.suspects.lock();
-        names.into_iter().filter(|n| !suspects.get(n).is_some_and(|s| now < s.retry_at)).collect()
-    };
-    let terminal = request.policy.next_hop().hop_count == 0;
-    let prune = shared.config.routing_digests && terminal;
-    let digests = shared.digests.lock();
-    let mut out = Vec::new();
-    for name in names {
-        let digest = if prune { digests.peers.get(&name) } else { None };
-        if let Some(d) = digest {
-            if !d.can_match(untruncated) {
-                shared.obs.digest_pruned.inc();
-                continue;
-            }
-        }
-        out.push(PeerTarget { name, digest_epoch: digest.map(|d| d.epoch) });
-    }
-    out
-}
-
-/// Forward success: clear suspicion, and count a digest false positive
-/// when the digest admitted the peer but it had nothing.
-fn note_forward_success(shared: &Shared, peer: &PeerTarget, matches: &[MatchResult]) {
-    shared.suspects.lock().remove(&peer.name);
-    if peer.digest_epoch.is_some() && matches.is_empty() {
-        shared.obs.digest_fp.inc();
-    }
-}
-
-/// Forward failure: demote the peer to suspect with exponential backoff
-/// instead of unadvertising it outright. Only [`SUSPECT_DROP_AFTER`]
-/// consecutive failures remove it from the repository; its next
-/// advertisement or digest re-admits it.
-fn note_forward_failure(shared: &Shared, peer: &str) {
-    shared.obs.peer_suspect.inc();
-    let drop_peer = {
-        let mut suspects = shared.suspects.lock();
-        let entry = suspects
-            .entry(peer.to_string())
-            .or_insert(SuspectEntry { failures: 0, retry_at: Instant::now() });
-        entry.failures = entry.failures.saturating_add(1);
-        let backoff = SUSPECT_BASE_BACKOFF
-            .saturating_mul(1u32 << (entry.failures - 1).min(6))
-            .min(SUSPECT_MAX_BACKOFF);
-        entry.retry_at = Instant::now() + backoff;
-        entry.failures >= SUSPECT_DROP_AFTER
-    };
-    if drop_peer {
-        shared.repo.lock().unadvertise_broker(peer);
-        shared.digests.lock().peers.remove(peer);
-        shared.suspects.lock().remove(peer);
-    }
-}
-
-/// Refreshes the stored digest of whichever broker piggybacked one on a
-/// matches reply (the staleness-repair half of the epoch protocol).
-fn ingest_reply_digest(shared: &Shared, content: &SExpr) {
-    if let Some(d) = codec::embedded_digest(content) {
-        shared_ingest_digest(shared, d);
-    }
-}
-
-fn forward_to_peer(
-    shared: &Shared,
-    ctx: &AgentContext,
-    peer: &PeerTarget,
-    request: &codec::SearchRequest,
-) -> Result<Vec<MatchResult>, BusError> {
-    let mut stamped = request.clone();
-    stamped.digest_epoch = peer.digest_epoch;
-    let msg = Message::new(Performative::AskAll)
-        .with_ontology("infosleuth-service")
-        .with_content(codec::search_request_to_sexpr(&stamped));
-    shared.obs.forwards.inc();
-    let reply = ctx.request(&peer.name, msg, shared.config.peer_timeout)?;
-    match reply.content() {
-        Some(content) => {
-            ingest_reply_digest(shared, content);
-            Ok(codec::matches_from_sexpr(content).unwrap_or_default())
-        }
-        None => Ok(Vec::new()),
-    }
-}
-
-/// Forwards one search to many peers through a single coalesced
-/// [`Transport::send_batch`] (one registry pass on the bus, vectored
-/// frames over TCP), then collects every reply on one ephemeral endpoint
-/// under a shared deadline. Results are index-aligned with `peers`; a
-/// peer that never answers times out without extending the total wait.
-fn forward_to_peers(
-    shared: &Shared,
-    ctx: &AgentContext,
-    peers: &[PeerTarget],
-    request: &codec::SearchRequest,
-) -> Vec<(PeerTarget, Result<Vec<MatchResult>, BusError>)> {
-    if peers.len() == 1 {
-        let peer = peers[0].clone();
-        let result = forward_to_peer(shared, ctx, &peer, request);
-        return vec![(peer, result)];
-    }
-    let Ok(mut ep) = ctx.ephemeral_endpoint() else {
-        // No side endpoint available: fall back to serial round trips.
-        return peers
-            .iter()
-            .map(|p| (p.clone(), forward_to_peer(shared, ctx, p, request)))
-            .collect();
-    };
-    let mut ids = Vec::with_capacity(peers.len());
-    let mut batch = Vec::with_capacity(peers.len());
-    for peer in peers {
-        let mut stamped = request.clone();
-        stamped.digest_epoch = peer.digest_epoch;
-        let id = ep.transport().next_conversation_id(ep.name());
-        let mut msg = Message::new(Performative::AskAll)
-            .with_ontology("infosleuth-service")
-            .with_content(codec::search_request_to_sexpr(&stamped));
-        msg.set("reply-with", SExpr::atom(&id));
-        msg.set("sender", SExpr::atom(ep.name()));
-        msg.set("receiver", SExpr::atom(&peer.name));
-        shared.obs.forwards.inc();
-        ids.push(id);
-        batch.push((peer.name.clone(), msg));
-    }
-    let sends = ep.transport().send_batch(ep.name(), batch);
-    let mut outcome: HashMap<String, Result<Vec<MatchResult>, BusError>> = HashMap::new();
-    let mut pending: BTreeSet<String> = BTreeSet::new();
-    for (i, send) in sends.into_iter().enumerate() {
-        match send {
-            Ok(()) => {
-                pending.insert(ids[i].clone());
-            }
-            Err(e) => {
-                outcome.insert(ids[i].clone(), Err(e));
-            }
-        }
-    }
-    let deadline = Instant::now() + shared.config.peer_timeout;
-    while !pending.is_empty() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        let Some(env) = ep.recv_timeout(remaining) else {
-            continue;
-        };
-        let Some(id) = env.message.in_reply_to().map(str::to_string) else {
-            continue;
-        };
-        if pending.remove(&id) {
-            let parsed = match env.message.content() {
-                Some(content) => {
-                    ingest_reply_digest(shared, content);
-                    codec::matches_from_sexpr(content).unwrap_or_default()
-                }
-                None => Vec::new(),
-            };
-            outcome.insert(id, Ok(parsed));
-        }
-    }
-    ep.unregister();
-    peers
-        .iter()
-        .zip(ids)
-        .map(|(peer, id)| {
-            let result = outcome
-                .remove(&id)
-                .unwrap_or(Err(BusError::Timeout { waiting_on: peer.name.clone() }));
-            (peer.clone(), result)
-        })
-        .collect()
-}
-
-/// KQML `broker-one`: "allow an agent to … ask a broker about other
-/// services", here in the *brokered* (delegation) form — the broker finds
-/// one matching agent, forwards the embedded message to it, and relays the
-/// answer back to the requester. Content shape:
-/// `(broker-one (service-query ...) (message "<kqml text>"))`.
-fn handle_broker_one(shared: &Shared, ctx: &AgentContext, env: &infosleuth_agent::Envelope) {
-    let fail = |reason: String| {
-        let reply =
-            env.message.reply_skeleton(Performative::Error).with_content(SExpr::string(reason));
-        reply_as_broker(ctx, &env.from, reply);
-    };
-    let Some(items) = env.message.content().and_then(SExpr::as_list) else {
-        return fail("broker-one expects (broker-one (service-query ...) (message ...))".into());
-    };
-    if items.first().and_then(SExpr::as_atom) != Some("broker-one") {
-        return fail("expected (broker-one ...) content".into());
-    }
-    let Some(query_expr) = items.iter().find(|e| {
-        e.as_list()
-            .and_then(|l| l.first())
-            .and_then(SExpr::as_atom)
-            .map(|h| h == "service-query")
-            .unwrap_or(false)
-    }) else {
-        return fail("broker-one missing service-query".into());
-    };
-    let mut query = match codec::service_query_from_sexpr(query_expr) {
-        Ok(q) => q,
-        Err(e) => return fail(e.to_string()),
-    };
-    query.max_matches = Some(1);
-    let Some(embedded_text) = items.iter().find_map(|e| {
-        let l = e.as_list()?;
-        if l.first()?.as_atom()? == "message" {
-            l.get(1)?.as_text()
-        } else {
-            None
-        }
-    }) else {
-        return fail("broker-one missing embedded message".into());
-    };
-    let embedded = match Message::parse(embedded_text) {
-        Ok(m) => m,
-        Err(e) => return fail(format!("embedded message: {e}")),
-    };
-    // Find one provider (collaboratively, per the until-match default).
-    let request = codec::SearchRequest {
-        query: query.clone(),
-        policy: SearchPolicy::default_for(Some(1)),
-        visited: Vec::new(),
-        digest_epoch: None,
-    };
-    let matches = collaborative_search(shared, ctx, &request);
-    let Some(target) = matches.first() else {
-        let reply = env.message.reply_skeleton(Performative::Sorry);
-        reply_as_broker(ctx, &env.from, reply);
-        return;
-    };
-    // Forward and relay.
-    match ctx.request(&target.name, embedded, shared.config.peer_timeout) {
-        Ok(answer) => {
-            let mut relay = env.message.reply_skeleton(answer.performative.clone());
-            if let Some(content) = answer.content() {
-                relay.set("content", content.clone());
-            }
-            relay.set("language", SExpr::atom("KQML"));
-            reply_as_broker(ctx, &env.from, relay);
-        }
-        Err(e) => fail(format!("provider '{}' failed: {e}", target.name)),
-    }
-}
-
-/// Builds the `broker-one` content payload that the broker agent expects.
-pub fn broker_one_content(query: &ServiceQuery, embedded: &Message) -> SExpr {
-    SExpr::list([
-        SExpr::atom("broker-one"),
-        codec::service_query_to_sexpr(query),
-        SExpr::list([SExpr::atom("message"), SExpr::string(embedded.to_string())]),
-    ])
-}
-
-// ---------------------------------------------------------------------
-// Client-side helpers: what non-broker agents do to talk to a broker.
-// ---------------------------------------------------------------------
-
-/// Advertises an agent to a broker; `Ok(true)` = accepted, `Ok(false)` =
-/// declined (specialization mismatch or validation failure).
-pub fn advertise_to<R: Requester>(
-    ep: &mut R,
-    broker: &str,
-    ad: &Advertisement,
-    timeout: Duration,
-) -> Result<bool, BusError> {
-    let msg = Message::new(Performative::Advertise)
-        .with_ontology("infosleuth-service")
-        .with_content(codec::advertisement_to_sexpr(ad));
-    let reply = ep.request(broker, msg, timeout)?;
-    Ok(reply.performative == Performative::Tell)
-}
-
-/// Withdraws an agent's advertisement from a broker.
-pub fn unadvertise_from<R: Requester>(
-    ep: &mut R,
-    broker: &str,
-    agent: &str,
-    timeout: Duration,
-) -> Result<bool, BusError> {
-    let msg = Message::new(Performative::Unadvertise).with_content(SExpr::atom(agent));
-    let reply = ep.request(broker, msg, timeout)?;
-    Ok(reply.performative == Performative::Tell)
-}
-
-/// Registers a standing subscription with a broker. Delta notifications go
-/// to the agent named `reply_to`; the returned key identifies the
-/// subscription (`:in-reply-to` on every notification, and the handle for
-/// [`unsubscribe_from`]). `Ok(None)` means the broker declined the query
-/// (e.g. it failed subscription admission analysis).
-pub fn subscribe_to<R: Requester>(
-    ep: &mut R,
-    broker: &str,
-    query: &ServiceQuery,
-    reply_to: &str,
-    timeout: Duration,
-) -> Result<Option<String>, BusError> {
-    let msg = Message::new(Performative::Subscribe)
-        .with_ontology("infosleuth-service")
-        .with("reply-to", SExpr::atom(reply_to))
-        .with_content(codec::service_query_to_sexpr(query));
-    let reply = ep.request(broker, msg, timeout)?;
-    if reply.performative != Performative::Tell {
-        return Ok(None);
-    }
-    Ok(reply.content().and_then(SExpr::as_text).map(str::to_string))
-}
-
-/// Cancels a standing subscription previously opened with [`subscribe_to`]
-/// (same `reply_to`; only the registered subscriber may cancel).
-pub fn unsubscribe_from<R: Requester>(
-    ep: &mut R,
-    broker: &str,
-    sub_key: &str,
-    reply_to: &str,
-    timeout: Duration,
-) -> Result<bool, BusError> {
-    let msg = Message::new(Performative::Other("unsubscribe".into()))
-        .with("reply-to", SExpr::atom(reply_to))
-        .with_content(SExpr::atom(sub_key));
-    let reply = ep.request(broker, msg, timeout)?;
-    Ok(reply.performative == Performative::Tell)
-}
-
-/// Queries a broker for matching agents, optionally overriding the search
-/// policy ("the requesting agent can then specify the policies under which
-/// it wishes for the broker to initiate an inter-broker search").
-pub fn query_broker<R: Requester>(
-    ep: &mut R,
-    broker: &str,
-    query: &ServiceQuery,
-    policy: Option<SearchPolicy>,
-    timeout: Duration,
-) -> Result<Vec<MatchResult>, BusError> {
-    let content = match policy {
-        Some(policy) => codec::search_request_to_sexpr(&codec::SearchRequest {
-            query: query.clone(),
-            policy,
-            visited: Vec::new(),
-            digest_epoch: None,
-        }),
-        None => codec::service_query_to_sexpr(query),
-    };
-    let msg = Message::new(Performative::AskAll)
-        .with_ontology("infosleuth-service")
-        .with_content(content);
-    let reply = ep.request(broker, msg, timeout)?;
-    match reply.content() {
-        Some(content) => Ok(codec::matches_from_sexpr(content).unwrap_or_default()),
-        None => Ok(Vec::new()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BrokerObjective, SearchPolicy};
     use infosleuth_ontology::{
-        paper_class_ontology, Capability, ConversationType, OntologyContent, SemanticInfo,
-        SyntacticInfo,
+        paper_class_ontology, AgentLocation, AgentType, Capability, ConversationType,
+        OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
     };
 
     const T: Duration = Duration::from_secs(5);
@@ -2507,6 +1322,56 @@ mod tests {
         let msg = Message::new(Performative::Other("achieve".into()));
         let reply = agent.request("broker1", msg, T).unwrap();
         assert_eq!(reply.performative, Performative::Error);
+        broker.stop();
+    }
+
+    #[test]
+    fn malformed_content_is_refused_in_its_own_grammar() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("client").unwrap();
+        let mut error_for = |performative: Performative, content: &str| {
+            let msg = Message::new(performative).with_content(SExpr::parse(content).unwrap());
+            let reply = agent.request("broker1", msg, T).unwrap();
+            assert_eq!(reply.performative, Performative::Error, "{content} -> {reply}");
+            reply.content().and_then(SExpr::as_text).unwrap_or_default().to_string()
+        };
+        // The content head picks the decoder, and the error is that
+        // decoder's own — not a fallback's "expected (service-query ...)".
+        let cases = [
+            (
+                Performative::AskAll,
+                "(broker-search (service-query) (policy (hop-count many) (follow local-only)))",
+                "policy missing hop-count",
+            ),
+            (
+                Performative::AskAll,
+                "(broker-search (policy (hop-count 1) (follow local-only)))",
+                "broker-search missing service-query",
+            ),
+            (
+                Performative::AskAll,
+                "(broker-search (service-query (constraints \"age >\")))",
+                "bad constraints",
+            ),
+            (Performative::Advertise, "(digest (broker broker2))", "digest missing epoch"),
+            (
+                Performative::Advertise,
+                "(broker-advertisement (consortia c1))",
+                "broker-advertisement missing base advertisement",
+            ),
+            // An unknown head is still an error, in the conversation's
+            // default grammar.
+            (Performative::AskAll, "(frobnicate 1 2)", "expected (service-query ...)"),
+            (Performative::Advertise, "(frobnicate 1 2)", "expected (advertisement ...)"),
+        ];
+        for (performative, content, expected) in cases {
+            let text = error_for(performative, content);
+            assert!(text.contains(expected), "{content} -> {text}");
+        }
+        // Nothing malformed was stored or routed.
+        assert_eq!(broker.peer_digest_epoch("broker2"), None);
+        broker.with_repository(|r| assert!(r.is_empty() && r.peer_brokers().is_empty()));
         broker.stop();
     }
 

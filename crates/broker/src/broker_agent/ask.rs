@@ -1,0 +1,458 @@
+//! The `ask` conversation (ask-all / ask-one / recruit-all / recruit-one,
+//! Figure 4) with the inter-broker forward it may trigger (§3.3, §4.3),
+//! and `broker-one`, which delegates to whichever agent an ask finds.
+
+use super::{
+    error_reply, reply_as_broker, Shared, SuspectEntry, SUSPECT_BASE_BACKOFF, SUSPECT_DROP_AFTER,
+    SUSPECT_MAX_BACKOFF,
+};
+use crate::codec::{self, SearchRequest};
+use crate::matchmaker::MatchResult;
+use crate::policy::{FollowOption, SearchPolicy};
+use infosleuth_agent::{AgentContext, BusError, Envelope};
+use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_ontology::{AgentType, ServiceQuery};
+use std::collections::{BTreeSet, HashMap};
+use std::time::Instant;
+
+pub(super) fn handle_query(
+    shared: &Shared,
+    ctx: &AgentContext,
+    env: &Envelope,
+    force_max: Option<usize>,
+) {
+    shared.obs.match_requests.inc();
+    let Some(content) = env.message.content() else {
+        return reply_as_broker(ctx, &env.from, error_reply(env, "query without content"));
+    };
+    // The content head says which grammar this is: a full broker-search,
+    // or a bare service-query that takes the broker's default policy.
+    let parse_timer = shared.obs.obs.stage(&shared.obs.parse, "parse");
+    let decoded = match codec::head(content) {
+        Some("broker-search") => codec::search_request_from_sexpr(content),
+        _ => codec::service_query_from_sexpr(content).map(|mut query| {
+            if let Some(n) = force_max {
+                query.max_matches = Some(query.max_matches.map_or(n, |m| m.min(n)));
+            }
+            let policy = if query.max_matches.is_some() {
+                SearchPolicy::default_for(query.max_matches)
+            } else {
+                shared.config.default_policy
+            };
+            SearchRequest { query, policy, visited: Vec::new(), digest_epoch: None }
+        }),
+    };
+    drop(parse_timer);
+    let request = match decoded {
+        Ok(request) => request,
+        Err(e) => return reply_as_broker(ctx, &env.from, error_reply(env, e.to_string())),
+    };
+    // §4.1 "Agents Discovering Brokers": a query for agents of type
+    // `broker` is answered from the peer-broker table (plus this broker
+    // itself), filtered by advertised specialization when the requester
+    // names a data domain.
+    if request.query.agent_type == Some(AgentType::Broker) {
+        let matches = broker_discovery(shared, &request.query);
+        let perf = if matches.is_empty() { Performative::Sorry } else { Performative::Reply };
+        let reply =
+            env.message.reply_skeleton(perf).with_content(codec::matches_to_sexpr(&matches));
+        return reply_as_broker(ctx, &env.from, reply);
+    }
+    let matches = collaborative_search(shared, ctx, &request);
+    let perf = if matches.is_empty() { Performative::Sorry } else { Performative::Reply };
+    // A forwarding broker stamps the epoch of our digest it consulted;
+    // when that is stale, piggyback a fresh digest on the reply so the
+    // sender repairs its routing table without an extra round trip.
+    let refresh = request.digest_epoch.filter(|_| shared.config.routing_digests).and_then(|seen| {
+        let mut state = shared.state.lock();
+        (state.repo.epoch() != seen).then(|| {
+            shared.obs.digest_stale.inc();
+            shared.own_digest(&mut state)
+        })
+    });
+    let reply = env
+        .message
+        .reply_skeleton(perf)
+        .with_content(codec::matches_reply_to_sexpr(&matches, refresh.as_ref()));
+    reply_as_broker(ctx, &env.from, reply);
+}
+
+/// Answers "which brokers are available (for this domain)?" from the local
+/// broker-advertisement table, so an operational agent can "query the
+/// preferred broker for one or all of the brokers that are available in
+/// the system with the capabilities and data domain that it is interested
+/// in" and reconfigure its preferred-broker list.
+fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
+    let fits = |ontologies: &BTreeSet<String>| match &query.ontology {
+        None => true,
+        // A specialist fits if it covers the domain; a general-purpose
+        // broker (empty specialization) fits anything.
+        Some(o) => ontologies.is_empty() || ontologies.contains(o),
+    };
+    let mut out = Vec::new();
+    {
+        let state = shared.state.lock();
+        for b in state.repo.broker_advertisements() {
+            if fits(&b.specialization.ontologies) {
+                out.push(MatchResult {
+                    name: b.base.location.name.clone(),
+                    address: b.base.location.address.clone(),
+                    score: if b.specialization.ontologies.is_empty() { 1 } else { 2 },
+                    ontology: query.ontology.clone(),
+                    ..MatchResult::default()
+                });
+            }
+        }
+    }
+    // This broker itself is also a candidate.
+    if fits(&shared.config.objective.ontologies()) {
+        out.push(MatchResult {
+            name: shared.config.name.clone(),
+            address: shared.config.address.clone(),
+            score: if shared.config.objective.is_general_purpose() { 1 } else { 2 },
+            ontology: query.ontology.clone(),
+            ..MatchResult::default()
+        });
+    }
+    out.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
+    if let Some(n) = query.max_matches {
+        out.truncate(n);
+    }
+    out
+}
+
+/// Local matchmaking plus the §3.3 collaborative expansion: "Each broker
+/// request is forwarded to relevant other brokers … The response to the
+/// broker query contains the union of all agents which have advertised to
+/// some broker that the broker query reached, and which match the request."
+fn collaborative_search(
+    shared: &Shared,
+    ctx: &AgentContext,
+    request: &SearchRequest,
+) -> Vec<MatchResult> {
+    // Local matches first. The expansion decision must see the matches
+    // *without* the max_matches truncation, so match untruncated and
+    // truncate at the very end; every policy variant of one request then
+    // also shares one cache entry.
+    let mut untruncated = request.query.clone();
+    untruncated.max_matches = None;
+    let local = {
+        let repo = &mut shared.state.lock().repo;
+        shared.config.matchmaker.match_query_cached(repo, &shared.cache, &untruncated)
+    };
+    // Peer expansion and truncation below mutate the list, so the shared
+    // rows are copied out; the copy is proportional to the answer, not to
+    // the scoring work a cache hit skipped.
+    let mut matches = (*local).clone();
+
+    if request.policy.should_expand(matches.len()) {
+        let peers = peer_candidates(shared, request, &untruncated);
+        if !peers.is_empty() {
+            // The forwarded visited list contains everywhere the request
+            // has been or is being sent, preventing loops and duplicate
+            // work even across consortium overlaps.
+            let mut visited = request.visited.clone();
+            visited.push(shared.config.name.clone());
+            visited.extend(peers.iter().map(|p| p.name.clone()));
+            let forwarded = SearchRequest {
+                query: untruncated.clone(),
+                policy: request.policy.next_hop(),
+                visited,
+                digest_epoch: None,
+            };
+            // Until-match stays serial, one peer per round: the point is
+            // to stop asking as soon as anyone answers.
+            let until_match = matches!(request.policy.follow, FollowOption::UntilMatch);
+            for round in peers.chunks(if until_match { 1 } else { peers.len() }) {
+                for (peer, result) in forward_to_peers(shared, ctx, round, &forwarded) {
+                    match result {
+                        Ok(peer_matches) => {
+                            note_forward_success(shared, peer, &peer_matches);
+                            matches.extend(peer_matches);
+                        }
+                        Err(_) => note_forward_failure(shared, &peer.name),
+                    }
+                }
+                if until_match && !matches.is_empty() {
+                    break;
+                }
+            }
+        }
+    }
+
+    // "…combines them with its own (possibly empty) list of providing
+    // agents, eliminating duplicated entries."
+    let mut deduped: Vec<MatchResult> = Vec::new();
+    for m in matches {
+        match deduped.iter_mut().find(|d| d.name == m.name) {
+            Some(existing) => {
+                if m.score > existing.score {
+                    *existing = m;
+                }
+            }
+            None => deduped.push(m),
+        }
+    }
+    deduped.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
+    if let Some(n) = request.query.max_matches {
+        deduped.truncate(n);
+    }
+    deduped
+}
+
+/// A peer eligible for one forwarded search, with the epoch of the digest
+/// that admitted it (`None`: no digest on file, or digests disabled —
+/// forwarded anyway, since absence of evidence must not lose recall).
+struct PeerTarget {
+    name: String,
+    digest_epoch: Option<u64>,
+}
+
+/// The peers one forwarded search should contact, three filters deep:
+/// the §5.2.2 specialization rule-out, the suspect backoff window, and —
+/// for terminal forwards only — the peer's capability digest. A digest
+/// covers the peer's *local* repository, so pruning on it is sound only
+/// when the forwarded hop cannot expand further; a relay hop (remaining
+/// hop budget) is always contacted.
+fn peer_candidates(
+    shared: &Shared,
+    request: &SearchRequest,
+    untruncated: &ServiceQuery,
+) -> Vec<PeerTarget> {
+    let names: Vec<String> = {
+        let state = shared.state.lock();
+        // §5.2.2: "brokers can advertise their capabilities to other
+        // brokers which means that a broker can know in advance which
+        // brokers it can immediately rule out from a query" — a peer
+        // specialized in other ontologies cannot hold a match for this
+        // query's ontology, so we skip it without a network round trip.
+        state
+            .repo
+            .broker_advertisements()
+            .filter(|b| {
+                let name = &b.base.location.name;
+                if request.visited.contains(name) || name == &shared.config.name {
+                    return false;
+                }
+                match (&request.query.ontology, b.specialization.ontologies.is_empty()) {
+                    // General-purpose peers, or no ontology requested:
+                    // always worth asking.
+                    (_, true) | (None, _) => true,
+                    (Some(o), false) => b.specialization.ontologies.contains(o),
+                }
+            })
+            .map(|b| b.base.location.name.clone())
+            .collect()
+    };
+    let now = Instant::now();
+    let terminal = request.policy.next_hop().hop_count == 0;
+    let prune = shared.config.routing_digests && terminal;
+    let routing = shared.routing.lock();
+    let mut out = Vec::new();
+    for name in names {
+        if routing.suspects.get(&name).is_some_and(|s| now < s.retry_at) {
+            continue;
+        }
+        let digest = if prune { routing.peers.get(&name) } else { None };
+        if digest.is_some_and(|d| !d.can_match(untruncated)) {
+            shared.obs.digest_pruned.inc();
+            continue;
+        }
+        out.push(PeerTarget { name, digest_epoch: digest.map(|d| d.epoch) });
+    }
+    out
+}
+
+/// Forward success: clear suspicion, and count a digest false positive
+/// when the digest admitted the peer but it had nothing.
+fn note_forward_success(shared: &Shared, peer: &PeerTarget, matches: &[MatchResult]) {
+    shared.clear_suspect(&peer.name);
+    if peer.digest_epoch.is_some() && matches.is_empty() {
+        shared.obs.digest_fp.inc();
+    }
+}
+
+/// Forward failure: demote the peer to suspect with exponential backoff
+/// instead of unadvertising it outright. Only [`SUSPECT_DROP_AFTER`]
+/// consecutive failures remove it from the repository; its next
+/// advertisement or digest re-admits it.
+fn note_forward_failure(shared: &Shared, peer: &str) {
+    shared.obs.peer_suspect.inc();
+    let drop_peer = {
+        let mut routing = shared.routing.lock();
+        let entry = routing
+            .suspects
+            .entry(peer.to_string())
+            .or_insert(SuspectEntry { failures: 0, retry_at: Instant::now() });
+        entry.failures = entry.failures.saturating_add(1);
+        let backoff = SUSPECT_BASE_BACKOFF
+            .saturating_mul(1u32 << (entry.failures - 1).min(6))
+            .min(SUSPECT_MAX_BACKOFF);
+        entry.retry_at = Instant::now() + backoff;
+        entry.failures >= SUSPECT_DROP_AFTER
+    };
+    if drop_peer {
+        shared.state.lock().repo.unadvertise_broker(peer);
+        shared.forget_peer(peer);
+    }
+}
+
+/// The forwarded `ask-all` for one peer, stamped with the epoch of the
+/// digest that admitted it.
+fn forward_message(request: &SearchRequest, peer: &PeerTarget) -> Message {
+    let stamped = SearchRequest { digest_epoch: peer.digest_epoch, ..request.clone() };
+    Message::new(Performative::AskAll)
+        .with_ontology("infosleuth-service")
+        .with_content(codec::search_request_to_sexpr(&stamped))
+}
+
+/// The matches a peer replied with, after taking in any digest refresh it
+/// piggybacked (the staleness-repair half of the epoch protocol).
+fn read_peer_reply(shared: &Shared, reply: &Message) -> Vec<MatchResult> {
+    let Some(content) = reply.content() else { return Vec::new() };
+    shared.ingest_embedded_digest(content);
+    codec::matches_from_sexpr(content).unwrap_or_default()
+}
+
+fn forward_to_peer(
+    shared: &Shared,
+    ctx: &AgentContext,
+    peer: &PeerTarget,
+    request: &SearchRequest,
+) -> Result<Vec<MatchResult>, BusError> {
+    shared.obs.forwards.inc();
+    let reply =
+        ctx.request(&peer.name, forward_message(request, peer), shared.config.peer_timeout)?;
+    Ok(read_peer_reply(shared, &reply))
+}
+
+/// Forwards one search to many peers through a single coalesced
+/// [`Transport::send_batch`](infosleuth_agent::Transport::send_batch) (one
+/// registry pass on the bus, vectored frames over TCP), then collects
+/// every reply on one ephemeral endpoint under a shared deadline. Results
+/// are index-aligned with `peers`; a peer that never answers times out
+/// without extending the total wait.
+fn forward_to_peers<'p>(
+    shared: &Shared,
+    ctx: &AgentContext,
+    peers: &'p [PeerTarget],
+    request: &SearchRequest,
+) -> Vec<(&'p PeerTarget, Result<Vec<MatchResult>, BusError>)> {
+    let serial = || peers.iter().map(|p| (p, forward_to_peer(shared, ctx, p, request))).collect();
+    if peers.len() == 1 {
+        return serial();
+    }
+    let Ok(mut ep) = ctx.ephemeral_endpoint() else {
+        // No side endpoint available: fall back to serial round trips.
+        return serial();
+    };
+    let mut ids = Vec::with_capacity(peers.len());
+    let mut batch = Vec::with_capacity(peers.len());
+    for peer in peers {
+        let id = ep.transport().next_conversation_id(ep.name());
+        let mut msg = forward_message(request, peer);
+        msg.set("reply-with", SExpr::atom(&id));
+        msg.set("sender", SExpr::atom(ep.name()));
+        msg.set("receiver", SExpr::atom(&peer.name));
+        shared.obs.forwards.inc();
+        ids.push(id);
+        batch.push((peer.name.clone(), msg));
+    }
+    let sends = ep.transport().send_batch(ep.name(), batch);
+    let mut outcome: HashMap<String, Result<Vec<MatchResult>, BusError>> = HashMap::new();
+    let mut pending: BTreeSet<String> = BTreeSet::new();
+    for (id, send) in ids.iter().zip(sends) {
+        match send {
+            Ok(()) => {
+                pending.insert(id.clone());
+            }
+            Err(e) => {
+                outcome.insert(id.clone(), Err(e));
+            }
+        }
+    }
+    let deadline = Instant::now() + shared.config.peer_timeout;
+    while !pending.is_empty() {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            break;
+        }
+        let Some(env) = ep.recv_timeout(remaining) else {
+            continue;
+        };
+        let Some(id) = env.message.in_reply_to() else {
+            continue;
+        };
+        if pending.remove(id) {
+            outcome.insert(id.to_string(), Ok(read_peer_reply(shared, &env.message)));
+        }
+    }
+    ep.unregister();
+    peers
+        .iter()
+        .zip(ids)
+        .map(|(peer, id)| {
+            let result = outcome
+                .remove(&id)
+                .unwrap_or(Err(BusError::Timeout { waiting_on: peer.name.clone() }));
+            (peer, result)
+        })
+        .collect()
+}
+
+/// KQML `broker-one`: "allow an agent to … ask a broker about other
+/// services", here in the *brokered* (delegation) form — the broker finds
+/// one matching agent, forwards the embedded message to it, and relays the
+/// answer back to the requester. Content shape:
+/// `(broker-one (service-query ...) (message "<kqml text>"))`.
+pub(super) fn handle_broker_one(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
+    let fail = |reason: String| reply_as_broker(ctx, &env.from, error_reply(env, reason));
+    let Some(items) = env.message.content().and_then(SExpr::as_list) else {
+        return fail("broker-one expects (broker-one (service-query ...) (message ...))".into());
+    };
+    if items.first().and_then(SExpr::as_atom) != Some("broker-one") {
+        return fail("expected (broker-one ...) content".into());
+    }
+    let Some(query_expr) = items.iter().find(|e| codec::head(e) == Some("service-query")) else {
+        return fail("broker-one missing service-query".into());
+    };
+    let mut query = match codec::service_query_from_sexpr(query_expr) {
+        Ok(q) => q,
+        Err(e) => return fail(e.to_string()),
+    };
+    query.max_matches = Some(1);
+    let Some(embedded_text) = items
+        .iter()
+        .filter(|e| codec::head(e) == Some("message"))
+        .find_map(|e| e.as_list()?.get(1)?.as_text())
+    else {
+        return fail("broker-one missing embedded message".into());
+    };
+    let embedded = match Message::parse(embedded_text) {
+        Ok(m) => m,
+        Err(e) => return fail(format!("embedded message: {e}")),
+    };
+    // Find one provider (collaboratively, per the until-match default).
+    let request = SearchRequest {
+        query,
+        policy: SearchPolicy::default_for(Some(1)),
+        visited: Vec::new(),
+        digest_epoch: None,
+    };
+    let matches = collaborative_search(shared, ctx, &request);
+    let Some(target) = matches.first() else {
+        return reply_as_broker(ctx, &env.from, env.message.reply_skeleton(Performative::Sorry));
+    };
+    // Forward and relay.
+    match ctx.request(&target.name, embedded, shared.config.peer_timeout) {
+        Ok(answer) => {
+            let mut relay = env.message.reply_skeleton(answer.performative.clone());
+            if let Some(content) = answer.content() {
+                relay.set("content", content.clone());
+            }
+            relay.set("language", SExpr::atom("KQML"));
+            reply_as_broker(ctx, &env.from, relay);
+        }
+        Err(e) => fail(format!("provider '{}' failed: {e}", target.name)),
+    }
+}

@@ -1,0 +1,146 @@
+//! The `mutation` conversation: advertise / update / unadvertise, answered
+//! with `tell`, `sorry` or `error` (Figure 3, §2.2), plus the two things
+//! brokers say to each other with the same performatives — the peer hello
+//! and the one-way digest re-advertisement (§4, DESIGN.md §17).
+
+use super::{error_reply, push_out, sorry_reply, subscribe, Outbox, Shared, State};
+use crate::codec;
+use crate::objective::{AdmissionDecision, BrokerObjective};
+use infosleuth_agent::Envelope;
+use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_ontology::{Advertisement, BrokerAdvertisement};
+use std::collections::BTreeSet;
+
+/// Applies one mutation against the locked state. Outgoing traffic is
+/// queued on `out` in send order: sub-deltas first, so a subscriber that
+/// is also the advertiser sees a deterministic sequence; then digest
+/// re-advertisements, so an advertiser that queries right after its ack
+/// already has the updates ahead of it in peer inboxes; the ack last.
+pub(super) fn apply(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbox) {
+    if env.message.performative == Performative::Unadvertise {
+        unadvertise(shared, state, env, out);
+    } else {
+        advertise(shared, state, env, out);
+    }
+}
+
+/// Advertise / update: the content head says who is speaking — a peer's
+/// digest, a peer broker introducing itself, or an agent.
+fn advertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbox) {
+    shared.obs.advertises.inc();
+    let Some(content) = env.message.content() else {
+        return push_out(out, &env.from, error_reply(env, "advertise without content"));
+    };
+    let reply = match codec::head(content) {
+        Some("digest") => match codec::digest_from_sexpr(content) {
+            // Delta-driven and one-way: refresh the routing entry; no
+            // reply is owed.
+            Ok(digest) => return shared.ingest_digest(digest),
+            Err(e) => error_reply(env, e.to_string()),
+        },
+        Some("broker-advertisement") => match codec::broker_advertisement_from_sexpr(content) {
+            Ok(peer) => peer_hello(shared, state, env, content, peer),
+            Err(e) => error_reply(env, e.to_string()),
+        },
+        _ => match codec::advertisement_from_sexpr(content) {
+            Ok(ad) => admit(shared, state, env, ad, out),
+            Err(e) => error_reply(env, e.to_string()),
+        },
+    };
+    push_out(out, &env.from, reply);
+}
+
+/// A peer broker advertising itself: store it and reciprocate with our own
+/// advertisement (and digest) so the sender can store both — one round
+/// trip establishes mutual knowledge.
+fn peer_hello(
+    shared: &Shared,
+    state: &mut State,
+    env: &Envelope,
+    content: &SExpr,
+    peer: BrokerAdvertisement,
+) -> Message {
+    let name = peer.base.location.name.clone();
+    if let Err(e) = state.repo.advertise_broker(peer) {
+        return sorry_reply(env, e.to_string());
+    }
+    // The hello may carry the peer's digest; either way a peer that
+    // advertises stops being suspect.
+    shared.ingest_embedded_digest(content);
+    shared.clear_suspect(&name);
+    let digest = shared.config.routing_digests.then(|| shared.own_digest(state));
+    env.message.reply_skeleton(Performative::Tell).with_content(codec::broker_hello_to_sexpr(
+        &shared.config.broker_advertisement(),
+        digest.as_ref(),
+    ))
+}
+
+/// An agent's advertisement: admitted against the broker's objective
+/// (§3.2), stored, and announced to the subscriptions it affects.
+fn admit(
+    shared: &Shared,
+    state: &mut State,
+    env: &Envelope,
+    ad: Advertisement,
+    out: &mut Outbox,
+) -> Message {
+    // Fit of each known peer, from their advertised specialties.
+    let peer_fits: Vec<(String, f64)> = state
+        .repo
+        .broker_advertisements()
+        .map(|b| {
+            let objective = if b.specialization.ontologies.is_empty() {
+                BrokerObjective::GeneralPurpose
+            } else {
+                BrokerObjective::Specialized { ontologies: b.specialization.ontologies.clone() }
+            };
+            (b.base.location.name.clone(), objective.fit(&ad))
+        })
+        .collect();
+    match shared.config.objective.admit(&ad, &peer_fits) {
+        AdmissionDecision::Accept => {
+            let result = state.advertise(ad);
+            let affected = match &result {
+                Ok((old, new)) => {
+                    subscribe::affected(shared, state, old.as_deref(), new.as_deref())
+                }
+                Err(_) => BTreeSet::new(),
+            };
+            subscribe::notify(shared, state, affected, out);
+            shared.broadcast_digest(state, out);
+            match result {
+                Ok(_) => env.message.reply_skeleton(Performative::Tell),
+                Err(e) => sorry_reply(env, e.to_string()),
+            }
+        }
+        AdmissionDecision::Forward { candidates } => {
+            // "If no brokers accept the advertisement, the broker …
+            // will reply with a sorry message", listing better fits
+            // when it has suggestions.
+            let mut items = vec![SExpr::atom("forward-to")];
+            items.extend(candidates.iter().map(|c| SExpr::atom(c.as_str())));
+            env.message.reply_skeleton(Performative::Sorry).with_content(SExpr::List(items))
+        }
+    }
+}
+
+fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbox) {
+    shared.obs.unadvertises.inc();
+    // Content is the agent name (atom) or absent (sender unadvertises
+    // itself).
+    let name = env.message.content().and_then(SExpr::as_text).unwrap_or(&env.from);
+    let (removed, affected) = match state.unadvertise(name) {
+        Some(old) => (true, subscribe::affected(shared, state, Some(&old), None)),
+        None => {
+            let was_broker = state.repo.unadvertise_broker(name);
+            if was_broker {
+                shared.forget_peer(name);
+            }
+            (was_broker, BTreeSet::new())
+        }
+    };
+    subscribe::notify(shared, state, affected, out);
+    shared.broadcast_digest(state, out);
+    let perf = if removed { Performative::Tell } else { Performative::Sorry };
+    push_out(out, &env.from, env.message.reply_skeleton(perf));
+}

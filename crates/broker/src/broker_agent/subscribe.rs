@@ -1,0 +1,128 @@
+//! The `subscribe` / `unsubscribe` conversations and the notification
+//! fan-out they set up: "subscribe to changes in the set of matching
+//! agents" (§2.2). Notifications are `tell`s carrying a `sub-delta` (only
+//! agents that entered or left the match set) to the `:reply-to` endpoint,
+//! tagged with the subscription key as `:in-reply-to` and the subscribe
+//! message's `:x-trace`.
+
+use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared, State};
+use crate::codec;
+use crate::sub_index::{result_delta, SubId};
+use infosleuth_agent::{AgentContext, Envelope};
+use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_ontology::Advertisement;
+use std::collections::BTreeSet;
+
+/// Registers a standing service query and sends the initial snapshot —
+/// the delta against the empty set, so the subscriber learns the baseline
+/// the following deltas build on — then the ack carrying the key.
+pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
+    let msg = &env.message;
+    let Some(content) = msg.content() else {
+        return reply_as_broker(ctx, &env.from, error_reply(env, "subscribe without content"));
+    };
+    let query = match codec::service_query_from_sexpr(content) {
+        Ok(q) => q,
+        Err(e) => return reply_as_broker(ctx, &env.from, error_reply(env, e.to_string())),
+    };
+    let subscriber = msg.get_text("reply-to").unwrap_or(&env.from).to_string();
+    let trace = msg.trace().map(str::to_string);
+    // Queued unstamped: this handler's span is still open when the state
+    // is released, so the send stamps them like any direct reply.
+    shared.with_state(ctx, |state, out| {
+        let State { repo, subs, .. } = state;
+        // Admission: an unsatisfiable or vacuous standing query would be
+        // paid for on every repository mutation — reject it with the
+        // rendered diagnostics instead.
+        let report = repo.analyze_subscription(&subscriber, &query);
+        if report.has_errors() {
+            return out.push((env.from.clone(), sorry_reply(env, report.render_human(None))));
+        }
+        let initial = shared.config.matchmaker.match_query_cached(repo, &shared.cache, &query);
+        let sub_key = msg
+            .reply_with()
+            .map(str::to_string)
+            .unwrap_or_else(|| format!("sub-{}", subs.next_key()));
+        let mut snapshot = Message::new(Performative::Tell)
+            .with_in_reply_to(sub_key.clone())
+            .with_ontology("infosleuth-service")
+            .with_content(codec::sub_delta_to_sexpr(repo.epoch(), &initial, &[]));
+        if let Some(t) = &trace {
+            snapshot = snapshot.with_trace(t.clone());
+        }
+        out.push((subscriber.clone(), snapshot));
+        subs.register(sub_key.clone(), subscriber, trace, query, initial, repo);
+        shared.obs.subscribes.inc();
+        // Ack after the snapshot so a subscriber that is also the
+        // requester observes a deterministic sequence.
+        let ack = msg.reply_skeleton(Performative::Tell).with_content(SExpr::atom(sub_key));
+        out.push((env.from.clone(), ack));
+    });
+}
+
+/// Cancels a standing subscription: content (or `:in-reply-to`) names the
+/// subscription key; only the registered subscriber may cancel it.
+pub(super) fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
+    let msg = &env.message;
+    let key = msg.content().and_then(SExpr::as_text).or_else(|| msg.in_reply_to());
+    let subscriber = msg.get_text("reply-to").unwrap_or(&env.from);
+    let removed = key.is_some_and(|key| {
+        let mut state = shared.state.lock();
+        state.subs.find(key, subscriber).and_then(|id| state.subs.remove(id)).is_some()
+    });
+    let perf = if removed { Performative::Tell } else { Performative::Sorry };
+    reply_as_broker(ctx, &env.from, msg.reply_skeleton(perf));
+}
+
+/// The subscriptions a repository mutation must re-score: the inverted
+/// index's candidate set (or everything, in naive mode / under derived
+/// rules).
+pub(super) fn affected(
+    shared: &Shared,
+    state: &mut State,
+    old: Option<&Advertisement>,
+    new: Option<&Advertisement>,
+) -> BTreeSet<SubId> {
+    if state.subs.is_empty() {
+        return BTreeSet::new();
+    }
+    shared.obs.sub_events.inc();
+    state.subs.affected(old, new, &state.repo)
+}
+
+/// Re-scores each affected subscription (through the epoch-tagged match
+/// cache) and queues a `sub-delta` notification for every one whose result
+/// set actually changed. Index false positives die here as empty deltas.
+/// Iteration is in ascending id order, so notification sequences are
+/// deterministic and identical between indexed and naive modes.
+pub(super) fn notify(
+    shared: &Shared,
+    state: &mut State,
+    affected: BTreeSet<SubId>,
+    out: &mut Outbox,
+) {
+    if affected.is_empty() {
+        return;
+    }
+    shared.obs.sub_affected.add(affected.len() as u64);
+    let _timer = shared.obs.obs.stage(&shared.obs.sub_notify, "sub-notify");
+    let State { repo, subs, .. } = state;
+    for id in affected {
+        let Some(sub) = subs.entry(id) else { continue };
+        let new = shared.config.matchmaker.match_query_cached(repo, &shared.cache, &sub.query);
+        let (matched, unmatched) = result_delta(&sub.last, &new);
+        if matched.is_empty() && unmatched.is_empty() {
+            continue;
+        }
+        let mut note = Message::new(Performative::Tell)
+            .with_in_reply_to(sub.sub_key.clone())
+            .with_ontology("infosleuth-service")
+            .with_content(codec::sub_delta_to_sexpr(repo.epoch(), &matched, &unmatched));
+        if let Some(t) = &sub.trace {
+            note = note.with_trace(t.clone());
+        }
+        shared.obs.sub_notifications.inc();
+        push_out(out, &sub.subscriber, note);
+        subs.update_last(id, new);
+    }
+}

@@ -49,16 +49,25 @@ fn atoms(head: &str, it: impl IntoIterator<Item = String>) -> SExpr {
     section(head, it.into_iter().map(SExpr::Atom).collect())
 }
 
+/// The head atom of a `(head item ...)` payload — what a handler switches
+/// on to pick the one decoder a message is run through.
+pub fn head(e: &SExpr) -> Option<&str> {
+    e.as_list()?.first()?.as_atom()
+}
+
+/// The items of a `(name item ...)` payload: every decoder's entry check,
+/// so a payload run through the wrong decoder is refused in one wording.
+fn body_of<'a>(e: &'a SExpr, name: &str) -> Result<&'a [SExpr], CodecError> {
+    let list = e.as_list().ok_or_else(|| err(format!("{name} must be a list")))?;
+    if list.first().and_then(SExpr::as_atom) != Some(name) {
+        return Err(err(format!("expected ({name} ...)")));
+    }
+    Ok(&list[1..])
+}
+
 /// Finds the first sub-list starting with `head`.
-fn find<'a>(items: &'a [SExpr], head: &str) -> Option<&'a [SExpr]> {
-    items.iter().find_map(|e| {
-        let list = e.as_list()?;
-        if list.first()?.as_atom()? == head {
-            Some(&list[1..])
-        } else {
-            None
-        }
-    })
+fn find<'a>(items: &'a [SExpr], head: &'a str) -> Option<&'a [SExpr]> {
+    find_all(items, head).next()
 }
 
 /// All sub-lists starting with `head`.
@@ -216,11 +225,7 @@ pub fn advertisement_to_sexpr(ad: &Advertisement) -> SExpr {
 
 /// Decodes an `(advertisement ...)` payload.
 pub fn advertisement_from_sexpr(e: &SExpr) -> Result<Advertisement, CodecError> {
-    let list = e.as_list().ok_or_else(|| err("advertisement must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("advertisement") {
-        return Err(err("expected (advertisement ...)"));
-    }
-    let items = &list[1..];
+    let items = body_of(e, "advertisement")?;
     let name = one_text(items, "name").ok_or_else(|| err("advertisement missing name"))?;
     let address = one_text(items, "address").ok_or_else(|| err("advertisement missing address"))?;
     let agent_type: AgentType = one_text(items, "type")
@@ -293,20 +298,10 @@ pub fn broker_advertisement_to_sexpr(ad: &BrokerAdvertisement) -> SExpr {
 
 /// Decodes a `(broker-advertisement ...)` payload.
 pub fn broker_advertisement_from_sexpr(e: &SExpr) -> Result<BrokerAdvertisement, CodecError> {
-    let list = e.as_list().ok_or_else(|| err("broker-advertisement must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("broker-advertisement") {
-        return Err(err("expected (broker-advertisement ...)"));
-    }
-    let items = &list[1..];
+    let items = body_of(e, "broker-advertisement")?;
     let base_expr = items
         .iter()
-        .find(|e| {
-            e.as_list()
-                .and_then(|l| l.first())
-                .and_then(SExpr::as_atom)
-                .map(|h| h == "advertisement")
-                .unwrap_or(false)
-        })
+        .find(|e| head(e) == Some("advertisement"))
         .ok_or_else(|| err("broker-advertisement missing base advertisement"))?;
     let base = advertisement_from_sexpr(base_expr)?;
     let mut ad = BrokerAdvertisement::new(base);
@@ -383,11 +378,7 @@ pub fn digest_to_sexpr(d: &CapabilityDigest) -> SExpr {
 
 /// Decodes a `(digest ...)` payload.
 pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
-    let list = e.as_list().ok_or_else(|| err("digest must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("digest") {
-        return Err(err("expected (digest ...)"));
-    }
-    let items = &list[1..];
+    let items = body_of(e, "digest")?;
     let mut d = CapabilityDigest::empty(
         one_text(items, "broker").ok_or_else(|| err("digest missing broker"))?,
     );
@@ -495,11 +486,7 @@ pub fn service_query_to_sexpr(q: &ServiceQuery) -> SExpr {
 
 /// Decodes a `(service-query ...)` payload.
 pub fn service_query_from_sexpr(e: &SExpr) -> Result<ServiceQuery, CodecError> {
-    let list = e.as_list().ok_or_else(|| err("service-query must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("service-query") {
-        return Err(err("expected (service-query ...)"));
-    }
-    let items = &list[1..];
+    let items = body_of(e, "service-query")?;
     let mut q = ServiceQuery::any();
     if let Some(t) = one_text(items, "type") {
         // Infallible: unknown type strings become AgentType::Other.
@@ -564,20 +551,10 @@ pub fn search_request_to_sexpr(r: &SearchRequest) -> SExpr {
 
 /// Decodes a `(broker-search ...)` payload.
 pub fn search_request_from_sexpr(e: &SExpr) -> Result<SearchRequest, CodecError> {
-    let list = e.as_list().ok_or_else(|| err("broker-search must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("broker-search") {
-        return Err(err("expected (broker-search ...)"));
-    }
-    let items = &list[1..];
+    let items = body_of(e, "broker-search")?;
     let query_expr = items
         .iter()
-        .find(|e| {
-            e.as_list()
-                .and_then(|l| l.first())
-                .and_then(SExpr::as_atom)
-                .map(|h| h == "service-query")
-                .unwrap_or(false)
-        })
+        .find(|e| head(e) == Some("service-query"))
         .ok_or_else(|| err("broker-search missing service-query"))?;
     let query = service_query_from_sexpr(query_expr)?;
     let policy = match find(items, "policy") {
@@ -650,12 +627,8 @@ pub fn matches_reply_to_sexpr(matches: &[MatchResult], digest: Option<&Capabilit
 
 /// Decodes a `(matches ...)` payload.
 pub fn matches_from_sexpr(e: &SExpr) -> Result<Vec<MatchResult>, CodecError> {
-    let list = e.as_list().ok_or_else(|| err("matches must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("matches") {
-        return Err(err("expected (matches ...)"));
-    }
     let mut out = Vec::new();
-    for m in find_all(&list[1..], "match") {
+    for m in find_all(body_of(e, "matches")?, "match") {
         out.push(MatchResult {
             name: one_text(m, "name").ok_or_else(|| err("match missing name"))?,
             address: one_text(m, "address").ok_or_else(|| err("match missing address"))?,
@@ -688,11 +661,7 @@ pub fn sub_delta_to_sexpr(epoch: u64, matched: &[MatchResult], unmatched: &[Stri
 
 /// Decodes a `(sub-delta ...)` payload into `(epoch, matched, unmatched)`.
 pub fn sub_delta_from_sexpr(e: &SExpr) -> Result<(u64, Vec<MatchResult>, Vec<String>), CodecError> {
-    let list = e.as_list().ok_or_else(|| err("sub-delta must be a list"))?;
-    if list.first().and_then(SExpr::as_atom) != Some("sub-delta") {
-        return Err(err("expected (sub-delta ...)"));
-    }
-    let body = &list[1..];
+    let body = body_of(e, "sub-delta")?;
     let epoch = one_text(body, "epoch")
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| err("sub-delta missing epoch"))?;

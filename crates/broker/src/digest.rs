@@ -18,7 +18,11 @@
 //! digest-pruned search is therefore identical to broad fan-out, which
 //! the parity tests assert byte-for-byte.
 //!
-//! The expansion mirrors candidate narrowing exactly:
+//! The expansion is candidate narrowing's own — all three of narrowing,
+//! the subscription index and this digest expand through
+//! [`Repository::satisfying_classes`] and
+//! [`Repository::satisfying_capabilities`] (read from the advertiser's
+//! side as [`Repository::satisfied_capabilities`]):
 //!
 //! * a query class `q` reaches an advertisement holding class `a` iff
 //!   `a ∈ {q} ∪ ancestors(q) ∪ descendants(q)`; because ancestry is
@@ -291,9 +295,8 @@ impl DigestBuilder {
             symbols.insert(symbol(TAG_CONVERSATION, &conv.to_string()));
         }
         for cap in &ad.semantic.capabilities {
-            symbols.insert(symbol(TAG_CAPABILITY, cap.as_str()));
-            for desc in repo.capability_taxonomy().descendants(cap.as_str()) {
-                symbols.insert(symbol(TAG_CAPABILITY, &desc));
+            for satisfied in repo.satisfied_capabilities(cap.as_str()) {
+                symbols.insert(symbol(TAG_CAPABILITY, &satisfied));
             }
         }
         // Slot hulls: a slot counts only when every content record
@@ -302,12 +305,8 @@ impl DigestBuilder {
         for (i, content) in ad.semantic.content.iter().enumerate() {
             symbols.insert(symbol(TAG_ONTOLOGY, &content.ontology));
             for class in &content.classes {
-                symbols.insert(class_symbol(&content.ontology, class));
-                if let Some(o) = repo.ontology(&content.ontology) {
-                    let h = o.hierarchy();
-                    for rel in h.ancestors(class).into_iter().chain(h.descendants(class)) {
-                        symbols.insert(class_symbol(&content.ontology, &rel));
-                    }
+                for rel in repo.satisfying_classes(&content.ontology, class) {
+                    symbols.insert(class_symbol(&content.ontology, &rel));
                 }
             }
             let mut record: BTreeMap<String, (f64, f64)> = BTreeMap::new();

@@ -65,7 +65,7 @@ pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;
 pub use repository::{MaintenanceStats, Repository, RepositoryError};
 pub use scoring_index::ScoringIndex;
-pub use shard::{connect_community, ShardPlan, ShardedRepository};
+pub use shard::{connect_community, ShardPlan};
 pub use sub_index::{
     result_delta, StandingSubscription, SubId, SubscriptionIndex, SubscriptionRegistry,
 };

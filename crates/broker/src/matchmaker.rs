@@ -12,7 +12,6 @@ use crate::scoring_index::ScoringIndex;
 use infosleuth_agent::WorkerPool;
 use infosleuth_ldl::{Atom, Literal, Saturated, Term};
 use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::{mpsc, Arc};
 
@@ -20,7 +19,7 @@ use std::sync::{mpsc, Arc};
 /// §2.4 *result format* fields: the matched ontology plus the agent's
 /// available classes, slots, and keys (`?available-classes,
 /// ?available-class-slots, ?class-keys` in the paper's query).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MatchResult {
     pub name: String,
     pub address: String,
@@ -244,7 +243,10 @@ impl Matchmaker {
         if let Some(hit) = cache.lookup_keyed(epoch, &key) {
             return hit;
         }
+        // Obtaining the model records the "saturation" stage; narrowing +
+        // scoring is its own stage, so a trace shows the full pipeline.
         let model = repo.saturated();
+        let _scoring = repo.stage("scoring");
         let results = Arc::new(self.match_query(repo, &model, query));
         cache.insert_keyed(epoch, key, Arc::clone(&results));
         results
@@ -314,37 +316,25 @@ impl Matchmaker {
             // ontology can carry the semantic match.
             if let Some(onto) = &query.ontology {
                 dimension!(repo.agents_with_ontology(onto).collect());
-                // Each requested class must be advertised exactly, via an
-                // advertised ancestor (full coverage), or an advertised
-                // descendant (partial contribution). Derived rules can
-                // invent class memberships the index never saw, so this
-                // pruning is disabled when any are registered.
+                // Derived rules can invent class memberships the index
+                // never saw, so this pruning is disabled when any are
+                // registered.
                 if !repo.has_derived_rules() {
                     for class in &query.classes {
-                        let mut set: BTreeSet<&str> = repo.agents_with_class(onto, class).collect();
-                        if let Some(o) = repo.ontology(onto) {
-                            let hierarchy = o.hierarchy();
-                            for rel in hierarchy
-                                .ancestors(class)
-                                .into_iter()
-                                .chain(hierarchy.descendants(class))
-                            {
-                                set.extend(repo.agents_with_class(onto, &rel));
-                            }
+                        let mut set = BTreeSet::new();
+                        for rel in repo.satisfying_classes(onto, class) {
+                            set.extend(repo.agents_with_class(onto, &rel));
                         }
                         dimension!(set);
                     }
                 }
             }
-            // A required capability is provided only by agents advertising
-            // it or an ancestor of it in the capability taxonomy — unless
-            // derived rules can grant capabilities indirectly.
+            // Likewise derived rules can grant capabilities indirectly.
             if !repo.has_derived_rules() {
                 for cap in &query.capabilities {
-                    let mut set: BTreeSet<&str> =
-                        repo.agents_with_capability(cap.as_str()).collect();
-                    for anc in repo.capability_taxonomy().ancestors(cap.as_str()) {
-                        set.extend(repo.agents_with_capability(&anc));
+                    let mut set = BTreeSet::new();
+                    for covering in repo.satisfying_capabilities(cap.as_str()) {
+                        set.extend(repo.agents_with_capability(&covering));
                     }
                     dimension!(set);
                 }

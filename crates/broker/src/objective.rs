@@ -6,7 +6,6 @@
 //! should only accept advertisements that overlap with its chosen domains."
 
 use infosleuth_ontology::Advertisement;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// What a broker decides to do with an incoming advertisement.
@@ -22,7 +21,7 @@ pub enum AdmissionDecision {
 }
 
 /// A broker's objective.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum BrokerObjective {
     #[default]
     /// "each group of cooperating brokers should contain at least one

@@ -4,10 +4,8 @@
 //! those defined for the trading service in CORBA. It is a property list
 //! consisting of the following items: hop count … follow option …"
 
-use serde::{Deserialize, Serialize};
-
 /// How far the matchmaking process should look beyond the local broker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FollowOption {
     /// "only consider the local broker's repository"
     LocalOnly,
@@ -39,7 +37,7 @@ impl FollowOption {
 /// The policy a requesting agent attaches to a broker query. "This policy
 /// needs to be passed along when one broker forwards a message to another
 /// broker."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchPolicy {
     /// "the maximum number of hops between brokers that the request will
     /// traverse. … The default is set to one, which limits the search to

@@ -206,26 +206,14 @@ pub struct Repository {
 }
 
 /// The repository-side pipeline stages, pre-registered as
-/// `broker_stage_seconds{broker,stage}` histograms. Cheap to clone
-/// (everything inside is an `Arc`), which the mutation paths rely on to
-/// open a stage timer without borrowing `self`.
+/// `broker_stage_seconds{broker,stage}` histograms.
 #[derive(Clone)]
 struct ObsHooks {
     obs: Arc<Obs>,
     analysis: Histogram,
     repository: Histogram,
     saturation: Histogram,
-}
-
-impl ObsHooks {
-    fn stage(&self, name: &'static str) -> StageTimer {
-        let histogram = match name {
-            "analysis" => &self.analysis,
-            "repository" => &self.repository,
-            _ => &self.saturation,
-        };
-        self.obs.stage(histogram, name)
-    }
+    scoring: Histogram,
 }
 
 impl Repository {
@@ -258,8 +246,9 @@ impl Repository {
 
     /// Attaches stage timing: advertise/unadvertise/saturation work is
     /// recorded as `broker_stage_seconds{broker,stage}` samples (stages
-    /// `analysis`, `repository`, `saturation`) plus matching child spans
-    /// under whatever span is active on the handling thread.
+    /// `analysis`, `repository`, `saturation`, and `scoring` for cached
+    /// matchmaking misses) plus matching child spans under whatever span
+    /// is active on the handling thread.
     pub fn set_obs(&mut self, obs: &Arc<Obs>, broker: &str) {
         let lat = |stage: &str| {
             obs.registry().latency("broker_stage_seconds", &[("broker", broker), ("stage", stage)])
@@ -269,7 +258,21 @@ impl Repository {
             analysis: lat("analysis"),
             repository: lat("repository"),
             saturation: lat("saturation"),
+            scoring: lat("scoring"),
         });
+    }
+
+    /// Opens a pipeline stage when stage timing is attached. The timer
+    /// owns its handles, so it can stay open across `&mut self` calls.
+    pub(crate) fn stage(&self, name: &'static str) -> Option<StageTimer> {
+        let hooks = self.obs.as_ref()?;
+        let histogram = match name {
+            "analysis" => &hooks.analysis,
+            "repository" => &hooks.repository,
+            "scoring" => &hooks.scoring,
+            _ => &hooks.saturation,
+        };
+        Some(hooks.obs.stage(histogram, name))
     }
 
     /// Registers a domain ontology so the broker "can reason over
@@ -426,9 +429,8 @@ impl Repository {
     /// advertisement's facts (if any) are retracted via delete-and-rederive
     /// and the new ones propagated via delta saturation.
     pub fn advertise(&mut self, ad: Advertisement) -> Result<(), RepositoryError> {
-        let hooks = self.obs.clone();
         {
-            let _t = hooks.as_ref().map(|o| o.stage("analysis"));
+            let _t = self.stage("analysis");
             self.validate(&ad)?;
             // Deeper static analysis: classes/slots unknown to a registered
             // ontology and other error-severity findings reject the
@@ -442,7 +444,7 @@ impl Repository {
                 });
             }
         }
-        let mutation = hooks.as_ref().map(|o| o.stage("repository"));
+        let mutation = self.stage("repository");
         let ad = Arc::new(ad);
         let added = compile_agent_facts(&ad);
         let removed = match self.agents.insert(ad.location.name.clone(), Arc::clone(&ad)) {
@@ -466,10 +468,9 @@ impl Repository {
     /// first unregisters itself from the broker"; the broker also removes
     /// agents whose pings fail). Returns whether it was present.
     pub fn unadvertise(&mut self, agent: &str) -> bool {
-        let hooks = self.obs.clone();
         match self.agents.remove(agent) {
             Some(old) => {
-                let mutation = hooks.as_ref().map(|o| o.stage("repository"));
+                let mutation = self.stage("repository");
                 self.index.remove(&old);
                 let old_facts = compile_agent_facts(&old);
                 self.edb.subtract(&old_facts);
@@ -488,8 +489,7 @@ impl Repository {
     /// maintenance is disabled or refused (negation in derived rules), the
     /// cache is dropped instead.
     fn patch_model(&mut self, removed: Option<&Database>, added: Option<&Database>, agent: &str) {
-        let hooks = self.obs.clone();
-        let _t = hooks.as_ref().map(|o| o.stage("saturation"));
+        let _t = self.stage("saturation");
         let Some(mut cached) = self.saturated.take() else {
             // No model to patch, so no index either; the next `saturated`
             // call rebuilds both.
@@ -619,8 +619,7 @@ impl Repository {
         // Timed even on a cache hit: every query's trace then shows its
         // (usually near-zero) "saturation" stage, and full recomputes
         // stand out in the same histogram.
-        let hooks = self.obs.clone();
-        let _t = hooks.as_ref().map(|o| o.stage("saturation"));
+        let _t = self.stage("saturation");
         if let Some(s) = &self.saturated {
             let model = Arc::clone(s);
             self.ensure_scoring_index(&model);
@@ -707,6 +706,40 @@ impl Repository {
     /// index-based pruning over those dimensions must be disabled.
     pub fn has_derived_rules(&self) -> bool {
         !self.derived_rules.is_empty()
+    }
+
+    /// The advertised classes that satisfy a request for `class` of
+    /// `ontology`: the class itself, its ancestors (full coverage) and its
+    /// descendants (partial contribution). The relation is symmetric, so
+    /// this is equally the set of requested classes an advertisement of
+    /// `class` satisfies. Candidate narrowing, the subscription index and
+    /// the routing digest are sound only while they agree on this rule, so
+    /// all three expand through here.
+    pub fn satisfying_classes(&self, ontology: &str, class: &str) -> Vec<String> {
+        let mut out = vec![class.to_string()];
+        if let Some(o) = self.ontologies.get(ontology) {
+            let hierarchy = o.hierarchy();
+            out.extend(hierarchy.ancestors(class));
+            out.extend(hierarchy.descendants(class));
+        }
+        out
+    }
+
+    /// The advertised capabilities that satisfy a request for
+    /// `capability`: the capability itself or any ancestor of it.
+    pub fn satisfying_capabilities(&self, capability: &str) -> Vec<String> {
+        let mut out = vec![capability.to_string()];
+        out.extend(self.capability_taxonomy.ancestors(capability));
+        out
+    }
+
+    /// [`satisfying_capabilities`](Self::satisfying_capabilities) read from
+    /// the advertiser's side: the requested capabilities an advertisement
+    /// of `capability` satisfies — itself or any descendant.
+    pub fn satisfied_capabilities(&self, capability: &str) -> Vec<String> {
+        let mut out = vec![capability.to_string()];
+        out.extend(self.capability_taxonomy.descendants(capability));
+        out
     }
 
     /// Agents advertising capability `cap` (exact, pre-subsumption).

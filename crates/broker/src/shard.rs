@@ -16,10 +16,8 @@
 //! digests forwards them to the shards that can actually match.
 
 use crate::broker_agent::{interconnect, BrokerHandle};
-use crate::repository::{Repository, RepositoryError};
 use infosleuth_agent::BusError;
-use infosleuth_ontology::{fragment_hash, Advertisement, Ontology};
-use std::collections::HashMap;
+use infosleuth_ontology::{fragment_hash, Advertisement};
 
 /// Deterministic assignment of ontology fragments to a fixed list of
 /// shards (usually one shard per broker in a consortium).
@@ -88,87 +86,6 @@ impl ShardPlan {
     }
 }
 
-/// A repository partitioned across shards by the [`ShardPlan`].
-///
-/// Each shard is a complete [`Repository`] (its own validation, facts,
-/// and reasoning state), holding only the advertisements whose home
-/// fragment hashes to it. Domain ontologies are registered on every
-/// shard, since validation needs them regardless of placement.
-pub struct ShardedRepository {
-    plan: ShardPlan,
-    shards: Vec<Repository>,
-    homes: HashMap<String, usize>,
-}
-
-impl ShardedRepository {
-    pub fn new(plan: ShardPlan) -> Self {
-        let shards = (0..plan.len()).map(|_| Repository::new()).collect();
-        ShardedRepository { plan, shards, homes: HashMap::new() }
-    }
-
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Registers a domain ontology on every shard.
-    pub fn register_ontology(&mut self, o: Ontology) {
-        for shard in &mut self.shards {
-            shard.register_ontology(o.clone());
-        }
-    }
-
-    /// Routes the advertisement to its home shard. Returns the shard
-    /// index it landed on.
-    pub fn advertise(&mut self, ad: Advertisement) -> Result<usize, RepositoryError> {
-        let shard = self.plan.home_shard(&ad);
-        let name = ad.location.name.clone();
-        self.shards[shard].advertise(ad)?;
-        self.homes.insert(name, shard);
-        Ok(shard)
-    }
-
-    /// Removes an agent from its home shard. Returns false when unknown.
-    pub fn unadvertise(&mut self, name: &str) -> bool {
-        match self.homes.remove(name) {
-            Some(shard) => self.shards[shard].unadvertise(name),
-            None => false,
-        }
-    }
-
-    /// The shard an agent currently lives on.
-    pub fn home_of(&self, name: &str) -> Option<usize> {
-        self.homes.get(name).copied()
-    }
-
-    pub fn shard(&self, i: usize) -> &Repository {
-        &self.shards[i]
-    }
-
-    pub fn shard_mut(&mut self, i: usize) -> &mut Repository {
-        &mut self.shards[i]
-    }
-
-    pub fn shards(&self) -> &[Repository] {
-        &self.shards
-    }
-
-    /// Total advertisements across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(Repository::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(Repository::is_empty)
-    }
-
-    /// `(smallest, largest)` shard sizes — the balance a hash layout
-    /// should keep tight. Benches assert the skew stays bounded.
-    pub fn balance(&self) -> (usize, usize) {
-        let sizes = self.shards.iter().map(Repository::len);
-        (sizes.clone().min().unwrap_or(0), sizes.max().unwrap_or(0))
-    }
-}
-
 /// Interconnects a consortium of brokers and returns the shard plan that
 /// assigns each ontology fragment a home broker. Callers route each
 /// advertisement to [`ShardPlan::owner_of`] so every broker holds only
@@ -183,8 +100,8 @@ pub fn connect_community(brokers: &[&BrokerHandle]) -> Result<ShardPlan, BusErro
 mod tests {
     use super::*;
     use infosleuth_ontology::{
-        paper_class_ontology, AgentLocation, AgentType, Capability, ConversationType,
-        OntologyContent, SemanticInfo, SyntacticInfo,
+        AgentLocation, AgentType, Capability, ConversationType, OntologyContent, SemanticInfo,
+        SyntacticInfo,
     };
 
     fn ad(name: &str, classes: &[&str]) -> Advertisement {
@@ -217,26 +134,6 @@ mod tests {
         let plan = ShardPlan::new(["b1", "b2"]);
         let bare = Advertisement::new(AgentLocation::new("x", "tcp://h:1", AgentType::Resource));
         assert!(plan.home_shard(&bare) < plan.len());
-    }
-
-    #[test]
-    fn sharded_repository_routes_and_balances() {
-        let plan = ShardPlan::new(["b1", "b2", "b3", "b4"]);
-        let mut repo = ShardedRepository::new(plan);
-        repo.register_ontology(paper_class_ontology());
-        for i in 0..40 {
-            let class = format!("C{}", 1 + i % 3);
-            let shard = repo.advertise(ad(&format!("ra{i}"), &[&class])).unwrap();
-            assert_eq!(repo.home_of(&format!("ra{i}")), Some(shard));
-        }
-        assert_eq!(repo.len(), 40);
-        // Three distinct fragments over four shards: every ad shares a
-        // shard with its classmates, nothing is scattered.
-        let populated = repo.shards().iter().filter(|s| !s.is_empty()).count();
-        assert!(populated <= 3);
-        assert!(repo.unadvertise("ra0"));
-        assert!(!repo.unadvertise("ra0"));
-        assert_eq!(repo.len(), 39);
     }
 
     #[test]

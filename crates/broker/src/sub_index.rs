@@ -6,9 +6,10 @@
 //! subscription registers under its most selective *required* dimension
 //! (agent name, then ontology classes, then capabilities, then the
 //! ontology itself, then conversation types), expanded through the class
-//! hierarchy / capability taxonomy exactly the way
-//! [`Matchmaker`](crate::Matchmaker) expands query dimensions when
-//! narrowing candidates. An advertise/unadvertise/update event probes the
+//! hierarchy / capability taxonomy by the same
+//! [`Repository::satisfying_classes`] /
+//! [`Repository::satisfying_capabilities`] rule
+//! [`Matchmaker`](crate::Matchmaker) narrows candidates with. An advertise/unadvertise/update event probes the
 //! buckets with the changed advertisement's own dimensions (old *and* new
 //! versions), so the result is a sound over-approximation: every
 //! subscription whose match set could have changed is in the candidate
@@ -312,23 +313,13 @@ impl SubscriptionIndex {
         if let (Some(onto), Some(class)) = (&query.ontology, query.classes.iter().next()) {
             // One representative class suffices: a matching advertisement
             // must cover *every* requested class, so probing with any
-            // single class's expansion finds it. Expand through ancestors
-            // (full coverage) and descendants (partial contribution),
-            // exactly like candidate narrowing.
-            let mut names: BTreeSet<String> = BTreeSet::from([class.clone()]);
-            if let Some(o) = repo.ontology(onto) {
-                let h = o.hierarchy();
-                names.extend(h.ancestors(class));
-                names.extend(h.descendants(class));
-            }
+            // single class's expansion finds it.
+            let names = repo.satisfying_classes(onto, class);
             let syms = names.iter().map(|c| self.intern_pair(onto, c)).collect();
             return BucketRef::Classes(syms);
         }
         if let Some(cap) = query.capabilities.iter().next() {
-            // An advertisement covers a requested capability by advertising
-            // it or an ancestor of it in the taxonomy.
-            let mut names: BTreeSet<String> = BTreeSet::from([cap.as_str().to_string()]);
-            names.extend(repo.capability_taxonomy().ancestors(cap.as_str()));
+            let names = repo.satisfying_capabilities(cap.as_str());
             let syms = names.iter().map(|c| self.intern(c)).collect();
             return BucketRef::Capabilities(syms);
         }

@@ -9,8 +9,7 @@
 //!   passive client). Per-channel FIFO is preserved; *which* channel
 //!   advances next is the race.
 //! * **Dispatch { to }** — the event loop drains up to `batch_limit`
-//!   queued envelopes into the behavior, choosing `on_message` for a
-//!   single envelope and `on_batch` for more, exactly like
+//!   queued envelopes into the behavior's `on_batch`, exactly like
 //!   [`AgentRuntime`](infosleuth_agent::AgentRuntime)'s event loop. When
 //!   the dispatch fires relative to arrivals decides the batch
 //!   boundaries — the second race.
@@ -198,12 +197,7 @@ impl World {
                 assert!(!batch.is_empty(), "dispatch on an empty arrival queue");
                 let after = self.transport.advance_clock(BROKER, &clocks);
                 self.trace.push((action.clone(), after));
-                if batch.len() == 1 {
-                    let Some(env) = batch.pop() else { return };
-                    self.behavior.on_message(&self.ctx, env);
-                } else {
-                    self.behavior.on_batch(&self.ctx, batch);
-                }
+                self.behavior.on_batch(&self.ctx, batch);
             }
         }
     }

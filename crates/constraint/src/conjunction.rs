@@ -1,7 +1,6 @@
 //! Conjunctions of predicates, normalized per slot.
 
 use crate::{Predicate, SlotDomain, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 /// The empty conjunction is `true` (no restriction) — an agent that
 /// advertises no data constraints matches any requested constraint, and a
 /// query with no constraints matches any agent.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Conjunction {
     slots: BTreeMap<String, SlotDomain>,
 }

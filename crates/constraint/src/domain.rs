@@ -1,7 +1,6 @@
 //! The normalized constraint on a single slot: an interval plus point sets.
 
 use crate::{CompareOp, Predicate, Range, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -12,7 +11,7 @@ use std::fmt;
 /// (`excluded`). Every predicate over one slot folds into this shape, which
 /// makes overlap and implication checks cheap — the broker evaluates these
 /// for every advertisement in its repository on every service query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotDomain {
     pub range: Range,
     /// `Some(set)`: the value must additionally be one of these.

@@ -1,12 +1,11 @@
 //! Atomic constraints over a single named slot.
 
 use crate::{Range, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Comparison operator of an atomic constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompareOp {
     Eq(Value),
     Ne(Value),
@@ -25,7 +24,7 @@ pub enum CompareOp {
 /// ontology (`patient.age`, `patient.diagnosis_code`). Predicates combine
 /// into [`crate::Conjunction`]s, which is what advertisements and queries
 /// actually carry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     pub slot: String,
     pub op: CompareOp,

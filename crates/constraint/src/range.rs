@@ -1,11 +1,10 @@
 //! Interval algebra over [`Value`]s.
 
 use crate::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One end of an interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Bound {
     /// No constraint on this end.
     Unbounded,
@@ -26,7 +25,7 @@ impl Bound {
 
 /// A (possibly unbounded) interval of values: the workhorse for advertised
 /// restrictions such as `patient.age between 43 and 75`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Range {
     pub lo: Bound,
     pub hi: Bound,

@@ -1,6 +1,5 @@
 //! Scalar values that appear in advertisements and query constraints.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// ordering; comparisons between them return `None` and constraints built
 /// from them are unsatisfiable rather than erroneous, matching the broker's
 /// "no match" semantics for ill-typed queries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     Int(i64),
     Float(f64),

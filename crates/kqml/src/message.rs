@@ -1,11 +1,10 @@
 //! KQML message model.
 
 use crate::{SExpr, SExprError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A KQML performative — the speech-act verb of a message.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Performative {
     /// Announce a capability to a broker.
     Advertise,
@@ -130,7 +129,7 @@ fn token(s: String) -> SExpr {
 ///
 /// Parameter order is preserved for faithful round-tripping; lookup is by
 /// keyword (without the leading `:`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     pub performative: Performative,
     params: Vec<(String, SExpr)>,

@@ -1,11 +1,10 @@
 //! S-expression reader and printer for KQML messages.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A KQML s-expression: an atom (symbol, keyword, or number), a quoted
 /// string, or a parenthesized list.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SExpr {
     /// An unquoted token: `ask-all`, `:sender`, `42`, `?agent-name`.
     Atom(String),

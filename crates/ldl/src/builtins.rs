@@ -1,11 +1,10 @@
 //! Built-in predicates evaluated over ground terms.
 
 use crate::term::Const;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operators available as builtins in rule bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Lt,
     Le,

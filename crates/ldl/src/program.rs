@@ -9,10 +9,10 @@ use std::fmt;
 pub enum ProgramError {
     /// The program has a cycle through negation and cannot be stratified.
     NotStratifiable { predicate: String },
-    /// A rule violates safety (range restriction). `Rule` implements
-    /// `Deserialize`, so a program assembled from deserialized rules can
-    /// contain rules that never went through [`Rule::checked`]; `validate`
-    /// (and therefore `saturate`) catches them here.
+    /// A rule violates safety (range restriction). `Rule` has public
+    /// fields and [`Rule::unchecked`], so a program can contain rules
+    /// that never went through [`Rule::checked`]; `validate` (and
+    /// therefore `saturate`) catches them here.
     UnsafeRule { detail: String },
 }
 
@@ -88,8 +88,8 @@ impl Program {
 
     /// Revalidates the program: every rule must be safe (range restricted)
     /// and the rule set stratifiable. The parser and `Program::new` enforce
-    /// stratification, but `Rule` implements `Deserialize`, so a program
-    /// built from deserialized rules can smuggle in unsafe rules that
+    /// stratification, but `Rule` has public fields and
+    /// [`Rule::unchecked`], so a program can smuggle in unsafe rules that
     /// never saw [`Rule::checked`]. [`Program::saturate`] calls this before
     /// evaluating; external admission pipelines (the broker) call it on
     /// rule deltas before accepting them.

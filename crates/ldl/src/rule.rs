@@ -2,12 +2,11 @@
 
 use crate::builtins::CmpOp;
 use crate::term::{Atom, Term};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A body literal: a positive or negated atom, or a builtin test.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Literal {
     /// `p(...)`
     Pos(Atom),
@@ -80,7 +79,7 @@ impl std::error::Error for RuleError {}
 
 /// A Datalog rule `head :- body.` A rule with an empty body is a fact
 /// schema (the head must then be ground).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     pub head: Atom,
     pub body: Vec<Literal>,
@@ -108,7 +107,7 @@ impl Rule {
     /// Re-runs the safety (range restriction) check on an already-built
     /// rule: every head variable and every variable used in a negated or
     /// builtin literal must appear in some positive body literal. `Rule`
-    /// implements `Deserialize`, so rules arriving over a wire bypass
+    /// has public fields and [`Rule::unchecked`], so a rule can bypass
     /// [`Rule::checked`]; this is the revalidation entry point.
     pub fn check_safety(&self) -> Result<(), RuleError> {
         let positive: BTreeSet<&str> = self

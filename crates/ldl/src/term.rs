@@ -1,6 +1,5 @@
 //! Ground constants, terms, atoms, and bindings.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// Symbols (`query-processing`) and strings (`"SQL 2.0"`) are distinct, as
 /// in LDL; numbers of both kinds compare numerically in builtins.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Const {
     Sym(String),
     Str(String),
@@ -97,7 +96,7 @@ impl From<f64> for Const {
 }
 
 /// A term: a variable or a ground constant.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     Var(String),
     Const(Const),
@@ -142,7 +141,7 @@ impl fmt::Display for Term {
 pub type Bindings = BTreeMap<String, Const>;
 
 /// An atom: `pred(t1, ..., tn)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     pub pred: String,
     pub args: Vec<Term>,

@@ -93,19 +93,29 @@ const HYGIENE_DIRS: &[&str] = &["crates/agent/src", "crates/broker/src"];
 pub fn scan_source_hygiene(repo_root: &Path) -> Vec<Report> {
     let mut reports = Vec::new();
     for dir in HYGIENE_DIRS {
-        let Ok(entries) = fs::read_dir(repo_root.join(dir)) else { continue };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("rs"))
-            .collect();
+        let mut paths = Vec::new();
+        collect_rust_sources(&repo_root.join(dir), &mut paths);
         paths.sort();
         for path in paths {
             let Ok(src) = fs::read_to_string(&path) else { continue };
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("source");
-            reports.push(scan_unwraps(&format!("{dir}/{name}"), &src));
+            let origin = path.strip_prefix(repo_root).unwrap_or(&path);
+            reports.push(scan_unwraps(&origin.to_string_lossy(), &src));
         }
     }
     reports
+}
+
+/// Every `*.rs` file under `dir`, sub-directories included — a handler
+/// moved into a module directory is still library source.
+fn collect_rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else { return };
+    for path in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+        if path.is_dir() {
+            collect_rust_sources(&path, out);
+        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            out.push(path);
+        }
+    }
 }
 
 /// The IS060 pass over one source file. Positions are byte offsets so a
@@ -328,6 +338,19 @@ mod tests {
         // The one finding points at the `.unwrap()` on line 2.
         let span = report.diagnostics[0].span.expect("span recorded");
         assert_eq!(&src[span.start..span.start + ".unwrap()".len()], ".unwrap()");
+    }
+
+    #[test]
+    fn hygiene_scan_descends_into_module_directories() {
+        let fixture = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/hygiene"));
+        let reports = scan_source_hygiene(fixture);
+        let origins: Vec<&str> = reports.iter().map(|r| r.origin.as_str()).collect();
+        assert_eq!(
+            origins,
+            ["crates/broker/src/broker_agent/handler.rs", "crates/broker/src/top.rs"]
+        );
+        assert_eq!(reports[0].codes(), vec![Code::UncheckedUnwrap], "nested file is scanned");
+        assert!(reports[1].is_clean(), "waived call stays clean");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Agent capabilities and the standard capability taxonomy of Fig. 2.
 
 use crate::Taxonomy;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named agent capability (a node of the capability taxonomy), e.g.
 /// `relational-query-processing` or `subscription`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Capability(pub String);
 
 impl Capability {

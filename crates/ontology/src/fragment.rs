@@ -8,11 +8,10 @@
 //! fragments are first-class in the service ontology.
 
 use infosleuth_constraint::Conjunction;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fragment of a class held by a resource agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Fragment {
     /// The agent holds only these slots (plus, implicitly, the class key —
     /// required to rejoin vertical fragments).

@@ -1,12 +1,11 @@
 //! Domain-ontology model: classes, slots, and value types.
 
 use crate::{Fragment, Taxonomy, TaxonomyError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The type of values a slot can hold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueType {
     Int,
     Float,
@@ -26,7 +25,7 @@ impl fmt::Display for ValueType {
 }
 
 /// A named, typed slot of a class (e.g. `age: int` on `patient`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotDef {
     pub name: String,
     pub value_type: ValueType,
@@ -46,7 +45,7 @@ impl SlotDef {
 
 /// A class of the domain model, with its slots. Slots are inherited along
 /// the class hierarchy; `ClassDef` holds only locally-declared slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassDef {
     pub name: String,
     pub slots: Vec<SlotDef>,
@@ -101,7 +100,7 @@ impl From<TaxonomyError> for OntologyError {
 /// This is the "common vocabulary" the related-work section describes:
 /// resource agents describe constraints on the objects they provide in terms
 /// of the ontology, and the broker reasons over those descriptions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ontology {
     pub name: String,
     classes: BTreeMap<String, ClassDef>,

@@ -8,12 +8,11 @@
 
 use crate::{Capability, Fragment};
 use infosleuth_constraint::Conjunction;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// The kind of agent, part of the syntactic service-ontology information.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AgentType {
     User,
     Resource,
@@ -62,7 +61,7 @@ impl std::str::FromStr for AgentType {
 
 /// Conversation types an agent can participate in (Fig. 9: "e.g., ask-all,
 /// subscribe, emergent").
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ConversationType {
     AskAll,
     AskOne,
@@ -92,7 +91,7 @@ impl fmt::Display for ConversationType {
 }
 
 /// Agent name and location (Fig. 8): unique name, contact directions, type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgentLocation {
     /// Directions on how to contact the agent, e.g. `tcp://b1.mcc.com:4356`.
     pub address: String,
@@ -108,7 +107,7 @@ impl AgentLocation {
 }
 
 /// Agent syntactic knowledge (Fig. 8): communication and content languages.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SyntacticInfo {
     /// Content / interface query languages, e.g. `SQL 2.0`, `LDL`.
     pub query_languages: BTreeSet<String>,
@@ -139,7 +138,7 @@ impl SyntacticInfo {
 /// One ontology's worth of advertised content (Fig. 9 "agent content" and
 /// the §2.4 example): supported classes, slots, keys, fragments, and
 /// restrictions on the data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OntologyContent {
     /// Supported ontology name, e.g. `healthcare`.
     pub ontology: String,
@@ -207,7 +206,7 @@ impl OntologyContent {
 
 /// Agent semantic knowledge (Fig. 9): capabilities, conversations,
 /// restrictions, and content.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SemanticInfo {
     /// Conversation types the agent can participate in.
     pub conversations: BTreeSet<ConversationType>,
@@ -255,7 +254,7 @@ impl SemanticInfo {
 }
 
 /// Agent properties (Fig. 9): adaptivity and processing statistics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AgentProperties {
     pub mobile: bool,
     pub cloneable: bool,
@@ -267,7 +266,7 @@ pub struct AgentProperties {
 
 /// A complete advertisement: everything an agent tells a broker about
 /// itself. This is the unit stored in the broker repository.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Advertisement {
     pub location: AgentLocation,
     pub syntactic: SyntacticInfo,
@@ -335,7 +334,7 @@ impl Advertisement {
 
 /// Broker specialization information (Fig. 13): what kinds of agents and
 /// ontologies a broker focuses on.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BrokerSpecialization {
     /// Agent types in the broker's repository (empty = any).
     pub agent_types: BTreeSet<AgentType>,
@@ -354,7 +353,7 @@ impl BrokerSpecialization {
 
 /// A broker's advertisement to other brokers: the base agent advertisement
 /// plus Fig. 13 multibroker extensions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrokerAdvertisement {
     pub base: Advertisement,
     /// Consortium memberships.
@@ -389,7 +388,7 @@ impl BrokerAdvertisement {
 /// A service query: the fields an agent asks the broker about. Unset fields
 /// are wildcards ("the syntactic or semantic information that the agent does
 /// not care about is not specified"). This mirrors the §2.4 query content.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceQuery {
     /// Required agent type (`agent type: resource` in the example).
     pub agent_type: Option<AgentType>,

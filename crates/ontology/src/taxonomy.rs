@@ -5,7 +5,6 @@
 //! uses it to answer subsumption questions such as *"an agent that does all
 //! query processing certainly does relational query processing"*.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -34,7 +33,7 @@ impl std::error::Error for TaxonomyError {}
 
 /// An is-a DAG over string-named nodes. Multiple parents are allowed
 /// (a capability or class may specialize several broader concepts).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Taxonomy {
     /// node → direct parents
     parents: BTreeMap<String, BTreeSet<String>>,

@@ -1,10 +1,9 @@
 //! Abstract syntax for the SQL 2.0 subset.
 
 use infosleuth_constraint::Conjunction;
-use serde::{Deserialize, Serialize};
 
 /// One projected column: `*` handled as an empty projection list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Projection {
     /// Possibly-qualified column name (`age` or `patient.age`).
     pub column: String,
@@ -12,7 +11,7 @@ pub struct Projection {
 
 /// An aggregate function (statistical aggregation — the capability the
 /// paper's example query agent explicitly lacks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     Count,
     Sum,
@@ -45,7 +44,7 @@ impl AggFunc {
 }
 
 /// One aggregate in the select list: `count(*)`, `sum(cost)`, …
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aggregate {
     pub func: AggFunc,
     /// `None` for `count(*)`.
@@ -53,7 +52,7 @@ pub struct Aggregate {
 }
 
 /// `JOIN <table> ON <left> = <right>`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinClause {
     pub table: String,
     pub left_col: String,
@@ -61,7 +60,7 @@ pub struct JoinClause {
 }
 
 /// A parsed `SELECT` statement (possibly a `UNION` chain).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
     /// Empty means `*` (unless aggregates are present).
     pub projections: Vec<Projection>,

@@ -3,13 +3,12 @@
 use crate::ast::{Aggregate, SelectStmt};
 use infosleuth_constraint::Conjunction;
 use infosleuth_ontology::Capability;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A relational-algebra plan. The operator inventory is deliberately the
 /// Fig. 2 capability taxonomy: select, project, join, union over base scans.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Scan a base class/table.
     Scan { class: String },

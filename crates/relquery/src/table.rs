@@ -2,11 +2,10 @@
 
 use infosleuth_constraint::Value;
 use infosleuth_ontology::ValueType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     pub name: String,
     pub value_type: ValueType,
@@ -48,7 +47,7 @@ impl std::error::Error for TableError {}
 /// A relation: schema plus rows. Row order is insertion order; the executor
 /// treats tables as multisets except through `UNION`, which deduplicates
 /// (SQL semantics).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     pub name: String,
     columns: Vec<Column>,

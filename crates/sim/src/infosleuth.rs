@@ -31,11 +31,10 @@ use crate::engine::{ProcId, SimCore};
 use crate::metrics::RunningStats;
 use crate::params::SimParams;
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The query streams of Table 1 with their resource-agent counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stream {
     /// Single agent: one class at one resource.
     SA,
@@ -119,7 +118,7 @@ pub fn experiment_resource_count(streams: &[Stream]) -> usize {
 }
 
 /// Configuration for one InfoSleuth-system run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InfoSleuthConfig {
     pub streams: Vec<Stream>,
     /// `false`: one broker, all agents on one processor. `true`: `brokers`

@@ -5,10 +5,9 @@
 //! DESIGN.md §2 and EXPERIMENTS.md).
 
 use crate::engine::LinkModel;
-use serde::{Deserialize, Serialize};
 
 /// Common parameters shared by all experiment families.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// "something that is on the high side of megabit Ethernet connection:
     /// ⟨N⟩ kilobytes per second" (OCR-lost; 1500 KB/s ≈ 12 Mbit/s).

@@ -19,7 +19,6 @@
 
 use crate::params::SimParams;
 use crate::strategies::{run_averaged, BrokerSimConfig, Strategy};
-use serde::{Deserialize, Serialize};
 
 /// Broker and resource counts (fixed; OCR-lost, chosen so that redundancy
 /// 1–5 spans "one broker" to "every broker").
@@ -43,7 +42,7 @@ pub const MEAN_REPAIR_S: f64 = 2700.0;
 pub const MEAN_QUERY_INTERVAL_S: f64 = 30.0;
 
 /// One cell of the robustness grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessCell {
     pub failure_mean_s: f64,
     pub redundancy: usize,

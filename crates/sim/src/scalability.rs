@@ -14,7 +14,6 @@
 
 use crate::params::SimParams;
 use crate::strategies::{run_averaged, BrokerSimConfig, Strategy};
-use serde::{Deserialize, Serialize};
 
 /// Average advertisements per broker, held constant across system sizes.
 pub const ADVERTS_PER_BROKER: usize = 8;
@@ -27,7 +26,7 @@ pub const RESOURCE_SIZES: [usize; 9] = [40, 60, 80, 100, 120, 140, 160, 180, 200
 pub const QUERY_FREQUENCIES: [f64; 6] = [40.0, 50.0, 60.0, 70.0, 80.0, 90.0];
 
 /// One measured point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalabilityPoint {
     pub resources: usize,
     pub brokers: usize,

@@ -27,13 +27,12 @@ use crate::engine::{ProcId, SimCore};
 use crate::metrics::RunningStats;
 use crate::params::SimParams;
 use crate::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// How a specialized broker propagates an inter-broker search (§3.2: "we
 /// may be able to reduce the connectivity cost on a per-search basis by
 /// only propagating requests along a spanning tree of the current broker
 /// digraph" — future work in the paper, implemented here as an ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fanout {
     /// The origin contacts every peer directly and handles every reply.
     Star,
@@ -44,7 +43,7 @@ pub enum Fanout {
 }
 
 /// The three brokering arrangements of Figure 14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// One broker holds every advertisement.
     Single,
@@ -57,7 +56,7 @@ pub enum Strategy {
 }
 
 /// Configuration for one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BrokerSimConfig {
     pub resources: usize,
     pub brokers: usize,
