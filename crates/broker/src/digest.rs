@@ -46,7 +46,7 @@
 //! fallback `Matchmaker::candidates` itself takes.
 
 use crate::repository::Repository;
-use crate::sub_index::numeric_hull;
+use crate::sub_index::{ad_slot_hulls, numeric_hull};
 use infosleuth_ontology::{Advertisement, ServiceQuery};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -238,8 +238,7 @@ impl CapabilityDigest {
 #[derive(Debug, Clone)]
 struct Contribution {
     symbols: BTreeSet<u64>,
-    /// Per-slot hull when *every* content record of the advertisement
-    /// constrains the slot (and the advertisement has content at all).
+    /// The advertisement's [`ad_slot_hulls`].
     hulls: BTreeMap<String, (f64, f64)>,
 }
 
@@ -299,38 +298,16 @@ impl DigestBuilder {
                 symbols.insert(symbol(TAG_CAPABILITY, &satisfied));
             }
         }
-        // Slot hulls: a slot counts only when every content record
-        // constrains it, with the ad's hull the union over records.
-        let mut hulls: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-        for (i, content) in ad.semantic.content.iter().enumerate() {
+        for content in &ad.semantic.content {
             symbols.insert(symbol(TAG_ONTOLOGY, &content.ontology));
             for class in &content.classes {
                 for rel in repo.satisfying_classes(&content.ontology, class) {
                     symbols.insert(class_symbol(&content.ontology, &rel));
                 }
             }
-            let mut record: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-            for slot in content.constraints.constrained_slots() {
-                if let Some((lo, hi)) = numeric_hull(&content.constraints, slot) {
-                    record.insert(slot.to_string(), (lo, hi));
-                }
-            }
-            if i == 0 {
-                hulls = record;
-            } else {
-                // Intersect the *slot sets*, union the windows.
-                hulls.retain(|slot, _| record.contains_key(slot));
-                for (slot, (lo, hi)) in record {
-                    if let Some((alo, ahi)) = hulls.get_mut(&slot) {
-                        *alo = alo.min(lo);
-                        *ahi = ahi.max(hi);
-                    }
-                }
-            }
         }
-        if ad.semantic.content.is_empty() {
-            hulls.clear();
-        }
+        let hulls =
+            ad_slot_hulls(ad).into_iter().map(|(slot, hull)| (slot.to_string(), hull)).collect();
         for sym in &symbols {
             *self.refs.entry(*sym).or_insert(0) += 1;
         }

@@ -7,8 +7,9 @@
 //! intended." (§2.3) — so the matchmaker always applies both, in that
 //! order. The two `use_*` knobs exist for the ablation benchmarks only.
 
-use crate::repository::Repository;
+use crate::repository::{IdSet, Repository};
 use crate::scoring_index::ScoringIndex;
+use crate::sub_index::numeric_hull;
 use infosleuth_agent::WorkerPool;
 use infosleuth_ldl::{Atom, Literal, Saturated, Term};
 use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery};
@@ -274,18 +275,24 @@ impl Matchmaker {
         rank(results, query)
     }
 
-    /// Narrows the scoring set through the repository's inverted indexes.
-    /// Each built set is a sound over-approximation of the agents that
-    /// can match one query dimension; their intersection still contains
-    /// every true match. Dimensions that cannot be soundly pruned (no
-    /// index, derived rules in play, semantic layer disabled) simply do
-    /// not contribute a set; with no sets at all this degrades to the
-    /// full scan.
+    /// Narrows the scoring set through the repository's `AdIndex`:
+    /// bitmaps over dense advertisement ids. Each dimension is the OR of
+    /// the postings that satisfy one query term — a sound
+    /// over-approximation of the agents that can match it — and the
+    /// dimensions are ANDed word by word, so the result still contains
+    /// every true match. Dimensions that cannot be soundly pruned
+    /// (derived rules in play, semantic layer disabled) do not take part;
+    /// with none at all this degrades to the full scan.
     ///
-    /// Any empty dimension set short-circuits the whole query before the
-    /// remaining dimensions are materialized, and the intersection walks
-    /// the smallest set probing the others instead of repeatedly
-    /// `retain`ing a large accumulator.
+    /// The survivors then meet the data constraints: an advertisement
+    /// whose hull on a slot (see `ad_slot_hulls`) is disjoint from the
+    /// requested window overlaps the request in none of its content
+    /// records, which both constraint checks of `score_agent` require.
+    /// That check reads the content records themselves, never the model,
+    /// so derived rules do not switch it off.
+    ///
+    /// An intersection that runs empty short-circuits the whole query
+    /// before the remaining dimensions are looked at.
     fn candidates<'r>(
         &self,
         repo: &'r Repository,
@@ -294,62 +301,61 @@ impl Matchmaker {
         if let Some(name) = &query.agent_name {
             return repo.advertisement_arc(name).into_iter().collect();
         }
-        let mut sets: Vec<BTreeSet<&str>> = Vec::new();
-        // Pushes one dimension set; an empty one proves no agent can
-        // match, so the caller returns immediately (`false`).
+        let index = repo.ad_index();
+        // `None` until a dimension narrows: every advertisement survives.
+        let mut survivors: Option<Vec<u64>> = None;
+        // ANDs one dimension in; nothing left proves no agent can match.
         macro_rules! dimension {
-            ($set:expr) => {{
-                let set: BTreeSet<&str> = $set;
-                if set.is_empty() {
+            ($postings:expr) => {{
+                let postings: Vec<&[u64]> = $postings.map(IdSet::words).collect();
+                if !intersect_union(&mut survivors, &postings) {
                     return Vec::new();
                 }
-                sets.push(set);
             }};
         }
         // Conversation requirements are matched verbatim against the
         // advertisement, so the index is exact.
         for conv in &query.conversations {
-            dimension!(repo.agents_with_conversation(&conv.to_string()).collect());
+            dimension!(index.conversation(conv).into_iter());
         }
         if self.use_semantic {
             // A required ontology means only content records of that
             // ontology can carry the semantic match.
             if let Some(onto) = &query.ontology {
-                dimension!(repo.agents_with_ontology(onto).collect());
+                let Some(of_onto) = index.ontology(onto) else { return Vec::new() };
+                dimension!(std::iter::once(of_onto.any()));
                 // Derived rules can invent class memberships the index
                 // never saw, so this pruning is disabled when any are
                 // registered.
                 if !repo.has_derived_rules() {
                     for class in &query.classes {
-                        let mut set = BTreeSet::new();
-                        for rel in repo.satisfying_classes(onto, class) {
-                            set.extend(repo.agents_with_class(onto, &rel));
-                        }
-                        dimension!(set);
+                        let related = repo.satisfying_classes(onto, class);
+                        dimension!(related.iter().filter_map(|c| of_onto.class(c)));
                     }
                 }
             }
             // Likewise derived rules can grant capabilities indirectly.
             if !repo.has_derived_rules() {
                 for cap in &query.capabilities {
-                    let mut set = BTreeSet::new();
-                    for covering in repo.satisfying_capabilities(cap.as_str()) {
-                        set.extend(repo.agents_with_capability(&covering));
-                    }
-                    dimension!(set);
+                    let covering = repo.satisfying_capabilities(cap.as_str());
+                    dimension!(covering.iter().filter_map(|c| index.capability(c)));
+                }
+            }
+            if self.use_constraints {
+                for slot in query.constraints.constrained_slots() {
+                    let (Some(window), Some(column)) =
+                        (numeric_hull(&query.constraints, slot), index.hull_column(slot))
+                    else {
+                        continue;
+                    };
+                    column.clear_disjoint(window, survivors.get_or_insert_with(|| index.all_ids()));
                 }
             }
         }
-        if sets.is_empty() {
-            return repo.agent_arcs().collect();
+        match survivors {
+            Some(words) => index.ads_in(&words),
+            None => repo.agent_arcs().collect(),
         }
-        let smallest =
-            sets.iter().enumerate().min_by_key(|(_, s)| s.len()).map(|(i, _)| i).unwrap_or(0);
-        let base = sets.swap_remove(smallest);
-        base.into_iter()
-            .filter(|name| sets.iter().all(|s| s.contains(name)))
-            .filter_map(|name| repo.advertisement_arc(name))
-            .collect()
     }
 
     /// Scores one advertisement and assembles its result row.
@@ -547,6 +553,25 @@ fn rank(mut results: Vec<MatchResult>, query: &ServiceQuery) -> Vec<MatchResult>
         results.truncate(n);
     }
     results
+}
+
+/// `acc ∧= ∨ postings`, starting from the union itself while `acc` is
+/// still "everything". Returns whether any id is left.
+fn intersect_union(acc: &mut Option<Vec<u64>>, postings: &[&[u64]]) -> bool {
+    let union_at =
+        |i: usize| postings.iter().fold(0, |word, p| word | p.get(i).copied().unwrap_or(0));
+    let len = postings.iter().map(|p| p.len()).max().unwrap_or(0);
+    let words = match acc {
+        Some(words) => {
+            words.truncate(len);
+            for (i, word) in words.iter_mut().enumerate() {
+                *word &= union_at(i);
+            }
+            words
+        }
+        None => acc.insert((0..len).map(union_at).collect()),
+    };
+    words.iter().any(|word| *word != 0)
 }
 
 #[cfg(test)]

@@ -11,16 +11,19 @@ use crate::facts::{
     compile_agent_facts, compile_global_facts, matchmaking_env, matchmaking_program_with,
 };
 use crate::scoring_index::ScoringIndex;
+use crate::sub_index::ad_slot_hulls;
 use infosleuth_agent::AgentAddress;
 use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, Report, Severity};
 use infosleuth_ldl::{parse_rules, Database, LdlParseError, Program, Rule, Saturated};
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
-    standard_capability_taxonomy, Advertisement, BrokerAdvertisement, Ontology, ServiceQuery,
-    Taxonomy,
+    standard_capability_taxonomy, Advertisement, BrokerAdvertisement, ConversationType, Ontology,
+    ServiceQuery, Taxonomy,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Validation errors for incoming advertisements.
@@ -96,64 +99,221 @@ pub struct MaintenanceStats {
     pub fallbacks: u64,
 }
 
-/// Inverted indexes over the advertisements, maintained on every
-/// advertise/unadvertise so matchmaking can enumerate candidate agents
-/// for a query dimension instead of scanning the whole repository.
-#[derive(Clone, Default)]
-struct AdIndex {
-    by_capability: HashMap<String, BTreeSet<String>>,
-    by_ontology: HashMap<String, BTreeSet<String>>,
-    /// `(ontology, class)` → agents advertising that class.
-    by_class: HashMap<(String, String), BTreeSet<String>>,
-    by_conversation: HashMap<String, BTreeSet<String>>,
+/// A set of dense advertisement ids as a bitmap, kept trimmed (the last
+/// word is never zero) so equal sets are equal vectors.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct IdSet(Vec<u64>);
+
+impl IdSet {
+    fn insert(&mut self, id: u32) {
+        let word = id as usize / 64;
+        if self.0.len() <= word {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (id % 64);
+    }
+
+    fn remove(&mut self, id: u32) {
+        if let Some(word) = self.0.get_mut(id as usize / 64) {
+            *word &= !(1 << (id % 64));
+        }
+        while self.0.last() == Some(&0) {
+            self.0.pop();
+        }
+    }
+
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.0
+    }
+}
+
+/// The ids set in a bitmap, ascending.
+fn set_ids(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |rest| {
+            let rest = rest & (rest - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+    })
+}
+
+/// Removes `id` from the posting under `key`, dropping an emptied posting.
+fn unpost<K, Q>(map: &mut HashMap<K, IdSet>, key: &Q, id: u32)
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+{
+    if let Some(set) = map.get_mut(key) {
+        set.remove(id);
+        if set.0.is_empty() {
+            map.remove(key);
+        }
+    }
+}
+
+/// The postings of one ontology: every advertisement with a content
+/// record for it, and those per advertised class.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct OntologyPostings {
+    any: IdSet,
+    by_class: HashMap<String, IdSet>,
+}
+
+impl OntologyPostings {
+    pub(crate) fn any(&self) -> &IdSet {
+        &self.any
+    }
+
+    pub(crate) fn class(&self, class: &str) -> Option<&IdSet> {
+        self.by_class.get(class)
+    }
+}
+
+/// The hull of an advertisement that says nothing about a slot.
+const OPEN: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
+
+/// One constrained slot's `(lo, hi)` hull per advertisement id, [`OPEN`]
+/// where an advertisement has none (ids past the end included).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct HullColumn {
+    bounds: Vec<(f64, f64)>,
+    /// How many advertisements hold a hull here; the column goes at zero.
+    constrained: usize,
+}
+
+impl HullColumn {
+    /// Clears from `words` every id whose hull is disjoint from the
+    /// requested window `[qlo, qhi]`.
+    pub(crate) fn clear_disjoint(&self, (qlo, qhi): (f64, f64), words: &mut [u64]) {
+        for (w, word) in words.iter_mut().enumerate() {
+            for bit in set_ids(&[*word]) {
+                let (lo, hi) = self.bounds.get(w * 64 + bit).copied().unwrap_or(OPEN);
+                if qhi < lo || qlo > hi {
+                    *word &= !(1 << bit);
+                }
+            }
+        }
+    }
+}
+
+/// The narrowing index over the advertisements, maintained on every
+/// advertise/unadvertise so matchmaking intersects machine words instead
+/// of scanning the repository. Each stored advertisement holds a dense
+/// `u32` id (recycled on unadvertise); the four posting dimensions are
+/// bitmaps over those ids, and each constrained slot has a column of
+/// per-advertisement hulls filled by [`ad_slot_hulls`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct AdIndex {
+    ids: HashMap<String, u32>,
+    /// Advertisement by id; `None` marks an id on the free list.
+    ads: Vec<Option<Arc<Advertisement>>>,
+    free: Vec<u32>,
+    by_capability: HashMap<String, IdSet>,
+    by_conversation: HashMap<ConversationType, IdSet>,
+    by_ontology: HashMap<String, OntologyPostings>,
+    hulls: HashMap<String, HullColumn>,
 }
 
 impl AdIndex {
-    fn insert(&mut self, ad: &Advertisement) {
-        let name = &ad.location.name;
+    fn insert(&mut self, ad: &Arc<Advertisement>) {
+        let id = self.free.pop().unwrap_or_else(|| {
+            let id = u32::try_from(self.ads.len()).expect("fewer than 2^32 ads"); // lint: allow-unwrap
+            self.ads.push(None);
+            id
+        });
+        self.ads[id as usize] = Some(Arc::clone(ad));
+        self.ids.insert(ad.location.name.clone(), id);
         for c in &ad.semantic.capabilities {
-            self.by_capability.entry(c.as_str().to_string()).or_default().insert(name.clone());
+            self.by_capability.entry(c.as_str().to_string()).or_default().insert(id);
         }
         for c in &ad.semantic.conversations {
-            self.by_conversation.entry(c.to_string()).or_default().insert(name.clone());
+            self.by_conversation.entry(c.clone()).or_default().insert(id);
         }
         for content in &ad.semantic.content {
-            self.by_ontology.entry(content.ontology.clone()).or_default().insert(name.clone());
+            let postings = self.by_ontology.entry(content.ontology.clone()).or_default();
+            postings.any.insert(id);
             for class in &content.classes {
-                self.by_class
-                    .entry((content.ontology.clone(), class.clone()))
-                    .or_default()
-                    .insert(name.clone());
+                postings.by_class.entry(class.clone()).or_default().insert(id);
             }
+        }
+        for (slot, hull) in ad_slot_hulls(ad) {
+            let column = self.hulls.entry(slot.to_string()).or_default();
+            if column.bounds.len() <= id as usize {
+                column.bounds.resize(id as usize + 1, OPEN);
+            }
+            column.bounds[id as usize] = hull;
+            column.constrained += 1;
         }
     }
 
     fn remove(&mut self, ad: &Advertisement) {
-        let name = &ad.location.name;
-        fn drop_from<K: std::hash::Hash + Eq>(
-            map: &mut HashMap<K, BTreeSet<String>>,
-            key: K,
-            name: &str,
-        ) {
-            if let Some(set) = map.get_mut(&key) {
-                set.remove(name);
-                if set.is_empty() {
-                    map.remove(&key);
-                }
-            }
-        }
+        let Some(id) = self.ids.remove(&ad.location.name) else { return };
+        self.ads[id as usize] = None;
+        self.free.push(id);
         for c in &ad.semantic.capabilities {
-            drop_from(&mut self.by_capability, c.as_str().to_string(), name);
+            unpost(&mut self.by_capability, c.as_str(), id);
         }
         for c in &ad.semantic.conversations {
-            drop_from(&mut self.by_conversation, c.to_string(), name);
+            unpost(&mut self.by_conversation, c, id);
         }
         for content in &ad.semantic.content {
-            drop_from(&mut self.by_ontology, content.ontology.clone(), name);
+            let Some(postings) = self.by_ontology.get_mut(&content.ontology) else { continue };
+            postings.any.remove(id);
             for class in &content.classes {
-                drop_from(&mut self.by_class, (content.ontology.clone(), class.clone()), name);
+                unpost(&mut postings.by_class, class.as_str(), id);
+            }
+            if postings.any.0.is_empty() {
+                self.by_ontology.remove(&content.ontology);
             }
         }
+        // The freed id must read as open to whoever is advertised into it.
+        self.hulls.retain(|_, column| {
+            if let Some(hull) = column.bounds.get_mut(id as usize).filter(|hull| **hull != OPEN) {
+                *hull = OPEN;
+                column.constrained -= 1;
+            }
+            column.constrained > 0
+        });
+    }
+
+    /// Advertisements advertising capability `cap` (exact, pre-subsumption).
+    pub(crate) fn capability(&self, cap: &str) -> Option<&IdSet> {
+        self.by_capability.get(cap)
+    }
+
+    /// Advertisements supporting conversation type `conv`.
+    pub(crate) fn conversation(&self, conv: &ConversationType) -> Option<&IdSet> {
+        self.by_conversation.get(conv)
+    }
+
+    /// Advertisements with a content record for ontology `onto`.
+    pub(crate) fn ontology(&self, onto: &str) -> Option<&OntologyPostings> {
+        self.by_ontology.get(onto)
+    }
+
+    /// The hull column of `slot`, when any advertisement holds a hull on it.
+    pub(crate) fn hull_column(&self, slot: &str) -> Option<&HullColumn> {
+        self.hulls.get(slot)
+    }
+
+    /// Every live id as a bitmap — the start of a narrowing no posting
+    /// dimension took part in.
+    pub(crate) fn all_ids(&self) -> Vec<u64> {
+        let mut words = vec![0u64; self.ads.len().div_ceil(64)];
+        for (id, ad) in self.ads.iter().enumerate() {
+            if ad.is_some() {
+                words[id / 64] |= 1 << (id % 64);
+            }
+        }
+        words
+    }
+
+    /// The advertisements whose ids are set in `words`.
+    pub(crate) fn ads_in(&self, words: &[u64]) -> Vec<&Arc<Advertisement>> {
+        set_ids(words)
+            .map(|id| self.ads[id].as_ref().expect("posted ids are live")) // lint: allow-unwrap
+            .collect()
     }
 }
 
@@ -742,29 +902,9 @@ impl Repository {
         out
     }
 
-    /// Agents advertising capability `cap` (exact, pre-subsumption).
-    pub fn agents_with_capability(&self, cap: &str) -> impl Iterator<Item = &str> {
-        self.index.by_capability.get(cap).into_iter().flatten().map(String::as_str)
-    }
-
-    /// Agents advertising content for ontology `onto`.
-    pub fn agents_with_ontology(&self, onto: &str) -> impl Iterator<Item = &str> {
-        self.index.by_ontology.get(onto).into_iter().flatten().map(String::as_str)
-    }
-
-    /// Agents advertising class `class` of ontology `onto`.
-    pub fn agents_with_class(&self, onto: &str, class: &str) -> impl Iterator<Item = &str> {
-        self.index
-            .by_class
-            .get(&(onto.to_string(), class.to_string()))
-            .into_iter()
-            .flatten()
-            .map(String::as_str)
-    }
-
-    /// Agents supporting conversation type `conv`.
-    pub fn agents_with_conversation(&self, conv: &str) -> impl Iterator<Item = &str> {
-        self.index.by_conversation.get(conv).into_iter().flatten().map(String::as_str)
+    /// The narrowing index [`Matchmaker`](crate::Matchmaker) intersects.
+    pub(crate) fn ad_index(&self) -> &AdIndex {
+        &self.index
     }
 }
 
@@ -1026,6 +1166,109 @@ mod tests {
         repo.register_derived_rules("cap(A, polling) :- cap(A, subscription).").unwrap();
         let model = repo.saturated();
         assert!(repo.scoring_index(&model).is_none());
+    }
+
+    /// Every posting and hull column rendered by agent name, so two
+    /// indexes that assigned ids differently still compare. Panics on a
+    /// bit or a hull left behind at a free id, and on an untrimmed bitmap.
+    fn by_name(index: &AdIndex) -> BTreeMap<String, BTreeMap<String, (u64, u64)>> {
+        let name = |id: usize| {
+            let ad = index.ads[id].as_ref().unwrap_or_else(|| panic!("id {id} is free"));
+            assert_eq!(index.ids[&ad.location.name] as usize, id);
+            ad.location.name.clone()
+        };
+        let posting = |set: &IdSet| {
+            assert_ne!(set.0.last(), Some(&0), "untrimmed bitmap");
+            assert!(!set.0.is_empty(), "empty posting kept");
+            set_ids(&set.0).map(|id| (name(id), (0, 0))).collect::<BTreeMap<_, _>>()
+        };
+        let mut out = BTreeMap::new();
+        for (cap, set) in &index.by_capability {
+            out.insert(format!("capability {cap}"), posting(set));
+        }
+        for (conv, set) in &index.by_conversation {
+            out.insert(format!("conversation {conv}"), posting(set));
+        }
+        for (onto, postings) in &index.by_ontology {
+            out.insert(format!("ontology {onto}"), posting(&postings.any));
+            for (class, set) in &postings.by_class {
+                out.insert(format!("class {onto} {class}"), posting(set));
+            }
+        }
+        for (slot, column) in &index.hulls {
+            let hulls: BTreeMap<_, _> = column
+                .bounds
+                .iter()
+                .enumerate()
+                .filter(|(_, hull)| **hull != OPEN)
+                .map(|(id, (lo, hi))| (name(id), (lo.to_bits(), hi.to_bits())))
+                .collect();
+            assert_eq!(hulls.len(), column.constrained, "hull count of {slot}");
+            out.insert(format!("hull {slot}"), hulls);
+        }
+        let live = index.ads.iter().flatten().count();
+        assert_eq!(index.ids.len(), live);
+        assert_eq!(index.free.len() + live, index.ads.len());
+        assert!(index.free.iter().all(|id| index.ads[*id as usize].is_none()));
+        out
+    }
+
+    #[test]
+    fn ad_index_under_churn_equals_one_built_from_scratch() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut repo = Repository::new();
+        repo.register_ontology(healthcare_ontology());
+        for step in 0..600 {
+            let name = format!("ra{}", below(90));
+            if below(3) == 0 {
+                repo.unadvertise(&name);
+                continue;
+            }
+            // Zero to two content records, each with or without a window on
+            // one of two slots: hull slots appear, widen and vanish.
+            let mut ad = valid_ad(&name);
+            if below(2) == 0 {
+                ad.semantic.capabilities.insert(Capability::subscription());
+            }
+            for _ in 0..below(3) {
+                let mut content = OntologyContent::new("healthcare").with_classes([[
+                    "patient",
+                    "diagnosis",
+                    "podiatrist",
+                ][below(3) as usize]]);
+                if below(4) > 0 {
+                    let lo = below(80) as i64;
+                    content = content.with_constraints(Conjunction::from_predicates(vec![
+                        Predicate::between(
+                            ["patient.age", "diagnosis.cost"][below(2) as usize],
+                            lo,
+                            lo + 10,
+                        ),
+                    ]));
+                }
+                ad.semantic.content.push(content);
+            }
+            repo.advertise(ad).unwrap();
+            if step % 50 == 0 {
+                let mut fresh = AdIndex::default();
+                repo.agent_arcs().for_each(|ad| fresh.insert(ad));
+                assert_eq!(by_name(&repo.index), by_name(&fresh), "after step {step}");
+            }
+        }
+        assert!(!repo.index.free.is_empty() && !repo.index.hulls.is_empty(), "churn too tame");
+        // Emptied out, nothing is left behind.
+        let mut drained = repo.clone();
+        assert!(drained.index == repo.index, "clone carries the index");
+        for name in repo.agent_names() {
+            drained.unadvertise(name);
+        }
+        assert!(by_name(&drained.index).is_empty());
     }
 
     #[test]

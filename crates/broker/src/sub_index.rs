@@ -39,7 +39,7 @@
 use crate::{MatchResult, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
 use infosleuth_ontology::{Advertisement, ServiceQuery};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Internal subscription identifier.
@@ -189,8 +189,8 @@ pub struct SubscriptionIndex {
 
 /// The numeric hull of one slot's domain under a conjunction, when one
 /// exists. `None` means "not numerically constrained" — never used to
-/// prune. Shared with the inter-broker routing digest
-/// ([`crate::digest`]), which applies the same closed-bound relaxation.
+/// prune. Exclusive bounds are relaxed to closed ones, so two hulls that
+/// are disjoint prove the two domains are.
 pub(crate) fn numeric_hull(c: &Conjunction, slot: &str) -> Option<(f64, f64)> {
     let dom = c.domain(slot);
     let as_f64 = |v: &Value| match v {
@@ -219,6 +219,37 @@ pub(crate) fn numeric_hull(c: &Conjunction, slot: &str) -> Option<(f64, f64)> {
         return None;
     }
     Some((lo, hi))
+}
+
+/// The per-slot numeric hulls of a whole advertisement: the one rule by
+/// which a data constraint may rule an advertisement out before it is
+/// scored. A slot counts only when *every* content record constrains it
+/// numerically — a record that says nothing about the slot overlaps any
+/// window — and the advertisement's hull is the union over its records.
+/// A requested window disjoint from that hull overlaps no record, so
+/// `Conjunction::overlaps` fails on each of them. Candidate narrowing
+/// ([`Repository`]'s hull columns), the subscription index's interval
+/// refinement and the routing digest ([`crate::digest`]) all prune by
+/// this function and nothing else.
+pub(crate) fn ad_slot_hulls(ad: &Advertisement) -> BTreeMap<&str, (f64, f64)> {
+    fn record_hulls(c: &Conjunction) -> impl Iterator<Item = (&str, (f64, f64))> {
+        c.constrained_slots().filter_map(|slot| Some((slot, numeric_hull(c, slot)?)))
+    }
+    let mut records = ad.semantic.content.iter();
+    let Some(first) = records.next() else { return BTreeMap::new() };
+    let mut hulls: BTreeMap<&str, (f64, f64)> = record_hulls(&first.constraints).collect();
+    for content in records {
+        let record: BTreeMap<&str, (f64, f64)> = record_hulls(&content.constraints).collect();
+        hulls.retain(|slot, (lo, hi)| match record.get(slot) {
+            Some((rlo, rhi)) => {
+                *lo = lo.min(*rlo);
+                *hi = hi.max(*rhi);
+                true
+            }
+            None => false,
+        });
+    }
+    hulls
 }
 
 impl SubscriptionIndex {
@@ -421,17 +452,15 @@ impl SubscriptionIndex {
             }
         }
         // Interval refinement: a subscription constraining a slot to a
-        // window disjoint from the advertisement's own restriction on
-        // that slot cannot match it (constraint overlap is required for
-        // any score), so it cannot be affected by this version.
-        for content in &ad.semantic.content {
-            for slot in content.constraints.constrained_slots() {
-                let Some(sym) = self.lookup(slot) else { continue };
-                let Some((lo, hi)) = numeric_hull(&content.constraints, slot) else { continue };
-                let Some(tree) = self.by_slot.get_mut(&sym) else { continue };
-                for id in tree.disjoint(lo, hi) {
-                    candidates.remove(&id);
-                }
+        // window disjoint from the advertisement's hull on that slot
+        // overlaps none of its content records (constraint overlap is
+        // required for any score), so it cannot be affected by this
+        // version.
+        for (slot, (lo, hi)) in ad_slot_hulls(ad) {
+            let Some(sym) = self.lookup(slot) else { continue };
+            let Some(tree) = self.by_slot.get_mut(&sym) else { continue };
+            for id in tree.disjoint(lo, hi) {
+                candidates.remove(&id);
             }
         }
         out.extend(candidates);
@@ -697,6 +726,39 @@ mod tests {
         let open = ad("rb", &["C1"], None);
         let hit = idx.affected_by_change(None, Some(&open));
         assert!(hit.contains(&1) && hit.contains(&2));
+    }
+
+    #[test]
+    fn interval_refinement_takes_the_union_over_content_records() {
+        let mut repo = repo();
+        let window = |lo: i64, hi: i64| {
+            OntologyContent::new("paper-classes").with_classes(["C1"]).with_constraints(
+                Conjunction::from_predicates(vec![Predicate::between("C1.a", lo, hi)]),
+            )
+        };
+        // Two records, far apart: a subscription inside the second one's
+        // window is disjoint from the first record only.
+        let two = Advertisement::new(AgentLocation::new("ra", "tcp://h:1", AgentType::Resource))
+            .with_semantic(
+                SemanticInfo::default().with_content(window(0, 10)).with_content(window(100, 105)),
+            );
+        let q = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
+            Predicate::between("C1.a", 100, 110),
+        ]));
+        let mut idx = SubscriptionIndex::new();
+        idx.insert(1, &q, &repo);
+        repo.advertise(two.clone()).unwrap();
+        let matched = crate::Matchmaker::default().match_query_mut(&mut repo, &q);
+        assert_eq!(matched.len(), 1, "the second record matches the subscription");
+        assert!(idx.affected_by_change(None, Some(&two)).contains(&1));
+        // A record open on the slot takes the slot out of the hull.
+        let mut half_open = two.clone();
+        half_open.semantic.content[1] = OntologyContent::new("paper-classes").with_classes(["C1"]);
+        assert!(idx.affected_by_change(None, Some(&half_open)).contains(&1));
+        // Both records disjoint from the subscription still prune it.
+        let mut both_low = two;
+        both_low.semantic.content[1] = window(20, 30);
+        assert!(!idx.affected_by_change(None, Some(&both_low)).contains(&1));
     }
 
     #[test]

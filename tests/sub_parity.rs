@@ -55,8 +55,19 @@ fn churn_ad(rng: &mut Rng, name: &str) -> Advertisement {
         Capability::query_processing(),
     ];
     let cap = caps[rng.below(caps.len() as u64) as usize].clone();
-    let lo = rng.below(80) as i64;
-    let hi = lo + 5 + rng.below(40) as i64;
+    let window = |rng: &mut Rng| {
+        let lo = rng.below(80) as i64;
+        let hi = lo + 5 + rng.below(40) as i64;
+        OntologyContent::new("paper-classes").with_classes([class]).with_constraints(
+            Conjunction::from_predicates(vec![Predicate::between(format!("{class}.a"), lo, hi)]),
+        )
+    };
+    let mut semantic = SemanticInfo::default().with_content(window(rng));
+    // One ad in three holds a second record with a window of its own: the
+    // index may rule a subscription out only against the union of both.
+    if rng.below(3) == 0 {
+        semantic = semantic.with_content(window(rng));
+    }
     let convs = if rng.below(2) == 0 {
         vec![ConversationType::AskAll]
     } else {
@@ -64,20 +75,7 @@ fn churn_ad(rng: &mut Rng, name: &str) -> Advertisement {
     };
     Advertisement::new(AgentLocation::new(name, "tcp://h:1", AgentType::Resource))
         .with_syntactic(SyntacticInfo::sql_kqml())
-        .with_semantic(
-            SemanticInfo::default()
-                .with_conversations(convs)
-                .with_capabilities([cap])
-                .with_content(
-                    OntologyContent::new("paper-classes").with_classes([class]).with_constraints(
-                        Conjunction::from_predicates(vec![Predicate::between(
-                            format!("{class}.a"),
-                            lo,
-                            hi,
-                        )]),
-                    ),
-                ),
-        )
+        .with_semantic(semantic.with_conversations(convs).with_capabilities([cap]))
 }
 
 /// The standing subscriptions under test: one per index dimension (class,
