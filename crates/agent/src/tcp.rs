@@ -1,5 +1,5 @@
 //! The networked [`Transport`]: batched, length-prefixed KQML frames
-//! over TCP, driven by a per-node reactor thread.
+//! over TCP, on blocking sockets that wake in the kernel.
 //!
 //! This is the deployment story the paper actually ran — agents on
 //! distinct machines exchanging KQML over TCP, each reachable at the
@@ -8,25 +8,57 @@
 //! registry of agent mailboxes, and holds a routing table mapping remote
 //! agent names to their [`AgentAddress`]es.
 //!
-//! ## Reactor
+//! ## What blocks where
 //!
-//! All socket work happens on one poll-driven reactor thread per node,
-//! over nonblocking sockets — there are no per-connection threads and no
-//! blocking accept. The reactor:
+//! Every socket is blocking, so a thread waiting for bytes sleeps in the
+//! kernel and is woken by their arrival — nothing on the message path
+//! polls or naps.
 //!
-//! * accepts inbound connections and reads whole frames from them,
-//!   delivering each message to the local registry and writing one
-//!   coalesced ack per frame;
-//! * keeps one *persistent* outbound connection per peer node with a
-//!   per-peer write queue (depth observed as the
-//!   `transport_peer_queue_depth` histogram; a full queue rejects the
-//!   send — the backpressure signal);
-//! * parks on its command channel when idle, so waking it — including
-//!   for shutdown — is just a channel send. No "connect to yourself to
-//!   unblock accept" tricks.
+//! * **Inbound.** Each accepted connection has one reader thread
+//!   (`tcp-in-<port>`). It blocks in `read` for the 4-byte length, checks
+//!   it against [`MAX_FRAME`], reads exactly that frame into a heap buffer
+//!   freed after use, decodes *all* of it, delivers the messages to the
+//!   local registry and writes the frame's coalesced ack itself. A frame
+//!   that is not wholly well-formed delivers nothing.
+//! * **Outbound.** Each peer node has one persistent connection. The
+//!   *sending* thread queues a [`PendingAck`] and writes its own frame
+//!   under the per-peer lock — frames reach the socket whole, in queue
+//!   order — then waits for that one ack. One ack-reader thread per peer
+//!   (`tcp-ack-<port>`) blocks in `read` and completes the queue oldest
+//!   first, so senders pipeline: nobody waits for another sender's ack.
+//!   The number of unacked frames is the `transport_peer_queue_depth`
+//!   histogram; at [`MAX_PEER_QUEUE`] a send is rejected (backpressure).
+//! * **Accept.** `std` has no way to wake a thread blocked in `accept`,
+//!   so the acceptor (`tcp-acc-<port>`) is the one exception: it looks at
+//!   a nonblocking listener every [`ACCEPT_NAP`] and parks in between,
+//!   where `shutdown` unparks it. The nap is paid once per pair of nodes,
+//!   when the persistent connection is made, never per message. The
+//!   alternative — a node connecting to its own listener to unblock a
+//!   blocking `accept` — was rejected: it fails where the bind address is
+//!   not connectable from the node itself, and a failed wake-up would hang
+//!   `shutdown` for good.
 //!
-//! Senders block only on the coalesced ack for their own batch, never on
-//! connection establishment or on other senders' traffic being written.
+//! A node therefore runs `1 + inbound connections + outbound peers`
+//! threads — O(peer nodes), two per peer it talks to in both directions —
+//! and all of them idle in the kernel.
+//!
+//! ## Timeouts
+//!
+//! [`CONNECT_TIMEOUT`] bounds connection establishment. [`IO_TIMEOUT`] is
+//! the read and write timeout of accepted sockets and the write timeout
+//! of outbound ones: a connection idle *between* frames may wait forever,
+//! a half-read frame or an unwritable socket may not, and the connection
+//! is dropped. A sender waits at most `IO_TIMEOUT` for its ack and then
+//! drops the connection, which fails every frame still unacked on it.
+//!
+//! A send whose connection turns out stale is retried once on a fresh
+//! one, and only if not one byte of its frame left the old socket — the
+//! remote closing a pooled connection while it sat idle is seen by the
+//! ack reader at once, so this is the common case. Anything else could
+//! deliver twice and fails with [`TransportError::Io`] instead.
+//!
+//! `shutdown` wakes every blocked reader with `TcpStream::shutdown` on a
+//! kept clone of its socket and joins every thread the node started.
 //!
 //! ## Framing
 //!
@@ -54,13 +86,13 @@ use crate::transport::{
 };
 use infosleuth_kqml::Message;
 use infosleuth_obs::Obs;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -76,34 +108,34 @@ const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// Messages per wire frame; larger batches are split across frames.
 const MAX_WIRE_BATCH: usize = 4096;
 
-/// Per-peer write-queue cap: further sends are rejected (backpressure)
-/// instead of buffering unboundedly toward a slow or stuck peer.
+/// Per-peer cap on unacked frames: further sends are rejected
+/// (backpressure) instead of piling up behind a slow or stuck peer.
 const MAX_PEER_QUEUE: usize = 1024;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Reactor sleep between polls while I/O is in flight (bounds the spin;
-/// nonblocking reads/writes return immediately).
-const POLL_ACTIVE: Duration = Duration::from_micros(100);
-/// Reactor block on the command channel when fully idle; inbound frames
-/// are picked up on the next tick.
-const POLL_IDLE: Duration = Duration::from_millis(1);
+/// How long the acceptor parks between looks at its nonblocking
+/// listener; a new connection waits at most this long to be accepted.
+const ACCEPT_NAP: Duration = Duration::from_millis(1);
 
 /// Per-message failure flags from one coalesced ack (`true` = the
 /// receiver had no such agent), or a wire-level error for the whole
 /// frame.
 type AckReply = Result<Vec<bool>, TransportError>;
 
-enum Cmd {
-    Send { addr: SocketAddr, frame: Vec<u8>, count: usize, done: Sender<AckReply> },
-    Shutdown,
-}
-
 struct TcpShared {
     registry: RwLock<HashMap<String, MailboxSender>>,
     routes: RwLock<HashMap<String, AgentAddress>>,
     obs: RwLock<Option<Arc<TransportMetrics>>>,
+    /// Listener port, naming this node's threads.
+    port: u16,
+    /// Set first thing in `shutdown`: no connection is opened after it.
+    closed: AtomicBool,
+    /// Accepted connections: a clone of each socket (to wake its reader
+    /// at shutdown) and the reader's handle.
+    inbound: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
+    peers: Mutex<HashMap<SocketAddr, Arc<Peer>>>,
 }
 
 /// One node of a distributed deployment: local mailboxes plus TCP
@@ -112,14 +144,13 @@ pub struct TcpTransport {
     shared: Arc<TcpShared>,
     local_addr: SocketAddr,
     conversation_counter: AtomicU64,
-    cmd_tx: Sender<Cmd>,
-    reactor: Mutex<Option<JoinHandle<()>>>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl TcpTransport {
     /// Binds a listener (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the node's reactor thread.
-    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Arc<TcpTransport>> {
+    /// starts the node's acceptor thread.
+    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Arc<TcpTransport>> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -127,20 +158,22 @@ impl TcpTransport {
             registry: RwLock::new(HashMap::new()),
             routes: RwLock::new(HashMap::new()),
             obs: RwLock::new(None),
+            port: local_addr.port(),
+            closed: AtomicBool::new(false),
+            inbound: Mutex::new(Vec::new()),
+            peers: Mutex::new(HashMap::new()),
         });
-        let (cmd_tx, cmd_rx) = channel();
-        let reactor = {
+        let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name(format!("tcp-reactor-{}", local_addr.port()))
-                .spawn(move || Reactor::new(listener, shared, cmd_rx).run())?
+                .name(format!("tcp-acc-{}", shared.port))
+                .spawn(move || accept_loop(&listener, &shared))?
         };
         Ok(Arc::new(TcpTransport {
             shared,
             local_addr,
             conversation_counter: AtomicU64::new(0),
-            cmd_tx,
-            reactor: Mutex::new(Some(reactor)),
+            acceptor: Mutex::new(Some(acceptor)),
         }))
     }
 
@@ -193,22 +226,30 @@ impl TcpTransport {
         }
     }
 
-    /// Stops the reactor: a shutdown command wakes it off its channel,
-    /// it fails any in-flight sends with [`TransportError::Closed`],
-    /// drops every socket (including the listener) and exits; we join
-    /// it. Local mailboxes survive until dropped, but no new frames
-    /// arrive. Idempotent.
+    /// Stops the node: unparks and joins the acceptor (which drops the
+    /// listener), then shuts down every inbound and outbound socket —
+    /// waking the reader blocked on it — and joins the readers. Sends in
+    /// flight fail with [`TransportError::Closed`]. Local mailboxes
+    /// survive until dropped, but no new frames arrive. Idempotent.
     pub fn shutdown(&self) {
-        let handle = crate::sync::lock_unpoisoned(&self.reactor).take();
-        if let Some(handle) = handle {
-            let _ = self.cmd_tx.send(Cmd::Shutdown);
-            let _ = handle.join();
+        let Some(acceptor) = self.acceptor.lock().take() else { return };
+        self.shared.closed.store(true, Ordering::SeqCst);
+        acceptor.thread().unpark();
+        let _ = acceptor.join();
+        let inbound = std::mem::take(&mut *self.shared.inbound.lock());
+        for (stream, reader) in inbound {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = reader.join();
+        }
+        let peers = std::mem::take(&mut *self.shared.peers.lock());
+        for peer in peers.values() {
+            peer.close();
         }
     }
 
     /// Packs `items` (original batch index, receiver, rendered message)
-    /// into as few wire frames as fit, sends them through the reactor,
-    /// and blocks for each frame's coalesced ack.
+    /// into as few wire frames as fit, writes each to the peer's connection
+    /// and blocks for its coalesced ack.
     fn send_frames(
         &self,
         address: &AgentAddress,
@@ -251,9 +292,8 @@ impl TcpTransport {
         out
     }
 
-    /// Encodes one wire frame for `chunk`, hands it to the reactor, and
-    /// waits for its coalesced ack, translating the failure bitmap back
-    /// to per-message results.
+    /// Encodes one wire frame for `chunk`, sends it, and translates the
+    /// failure bitmap of its coalesced ack back to per-message results.
     fn flush_chunk(
         &self,
         addr: SocketAddr,
@@ -261,18 +301,7 @@ impl TcpTransport {
         chunk: Vec<(usize, String, String)>,
         out: &mut Vec<(usize, Result<(), TransportError>)>,
     ) {
-        let frame = encode_frame(from, &chunk);
-        let (done_tx, done_rx) = channel();
-        let cmd = Cmd::Send { addr, frame, count: chunk.len(), done: done_tx };
-        let reply: AckReply = if self.cmd_tx.send(cmd).is_err() {
-            Err(TransportError::Closed)
-        } else {
-            match done_rx.recv_timeout(CONNECT_TIMEOUT + IO_TIMEOUT) {
-                Ok(reply) => reply,
-                Err(_) => Err(TransportError::Io("timed out waiting for batch ack".into())),
-            }
-        };
-        match reply {
+        match self.send_frame(addr, &encode_frame(from, &chunk), chunk.len()) {
             Ok(failed) => {
                 for (slot, (i, to, _)) in chunk.into_iter().enumerate() {
                     if failed.get(slot).copied().unwrap_or(true) {
@@ -288,6 +317,33 @@ impl TcpTransport {
                 }
             }
         }
+    }
+
+    /// Writes one encoded frame of `count` messages to the peer at `addr`
+    /// from the calling thread and blocks until the peer's ack reader
+    /// hands back its coalesced ack.
+    fn send_frame(&self, addr: SocketAddr, frame: &[u8], count: usize) -> AckReply {
+        let shared = &self.shared;
+        let peer = Arc::clone(
+            shared
+                .peers
+                .lock()
+                .entry(addr)
+                .or_insert_with(|| Arc::new(Peer { addr, conn: Mutex::new(None) })),
+        );
+        let mut submitted = peer.submit(shared, frame, count);
+        if let Err((_, true)) = submitted {
+            // The pooled connection was stale and not a byte of this
+            // frame left it: one transparent attempt on a fresh one.
+            submitted = peer.submit(shared, frame, count);
+        }
+        let ack = submitted.map_err(|(e, _)| e)?;
+        ack.recv_timeout(IO_TIMEOUT).unwrap_or_else(|_| {
+            // Still unacked: the connection is stuck. Dropping it fails
+            // every frame queued behind this one too.
+            peer.close();
+            Err(TransportError::Io("timed out waiting for batch ack".into()))
+        })
     }
 }
 
@@ -428,6 +484,10 @@ fn io_err(e: std::io::Error) -> TransportError {
     TransportError::Io(e.to_string())
 }
 
+fn connection_failed(addr: SocketAddr) -> TransportError {
+    TransportError::Io(format!("connection to {addr} failed"))
+}
+
 fn resolve(address: &AgentAddress) -> Result<SocketAddr, TransportError> {
     (address.host.as_str(), address.port)
         .to_socket_addrs()
@@ -466,443 +526,307 @@ fn ack_len(count: usize) -> usize {
     1 + count.div_ceil(8)
 }
 
-/// An accepted connection: inbound frames accumulate in `rbuf`,
-/// coalesced acks drain from `wbuf`.
-struct Inbound {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Stop reading and drop the connection once `wbuf` is flushed
-    /// (set after a malformed frame).
-    close_after_flush: bool,
-    dead: bool,
-}
-
+/// An unacked frame: how many messages its ack covers and who waits.
 struct PendingAck {
     count: usize,
     done: Sender<AckReply>,
-    /// The encoded frame, kept until acked so a stale pooled connection
-    /// can be retried safely (see [`Peer::retry_safe`]).
-    frame: Arc<Vec<u8>>,
 }
 
+/// The unacked frames of one connection, oldest first. The ack reader
+/// leaves `None` behind when it exits, which is how the next sender
+/// learns the connection is gone.
+type AckQueue = Mutex<Option<VecDeque<PendingAck>>>;
+
 /// The persistent outbound connection to one peer node.
-struct Peer {
+struct Conn {
     stream: TcpStream,
-    /// Frames queued for writing; the front may be partially written.
-    queue: VecDeque<Arc<Vec<u8>>>,
-    qpos: usize,
-    /// Unacked frames, oldest first (superset of `queue`).
-    pending: VecDeque<PendingAck>,
-    rbuf: Vec<u8>,
-    /// One transparent reconnect per connection incarnation, and only
-    /// while no frame has partially left this socket.
-    retried: bool,
-    dead: bool,
+    acks: Arc<AckQueue>,
+    ack_reader: JoinHandle<()>,
+}
+
+impl Conn {
+    fn open(addr: SocketAddr, shared: &Arc<TcpShared>) -> Result<Conn, TransportError> {
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(io_err)?;
+        stream.set_nodelay(true).map_err(io_err)?;
+        stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(io_err)?;
+        let acks = Arc::new(Mutex::new(Some(VecDeque::new())));
+        let ack_reader = {
+            let stream = stream.try_clone().map_err(io_err)?;
+            let (acks, shared) = (Arc::clone(&acks), Arc::clone(shared));
+            std::thread::Builder::new()
+                .name(format!("tcp-ack-{}", shared.port))
+                .spawn(move || read_acks(stream, &acks, addr, &shared))
+                .map_err(io_err)?
+        };
+        Ok(Conn { stream, acks, ack_reader })
+    }
+
+    /// Wakes the ack reader out of its `read`; on its way out it fails
+    /// whatever is still unacked.
+    fn close(self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.ack_reader.join();
+    }
+}
+
+/// One peer node: its address and, while one is up, the connection to it.
+struct Peer {
+    addr: SocketAddr,
+    /// Also the per-peer write lock: held from queueing a frame's
+    /// [`PendingAck`] until the frame is written, so acks come back in
+    /// queue order.
+    conn: Mutex<Option<Conn>>,
 }
 
 impl Peer {
-    fn new(stream: TcpStream) -> Peer {
-        Peer {
-            stream,
-            queue: VecDeque::new(),
-            qpos: 0,
-            pending: VecDeque::new(),
-            rbuf: Vec::new(),
-            retried: false,
-            dead: false,
-        }
-    }
-
-    /// Whether a connection failure can be retried without risking
-    /// duplicate delivery: nothing written-but-unacked, and the frame at
-    /// the head of the queue not partially written. This covers the one
-    /// common failure — a pooled connection the remote closed while it
-    /// sat idle.
-    fn retry_safe(&self) -> bool {
-        !self.retried && self.qpos == 0 && self.pending.len() == self.queue.len()
-    }
-
-    /// Fails every unacked frame with `error`.
-    fn fail(&mut self, error: &TransportError) {
-        for p in self.pending.drain(..) {
-            let _ = p.done.send(Err(error.clone()));
-        }
-        self.queue.clear();
-        self.qpos = 0;
-        self.dead = true;
-    }
-}
-
-struct Reactor {
-    listener: TcpListener,
-    shared: Arc<TcpShared>,
-    cmd_rx: Receiver<Cmd>,
-    inbound: Vec<Inbound>,
-    peers: HashMap<SocketAddr, Peer>,
-}
-
-impl Reactor {
-    fn new(listener: TcpListener, shared: Arc<TcpShared>, cmd_rx: Receiver<Cmd>) -> Reactor {
-        Reactor { listener, shared, cmd_rx, inbound: Vec::new(), peers: HashMap::new() }
-    }
-
-    fn run(mut self) {
-        loop {
-            let active = self.has_active_io();
-            // Wake on commands; park on the channel only when there is
-            // no I/O to poll (this parked recv is also the shutdown
-            // wakeup path).
-            let first = if active {
-                match self.cmd_rx.try_recv() {
-                    Ok(cmd) => Some(cmd),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => Some(Cmd::Shutdown),
-                }
-            } else {
-                match self.cmd_rx.recv_timeout(POLL_IDLE) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => Some(Cmd::Shutdown),
-                }
-            };
-            let mut shutdown = false;
-            if let Some(cmd) = first {
-                shutdown |= self.handle_cmd(cmd);
+    /// Queues and writes `frame` on the peer's connection (opening one if
+    /// none is up) and returns where its ack will arrive. On failure the
+    /// flag says whether a retry is safe from duplicate delivery: the
+    /// connection was found dead or broke before any byte of `frame`
+    /// left the socket.
+    fn submit(
+        &self,
+        shared: &Arc<TcpShared>,
+        frame: &[u8],
+        count: usize,
+    ) -> Result<Receiver<AckReply>, (TransportError, bool)> {
+        let mut slot = self.conn.lock();
+        let conn = match slot.take() {
+            Some(conn) => conn,
+            None if shared.closed.load(Ordering::SeqCst) => {
+                return Err((TransportError::Closed, false))
             }
-            while !shutdown {
-                match self.cmd_rx.try_recv() {
-                    Ok(cmd) => shutdown |= self.handle_cmd(cmd),
-                    Err(_) => break,
-                }
-            }
-            if shutdown {
-                break;
-            }
-            self.accept_new();
-            let progressed = self.pump_inbound() | self.pump_peers();
-            self.reap();
-            if active && !progressed {
-                std::thread::sleep(POLL_ACTIVE);
-            }
-        }
-        // Anything still in flight dies with the node.
-        let closed = TransportError::Closed;
-        for peer in self.peers.values_mut() {
-            peer.fail(&closed);
-        }
-    }
-
-    /// Applies one command; returns whether this was a shutdown.
-    fn handle_cmd(&mut self, cmd: Cmd) -> bool {
-        let Cmd::Send { addr, frame, count, done } = cmd else {
-            return true;
+            None => Conn::open(self.addr, shared).map_err(|e| (e, false))?,
         };
-        let peer = match self.peers.entry(addr) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => match connect_peer(addr) {
-                Ok(stream) => v.insert(Peer::new(stream)),
-                Err(e) => {
-                    let _ = done.send(Err(e));
-                    return false;
-                }
-            },
-        };
-        if peer.queue.len() >= MAX_PEER_QUEUE {
-            let _ = done.send(Err(TransportError::Io(format!("peer {addr} write queue full"))));
-            return false;
-        }
-        let frame = Arc::new(frame);
-        peer.queue.push_back(Arc::clone(&frame));
-        peer.pending.push_back(PendingAck { count, done, frame });
-        if let Some(m) = self.shared.obs.read().as_ref() {
-            m.record_queue_depth(peer.queue.len());
-        }
-        false
-    }
-
-    fn accept_new(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    self.inbound.push(Inbound {
-                        stream,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        wpos: 0,
-                        close_after_flush: false,
-                        dead: false,
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Reads, parses, delivers, and acks inbound frames. Returns whether
-    /// any byte moved.
-    fn pump_inbound(&mut self) -> bool {
-        let mut progressed = false;
-        for conn in &mut self.inbound {
-            if conn.dead {
-                continue;
-            }
-            if !conn.close_after_flush {
-                progressed |= read_available(&mut conn.stream, &mut conn.rbuf, &mut conn.dead);
-            }
-            // Parse every complete frame in the buffer.
-            let mut consumed = 0usize;
-            while !conn.close_after_flush {
-                let buf = &conn.rbuf[consumed..];
-                if buf.len() < 4 {
-                    break;
-                }
-                let payload_len = be_u32(&buf[..4]) as usize;
-                if payload_len > MAX_FRAME as usize {
-                    conn.wbuf.push(ACK_MALFORMED);
-                    conn.close_after_flush = true;
-                    break;
-                }
-                if buf.len() < 4 + payload_len {
-                    break;
-                }
-                let payload = &buf[4..4 + payload_len];
-                match deliver_payload(&self.shared, payload) {
-                    Ok(ack) => conn.wbuf.extend_from_slice(&ack),
-                    Err(()) => {
-                        conn.wbuf.push(ACK_MALFORMED);
-                        conn.close_after_flush = true;
-                    }
-                }
-                consumed += 4 + payload_len;
-                progressed = true;
-            }
-            if consumed > 0 {
-                conn.rbuf.drain(..consumed);
-            }
-            // Flush pending acks.
-            if conn.wpos < conn.wbuf.len() {
-                progressed |=
-                    write_some(&mut conn.stream, &conn.wbuf, &mut conn.wpos, &mut conn.dead);
-                if conn.wpos == conn.wbuf.len() {
-                    conn.wbuf.clear();
-                    conn.wpos = 0;
-                }
-            }
-            if conn.close_after_flush && conn.wpos == 0 && conn.wbuf.is_empty() {
-                conn.dead = true;
-            }
-        }
-        progressed
-    }
-
-    /// Writes queued frames to peers and completes their coalesced acks.
-    fn pump_peers(&mut self) -> bool {
-        let mut progressed = false;
-        let mut respawn: Vec<(SocketAddr, Vec<PendingAck>)> = Vec::new();
-        for (addr, peer) in &mut self.peers {
-            if peer.dead {
-                continue;
-            }
-            // Write as much of the queue as the socket accepts.
-            let mut broken = false;
-            while let Some(front) = peer.queue.front() {
-                let before = peer.qpos;
-                let wrote =
-                    write_some(&mut peer.stream, front.as_slice(), &mut peer.qpos, &mut broken);
-                progressed |= wrote;
-                if peer.qpos == front.len() {
-                    peer.queue.pop_front();
-                    peer.qpos = 0;
-                    continue;
-                }
-                if broken || peer.qpos == before {
-                    break;
-                }
-            }
-            if !broken {
-                progressed |= read_available(&mut peer.stream, &mut peer.rbuf, &mut broken);
-            }
-            // Complete acks, oldest frame first.
-            while let Some(need) = peer.pending.front().map(|front| ack_len(front.count)) {
-                if peer.rbuf.is_empty() {
-                    break;
-                }
-                if peer.rbuf[0] != ACK_OK {
-                    broken = true;
-                    break;
-                }
-                if peer.rbuf.len() < need {
-                    break;
-                }
-                let Some(acked) = peer.pending.pop_front() else { break };
-                let bitmap = &peer.rbuf[1..need];
-                let failed: Vec<bool> =
-                    (0..acked.count).map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0).collect();
-                let _ = acked.done.send(Ok(failed));
-                peer.rbuf.drain(..need);
-                progressed = true;
-            }
-            if broken {
-                if peer.retry_safe() {
-                    // The pooled connection went stale while idle (the
-                    // remote closed it); nothing of ours reached the
-                    // wire, so replay the queue on a fresh connection.
-                    respawn.push((*addr, peer.pending.drain(..).collect()));
-                    peer.queue.clear();
-                    peer.qpos = 0;
-                    peer.dead = true;
-                } else {
-                    peer.fail(&TransportError::Io(format!("connection to {addr} failed")));
-                }
-            }
-        }
-        for (addr, pendings) in respawn {
-            self.peers.remove(&addr);
-            match connect_peer(addr) {
-                Ok(stream) => {
-                    let mut peer = Peer::new(stream);
-                    peer.retried = true;
-                    for p in pendings {
-                        peer.queue.push_back(Arc::clone(&p.frame));
-                        peer.pending.push_back(p);
-                    }
-                    self.peers.insert(addr, peer);
-                }
-                Err(e) => {
-                    for p in pendings {
-                        let _ = p.done.send(Err(e.clone()));
-                    }
-                }
-            }
-            progressed = true;
-        }
-        progressed
-    }
-
-    /// Drops dead connections; an idle dead peer just leaves the pool.
-    fn reap(&mut self) {
-        self.inbound.retain(|c| !c.dead);
-        self.peers.retain(|_, p| {
-            if p.dead {
-                debug_assert!(p.pending.is_empty(), "dead peer with unfailed pendings");
-            }
-            !p.dead
+        let (done, ack) = channel();
+        let depth = conn.acks.lock().as_mut().map(|queue| {
+            (queue.len() < MAX_PEER_QUEUE).then(|| {
+                queue.push_back(PendingAck { count, done });
+                queue.len()
+            })
         });
-    }
-
-    fn has_active_io(&self) -> bool {
-        self.peers.values().any(|p| !p.queue.is_empty() || !p.pending.is_empty())
-            || self
-                .inbound
-                .iter()
-                .any(|c| !c.rbuf.is_empty() || c.wpos < c.wbuf.len() || c.close_after_flush)
-    }
-}
-
-fn connect_peer(addr: SocketAddr) -> Result<TcpStream, TransportError> {
-    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(io_err)?;
-    stream.set_nodelay(true).map_err(io_err)?;
-    stream.set_nonblocking(true).map_err(io_err)?;
-    Ok(stream)
-}
-
-/// Drains whatever the nonblocking socket has into `buf`. Returns
-/// whether bytes arrived; EOF and hard errors set `dead`.
-fn read_available(stream: &mut TcpStream, buf: &mut Vec<u8>, dead: &mut bool) -> bool {
-    let mut progressed = false;
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                *dead = true;
-                return progressed;
+        match depth {
+            // The ack reader is gone: the remote closed this connection
+            // while it sat idle.
+            None => {
+                conn.close();
+                Err((connection_failed(self.addr), true))
             }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                progressed = true;
-                if n < chunk.len() {
-                    return progressed;
+            Some(None) => {
+                *slot = Some(conn);
+                Err((TransportError::Io(format!("peer {} write queue full", self.addr)), false))
+            }
+            Some(Some(depth)) => {
+                if let Some(m) = shared.obs.read().as_ref() {
+                    m.record_queue_depth(depth);
+                }
+                match write_frame(&conn.stream, frame) {
+                    Ok(()) => {
+                        *slot = Some(conn);
+                        Ok(ack)
+                    }
+                    Err(untouched) => {
+                        conn.close();
+                        Err((connection_failed(self.addr), untouched))
+                    }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return progressed,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *dead = true;
-                return progressed;
-            }
+        }
+    }
+
+    /// Drops the connection, if one is up; the next send opens another.
+    fn close(&self) {
+        if let Some(conn) = self.conn.lock().take() {
+            conn.close();
         }
     }
 }
 
-/// Writes as much of `buf[*pos..]` as the nonblocking socket accepts,
-/// advancing `pos`. Returns whether bytes moved; hard errors set `dead`.
-fn write_some(stream: &mut TcpStream, buf: &[u8], pos: &mut usize, dead: &mut bool) -> bool {
-    let mut progressed = false;
-    while *pos < buf.len() {
-        match stream.write(&buf[*pos..]) {
-            Ok(0) => {
-                *dead = true;
-                return progressed;
-            }
-            Ok(n) => {
-                *pos += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return progressed,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => {
-                *dead = true;
-                return progressed;
-            }
+/// `write_all`, except that a failure says whether the socket was still
+/// untouched — no byte of `frame` had left it.
+fn write_frame(mut stream: &TcpStream, frame: &[u8]) -> Result<(), bool> {
+    let mut written = 0;
+    while written < frame.len() {
+        match stream.write(&frame[written..]) {
+            Ok(0) => return Err(written == 0),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Err(written == 0),
         }
     }
-    progressed
+    Ok(())
 }
 
-/// Decodes one batch payload, delivers each message to the local
-/// registry, and returns the coalesced ack (status byte + failure
-/// bitmap). Any structural problem is `Err` (the caller answers
-/// `ACK_MALFORMED` and closes).
-fn deliver_payload(shared: &TcpShared, payload: &[u8]) -> Result<Vec<u8>, ()> {
+/// The ack-reader thread of one outbound connection: blocks for each
+/// coalesced ack and completes the oldest unacked frame with it. Any
+/// error, EOF, non-`ACK_OK` status or local `close` ends it, failing the
+/// frames still queued.
+fn read_acks(mut stream: TcpStream, acks: &AckQueue, addr: SocketAddr, shared: &TcpShared) {
+    let mut status = [0u8];
+    while stream.read_exact(&mut status).is_ok() && status[0] == ACK_OK {
+        // Queued before its frame was written, so it is there.
+        let Some(count) = acks.lock().as_ref().and_then(|q| q.front()).map(|p| p.count) else {
+            break;
+        };
+        let mut bitmap = vec![0u8; ack_len(count) - 1];
+        if stream.read_exact(&mut bitmap).is_err() {
+            break;
+        }
+        let Some(acked) = acks.lock().as_mut().and_then(VecDeque::pop_front) else { break };
+        let failed = (0..count).map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0).collect();
+        let _ = acked.done.send(Ok(failed));
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+    let error = if shared.closed.load(Ordering::SeqCst) {
+        TransportError::Closed
+    } else {
+        connection_failed(addr)
+    };
+    for unacked in acks.lock().take().into_iter().flatten() {
+        let _ = unacked.done.send(Err(error.clone()));
+    }
+}
+
+/// The acceptor thread: hands every new connection its own reader thread
+/// until `shutdown` sets `closed` and unparks it.
+fn accept_loop(listener: &TcpListener, shared: &Arc<TcpShared>) {
+    while !shared.closed.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // A connection that cannot be set up is dropped: the
+                // remote sees it closed and reports `Io`.
+                let _ = serve(stream, shared);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => std::thread::park_timeout(ACCEPT_NAP),
+        }
+    }
+}
+
+/// Starts the reader thread of one accepted connection and records it,
+/// with a clone of its socket, for `shutdown`; readers that have finished
+/// since the last accept are joined here.
+fn serve(stream: TcpStream, shared: &Arc<TcpShared>) -> io::Result<()> {
+    // Some platforms hand the listener's nonblocking mode down.
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let wake = stream.try_clone()?;
+    let reader = {
+        let shared = Arc::clone(shared);
+        std::thread::Builder::new()
+            .name(format!("tcp-in-{}", shared.port))
+            .spawn(move || read_frames(stream, &shared))?
+    };
+    let mut inbound = shared.inbound.lock();
+    let (finished, live) =
+        std::mem::take(&mut *inbound).into_iter().partition(|(_, r)| r.is_finished());
+    *inbound = live;
+    inbound.push((wake, reader));
+    drop(inbound);
+    for (_, reader) in finished {
+        let _ = reader.join();
+    }
+    Ok(())
+}
+
+/// The reader thread of one accepted connection: frame in, messages
+/// delivered, coalesced ack out, until the remote closes, a frame stalls
+/// half-read past `IO_TIMEOUT`, a frame is malformed (answered
+/// `ACK_MALFORMED`), or `shutdown` wakes it.
+fn read_frames(mut stream: TcpStream, shared: &TcpShared) {
+    loop {
+        let ack = match read_frame(&mut stream) {
+            Ok(payload) => match decode_payload(&payload) {
+                Ok(frame) => deliver(shared, frame),
+                Err(()) => vec![ACK_MALFORMED],
+            },
+            Err(e) if e.kind() == ErrorKind::InvalidData => vec![ACK_MALFORMED],
+            Err(_) => break,
+        };
+        if stream.write_all(&ack).is_err() || ack[0] != ACK_OK {
+            break;
+        }
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Blocks for the next frame and returns its payload. Waiting for a
+/// frame to *begin* outlasts the read timeout; once its first byte is
+/// in, a stall is an error. A length above [`MAX_FRAME`] is
+/// `InvalidData`, refused before anything is allocated for it.
+fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    let mut got = 0;
+    while got < prefix.len() {
+        match stream.read(&mut prefix[got..]) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e)
+                if got == 0 && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let len = u32::from_be_bytes(prefix);
+    if len > MAX_FRAME {
+        return Err(ErrorKind::InvalidData.into());
+    }
+    let mut payload = vec![0u8; len as usize];
+    stream.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
+/// A wholly decoded frame: its sender and every (receiver, message).
+struct Decoded<'a> {
+    from: &'a str,
+    messages: Vec<(&'a str, Message)>,
+}
+
+/// Decodes one whole batch payload before anything of it is delivered.
+/// Any structural problem, unparsable body or trailing byte is `Err` for
+/// the frame as a whole.
+fn decode_payload(payload: &[u8]) -> Result<Decoded<'_>, ()> {
     let mut cursor = 0usize;
     let from_len = be_u16(take(payload, &mut cursor, 2)?) as usize;
     let from = std::str::from_utf8(take(payload, &mut cursor, from_len)?).map_err(|_| ())?;
     let count = be_u16(take(payload, &mut cursor, 2)?) as usize;
-    let mut ack = vec![0u8; ack_len(count)];
-    ack[0] = ACK_OK;
-    let metrics = shared.obs.read().clone();
-    for i in 0..count {
+    // Every message takes at least its two length fields.
+    let mut messages = Vec::with_capacity(count.min(payload.len() / 6));
+    for _ in 0..count {
         let to_len = be_u16(take(payload, &mut cursor, 2)?) as usize;
         let to = std::str::from_utf8(take(payload, &mut cursor, to_len)?).map_err(|_| ())?;
         let body_len = be_u32(take(payload, &mut cursor, 4)?) as usize;
         let text = std::str::from_utf8(take(payload, &mut cursor, body_len)?).map_err(|_| ())?;
-        let message = Message::parse(text).map_err(|_| ())?;
-        if let Some(m) = &metrics {
-            m.record_recv(message.wire_size());
-        }
-        let delivered = {
-            let reg = shared.registry.read();
-            match reg.get(to) {
-                Some(tx) => tx
-                    .deliver(Envelope { from: from.to_string(), to: to.to_string(), message })
-                    .is_ok(),
-                None => false,
-            }
-        };
-        if !delivered {
-            ack[1 + i / 8] |= 1 << (i % 8);
-        }
+        messages.push((to, Message::parse(text).map_err(|_| ())?));
     }
     if cursor != payload.len() {
         return Err(());
     }
-    Ok(ack)
+    Ok(Decoded { from, messages })
+}
+
+/// Delivers a decoded frame to the local registry and returns its
+/// coalesced ack (status byte + failure bitmap).
+fn deliver(shared: &TcpShared, frame: Decoded<'_>) -> Vec<u8> {
+    let Decoded { from, messages } = frame;
+    let mut ack = vec![0u8; ack_len(messages.len())];
+    ack[0] = ACK_OK;
+    let metrics = shared.obs.read().clone();
+    let registry = shared.registry.read();
+    for (i, (to, message)) in messages.into_iter().enumerate() {
+        if let Some(m) = &metrics {
+            m.record_recv(message.wire_size());
+        }
+        let delivered = registry.get(to).is_some_and(|tx| {
+            tx.deliver(Envelope { from: from.to_string(), to: to.to_string(), message }).is_ok()
+        });
+        if !delivered {
+            ack[1 + i / 8] |= 1 << (i % 8);
+        }
+    }
+    ack
 }
 
 /// Advances `cursor` by `n` bytes into `payload`, bounds-checked.
@@ -926,8 +850,9 @@ fn be_u32(b: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::TransportExt;
+    use crate::transport::{Endpoint, TransportExt};
     use infosleuth_kqml::{Performative, SExpr};
+    use proptest::prelude::*;
 
     fn node() -> Arc<TcpTransport> {
         TcpTransport::bind("127.0.0.1:0").expect("bind localhost")
@@ -1173,28 +1098,177 @@ mod tests {
         );
     }
 
-    /// Live `tcp-reactor-*` threads of this process. The whole-process
-    /// `Threads:` count also moves with every sibling test's workers.
+    /// Live threads of the node listening on `port`: its acceptor,
+    /// inbound readers and ack readers. Matching on the port keeps the
+    /// count exact while sibling tests run nodes of their own.
     #[cfg(target_os = "linux")]
-    fn reactor_thread_count() -> usize {
-        std::fs::read_dir("/proc/self/task")
+    fn node_threads(port: u16) -> Vec<String> {
+        let names = ["acc", "in", "ack"].map(|role| format!("tcp-{role}-{port}"));
+        let mut live: Vec<String> = std::fs::read_dir("/proc/self/task")
             .expect("/proc/self/task is readable")
             .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-            .filter(|comm| comm.starts_with("tcp-reactor-"))
-            .count()
+            .map(|comm| comm.trim_end().to_string())
+            .filter(|comm| names.contains(comm))
+            .collect();
+        live.sort();
+        live
+    }
+
+    /// A frame from `"src"` carrying `bodies` to the agent `"sink"`.
+    fn frame_for_sink(bodies: &[&str]) -> Vec<u8> {
+        let chunk: Vec<_> =
+            bodies.iter().map(|body| (0, "sink".to_string(), body.to_string())).collect();
+        encode_frame("src", &chunk)
+    }
+
+    /// Connects to `addr` as a raw client, writes `bytes`, half-closes,
+    /// and returns everything the node answered before it closed.
+    fn raw_exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).expect("node accepts");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // The node may hang up on the first bad frame, mid-write.
+        let _ = stream.write_all(bytes);
+        let _ = stream.shutdown(Shutdown::Write);
+        let mut answer = Vec::new();
+        let mut chunk = [0u8; 256];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => return answer,
+                Ok(n) => answer.extend_from_slice(&chunk[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    panic!("node neither answered nor closed: got {answer:?}")
+                }
+                // A reset: the node closed with bytes of ours unread.
+                Err(_) => return answer,
+            }
+        }
+    }
+
+    /// Blocks until the node closes `stream` — `true` — or, failing the
+    /// test's patience, says something or stays silent — `false`.
+    fn hung_up(stream: &mut TcpStream) -> bool {
+        stream.set_read_timeout(Some(IO_TIMEOUT * 3)).unwrap();
+        match stream.read(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() == ErrorKind::ConnectionReset,
+        }
+    }
+
+    #[test]
+    fn malformed_frame_delivers_none_of_its_messages() {
+        let n = node();
+        let mut sink = as_dyn(&n).endpoint("sink").unwrap();
+        let good = Message::new(Performative::Tell).with_content(SExpr::atom("ok")).to_string();
+        let bad_second = frame_for_sink(&[&good, "(tell :content"]);
+        let mut trailing = frame_for_sink(&[&good]);
+        trailing.push(b'x');
+        let payload_len = (trailing.len() - 4) as u32;
+        trailing[..4].copy_from_slice(&payload_len.to_be_bytes());
+        for frame in [bad_second, trailing] {
+            // Answered malformed, then closed (`raw_exchange` read to EOF).
+            assert_eq!(raw_exchange(n.local_addr(), &frame), [ACK_MALFORMED]);
+            // Delivery precedes the ack, so anything delivered is here by now.
+            assert!(sink.try_recv().is_none(), "a malformed frame must deliver nothing");
+        }
+        assert_eq!(raw_exchange(n.local_addr(), &frame_for_sink(&[&good])), [ACK_OK, 0]);
+        let env = sink.recv_timeout(Duration::from_secs(2)).expect("node still serves");
+        assert_eq!(env.message.content(), Some(&SExpr::atom("ok")));
+    }
+
+    #[test]
+    fn oversized_length_prefix_is_refused_before_its_payload() {
+        // Nothing follows the prefix and the client does not half-close:
+        // an answer can only mean the node judged the length alone.
+        let n = node();
+        let mut stream = TcpStream::connect(n.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        stream.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
+        let mut answer = Vec::new();
+        stream.read_to_end(&mut answer).expect("answered and closed within the timeout");
+        assert_eq!(answer, [ACK_MALFORMED]);
+    }
+
+    /// What [`Transport::send_batch`] promises on every transport: each
+    /// recipient sees its own messages in batch order.
+    fn assert_batch_keeps_order_per_recipient(
+        sender: &Arc<dyn Transport>,
+        mut recipients: Vec<Endpoint>,
+    ) {
+        let _src = sender.endpoint("src").unwrap();
+        let batch: Vec<(String, Message)> = (0..12)
+            .map(|i| {
+                // r0 r1 r2 r0 r2 r1 …: no recipient's messages are adjacent.
+                let to = recipients[[0, 1, 2, 0, 2, 1][i % 6]].name().to_string();
+                (to, Message::new(Performative::Tell).with_content(SExpr::atom(i.to_string())))
+            })
+            .collect();
+        let expected: Vec<(String, String)> =
+            batch.iter().map(|(to, m)| (to.clone(), m.content().unwrap().to_string())).collect();
+        assert!(sender.send_batch("src", batch).iter().all(Result::is_ok));
+        for recipient in &mut recipients {
+            let own: Vec<&str> = expected
+                .iter()
+                .filter(|(to, _)| to == recipient.name())
+                .map(|(_, tag)| tag.as_str())
+                .collect();
+            for tag in own {
+                let env = recipient.recv_timeout(Duration::from_secs(2)).expect("delivered");
+                assert_eq!(env.message.content(), Some(&SExpr::atom(tag)), "{}", recipient.name());
+            }
+            assert!(recipient.try_recv().is_none());
+        }
+    }
+
+    #[test]
+    fn send_batch_keeps_order_per_recipient_on_bus_and_tcp() {
+        let bus = crate::Bus::new().as_transport();
+        let on_bus = ["r0", "r1", "r2"].map(|name| bus.endpoint(name).unwrap());
+        assert_batch_keeps_order_per_recipient(&bus, on_bus.into());
+
+        // One recipient local to the sending node, two on a node each.
+        let nodes = [node(), node(), node()];
+        nodes[0].add_route("r1", nodes[1].address());
+        nodes[0].add_route("r2", nodes[2].address());
+        let over_tcp: Vec<Endpoint> =
+            (0..3).map(|i| as_dyn(&nodes[i]).endpoint(format!("r{i}")).unwrap()).collect();
+        assert_batch_keeps_order_per_recipient(&as_dyn(&nodes[0]), over_tcp);
+    }
+
+    #[test]
+    fn idle_node_answers_without_waiting_out_a_tick() {
+        let n1 = node();
+        let n2 = node();
+        n1.add_route("b", n2.address());
+        let a = as_dyn(&n1).endpoint("a").unwrap();
+        let _b = as_dyn(&n2).endpoint("b").unwrap();
+        let tell = || Message::new(Performative::Tell).with_content(SExpr::atom("x"));
+        a.send("b", tell()).unwrap(); // connects
+        let mut times: Vec<Duration> = (0..201)
+            .map(|_| {
+                // Long enough for both nodes to have nothing in flight.
+                std::thread::sleep(Duration::from_millis(2));
+                let started = Instant::now();
+                a.send("b", tell()).unwrap();
+                started.elapsed()
+            })
+            .collect();
+        times.sort();
+        let median = times[times.len() / 2];
+        // `send` returns at the sync ack: with nothing napping on the
+        // path that is a few thread wake-ups, well under any poll tick.
+        assert!(median < Duration::from_micros(500), "median idle send {median:?}");
     }
 
     #[test]
     fn repeated_open_close_cycles_leak_nothing() {
-        // The shutdown path must be reactor-native: no self-connect
-        // nudge, no orphaned threads, no port-in-use flakes when the
-        // same address is rebound immediately.
+        // Shutdown must join every thread the node started — acceptor,
+        // inbound readers, ack readers — while connections are open in
+        // both directions and a slow client sits half-way through a
+        // frame, and must free the port for an immediate rebind.
         let probe = node();
         let addr = probe.local_addr();
         probe.shutdown();
         drop(probe);
-        #[cfg(target_os = "linux")]
-        let baseline = reactor_thread_count();
         for cycle in 0..10 {
             let n1 = TcpTransport::bind(addr).expect("address is free again");
             let n2 = node();
@@ -1202,13 +1276,38 @@ mod tests {
             n2.add_route("a", n1.address());
             let t1 = as_dyn(&n1);
             let t2 = as_dyn(&n2);
-            let a = t1.endpoint("a").unwrap();
+            let mut a = t1.endpoint("a").unwrap();
             let mut b = t2.endpoint("b").unwrap();
-            a.send("b", Message::new(Performative::Tell).with_content(SExpr::atom("hi"))).unwrap();
-            assert!(
-                b.recv_timeout(Duration::from_secs(2)).is_some(),
-                "cycle {cycle}: delivery works"
-            );
+            let hi = || Message::new(Performative::Tell).with_content(SExpr::atom("hi"));
+            a.send("b", hi()).unwrap();
+            b.send("a", hi()).unwrap();
+            for endpoint in [&mut a, &mut b] {
+                assert!(
+                    endpoint.recv_timeout(Duration::from_secs(2)).is_some(),
+                    "cycle {cycle}: delivery to {} works",
+                    endpoint.name()
+                );
+            }
+            // Half a frame, then silence: n1's reader for this connection
+            // is blocked mid-frame when shutdown comes.
+            let mut slow = TcpStream::connect(addr).unwrap();
+            slow.write_all(&frame_for_sink(&["(tell)"])[..9]).unwrap();
+            #[cfg(target_os = "linux")]
+            {
+                // Both nodes idle with every connection open: one acceptor,
+                // one ack reader, and on n1 two inbound readers (n2's
+                // connection and `slow`), all blocked. A thread carries its
+                // spawner's name until it has set its own, so wait for the
+                // acceptor to have taken `slow` and the names to settle.
+                let port = addr.port();
+                let expected = ["acc", "ack", "in", "in"].map(|role| format!("tcp-{role}-{port}"));
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while node_threads(port) != expected && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                assert_eq!(node_threads(port), expected, "cycle {cycle}");
+                assert_eq!(node_threads(n2.local_addr().port()).len(), 3, "cycle {cycle}");
+            }
             let started = Instant::now();
             n1.shutdown();
             n2.shutdown();
@@ -1217,20 +1316,190 @@ mod tests {
                 "cycle {cycle}: shutdown stalled {:?}",
                 started.elapsed()
             );
+            #[cfg(target_os = "linux")]
+            for port in [addr.port(), n2.local_addr().port()] {
+                assert_eq!(node_threads(port), [""; 0], "cycle {cycle}: all joined");
+            }
+            assert!(hung_up(&mut slow), "cycle {cycle}: shutdown closes the slow client too");
+            assert!(matches!(a.send("b", hi()), Err(TransportError::Closed)), "cycle {cycle}");
         }
-        // `shutdown` joined every reactor this test started; sibling tests
-        // run reactors of their own in this process, so wait theirs out.
+    }
+
+    #[test]
+    fn half_a_frame_then_silence_is_dropped_after_the_io_timeout() {
+        let n = node();
+        let port = n.local_addr().port();
+        let mut sink = as_dyn(&n).endpoint("sink").unwrap();
+        // A pooled connection that will sit idle *between* frames…
+        let n0 = node();
+        n0.add_route("sink", n.address());
+        let src = as_dyn(&n0).endpoint("src").unwrap();
+        src.send("sink", Message::new(Performative::Tell)).unwrap();
+        assert!(sink.recv_timeout(Duration::from_secs(2)).is_some());
+        // …and one that stalls *inside* a frame.
+        let mut slow = TcpStream::connect(n.local_addr()).unwrap();
+        let started = Instant::now();
+        slow.write_all(&frame_for_sink(&["(tell)"])[..9]).unwrap();
+        assert!(hung_up(&mut slow), "the node says nothing and hangs up");
+        let waited = started.elapsed();
+        assert!(waited >= IO_TIMEOUT && waited < IO_TIMEOUT * 2, "dropped after {waited:?}");
+        assert!(sink.try_recv().is_none());
         #[cfg(target_os = "linux")]
         {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while reactor_thread_count() > baseline && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
+            // The stalled reader's thread is gone; the idle connection's
+            // reader outlived the same timeout.
+            let expected = [format!("tcp-acc-{port}"), format!("tcp-in-{port}")];
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while node_threads(port) != expected && Instant::now() < deadline {
+                std::thread::yield_now();
             }
-            assert!(
-                reactor_thread_count() <= baseline,
-                "reactor threads must all be joined: {} alive, {baseline} before",
-                reactor_thread_count()
-            );
+            assert_eq!(node_threads(port), expected);
+        }
+        src.send("sink", Message::new(Performative::Tell)).unwrap();
+        assert!(sink.recv_timeout(Duration::from_secs(2)).is_some());
+    }
+
+    // ---- Decoder fuzzing: arbitrary and corrupted bytes at a live listener ----
+
+    /// A well-formed frame of one to three small messages, each to the
+    /// registered `"sink"` or the unregistered `"ghost"`.
+    fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
+        let message = (prop_oneof![Just("sink"), Just("ghost")], "[a-z]{1,8}")
+            .prop_map(|(to, word)| (0, to.to_string(), format!("(tell :content {word})")));
+        ("[a-z]{1,6}", proptest::collection::vec(message, 1..4))
+            .prop_map(|(from, chunk)| encode_frame(&from, &chunk))
+    }
+
+    /// Breaks one field of a well-formed `frame` in a way that is certain
+    /// to make it malformed. Offsets follow the layout in the module doc.
+    fn corrupt(mut frame: Vec<u8>, kind: usize) -> Vec<u8> {
+        let from_len = be_u16(&frame[4..6]) as usize;
+        let count_at = 6 + from_len;
+        let count = be_u16(&frame[count_at..]);
+        let to_at = count_at + 4;
+        let body_len_at = to_at + be_u16(&frame[count_at + 2..]) as usize;
+        let body_at = body_len_at + 4;
+        let payload_len = be_u32(&frame[..4]);
+        match kind {
+            0 => frame[count_at..count_at + 2].copy_from_slice(&(count + 1).to_be_bytes()),
+            1 => frame[count_at..count_at + 2].copy_from_slice(&(count - 1).to_be_bytes()),
+            2 => {
+                frame.push(b' ');
+                frame[..4].copy_from_slice(&(payload_len + 1).to_be_bytes());
+            }
+            3 => frame[..4].copy_from_slice(&(payload_len - 1).to_be_bytes()),
+            4 => frame[..4].copy_from_slice(&(MAX_FRAME + 1 + payload_len).to_be_bytes()),
+            5 => frame[4..6].copy_from_slice(&u16::MAX.to_be_bytes()),
+            6 => frame[body_len_at..body_at].copy_from_slice(&u32::MAX.to_be_bytes()),
+            7 => frame[to_at] = 0xFF,
+            8 => frame[body_at + 1] = 0xFF,
+            _ => frame[body_at] = b')',
+        }
+        frame
+    }
+
+    /// What a node hosting only `"sink"` answers to `bytes` followed by
+    /// EOF, and how many messages it delivers: one ack per whole
+    /// well-formed frame, `ACK_MALFORMED` at the first bad one, nothing
+    /// for a frame the stream ends inside.
+    fn modelled_answer(mut bytes: &[u8]) -> (Vec<u8>, usize) {
+        let (mut answer, mut delivered) = (Vec::new(), 0);
+        while bytes.len() >= 4 {
+            let len = be_u32(bytes);
+            if len > MAX_FRAME {
+                answer.push(ACK_MALFORMED);
+                break;
+            }
+            let Some(payload) = bytes.get(4..4 + len as usize) else { break };
+            let Ok(Decoded { messages, .. }) = decode_payload(payload) else {
+                answer.push(ACK_MALFORMED);
+                break;
+            };
+            let mut ack = vec![0u8; ack_len(messages.len())];
+            for (i, (to, _)) in messages.iter().enumerate() {
+                if *to == "sink" {
+                    delivered += 1;
+                } else {
+                    ack[1 + i / 8] |= 1 << (i % 8);
+                }
+            }
+            answer.extend(ack);
+            bytes = &bytes[4 + len as usize..];
+        }
+        (answer, delivered)
+    }
+
+    /// Runs `bytes` past a fresh node while a bystander connection is
+    /// open, and checks the answer, that exactly `delivered` messages of
+    /// `bytes` reached `"sink"`, and that the bystander is still served.
+    fn assert_answer(bytes: &[u8], answer: &[u8], delivered: usize) {
+        let n = node();
+        let mut sink = as_dyn(&n).endpoint("sink").unwrap();
+        let mut bystander = TcpStream::connect(n.local_addr()).unwrap();
+        bystander.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut serve_bystander = |sink: &mut Endpoint| {
+            bystander.write_all(&frame_for_sink(&["(ping)"])).unwrap();
+            let mut ack = [0xFFu8; 2];
+            bystander.read_exact(&mut ack).expect("bystander connection unaffected");
+            assert_eq!(ack, [ACK_OK, 0]);
+            let env = sink.recv_timeout(Duration::from_secs(2)).expect("bystander delivery");
+            assert_eq!(env.message.performative, Performative::Ping);
+        };
+        serve_bystander(&mut sink);
+        assert_eq!(raw_exchange(n.local_addr(), bytes), answer, "input {bytes:?}");
+        // The bystander's ping queues behind whatever `bytes` delivered.
+        for _ in 0..delivered {
+            let env = sink.recv_timeout(Duration::from_secs(2)).expect("modelled delivery");
+            assert_eq!(env.message.performative, Performative::Tell);
+        }
+        serve_bystander(&mut sink);
+    }
+
+    proptest! {
+        #[test]
+        fn decode_payload_takes_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            frame in arb_frame(),
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        ) {
+            // Pure noise dies at the first length field; a real frame with
+            // a few bytes overwritten gets deep into the decoder.
+            let _ = decode_payload(&bytes);
+            let mut payload = frame[4..].to_vec();
+            for (at, byte) in flips {
+                let at = at % payload.len();
+                payload[at] = byte;
+            }
+            let _ = decode_payload(&payload);
+        }
+
+        #[test]
+        fn a_frame_with_one_field_corrupted_is_refused_whole(
+            frame in arb_frame(),
+            kind in 0usize..10,
+        ) {
+            prop_assert!(decode_payload(&frame[4..]).is_ok());
+            assert_answer(&corrupt(frame, kind), &[ACK_MALFORMED], 0);
+        }
+
+        #[test]
+        fn byte_streams_get_the_modelled_answer(
+            segments in proptest::collection::vec(
+                prop_oneof![
+                    arb_frame(),
+                    (arb_frame(), 0usize..10).prop_map(|(frame, kind)| corrupt(frame, kind)),
+                    proptest::collection::vec(any::<u8>(), 0..12),
+                    // A small length prefix makes noise a whole frame.
+                    proptest::collection::vec(any::<u8>(), 0..12).prop_map(|noise| {
+                        [(noise.len() as u32).to_be_bytes().to_vec(), noise].concat()
+                    }),
+                ],
+                0..4,
+            ),
+        ) {
+            let bytes = segments.concat();
+            let (answer, delivered) = modelled_answer(&bytes);
+            assert_answer(&bytes, &answer, delivered);
         }
     }
 }

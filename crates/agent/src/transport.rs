@@ -153,11 +153,14 @@ pub trait Transport: Send + Sync + 'static {
     /// Delivers a message. Fails if the recipient is not reachable.
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError>;
 
-    /// Delivers a batch of messages from one sender, in order, and
-    /// returns one result per message (same length and order as
-    /// `batch`). Per-sender ordering is preserved exactly as if the
-    /// messages had been sent one by one; a failure for one message
-    /// never prevents delivery of the others.
+    /// Delivers a batch of messages from one sender and returns one
+    /// result per message (same length and order as `batch`). Each
+    /// recipient receives its own messages in batch order; *across*
+    /// recipients no order is promised — a networked transport delivers
+    /// same-node messages before any frame leaves, and one peer's frame
+    /// before the next peer's. A caller that needs one recipient to see
+    /// a message before another does must send them one by one. A
+    /// failure for one message never prevents delivery of the others.
     ///
     /// Implementations coalesce work where they can: the in-proc
     /// [`Bus`](crate::Bus) takes its registry lock once for the whole
@@ -199,8 +202,8 @@ pub struct TransportMetrics {
     obs: Arc<infosleuth_obs::Obs>,
     /// Per-destination-stem latency handles, cached after first use.
     latency: parking_lot::RwLock<std::collections::BTreeMap<String, infosleuth_obs::Histogram>>,
-    /// Per-peer write-queue depth, created lazily on first observation
-    /// (only networked transports with a reactor ever observe it).
+    /// Per-peer unacked-frame count, created lazily on first observation
+    /// (only networked transports ever observe it).
     queue_depth: parking_lot::RwLock<Option<infosleuth_obs::Histogram>>,
 }
 
@@ -235,8 +238,8 @@ impl TransportMetrics {
         self.batch_size.observe(n as f64);
     }
 
-    /// Records a per-peer write-queue depth sample at enqueue time (the
-    /// reactor's backpressure signal).
+    /// Records how many frames are unacked on a peer's connection as one
+    /// more is queued (the backpressure signal).
     pub fn record_queue_depth(&self, depth: usize) {
         let hist = {
             let cached = self.queue_depth.read().clone();

@@ -267,40 +267,57 @@ impl Message {
 
     /// Parses a message from its textual s-expression form.
     pub fn parse(src: &str) -> Result<Message, KqmlError> {
-        Self::from_sexpr(&SExpr::parse(src)?)
+        Self::from_sexpr(SExpr::parse(src)?)
     }
 
-    pub fn from_sexpr(e: &SExpr) -> Result<Message, KqmlError> {
-        let items =
-            e.as_list().ok_or_else(|| KqmlError::Malformed("message must be a list".into()))?;
-        let mut it = items.iter();
-        let head = it
-            .next()
-            .and_then(SExpr::as_atom)
-            .ok_or_else(|| KqmlError::Malformed("missing performative".into()))?;
-        let mut msg = Message::new(Performative::from(head));
+    /// Takes `e` apart into a message: keywords and values move out of
+    /// the tree, nothing is copied.
+    pub fn from_sexpr(e: SExpr) -> Result<Message, KqmlError> {
+        let SExpr::List(items) = e else {
+            return Err(KqmlError::Malformed("message must be a list".into()));
+        };
+        let mut it = items.into_iter();
+        let Some(SExpr::Atom(head)) = it.next() else {
+            return Err(KqmlError::Malformed("missing performative".into()));
+        };
+        let mut msg = Message::new(Performative::from(head.as_str()));
         while let Some(kw) = it.next() {
-            let kw = kw
-                .as_atom()
-                .filter(|s| s.starts_with(':'))
-                .ok_or_else(|| KqmlError::Malformed(format!("expected keyword, got {kw}")))?;
+            let mut key = match kw {
+                SExpr::Atom(s) if s.starts_with(':') => s,
+                other => {
+                    return Err(KqmlError::Malformed(format!("expected keyword, got {other}")))
+                }
+            };
             let value = it
                 .next()
-                .ok_or_else(|| KqmlError::Malformed(format!("keyword {kw} missing value")))?;
-            msg.set(&kw[1..], value.clone());
+                .ok_or_else(|| KqmlError::Malformed(format!("keyword {key} missing value")))?;
+            key.remove(0);
+            msg.set(key, value);
         }
         Ok(msg)
     }
 
-    /// Approximate wire size in bytes.
+    /// Approximate wire size in bytes: what
+    /// [`to_sexpr`](Self::to_sexpr)`().wire_size()` would return, summed
+    /// over the parameters in place.
     pub fn wire_size(&self) -> usize {
-        self.to_sexpr().wire_size()
+        let params: usize = self.params.iter().map(|(k, v)| k.len() + 2 + v.wire_size()).sum();
+        2 + self.performative.as_str().len() + 1 + params
     }
 }
 
+/// Prints exactly what [`Message::to_sexpr`] would, without building it.
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_sexpr())
+        f.write_str("(")?;
+        f.write_str(self.performative.as_str())?;
+        for (k, v) in &self.params {
+            f.write_str(" :")?;
+            f.write_str(k)?;
+            f.write_str(" ")?;
+            v.fmt(f)?;
+        }
+        f.write_str(")")
     }
 }
 

@@ -77,7 +77,7 @@ impl SExpr {
 
     /// Reads a single s-expression, requiring it to consume the full input.
     pub fn parse(src: &str) -> Result<SExpr, SExprError> {
-        let mut reader = Reader { src: src.as_bytes(), pos: 0 };
+        let mut reader = Reader { src, pos: 0 };
         reader.skip_ws();
         let e = reader.read()?;
         reader.skip_ws();
@@ -101,24 +101,27 @@ impl SExpr {
 }
 
 struct Reader<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
+impl Reader<'_> {
     fn error(&self, message: impl Into<String>) -> SExprError {
         SExprError { message: message.into(), position: self.pos }
     }
 
+    /// The byte at `pos`, if any is left.
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
+        while let Some(b) = self.peek() {
+            match b {
                 b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
+                // comment to end of line
                 b';' => {
-                    // comment to end of line
-                    while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
+                    self.pos += self.src[self.pos..].find('\n').unwrap_or(self.src.len() - self.pos)
                 }
                 _ => break,
             }
@@ -127,78 +130,62 @@ impl<'a> Reader<'a> {
 
     fn read(&mut self) -> Result<SExpr, SExprError> {
         self.skip_ws();
-        if self.pos >= self.src.len() {
-            return Err(self.error("unexpected end of input"));
-        }
-        match self.src[self.pos] {
-            b'(' => {
+        match self.peek() {
+            None => Err(self.error("unexpected end of input")),
+            Some(b'(') => {
                 self.pos += 1;
                 let mut items = Vec::new();
                 loop {
                     self.skip_ws();
-                    if self.pos >= self.src.len() {
-                        return Err(self.error("unterminated list"));
+                    match self.peek() {
+                        None => return Err(self.error("unterminated list")),
+                        Some(b')') => {
+                            self.pos += 1;
+                            return Ok(SExpr::List(items));
+                        }
+                        Some(_) => items.push(self.read()?),
                     }
-                    if self.src[self.pos] == b')' {
-                        self.pos += 1;
-                        return Ok(SExpr::List(items));
-                    }
-                    items.push(self.read()?);
                 }
             }
-            b')' => Err(self.error("unexpected ')'")),
-            b'"' => {
+            Some(b')') => Err(self.error("unexpected ')'")),
+            Some(b'"') => {
                 self.pos += 1;
                 let mut out = String::new();
                 loop {
-                    if self.pos >= self.src.len() {
+                    // Everything up to the next quote or backslash is
+                    // copied as one run; both are ASCII, so the run ends
+                    // on a character boundary.
+                    let rest = &self.src[self.pos..];
+                    let Some(run) = rest.find(['"', '\\']) else {
+                        self.pos = self.src.len();
                         return Err(self.error("unterminated string"));
+                    };
+                    out.push_str(&rest[..run]);
+                    self.pos += run + 1;
+                    if rest.as_bytes()[run] == b'"' {
+                        return Ok(SExpr::Str(out));
                     }
-                    match self.src[self.pos] {
-                        b'"' => {
-                            self.pos += 1;
-                            return Ok(SExpr::Str(out));
+                    out.push(match self.peek() {
+                        None => return Err(self.error("dangling escape")),
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(other) => {
+                            return Err(self.error(format!("unknown escape '\\{}'", other as char)))
                         }
-                        b'\\' => {
-                            self.pos += 1;
-                            if self.pos >= self.src.len() {
-                                return Err(self.error("dangling escape"));
-                            }
-                            match self.src[self.pos] {
-                                b'"' => out.push('"'),
-                                b'\\' => out.push('\\'),
-                                b'n' => out.push('\n'),
-                                b't' => out.push('\t'),
-                                other => {
-                                    return Err(
-                                        self.error(format!("unknown escape '\\{}'", other as char))
-                                    )
-                                }
-                            }
-                            self.pos += 1;
-                        }
-                        _ => {
-                            // Consume one UTF-8 scalar.
-                            let rest = std::str::from_utf8(&self.src[self.pos..])
-                                .map_err(|_| self.error("invalid utf-8"))?;
-                            let c = rest.chars().next().expect("non-empty");
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                    }
+                    });
+                    self.pos += 1;
                 }
             }
-            _ => {
-                let start = self.pos;
-                while self.pos < self.src.len() {
-                    match self.src[self.pos] {
-                        b' ' | b'\t' | b'\n' | b'\r' | b'(' | b')' | b'"' | b';' => break,
-                        _ => self.pos += 1,
-                    }
-                }
-                let text = std::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.error("invalid utf-8 in atom"))?;
-                Ok(SExpr::Atom(text.to_string()))
+            Some(_) => {
+                // The delimiters are ASCII, so the atom ends on a
+                // character boundary.
+                let rest = &self.src[self.pos..];
+                let len =
+                    rest.find([' ', '\t', '\n', '\r', '(', ')', '"', ';']).unwrap_or(rest.len());
+                self.pos += len;
+                Ok(SExpr::Atom(rest[..len].to_string()))
             }
         }
     }
@@ -207,29 +194,34 @@ impl<'a> Reader<'a> {
 impl fmt::Display for SExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SExpr::Atom(s) => write!(f, "{s}"),
+            SExpr::Atom(s) => f.write_str(s),
             SExpr::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        '\t' => write!(f, "\\t")?,
-                        _ => write!(f, "{c}")?,
-                    }
+                f.write_str("\"")?;
+                // Unescaped runs go out whole; only the four escaped
+                // characters are written one at a time.
+                let mut rest = s.as_str();
+                while let Some(at) = rest.find(['"', '\\', '\n', '\t']) {
+                    f.write_str(&rest[..at])?;
+                    f.write_str(match rest.as_bytes()[at] {
+                        b'"' => "\\\"",
+                        b'\\' => "\\\\",
+                        b'\n' => "\\n",
+                        _ => "\\t",
+                    })?;
+                    rest = &rest[at + 1..];
                 }
-                write!(f, "\"")
+                f.write_str(rest)?;
+                f.write_str("\"")
             }
             SExpr::List(items) => {
-                write!(f, "(")?;
+                f.write_str("(")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, " ")?;
+                        f.write_str(" ")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
-                write!(f, ")")
+                f.write_str(")")
             }
         }
     }

@@ -22,6 +22,11 @@ fn arb_string_text() -> impl Strategy<Value = String> {
             Just(')'),
             Just('é'),
             Just('?'),
+            Just('\r'),
+            Just(';'),
+            Just(':'),
+            Just('日'),
+            Just('𝄞'),
         ],
         0..20,
     )
@@ -33,6 +38,9 @@ fn arb_sexpr() -> impl Strategy<Value = SExpr> {
         arb_atom_text().prop_map(SExpr::Atom),
         arb_string_text().prop_map(SExpr::Str),
         any::<i32>().prop_map(|i| SExpr::Atom(i.to_string())),
+        // Keywords and variables are atoms too, wherever they stand.
+        arb_atom_text().prop_map(|s| SExpr::Atom(format!(":{s}"))),
+        arb_atom_text().prop_map(|s| SExpr::Atom(format!("?{s}"))),
     ];
     leaf.prop_recursive(3, 24, 5, |inner| {
         proptest::collection::vec(inner, 0..5).prop_map(SExpr::List)
@@ -63,7 +71,51 @@ fn arb_message() -> impl Strategy<Value = Message> {
     )
 }
 
+/// The printer as it was before `Display` stopped going through
+/// `write!` per character: the reference the current one must match
+/// byte for byte.
+fn reference_print(e: &SExpr, out: &mut String) {
+    match e {
+        SExpr::Atom(s) => out.push_str(s),
+        SExpr::Str(s) => {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    _ => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+        SExpr::List(items) => {
+            out.push('(');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                reference_print(item, out);
+            }
+            out.push(')');
+        }
+    }
+}
+
 proptest! {
+    /// A message prints exactly as the s-expression it stands for always
+    /// has, and reports that s-expression's wire size, without building
+    /// it (`kqml.request_bytes` / `kqml.reply_bytes` read the same).
+    #[test]
+    fn message_prints_and_sizes_as_its_sexpr(m in arb_message()) {
+        let mut reference = String::new();
+        reference_print(&m.to_sexpr(), &mut reference);
+        prop_assert_eq!(m.to_string(), reference.clone());
+        prop_assert_eq!(m.to_sexpr().to_string(), reference);
+        prop_assert_eq!(m.wire_size(), m.to_sexpr().wire_size());
+    }
+
     /// Any s-expression survives print → parse.
     #[test]
     fn sexpr_round_trips(e in arb_sexpr()) {
