@@ -30,7 +30,6 @@ pub mod sync;
 mod tap;
 mod tcp;
 mod transport;
-mod workpool;
 
 pub use address::{AddressError, AgentAddress};
 pub use broker_lists::{BrokerLists, ReadvertisePlan};
@@ -48,4 +47,3 @@ pub use transport::{
     mailbox, BusError, Endpoint, Envelope, Mailbox, MailboxSender, Requester, Transport,
     TransportError, TransportExt, TransportMetrics,
 };
-pub use workpool::{configured_workers, WorkerPool};

@@ -1,21 +1,18 @@
-//! Broker scale-out: sharded communities with digest-pruned routing vs.
-//! broad fan-out.
+//! Broker scale-out: sharded communities with digest-pruned routing.
 //!
 //! A fixed population of resource agents is spread over communities of
 //! 2→64 brokers by the [`ShardPlan`](infosleuth_broker::ShardPlan)'s
-//! fragment hash, and one query mix
-//! is driven through both routing modes:
-//!
-//! * **digest** — routing digests on: a terminal forward goes only to
-//!   peers whose capability digest *can* match (plus the occasional
-//!   hull false positive).
-//! * **broadcast** — routing digests off: the paper's broad fan-out,
-//!   every non-ruled-out peer gets the full query.
+//! fragment hash, and one query mix is driven through each: a terminal
+//! forward goes only to peers whose capability digest *can* match (plus
+//! the occasional hull false positive).
 //!
 //! Reported per community size: throughput (queries/s), per-query
-//! message count (client request + inter-broker forwards), the digest
-//! false-positive rate, and the byte-identical parity of the sorted
-//! match lists across the two modes — pruning must never cost recall.
+//! message count (client request + inter-broker forwards) beside what
+//! the paper's broad fan-out would send — one forward per peer, so
+//! `brokers` messages per query, which the run checks as `forwards +
+//! pruned == brokers − 1` — the digest false-positive rate, and the
+//! byte-identical parity of the sorted match lists with one broker
+//! holding every advertisement: pruning must never cost recall.
 //! Warmed, median of `MEASURE_PASSES` timed passes.
 //!
 //! Writes `BENCH_broker_scale.json`.
@@ -106,9 +103,6 @@ fn stats_sum(brokers: &[BrokerHandle]) -> RoutingStats {
         sum.forwards += s.forwards;
         sum.digest_pruned += s.digest_pruned;
         sum.digest_fp += s.digest_fp;
-        sum.peer_suspects += s.peer_suspects;
-        sum.digest_updates += s.digest_updates;
-        sum.digest_stale += s.digest_stale;
     }
     sum
 }
@@ -133,23 +127,17 @@ fn await_digests(brokers: &[BrokerHandle]) {
     }
 }
 
-struct ModeOutcome {
+struct Outcome {
     qps: f64,
     forwards_per_query: f64,
     pruned_per_query: f64,
     fp_rate: f64,
     /// Sorted match names of every query in issue order, one line per
-    /// query — byte-compared across routing modes.
+    /// query — byte-compared with the single-broker reference.
     parity: String,
 }
 
-fn run_mode(
-    brokers: usize,
-    agents: usize,
-    queries: usize,
-    passes: usize,
-    digests: bool,
-) -> ModeOutcome {
+fn run_community(brokers: usize, agents: usize, queries: usize, passes: usize) -> Outcome {
     let bus = Bus::new();
     let runtime = AgentRuntime::new(bus.as_transport(), RuntimeConfig::default().with_workers(8));
     let handles: Vec<BrokerHandle> = (0..brokers)
@@ -158,8 +146,7 @@ fn run_mode(
             repo.register_ontology(scale_ontology());
             BrokerAgent::spawn_on(
                 &runtime,
-                BrokerConfig::new(format!("broker{i}"), format!("tcp://broker{i}.mcc.com:5500"))
-                    .with_routing_digests(digests),
+                BrokerConfig::new(format!("broker{i}"), format!("tcp://broker{i}.mcc.com:5500")),
                 repo,
             )
             .expect("spawn broker")
@@ -174,9 +161,7 @@ fn run_mode(
         let owner = plan.owner_of(&ad).to_string();
         assert!(advertise_to(&mut client, &owner, &ad, T).expect("advertise"));
     }
-    if digests {
-        await_digests(&handles);
-    }
+    await_digests(&handles);
 
     let policy = SearchPolicy { hop_count: 1, follow: FollowOption::AllRepositories };
     let mut run_pass = |record: Option<&mut String>| {
@@ -206,26 +191,28 @@ fn run_mode(
     }
     let after = stats_sum(&handles);
 
-    let total = (passes * queries) as f64;
-    let forwards = (after.forwards - before.forwards) as f64;
+    let asked = (passes * queries) as u64;
+    let forwards = after.forwards - before.forwards;
+    let pruned = after.digest_pruned - before.digest_pruned;
+    // Every peer of the entry broker is either contacted or pruned, so
+    // broad fan-out would have sent exactly `brokers` messages per query.
+    assert_eq!(
+        forwards + pruned,
+        asked * (brokers as u64 - 1),
+        "a peer was neither forwarded to nor pruned at {brokers} brokers"
+    );
     let fps = (after.digest_fp - before.digest_fp) as f64;
     let (secs, ()) = median_sample(samples);
     for h in handles {
         h.stop();
     }
-    ModeOutcome {
+    Outcome {
         qps: queries as f64 / secs,
-        forwards_per_query: forwards / total,
-        pruned_per_query: (after.digest_pruned - before.digest_pruned) as f64 / total,
-        fp_rate: if forwards > 0.0 { fps / forwards } else { 0.0 },
+        forwards_per_query: forwards as f64 / asked as f64,
+        pruned_per_query: pruned as f64 / asked as f64,
+        fp_rate: if forwards > 0 { fps / forwards as f64 } else { 0.0 },
         parity,
     }
-}
-
-struct Row {
-    brokers: usize,
-    digest: ModeOutcome,
-    broadcast: ModeOutcome,
 }
 
 fn main() {
@@ -236,7 +223,7 @@ fn main() {
         (192, 384, MEASURE_PASSES, &[2, 4, 8, 16, 32, 64])
     };
 
-    println!("=== broker scale-out: sharded digests vs broad fan-out ===");
+    println!("=== broker scale-out: sharded communities with digest-pruned routing ===");
     println!(
         "{agents} agents over {NUM_CLASSES} fragments, {queries} queries/pass, median of \
          {passes} warmed pass(es){}",
@@ -244,40 +231,33 @@ fn main() {
     );
     println!();
     println!(
-        "{:>8} {:>12} {:>12} {:>9} {:>11} {:>11} {:>8} {:>8}",
-        "brokers",
-        "digest q/s",
-        "bcast q/s",
-        "speedup",
-        "msgs/q dig",
-        "msgs/q bc",
-        "msg-red",
-        "fp-rate"
+        "{:>8} {:>12} {:>11} {:>11} {:>8} {:>8}",
+        "brokers", "digest q/s", "msgs/q dig", "msgs/q bc", "msg-red", "fp-rate"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
+    // Nothing to forward, so nothing to prune: the answers every
+    // community must reproduce.
+    let reference = run_community(1, agents, queries, 1).parity;
+    let mut rows: Vec<(usize, Outcome)> = Vec::new();
     for &brokers in broker_axis {
-        let digest = run_mode(brokers, agents, queries, passes, true);
-        let broadcast = run_mode(brokers, agents, queries, passes, false);
+        let digest = run_community(brokers, agents, queries, passes);
         assert_eq!(
-            digest.parity, broadcast.parity,
+            digest.parity, reference,
             "digest-pruned routing changed the match results at {brokers} brokers"
         );
         println!(
-            "{:>8} {:>12.0} {:>12.0} {:>9.2} {:>11.2} {:>11.2} {:>8.1} {:>8}",
+            "{:>8} {:>12.0} {:>11.2} {:>11.2} {:>8.1} {:>8}",
             brokers,
             digest.qps,
-            broadcast.qps,
-            digest.qps / broadcast.qps,
             1.0 + digest.forwards_per_query,
-            1.0 + broadcast.forwards_per_query,
-            (1.0 + broadcast.forwards_per_query) / (1.0 + digest.forwards_per_query),
+            brokers as f64,
+            brokers as f64 / (1.0 + digest.forwards_per_query),
             fmt_pct(digest.fp_rate),
         );
-        rows.push(Row { brokers, digest, broadcast });
+        rows.push((brokers, digest));
     }
 
-    let base_qps = rows.first().map(|r| r.digest.qps).unwrap_or(f64::NAN);
+    let base_qps = rows.first().map(|(_, r)| r.qps).unwrap_or(f64::NAN);
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"broker_scale\",\n");
     let _ = writeln!(out, "  \"quick\": {},", opts.quick);
@@ -286,24 +266,21 @@ fn main() {
     let _ = writeln!(out, "  \"queries_per_pass\": {queries},");
     let _ = writeln!(out, "  \"fragments\": {NUM_CLASSES},");
     out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
+    for (i, (brokers, r)) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"brokers\": {}, \"digest_qps\": {:.1}, \"broadcast_qps\": {:.1}, \
-             \"speedup\": {:.3}, \"digest_msgs_per_query\": {:.3}, \
+            "    {{\"brokers\": {}, \"digest_qps\": {:.1}, \"digest_msgs_per_query\": {:.3}, \
              \"broadcast_msgs_per_query\": {:.3}, \"msg_reduction_x\": {:.2}, \
              \"digest_pruned_per_query\": {:.3}, \"fp_rate\": {:.4}, \
              \"scaling_vs_smallest\": {:.3}, \"parity\": \"ok\"}}",
-            r.brokers,
-            r.digest.qps,
-            r.broadcast.qps,
-            r.digest.qps / r.broadcast.qps,
-            1.0 + r.digest.forwards_per_query,
-            1.0 + r.broadcast.forwards_per_query,
-            (1.0 + r.broadcast.forwards_per_query) / (1.0 + r.digest.forwards_per_query),
-            r.digest.pruned_per_query,
-            r.digest.fp_rate,
-            r.digest.qps / base_qps,
+            brokers,
+            r.qps,
+            1.0 + r.forwards_per_query,
+            *brokers as f64,
+            *brokers as f64 / (1.0 + r.forwards_per_query),
+            r.pruned_per_query,
+            r.fp_rate,
+            r.qps / base_qps,
         );
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }

@@ -1,5 +1,5 @@
 //! Match-path harness: measures nanoseconds per service query through
-//! the four scoring paths and writes `BENCH_match.json` for tracking
+//! the three matching paths and writes `BENCH_match.json` for tracking
 //! across revisions.
 //!
 //! The paths, fastest to slowest on a warm broker:
@@ -7,21 +7,15 @@
 //! * **cache on** — `match_query_cached`: epoch-tagged LRU consulted
 //!   first; repeated queries are answered without narrowing or scoring.
 //! * **indexed** — `match_query` with the derived-fact scoring index:
-//!   candidate pruning + interned-symbol set probes, parallel scoring on
-//!   the persistent pool above the threshold.
-//! * **probes** — `match_query` with the index disabled
-//!   (`set_scoring_index(false)`): same pruning, but every semantic
-//!   check builds a ground atom and asks `Saturated::holds`. This is
-//!   the PR-4-era scoring cost, kept measurable as the baseline.
+//!   candidate pruning + interned-symbol set probes.
 //! * **linear** — `match_query_linear`: serial scan of every
-//!   advertisement with `holds` probes; the original reference path.
+//!   advertisement, every semantic check a ground atom handed to
+//!   `Saturated::holds`; the reference path, and the baseline the
+//!   speed-ups are stated against.
 //!
 //! Two workloads: **repeated** (one query re-issued — the cache's
 //! steady state) and **unique** (every query distinct, cycling far past
 //! cache capacity — all misses, measures worst-case cache overhead).
-//!
-//! `--crossover` instead prints the serial-vs-pooled scoring crossover
-//! used to pick `PARALLEL_SCORING_THRESHOLD` (see EXPERIMENTS.md).
 
 use infosleuth_bench::{median_sample, MEASURE_PASSES};
 use infosleuth_broker::{MatchCache, Matchmaker, Repository};
@@ -114,11 +108,7 @@ fn unique_query(i: usize) -> ServiceQuery {
 enum Path {
     CacheOn,
     Indexed,
-    Probes,
     Linear,
-    /// Forced pool dispatch with the index off — only the crossover
-    /// table uses this, to isolate fan-out overhead against `Linear`.
-    Pooled,
 }
 
 /// Runs `warmup` untimed queries then timed queries until the cap or
@@ -131,7 +121,6 @@ fn measure(
     max_queries: usize,
     budget: Duration,
 ) -> f64 {
-    repo.set_scoring_index(!matches!(path, Path::Probes | Path::Pooled));
     let model = repo.saturated();
     let mm = Matchmaker::default();
     let cache = MatchCache::default();
@@ -142,14 +131,11 @@ fn measure(
             Path::CacheOn => {
                 black_box(mm.match_query_cached(repo, &cache, &q));
             }
-            Path::Indexed | Path::Probes => {
+            Path::Indexed => {
                 black_box(mm.match_query(repo, &model, &q));
             }
             Path::Linear => {
                 black_box(mm.match_query_linear(repo, &model, &q));
-            }
-            Path::Pooled => {
-                black_box(mm.match_query_pooled(repo, &model, &q));
             }
         }
     };
@@ -162,9 +148,7 @@ fn measure(
         run(warmup + done);
         done += 1;
     }
-    let ns = start.elapsed().as_nanos() as f64 / done as f64;
-    repo.set_scoring_index(true);
-    ns
+    start.elapsed().as_nanos() as f64 / done as f64
 }
 
 fn human(ns: f64) -> String {
@@ -179,43 +163,8 @@ fn human(ns: f64) -> String {
     }
 }
 
-/// Prints the serial-vs-pooled crossover table behind
-/// `PARALLEL_SCORING_THRESHOLD`. Both columns score with `holds`
-/// probes (index off) on a query whose candidate set is the whole
-/// repository, so the only difference is serial loop vs forced
-/// persistent-pool fan-out (`match_query_pooled`).
-fn run_crossover(quick: bool) {
-    println!("=== Serial vs pooled scoring crossover (picks PARALLEL_SCORING_THRESHOLD) ===");
-    println!("pool workers: {}", infosleuth_agent::WorkerPool::shared().workers());
-    println!();
-    println!("  candidates   pooled/query   serial/query   serial/pooled");
-    let (queries, budget) =
-        if quick { (200, Duration::from_secs(1)) } else { (2_000, Duration::from_secs(5)) };
-    for &n in &[8usize, 16, 24, 32, 48, 64, 128, 256, 512] {
-        let mut repo = repo_of(n);
-        let warmup = queries / 10;
-        let pooled = measure(&mut repo, Path::Pooled, false, warmup, queries, budget);
-        let serial = measure(&mut repo, Path::Linear, false, warmup, queries, budget);
-        println!(
-            "  {n:10}   {:>12}   {:>12}   {:>11.2}x",
-            human(pooled),
-            human(serial),
-            serial / pooled,
-        );
-    }
-    println!();
-    println!("(ratios > 1 mean fan-out wins at that size; match_query dispatches to the");
-    println!(" pool only when it has > 1 worker AND the candidate set is at/above the");
-    println!(" threshold, so single-core hosts always take the serial path)");
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--crossover") {
-        run_crossover(quick);
-        return;
-    }
+    let quick = std::env::args().any(|a| a == "--quick");
 
     let sizes: &[usize] = if quick { &[100, 1_000] } else { &[100, 1_000, 10_000] };
     let passes = if quick { 1 } else { MEASURE_PASSES };
@@ -232,15 +181,15 @@ fn main() {
         }
     };
 
-    println!("=== Match path: cached vs indexed vs probe scoring vs linear scan ===");
+    println!("=== Match path: cached vs indexed vs linear scan ===");
     println!(
         "ns per service query, median of {passes} warmed pass(es){}",
         if quick { " [--quick]" } else { "" }
     );
     println!();
     println!(
-        "  agents   workload   {:>10}   {:>10}   {:>10}   {:>10}   cache x   index x",
-        "cache on", "indexed", "probes", "linear"
+        "  agents   workload   {:>10}   {:>10}   {:>10}   cache x   index x",
+        "cache on", "indexed", "linear"
     );
 
     let mut rows = Vec::new();
@@ -249,18 +198,16 @@ fn main() {
         let queries = queries_for(n);
         let warmup = (queries / 10).clamp(2, 500);
         for unique in [false, true] {
-            let mut columns = [0f64; 4];
-            for (ci, path) in
-                [Path::CacheOn, Path::Indexed, Path::Probes, Path::Linear].into_iter().enumerate()
-            {
+            let mut columns = [0f64; 3];
+            for (ci, path) in [Path::CacheOn, Path::Indexed, Path::Linear].into_iter().enumerate() {
                 let samples: Vec<(f64, ())> = (0..passes)
                     .map(|_| (measure(&mut repo, path, unique, warmup, queries, budget), ()))
                     .collect();
                 columns[ci] = median_sample(samples).0;
             }
-            let [cache_ns, indexed_ns, probes_ns, linear_ns] = columns;
-            let cache_speedup = probes_ns / cache_ns;
-            let indexed_speedup = probes_ns / indexed_ns;
+            let [cache_ns, indexed_ns, linear_ns] = columns;
+            let cache_speedup = linear_ns / cache_ns;
+            let indexed_speedup = linear_ns / indexed_ns;
             // On the unique workload the cache never hits, so cache-on
             // vs indexed is pure cache overhead. Sub-noise readings can
             // dip below zero; clamp so the tracked JSON never reports
@@ -268,25 +215,23 @@ fn main() {
             let cache_overhead_pct = ((cache_ns / indexed_ns - 1.0) * 100.0).max(0.0);
             let workload = if unique { "unique" } else { "repeated" };
             println!(
-                "  {n:6}   {workload:8}   {:>10}   {:>10}   {:>10}   {:>10}   {cache_speedup:6.1}x   {indexed_speedup:6.1}x",
+                "  {n:6}   {workload:8}   {:>10}   {:>10}   {:>10}   {cache_speedup:6.1}x   {indexed_speedup:6.1}x",
                 human(cache_ns),
                 human(indexed_ns),
-                human(probes_ns),
                 human(linear_ns),
             );
             rows.push(format!(
                 concat!(
                     "    {{\"agents\": {}, \"workload\": \"{}\", ",
                     "\"cache_on_ns_per_query\": {:.0}, \"indexed_ns_per_query\": {:.0}, ",
-                    "\"probes_ns_per_query\": {:.0}, \"linear_ns_per_query\": {:.0}, ",
-                    "\"cache_speedup_vs_probes\": {:.2}, \"indexed_speedup_vs_probes\": {:.2}, ",
+                    "\"linear_ns_per_query\": {:.0}, ",
+                    "\"cache_speedup_vs_linear\": {:.2}, \"indexed_speedup_vs_linear\": {:.2}, ",
                     "\"cache_overhead_pct\": {:.2}}}"
                 ),
                 n,
                 workload,
                 cache_ns,
                 indexed_ns,
-                probes_ns,
                 linear_ns,
                 cache_speedup,
                 indexed_speedup,
@@ -296,7 +241,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"match\",\n  \"paths\": \"cache_on | indexed | probes (PR-4-era scoring) | linear\",\n  \"quick\": {},\n  \"meta\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"match\",\n  \"paths\": \"cache_on | indexed | linear\",\n  \"quick\": {},\n  \"meta\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         quick,
         infosleuth_bench::run_meta(),
         rows.join(",\n")

@@ -115,7 +115,7 @@ fn measure(
     repo.saturated();
     let mm = Matchmaker::default();
     let cache = MatchCache::new(64);
-    let mut reg = SubscriptionRegistry::new(use_index);
+    let mut reg = SubscriptionRegistry::default();
     let mut register_ns = 0u64;
     for j in 0..n_subs {
         let q = subscription(j);
@@ -133,7 +133,9 @@ fn measure(
         let old = repo.advertisement_arc(&name).cloned();
         repo.advertise(ad(victim, s / AGENTS + 1)).expect("valid advertisement");
         let new = repo.advertisement_arc(&name).cloned();
-        let affected = reg.affected(old.as_deref(), new.as_deref(), &repo);
+        // The naive baseline is bench-side: every standing query, every step.
+        let affected =
+            if use_index { reg.affected(old.as_deref(), new.as_deref(), &repo) } else { reg.ids() };
         *affected_total += affected.len() as u64;
         for id in affected {
             let (query, last) = {

@@ -139,13 +139,12 @@ pub fn fmt_pct(v: f64) -> String {
 }
 
 /// Renders the machine-context block every `BENCH_*.json` writer embeds
-/// as its `"meta"` value: CPU core count, shared worker-pool size, and
-/// the git commit the numbers were taken at. Results files are only
-/// comparable across runs when this context matches, so CI's bench-smoke
-/// job rejects files missing any of the three fields.
+/// as its `"meta"` value: CPU core count and the git commit the numbers
+/// were taken at. Results files are only comparable across runs when
+/// this context matches, so CI's bench-smoke job rejects files missing
+/// either field.
 pub fn run_meta() -> String {
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let workers = infosleuth_agent::WorkerPool::shared().workers();
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -155,7 +154,7 @@ pub fn run_meta() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric()))
         .unwrap_or_else(|| "unknown".to_string());
-    format!("{{\"cpu_cores\": {cores}, \"workers\": {workers}, \"git_commit\": \"{commit}\"}}")
+    format!("{{\"cpu_cores\": {cores}, \"git_commit\": \"{commit}\"}}")
 }
 
 /// Prints a standard harness header.
@@ -178,13 +177,11 @@ mod tests {
     #[test]
     fn run_meta_carries_all_three_fields() {
         let meta = run_meta();
-        for key in ["\"cpu_cores\": ", "\"workers\": ", "\"git_commit\": \""] {
+        for key in ["\"cpu_cores\": ", "\"git_commit\": \""] {
             assert!(meta.contains(key), "missing {key} in {meta}");
         }
-        // The numeric fields must be at least 1 — a zero-core or
-        // zero-worker stamp would mean the fallbacks are broken.
+        // A zero-core stamp would mean the fallback is broken.
         assert!(!meta.contains("\"cpu_cores\": 0,"), "{meta}");
-        assert!(!meta.contains("\"workers\": 0,"), "{meta}");
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl Shared {
     fn new(obs: &Arc<Obs>, config: BrokerConfig, mut repo: Repository) -> Arc<Shared> {
         repo.set_obs(obs, &config.name);
         let state = State {
-            subs: SubscriptionRegistry::new(config.subscription_index),
+            subs: SubscriptionRegistry::default(),
             digest: DigestBuilder::from_repo(&repo),
             digest_built_epoch: repo.epoch(),
             digest_advertised_epoch: None,
@@ -265,7 +265,7 @@ impl Shared {
     /// polled: nothing is sent while the digest epoch is unchanged.
     fn broadcast_digest(&self, state: &mut State, out: &mut Outbox) {
         let epoch = state.repo.epoch();
-        if !self.config.routing_digests || state.digest_advertised_epoch == Some(epoch) {
+        if state.digest_advertised_epoch == Some(epoch) {
             return;
         }
         let digest = self.own_digest(state);
@@ -640,13 +640,11 @@ impl BrokerHandle {
         let shared = &self.shared;
         // The hello carries our current digest so the peer can prune
         // forwards to us from the first exchange on.
-        let digest = shared.config.routing_digests.then(|| self.digest());
-        let msg = Message::new(Performative::Advertise)
-            .with_ontology("infosleuth-service")
-            .with_content(codec::broker_hello_to_sexpr(
-                &shared.config.broker_advertisement(),
-                digest.as_ref(),
-            ));
+        let digest = self.digest();
+        let msg =
+            Message::new(Performative::Advertise).with_ontology("infosleuth-service").with_content(
+                codec::broker_hello_to_sexpr(&shared.config.broker_advertisement(), Some(&digest)),
+            );
         let reply = self.agent.ctx().request(peer, msg, shared.config.peer_timeout)?;
         if let Some(content) = reply.content() {
             if let Ok(peer_ad) = codec::broker_advertisement_from_sexpr(content) {
@@ -690,9 +688,9 @@ mod tests {
         OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
     };
 
-    const T: Duration = Duration::from_secs(5);
+    pub(super) const T: Duration = Duration::from_secs(5);
 
-    fn resource_ad(name: &str, classes: &[&str]) -> Advertisement {
+    pub(super) fn resource_ad(name: &str, classes: &[&str]) -> Advertisement {
         Advertisement::new(AgentLocation::new(name, "tcp://h:1", AgentType::Resource))
             .with_syntactic(SyntacticInfo::sql_kqml())
             .with_semantic(
@@ -705,36 +703,19 @@ mod tests {
             )
     }
 
-    fn seeded_repo() -> Repository {
+    pub(super) fn seeded_repo() -> Repository {
         let mut r = Repository::new();
         r.register_ontology(paper_class_ontology());
         r
     }
 
-    fn spawn_broker(bus: &Bus, name: &str) -> BrokerHandle {
+    pub(super) fn spawn_broker(bus: &Bus, name: &str) -> BrokerHandle {
         BrokerAgent::spawn(
             bus,
             BrokerConfig::new(name, format!("tcp://{name}.mcc.com:5500")),
             seeded_repo(),
         )
         .unwrap()
-    }
-
-    /// Waits until `from` holds `peer`'s digest at the peer's current repo
-    /// epoch — digest updates ride one-way performatives, so tests that
-    /// mutate a peer out-of-band must quiesce before asserting on routing.
-    fn await_digest(from: &BrokerHandle, peer: &BrokerHandle) {
-        let want = peer.with_repository(|r| r.epoch());
-        let deadline = Instant::now() + T;
-        while from.peer_digest_epoch(peer.name()) != Some(want) {
-            assert!(
-                Instant::now() < deadline,
-                "digest from {} never reached {}",
-                peer.name(),
-                from.name()
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
     }
 
     #[test]
@@ -900,162 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_prunes_empty_peer_without_contact() {
-        let bus = Bus::new();
-        let b1 = spawn_broker(&bus, "broker1");
-        let b2 = spawn_broker(&bus, "broker2");
-        interconnect(&[&b1, &b2]).unwrap();
-        let mut ra = bus.register("ra1").unwrap();
-        advertise_to(&mut ra, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap();
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"]);
-        let all = SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories };
-        let found = query_broker(&mut ra, "broker1", &q, Some(all), T).unwrap();
-        assert_eq!(found.len(), 1);
-        // broker2 advertised an empty repository at the interconnect hello,
-        // so its digest rules it out before any round trip is spent.
-        let stats = b1.routing_stats();
-        assert_eq!(stats.forwards, 0, "empty peer must be digest-pruned, not contacted");
-        assert!(stats.digest_pruned >= 1);
-        b1.stop();
-        b2.stop();
-    }
-
-    #[test]
-    fn disabled_digests_restore_broad_fan_out() {
-        let bus = Bus::new();
-        let spawn_plain = |name: &str| {
-            BrokerAgent::spawn(
-                &bus,
-                BrokerConfig::new(name, format!("tcp://{name}.mcc.com:5500"))
-                    .with_routing_digests(false),
-                seeded_repo(),
-            )
-            .unwrap()
-        };
-        let b1 = spawn_plain("broker1");
-        let b2 = spawn_plain("broker2");
-        interconnect(&[&b1, &b2]).unwrap();
-        let mut ra = bus.register("ra1").unwrap();
-        advertise_to(&mut ra, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap();
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"]);
-        let all = SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories };
-        let found = query_broker(&mut ra, "broker1", &q, Some(all), T).unwrap();
-        assert_eq!(found.len(), 1);
-        let stats = b1.routing_stats();
-        assert_eq!(stats.forwards, 1, "broad fan-out contacts the empty peer");
-        assert_eq!(stats.digest_pruned, 0);
-        b1.stop();
-        b2.stop();
-    }
-
-    #[test]
-    fn stale_digest_epoch_triggers_piggybacked_refresh() {
-        let bus = Bus::new();
-        let b1 = spawn_broker(&bus, "broker1");
-        let mut ra = bus.register("ra1").unwrap();
-        advertise_to(&mut ra, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap();
-        // A forwarded request claiming it consulted epoch 0 is stale (the
-        // seeded ontology + the advertisement both bumped the epoch), so
-        // the matches reply must piggyback a refreshed digest.
-        let request = codec::SearchRequest {
-            query: ServiceQuery::for_agent_type(AgentType::Resource)
-                .with_ontology("paper-classes")
-                .with_classes(["C1"]),
-            policy: SearchPolicy::local(),
-            visited: Vec::new(),
-            digest_epoch: Some(0),
-        };
-        let msg = Message::new(Performative::AskAll)
-            .with_ontology("infosleuth-service")
-            .with_content(codec::search_request_to_sexpr(&request));
-        let reply = ra.request("broker1", msg, T).unwrap();
-        let content = reply.content().unwrap();
-        assert_eq!(codec::matches_from_sexpr(content).unwrap().len(), 1);
-        let refreshed = codec::embedded_digest(content).expect("stale epoch piggybacks a digest");
-        assert_eq!(refreshed.epoch, b1.with_repository(|r| r.epoch()));
-        assert!(b1.routing_stats().digest_stale >= 1);
-        b1.stop();
-    }
-
-    #[test]
-    fn digest_false_positive_is_counted_not_fatal() {
-        use infosleuth_constraint::{Conjunction, Predicate};
-        let bus = Bus::new();
-        let b1 = spawn_broker(&bus, "broker1");
-        let b2 = spawn_broker(&bus, "broker2");
-        // broker2 holds two C1 agents covering disjoint slot ranges. The
-        // digest only keeps the per-slot hull [0, 30], so a query window in
-        // the gap is admitted, round-trips, and comes back empty.
-        let constrained = |name: &str, lo: i64, hi: i64| {
-            let mut ad = resource_ad(name, &["C1"]);
-            ad.semantic.content =
-                vec![OntologyContent::new("paper-classes").with_classes(["C1"]).with_constraints(
-                    Conjunction::from_predicates(vec![Predicate::between("C1.a", lo, hi)]),
-                )];
-            ad
-        };
-        let mut ra2 = bus.register("ra2").unwrap();
-        advertise_to(&mut ra2, "broker2", &constrained("ra2", 0, 10), T).unwrap();
-        advertise_to(&mut ra2, "broker2", &constrained("rb2", 20, 30), T).unwrap();
-        interconnect(&[&b1, &b2]).unwrap();
-        let mut ua = bus.register("ua1").unwrap();
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"])
-            .with_constraints(Conjunction::from_predicates(vec![Predicate::between(
-                "C1.a", 12, 18,
-            )]));
-        let all = SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories };
-        let found = query_broker(&mut ua, "broker1", &q, Some(all), T).unwrap();
-        assert!(found.is_empty());
-        let stats = b1.routing_stats();
-        assert_eq!(stats.forwards, 1, "hull admits the gap window (sound over-approximation)");
-        assert!(stats.digest_fp >= 1, "the empty answer is recorded as a false positive");
-        b1.stop();
-        b2.stop();
-    }
-
-    #[test]
-    fn dead_peer_is_demoted_to_suspect_and_search_continues() {
-        let bus = Bus::new();
-        let b1 = spawn_broker(&bus, "broker1");
-        let b2 = spawn_broker(&bus, "broker2");
-        let b3 = spawn_broker(&bus, "broker3");
-        // broker2 holds a matching advertisement before the interconnect, so
-        // broker1's stored digest admits it and the forward is attempted.
-        let mut ra2 = bus.register("ra2").unwrap();
-        advertise_to(&mut ra2, "broker2", &resource_ad("ra2", &["C1"]), T).unwrap();
-        interconnect(&[&b1, &b2, &b3]).unwrap();
-        let mut ra = bus.register("ra1").unwrap();
-        advertise_to(&mut ra, "broker3", &resource_ad("ra1", &["C1"]), T).unwrap();
-        b2.stop(); // broker2 dies without unadvertising
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"]);
-        let found = query_broker(&mut ra, "broker1", &q, None, T).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "ra1");
-        // The failed forward demotes broker2 to suspect — it stays in the
-        // peer table so its next hello (or a backoff retry) re-admits it.
-        assert!(b1.routing_stats().peer_suspects >= 1);
-        b1.with_repository(|r| {
-            assert!(r.peer_brokers().contains(&"broker2".to_string()));
-        });
-        // While suspected, further searches skip broker2 without another
-        // round trip and still return the live match.
-        let suspects_before = b1.routing_stats().peer_suspects;
-        let found = query_broker(&mut ra, "broker1", &q, None, T).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(b1.routing_stats().peer_suspects, suspects_before);
-        b1.stop();
-        b3.stop();
-    }
-
-    #[test]
     fn specialized_broker_forwards_mismatched_advertisements() {
         let bus = Bus::new();
         let health = BrokerAgent::spawn(
@@ -1116,49 +941,6 @@ mod tests {
         assert_eq!(names, vec!["general-broker"]);
         general.stop();
         specialist.stop();
-    }
-
-    #[test]
-    fn peer_rule_out_skips_mismatched_specialists() {
-        // broker1 (generalist) knows broker2 (healthcare specialist) and
-        // broker3 (generalist). A paper-classes query is never forwarded
-        // to broker2 — even though broker2's repository secretly contains
-        // a matching agent, proving the rule-out happened client-side.
-        let bus = Bus::new();
-        let b1 = spawn_broker(&bus, "broker1");
-        let b2 = BrokerAgent::spawn(
-            &bus,
-            BrokerConfig::new("broker2", "tcp://b2.mcc.com:5501")
-                .with_objective(BrokerObjective::specialized(["healthcare"])),
-            seeded_repo(),
-        )
-        .unwrap();
-        let b3 = spawn_broker(&bus, "broker3");
-        interconnect(&[&b1, &b2, &b3]).unwrap();
-        // Plant a matching advertisement directly inside broker2.
-        b2.with_repository(|r| {
-            r.advertise(resource_ad("hidden-ra", &["C1"])).unwrap();
-        });
-        let mut ra = bus.register("ra3").unwrap();
-        advertise_to(&mut ra, "broker3", &resource_ad("ra3", &["C1"]), T).unwrap();
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"]);
-        let found = query_broker(&mut ra, "broker1", &q, None, T).unwrap();
-        let names: Vec<&str> = found.iter().map(|m| m.name.as_str()).collect();
-        // Only the agent reachable through the non-ruled-out peer appears.
-        assert_eq!(names, vec!["ra3"], "broker2 must be ruled out in advance");
-        // A query with no ontology still consults everyone. Quiesce first:
-        // hidden-ra was planted out-of-band, and broker1 must hold broker2's
-        // refreshed digest before it can admit the forward.
-        await_digest(&b1, &b2);
-        let q_any = ServiceQuery::for_agent_type(AgentType::Resource);
-        let found = query_broker(&mut ra, "broker1", &q_any, None, T).unwrap();
-        let names: Vec<&str> = found.iter().map(|m| m.name.as_str()).collect();
-        assert!(names.contains(&"hidden-ra"), "no-ontology query reaches specialists");
-        b1.stop();
-        b2.stop();
-        b3.stop();
     }
 
     #[test]

@@ -30,20 +30,6 @@ pub struct BrokerConfig {
     /// failed. The broker removes from its repository all information about
     /// agents that have failed". `None` disables the sweep.
     pub ping_interval: Option<Duration>,
-    /// Whether standing subscriptions use the inverted
-    /// [`SubscriptionIndex`](crate::SubscriptionIndex) to prune which
-    /// subscriptions a repository mutation re-scores. `false` falls back to
-    /// re-evaluating every subscription on every mutation (the naive
-    /// baseline; notification sequences are identical either way).
-    pub subscription_index: bool,
-    /// Whether inter-broker searches consult peer capability digests to
-    /// prune forwards (DESIGN.md §17). A peer is skipped only when its
-    /// digest — a sound over-approximation of its repository — proves it
-    /// cannot match, and only for terminal forwards (the forwarded hop
-    /// cannot expand further, so the peer answers from its own repository
-    /// alone). `false` restores broad fan-out — the parity tests and the
-    /// bench baseline use it.
-    pub routing_digests: bool,
     /// Maximum envelopes the hosting runtime may drain into one broker
     /// dispatch (1 by default). Above 1, consecutive queued repository
     /// mutations (advertise / update / unadvertise) are applied under a
@@ -73,8 +59,6 @@ impl BrokerConfig {
             consortia: BTreeSet::new(),
             matchmaker: Matchmaker::default(),
             ping_interval: Some(Duration::from_secs(30)),
-            subscription_index: true,
-            routing_digests: true,
             batch_limit: 1,
             #[cfg(feature = "seeded-reorder")]
             seeded_reorder: false,
@@ -97,18 +81,6 @@ impl BrokerConfig {
 
     pub fn with_ping_interval(mut self, interval: Option<Duration>) -> Self {
         self.ping_interval = interval;
-        self
-    }
-
-    /// Enables or disables the inverted subscription index (on by default).
-    pub fn with_subscription_index(mut self, on: bool) -> Self {
-        self.subscription_index = on;
-        self
-    }
-
-    /// Enables or disables digest-based peer pruning (on by default).
-    pub fn with_routing_digests(mut self, on: bool) -> Self {
-        self.routing_digests = on;
         self
     }
 

@@ -68,10 +68,10 @@ fn peer_hello(
     // advertises stops being suspect.
     shared.ingest_embedded_digest(content);
     shared.clear_suspect(&name);
-    let digest = shared.config.routing_digests.then(|| shared.own_digest(state));
+    let digest = shared.own_digest(state);
     env.message.reply_skeleton(Performative::Tell).with_content(codec::broker_hello_to_sexpr(
         &shared.config.broker_advertisement(),
-        digest.as_ref(),
+        Some(&digest),
     ))
 }
 
@@ -143,4 +143,39 @@ fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Out
     shared.broadcast_digest(state, out);
     let perf = if removed { Performative::Tell } else { Performative::Sorry };
     push_out(out, &env.from, env.message.reply_skeleton(perf));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{spawn_broker, T};
+    use crate::{codec, BrokerConfig, CapabilityDigest};
+    use infosleuth_agent::Bus;
+    use infosleuth_kqml::{Message, Performative, SExpr};
+
+    #[test]
+    fn rejected_digest_leaves_the_stored_one_in_place() {
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let mut peer = bus.register("broker2").unwrap();
+        let tell = |performative, content| {
+            Message::new(performative).with_ontology("infosleuth-service").with_content(content)
+        };
+        // broker2 introduces itself with a digest at epoch 7.
+        let mut good = CapabilityDigest::empty("broker2");
+        good.epoch = 7;
+        let me = BrokerConfig::new("broker2", "tcp://b2.mcc.com:5500").broker_advertisement();
+        let hello = codec::broker_hello_to_sexpr(&me, Some(&good));
+        peer.request("broker1", tell(Performative::Advertise, hello), T).unwrap();
+        assert_eq!(b1.peer_digest_epoch("broker2"), Some(7));
+        // Epoch 8 with a probe count no builder emits: answered with an
+        // error, and epoch 7 stays on file.
+        let bad = SExpr::parse(
+            r#"(digest (broker broker2) (epoch 8) (ads 1) (k 4294967295) (bits "ffffffffffffffff"))"#,
+        )
+        .unwrap();
+        let reply = peer.request("broker1", tell(Performative::Update, bad), T).unwrap();
+        assert_eq!(reply.performative, Performative::Error);
+        assert_eq!(b1.peer_digest_epoch("broker2"), Some(7));
+        b1.stop();
+    }
 }

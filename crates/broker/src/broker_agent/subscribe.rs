@@ -75,8 +75,7 @@ pub(super) fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &Enve
 }
 
 /// The subscriptions a repository mutation must re-score: the inverted
-/// index's candidate set (or everything, in naive mode / under derived
-/// rules).
+/// index's candidate set (or everything, under derived rules).
 pub(super) fn affected(
     shared: &Shared,
     state: &mut State,
@@ -94,7 +93,7 @@ pub(super) fn affected(
 /// cache) and queues a `sub-delta` notification for every one whose result
 /// set actually changed. Index false positives die here as empty deltas.
 /// Iteration is in ascending id order, so notification sequences are
-/// deterministic and identical between indexed and naive modes.
+/// deterministic and identical to a naive re-evaluation of everything.
 pub(super) fn notify(
     shared: &Shared,
     state: &mut State,

@@ -376,7 +376,15 @@ pub fn digest_to_sexpr(d: &CapabilityDigest) -> SExpr {
     section("digest", items)
 }
 
-/// Decodes a `(digest ...)` payload.
+/// Bloom probe counts the decoder accepts. Builders emit 4; the ceiling
+/// bounds the loop a peer can make every `can_match` probe run.
+const DIGEST_K_RANGE: std::ops::RangeInclusive<u32> = 1..=16;
+
+/// Decodes a `(digest ...)` payload. A digest comes from a peer and is
+/// then trusted on every forwarded search, so one that could stall a
+/// probe (`k` out of range) or answer "no match" where the peer has one
+/// (advertisements but no filter bits; a hull that is inverted or NaN)
+/// is refused here.
 pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
     let items = body_of(e, "digest")?;
     let mut d = CapabilityDigest::empty(
@@ -386,9 +394,15 @@ pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| err("digest missing epoch"))?;
     d.ads = one_text(items, "ads").and_then(|t| t.parse().ok()).ok_or_else(|| err("digest ads"))?;
-    d.k = one_text(items, "k").and_then(|t| t.parse().ok()).ok_or_else(|| err("digest k"))?;
+    d.k = one_text(items, "k")
+        .and_then(|t| t.parse().ok())
+        .filter(|k| DIGEST_K_RANGE.contains(k))
+        .ok_or_else(|| err(format!("digest k must be in {DIGEST_K_RANGE:?}")))?;
     d.unprunable = one_bool(items, "unprunable").unwrap_or(false);
     d.bits = hex_to_bits(&one_text(items, "bits").unwrap_or_default())?;
+    if d.ads > 0 && d.bits.is_empty() && !d.unprunable {
+        return Err(err("digest summarizes advertisements but carries no filter bits"));
+    }
     if let Some(hulls) = find(items, "hulls") {
         for h in find_all(hulls, "hull") {
             let slot = h.first().and_then(SExpr::as_text).ok_or_else(|| err("hull slot"))?;
@@ -402,6 +416,11 @@ pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
                 .and_then(SExpr::as_text)
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| err("hull hi"))?;
+            // Half-open hulls are legitimate (`age >= 40`); NaN and
+            // `lo > hi` overlap no window and would prune every query.
+            if lo.is_nan() || hi.is_nan() || lo > hi {
+                return Err(err(format!("hull on '{slot}' is not an interval: {lo}..{hi}")));
+            }
             d.slot_hulls.insert(slot.to_string(), (lo, hi));
         }
     }
@@ -412,8 +431,7 @@ pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
 /// a `(broker-advertisement ...)` hello or a `(matches ...)` reply. Both
 /// decoders ignore the section, so old peers interoperate unchanged.
 pub fn embedded_digest(e: &SExpr) -> Option<CapabilityDigest> {
-    let list = e.as_list()?;
-    let inner = find(&list[1..], "digest")?;
+    let inner = find(e.as_list()?.get(1..)?, "digest")?;
     let mut rebuilt = vec![SExpr::atom("digest")];
     rebuilt.extend(inner.iter().cloned());
     digest_from_sexpr(&SExpr::List(rebuilt)).ok()
@@ -818,6 +836,49 @@ mod tests {
         let text = digest_to_sexpr(&empty).to_string();
         assert_eq!(digest_from_sexpr(&SExpr::parse(&text).unwrap()).unwrap(), empty);
         assert!(digest_from_sexpr(&SExpr::parse("(nonsense)").unwrap()).is_err());
+    }
+
+    /// `sample_digest` encoded, with one section dropped or swapped for
+    /// the section `with` parses to.
+    fn tampered_digest(section: &str, with: Option<&str>) -> SExpr {
+        let SExpr::List(mut items) = digest_to_sexpr(&sample_digest()) else { unreachable!() };
+        items.retain(|e| head(e) != Some(section));
+        items.extend(with.map(|text| SExpr::parse(text).unwrap()));
+        SExpr::List(items)
+    }
+
+    #[test]
+    fn digest_with_probe_count_out_of_range_is_rejected() {
+        // k = 2^32 − 1 would spin every `contains` four billion times.
+        for k in ["0", "17", "4294967295"] {
+            let bad = tampered_digest("k", Some(&format!("(k {k})")));
+            assert!(digest_from_sexpr(&bad).is_err(), "k = {k} accepted");
+            assert_eq!(embedded_digest(&SExpr::list([SExpr::atom("matches"), bad])), None);
+        }
+        assert!(digest_from_sexpr(&tampered_digest("k", Some("(k 16)"))).is_ok());
+    }
+
+    #[test]
+    fn digest_with_advertisements_but_no_bits_is_rejected() {
+        // Every symbol would read as absent: the peer pruned from every
+        // constrained search, a false negative.
+        assert!(digest_from_sexpr(&tampered_digest("bits", None)).is_err());
+        assert!(digest_from_sexpr(&tampered_digest("bits", Some("(bits \"\")"))).is_err());
+        // An unprunable digest is never probed, so it needs no filter.
+        let mut open = sample_digest();
+        open.unprunable = true;
+        open.bits.clear();
+        assert_eq!(digest_from_sexpr(&digest_to_sexpr(&open)).unwrap(), open);
+    }
+
+    #[test]
+    fn digest_with_a_hull_that_is_no_interval_is_rejected() {
+        for hull in ["(hull \"a\" NaN 5)", "(hull \"a\" 1 NaN)", "(hull \"a\" 9 3)"] {
+            let bad = tampered_digest("hulls", Some(&format!("(hulls {hull})")));
+            assert!(digest_from_sexpr(&bad).is_err(), "{hull} accepted");
+        }
+        let half_open = tampered_digest("hulls", Some("(hulls (hull \"a\" 3 inf))"));
+        assert!(digest_from_sexpr(&half_open).is_ok());
     }
 
     #[test]

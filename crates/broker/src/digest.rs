@@ -15,8 +15,9 @@
 //! it may return `true` for a query the peer cannot actually serve (one
 //! wasted forward, counted as a digest false positive), but it never
 //! returns `false` for a query the peer would answer. Recall through the
-//! digest-pruned search is therefore identical to broad fan-out, which
-//! the parity tests assert byte-for-byte.
+//! digest-pruned search is therefore that of asking every peer, which
+//! the parity tests assert byte-for-byte against one broker holding
+//! every advertisement.
 //!
 //! The expansion is candidate narrowing's own — all three of narrowing,
 //! the subscription index and this digest expand through

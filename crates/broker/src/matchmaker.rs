@@ -10,11 +10,10 @@
 use crate::repository::{IdSet, Repository};
 use crate::scoring_index::ScoringIndex;
 use crate::sub_index::numeric_hull;
-use infosleuth_agent::WorkerPool;
 use infosleuth_ldl::{Atom, Literal, Saturated, Term};
 use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery};
 use std::collections::BTreeSet;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// One recommended agent, with the ranking score that ordered it and the
 /// §2.4 *result format* fields: the matched ontology plus the agent's
@@ -71,20 +70,12 @@ const SCORE_CONSTRAINT_COVERS_REQUEST: u32 = 3;
 const SCORE_CONSTRAINT_SPECIALIST: u32 = 2;
 const SCORE_CONSTRAINT_OVERLAP: u32 = 1;
 
-/// Candidate sets at least this large are scored across the shared
-/// persistent worker pool; below it, dispatch overhead dominates the
-/// scoring work. With the pool replacing per-query thread spawns the
-/// crossover moved down from 64 — see the threshold measurement in
-/// EXPERIMENTS.md.
-const PARALLEL_SCORING_THRESHOLD: usize = 32;
-const MAX_SCORING_THREADS: usize = 8;
-
 /// How semantic scoring probes the derived predicates: through the
 /// integer-keyed [`ScoringIndex`] when the repository has a current one,
 /// or through `Saturated::holds` (building a ground atom per probe) when
-/// indexing is unavailable — derived rules registered, index disabled, or
-/// a stale model snapshot. Both answer exactly the same relation, which
-/// the parity suite asserts.
+/// there is none — derived rules registered, or a stale model snapshot —
+/// and on the linear reference path. Both answer exactly the same
+/// relation, which the parity suite asserts.
 enum SemProbe<'a> {
     Index(&'a ScoringIndex),
     Model(&'a Saturated),
@@ -130,95 +121,25 @@ impl Matchmaker {
     /// Read-only: takes the saturated model explicitly (see
     /// [`Repository::saturated`]) so concurrent matchmaking never needs
     /// `&mut Repository`. Candidates are narrowed through the repository's
-    /// inverted indexes before scoring, and large candidate sets are
-    /// scored in parallel; both are behavior-preserving (see
+    /// inverted indexes before scoring, which is behavior-preserving (see
     /// [`match_query_linear`](Self::match_query_linear), the pre-index
     /// reference path).
     pub fn match_query(
         &self,
         repo: &Repository,
-        model: &Arc<Saturated>,
+        model: &Saturated,
         query: &ServiceQuery,
     ) -> Vec<MatchResult> {
-        let index = repo.scoring_index(model);
-        let candidates = self.candidates(repo, query);
-        // Fan out only when the pool actually has parallelism to offer:
-        // with a single worker the chunking/channel overhead is a strict
-        // loss (measured in EXPERIMENTS.md).
-        let results = if candidates.len() >= PARALLEL_SCORING_THRESHOLD
-            && WorkerPool::shared().workers() > 1
-        {
-            self.score_parallel(&candidates, model, index, query)
-        } else {
-            let probe = match index {
-                Some(ix) => SemProbe::Index(ix),
-                None => SemProbe::Model(model),
-            };
-            candidates.iter().filter_map(|ad| self.score_candidate(ad, query, &probe)).collect()
+        let probe = match repo.scoring_index(model) {
+            Some(ix) => SemProbe::Index(ix),
+            None => SemProbe::Model(model),
         };
+        let results = self
+            .candidates(repo, query)
+            .into_iter()
+            .filter_map(|ad| self.score_candidate(ad, query, &probe))
+            .collect();
         rank(results, query)
-    }
-
-    /// Forces the pooled scoring path regardless of candidate count or
-    /// worker count. Exists for the crossover measurement behind
-    /// `PARALLEL_SCORING_THRESHOLD` (`match --crossover`) and for tests;
-    /// production callers use [`match_query`](Self::match_query), which
-    /// picks the path itself.
-    #[doc(hidden)]
-    pub fn match_query_pooled(
-        &self,
-        repo: &Repository,
-        model: &Arc<Saturated>,
-        query: &ServiceQuery,
-    ) -> Vec<MatchResult> {
-        let index = repo.scoring_index(model);
-        let candidates = self.candidates(repo, query);
-        rank(self.score_parallel(&candidates, model, index, query), query)
-    }
-
-    /// Fans candidate chunks out to the shared persistent worker pool.
-    /// Jobs borrow nothing: advertisements, model, index, and query travel
-    /// as `Arc`s, so the pool threads can outlive this call frame.
-    fn score_parallel(
-        &self,
-        candidates: &[&Arc<Advertisement>],
-        model: &Arc<Saturated>,
-        index: Option<&Arc<ScoringIndex>>,
-        query: &ServiceQuery,
-    ) -> Vec<MatchResult> {
-        let pool = WorkerPool::shared();
-        let workers = pool.workers().min(MAX_SCORING_THREADS);
-        let chunk = candidates.len().div_ceil(workers).max(1);
-        let query = Arc::new(query.clone());
-        let (tx, rx) = mpsc::channel::<Vec<MatchResult>>();
-        let mut jobs = 0usize;
-        for ads in candidates.chunks(chunk) {
-            let ads: Vec<Arc<Advertisement>> = ads.iter().map(|a| Arc::clone(a)).collect();
-            let model = Arc::clone(model);
-            let index = index.map(Arc::clone);
-            let query = Arc::clone(&query);
-            let mm = *self;
-            let tx = tx.clone();
-            pool.execute(move || {
-                let probe = match &index {
-                    Some(ix) => SemProbe::Index(ix),
-                    None => SemProbe::Model(&model),
-                };
-                let out: Vec<MatchResult> =
-                    ads.iter().filter_map(|ad| mm.score_candidate(ad, &query, &probe)).collect();
-                let _ = tx.send(out);
-            });
-            jobs += 1;
-        }
-        drop(tx);
-        let mut all = Vec::new();
-        let mut received = 0usize;
-        for out in rx {
-            all.extend(out);
-            received += 1;
-        }
-        assert_eq!(received, jobs, "scoring pool dropped a job (worker panicked?)");
-        all
     }
 
     /// Convenience wrapper that saturates (or reuses) the repository's
@@ -254,7 +175,7 @@ impl Matchmaker {
     }
 
     /// The pre-index reference path: score every advertisement serially.
-    /// Kept as the correctness oracle for the indexed/parallel
+    /// Kept as the correctness oracle for the indexed
     /// [`match_query`](Self::match_query); tests assert both agree.
     #[doc(hidden)]
     pub fn match_query_linear(
@@ -293,13 +214,9 @@ impl Matchmaker {
     ///
     /// An intersection that runs empty short-circuits the whole query
     /// before the remaining dimensions are looked at.
-    fn candidates<'r>(
-        &self,
-        repo: &'r Repository,
-        query: &ServiceQuery,
-    ) -> Vec<&'r Arc<Advertisement>> {
+    fn candidates<'r>(&self, repo: &'r Repository, query: &ServiceQuery) -> Vec<&'r Advertisement> {
         if let Some(name) = &query.agent_name {
-            return repo.advertisement_arc(name).into_iter().collect();
+            return repo.advertisement(name).into_iter().collect();
         }
         let index = repo.ad_index();
         // `None` until a dimension narrows: every advertisement survives.
@@ -354,7 +271,7 @@ impl Matchmaker {
         }
         match survivors {
             Some(words) => index.ads_in(&words),
-            None => repo.agent_arcs().collect(),
+            None => repo.agents().collect(),
         }
     }
 
@@ -544,9 +461,8 @@ impl Matchmaker {
     }
 }
 
-/// Orders results best-first (score descending, then name — a total order,
-/// so parallel scoring cannot perturb the output) and applies the
-/// requested truncation.
+/// Orders results best-first (score descending, then name — a total
+/// order) and applies the requested truncation.
 fn rank(mut results: Vec<MatchResult>, query: &ServiceQuery) -> Vec<MatchResult> {
     results.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
     if let Some(n) = query.max_matches {

@@ -310,9 +310,9 @@ impl AdIndex {
     }
 
     /// The advertisements whose ids are set in `words`.
-    pub(crate) fn ads_in(&self, words: &[u64]) -> Vec<&Arc<Advertisement>> {
+    pub(crate) fn ads_in(&self, words: &[u64]) -> Vec<&Advertisement> {
         set_ids(words)
-            .map(|id| self.ads[id].as_ref().expect("posted ids are live")) // lint: allow-unwrap
+            .map(|id| &**self.ads[id].as_ref().expect("posted ids are live")) // lint: allow-unwrap
             .collect()
     }
 }
@@ -328,9 +328,8 @@ impl AdIndex {
 /// when the rule base makes incremental maintenance unsound.
 #[derive(Clone)]
 pub struct Repository {
-    /// Advertisements are `Arc`ed so matchmaking can hand candidate sets
-    /// to the persistent scoring pool as owned (`'static`) handles
-    /// without cloning advertisement bodies.
+    /// Advertisements are `Arc`ed so the narrowing index, the digest
+    /// builder and a mutation's before/after pair share one body each.
     agents: BTreeMap<String, Arc<Advertisement>>,
     brokers: BTreeMap<String, BrokerAdvertisement>,
     capability_taxonomy: Taxonomy,
@@ -346,14 +345,13 @@ pub struct Repository {
     saturated: Option<Arc<Saturated>>,
     /// Integer-keyed projections of the derived predicates scoring probes,
     /// kept in lockstep with `saturated` (see [`ScoringIndex`]). `None`
-    /// while disabled, while derived rules are registered (agent-local
-    /// incremental refresh would be unsound), or until the next
+    /// while derived rules are registered (agent-local incremental
+    /// refresh would be unsound), or until the next
     /// [`saturated`](Self::saturated) call rebuilds it.
-    scoring: Option<Arc<ScoringIndex>>,
+    scoring: Option<ScoringIndex>,
     /// Address of the `Saturated` the scoring index was built against, so
     /// a reader holding a stale model never scores through a newer index.
     scoring_model: usize,
-    scoring_enabled: bool,
     incremental: bool,
     /// Bumped on every mutation that can change matchmaking results
     /// (advertise/unadvertise/ontology/rule registration); match caches
@@ -396,7 +394,6 @@ impl Repository {
             saturated: None,
             scoring: None,
             scoring_model: 0,
-            scoring_enabled: true,
             incremental: true,
             epoch: 0,
             stats: MaintenanceStats::default(),
@@ -686,7 +683,7 @@ impl Repository {
             // keeps derived facts agent-local — `scoring` is `None`
             // whenever derived rules are registered).
             if let Some(scoring) = &mut self.scoring {
-                Arc::make_mut(scoring).refresh_agent(&cached, agent);
+                scoring.refresh_agent(&cached, agent);
                 self.scoring_model = Arc::as_ptr(&cached) as usize;
             }
             self.saturated = Some(cached);
@@ -713,15 +710,10 @@ impl Repository {
         self.agents.get(agent).map(|a| &**a)
     }
 
-    /// The shared handle for an agent's advertisement — what the scoring
-    /// pool clones instead of the advertisement body.
+    /// The shared handle for an agent's advertisement — what a caller
+    /// keeps across a mutation instead of cloning the advertisement body.
     pub fn advertisement_arc(&self, agent: &str) -> Option<&Arc<Advertisement>> {
         self.agents.get(agent)
-    }
-
-    /// Shared handles for every advertisement, in name order.
-    pub fn agent_arcs(&self) -> impl Iterator<Item = &Arc<Advertisement>> {
-        self.agents.values()
     }
 
     pub fn contains_agent(&self, agent: &str) -> bool {
@@ -795,40 +787,29 @@ impl Repository {
         arc
     }
 
-    /// Builds the scoring index against `model` if it is enabled, sound
-    /// (no derived rules), and not already present.
+    /// Builds the scoring index against `model` if it is sound (no derived
+    /// rules) and not already present.
     fn ensure_scoring_index(&mut self, model: &Arc<Saturated>) {
-        if !self.scoring_enabled || self.has_derived_rules() {
+        if self.has_derived_rules() {
             self.scoring = None;
             return;
         }
         if self.scoring.is_none() {
-            self.scoring = Some(Arc::new(ScoringIndex::build(model)));
+            self.scoring = Some(ScoringIndex::build(model));
             self.scoring_model = Arc::as_ptr(model) as usize;
         }
     }
 
     /// The scoring index matching `model`, if one is available. Returns
-    /// `None` when indexing is disabled, derived rules are registered, or
-    /// `model` is not the model the index was built against (a reader
-    /// holding a stale snapshot must not score through a newer index).
-    pub fn scoring_index(&self, model: &Saturated) -> Option<&Arc<ScoringIndex>> {
+    /// `None` when derived rules are registered, or `model` is not the
+    /// model the index was built against (a reader holding a stale
+    /// snapshot must not score through a newer index).
+    pub fn scoring_index(&self, model: &Saturated) -> Option<&ScoringIndex> {
         let index = self.scoring.as_ref()?;
         if std::ptr::eq(model, self.scoring_model as *const Saturated) {
             Some(index)
         } else {
             None
-        }
-    }
-
-    /// Enables or disables the derived-fact scoring index. With it off,
-    /// scoring probes fall back to `Saturated::holds` — the
-    /// pre-optimization behavior, kept as a correctness oracle and for
-    /// benchmarking.
-    pub fn set_scoring_index(&mut self, on: bool) {
-        self.scoring_enabled = on;
-        if !on {
-            self.scoring = None;
         }
     }
 
@@ -1157,11 +1138,6 @@ mod tests {
         repo.advertise(valid_ad("ra1")).unwrap();
         let model = repo.saturated();
         assert!(repo.scoring_index(&model).is_some());
-        repo.set_scoring_index(false);
-        assert!(repo.scoring_index(&model).is_none());
-        repo.set_scoring_index(true);
-        let model = repo.saturated();
-        assert!(repo.scoring_index(&model).is_some());
         // Derived rules make agent-local index refresh unsound — no index.
         repo.register_derived_rules("cap(A, polling) :- cap(A, subscription).").unwrap();
         let model = repo.saturated();
@@ -1257,7 +1233,7 @@ mod tests {
             repo.advertise(ad).unwrap();
             if step % 50 == 0 {
                 let mut fresh = AdIndex::default();
-                repo.agent_arcs().for_each(|ad| fresh.insert(ad));
+                repo.agents.values().for_each(|ad| fresh.insert(ad));
                 assert_eq!(by_name(&repo.index), by_name(&fresh), "after step {step}");
             }
         }

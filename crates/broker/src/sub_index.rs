@@ -467,7 +467,7 @@ impl SubscriptionIndex {
     }
 
     /// Every registered subscription id, for the conservative fallbacks
-    /// (derived rules, global mutations) and the naive oracle.
+    /// (derived rules, global mutations).
     pub fn all(&self) -> BTreeSet<SubId> {
         self.buckets.keys().copied().collect()
     }
@@ -482,21 +482,22 @@ fn prune(map: &mut HashMap<u32, BTreeSet<SubId>>, key: u32, id: SubId) {
     }
 }
 
-/// The broker-level registry: standing subscriptions plus the index, with
-/// a switch to fall back to the naive all-subscriptions oracle (used by
-/// the parity suite and the benchmark baseline).
+/// The broker-level registry: standing subscriptions plus the index.
 #[derive(Debug, Default)]
 pub struct SubscriptionRegistry {
     entries: HashMap<SubId, StandingSubscription>,
     index: SubscriptionIndex,
     next_id: SubId,
-    /// `false` disables the index: every event affects every subscription.
-    pub use_index: bool,
 }
 
 impl SubscriptionRegistry {
-    pub fn new(use_index: bool) -> Self {
-        SubscriptionRegistry { use_index, ..SubscriptionRegistry::default() }
+    /// [`default`](Self::default) under the name and arity the
+    /// `benchmark/` harness calls (`new(true)`). The registry is always
+    /// indexed; the naive all-subscriptions oracle lives in
+    /// `tests/sub_parity.rs`.
+    pub fn new(indexed: bool) -> Self {
+        assert!(indexed, "the unindexed registry left production");
+        SubscriptionRegistry::default()
     }
 
     pub fn len(&self) -> usize {
@@ -564,15 +565,14 @@ impl SubscriptionRegistry {
     }
 
     /// The subscriptions to re-score for an advertisement change. Indexed
-    /// when sound; otherwise (naive mode, derived rules registered) every
-    /// subscription.
+    /// when sound; otherwise (derived rules registered) every subscription.
     pub fn affected(
         &mut self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
         repo: &Repository,
     ) -> BTreeSet<SubId> {
-        if !self.use_index || repo.has_derived_rules() {
+        if repo.has_derived_rules() {
             return self.index.all();
         }
         self.index.affected_by_change(old, new)
@@ -581,8 +581,8 @@ impl SubscriptionRegistry {
 
 /// The notification delta between two result sets: `matched` carries every
 /// result row that is new or whose score/address changed, `unmatched` the
-/// names that left the set. Both paths (indexed and naive) feed the same
-/// diff, so parity reduces to result-set equality.
+/// names that left the set. The broker and the parity suite's naive
+/// oracle feed the same diff, so parity reduces to result-set equality.
 pub fn result_delta(old: &[MatchResult], new: &[MatchResult]) -> (Vec<MatchResult>, Vec<String>) {
     let old_by_name: HashMap<&str, &MatchResult> =
         old.iter().map(|m| (m.name.as_str(), m)).collect();

@@ -3,9 +3,8 @@
 //! 1. **Incremental model maintenance** — a long randomized churn of
 //!    advertise/unadvertise, where after every step the incrementally
 //!    patched saturated model must equal a full recompute from the facts.
-//! 2. **Indexed + parallel matchmaking** — `match_query` (candidate
-//!    pruning through the inverted indexes, parallel scoring) must return
-//!    exactly what the pre-index linear scan returns, on the paper's
+//! 2. **Indexed matchmaking** — `match_query` (candidate pruning
+//!    through the inverted indexes) must return exactly what the pre-index linear scan returns, on the paper's
 //!    Figure 6/7 walkthrough repositories and under randomized churn.
 
 use infosleuth_broker::{compile_facts, matchmaking_program, Matchmaker, Repository};
@@ -258,10 +257,10 @@ fn indexed_matchmaking_equals_linear_scan_under_churn() {
 }
 
 #[test]
-fn parallel_scoring_preserves_order_and_results() {
-    // Enough agents that an unprunable query crosses the parallel-scoring
-    // threshold; results must still be deterministic and identical to the
-    // serial linear scan.
+fn unprunable_scoring_preserves_order_and_results() {
+    // An unprunable query over enough agents that nearly all of them are
+    // scored; results must be deterministic and identical to the serial
+    // linear scan.
     let mut rng = XorShift(7);
     let mut repo = fresh_repo();
     for i in 0..300 {
@@ -270,11 +269,11 @@ fn parallel_scoring_preserves_order_and_results() {
     let model = repo.saturated();
     let mm = Matchmaker::default();
     let q = ServiceQuery::for_agent_type(AgentType::Resource).with_query_language("SQL 2.0");
-    let parallel = mm.match_query(&repo, &model, &q);
-    assert!(parallel.len() > 100, "query should match most of the repo");
-    assert_eq!(parallel, mm.match_query_linear(&repo, &model, &q));
+    let indexed = mm.match_query(&repo, &model, &q);
+    assert!(indexed.len() > 100, "query should match most of the repo");
+    assert_eq!(indexed, mm.match_query_linear(&repo, &model, &q));
     // Deterministic across runs.
-    assert_eq!(parallel, mm.match_query(&repo, &model, &q));
+    assert_eq!(indexed, mm.match_query(&repo, &model, &q));
 }
 
 #[test]

@@ -26,8 +26,7 @@ pub const MIN_SAMPLE_INTERVAL: Duration = Duration::from_millis(10);
 /// Resolves the sampling interval from an optional env override and a
 /// programmed default. A parseable override (milliseconds) wins; both
 /// paths clamp to [`MIN_SAMPLE_INTERVAL`]. Pure so tests cover the
-/// policy without mutating process state — the same pattern as
-/// `configured_workers` for `INFOSLEUTH_WORKERS`.
+/// policy without mutating process state.
 pub fn configured_sample_interval(env_value: Option<&str>, default: Duration) -> Duration {
     let chosen = env_value
         .and_then(|v| v.trim().parse::<u64>().ok())

@@ -5,12 +5,18 @@ use infosleuth_obs::{default_latency_buckets, quantile_from_buckets};
 /// Fixed-bucket percentile tracker for simulated response times,
 /// sharing bucket bounds and interpolation with the live observability
 /// plane's latency histograms (`infosleuth-obs`) — simulated p50/p95/p99
-/// and scraped p50/p95/p99 are computed by the same code.
+/// and scraped p50/p95/p99 are computed by the same code. Interpolation
+/// inside a bucket can land outside what was ever recorded (every sample
+/// 12.5 ms reads 17.5 ms in the 10–25 ms bucket), so the exact extremes
+/// are kept beside the counts and every estimate is clamped into them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PercentileStats {
     bounds: Vec<f64>,
     /// One slot per finite bound plus the implicit `+Inf` slot.
     counts: Vec<u64>,
+    /// Smallest and largest recorded sample (`+Inf` / `-Inf` while empty).
+    min: f64,
+    max: f64,
 }
 
 impl Default for PercentileStats {
@@ -30,22 +36,29 @@ impl PercentileStats {
     /// implicit.
     pub fn with_bounds(bounds: Vec<f64>) -> Self {
         let counts = vec![0; bounds.len() + 1];
-        PercentileStats { bounds, counts }
+        PercentileStats { bounds, counts, min: f64::INFINITY, max: f64::NEG_INFINITY }
     }
 
     pub fn record(&mut self, seconds: f64) {
         let slot = self.bounds.partition_point(|b| *b < seconds);
         self.counts[slot] += 1;
+        self.min = self.min.min(seconds);
+        self.max = self.max.max(seconds);
     }
 
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
     }
 
-    /// Linear-interpolated quantile estimate (`0.0 ..= 1.0`); overflow
-    /// samples clamp to the last finite bound.
+    /// Linear-interpolated quantile estimate (`0.0 ..= 1.0`), never
+    /// outside the recorded `[min, max]`; overflow samples clamp to the
+    /// last finite bound.
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_buckets(&self.bounds, &self.counts, q)
+        let estimate = quantile_from_buckets(&self.bounds, &self.counts, q);
+        if self.min > self.max {
+            return estimate;
+        }
+        estimate.clamp(self.min, self.max)
     }
 
     pub fn p50(&self) -> f64 {
@@ -67,6 +80,8 @@ impl PercentileStats {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -261,8 +276,27 @@ mod tests {
     #[test]
     fn overflow_clamps_to_last_finite_bound() {
         let mut p = PercentileStats::with_bounds(vec![0.1, 1.0]);
+        p.record(0.5);
         p.record(50.0);
-        assert_eq!(p.count(), 1);
+        assert_eq!(p.count(), 2);
         assert_eq!(p.quantile(0.99), 1.0);
+    }
+
+    #[test]
+    fn quantiles_stay_inside_what_was_recorded() {
+        // Every sample sits at 12.5 ms, low in the 10–25 ms bucket, where
+        // interpolation alone reads p50 = 17.5 ms — above the maximum.
+        let mut p = PercentileStats::new();
+        for _ in 0..100 {
+            p.record(0.0125);
+        }
+        assert_eq!((p.p50(), p.p95(), p.p99()), (0.0125, 0.0125, 0.0125));
+        // The extremes travel through a merge.
+        let mut slow = PercentileStats::new();
+        slow.record(0.024);
+        p.merge(&slow);
+        assert!(p.p50() >= 0.0125 && p.p99() <= 0.024, "p50 {} p99 {}", p.p50(), p.p99());
+        // Nothing recorded, nothing to clamp into.
+        assert_eq!(PercentileStats::new().p50(), quantile_from_buckets(&[1.0], &[0, 0], 0.5));
     }
 }

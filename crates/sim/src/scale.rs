@@ -255,7 +255,8 @@ impl ScaleReport {
                 "\"events\": {}, \"queries_issued\": {}, \"queries_answered\": {}, ",
                 "\"arrivals_busy\": {}, \"readvertisements\": {}, ",
                 "\"routing\": \"{}\", \"forwards\": {}, ",
-                "\"response_mean_s\": {:.9}, \"response_max_s\": {:.9}, ",
+                "\"response_mean_s\": {:.9}, \"response_min_s\": {:.9}, ",
+                "\"response_max_s\": {:.9}, ",
                 "\"response_p50_s\": {:.9}, \"response_p95_s\": {:.9}, ",
                 "\"response_p99_s\": {:.9}, \"virtual_s\": {:.3}, ",
                 "\"health_samples\": {}, \"degraded_samples\": {}, ",
@@ -273,6 +274,7 @@ impl ScaleReport {
             self.routing,
             self.forwards,
             self.response.mean(),
+            self.response.min(),
             self.response.max(),
             self.response_pcts.p50(),
             self.response_pcts.p95(),
@@ -656,14 +658,38 @@ mod tests {
         assert!(r.render_json().contains("\"routing\": \"direct\", \"forwards\": 0"));
     }
 
-    #[test]
-    fn same_seed_same_bytes() {
-        for scenario in [
+    fn every_scenario() -> [Scenario; 4] {
+        [
             Scenario::Uniform,
             Scenario::ZipfQueries { exponent: 1.1 },
             Scenario::FlashCrowd { at_s: 3.0, width_s: 4.0, factor: 6.0 },
             Scenario::ChurnBurst { interval_s: 3.0, fraction: 0.02 },
-        ] {
+        ]
+    }
+
+    /// A report must not contradict itself: the interpolated quantiles
+    /// lie inside the exact extremes and in order.
+    #[test]
+    fn quantiles_are_ordered_inside_min_and_max() {
+        for scenario in every_scenario() {
+            let r = run(&quick(scenario, 7));
+            let row = [
+                r.response.min(),
+                r.response_pcts.p50(),
+                r.response_pcts.p95(),
+                r.response_pcts.p99(),
+                r.response.max(),
+            ];
+            assert!(
+                row.windows(2).all(|w| w[0] <= w[1]),
+                "min ≤ p50 ≤ p95 ≤ p99 ≤ max broken for {scenario:?}: {row:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn same_seed_same_bytes() {
+        for scenario in every_scenario() {
             let a = run(&quick(scenario, 99)).render_json();
             let b = run(&quick(scenario, 99)).render_json();
             assert_eq!(a, b, "scale run not deterministic for {scenario:?}");

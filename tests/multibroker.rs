@@ -151,13 +151,14 @@ fn unadvertise_removes_visibility_everywhere_reachable() {
     community.shutdown();
 }
 
-/// Randomized churn over a four-broker cyclic (fully meshed) consortium:
-/// two identical communities — one with routing digests, one with broad
-/// fan-out — receive the same advertise/unadvertise/move stream, and
-/// after every step each class query at each entry broker must return
-/// (a) no duplicate matches even on multi-hop searches through the
-/// cycle, (b) exactly the ground-truth agent set (no lost matches), and
-/// (c) byte-identical sorted match lists across the two routing modes.
+/// Randomized churn over a four-broker cyclic (fully meshed) consortium.
+/// A one-broker community holding every advertisement — nothing to
+/// forward, so what a fan-out to every peer would find — receives the
+/// same advertise/unadvertise stream, and after every step each class
+/// query at each entry broker must return (a) no duplicate matches even
+/// on multi-hop searches through the cycle, (b) exactly the ground-truth
+/// agent set (no lost matches), and (c) the reference's sorted match list,
+/// byte for byte.
 #[test]
 fn cyclic_churn_digest_routing_matches_broad_fan_out() {
     use infosleuth_core::broker::{interconnect, unadvertise_from, BrokerHandle};
@@ -171,9 +172,9 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
     fn spawn_consortium(
         bus: &infosleuth_core::agent::Bus,
         tag: &str,
-        digests: bool,
+        brokers: usize,
     ) -> Vec<BrokerHandle> {
-        let handles: Vec<BrokerHandle> = (0..BROKERS)
+        let handles: Vec<BrokerHandle> = (0..brokers)
             .map(|i| {
                 let mut repo = Repository::new();
                 repo.register_ontology(paper_ontology());
@@ -182,8 +183,7 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
                     BrokerConfig::new(
                         format!("{tag}-broker-{i}"),
                         format!("tcp://{tag}{i}.mcc.com:5500"),
-                    )
-                    .with_routing_digests(digests),
+                    ),
                     repo,
                 )
                 .expect("broker spawns")
@@ -224,8 +224,8 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
     }
 
     let bus = infosleuth_core::agent::Bus::new();
-    let digest = spawn_consortium(&bus, "dig", true);
-    let broadcast = spawn_consortium(&bus, "bc", false);
+    let digest = spawn_consortium(&bus, "dig", BROKERS);
+    let reference = spawn_consortium(&bus, "ref", 1).remove(0);
     let mut probe = bus.register("churn-probe").expect("fresh name");
 
     // Deterministic xorshift so the churn schedule is reproducible.
@@ -237,8 +237,8 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
         rng
     };
 
-    // Ground truth: agent → (class, home broker index), mirrored in both
-    // consortia.
+    // Ground truth: agent → (class, home broker index); the reference
+    // broker is everyone's home.
     let mut live: Vec<(String, String, usize)> = Vec::new();
     let mut serial = 0usize;
 
@@ -252,28 +252,25 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
             serial += 1;
             let ad = churn_ad(&name, class);
             assert!(advertise_to(&mut probe, digest[home].name(), &ad, T).expect("reachable"));
-            assert!(advertise_to(&mut probe, broadcast[home].name(), &ad, T).expect("reachable"));
+            assert!(advertise_to(&mut probe, reference.name(), &ad, T).expect("reachable"));
             live.push((name, class.to_string(), home));
         } else if op == 1 {
             // Withdraw a random live agent from its home broker.
             let victim = (next() as usize) % live.len();
             let (name, _, home) = live.swap_remove(victim);
             assert!(unadvertise_from(&mut probe, digest[home].name(), &name, T).expect("reachable"));
-            assert!(
-                unadvertise_from(&mut probe, broadcast[home].name(), &name, T).expect("reachable")
-            );
+            assert!(unadvertise_from(&mut probe, reference.name(), &name, T).expect("reachable"));
         } else {
-            // Move a random live agent to a different broker.
+            // Move a random live agent to a different broker (the
+            // reference holds it either way).
             let mover = (next() as usize) % live.len();
             let (name, class, old_home) = live[mover].clone();
             let new_home = (old_home + 1 + (next() as usize) % (BROKERS - 1)) % BROKERS;
             let ad = churn_ad(&name, &class);
-            for consortium in [&digest, &broadcast] {
-                assert!(unadvertise_from(&mut probe, consortium[old_home].name(), &name, T)
-                    .expect("reachable"));
-                assert!(advertise_to(&mut probe, consortium[new_home].name(), &ad, T)
-                    .expect("reachable"));
-            }
+            assert!(
+                unadvertise_from(&mut probe, digest[old_home].name(), &name, T).expect("reachable")
+            );
+            assert!(advertise_to(&mut probe, digest[new_home].name(), &ad, T).expect("reachable"));
             live[mover].2 = new_home;
         }
         quiesce(&digest);
@@ -290,20 +287,20 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
             for hops in [1u32, 2] {
                 let policy =
                     Some(SearchPolicy { hop_count: hops, follow: FollowOption::AllRepositories });
-                for entry in 0..BROKERS {
-                    let mut render = |brokers: &[BrokerHandle]| {
-                        let found = query_broker(&mut probe, brokers[entry].name(), &q, policy, T)
+                for (entry, entry_broker) in digest.iter().enumerate() {
+                    let mut render = |broker: &BrokerHandle| {
+                        let found = query_broker(&mut probe, broker.name(), &q, policy, T)
                             .expect("broker answers");
                         let mut names: Vec<String> = found.into_iter().map(|m| m.name).collect();
                         names.sort_unstable();
                         names.join(",")
                     };
-                    let pruned = render(&digest);
-                    let broad = render(&broadcast);
+                    let pruned = render(entry_broker);
                     assert_eq!(
-                        pruned, broad,
+                        pruned,
+                        render(&reference),
                         "step {step} class {class} hops {hops} entry {entry}: \
-                         digest-pruned and broad fan-out diverged"
+                         digest-pruned routing and the one-broker reference diverged"
                     );
                     let got: Vec<&str> = pruned.split(',').filter(|s| !s.is_empty()).collect();
                     let unique: BTreeSet<&str> = got.iter().copied().collect();
@@ -322,11 +319,10 @@ fn cyclic_churn_digest_routing_matches_broad_fan_out() {
     // and churn alone must never demote a healthy peer to suspect.
     let pruned: u64 = digest.iter().map(|b| b.routing_stats().digest_pruned).sum();
     assert!(pruned > 0, "digest routing never pruned a forward under churn");
-    let suspects: u64 =
-        digest.iter().chain(broadcast.iter()).map(|b| b.routing_stats().peer_suspects).sum();
+    let suspects: u64 = digest.iter().map(|b| b.routing_stats().peer_suspects).sum();
     assert_eq!(suspects, 0, "churn must not demote healthy peers");
 
-    for b in digest.into_iter().chain(broadcast) {
+    for b in digest.into_iter().chain([reference]) {
         b.stop();
     }
 }

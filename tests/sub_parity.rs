@@ -1,17 +1,21 @@
-//! Subscription-notification parity: the inverted-index incremental path
-//! must deliver *exactly* the notification sequences of naive full
-//! re-evaluation — same deltas, same order, same epochs — under randomized
-//! advertisement churn, including a mid-stream derived-rule registration
-//! (which disables index pruning on both sides).
+//! Subscription-notification parity: the broker's inverted-index
+//! incremental path must deliver *exactly* the notification sequences of
+//! naive full re-evaluation — same deltas, same order, same epochs — under
+//! randomized advertisement churn, including a mid-stream derived-rule
+//! registration (which turns index pruning off in the broker).
 //!
-//! The index only prunes which subscriptions get re-scored; a false
-//! positive re-scores and produces an empty delta (suppressed on both
-//! paths), so any sequence divergence is a soundness bug.
+//! The naive side is an oracle built here, not a broker mode: a mirror
+//! `Repository` takes the same mutations, and after each one every
+//! standing query is re-evaluated with `match_query_linear` and diffed
+//! with the public `result_delta`. The index only prunes which
+//! subscriptions get re-scored; a false positive re-scores and produces
+//! an empty delta (suppressed on both sides), so any sequence divergence
+//! is a soundness bug.
 
-use infosleuth_core::agent::Bus;
+use infosleuth_core::agent::{Bus, Endpoint};
 use infosleuth_core::broker::{
-    advertise_to, codec, subscribe_to, unadvertise_from, BrokerAgent, BrokerConfig, BrokerHandle,
-    MatchResult, Repository,
+    advertise_to, codec, result_delta, subscribe_to, unadvertise_from, BrokerAgent, BrokerConfig,
+    MatchResult, Matchmaker, Repository,
 };
 use infosleuth_core::constraint::{Conjunction, Predicate};
 use infosleuth_core::kqml::Message;
@@ -27,8 +31,8 @@ const T: Duration = Duration::from_secs(5);
 /// One decoded `sub-delta` notification: `(epoch, matched, unmatched)`.
 type Delta = (u64, Vec<MatchResult>, Vec<String>);
 
-/// Deterministic xorshift64* PRNG — the churn script must be identical for
-/// both brokers across runs.
+/// Deterministic xorshift64* PRNG — the churn script must be identical
+/// across runs.
 struct Rng(u64);
 
 impl Rng {
@@ -102,105 +106,122 @@ fn standing_queries() -> Vec<ServiceQuery> {
     ]
 }
 
-struct Side {
-    broker: BrokerHandle,
-    client: infosleuth_core::agent::Endpoint,
-    watcher: infosleuth_core::agent::Endpoint,
-    /// Subscription keys in registration order.
-    keys: Vec<String>,
-}
-
-fn spawn_side(bus: &Bus, tag: &str, indexed: bool) -> Side {
+fn seeded_repo() -> Repository {
     let mut repo = Repository::new();
     repo.register_ontology(paper_class_ontology());
-    let broker = BrokerAgent::spawn(
-        bus,
-        BrokerConfig::new(format!("broker-{tag}"), format!("tcp://{tag}.mcc.com:5500"))
-            .with_ping_interval(None)
-            .with_subscription_index(indexed),
-        repo,
-    )
-    .unwrap();
-    let client = bus.register(format!("client-{tag}")).unwrap();
-    let watcher = bus.register(format!("watch-{tag}")).unwrap();
-    Side { broker, client, watcher, keys: Vec::new() }
+    repo
 }
 
-impl Side {
-    fn subscribe_all(&mut self) {
-        let broker = self.broker.name().to_string();
-        let watcher = self.watcher.name().to_string();
-        for q in standing_queries() {
-            let key = subscribe_to(&mut self.client, &broker, &q, &watcher, T)
-                .unwrap()
-                .expect("subscription admitted");
-            self.keys.push(key);
-        }
+/// Drains the watcher inbox and groups decoded deltas per subscription
+/// (by position in `keys`, the registration order), preserving arrival
+/// order.
+fn drain(watcher: &mut Endpoint, keys: &[String]) -> BTreeMap<usize, Vec<Delta>> {
+    let mut by_sub: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+    while let Some(env) = watcher.recv_timeout(Duration::from_millis(200)) {
+        let msg: &Message = &env.message;
+        let key = msg.in_reply_to().expect("notification carries :in-reply-to");
+        let pos = keys
+            .iter()
+            .position(|k| k == key)
+            .unwrap_or_else(|| panic!("unknown subscription key {key}"));
+        let delta = codec::sub_delta_from_sexpr(msg.content().expect("delta content"))
+            .expect("well-formed sub-delta");
+        by_sub.entry(pos).or_default().push(delta);
+    }
+    by_sub
+}
+
+/// Naive full re-evaluation: the deltas a broker owes its subscribers if
+/// it re-scored every standing query, by the linear scan, after every
+/// repository change.
+struct Oracle {
+    repo: Repository,
+    /// Each standing query with the result set last delivered for it.
+    subs: Vec<(ServiceQuery, Vec<MatchResult>)>,
+    expected: BTreeMap<usize, Vec<Delta>>,
+}
+
+impl Oracle {
+    /// Subscribes to every standing query: each is owed its snapshot, the
+    /// delta against the empty set, even when nothing matches yet.
+    fn new() -> Oracle {
+        let subs = standing_queries().into_iter().map(|q| (q, Vec::new())).collect();
+        let mut oracle = Oracle { repo: seeded_repo(), subs, expected: BTreeMap::new() };
+        oracle.reevaluate(true);
+        oracle
     }
 
-    /// Drains the watcher inbox and groups decoded deltas per subscription
-    /// (by registration position), preserving arrival order.
-    fn drain(&mut self) -> BTreeMap<usize, Vec<Delta>> {
-        let mut by_sub: BTreeMap<usize, Vec<_>> = BTreeMap::new();
-        while let Some(env) = self.watcher.recv_timeout(Duration::from_millis(200)) {
-            let msg: &Message = &env.message;
-            let key = msg.in_reply_to().expect("notification carries :in-reply-to");
-            let pos = self
-                .keys
-                .iter()
-                .position(|k| k == key)
-                .unwrap_or_else(|| panic!("unknown subscription key {key}"));
-            let delta = codec::sub_delta_from_sexpr(msg.content().expect("delta content"))
-                .expect("well-formed sub-delta");
-            by_sub.entry(pos).or_default().push(delta);
+    /// `snapshot`: a delta is owed even where nothing changed.
+    fn reevaluate(&mut self, snapshot: bool) {
+        let model = self.repo.saturated();
+        for (pos, (query, last)) in self.subs.iter_mut().enumerate() {
+            let new = Matchmaker::default().match_query_linear(&self.repo, &model, query);
+            let (matched, unmatched) = result_delta(last, &new);
+            if !snapshot && matched.is_empty() && unmatched.is_empty() {
+                continue;
+            }
+            self.expected.entry(pos).or_default().push((self.repo.epoch(), matched, unmatched));
+            *last = new;
         }
-        by_sub
     }
 }
 
 #[test]
 fn indexed_and_naive_notification_sequences_are_identical() {
     let bus = Bus::new();
-    let mut idx = spawn_side(&bus, "idx", true);
-    let mut nav = spawn_side(&bus, "nav", false);
-    idx.subscribe_all();
-    nav.subscribe_all();
+    let broker = BrokerAgent::spawn(
+        &bus,
+        BrokerConfig::new("broker-idx", "tcp://idx.mcc.com:5500").with_ping_interval(None),
+        seeded_repo(),
+    )
+    .unwrap();
+    let mut client = bus.register("client-idx").unwrap();
+    let mut watcher = bus.register("watch-idx").unwrap();
+    let mut nav = Oracle::new();
+    let keys: Vec<String> = standing_queries()
+        .iter()
+        .map(|q| {
+            subscribe_to(&mut client, broker.name(), q, watcher.name(), T)
+                .unwrap()
+                .expect("subscription admitted")
+        })
+        .collect();
 
     let mut rng = Rng(0x5eed_cafe_d00d_0042);
     let mut live: Vec<String> = Vec::new();
     for step in 0..120 {
-        // Halfway through, register a derived rule out-of-band on both
-        // brokers: index pruning turns off, full re-evaluation on every
-        // later event — and both sides must notice existing matches shift.
+        // Halfway through, register a derived rule out-of-band: the
+        // broker's index pruning turns off, full re-evaluation on every
+        // later event — and it must notice existing matches shift.
         if step == 60 {
-            for side in [&idx, &nav] {
-                side.broker.with_repository(|r| {
-                    r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap()
-                });
-                side.broker.resync_subscriptions();
-            }
+            let rule = "cap(A, subscription) :- agent(A, resource).";
+            broker.with_repository(|r| r.register_derived_rules(rule).unwrap());
+            broker.resync_subscriptions();
+            nav.repo.register_derived_rules(rule).unwrap();
+            nav.reevaluate(false);
         }
         let op = rng.below(3);
         if op == 0 || live.is_empty() {
             // Advertise a fresh agent or re-advertise (update) a live one.
             let name = format!("ra{}", rng.below(20));
             let ad = churn_ad(&mut rng, &name);
-            let a = advertise_to(&mut idx.client, idx.broker.name(), &ad, T).unwrap();
-            let b = advertise_to(&mut nav.client, nav.broker.name(), &ad, T).unwrap();
+            let a = advertise_to(&mut client, broker.name(), &ad, T).unwrap();
+            let b = nav.repo.advertise(ad).is_ok();
             assert_eq!(a, b, "admission diverged for {name}");
             if a && !live.contains(&name) {
                 live.push(name);
             }
         } else {
             let name = live.remove(rng.below(live.len() as u64) as usize);
-            let a = unadvertise_from(&mut idx.client, idx.broker.name(), &name, T).unwrap();
-            let b = unadvertise_from(&mut nav.client, nav.broker.name(), &name, T).unwrap();
+            let a = unadvertise_from(&mut client, broker.name(), &name, T).unwrap();
+            let b = nav.repo.unadvertise(&name);
             assert_eq!(a, b, "unadvertise diverged for {name}");
         }
+        nav.reevaluate(false);
     }
 
-    let got_idx = idx.drain();
-    let got_nav = nav.drain();
+    let got_idx = drain(&mut watcher, &keys);
+    let got_nav = nav.expected;
     assert_eq!(
         got_idx.keys().collect::<Vec<_>>(),
         got_nav.keys().collect::<Vec<_>>(),
@@ -219,10 +240,9 @@ fn indexed_and_naive_notification_sequences_are_identical() {
     }
     // The churn actually exercised the subscriptions: every one saw at
     // least its initial snapshot, and most saw real deltas.
-    assert_eq!(got_idx.len(), idx.keys.len());
+    assert_eq!(got_idx.len(), keys.len());
     let total: usize = got_idx.values().map(Vec::len).sum();
-    assert!(total > idx.keys.len() * 2, "churn produced too few notifications: {total}");
+    assert!(total > keys.len() * 2, "churn produced too few notifications: {total}");
 
-    idx.broker.stop();
-    nav.broker.stop();
+    broker.stop();
 }
