@@ -6,12 +6,11 @@
 //!
 //! * **cache on** — `match_query_cached`: epoch-tagged LRU consulted
 //!   first; repeated queries are answered without narrowing or scoring.
-//! * **indexed** — `match_query` with the derived-fact scoring index:
-//!   candidate pruning + interned-symbol set probes.
-//! * **linear** — `match_query_linear`: serial scan of every
-//!   advertisement, every semantic check a ground atom handed to
-//!   `Saturated::holds`; the reference path, and the baseline the
-//!   speed-ups are stated against.
+//! * **indexed** — `match_query`: candidate narrowing, then the scoring
+//!   loop over the survivors.
+//! * **linear** — `match_query_linear`: the same scoring loop over every
+//!   advertisement; the reference path, and the baseline the speed-ups
+//!   are stated against.
 //!
 //! Two workloads: **repeated** (one query re-issued — the cache's
 //! steady state) and **unique** (every query distinct, cycling far past
@@ -31,8 +30,8 @@ use std::time::{Duration, Instant};
 /// advertise `relational-query-processing` and the `podiatrist` class,
 /// so queries for the `select` capability and the `provider` class are
 /// answered through the taxonomy / class hierarchy — every candidate
-/// costs real `provides`/`serves_class`/`contributes_class` probes, the
-/// work the scoring index exists to accelerate.
+/// costs real `provides`/`serves_class`/`contributes_class` probes of
+/// the saturated model.
 fn resource_ad(i: usize) -> Advertisement {
     let lo = (i % 50) as i64;
     Advertisement::new(AgentLocation::new(

@@ -1,7 +1,7 @@
 //! Semantic routing digests for inter-broker search pruning.
 //!
 //! Each broker summarizes its repository as a [`CapabilityDigest`]: a
-//! Bloom filter over interned (dimension, symbol) pairs expanded through
+//! Bloom filter over hashed (dimension, symbol) pairs expanded through
 //! the class hierarchy and capability taxonomy — the same expansion
 //! [`SubscriptionIndex`](crate::SubscriptionIndex) applies when bucketing
 //! standing queries — plus per-slot numeric constraint hulls. Peers
@@ -78,8 +78,7 @@ fn symbol(tag: u8, text: &str) -> u64 {
     h
 }
 
-/// Two-part symbol for (ontology, class) pairs, separated like
-/// `SubscriptionIndex::intern_pair`.
+/// Two-part symbol for (ontology, class) pairs: the names joined by `U+0001`.
 fn class_symbol(ontology: &str, class: &str) -> u64 {
     symbol(b'c', &format!("{ontology}\u{1}{class}"))
 }

@@ -51,27 +51,27 @@ pub fn compile_agent_facts(ad: &Advertisement) -> Database {
 
 fn assert_agent_facts(db: &mut Database, ad: &Advertisement) {
     let name = Const::sym(&ad.location.name);
-    db.assert("agent", vec![name.clone(), Const::sym(ad.location.agent_type.to_string())]);
+    db.assert("agent", [name, Const::sym(ad.location.agent_type.to_string())]);
     for l in &ad.syntactic.query_languages {
-        db.assert("lang", vec![name.clone(), Const::str(l.clone())]);
+        db.assert("lang", [name, Const::str(l)]);
     }
     for l in &ad.syntactic.communication_languages {
-        db.assert("comm", vec![name.clone(), Const::str(l.clone())]);
+        db.assert("comm", [name, Const::str(l)]);
     }
     for c in &ad.semantic.conversations {
-        db.assert("conv", vec![name.clone(), Const::sym(c.to_string())]);
+        db.assert("conv", [name, Const::sym(c.to_string())]);
     }
     for c in &ad.semantic.capabilities {
-        db.assert("cap", vec![name.clone(), Const::sym(c.as_str())]);
+        db.assert("cap", [name, Const::sym(c.as_str())]);
     }
     for content in &ad.semantic.content {
         let onto = Const::sym(&content.ontology);
-        db.assert("onto", vec![name.clone(), onto.clone()]);
+        db.assert("onto", [name, onto]);
         for class in &content.classes {
-            db.assert("class", vec![name.clone(), onto.clone(), Const::sym(class)]);
+            db.assert("class", [name, onto, Const::sym(class)]);
         }
         for slot in &content.slots {
-            db.assert("slot", vec![name.clone(), onto.clone(), Const::sym(slot)]);
+            db.assert("slot", [name, onto, Const::sym(slot)]);
         }
     }
 }
@@ -86,7 +86,7 @@ where
     // Capability-taxonomy edges.
     for node in capability_taxonomy.nodes() {
         for child in capability_taxonomy.children_of(node) {
-            db.assert("isa_cap", vec![Const::sym(node), Const::sym(child)]);
+            db.assert("isa_cap", [Const::sym(node), Const::sym(child)]);
         }
     }
     // Domain class hierarchies.
@@ -94,7 +94,7 @@ where
         let onto = Const::sym(&o.name);
         for class in o.class_names() {
             for child in o.hierarchy().children_of(class) {
-                db.assert("isa_class", vec![onto.clone(), Const::sym(class), Const::sym(child)]);
+                db.assert("isa_class", [onto, Const::sym(class), Const::sym(child)]);
             }
         }
     }

@@ -40,7 +40,6 @@ mod objective;
 mod policy;
 mod protocol_tap;
 mod repository;
-mod scoring_index;
 mod shard;
 mod sub_index;
 
@@ -64,7 +63,6 @@ pub use objective::{AdmissionDecision, BrokerObjective};
 pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;
 pub use repository::{MaintenanceStats, Repository, RepositoryError};
-pub use scoring_index::ScoringIndex;
 pub use shard::{connect_community, ShardPlan};
 pub use sub_index::{
     result_delta, StandingSubscription, SubId, SubscriptionIndex, SubscriptionRegistry,

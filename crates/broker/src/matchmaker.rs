@@ -8,10 +8,9 @@
 //! order. The two `use_*` knobs exist for the ablation benchmarks only.
 
 use crate::repository::{IdSet, Repository};
-use crate::scoring_index::ScoringIndex;
 use crate::sub_index::numeric_hull;
-use infosleuth_ldl::{Atom, Literal, Saturated, Term};
-use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery};
+use infosleuth_ldl::Saturated;
+use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, Sym};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -70,45 +69,23 @@ const SCORE_CONSTRAINT_COVERS_REQUEST: u32 = 3;
 const SCORE_CONSTRAINT_SPECIALIST: u32 = 2;
 const SCORE_CONSTRAINT_OVERLAP: u32 = 1;
 
-/// How semantic scoring probes the derived predicates: through the
-/// integer-keyed [`ScoringIndex`] when the repository has a current one,
-/// or through `Saturated::holds` (building a ground atom per probe) when
-/// there is none — derived rules registered, or a stale model snapshot —
-/// and on the linear reference path. Both answer exactly the same
-/// relation, which the parity suite asserts.
-enum SemProbe<'a> {
-    Index(&'a ScoringIndex),
-    Model(&'a Saturated),
+/// What scoring asks of the saturated model: the three derived
+/// predicates of §2.1 subsumption, probed as ground facts on the model
+/// itself. The query's own names are resolved to symbols once here, not
+/// once per candidate.
+struct Probe<'a> {
+    model: &'a Saturated,
+    /// `query.capabilities` and `query.classes`, in iteration order.
+    capabilities: Vec<Option<Sym>>,
+    classes: Vec<Option<Sym>>,
 }
 
-impl SemProbe<'_> {
-    fn provides(&self, agent: &str, capability: &str) -> bool {
-        match self {
-            SemProbe::Index(ix) => ix.provides(agent, capability),
-            SemProbe::Model(m) => m.holds(&[Literal::Pos(Atom::new(
-                "provides",
-                vec![Term::constant(agent), Term::constant(capability)],
-            ))]),
-        }
-    }
-
-    fn serves_class(&self, agent: &str, ontology: &str, class: &str) -> bool {
-        match self {
-            SemProbe::Index(ix) => ix.serves_class(agent, ontology, class),
-            SemProbe::Model(m) => m.holds(&[Literal::Pos(Atom::new(
-                "serves_class",
-                vec![Term::constant(agent), Term::constant(ontology), Term::constant(class)],
-            ))]),
-        }
-    }
-
-    fn contributes_class(&self, agent: &str, ontology: &str, class: &str) -> bool {
-        match self {
-            SemProbe::Index(ix) => ix.contributes_class(agent, ontology, class),
-            SemProbe::Model(m) => m.holds(&[Literal::Pos(Atom::new(
-                "contributes_class",
-                vec![Term::constant(agent), Term::constant(ontology), Term::constant(class)],
-            ))]),
+impl<'a> Probe<'a> {
+    fn new(model: &'a Saturated, query: &ServiceQuery) -> Self {
+        Probe {
+            model,
+            capabilities: query.capabilities.iter().map(|c| Sym::lookup(c.as_str())).collect(),
+            classes: query.classes.iter().map(|c| Sym::lookup(c)).collect(),
         }
     }
 }
@@ -130,10 +107,7 @@ impl Matchmaker {
         model: &Saturated,
         query: &ServiceQuery,
     ) -> Vec<MatchResult> {
-        let probe = match repo.scoring_index(model) {
-            Some(ix) => SemProbe::Index(ix),
-            None => SemProbe::Model(model),
-        };
+        let probe = Probe::new(model, query);
         let results = self
             .candidates(repo, query)
             .into_iter()
@@ -184,7 +158,7 @@ impl Matchmaker {
         model: &Saturated,
         query: &ServiceQuery,
     ) -> Vec<MatchResult> {
-        let probe = SemProbe::Model(model);
+        let probe = Probe::new(model, query);
         let results = repo
             .agents()
             .filter(|ad| match &query.agent_name {
@@ -280,7 +254,7 @@ impl Matchmaker {
         &self,
         ad: &Advertisement,
         query: &ServiceQuery,
-        probe: &SemProbe<'_>,
+        probe: &Probe<'_>,
     ) -> Option<MatchResult> {
         let outcome = self.score_agent(ad, query, probe)?;
         let content = outcome.content_ontology.and_then(|o| ad.semantic.content_for(o));
@@ -301,7 +275,7 @@ impl Matchmaker {
         &self,
         ad: &'a Advertisement,
         query: &ServiceQuery,
-        probe: &SemProbe<'_>,
+        probe: &Probe<'_>,
     ) -> Option<MatchOutcome<'a>> {
         // ---- Syntactic layer -------------------------------------------
         if let Some(t) = &query.agent_type {
@@ -331,11 +305,11 @@ impl Matchmaker {
         }
 
         // ---- Semantic layer: capabilities ------------------------------
-        let agent = ad.location.name.as_str();
-        for cap in &query.capabilities {
+        let agent = Sym::lookup(&ad.location.name);
+        for (cap, cap_sym) in query.capabilities.iter().zip(&probe.capabilities) {
             if ad.semantic.capabilities.contains(cap) {
                 score += SCORE_CAP_EXACT;
-            } else if probe.provides(agent, cap.as_str()) {
+            } else if probe.model.holds_fact("provides", [agent, *cap_sym]) {
                 score += SCORE_CAP_COVERED;
             } else {
                 return None;
@@ -393,22 +367,22 @@ impl Matchmaker {
     /// query.
     fn score_content(
         &self,
-        agent: &str,
+        agent: Option<Sym>,
         content: &OntologyContent,
         query: &ServiceQuery,
-        probe: &SemProbe<'_>,
+        probe: &Probe<'_>,
     ) -> Option<u32> {
         let mut score = 0;
-        let onto = content.ontology.as_str();
+        let onto = Sym::lookup(&content.ontology);
 
         // Classes: every requested class must at least receive a partial
         // contribution (the MRQ combines fragments and subclasses).
-        for class in &query.classes {
+        for (class, class_sym) in query.classes.iter().zip(&probe.classes) {
             if content.classes.contains(class) {
                 score += SCORE_CLASS_EXACT;
-            } else if probe.serves_class(agent, onto, class) {
+            } else if probe.model.holds_fact("serves_class", [agent, onto, *class_sym]) {
                 score += SCORE_CLASS_COVERED;
-            } else if probe.contributes_class(agent, onto, class) {
+            } else if probe.model.holds_fact("contributes_class", [agent, onto, *class_sym]) {
                 score += SCORE_CLASS_PARTIAL;
             } else {
                 return None;

@@ -10,7 +10,6 @@
 use crate::facts::{
     compile_agent_facts, compile_global_facts, matchmaking_env, matchmaking_program_with,
 };
-use crate::scoring_index::ScoringIndex;
 use crate::sub_index::ad_slot_hulls;
 use infosleuth_agent::AgentAddress;
 use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, Report, Severity};
@@ -343,15 +342,6 @@ pub struct Repository {
     program: Option<Arc<Program>>,
     index: AdIndex,
     saturated: Option<Arc<Saturated>>,
-    /// Integer-keyed projections of the derived predicates scoring probes,
-    /// kept in lockstep with `saturated` (see [`ScoringIndex`]). `None`
-    /// while derived rules are registered (agent-local incremental
-    /// refresh would be unsound), or until the next
-    /// [`saturated`](Self::saturated) call rebuilds it.
-    scoring: Option<ScoringIndex>,
-    /// Address of the `Saturated` the scoring index was built against, so
-    /// a reader holding a stale model never scores through a newer index.
-    scoring_model: usize,
     incremental: bool,
     /// Bumped on every mutation that can change matchmaking results
     /// (advertise/unadvertise/ontology/rule registration); match caches
@@ -392,8 +382,6 @@ impl Repository {
             program: None,
             index: AdIndex::default(),
             saturated: None,
-            scoring: None,
-            scoring_model: 0,
             incremental: true,
             epoch: 0,
             stats: MaintenanceStats::default(),
@@ -440,7 +428,6 @@ impl Repository {
         // model (ontology registration is rare; churn is advertisements).
         self.rebuild_edb();
         self.saturated = None;
-        self.scoring = None;
         self.epoch += 1;
     }
 
@@ -501,7 +488,6 @@ impl Repository {
         self.derived_rules = candidate;
         self.program = None;
         self.saturated = None;
-        self.scoring = None;
         self.epoch += 1;
         Ok(())
     }
@@ -617,7 +603,7 @@ impl Repository {
         self.edb.merge(&added);
         self.epoch += 1;
         drop(mutation);
-        self.patch_model(removed.as_ref(), Some(&added), &ad.location.name);
+        self.patch_model(removed.as_ref(), Some(&added));
         Ok(())
     }
 
@@ -633,7 +619,7 @@ impl Repository {
                 self.edb.subtract(&old_facts);
                 self.epoch += 1;
                 drop(mutation);
-                self.patch_model(Some(&old_facts), None, agent);
+                self.patch_model(Some(&old_facts), None);
                 true
             }
             None => false,
@@ -645,16 +631,11 @@ impl Repository {
     /// call recomputes from the (already updated) EDB. When incremental
     /// maintenance is disabled or refused (negation in derived rules), the
     /// cache is dropped instead.
-    fn patch_model(&mut self, removed: Option<&Database>, added: Option<&Database>, agent: &str) {
+    fn patch_model(&mut self, removed: Option<&Database>, added: Option<&Database>) {
         let _t = self.stage("saturation");
-        let Some(mut cached) = self.saturated.take() else {
-            // No model to patch, so no index either; the next `saturated`
-            // call rebuilds both.
-            self.scoring = None;
-            return;
-        };
+        // No model to patch: the next `saturated` call rebuilds it.
+        let Some(mut cached) = self.saturated.take() else { return };
         if !self.incremental {
-            self.scoring = None;
             return;
         }
         let program = self.program();
@@ -662,7 +643,6 @@ impl Repository {
             // The in-place patches would refuse anyway; drop the cache so
             // the next read resaturates, and record the fallback.
             self.stats.fallbacks += 1;
-            self.scoring = None;
             return;
         }
         // Patch in place when no other handle holds the model (the common
@@ -678,18 +658,9 @@ impl Repository {
         }
         if ok {
             self.stats.incremental_updates += 1;
-            // Keep the scoring index in lockstep: one agent's derived rows
-            // changed, so replace exactly those (sound while the rule base
-            // keeps derived facts agent-local — `scoring` is `None`
-            // whenever derived rules are registered).
-            if let Some(scoring) = &mut self.scoring {
-                scoring.refresh_agent(&cached, agent);
-                self.scoring_model = Arc::as_ptr(&cached) as usize;
-            }
             self.saturated = Some(cached);
         } else {
             self.stats.fallbacks += 1;
-            self.scoring = None;
         }
     }
 
@@ -744,8 +715,10 @@ impl Repository {
         self.agents.is_empty()
     }
 
-    /// Total advertised bytes — what the simulator charges reasoning time
-    /// against (1 second per megabyte of advertisements).
+    /// Total *advertised* bytes — the unit the simulator charges reasoning
+    /// time against (1 second per megabyte of advertisements), not heap:
+    /// what the repository keeps resident per advertisement is several
+    /// times this and is bounded by `tests/footprint.rs`.
     pub fn approx_size_bytes(&self) -> usize {
         self.agents.values().map(|a| a.approx_size_bytes()).sum()
     }
@@ -773,44 +746,14 @@ impl Repository {
         // stand out in the same histogram.
         let _t = self.stage("saturation");
         if let Some(s) = &self.saturated {
-            let model = Arc::clone(s);
-            self.ensure_scoring_index(&model);
-            return model;
+            return Arc::clone(s);
         }
         let program = self.program();
         let model = program.saturate(&self.edb).expect("matchmaking program is stratified"); // lint: allow-unwrap
         self.stats.full_recomputes += 1;
         let arc = Arc::new(model);
         self.saturated = Some(Arc::clone(&arc));
-        self.scoring = None;
-        self.ensure_scoring_index(&arc);
         arc
-    }
-
-    /// Builds the scoring index against `model` if it is sound (no derived
-    /// rules) and not already present.
-    fn ensure_scoring_index(&mut self, model: &Arc<Saturated>) {
-        if self.has_derived_rules() {
-            self.scoring = None;
-            return;
-        }
-        if self.scoring.is_none() {
-            self.scoring = Some(ScoringIndex::build(model));
-            self.scoring_model = Arc::as_ptr(model) as usize;
-        }
-    }
-
-    /// The scoring index matching `model`, if one is available. Returns
-    /// `None` when derived rules are registered, or `model` is not the
-    /// model the index was built against (a reader holding a stale
-    /// snapshot must not score through a newer index).
-    pub fn scoring_index(&self, model: &Saturated) -> Option<&ScoringIndex> {
-        let index = self.scoring.as_ref()?;
-        if std::ptr::eq(model, self.scoring_model as *const Saturated) {
-            Some(index)
-        } else {
-            None
-        }
     }
 
     /// The repository's mutation epoch: bumped by every mutation that can
@@ -1103,45 +1046,6 @@ mod tests {
         assert!(!repo.unadvertise("nobody"));
         assert!(repo.advertise(valid_ad(" ")).is_err());
         assert_eq!(repo.epoch(), before);
-    }
-
-    #[test]
-    fn scoring_index_tracks_model_across_churn() {
-        let mut repo = Repository::new();
-        for i in 0..8 {
-            repo.advertise(valid_ad(&format!("ra{i}"))).unwrap();
-        }
-        let model = repo.saturated();
-        let index = repo.scoring_index(&model).expect("index built with model");
-        assert!(index.mirrors(&model));
-        // Incremental churn: patched model, patched index.
-        repo.unadvertise("ra3");
-        repo.advertise(valid_ad("ra9")).unwrap();
-        let model = repo.saturated();
-        let index = repo.scoring_index(&model).expect("index survives churn");
-        assert!(index.mirrors(&model));
-        assert!(index.provides("ra9", "relational-query-processing"));
-        assert!(!index.provides("ra3", "relational-query-processing"));
-        // A stale model snapshot must not resolve to the fresh index.
-        let stale = Arc::clone(&model);
-        repo.advertise(valid_ad("ra10")).unwrap();
-        let fresh = repo.saturated();
-        if !Arc::ptr_eq(&stale, &fresh) {
-            assert!(repo.scoring_index(&stale).is_none());
-        }
-        assert!(repo.scoring_index(&fresh).unwrap().mirrors(&fresh));
-    }
-
-    #[test]
-    fn scoring_index_disabled_by_derived_rules_and_knob() {
-        let mut repo = Repository::new();
-        repo.advertise(valid_ad("ra1")).unwrap();
-        let model = repo.saturated();
-        assert!(repo.scoring_index(&model).is_some());
-        // Derived rules make agent-local index refresh unsound — no index.
-        repo.register_derived_rules("cap(A, polling) :- cap(A, subscription).").unwrap();
-        let model = repo.saturated();
-        assert!(repo.scoring_index(&model).is_none());
     }
 
     /// Every posting and hull column rendered by agent name, so two

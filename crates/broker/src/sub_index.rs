@@ -17,15 +17,16 @@
 //! empty delta.
 //!
 //! Numeric data constraints refine the candidate set through per-slot
-//! interval trees: a subscription constraining `patient.age` to `[25, 65]`
-//! is ruled out for an advertisement restricted to `[80, 90]` without ever
-//! re-scoring it. The trees answer stabbing/overlap queries in
-//! `O(log n + hits)` over the subscriptions that constrain the slot.
+//! windows: a subscription constraining `patient.age` to `[25, 65]` is
+//! ruled out for an advertisement restricted to `[80, 90]` without ever
+//! re-scoring it. Each candidate's window is one hash lookup, so the
+//! refinement costs `O(candidates)` however many subscriptions constrain
+//! the slot.
 //!
-//! Symbols (class, capability, ontology, conversation, slot names) are
-//! interned into a `u32` space shared across all buckets, the same
-//! technique [`ScoringIndex`](crate::ScoringIndex) uses for derived-fact
-//! probes.
+//! Bucket keys (class, capability, ontology, conversation, slot and agent
+//! names) are [`Sym`]s from the process-wide symbol table the LDL facts
+//! use. Registration interns; a mutation only looks names up, since a name
+//! nobody interned keys no bucket.
 //!
 //! Soundness limits, mirroring the matchmaker's own pruning rules: when
 //! the repository has derived concept rules registered, class membership
@@ -38,12 +39,15 @@
 
 use crate::{MatchResult, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
-use infosleuth_ontology::{Advertisement, ServiceQuery};
+use infosleuth_ontology::{Advertisement, ServiceQuery, Sym};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Internal subscription identifier.
 pub type SubId = u64;
+
+/// The closed numeric `(lo, hi)` hull of a slot's domain.
+type Hull = (f64, f64);
 
 /// A registered standing subscription: the query, where notifications go,
 /// and the last result set delivered (the base for delta computation).
@@ -67,124 +71,30 @@ pub struct StandingSubscription {
 /// The dimension a subscription was bucketed under, kept for removal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum BucketRef {
-    AgentName(u32),
-    Classes(Vec<u32>),
-    Capabilities(Vec<u32>),
-    Ontology(u32),
-    Conversation(u32),
+    AgentName(Sym),
+    /// `(ontology, class)` pairs.
+    Classes(Vec<(Sym, Sym)>),
+    Capabilities(Vec<Sym>),
+    Ontology(Sym),
+    Conversation(Sym),
     CatchAll,
 }
 
-/// Per-slot interval set with an implicit augmented interval tree over the
-/// intervals sorted by lower end. Mutations mark the tree dirty; the first
-/// query after a mutation rebuilds in `O(n log n)`, so registration bursts
-/// amortize to one rebuild.
-#[derive(Debug, Default)]
-struct SlotIntervals {
-    ranges: HashMap<SubId, (f64, f64)>,
-    sorted: Vec<(f64, f64, SubId)>,
-    /// `max_hi[i]` = max upper end over the implicit subtree rooted at `i`
-    /// (midpoint recursion over `sorted`).
-    max_hi: Vec<f64>,
-    dirty: bool,
-}
-
-impl SlotIntervals {
-    fn insert(&mut self, id: SubId, lo: f64, hi: f64) {
-        self.ranges.insert(id, (lo, hi));
-        self.dirty = true;
-    }
-
-    fn remove(&mut self, id: SubId) -> bool {
-        let hit = self.ranges.remove(&id).is_some();
-        self.dirty |= hit;
-        hit
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
-    fn rebuild(&mut self) {
-        self.sorted = self.ranges.iter().map(|(id, (lo, hi))| (*lo, *hi, *id)).collect();
-        self.sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-        self.max_hi = vec![f64::NEG_INFINITY; self.sorted.len()];
-        if !self.sorted.is_empty() {
-            self.fill_max(0, self.sorted.len());
-        }
-        self.dirty = false;
-    }
-
-    /// Computes subtree maxima for the implicit tree over `[lo, hi)`.
-    fn fill_max(&mut self, lo: usize, hi: usize) -> f64 {
-        if lo >= hi {
-            return f64::NEG_INFINITY;
-        }
-        let mid = lo + (hi - lo) / 2;
-        let left = self.fill_max(lo, mid);
-        let right = self.fill_max(mid + 1, hi);
-        let m = self.sorted[mid].1.max(left).max(right);
-        self.max_hi[mid] = m;
-        m
-    }
-
-    /// Every subscription whose stored interval overlaps `[qlo, qhi]`
-    /// (bounds treated as closed — a conservative relaxation of bound
-    /// exclusivity). `O(log n + hits)`.
-    fn overlapping(&mut self, qlo: f64, qhi: f64, out: &mut HashSet<SubId>) {
-        if self.dirty {
-            self.rebuild();
-        }
-        self.visit(0, self.sorted.len(), qlo, qhi, out);
-    }
-
-    fn visit(&self, lo: usize, hi: usize, qlo: f64, qhi: f64, out: &mut HashSet<SubId>) {
-        if lo >= hi {
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        // Nothing in this subtree reaches up to the query's lower end.
-        if self.max_hi[mid] < qlo {
-            return;
-        }
-        self.visit(lo, mid, qlo, qhi, out);
-        let (s_lo, s_hi, id) = self.sorted[mid];
-        if s_lo <= qhi {
-            if s_hi >= qlo {
-                out.insert(id);
-            }
-            self.visit(mid + 1, hi, qlo, qhi, out);
-        }
-        // Else every interval to the right starts past the query: prune.
-    }
-
-    /// The subscriptions constraining this slot to an interval disjoint
-    /// from `[qlo, qhi]` — provably unaffected by an advertisement whose
-    /// domain on the slot is inside that window.
-    fn disjoint(&mut self, qlo: f64, qhi: f64) -> HashSet<SubId> {
-        let mut overlap = HashSet::new();
-        self.overlapping(qlo, qhi, &mut overlap);
-        self.ranges.keys().filter(|id| !overlap.contains(id)).copied().collect()
-    }
-}
-
-/// The inverted index proper: interned dimension buckets plus per-slot
-/// interval trees.
+/// The inverted index proper: dimension buckets plus each subscription's
+/// constraint windows.
 #[derive(Debug, Default)]
 pub struct SubscriptionIndex {
-    symbols: HashMap<String, u32>,
     buckets: HashMap<SubId, BucketRef>,
-    by_agent_name: HashMap<u32, BTreeSet<SubId>>,
-    /// Keyed by interned `(ontology, class)` pair symbol.
-    by_class: HashMap<u32, BTreeSet<SubId>>,
-    by_capability: HashMap<u32, BTreeSet<SubId>>,
-    by_ontology: HashMap<u32, BTreeSet<SubId>>,
-    by_conversation: HashMap<u32, BTreeSet<SubId>>,
+    by_agent_name: HashMap<Sym, BTreeSet<SubId>>,
+    /// Keyed by `(ontology, class)`.
+    by_class: HashMap<(Sym, Sym), BTreeSet<SubId>>,
+    by_capability: HashMap<Sym, BTreeSet<SubId>>,
+    by_ontology: HashMap<Sym, BTreeSet<SubId>>,
+    by_conversation: HashMap<Sym, BTreeSet<SubId>>,
     catch_all: BTreeSet<SubId>,
-    /// Keyed by interned slot name; tracks which subscriptions constrain
-    /// the slot numerically (for refinement, not primary candidacy).
-    by_slot: HashMap<u32, SlotIntervals>,
-    slots_of: HashMap<SubId, Vec<u32>>,
+    /// The numeric hull of every slot a subscription constrains (for
+    /// refinement, not primary candidacy).
+    windows: HashMap<SubId, Vec<(Sym, Hull)>>,
 }
 
 /// The numeric hull of one slot's domain under a conjunction, when one
@@ -265,33 +175,12 @@ impl SubscriptionIndex {
         self.buckets.is_empty()
     }
 
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.symbols.get(s) {
-            return id;
-        }
-        let id = self.symbols.len() as u32;
-        self.symbols.insert(s.to_string(), id);
-        id
-    }
-
-    fn lookup(&self, s: &str) -> Option<u32> {
-        self.symbols.get(s).copied()
-    }
-
-    fn intern_pair(&mut self, a: &str, b: &str) -> u32 {
-        self.intern(&format!("{a}\u{1}{b}"))
-    }
-
-    fn lookup_pair(&self, a: &str, b: &str) -> Option<u32> {
-        self.symbols.get(&format!("{a}\u{1}{b}")).copied()
-    }
-
     /// Registers a subscription under its most selective required
     /// dimension. `repo` supplies the class hierarchy and capability
     /// taxonomy for expansion (mirroring `Matchmaker::candidates`).
     pub fn insert(&mut self, id: SubId, query: &ServiceQuery, repo: &Repository) {
         self.remove(id);
-        let bucket = self.choose_bucket(query, repo);
+        let bucket = Self::choose_bucket(query, repo);
         match &bucket {
             BucketRef::AgentName(s) => {
                 self.by_agent_name.entry(*s).or_default().insert(id);
@@ -317,17 +206,13 @@ impl SubscriptionIndex {
             }
         }
         self.buckets.insert(id, bucket);
-        // Numeric constraint intervals, one tree per slot.
-        let mut slots = Vec::new();
-        for slot in query.constraints.constrained_slots() {
-            if let Some((lo, hi)) = numeric_hull(&query.constraints, slot) {
-                let sym = self.intern(slot);
-                self.by_slot.entry(sym).or_default().insert(id, lo, hi);
-                slots.push(sym);
-            }
-        }
-        if !slots.is_empty() {
-            self.slots_of.insert(id, slots);
+        let windows: Vec<_> = query
+            .constraints
+            .constrained_slots()
+            .filter_map(|slot| Some((Sym::new(slot), numeric_hull(&query.constraints, slot)?)))
+            .collect();
+        if !windows.is_empty() {
+            self.windows.insert(id, windows);
         }
     }
 
@@ -336,31 +221,27 @@ impl SubscriptionIndex {
     /// then capabilities (taxonomy-expanded), then the bare ontology,
     /// then a conversation type; with no required dimension the
     /// subscription can be affected by any mutation (catch-all).
-    fn choose_bucket(&mut self, query: &ServiceQuery, repo: &Repository) -> BucketRef {
+    fn choose_bucket(query: &ServiceQuery, repo: &Repository) -> BucketRef {
         if let Some(name) = &query.agent_name {
-            let s = self.intern(name);
-            return BucketRef::AgentName(s);
+            return BucketRef::AgentName(Sym::new(name));
         }
         if let (Some(onto), Some(class)) = (&query.ontology, query.classes.iter().next()) {
             // One representative class suffices: a matching advertisement
             // must cover *every* requested class, so probing with any
             // single class's expansion finds it.
             let names = repo.satisfying_classes(onto, class);
-            let syms = names.iter().map(|c| self.intern_pair(onto, c)).collect();
-            return BucketRef::Classes(syms);
+            let onto = Sym::new(onto);
+            return BucketRef::Classes(names.iter().map(|c| (onto, Sym::new(c))).collect());
         }
         if let Some(cap) = query.capabilities.iter().next() {
             let names = repo.satisfying_capabilities(cap.as_str());
-            let syms = names.iter().map(|c| self.intern(c)).collect();
-            return BucketRef::Capabilities(syms);
+            return BucketRef::Capabilities(names.iter().map(|c| Sym::new(c)).collect());
         }
         if let Some(onto) = &query.ontology {
-            let s = self.intern(onto);
-            return BucketRef::Ontology(s);
+            return BucketRef::Ontology(Sym::new(onto));
         }
         if let Some(conv) = query.conversations.iter().next() {
-            let s = self.intern(&conv.to_string());
-            return BucketRef::Conversation(s);
+            return BucketRef::Conversation(Sym::new(&conv.to_string()));
         }
         BucketRef::CatchAll
     }
@@ -386,16 +267,7 @@ impl SubscriptionIndex {
                 }
             }
         }
-        if let Some(slots) = self.slots_of.remove(&id) {
-            for s in slots {
-                if let Some(tree) = self.by_slot.get_mut(&s) {
-                    tree.remove(id);
-                    if tree.is_empty() {
-                        self.by_slot.remove(&s);
-                    }
-                }
-            }
-        }
+        self.windows.remove(&id);
     }
 
     /// The candidate set for a changed advertisement: every subscription
@@ -405,7 +277,7 @@ impl SubscriptionIndex {
     /// Sound over-approximation; the caller re-scores candidates and
     /// drops empty deltas.
     pub fn affected_by_change(
-        &mut self,
+        &self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
     ) -> BTreeSet<SubId> {
@@ -416,53 +288,42 @@ impl SubscriptionIndex {
         out
     }
 
-    fn collect_for_ad(&mut self, ad: &Advertisement, out: &mut BTreeSet<SubId>) {
+    fn collect_for_ad(&self, ad: &Advertisement, out: &mut BTreeSet<SubId>) {
         let mut candidates: HashSet<SubId> = HashSet::new();
-        if let Some(s) = self.lookup(&ad.location.name) {
-            if let Some(b) = self.by_agent_name.get(&s) {
-                candidates.extend(b.iter().copied());
-            }
-        }
+        let mut probe =
+            |bucket: Option<&BTreeSet<SubId>>| candidates.extend(bucket.into_iter().flatten());
+        probe(Sym::lookup(&ad.location.name).and_then(|s| self.by_agent_name.get(&s)));
         for content in &ad.semantic.content {
-            if let Some(s) = self.lookup(&content.ontology) {
-                if let Some(b) = self.by_ontology.get(&s) {
-                    candidates.extend(b.iter().copied());
-                }
-            }
+            let Some(onto) = Sym::lookup(&content.ontology) else { continue };
+            probe(self.by_ontology.get(&onto));
             for class in &content.classes {
-                if let Some(s) = self.lookup_pair(&content.ontology, class) {
-                    if let Some(b) = self.by_class.get(&s) {
-                        candidates.extend(b.iter().copied());
-                    }
-                }
+                probe(Sym::lookup(class).and_then(|c| self.by_class.get(&(onto, c))));
             }
         }
         for cap in &ad.semantic.capabilities {
-            if let Some(s) = self.lookup(cap.as_str()) {
-                if let Some(b) = self.by_capability.get(&s) {
-                    candidates.extend(b.iter().copied());
-                }
-            }
+            probe(Sym::lookup(cap.as_str()).and_then(|s| self.by_capability.get(&s)));
         }
         for conv in &ad.semantic.conversations {
-            if let Some(s) = self.lookup(&conv.to_string()) {
-                if let Some(b) = self.by_conversation.get(&s) {
-                    candidates.extend(b.iter().copied());
-                }
-            }
+            probe(Sym::lookup(&conv.to_string()).and_then(|s| self.by_conversation.get(&s)));
+        }
+        if candidates.is_empty() {
+            return;
         }
         // Interval refinement: a subscription constraining a slot to a
         // window disjoint from the advertisement's hull on that slot
         // overlaps none of its content records (constraint overlap is
         // required for any score), so it cannot be affected by this
-        // version.
-        for (slot, (lo, hi)) in ad_slot_hulls(ad) {
-            let Some(sym) = self.lookup(slot) else { continue };
-            let Some(tree) = self.by_slot.get_mut(&sym) else { continue };
-            for id in tree.disjoint(lo, hi) {
-                candidates.remove(&id);
-            }
-        }
+        // version. Bounds are treated as closed — a conservative
+        // relaxation of bound exclusivity — and only the candidates are
+        // looked at, never every subscription on the slot.
+        let hulls: Vec<(Sym, Hull)> = ad_slot_hulls(ad)
+            .into_iter()
+            .filter_map(|(slot, hull)| Some((Sym::lookup(slot)?, hull)))
+            .collect();
+        let meets = |&(slot, (s_lo, s_hi)): &(Sym, Hull)| {
+            hulls.iter().all(|&(h, (lo, hi))| h != slot || (s_lo <= hi && s_hi >= lo))
+        };
+        candidates.retain(|id| self.windows.get(id).map_or(true, |w| w.iter().all(meets)));
         out.extend(candidates);
     }
 
@@ -473,7 +334,7 @@ impl SubscriptionIndex {
     }
 }
 
-fn prune(map: &mut HashMap<u32, BTreeSet<SubId>>, key: u32, id: SubId) {
+fn prune<K: Eq + std::hash::Hash>(map: &mut HashMap<K, BTreeSet<SubId>>, key: K, id: SubId) {
     if let Some(set) = map.get_mut(&key) {
         set.remove(&id);
         if set.is_empty() {
@@ -567,7 +428,7 @@ impl SubscriptionRegistry {
     /// The subscriptions to re-score for an advertisement change. Indexed
     /// when sound; otherwise (derived rules registered) every subscription.
     pub fn affected(
-        &mut self,
+        &self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
         repo: &Repository,
@@ -759,44 +620,6 @@ mod tests {
         let mut both_low = two;
         both_low.semantic.content[1] = window(20, 30);
         assert!(!idx.affected_by_change(None, Some(&both_low)).contains(&1));
-    }
-
-    #[test]
-    fn interval_tree_overlap_matches_linear_scan() {
-        // Deterministic pseudo-random windows; the tree must agree with a
-        // brute-force overlap check for every probe.
-        let mut tree = SlotIntervals::default();
-        let mut state: u64 = 0x9E3779B97F4A7C15;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut windows = Vec::new();
-        for id in 0..200u64 {
-            let lo = (next() % 1000) as f64;
-            let hi = lo + (next() % 50) as f64;
-            tree.insert(id, lo, hi);
-            windows.push((id, lo, hi));
-        }
-        for _ in 0..50 {
-            let qlo = (next() % 1000) as f64;
-            let qhi = qlo + (next() % 80) as f64;
-            let mut got = HashSet::new();
-            tree.overlapping(qlo, qhi, &mut got);
-            let want: HashSet<SubId> = windows
-                .iter()
-                .filter(|(_, lo, hi)| *lo <= qhi && *hi >= qlo)
-                .map(|(id, _, _)| *id)
-                .collect();
-            assert_eq!(got, want, "probe [{qlo}, {qhi}]");
-        }
-        // Removal keeps the structure consistent.
-        tree.remove(0);
-        let mut got = HashSet::new();
-        tree.overlapping(0.0, 2000.0, &mut got);
-        assert_eq!(got.len(), 199);
     }
 
     #[test]

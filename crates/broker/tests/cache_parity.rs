@@ -1,16 +1,21 @@
-//! Correctness oracles for the PR-5 hot-path machinery: the derived-fact
-//! scoring index and the epoch-tagged match cache must both be
-//! *invisible* — every fast path returns exactly
-//! what the pre-index serial linear scan returns, on every repository
-//! shape (randomized churn, derived rules, stale snapshots) and at every
-//! point of the mutation timeline.
+//! Correctness oracles for the hot-path machinery: candidate narrowing,
+//! the direct model probe and the epoch-tagged match cache must all be
+//! *invisible* — every fast path returns exactly what the serial linear
+//! scan returns, on every repository shape (randomized churn, derived
+//! rules, stale snapshots) and at every point of the mutation timeline.
 
-use infosleuth_broker::{MatchCache, Matchmaker, Repository, ScoringIndex};
+use infosleuth_broker::{MatchCache, Matchmaker, Repository};
 use infosleuth_constraint::{Conjunction, Predicate};
+use infosleuth_ldl::{Atom, Literal, Term};
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
-    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
+    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, Sym, SyntacticInfo,
 };
+
+/// The names as the symbols a probe takes: looked up, never interned.
+fn syms<const N: usize>(names: [&str; N]) -> [Option<Sym>; N] {
+    names.map(Sym::lookup)
+}
 
 struct XorShift(u64);
 
@@ -125,9 +130,8 @@ fn random_query(rng: &mut XorShift) -> ServiceQuery {
     }
 }
 
-/// The indexed path (scoring index + candidate pruning) must equal the
-/// serial linear scan — which probes the model with ground-atom `holds`
-/// — at every step of a randomized churn.
+/// The indexed path (candidate pruning) must equal the serial linear scan
+/// at every step of a randomized churn.
 #[test]
 fn indexed_and_probe_paths_equal_linear_over_churn() {
     for seed in [3u64, 977, 0xBEEF] {
@@ -145,10 +149,6 @@ fn indexed_and_probe_paths_equal_linear_over_churn() {
                 repo.unadvertise(&format!("agent{i}"));
             }
             let model = repo.saturated();
-            assert!(
-                repo.scoring_index(&model).is_some(),
-                "standard rule base keeps the index live (seed {seed} step {step})"
-            );
             for qi in 0..4 {
                 let q = random_query(&mut rng);
                 assert_eq!(
@@ -161,10 +161,16 @@ fn indexed_and_probe_paths_equal_linear_over_churn() {
     }
 }
 
-/// After every incremental patch the index must mirror the saturated
-/// model exactly — same tuple counts, every derived tuple probe-able.
+/// After every incremental patch the direct probe scoring reads
+/// (`Saturated::holds_fact`) must answer what the conjunctive-query
+/// evaluator answers for the same ground atom: for every agent that was
+/// ever advertised — live, replaced or withdrawn — and one that never was.
 #[test]
-fn scoring_index_mirrors_model_after_every_patch() {
+fn model_probe_equals_holds_after_every_patch() {
+    let holds = |model: &infosleuth_ldl::Saturated, pred: &str, names: &[&str]| {
+        let args = names.iter().map(|n| Term::constant(*n)).collect();
+        model.holds(&[Literal::Pos(Atom::new(pred, args))])
+    };
     let mut rng = XorShift(55);
     let mut repo = fresh_repo();
     repo.saturated(); // warm the cache so churn exercises patching
@@ -176,12 +182,28 @@ fn scoring_index_mirrors_model_after_every_patch() {
             repo.unadvertise(&format!("agent{i}"));
         }
         let model = repo.saturated();
-        let index = repo.scoring_index(&model).expect("index live under churn");
-        assert!(index.mirrors(&model), "index diverged from model at step {step}");
-        // A from-scratch build over the same model must agree with the
-        // incrementally maintained one.
-        let rebuilt = ScoringIndex::build(&model);
-        assert_eq!(rebuilt.len(), index.len(), "incremental index wrong size at step {step}");
+        let mut provided = 0;
+        for agent in (0..30).map(|i| format!("agent{i}")).chain(["nobody".to_string()]) {
+            for cap in capability_pool() {
+                let direct = model.holds_fact("provides", syms([&agent, cap.as_str()]));
+                assert_eq!(
+                    direct,
+                    holds(&model, "provides", &[&agent, cap.as_str()]),
+                    "step {step}"
+                );
+                provided += usize::from(direct);
+            }
+            for class in ["C1", "C2", "C2a", "C3", "no-such-class"] {
+                for pred in ["serves_class", "contributes_class"] {
+                    assert_eq!(
+                        model.holds_fact(pred, syms([&agent, "paper-classes", class])),
+                        holds(&model, pred, &[&agent, "paper-classes", class]),
+                        "{pred}({agent}, paper-classes, {class}) at step {step}"
+                    );
+                }
+            }
+        }
+        assert_eq!(provided > 0, !repo.is_empty(), "every live agent provides its own capability");
     }
 }
 
@@ -228,8 +250,8 @@ fn cached_path_equals_linear_across_epochs() {
     }
 }
 
-/// Derived rules break the index's agent-locality argument, so the
-/// repository must disable it — and the cached path must still agree
+/// Derived rules invent facts no advertisement states, so pruning on the
+/// advertised dimensions is off — and the cached path must still agree
 /// with the linear scan, including for capabilities that only exist
 /// through the derived rule.
 #[test]
@@ -242,10 +264,6 @@ fn cached_path_with_derived_rules_stays_correct() {
     for i in 0..40 {
         repo.advertise(random_ad(&mut rng, i)).unwrap();
     }
-    let model = repo.saturated();
-    assert!(repo.scoring_index(&model).is_none(), "derived rules must disable the index");
-    drop(model);
-
     let derived_q = ServiceQuery::for_agent_type(AgentType::Resource)
         .with_capability(Capability::new("polling"));
     let mut queries: Vec<ServiceQuery> = (0..4).map(|_| random_query(&mut rng)).collect();
@@ -272,10 +290,20 @@ fn cached_path_with_derived_rules_stays_correct() {
         .filter(|a| a.semantic.capabilities.contains(&Capability::subscription()))
         .count();
     assert_eq!(derived.len(), subscribers, "every subscriber provides the derived capability");
+    let model = repo.saturated();
+    for ad in repo.agents() {
+        assert_eq!(
+            model.holds_fact("provides", syms([&ad.location.name, "polling"])),
+            ad.semantic.capabilities.contains(&Capability::subscription()),
+            "the probe sees the derived fact of {}",
+            ad.location.name
+        );
+    }
 }
 
-/// A stale model snapshot (held across a mutation) must silently fall
-/// back to probe scoring — same answers, no index aliasing.
+/// A stale model snapshot (held across a mutation) is scored on itself —
+/// same answers as the linear scan over it, nothing read from the
+/// repository's newer model.
 #[test]
 fn stale_model_snapshot_scores_correctly_without_index() {
     let mut rng = XorShift(7001);
@@ -288,12 +316,10 @@ fn stale_model_snapshot_scores_correctly_without_index() {
     // Mutate underneath the held snapshot.
     repo.advertise(random_ad(&mut rng, 50)).unwrap();
     repo.unadvertise("agent3");
-    let _fresh = repo.saturated();
-    // The snapshot no longer matches the repository's index generation.
-    assert!(
-        repo.scoring_index(&snapshot).is_none(),
-        "stale snapshot must not alias the current index"
-    );
+    let fresh = repo.saturated();
+    assert!(!std::sync::Arc::ptr_eq(&snapshot, &fresh), "the held snapshot forced a copy");
+    assert!(snapshot.holds_fact("agent", syms(["agent3", "resource"])));
+    assert!(!fresh.holds_fact("agent", syms(["agent3", "resource"])));
     for qi in 0..8 {
         let q = random_query(&mut rng);
         assert_eq!(

@@ -1,0 +1,269 @@
+//! What a repository keeps resident, counted: live heap bytes per
+//! advertisement under a ceiling, no growth under re-advertisement churn,
+//! everything returned by a full drain, and a symbol table that grows by
+//! distinct names only.
+//!
+//! A counting `#[global_allocator]` sees every allocation of the test
+//! process, so the tests here take one lock and run one at a time. Run
+//! with `--nocapture` for the bytes-per-advertisement table
+//! (EXPERIMENTS.md, "Bytes per advertisement").
+
+use infosleuth_broker::Repository;
+use infosleuth_constraint::{Conjunction, Predicate};
+use infosleuth_ontology::{
+    Advertisement, AgentLocation, AgentType, Capability, ClassDef, ConversationType, Ontology,
+    OntologyContent, SemanticInfo, SlotDef, Sym, SyntacticInfo, ValueType,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
+
+struct Counting;
+
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static LIVE_ALLOCS: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are statistics and publish nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
+        LIVE_ALLOCS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
+        LIVE_ALLOCS.fetch_sub(1, Relaxed);
+        // SAFETY: `ptr` came from `alloc` above, hence from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Live heap of the whole process: `(bytes, allocations)`.
+fn live() -> (isize, isize) {
+    (LIVE_BYTES.load(Relaxed), LIVE_ALLOCS.load(Relaxed))
+}
+
+fn alone() -> MutexGuard<'static, ()> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `benchmark/src/gen.rs`'s `taxonomy(2, 10)`: root `R`, two mid classes,
+/// ten leaves under each.
+fn taxonomy() -> Ontology {
+    let mut o = Ontology::new("bench");
+    let slots = vec![SlotDef::key("id", ValueType::Int), SlotDef::new("a", ValueType::Int)];
+    o.add_class(ClassDef::new("R", slots)).unwrap();
+    for m in 0..2 {
+        o.add_subclass("R", ClassDef::new(format!("M{m:02}"), Vec::new())).unwrap();
+        for l in 0..10 {
+            let leaf = ClassDef::new(format!("L{m:02}x{l:02}"), Vec::new());
+            o.add_subclass(&format!("M{m:02}"), leaf).unwrap();
+        }
+    }
+    o
+}
+
+/// One advertisement of `miss_closed_bus`'s shape: one leaf class, one
+/// capability, one 12 000-wide window on `R.a`.
+fn ad(name: &str, j: usize, lo: i64) -> Advertisement {
+    let l = j % 20;
+    Advertisement::new(AgentLocation::new(
+        name,
+        format!("tcp://{name}.bench:4000"),
+        AgentType::Resource,
+    ))
+    .with_syntactic(SyntacticInfo::sql_kqml())
+    .with_semantic(
+        SemanticInfo::default()
+            .with_conversations([ConversationType::AskAll])
+            .with_capabilities([Capability::relational_query_processing()])
+            .with_content(
+                OntologyContent::new("bench")
+                    .with_classes([format!("L{:02}x{:02}", l / 10, l % 10)])
+                    .with_constraints(Conjunction::from_predicates(vec![Predicate::between(
+                        "R.a",
+                        lo,
+                        lo + 12_000,
+                    )])),
+            ),
+    )
+}
+
+fn window(j: usize, round: usize) -> i64 {
+    ((j * 7_919 + round * 104_729) % 988_000) as i64
+}
+
+fn saturated_empty_repo() -> Repository {
+    let mut repo = Repository::new();
+    repo.register_ontology(taxonomy());
+    let _ = repo.saturated();
+    repo
+}
+
+/// The parent commit kept 11 017 B in 131 allocations per advertisement
+/// of this population (advertisement 3 481 B, narrowing index and EDB
+/// 2 795 B, model and its scoring projection 4 753 B); this layout
+/// measures 5 099 B in 47 (2 025 / 1 025 / 1 589 B). The ceiling leaves a
+/// tenth for where hash tables and vectors happen to have last doubled,
+/// and is half the parent's figure.
+const CEILING_BYTES_PER_AD: f64 = 5_600.0;
+
+#[test]
+fn bytes_per_advertisement_stay_under_the_ceiling() {
+    let _alone = alone();
+    const N: usize = 2_000;
+    let ads: Vec<Advertisement> =
+        (0..N).map(|j| ad(&format!("ra{j:04}"), j, window(j, 0))).collect();
+    let per_ad = |from: (isize, isize), to: (isize, isize)| {
+        ((to.0 - from.0) as f64 / N as f64, (to.1 - from.1) as f64 / N as f64)
+    };
+
+    // The asserted figure: a repository whose model was saturated before
+    // the population arrived and patched by every advertise, as a live
+    // broker's is.
+    let mut repo = saturated_empty_repo();
+    let before = live();
+    for a in &ads {
+        repo.advertise(a.clone()).unwrap();
+    }
+    let _ = repo.saturated();
+    let (bytes, allocs) = per_ad(before, live());
+
+    // The table: where the bytes sit. A second repository takes the same
+    // population with no model, then saturates once; the EDB and the
+    // model share their rows, so the model's line is what it adds.
+    let mut cold = Repository::new();
+    cold.register_ontology(taxonomy());
+    let t0 = live();
+    let ads_copy = ads.clone();
+    let t1 = live();
+    for a in &ads {
+        cold.advertise(a.clone()).unwrap();
+    }
+    let t2 = live();
+    let _ = cold.saturated();
+    let t3 = live();
+    let advertised = repo.approx_size_bytes() as f64 / N as f64;
+    eprintln!(
+        "per advertisement: {advertised:.1} advertised bytes (approx_size_bytes); live heap:"
+    );
+    let stored = per_ad(t1, t2);
+    let rows = [
+        ("repository, model patched", (bytes, allocs)),
+        ("  advertisement", per_ad(t0, t1)),
+        ("  narrowing index + EDB", (stored.0 - per_ad(t0, t1).0, stored.1 - per_ad(t0, t1).1)),
+        ("  model, saturated once", per_ad(t2, t3)),
+    ];
+    for (what, (bytes, allocs)) in rows {
+        eprintln!("{what:<28} {bytes:>6.0} B in {allocs:>5.1} allocations");
+    }
+    drop(ads_copy);
+
+    assert!(
+        bytes <= CEILING_BYTES_PER_AD,
+        "{bytes:.0} live bytes per advertisement, ceiling {CEILING_BYTES_PER_AD}"
+    );
+}
+
+#[test]
+fn churn_does_not_grow_and_a_drain_returns_everything() {
+    let _alone = alone();
+    const N: usize = 200;
+    let names: Vec<String> = (0..N).map(|j| format!("churn{j:03}")).collect();
+    let fill = |repo: &mut Repository| {
+        for (j, name) in names.iter().enumerate() {
+            repo.advertise(ad(name, j, window(j, 0))).unwrap();
+        }
+    };
+    let drain = |repo: &mut Repository| {
+        for name in &names {
+            assert!(repo.unadvertise(name));
+        }
+        let _ = repo.saturated();
+        live()
+    };
+    let mut repo = saturated_empty_repo();
+    let fresh = live();
+
+    // A first fill and drain. What stays is what is meant to: one symbol
+    // table entry per name seen (its bytes plus 36, before the table's own
+    // doubling — ≈ 20 kB here) and the capacity the emptied id map and id
+    // slots keep (≈ 28 kB). 400 B per advertisement bounds the two; a full
+    // repository held 5 090 B for each.
+    fill(&mut repo);
+    let empty = drain(&mut repo);
+    let symbols = Sym::table_len();
+    assert!(
+        empty.0 - fresh.0 <= (400 * N) as isize,
+        "{} bytes kept after the first drain of {N} advertisements",
+        empty.0 - fresh.0
+    );
+
+    // 10⁴ re-advertisements of the fixed population, each moving its
+    // agent's window: the live heap after the first 10³ and after the
+    // last 10³ must agree within 1 %, in bytes and in allocations.
+    fill(&mut repo);
+    let mut marks = Vec::new();
+    for k in 0..10_000 {
+        let j = (k * 37) % N;
+        repo.advertise(ad(&names[j], j, window(j, 1 + k / N))).unwrap();
+        if k == 999 || k == 9_999 {
+            let _ = repo.saturated();
+            let now = live();
+            marks.push((now.0 - empty.0, now.1 - empty.1));
+        }
+    }
+    let (early, late) = (marks[0], marks[1]);
+    let moved = |a: isize, b: isize| (b - a).abs() as f64 / a as f64;
+    assert!(
+        moved(early.0, late.0) <= 0.01 && moved(early.1, late.1) <= 0.01,
+        "(bytes, allocations) went from {early:?} to {late:?} over the last 9 000 re-advertisements"
+    );
+    assert_eq!(Sym::table_len(), symbols, "re-advertising known names interns nothing");
+
+    // With the names interned and the capacity in place, a drain returns
+    // to the empty figure: no fact, row, advertisement or posting is left.
+    let drained = drain(&mut repo);
+    assert!(
+        drained.0 - empty.0 <= 256,
+        "{} bytes still live after the second drain",
+        drained.0 - empty.0
+    );
+    assert_eq!(Sym::table_len(), symbols, "the drain interns nothing");
+}
+
+#[test]
+fn the_symbol_table_grows_by_distinct_new_names_only() {
+    let _alone = alone();
+    let mut repo = saturated_empty_repo();
+    repo.advertise(ad("sym-seed", 0, 0)).unwrap();
+    let before = Sym::table_len();
+    // Name churn: 50 agents nobody has seen, each advertised twice and
+    // withdrawn once. Each adds its name and nothing else — type,
+    // languages, conversation, capability, ontology and class are known.
+    for j in 0..50 {
+        let name = format!("sym-fresh-{j}");
+        repo.advertise(ad(&name, 0, window(j, 0))).unwrap();
+        repo.advertise(ad(&name, 0, window(j, 1))).unwrap();
+        assert!(repo.unadvertise(&name));
+    }
+    assert_eq!(Sym::table_len(), before + 50);
+    // A rejected advertisement never reaches the fact compiler.
+    let mut rejected = ad("sym-rejected", 0, 0);
+    rejected.semantic.capabilities.insert(Capability::new("sym-no-such-capability"));
+    assert!(repo.advertise(rejected).is_err());
+    assert_eq!(Sym::table_len(), before + 50);
+}

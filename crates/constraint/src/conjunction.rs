@@ -1,6 +1,7 @@
 //! Conjunctions of predicates, normalized per slot.
 
 use crate::{Predicate, SlotDomain, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,7 +14,29 @@ use std::fmt;
 /// query with no constraints matches any agent.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Conjunction {
-    slots: BTreeMap<String, SlotDomain>,
+    /// Sorted by slot name, one entry per slot: most conjunctions
+    /// constrain one or two slots, and every advertisement holds one.
+    slots: Vec<(String, SlotDomain)>,
+}
+
+/// The two sorted slot runs walked in step: each slot either side
+/// constrains, once, with each side's domain where it has one.
+fn zip_slots<'a>(
+    a: &'a Conjunction,
+    b: &'a Conjunction,
+) -> impl Iterator<Item = (Option<&'a SlotDomain>, Option<&'a SlotDomain>)> {
+    let (mut a, mut b) = (a.slots.iter().peekable(), b.slots.iter().peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (Some((x, _)), Some((y, _))) => x.cmp(y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        let left = if order.is_le() { a.next().map(|(_, d)| d) } else { None };
+        let right = if order.is_ge() { b.next().map(|(_, d)| d) } else { None };
+        Some((left, right))
+    })
 }
 
 impl Conjunction {
@@ -35,9 +58,17 @@ impl Conjunction {
         c
     }
 
+    fn position(&self, slot: &str) -> Result<usize, usize> {
+        self.slots.binary_search_by(|(s, _)| s.as_str().cmp(slot))
+    }
+
     /// Adds one predicate to the conjunction.
     pub fn add(&mut self, pred: &Predicate) {
-        self.slots.entry(pred.slot.clone()).or_default().constrain(pred);
+        let at = self.position(&pred.slot).unwrap_or_else(|at| {
+            self.slots.insert(at, (pred.slot.clone(), SlotDomain::full()));
+            at
+        });
+        self.slots[at].1.constrain(pred);
     }
 
     /// Whether no slot is constrained.
@@ -47,37 +78,42 @@ impl Conjunction {
 
     /// The slots this conjunction constrains.
     pub fn constrained_slots(&self) -> impl Iterator<Item = &str> {
-        self.slots.keys().map(String::as_str)
+        self.slots.iter().map(|(slot, _)| slot.as_str())
     }
 
     /// The domain of a given slot (unconstrained slots are fully open).
     pub fn domain(&self, slot: &str) -> SlotDomain {
-        self.slots.get(slot).cloned().unwrap_or_default()
+        self.position(slot).map_or_else(|_| SlotDomain::full(), |at| self.slots[at].1.clone())
     }
 
     /// Whether some assignment of values to slots satisfies the conjunction.
     pub fn is_satisfiable(&self) -> bool {
-        self.slots.values().all(SlotDomain::is_satisfiable)
+        self.slots.iter().all(|(_, dom)| dom.is_satisfiable())
     }
 
     /// The conjunction of both constraints.
     pub fn intersect(&self, other: &Conjunction) -> Conjunction {
-        let mut slots = self.slots.clone();
+        let mut out = self.clone();
         for (slot, dom) in &other.slots {
-            slots
-                .entry(slot.clone())
-                .and_modify(|d| *d = d.intersect(dom))
-                .or_insert_with(|| dom.clone());
+            match out.position(slot) {
+                Ok(at) => out.slots[at].1 = out.slots[at].1.intersect(dom),
+                Err(at) => out.slots.insert(at, (slot.clone(), dom.clone())),
+            }
         }
-        Conjunction { slots }
+        out
     }
 
     /// Whether the two constraints can be satisfied simultaneously — the
     /// broker's core *overlap* test between an advertised restriction and a
     /// requested constraint. Slots mentioned by only one side are
-    /// unconstrained on the other and never block the overlap.
+    /// unconstrained on the other and never block the overlap. Exactly
+    /// `self.intersect(other).is_satisfiable()`, slot by slot, without
+    /// building the intersection.
     pub fn overlaps(&self, other: &Conjunction) -> bool {
-        self.intersect(other).is_satisfiable()
+        zip_slots(self, other).all(|pair| match pair {
+            (Some(a), Some(b)) => a.overlaps(b),
+            (a, b) => a.or(b).map_or(true, SlotDomain::is_satisfiable),
+        })
     }
 
     /// Whether every assignment satisfying `self` satisfies `other`
@@ -88,7 +124,12 @@ impl Conjunction {
         if !self.is_satisfiable() {
             return true;
         }
-        other.slots.iter().all(|(slot, dom)| self.domain(slot).implies(dom))
+        zip_slots(self, other).all(|pair| match pair {
+            (Some(a), Some(b)) => a.implies(b),
+            // `other` constrains a slot `self` leaves fully open.
+            (None, Some(b)) => SlotDomain::full().implies(b),
+            (_, None) => true,
+        })
     }
 
     /// A canonical list of predicates equivalent to this conjunction:

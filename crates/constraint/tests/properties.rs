@@ -89,6 +89,17 @@ proptest! {
         prop_assert_eq!(a.overlaps(&b), b.overlaps(&a));
     }
 
+    /// The slot-run walks of `overlaps` and `implies` have the truth table
+    /// of the definitions they replaced: the satisfiability of the built
+    /// intersection, and per-slot implication through `domain()`.
+    #[test]
+    fn conjunction_walks_equal_their_definitions(a in arb_conjunction(), b in arb_conjunction()) {
+        prop_assert_eq!(a.overlaps(&b), a.intersect(&b).is_satisfiable());
+        let by_domain = !a.is_satisfiable()
+            || b.constrained_slots().all(|slot| a.domain(slot).implies(&b.domain(slot)));
+        prop_assert_eq!(a.implies(&b), by_domain);
+    }
+
     /// Conjunction intersection membership equals joint membership.
     #[test]
     fn conjunction_intersection_is_conjunction(

@@ -1,81 +1,136 @@
 //! The extensional database: ground facts indexed by predicate and,
-//! within a predicate, grouped by first argument.
+//! within a predicate, hashed for membership and ordered so that tuples
+//! sharing a first argument are adjacent.
 
 use crate::term::{Atom, Const};
-use std::collections::BTreeMap;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::ops::Bound;
+use std::sync::Arc;
 
-/// One predicate's tuples, grouped by first argument so that probes with
-/// a bound first argument (the common shape in matchmaking: the agent
-/// name leads every per-agent fact) touch only their group. Nullary
-/// tuples live under the `None` key.
-#[derive(Clone, Default, PartialEq)]
-struct Relation {
-    by_first: HashMap<Const, HashSet<Vec<Const>>>,
-    nullary: HashSet<Vec<Const>>,
-    count: usize,
+/// A stored tuple: one allocation, shared by the two structures that
+/// index it and by every database a merge or a clone copied it into (the
+/// repository's EDB and its saturated model hold the same rows).
+type Tuple = Arc<[Const]>;
+
+/// A tuple as the ordered index keys it. Rows order by
+/// [`Const::id_key`], cell by cell: cheap, total, and putting every tuple
+/// with a given first argument in one run — the order of *storage* only.
+/// It follows symbol ids, which follow the order names happened to be
+/// interned in, so nothing observable may depend on it: every rendering
+/// sorts by `Const`'s own `Ord` first.
+#[derive(Clone, PartialEq, Eq)]
+struct Row(Tuple);
+
+/// What a row is compared through, so a borrowed `&[Const]` can bound a
+/// range of a `BTreeSet<Row>` without being allocated into a `Row` first.
+trait Cells {
+    fn cells(&self) -> &[Const];
 }
 
-// Hand-written so that dumps are deterministic: the derived impl walks the
-// HashMap in hash order, which varies run to run and breaks golden tests.
+impl Cells for Row {
+    fn cells(&self) -> &[Const] {
+        &self.0
+    }
+}
+
+impl Cells for &[Const] {
+    fn cells(&self) -> &[Const] {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn Cells + 'a> for Row {
+    fn borrow(&self) -> &(dyn Cells + 'a) {
+        self
+    }
+}
+
+impl Ord for dyn Cells + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.cells().iter().map(Const::id_key).cmp(other.cells().iter().map(Const::id_key))
+    }
+}
+
+impl PartialOrd for dyn Cells + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn Cells + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cells() == other.cells()
+    }
+}
+
+impl Eq for dyn Cells + '_ {}
+
+impl Ord for Row {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self as &dyn Cells).cmp(other)
+    }
+}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One predicate's tuples, indexed twice. `members` answers the ground
+/// probe — one hash lookup, nothing allocated: what scoring asks per
+/// candidate and evaluation asks per derived fact. `rows` holds the same
+/// tuples in order, so a probe with a bound first argument (the common
+/// shape in matchmaking: the agent name leads every per-agent fact) is a
+/// range scan over that argument's run with no table per argument.
+#[derive(Clone, Default, PartialEq)]
+struct Relation {
+    members: HashSet<Tuple>,
+    rows: BTreeSet<Row>,
+}
+
+// Hand-written so that dumps are deterministic: storage order follows
+// symbol ids, which vary with interning order and break golden tests.
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut tuples: Vec<&Vec<Const>> = self.tuples().collect();
+        let mut tuples: Vec<&[Const]> = self.tuples().collect();
         tuples.sort();
-        f.debug_struct("Relation").field("tuples", &tuples).field("count", &self.count).finish()
+        f.debug_struct("Relation").field("tuples", &tuples).field("count", &tuples.len()).finish()
     }
 }
 
 impl Relation {
-    fn insert(&mut self, tuple: Vec<Const>) -> bool {
-        let fresh = if tuple.is_empty() {
-            self.nullary.insert(tuple)
-        } else {
-            // Clone the key only when the group does not exist yet; steady
-            // state (existing group) stays allocation-free.
-            if !self.by_first.contains_key(&tuple[0]) {
-                self.by_first.insert(tuple[0].clone(), HashSet::new());
-            }
-            let group = self.by_first.get_mut(&tuple[0]).expect("group just ensured");
-            group.insert(tuple)
-        };
-        if fresh {
-            self.count += 1;
-        }
-        fresh
+    fn insert(&mut self, tuple: Tuple) -> bool {
+        self.members.insert(Arc::clone(&tuple)) && self.rows.insert(Row(tuple))
     }
 
     fn remove(&mut self, tuple: &[Const]) -> bool {
-        let removed = match tuple.first() {
-            Some(first) => {
-                if let Some(group) = self.by_first.get_mut(first) {
-                    let hit = group.remove(tuple);
-                    if hit && group.is_empty() {
-                        self.by_first.remove(first);
-                    }
-                    hit
-                } else {
-                    false
-                }
-            }
-            None => self.nullary.remove(tuple),
-        };
-        if removed {
-            self.count -= 1;
-        }
-        removed
+        self.members.remove(tuple) && self.rows.remove::<dyn Cells>(&tuple)
     }
 
     fn contains(&self, tuple: &[Const]) -> bool {
-        match tuple.first() {
-            Some(first) => self.by_first.get(first).is_some_and(|g| g.contains(tuple)),
-            None => self.nullary.contains(tuple),
-        }
+        self.members.contains(tuple)
     }
 
-    fn tuples(&self) -> impl Iterator<Item = &Vec<Const>> {
-        self.by_first.values().flatten().chain(self.nullary.iter())
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    fn tuples(&self) -> impl Iterator<Item = &[Const]> {
+        self.rows.iter().map(Row::cells)
+    }
+
+    /// The run of tuples led by `first`: it starts at the one-cell row
+    /// `(first)`, which sorts before every longer row it prefixes.
+    fn with_first(&self, first: Const) -> impl Iterator<Item = &[Const]> {
+        let start: &[Const] = std::slice::from_ref(&first);
+        self.rows
+            .range::<dyn Cells, _>((Bound::Included(&start as &dyn Cells), Bound::Unbounded))
+            .map(Row::cells)
+            .take_while(move |t| t[0] == first)
     }
 }
 
@@ -94,8 +149,8 @@ impl Database {
     }
 
     /// Asserts a fact. Returns `true` if it was new.
-    pub fn assert(&mut self, pred: impl Into<String>, tuple: Vec<Const>) -> bool {
-        self.facts.entry(pred.into()).or_default().insert(tuple)
+    pub fn assert(&mut self, pred: impl Into<String>, tuple: impl Into<Arc<[Const]>>) -> bool {
+        self.facts.entry(pred.into()).or_default().insert(tuple.into())
     }
 
     /// Asserts a ground atom.
@@ -116,7 +171,7 @@ impl Database {
     pub fn retract(&mut self, pred: &str, tuple: &[Const]) -> bool {
         let Some(rel) = self.facts.get_mut(pred) else { return false };
         let removed = rel.remove(tuple);
-        if removed && rel.count == 0 {
+        if removed && rel.len() == 0 {
             self.facts.remove(pred);
         }
         removed
@@ -125,14 +180,14 @@ impl Database {
     /// Removes every fact of a predicate whose tuple satisfies `drop`.
     pub fn retract_where(&mut self, pred: &str, mut drop: impl FnMut(&[Const]) -> bool) -> usize {
         let Some(rel) = self.facts.get_mut(pred) else { return 0 };
-        let doomed: Vec<Vec<Const>> = rel.tuples().filter(|t| drop(t)).cloned().collect();
-        for t in &doomed {
-            rel.remove(t);
-        }
-        if rel.count == 0 {
+        let before = rel.len();
+        rel.members.retain(|tuple| !drop(tuple));
+        rel.rows.retain(|row| rel.members.contains(&row.0));
+        let removed = before - rel.len();
+        if rel.len() == 0 {
             self.facts.remove(pred);
         }
-        doomed.len()
+        removed
     }
 
     pub fn contains(&self, pred: &str, tuple: &[Const]) -> bool {
@@ -140,24 +195,20 @@ impl Database {
     }
 
     /// All tuples of a predicate.
-    pub fn tuples(&self, pred: &str) -> impl Iterator<Item = &Vec<Const>> {
+    pub fn tuples(&self, pred: &str) -> impl Iterator<Item = &[Const]> {
         self.facts.get(pred).into_iter().flat_map(Relation::tuples)
     }
 
-    /// Tuples of a predicate whose first argument equals `first` — a hash
-    /// group lookup, not a scan. Nullary tuples are never returned.
+    /// Tuples of a predicate whose first argument equals `first` — a range
+    /// scan over that argument's run, not over the predicate. Nullary
+    /// tuples are never returned.
     pub fn tuples_with_first<'a>(
         &'a self,
         pred: &str,
         first: &Const,
-    ) -> impl Iterator<Item = &'a Vec<Const>> {
-        self.facts.get(pred).and_then(|r| r.by_first.get(first)).into_iter().flatten()
-    }
-
-    /// Distinct first arguments of a predicate — one entry per hash group.
-    /// Nullary tuples contribute nothing.
-    pub fn first_args<'a>(&'a self, pred: &str) -> impl Iterator<Item = &'a Const> {
-        self.facts.get(pred).into_iter().flat_map(|r| r.by_first.keys())
+    ) -> impl Iterator<Item = &'a [Const]> {
+        let first = *first;
+        self.facts.get(pred).into_iter().flat_map(move |r| r.with_first(first))
     }
 
     pub fn predicates(&self) -> impl Iterator<Item = &str> {
@@ -166,7 +217,7 @@ impl Database {
 
     /// Total number of facts.
     pub fn len(&self) -> usize {
-        self.facts.values().map(|r| r.count).sum()
+        self.facts.values().map(Relation::len).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -178,8 +229,8 @@ impl Database {
         let mut added = 0;
         for (pred, rel) in &other.facts {
             let target = self.facts.entry(pred.clone()).or_default();
-            for t in rel.tuples() {
-                if target.insert(t.clone()) {
+            for row in &rel.rows {
+                if target.insert(Arc::clone(&row.0)) {
                     added += 1;
                 }
             }
@@ -202,7 +253,7 @@ impl Database {
     }
 
     /// Iterates every `(predicate, tuple)` pair.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Vec<Const>)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &[Const])> {
         self.facts.iter().flat_map(|(pred, rel)| rel.tuples().map(move |t| (pred.as_str(), t)))
     }
 }
@@ -314,7 +365,7 @@ mod tests {
             db.assert("cap", vec![Const::sym(format!("a{i}")), Const::int(i)]);
         }
         let hits: Vec<_> = db.tuples_with_first("cap", &Const::sym("a3")).collect();
-        assert_eq!(hits, vec![&vec![Const::sym("a3"), Const::int(3)]]);
+        assert_eq!(hits, vec![&[Const::sym("a3"), Const::int(3)][..]]);
         assert!(db.tuples_with_first("cap", &Const::sym("zz")).next().is_none());
         assert!(db.tuples_with_first("nope", &Const::sym("a3")).next().is_none());
     }

@@ -5,6 +5,7 @@ use crate::db::Database;
 use crate::program::Program;
 use crate::rule::{Literal, Rule};
 use crate::term::{Bindings, Const, Term};
+use infosleuth_ontology::Sym;
 
 impl Program {
     /// Computes the full model of the program over an extensional database,
@@ -116,6 +117,23 @@ impl Saturated {
         !self.query(goals).is_empty()
     }
 
+    /// Whether the model holds the ground fact `pred(args…)`, every
+    /// argument a symbol — what [`holds`](Self::holds) answers for that
+    /// one positive ground atom, without building it or allocating.
+    /// Callers resolve names with [`Sym::lookup`], which never grows the
+    /// symbol table: `None` is a name nobody interned, which is in no
+    /// fact.
+    pub fn holds_fact<const N: usize>(&self, pred: &str, args: [Option<Sym>; N]) -> bool {
+        let mut tuple = [Const::Int(0); N];
+        for (cell, arg) in tuple.iter_mut().zip(args) {
+            match arg {
+                Some(sym) => *cell = Const::Sym(sym),
+                None => return false,
+            }
+        }
+        self.db.contains(pred, &tuple)
+    }
+
     /// Incrementally extends the model with newly asserted EDB facts,
     /// running semi-naive evaluation seeded with only the delta rather
     /// than resaturating from scratch.
@@ -142,7 +160,7 @@ impl Saturated {
         let mut frontier = Database::new();
         for (pred, tuple) in delta.iter() {
             if !self.db.contains(pred, tuple) {
-                frontier.assert(pred, tuple.clone());
+                frontier.assert(pred, tuple);
             }
         }
         self.db.merge(&frontier);
@@ -194,8 +212,8 @@ impl Saturated {
         let mut deleted = Database::new();
         let mut frontier = Database::new();
         for (pred, tuple) in removed.iter() {
-            if self.db.contains(pred, tuple) && deleted.assert(pred, tuple.clone()) {
-                frontier.assert(pred, tuple.clone());
+            if self.db.contains(pred, tuple) && deleted.assert(pred, tuple) {
+                frontier.assert(pred, tuple);
             }
         }
         if deleted.is_empty() {
@@ -224,7 +242,7 @@ impl Saturated {
         let mut rederived = Database::new();
         for (pred, tuple) in deleted.iter() {
             if derivable(&rules, &self.db, pred, tuple) {
-                rederived.assert(pred, tuple.clone());
+                rederived.assert(pred, tuple);
             }
         }
 
@@ -398,7 +416,7 @@ fn step_literal(
                 let consts: Option<Vec<Const>> = resolved
                     .iter()
                     .map(|t| match t {
-                        Term::Const(c) => Some(c.clone()),
+                        Term::Const(c) => Some(*c),
                         Term::Var(_) => None,
                     })
                     .collect();

@@ -50,3 +50,6 @@ pub use parse::{
 pub use program::{Program, ProgramError};
 pub use rule::{Literal, Rule, RuleError};
 pub use term::{Atom, Bindings, Const, Term};
+
+/// The interned symbol [`Const::Sym`] and [`Const::Str`] carry.
+pub use infosleuth_ontology::Sym;

@@ -204,13 +204,13 @@ impl P {
                 if first.is_ascii_uppercase() || first == '_' {
                     Ok(Term::Var(s))
                 } else {
-                    Ok(Term::Const(Const::Sym(s)))
+                    Ok(Term::Const(Const::sym(s)))
                 }
             }
-            Some(Tok::QSym(s)) => Ok(Term::Const(Const::Sym(s))),
+            Some(Tok::QSym(s)) => Ok(Term::Const(Const::sym(s))),
             Some(Tok::Int(i)) => Ok(Term::Const(Const::Int(i))),
             Some(Tok::Float(f)) => Ok(Term::Const(Const::float(f))),
-            Some(Tok::Str(s)) => Ok(Term::Const(Const::Str(s))),
+            Some(Tok::Str(s)) => Ok(Term::Const(Const::str(s))),
             _ => Err(self.err("expected term")),
         }
     }

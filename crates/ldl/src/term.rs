@@ -1,28 +1,31 @@
 //! Ground constants, terms, atoms, and bindings.
 
+use infosleuth_ontology::Sym;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A ground constant: a symbol, string, integer, or float.
 ///
 /// Symbols (`query-processing`) and strings (`"SQL 2.0"`) are distinct, as
-/// in LDL; numbers of both kinds compare numerically in builtins.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// in LDL; numbers of both kinds compare numerically in builtins. Both
+/// textual kinds hold an interned [`Sym`], so a constant is a small `Copy`
+/// value: equal and hashed by id, ordered by the text it names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Const {
-    Sym(String),
-    Str(String),
+    Sym(Sym),
+    Str(Sym),
     Int(i64),
     /// Floats are stored as ordered bits; construct via [`Const::float`].
     FloatBits(u64),
 }
 
 impl Const {
-    pub fn sym(s: impl Into<String>) -> Self {
-        Const::Sym(s.into())
+    pub fn sym(s: impl AsRef<str>) -> Self {
+        Const::Sym(Sym::new(s.as_ref()))
     }
 
-    pub fn str(s: impl Into<String>) -> Self {
-        Const::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Self {
+        Const::Str(Sym::new(s.as_ref()))
     }
 
     pub fn int(i: i64) -> Self {
@@ -44,10 +47,21 @@ impl Const {
         }
     }
 
-    pub fn as_sym(&self) -> Option<&str> {
+    pub fn as_sym(&self) -> Option<&'static str> {
         match self {
-            Const::Sym(s) => Some(s),
+            Const::Sym(s) => Some(s.as_str()),
             _ => None,
+        }
+    }
+
+    /// The constant as two integers, equal exactly when the constants are:
+    /// a total order that never resolves a symbol, for ordered storage.
+    pub(crate) fn id_key(&self) -> (u8, u64) {
+        match *self {
+            Const::Sym(s) => (0, s.id().into()),
+            Const::Str(s) => (1, s.id().into()),
+            Const::Int(i) => (2, i as u64),
+            Const::FloatBits(b) => (3, b),
         }
     }
 
@@ -120,7 +134,7 @@ impl Term {
     pub fn resolve(&self, b: &Bindings) -> Term {
         match self {
             Term::Var(v) => match b.get(v) {
-                Some(c) => Term::Const(c.clone()),
+                Some(c) => Term::Const(*c),
                 None => self.clone(),
             },
             Term::Const(_) => self.clone(),
@@ -169,8 +183,8 @@ impl Atom {
         self.args
             .iter()
             .map(|t| match t {
-                Term::Const(c) => Some(c.clone()),
-                Term::Var(v) => b.get(v).cloned(),
+                Term::Const(c) => Some(*c),
+                Term::Var(v) => b.get(v).copied(),
             })
             .collect()
     }
@@ -195,7 +209,7 @@ impl Atom {
                         }
                     }
                     None => {
-                        b.insert(v.clone(), c.clone());
+                        b.insert(v.clone(), *c);
                     }
                 },
             }

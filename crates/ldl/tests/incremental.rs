@@ -82,7 +82,7 @@ impl Churn {
             self.model =
                 self.model.add_facts(&self.program, &delta).expect("program is negation-free");
         } else {
-            let present: Vec<Vec<Const>> = self.edb.tuples("edge").cloned().collect();
+            let present: Vec<Vec<Const>> = self.edb.tuples("edge").map(<[Const]>::to_vec).collect();
             if present.is_empty() {
                 return;
             }

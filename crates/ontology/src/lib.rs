@@ -14,7 +14,9 @@
 //!   advertise when they hold only part of a class;
 //! * [`Advertisement`], [`BrokerAdvertisement`], and [`ServiceQuery`] — the
 //!   records that flow between agents and brokers;
-//! * the sample healthcare ontology used across the paper's examples.
+//! * the sample healthcare ontology used across the paper's examples;
+//! * [`Sym`], the process-wide symbol table those names are interned in
+//!   once they reach the reasoning engine.
 
 #![forbid(unsafe_code)]
 
@@ -23,6 +25,7 @@ mod fragment;
 mod model;
 mod samples;
 mod service;
+mod symbol;
 mod taxonomy;
 
 pub use capability::{standard_capability_taxonomy, Capability};
@@ -34,4 +37,5 @@ pub use service::{
     BrokerSpecialization, ConversationType, OntologyContent, SemanticInfo, ServiceQuery,
     SyntacticInfo,
 };
+pub use symbol::Sym;
 pub use taxonomy::{Taxonomy, TaxonomyError};
