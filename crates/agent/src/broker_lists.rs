@@ -68,14 +68,6 @@ impl BrokerLists {
         self.connected.iter().map(String::as_str)
     }
 
-    pub fn connected_count(&self) -> usize {
-        self.connected.len()
-    }
-
-    pub fn is_connected_to(&self, broker: &str) -> bool {
-        self.connected.contains(broker)
-    }
-
     /// Adds a broker to the known list ("during operation, an agent may
     /// also discover more brokers that it deems appropriate to advertise
     /// to"). Duplicates are ignored.

@@ -301,6 +301,7 @@ impl AgentContext {
         timeout: Duration,
     ) -> Result<Message, TransportError> {
         Self::stamp_trace(&mut message);
+        let performative = message.performative.clone();
         let mut ep = self.ephemeral_endpoint()?;
         let result = ep.request(to, message, timeout);
         ep.unregister();
@@ -312,7 +313,7 @@ impl AgentContext {
         ) {
             // The request never reached (or never came back from) the
             // peer; account for it like any other failed delivery.
-            self.note_delivery_failure(to, Performative::AskOne);
+            self.note_delivery_failure(to, performative);
         }
         result
     }
@@ -488,31 +489,6 @@ impl AgentRuntime {
     /// default).
     pub fn obs(&self) -> &Arc<Obs> {
         &self.shared.obs
-    }
-
-    /// Starts a background obs sampler over this runtime's metrics
-    /// registry: every interval it snapshots the registry into a fresh
-    /// ring-buffer [`TimeSeriesStore`](infosleuth_obs::TimeSeriesStore) and evaluates `engine` against
-    /// it. `default_interval` is the programmed cadence; the
-    /// `INFOSLEUTH_OBS_SAMPLE_MS` env var overrides it (clamped ≥
-    /// 10 ms). The caller owns the returned handle — drop or `stop` it
-    /// before runtime shutdown for a clean exit (the sampler only reads
-    /// the registry, so either order is safe).
-    pub fn start_sampler(
-        &self,
-        engine: infosleuth_obs::HealthEngine,
-        store_capacity: usize,
-        default_interval: Duration,
-    ) -> infosleuth_obs::SamplerHandle {
-        let store = Arc::new(infosleuth_obs::TimeSeriesStore::new(store_capacity));
-        let interval = infosleuth_obs::sample_interval_from_env(default_interval);
-        infosleuth_obs::Sampler::spawn(
-            self.shared.obs.registry().clone(),
-            store,
-            engine,
-            interval,
-            |_tick| {},
-        )
     }
 
     /// Registers `name` on the transport and hosts `behavior` under it.
@@ -944,6 +920,17 @@ mod tests {
         assert_eq!(items[0], SExpr::atom("delivery-failure"));
         assert_eq!(items[1], SExpr::atom("talker"));
         assert_eq!(items[2], SExpr::atom("ghost"));
+        assert_eq!(items[3], SExpr::atom("tell"));
+        // A refused request is logged under the performative it carried,
+        // not under a fixed one.
+        let ping = Message::new(Performative::Ping);
+        let err = h.ctx().request("ghost", ping, Duration::from_secs(1)).unwrap_err();
+        assert!(matches!(err, TransportError::UnknownAgent(_)));
+        assert_eq!(h.delivery_failures(), 2);
+        let env = monitor.recv_timeout(Duration::from_secs(1)).expect("monitor notified");
+        let items = env.message.content().and_then(SExpr::as_list).expect("log content");
+        assert_eq!(items[2], SExpr::atom("ghost"));
+        assert_eq!(items[3], SExpr::atom("ping"));
         rt.shutdown();
     }
 

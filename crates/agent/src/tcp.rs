@@ -194,11 +194,6 @@ impl TcpTransport {
         self.shared.routes.write().insert(name.into(), address);
     }
 
-    /// Drops a route (e.g. after the remote node is decommissioned).
-    pub fn remove_route(&self, name: &str) -> bool {
-        self.shared.routes.write().remove(name).is_some()
-    }
-
     /// Attaches transport metrics to this node, registered under
     /// `transport="tcp"` in `obs`. Covers frame sends, receipts, batch
     /// sizes, per-peer queue depths, and prefix-fallback route

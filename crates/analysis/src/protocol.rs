@@ -188,22 +188,6 @@ impl ProtocolSpec {
         self.finals.iter().any(|f| f == state)
     }
 
-    /// Index of `state` in the state table.
-    pub fn state_index(&self, state: &str) -> Option<usize> {
-        self.states.iter().position(|s| s == state)
-    }
-
-    /// Performatives that can open a conversation of this protocol:
-    /// triggers of transitions leaving the initial state.
-    pub fn opening_performatives(&self) -> BTreeSet<&str> {
-        let Some(init) = self.initial() else { return BTreeSet::new() };
-        self.transitions
-            .iter()
-            .filter(|t| t.from == init)
-            .map(|t| t.on.performative.as_str())
-            .collect()
-    }
-
     /// The transition a message takes from `state`, most-specific-wins:
     /// a trigger refined by content head beats a bare performative.
     pub fn step<'a>(&'a self, state: &str, msg: &Message) -> Option<&'a ProtoTransition> {

@@ -6,19 +6,20 @@
 //! forward goes only to peers whose capability digest *can* match (plus
 //! the occasional hull false positive).
 //!
-//! Reported per community size: throughput (queries/s), per-query
-//! message count (client request + inter-broker forwards) beside what
-//! the paper's broad fan-out would send — one forward per peer, so
-//! `brokers` messages per query, which the run checks as `forwards +
-//! pruned == brokers − 1` — the digest false-positive rate, and the
-//! byte-identical parity of the sorted match lists with one broker
-//! holding every advertisement: pruning must never cost recall.
-//! Warmed, median of `MEASURE_PASSES` timed passes.
+//! Reported per community size: per-query message count (the client's
+//! request plus the inter-broker forwards) beside what the paper's broad
+//! fan-out would send — one forward per peer, so `brokers` messages per
+//! query, which the run checks as `forwards + pruned == brokers − 1` — the
+//! digest false-positive rate, and the byte-identical parity of the sorted
+//! match lists with one broker holding every advertisement: pruning must
+//! never cost recall. Every column is a deterministic count over one pass
+//! that follows a warm-up pass; nothing here is timed — a query's round
+//! trip through a live runtime is the `benchmark/` harness's to measure.
 //!
 //! Writes `BENCH_broker_scale.json`.
 
 use infosleuth_agent::{AgentRuntime, Bus, RuntimeConfig};
-use infosleuth_bench::{fmt_pct, median_sample, parse_args, run_meta, MEASURE_PASSES};
+use infosleuth_bench::{fmt_pct, parse_args, run_meta};
 use infosleuth_broker::{
     advertise_to, connect_community, query_broker, BrokerAgent, BrokerConfig, BrokerHandle,
     FollowOption, RoutingStats, SearchPolicy,
@@ -128,7 +129,6 @@ fn await_digests(brokers: &[BrokerHandle]) {
 }
 
 struct Outcome {
-    qps: f64,
     forwards_per_query: f64,
     pruned_per_query: f64,
     fp_rate: f64,
@@ -137,7 +137,7 @@ struct Outcome {
     parity: String,
 }
 
-fn run_community(brokers: usize, agents: usize, queries: usize, passes: usize) -> Outcome {
+fn run_community(brokers: usize, agents: usize, queries: usize) -> Outcome {
     let bus = Bus::new();
     let runtime = AgentRuntime::new(bus.as_transport(), RuntimeConfig::default().with_workers(8));
     let handles: Vec<BrokerHandle> = (0..brokers)
@@ -183,15 +183,10 @@ fn run_community(brokers: usize, agents: usize, queries: usize, passes: usize) -
     run_pass(Some(&mut parity));
 
     let before = stats_sum(&handles);
-    let mut samples = Vec::with_capacity(passes);
-    for _ in 0..passes {
-        let start = Instant::now();
-        run_pass(None);
-        samples.push((start.elapsed().as_secs_f64(), ()));
-    }
+    run_pass(None);
     let after = stats_sum(&handles);
 
-    let asked = (passes * queries) as u64;
+    let asked = queries as u64;
     let forwards = after.forwards - before.forwards;
     let pruned = after.digest_pruned - before.digest_pruned;
     // Every peer of the entry broker is either contacted or pruned, so
@@ -202,12 +197,10 @@ fn run_community(brokers: usize, agents: usize, queries: usize, passes: usize) -
         "a peer was neither forwarded to nor pruned at {brokers} brokers"
     );
     let fps = (after.digest_fp - before.digest_fp) as f64;
-    let (secs, ()) = median_sample(samples);
     for h in handles {
         h.stop();
     }
     Outcome {
-        qps: queries as f64 / secs,
         forwards_per_query: forwards as f64 / asked as f64,
         pruned_per_query: pruned as f64 / asked as f64,
         fp_rate: if forwards > 0 { fps / forwards as f64 } else { 0.0 },
@@ -217,38 +210,34 @@ fn run_community(brokers: usize, agents: usize, queries: usize, passes: usize) -
 
 fn main() {
     let opts = parse_args();
-    let (agents, queries, passes, broker_axis): (usize, usize, usize, &[usize]) = if opts.quick {
-        (96, 96, 1, &[2, 4, 8])
-    } else {
-        (192, 384, MEASURE_PASSES, &[2, 4, 8, 16, 32, 64])
-    };
+    let (agents, queries, broker_axis): (usize, usize, &[usize]) =
+        if opts.quick { (96, 96, &[2, 4, 8]) } else { (192, 384, &[2, 4, 8, 16, 32, 64]) };
 
     println!("=== broker scale-out: sharded communities with digest-pruned routing ===");
     println!(
-        "{agents} agents over {NUM_CLASSES} fragments, {queries} queries/pass, median of \
-         {passes} warmed pass(es){}",
+        "{agents} agents over {NUM_CLASSES} fragments, {queries} queries counted after one \
+         warm-up pass{}",
         if opts.quick { " [--quick]" } else { "" }
     );
     println!();
     println!(
-        "{:>8} {:>12} {:>11} {:>11} {:>8} {:>8}",
-        "brokers", "digest q/s", "msgs/q dig", "msgs/q bc", "msg-red", "fp-rate"
+        "{:>8} {:>11} {:>11} {:>8} {:>8}",
+        "brokers", "msgs/q dig", "msgs/q bc", "msg-red", "fp-rate"
     );
 
     // Nothing to forward, so nothing to prune: the answers every
     // community must reproduce.
-    let reference = run_community(1, agents, queries, 1).parity;
+    let reference = run_community(1, agents, queries).parity;
     let mut rows: Vec<(usize, Outcome)> = Vec::new();
     for &brokers in broker_axis {
-        let digest = run_community(brokers, agents, queries, passes);
+        let digest = run_community(brokers, agents, queries);
         assert_eq!(
             digest.parity, reference,
             "digest-pruned routing changed the match results at {brokers} brokers"
         );
         println!(
-            "{:>8} {:>12.0} {:>11.2} {:>11.2} {:>8.1} {:>8}",
+            "{:>8} {:>11.2} {:>11.2} {:>8.1} {:>8}",
             brokers,
-            digest.qps,
             1.0 + digest.forwards_per_query,
             brokers as f64,
             brokers as f64 / (1.0 + digest.forwards_per_query),
@@ -257,7 +246,6 @@ fn main() {
         rows.push((brokers, digest));
     }
 
-    let base_qps = rows.first().map(|(_, r)| r.qps).unwrap_or(f64::NAN);
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"broker_scale\",\n");
     let _ = writeln!(out, "  \"quick\": {},", opts.quick);
@@ -269,18 +257,15 @@ fn main() {
     for (i, (brokers, r)) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"brokers\": {}, \"digest_qps\": {:.1}, \"digest_msgs_per_query\": {:.3}, \
+            "    {{\"brokers\": {}, \"digest_msgs_per_query\": {:.3}, \
              \"broadcast_msgs_per_query\": {:.3}, \"msg_reduction_x\": {:.2}, \
-             \"digest_pruned_per_query\": {:.3}, \"fp_rate\": {:.4}, \
-             \"scaling_vs_smallest\": {:.3}, \"parity\": \"ok\"}}",
+             \"digest_pruned_per_query\": {:.3}, \"fp_rate\": {:.4}, \"parity\": \"ok\"}}",
             brokers,
-            r.qps,
             1.0 + r.forwards_per_query,
             *brokers as f64,
             *brokers as f64 / (1.0 + r.forwards_per_query),
             r.pruned_per_query,
             r.fp_rate,
-            r.qps / base_qps,
         );
         out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }

@@ -1,12 +1,16 @@
 //! Churn harness: measures interleaved advertise/unadvertise/match
-//! throughput with incremental model maintenance on and off, and writes
-//! the results to `BENCH_churn.json` for tracking across revisions.
+//! throughput with the repository's incrementally maintained model
+//! against a from-scratch saturation per step, and writes the results to
+//! `BENCH_churn.json` for tracking across revisions.
 //!
 //! One churn step = unadvertise an agent + advertise a replacement + run
-//! one service query. With maintenance off, every step invalidates the
-//! cached saturated model and the query pays a full recompile + saturate;
-//! with it on, the model is patched by delta saturation (additions) and
-//! delete-and-rederive (retractions).
+//! one service query. The incremental column warms the repository's
+//! cached model once, so every mutation patches it by delta saturation
+//! (additions) and delete-and-rederive (retractions). The
+//! full-resaturation column never asks the repository for its model — so
+//! there is none to patch — and scores each query against
+//! `program().saturate(edb())`, the full recompute `churn_oracle` compares
+//! the patched model with.
 
 use infosleuth_analysis::ConformanceMonitor;
 use infosleuth_bench::{median_sample, MEASURE_PASSES};
@@ -47,17 +51,15 @@ fn resource_ad(i: usize) -> Advertisement {
     )
 }
 
-fn repo_of(n: usize, incremental: bool, obs: Option<&Arc<Obs>>) -> Repository {
+fn repo_of(n: usize, obs: Option<&Arc<Obs>>) -> Repository {
     let mut repo = Repository::new();
     repo.register_ontology(healthcare_ontology());
-    repo.set_incremental(incremental);
     if let Some(obs) = obs {
         repo.set_obs(obs, "bench-broker");
     }
     for i in 0..n {
         repo.advertise(resource_ad(i)).expect("valid advertisement");
     }
-    repo.saturated();
     repo
 }
 
@@ -94,14 +96,22 @@ fn measure(
     } else {
         None
     };
-    let mut repo = repo_of(n, incremental, bundle.as_ref());
+    let mut repo = repo_of(n, bundle.as_ref());
+    if incremental {
+        repo.saturated();
+    }
     let mm = Matchmaker::default();
     let q = query();
     let mut step = |i: usize| {
         let victim = i % n;
         repo.unadvertise(&format!("ra{victim}"));
         repo.advertise(resource_ad(victim)).expect("valid advertisement");
-        black_box(mm.match_query_mut(&mut repo, &q));
+        if incremental {
+            black_box(mm.match_query_mut(&mut repo, &q));
+        } else {
+            let model = repo.program().saturate(repo.edb()).expect("stratified program");
+            black_box(mm.match_query(&repo, &model, &q));
+        }
     };
     for i in 0..warmup {
         step(i);

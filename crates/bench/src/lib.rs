@@ -175,7 +175,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_meta_carries_all_three_fields() {
+    fn run_meta_carries_both_fields() {
         let meta = run_meta();
         for key in ["\"cpu_cores\": ", "\"git_commit\": \""] {
             assert!(meta.contains(key), "missing {key} in {meta}");

@@ -37,7 +37,6 @@ pub use config::BrokerConfig;
 use crate::codec;
 use crate::digest::{CapabilityDigest, DigestBuilder};
 use crate::match_cache::{MatchCache, MatchCacheStats, DEFAULT_MATCH_CACHE_CAPACITY};
-use crate::matchmaker::Matchmaker;
 use crate::repository::{Repository, RepositoryError};
 use crate::sub_index::SubscriptionRegistry;
 use infosleuth_agent::{
@@ -253,27 +252,25 @@ impl Shared {
             state.digest = DigestBuilder::from_repo(&state.repo);
             state.digest_built_epoch = state.repo.epoch();
         }
-        // Ablated matchmakers (semantic or constraint layers off) can match
-        // agents the digest would rule out, so their digests are marked
-        // unprunable.
-        let semantics_default = self.config.matchmaker == Matchmaker::default();
-        state.digest.snapshot(&self.config.name, &state.repo, semantics_default)
+        state.digest.snapshot(&self.config.name, &state.repo)
     }
 
     /// Queues a digest re-advertisement to every known peer broker when
     /// the repository changed since the last broadcast. Delta-driven, never
-    /// polled: nothing is sent while the digest epoch is unchanged.
+    /// polled: nothing is sent while the digest epoch is unchanged. With no
+    /// peer to tell, no snapshot is taken and no epoch is recorded as
+    /// advertised, so the first write after a hello still broadcasts.
     fn broadcast_digest(&self, state: &mut State, out: &mut Outbox) {
         let epoch = state.repo.epoch();
         if state.digest_advertised_epoch == Some(epoch) {
             return;
         }
-        let digest = self.own_digest(state);
-        state.digest_advertised_epoch = Some(epoch);
         let peers = state.repo.peer_brokers();
         if peers.is_empty() {
             return;
         }
+        let digest = self.own_digest(state);
+        state.digest_advertised_epoch = Some(epoch);
         let fact = codec::digest_to_sexpr(&digest);
         for peer in peers {
             let msg = Message::new(Performative::Update)
@@ -682,7 +679,7 @@ pub fn interconnect(brokers: &[&BrokerHandle]) -> Result<(), BusError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BrokerObjective, SearchPolicy};
+    use crate::SearchPolicy;
     use infosleuth_ontology::{
         paper_class_ontology, AgentLocation, AgentType, Capability, ConversationType,
         OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
@@ -807,37 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn hop_count_limits_search_depth() {
-        // Chain: broker1 knows broker2 knows broker3; agent only on broker3.
-        let bus = Bus::new();
-        let b1 = spawn_broker(&bus, "broker1");
-        let b2 = spawn_broker(&bus, "broker2");
-        let b3 = spawn_broker(&bus, "broker3");
-        // Advertise before wiring the chain: stripping the reverse edges
-        // below also severs the digest-update channel, so broker3's hello
-        // digest must already cover ra9.
-        let mut ra = bus.register("ra9").unwrap();
-        advertise_to(&mut ra, "broker3", &resource_ad("ra9", &["C1"]), T).unwrap();
-        b1.connect_peer("broker2").unwrap();
-        b2.connect_peer("broker3").unwrap();
-        // Remove reverse edges so the chain is strictly forward.
-        b2.with_repository(|r| r.unadvertise_broker("broker1"));
-        b3.with_repository(|r| r.unadvertise_broker("broker2"));
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"]);
-        let hop1 = SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories };
-        assert!(query_broker(&mut ra, "broker1", &q, Some(hop1), T).unwrap().is_empty());
-        let hop2 = SearchPolicy { hop_count: 2, follow: crate::FollowOption::AllRepositories };
-        let found = query_broker(&mut ra, "broker1", &q, Some(hop2), T).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].name, "ra9");
-        b1.stop();
-        b2.stop();
-        b3.stop();
-    }
-
-    #[test]
     fn visited_list_prevents_cycles() {
         // Fully-connected triangle; query must terminate and not duplicate.
         let bus = Bus::new();
@@ -878,69 +844,6 @@ mod tests {
         assert_eq!(found[0].name, "ra1");
         b1.stop();
         b2.stop();
-    }
-
-    #[test]
-    fn specialized_broker_forwards_mismatched_advertisements() {
-        let bus = Bus::new();
-        let health = BrokerAgent::spawn(
-            &bus,
-            BrokerConfig::new("health-broker", "tcp://h1:1")
-                .with_objective(BrokerObjective::specialized(["healthcare"])),
-            seeded_repo(),
-        )
-        .unwrap();
-        let general = spawn_broker(&bus, "general-broker");
-        health.connect_peer("general-broker").unwrap();
-        let mut agent = bus.register("food-ra").unwrap();
-        let mut food_ad = resource_ad("food-ra", &[]);
-        food_ad.semantic.content = vec![OntologyContent::new("food").with_classes(["supplier"])];
-        // The specialized broker declines and suggests the general one.
-        let msg = Message::new(Performative::Advertise)
-            .with_content(codec::advertisement_to_sexpr(&food_ad));
-        let reply = agent.request("health-broker", msg, T).unwrap();
-        assert_eq!(reply.performative, Performative::Sorry);
-        let suggestions = reply.content().unwrap().as_list().unwrap();
-        assert_eq!(suggestions[0], SExpr::atom("forward-to"));
-        assert!(suggestions[1..].contains(&SExpr::atom("general-broker")));
-        // The general broker accepts it.
-        assert!(advertise_to(&mut agent, "general-broker", &food_ad, T).unwrap());
-        health.stop();
-        general.stop();
-    }
-
-    #[test]
-    fn agents_discover_brokers_through_a_broker() {
-        // §4.1: query a broker for the brokers available for a domain.
-        let bus = Bus::new();
-        let general = spawn_broker(&bus, "general-broker");
-        let specialist = BrokerAgent::spawn(
-            &bus,
-            BrokerConfig::new("health-broker", "tcp://hb.mcc.com:5502")
-                .with_objective(BrokerObjective::specialized(["healthcare"])),
-            seeded_repo(),
-        )
-        .unwrap();
-        interconnect(&[&general, &specialist]).unwrap();
-        let mut agent = bus.register("newcomer").unwrap();
-        // All brokers, any domain.
-        let q = ServiceQuery::for_agent_type(AgentType::Broker);
-        let all = query_broker(&mut agent, "general-broker", &q, None, T).unwrap();
-        let mut names: Vec<&str> = all.iter().map(|m| m.name.as_str()).collect();
-        names.sort();
-        assert_eq!(names, vec!["general-broker", "health-broker"]);
-        // Healthcare domain: the specialist ranks first.
-        let q = ServiceQuery::for_agent_type(AgentType::Broker).with_ontology("healthcare");
-        let hc = query_broker(&mut agent, "general-broker", &q, None, T).unwrap();
-        assert_eq!(hc[0].name, "health-broker");
-        assert_eq!(hc.len(), 2); // generalist still serves any domain
-                                 // Food domain: the healthcare specialist is excluded.
-        let q = ServiceQuery::for_agent_type(AgentType::Broker).with_ontology("food");
-        let food = query_broker(&mut agent, "general-broker", &q, None, T).unwrap();
-        let names: Vec<&str> = food.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, vec!["general-broker"]);
-        general.stop();
-        specialist.stop();
     }
 
     #[test]

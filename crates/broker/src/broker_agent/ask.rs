@@ -7,7 +7,7 @@ use super::{
     SUSPECT_MAX_BACKOFF,
 };
 use crate::codec::{self, SearchRequest};
-use crate::matchmaker::MatchResult;
+use crate::matchmaker::{MatchResult, Matchmaker};
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_agent::{AgentContext, BusError, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
@@ -138,7 +138,7 @@ fn collaborative_search(
     untruncated.max_matches = None;
     let local = {
         let repo = &mut shared.state.lock().repo;
-        shared.config.matchmaker.match_query_cached(repo, &shared.cache, &untruncated)
+        Matchmaker::default().match_query_cached(repo, &shared.cache, &untruncated)
     };
     // Peer expansion and truncation below mutate the list, so the shared
     // rows are copied out; the copy is proportional to the answer, not to

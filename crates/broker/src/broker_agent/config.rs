@@ -1,6 +1,5 @@
 //! Static configuration for one broker.
 
-use crate::matchmaker::Matchmaker;
 use crate::objective::BrokerObjective;
 use crate::policy::SearchPolicy;
 use infosleuth_ontology::{
@@ -24,7 +23,6 @@ pub struct BrokerConfig {
     pub peer_timeout: Duration,
     /// Consortium memberships (Fig. 13).
     pub consortia: BTreeSet<String>,
-    pub matchmaker: Matchmaker,
     /// Liveness sweep interval: "the broker periodically pings each of the
     /// agents that have advertised to it, to discover any agents that have
     /// failed. The broker removes from its repository all information about
@@ -57,7 +55,6 @@ impl BrokerConfig {
             default_policy: SearchPolicy::default(),
             peer_timeout: Duration::from_secs(2),
             consortia: BTreeSet::new(),
-            matchmaker: Matchmaker::default(),
             ping_interval: Some(Duration::from_secs(30)),
             batch_limit: 1,
             #[cfg(feature = "seeded-reorder")]

@@ -147,10 +147,15 @@ fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Out
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{spawn_broker, T};
-    use crate::{codec, BrokerConfig, CapabilityDigest};
+    use super::super::tests::{resource_ad, seeded_repo, spawn_broker, T};
+    use super::super::{interconnect, BrokerAgent};
+    use crate::{
+        advertise_to, codec, query_broker, BrokerConfig, BrokerObjective, CapabilityDigest,
+        SearchPolicy,
+    };
     use infosleuth_agent::Bus;
     use infosleuth_kqml::{Message, Performative, SExpr};
+    use infosleuth_ontology::{AgentType, OntologyContent, ServiceQuery};
 
     #[test]
     fn rejected_digest_leaves_the_stored_one_in_place() {
@@ -177,5 +182,133 @@ mod tests {
         assert_eq!(reply.performative, Performative::Error);
         assert_eq!(b1.peer_digest_epoch("broker2"), Some(7));
         b1.stop();
+    }
+
+    #[test]
+    fn peerless_write_takes_no_digest_and_the_write_after_a_hello_broadcasts() {
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let mut client = bus.register("client").unwrap();
+        let advertised_epoch = || b1.shared.state.lock().digest_advertised_epoch;
+        let repo_epoch = || b1.shared.state.lock().repo.epoch();
+        // Nobody to tell: the write is acknowledged, nothing is recorded
+        // as advertised.
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
+        assert_eq!(advertised_epoch(), None);
+        // broker2 says hello; the reply carries the digest as of that write.
+        let mut peer = bus.register("broker2").unwrap();
+        let me = BrokerConfig::new("broker2", "tcp://b2.mcc.com:5500").broker_advertisement();
+        let hello = Message::new(Performative::Advertise)
+            .with_ontology("infosleuth-service")
+            .with_content(codec::broker_hello_to_sexpr(&me, None));
+        let reply = peer.request("broker1", hello, T).unwrap();
+        let told = codec::embedded_digest(reply.content().unwrap()).unwrap();
+        assert_eq!((told.epoch, told.ads), (repo_epoch(), 1));
+        assert_eq!(advertised_epoch(), None);
+        // The first write with a peer on file reaches it.
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C3"]), T).unwrap());
+        let update = peer.recv_timeout(T).expect("digest re-advertisement").message;
+        assert_eq!(update.performative, Performative::Update);
+        let digest = codec::digest_from_sexpr(update.content().unwrap()).unwrap();
+        assert_eq!(
+            (digest.broker.as_str(), digest.epoch, digest.ads),
+            ("broker1", repo_epoch(), 2)
+        );
+        assert_eq!(advertised_epoch(), Some(repo_epoch()));
+        b1.stop();
+    }
+
+    #[test]
+    fn hop_count_limits_search_depth() {
+        // Chain: broker1 knows broker2 knows broker3; agent only on broker3.
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let b2 = spawn_broker(&bus, "broker2");
+        let b3 = spawn_broker(&bus, "broker3");
+        // Advertise before wiring the chain: stripping the reverse edges
+        // below also severs the digest-update channel, so broker3's hello
+        // digest must already cover ra9.
+        let mut ra = bus.register("ra9").unwrap();
+        advertise_to(&mut ra, "broker3", &resource_ad("ra9", &["C1"]), T).unwrap();
+        b1.connect_peer("broker2").unwrap();
+        b2.connect_peer("broker3").unwrap();
+        // Remove reverse edges so the chain is strictly forward.
+        b2.with_repository(|r| r.unadvertise_broker("broker1"));
+        b3.with_repository(|r| r.unadvertise_broker("broker2"));
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let hop1 = SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories };
+        assert!(query_broker(&mut ra, "broker1", &q, Some(hop1), T).unwrap().is_empty());
+        let hop2 = SearchPolicy { hop_count: 2, follow: crate::FollowOption::AllRepositories };
+        let found = query_broker(&mut ra, "broker1", &q, Some(hop2), T).unwrap();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].name, "ra9");
+        b1.stop();
+        b2.stop();
+        b3.stop();
+    }
+
+    #[test]
+    fn specialized_broker_forwards_mismatched_advertisements() {
+        let bus = Bus::new();
+        let health = BrokerAgent::spawn(
+            &bus,
+            BrokerConfig::new("health-broker", "tcp://h1:1")
+                .with_objective(BrokerObjective::specialized(["healthcare"])),
+            seeded_repo(),
+        )
+        .unwrap();
+        let general = spawn_broker(&bus, "general-broker");
+        health.connect_peer("general-broker").unwrap();
+        let mut agent = bus.register("food-ra").unwrap();
+        let mut food_ad = resource_ad("food-ra", &[]);
+        food_ad.semantic.content = vec![OntologyContent::new("food").with_classes(["supplier"])];
+        // The specialized broker declines and suggests the general one.
+        let msg = Message::new(Performative::Advertise)
+            .with_content(codec::advertisement_to_sexpr(&food_ad));
+        let reply = agent.request("health-broker", msg, T).unwrap();
+        assert_eq!(reply.performative, Performative::Sorry);
+        let suggestions = reply.content().unwrap().as_list().unwrap();
+        assert_eq!(suggestions[0], SExpr::atom("forward-to"));
+        assert!(suggestions[1..].contains(&SExpr::atom("general-broker")));
+        // The general broker accepts it.
+        assert!(advertise_to(&mut agent, "general-broker", &food_ad, T).unwrap());
+        health.stop();
+        general.stop();
+    }
+
+    #[test]
+    fn agents_discover_brokers_through_a_broker() {
+        // §4.1: query a broker for the brokers available for a domain.
+        let bus = Bus::new();
+        let general = spawn_broker(&bus, "general-broker");
+        let specialist = BrokerAgent::spawn(
+            &bus,
+            BrokerConfig::new("health-broker", "tcp://hb.mcc.com:5502")
+                .with_objective(BrokerObjective::specialized(["healthcare"])),
+            seeded_repo(),
+        )
+        .unwrap();
+        interconnect(&[&general, &specialist]).unwrap();
+        let mut agent = bus.register("newcomer").unwrap();
+        // All brokers, any domain.
+        let q = ServiceQuery::for_agent_type(AgentType::Broker);
+        let all = query_broker(&mut agent, "general-broker", &q, None, T).unwrap();
+        let mut names: Vec<&str> = all.iter().map(|m| m.name.as_str()).collect();
+        names.sort();
+        assert_eq!(names, vec!["general-broker", "health-broker"]);
+        // Healthcare domain: the specialist ranks first.
+        let q = ServiceQuery::for_agent_type(AgentType::Broker).with_ontology("healthcare");
+        let hc = query_broker(&mut agent, "general-broker", &q, None, T).unwrap();
+        assert_eq!(hc[0].name, "health-broker");
+        assert_eq!(hc.len(), 2); // generalist still serves any domain
+                                 // Food domain: the healthcare specialist is excluded.
+        let q = ServiceQuery::for_agent_type(AgentType::Broker).with_ontology("food");
+        let food = query_broker(&mut agent, "general-broker", &q, None, T).unwrap();
+        let names: Vec<&str> = food.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, vec!["general-broker"]);
+        general.stop();
+        specialist.stop();
     }
 }

@@ -7,6 +7,7 @@
 
 use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared, State};
 use crate::codec;
+use crate::matchmaker::Matchmaker;
 use crate::sub_index::{result_delta, SubId};
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
@@ -38,7 +39,7 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         if report.has_errors() {
             return out.push((env.from.clone(), sorry_reply(env, report.render_human(None))));
         }
-        let initial = shared.config.matchmaker.match_query_cached(repo, &shared.cache, &query);
+        let initial = Matchmaker::default().match_query_cached(repo, &shared.cache, &query);
         let sub_key = msg
             .reply_with()
             .map(str::to_string)
@@ -108,7 +109,7 @@ pub(super) fn notify(
     let State { repo, subs, .. } = state;
     for id in affected {
         let Some(sub) = subs.entry(id) else { continue };
-        let new = shared.config.matchmaker.match_query_cached(repo, &shared.cache, &sub.query);
+        let new = Matchmaker::default().match_query_cached(repo, &shared.cache, &sub.query);
         let (matched, unmatched) = result_delta(&sub.last, &new);
         if matched.is_empty() && unmatched.is_empty() {
             continue;

@@ -40,11 +40,10 @@
 //!   the slot and could match any window, so the dimension must not
 //!   prune.
 //!
-//! When the repository has derived inference rules registered (or the
-//! broker runs an ablated matchmaker), class and capability membership
-//! can be invented outside the index's view; the digest then carries
-//! `unprunable = true` and peers never prune that broker — exactly the
-//! fallback `Matchmaker::candidates` itself takes.
+//! When the repository has derived inference rules registered, class and
+//! capability membership can be invented outside the index's view; the
+//! digest then carries `unprunable = true` and peers never prune that
+//! broker — exactly the fallback `Matchmaker::candidates` itself takes.
 
 use crate::repository::Repository;
 use crate::sub_index::{ad_slot_hulls, numeric_hull};
@@ -115,7 +114,7 @@ pub struct CapabilityDigest {
     /// agents at all — always prunable.
     pub ads: u64,
     /// Set when the repository cannot be soundly summarized (derived
-    /// rules registered, or an ablated matchmaker): peers must forward.
+    /// rules registered): peers must forward.
     pub unprunable: bool,
     /// Bloom probe count.
     pub k: u32,
@@ -330,15 +329,7 @@ impl DigestBuilder {
     }
 
     /// Snapshots the current state as an exchangeable digest.
-    /// `semantics_default` is false when the broker runs an ablated
-    /// matchmaker, which (like derived rules) makes pruning unsound.
-    pub fn snapshot(
-        &self,
-        broker: &str,
-        repo: &Repository,
-        semantics_default: bool,
-    ) -> CapabilityDigest {
-        let unprunable = repo.has_derived_rules() || !semantics_default;
+    pub fn snapshot(&self, broker: &str, repo: &Repository) -> CapabilityDigest {
         let n = self.refs.len();
         let m_bits = (n * BLOOM_BITS_PER_SYMBOL).next_power_of_two().max(BLOOM_MIN_BITS);
         let mut bits = vec![0u64; m_bits / 64];
@@ -371,7 +362,7 @@ impl DigestBuilder {
             broker: broker.to_string(),
             epoch: repo.epoch(),
             ads: total as u64,
-            unprunable,
+            unprunable: repo.has_derived_rules(),
             k: BLOOM_K,
             bits,
             slot_hulls,
@@ -415,7 +406,7 @@ mod tests {
     }
 
     fn digest_of(repo: &Repository) -> CapabilityDigest {
-        DigestBuilder::from_repo(repo).snapshot("b", repo, true)
+        DigestBuilder::from_repo(repo).snapshot("b", repo)
     }
 
     #[test]
@@ -499,15 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn ablated_matchmaker_makes_the_digest_unprunable() {
-        let mut r = repo();
-        r.advertise(resource("ra", &["C1"])).unwrap();
-        let d = DigestBuilder::from_repo(&r).snapshot("b", &r, false);
-        assert!(d.unprunable);
-        assert!(d.can_match(&class_query("C3")));
-    }
-
-    #[test]
     fn unadvertise_restores_prunability() {
         let mut r = repo();
         let mut b = DigestBuilder::new();
@@ -516,10 +498,10 @@ mod tests {
         for ad in r.agents() {
             b.advertise(ad, &r);
         }
-        assert!(b.snapshot("b", &r, true).can_match(&class_query("C3")));
+        assert!(b.snapshot("b", &r).can_match(&class_query("C3")));
         assert!(b.unadvertise("rb"));
         assert!(!b.unadvertise("rb"), "second removal is a no-op");
-        let d = b.snapshot("b", &r, true);
+        let d = b.snapshot("b", &r);
         assert!(d.can_match(&class_query("C1")), "remaining agent still matches");
         assert!(!d.can_match(&class_query("C3")), "removed agent's classes pruned");
     }
@@ -531,7 +513,7 @@ mod tests {
         r.advertise(resource("ra", &["C1"])).unwrap();
         b.advertise(r.advertisement_arc("ra").unwrap(), &r);
         b.advertise(&resource("ra", &["C3"]), &r);
-        let d = b.snapshot("b", &r, true);
+        let d = b.snapshot("b", &r);
         assert_eq!(d.ads, 1);
         assert!(d.can_match(&class_query("C3")));
         assert!(!d.can_match(&class_query("C1")));
@@ -592,9 +574,9 @@ mod tests {
     fn fill_ratio_reflects_population() {
         let r = repo();
         let mut b = DigestBuilder::new();
-        assert_eq!(b.snapshot("b", &r, true).fill_ratio(), 0.0);
+        assert_eq!(b.snapshot("b", &r).fill_ratio(), 0.0);
         b.advertise(&resource("ra", &["C1"]), &r);
-        let d = b.snapshot("b", &r, true);
+        let d = b.snapshot("b", &r);
         assert!(d.fill_ratio() > 0.0 && d.fill_ratio() < 0.5);
     }
 }

@@ -37,8 +37,8 @@ use infosleuth_agent::{
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::{
-    sample_interval_from_env, sample_once, Gauge, HealthEngine, HealthEvent, HealthState, Obs,
-    Severity, TimeSeriesStore,
+    sample_once, Gauge, HealthEngine, HealthEvent, HealthState, Obs, Severity, TimeSeriesStore,
+    MIN_SAMPLE_INTERVAL,
 };
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentType, Capability, ConversationType, OntologyContent,
@@ -64,8 +64,7 @@ pub struct HealthPublisherConfig {
     pub broker: String,
     /// Monitor agent for `(health-state …)` tells; `None` skips them.
     pub monitor: Option<String>,
-    /// Programmed sampling cadence; `INFOSLEUTH_OBS_SAMPLE_MS`
-    /// overrides it at spawn (clamped ≥ 10 ms).
+    /// Sampling cadence (clamped ≥ 10 ms at spawn).
     pub interval: Duration,
     /// Points retained per metric series.
     pub store_capacity: usize,
@@ -290,8 +289,7 @@ impl HealthPublisherHandle {
 
 /// Spawns a [`HealthPublisher`] named `health.<broker>` on `runtime`,
 /// sampling with the stock broker watermark rules
-/// ([`infosleuth_obs::default_broker_rules`]). The effective interval
-/// honours `INFOSLEUTH_OBS_SAMPLE_MS`.
+/// ([`infosleuth_obs::default_broker_rules`]).
 pub fn spawn_health_publisher(
     runtime: &AgentRuntime,
     config: HealthPublisherConfig,
@@ -309,7 +307,7 @@ pub fn spawn_health_publisher_with(
     let name = format!("health.{}", config.broker);
     let obs = Arc::clone(runtime.obs());
     let level = obs.registry().gauge("broker_health_level", &[("broker", &config.broker)]);
-    let interval = sample_interval_from_env(config.interval);
+    let interval = config.interval.max(MIN_SAMPLE_INTERVAL);
     let publisher = Arc::new(HealthPublisher {
         name: name.clone(),
         store: Arc::new(TimeSeriesStore::new(config.store_capacity)),

@@ -5,7 +5,7 @@
 //! If a broker fails to take into account semantic constraints, the
 //! recommended agent may perform some action different than the one
 //! intended." (§2.3) — so the matchmaker always applies both, in that
-//! order. The two `use_*` knobs exist for the ablation benchmarks only.
+//! order.
 
 use crate::repository::{IdSet, Repository};
 use crate::sub_index::numeric_hull;
@@ -42,21 +42,10 @@ struct MatchOutcome<'a> {
     content_ontology: Option<&'a str>,
 }
 
-/// The matchmaking engine. The flags disable layers for ablation studies;
-/// production brokers keep both on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Matchmaker {
-    /// Apply semantic reasoning (capabilities, content, constraints).
-    pub use_semantic: bool,
-    /// Apply data-constraint overlap pruning (subset of semantic layer).
-    pub use_constraints: bool,
-}
-
-impl Default for Matchmaker {
-    fn default() -> Self {
-        Matchmaker { use_semantic: true, use_constraints: true }
-    }
-}
+/// The matchmaking engine: the syntactic layer, then the semantic one
+/// (capabilities, content, data constraints) — always both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Matchmaker {}
 
 /// Score weights (see the ranking rationale in the module tests): exact
 /// matches beat hierarchy-covered matches beat partial contributions.
@@ -176,8 +165,8 @@ impl Matchmaker {
     /// over-approximation of the agents that can match it — and the
     /// dimensions are ANDed word by word, so the result still contains
     /// every true match. Dimensions that cannot be soundly pruned
-    /// (derived rules in play, semantic layer disabled) do not take part;
-    /// with none at all this degrades to the full scan.
+    /// (derived rules in play) do not take part; with none at all this
+    /// degrades to the full scan.
     ///
     /// The survivors then meet the data constraints: an advertisement
     /// whose hull on a slot (see `ad_slot_hulls`) is disjoint from the
@@ -209,39 +198,34 @@ impl Matchmaker {
         for conv in &query.conversations {
             dimension!(index.conversation(conv).into_iter());
         }
-        if self.use_semantic {
-            // A required ontology means only content records of that
-            // ontology can carry the semantic match.
-            if let Some(onto) = &query.ontology {
-                let Some(of_onto) = index.ontology(onto) else { return Vec::new() };
-                dimension!(std::iter::once(of_onto.any()));
-                // Derived rules can invent class memberships the index
-                // never saw, so this pruning is disabled when any are
-                // registered.
-                if !repo.has_derived_rules() {
-                    for class in &query.classes {
-                        let related = repo.satisfying_classes(onto, class);
-                        dimension!(related.iter().filter_map(|c| of_onto.class(c)));
-                    }
-                }
-            }
-            // Likewise derived rules can grant capabilities indirectly.
+        // A required ontology means only content records of that ontology
+        // can carry the semantic match.
+        if let Some(onto) = &query.ontology {
+            let Some(of_onto) = index.ontology(onto) else { return Vec::new() };
+            dimension!(std::iter::once(of_onto.any()));
+            // Derived rules can invent class memberships the index never
+            // saw, so this pruning is disabled when any are registered.
             if !repo.has_derived_rules() {
-                for cap in &query.capabilities {
-                    let covering = repo.satisfying_capabilities(cap.as_str());
-                    dimension!(covering.iter().filter_map(|c| index.capability(c)));
+                for class in &query.classes {
+                    let related = repo.satisfying_classes(onto, class);
+                    dimension!(related.iter().filter_map(|c| of_onto.class(c)));
                 }
             }
-            if self.use_constraints {
-                for slot in query.constraints.constrained_slots() {
-                    let (Some(window), Some(column)) =
-                        (numeric_hull(&query.constraints, slot), index.hull_column(slot))
-                    else {
-                        continue;
-                    };
-                    column.clear_disjoint(window, survivors.get_or_insert_with(|| index.all_ids()));
-                }
+        }
+        // Likewise derived rules can grant capabilities indirectly.
+        if !repo.has_derived_rules() {
+            for cap in &query.capabilities {
+                let covering = repo.satisfying_capabilities(cap.as_str());
+                dimension!(covering.iter().filter_map(|c| index.capability(c)));
             }
+        }
+        for slot in query.constraints.constrained_slots() {
+            let (Some(window), Some(column)) =
+                (numeric_hull(&query.constraints, slot), index.hull_column(slot))
+            else {
+                continue;
+            };
+            column.clear_disjoint(window, survivors.get_or_insert_with(|| index.all_ids()));
         }
         match survivors {
             Some(words) => index.ads_in(&words),
@@ -300,9 +284,6 @@ impl Matchmaker {
         }
         let mut score = 1; // base score for a syntactic match
         let mut content_ontology = None;
-        if !self.use_semantic {
-            return Some(MatchOutcome { score, content_ontology });
-        }
 
         // ---- Semantic layer: capabilities ------------------------------
         let agent = Sym::lookup(&ad.location.name);
@@ -332,7 +313,7 @@ impl Matchmaker {
                 .max_by_key(|(s, _)| *s)?;
             score += best_score;
             content_ontology = Some(best_ontology);
-        } else if self.use_constraints && !query.constraints.is_trivial() {
+        } else if !query.constraints.is_trivial() {
             // No specific ontology/classes requested, but data constraints
             // given: any advertised content must not rule out overlap.
             if !ad.semantic.content.is_empty()
@@ -417,7 +398,7 @@ impl Matchmaker {
         }
 
         // Data constraints.
-        if self.use_constraints && !query.constraints.is_trivial() {
+        if !query.constraints.is_trivial() {
             if !content.constraints.overlaps(&query.constraints) {
                 return None;
             }
@@ -821,17 +802,6 @@ mod tests {
         }
         let q = ServiceQuery::for_agent_type(AgentType::Resource).one();
         assert_eq!(Matchmaker::default().match_query_mut(&mut r, &q).len(), 1);
-    }
-
-    #[test]
-    fn ablation_syntactic_only_ignores_semantics() {
-        let mut r = repo();
-        r.advertise(resource("ra", &["C1"])).unwrap();
-        let q = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_capability(Capability::data_mining()); // not advertised
-        assert!(Matchmaker::default().match_query_mut(&mut r, &q).is_empty());
-        let syntactic_only = Matchmaker { use_semantic: false, use_constraints: false };
-        assert_eq!(syntactic_only.match_query_mut(&mut r, &q).len(), 1);
     }
 
     #[test]

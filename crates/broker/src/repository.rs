@@ -342,7 +342,6 @@ pub struct Repository {
     program: Option<Arc<Program>>,
     index: AdIndex,
     saturated: Option<Arc<Saturated>>,
-    incremental: bool,
     /// Bumped on every mutation that can change matchmaking results
     /// (advertise/unadvertise/ontology/rule registration); match caches
     /// tag entries with it and treat a mismatch as a miss.
@@ -382,7 +381,6 @@ impl Repository {
             program: None,
             index: AdIndex::default(),
             saturated: None,
-            incremental: true,
             epoch: 0,
             stats: MaintenanceStats::default(),
             obs: None,
@@ -629,15 +627,12 @@ impl Repository {
     /// Applies a fact delta to the cached saturated model. With no cached
     /// model there is nothing to patch — the next [`saturated`](Self::saturated)
     /// call recomputes from the (already updated) EDB. When incremental
-    /// maintenance is disabled or refused (negation in derived rules), the
-    /// cache is dropped instead.
+    /// maintenance is refused (negation in derived rules), the cache is
+    /// dropped instead.
     fn patch_model(&mut self, removed: Option<&Database>, added: Option<&Database>) {
         let _t = self.stage("saturation");
         // No model to patch: the next `saturated` call rebuilds it.
         let Some(mut cached) = self.saturated.take() else { return };
-        if !self.incremental {
-            return;
-        }
         let program = self.program();
         if program.has_negation() {
             // The in-place patches would refuse anyway; drop the cache so
@@ -768,15 +763,6 @@ impl Repository {
     /// repository contents.
     pub fn edb(&self) -> &Database {
         &self.edb
-    }
-
-    /// Enables or disables incremental model maintenance. With it off,
-    /// every mutation invalidates the cached model and the next
-    /// [`saturated`](Self::saturated) call pays a full recompute — the
-    /// pre-optimization behavior, kept as a correctness oracle and for
-    /// benchmarking.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
     }
 
     /// How the cached model has been maintained so far.

@@ -8,7 +8,7 @@
 //! with `--nocapture` for the bytes-per-advertisement table
 //! (EXPERIMENTS.md, "Bytes per advertisement").
 
-use infosleuth_broker::Repository;
+use infosleuth_broker::{DigestBuilder, Repository};
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentType, Capability, ClassDef, ConversationType, Ontology,
@@ -121,6 +121,12 @@ fn saturated_empty_repo() -> Repository {
 /// and is half the parent's figure.
 const CEILING_BYTES_PER_AD: f64 = 5_600.0;
 
+/// On top of that, every broker — peers or not — keeps a [`DigestBuilder`]
+/// contribution per advertisement (its name, its hashed symbols, its slot
+/// hulls, and a share of the refcount table): 1 057 B in 6.0 allocations
+/// for this population. The number the digests' own rework starts from.
+const CEILING_DIGEST_BYTES_PER_AD: f64 = 1_200.0;
+
 #[test]
 fn bytes_per_advertisement_stay_under_the_ceiling() {
     let _alone = alone();
@@ -156,16 +162,20 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     let t2 = live();
     let _ = cold.saturated();
     let t3 = live();
+    let digest = DigestBuilder::from_repo(&cold);
+    let t4 = live();
     let advertised = repo.approx_size_bytes() as f64 / N as f64;
     eprintln!(
         "per advertisement: {advertised:.1} advertised bytes (approx_size_bytes); live heap:"
     );
     let stored = per_ad(t1, t2);
+    let digest_row = per_ad(t3, t4);
     let rows = [
         ("repository, model patched", (bytes, allocs)),
         ("  advertisement", per_ad(t0, t1)),
         ("  narrowing index + EDB", (stored.0 - per_ad(t0, t1).0, stored.1 - per_ad(t0, t1).1)),
         ("  model, saturated once", per_ad(t2, t3)),
+        ("digest builder, beside it", digest_row),
     ];
     for (what, (bytes, allocs)) in rows {
         eprintln!("{what:<28} {bytes:>6.0} B in {allocs:>5.1} allocations");
@@ -175,6 +185,12 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     assert!(
         bytes <= CEILING_BYTES_PER_AD,
         "{bytes:.0} live bytes per advertisement, ceiling {CEILING_BYTES_PER_AD}"
+    );
+    assert_eq!(digest.len(), N);
+    assert!(
+        digest_row.0 <= CEILING_DIGEST_BYTES_PER_AD,
+        "{:.0} digest-builder bytes per advertisement, ceiling {CEILING_DIGEST_BYTES_PER_AD}",
+        digest_row.0
     );
 }
 

@@ -23,7 +23,7 @@ use infosleuth_agent::{AgentBehavior, AgentContext, Envelope, Transport};
 use infosleuth_broker::{BrokerAgent, BrokerConfig, BrokerCore, Repository};
 use infosleuth_kqml::Message;
 use infosleuth_obs::Obs;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -97,8 +97,6 @@ pub struct World {
     batch_limit: usize,
     /// Broker arrival queue: delivered but not yet dispatched.
     arrivals: VecDeque<(Envelope, VectorClock)>,
-    /// Messages consumed by passive clients, per client, in delivery order.
-    received: BTreeMap<String, Vec<Message>>,
     /// Applied actions with the destination clock after each.
     trace: Vec<(Action, VectorClock)>,
 }
@@ -143,7 +141,6 @@ impl World {
             behavior,
             batch_limit: config.batch_limit.max(1),
             arrivals: VecDeque::new(),
-            received: BTreeMap::new(),
             trace: Vec::new(),
         }
     }
@@ -163,11 +160,6 @@ impl World {
         actions
     }
 
-    /// Nothing left to deliver or dispatch: the schedule is complete.
-    pub fn is_quiescent(&self) -> bool {
-        self.enabled().is_empty()
-    }
-
     /// Applies one enabled action. Panics on a disabled action — the
     /// explorer only replays action sequences it derived from `enabled`.
     pub fn apply(&mut self, action: &Action) {
@@ -181,7 +173,6 @@ impl World {
                     self.trace.push((action.clone(), clock));
                 } else {
                     let after = self.transport.advance_clock(to, std::slice::from_ref(&clock));
-                    self.received.entry(to.clone()).or_default().push(message);
                     self.trace.push((action.clone(), after));
                 }
             }
@@ -220,11 +211,6 @@ impl World {
     /// the broker sent, in send order).
     pub fn log(&self) -> Vec<SentRecord> {
         self.transport.log()
-    }
-
-    /// Messages consumed by a passive client, in delivery order.
-    pub fn received_by(&self, client: &str) -> &[Message] {
-        self.received.get(client).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Applied actions with the destination clock after each step.

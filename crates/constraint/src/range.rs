@@ -59,11 +59,6 @@ impl Range {
         Range { lo: Bound::Unbounded, hi }
     }
 
-    /// Whether this range constrains nothing.
-    pub fn is_full(&self) -> bool {
-        self.lo == Bound::Unbounded && self.hi == Bound::Unbounded
-    }
-
     /// Whether this range denotes exactly one value; returns it if so.
     pub fn as_point(&self) -> Option<&Value> {
         match (&self.lo, &self.hi) {

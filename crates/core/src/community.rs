@@ -73,12 +73,6 @@ impl ResourceDef {
         self
     }
 
-    /// Enables §4.2.2 maintenance (broker pings + re-advertising).
-    pub fn with_maintenance(mut self, interval: Duration) -> Self {
-        self.maintenance_interval = Some(interval);
-        self
-    }
-
     /// Derives the agent's advertisement from its catalog and ontology.
     /// Public so distributed deployments can build a [`ResourceSpec`]
     /// without going through [`CommunityBuilder`].
@@ -160,22 +154,9 @@ impl CommunityBuilder {
         self
     }
 
-    /// Adds a broker with full configuration control (specialization,
-    /// policies, consortia).
-    pub fn add_broker_with(mut self, config: BrokerConfig) -> Self {
-        self.broker_configs.push(config);
-        self
-    }
-
     /// Adds a resource agent.
     pub fn add_resource(mut self, def: ResourceDef) -> Self {
         self.resources.push(def);
-        self
-    }
-
-    /// Request/reply timeout used by all agents in the community.
-    pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.timeout = t;
         self
     }
 
@@ -370,17 +351,6 @@ impl Community {
         if let Some(pos) = self.brokers.iter().position(|b| b.name() == name) {
             let b = self.brokers.remove(pos);
             b.stop();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Stops a resource agent. Returns false if no such agent.
-    pub fn stop_resource(&mut self, name: &str) -> bool {
-        if let Some(pos) = self.resources.iter().position(|r| r.name() == name) {
-            let r = self.resources.remove(pos);
-            r.stop();
             true
         } else {
             false

@@ -180,12 +180,6 @@ impl MonitorAgentHandle {
         self.scrape.as_ref().map(MetricsServer::local_addr)
     }
 
-    /// The merged metrics of every reporting runtime, rendered as
-    /// Prometheus text (exactly what the scrape endpoint serves).
-    pub fn metrics_text(&self) -> String {
-        render_merged(&self.obs_store.lock().snapshots)
-    }
-
     /// Sources that have forwarded at least one metrics snapshot.
     pub fn snapshot_sources(&self) -> Vec<String> {
         self.obs_store.lock().snapshots.keys().cloned().collect()

@@ -25,7 +25,6 @@ use infosleuth_ontology::{
     ServiceQuery, SyntacticInfo,
 };
 use infosleuth_relquery::{execute, parse_select, plan, referenced_classes, Catalog, Table};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -240,10 +239,4 @@ fn assemble_class(
         }
     }
     merge_class_extent(class, contributions, ontology).map_err(|e| e.to_string())
-}
-
-/// Convenience map of per-class contributor counts, used by examples and
-/// diagnostics.
-pub fn contributor_counts(matches: &[(String, Vec<String>)]) -> BTreeMap<String, usize> {
-    matches.iter().map(|(class, agents)| (class.clone(), agents.len())).collect()
 }

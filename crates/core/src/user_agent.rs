@@ -127,12 +127,6 @@ impl UserAgent {
             }
         }
     }
-
-    /// Direct access to the underlying endpoint, for advanced scenarios
-    /// (subscriptions, custom conversations).
-    pub fn endpoint_mut(&mut self) -> &mut Endpoint {
-        &mut self.endpoint
-    }
 }
 
 #[cfg(test)]

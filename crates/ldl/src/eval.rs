@@ -47,8 +47,8 @@ impl Program {
     }
 
     /// Reference implementation: naive fixpoint, ignoring strata-internal
-    /// optimization (still stratified for negation). Used by tests and the
-    /// `ldl` ablation bench to validate semi-naive evaluation.
+    /// optimization (still stratified for negation). Used by tests to
+    /// validate semi-naive evaluation.
     pub fn saturate_naive(&self, edb: &Database) -> Result<Saturated, crate::ProgramError> {
         self.validate()?;
         let mut db = edb.clone();

@@ -4,7 +4,7 @@
 //! parameter ([`trace`]), and a tiny HTTP/1.0 scrape responder
 //! ([`http`]). See DESIGN.md §11. On top of those sits the temporal +
 //! reactive layer (DESIGN.md §16): ring-buffer metric history
-//! ([`store`]), a periodic sampler ([`sampler`]), and a declarative
+//! ([`store`]), a one-tick sampler ([`sampler`]), and a declarative
 //! watermark health engine with hysteresis ([`health`]).
 //!
 //! One [`Obs`] bundle travels with each [`AgentRuntime`]; everything
@@ -32,10 +32,7 @@ pub use metrics::{
     quantile_from_buckets, render_merged, Counter, Gauge, Histogram, Labels, MetricsRegistry,
     MetricsSnapshot, Sample, SampleValue,
 };
-pub use sampler::{
-    configured_sample_interval, sample_interval_from_env, sample_once, SampleTick, Sampler,
-    SamplerHandle, MIN_SAMPLE_INTERVAL, OBS_SAMPLE_MS_ENV,
-};
+pub use sampler::{sample_once, MIN_SAMPLE_INTERVAL};
 pub use store::{SeriesKey, SeriesPoint, TimeSeriesStore};
 pub use trace::{
     build_trace_tree, current_context, forest_topology, topology, trace_ids, JsonlSink, RingSink,

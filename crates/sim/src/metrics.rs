@@ -135,10 +135,6 @@ impl RunningStats {
         }
     }
 
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.count == 0 {
             f64::NAN

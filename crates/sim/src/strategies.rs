@@ -78,30 +78,6 @@ pub struct BrokerSimConfig {
     /// Per-message CPU cost on a receiving broker (parse + dispatch +
     /// combine) in seconds.
     pub msg_handling_s: f64,
-    /// Model the broker's epoch-tagged match cache: once a broker has
-    /// reasoned over a domain, repeat queries against that domain cost
-    /// only message handling, until a failure wipes the broker's cache.
-    /// Off by default so the paper-figure experiments are unchanged.
-    pub match_cache: bool,
-    /// Standing subscriptions registered at each broker; every
-    /// advertisement change makes the broker re-score some of them and
-    /// push delta notifications, competing with query answering for the
-    /// broker's processor. Zero (the default) reproduces the paper's
-    /// workloads, which have none.
-    pub standing_subscriptions: usize,
-    /// Fraction of the standing subscriptions one advertisement change
-    /// affects through the inverted subscription index (the subscribe
-    /// bench measures ~0.25% on its synthetic many-class workload; 1% is
-    /// a conservative default).
-    pub sub_affected_fraction: f64,
-    /// CPU cost per re-scored subscription (the epoch-tagged cached
-    /// re-score plus the delta diff — far below full reasoning).
-    pub sub_rescore_s: f64,
-    /// Route advertisement changes through the inverted subscription
-    /// index, re-scoring only the affected fraction. Turning this off
-    /// models the naive broker that re-evaluates every standing
-    /// subscription on every change.
-    pub sub_indexed: bool,
     /// Inter-broker propagation shape (specialized strategy only).
     pub fanout: Fanout,
     pub params: SimParams,
@@ -120,11 +96,6 @@ impl BrokerSimConfig {
             broker_mean_fail_s: None,
             broker_mean_repair_s: 2700.0,
             msg_handling_s: 0.25,
-            match_cache: false,
-            standing_subscriptions: 0,
-            sub_affected_fraction: 0.01,
-            sub_rescore_s: 0.01,
-            sub_indexed: true,
             fanout: Fanout::Star,
             params: SimParams::default(),
             seed: 1,
@@ -144,10 +115,6 @@ pub struct BrokerSimResult {
     /// Replied queries whose result located the unique matching resource
     /// (meaningful with `unique_domains`).
     pub located: u64,
-    /// Subscription-notification batches brokers pushed (one per
-    /// advertisement change processed while the broker was up; zero
-    /// unless `standing_subscriptions` is set).
-    pub sub_notifications: u64,
 }
 
 impl BrokerSimResult {
@@ -171,11 +138,6 @@ enum Ev {
     Arrival,
     Fail(usize),
     Repair(usize),
-    /// An advertisement change reached broker `b`'s repository; the
-    /// affected standing subscriptions must be re-scored.
-    SubChurn(usize),
-    /// Broker `b` finished re-scoring and pushed the delta notifications.
-    SubNotified(usize),
     /// Query delivered at its origin broker.
     BrokerRecv(usize),
     /// Origin finished local reasoning.
@@ -279,9 +241,6 @@ struct Sim {
     domains: usize,
     queries: Vec<Query>,
     tree: std::collections::HashMap<(usize, usize), TreeNodeState>,
-    /// Per broker: domains it has already reasoned over (the simulated
-    /// match cache); only consulted when `cfg.match_cache` is on.
-    cache_seen: Vec<Vec<bool>>,
     result: BrokerSimResult,
 }
 
@@ -325,7 +284,6 @@ pub fn run_broker_sim(cfg: BrokerSimConfig) -> BrokerSimResult {
         .map(|per_domain| per_domain.iter().map(|&c| c as f64).sum::<f64>() * cfg.params.advert_mb)
         .collect();
 
-    let brokers = cfg.brokers;
     let mut sim = Sim {
         cfg,
         rng,
@@ -337,7 +295,6 @@ pub fn run_broker_sim(cfg: BrokerSimConfig) -> BrokerSimResult {
         domains,
         queries: Vec::new(),
         tree: std::collections::HashMap::new(),
-        cache_seen: vec![vec![false; domains]; brokers],
         result: BrokerSimResult::default(),
     };
 
@@ -348,14 +305,6 @@ pub fn run_broker_sim(cfg: BrokerSimConfig) -> BrokerSimResult {
         for b in 0..sim.cfg.brokers {
             let t = sim.rng.exponential(mean_fail);
             sim.core.at(t, Ev::Fail(b));
-        }
-    }
-    // Advertisement churn driving standing-subscription notifications
-    // arrives at each broker at the §4.2.2 maintenance cadence.
-    if sim.cfg.standing_subscriptions > 0 {
-        for b in 0..sim.cfg.brokers {
-            let t = sim.rng.exponential(sim.cfg.params.ping_interval_s);
-            sim.core.at(t, Ev::SubChurn(b));
         }
     }
 
@@ -470,24 +419,12 @@ impl Sim {
         }
     }
 
-    fn reasoning_work(&self, broker: usize, complexity: f64) -> f64 {
+    /// Reasoning cost for `broker` to answer query `qid`.
+    fn reasoning_work(&self, broker: usize, qid: usize) -> f64 {
         self.cfg.msg_handling_s
-            + complexity * self.repo_mb[broker] * self.cfg.params.broker_reason_s_per_mb
-    }
-
-    /// Reasoning cost for `broker` to answer query `qid`. With the match
-    /// cache on, the first query over a domain pays full reasoning and
-    /// primes the broker's cache; repeats pay only message handling,
-    /// until a failure wipes that broker's cache (`Ev::Fail`).
-    fn reasoning_work_for(&mut self, broker: usize, qid: usize) -> f64 {
-        let q = &self.queries[qid];
-        if self.cfg.match_cache {
-            if self.cache_seen[broker][q.domain] {
-                return self.cfg.msg_handling_s;
-            }
-            self.cache_seen[broker][q.domain] = true;
-        }
-        self.reasoning_work(broker, self.queries[qid].complexity)
+            + self.queries[qid].complexity
+                * self.repo_mb[broker]
+                * self.cfg.params.broker_reason_s_per_mb
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -495,9 +432,6 @@ impl Sim {
             Ev::Arrival => self.on_arrival(),
             Ev::Fail(b) => {
                 self.core.set_up(self.procs[b], false);
-                // A failed broker loses its in-memory match cache; it
-                // restarts cold after repair.
-                self.cache_seen[b].fill(false);
                 // The failure/repair process stops regenerating once the
                 // measurement window closes, so the run can drain.
                 if self.core.now() <= self.cfg.params.sim_duration_s {
@@ -514,34 +448,12 @@ impl Sim {
                     }
                 }
             }
-            Ev::SubChurn(b) => {
-                if self.core.now() <= self.cfg.params.sim_duration_s {
-                    let t = self.rng.exponential(self.cfg.params.ping_interval_s);
-                    self.core.at(t, Ev::SubChurn(b));
-                }
-                if !self.core.is_up(self.procs[b]) {
-                    return; // a down broker processes no repository changes
-                }
-                let subs = self.cfg.standing_subscriptions as f64;
-                let rescored = if self.cfg.sub_indexed {
-                    (subs * self.cfg.sub_affected_fraction).ceil()
-                } else {
-                    subs
-                };
-                let work = self.cfg.msg_handling_s + rescored * self.cfg.sub_rescore_s;
-                self.core.exec(self.procs[b], work, Ev::SubNotified(b));
-            }
-            Ev::SubNotified(b) => {
-                if self.core.is_up(self.procs[b]) {
-                    self.result.sub_notifications += 1;
-                }
-            }
             Ev::BrokerRecv(qid) => {
                 let origin = self.queries[qid].origin;
                 if !self.core.is_up(self.procs[origin]) {
                     return; // lost with the dead broker; no reply
                 }
-                let work = self.reasoning_work_for(origin, qid);
+                let work = self.reasoning_work(origin, qid);
                 self.core.exec(self.procs[origin], work, Ev::LocalDone(qid));
             }
             Ev::LocalDone(qid) => self.on_local_done(qid),
@@ -549,7 +461,7 @@ impl Sim {
                 if !self.core.is_up(self.procs[peer]) {
                     return; // origin's timeout will resolve this peer
                 }
-                let work = self.reasoning_work_for(peer, qid);
+                let work = self.reasoning_work(peer, qid);
                 self.core.exec(self.procs[peer], work, Ev::PeerDone { qid, peer });
             }
             Ev::PeerDone { qid, peer } => {
@@ -609,7 +521,7 @@ impl Sim {
                     return; // parent's timeout covers the lost subtree
                 }
                 self.open_tree_node(qid, node, false, 0);
-                let work = self.reasoning_work_for(node, qid);
+                let work = self.reasoning_work(node, qid);
                 self.core.exec(self.procs[node], work, Ev::TreeDone { qid, node });
             }
             Ev::TreeDone { qid, node } => {
@@ -754,7 +666,6 @@ pub fn run_averaged(base: BrokerSimConfig) -> BrokerSimResult {
         total.issued += r.issued;
         total.replied += r.replied;
         total.located += r.located;
-        total.sub_notifications += r.sub_notifications;
     }
     total
 }
@@ -808,72 +719,6 @@ mod tests {
         other.seed = 99;
         let c = run_broker_sim(other);
         assert_ne!(a.response.mean(), c.response.mean());
-    }
-
-    #[test]
-    fn match_cache_only_helps_and_defaults_off() {
-        // Same seed, cache off vs on: repeated queries over a domain
-        // skip reasoning on a hit, so mean response can only improve,
-        // and every query is still answered.
-        for strategy in [Strategy::Single, Strategy::Replicated, Strategy::Specialized] {
-            let off = run_broker_sim(quick(strategy, 30.0));
-            let mut cached = quick(strategy, 30.0);
-            cached.match_cache = true;
-            let on = run_broker_sim(cached);
-            assert_eq!(off.issued, on.issued, "same seed, same arrivals ({strategy:?})");
-            assert_eq!(on.issued, on.replied, "cache must not lose queries ({strategy:?})");
-            assert!(
-                on.response.mean() <= off.response.mean(),
-                "cache made {strategy:?} slower: {} vs {}",
-                on.response.mean(),
-                off.response.mean()
-            );
-        }
-        // And it genuinely bites somewhere: the single broker re-answers
-        // the same domains constantly, so the gap there must be large.
-        let off = run_broker_sim(quick(Strategy::Single, 120.0));
-        let mut cached = quick(Strategy::Single, 120.0);
-        cached.match_cache = true;
-        let on = run_broker_sim(cached);
-        assert!(
-            on.response.mean() < 0.5 * off.response.mean(),
-            "cache-on mean {} not well below cache-off {}",
-            on.response.mean(),
-            off.response.mean()
-        );
-        // Default stays off so the paper-figure experiments are untouched.
-        assert!(!BrokerSimConfig::new(32, 8, Strategy::Specialized).match_cache);
-    }
-
-    #[test]
-    fn standing_subscription_load_defaults_off_and_the_index_sheds_it() {
-        // Default: no standing subscriptions, so the paper-figure
-        // experiments see zero notification events.
-        let base = run_broker_sim(quick(Strategy::Specialized, 30.0));
-        assert_eq!(base.sub_notifications, 0);
-        assert_eq!(BrokerSimConfig::new(32, 8, Strategy::Specialized).standing_subscriptions, 0);
-
-        // 10k standing subscriptions per broker. Indexed, each churn
-        // event re-scores ~1% of them (≈1 s of CPU at the default
-        // rescore cost) — background noise next to query answering.
-        let mut indexed = quick(Strategy::Specialized, 30.0);
-        indexed.standing_subscriptions = 10_000;
-        let on = run_broker_sim(indexed.clone());
-        assert!(on.sub_notifications > 0, "churn events must produce notifications");
-        assert_eq!(on.issued, on.replied, "notification load must not lose queries");
-
-        // Naive, the same churn re-scores all 10k per event (≈100 s of
-        // CPU every ~30 s): the brokers saturate on notification work
-        // and query response collapses.
-        let mut naive = indexed.clone();
-        naive.sub_indexed = false;
-        let off = run_broker_sim(naive);
-        assert!(
-            off.response.mean() > 5.0 * on.response.mean(),
-            "naive re-evaluation {} should swamp the indexed path {}",
-            off.response.mean(),
-            on.response.mean()
-        );
     }
 
     #[test]

@@ -160,7 +160,7 @@ fn unadvertise_removes_visibility_everywhere_reachable() {
 /// agent set (no lost matches), and (c) the reference's sorted match list,
 /// byte for byte.
 #[test]
-fn cyclic_churn_digest_routing_matches_broad_fan_out() {
+fn cyclic_churn_digest_routing_matches_the_one_broker_reference() {
     use infosleuth_core::broker::{interconnect, unadvertise_from, BrokerHandle};
     use infosleuth_core::ontology::{Advertisement, AgentLocation, OntologyContent, SemanticInfo};
     use std::collections::BTreeSet;
