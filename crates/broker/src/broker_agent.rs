@@ -35,7 +35,7 @@ pub use client::{
 pub use config::BrokerConfig;
 
 use crate::codec;
-use crate::digest::{CapabilityDigest, DigestBuilder};
+use crate::digest::CapabilityDigest;
 use crate::match_cache::{MatchCache, MatchCacheStats, DEFAULT_MATCH_CACHE_CAPACITY};
 use crate::repository::{Repository, RepositoryError};
 use crate::sub_index::SubscriptionRegistry;
@@ -70,19 +70,12 @@ struct Shared {
     obs: BrokerObs,
 }
 
-/// The writer state: a repository mutation, the subscriptions it affects
-/// and the digest it feeds are all applied under the one lock around this.
+/// The writer state: a repository mutation and the subscriptions it affects
+/// are applied under the one lock around this.
 struct State {
     repo: Repository,
     /// Standing subscriptions plus their inverted index.
     subs: SubscriptionRegistry,
-    /// This broker's own incrementally maintained routing digest
-    /// (DESIGN.md §17).
-    digest: DigestBuilder,
-    /// Repository epoch `digest` was last synced at. A mismatch means the
-    /// repository mutated out-of-band (test pre-seeding, rule or ontology
-    /// loads) and the builder is rebuilt from scratch on next use.
-    digest_built_epoch: u64,
     /// Epoch of the last digest broadcast to peers — re-advertisements are
     /// delta-driven: nothing is sent while this matches the repository.
     digest_advertised_epoch: Option<u64>,
@@ -92,32 +85,18 @@ struct State {
 type AdChange = (Option<Arc<Advertisement>>, Option<Arc<Advertisement>>);
 
 impl State {
-    /// Stores `ad` and keeps the digest builder in step.
+    /// Stores `ad`, handing back what the agent held before and holds now.
     fn advertise(&mut self, ad: Advertisement) -> Result<AdChange, RepositoryError> {
         let name = ad.location.name.clone();
         let old = self.repo.advertisement_arc(&name).cloned();
-        let pre_epoch = self.repo.epoch();
         self.repo.advertise(ad)?;
-        let new = self.repo.advertisement_arc(&name).cloned();
-        // A builder that was not synced to the pre-mutation epoch skips
-        // the increment; the next `own_digest` rebuilds it instead.
-        if let (Some(new), true) = (&new, self.digest_built_epoch == pre_epoch) {
-            self.digest.advertise(new, &self.repo);
-            self.digest_built_epoch = self.repo.epoch();
-        }
-        Ok((old, new))
+        Ok((old, self.repo.advertisement_arc(&name).cloned()))
     }
 
-    /// Removes an agent's advertisement (same digest contract as
-    /// [`State::advertise`]); `None` when it held none.
+    /// Removes an agent's advertisement; `None` when it held none.
     fn unadvertise(&mut self, name: &str) -> Option<Arc<Advertisement>> {
         let old = self.repo.advertisement_arc(name).cloned()?;
-        let pre_epoch = self.repo.epoch();
         self.repo.unadvertise(name);
-        if self.digest_built_epoch == pre_epoch {
-            self.digest.unadvertise(name);
-            self.digest_built_epoch = self.repo.epoch();
-        }
         Some(old)
     }
 }
@@ -216,13 +195,8 @@ impl BrokerObs {
 impl Shared {
     fn new(obs: &Arc<Obs>, config: BrokerConfig, mut repo: Repository) -> Arc<Shared> {
         repo.set_obs(obs, &config.name);
-        let state = State {
-            subs: SubscriptionRegistry::default(),
-            digest: DigestBuilder::from_repo(&repo),
-            digest_built_epoch: repo.epoch(),
-            digest_advertised_epoch: None,
-            repo,
-        };
+        let state =
+            State { repo, subs: SubscriptionRegistry::default(), digest_advertised_epoch: None };
         Arc::new(Shared {
             state: Mutex::new(state),
             routing: Mutex::new(RoutingTable::default()),
@@ -246,13 +220,9 @@ impl Shared {
         result
     }
 
-    /// This broker's current digest, synced to the repository.
-    fn own_digest(&self, state: &mut State) -> CapabilityDigest {
-        if state.digest_built_epoch != state.repo.epoch() {
-            state.digest = DigestBuilder::from_repo(&state.repo);
-            state.digest_built_epoch = state.repo.epoch();
-        }
-        state.digest.snapshot(&self.config.name, &state.repo)
+    /// This broker's digest of its repository as it stands.
+    fn own_digest(&self, state: &State) -> CapabilityDigest {
+        CapabilityDigest::of(&self.config.name, &state.repo)
     }
 
     /// Queues a digest re-advertisement to every known peer broker when
@@ -280,20 +250,30 @@ impl Shared {
         }
     }
 
-    /// Stores a digest a peer advertised and clears any suspicion of that
-    /// peer — a broker that speaks is alive.
-    fn ingest_digest(&self, digest: CapabilityDigest) {
-        self.obs.digest_updates.inc();
+    /// Takes in a digest a peer advertised and clears any suspicion of that
+    /// peer — a broker that speaks is alive. The peer snapshots in epoch
+    /// order but sends after unlocking, from whichever worker handled the
+    /// write, so an update or a reply piggyback can arrive behind a newer
+    /// one: the stored digest stays unless the arrival is at least as new. A
+    /// `hello` always replaces it — a restarted peer counts from epoch 0.
+    fn ingest_digest(&self, digest: CapabilityDigest, hello: bool) {
         let mut routing = self.routing.lock();
         routing.suspects.remove(&digest.broker);
-        routing.peers.insert(digest.broker.clone(), digest);
+        let overtaken =
+            routing.peers.get(&digest.broker).is_some_and(|held| held.epoch > digest.epoch);
+        if hello || !overtaken {
+            routing.peers.insert(digest.broker.clone(), digest);
+        }
+        // Counted with the table still held: whoever reads the count and
+        // then the table sees this arrival applied.
+        self.obs.digest_updates.inc();
     }
 
-    /// Refreshes the stored digest of whichever broker embedded one in a
-    /// hello or a matches reply.
-    fn ingest_embedded_digest(&self, content: &SExpr) {
+    /// Takes in the digest of whichever broker embedded one in a hello or
+    /// a matches reply.
+    fn ingest_embedded_digest(&self, content: &SExpr, hello: bool) {
         if let Some(digest) = codec::embedded_digest(content) {
-            self.ingest_digest(digest);
+            self.ingest_digest(digest, hello);
         }
     }
 
@@ -590,9 +570,10 @@ impl BrokerHandle {
         }
     }
 
-    /// A fresh snapshot of this broker's own capability digest.
+    /// This broker's own capability digest, computed from its repository
+    /// under the state lock: what a peer saying hello now would be told.
     pub fn digest(&self) -> CapabilityDigest {
-        self.shared.own_digest(&mut self.shared.state.lock())
+        self.shared.own_digest(&self.shared.state.lock())
     }
 
     /// Epoch of the digest this broker currently stores for `peer`
@@ -647,7 +628,7 @@ impl BrokerHandle {
             if let Ok(peer_ad) = codec::broker_advertisement_from_sexpr(content) {
                 let name = peer_ad.base.location.name.clone();
                 let _ = shared.state.lock().repo.advertise_broker(peer_ad);
-                shared.ingest_embedded_digest(content);
+                shared.ingest_embedded_digest(content, true);
                 shared.clear_suspect(&name);
             }
         }
@@ -761,25 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn ping_semantics() {
-        let bus = Bus::new();
-        let broker = spawn_broker(&bus, "broker1");
-        let mut agent = bus.register("ra1").unwrap();
-        advertise_to(&mut agent, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap();
-        assert_eq!(infosleuth_agent::ping(&mut agent, "broker1", Some("ra1"), T), Ok(true));
-        assert_eq!(infosleuth_agent::ping(&mut agent, "broker1", Some("ghost"), T), Ok(false));
-        broker.stop();
-        // Dead broker: transport error.
-        assert!(infosleuth_agent::ping(
-            &mut agent,
-            "broker1",
-            Some("ra1"),
-            Duration::from_millis(100)
-        )
-        .is_err());
-    }
-
-    #[test]
     fn interbroker_search_unions_results() {
         let bus = Bus::new();
         let b1 = spawn_broker(&bus, "broker1");
@@ -844,98 +806,6 @@ mod tests {
         assert_eq!(found[0].name, "ra1");
         b1.stop();
         b2.stop();
-    }
-
-    #[test]
-    fn liveness_sweep_prunes_dead_agents() {
-        let bus = Bus::new();
-        let mut repo = seeded_repo();
-        repo.register_ontology(paper_class_ontology());
-        let broker = BrokerAgent::spawn(
-            &bus,
-            BrokerConfig::new("broker1", "tcp://b1.mcc.com:5500")
-                .with_ping_interval(Some(Duration::from_millis(50))),
-            Repository::new(),
-        )
-        .unwrap();
-        // A live agent that answers pings.
-        let mut live = bus.register("live-ra").unwrap();
-        let live_thread = std::thread::spawn({
-            let bus = bus.clone();
-            move || {
-                let mut ep = bus.register("live-ra-loop").unwrap();
-                drop(ep.try_recv()); // silence unused warnings
-            }
-        });
-        live_thread.join().unwrap();
-        advertise_to(&mut live, "broker1", &resource_ad("live-ra", &[]), T).unwrap();
-        // A doomed agent that advertises then dies.
-        let mut doomed = bus.register("doomed-ra").unwrap();
-        advertise_to(&mut doomed, "broker1", &resource_ad("doomed-ra", &[]), T).unwrap();
-        broker.with_repository(|r| {
-            assert!(r.contains_agent("live-ra"));
-            assert!(r.contains_agent("doomed-ra"));
-        });
-        doomed.unregister(); // the agent "fails" without unregistering
-                             // Keep the live agent answering pings while the sweep runs.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            if let Some(env) = live.recv_timeout(Duration::from_millis(20)) {
-                if env.message.performative == Performative::Ping {
-                    let _ = live.send(&env.from, env.message.reply_skeleton(Performative::Reply));
-                }
-            }
-            let pruned = broker.with_repository(|r| !r.contains_agent("doomed-ra"));
-            if pruned {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "sweep never pruned the dead agent");
-        }
-        broker.with_repository(|r| {
-            assert!(r.contains_agent("live-ra"), "live agent must survive the sweep");
-            assert!(!r.contains_agent("doomed-ra"));
-        });
-        broker.stop();
-    }
-
-    #[test]
-    fn failed_liveness_probes_are_counted_and_reported() {
-        // A dead advertised agent makes the sweep's ping fail at the
-        // transport: that failure must show up in the broker's
-        // delivery-failure stat AND reach the monitor agent as a log tell
-        // (instead of being silently swallowed as in the seed).
-        let bus = Bus::new();
-        let runtime = AgentRuntime::new(
-            bus.as_transport(),
-            RuntimeConfig::default().with_monitor("monitor-agent"),
-        );
-        let mut monitor = bus.register("monitor-agent").unwrap();
-        let broker = BrokerAgent::spawn_on(
-            &runtime,
-            BrokerConfig::new("broker1", "tcp://b1.mcc.com:5500")
-                .with_ping_interval(Some(Duration::from_millis(50))),
-            Repository::new(),
-        )
-        .unwrap();
-        let mut doomed = bus.register("doomed-ra").unwrap();
-        advertise_to(&mut doomed, "broker1", &resource_ad("doomed-ra", &[]), T).unwrap();
-        assert_eq!(broker.delivery_failures(), 0);
-        doomed.unregister();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while broker.delivery_failures() == 0 {
-            assert!(std::time::Instant::now() < deadline, "sweep never failed a probe");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let env = monitor
-            .recv_timeout(Duration::from_secs(2))
-            .expect("monitor receives the delivery-failure log");
-        assert_eq!(env.message.get_text("ontology"), Some(infosleuth_agent::LOG_ONTOLOGY));
-        let items = env.message.content().and_then(SExpr::as_list).unwrap().to_vec();
-        assert_eq!(items[0], SExpr::atom("delivery-failure"));
-        assert_eq!(items[1], SExpr::atom("broker1"));
-        assert_eq!(items[2], SExpr::atom("doomed-ra"));
-        broker.stop();
-        runtime.shutdown();
     }
 
     #[test]
@@ -1057,95 +927,6 @@ mod tests {
         // Nothing malformed was stored or routed.
         assert_eq!(broker.peer_digest_epoch("broker2"), None);
         broker.with_repository(|r| assert!(r.is_empty() && r.peer_brokers().is_empty()));
-        broker.stop();
-    }
-
-    #[test]
-    fn subscribe_notifies_on_churn_and_unsubscribe_stops_it() {
-        let bus = Bus::new();
-        let broker = spawn_broker(&bus, "broker1");
-        let mut inbox = bus.register("watcher").unwrap();
-        let mut client = bus.register("client").unwrap();
-
-        let query = ServiceQuery::for_agent_type(AgentType::Resource)
-            .with_ontology("paper-classes")
-            .with_classes(["C1"]);
-        let key = subscribe_to(&mut client, "broker1", &query, "watcher", T).unwrap().unwrap();
-
-        // Initial snapshot: empty repository, empty delta.
-        let snap = inbox.recv_timeout(T).unwrap().message;
-        assert_eq!(snap.performative, Performative::Tell);
-        assert_eq!(snap.in_reply_to(), Some(key.as_str()));
-        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(snap.content().unwrap()).unwrap();
-        assert!(matched.is_empty() && unmatched.is_empty());
-
-        // A matching advertisement arrives: one `matched` entry.
-        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
-        let note = inbox.recv_timeout(T).unwrap().message;
-        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
-        assert_eq!(matched.len(), 1);
-        assert_eq!(matched[0].name, "ra1");
-        assert!(unmatched.is_empty());
-
-        // A non-matching advertisement: no notification at all.
-        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C3"]), T).unwrap());
-        // Its unadvertise produces the next notification we receive below.
-        assert!(unadvertise_from(&mut client, "broker1", "ra1", T).unwrap());
-        let note = inbox.recv_timeout(T).unwrap().message;
-        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
-        assert!(matched.is_empty());
-        assert_eq!(unmatched, vec!["ra1".to_string()]);
-
-        assert_eq!(broker.subscription_count(), 1);
-        assert!(unsubscribe_from(&mut client, "broker1", &key, "watcher", T).unwrap());
-        assert_eq!(broker.subscription_count(), 0);
-        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra3", &["C1"]), T).unwrap());
-        assert!(inbox.recv_timeout(Duration::from_millis(200)).is_none());
-        broker.stop();
-    }
-
-    #[test]
-    fn subscription_admission_rejects_vacuous_queries() {
-        let bus = Bus::new();
-        let broker = spawn_broker(&bus, "broker1");
-        let mut client = bus.register("client").unwrap();
-        let msg = Message::new(Performative::Subscribe)
-            .with_content(codec::service_query_to_sexpr(&ServiceQuery::any()));
-        let reply = client.request("broker1", msg, T).unwrap();
-        assert_eq!(reply.performative, Performative::Sorry);
-        let text = reply.content().and_then(SExpr::as_text).unwrap().to_string();
-        assert!(text.contains("IS027"), "diagnostics not rendered: {text}");
-        assert_eq!(broker.subscription_count(), 0);
-        broker.stop();
-    }
-
-    #[test]
-    fn resync_after_out_of_band_rule_delta_notifies() {
-        let bus = Bus::new();
-        let broker = spawn_broker(&bus, "broker1");
-        let mut inbox = bus.register("watcher").unwrap();
-        let mut client = bus.register("client").unwrap();
-        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
-
-        let query = ServiceQuery::any().with_capability(Capability::subscription());
-        let key = subscribe_to(&mut client, "broker1", &query, "watcher", T).unwrap().unwrap();
-        let snap = inbox.recv_timeout(T).unwrap().message;
-        let (_, matched, _) = codec::sub_delta_from_sexpr(snap.content().unwrap()).unwrap();
-        assert!(matched.is_empty());
-
-        // Out-of-band derived rule: every resource agent now also counts
-        // as a subscription agent. The repository mutation happens outside
-        // any performative, so the test drives the resync.
-        broker.with_repository(|r| {
-            r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap()
-        });
-        broker.resync_subscriptions();
-        let note = inbox.recv_timeout(T).unwrap().message;
-        assert_eq!(note.in_reply_to(), Some(key.as_str()));
-        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
-        assert_eq!(matched.len(), 1);
-        assert_eq!(matched[0].name, "ra1");
-        assert!(unmatched.is_empty());
         broker.stop();
     }
 }

@@ -64,10 +64,10 @@ pub(super) fn handle_query(
     // when that is stale, piggyback a fresh digest on the reply so the
     // sender repairs its routing table without an extra round trip.
     let refresh = request.digest_epoch.and_then(|seen| {
-        let mut state = shared.state.lock();
+        let state = shared.state.lock();
         (state.repo.epoch() != seen).then(|| {
             shared.obs.digest_stale.inc();
-            shared.own_digest(&mut state)
+            shared.own_digest(&state)
         })
     });
     let reply = env
@@ -309,7 +309,7 @@ fn forward_message(request: &SearchRequest, peer: &PeerTarget) -> Message {
 /// piggybacked (the staleness-repair half of the epoch protocol).
 fn read_peer_reply(shared: &Shared, reply: &Message) -> Vec<MatchResult> {
     let Some(content) = reply.content() else { return Vec::new() };
-    shared.ingest_embedded_digest(content);
+    shared.ingest_embedded_digest(content, false);
     codec::matches_from_sexpr(content).unwrap_or_default()
 }
 

@@ -35,7 +35,7 @@ fn advertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbo
         Some("digest") => match codec::digest_from_sexpr(content) {
             // Delta-driven and one-way: refresh the routing entry; no
             // reply is owed.
-            Ok(digest) => return shared.ingest_digest(digest),
+            Ok(digest) => return shared.ingest_digest(digest, false),
             Err(e) => error_reply(env, e.to_string()),
         },
         Some("broker-advertisement") => match codec::broker_advertisement_from_sexpr(content) {
@@ -66,7 +66,7 @@ fn peer_hello(
     }
     // The hello may carry the peer's digest; either way a peer that
     // advertises stops being suspect.
-    shared.ingest_embedded_digest(content);
+    shared.ingest_embedded_digest(content, true);
     shared.clear_suspect(&name);
     let digest = shared.own_digest(state);
     env.message.reply_skeleton(Performative::Tell).with_content(codec::broker_hello_to_sexpr(
@@ -172,7 +172,7 @@ mod tests {
         let hello = codec::broker_hello_to_sexpr(&me, Some(&good));
         peer.request("broker1", tell(Performative::Advertise, hello), T).unwrap();
         assert_eq!(b1.peer_digest_epoch("broker2"), Some(7));
-        // Epoch 8 with a probe count no builder emits: answered with an
+        // Epoch 8 with a probe count no broker emits: answered with an
         // error, and epoch 7 stays on file.
         let bad = SExpr::parse(
             r#"(digest (broker broker2) (epoch 8) (ads 1) (k 4294967295) (bits "ffffffffffffffff"))"#,
@@ -181,6 +181,42 @@ mod tests {
         let reply = peer.request("broker1", tell(Performative::Update, bad), T).unwrap();
         assert_eq!(reply.performative, Performative::Error);
         assert_eq!(b1.peer_digest_epoch("broker2"), Some(7));
+        b1.stop();
+    }
+
+    #[test]
+    fn an_overtaken_digest_update_leaves_the_newer_one_in_place() {
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let mut peer = bus.register("broker2").unwrap();
+        let at = |epoch| {
+            let mut digest = CapabilityDigest::empty("broker2");
+            digest.epoch = epoch;
+            digest
+        };
+        let tell = |performative, content| {
+            Message::new(performative).with_ontology("infosleuth-service").with_content(content)
+        };
+        let me = BrokerConfig::new("broker2", "tcp://b2.mcc.com:5500").broker_advertisement();
+        let hello = |epoch| {
+            tell(Performative::Advertise, codec::broker_hello_to_sexpr(&me, Some(&at(epoch))))
+        };
+        peer.request("broker1", hello(3), T).unwrap();
+        // Updates are one-way, so each is waited for by count: epoch 8 is
+        // in before epoch 7, which it overtook, arrives.
+        for (taken_in, epoch) in [(2, 8), (3, 7)] {
+            peer.send("broker1", tell(Performative::Update, codec::digest_to_sexpr(&at(epoch))))
+                .unwrap();
+            let deadline = std::time::Instant::now() + T;
+            while b1.routing_stats().digest_updates < taken_in {
+                assert!(std::time::Instant::now() < deadline, "update {epoch} never arrived");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        assert_eq!(b1.peer_digest_epoch("broker2"), Some(8));
+        // A restarted peer counts from zero again, and says hello first.
+        peer.request("broker1", hello(0), T).unwrap();
+        assert_eq!(b1.peer_digest_epoch("broker2"), Some(0));
         b1.stop();
     }
 

@@ -55,3 +55,125 @@ pub(super) fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
         shared.broadcast_digest(state, out);
     });
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{resource_ad, seeded_repo, spawn_broker, T};
+    use super::super::{BrokerAgent, BrokerConfig};
+    use crate::{advertise_to, Repository};
+    use infosleuth_agent::{AgentRuntime, Bus, RuntimeConfig};
+    use infosleuth_kqml::{Performative, SExpr};
+    use infosleuth_ontology::paper_class_ontology;
+    use std::time::Duration;
+
+    #[test]
+    fn ping_semantics() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("ra1").unwrap();
+        advertise_to(&mut agent, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap();
+        assert_eq!(infosleuth_agent::ping(&mut agent, "broker1", Some("ra1"), T), Ok(true));
+        assert_eq!(infosleuth_agent::ping(&mut agent, "broker1", Some("ghost"), T), Ok(false));
+        broker.stop();
+        // Dead broker: transport error.
+        assert!(infosleuth_agent::ping(
+            &mut agent,
+            "broker1",
+            Some("ra1"),
+            Duration::from_millis(100)
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn liveness_sweep_prunes_dead_agents() {
+        let bus = Bus::new();
+        let mut repo = seeded_repo();
+        repo.register_ontology(paper_class_ontology());
+        let broker = BrokerAgent::spawn(
+            &bus,
+            BrokerConfig::new("broker1", "tcp://b1.mcc.com:5500")
+                .with_ping_interval(Some(Duration::from_millis(50))),
+            Repository::new(),
+        )
+        .unwrap();
+        // A live agent that answers pings.
+        let mut live = bus.register("live-ra").unwrap();
+        let live_thread = std::thread::spawn({
+            let bus = bus.clone();
+            move || {
+                let mut ep = bus.register("live-ra-loop").unwrap();
+                drop(ep.try_recv()); // silence unused warnings
+            }
+        });
+        live_thread.join().unwrap();
+        advertise_to(&mut live, "broker1", &resource_ad("live-ra", &[]), T).unwrap();
+        // A doomed agent that advertises then dies.
+        let mut doomed = bus.register("doomed-ra").unwrap();
+        advertise_to(&mut doomed, "broker1", &resource_ad("doomed-ra", &[]), T).unwrap();
+        broker.with_repository(|r| {
+            assert!(r.contains_agent("live-ra"));
+            assert!(r.contains_agent("doomed-ra"));
+        });
+        doomed.unregister(); // the agent "fails" without unregistering
+                             // Keep the live agent answering pings while the sweep runs.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(env) = live.recv_timeout(Duration::from_millis(20)) {
+                if env.message.performative == Performative::Ping {
+                    let _ = live.send(&env.from, env.message.reply_skeleton(Performative::Reply));
+                }
+            }
+            let pruned = broker.with_repository(|r| !r.contains_agent("doomed-ra"));
+            if pruned {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "sweep never pruned the dead agent");
+        }
+        broker.with_repository(|r| {
+            assert!(r.contains_agent("live-ra"), "live agent must survive the sweep");
+            assert!(!r.contains_agent("doomed-ra"));
+        });
+        broker.stop();
+    }
+
+    #[test]
+    fn failed_liveness_probes_are_counted_and_reported() {
+        // A dead advertised agent makes the sweep's ping fail at the
+        // transport: that failure must show up in the broker's
+        // delivery-failure stat AND reach the monitor agent as a log tell
+        // (instead of being silently swallowed as in the seed).
+        let bus = Bus::new();
+        let runtime = AgentRuntime::new(
+            bus.as_transport(),
+            RuntimeConfig::default().with_monitor("monitor-agent"),
+        );
+        let mut monitor = bus.register("monitor-agent").unwrap();
+        let broker = BrokerAgent::spawn_on(
+            &runtime,
+            BrokerConfig::new("broker1", "tcp://b1.mcc.com:5500")
+                .with_ping_interval(Some(Duration::from_millis(50))),
+            Repository::new(),
+        )
+        .unwrap();
+        let mut doomed = bus.register("doomed-ra").unwrap();
+        advertise_to(&mut doomed, "broker1", &resource_ad("doomed-ra", &[]), T).unwrap();
+        assert_eq!(broker.delivery_failures(), 0);
+        doomed.unregister();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while broker.delivery_failures() == 0 {
+            assert!(std::time::Instant::now() < deadline, "sweep never failed a probe");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let env = monitor
+            .recv_timeout(Duration::from_secs(2))
+            .expect("monitor receives the delivery-failure log");
+        assert_eq!(env.message.get_text("ontology"), Some(infosleuth_agent::LOG_ONTOLOGY));
+        let items = env.message.content().and_then(SExpr::as_list).unwrap().to_vec();
+        assert_eq!(items[0], SExpr::atom("delivery-failure"));
+        assert_eq!(items[1], SExpr::atom("broker1"));
+        assert_eq!(items[2], SExpr::atom("doomed-ra"));
+        broker.stop();
+        runtime.shutdown();
+    }
+}

@@ -126,3 +126,102 @@ pub(super) fn notify(
         subs.update_last(id, new);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{resource_ad, spawn_broker, T};
+    use crate::{advertise_to, codec, subscribe_to, unadvertise_from, unsubscribe_from};
+    use infosleuth_agent::Bus;
+    use infosleuth_kqml::{Message, Performative, SExpr};
+    use infosleuth_ontology::{AgentType, Capability, ServiceQuery};
+    use std::time::Duration;
+
+    #[test]
+    fn subscribe_notifies_on_churn_and_unsubscribe_stops_it() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut inbox = bus.register("watcher").unwrap();
+        let mut client = bus.register("client").unwrap();
+
+        let query = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let key = subscribe_to(&mut client, "broker1", &query, "watcher", T).unwrap().unwrap();
+
+        // Initial snapshot: empty repository, empty delta.
+        let snap = inbox.recv_timeout(T).unwrap().message;
+        assert_eq!(snap.performative, Performative::Tell);
+        assert_eq!(snap.in_reply_to(), Some(key.as_str()));
+        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(snap.content().unwrap()).unwrap();
+        assert!(matched.is_empty() && unmatched.is_empty());
+
+        // A matching advertisement arrives: one `matched` entry.
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
+        let note = inbox.recv_timeout(T).unwrap().message;
+        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
+        assert_eq!(matched.len(), 1);
+        assert_eq!(matched[0].name, "ra1");
+        assert!(unmatched.is_empty());
+
+        // A non-matching advertisement: no notification at all.
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C3"]), T).unwrap());
+        // Its unadvertise produces the next notification we receive below.
+        assert!(unadvertise_from(&mut client, "broker1", "ra1", T).unwrap());
+        let note = inbox.recv_timeout(T).unwrap().message;
+        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
+        assert!(matched.is_empty());
+        assert_eq!(unmatched, vec!["ra1".to_string()]);
+
+        assert_eq!(broker.subscription_count(), 1);
+        assert!(unsubscribe_from(&mut client, "broker1", &key, "watcher", T).unwrap());
+        assert_eq!(broker.subscription_count(), 0);
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra3", &["C1"]), T).unwrap());
+        assert!(inbox.recv_timeout(Duration::from_millis(200)).is_none());
+        broker.stop();
+    }
+
+    #[test]
+    fn subscription_admission_rejects_vacuous_queries() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut client = bus.register("client").unwrap();
+        let msg = Message::new(Performative::Subscribe)
+            .with_content(codec::service_query_to_sexpr(&ServiceQuery::any()));
+        let reply = client.request("broker1", msg, T).unwrap();
+        assert_eq!(reply.performative, Performative::Sorry);
+        let text = reply.content().and_then(SExpr::as_text).unwrap().to_string();
+        assert!(text.contains("IS027"), "diagnostics not rendered: {text}");
+        assert_eq!(broker.subscription_count(), 0);
+        broker.stop();
+    }
+
+    #[test]
+    fn resync_after_out_of_band_rule_delta_notifies() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut inbox = bus.register("watcher").unwrap();
+        let mut client = bus.register("client").unwrap();
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
+
+        let query = ServiceQuery::any().with_capability(Capability::subscription());
+        let key = subscribe_to(&mut client, "broker1", &query, "watcher", T).unwrap().unwrap();
+        let snap = inbox.recv_timeout(T).unwrap().message;
+        let (_, matched, _) = codec::sub_delta_from_sexpr(snap.content().unwrap()).unwrap();
+        assert!(matched.is_empty());
+
+        // Out-of-band derived rule: every resource agent now also counts
+        // as a subscription agent. The repository mutation happens outside
+        // any performative, so the test drives the resync.
+        broker.with_repository(|r| {
+            r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap()
+        });
+        broker.resync_subscriptions();
+        let note = inbox.recv_timeout(T).unwrap().message;
+        assert_eq!(note.in_reply_to(), Some(key.as_str()));
+        let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
+        assert_eq!(matched.len(), 1);
+        assert_eq!(matched[0].name, "ra1");
+        assert!(unmatched.is_empty());
+        broker.stop();
+    }
+}

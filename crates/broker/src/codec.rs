@@ -376,7 +376,7 @@ pub fn digest_to_sexpr(d: &CapabilityDigest) -> SExpr {
     section("digest", items)
 }
 
-/// Bloom probe counts the decoder accepts. Builders emit 4; the ceiling
+/// Bloom probe counts the decoder accepts. Brokers emit 4; the ceiling
 /// bounds the loop a peer can make every `can_match` probe run.
 const DIGEST_K_RANGE: std::ops::RangeInclusive<u32> = 1..=16;
 

@@ -19,6 +19,16 @@
 //! the parity tests assert byte-for-byte against one broker holding
 //! every advertisement.
 //!
+//! The contract holds by construction: a digest is a pure function of the
+//! repository. [`CapabilityDigest::of`] hashes the distinct keys of the very
+//! index `candidates` intersects — agent names and the seven posting
+//! dimensions, expanded as below — and unites the hull columns every
+//! advertisement fills; [`CapabilityDigest::can_match`] probes with the
+//! query's terms of the same dimensions. Nothing is stored between calls
+//! for a mutation to leave behind. The hashing itself (dimension tags,
+//! FNV-1a, probe mixing, sizing) decides which bits a peer sees set, so it
+//! is a wire format.
+//!
 //! The expansion is candidate narrowing's own — all three of narrowing,
 //! the subscription index and this digest expand through
 //! [`Repository::satisfying_classes`] and
@@ -45,10 +55,10 @@
 //! digest then carries `unprunable = true` and peers never prune that
 //! broker — exactly the fallback `Matchmaker::candidates` itself takes.
 
-use crate::repository::Repository;
-use crate::sub_index::{ad_slot_hulls, numeric_hull};
-use infosleuth_ontology::{Advertisement, ServiceQuery};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::repository::{Repository, Term};
+use crate::sub_index::numeric_hull;
+use infosleuth_ontology::ServiceQuery;
+use std::collections::BTreeMap;
 
 /// Number of Bloom probe positions per symbol.
 const BLOOM_K: u32 = 4;
@@ -77,9 +87,21 @@ fn symbol(tag: u8, text: &str) -> u64 {
     h
 }
 
-/// Two-part symbol for (ontology, class) pairs: the names joined by `U+0001`.
-fn class_symbol(ontology: &str, class: &str) -> u64 {
-    symbol(b'c', &format!("{ontology}\u{1}{class}"))
+/// The filter symbol of one term, for insertion and for probing alike.
+/// Each dimension hashes under its own tag, so dimensions never alias each
+/// other inside the filter; an (ontology, class) pair is the two names
+/// joined by `U+0001`.
+fn term_symbol(term: Term<'_>) -> u64 {
+    match term {
+        Term::Name(name) => symbol(b'n', name),
+        Term::AgentType(t) => symbol(b't', &t.to_string()),
+        Term::QueryLanguage(lang) => symbol(b'q', lang),
+        Term::CommunicationLanguage(lang) => symbol(b'l', lang),
+        Term::Conversation(conv) => symbol(b'v', &conv.to_string()),
+        Term::Capability(cap) => symbol(b'p', cap),
+        Term::Ontology(onto) => symbol(b'o', onto),
+        Term::Class(onto, class) => symbol(b'c', &format!("{onto}\u{1}{class}")),
+    }
 }
 
 /// splitmix64 finalizer: decorrelates the FNV symbol into the two Bloom
@@ -91,15 +113,12 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The dimension tags. Probes use the same tags, so dimensions never
-/// alias each other inside the filter.
-const TAG_NAME: u8 = b'n';
-const TAG_TYPE: u8 = b't';
-const TAG_QUERY_LANG: u8 = b'q';
-const TAG_COMM_LANG: u8 = b'l';
-const TAG_CONVERSATION: u8 = b'v';
-const TAG_CAPABILITY: u8 = b'p';
-const TAG_ONTOLOGY: u8 = b'o';
+/// The `k` bit positions of `sym` in a filter `m` bits wide.
+fn probes(sym: u64, k: u32, m: u64) -> impl Iterator<Item = u64> {
+    let h1 = mix(sym);
+    let h2 = mix(sym ^ 0x9e37_79b9_7f4a_7c15) | 1;
+    (0..u64::from(k)).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % m)
+}
 
 /// A broker's routing digest: the Bloom filter, the complete-slot hulls,
 /// and the repository epoch the summary was taken at.
@@ -139,20 +158,61 @@ impl CapabilityDigest {
         }
     }
 
-    fn contains(&self, sym: u64) -> bool {
-        let m = (self.bits.len() * 64) as u64;
-        if m == 0 {
-            return false;
-        }
-        let h1 = mix(sym);
-        let h2 = mix(sym ^ 0x9e37_79b9_7f4a_7c15) | 1;
-        for i in 0..u64::from(self.k.max(1)) {
-            let idx = h1.wrapping_add(i.wrapping_mul(h2)) % m;
-            if self.bits[(idx / 64) as usize] & (1u64 << (idx % 64)) == 0 {
-                return false;
+    /// The digest of `repo` as it stands, read off its narrowing index:
+    /// every distinct term the index posts an advertisement under, expanded
+    /// and hashed, plus the hull of every slot all advertisements constrain.
+    /// Costs the index's vocabulary and one pass over the advertisement ids
+    /// — nothing is kept between calls, so nothing can fall out of step with
+    /// the repository.
+    pub fn of(broker: &str, repo: &Repository) -> Self {
+        let index = repo.ad_index();
+        let mut symbols = Vec::new();
+        for term in index.terms() {
+            match term {
+                Term::Capability(cap) => symbols.extend(
+                    repo.satisfied_capabilities(cap)
+                        .iter()
+                        .map(|satisfied| term_symbol(Term::Capability(satisfied))),
+                ),
+                Term::Class(onto, class) => symbols.extend(
+                    repo.satisfying_classes(onto, class)
+                        .iter()
+                        .map(|related| term_symbol(Term::Class(onto, related))),
+                ),
+                verbatim => symbols.push(term_symbol(verbatim)),
             }
         }
-        true
+        // The filter is sized from the distinct symbols, so its bits are a
+        // function of the repository's vocabulary alone.
+        symbols.sort_unstable();
+        symbols.dedup();
+        let m_bits =
+            (symbols.len() * BLOOM_BITS_PER_SYMBOL).next_power_of_two().max(BLOOM_MIN_BITS);
+        let mut bits = vec![0u64; m_bits / 64];
+        for sym in symbols {
+            for idx in probes(sym, BLOOM_K, m_bits as u64) {
+                bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
+            }
+        }
+        CapabilityDigest {
+            broker: broker.to_string(),
+            epoch: repo.epoch(),
+            ads: repo.len() as u64,
+            unprunable: repo.has_derived_rules(),
+            k: BLOOM_K,
+            bits,
+            slot_hulls: index
+                .complete_hulls()
+                .map(|(slot, hull)| (slot.to_string(), hull))
+                .collect(),
+        }
+    }
+
+    fn contains(&self, sym: u64) -> bool {
+        let m = (self.bits.len() * 64) as u64;
+        m != 0
+            && probes(sym, self.k.max(1), m)
+                .all(|idx| self.bits[(idx / 64) as usize] & (1u64 << (idx % 64)) != 0)
     }
 
     /// Whether the summarized repository *could* hold a match for the
@@ -165,48 +225,23 @@ impl CapabilityDigest {
         if self.unprunable {
             return true;
         }
-        if let Some(name) = &query.agent_name {
-            if !self.contains(symbol(TAG_NAME, name)) {
-                return false;
-            }
-        }
-        if let Some(t) = &query.agent_type {
-            if !self.contains(symbol(TAG_TYPE, &t.to_string())) {
-                return false;
-            }
-        }
-        if let Some(lang) = &query.query_language {
-            if !self.contains(symbol(TAG_QUERY_LANG, lang)) {
-                return false;
-            }
-        }
-        if let Some(lang) = &query.communication_language {
-            if !self.contains(symbol(TAG_COMM_LANG, lang)) {
-                return false;
-            }
-        }
-        for conv in &query.conversations {
-            if !self.contains(symbol(TAG_CONVERSATION, &conv.to_string())) {
-                return false;
-            }
-        }
-        for cap in &query.capabilities {
-            if !self.contains(symbol(TAG_CAPABILITY, cap.as_str())) {
-                return false;
-            }
-        }
-        if let Some(onto) = &query.ontology {
-            if !self.contains(symbol(TAG_ONTOLOGY, onto)) {
-                return false;
-            }
-            // Class pruning requires the ontology: without one the match
-            // may come from any content record, which a Bloom filter
-            // cannot enumerate.
-            for class in &query.classes {
-                if !self.contains(class_symbol(onto, class)) {
-                    return false;
-                }
-            }
+        // Every term a match must be posted under — narrowing's own
+        // dimensions — has to be in the filter. Class pruning requires the
+        // ontology: without one the match may come from any content record,
+        // which a Bloom filter cannot enumerate.
+        let has = |term| self.contains(term_symbol(term));
+        let posted = query.agent_name.iter().all(|name| has(Term::Name(name)))
+            && query.agent_type.iter().all(|t| has(Term::AgentType(t)))
+            && query.query_language.iter().all(|lang| has(Term::QueryLanguage(lang)))
+            && query.communication_language.iter().all(|l| has(Term::CommunicationLanguage(l)))
+            && query.conversations.iter().all(|conv| has(Term::Conversation(conv)))
+            && query.capabilities.iter().all(|cap| has(Term::Capability(cap.as_str())))
+            && query.ontology.iter().all(|onto| {
+                has(Term::Ontology(onto))
+                    && query.classes.iter().all(|class| has(Term::Class(onto, class)))
+            });
+        if !posted {
+            return false;
         }
         for slot in query.constraints.constrained_slots() {
             if let (Some((qlo, qhi)), Some((dlo, dhi))) =
@@ -232,152 +267,14 @@ impl CapabilityDigest {
     }
 }
 
-/// One advertisement's contribution to the digest, kept so removal is
-/// exact without re-reading the repository.
-#[derive(Debug, Clone)]
-struct Contribution {
-    symbols: BTreeSet<u64>,
-    /// The advertisement's [`ad_slot_hulls`].
-    hulls: BTreeMap<String, (f64, f64)>,
-}
-
-/// Maintains a broker's digest incrementally: one refcounted symbol set,
-/// updated per advertise/unadvertise delta, snapshotted on demand.
-#[derive(Debug, Default)]
-pub struct DigestBuilder {
-    contributions: HashMap<String, Contribution>,
-    refs: HashMap<u64, u32>,
-}
-
-impl DigestBuilder {
-    pub fn new() -> Self {
-        DigestBuilder::default()
-    }
-
-    /// Seeds the builder from a pre-populated repository (brokers may
-    /// spawn over an existing repository).
-    pub fn from_repo(repo: &Repository) -> Self {
-        let mut b = DigestBuilder::new();
-        for ad in repo.agents() {
-            b.advertise(ad, repo);
-        }
-        b
-    }
-
-    /// Number of advertisements summarized.
-    pub fn len(&self) -> usize {
-        self.contributions.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.contributions.is_empty()
-    }
-
-    /// Records (or replaces) an advertisement's contribution. `repo`
-    /// supplies the class hierarchy and capability taxonomy for
-    /// expansion — the same repository the matchmaker will narrow
-    /// against, so expansion and narrowing agree.
-    pub fn advertise(&mut self, ad: &Advertisement, repo: &Repository) {
-        let name = ad.location.name.clone();
-        self.unadvertise(&name);
-        let mut symbols = BTreeSet::new();
-        symbols.insert(symbol(TAG_NAME, &name));
-        symbols.insert(symbol(TAG_TYPE, &ad.location.agent_type.to_string()));
-        for lang in &ad.syntactic.query_languages {
-            symbols.insert(symbol(TAG_QUERY_LANG, lang));
-        }
-        for lang in &ad.syntactic.communication_languages {
-            symbols.insert(symbol(TAG_COMM_LANG, lang));
-        }
-        for conv in &ad.semantic.conversations {
-            symbols.insert(symbol(TAG_CONVERSATION, &conv.to_string()));
-        }
-        for cap in &ad.semantic.capabilities {
-            for satisfied in repo.satisfied_capabilities(cap.as_str()) {
-                symbols.insert(symbol(TAG_CAPABILITY, &satisfied));
-            }
-        }
-        for content in &ad.semantic.content {
-            symbols.insert(symbol(TAG_ONTOLOGY, &content.ontology));
-            for class in &content.classes {
-                for rel in repo.satisfying_classes(&content.ontology, class) {
-                    symbols.insert(class_symbol(&content.ontology, &rel));
-                }
-            }
-        }
-        let hulls =
-            ad_slot_hulls(ad).into_iter().map(|(slot, hull)| (slot.to_string(), hull)).collect();
-        for sym in &symbols {
-            *self.refs.entry(*sym).or_insert(0) += 1;
-        }
-        self.contributions.insert(name, Contribution { symbols, hulls });
-    }
-
-    /// Removes an advertisement's contribution; returns whether it was
-    /// present.
-    pub fn unadvertise(&mut self, name: &str) -> bool {
-        let Some(c) = self.contributions.remove(name) else { return false };
-        for sym in &c.symbols {
-            if let Some(n) = self.refs.get_mut(sym) {
-                *n -= 1;
-                if *n == 0 {
-                    self.refs.remove(sym);
-                }
-            }
-        }
-        true
-    }
-
-    /// Snapshots the current state as an exchangeable digest.
-    pub fn snapshot(&self, broker: &str, repo: &Repository) -> CapabilityDigest {
-        let n = self.refs.len();
-        let m_bits = (n * BLOOM_BITS_PER_SYMBOL).next_power_of_two().max(BLOOM_MIN_BITS);
-        let mut bits = vec![0u64; m_bits / 64];
-        for sym in self.refs.keys() {
-            let h1 = mix(*sym);
-            let h2 = mix(*sym ^ 0x9e37_79b9_7f4a_7c15) | 1;
-            for i in 0..u64::from(BLOOM_K) {
-                let idx = h1.wrapping_add(i.wrapping_mul(h2)) % m_bits as u64;
-                bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-            }
-        }
-        // A slot prunes only when every advertisement constrains it.
-        let total = self.contributions.len();
-        let mut counts: BTreeMap<&str, (usize, f64, f64)> = BTreeMap::new();
-        for c in self.contributions.values() {
-            for (slot, (lo, hi)) in &c.hulls {
-                let e =
-                    counts.entry(slot.as_str()).or_insert((0, f64::INFINITY, f64::NEG_INFINITY));
-                e.0 += 1;
-                e.1 = e.1.min(*lo);
-                e.2 = e.2.max(*hi);
-            }
-        }
-        let slot_hulls = counts
-            .into_iter()
-            .filter(|(_, (n, _, _))| *n == total && total > 0)
-            .map(|(slot, (_, lo, hi))| (slot.to_string(), (lo, hi)))
-            .collect();
-        CapabilityDigest {
-            broker: broker.to_string(),
-            epoch: repo.epoch(),
-            ads: total as u64,
-            unprunable: repo.has_derived_rules(),
-            k: BLOOM_K,
-            bits,
-            slot_hulls,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Matchmaker;
     use infosleuth_constraint::{Conjunction, Predicate};
     use infosleuth_ontology::{
-        paper_class_ontology, AgentLocation, AgentType, Capability, ConversationType,
-        OntologyContent, SemanticInfo, SyntacticInfo,
+        paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
+        ConversationType, OntologyContent, SemanticInfo, SyntacticInfo,
     };
 
     fn repo() -> Repository {
@@ -406,7 +303,7 @@ mod tests {
     }
 
     fn digest_of(repo: &Repository) -> CapabilityDigest {
-        DigestBuilder::from_repo(repo).snapshot("b", repo)
+        CapabilityDigest::of("b", repo)
     }
 
     #[test]
@@ -492,16 +389,12 @@ mod tests {
     #[test]
     fn unadvertise_restores_prunability() {
         let mut r = repo();
-        let mut b = DigestBuilder::new();
         r.advertise(resource("ra", &["C1"])).unwrap();
         r.advertise(resource("rb", &["C3"])).unwrap();
-        for ad in r.agents() {
-            b.advertise(ad, &r);
-        }
-        assert!(b.snapshot("b", &r).can_match(&class_query("C3")));
-        assert!(b.unadvertise("rb"));
-        assert!(!b.unadvertise("rb"), "second removal is a no-op");
-        let d = b.snapshot("b", &r);
+        assert!(digest_of(&r).can_match(&class_query("C3")));
+        assert!(r.unadvertise("rb"));
+        assert!(!r.unadvertise("rb"), "second removal is a no-op");
+        let d = digest_of(&r);
         assert!(d.can_match(&class_query("C1")), "remaining agent still matches");
         assert!(!d.can_match(&class_query("C3")), "removed agent's classes pruned");
     }
@@ -509,11 +402,9 @@ mod tests {
     #[test]
     fn replacing_an_advertisement_swaps_its_contribution() {
         let mut r = repo();
-        let mut b = DigestBuilder::new();
         r.advertise(resource("ra", &["C1"])).unwrap();
-        b.advertise(r.advertisement_arc("ra").unwrap(), &r);
-        b.advertise(&resource("ra", &["C3"]), &r);
-        let d = b.snapshot("b", &r);
+        r.advertise(resource("ra", &["C3"])).unwrap();
+        let d = digest_of(&r);
         assert_eq!(d.ads, 1);
         assert!(d.can_match(&class_query("C3")));
         assert!(!d.can_match(&class_query("C1")));
@@ -572,11 +463,10 @@ mod tests {
 
     #[test]
     fn fill_ratio_reflects_population() {
-        let r = repo();
-        let mut b = DigestBuilder::new();
-        assert_eq!(b.snapshot("b", &r).fill_ratio(), 0.0);
-        b.advertise(&resource("ra", &["C1"]), &r);
-        let d = b.snapshot("b", &r);
+        let mut r = repo();
+        assert_eq!(digest_of(&r).fill_ratio(), 0.0);
+        r.advertise(resource("ra", &["C1"])).unwrap();
+        let d = digest_of(&r);
         assert!(d.fill_ratio() > 0.0 && d.fill_ratio() < 0.5);
     }
 }

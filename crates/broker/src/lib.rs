@@ -17,6 +17,10 @@
 //! * [`SearchPolicy`] / [`FollowOption`] — the inter-broker search policy of
 //!   §4.3, modelled on the CORBA trading service: a hop count and a follow
 //!   option, plus a visited list for loop prevention.
+//! * [`CapabilityDigest`] — what a broker advertises to its peers so that
+//!   each can "know in advance which brokers it can immediately rule out
+//!   from a query" (§5.2.2): a Bloom filter and slot hulls computed from
+//!   the repository's narrowing index on demand, never kept beside it.
 //! * [`BrokerObjective`] — broker specialization (§3.2): general-purpose
 //!   brokers accept everything; specialized brokers accept advertisements
 //!   that fit their domains and forward or reject the rest.
@@ -47,7 +51,7 @@ pub use broker_agent::{
     advertise_to, broker_one_content, interconnect, query_broker, subscribe_to, unadvertise_from,
     unsubscribe_from, BrokerAgent, BrokerConfig, BrokerCore, BrokerHandle, RoutingStats,
 };
-pub use digest::{CapabilityDigest, DigestBuilder};
+pub use digest::CapabilityDigest;
 pub use facts::{
     compile_agent_facts, compile_facts, compile_global_facts, derived_schema, edb_schema,
     matchmaking_env, matchmaking_program, matchmaking_program_with, matchmaking_rules_text,

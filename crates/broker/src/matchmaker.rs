@@ -193,8 +193,17 @@ impl Matchmaker {
                 }
             }};
         }
-        // Conversation requirements are matched verbatim against the
-        // advertisement, so the index is exact.
+        // The syntactic layer is matched verbatim against the
+        // advertisement, so the index is exact — derived rules or not.
+        if let Some(t) = &query.agent_type {
+            dimension!(index.agent_type(t).into_iter());
+        }
+        if let Some(lang) = &query.query_language {
+            dimension!(index.query_language(lang).into_iter());
+        }
+        if let Some(lang) = &query.communication_language {
+            dimension!(index.communication_language(lang).into_iter());
+        }
         for conv in &query.conversations {
             dimension!(index.conversation(conv).into_iter());
         }

@@ -16,8 +16,8 @@ use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, 
 use infosleuth_ldl::{parse_rules, Database, LdlParseError, Program, Rule, Saturated};
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
-    standard_capability_taxonomy, Advertisement, BrokerAdvertisement, ConversationType, Ontology,
-    ServiceQuery, Taxonomy,
+    standard_capability_taxonomy, Advertisement, AgentType, BrokerAdvertisement, ConversationType,
+    Ontology, ServiceQuery, Taxonomy,
 };
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
@@ -196,10 +196,27 @@ impl HullColumn {
     }
 }
 
+/// One key the index posts advertisements under: an agent name or a value
+/// of one of the seven posting dimensions. A posting lives exactly as long
+/// as some advertisement holds its term, so [`AdIndex::terms`] is the
+/// repository's vocabulary — what the routing digest summarizes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Term<'a> {
+    Name(&'a str),
+    AgentType(&'a AgentType),
+    QueryLanguage(&'a str),
+    CommunicationLanguage(&'a str),
+    Conversation(&'a ConversationType),
+    Capability(&'a str),
+    Ontology(&'a str),
+    /// `(ontology, class)`.
+    Class(&'a str, &'a str),
+}
+
 /// The narrowing index over the advertisements, maintained on every
 /// advertise/unadvertise so matchmaking intersects machine words instead
 /// of scanning the repository. Each stored advertisement holds a dense
-/// `u32` id (recycled on unadvertise); the four posting dimensions are
+/// `u32` id (recycled on unadvertise); the seven posting dimensions are
 /// bitmaps over those ids, and each constrained slot has a column of
 /// per-advertisement hulls filled by [`ad_slot_hulls`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -208,6 +225,9 @@ pub(crate) struct AdIndex {
     /// Advertisement by id; `None` marks an id on the free list.
     ads: Vec<Option<Arc<Advertisement>>>,
     free: Vec<u32>,
+    by_agent_type: HashMap<AgentType, IdSet>,
+    by_query_language: HashMap<String, IdSet>,
+    by_communication_language: HashMap<String, IdSet>,
     by_capability: HashMap<String, IdSet>,
     by_conversation: HashMap<ConversationType, IdSet>,
     by_ontology: HashMap<String, OntologyPostings>,
@@ -223,6 +243,13 @@ impl AdIndex {
         });
         self.ads[id as usize] = Some(Arc::clone(ad));
         self.ids.insert(ad.location.name.clone(), id);
+        self.by_agent_type.entry(ad.location.agent_type.clone()).or_default().insert(id);
+        for lang in &ad.syntactic.query_languages {
+            self.by_query_language.entry(lang.clone()).or_default().insert(id);
+        }
+        for lang in &ad.syntactic.communication_languages {
+            self.by_communication_language.entry(lang.clone()).or_default().insert(id);
+        }
         for c in &ad.semantic.capabilities {
             self.by_capability.entry(c.as_str().to_string()).or_default().insert(id);
         }
@@ -250,6 +277,13 @@ impl AdIndex {
         let Some(id) = self.ids.remove(&ad.location.name) else { return };
         self.ads[id as usize] = None;
         self.free.push(id);
+        unpost(&mut self.by_agent_type, &ad.location.agent_type, id);
+        for lang in &ad.syntactic.query_languages {
+            unpost(&mut self.by_query_language, lang.as_str(), id);
+        }
+        for lang in &ad.syntactic.communication_languages {
+            unpost(&mut self.by_communication_language, lang.as_str(), id);
+        }
         for c in &ad.semantic.capabilities {
             unpost(&mut self.by_capability, c.as_str(), id);
         }
@@ -267,13 +301,31 @@ impl AdIndex {
             }
         }
         // The freed id must read as open to whoever is advertised into it.
-        self.hulls.retain(|_, column| {
-            if let Some(hull) = column.bounds.get_mut(id as usize).filter(|hull| **hull != OPEN) {
-                *hull = OPEN;
-                column.constrained -= 1;
+        // The slots are `insert`'s own, so `constrained` stays exact even for
+        // a hull whose union over the content records came out unbounded.
+        for slot in ad_slot_hulls(ad).into_keys() {
+            let Some(column) = self.hulls.get_mut(slot) else { continue };
+            column.bounds[id as usize] = OPEN;
+            column.constrained -= 1;
+            if column.constrained == 0 {
+                self.hulls.remove(slot);
             }
-            column.constrained > 0
-        });
+        }
+    }
+
+    /// Advertisements of agent type `t`.
+    pub(crate) fn agent_type(&self, t: &AgentType) -> Option<&IdSet> {
+        self.by_agent_type.get(t)
+    }
+
+    /// Advertisements speaking query language `lang`.
+    pub(crate) fn query_language(&self, lang: &str) -> Option<&IdSet> {
+        self.by_query_language.get(lang)
+    }
+
+    /// Advertisements speaking communication language `lang`.
+    pub(crate) fn communication_language(&self, lang: &str) -> Option<&IdSet> {
+        self.by_communication_language.get(lang)
     }
 
     /// Advertisements advertising capability `cap` (exact, pre-subsumption).
@@ -314,6 +366,38 @@ impl AdIndex {
             .map(|id| &**self.ads[id].as_ref().expect("posted ids are live")) // lint: allow-unwrap
             .collect()
     }
+
+    /// Every distinct term some advertisement is posted under, each once.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = Term<'_>> {
+        let content = self.by_ontology.iter().flat_map(|(onto, postings)| {
+            let classes = postings.by_class.keys().map(move |class| Term::Class(onto, class));
+            std::iter::once(Term::Ontology(onto)).chain(classes)
+        });
+        (self.ids.keys().map(|name| Term::Name(name)))
+            .chain(self.by_agent_type.keys().map(Term::AgentType))
+            .chain(self.by_query_language.keys().map(|lang| Term::QueryLanguage(lang)))
+            .chain(
+                self.by_communication_language.keys().map(|lang| Term::CommunicationLanguage(lang)),
+            )
+            .chain(self.by_conversation.keys().map(Term::Conversation))
+            .chain(self.by_capability.keys().map(|cap| Term::Capability(cap)))
+            .chain(content)
+    }
+
+    /// The slots *every* advertisement holds a hull on, each with the union
+    /// of those hulls: a window disjoint from it overlaps no advertisement.
+    pub(crate) fn complete_hulls(&self) -> impl Iterator<Item = (&str, (f64, f64))> {
+        self.hulls.iter().filter(|(_, column)| column.constrained == self.ids.len()).map(
+            |(slot, column)| {
+                let union =
+                    self.ids.values().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), id| {
+                        let (ad_lo, ad_hi) = column.bounds[*id as usize];
+                        (lo.min(ad_lo), hi.max(ad_hi))
+                    });
+                (slot.as_str(), union)
+            },
+        )
+    }
 }
 
 /// One broker's knowledge base: agent advertisements, peer broker
@@ -327,8 +411,8 @@ impl AdIndex {
 /// when the rule base makes incremental maintenance unsound.
 #[derive(Clone)]
 pub struct Repository {
-    /// Advertisements are `Arc`ed so the narrowing index, the digest
-    /// builder and a mutation's before/after pair share one body each.
+    /// Advertisements are `Arc`ed so the narrowing index and a mutation's
+    /// before/after pair share one body each.
     agents: BTreeMap<String, Arc<Advertisement>>,
     brokers: BTreeMap<String, BrokerAdvertisement>,
     capability_taxonomy: Taxonomy,
@@ -1049,6 +1133,15 @@ mod tests {
             set_ids(&set.0).map(|id| (name(id), (0, 0))).collect::<BTreeMap<_, _>>()
         };
         let mut out = BTreeMap::new();
+        for (agent_type, set) in &index.by_agent_type {
+            out.insert(format!("type {agent_type}"), posting(set));
+        }
+        for (lang, set) in &index.by_query_language {
+            out.insert(format!("query language {lang}"), posting(set));
+        }
+        for (lang, set) in &index.by_communication_language {
+            out.insert(format!("communication language {lang}"), posting(set));
+        }
         for (cap, set) in &index.by_capability {
             out.insert(format!("capability {cap}"), posting(set));
         }
@@ -1102,6 +1195,10 @@ mod tests {
             if below(2) == 0 {
                 ad.semantic.capabilities.insert(Capability::subscription());
             }
+            if below(3) == 0 {
+                ad.location.agent_type = AgentType::MultiResourceQuery;
+                ad.syntactic = SyntacticInfo::new(["SQL 2.0", "LDL"], ["CORBA"]);
+            }
             for _ in 0..below(3) {
                 let mut content = OntologyContent::new("healthcare").with_classes([[
                     "patient",
@@ -1135,6 +1232,32 @@ mod tests {
             drained.unadvertise(name);
         }
         assert!(by_name(&drained.index).is_empty());
+    }
+
+    /// `age > 40` in one record and `age < 60` in the other: each record
+    /// has a hull, and their union is unbounded both ways — written into
+    /// the column as what a free id reads as, yet counted in and out.
+    #[test]
+    fn a_hull_that_unions_to_unbounded_is_counted_out_with_its_advertisement() {
+        let one_sided = |p: Predicate| {
+            OntologyContent::new("healthcare")
+                .with_classes(["patient"])
+                .with_constraints(Conjunction::from_predicates(vec![p]))
+        };
+        let mut ad = valid_ad("ra1");
+        ad.semantic.content = vec![
+            one_sided(Predicate::gt("patient.age", 40)),
+            one_sided(Predicate::lt("patient.age", 60)),
+        ];
+        let mut repo = Repository::new();
+        repo.register_ontology(healthcare_ontology());
+        repo.advertise(ad).unwrap();
+        assert_eq!(repo.index.complete_hulls().collect::<Vec<_>>(), [("patient.age", OPEN)]);
+        repo.advertise(valid_ad("ra2")).unwrap();
+        assert_eq!(repo.index.complete_hulls().count(), 0, "ra2 is open on every slot");
+        assert!(repo.unadvertise("ra1"));
+        assert!(repo.index.hulls.is_empty(), "the column goes with its last advertisement");
+        assert_eq!(repo.index.complete_hulls().count(), 0);
     }
 
     #[test]

@@ -139,8 +139,8 @@ pub(crate) fn numeric_hull(c: &Conjunction, slot: &str) -> Option<(f64, f64)> {
 /// A requested window disjoint from that hull overlaps no record, so
 /// `Conjunction::overlaps` fails on each of them. Candidate narrowing
 /// ([`Repository`]'s hull columns), the subscription index's interval
-/// refinement and the routing digest ([`crate::digest`]) all prune by
-/// this function and nothing else.
+/// refinement and the routing digest ([`crate::digest`], which unites
+/// those columns) all prune by this function and nothing else.
 pub(crate) fn ad_slot_hulls(ad: &Advertisement) -> BTreeMap<&str, (f64, f64)> {
     fn record_hulls(c: &Conjunction) -> impl Iterator<Item = (&str, (f64, f64))> {
         c.constrained_slots().filter_map(|slot| Some((slot, numeric_hull(c, slot)?)))

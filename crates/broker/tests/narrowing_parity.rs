@@ -5,17 +5,30 @@
 //! exclusive and one-sided bounds, `in`-sets (a string-valued one has no
 //! hull and must never prune), advertisements whose content records
 //! constrain different slot sets, queries with constraints but no ontology
-//! or classes, a derived-rule repository, and ids recycled under churn.
+//! or classes, a derived-rule repository, and ids recycled under churn —
+//! and, for the three syntactic postings, agent types and languages varied
+//! on both sides, a type and a language nobody advertises included.
+//!
+//! The same scripts hold the routing digest to its contract:
+//! `CapabilityDigest::of`, read off the narrowing index, equals field for
+//! field the digest built by walking every advertisement, and admits every
+//! query the linear scan finds a match for.
 
-use infosleuth_broker::{Matchmaker, Repository};
-use infosleuth_constraint::{Conjunction, Predicate};
+use infosleuth_broker::{CapabilityDigest, Matchmaker, Repository};
+use infosleuth_constraint::{Bound, Conjunction, Predicate, Value};
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
     ConversationType, OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 const CLASSES: [&str; 5] = ["C1", "C2", "C2a", "C2b", "C3"];
+/// The last of each is asked for and never advertised.
+const AGENT_TYPES: [AgentType; 4] =
+    [AgentType::Resource, AgentType::MultiResourceQuery, AgentType::DataMining, AgentType::User];
+const QUERY_LANGUAGES: [&str; 4] = ["SQL 2.0", "LDL", "OQL", "Datalog"];
+const COMMUNICATION_LANGUAGES: [&str; 3] = ["KQML", "CORBA", "SOAP"];
 
 fn arb_capability() -> impl Strategy<Value = Capability> {
     prop_oneof![
@@ -83,22 +96,53 @@ fn arb_semantic() -> impl Strategy<Value = SemanticInfo> {
         })
 }
 
-fn ad(name: &str, semantic: SemanticInfo) -> Advertisement {
-    Advertisement::new(AgentLocation::new(name, "tcp://h:4000", AgentType::Resource))
-        .with_syntactic(SyntacticInfo::sql_kqml())
+/// Everything of an advertisement but its name: the agent type, zero to
+/// two languages of each kind (the never-advertised last ones left out),
+/// and the semantic part.
+type AdBody = (AgentType, SyntacticInfo, SemanticInfo);
+
+fn arb_body() -> impl Strategy<Value = AdBody> {
+    (
+        0..AGENT_TYPES.len() - 1,
+        prop::collection::btree_set(0..QUERY_LANGUAGES.len() - 1, 0..3),
+        prop::collection::btree_set(0..COMMUNICATION_LANGUAGES.len() - 1, 0..3),
+        arb_semantic(),
+    )
+        .prop_map(|(agent_type, query, communication, semantic)| {
+            let syntactic = SyntacticInfo::new(
+                query.into_iter().map(|l| QUERY_LANGUAGES[l]),
+                communication.into_iter().map(|l| COMMUNICATION_LANGUAGES[l]),
+            );
+            (AGENT_TYPES[agent_type].clone(), syntactic, semantic)
+        })
+}
+
+/// A resource agent speaking SQL over KQML, for the fixed cases.
+fn resource(semantic: SemanticInfo) -> AdBody {
+    (AgentType::Resource, SyntacticInfo::sql_kqml(), semantic)
+}
+
+fn ad(name: &str, (agent_type, syntactic, semantic): AdBody) -> Advertisement {
+    Advertisement::new(AgentLocation::new(name, "tcp://h:4000", agent_type))
+        .with_syntactic(syntactic)
         .with_semantic(semantic)
 }
 
 fn arb_query() -> impl Strategy<Value = ServiceQuery> {
+    let syntactic = (
+        prop::option::of(0..AGENT_TYPES.len()),
+        prop::option::of(0..QUERY_LANGUAGES.len()),
+        prop::option::of(0..COMMUNICATION_LANGUAGES.len()),
+    );
     (
         prop::option::of(prop_oneof![Just("paper-classes"), Just("healthcare"), Just("nowhere")]),
         prop::collection::btree_set(0usize..CLASSES.len(), 0..3),
         prop::option::of(arb_capability()),
         prop::option::of(arb_conversation()),
         arb_constraints(),
-        prop::option::of(1usize..4),
+        (prop::option::of(1usize..4), syntactic),
     )
-        .prop_map(|(onto, classes, cap, conv, constraints, max)| {
+        .prop_map(|(onto, classes, cap, conv, constraints, (max, syntactic))| {
             let mut q = ServiceQuery::any()
                 .with_classes(classes.into_iter().map(|c| CLASSES[c]))
                 .with_constraints(constraints);
@@ -106,6 +150,11 @@ fn arb_query() -> impl Strategy<Value = ServiceQuery> {
             q.capabilities.extend(cap);
             q.conversations.extend(conv);
             q.max_matches = max;
+            let (agent_type, query_language, communication_language) = syntactic;
+            q.agent_type = agent_type.map(|t| AGENT_TYPES[t].clone());
+            q.query_language = query_language.map(|l| QUERY_LANGUAGES[l].to_string());
+            q.communication_language =
+                communication_language.map(|l| COMMUNICATION_LANGUAGES[l].to_string());
             q
         })
 }
@@ -114,33 +163,151 @@ fn arb_query() -> impl Strategy<Value = ServiceQuery> {
 /// Twelve names over up to forty steps, so updates and recycled ids are
 /// the norm. Unsatisfiable advertisements are refused by the repository
 /// and simply do not land.
-fn arb_script() -> impl Strategy<Value = Vec<(usize, Option<SemanticInfo>)>> {
-    prop::collection::vec((0usize..12, prop::option::of(arb_semantic())), 0..40)
+fn arb_script() -> impl Strategy<Value = Vec<(usize, Option<AdBody>)>> {
+    prop::collection::vec((0usize..12, prop::option::of(arb_body())), 0..40)
 }
 
-fn repo_after(script: Vec<(usize, Option<SemanticInfo>)>) -> Repository {
+fn repo_after(script: Vec<(usize, Option<AdBody>)>) -> Repository {
     let mut repo = Repository::new();
     repo.register_ontology(paper_class_ontology());
     repo.register_ontology(healthcare_ontology());
     for (n, step) in script {
         let name = format!("agent{n}");
         match step {
-            Some(semantic) => drop(repo.advertise(ad(&name, semantic))),
+            Some(body) => drop(repo.advertise(ad(&name, body))),
             None => drop(repo.unadvertise(&name)),
         }
     }
     repo
 }
 
+/// The digest's wire hash, restated so that moving a bit fails here:
+/// FNV-1a 64 over a dimension tag, `0x1f` and the text.
+fn symbol(tag: u8, text: &str) -> u64 {
+    [tag, 0x1f].into_iter().chain(text.bytes()).fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// splitmix64's finalizer, from which the Bloom probes are seeded.
+fn mix(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One content record's closed numeric hull on a slot, when it has one:
+/// exclusive bounds relaxed, an all-numeric `in`-set clipped to its range.
+fn record_hull(c: &Conjunction, slot: &str) -> Option<(f64, f64)> {
+    let number = |v: &Value| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
+    };
+    let end = |bound: &Bound, open: f64| match bound {
+        Bound::Unbounded => Some(open),
+        Bound::Incl(v) | Bound::Excl(v) => number(v),
+    };
+    let domain = c.domain(slot);
+    let mut lo = end(&domain.range.lo, f64::NEG_INFINITY)?;
+    let mut hi = end(&domain.range.hi, f64::INFINITY)?;
+    if let Some(allowed) = &domain.allowed {
+        let numbers: Vec<f64> = allowed.iter().filter_map(number).collect();
+        if numbers.len() == allowed.len() && !numbers.is_empty() {
+            lo = lo.max(numbers.iter().copied().fold(f64::INFINITY, f64::min));
+            hi = hi.min(numbers.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+        }
+    }
+    ((lo, hi) != (f64::NEG_INFINITY, f64::INFINITY)).then_some((lo, hi))
+}
+
+/// An advertisement's hull per slot: the slots every content record has a
+/// hull on, each with the union over the records.
+fn ad_hulls(ad: &Advertisement) -> BTreeMap<&str, (f64, f64)> {
+    let mut records = ad.semantic.content.iter().map(|content| {
+        let c = &content.constraints;
+        c.constrained_slots()
+            .filter_map(|slot| Some((slot, record_hull(c, slot)?)))
+            .collect::<BTreeMap<_, _>>()
+    });
+    let mut hulls = records.next().unwrap_or_default();
+    for record in records {
+        hulls.retain(|slot, (lo, hi)| {
+            record.get(slot).map(|(rlo, rhi)| (*lo, *hi) = (lo.min(*rlo), hi.max(*rhi))).is_some()
+        });
+    }
+    hulls
+}
+
+/// The oracle: the digest built by walking the repository one
+/// advertisement at a time — each one's terms expanded and hashed into one
+/// set, a slot hull kept when every advertisement has one.
+fn digest_by_walking_every_advertisement(broker: &str, repo: &Repository) -> CapabilityDigest {
+    let mut symbols = BTreeSet::new();
+    let mut hulls: BTreeMap<&str, (usize, f64, f64)> = BTreeMap::new();
+    for ad in repo.agents() {
+        symbols.insert(symbol(b'n', &ad.location.name));
+        symbols.insert(symbol(b't', &ad.location.agent_type.to_string()));
+        symbols.extend(ad.syntactic.query_languages.iter().map(|l| symbol(b'q', l)));
+        symbols.extend(ad.syntactic.communication_languages.iter().map(|l| symbol(b'l', l)));
+        symbols.extend(ad.semantic.conversations.iter().map(|c| symbol(b'v', &c.to_string())));
+        for cap in &ad.semantic.capabilities {
+            let satisfied = repo.satisfied_capabilities(cap.as_str());
+            symbols.extend(satisfied.iter().map(|c| symbol(b'p', c)));
+        }
+        for content in &ad.semantic.content {
+            let onto = &content.ontology;
+            symbols.insert(symbol(b'o', onto));
+            for class in &content.classes {
+                let related = repo.satisfying_classes(onto, class);
+                symbols.extend(related.iter().map(|c| symbol(b'c', &format!("{onto}\u{1}{c}"))));
+            }
+        }
+        for (slot, (lo, hi)) in ad_hulls(ad) {
+            let all = hulls.entry(slot).or_insert((0, f64::INFINITY, f64::NEG_INFINITY));
+            *all = (all.0 + 1, all.1.min(lo), all.2.max(hi));
+        }
+    }
+    let width = (symbols.len() * 14).next_power_of_two().max(1024) as u64;
+    let mut bits = vec![0u64; width as usize / 64];
+    for sym in symbols {
+        let (h1, h2) = (mix(sym), mix(sym ^ 0x9e37_79b9_7f4a_7c15) | 1);
+        for i in 0..4u64 {
+            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % width;
+            bits[(bit / 64) as usize] |= 1 << (bit % 64);
+        }
+    }
+    CapabilityDigest {
+        broker: broker.to_string(),
+        epoch: repo.epoch(),
+        ads: repo.len() as u64,
+        unprunable: repo.has_derived_rules(),
+        k: 4,
+        bits,
+        slot_hulls: hulls
+            .into_iter()
+            .filter(|(_, (constrained, ..))| *constrained == repo.len())
+            .map(|(slot, (_, lo, hi))| (slot.to_string(), (lo, hi)))
+            .collect(),
+    }
+}
+
+/// Narrowing returns the linear scan's rows, and the digest read off the
+/// same index is the walked one and prunes no query the scan answers.
 fn assert_narrowing_is_invisible(repo: &mut Repository, queries: &[ServiceQuery]) {
     let model = repo.saturated();
     let mm = Matchmaker::default();
+    let digest = CapabilityDigest::of("b", repo);
+    assert_eq!(digest, digest_by_walking_every_advertisement("b", repo));
     for q in queries {
+        let linear = mm.match_query_linear(repo, &model, q);
         assert_eq!(
             mm.match_query(repo, &model, q),
-            mm.match_query_linear(repo, &model, q),
+            linear,
             "narrowed differently from the linear scan on {q:?}"
         );
+        assert!(linear.is_empty() || digest.can_match(q), "the digest prunes a match of {q:?}");
     }
 }
 
@@ -186,11 +353,11 @@ fn a_recycled_id_does_not_inherit_the_hull() {
     let open = SemanticInfo::default()
         .with_content(OntologyContent::new("paper-classes").with_classes(["C1"]));
     let mut repo = repo_after(vec![
-        (0, Some(window(0, 10))),
+        (0, Some(resource(window(0, 10)))),
         // Keeps the column for `x` alive across the churn below.
-        (1, Some(window(20, 30))),
+        (1, Some(resource(window(20, 30)))),
         (0, None),
-        (2, Some(open)),
+        (2, Some(resource(open))),
     ]);
     let q = ServiceQuery::any()
         .with_ontology("paper-classes")
@@ -200,4 +367,36 @@ fn a_recycled_id_does_not_inherit_the_hull() {
         Matchmaker::default().match_query_mut(&mut repo, &q).into_iter().map(|m| m.name).collect();
     assert_eq!(names, vec!["agent2"]);
     assert_narrowing_is_invisible(&mut repo, &[q]);
+}
+
+/// Likewise an id freed by a multiresource-query agent and taken by a
+/// resource agent: the newcomer answers for its own type and languages and
+/// for none of its predecessor's.
+#[test]
+fn a_recycled_id_does_not_inherit_the_agent_type_or_the_languages() {
+    let semantic = || SemanticInfo::default().with_conversations([ConversationType::AskAll]);
+    let mrq = (AgentType::MultiResourceQuery, SyntacticInfo::new(["LDL"], ["CORBA"]), semantic());
+    let mut repo = repo_after(vec![
+        (0, Some(mrq)),
+        (1, Some(resource(semantic()))),
+        (0, None),
+        (2, Some(resource(semantic()))),
+    ]);
+    let queries = [
+        ServiceQuery::for_agent_type(AgentType::MultiResourceQuery),
+        ServiceQuery::any().with_query_language("LDL"),
+        ServiceQuery::any().with_communication_language("CORBA"),
+        ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_query_language("SQL 2.0")
+            .with_communication_language("KQML"),
+    ];
+    let names = |repo: &mut Repository, q: &ServiceQuery| -> Vec<String> {
+        Matchmaker::default().match_query_mut(repo, q).into_iter().map(|m| m.name).collect()
+    };
+    for gone in &queries[..3] {
+        assert!(names(&mut repo, gone).is_empty(), "{gone:?}");
+        assert!(!CapabilityDigest::of("b", &repo).can_match(gone), "{gone:?}");
+    }
+    assert_eq!(names(&mut repo, &queries[3]), vec!["agent1", "agent2"]);
+    assert_narrowing_is_invisible(&mut repo, &queries);
 }
