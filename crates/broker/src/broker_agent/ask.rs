@@ -11,7 +11,7 @@ use crate::matchmaker::{MatchResult, Matchmaker};
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_agent::{AgentContext, BusError, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
-use infosleuth_ontology::{AgentType, ServiceQuery};
+use infosleuth_ontology::{AgentType, ServiceQuery, SortedSet};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ pub(super) fn handle_query(
 /// the system with the capabilities and data domain that it is interested
 /// in" and reconfigure its preferred-broker list.
 fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
-    let fits = |ontologies: &BTreeSet<String>| match &query.ontology {
+    let fits = |ontologies: &SortedSet<String>| match &query.ontology {
         None => true,
         // A specialist fits if it covers the domain; a general-purpose
         // broker (empty specialization) fits anything.

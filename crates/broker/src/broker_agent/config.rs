@@ -3,7 +3,7 @@
 use crate::objective::BrokerObjective;
 use crate::policy::SearchPolicy;
 use infosleuth_ontology::{
-    Advertisement, AgentLocation, AgentType, BrokerAdvertisement, BrokerSpecialization,
+    Advertisement, AgentLocation, AgentType, BrokerAdvertisement, BrokerSpecialization, SortedSet,
 };
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -105,7 +105,7 @@ impl BrokerConfig {
         BrokerAdvertisement::new(base)
             .with_consortia(self.consortia.iter().cloned())
             .with_specialization(BrokerSpecialization {
-                agent_types: BTreeSet::new(),
+                agent_types: SortedSet::new(),
                 ontologies: self.objective.ontologies(),
                 restrictions: Vec::new(),
             })

@@ -150,12 +150,57 @@ mod tests {
     use super::super::tests::{resource_ad, seeded_repo, spawn_broker, T};
     use super::super::{interconnect, BrokerAgent};
     use crate::{
-        advertise_to, codec, query_broker, BrokerConfig, BrokerObjective, CapabilityDigest,
-        SearchPolicy,
+        advertise_to, codec, query_broker, unadvertise_from, BrokerConfig, BrokerObjective,
+        CapabilityDigest, SearchPolicy,
     };
     use infosleuth_agent::Bus;
     use infosleuth_kqml::{Message, Performative, SExpr};
     use infosleuth_ontology::{AgentType, OntologyContent, ServiceQuery};
+
+    #[test]
+    fn advertise_query_unadvertise_conversation() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("client").unwrap();
+        assert!(advertise_to(&mut agent, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let matches = query_broker(&mut agent, "broker1", &q, None, T).unwrap();
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].name, "ra1");
+        assert!(unadvertise_from(&mut agent, "broker1", "ra1", T).unwrap());
+        assert!(query_broker(&mut agent, "broker1", &q, None, T).unwrap().is_empty());
+        broker.stop();
+    }
+
+    #[test]
+    fn invalid_advertisement_is_declined() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("client").unwrap();
+        let mut bad = resource_ad("ra1", &["C1"]);
+        bad.location.address = "not-an-address".into();
+        assert!(!advertise_to(&mut agent, "broker1", &bad, T).unwrap());
+        broker.stop();
+    }
+
+    #[test]
+    fn analysis_rejection_sorry_carries_diagnostics() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("client").unwrap();
+        // 'C9' is not a class of the registered paper ontology: the static
+        // analyzer rejects with IS021 and the sorry carries the report.
+        let bad = resource_ad("ra1", &["C9"]);
+        let msg =
+            Message::new(Performative::Advertise).with_content(codec::advertisement_to_sexpr(&bad));
+        let reply = agent.request("broker1", msg, T).unwrap();
+        assert_eq!(reply.performative, Performative::Sorry);
+        let text = reply.content().and_then(|c| c.as_text()).unwrap_or_default();
+        assert!(text.contains("IS021"), "sorry lacks diagnostic: {text}");
+        broker.stop();
+    }
 
     #[test]
     fn rejected_digest_leaves_the_stored_one_in_place() {

@@ -12,7 +12,6 @@ use infosleuth_ontology::{
     BrokerSpecialization, Capability, ConversationType, Fragment, OntologyContent, SemanticInfo,
     ServiceQuery, SyntacticInfo,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Error decoding a payload.
@@ -239,8 +238,7 @@ pub fn advertisement_from_sexpr(e: &SExpr) -> Result<Advertisement, CodecError> 
     );
     let mut sem = SemanticInfo::default();
     if let Some(convs) = find(items, "conversations") {
-        sem.conversations =
-            text_items(convs).into_iter().map(|s| parse_conversation(&s)).collect::<BTreeSet<_>>();
+        sem.conversations = text_items(convs).into_iter().map(|s| parse_conversation(&s)).collect();
     }
     if let Some(caps) = find(items, "capabilities") {
         sem.capabilities = text_items(caps).into_iter().map(Capability::new).collect();
@@ -748,6 +746,43 @@ mod tests {
         let parsed = SExpr::parse(&text).unwrap();
         let back = advertisement_from_sexpr(&parsed).unwrap();
         assert_eq!(back, ad);
+    }
+
+    /// A sender that repeats itself says nothing more: a class, a
+    /// capability and a language listed twice decode to the advertisement
+    /// that lists them once, whose wire form is pinned here byte for byte.
+    #[test]
+    fn repeated_list_items_decode_to_the_deduplicated_advertisement() {
+        let ad = Advertisement::new(AgentLocation::new("ra1", "tcp://h:1", AgentType::Resource))
+            .with_syntactic(SyntacticInfo::sql_kqml())
+            .with_semantic(
+                SemanticInfo::default()
+                    .with_conversations([ConversationType::AskAll])
+                    .with_capabilities(["subscription", "relational-query-processing"])
+                    .with_content(
+                        OntologyContent::new("healthcare")
+                            .with_classes(["patient", "diagnosis"])
+                            .with_keys(["patient.id"]),
+                    ),
+            );
+        let repeating = "(advertisement (name ra1) (address \"tcp://h:1\") (type resource) \
+            (query-languages \"SQL 2.0\" \"SQL 2.0\") (comm-languages \"KQML\") \
+            (conversations ask-all) \
+            (capabilities subscription relational-query-processing subscription) \
+            (content (ontology healthcare) (classes patient diagnosis patient) (slots) \
+            (keys patient.id) (constraints \"true\")) \
+            (properties (mobile false) (cloneable false)))";
+        let back = advertisement_from_sexpr(&SExpr::parse(repeating).unwrap()).unwrap();
+        assert_eq!(back, ad);
+        assert_eq!(
+            advertisement_to_sexpr(&back).to_string(),
+            "(advertisement (name ra1) (address \"tcp://h:1\") (type resource) \
+             (query-languages \"SQL 2.0\") (comm-languages \"KQML\") (conversations ask-all) \
+             (capabilities relational-query-processing subscription) \
+             (content (ontology healthcare) (classes diagnosis patient) (slots) \
+             (keys patient.id) (constraints \"true\")) \
+             (properties (mobile false) (cloneable false)))"
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::repository::{IdSet, Repository};
 use crate::sub_index::numeric_hull;
 use infosleuth_ldl::Saturated;
 use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, Sym};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One recommended agent, with the ranking score that ordered it and the
@@ -35,11 +34,11 @@ pub struct MatchResult {
 }
 
 /// Internal per-agent match outcome: the ranking score and which content
-/// record carried the semantic match. Borrows the ontology name from the
-/// advertisement; it is cloned once, for the winning record only.
+/// record carried the semantic match. Borrows the record from the
+/// advertisement; its lists are cloned once, for the winning record only.
 struct MatchOutcome<'a> {
     score: u32,
-    content_ontology: Option<&'a str>,
+    content: Option<&'a OntologyContent>,
 }
 
 /// The matchmaking engine: the syntactic layer, then the semantic one
@@ -249,14 +248,13 @@ impl Matchmaker {
         query: &ServiceQuery,
         probe: &Probe<'_>,
     ) -> Option<MatchResult> {
-        let outcome = self.score_agent(ad, query, probe)?;
-        let content = outcome.content_ontology.and_then(|o| ad.semantic.content_for(o));
+        let MatchOutcome { score, content } = self.score_agent(ad, query, probe)?;
         Some(MatchResult {
             name: ad.location.name.clone(),
             address: ad.location.address.clone(),
-            score: outcome.score,
+            score,
             estimated_response_time: ad.properties.estimated_response_time,
-            ontology: outcome.content_ontology.map(str::to_string),
+            ontology: content.map(|c| c.ontology.clone()),
             classes: content.map(|c| c.classes.iter().cloned().collect()).unwrap_or_default(),
             slots: content.map(|c| c.slots.iter().cloned().collect()).unwrap_or_default(),
             keys: content.map(|c| c.keys.iter().cloned().collect()).unwrap_or_default(),
@@ -292,7 +290,7 @@ impl Matchmaker {
             }
         }
         let mut score = 1; // base score for a syntactic match
-        let mut content_ontology = None;
+        let mut content = None;
 
         // ---- Semantic layer: capabilities ------------------------------
         let agent = Sym::lookup(&ad.location.name);
@@ -309,19 +307,19 @@ impl Matchmaker {
         // ---- Semantic layer: content -----------------------------------
         let needs_content = query.ontology.is_some() || !query.classes.is_empty();
         if needs_content {
-            // Pick the best-scoring content record that satisfies the query.
-            let candidates: Vec<&OntologyContent> = match &query.ontology {
-                Some(o) => ad.semantic.content.iter().filter(|c| &c.ontology == o).collect(),
-                None => ad.semantic.content.iter().collect(),
-            };
-            let (best_score, best_ontology) = candidates
+            // Pick the best-scoring content record that satisfies the
+            // query; of equals, the one advertised first (`max_by_key`
+            // keeps the last it meets, hence the `rev`).
+            let (best_score, best) = ad
+                .semantic
+                .content
                 .iter()
-                .filter_map(|c| {
-                    self.score_content(agent, c, query, probe).map(|s| (s, c.ontology.as_str()))
-                })
+                .rev()
+                .filter(|c| query.ontology.as_ref().map_or(true, |o| &c.ontology == o))
+                .filter_map(|c| self.score_content(agent, c, query, probe).map(|s| (s, c)))
                 .max_by_key(|(s, _)| *s)?;
             score += best_score;
-            content_ontology = Some(best_ontology);
+            content = Some(best);
         } else if !query.constraints.is_trivial() {
             // No specific ontology/classes requested, but data constraints
             // given: any advertised content must not rule out overlap.
@@ -350,7 +348,7 @@ impl Matchmaker {
                 }
             }
         }
-        Some(MatchOutcome { score, content_ontology })
+        Some(MatchOutcome { score, content })
     }
 
     /// Scores one content record; `None` means this record cannot serve the
@@ -380,14 +378,14 @@ impl Matchmaker {
         }
 
         // Slots: when both sides list slots, they must overlap (bare and
-        // qualified spellings both accepted). Borrowed suffixes — no
-        // per-slot `String`.
+        // qualified spellings both accepted). Both lists are a few
+        // names long: compared pairwise on borrowed suffixes, nothing built.
         if !query.slots.is_empty() && !content.slots.is_empty() {
             fn bare(s: &str) -> &str {
                 s.rsplit('.').next().unwrap_or(s)
             }
-            let advertised: BTreeSet<&str> = content.slots.iter().map(|s| bare(s)).collect();
-            if !query.slots.iter().any(|s| advertised.contains(bare(s))) {
+            let advertised = |slot: &str| content.slots.iter().any(|s| bare(s) == slot);
+            if !query.slots.iter().any(|s| advertised(bare(s))) {
                 return None;
             }
         }
@@ -801,6 +799,34 @@ mod tests {
         let m = Matchmaker::default().match_query_mut(&mut r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "anchor");
+    }
+
+    /// The result row is read off the content record that carried the
+    /// match, not off the first record of the same ontology. The indexed
+    /// and the linear path share `score_candidate`, so no parity suite can
+    /// see this: both are asked.
+    #[test]
+    fn result_row_describes_the_record_that_matched() {
+        let mut r = repo();
+        let mut ad = resource("split", &["C1"]);
+        ad.semantic.content[0].keys.insert("C1.id".into());
+        ad.semantic
+            .content
+            .push(OntologyContent::new("paper-classes").with_classes(["C3"]).with_keys(["C3.id"]));
+        r.advertise(ad).unwrap();
+        let model = r.saturated();
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C3"]);
+        let mm = Matchmaker::default();
+        for m in [mm.match_query(&r, &model, &q), mm.match_query_linear(&r, &model, &q)] {
+            assert_eq!(m.len(), 1);
+            assert_eq!(m[0].ontology.as_deref(), Some("paper-classes"));
+            assert_eq!((&m[0].classes, &m[0].keys), (&vec!["C3".into()], &vec!["C3.id".into()]));
+        }
+        // Records that score alike: the one advertised first.
+        let any = ServiceQuery::for_agent_type(AgentType::Resource).with_ontology("paper-classes");
+        assert_eq!(mm.match_query(&r, &model, &any)[0].classes, ["C1"]);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! develop a specialty in brokering over certain chosen domains, then it
 //! should only accept advertisements that overlap with its chosen domains."
 
-use infosleuth_ontology::Advertisement;
-use std::collections::BTreeSet;
+use infosleuth_ontology::{Advertisement, SortedSet};
 
 /// What a broker decides to do with an incoming advertisement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +29,7 @@ pub enum BrokerObjective {
     GeneralPurpose,
     /// Accepts only advertisements whose content overlaps the chosen
     /// ontologies.
-    Specialized { ontologies: BTreeSet<String> },
+    Specialized { ontologies: SortedSet<String> },
 }
 
 impl BrokerObjective {
@@ -84,9 +83,9 @@ impl BrokerObjective {
     }
 
     /// The specialty ontologies (empty for general-purpose brokers).
-    pub fn ontologies(&self) -> BTreeSet<String> {
+    pub fn ontologies(&self) -> SortedSet<String> {
         match self {
-            BrokerObjective::GeneralPurpose => BTreeSet::new(),
+            BrokerObjective::GeneralPurpose => SortedSet::new(),
             BrokerObjective::Specialized { ontologies } => ontologies.clone(),
         }
     }

@@ -114,13 +114,17 @@ fn saturated_empty_repo() -> Repository {
     repo
 }
 
-/// The parent commit kept 11 017 B in 131 allocations per advertisement
-/// of this population (advertisement 3 481 B, narrowing index and EDB
-/// 2 795 B, model and its scoring projection 4 753 B); this layout
-/// measures 5 099 B in 47 (2 025 / 1 025 / 1 589 B). The ceiling leaves a
-/// tenth for where hash tables and vectors happen to have last doubled,
-/// and is half the parent's figure.
-const CEILING_BYTES_PER_AD: f64 = 5_600.0;
+/// This layout measures 3 820 B in 47 allocations per advertisement of
+/// this population (advertisement 745 B, narrowing index and EDB 1 025 B,
+/// a model saturated once 1 589 B; ≈ 460 B more for tables grown one
+/// patch at a time and the agent names interned). The ceiling leaves a
+/// tenth for where hash tables and vectors happen to have last doubled.
+const CEILING_BYTES_PER_AD: f64 = 4_200.0;
+
+/// The advertisement record itself: 233 advertised bytes cost 745 B in 15
+/// allocations — its strings, and one exactly-sized block per non-empty
+/// list. One B-tree leaf under any of those lists would add ≈ 280 B.
+const CEILING_AD_RECORD_BYTES: f64 = 900.0;
 
 /// What a broker may keep per advertisement beyond the repository it was
 /// handed. Its match cache, counters and routing table do not grow with
@@ -178,10 +182,11 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
         "per advertisement: {advertised:.1} advertised bytes (approx_size_bytes); live heap:"
     );
     let stored = per_ad(t1, t2);
+    let record = per_ad(t0, t1);
     let rows = [
         ("repository, model patched", (bytes, allocs)),
-        ("  advertisement", per_ad(t0, t1)),
-        ("  narrowing index + EDB", (stored.0 - per_ad(t0, t1).0, stored.1 - per_ad(t0, t1).1)),
+        ("  advertisement", record),
+        ("  narrowing index + EDB", (stored.0 - record.0, stored.1 - record.1)),
         ("  model, saturated once", per_ad(t2, t3)),
         ("broker core, beside it", broker),
     ];
@@ -193,6 +198,11 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     assert!(
         bytes <= CEILING_BYTES_PER_AD,
         "{bytes:.0} live bytes per advertisement, ceiling {CEILING_BYTES_PER_AD}"
+    );
+    assert!(
+        record.0 <= CEILING_AD_RECORD_BYTES,
+        "an advertisement record keeps {:.0} live bytes, ceiling {CEILING_AD_RECORD_BYTES}",
+        record.0
     );
     assert_eq!(digest_ads, N as u64);
     assert_eq!(t4, t3, "(bytes, allocations) still live after a digest was taken and dropped");
@@ -228,7 +238,7 @@ fn churn_does_not_grow_and_a_drain_returns_everything() {
     // table entry per name seen (its bytes plus 36, before the table's own
     // doubling — ≈ 20 kB here) and the capacity the emptied id map and id
     // slots keep (≈ 28 kB). 400 B per advertisement bounds the two; a full
-    // repository held 5 090 B for each.
+    // repository held 3 820 B for each.
     fill(&mut repo);
     let empty = drain(&mut repo);
     let symbols = Sym::table_len();

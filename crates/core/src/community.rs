@@ -24,7 +24,6 @@ use infosleuth_ontology::{
     Ontology, OntologyContent, SemanticInfo, SyntacticInfo,
 };
 use infosleuth_relquery::Catalog;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,24 +76,23 @@ impl ResourceDef {
     /// Public so distributed deployments can build a [`ResourceSpec`]
     /// without going through [`CommunityBuilder`].
     pub fn advertisement(&self, ontology: &Ontology, port: u16) -> Advertisement {
-        let classes: BTreeSet<String> = self.catalog.names().map(str::to_string).collect();
-        let mut slots = BTreeSet::new();
-        let mut keys = BTreeSet::new();
+        let mut slots = Vec::new();
+        let mut keys = Vec::new();
         for table in self.catalog.tables() {
             for col in table.columns() {
-                slots.insert(format!("{}.{}", table.name, col.name));
+                slots.push(format!("{}.{}", table.name, col.name));
             }
             if let Ok(class_slots) = ontology.all_slots(&table.name) {
                 for s in class_slots.iter().filter(|s| s.is_key) {
-                    keys.insert(format!("{}.{}", table.name, s.name));
+                    keys.push(format!("{}.{}", table.name, s.name));
                 }
             }
         }
         let mut content = OntologyContent::new(self.ontology.clone())
-            .with_classes(classes)
+            .with_classes(self.catalog.names())
+            .with_slots(slots)
+            .with_keys(keys)
             .with_constraints(self.constraints.clone());
-        content.slots = slots;
-        content.keys = keys;
         for (class, frag) in &self.fragments {
             content = content.with_fragment(class.clone(), frag.clone());
         }

@@ -14,6 +14,8 @@
 //!   advertise when they hold only part of a class;
 //! * [`Advertisement`], [`BrokerAdvertisement`], and [`ServiceQuery`] — the
 //!   records that flow between agents and brokers;
+//! * [`SortedSet`], the exactly-sized ordered set those records hold their
+//!   lists in;
 //! * the sample healthcare ontology used across the paper's examples;
 //! * [`Sym`], the process-wide symbol table those names are interned in
 //!   once they reach the reasoning engine.
@@ -25,6 +27,7 @@ mod fragment;
 mod model;
 mod samples;
 mod service;
+mod set;
 mod symbol;
 mod taxonomy;
 
@@ -37,5 +40,6 @@ pub use service::{
     BrokerSpecialization, ConversationType, OntologyContent, SemanticInfo, ServiceQuery,
     SyntacticInfo,
 };
+pub use set::SortedSet;
 pub use symbol::Sym;
 pub use taxonomy::{Taxonomy, TaxonomyError};

@@ -6,9 +6,8 @@
 //! information), Fig. 9 (semantic information), the §2.4 worked example, and
 //! Fig. 13 (multibroker extensions).
 
-use crate::{Capability, Fragment};
+use crate::{Capability, Fragment, SortedSet};
 use infosleuth_constraint::Conjunction;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The kind of agent, part of the syntactic service-ontology information.
@@ -110,9 +109,9 @@ impl AgentLocation {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SyntacticInfo {
     /// Content / interface query languages, e.g. `SQL 2.0`, `LDL`.
-    pub query_languages: BTreeSet<String>,
+    pub query_languages: SortedSet<String>,
     /// Communication languages/services, e.g. `KQML`, `CORBA`.
-    pub communication_languages: BTreeSet<String>,
+    pub communication_languages: SortedSet<String>,
 }
 
 impl SyntacticInfo {
@@ -143,11 +142,11 @@ pub struct OntologyContent {
     /// Supported ontology name, e.g. `healthcare`.
     pub ontology: String,
     /// Supported ontology classes, e.g. `diagnosis`, `patient`.
-    pub classes: BTreeSet<String>,
+    pub classes: SortedSet<String>,
     /// Supported ontology slots, dotted, e.g. `patient.age`.
-    pub slots: BTreeSet<String>,
+    pub slots: SortedSet<String>,
     /// Supported class keys, e.g. `patient.id`.
-    pub keys: BTreeSet<String>,
+    pub keys: SortedSet<String>,
     /// Per-class fragments: `(class, fragment)` pairs.
     pub fragments: Vec<(String, Fragment)>,
     /// Restrictions on the data, e.g. `patient.age between 43 and 75`.
@@ -158,9 +157,9 @@ impl OntologyContent {
     pub fn new(ontology: impl Into<String>) -> Self {
         OntologyContent {
             ontology: ontology.into(),
-            classes: BTreeSet::new(),
-            slots: BTreeSet::new(),
-            keys: BTreeSet::new(),
+            classes: SortedSet::new(),
+            slots: SortedSet::new(),
+            keys: SortedSet::new(),
             fragments: Vec::new(),
             constraints: Conjunction::always(),
         }
@@ -209,9 +208,9 @@ impl OntologyContent {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SemanticInfo {
     /// Conversation types the agent can participate in.
-    pub conversations: BTreeSet<ConversationType>,
+    pub conversations: SortedSet<ConversationType>,
     /// The agent's functionality, as capability-taxonomy nodes.
-    pub capabilities: BTreeSet<Capability>,
+    pub capabilities: SortedSet<Capability>,
     /// Free-text restrictions on those capabilities (e.g. "no statistical
     /// aggregation within queries").
     pub capability_restrictions: Vec<String>,
@@ -245,11 +244,6 @@ impl SemanticInfo {
     pub fn with_content(mut self, content: OntologyContent) -> Self {
         self.content.push(content);
         self
-    }
-
-    /// The content record for a given ontology, if advertised.
-    pub fn content_for(&self, ontology: &str) -> Option<&OntologyContent> {
-        self.content.iter().find(|c| c.ontology == ontology)
     }
 }
 
@@ -337,9 +331,9 @@ impl Advertisement {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BrokerSpecialization {
     /// Agent types in the broker's repository (empty = any).
-    pub agent_types: BTreeSet<AgentType>,
+    pub agent_types: SortedSet<AgentType>,
     /// Ontologies the broker specializes in (empty = general purpose).
-    pub ontologies: BTreeSet<String>,
+    pub ontologies: SortedSet<String>,
     /// Free-text restrictions on brokered services.
     pub restrictions: Vec<String>,
 }
@@ -357,7 +351,7 @@ impl BrokerSpecialization {
 pub struct BrokerAdvertisement {
     pub base: Advertisement,
     /// Consortium memberships.
-    pub consortia: BTreeSet<String>,
+    pub consortia: SortedSet<String>,
     pub specialization: BrokerSpecialization,
 }
 
@@ -365,7 +359,7 @@ impl BrokerAdvertisement {
     pub fn new(base: Advertisement) -> Self {
         BrokerAdvertisement {
             base,
-            consortia: BTreeSet::new(),
+            consortia: SortedSet::new(),
             specialization: BrokerSpecialization::default(),
         }
     }
@@ -399,18 +393,18 @@ pub struct ServiceQuery {
     /// Required communication language, e.g. `KQML`.
     pub communication_language: Option<String>,
     /// Required conversation types.
-    pub conversations: BTreeSet<ConversationType>,
+    pub conversations: SortedSet<ConversationType>,
     /// Required capabilities; each must be covered by an advertised
     /// capability via taxonomy subsumption.
-    pub capabilities: BTreeSet<Capability>,
+    pub capabilities: SortedSet<Capability>,
     /// Required ontology name, e.g. `healthcare`.
     pub ontology: Option<String>,
     /// Classes the request involves; the advertisement must cover at least
     /// one (the broker returns partial matches for fragmented classes, and
     /// the requester combines them).
-    pub classes: BTreeSet<String>,
+    pub classes: SortedSet<String>,
     /// Slots the request involves.
-    pub slots: BTreeSet<String>,
+    pub slots: SortedSet<String>,
     /// Data constraints that must overlap the advertised restrictions.
     pub constraints: Conjunction,
     /// Upper bound on estimated response time, when the requester cares.
@@ -555,7 +549,8 @@ mod tests {
         assert_eq!(ad.location.address, "tcp://b1.mcc.com:4356");
         assert!(ad.syntactic.query_languages.contains("SQL 2.0"));
         assert!(ad.semantic.capabilities.contains(&Capability::relational_query_processing()));
-        let hc = ad.semantic.content_for("healthcare").unwrap();
+        let hc = &ad.semantic.content[0];
+        assert_eq!(hc.ontology, "healthcare");
         assert!(hc.classes.contains("patient"));
         assert!(hc.constraints.domain("patient.age").contains(&Value::Int(50)));
         assert_eq!(ad.properties.estimated_response_time, Some(5.0));
@@ -586,8 +581,8 @@ mod tests {
             AgentType::Broker,
         ));
         let spec = BrokerSpecialization {
-            agent_types: BTreeSet::from([AgentType::Resource]),
-            ontologies: BTreeSet::from(["healthcare".to_string()]),
+            agent_types: SortedSet::from([AgentType::Resource]),
+            ontologies: SortedSet::from(["healthcare".to_string()]),
             restrictions: vec![],
         };
         let ad = BrokerAdvertisement::new(base)

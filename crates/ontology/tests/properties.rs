@@ -1,9 +1,53 @@
-//! Property tests for the taxonomy: the subsumption relation the broker's
+//! Property tests for the taxonomy — the subsumption relation the broker's
 //! capability and class-hierarchy reasoning is built on must be a strict
-//! partial order that agrees with graph reachability.
+//! partial order that agrees with graph reachability — and for
+//! [`SortedSet`], which must be a `BTreeSet` to every caller and a
+//! no-spare-capacity vector to the allocator.
 
-use infosleuth_ontology::Taxonomy;
+use infosleuth_ontology::{SortedSet, Taxonomy};
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+/// Counts this thread's `alloc` and `realloc` calls, so one test can bound
+/// the heap operations of a bulk build while the others run beside it.
+struct CountingPerThread;
+
+thread_local! {
+    static HEAP_OPS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_heap_op() {
+    // A thread being torn down has no counter left; nothing is measured
+    // there.
+    let _ = HEAP_OPS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a thread-local statistic.
+unsafe impl GlobalAlloc for CountingPerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_heap_op();
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, hence from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_heap_op();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingPerThread = CountingPerThread;
 
 /// A random forest over up to 12 nodes, built so construction never fails:
 /// each node attaches under a previously-created node (or becomes a root),
@@ -120,4 +164,133 @@ proptest! {
             }
         }
     }
+}
+
+/// One step of a set's life. Values come from a dozen names, so steps
+/// collide: inserts repeat, removes hit, batches overlap what is held.
+#[derive(Debug, Clone)]
+enum Step {
+    Insert(String),
+    Remove(String),
+    Extend(Vec<String>),
+    Clear,
+}
+
+fn arb_name() -> impl Strategy<Value = String> {
+    (0usize..12).prop_map(|n| format!("k{n:02}"))
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    // Arms are drawn evenly; the repeats keep a set growing between clears.
+    let step = prop_oneof![
+        arb_name().prop_map(Step::Insert),
+        arb_name().prop_map(Step::Insert),
+        arb_name().prop_map(Step::Insert),
+        arb_name().prop_map(Step::Remove),
+        arb_name().prop_map(Step::Remove),
+        proptest::collection::vec(arb_name(), 0..6).prop_map(Step::Extend),
+        proptest::collection::vec(arb_name(), 0..6).prop_map(Step::Extend),
+        Just(Step::Clear),
+    ];
+    proptest::collection::vec(step, 0..40)
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    /// Step by step against a `BTreeSet`: the same answers from `insert`,
+    /// `remove` and `contains`, the same elements in the same order, and
+    /// never a slot more than the elements need.
+    #[test]
+    fn sorted_set_is_a_btreeset_to_its_callers(steps in arb_steps()) {
+        let mut set = SortedSet::new();
+        let mut oracle = BTreeSet::new();
+        for step in steps {
+            match step {
+                Step::Insert(v) => prop_assert_eq!(set.insert(v.clone()), oracle.insert(v)),
+                Step::Remove(v) => prop_assert_eq!(set.remove(v.as_str()), oracle.remove(v.as_str())),
+                Step::Extend(vs) => {
+                    set.extend(vs.iter().cloned());
+                    oracle.extend(vs);
+                }
+                Step::Clear => {
+                    set.clear();
+                    oracle.clear();
+                }
+            }
+            prop_assert_eq!(set.capacity(), set.len());
+            prop_assert_eq!((set.len(), set.is_empty()), (oracle.len(), oracle.is_empty()));
+            prop_assert_eq!(set.first(), oracle.first());
+            prop_assert!(set.iter().eq(oracle.iter()));
+            prop_assert!((&set).into_iter().eq(&oracle));
+            prop_assert!(set.clone().into_iter().eq(oracle.clone()));
+            for n in 0..12 {
+                let name = format!("k{n:02}");
+                prop_assert_eq!(set.contains(name.as_str()), oracle.contains(name.as_str()));
+            }
+        }
+    }
+
+    /// A set is its elements, however it came by them: built by `collect`,
+    /// by `insert` in reverse, or by `extend` in halves, equal element
+    /// lists give equal sets with equal hashes; and two sets compare, hash
+    /// and nest as the oracle's do.
+    #[test]
+    fn eq_ord_and_hash_ignore_insertion_order(
+        a in proptest::collection::vec(arb_name(), 0..10),
+        b in proptest::collection::vec(arb_name(), 0..10),
+    ) {
+        let collected: SortedSet<String> = a.iter().cloned().collect();
+        let mut inserted = SortedSet::new();
+        for v in a.iter().rev() {
+            inserted.insert(v.clone());
+        }
+        let mut halves = SortedSet::new();
+        halves.extend(a[a.len() / 2..].iter().cloned());
+        halves.extend(a[..a.len() / 2].iter().cloned());
+        for other in [&inserted, &halves] {
+            prop_assert_eq!(&collected, other);
+            prop_assert_eq!(hash_of(&collected), hash_of(other));
+            prop_assert_eq!(other.capacity(), other.len());
+        }
+
+        let oracle_a: BTreeSet<String> = a.iter().cloned().collect();
+        let oracle_b: BTreeSet<String> = b.iter().cloned().collect();
+        let other: SortedSet<String> = b.iter().cloned().collect();
+        prop_assert_eq!(collected.len(), oracle_a.len(), "duplicates collapse");
+        prop_assert_eq!(collected == other, oracle_a == oracle_b);
+        prop_assert_eq!(collected.cmp(&other), oracle_a.cmp(&oracle_b));
+        prop_assert_eq!(hash_of(&collected), hash_of(&oracle_a));
+        prop_assert_eq!(collected.is_subset(&other), oracle_a.is_subset(&oracle_b));
+    }
+}
+
+/// A bulk build sorts once. 10⁵ shuffled strings, a fifth of them
+/// repeated, collect into the set in a handful of heap operations — the
+/// vector growing, the sort's buffer, the final trim — where an `insert`
+/// per element would trim, so reallocate, 10⁵ times.
+#[test]
+fn bulk_collect_sorts_once() {
+    const N: usize = 100_000;
+    let mut names: Vec<String> = (0..N).map(|n| format!("name-{:06}", n % (N * 4 / 5))).collect();
+    // Fisher–Yates on a fixed LCG: the same shuffle every run.
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    for i in (1..N).rev() {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        names.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let oracle: BTreeSet<String> = names.iter().cloned().collect();
+
+    let before = HEAP_OPS.with(Cell::get);
+    let set: SortedSet<String> = names.into_iter().collect();
+    let heap_ops = HEAP_OPS.with(Cell::get) - before;
+
+    assert!(heap_ops <= 64, "{heap_ops} allocations and reallocations to collect {N} strings");
+    assert_eq!((set.len(), set.capacity()), (N * 4 / 5, N * 4 / 5));
+    assert!(set.iter().eq(oracle.iter()));
 }
