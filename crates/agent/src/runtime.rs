@@ -104,11 +104,12 @@ impl RuntimeMetrics {
         RuntimeMetrics {
             dispatch_messages: reg.counter("runtime_dispatch_total", &[("kind", "message")]),
             dispatch_ticks: reg.counter("runtime_dispatch_total", &[("kind", "tick")]),
-            handler_message_seconds: reg.latency("runtime_handler_seconds", &[("kind", "message")]),
-            handler_tick_seconds: reg.latency("runtime_handler_seconds", &[("kind", "tick")]),
+            handler_message_seconds: reg
+                .histogram("runtime_handler_seconds", &[("kind", "message")]),
+            handler_tick_seconds: reg.histogram("runtime_handler_seconds", &[("kind", "tick")]),
             queue_depth: reg.gauge("runtime_queue_depth", &[]),
             inflight: reg.gauge("runtime_inflight", &[]),
-            batch_size: reg.size("runtime_batch_size", &[]),
+            batch_size: reg.histogram("runtime_batch_size", &[]),
         }
     }
 }

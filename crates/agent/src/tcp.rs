@@ -1084,7 +1084,8 @@ mod tests {
         }
         let text = obs.registry().render();
         assert!(
-            text.contains("transport_batch_size_bucket{le=\"4\",transport=\"tcp\"} 1"),
+            text.contains("transport_batch_size_sum{transport=\"tcp\"} 3\n")
+                && text.contains("transport_batch_size_count{transport=\"tcp\"} 1\n"),
             "one 3-message batch observed: {text}"
         );
         assert!(

@@ -225,7 +225,7 @@ impl TransportMetrics {
             recv_total: reg.counter("transport_recv_total", &labels),
             recv_bytes: reg.counter("transport_recv_bytes_total", &labels),
             route_fallback: reg.counter("transport_route_fallback_total", &labels),
-            batch_size: reg.size("transport_batch_size", &labels),
+            batch_size: reg.histogram("transport_batch_size", &labels),
             transport,
             obs: Arc::clone(obs),
             latency: parking_lot::RwLock::new(std::collections::BTreeMap::new()),
@@ -247,7 +247,7 @@ impl TransportMetrics {
                 let h = self
                     .obs
                     .registry()
-                    .size("transport_peer_queue_depth", &[("transport", self.transport)]);
+                    .histogram("transport_peer_queue_depth", &[("transport", self.transport)]);
                 self.queue_depth.write().get_or_insert_with(|| h.clone()).clone()
             })
         };
@@ -265,7 +265,7 @@ impl TransportMetrics {
         let hist = {
             let cached = self.latency.read().get(stem).cloned();
             cached.unwrap_or_else(|| {
-                let h = self.obs.registry().latency(
+                let h = self.obs.registry().histogram(
                     "transport_send_seconds",
                     &[("transport", self.transport), ("dest", stem)],
                 );

@@ -318,14 +318,6 @@ impl Report {
         self.diagnostics.iter().any(|d| d.severity == Severity::Error)
     }
 
-    pub fn error_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Error).count()
-    }
-
-    pub fn warning_count(&self) -> usize {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Warning).count()
-    }
-
     pub fn codes(&self) -> Vec<Code> {
         self.diagnostics.iter().map(|d| d.code).collect()
     }
@@ -519,8 +511,6 @@ mod tests {
         r.push(Diagnostic::error(Code::SyntaxError, "e"));
         r.push(Diagnostic::warning(Code::DuplicateRule, "w"));
         assert!(r.has_errors());
-        assert_eq!(r.error_count(), 1);
-        assert_eq!(r.warning_count(), 1);
         assert!(!r.is_clean());
     }
 }

@@ -178,16 +178,8 @@ impl BrokerObs {
             peer_suspect: reg.counter("broker_peer_suspect_total", &[("broker", broker)]),
             digest_updates: reg.counter("broker_digest_updates_total", &[("broker", broker)]),
             digest_stale: reg.counter("broker_digest_stale_total", &[("broker", broker)]),
-            parse: reg.latency("broker_stage_seconds", &[("broker", broker), ("stage", "parse")]),
-            // Fan-out latencies sit in the single-digit-µs range on the
-            // indexed path; the coarse default buckets (first bound
-            // 100µs) would lump every sample into one bucket, so this
-            // histogram registers with the fine µs-scale bounds.
-            sub_notify: reg.histogram(
-                "broker_sub_notify_seconds",
-                &[("broker", broker)],
-                infosleuth_obs::default_fine_latency_buckets(),
-            ),
+            parse: reg.histogram("broker_stage_seconds", &[("broker", broker), ("stage", "parse")]),
+            sub_notify: reg.histogram("broker_sub_notify_seconds", &[("broker", broker)]),
         }
     }
 }

@@ -122,13 +122,8 @@ impl MatchCache {
         self.evictions = event("eviction");
         self.stale = event("stale");
         self.skipped = event("skipped_insert");
-        // Cache lookups are µs-scale; the fine buckets keep the
-        // quantiles meaningful (see default_fine_latency_buckets).
-        self.lookup_seconds = registry.histogram(
-            "broker_match_cache_lookup_seconds",
-            &[("broker", broker)],
-            infosleuth_obs::default_fine_latency_buckets(),
-        );
+        self.lookup_seconds =
+            registry.histogram("broker_match_cache_lookup_seconds", &[("broker", broker)]);
         self
     }
 

@@ -478,7 +478,8 @@ impl Repository {
     /// is active on the handling thread.
     pub fn set_obs(&mut self, obs: &Arc<Obs>, broker: &str) {
         let lat = |stage: &str| {
-            obs.registry().latency("broker_stage_seconds", &[("broker", broker), ("stage", stage)])
+            obs.registry()
+                .histogram("broker_stage_seconds", &[("broker", broker), ("stage", stage)])
         };
         self.obs = Some(ObsHooks {
             obs: Arc::clone(obs),

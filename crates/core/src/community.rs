@@ -2,9 +2,7 @@
 //!
 //! A community (Figure 1) is brokers + core agents (MRQ, ontology agent) +
 //! resource agents + user agents, all hosted on **one shared
-//! [`AgentRuntime`]** over one [`Transport`] (the in-proc bus by default;
-//! a [`TcpTransport`](infosleuth_agent::TcpTransport) node via
-//! [`CommunityBuilder::with_transport`]). The builder wires everything:
+//! [`AgentRuntime`]** over one in-proc [`Bus`]. The builder wires everything:
 //! brokers spawn and interconnect into a consortium, resource agents
 //! advertise with the configured redundancy, the MRQ agent advertises to
 //! every broker, and user agents connect with the broker list as their
@@ -121,7 +119,6 @@ pub struct CommunityBuilder {
     broker_configs: Vec<BrokerConfig>,
     resources: Vec<ResourceDef>,
     timeout: Duration,
-    transport: Option<Arc<dyn Transport>>,
 }
 
 impl Default for CommunityBuilder {
@@ -131,7 +128,6 @@ impl Default for CommunityBuilder {
             broker_configs: Vec::new(),
             resources: Vec::new(),
             timeout: Duration::from_secs(5),
-            transport: None,
         }
     }
 }
@@ -158,27 +154,12 @@ impl CommunityBuilder {
         self
     }
 
-    /// Hosts the community on the given transport (e.g. a
-    /// [`TcpTransport`](infosleuth_agent::TcpTransport) node) instead of
-    /// a fresh in-proc bus. [`Community::bus`] is unavailable on a custom
-    /// transport; use [`Community::transport`].
-    pub fn with_transport(mut self, transport: Arc<dyn Transport>) -> Self {
-        self.transport = Some(transport);
-        self
-    }
-
     /// Spawns everything on one shared runtime and returns the running
     /// community.
     pub fn build(self) -> Result<Community, BusError> {
         assert!(!self.broker_configs.is_empty(), "a community needs at least one broker");
-        let (bus, transport) = match self.transport {
-            Some(t) => (None, t),
-            None => {
-                let bus = Bus::new();
-                let t = bus.as_transport();
-                (Some(bus), t)
-            }
-        };
+        let bus = Bus::new();
+        let transport = bus.as_transport();
         // One runtime for the whole community. Workers are sized so that
         // the deepest request chain (user → MRQ → broker → broker peer,
         // plus resource fan-out and liveness sweeps) always finds a free
@@ -275,7 +256,7 @@ impl CommunityBuilder {
 
 /// A running InfoSleuth community.
 pub struct Community {
-    bus: Option<Bus>,
+    bus: Bus,
     transport: Arc<dyn Transport>,
     runtime: AgentRuntime,
     brokers: Vec<BrokerHandle>,
@@ -293,10 +274,9 @@ impl Community {
     }
 
     /// The shared in-proc message bus (for spawning additional custom
-    /// agents). Panics when the community was built on a custom
-    /// transport; use [`Community::transport`] there.
+    /// agents).
     pub fn bus(&self) -> &Bus {
-        self.bus.as_ref().expect("community was built with a custom transport; use transport()")
+        &self.bus
     }
 
     /// The transport every community agent is registered on.

@@ -484,6 +484,32 @@ mod tests {
     }
 
     #[test]
+    fn quantile_rule_reads_the_window_within_the_stated_error() {
+        let reg = MetricsRegistry::new();
+        let notify = reg.histogram("broker_sub_notify_seconds", &[("broker", "b1")]);
+        let store = TimeSeriesStore::new(16);
+        let rules: Vec<HealthRule> =
+            default_broker_rules("b1").into_iter().filter(|r| r.name == "sub-notify-p99").collect();
+        let mut engine = HealthEngine::new(rules).with_hysteresis(1, 1);
+        // 4 µs fan-outs: far under the 50 ms watermark.
+        (0..5000).for_each(|_| notify.observe(4e-6));
+        store.record(0, &reg.snapshot());
+        (0..1000).for_each(|_| notify.observe(4e-6));
+        store.record(100, &reg.snapshot());
+        assert!(engine.evaluate(&store).is_empty());
+        // Forty 80 ms stalls: 0.6 % of the lifetime, 2 % of the window.
+        (0..960).for_each(|_| notify.observe(4e-6));
+        (0..40).for_each(|_| notify.observe(0.08));
+        store.record(200, &reg.snapshot());
+        assert!(notify.snapshot().p99() < 5e-6, "the lifetime p99 does not show them");
+        let events = engine.evaluate(&store);
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert!(events[0].firing);
+        let error = (events[0].value - 0.08).abs();
+        assert!(error <= 0.08 * crate::MAX_RELATIVE_ERROR, "p99 {}", events[0].value);
+    }
+
+    #[test]
     fn state_strings_round_trip() {
         for state in [HealthState::Healthy, HealthState::Degraded, HealthState::Critical] {
             assert_eq!(HealthState::parse(state.as_str()), Some(state));

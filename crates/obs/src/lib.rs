@@ -28,9 +28,8 @@ pub use health::{
 };
 pub use http::{scrape, MetricsServer};
 pub use metrics::{
-    default_fine_latency_buckets, default_latency_buckets, default_size_buckets,
-    quantile_from_buckets, render_merged, Counter, Gauge, Histogram, Labels, MetricsRegistry,
-    MetricsSnapshot, Sample, SampleValue,
+    render_merged, Counter, Gauge, Histogram, HistogramSnapshot, Labels, MetricsRegistry,
+    MetricsSnapshot, Sample, SampleValue, BUCKETS, MAX_RELATIVE_ERROR,
 };
 pub use sampler::{sample_once, MIN_SAMPLE_INTERVAL};
 pub use store::{SeriesKey, SeriesPoint, TimeSeriesStore};
@@ -102,7 +101,7 @@ mod tests {
         let obs = Obs::new();
         let ring = Arc::new(RingSink::new(8));
         obs.tracer().add_sink(Arc::clone(&ring) as Arc<dyn SpanSink>);
-        let h = obs.registry().latency("broker_stage_seconds", &[("stage", "saturation")]);
+        let h = obs.registry().histogram("broker_stage_seconds", &[("stage", "saturation")]);
         {
             let _outer = obs.tracer().agent_span("recv:advertise", "broker-1", None);
             let _t = obs.stage(&h, "saturation");

@@ -1,5 +1,5 @@
-//! Lock-cheap metrics: counters, gauges, and fixed-bucket latency
-//! histograms behind a get-or-create registry.
+//! Lock-cheap metrics: counters, gauges, and log-linear histograms with
+//! a stated quantile error behind a get-or-create registry.
 //!
 //! Handles returned by the registry are cheap `Arc` clones around
 //! atomics; callers cache them once and the hot path is lock-free.
@@ -60,86 +60,105 @@ impl Gauge {
     }
 }
 
-/// Fixed upper bounds (seconds) suited to agent-pipeline latencies:
-/// 100µs up to 10s, roughly exponential.
-pub fn default_latency_buckets() -> Vec<f64> {
-    vec![
-        0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-        5.0, 10.0,
-    ]
+/// Every histogram counts on one integer scale of 10⁻⁹ of the recorded
+/// unit — a nanosecond of a latency in seconds, a billionth of a plain
+/// size — so no call site picks a range.
+const NANOS: f64 = 1e9;
+
+/// Slots per histogram: one per integer below 32, then 16 per power of
+/// two up to 2⁴⁸ (78 h of nanoseconds, sizes to 2.8 × 10⁵). Anything
+/// larger lands in the last slot, which only `+Inf` renders.
+pub const BUCKETS: usize = 720;
+
+/// The stated bound on every quantile's relative error: a bucket is at
+/// most 1/16 of its lower bound wide, and a quantile is its midpoint.
+pub const MAX_RELATIVE_ERROR: f64 = 1.0 / 32.0;
+
+fn to_nanos(value: f64) -> u64 {
+    // `as` saturates: NaN and negatives read 0, +Inf reads `u64::MAX`.
+    (value * NANOS).round() as u64
 }
 
-/// Fine-grained upper bounds (seconds) for µs-scale paths — indexed
-/// subscription notification, match-cache lookups — where
-/// [`default_latency_buckets`]'s 100µs first bound lumps everything
-/// into one bucket and quantile interpolation degenerates: 1µs up to
-/// 100ms, roughly exponential. Pass to
-/// [`MetricsRegistry::histogram`] at registration.
-pub fn default_fine_latency_buckets() -> Vec<f64> {
-    vec![
-        0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
-        0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    ]
+/// The slot counting `nanos`: the value itself below 32, else the top
+/// five bits under the leading one, 16 slots per octave.
+fn bucket_index(nanos: u64) -> usize {
+    if nanos < 16 {
+        return nanos as usize;
+    }
+    let shift = 59 - nanos.leading_zeros() as usize;
+    ((shift << 4) + (nanos >> shift) as usize).min(BUCKETS - 1)
 }
 
-/// Fixed upper bounds suited to size-like distributions — message batch
-/// sizes, per-peer write-queue depths — as powers of two from 1 to 512.
-pub fn default_size_buckets() -> Vec<f64> {
-    vec![1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
+/// Smallest and largest integer slot `index` counts; the last slot has
+/// no upper end, so a quantile inside it reads the exact maximum.
+fn bucket_range(index: usize) -> (u64, u64) {
+    if index < 16 {
+        return (index as u64, index as u64);
+    }
+    let shift = (index >> 4) - 1;
+    let low = (16 + (index & 15) as u64) << shift;
+    (low, if index == BUCKETS - 1 { u64::MAX } else { low + ((1 << shift) - 1) })
 }
 
 struct HistogramInner {
-    /// Finite upper bounds, ascending; an implicit +Inf bucket follows.
-    bounds: Vec<f64>,
-    /// One slot per finite bound plus the +Inf overflow slot.
-    counts: Vec<AtomicU64>,
-    sum_micros: AtomicU64,
-    count: AtomicU64,
+    buckets: [AtomicU64; BUCKETS],
+    sum_nanos: AtomicU64,
+    min_nanos: AtomicU64,
+    max_nanos: AtomicU64,
 }
 
-/// Fixed-bucket latency histogram with quantile estimation by linear
-/// interpolation inside the winning bucket.
+/// Log-linear histogram of latencies (seconds) or sizes: a flat array of
+/// [`BUCKETS`] atomic counters (5.8 kB), the exact extremes and the sum
+/// in integer nanos. Read it through [`Histogram::snapshot`].
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Self(Arc::new(HistogramInner {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum_nanos: AtomicU64::new(0),
+            min_nanos: AtomicU64::new(u64::MAX),
+            max_nanos: AtomicU64::new(0),
+        }))
+    }
+}
+
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .field("sum_seconds", &self.sum_seconds())
-            .finish()
+        let snap = self.snapshot();
+        f.debug_struct("Histogram").field("count", &snap.count).field("sum", &snap.sum()).finish()
     }
 }
 
 impl Histogram {
-    pub fn new(mut bounds: Vec<f64>) -> Self {
-        bounds.retain(|b| b.is_finite() && *b > 0.0);
-        bounds.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds"));
-        bounds.dedup();
-        let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Self(Arc::new(HistogramInner {
-            bounds,
-            counts,
-            sum_micros: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }))
-    }
-
     /// A histogram not attached to any registry (never rendered).
     pub fn detached() -> Self {
-        Self::new(default_latency_buckets())
+        Self::default()
     }
 
-    pub fn observe(&self, seconds: f64) {
-        let seconds = if seconds.is_finite() && seconds > 0.0 { seconds } else { 0.0 };
-        let idx = self.0.bounds.iter().position(|b| seconds <= *b).unwrap_or(self.0.bounds.len());
-        self.0.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.sum_micros.fetch_add((seconds * 1e6).round() as u64, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
+    /// Records one latency in seconds, or one size.
+    pub fn observe(&self, value: f64) {
+        self.record(to_nanos(value));
     }
 
     pub fn observe_duration(&self, d: Duration) {
-        self.observe(d.as_secs_f64());
+        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    fn record(&self, nanos: u64) {
+        let h = &*self.0;
+        if nanos < h.min_nanos.load(Ordering::Relaxed) {
+            h.min_nanos.fetch_min(nanos, Ordering::Relaxed);
+        }
+        if nanos > h.max_nanos.load(Ordering::Relaxed) {
+            h.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        }
+        h.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        // Counted last and with Release, read first and with Acquire in
+        // `snapshot`: a reader that counts this sample also sees its
+        // extremes and sum, so `min ≤ max` whenever `count > 0`.
+        h.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Release);
     }
 
     /// Times a closure and records its wall-clock duration.
@@ -151,19 +170,103 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    pub fn sum_seconds(&self) -> f64 {
-        self.0.sum_micros.load(Ordering::Relaxed) as f64 / 1e6
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let h = &*self.0;
+        let loaded =
+            h.buckets.iter().enumerate().map(|(i, b)| (i as u16, b.load(Ordering::Acquire)));
+        let buckets: Vec<(u16, u64)> = loaded.filter(|b| b.1 > 0).collect();
+        if buckets.is_empty() {
+            return HistogramSnapshot::default();
+        }
+        HistogramSnapshot {
+            count: buckets.iter().map(|b| b.1).sum(),
+            buckets,
+            sum_nanos: h.sum_nanos.load(Ordering::Relaxed),
+            min_nanos: h.min_nanos.load(Ordering::Relaxed),
+            max_nanos: h.max_nanos.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A histogram's plain value: what a registry snapshot, a KQML report
+/// and a [`TimeSeriesStore`](crate::TimeSeriesStore) point carry, and
+/// what single-threaded code (the simulator) records into directly.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Non-empty slots as `(index, count)`, ascending by index.
+    pub buckets: Vec<(u16, u64)>,
+    /// Samples recorded: the sum of `buckets`' counts.
+    pub count: u64,
+    /// Sum, smallest and largest sample in nanos; all 0 while empty.
+    pub sum_nanos: u64,
+    pub min_nanos: u64,
+    pub max_nanos: u64,
+}
+
+impl HistogramSnapshot {
+    /// Records one latency in seconds, or one size.
+    pub fn record(&mut self, value: f64) {
+        let nanos = to_nanos(value);
+        self.add(&[(bucket_index(nanos) as u16, 1)], nanos, nanos, nanos);
     }
 
-    /// Estimated value at quantile `q` in `[0, 1]`, interpolated
-    /// linearly within the bucket that crosses the target rank.
-    /// Samples beyond the last finite bound clamp to that bound.
+    /// Adds `other`'s samples: equal to having recorded both sets here.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if other.count > 0 {
+            self.add(&other.buckets, other.sum_nanos, other.min_nanos, other.max_nanos);
+        }
+    }
+
+    fn add(&mut self, buckets: &[(u16, u64)], sum: u64, min: u64, max: u64) {
+        self.min_nanos = if self.count == 0 { min } else { self.min_nanos.min(min) };
+        self.max_nanos = self.max_nanos.max(max);
+        self.sum_nanos = self.sum_nanos.wrapping_add(sum);
+        for &(index, n) in buckets {
+            self.count += n;
+            match self.buckets.binary_search_by_key(&index, |b| b.0) {
+                Ok(at) => self.buckets[at].1 += n,
+                Err(at) => self.buckets.insert(at, (index, n)),
+            }
+        }
+    }
+
+    /// The samples recorded after `older` was taken of the same
+    /// histogram. The window's own extremes are unknown; the lifetime
+    /// ones still bound every sample in it.
+    pub fn since(&self, older: &HistogramSnapshot) -> HistogramSnapshot {
+        let before = |index| {
+            let at = older.buckets.binary_search_by_key(&index, |b| b.0);
+            at.map_or(0, |at| older.buckets[at].1)
+        };
+        let grown = self.buckets.iter().map(|&(index, n)| (index, n.saturating_sub(before(index))));
+        let buckets: Vec<(u16, u64)> = grown.filter(|b| b.1 > 0).collect();
+        HistogramSnapshot {
+            count: buckets.iter().map(|b| b.1).sum(),
+            buckets,
+            sum_nanos: self.sum_nanos.wrapping_sub(older.sum_nanos),
+            ..*self
+        }
+    }
+
+    /// The value at quantile `q` in `[0, 1]`: the midpoint of the slot
+    /// holding the `⌈q · count⌉`-th smallest sample, clamped into the
+    /// exact `[min, max]` — within [`MAX_RELATIVE_ERROR`] of that sample
+    /// and monotone in `q`. 0 while empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self.0.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        quantile_from_buckets(&self.0.bounds, &counts, q)
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for &(index, n) in &self.buckets {
+            seen += n;
+            if seen >= rank {
+                let (low, high) = bucket_range(index as usize);
+                let mid = (low as f64 + high as f64) / 2.0;
+                return mid.max(self.min_nanos as f64).min(self.max_nanos as f64) / NANOS;
+            }
+        }
+        self.max()
     }
 
     pub fn p50(&self) -> f64 {
@@ -178,41 +281,17 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    fn load(&self) -> (Vec<f64>, Vec<u64>, u64, u64) {
-        (
-            self.0.bounds.clone(),
-            self.0.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            self.0.sum_micros.load(Ordering::Relaxed),
-            self.0.count.load(Ordering::Relaxed),
-        )
+    pub fn sum(&self) -> f64 {
+        self.sum_nanos as f64 / NANOS
     }
-}
 
-/// Quantile over per-bucket counts (shared with merged snapshots).
-pub fn quantile_from_buckets(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0.0;
+    pub fn min(&self) -> f64 {
+        self.min_nanos as f64 / NANOS
     }
-    let q = q.clamp(0.0, 1.0);
-    let target = q * total as f64;
-    let mut cum = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        let prev_cum = cum;
-        cum += c;
-        if (cum as f64) < target || c == 0 {
-            continue;
-        }
-        let lower = if i == 0 { 0.0 } else { bounds[i - 1] };
-        let upper = match bounds.get(i) {
-            Some(b) => *b,
-            // +Inf bucket: clamp to the last finite bound.
-            None => return bounds.last().copied().unwrap_or(0.0),
-        };
-        let into = (target - prev_cum as f64) / c as f64;
-        return lower + (upper - lower) * into.clamp(0.0, 1.0);
+
+    pub fn max(&self) -> f64 {
+        self.max_nanos as f64 / NANOS
     }
-    bounds.last().copied().unwrap_or(0.0)
 }
 
 /// Label pairs, kept sorted for a canonical identity.
@@ -286,8 +365,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Histogram handle; `bounds` only applies on first creation.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], bounds: Vec<f64>) -> Histogram {
+    /// Histogram handle for latencies in seconds or for sizes.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let key = MetricKey { name: name.to_string(), labels: canonical_labels(labels) };
         if let Some(MetricEntry::Histogram(h)) = self.inner.read().get(&key) {
             return h.clone();
@@ -296,22 +375,11 @@ impl MetricsRegistry {
             .inner
             .write()
             .entry(key)
-            .or_insert_with(|| MetricEntry::Histogram(Histogram::new(bounds)))
+            .or_insert_with(|| MetricEntry::Histogram(Histogram::default()))
         {
             MetricEntry::Histogram(h) => h.clone(),
             _ => Histogram::detached(),
         }
-    }
-
-    /// Latency histogram with the default agent-pipeline buckets.
-    pub fn latency(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.histogram(name, labels, default_latency_buckets())
-    }
-
-    /// Size histogram (batch sizes, queue depths) with the default
-    /// power-of-two buckets.
-    pub fn size(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.histogram(name, labels, default_size_buckets())
     }
 
     /// Point-in-time copy of every registered metric.
@@ -326,10 +394,7 @@ impl MetricsRegistry {
                 value: match entry {
                     MetricEntry::Counter(c) => SampleValue::Counter(c.get()),
                     MetricEntry::Gauge(g) => SampleValue::Gauge(g.get()),
-                    MetricEntry::Histogram(h) => {
-                        let (bounds, counts, sum_micros, count) = h.load();
-                        SampleValue::Histogram { bounds, counts, sum_micros, count }
-                    }
+                    MetricEntry::Histogram(h) => SampleValue::Histogram(h.snapshot()),
                 },
             })
             .collect();
@@ -354,7 +419,7 @@ pub struct Sample {
 pub enum SampleValue {
     Counter(u64),
     Gauge(i64),
-    Histogram { bounds: Vec<f64>, counts: Vec<u64>, sum_micros: u64, count: u64 },
+    Histogram(HistogramSnapshot),
 }
 
 impl SampleValue {
@@ -362,7 +427,7 @@ impl SampleValue {
         match self {
             SampleValue::Counter(_) => "counter",
             SampleValue::Gauge(_) => "gauge",
-            SampleValue::Histogram { .. } => "histogram",
+            SampleValue::Histogram(_) => "histogram",
         }
     }
 }
@@ -386,7 +451,8 @@ impl MetricsSnapshot {
 
     /// KQML-transportable form:
     /// `(metrics (counter "name" ((k "v")…) n) (gauge …) (histogram
-    /// "name" (labels…) sum count (bound n)… (inf n)))`.
+    /// "name" (labels…) sum count min max (index n)…))`, one pair per
+    /// non-empty slot.
     pub fn to_sexpr(&self) -> SExpr {
         let mut items = vec![SExpr::atom("metrics")];
         for s in &self.samples {
@@ -409,24 +475,16 @@ impl MetricsSnapshot {
                     labels,
                     SExpr::atom(n.to_string()),
                 ]),
-                SampleValue::Histogram { bounds, counts, sum_micros, count } => {
-                    let mut parts = vec![
-                        SExpr::atom("histogram"),
-                        SExpr::string(&s.name),
-                        labels,
-                        SExpr::atom(sum_micros.to_string()),
-                        SExpr::atom(count.to_string()),
-                    ];
-                    for (i, c) in counts.iter().enumerate() {
-                        let bound = match bounds.get(i) {
-                            Some(b) => format!("{b}"),
-                            None => "inf".to_string(),
-                        };
-                        parts.push(SExpr::List(vec![
-                            SExpr::atom(bound),
-                            SExpr::atom(c.to_string()),
-                        ]));
-                    }
+                SampleValue::Histogram(h) => {
+                    let mut parts = vec![SExpr::atom("histogram"), SExpr::string(&s.name), labels];
+                    let scalars = [h.sum_nanos, h.count, h.min_nanos, h.max_nanos];
+                    parts.extend(scalars.map(|n| SExpr::atom(n.to_string())));
+                    parts.extend(h.buckets.iter().map(|(index, n)| {
+                        SExpr::List(vec![
+                            SExpr::atom(index.to_string()),
+                            SExpr::atom(n.to_string()),
+                        ])
+                    }));
                     SExpr::List(parts)
                 }
             });
@@ -434,6 +492,9 @@ impl MetricsSnapshot {
         SExpr::List(items)
     }
 
+    /// `None` for anything [`MetricsSnapshot::to_sexpr`] could not have
+    /// written — for a histogram: a slot index out of range or not
+    /// ascending, an empty slot, `count` ≠ the slots' total, `min > max`.
     pub fn from_sexpr(expr: &SExpr) -> Option<Self> {
         let items = expr.as_list()?;
         if items.first()?.as_atom() != Some("metrics") {
@@ -457,19 +518,30 @@ impl MetricsSnapshot {
                 "counter" => SampleValue::Counter(parts.get(3)?.as_atom()?.parse().ok()?),
                 "gauge" => SampleValue::Gauge(parts.get(3)?.as_atom()?.parse().ok()?),
                 "histogram" => {
-                    let sum_micros: u64 = parts.get(3)?.as_atom()?.parse().ok()?;
-                    let count: u64 = parts.get(4)?.as_atom()?.parse().ok()?;
-                    let mut bounds = Vec::new();
-                    let mut counts = Vec::new();
-                    for bucket in &parts[5..] {
-                        let kv = bucket.as_list()?;
-                        let bound = kv.first()?.as_atom()?;
-                        if bound != "inf" {
-                            bounds.push(bound.parse().ok()?);
+                    let scalar = |at: usize| parts.get(at)?.as_atom()?.parse::<u64>().ok();
+                    let mut h = HistogramSnapshot {
+                        buckets: Vec::new(),
+                        sum_nanos: scalar(3)?,
+                        count: scalar(4)?,
+                        min_nanos: scalar(5)?,
+                        max_nanos: scalar(6)?,
+                    };
+                    let mut total = 0u64;
+                    for bucket in &parts[7..] {
+                        let pair = bucket.as_list()?;
+                        let index: u16 = pair.first()?.as_atom()?.parse().ok()?;
+                        let n: u64 = pair.get(1)?.as_atom()?.parse().ok()?;
+                        let unsorted = h.buckets.last().is_some_and(|last| last.0 >= index);
+                        if unsorted || usize::from(index) >= BUCKETS || n == 0 {
+                            return None;
                         }
-                        counts.push(kv.get(1)?.as_atom()?.parse().ok()?);
+                        total = total.checked_add(n)?;
+                        h.buckets.push((index, n));
                     }
-                    SampleValue::Histogram { bounds, counts, sum_micros, count }
+                    if total != h.count || h.min_nanos > h.max_nanos {
+                        return None;
+                    }
+                    SampleValue::Histogram(h)
                 }
                 _ => return None,
             };
@@ -526,33 +598,24 @@ fn render_samples<'a>(samples: impl Iterator<Item = (&'a Sample, Option<&'a str>
             SampleValue::Gauge(n) => {
                 let _ = writeln!(out, "{}{} {}", s.name, format_labels(&s.labels, &extra), n);
             }
-            SampleValue::Histogram { bounds, counts, sum_micros, count } => {
+            SampleValue::Histogram(h) => {
+                // One cumulative line per non-empty slot below the
+                // saturating last one, which has no finite bound.
                 let mut cum = 0u64;
-                for (i, c) in counts.iter().enumerate() {
-                    cum += c;
-                    let le = match bounds.get(i) {
-                        Some(b) => format!("{b}"),
-                        None => "+Inf".to_string(),
-                    };
+                let finite = h.buckets.iter().filter(|b| usize::from(b.0) < BUCKETS - 1);
+                let lines = finite.map(|&(index, n)| {
+                    cum += n;
+                    ((bucket_range(index.into()).1 as f64 / NANOS).to_string(), cum)
+                });
+                for (le, cum) in lines.chain([("+Inf".to_string(), h.count)]) {
                     let mut extra_with_le = extra.clone();
                     extra_with_le.push(("le", &le));
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        s.name,
-                        format_labels(&s.labels, &extra_with_le),
-                        cum
-                    );
+                    let labels = format_labels(&s.labels, &extra_with_le);
+                    let _ = writeln!(out, "{}_bucket{labels} {cum}", s.name);
                 }
-                let _ = writeln!(
-                    out,
-                    "{}_sum{} {}",
-                    s.name,
-                    format_labels(&s.labels, &extra),
-                    *sum_micros as f64 / 1e6
-                );
-                let _ =
-                    writeln!(out, "{}_count{} {}", s.name, format_labels(&s.labels, &extra), count);
+                let labels = format_labels(&s.labels, &extra);
+                let _ = writeln!(out, "{}_sum{labels} {}", s.name, h.sum());
+                let _ = writeln!(out, "{}_count{labels} {}", s.name, h.count);
             }
         }
     }
@@ -588,29 +651,55 @@ mod tests {
         assert_eq!(reg.counter("thing", &[]).get(), 1);
     }
 
+    /// Every value lands in a slot whose range holds it, slots tile the
+    /// scale without gap or overlap, and none is wider than 1/16 of its
+    /// lower bound — which is where [`MAX_RELATIVE_ERROR`] comes from.
     #[test]
-    fn histogram_quantiles_interpolate() {
-        let h = Histogram::new(vec![1.0, 2.0, 4.0]);
-        for _ in 0..50 {
-            h.observe(0.5); // first bucket
+    fn buckets_tile_the_scale_within_the_stated_width() {
+        for index in 0..BUCKETS {
+            let (low, high) = bucket_range(index);
+            assert_eq!((bucket_index(low), bucket_index(high)), (index, index));
+            if index + 1 < BUCKETS {
+                assert_eq!(bucket_range(index + 1).0, high + 1, "gap after slot {index}");
+                let half_width = (high - low) as f64 / 2.0;
+                assert!(half_width <= low as f64 * MAX_RELATIVE_ERROR, "slot {index} too wide");
+            }
         }
-        for _ in 0..50 {
-            h.observe(3.0); // third bucket
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.p50();
-        assert!((0.0..=1.0).contains(&p50), "p50={p50}");
-        let p95 = h.p95();
-        assert!((2.0..=4.0).contains(&p95), "p95={p95}");
-        // Overflow clamps to the last finite bound.
-        h.observe(100.0);
-        assert_eq!(h.quantile(1.0), 4.0);
+        assert_eq!(bucket_range(BUCKETS - 1), ((1 << 48) - (1 << 43), u64::MAX));
+        assert!(std::mem::size_of::<HistogramInner>() <= 6 * 1024);
     }
 
     #[test]
     fn empty_histogram_quantile_is_zero() {
-        let h = Histogram::new(vec![1.0]);
-        assert_eq!(h.p99(), 0.0);
+        let h = Histogram::detached();
+        assert_eq!((h.count(), h.snapshot().p99()), (0, 0.0));
+        assert_eq!(h.snapshot(), HistogramSnapshot::default());
+    }
+
+    /// A cache lookup takes 170–280 ns. Summed in whole microseconds
+    /// each one added 0 and, under a first bound of 1 µs, read 0.5 µs.
+    #[test]
+    fn sub_microsecond_samples_keep_their_sum_and_their_quantiles() {
+        let h = Histogram::detached();
+        for _ in 0..1000 {
+            h.observe_duration(Duration::from_nanos(200));
+        }
+        let snap = h.snapshot();
+        assert!((snap.sum() - 2e-4).abs() < 1e-12, "sum {}", snap.sum());
+        assert!((snap.p50() - 200e-9).abs() <= 200e-9 * MAX_RELATIVE_ERROR, "p50 {}", snap.p50());
+        assert_eq!((snap.min(), snap.max()), (200e-9, 200e-9));
+    }
+
+    #[test]
+    fn junk_samples_count_as_zero_and_huge_ones_saturate() {
+        let h = Histogram::detached();
+        for junk in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            h.observe(junk);
+        }
+        assert_eq!(h.snapshot().buckets, vec![(0, 3)]);
+        h.observe(f64::INFINITY);
+        h.observe_duration(Duration::MAX);
+        assert_eq!(h.snapshot().buckets, vec![(0, 3), (BUCKETS as u16 - 1, 2)]);
     }
 
     #[test]
@@ -618,17 +707,20 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("sent_total", &[("transport", "tcp")]).add(7);
         reg.gauge("depth", &[]).set(-2);
-        let h = reg.histogram("lat_seconds", &[], vec![0.1, 1.0]);
-        h.observe(0.05);
+        let h = reg.histogram("lat_seconds", &[]);
+        h.observe(20e-9);
         h.observe(0.5);
         let text = reg.render();
         assert!(text.contains("# TYPE sent_total counter"), "{text}");
         assert!(text.contains("sent_total{transport=\"tcp\"} 7"), "{text}");
         assert!(text.contains("depth -2"), "{text}");
         assert!(text.contains("# TYPE lat_seconds histogram"), "{text}");
-        assert!(text.contains("lat_seconds_bucket{le=\"0.1\"} 1"), "{text}");
-        assert!(text.contains("lat_seconds_bucket{le=\"1\"} 2"), "{text}");
+        // One line per non-empty slot: 20 ns has a slot of its own, and
+        // 0.5 s one whose inclusive upper bound is 0.503316479 s.
+        assert!(text.contains("lat_seconds_bucket{le=\"0.00000002\"} 1"), "{text}");
+        assert!(text.contains("lat_seconds_bucket{le=\"0.503316479\"} 2"), "{text}");
         assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert_eq!(text.matches("lat_seconds_bucket").count(), 3, "{text}");
         assert!(text.contains("lat_seconds_count 2"), "{text}");
     }
 
@@ -636,14 +728,13 @@ mod tests {
     fn rendered_histograms_are_internally_consistent() {
         // For every histogram in the exposition: the cumulative
         // `le="+Inf"` bucket must equal `_count`, and `_sum` must equal
-        // the recorded sum (micros-backed, so compare at µs precision).
+        // the recorded sum.
         let reg = MetricsRegistry::new();
-        let coarse = reg.latency("pipeline_seconds", &[("broker", "b1")]);
+        let coarse = reg.histogram("pipeline_seconds", &[("broker", "b1")]);
         coarse.observe(0.25);
         coarse.observe(3.0);
-        coarse.observe(42.0); // beyond the last finite bound → +Inf bucket
-        let fine =
-            reg.histogram("notify_seconds", &[("broker", "b1")], default_fine_latency_buckets());
+        coarse.observe(1e6); // beyond the last finite bound → only +Inf counts it
+        let fine = reg.histogram("notify_seconds", &[("broker", "b1")]);
         for _ in 0..10 {
             fine.observe(0.000004); // 4µs — sub-notify scale
         }
@@ -673,24 +764,9 @@ mod tests {
         for (name, inf_count) in &inf {
             assert_eq!(Some(inf_count), counts.get(name), "{name}: +Inf ≠ _count\n{text}");
         }
-        assert!((sums["pipeline_seconds"] - 45.25).abs() < 1e-6, "{text}");
-        assert!((sums["notify_seconds"] - 0.00004).abs() < 1e-6, "{text}");
-    }
-
-    #[test]
-    fn fine_buckets_resolve_microsecond_latencies() {
-        // The coarse default buckets start at 100µs: every µs-scale
-        // sample lands in the first bucket and the p99 saturates at the
-        // 100µs bound — a 25x overestimate for a 4µs path. The fine
-        // buckets keep quantile error within one bucket.
-        let coarse = Histogram::new(default_latency_buckets());
-        let fine = Histogram::new(default_fine_latency_buckets());
-        for _ in 0..1000 {
-            coarse.observe(0.000004);
-            fine.observe(0.000004);
-        }
-        assert!(coarse.p99() > 0.00009, "coarse misbuckets: p99={}", coarse.p99());
-        assert!(fine.p99() <= 0.000005, "fine p99={}", fine.p99());
+        assert_eq!(text.matches("pipeline_seconds_bucket").count(), 3, "{text}");
+        assert!((sums["pipeline_seconds"] - 1_000_003.25).abs() < 1e-6, "{text}");
+        assert!((sums["notify_seconds"] - 0.00004).abs() < 1e-12, "{text}");
     }
 
     #[test]
@@ -698,10 +774,64 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("c", &[("a", "x \"quoted\"")]).add(3);
         reg.gauge("g", &[]).set(-9);
-        reg.histogram("h", &[("broker", "b1")], vec![0.5, 2.0]).observe(1.0);
+        reg.histogram("h", &[("broker", "b1")]).observe(1.0);
+        reg.histogram("idle", &[]);
         let snap = reg.snapshot();
         let back = MetricsSnapshot::from_sexpr(&snap.to_sexpr()).expect("parses back");
         assert_eq!(snap, back);
+    }
+
+    fn recorded(samples: impl IntoIterator<Item = f64>) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        samples.into_iter().for_each(|x| h.record(x));
+        h
+    }
+
+    #[test]
+    fn percentiles_track_a_skewed_distribution() {
+        // 90 fast responses (~2 ms) and 10 slow ones (~2 s).
+        let p = recorded((0..100).map(|i| if i < 90 { 0.002 } else { 2.0 }));
+        assert_eq!(p.count, 100);
+        assert_eq!(p.p50(), 0.002);
+        assert!((p.p95() - 2.0).abs() <= 2.0 * MAX_RELATIVE_ERROR, "p95 {}", p.p95());
+        assert_eq!(p.p99(), p.p95());
+    }
+
+    #[test]
+    fn percentile_merge_equals_concatenation() {
+        let xs: Vec<f64> = (0..100).map(|i| 0.0001 * (i as f64 + 1.0)).collect();
+        let mut a = recorded(xs[..40].iter().copied());
+        a.merge(&recorded(xs[40..].iter().copied()));
+        assert_eq!(a, recorded(xs));
+        // Merging nothing, or into nothing, changes nothing.
+        let whole = a.clone();
+        a.merge(&HistogramSnapshot::default());
+        assert_eq!(a, whole);
+        let mut empty = HistogramSnapshot::default();
+        empty.merge(&whole);
+        assert_eq!(empty, whole);
+    }
+
+    #[test]
+    fn overflow_saturates_the_last_slot_and_reads_the_exact_max() {
+        let p = recorded([0.5, 1e7]);
+        assert_eq!(p.buckets.last(), Some(&(BUCKETS as u16 - 1, 1)));
+        assert_eq!(p.quantile(0.99), 1e7);
+    }
+
+    #[test]
+    fn quantiles_stay_inside_what_was_recorded() {
+        // Every sample sits at 12.5 ms, which no slot's midpoint is: the
+        // exact extremes pull every estimate onto it.
+        let mut p = recorded(std::iter::repeat(0.0125).take(100));
+        assert_eq!((p.p50(), p.p95(), p.p99()), (0.0125, 0.0125, 0.0125));
+        // The extremes travel through a merge.
+        p.merge(&recorded([0.024]));
+        assert_eq!((p.min(), p.p50(), p.max()), (0.0125, 0.0125, 0.024));
+        // A window keeps the lifetime extremes and only its own counts.
+        let window = p.since(&recorded(std::iter::repeat(0.0125).take(100)));
+        assert_eq!((window.count, window.min(), window.max()), (1, 0.0125, 0.024));
+        assert!((window.p50() - 0.024).abs() <= 0.024 * MAX_RELATIVE_ERROR);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! "what was the p99 over the last few seconds?". A [`TimeSeriesStore`]
 //! keeps the last N snapshots of every metric in per-series ring
 //! buffers, and derives *windowed* views — rates, deltas, and
-//! sliding-window quantiles computed from bucket-count differences —
+//! sliding-window quantiles computed from slot-count differences —
 //! that the watermark health engine ([`crate::health`]) evaluates on
 //! every sample tick. See DESIGN.md §16.
 
-use crate::metrics::{quantile_from_buckets, Labels, MetricsSnapshot, SampleValue};
+use crate::metrics::{Labels, MetricsSnapshot, SampleValue};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +33,7 @@ impl SeriesPoint {
         match &self.value {
             SampleValue::Counter(n) => *n as f64,
             SampleValue::Gauge(n) => *n as f64,
-            SampleValue::Histogram { count, .. } => *count as f64,
+            SampleValue::Histogram(h) => h.count as f64,
         }
     }
 }
@@ -148,7 +148,8 @@ impl TimeSeriesStore {
 
     /// Sliding-window quantile of a histogram series: the quantile of
     /// only the samples that arrived within the last `window` points,
-    /// computed from per-bucket count differences. `None` for
+    /// from slot-wise count differences and so within the same
+    /// [`MAX_RELATIVE_ERROR`](crate::MAX_RELATIVE_ERROR). `None` for
     /// non-histogram series or when the window saw no samples.
     pub fn windowed_quantile(
         &self,
@@ -158,22 +159,13 @@ impl TimeSeriesStore {
         q: f64,
     ) -> Option<f64> {
         let (first, last) = self.window_ends(name, labels, window)?;
-        let (
-            SampleValue::Histogram { counts: old, .. },
-            SampleValue::Histogram { bounds, counts: new, .. },
-        ) = (&first.value, &last.value)
+        let (SampleValue::Histogram(old), SampleValue::Histogram(new)) =
+            (&first.value, &last.value)
         else {
             return None;
         };
-        if old.len() != new.len() {
-            return None;
-        }
-        let delta: Vec<u64> =
-            new.iter().zip(old.iter()).map(|(n, o)| n.saturating_sub(*o)).collect();
-        if delta.iter().sum::<u64>() == 0 {
-            return None;
-        }
-        Some(quantile_from_buckets(bounds, &delta, q))
+        let arrived = new.since(old);
+        (arrived.count > 0).then(|| arrived.quantile(q))
     }
 
     /// First and last points of the last `window` points of a series.
@@ -254,7 +246,7 @@ mod tests {
     #[test]
     fn windowed_quantile_sees_only_recent_samples() {
         let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat_seconds", &[], vec![0.001, 0.01, 0.1, 1.0]);
+        let h = reg.histogram("lat_seconds", &[]);
         let store = TimeSeriesStore::new(16);
         // Epoch 1: a thousand fast samples.
         for _ in 0..1000 {
@@ -267,10 +259,10 @@ mod tests {
         }
         store.record(1000, &reg.snapshot());
         // The lifetime quantile is dominated by the fast thousand…
-        assert!(h.p99() < 0.01, "lifetime p99 {}", h.p99());
+        assert_eq!(h.snapshot().p99(), 0.0005);
         // …but the sliding window over the last tick sees only the slow ten.
         let p99 = store.windowed_quantile("lat_seconds", &Vec::new(), 2, 0.99).unwrap();
-        assert!(p99 > 0.1, "windowed p99 {p99}");
+        assert!((p99 - 0.5).abs() <= 0.5 * crate::MAX_RELATIVE_ERROR, "windowed p99 {p99}");
         // A window with no new samples yields None, not a stale zero.
         store.record(2000, &reg.snapshot());
         assert_eq!(store.windowed_quantile("lat_seconds", &Vec::new(), 2, 0.99), None);

@@ -25,11 +25,11 @@
 //! re-advertising at once).
 
 use crate::engine::{LinkModel, ProcId, SimCore};
-use crate::metrics::{PercentileStats, RunningStats};
+use crate::metrics::RunningStats;
 use crate::rng::SimRng;
 use infosleuth_obs::{
-    sample_once, HealthEngine, HealthEvent, HealthRule, HealthState, MetricsRegistry, Severity,
-    TimeSeriesStore, Watermark,
+    sample_once, HealthEngine, HealthEvent, HealthRule, HealthState, HistogramSnapshot,
+    MetricsRegistry, Severity, TimeSeriesStore, Watermark,
 };
 
 /// Which load shape the run applies on top of the base arrival rate.
@@ -229,7 +229,7 @@ pub struct ScaleReport {
     pub routing: &'static str,
     /// End-to-end response time of answered queries, virtual seconds.
     pub response: RunningStats,
-    pub response_pcts: PercentileStats,
+    pub response_pcts: HistogramSnapshot,
     /// Virtual time the run actually covered.
     pub virtual_s: f64,
     /// Wall-clock nanoseconds spent inside the event loop — excludes the
@@ -274,8 +274,8 @@ impl ScaleReport {
             self.routing,
             self.forwards,
             self.response.mean(),
-            self.response.min(),
-            self.response.max(),
+            self.response_pcts.min(),
+            self.response_pcts.max(),
             self.response_pcts.p50(),
             self.response_pcts.p95(),
             self.response_pcts.p99(),
@@ -363,7 +363,7 @@ pub fn run(config: &ScaleConfig) -> ScaleReport {
         forwards: 0,
         routing: config.routing.tag(),
         response: RunningStats::new(),
-        response_pcts: PercentileStats::new(),
+        response_pcts: HistogramSnapshot::default(),
         virtual_s: 0.0,
         loop_wall_ns: 0,
         health: Vec::with_capacity(config.duration_s as usize + 1),
@@ -667,19 +667,22 @@ mod tests {
         ]
     }
 
-    /// A report must not contradict itself: the interpolated quantiles
-    /// lie inside the exact extremes and in order.
+    /// A report must not contradict itself: the quantiles lie inside the
+    /// exact extremes and in order.
     #[test]
     fn quantiles_are_ordered_inside_min_and_max() {
         for scenario in every_scenario() {
             let r = run(&quick(scenario, 7));
             let row = [
-                r.response.min(),
+                r.response_pcts.min(),
                 r.response_pcts.p50(),
                 r.response_pcts.p95(),
                 r.response_pcts.p99(),
-                r.response.max(),
+                r.response_pcts.max(),
             ];
+            // The histogram's extremes are the exact ones, to the nanosecond.
+            assert!((row[0] - r.response.min()).abs() <= 1e-9, "{row:?}");
+            assert!((row[4] - r.response.max()).abs() <= 1e-9, "{row:?}");
             assert!(
                 row.windows(2).all(|w| w[0] <= w[1]),
                 "min ≤ p50 ≤ p95 ≤ p99 ≤ max broken for {scenario:?}: {row:?}"

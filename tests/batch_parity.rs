@@ -245,7 +245,7 @@ fn batched_and_per_message_sequences_are_identical() {
     // The batched side must actually have coalesced: fewer dispatch jobs
     // than messages handled (subscriptions were serialized request/reply,
     // the burst was not).
-    let jobs = bat.obs.registry().size("runtime_batch_size", &[]).count();
+    let jobs = bat.obs.registry().histogram("runtime_batch_size", &[]).count();
     let messages = (solo.keys.len() + script.len()) as u64;
     assert!(jobs < messages, "no batching occurred: {jobs} jobs for {messages} messages");
 
