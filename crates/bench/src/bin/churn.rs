@@ -1,16 +1,19 @@
 //! Churn harness: measures interleaved advertise/unadvertise/match
-//! throughput with the repository's incrementally maintained model
-//! against a from-scratch saturation per step, and writes the results to
+//! throughput under the three ways a repository's LDL model can be kept
+//! — not at all, patched, recomputed — and writes the results to
 //! `BENCH_churn.json` for tracking across revisions.
 //!
 //! One churn step = unadvertise an agent + advertise a replacement + run
-//! one service query. The incremental column warms the repository's
-//! cached model once, so every mutation patches it by delta saturation
-//! (additions) and delete-and-rederive (retractions). The
-//! full-resaturation column never asks the repository for its model — so
-//! there is none to patch — and scores each query against
-//! `program().saturate(edb())`, the full recompute `churn_oracle` compares
-//! the patched model with.
+//! one service query. The model-free column never asks the repository for
+//! a model, so it keeps no fact base: what a live broker without derived
+//! rules does, matching off the taxonomies' closures. The incremental
+//! column warms the repository's cached model once, so every mutation
+//! also patches it by delta saturation (additions) and delete-and-rederive
+//! (retractions) — what keeping a model costs a broker whose derived rules
+//! need one. The full-resaturation column asks for the EDB only — so
+//! there is no model to patch — and recomputes `program().saturate(edb())`
+//! each step, the full recompute `churn_oracle` compares the patched
+//! model with.
 
 use infosleuth_analysis::ConformanceMonitor;
 use infosleuth_bench::{median_sample, MEASURE_PASSES};
@@ -51,14 +54,11 @@ fn resource_ad(i: usize) -> Advertisement {
     )
 }
 
-fn repo_of(n: usize, obs: Option<&Arc<Obs>>) -> Repository {
+fn empty_repo(obs: Option<&Arc<Obs>>) -> Repository {
     let mut repo = Repository::new();
     repo.register_ontology(healthcare_ontology());
     if let Some(obs) = obs {
         repo.set_obs(obs, "bench-broker");
-    }
-    for i in 0..n {
-        repo.advertise(resource_ad(i)).expect("valid advertisement");
     }
     repo
 }
@@ -75,54 +75,96 @@ fn query() -> ServiceQuery {
         )]))
 }
 
-/// Runs `warmup` untimed churn steps (caches hot, allocator and branch
-/// predictors settled), then timed steps until the step cap or the time
-/// budget is hit (always at least two) and returns mean nanoseconds per
-/// timed step. With `obs` set, the repository runs fully instrumented,
-/// as a live broker would: stage histograms registered plus a bounded
-/// ring sink receiving every pipeline-stage span.
+/// How the repository's model is kept across the churn steps.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Model {
+    /// Never asked for: no fact base exists.
+    None,
+    /// Saturated once, patched by every mutation.
+    Patched,
+    /// Resaturated from the EDB on every step.
+    Recomputed,
+}
+
+/// One repository and the way it is churned.
+struct Variant {
+    repo: Repository,
+    model: Model,
+    timed: Duration,
+}
+
+impl Variant {
+    /// With `obs` set, the repository runs fully instrumented, as a live
+    /// broker would: stage histograms registered plus a bounded ring sink
+    /// receiving every pipeline-stage span (the repository keeps the
+    /// bundle alive).
+    fn new(model: Model, obs: bool) -> Variant {
+        let bundle = obs.then(|| {
+            let o = Obs::new();
+            o.tracer().add_sink(Arc::new(RingSink::new(4096)) as Arc<dyn SpanSink>);
+            o
+        });
+        Variant { repo: empty_repo(bundle.as_ref()), model, timed: Duration::ZERO }
+    }
+
+    fn step(&mut self, victim: usize, q: &ServiceQuery) {
+        let repo = &mut self.repo;
+        repo.unadvertise(&format!("ra{victim}"));
+        repo.advertise(resource_ad(victim)).expect("valid advertisement");
+        if self.model == Model::Recomputed {
+            black_box(repo.program().saturate(repo.edb()).expect("stratified program"));
+        }
+        black_box(Matchmaker::default().match_query_mut(repo, q));
+    }
+}
+
+/// Fills and churns the variants side by side — each advertisement, then
+/// each step, taken by every variant in turn, each on its own clock — so
+/// machine drift and where the allocator happens to put a repository hit
+/// all of them alike (a repository filled on its own into a heap the
+/// previous pass left fragmented steps up to 15 % slower at 10⁴ agents,
+/// more than a model's upkeep costs there). Runs `warmup` untimed steps
+/// (caches hot, allocator and branch predictors settled), then timed
+/// steps until the step cap or the time budget is hit (always at least
+/// two) and returns each variant's mean nanoseconds per timed step.
 fn measure(
     n: usize,
-    incremental: bool,
-    obs: bool,
+    variants: &[(Model, bool)],
     warmup: usize,
     max_steps: usize,
     budget: Duration,
-) -> (f64, usize) {
-    let bundle = if obs {
-        let o = Obs::new();
-        o.tracer().add_sink(Arc::new(RingSink::new(4096)) as Arc<dyn SpanSink>);
-        Some(o)
-    } else {
-        None
-    };
-    let mut repo = repo_of(n, bundle.as_ref());
-    if incremental {
-        repo.saturated();
-    }
-    let mm = Matchmaker::default();
-    let q = query();
-    let mut step = |i: usize| {
-        let victim = i % n;
-        repo.unadvertise(&format!("ra{victim}"));
-        repo.advertise(resource_ad(victim)).expect("valid advertisement");
-        if incremental {
-            black_box(mm.match_query_mut(&mut repo, &q));
-        } else {
-            let model = repo.program().saturate(repo.edb()).expect("stratified program");
-            black_box(mm.match_query(&repo, &model, &q));
+) -> Vec<(f64, usize)> {
+    let mut variants: Vec<Variant> =
+        variants.iter().map(|&(model, obs)| Variant::new(model, obs)).collect();
+    for i in 0..n {
+        for v in &mut variants {
+            v.repo.advertise(resource_ad(i)).expect("valid advertisement");
         }
-    };
+    }
+    for v in variants.iter_mut().filter(|v| v.model == Model::Patched) {
+        v.repo.saturated();
+    }
+    let q = query();
     for i in 0..warmup {
-        step(i);
+        variants.iter_mut().for_each(|v| v.step(i % n, &q));
     }
     let mut steps = 0usize;
     let start = Instant::now();
     while steps < max_steps && (steps < 2 || start.elapsed() < budget) {
-        step(warmup + steps);
+        for v in &mut variants {
+            let began = Instant::now();
+            v.step((warmup + steps) % n, &q);
+            v.timed += began.elapsed();
+        }
         steps += 1;
     }
-    (start.elapsed().as_nanos() as f64 / steps as f64, steps)
+    variants
+        .iter()
+        .map(|v| {
+            assert_eq!(v.repo.has_fact_base(), v.model != Model::None);
+            (v.timed.as_nanos() as f64 / steps as f64, steps)
+        })
+        .collect()
 }
 
 /// The six conversation events a message tap would see for one churn
@@ -189,18 +231,18 @@ fn main() {
     let (inc_steps, full_steps) = if quick { (100, 5) } else { (500, 30) };
     let budget = Duration::from_secs(if quick { 5 } else { 60 });
 
-    println!("=== Repository churn: incremental vs full-resaturation maintenance ===");
+    println!("=== Repository churn: no model vs incremental vs full-resaturation maintenance ===");
     println!("one step = unadvertise + advertise + match{}", if quick { " [--quick]" } else { "" });
     println!();
     println!(
-        "  agents   incremental/step   full-resat/step   speedup   +obs/step   obs overhead   \
-         conf overhead"
+        "  agents   model-free/step   incremental/step   full-resat/step   speedup   +obs/step   \
+         obs overhead   conf overhead"
     );
 
-    // The instrumentation overhead (obs on vs off) is small relative to
-    // machine noise, so those two variants run in interleaved passes —
-    // long enough samples per pass that each pass is meaningful — so
-    // drift hits both variants alike. Each measurement is warmed up and
+    // The instrumentation overhead (obs on vs off) and, at the larger
+    // sizes, the model's upkeep are small relative to machine noise, so
+    // those three variants run side by side (see `measure`) in passes long
+    // enough that each is meaningful. Each measurement is warmed up and
     // the *median* pass is reported; best-of-N favoured whichever
     // variant got the luckiest pass and once produced a negative
     // overhead (see infosleuth_bench::median_sample).
@@ -221,19 +263,25 @@ fn main() {
     for &n in sizes {
         let steps = obs_steps_for(n);
         let warmup = (steps / 10).clamp(2, 200);
+        let mut free_samples = Vec::with_capacity(passes);
         let mut inc_samples = Vec::with_capacity(passes);
         let mut obs_samples = Vec::with_capacity(passes);
         let mut conf_samples = Vec::with_capacity(passes);
         for _ in 0..passes {
-            inc_samples.push(measure(n, true, false, warmup, steps, budget));
-            obs_samples.push(measure(n, true, true, warmup, steps, budget));
+            let side_by_side =
+                [(Model::None, false), (Model::Patched, false), (Model::Patched, true)];
+            let samples = measure(n, &side_by_side, warmup, steps, 3 * budget);
+            free_samples.push(samples[0]);
+            inc_samples.push(samples[1]);
+            obs_samples.push(samples[2]);
             conf_samples.push(measure_conf(steps));
         }
+        let (free_ns, free_n) = median_sample(free_samples);
         let (inc_ns, inc_n) = median_sample(inc_samples);
         let (obs_ns, obs_n) = median_sample(obs_samples);
         conf_samples.sort_by(|a, b| a.total_cmp(b));
         let conf_ns = conf_samples[(conf_samples.len() - 1) / 2];
-        let (full_ns, full_n) = measure(n, false, false, 1, full_steps, budget);
+        let (full_ns, full_n) = measure(n, &[(Model::Recomputed, false)], 1, full_steps, budget)[0];
         let speedup = full_ns / inc_ns;
         let overhead_pct = (obs_ns / inc_ns - 1.0) * 100.0;
         // The conformance monitor is timed directly (see measure_conf)
@@ -245,15 +293,17 @@ fn main() {
         // tracked JSON never claims an impossible negative overhead.
         let overhead_clamped = overhead_pct.max(0.0);
         println!(
-            "  {n:6}   {:>16}   {:>15}   {speedup:6.1}x   {:>9}   {overhead_pct:+10.1}%   \
+            "  {n:6}   {:>15}   {:>16}   {:>15}   {speedup:6.1}x   {:>9}   {overhead_pct:+10.1}%   \
              {conf_pct:+11.2}%",
+            human(free_ns),
             human(inc_ns),
             human(full_ns),
             human(obs_ns),
         );
         rows.push(format!(
             concat!(
-                "    {{\"agents\": {}, \"incremental_ns_per_step\": {:.0}, ",
+                "    {{\"agents\": {}, \"model_free_ns_per_step\": {:.0}, ",
+                "\"model_free_steps\": {}, \"incremental_ns_per_step\": {:.0}, ",
                 "\"incremental_steps\": {}, \"full_ns_per_step\": {:.0}, ",
                 "\"full_steps\": {}, \"speedup\": {:.2}, ",
                 "\"incremental_obs_ns_per_step\": {:.0}, \"incremental_obs_steps\": {}, ",
@@ -262,6 +312,8 @@ fn main() {
                 "\"conformance_overhead_pct\": {:.2}}}"
             ),
             n,
+            free_ns,
+            free_n,
             inc_ns,
             inc_n,
             full_ns,

@@ -7,10 +7,12 @@
 //! * **cache on** — `match_query_cached`: epoch-tagged LRU consulted
 //!   first; repeated queries are answered without narrowing or scoring.
 //! * **indexed** — `match_query`: candidate narrowing, then the scoring
-//!   loop over the survivors.
+//!   loop over the survivors, subsumption read off the taxonomies'
+//!   closures (the repository has no derived rules) — what a live broker
+//!   runs on a cache miss.
 //! * **linear** — `match_query_linear`: the same scoring loop over every
-//!   advertisement; the reference path, and the baseline the speed-ups
-//!   are stated against.
+//!   advertisement, subsumption probed on the saturated model; the
+//!   reference path, and the baseline the speed-ups are stated against.
 //!
 //! Two workloads: **repeated** (one query re-issued — the cache's
 //! steady state) and **unique** (every query distinct, cycling far past
@@ -30,8 +32,9 @@ use std::time::{Duration, Instant};
 /// advertise `relational-query-processing` and the `podiatrist` class,
 /// so queries for the `select` capability and the `provider` class are
 /// answered through the taxonomy / class hierarchy — every candidate
-/// costs real `provides`/`serves_class`/`contributes_class` probes of
-/// the saturated model.
+/// costs real `provides`/`serves_class`/`contributes_class` probes, of
+/// the closures on the indexed path and of the saturated model on the
+/// linear one.
 fn resource_ad(i: usize) -> Advertisement {
     let lo = (i % 50) as i64;
     Advertisement::new(AgentLocation::new(

@@ -130,7 +130,10 @@ pub(super) fn notify(
 #[cfg(test)]
 mod tests {
     use super::super::tests::{resource_ad, spawn_broker, T};
-    use crate::{advertise_to, codec, subscribe_to, unadvertise_from, unsubscribe_from};
+    use crate::{
+        advertise_to, codec, query_broker, subscribe_to, unadvertise_from, unsubscribe_from,
+        MaintenanceStats, SearchPolicy,
+    };
     use infosleuth_agent::Bus;
     use infosleuth_kqml::{Message, Performative, SExpr};
     use infosleuth_ontology::{AgentType, Capability, ServiceQuery};
@@ -222,6 +225,50 @@ mod tests {
         assert_eq!(matched.len(), 1);
         assert_eq!(matched[0].name, "ra1");
         assert!(unmatched.is_empty());
+        broker.stop();
+    }
+
+    /// Every kind of traffic a broker without derived rules takes leaves
+    /// it without a fact base; the first ask after a rule arrives builds
+    /// one, and writes patch it from then on.
+    #[test]
+    fn a_broker_builds_no_fact_base_until_a_derived_rule_needs_the_model() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut inbox = bus.register("watcher").unwrap();
+        let mut client = bus.register("client").unwrap();
+        let query = ServiceQuery::any().with_capability(Capability::subscription());
+        let ask = |client: &mut _| -> Vec<String> {
+            let found = query_broker(client, "broker1", &query, Some(SearchPolicy::local()), T);
+            found.unwrap().into_iter().map(|m| m.name).collect()
+        };
+
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
+        assert!(ask(&mut client).is_empty());
+        subscribe_to(&mut client, "broker1", &query, "watcher", T).unwrap().unwrap();
+        inbox.recv_timeout(T).unwrap();
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C2"]), T).unwrap());
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C1"]), T).unwrap());
+        assert!(unadvertise_from(&mut client, "broker1", "ra2", T).unwrap());
+        assert!(ask(&mut client).is_empty());
+        broker.with_repository(|r| {
+            assert!(!r.has_fact_base());
+            assert_eq!(r.maintenance_stats(), MaintenanceStats::default());
+        });
+
+        broker.with_repository(|r| {
+            r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap();
+            assert!(!r.has_fact_base());
+        });
+        assert_eq!(ask(&mut client), ["ra1"]);
+        broker.with_repository(|r| {
+            assert!(r.has_fact_base());
+            assert_eq!(r.maintenance_stats().full_recomputes, 1);
+        });
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C1"]), T).unwrap());
+        assert_eq!(ask(&mut client), ["ra1", "ra2"]);
+        let stats = broker.with_repository(|r| r.maintenance_stats());
+        assert!(stats.incremental_updates > 0 && stats.full_recomputes == 1, "{stats:?}");
         broker.stop();
     }
 }

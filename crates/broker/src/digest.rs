@@ -171,12 +171,10 @@ impl CapabilityDigest {
             match term {
                 Term::Capability(cap) => symbols.extend(
                     repo.satisfied_capabilities(cap)
-                        .iter()
                         .map(|satisfied| term_symbol(Term::Capability(satisfied))),
                 ),
                 Term::Class(onto, class) => symbols.extend(
                     repo.satisfying_classes(onto, class)
-                        .iter()
                         .map(|related| term_symbol(Term::Class(onto, related))),
                 ),
                 verbatim => symbols.push(term_symbol(verbatim)),

@@ -7,7 +7,7 @@
 //! intended." (§2.3) — so the matchmaker always applies both, in that
 //! order.
 
-use crate::repository::{IdSet, Repository};
+use crate::repository::{ClassCredit, IdSet, Repository};
 use crate::sub_index::numeric_hull;
 use infosleuth_ldl::Saturated;
 use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, Sym};
@@ -57,23 +57,63 @@ const SCORE_CONSTRAINT_COVERS_REQUEST: u32 = 3;
 const SCORE_CONSTRAINT_SPECIALIST: u32 = 2;
 const SCORE_CONSTRAINT_OVERLAP: u32 = 1;
 
-/// What scoring asks of the saturated model: the three derived
-/// predicates of §2.1 subsumption, probed as ground facts on the model
-/// itself. The query's own names are resolved to symbols once here, not
-/// once per candidate.
-struct Probe<'a> {
-    model: &'a Saturated,
-    /// `query.capabilities` and `query.classes`, in iteration order.
-    capabilities: Vec<Option<Sym>>,
-    classes: Vec<Option<Sym>>,
+/// Where scoring reads the three derived predicates of §2.1 subsumption
+/// (`provides`, `serves_class`, `contributes_class`) from.
+enum Probe<'a> {
+    /// No derived rules: the predicates are a function of the
+    /// advertisement's own lists and the taxonomies' closures
+    /// ([`Repository::provides`], [`Repository::class_credit`]).
+    Closure(&'a Repository),
+    /// Ground facts probed on the saturated model — all that can see what
+    /// a derived rule grants. The query's own names are resolved to
+    /// symbols once here, not once per candidate.
+    Model {
+        model: &'a Saturated,
+        /// `query.capabilities` and `query.classes`, in iteration order.
+        capabilities: Vec<Option<Sym>>,
+        classes: Vec<Option<Sym>>,
+    },
 }
 
 impl<'a> Probe<'a> {
-    fn new(model: &'a Saturated, query: &ServiceQuery) -> Self {
-        Probe {
+    fn model(model: &'a Saturated, query: &ServiceQuery) -> Self {
+        Probe::Model {
             model,
             capabilities: query.capabilities.iter().map(|c| Sym::lookup(c.as_str())).collect(),
             classes: query.classes.iter().map(|c| Sym::lookup(c)).collect(),
+        }
+    }
+
+    /// Whether `ad` provides the query's `i`-th capability, `cap`.
+    fn provides(&self, ad: &Advertisement, i: usize, cap: &str) -> bool {
+        match self {
+            Probe::Closure(repo) => repo.provides(ad, cap),
+            Probe::Model { model, capabilities, .. } => {
+                model.holds_fact("provides", [Sym::lookup(&ad.location.name), capabilities[i]])
+            }
+        }
+    }
+
+    /// What `ad` holds of the query's `i`-th class, `class`, in `ontology`.
+    fn class_credit(
+        &self,
+        ad: &Advertisement,
+        ontology: &str,
+        i: usize,
+        class: &str,
+    ) -> Option<ClassCredit> {
+        match self {
+            Probe::Closure(repo) => repo.class_credit(ad, ontology, class),
+            Probe::Model { model, classes, .. } => {
+                let fact = [Sym::lookup(&ad.location.name), Sym::lookup(ontology), classes[i]];
+                if model.holds_fact("serves_class", fact) {
+                    Some(ClassCredit::Serves)
+                } else if model.holds_fact("contributes_class", fact) {
+                    Some(ClassCredit::Contributes)
+                } else {
+                    None
+                }
+            }
         }
     }
 }
@@ -83,19 +123,37 @@ impl Matchmaker {
     /// recommendations ordered best-first (score descending, then name).
     /// Truncated to `query.max_matches` when set.
     ///
-    /// Read-only: takes the saturated model explicitly (see
+    /// Read-only: takes the repository's saturated model explicitly (see
     /// [`Repository::saturated`]) so concurrent matchmaking never needs
-    /// `&mut Repository`. Candidates are narrowed through the repository's
-    /// inverted indexes before scoring, which is behavior-preserving (see
-    /// [`match_query_linear`](Self::match_query_linear), the pre-index
-    /// reference path).
+    /// `&mut Repository`. The model is read only when the repository has
+    /// derived rules; without them subsumption comes off the taxonomies'
+    /// closures, which is what [`match_query_mut`](Self::match_query_mut)
+    /// and [`match_query_cached`](Self::match_query_cached) rely on to
+    /// never build one. Candidates are narrowed through the repository's
+    /// inverted indexes before scoring. Both are behavior-preserving (see
+    /// [`match_query_linear`](Self::match_query_linear), the reference
+    /// path: no index, always the model).
     pub fn match_query(
         &self,
         repo: &Repository,
         model: &Saturated,
         query: &ServiceQuery,
     ) -> Vec<MatchResult> {
-        let probe = Probe::new(model, query);
+        self.match_narrowed(repo, repo.has_derived_rules().then_some(model), query)
+    }
+
+    /// [`match_query`](Self::match_query) handed the model exactly when
+    /// the repository has derived rules.
+    fn match_narrowed(
+        &self,
+        repo: &Repository,
+        model: Option<&Saturated>,
+        query: &ServiceQuery,
+    ) -> Vec<MatchResult> {
+        let probe = match model {
+            Some(model) => Probe::model(model, query),
+            None => Probe::Closure(repo),
+        };
         let results = self
             .candidates(repo, query)
             .into_iter()
@@ -104,18 +162,25 @@ impl Matchmaker {
         rank(results, query)
     }
 
+    /// The repository's model when its derived rules make scoring need it.
+    /// Obtaining it records the "saturation" stage.
+    fn model_if_needed(repo: &mut Repository) -> Option<Arc<Saturated>> {
+        repo.has_derived_rules().then(|| repo.saturated())
+    }
+
     /// Convenience wrapper that saturates (or reuses) the repository's
-    /// cached model first — the call shape mutation-path callers want.
+    /// cached model first, when derived rules need one — the call shape
+    /// mutation-path callers want.
     pub fn match_query_mut(&self, repo: &mut Repository, query: &ServiceQuery) -> Vec<MatchResult> {
-        let model = repo.saturated();
-        self.match_query(repo, &model, query)
+        let model = Self::model_if_needed(repo);
+        self.match_narrowed(repo, model.as_deref(), query)
     }
 
     /// The fully cached query path: consult `cache` at the repository's
-    /// current mutation epoch, and only on a miss saturate + score +
-    /// populate. A hit skips candidate narrowing and scoring entirely,
-    /// and both hit and miss exchange `Arc` clones — no result row is
-    /// ever deep-copied by the cache machinery.
+    /// current mutation epoch, and only on a miss (saturate, with derived
+    /// rules) + score + populate. A hit skips candidate narrowing and
+    /// scoring entirely, and both hit and miss exchange `Arc` clones — no
+    /// result row is ever deep-copied by the cache machinery.
     pub fn match_query_cached(
         &self,
         repo: &mut Repository,
@@ -127,17 +192,18 @@ impl Matchmaker {
         if let Some(hit) = cache.lookup_keyed(epoch, &key) {
             return hit;
         }
-        // Obtaining the model records the "saturation" stage; narrowing +
-        // scoring is its own stage, so a trace shows the full pipeline.
-        let model = repo.saturated();
+        // Narrowing + scoring is its own stage after "saturation", so a
+        // trace shows the full pipeline.
+        let model = Self::model_if_needed(repo);
         let _scoring = repo.stage("scoring");
-        let results = Arc::new(self.match_query(repo, &model, query));
+        let results = Arc::new(self.match_narrowed(repo, model.as_deref(), query));
         cache.insert_keyed(epoch, key, Arc::clone(&results));
         results
     }
 
-    /// The pre-index reference path: score every advertisement serially.
-    /// Kept as the correctness oracle for the indexed
+    /// The reference path: score every advertisement serially against the
+    /// model, with or without derived rules. Kept as the correctness
+    /// oracle for the indexed, closure-reading
     /// [`match_query`](Self::match_query); tests assert both agree.
     #[doc(hidden)]
     pub fn match_query_linear(
@@ -146,7 +212,7 @@ impl Matchmaker {
         model: &Saturated,
         query: &ServiceQuery,
     ) -> Vec<MatchResult> {
-        let probe = Probe::new(model, query);
+        let probe = Probe::model(model, query);
         let results = repo
             .agents()
             .filter(|ad| match &query.agent_name {
@@ -216,7 +282,7 @@ impl Matchmaker {
             if !repo.has_derived_rules() {
                 for class in &query.classes {
                     let related = repo.satisfying_classes(onto, class);
-                    dimension!(related.iter().filter_map(|c| of_onto.class(c)));
+                    dimension!(related.filter_map(|c| of_onto.class(c)));
                 }
             }
         }
@@ -224,7 +290,7 @@ impl Matchmaker {
         if !repo.has_derived_rules() {
             for cap in &query.capabilities {
                 let covering = repo.satisfying_capabilities(cap.as_str());
-                dimension!(covering.iter().filter_map(|c| index.capability(c)));
+                dimension!(covering.filter_map(|c| index.capability(c)));
             }
         }
         for slot in query.constraints.constrained_slots() {
@@ -293,11 +359,10 @@ impl Matchmaker {
         let mut content = None;
 
         // ---- Semantic layer: capabilities ------------------------------
-        let agent = Sym::lookup(&ad.location.name);
-        for (cap, cap_sym) in query.capabilities.iter().zip(&probe.capabilities) {
+        for (i, cap) in query.capabilities.iter().enumerate() {
             if ad.semantic.capabilities.contains(cap) {
                 score += SCORE_CAP_EXACT;
-            } else if probe.model.holds_fact("provides", [agent, *cap_sym]) {
+            } else if probe.provides(ad, i, cap.as_str()) {
                 score += SCORE_CAP_COVERED;
             } else {
                 return None;
@@ -316,7 +381,7 @@ impl Matchmaker {
                 .iter()
                 .rev()
                 .filter(|c| query.ontology.as_ref().map_or(true, |o| &c.ontology == o))
-                .filter_map(|c| self.score_content(agent, c, query, probe).map(|s| (s, c)))
+                .filter_map(|c| self.score_content(ad, c, query, probe).map(|s| (s, c)))
                 .max_by_key(|(s, _)| *s)?;
             score += best_score;
             content = Some(best);
@@ -355,26 +420,26 @@ impl Matchmaker {
     /// query.
     fn score_content(
         &self,
-        agent: Option<Sym>,
+        ad: &Advertisement,
         content: &OntologyContent,
         query: &ServiceQuery,
         probe: &Probe<'_>,
     ) -> Option<u32> {
         let mut score = 0;
-        let onto = Sym::lookup(&content.ontology);
 
         // Classes: every requested class must at least receive a partial
-        // contribution (the MRQ combines fragments and subclasses).
-        for (class, class_sym) in query.classes.iter().zip(&probe.classes) {
-            if content.classes.contains(class) {
-                score += SCORE_CLASS_EXACT;
-            } else if probe.model.holds_fact("serves_class", [agent, onto, *class_sym]) {
-                score += SCORE_CLASS_COVERED;
-            } else if probe.model.holds_fact("contributes_class", [agent, onto, *class_sym]) {
-                score += SCORE_CLASS_PARTIAL;
+        // contribution (the MRQ combines fragments and subclasses). Beyond
+        // this record's own list the credit is the agent's for the whole
+        // ontology, as the LDL base grants it.
+        for (i, class) in query.classes.iter().enumerate() {
+            score += if content.classes.contains(class) {
+                SCORE_CLASS_EXACT
             } else {
-                return None;
-            }
+                match probe.class_credit(ad, &content.ontology, i, class)? {
+                    ClassCredit::Serves => SCORE_CLASS_COVERED,
+                    ClassCredit::Contributes => SCORE_CLASS_PARTIAL,
+                }
+            };
         }
 
         // Slots: when both sides list slots, they must overlap (bare and

@@ -7,9 +7,7 @@
 //! that its reasoning engine can understand and asserts it in its
 //! repository") and compiled into LDL facts on demand.
 
-use crate::facts::{
-    compile_agent_facts, compile_global_facts, matchmaking_env, matchmaking_program_with,
-};
+use crate::facts::{compile_agent_facts, compile_facts, matchmaking_env, matchmaking_program_with};
 use crate::sub_index::ad_slot_hulls;
 use infosleuth_agent::AgentAddress;
 use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, Report, Severity};
@@ -17,13 +15,13 @@ use infosleuth_ldl::{parse_rules, Database, LdlParseError, Program, Rule, Satura
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
     standard_capability_taxonomy, Advertisement, AgentType, BrokerAdvertisement, ConversationType,
-    Ontology, ServiceQuery, Taxonomy,
+    Ontology, ServiceQuery, Sym, Taxonomy,
 };
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Validation errors for incoming advertisements.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,7 +84,7 @@ impl std::error::Error for RepositoryError {}
 
 /// Counters for how the cached saturated model has been maintained —
 /// useful for verifying that a churn workload actually stays on the
-/// incremental path.
+/// incremental path. All zero while no fact base exists.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Cached model patched in place by delta saturation / DRed.
@@ -96,6 +94,20 @@ pub struct MaintenanceStats {
     /// Incremental maintenance refused (negation in derived rules) and the
     /// cache was dropped instead.
     pub fallbacks: u64,
+}
+
+/// How an agent's advertised classes relate to a requested one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ClassCredit {
+    /// `serves_class`: the class itself or an ancestor of it is advertised.
+    Serves,
+    /// `contributes_class` only: a descendant of it is advertised.
+    Contributes,
+}
+
+/// Whether a closure run (ascending by name) holds `name`.
+fn names(run: &[Sym], name: &str) -> bool {
+    run.binary_search_by(|held| held.as_str().cmp(name)).is_ok()
 }
 
 /// A set of dense advertisement ids as a bitmap, kept trimmed (the last
@@ -400,15 +412,74 @@ impl AdIndex {
     }
 }
 
+/// The LDL side of a repository: the compiled extensional database, the
+/// rule program and its saturated model. Built the first time something
+/// asks for one of them and from then on kept in step with every mutation:
+/// advertise/unadvertise patch the EDB and the model incrementally (delta
+/// saturation for assertions, delete-and-rederive for retractions)
+/// instead of invalidating the model, falling back to a full recompute
+/// when the rule base makes incremental maintenance unsound.
+#[derive(Clone)]
+struct FactBase {
+    edb: Database,
+    /// The standard matchmaking base plus the derived rules.
+    program: Arc<Program>,
+    /// `None` until first asked for, and after an invalidation.
+    model: Option<Arc<Saturated>>,
+    stats: MaintenanceStats,
+}
+
+impl FactBase {
+    /// Applies one advertisement's fact delta to the EDB and to the model,
+    /// when there is one to patch — otherwise the next
+    /// [`Repository::saturated`] call recomputes from the (already updated)
+    /// EDB. When incremental maintenance is refused (negation in derived
+    /// rules), the model is dropped instead.
+    fn patch(&mut self, removed: Option<&Advertisement>, added: Option<&Advertisement>) {
+        let removed = removed.map(compile_agent_facts);
+        let added = added.map(compile_agent_facts);
+        if let Some(facts) = &removed {
+            self.edb.subtract(facts);
+        }
+        if let Some(facts) = &added {
+            self.edb.merge(facts);
+        }
+        let Some(mut cached) = self.model.take() else { return };
+        if self.program.has_negation() {
+            // The in-place patches would refuse anyway; drop the model so
+            // the next read resaturates, and record the fallback.
+            self.stats.fallbacks += 1;
+            return;
+        }
+        // Patch in place when no other handle holds the model (the common
+        // case — readers drop their `Arc` after matching); otherwise
+        // `make_mut` copies once, which is still no worse than before.
+        let model = Arc::make_mut(&mut cached);
+        let mut ok = true;
+        if let Some(facts) = &removed {
+            ok = ok && model.remove_facts_mut(&self.program, facts);
+        }
+        if let Some(facts) = &added {
+            ok = ok && model.add_facts_mut(&self.program, facts);
+        }
+        if ok {
+            self.stats.incremental_updates += 1;
+            self.model = Some(cached);
+        } else {
+            self.stats.fallbacks += 1;
+        }
+    }
+}
+
 /// One broker's knowledge base: agent advertisements, peer broker
 /// advertisements, the capability taxonomy, and the domain ontologies the
 /// broker can reason over.
 ///
-/// The compiled extensional database and its saturated LDL model are
-/// cached; advertise/unadvertise patch both incrementally (delta
-/// saturation for assertions, delete-and-rederive for retractions)
-/// instead of invalidating the model, falling back to a full recompute
-/// when the rule base makes incremental maintenance unsound.
+/// Matchmaking over a repository with no derived rules reads §2.1
+/// subsumption off the taxonomies' closures
+/// ([`satisfying_classes`](Self::satisfying_classes) and its siblings), so
+/// such a repository compiles no LDL fact unless someone asks for its
+/// [`saturated`](Self::saturated) model; only derived rules need one.
 #[derive(Clone)]
 pub struct Repository {
     /// Advertisements are `Arc`ed so the narrowing index and a mutation's
@@ -420,31 +491,35 @@ pub struct Repository {
     /// Extra LDL rules defining derived concepts (§2.1), appended to the
     /// standard matchmaking rule base.
     derived_rules: Vec<Rule>,
-    /// The compiled EDB, kept in sync with every mutation.
-    edb: Database,
-    /// The compiled rule program (standard base + derived rules).
-    program: Option<Arc<Program>>,
     index: AdIndex,
-    saturated: Option<Arc<Saturated>>,
+    /// `None` until something asks for the model, the EDB or the program.
+    facts: Option<Box<FactBase>>,
     /// Bumped on every mutation that can change matchmaking results
     /// (advertise/unadvertise/ontology/rule registration); match caches
     /// tag entries with it and treat a mismatch as a miss.
     epoch: u64,
-    stats: MaintenanceStats,
     /// Stage-timing hooks (see [`Repository::set_obs`]); `None` keeps the
     /// repository observability-free for standalone use and benchmarks.
     obs: Option<ObsHooks>,
 }
 
 /// The repository-side pipeline stages, pre-registered as
-/// `broker_stage_seconds{broker,stage}` histograms.
+/// `broker_stage_seconds{broker,stage}` histograms — but for
+/// `saturation`, registered when first entered: a repository that builds
+/// no fact base never enters it, and a histogram nobody observes reads in
+/// a scrape as a stage that broke.
 #[derive(Clone)]
 struct ObsHooks {
     obs: Arc<Obs>,
+    broker: String,
     analysis: Histogram,
     repository: Histogram,
-    saturation: Histogram,
+    saturation: OnceLock<Histogram>,
     scoring: Histogram,
+}
+
+fn stage_histogram(obs: &Obs, broker: &str, stage: &str) -> Histogram {
+    obs.registry().histogram("broker_stage_seconds", &[("broker", broker), ("stage", stage)])
 }
 
 impl Repository {
@@ -454,39 +529,33 @@ impl Repository {
     }
 
     pub fn with_capability_taxonomy(capability_taxonomy: Taxonomy) -> Self {
-        let edb = compile_global_facts(&capability_taxonomy, []);
         Repository {
             agents: BTreeMap::new(),
             brokers: BTreeMap::new(),
             capability_taxonomy,
             ontologies: BTreeMap::new(),
             derived_rules: Vec::new(),
-            edb,
-            program: None,
             index: AdIndex::default(),
-            saturated: None,
+            facts: None,
             epoch: 0,
-            stats: MaintenanceStats::default(),
             obs: None,
         }
     }
 
     /// Attaches stage timing: advertise/unadvertise/saturation work is
     /// recorded as `broker_stage_seconds{broker,stage}` samples (stages
-    /// `analysis`, `repository`, `saturation`, and `scoring` for cached
+    /// `analysis`, `repository`, `saturation` — entered only where a fact
+    /// base is built, patched or read — and `scoring` for cached
     /// matchmaking misses) plus matching child spans under whatever span
     /// is active on the handling thread.
     pub fn set_obs(&mut self, obs: &Arc<Obs>, broker: &str) {
-        let lat = |stage: &str| {
-            obs.registry()
-                .histogram("broker_stage_seconds", &[("broker", broker), ("stage", stage)])
-        };
         self.obs = Some(ObsHooks {
             obs: Arc::clone(obs),
-            analysis: lat("analysis"),
-            repository: lat("repository"),
-            saturation: lat("saturation"),
-            scoring: lat("scoring"),
+            broker: broker.to_string(),
+            analysis: stage_histogram(obs, broker, "analysis"),
+            repository: stage_histogram(obs, broker, "repository"),
+            saturation: OnceLock::new(),
+            scoring: stage_histogram(obs, broker, "scoring"),
         });
     }
 
@@ -498,7 +567,9 @@ impl Repository {
             "analysis" => &hooks.analysis,
             "repository" => &hooks.repository,
             "scoring" => &hooks.scoring,
-            _ => &hooks.saturation,
+            _ => hooks
+                .saturation
+                .get_or_init(|| stage_histogram(&hooks.obs, &hooks.broker, "saturation")),
         };
         Some(hooks.obs.stage(histogram, name))
     }
@@ -507,19 +578,42 @@ impl Repository {
     /// class-subclasses and derived concepts relationships".
     pub fn register_ontology(&mut self, ontology: Ontology) {
         self.ontologies.insert(ontology.name.clone(), ontology);
-        // Global hierarchy facts changed: rebuild the EDB and drop the
+        // Global hierarchy facts changed: recompile the EDB and drop the
         // model (ontology registration is rare; churn is advertisements).
-        self.rebuild_edb();
-        self.saturated = None;
+        if self.facts.is_some() {
+            let edb = self.compile_edb();
+            let facts = self.fact_base();
+            facts.edb = edb;
+            facts.model = None;
+        }
         self.epoch += 1;
     }
 
-    fn rebuild_edb(&mut self) {
-        let mut edb = compile_global_facts(&self.capability_taxonomy, self.ontologies.values());
-        for ad in self.agents.values() {
-            edb.merge(&compile_agent_facts(ad));
+    fn compile_edb(&self) -> Database {
+        compile_facts(self.agents(), &self.capability_taxonomy, self.ontologies.values())
+    }
+
+    /// The fact base, compiled from the repository as it stands on first
+    /// use.
+    fn fact_base(&mut self) -> &mut FactBase {
+        if self.facts.is_none() {
+            let program = matchmaking_program_with(&self.derived_rules)
+                .expect("combined base verified stratifiable at registration time"); // lint: allow-unwrap
+            self.facts = Some(Box::new(FactBase {
+                edb: self.compile_edb(),
+                program: Arc::new(program),
+                model: None,
+                stats: MaintenanceStats::default(),
+            }));
         }
-        self.edb = edb;
+        self.facts.as_mut().expect("built above") // lint: allow-unwrap
+    }
+
+    /// Whether a fact base has been built: `false` until something asks
+    /// for the model, the EDB or the program — which matchmaking over a
+    /// repository without derived rules never does.
+    pub fn has_fact_base(&self) -> bool {
+        self.facts.is_some()
     }
 
     pub fn ontology(&self, name: &str) -> Option<&Ontology> {
@@ -567,10 +661,12 @@ impl Repository {
         // Backstop: the *combined* base must stay stratifiable — a delta
         // that is clean in isolation can still close a negative cycle
         // through the standard rules.
-        crate::facts::matchmaking_program_with(&candidate)?;
+        let program = matchmaking_program_with(&candidate)?;
         self.derived_rules = candidate;
-        self.program = None;
-        self.saturated = None;
+        if let Some(facts) = &mut self.facts {
+            facts.program = Arc::new(program);
+            facts.model = None;
+        }
         self.epoch += 1;
         Ok(())
     }
@@ -651,9 +747,9 @@ impl Repository {
     /// Stores an advertisement (insert or update — "when an agent's set of
     /// available services changes, the agent may update its advertisement").
     ///
-    /// The cached saturated model is patched incrementally: the previous
-    /// advertisement's facts (if any) are retracted via delete-and-rederive
-    /// and the new ones propagated via delta saturation.
+    /// Where a fact base exists its model is patched incrementally: the
+    /// previous advertisement's facts (if any) are retracted via
+    /// delete-and-rederive and the new ones propagated via delta saturation.
     pub fn advertise(&mut self, ad: Advertisement) -> Result<(), RepositoryError> {
         {
             let _t = self.stage("analysis");
@@ -672,21 +768,14 @@ impl Repository {
         }
         let mutation = self.stage("repository");
         let ad = Arc::new(ad);
-        let added = compile_agent_facts(&ad);
-        let removed = match self.agents.insert(ad.location.name.clone(), Arc::clone(&ad)) {
-            Some(old) => {
-                self.index.remove(&old);
-                let old_facts = compile_agent_facts(&old);
-                self.edb.subtract(&old_facts);
-                Some(old_facts)
-            }
-            None => None,
-        };
+        let old = self.agents.insert(ad.location.name.clone(), Arc::clone(&ad));
+        if let Some(old) = &old {
+            self.index.remove(old);
+        }
         self.index.insert(&ad);
-        self.edb.merge(&added);
         self.epoch += 1;
         drop(mutation);
-        self.patch_model(removed.as_ref(), Some(&added));
+        self.patch_facts(old.as_deref(), Some(&ad));
         Ok(())
     }
 
@@ -698,49 +787,21 @@ impl Repository {
             Some(old) => {
                 let mutation = self.stage("repository");
                 self.index.remove(&old);
-                let old_facts = compile_agent_facts(&old);
-                self.edb.subtract(&old_facts);
                 self.epoch += 1;
                 drop(mutation);
-                self.patch_model(Some(&old_facts), None);
+                self.patch_facts(Some(&old), None);
                 true
             }
             None => false,
         }
     }
 
-    /// Applies a fact delta to the cached saturated model. With no cached
-    /// model there is nothing to patch — the next [`saturated`](Self::saturated)
-    /// call recomputes from the (already updated) EDB. When incremental
-    /// maintenance is refused (negation in derived rules), the cache is
-    /// dropped instead.
-    fn patch_model(&mut self, removed: Option<&Database>, added: Option<&Database>) {
-        let _t = self.stage("saturation");
-        // No model to patch: the next `saturated` call rebuilds it.
-        let Some(mut cached) = self.saturated.take() else { return };
-        let program = self.program();
-        if program.has_negation() {
-            // The in-place patches would refuse anyway; drop the cache so
-            // the next read resaturates, and record the fallback.
-            self.stats.fallbacks += 1;
-            return;
-        }
-        // Patch in place when no other handle holds the model (the common
-        // case — readers drop their `Arc` after matching); otherwise
-        // `make_mut` copies once, which is still no worse than before.
-        let model = Arc::make_mut(&mut cached);
-        let mut ok = true;
-        if let Some(facts) = removed {
-            ok = ok && model.remove_facts_mut(&program, facts);
-        }
-        if let Some(facts) = added {
-            ok = ok && model.add_facts_mut(&program, facts);
-        }
-        if ok {
-            self.stats.incremental_updates += 1;
-            self.saturated = Some(cached);
-        } else {
-            self.stats.fallbacks += 1;
+    /// Carries one advertisement's replacement into the fact base, where
+    /// there is one.
+    fn patch_facts(&mut self, removed: Option<&Advertisement>, added: Option<&Advertisement>) {
+        let _t = self.facts.as_ref().and_then(|_| self.stage("saturation"));
+        if let Some(facts) = &mut self.facts {
+            facts.patch(removed, added);
         }
     }
 
@@ -749,7 +810,7 @@ impl Repository {
         self.validate(&ad.base)?;
         self.brokers.insert(ad.base.location.name.clone(), ad);
         // Broker advertisements do not participate in agent matchmaking
-        // facts, so the saturation cache stays valid.
+        // facts, so a fact base stays as it is.
         Ok(())
     }
 
@@ -804,36 +865,29 @@ impl Repository {
     }
 
     /// The compiled rule program (standard matchmaking base plus derived
-    /// rules), cached until the derived rules change.
+    /// rules), read off the fact base.
     pub fn program(&mut self) -> Arc<Program> {
-        if let Some(p) = &self.program {
-            return Arc::clone(p);
-        }
-        let program = Arc::new(
-            matchmaking_program_with(&self.derived_rules)
-                .expect("combined base verified stratifiable at registration time"), // lint: allow-unwrap
-        );
-        self.program = Some(Arc::clone(&program));
-        program
+        Arc::clone(&self.fact_base().program)
     }
 
-    /// The saturated LDL model of this repository. Served from cache when
-    /// possible; the cache is maintained incrementally across
-    /// advertise/unadvertise and recomputed from the EDB otherwise.
+    /// The saturated LDL model of this repository, building the fact base
+    /// on first use. Served from cache when possible; the cache is
+    /// maintained incrementally across advertise/unadvertise and recomputed
+    /// from the EDB otherwise.
     pub fn saturated(&mut self) -> Arc<Saturated> {
-        // Timed even on a cache hit: every query's trace then shows its
-        // (usually near-zero) "saturation" stage, and full recomputes
-        // stand out in the same histogram.
+        // Timed even on a cache hit: every query that needs the model shows
+        // its (usually near-zero) "saturation" stage in its trace, and full
+        // recomputes stand out in the same histogram.
         let _t = self.stage("saturation");
-        if let Some(s) = &self.saturated {
-            return Arc::clone(s);
+        let facts = self.fact_base();
+        if let Some(model) = &facts.model {
+            return Arc::clone(model);
         }
-        let program = self.program();
-        let model = program.saturate(&self.edb).expect("matchmaking program is stratified"); // lint: allow-unwrap
-        self.stats.full_recomputes += 1;
-        let arc = Arc::new(model);
-        self.saturated = Some(Arc::clone(&arc));
-        arc
+        let model = facts.program.saturate(&facts.edb).expect("matchmaking program is stratified"); // lint: allow-unwrap
+        facts.stats.full_recomputes += 1;
+        let model = Arc::new(model);
+        facts.model = Some(Arc::clone(&model));
+        model
     }
 
     /// The repository's mutation epoch: bumped by every mutation that can
@@ -844,15 +898,15 @@ impl Repository {
     }
 
     /// The compiled extensional database (advertisement facts plus
-    /// taxonomy and class-hierarchy facts), always in sync with the
-    /// repository contents.
-    pub fn edb(&self) -> &Database {
-        &self.edb
+    /// taxonomy and class-hierarchy facts), read off the fact base and so
+    /// in sync with the repository contents.
+    pub fn edb(&mut self) -> &Database {
+        &self.fact_base().edb
     }
 
     /// How the cached model has been maintained so far.
     pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.stats
+        self.facts.as_ref().map_or_else(MaintenanceStats::default, |facts| facts.stats)
     }
 
     /// Whether the derived-concept rule base permits candidate pruning
@@ -865,36 +919,85 @@ impl Repository {
 
     /// The advertised classes that satisfy a request for `class` of
     /// `ontology`: the class itself, its ancestors (full coverage) and its
-    /// descendants (partial contribution). The relation is symmetric, so
-    /// this is equally the set of requested classes an advertisement of
-    /// `class` satisfies. Candidate narrowing, the subscription index and
-    /// the routing digest are sound only while they agree on this rule, so
-    /// all three expand through here.
-    pub fn satisfying_classes(&self, ontology: &str, class: &str) -> Vec<String> {
-        let mut out = vec![class.to_string()];
-        if let Some(o) = self.ontologies.get(ontology) {
+    /// descendants (partial contribution) in that ontology's hierarchy —
+    /// for an ontology nobody registered, the class alone. The relation is
+    /// symmetric, so this is equally the set of requested classes an
+    /// advertisement of `class` satisfies. It is the LDL base's
+    /// `contributes_class`, read off the hierarchy's closure; candidate
+    /// narrowing, the subscription index, the routing digest and — without
+    /// derived rules — scoring (through `class_credit`) are sound only
+    /// while they agree on it, so all four read it here.
+    pub fn satisfying_classes<'a>(
+        &'a self,
+        ontology: &str,
+        class: &'a str,
+    ) -> impl Iterator<Item = &'a str> + 'a {
+        let (above, below) = self.related_classes(ontology, class);
+        std::iter::once(class).chain(above.iter().chain(below).map(|c| c.as_str()))
+    }
+
+    /// The strict ancestors and strict descendants of `class` in a
+    /// registered `ontology`'s hierarchy.
+    fn related_classes(&self, ontology: &str, class: &str) -> (&[Sym], &[Sym]) {
+        self.ontologies.get(ontology).map_or((&[], &[]), |o| {
             let hierarchy = o.hierarchy();
-            out.extend(hierarchy.ancestors(class));
-            out.extend(hierarchy.descendants(class));
-        }
-        out
+            (hierarchy.ancestors(class), hierarchy.descendants(class))
+        })
     }
 
     /// The advertised capabilities that satisfy a request for
-    /// `capability`: the capability itself or any ancestor of it.
-    pub fn satisfying_capabilities(&self, capability: &str) -> Vec<String> {
-        let mut out = vec![capability.to_string()];
-        out.extend(self.capability_taxonomy.ancestors(capability));
-        out
+    /// `capability`: the capability itself or any ancestor of it — the LDL
+    /// base's `provides`, read off the taxonomy's closure.
+    pub fn satisfying_capabilities<'a>(
+        &'a self,
+        capability: &'a str,
+    ) -> impl Iterator<Item = &'a str> + 'a {
+        let above = self.capability_taxonomy.ancestors(capability);
+        std::iter::once(capability).chain(above.iter().map(|c| c.as_str()))
     }
 
     /// [`satisfying_capabilities`](Self::satisfying_capabilities) read from
     /// the advertiser's side: the requested capabilities an advertisement
     /// of `capability` satisfies — itself or any descendant.
-    pub fn satisfied_capabilities(&self, capability: &str) -> Vec<String> {
-        let mut out = vec![capability.to_string()];
-        out.extend(self.capability_taxonomy.descendants(capability));
-        out
+    pub fn satisfied_capabilities<'a>(
+        &'a self,
+        capability: &'a str,
+    ) -> impl Iterator<Item = &'a str> + 'a {
+        let below = self.capability_taxonomy.descendants(capability);
+        std::iter::once(capability).chain(below.iter().map(|c| c.as_str()))
+    }
+
+    /// Whether some capability `ad` advertises satisfies a request for
+    /// `capability` ([`satisfying_capabilities`](Self::satisfying_capabilities)).
+    pub(crate) fn provides(&self, ad: &Advertisement, capability: &str) -> bool {
+        let above = self.capability_taxonomy.ancestors(capability);
+        ad.semantic
+            .capabilities
+            .iter()
+            .any(|adv| adv.as_str() == capability || names(above, adv.as_str()))
+    }
+
+    /// What `ad` holds of a requested `class` of `ontology`, as the LDL
+    /// base grants it — per *(agent, ontology)*, so every content record
+    /// of that ontology counts, whichever one is being scored.
+    pub(crate) fn class_credit(
+        &self,
+        ad: &Advertisement,
+        ontology: &str,
+        class: &str,
+    ) -> Option<ClassCredit> {
+        let (above, below) = self.related_classes(ontology, class);
+        let advertised = || {
+            let of_ontology = ad.semantic.content.iter().filter(|c| c.ontology == ontology);
+            of_ontology.flat_map(|c| &c.classes)
+        };
+        if advertised().any(|adv| adv == class || names(above, adv)) {
+            Some(ClassCredit::Serves)
+        } else if advertised().any(|adv| names(below, adv)) {
+            Some(ClassCredit::Contributes)
+        } else {
+            None
+        }
     }
 
     /// The narrowing index [`Matchmaker`](crate::Matchmaker) intersects.
@@ -1017,6 +1120,81 @@ mod tests {
         repo.advertise(valid_ad("ra2")).unwrap();
         let s2 = repo.saturated();
         assert!(!Arc::ptr_eq(&s1, &s2));
+    }
+
+    #[test]
+    fn no_fact_base_until_a_model_is_asked_for() {
+        let mut repo = Repository::new();
+        repo.register_ontology(healthcare_ontology());
+        repo.advertise(valid_ad("ra1")).unwrap();
+        repo.advertise(valid_ad("ra1")).unwrap();
+        let q = ServiceQuery::any().with_capability(Capability::select());
+        let mm = crate::Matchmaker::default();
+        assert_eq!(mm.match_query_mut(&mut repo, &q).len(), 1);
+        assert_eq!(mm.match_query_cached(&mut repo, &crate::MatchCache::default(), &q).len(), 1);
+        assert!(repo.unadvertise("ra1"));
+        assert!(!repo.has_fact_base());
+        assert_eq!(repo.maintenance_stats(), MaintenanceStats::default());
+        // Asked for, the model is the one an eagerly kept EDB would give,
+        // and is patched from then on.
+        repo.advertise(valid_ad("ra2")).unwrap();
+        let model = repo.saturated();
+        assert!(repo.has_fact_base());
+        assert!(model.holds(&infosleuth_ldl::parse_query("provides(ra2, select)").unwrap()));
+        let compiled = compile_facts(repo.agents(), repo.capability_taxonomy(), repo.ontologies());
+        assert_eq!(*repo.edb(), compiled);
+        drop(model);
+        repo.advertise(valid_ad("ra3")).unwrap();
+        let stats = repo.maintenance_stats();
+        assert_eq!((stats.full_recomputes, stats.incremental_updates), (1, 1));
+        assert!(repo
+            .saturated()
+            .holds(&infosleuth_ldl::parse_query("provides(ra3, select)").unwrap()));
+    }
+
+    /// The "saturation" stage is entered exactly where a fact base is
+    /// built, read or patched: never on a repository without derived
+    /// rules that nobody asked a model of, and ahead of "scoring" on
+    /// every cache miss once a derived rule needs one.
+    #[test]
+    fn saturation_is_a_stage_of_repositories_with_derived_rules_only() {
+        use infosleuth_obs::{RingSink, SpanSink};
+        let obs = Obs::new();
+        let ring = Arc::new(RingSink::new(64));
+        obs.tracer().add_sink(Arc::clone(&ring) as Arc<dyn SpanSink>);
+        let stages = |ring: &RingSink| -> Vec<String> {
+            ring.drain().into_iter().map(|record| record.name).collect()
+        };
+        let mut repo = Repository::new();
+        repo.set_obs(&obs, "broker-1");
+        let cache = crate::MatchCache::default();
+        let mm = crate::Matchmaker::default();
+        let q = ServiceQuery::any().with_capability(Capability::subscription());
+
+        repo.advertise(valid_ad("ra1")).unwrap();
+        assert!(mm.match_query_cached(&mut repo, &cache, &q).is_empty());
+        assert!(repo.unadvertise("ra1"));
+        assert_eq!(stages(&ring), ["analysis", "repository", "scoring", "repository"]);
+
+        repo.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap();
+        repo.advertise(valid_ad("ra1")).unwrap();
+        assert_eq!(mm.match_query_cached(&mut repo, &cache, &q).len(), 1);
+        repo.advertise(valid_ad("ra2")).unwrap();
+        assert_eq!(mm.match_query_cached(&mut repo, &cache, &q).len(), 2);
+        // The first write finds no fact base to patch; the first ask builds
+        // it, the second write patches it, the second ask reads it.
+        assert_eq!(
+            stages(&ring),
+            [
+                ["analysis", "repository"].as_slice(),
+                &["saturation", "scoring"],
+                &["analysis", "repository", "saturation"],
+                &["saturation", "scoring"],
+            ]
+            .concat()
+        );
+        let stats = repo.maintenance_stats();
+        assert_eq!((stats.full_recomputes, stats.incremental_updates), (1, 1));
     }
 
     #[test]

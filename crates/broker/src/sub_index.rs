@@ -231,11 +231,11 @@ impl SubscriptionIndex {
             // single class's expansion finds it.
             let names = repo.satisfying_classes(onto, class);
             let onto = Sym::new(onto);
-            return BucketRef::Classes(names.iter().map(|c| (onto, Sym::new(c))).collect());
+            return BucketRef::Classes(names.map(|c| (onto, Sym::new(c))).collect());
         }
         if let Some(cap) = query.capabilities.iter().next() {
             let names = repo.satisfying_capabilities(cap.as_str());
-            return BucketRef::Capabilities(names.iter().map(|c| Sym::new(c)).collect());
+            return BucketRef::Capabilities(names.map(Sym::new).collect());
         }
         if let Some(onto) = &query.ontology {
             return BucketRef::Ontology(Sym::new(onto));
@@ -519,7 +519,7 @@ mod tests {
             .class_names()
             .find(|c| !h.ancestors(c).is_empty())
             .expect("paper ontology has a subclass");
-        let parent = &h.ancestors(child)[0];
+        let parent = h.ancestors(child)[0].as_str();
         let mut idx = SubscriptionIndex::new();
         idx.insert(7, &class_query(child), &repo);
         // An agent advertising only the ancestor still affects the child

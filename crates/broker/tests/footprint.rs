@@ -114,12 +114,19 @@ fn saturated_empty_repo() -> Repository {
     repo
 }
 
-/// This layout measures 3 820 B in 47 allocations per advertisement of
-/// this population (advertisement 745 B, narrowing index and EDB 1 025 B,
-/// a model saturated once 1 589 B; ≈ 460 B more for tables grown one
-/// patch at a time and the agent names interned). The ceiling leaves a
-/// tenth for where hash tables and vectors happen to have last doubled.
+/// A repository somebody asked a model of — one with derived rules, or an
+/// oracle's. This layout measures 3 810 B in 47 allocations per
+/// advertisement of this population (advertisement 745 B, narrowing index
+/// 189 B, EDB and a model saturated once 2 428 B; ≈ 450 B more for tables
+/// grown one patch at a time and the agent names interned). The ceiling
+/// leaves a tenth for where hash tables and vectors happen to have last
+/// doubled.
 const CEILING_BYTES_PER_AD: f64 = 4_200.0;
+
+/// A repository nobody asked a model of, as a live broker without derived
+/// rules keeps it: the advertisement and the narrowing index, no fact —
+/// 934 B in 18 allocations.
+const CEILING_MODEL_FREE_BYTES_PER_AD: f64 = 1_300.0;
 
 /// The advertisement record itself: 233 advertised bytes cost 745 B in 15
 /// allocations — its strings, and one exactly-sized block per non-empty
@@ -143,9 +150,9 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
         ((to.0 - from.0) as f64 / N as f64, (to.1 - from.1) as f64 / N as f64)
     };
 
-    // The asserted figure: a repository whose model was saturated before
-    // the population arrived and patched by every advertise, as a live
-    // broker's is.
+    // The first asserted figure: a repository whose model was saturated
+    // before the population arrived and patched by every advertise, as a
+    // live broker's with derived rules is.
     let mut repo = saturated_empty_repo();
     let before = live();
     for a in &ads {
@@ -154,9 +161,9 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     let _ = repo.saturated();
     let (bytes, allocs) = per_ad(before, live());
 
-    // The table: where the bytes sit. A second repository takes the same
-    // population with no model, then saturates once; the EDB and the
-    // model share their rows, so the model's line is what it adds.
+    // The second, and the table of where the bytes sit: another repository
+    // takes the same population and is asked for no model — it then holds
+    // no fact base at all — then saturates once.
     let mut cold = Repository::new();
     cold.register_ontology(taxonomy());
     let t0 = live();
@@ -166,6 +173,7 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
         cold.advertise(a.clone()).unwrap();
     }
     let t2 = live();
+    assert!(!cold.has_fact_base());
     let _ = cold.saturated();
     let t3 = live();
     let digest = CapabilityDigest::of("broker", &cold);
@@ -185,19 +193,26 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     let record = per_ad(t0, t1);
     let rows = [
         ("repository, model patched", (bytes, allocs)),
+        ("repository, no model asked", stored),
         ("  advertisement", record),
-        ("  narrowing index + EDB", (stored.0 - record.0, stored.1 - record.1)),
-        ("  model, saturated once", per_ad(t2, t3)),
+        ("  narrowing index", (stored.0 - record.0, stored.1 - record.1)),
+        ("  EDB + model, saturated once", per_ad(t2, t3)),
         ("broker core, beside it", broker),
     ];
     for (what, (bytes, allocs)) in rows {
-        eprintln!("{what:<28} {bytes:>6.0} B in {allocs:>5.1} allocations");
+        eprintln!("{what:<30} {bytes:>6.0} B in {allocs:>5.1} allocations");
     }
     drop(ads_copy);
 
     assert!(
         bytes <= CEILING_BYTES_PER_AD,
         "{bytes:.0} live bytes per advertisement, ceiling {CEILING_BYTES_PER_AD}"
+    );
+    assert!(
+        stored.0 <= CEILING_MODEL_FREE_BYTES_PER_AD,
+        "{:.0} live bytes per advertisement with no model asked for, \
+         ceiling {CEILING_MODEL_FREE_BYTES_PER_AD}",
+        stored.0
     );
     assert!(
         record.0 <= CEILING_AD_RECORD_BYTES,
@@ -214,9 +229,17 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     );
 }
 
+/// Once on a repository whose model is kept patched, once on one nobody
+/// asks a model of.
 #[test]
 fn churn_does_not_grow_and_a_drain_returns_everything() {
     let _alone = alone();
+    for with_model in [true, false] {
+        churn_then_drain(with_model);
+    }
+}
+
+fn churn_then_drain(with_model: bool) {
     const N: usize = 200;
     let names: Vec<String> = (0..N).map(|j| format!("churn{j:03}")).collect();
     let fill = |repo: &mut Repository| {
@@ -224,15 +247,22 @@ fn churn_does_not_grow_and_a_drain_returns_everything() {
             repo.advertise(ad(name, j, window(j, 0))).unwrap();
         }
     };
+    // Where there is a model, a reading is taken with it brought up to date.
+    let settled = |repo: &mut Repository| {
+        if with_model {
+            let _ = repo.saturated();
+        }
+        live()
+    };
     let drain = |repo: &mut Repository| {
         for name in &names {
             assert!(repo.unadvertise(name));
         }
-        let _ = repo.saturated();
-        live()
+        settled(repo)
     };
-    let mut repo = saturated_empty_repo();
-    let fresh = live();
+    let mut repo = Repository::new();
+    repo.register_ontology(taxonomy());
+    let fresh = settled(&mut repo);
 
     // A first fill and drain. What stays is what is meant to: one symbol
     // table entry per name seen (its bytes plus 36, before the table's own
@@ -257,8 +287,7 @@ fn churn_does_not_grow_and_a_drain_returns_everything() {
         let j = (k * 37) % N;
         repo.advertise(ad(&names[j], j, window(j, 1 + k / N))).unwrap();
         if k == 999 || k == 9_999 {
-            let _ = repo.saturated();
-            let now = live();
+            let now = settled(&mut repo);
             marks.push((now.0 - empty.0, now.1 - empty.1));
         }
     }
@@ -279,6 +308,7 @@ fn churn_does_not_grow_and_a_drain_returns_everything() {
         drained.0 - empty.0
     );
     assert_eq!(Sym::table_len(), symbols, "the drain interns nothing");
+    assert_eq!(repo.has_fact_base(), with_model);
 }
 
 #[test]

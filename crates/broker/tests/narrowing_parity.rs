@@ -9,6 +9,14 @@
 //! and, for the three syntactic postings, agent types and languages varied
 //! on both sides, a type and a language nobody advertises included.
 //!
+//! Without derived rules the two sides also read subsumption from
+//! different places — `match_query` off the taxonomies' closures,
+//! `match_query_linear` off the saturated model — so one more arm aims at
+//! where those could part: a multi-parent capability DAG, the requested
+//! class held by another content record of the same agent and ontology, a
+//! content ontology nobody registered, and requested names outside the
+//! taxonomy or never interned.
+//!
 //! The same scripts hold the routing digest to its contract:
 //! `CapabilityDigest::of`, read off the narrowing index, equals field for
 //! field the digest built by walking every advertisement, and admits every
@@ -18,7 +26,7 @@ use infosleuth_broker::{CapabilityDigest, Matchmaker, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Predicate, Value};
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
-    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
+    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, Sym, SyntacticInfo, Taxonomy,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -254,14 +262,14 @@ fn digest_by_walking_every_advertisement(broker: &str, repo: &Repository) -> Cap
         symbols.extend(ad.semantic.conversations.iter().map(|c| symbol(b'v', &c.to_string())));
         for cap in &ad.semantic.capabilities {
             let satisfied = repo.satisfied_capabilities(cap.as_str());
-            symbols.extend(satisfied.iter().map(|c| symbol(b'p', c)));
+            symbols.extend(satisfied.map(|c| symbol(b'p', c)));
         }
         for content in &ad.semantic.content {
             let onto = &content.ontology;
             symbols.insert(symbol(b'o', onto));
             for class in &content.classes {
                 let related = repo.satisfying_classes(onto, class);
-                symbols.extend(related.iter().map(|c| symbol(b'c', &format!("{onto}\u{1}{c}"))));
+                symbols.extend(related.map(|c| symbol(b'c', &format!("{onto}\u{1}{c}"))));
             }
         }
         for (slot, (lo, hi)) in ad_hulls(ad) {
@@ -335,6 +343,92 @@ proptest! {
         )
         .expect("rules admit");
         assert_narrowing_is_invisible(&mut repo, &queries);
+    }
+}
+
+/// A capability DAG with two multi-parent nodes: `both` under `left` and
+/// `right`, `leaf` under `both` and the second root `aside`.
+const DAG_CAPABILITIES: [&str; 6] = ["top", "left", "right", "both", "leaf", "aside"];
+/// Asked for, never advertised: `C1` is interned (as a class) but no
+/// capability, the other is a name nothing ever interns.
+const STRAY_CAPABILITIES: [&str; 2] = ["C1", "parity-capability-nobody-interns"];
+const STRAY_CLASS: &str = "parity-class-nobody-interns";
+
+fn dag_capability_taxonomy() -> Taxonomy {
+    let mut t = Taxonomy::new();
+    t.add_root("top").unwrap();
+    t.add_child("top", "left").unwrap();
+    t.add_child("top", "right").unwrap();
+    t.add_child("left", "both").unwrap();
+    t.add_edge("right", "both").unwrap();
+    t.add_child("both", "leaf").unwrap();
+    t.add_root("aside").unwrap();
+    t.add_edge("aside", "leaf").unwrap();
+    t
+}
+
+/// One or two DAG capabilities and up to three content records, each a
+/// few classes of `paper-classes` or of `unregistered` — often two records
+/// of one ontology, so a requested class sits in the record not scored.
+fn arb_dag_body() -> impl Strategy<Value = AdBody> {
+    let content = (any::<bool>(), prop::collection::btree_set(0usize..CLASSES.len(), 0..3))
+        .prop_map(|(registered, classes)| {
+            OntologyContent::new(if registered { "paper-classes" } else { "unregistered" })
+                .with_classes(classes.into_iter().map(|c| CLASSES[c]))
+        });
+    (
+        prop::collection::btree_set(0..DAG_CAPABILITIES.len(), 1..3),
+        prop::collection::vec(content, 0..4),
+    )
+        .prop_map(|(caps, content)| {
+            let caps = caps.into_iter().map(|c| Capability::new(DAG_CAPABILITIES[c]));
+            resource(
+                content.into_iter().fold(
+                    SemanticInfo::default().with_capabilities(caps),
+                    SemanticInfo::with_content,
+                ),
+            )
+        })
+}
+
+fn arb_dag_query() -> impl Strategy<Value = ServiceQuery> {
+    let names: Vec<&str> = DAG_CAPABILITIES.into_iter().chain(STRAY_CAPABILITIES).collect();
+    (
+        prop::option::of(prop_oneof![Just("paper-classes"), Just("unregistered"), Just("nowhere")]),
+        prop::collection::btree_set(0..CLASSES.len() + 1, 0..4),
+        prop::collection::btree_set(0..names.len(), 0..3),
+    )
+        .prop_map(move |(onto, classes, caps)| {
+            let class = |c: usize| CLASSES.get(c).copied().unwrap_or(STRAY_CLASS);
+            let mut q = ServiceQuery::any().with_classes(classes.into_iter().map(class));
+            q.ontology = onto.map(str::to_string);
+            q.capabilities.extend(caps.into_iter().map(|c| Capability::new(names[c])));
+            q
+        })
+}
+
+proptest! {
+    /// The closure evaluator against the model, then — one derived rule
+    /// registered — the model against itself over the same repository.
+    #[test]
+    fn closure_scoring_equals_the_model_where_the_two_could_part(
+        script in prop::collection::vec((0usize..8, prop::option::of(arb_dag_body())), 0..24),
+        queries in prop::collection::vec(arb_dag_query(), 8..24),
+    ) {
+        let mut repo = Repository::with_capability_taxonomy(dag_capability_taxonomy());
+        repo.register_ontology(paper_class_ontology());
+        for (n, step) in script {
+            let name = format!("agent{n}");
+            match step {
+                Some(body) => repo.advertise(ad(&name, body)).expect("the arm's advertisements admit"),
+                None => drop(repo.unadvertise(&name)),
+            }
+        }
+        assert_narrowing_is_invisible(&mut repo, &queries);
+        repo.register_derived_rules("cap(A, aside) :- cap(A, left).").expect("rule admits");
+        assert_narrowing_is_invisible(&mut repo, &queries);
+        prop_assert_eq!(Sym::lookup(STRAY_CAPABILITIES[1]), None);
+        prop_assert_eq!(Sym::lookup(STRAY_CLASS), None);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Domain-ontology model: classes, slots, and value types.
 
 use crate::{Fragment, Taxonomy, TaxonomyError};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 /// The type of values a slot can hold.
@@ -164,8 +164,16 @@ impl Ontology {
             .get(class)
             .ok_or_else(|| OntologyError::UnknownClass(class.to_string()))?;
         let mut out: Vec<SlotDef> = def.slots.clone();
-        for anc in self.hierarchy.ancestors(class) {
-            if let Some(anc_def) = self.classes.get(&anc) {
+        // Nearest superclass first, so of two inherited declarations of one
+        // name the closer wins.
+        let mut queue: VecDeque<&str> = self.hierarchy.parents_of(class).collect();
+        let mut seen = BTreeSet::new();
+        while let Some(anc) = queue.pop_front() {
+            if !seen.insert(anc) {
+                continue;
+            }
+            queue.extend(self.hierarchy.parents_of(anc));
+            if let Some(anc_def) = self.classes.get(anc) {
                 for slot in &anc_def.slots {
                     if !out.iter().any(|s| s.name == slot.name) {
                         out.push(slot.clone());

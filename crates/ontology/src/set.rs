@@ -41,6 +41,11 @@ impl<T> SortedSet<T> {
         self.0.iter()
     }
 
+    /// The elements as one ascending run.
+    pub fn as_slice(&self) -> &[T] {
+        &self.0
+    }
+
     /// The least element.
     pub fn first(&self) -> Option<&T> {
         self.0.first()

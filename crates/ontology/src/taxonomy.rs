@@ -5,6 +5,7 @@
 //! uses it to answer subsumption questions such as *"an agent that does all
 //! query processing certainly does relational query processing"*.
 
+use crate::{SortedSet, Sym};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -33,12 +34,22 @@ impl std::error::Error for TaxonomyError {}
 
 /// An is-a DAG over string-named nodes. Multiple parents are allowed
 /// (a capability or class may specialize several broader concepts).
+///
+/// Beside its edges every node keeps its transitive closure — the sorted
+/// runs of its strict ancestors and strict descendants — patched by the
+/// `add_*` calls (rare: a taxonomy is built once and then read), so a
+/// subsumption question is a binary search and walks nothing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Taxonomy {
-    /// node → direct parents
-    parents: BTreeMap<String, BTreeSet<String>>,
-    /// node → direct children (inverse of `parents`)
-    children: BTreeMap<String, BTreeSet<String>>,
+    nodes: BTreeMap<String, Node>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Node {
+    parents: BTreeSet<String>,
+    children: BTreeSet<String>,
+    ancestors: SortedSet<Sym>,
+    descendants: SortedSet<Sym>,
 }
 
 impl Taxonomy {
@@ -49,11 +60,10 @@ impl Taxonomy {
     /// Declares a root node (no parents).
     pub fn add_root(&mut self, name: impl Into<String>) -> Result<(), TaxonomyError> {
         let name = name.into();
-        if self.parents.contains_key(&name) {
+        if self.nodes.contains_key(&name) {
             return Err(TaxonomyError::Duplicate(name));
         }
-        self.parents.insert(name.clone(), BTreeSet::new());
-        self.children.insert(name, BTreeSet::new());
+        self.nodes.insert(name, Node::default());
         Ok(())
     }
 
@@ -64,15 +74,14 @@ impl Taxonomy {
         child: impl Into<String>,
     ) -> Result<(), TaxonomyError> {
         let (parent, child) = (parent.into(), child.into());
-        if !self.parents.contains_key(&parent) {
+        if !self.nodes.contains_key(&parent) {
             return Err(TaxonomyError::UnknownNode(parent));
         }
-        if self.parents.contains_key(&child) {
+        if self.nodes.contains_key(&child) {
             return Err(TaxonomyError::Duplicate(child));
         }
-        self.parents.insert(child.clone(), BTreeSet::from([parent.clone()]));
-        self.children.insert(child.clone(), BTreeSet::new());
-        self.children.get_mut(&parent).expect("parent exists").insert(child);
+        self.nodes.insert(child.clone(), Node::default());
+        self.link(&parent, &child);
         Ok(())
     }
 
@@ -83,65 +92,75 @@ impl Taxonomy {
         child: impl AsRef<str>,
     ) -> Result<(), TaxonomyError> {
         let (parent, child) = (parent.as_ref(), child.as_ref());
-        if !self.parents.contains_key(parent) {
+        if !self.nodes.contains_key(parent) {
             return Err(TaxonomyError::UnknownNode(parent.to_string()));
         }
-        if !self.parents.contains_key(child) {
+        if !self.nodes.contains_key(child) {
             return Err(TaxonomyError::UnknownNode(child.to_string()));
         }
         // parent ⊑ child would close a cycle.
         if parent == child || self.is_descendant(parent, child) {
             return Err(TaxonomyError::Cycle(child.to_string()));
         }
-        self.parents.get_mut(child).expect("checked").insert(parent.to_string());
-        self.children.get_mut(parent).expect("checked").insert(child.to_string());
+        self.link(parent, child);
         Ok(())
+    }
+
+    /// Records the edge between two declared nodes and closes over it:
+    /// `parent` and everything above it now sit above `child` and
+    /// everything below it.
+    fn link(&mut self, parent: &str, child: &str) {
+        let above: Vec<Sym> = std::iter::once(Sym::new(parent))
+            .chain(self.ancestors(parent).iter().copied())
+            .collect();
+        let below: Vec<Sym> = std::iter::once(Sym::new(child))
+            .chain(self.descendants(child).iter().copied())
+            .collect();
+        self.node_mut(parent).children.insert(child.to_string());
+        self.node_mut(child).parents.insert(parent.to_string());
+        for a in &above {
+            self.node_mut(a.as_str()).descendants.extend(below.iter().copied());
+        }
+        for d in &below {
+            self.node_mut(d.as_str()).ancestors.extend(above.iter().copied());
+        }
+    }
+
+    fn node_mut(&mut self, name: &str) -> &mut Node {
+        self.nodes.get_mut(name).expect("edges and closure runs name declared nodes")
     }
 
     /// Whether the node has been declared.
     pub fn contains(&self, name: &str) -> bool {
-        self.parents.contains_key(name)
+        self.nodes.contains_key(name)
     }
 
     /// All declared node names.
     pub fn nodes(&self) -> impl Iterator<Item = &str> {
-        self.parents.keys().map(String::as_str)
+        self.nodes.keys().map(String::as_str)
     }
 
     pub fn len(&self) -> usize {
-        self.parents.len()
+        self.nodes.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.parents.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Direct parents of a node.
     pub fn parents_of(&self, name: &str) -> impl Iterator<Item = &str> {
-        self.parents.get(name).into_iter().flatten().map(String::as_str)
+        self.nodes.get(name).into_iter().flat_map(|n| &n.parents).map(String::as_str)
     }
 
     /// Direct children of a node.
     pub fn children_of(&self, name: &str) -> impl Iterator<Item = &str> {
-        self.children.get(name).into_iter().flatten().map(String::as_str)
+        self.nodes.get(name).into_iter().flat_map(|n| &n.children).map(String::as_str)
     }
 
     /// Whether `node` is a strict descendant of `ancestor`.
     pub fn is_descendant(&self, node: &str, ancestor: &str) -> bool {
-        if node == ancestor {
-            return false;
-        }
-        let mut queue: VecDeque<&str> = self.parents_of(node).collect();
-        let mut seen = BTreeSet::new();
-        while let Some(n) = queue.pop_front() {
-            if n == ancestor {
-                return true;
-            }
-            if seen.insert(n) {
-                queue.extend(self.parents_of(n));
-            }
-        }
-        false
+        self.ancestors(node).binary_search_by(|a| a.as_str().cmp(ancestor)).is_ok()
     }
 
     /// Whether `node` is `ancestor` or one of its descendants. This is the
@@ -153,32 +172,16 @@ impl Taxonomy {
         node == ancestor || self.is_descendant(node, ancestor)
     }
 
-    /// All strict ancestors of a node, breadth-first (no duplicates).
-    pub fn ancestors(&self, name: &str) -> Vec<String> {
-        let mut queue: VecDeque<&str> = self.parents_of(name).collect();
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut out = Vec::new();
-        while let Some(n) = queue.pop_front() {
-            if seen.insert(n) {
-                out.push(n.to_string());
-                queue.extend(self.parents_of(n));
-            }
-        }
-        out
+    /// All strict ancestors of a node, in name order (no duplicates);
+    /// empty for an undeclared name.
+    pub fn ancestors(&self, name: &str) -> &[Sym] {
+        self.nodes.get(name).map_or(&[], |n| n.ancestors.as_slice())
     }
 
-    /// All strict descendants of a node, breadth-first (no duplicates).
-    pub fn descendants(&self, name: &str) -> Vec<String> {
-        let mut queue: VecDeque<&str> = self.children_of(name).collect();
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut out = Vec::new();
-        while let Some(n) = queue.pop_front() {
-            if seen.insert(n) {
-                out.push(n.to_string());
-                queue.extend(self.children_of(n));
-            }
-        }
-        out
+    /// All strict descendants of a node, in name order (no duplicates);
+    /// empty for an undeclared name.
+    pub fn descendants(&self, name: &str) -> &[Sym] {
+        self.nodes.get(name).map_or(&[], |n| n.descendants.as_slice())
     }
 
     /// The depth of a node: 0 for roots, otherwise 1 + min parent depth.
@@ -206,14 +209,13 @@ impl Taxonomy {
     }
 
     /// All (ancestor, descendant) pairs in the transitive closure, including
-    /// reflexive pairs. This is what the broker compiles into its deductive
-    /// database as `isa` facts.
+    /// reflexive pairs.
     pub fn closure_pairs(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        for node in self.parents.keys() {
-            out.push((node.clone(), node.clone()));
-            for anc in self.ancestors(node) {
-                out.push((anc, node.clone()));
+        for (name, node) in &self.nodes {
+            out.push((name.clone(), name.clone()));
+            for anc in &node.ancestors {
+                out.push((anc.to_string(), name.clone()));
             }
         }
         out
@@ -259,11 +261,79 @@ mod tests {
     #[test]
     fn ancestors_and_descendants() {
         let t = fig2();
-        assert_eq!(t.ancestors("select"), vec!["relational", "query-processing"]);
+        let names = |run: &[Sym]| run.iter().map(|s| s.as_str()).collect::<Vec<_>>();
+        assert_eq!(names(t.ancestors("select")), ["query-processing", "relational"]);
         let d = t.descendants("query-processing");
         assert_eq!(d.len(), 6);
-        assert!(d.contains(&"join".to_string()));
+        assert!(d.contains(&Sym::new("join")));
         assert!(t.descendants("select").is_empty());
+        assert!(t.ancestors("nope").is_empty() && t.descendants("nope").is_empty());
+    }
+
+    /// The reference the stored closure is held to: a breadth-first walk
+    /// over the edges, sorted.
+    fn walked<'a, I: Iterator<Item = &'a str>>(
+        start: &'a str,
+        next: impl Fn(&'a str) -> I,
+    ) -> Vec<&'a str> {
+        let mut queue: VecDeque<&str> = next(start).collect();
+        let mut seen = BTreeSet::new();
+        while let Some(n) = queue.pop_front() {
+            if seen.insert(n) {
+                queue.extend(next(n));
+            }
+        }
+        seen.into_iter().collect()
+    }
+
+    fn assert_closure_is_the_walk(t: &Taxonomy) {
+        let names = |run: &[Sym]| run.iter().map(|s| s.as_str()).collect::<Vec<_>>();
+        for node in t.nodes() {
+            assert_eq!(names(t.ancestors(node)), walked(node, |n| t.parents_of(n)), "above {node}");
+            assert_eq!(
+                names(t.descendants(node)),
+                walked(node, |n| t.children_of(n)),
+                "below {node}"
+            );
+            for other in t.nodes() {
+                let reachable = walked(node, |n| t.parents_of(n)).contains(&other);
+                assert_eq!(t.is_descendant(node, other), reachable, "{node} under {other}");
+            }
+        }
+    }
+
+    #[test]
+    fn closure_equals_the_walk_after_every_mutation() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut below = move |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let mut t = Taxonomy::new();
+        let (mut declared, mut rejected) = (0, 0);
+        for _ in 0..120 {
+            let name = |i: usize| format!("closure-n{i}");
+            let before = t.clone();
+            let outcome = match below(4) {
+                0 => t.add_root(name(declared)),
+                1 if declared > 0 => t.add_child(name(below(declared)), name(declared)),
+                _ if declared > 1 => t.add_edge(name(below(declared)), name(below(declared))),
+                _ => continue,
+            };
+            match outcome {
+                Ok(()) => declared = t.len(),
+                // A refused mutation (a cycle, mostly) leaves every run as it was.
+                Err(_) => {
+                    rejected += 1;
+                    assert_eq!(t, before);
+                }
+            }
+            assert_closure_is_the_walk(&t);
+        }
+        assert!(declared > 20 && rejected > 5, "{declared} nodes, {rejected} refusals");
+        assert!(t.nodes().any(|n| t.parents_of(n).count() > 1), "no multi-parent node built");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`SortedSet`], which must be a `BTreeSet` to every caller and a
 //! no-spare-capacity vector to the allocator.
 
-use infosleuth_ontology::{SortedSet, Taxonomy};
+use infosleuth_ontology::{SortedSet, Sym, Taxonomy};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,12 +117,13 @@ proptest! {
     fn ancestors_and_descendants_are_inverse(t in arb_taxonomy()) {
         let nodes: Vec<String> = t.nodes().map(str::to_string).collect();
         for a in &nodes {
+            let a_sym = Sym::new(a);
             for anc in t.ancestors(a) {
-                prop_assert!(t.descendants(&anc).contains(a));
-                prop_assert!(t.is_descendant(a, &anc));
+                prop_assert!(t.descendants(anc.as_str()).contains(&a_sym));
+                prop_assert!(t.is_descendant(a, anc.as_str()));
             }
             for desc in t.descendants(a) {
-                prop_assert!(t.ancestors(&desc).contains(a));
+                prop_assert!(t.ancestors(desc.as_str()).contains(&a_sym));
             }
         }
     }
