@@ -292,35 +292,61 @@ impl AgentContext {
         self.delivery_failures.get()
     }
 
-    /// Runs a request/reply conversation through a fresh ephemeral
-    /// endpoint (`{name}.w{seq}`), so concurrent handlers never steal
-    /// each other's replies.
+    /// Runs a request/reply conversation — [`AgentContext::request_all`]
+    /// of one.
     pub fn request(
         &self,
         to: &str,
-        mut message: Message,
+        message: Message,
         timeout: Duration,
     ) -> Result<Message, TransportError> {
-        Self::stamp_trace(&mut message);
-        let performative = message.performative.clone();
-        let mut ep = self.ephemeral_endpoint()?;
-        let result = ep.request(to, message, timeout);
-        ep.unregister();
-        if matches!(
-            result,
-            Err(TransportError::UnknownAgent(_)
-                | TransportError::NoRoute(_)
-                | TransportError::Io(_))
-        ) {
-            // The request never reached (or never came back from) the
-            // peer; account for it like any other failed delivery.
-            self.note_delivery_failure(to, performative);
+        self.request_all(vec![(to.to_string(), message)], timeout)
+            .pop()
+            .expect("one result per message") // lint: allow-unwrap
+    }
+
+    /// Runs one [conversation](crate::Endpoint::request_all) through a
+    /// fresh ephemeral endpoint (`{name}.w{seq}`), so concurrent handlers
+    /// never steal each other's replies. Every message carries the
+    /// calling thread's trace context, and every recipient the request
+    /// never reached (or never came back from) is accounted for like any
+    /// other failed delivery.
+    pub fn request_all(
+        &self,
+        mut batch: Vec<(String, Message)>,
+        timeout: Duration,
+    ) -> Vec<Result<Message, TransportError>> {
+        if batch.is_empty() {
+            return Vec::new();
         }
-        result
+        let mut ep = match self.ephemeral_endpoint() {
+            Ok(ep) => ep,
+            Err(e) => return batch.iter().map(|_| Err(e.clone())).collect(),
+        };
+        let sent: Vec<(String, Performative)> = batch
+            .iter_mut()
+            .map(|(to, message)| {
+                Self::stamp_trace(message);
+                (to.clone(), message.performative.clone())
+            })
+            .collect();
+        let results = ep.request_all(batch, timeout);
+        ep.unregister();
+        for ((to, performative), result) in sent.into_iter().zip(&results) {
+            if matches!(
+                result,
+                Err(TransportError::UnknownAgent(_)
+                    | TransportError::NoRoute(_)
+                    | TransportError::Io(_))
+            ) {
+                self.note_delivery_failure(&to, performative);
+            }
+        }
+        results
     }
 
     /// A fresh uniquely-named endpoint for a side conversation.
-    pub fn ephemeral_endpoint(&self) -> Result<crate::Endpoint, TransportError> {
+    fn ephemeral_endpoint(&self) -> Result<crate::Endpoint, TransportError> {
         loop {
             let seq = self.worker_seq.fetch_add(1, Ordering::Relaxed);
             match self.transport.endpoint(format!("{}.w{seq}", self.name)) {

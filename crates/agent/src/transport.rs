@@ -12,7 +12,7 @@
 //! in-process or across machines without touching agent code.
 
 use infosleuth_kqml::Message;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -323,9 +323,10 @@ pub trait Requester {
     ) -> Result<Message, TransportError>;
 }
 
-/// How often a waiting `request` re-checks that its peer still exists, so
-/// a peer that unregisters mid-conversation fails fast instead of
-/// consuming the full timeout.
+/// How long a conversation's mailbox stays quiet before the recipients
+/// still owed a reply are checked for existence, so a peer that
+/// unregisters mid-conversation fails fast instead of consuming the full
+/// timeout.
 const LIVENESS_PROBE: Duration = Duration::from_millis(25);
 
 /// One agent's connection to a transport: a name, an inbox, and send
@@ -351,9 +352,13 @@ impl Endpoint {
 
     /// Sends a message, stamping `:sender` and `:receiver`.
     pub fn send(&self, to: &str, mut message: Message) -> Result<(), TransportError> {
+        self.address(to, &mut message);
+        self.transport.send(&self.name, to, message)
+    }
+
+    fn address(&self, to: &str, message: &mut Message) {
         message.set("sender", infosleuth_kqml::SExpr::atom(&self.name));
         message.set("receiver", infosleuth_kqml::SExpr::atom(to));
-        self.transport.send(&self.name, to, message)
     }
 
     /// Receives the next message, if one is queued.
@@ -373,50 +378,107 @@ impl Endpoint {
     }
 
     /// Request/reply: sends `message` with a fresh `:reply-with` id and
-    /// waits for the message whose `:in-reply-to` matches. Unrelated
-    /// messages that arrive meanwhile are buffered for later `recv` calls.
-    ///
-    /// If the peer unregisters from the transport while we wait, the call
-    /// fails fast with [`TransportError::UnknownAgent`] instead of waiting
-    /// out the full timeout (any reply the peer managed to send before
-    /// dying is still honored).
+    /// waits for the message whose `:in-reply-to` matches — a
+    /// [conversation](Endpoint::request_all) of one.
     pub fn request(
         &mut self,
         to: &str,
-        mut message: Message,
+        message: Message,
         timeout: Duration,
     ) -> Result<Message, TransportError> {
-        let id = self.transport.next_conversation_id(&self.name);
-        message.set("reply-with", infosleuth_kqml::SExpr::atom(&id));
-        self.send(to, message)?;
+        self.request_all(vec![(to.to_string(), message)], timeout)
+            .pop()
+            .expect("one result per message") // lint: allow-unwrap
+    }
+
+    /// A one-to-many conversation: stamps every message with a fresh
+    /// `:reply-with` id, hands them to the transport as one
+    /// [`Transport::send_batch`], and gathers the `:in-reply-to` replies
+    /// on this endpoint's mailbox under one shared deadline. The result
+    /// is index-aligned with `batch`: the reply, the send error, or
+    /// [`TransportError::Timeout`] for a recipient still silent at the
+    /// deadline. Unrelated messages that arrive meanwhile are buffered
+    /// for later `recv` calls.
+    ///
+    /// A recipient that unregisters from the transport while we wait
+    /// fails fast with [`TransportError::UnknownAgent`] instead of holding
+    /// its slot until the deadline (any reply it managed to send before
+    /// dying is still honored); the others keep waiting.
+    pub fn request_all(
+        &mut self,
+        batch: Vec<(String, Message)>,
+        timeout: Duration,
+    ) -> Vec<Result<Message, TransportError>> {
+        let mut results: Vec<Option<Result<Message, TransportError>>> = vec![None; batch.len()];
+        let mut recipients = Vec::with_capacity(batch.len());
+        // Issued id → batch index, for the recipients still owed a reply.
+        let mut waiting = HashMap::with_capacity(batch.len());
+        let stamped = batch
+            .into_iter()
+            .map(|(to, mut message)| {
+                let id = self.transport.next_conversation_id(&self.name);
+                message.set("reply-with", infosleuth_kqml::SExpr::atom(&id));
+                self.address(&to, &mut message);
+                waiting.insert(id, recipients.len());
+                recipients.push(to.clone());
+                (to, message)
+            })
+            .collect();
+        for (i, sent) in self.transport.send_batch(&self.name, stamped).into_iter().enumerate() {
+            if let Err(e) = sent {
+                results[i] = Some(Err(e));
+            }
+        }
+        waiting.retain(|_, i| results[*i].is_none());
         let deadline = Instant::now() + timeout;
-        loop {
+        while !waiting.is_empty() {
             let remaining = deadline.saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                return Err(TransportError::Timeout { waiting_on: to.to_string() });
+                break;
             }
-            match self.mailbox.recv_timeout(remaining.min(LIVENESS_PROBE)) {
-                Some(env) => {
-                    if env.message.in_reply_to() == Some(id.as_str()) {
-                        return Ok(env.message);
-                    }
-                    self.pending.push_back(env);
-                }
-                None => {
-                    if !self.transport.is_registered(to) {
-                        // The peer's mailbox is gone. Drain any last-gasp
-                        // reply it sent before unregistering, then report
-                        // it dead.
-                        while let Some(env) = self.mailbox.try_recv() {
-                            if env.message.in_reply_to() == Some(id.as_str()) {
-                                return Ok(env.message);
-                            }
-                            self.pending.push_back(env);
-                        }
-                        return Err(TransportError::UnknownAgent(to.to_string()));
-                    }
-                }
+            if let Some(env) = self.mailbox.recv_timeout(remaining.min(LIVENESS_PROBE)) {
+                self.take_reply(env, &mut waiting, &mut results);
+                continue;
             }
+            let gone: Vec<usize> = waiting
+                .values()
+                .copied()
+                .filter(|&i| !self.transport.is_registered(&recipients[i]))
+                .collect();
+            if gone.is_empty() {
+                continue;
+            }
+            // Those mailboxes are gone. Drain any last-gasp reply sent
+            // before unregistering, then report the rest dead.
+            while let Some(env) = self.mailbox.try_recv() {
+                self.take_reply(env, &mut waiting, &mut results);
+            }
+            for i in gone {
+                results[i].get_or_insert_with(|| {
+                    Err(TransportError::UnknownAgent(recipients[i].clone()))
+                });
+            }
+            waiting.retain(|_, i| results[*i].is_none());
+        }
+        results
+            .into_iter()
+            .zip(recipients)
+            .map(|(result, waiting_on)| {
+                result.unwrap_or(Err(TransportError::Timeout { waiting_on }))
+            })
+            .collect()
+    }
+
+    /// Files `env` under the conversation it answers, or buffers it.
+    fn take_reply(
+        &mut self,
+        env: Envelope,
+        waiting: &mut HashMap<String, usize>,
+        results: &mut [Option<Result<Message, TransportError>>],
+    ) {
+        match env.message.in_reply_to().and_then(|id| waiting.remove(id)) {
+            Some(i) => results[i] = Some(Ok(env.message)),
+            None => self.pending.push_back(env),
         }
     }
 
@@ -447,5 +509,164 @@ impl Requester for Endpoint {
 impl fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Endpoint").field("name", &self.name).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Bus, TcpTransport};
+    use infosleuth_kqml::{Performative, SExpr};
+
+    const T: Duration = Duration::from_secs(5);
+
+    /// The client's transport and the one its correspondents live on.
+    type Net = (Arc<dyn Transport>, Arc<dyn Transport>);
+
+    fn bus() -> Net {
+        let bus = Bus::new();
+        (bus.as_transport(), bus.as_transport())
+    }
+
+    /// Two loopback nodes; `dead` is routed to the far node but lives
+    /// nowhere, `ghost` is not routed at all.
+    fn tcp() -> Net {
+        let near = TcpTransport::bind("127.0.0.1:0").expect("bind localhost");
+        let far = TcpTransport::bind("127.0.0.1:0").expect("bind localhost");
+        for name in ["server", "silent", "dead", "a", "b", "c"] {
+            near.add_route(name, far.address());
+        }
+        far.add_route("client", near.address());
+        (near, far)
+    }
+
+    type Ask = fn(&mut Endpoint, &str) -> Result<Message, TransportError>;
+
+    fn ask_one(ep: &mut Endpoint, to: &str) -> Result<Message, TransportError> {
+        ep.request(to, Message::new(Performative::AskOne), Duration::from_millis(80))
+    }
+
+    fn ask_all_of_one(ep: &mut Endpoint, to: &str) -> Result<Message, TransportError> {
+        let batch = vec![(to.to_string(), Message::new(Performative::AskOne))];
+        ep.request_all(batch, Duration::from_millis(80)).pop().expect("one result")
+    }
+
+    /// One client's view of a reply, an interleaved stranger, a silent
+    /// peer, a dead one and an unroutable one, with ids erased.
+    fn conversations((near, far): Net, ask: Ask) -> Vec<Result<Option<SExpr>, TransportError>> {
+        let mut client = near.endpoint("client").unwrap();
+        let _silent = far.endpoint("silent").unwrap();
+        let mut server = far.endpoint("server").unwrap();
+        let serving = std::thread::spawn(move || {
+            let env = server.recv_timeout(T).expect("the request arrives");
+            // An unrelated message overtakes the reply.
+            let noise = Message::new(Performative::Tell).with_content(SExpr::atom("noise"));
+            server.send(&env.from, noise).unwrap();
+            let reply = env.message.reply_skeleton(Performative::Reply);
+            server.send(&env.from, reply.with_content(SExpr::atom("answer"))).unwrap();
+        });
+        let mut seen = vec![ask(&mut client, "server").map(|m| m.content().cloned())];
+        serving.join().unwrap();
+        seen.push(Ok(client
+            .try_recv()
+            .expect("the stranger was buffered")
+            .message
+            .content()
+            .cloned()));
+        for to in ["silent", "dead", "ghost"] {
+            seen.push(ask(&mut client, to).map(|m| m.content().cloned()));
+        }
+        seen
+    }
+
+    #[test]
+    fn request_is_request_all_of_one_on_bus_and_tcp() {
+        let answered = |dead: TransportError, ghost: TransportError| {
+            vec![
+                Ok(Some(SExpr::atom("answer"))),
+                Ok(Some(SExpr::atom("noise"))),
+                Err(TransportError::Timeout { waiting_on: "silent".into() }),
+                Err(dead),
+                Err(ghost),
+            ]
+        };
+        let unknown = |name: &str| TransportError::UnknownAgent(name.into());
+        let on_bus = answered(unknown("dead"), unknown("ghost"));
+        assert_eq!(conversations(bus(), ask_one), on_bus);
+        assert_eq!(conversations(bus(), ask_all_of_one), on_bus);
+        let on_tcp = answered(unknown("dead"), TransportError::NoRoute("ghost".into()));
+        assert_eq!(conversations(tcp(), ask_one), on_tcp);
+        assert_eq!(conversations(tcp(), ask_all_of_one), on_tcp);
+    }
+
+    /// Five asks — `a`, an unknown name, `b`, a silent peer, `c` — whose
+    /// three replies come back in reverse order.
+    fn five_asks((near, far): Net) -> Vec<Result<Option<SExpr>, TransportError>> {
+        let mut client = near.endpoint("client").unwrap();
+        let _silent = far.endpoint("silent").unwrap();
+        let mut servers: Vec<Endpoint> =
+            ["a", "b", "c"].iter().map(|n| far.endpoint(*n).unwrap()).collect();
+        let serving = std::thread::spawn(move || {
+            let asks: Vec<Envelope> =
+                servers.iter_mut().map(|s| s.recv_timeout(T).expect("the ask arrives")).collect();
+            for (server, ask) in servers.iter().zip(asks).rev() {
+                let reply = ask.message.reply_skeleton(Performative::Reply);
+                server.send(&ask.from, reply.with_content(SExpr::atom(server.name()))).unwrap();
+            }
+        });
+        let batch = ["a", "dead", "b", "silent", "c"]
+            .iter()
+            .map(|to| (to.to_string(), Message::new(Performative::AskOne)))
+            .collect();
+        let started = Instant::now();
+        let results = client.request_all(batch, Duration::from_millis(300));
+        assert!(started.elapsed() < Duration::from_millis(600), "one deadline, shared");
+        serving.join().unwrap();
+        results.into_iter().map(|r| r.map(|m| m.content().cloned())).collect()
+    }
+
+    #[test]
+    fn request_all_is_index_aligned_whatever_the_arrival_order() {
+        for net in [bus(), tcp()] {
+            assert_eq!(
+                five_asks(net),
+                vec![
+                    Ok(Some(SExpr::atom("a"))),
+                    Err(TransportError::UnknownAgent("dead".into())),
+                    Ok(Some(SExpr::atom("b"))),
+                    Err(TransportError::Timeout { waiting_on: "silent".into() }),
+                    Ok(Some(SExpr::atom("c"))),
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn one_dead_recipient_fails_fast_while_the_others_are_awaited() {
+        let (near, far) = bus();
+        let mut client = near.endpoint("client").unwrap();
+        let mut doomed = far.endpoint("doomed").unwrap();
+        let mut slow = far.endpoint("slow").unwrap();
+        let dying = std::thread::spawn(move || {
+            doomed.recv_timeout(T).expect("the ask arrives");
+            doomed.unregister();
+        });
+        let answering = std::thread::spawn(move || {
+            let ask = slow.recv_timeout(T).expect("the ask arrives");
+            // Well past the liveness probe that finds `doomed` gone.
+            std::thread::sleep(4 * LIVENESS_PROBE);
+            slow.send(&ask.from, ask.message.reply_skeleton(Performative::Reply)).unwrap();
+        });
+        let batch = ["doomed", "slow"]
+            .iter()
+            .map(|to| (to.to_string(), Message::new(Performative::AskOne)))
+            .collect();
+        let started = Instant::now();
+        let results = client.request_all(batch, Duration::from_secs(30));
+        assert!(started.elapsed() < T, "the dead recipient held the conversation");
+        assert_eq!(results[0], Err(TransportError::UnknownAgent("doomed".into())));
+        assert_eq!(results[1].as_ref().map(|m| &m.performative), Ok(&Performative::Reply));
+        dying.join().unwrap();
+        answering.join().unwrap();
     }
 }

@@ -332,10 +332,6 @@ fn flush_mutation_run(shared: &Shared, ctx: &AgentContext, run: &mut Vec<Envelop
     if run.is_empty() {
         return;
     }
-    #[cfg(feature = "seeded-reorder")]
-    if shared.config.seeded_reorder {
-        run.reverse();
-    }
     shared.with_state(ctx, |state, out| {
         for env in run.drain(..) {
             let _span = ctx.recv_span(&env);

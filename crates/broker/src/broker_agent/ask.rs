@@ -12,7 +12,6 @@ use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_agent::{AgentContext, BusError, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_ontology::{AgentType, ServiceQuery, SortedSet};
-use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
 pub(super) fn handle_query(
@@ -313,89 +312,21 @@ fn read_peer_reply(shared: &Shared, reply: &Message) -> Vec<MatchResult> {
     codec::matches_from_sexpr(content).unwrap_or_default()
 }
 
-fn forward_to_peer(
-    shared: &Shared,
-    ctx: &AgentContext,
-    peer: &PeerTarget,
-    request: &SearchRequest,
-) -> Result<Vec<MatchResult>, BusError> {
-    shared.obs.forwards.inc();
-    let reply =
-        ctx.request(&peer.name, forward_message(request, peer), shared.config.peer_timeout)?;
-    Ok(read_peer_reply(shared, &reply))
-}
-
-/// Forwards one search to many peers through a single coalesced
-/// [`Transport::send_batch`](infosleuth_agent::Transport::send_batch) (one
-/// registry pass on the bus, vectored frames over TCP), then collects
-/// every reply on one ephemeral endpoint under a shared deadline. Results
-/// are index-aligned with `peers`; a peer that never answers times out
-/// without extending the total wait.
+/// Forwards one search to `peers` as one
+/// [conversation](AgentContext::request_all) bounded by `peer_timeout`.
 fn forward_to_peers<'p>(
     shared: &Shared,
     ctx: &AgentContext,
     peers: &'p [PeerTarget],
     request: &SearchRequest,
 ) -> Vec<(&'p PeerTarget, Result<Vec<MatchResult>, BusError>)> {
-    let serial = || peers.iter().map(|p| (p, forward_to_peer(shared, ctx, p, request))).collect();
-    if peers.len() == 1 {
-        return serial();
-    }
-    let Ok(mut ep) = ctx.ephemeral_endpoint() else {
-        // No side endpoint available: fall back to serial round trips.
-        return serial();
-    };
-    let mut ids = Vec::with_capacity(peers.len());
-    let mut batch = Vec::with_capacity(peers.len());
-    for peer in peers {
-        let id = ep.transport().next_conversation_id(ep.name());
-        let mut msg = forward_message(request, peer);
-        msg.set("reply-with", SExpr::atom(&id));
-        msg.set("sender", SExpr::atom(ep.name()));
-        msg.set("receiver", SExpr::atom(&peer.name));
-        shared.obs.forwards.inc();
-        ids.push(id);
-        batch.push((peer.name.clone(), msg));
-    }
-    let sends = ep.transport().send_batch(ep.name(), batch);
-    let mut outcome: HashMap<String, Result<Vec<MatchResult>, BusError>> = HashMap::new();
-    let mut pending: BTreeSet<String> = BTreeSet::new();
-    for (id, send) in ids.iter().zip(sends) {
-        match send {
-            Ok(()) => {
-                pending.insert(id.clone());
-            }
-            Err(e) => {
-                outcome.insert(id.clone(), Err(e));
-            }
-        }
-    }
-    let deadline = Instant::now() + shared.config.peer_timeout;
-    while !pending.is_empty() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break;
-        }
-        let Some(env) = ep.recv_timeout(remaining) else {
-            continue;
-        };
-        let Some(id) = env.message.in_reply_to() else {
-            continue;
-        };
-        if pending.remove(id) {
-            outcome.insert(id.to_string(), Ok(read_peer_reply(shared, &env.message)));
-        }
-    }
-    ep.unregister();
+    shared.obs.forwards.add(peers.len() as u64);
+    let batch = peers.iter().map(|p| (p.name.clone(), forward_message(request, p))).collect();
+    let replies = ctx.request_all(batch, shared.config.peer_timeout);
     peers
         .iter()
-        .zip(ids)
-        .map(|(peer, id)| {
-            let result = outcome
-                .remove(&id)
-                .unwrap_or(Err(BusError::Timeout { waiting_on: peer.name.clone() }));
-            (peer, result)
-        })
+        .zip(replies)
+        .map(|(peer, reply)| (peer, reply.map(|reply| read_peer_reply(shared, &reply))))
         .collect()
 }
 
@@ -464,6 +395,7 @@ mod tests {
     use infosleuth_agent::Bus;
     use infosleuth_kqml::{Message, Performative};
     use infosleuth_ontology::{AgentType, OntologyContent, ServiceQuery};
+    use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     /// Waits until `from` holds `peer`'s digest at the peer's current repo
@@ -607,6 +539,111 @@ mod tests {
         assert_eq!(b1.routing_stats().peer_suspects, suspects_before);
         b1.stop();
         b3.stop();
+    }
+
+    #[test]
+    fn fan_out_forwards_join_the_clients_trace() {
+        use infosleuth_agent::{AgentRuntime, RuntimeConfig};
+        use infosleuth_obs::{
+            build_trace_tree, Obs, RingSink, SpanId, SpanSink, TraceContext, TraceId, TRACE_PARAM,
+        };
+        let bus = Bus::new();
+        let obs = Obs::new();
+        let sink = Arc::new(RingSink::new(4096));
+        obs.tracer().add_sink(Arc::clone(&sink) as Arc<dyn SpanSink>);
+        let runtime = AgentRuntime::new(bus.as_transport(), RuntimeConfig::default().with_obs(obs));
+        let spawn = |name: &str| {
+            let config = BrokerConfig::new(name, format!("tcp://{name}.mcc.com:5500"))
+                .with_ping_interval(None);
+            BrokerAgent::spawn_on(&runtime, config, seeded_repo()).unwrap()
+        };
+        let (b1, b2, b3) = (spawn("broker1"), spawn("broker2"), spawn("broker3"));
+        // Both peers hold a match before the hellos, so both digests admit
+        // the forward and it fans out to two peers.
+        let mut ua = bus.register("ua1").unwrap();
+        advertise_to(&mut ua, "broker2", &resource_ad("ra2", &["C1"]), T).unwrap();
+        advertise_to(&mut ua, "broker3", &resource_ad("ra3", &["C1"]), T).unwrap();
+        interconnect(&[&b1, &b2, &b3]).unwrap();
+        let request = codec::SearchRequest {
+            query: ServiceQuery::for_agent_type(AgentType::Resource)
+                .with_ontology("paper-classes")
+                .with_classes(["C1"]),
+            policy: SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories },
+            visited: Vec::new(),
+            digest_epoch: None,
+        };
+        let client = TraceContext { trace: TraceId(0xc11e), span: SpanId(1) };
+        let mut msg = Message::new(Performative::AskAll)
+            .with_ontology("infosleuth-service")
+            .with_content(codec::search_request_to_sexpr(&request));
+        msg.set(TRACE_PARAM, infosleuth_kqml::SExpr::Str(client.encode()));
+        let reply = ua.request("broker1", msg, T).unwrap();
+        assert_eq!(codec::matches_from_sexpr(reply.content().unwrap()).unwrap().len(), 2);
+        assert_eq!(b1.routing_stats().forwards, 2);
+        for b in [b1, b2, b3] {
+            b.stop();
+        }
+        // Join the workers before draining: a dispatch span closes after
+        // its reply has left.
+        runtime.shutdown();
+        let records = sink.drain();
+        let asks: Vec<_> = records.iter().filter(|r| r.name == "recv:ask-all").collect();
+        assert_eq!(asks.len(), 3, "the origin's dispatch and one per peer: {asks:?}");
+        let origin = asks.iter().find(|r| r.agent == "broker1").unwrap();
+        for ask in &asks {
+            assert_eq!(ask.trace, client.trace, "{} roots its own trace", ask.agent);
+            let mut up = ask.parent;
+            while ask.agent != "broker1" && up != Some(origin.span) {
+                let parent = records.iter().find(|r| Some(r.span) == up);
+                up = parent.unwrap_or_else(|| panic!("{} is not under broker1", ask.agent)).parent;
+            }
+        }
+        assert_eq!(build_trace_tree(&records, client.trace).len(), 1, "one connected tree");
+    }
+
+    #[test]
+    fn peer_that_dies_mid_forward_fails_fast_and_is_counted() {
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let b2 = spawn_broker(&bus, "broker2");
+        let mut ua = bus.register("ua1").unwrap();
+        advertise_to(&mut ua, "broker2", &resource_ad("ra2", &["C1"]), T).unwrap();
+        interconnect(&[&b1, &b2]).unwrap();
+        // broker3 is a bare mailbox broker1 knows as a peer (no digest on
+        // file, so it is always forwarded to): it takes the forward and
+        // dies without answering.
+        let doomed = bus.register("broker3").unwrap();
+        b1.with_repository(|r| {
+            let ad = BrokerConfig::new("broker3", "tcp://b3.mcc.com:5500").broker_advertisement();
+            r.advertise_broker(ad).unwrap();
+        });
+        let dies = std::thread::spawn(move || {
+            let mut ep = doomed;
+            // Digest updates may come first; the forward is the ask-all.
+            while ep.recv_timeout(T).expect("the forward arrives").message.performative
+                != Performative::AskAll
+            {}
+            ep.unregister();
+        });
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let all = SearchPolicy { hop_count: 1, follow: crate::FollowOption::AllRepositories };
+        let started = Instant::now();
+        let found = query_broker(&mut ua, "broker1", &q, Some(all), T).unwrap();
+        let elapsed = started.elapsed();
+        dies.join().unwrap();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].name, "ra2");
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "the dead peer held the ask for {elapsed:?} (peer_timeout is 2 s)"
+        );
+        assert_eq!(b1.routing_stats().forwards, 2);
+        assert_eq!(b1.routing_stats().peer_suspects, 1, "the dead peer becomes suspect");
+        assert_eq!(b1.delivery_failures(), 1, "the lost forward is a delivery failure");
+        b1.stop();
+        b2.stop();
     }
 
     #[test]

@@ -36,14 +36,6 @@ pub struct BrokerConfig {
     /// order, one at a time, so the emitted sequences are byte-identical
     /// at every limit.
     pub batch_limit: usize,
-    /// Test-only seeded bug (compiled only under the `seeded-reorder`
-    /// cargo feature, and inert unless switched on at runtime): the
-    /// batched dispatcher applies each queued mutation run in *reverse*
-    /// arrival order. The interleaving explorer in `infosleuth-check`
-    /// must catch the resulting divergence — it is the oracle proving
-    /// the explorer can detect real ordering bugs.
-    #[cfg(feature = "seeded-reorder")]
-    pub seeded_reorder: bool,
 }
 
 impl BrokerConfig {
@@ -57,16 +49,7 @@ impl BrokerConfig {
             consortia: BTreeSet::new(),
             ping_interval: Some(Duration::from_secs(30)),
             batch_limit: 1,
-            #[cfg(feature = "seeded-reorder")]
-            seeded_reorder: false,
         }
-    }
-
-    /// Arms the seeded dispatcher-reordering bug (see the field doc).
-    #[cfg(feature = "seeded-reorder")]
-    pub fn with_seeded_reorder(mut self, on: bool) -> Self {
-        self.seeded_reorder = on;
-        self
     }
 
     /// Opts the broker into batched dispatch: up to `n` queued envelopes

@@ -31,16 +31,15 @@ pub(super) fn handle_ping(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
 /// respond — the repository-maintenance half of §2.2's lifecycle.
 pub(super) fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
     let agents: Vec<String> = shared.state.lock().repo.agent_names().map(str::to_string).collect();
-    // A probe the transport refuses counts as a delivery failure (and is
-    // reported to the monitor) in addition to marking the agent dead — the
-    // sweep does not swallow send errors.
-    let dead: Vec<String> = agents
-        .into_iter()
-        .filter(|agent| {
-            let probe = Message::new(Performative::Ping);
-            ctx.request(agent, probe, shared.config.peer_timeout).is_err()
-        })
-        .collect();
+    // One conversation with the whole repository: an agent is dead iff no
+    // reply arrives within `peer_timeout` of its ping. A probe the
+    // transport refuses counts as a delivery failure (and is reported to
+    // the monitor) in addition to marking the agent dead — the sweep does
+    // not swallow send errors.
+    let probes = agents.iter().map(|a| (a.clone(), Message::new(Performative::Ping))).collect();
+    let replies = ctx.request_all(probes, shared.config.peer_timeout);
+    let dead: Vec<String> =
+        agents.into_iter().zip(replies).filter_map(|(a, r)| r.is_err().then_some(a)).collect();
     if dead.is_empty() {
         return;
     }
@@ -60,11 +59,14 @@ pub(super) fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
 mod tests {
     use super::super::tests::{resource_ad, seeded_repo, spawn_broker, T};
     use super::super::{BrokerAgent, BrokerConfig};
-    use crate::{advertise_to, Repository};
-    use infosleuth_agent::{AgentRuntime, Bus, RuntimeConfig};
+    use crate::{advertise_to, codec, subscribe_to, Repository};
+    use infosleuth_agent::{
+        AgentBehavior, AgentContext, AgentRuntime, Bus, Envelope, RuntimeConfig,
+    };
     use infosleuth_kqml::{Performative, SExpr};
-    use infosleuth_ontology::paper_class_ontology;
-    use std::time::Duration;
+    use infosleuth_ontology::{paper_class_ontology, AgentType, ServiceQuery};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn ping_semantics() {
@@ -135,6 +137,88 @@ mod tests {
             assert!(!r.contains_agent("doomed-ra"));
         });
         broker.stop();
+    }
+
+    /// A hosted resource agent: notes when the first ping reached any
+    /// stub, and answers it unless mute.
+    struct Stub {
+        mute: bool,
+        first_ping: Arc<Mutex<Option<Instant>>>,
+    }
+
+    impl AgentBehavior for Stub {
+        fn on_message(&self, ctx: &AgentContext, env: Envelope) {
+            if env.message.performative == Performative::Ping {
+                self.first_ping.lock().unwrap().get_or_insert_with(Instant::now);
+                if !self.mute {
+                    let _ = ctx.send(&env.from, env.message.reply_skeleton(Performative::Reply));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_waits_out_silent_agents_together() {
+        let bus = Bus::new();
+        let runtime = AgentRuntime::new(bus.as_transport(), RuntimeConfig::default());
+        // The first sweep fires one interval after the spawn: late enough
+        // for forty advertisements to land, and the only one in this test.
+        let mut config = BrokerConfig::new("broker1", "tcp://b1.mcc.com:5500")
+            .with_ping_interval(Some(Duration::from_millis(1500)));
+        config.peer_timeout = Duration::from_millis(400);
+        let broker = BrokerAgent::spawn_on(&runtime, config, seeded_repo()).unwrap();
+        let first_ping = Arc::new(Mutex::new(None));
+        let mut client = bus.register("client").unwrap();
+        let mut watcher = bus.register("watcher").unwrap();
+        let classes = ["C1", "C2", "C3"];
+        // One standing query per class; each class loses one agent.
+        let mut keys = Vec::new();
+        for class in classes {
+            let q = ServiceQuery::for_agent_type(AgentType::Resource)
+                .with_ontology("paper-classes")
+                .with_classes([class]);
+            keys.push(subscribe_to(&mut client, "broker1", &q, "watcher", T).unwrap().unwrap());
+            watcher.recv_timeout(T).expect("the empty snapshot");
+        }
+        let mut stubs = Vec::new();
+        for i in 0..40 {
+            let (name, mute) =
+                if i < 3 { (format!("mute-{i}"), true) } else { (format!("ra-{i}"), false) };
+            let stub = Stub { mute, first_ping: Arc::clone(&first_ping) };
+            stubs.push(runtime.spawn(name.clone(), Arc::new(stub)).unwrap());
+            assert!(advertise_to(
+                &mut client,
+                "broker1",
+                &resource_ad(&name, &[classes[i % 3]]),
+                T
+            )
+            .unwrap());
+            watcher.recv_timeout(T).expect("the join delta");
+        }
+        assert!(first_ping.lock().unwrap().is_none(), "the sweep ran before the setup finished");
+        let deadline = Instant::now() + T;
+        while broker.with_repository(|r| r.len()) > 37 {
+            assert!(Instant::now() < deadline, "the sweep never dropped the silent agents");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let swept = first_ping.lock().unwrap().expect("agents were pinged").elapsed();
+        assert!(swept < Duration::from_millis(800), "three timeouts waited in turn: {swept:?}");
+        broker.with_repository(|r| {
+            assert_eq!(r.len(), 37);
+            assert!((0..3).all(|i| !r.contains_agent(&format!("mute-{i}"))));
+        });
+        // Exactly one sub-delta per dropped agent, to the query it matched.
+        for (i, key) in keys.iter().enumerate() {
+            let note = watcher.recv_timeout(T).expect("a sub-delta per dropped agent").message;
+            assert_eq!(note.in_reply_to(), Some(key.as_str()));
+            let (_, added, removed) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
+            assert!(added.is_empty());
+            assert_eq!(removed, vec![format!("mute-{i}")]);
+        }
+        assert!(watcher.recv_timeout(Duration::from_millis(100)).is_none(), "no further delta");
+        broker.stop();
+        drop(stubs);
+        runtime.shutdown();
     }
 
     #[test]

@@ -32,19 +32,6 @@ pub enum RepositoryError {
         address: String,
         reason: String,
     },
-    UnknownCapability {
-        agent: String,
-        capability: String,
-    },
-    UnsatisfiableConstraints {
-        agent: String,
-        ontology: String,
-    },
-    InvalidFragment {
-        agent: String,
-        class: String,
-        reason: String,
-    },
     /// The static analyzer found error-severity diagnostics; the rendered
     /// report rides in the broker's `sorry` so the advertiser can see the
     /// exact `IS0xx` findings.
@@ -60,18 +47,6 @@ impl fmt::Display for RepositoryError {
             RepositoryError::EmptyAgentName => write!(f, "advertisement has empty agent name"),
             RepositoryError::InvalidAddress { agent, address, reason } => {
                 write!(f, "agent '{agent}' has invalid address '{address}': {reason}")
-            }
-            RepositoryError::UnknownCapability { agent, capability } => {
-                write!(f, "agent '{agent}' advertises unknown capability '{capability}'")
-            }
-            RepositoryError::UnsatisfiableConstraints { agent, ontology } => {
-                write!(f, "agent '{agent}' advertises unsatisfiable constraints for ontology '{ontology}'")
-            }
-            RepositoryError::InvalidFragment { agent, class, reason } => {
-                write!(
-                    f,
-                    "agent '{agent}' advertises invalid fragment of class '{class}': {reason}"
-                )
             }
             RepositoryError::Rejected { agent, report } => {
                 write!(f, "advertisement from '{agent}' rejected by analysis:\n{report}")
@@ -701,7 +676,8 @@ impl Repository {
         infosleuth_analysis::analyze_service_query(origin, query, &ctx)
     }
 
-    /// Validates an advertisement against the repository's knowledge.
+    /// What the static analysis does not look at: that the advertisement
+    /// names its agent and gives an address the transport can parse.
     pub fn validate(&self, ad: &Advertisement) -> Result<(), RepositoryError> {
         if ad.location.name.trim().is_empty() {
             return Err(RepositoryError::EmptyAgentName);
@@ -713,33 +689,22 @@ impl Repository {
                 reason: e.to_string(),
             });
         }
-        for cap in &ad.semantic.capabilities {
-            if !self.capability_taxonomy.contains(cap.as_str()) {
-                return Err(RepositoryError::UnknownCapability {
-                    agent: ad.location.name.clone(),
-                    capability: cap.as_str().to_string(),
-                });
-            }
-        }
-        for content in &ad.semantic.content {
-            if !content.constraints.is_satisfiable() {
-                return Err(RepositoryError::UnsatisfiableConstraints {
-                    agent: ad.location.name.clone(),
-                    ontology: content.ontology.clone(),
-                });
-            }
-            // Fragments can only be checked against known ontologies.
-            if let Some(onto) = self.ontologies.get(&content.ontology) {
-                for (class, frag) in &content.fragments {
-                    if let Err(e) = onto.validate_fragment(class, frag) {
-                        return Err(RepositoryError::InvalidFragment {
-                            agent: ad.location.name.clone(),
-                            class: class.clone(),
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-            }
+        Ok(())
+    }
+
+    /// The one admission pass, for agents and peer brokers alike:
+    /// [`Repository::validate`], then [`Repository::analyze`]. Any
+    /// error-severity finding (unknown capability, class or slot,
+    /// unsatisfiable constraints, invalid fragment) rejects with the
+    /// rendered report; warnings (e.g. IS024 subsumption) never reject.
+    fn admit(&self, ad: &Advertisement) -> Result<(), RepositoryError> {
+        self.validate(ad)?;
+        let report = self.analyze(ad);
+        if report.has_errors() {
+            return Err(RepositoryError::Rejected {
+                agent: ad.location.name.clone(),
+                report: report.render_human(None),
+            });
         }
         Ok(())
     }
@@ -753,18 +718,7 @@ impl Repository {
     pub fn advertise(&mut self, ad: Advertisement) -> Result<(), RepositoryError> {
         {
             let _t = self.stage("analysis");
-            self.validate(&ad)?;
-            // Deeper static analysis: classes/slots unknown to a registered
-            // ontology and other error-severity findings reject the
-            // advertisement with the rendered report; warnings (e.g. IS024
-            // subsumption) never reject.
-            let report = self.analyze(&ad);
-            if report.has_errors() {
-                return Err(RepositoryError::Rejected {
-                    agent: ad.location.name.clone(),
-                    report: report.render_human(None),
-                });
-            }
+            self.admit(&ad)?;
         }
         let mutation = self.stage("repository");
         let ad = Arc::new(ad);
@@ -807,7 +761,7 @@ impl Repository {
 
     /// Stores a peer broker's advertisement (Fig. 13 content).
     pub fn advertise_broker(&mut self, ad: BrokerAdvertisement) -> Result<(), RepositoryError> {
-        self.validate(&ad.base)?;
+        self.admit(&ad.base)?;
         self.brokers.insert(ad.base.location.name.clone(), ad);
         // Broker advertisements do not participate in agent matchmaking
         // facts, so a fact base stays as it is.
@@ -1074,20 +1028,27 @@ mod tests {
         assert!(matches!(repo.validate(&bad), Err(RepositoryError::InvalidAddress { .. })));
         bad = valid_ad("x");
         bad.semantic.capabilities.insert(Capability::new("quantum-foo"));
-        assert!(matches!(repo.validate(&bad), Err(RepositoryError::UnknownCapability { .. })));
+        assert_rejected(&mut Repository::new(), bad, "IS023");
+    }
+
+    /// `advertise` turns `ad` away with `code` in the rendered report.
+    fn assert_rejected(repo: &mut Repository, ad: Advertisement, code: &str) {
+        let name = ad.location.name.clone();
+        let err = repo.advertise(ad).unwrap_err();
+        let RepositoryError::Rejected { report, .. } = &err else {
+            panic!("expected an analysis rejection, got {err:?}");
+        };
+        assert!(report.contains(code), "missing {code} in:\n{report}");
+        assert!(!repo.contains_agent(&name));
     }
 
     #[test]
     fn validation_rejects_unsatisfiable_constraints() {
-        let repo = Repository::new();
         let mut bad = valid_ad("x");
         bad.semantic.content.push(OntologyContent::new("healthcare").with_constraints(
             Conjunction::from_predicates(vec![Predicate::gt("age", 10), Predicate::lt("age", 5)]),
         ));
-        assert!(matches!(
-            repo.validate(&bad),
-            Err(RepositoryError::UnsatisfiableConstraints { .. })
-        ));
+        assert_rejected(&mut Repository::new(), bad, "IS020");
     }
 
     #[test]
@@ -1099,7 +1060,7 @@ mod tests {
             OntologyContent::new("healthcare")
                 .with_fragment("patient", Fragment::vertical(["no_such_slot"])),
         );
-        assert!(matches!(repo.validate(&bad), Err(RepositoryError::InvalidFragment { .. })));
+        assert_rejected(&mut repo, bad, "IS025");
         // Fragments of unknown ontologies pass through (the broker cannot
         // check what it does not know).
         let mut unknown = valid_ad("y");
@@ -1107,7 +1068,7 @@ mod tests {
             OntologyContent::new("mystery")
                 .with_fragment("thing", Fragment::vertical(["whatever"])),
         );
-        assert!(repo.validate(&unknown).is_ok());
+        repo.advertise(unknown).unwrap();
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   sub-delta epoch monotonicity, and byte-identical repository
 //!   convergence.
 //!
-//! The `seeded-reorder` cargo feature arms a deliberate dispatcher bug
-//! in the broker; the oracle test in `tests/` proves the explorer
-//! catches it. See DESIGN.md §15.
+//! [`WorldConfig::seeded_reorder`] arms a deliberate bug in the
+//! explorer's own dispatcher (batches reach the broker reversed); the
+//! oracle test in `tests/` proves the explorer catches it. See DESIGN.md
+//! §15.
 
 #![forbid(unsafe_code)]
 

@@ -73,9 +73,9 @@ pub struct Scenario {
 pub struct WorldConfig {
     /// The broker's `batch_limit` (1 = classic per-message dispatch).
     pub batch_limit: usize,
-    /// Arms the broker's seeded dispatcher bug. Requires building with
-    /// the `seeded-reorder` cargo feature; panics otherwise, because a
-    /// silently-ignored bug switch would make the oracle test vacuous.
+    /// Arms the seeded dispatcher bug: [`Action::Dispatch`] hands the
+    /// behavior each drained batch in *reverse* arrival order. The oracle
+    /// test proves the explorer catches the resulting divergence.
     pub seeded_reorder: bool,
 }
 
@@ -95,6 +95,7 @@ pub struct World {
     ctx: AgentContext,
     behavior: Arc<dyn AgentBehavior>,
     batch_limit: usize,
+    seeded_reorder: bool,
     /// Broker arrival queue: delivered but not yet dispatched.
     arrivals: VecDeque<(Envelope, VectorClock)>,
     /// Applied actions with the destination clock after each.
@@ -109,19 +110,9 @@ impl World {
         for (client, _) in &scenario.injections {
             transport.register(client);
         }
-        #[allow(unused_mut)]
-        let mut broker_config = BrokerConfig::new(BROKER, "virtual://broker")
+        let broker_config = BrokerConfig::new(BROKER, "virtual://broker")
             .with_batch_limit(config.batch_limit)
             .with_ping_interval(None);
-        #[cfg(feature = "seeded-reorder")]
-        {
-            broker_config = broker_config.with_seeded_reorder(config.seeded_reorder);
-        }
-        #[cfg(not(feature = "seeded-reorder"))]
-        assert!(
-            !config.seeded_reorder,
-            "WorldConfig::seeded_reorder requires the `seeded-reorder` cargo feature"
-        );
         let core = BrokerAgent::core(&obs, broker_config, (scenario.repo)());
         let behavior = core.behavior();
         let ctx = AgentContext::detached(
@@ -140,6 +131,7 @@ impl World {
             ctx,
             behavior,
             batch_limit: config.batch_limit.max(1),
+            seeded_reorder: config.seeded_reorder,
             arrivals: VecDeque::new(),
             trace: Vec::new(),
         }
@@ -186,6 +178,9 @@ impl World {
                     clocks.push(clock);
                 }
                 assert!(!batch.is_empty(), "dispatch on an empty arrival queue");
+                if self.seeded_reorder {
+                    batch.reverse();
+                }
                 let after = self.transport.advance_clock(BROKER, &clocks);
                 self.trace.push((action.clone(), after));
                 self.behavior.on_batch(&self.ctx, batch);

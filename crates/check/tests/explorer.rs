@@ -1,6 +1,5 @@
 //! End-to-end exploration of the standard scenarios over the real
-//! broker dispatch core, plus the seeded-bug oracle (behind the
-//! `seeded-reorder` feature).
+//! broker dispatch core, plus the seeded-bug oracle.
 
 use infosleuth_check::{explore, standard_scenarios, ExploreConfig, WorldConfig};
 
@@ -46,7 +45,6 @@ fn standard_scenarios_are_clean_at_batch_limits_1_and_8() {
     }
 }
 
-#[cfg(feature = "seeded-reorder")]
 #[test]
 fn explorer_detects_the_seeded_reordering_bug() {
     let scenario = infosleuth_check::racing_mutations();
@@ -58,7 +56,7 @@ fn explorer_detects_the_seeded_reordering_bug() {
     );
     assert!(clean.is_clean(), "disarmed run must be clean: {:#?}", clean.violations);
 
-    // Armed at batch limit 8 the reversed mutation run retracts ra3
+    // Armed at batch limit 8 the reversed batch retracts ra3
     // before registering it, so schedules that coalesce the pair
     // diverge from serial schedules.
     let buggy = explore(

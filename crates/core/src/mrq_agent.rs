@@ -221,22 +221,24 @@ fn assemble_class(
     if matches.is_empty() {
         return Err(format!("no resource agents found for class '{class}'"));
     }
-    // Fan the class query out; `sorry` replies contribute nothing.
+    // Fan the class query out in parallel (Figure 7); `sorry` replies
+    // contribute nothing.
     let sql = format!("select * from {class}");
-    let mut contributions = Vec::new();
-    for m in &matches {
-        let ask = Message::new(Performative::AskAll)
-            .with_language("SQL 2.0")
-            .with_content(SExpr::string(sql.clone()));
-        if let Ok(reply) = ctx.request(&m.name, ask, spec.timeout) {
-            if reply.performative == Performative::Reply {
-                if let Some(content) = reply.content() {
-                    if let Ok(table) = tablecodec::table_from_sexpr(content) {
-                        contributions.push(table);
-                    }
-                }
-            }
-        }
-    }
+    let asks = matches
+        .iter()
+        .map(|m| {
+            let ask = Message::new(Performative::AskAll)
+                .with_language("SQL 2.0")
+                .with_content(SExpr::string(sql.clone()));
+            (m.name.clone(), ask)
+        })
+        .collect();
+    let contributions: Vec<Table> = ctx
+        .request_all(asks, spec.timeout)
+        .into_iter()
+        .flatten()
+        .filter(|reply| reply.performative == Performative::Reply)
+        .filter_map(|reply| tablecodec::table_from_sexpr(reply.content()?).ok())
+        .collect();
     merge_class_extent(class, contributions, ontology).map_err(|e| e.to_string())
 }

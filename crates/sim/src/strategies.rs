@@ -34,7 +34,8 @@ use crate::rng::SimRng;
 /// digraph" — future work in the paper, implemented here as an ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fanout {
-    /// The origin contacts every peer directly and handles every reply.
+    /// The origin contacts every peer directly and handles every reply:
+    /// the tree of degree `brokers - 1`.
     Star,
     /// Requests propagate down a spanning tree of the given degree;
     /// replies aggregate back up it, so each broker handles at most
@@ -142,60 +143,33 @@ enum Ev {
     BrokerRecv(usize),
     /// Origin finished local reasoning.
     LocalDone(usize),
-    /// Forwarded request delivered at a peer.
-    PeerRecv {
-        qid: usize,
-        peer: usize,
-    },
-    /// Peer finished reasoning.
-    PeerDone {
-        qid: usize,
-        peer: usize,
-    },
-    /// Peer reply delivered at origin (before handling cost).
-    PeerReply {
-        qid: usize,
-        peer: usize,
-        matches: usize,
-    },
-    /// Origin processed a peer reply.
-    PeerHandled {
-        qid: usize,
-        peer: usize,
-        matches: usize,
-    },
-    /// Origin gave up waiting on a peer.
-    PeerTimeout {
-        qid: usize,
-        peer: usize,
-    },
     /// Reply delivered at the query agent.
     AgentRecv(usize),
-    /// Tree mode: forwarded request delivered at a tree node.
+    /// Forwarded request delivered at a tree node.
     TreeRecv {
         qid: usize,
         node: usize,
     },
-    /// Tree mode: node finished its local reasoning.
+    /// Node finished its local reasoning.
     TreeDone {
         qid: usize,
         node: usize,
     },
-    /// Tree mode: a child's aggregated reply delivered at its parent.
+    /// A child's aggregated reply delivered at its parent.
     TreeReply {
         qid: usize,
         parent: usize,
         child: usize,
         matches: usize,
     },
-    /// Tree mode: parent processed a child reply.
+    /// Parent processed a child reply.
     TreeHandled {
         qid: usize,
         parent: usize,
         child: usize,
         matches: usize,
     },
-    /// Tree mode: parent gave up waiting on a child subtree.
+    /// Parent gave up waiting on a child subtree.
     TreeTimeout {
         qid: usize,
         parent: usize,
@@ -208,9 +182,6 @@ struct Query {
     domain: usize,
     origin: usize,
     complexity: f64,
-    /// Per-peer resolution flags (reply or timeout), indexed by broker id.
-    resolved: Vec<bool>,
-    pending: usize,
     matches: usize,
     /// Whether the unique matching resource has been located.
     located: bool,
@@ -236,8 +207,6 @@ struct Sim {
     adverts: Vec<Vec<u32>>,
     /// Per broker: repository size in MB.
     repo_mb: Vec<f64>,
-    /// Domain → brokers holding its (unique) resource's advertisement.
-    domain_brokers: Vec<Vec<usize>>,
     domains: usize,
     queries: Vec<Query>,
     tree: std::collections::HashMap<(usize, usize), TreeNodeState>,
@@ -252,7 +221,6 @@ pub fn run_broker_sim(cfg: BrokerSimConfig) -> BrokerSimResult {
 
     let domains = if cfg.unique_domains { cfg.resources } else { (cfg.resources / 4).max(1) };
     let mut adverts = vec![vec![0u32; domains]; cfg.brokers];
-    let mut domain_brokers = vec![Vec::new(); domains];
     for r in 0..cfg.resources {
         let domain = r % domains;
         let holders: Vec<usize> = match cfg.strategy {
@@ -274,9 +242,6 @@ pub fn run_broker_sim(cfg: BrokerSimConfig) -> BrokerSimResult {
         };
         for &b in &holders {
             adverts[b][domain] += 1;
-            if !domain_brokers[domain].contains(&b) {
-                domain_brokers[domain].push(b);
-            }
         }
     }
     let repo_mb: Vec<f64> = adverts
@@ -291,7 +256,6 @@ pub fn run_broker_sim(cfg: BrokerSimConfig) -> BrokerSimResult {
         procs,
         adverts,
         repo_mb,
-        domain_brokers,
         domains,
         queries: Vec::new(),
         tree: std::collections::HashMap::new(),
@@ -457,65 +421,6 @@ impl Sim {
                 self.core.exec(self.procs[origin], work, Ev::LocalDone(qid));
             }
             Ev::LocalDone(qid) => self.on_local_done(qid),
-            Ev::PeerRecv { qid, peer } => {
-                if !self.core.is_up(self.procs[peer]) {
-                    return; // origin's timeout will resolve this peer
-                }
-                let work = self.reasoning_work(peer, qid);
-                self.core.exec(self.procs[peer], work, Ev::PeerDone { qid, peer });
-            }
-            Ev::PeerDone { qid, peer } => {
-                if !self.core.is_up(self.procs[peer]) {
-                    return;
-                }
-                let matches = self.adverts[peer][self.queries[qid].domain] as usize;
-                let size = (matches as f64) * self.cfg.params.broker_result_kb_per_match;
-                self.core.send(size.max(0.1), false, Ev::PeerReply { qid, peer, matches });
-            }
-            Ev::PeerReply { qid, peer, matches } => {
-                let origin = self.queries[qid].origin;
-                if !self.core.is_up(self.procs[origin]) {
-                    return;
-                }
-                // Handling the reply costs origin CPU.
-                self.core.exec(
-                    self.procs[origin],
-                    self.cfg.msg_handling_s,
-                    Ev::PeerHandled { qid, peer, matches },
-                );
-            }
-            Ev::PeerHandled { qid, peer, matches } => {
-                let origin = self.queries[qid].origin;
-                if !self.core.is_up(self.procs[origin]) {
-                    return;
-                }
-                if self.queries[qid].resolved[peer] {
-                    return; // already timed out
-                }
-                self.queries[qid].resolved[peer] = true;
-                self.queries[qid].pending -= 1;
-                self.queries[qid].matches += matches;
-                if matches > 0 && self.domain_brokers[self.queries[qid].domain].contains(&peer) {
-                    self.queries[qid].located = true;
-                }
-                if self.queries[qid].pending == 0 {
-                    self.reply_to_agent(qid);
-                }
-            }
-            Ev::PeerTimeout { qid, peer } => {
-                let origin = self.queries[qid].origin;
-                if !self.core.is_up(self.procs[origin]) {
-                    return;
-                }
-                if self.queries[qid].resolved[peer] || self.queries[qid].replied {
-                    return;
-                }
-                self.queries[qid].resolved[peer] = true;
-                self.queries[qid].pending -= 1;
-                if self.queries[qid].pending == 0 {
-                    self.reply_to_agent(qid);
-                }
-            }
             Ev::TreeRecv { qid, node } => {
                 if !self.core.is_up(self.procs[node]) {
                     return; // parent's timeout covers the lost subtree
@@ -606,8 +511,6 @@ impl Sim {
             domain,
             origin,
             complexity,
-            resolved: vec![false; self.cfg.brokers],
-            pending: 0,
             matches: 0,
             located: false,
             replied: false,
@@ -630,19 +533,10 @@ impl Sim {
         let expand = self.cfg.strategy == Strategy::Specialized && self.cfg.brokers > 1;
         if !expand {
             self.reply_to_agent(qid);
-        } else if let Fanout::Tree { .. } = self.cfg.fanout {
-            // §3.2 spanning-tree propagation with reply aggregation.
+        } else {
+            // Fan out down the spanning tree; replies aggregate back up it.
             let local = self.queries[qid].matches;
             self.open_tree_node(qid, origin, true, local);
-        } else {
-            self.queries[qid].pending = self.cfg.brokers - 1;
-            for peer in 0..self.cfg.brokers {
-                if peer == origin {
-                    continue;
-                }
-                self.core.send(self.cfg.params.query_kb, false, Ev::PeerRecv { qid, peer });
-                self.core.at(self.cfg.params.timeout_s, Ev::PeerTimeout { qid, peer });
-            }
         }
     }
 
@@ -783,6 +677,34 @@ mod tests {
                 "degree {degree}: located {}",
                 r.located_fraction()
             );
+        }
+    }
+
+    #[test]
+    fn star_is_a_tree_of_degree_brokers_minus_one() {
+        // `Star` is only the name of that degree: the same run, field for
+        // field, with and without failures, redundancy and unique domains.
+        for seed in 1..=20 {
+            for fail in [None, Some(900.0), Some(3600.0)] {
+                for redundancy in 1..=3 {
+                    for unique_domains in [false, true] {
+                        let mut star = quick(Strategy::Specialized, 30.0);
+                        star.seed = seed;
+                        star.broker_mean_fail_s = fail;
+                        star.redundancy = redundancy;
+                        star.unique_domains = unique_domains;
+                        let degree = star.brokers - 1;
+                        let tree =
+                            BrokerSimConfig { fanout: Fanout::Tree { degree }, ..star.clone() };
+                        let (s, t) = (run_broker_sim(star.clone()), run_broker_sim(tree));
+                        assert_eq!(
+                            (s.response, s.issued, s.replied, s.located),
+                            (t.response, t.issued, t.replied, t.located),
+                            "{star:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -77,6 +77,43 @@ fn da_and_4a_streams_horizontal_split() {
 }
 
 #[test]
+fn four_agent_stream_asks_its_resources_in_parallel() {
+    use infosleuth_core::obs::{RingSink, SpanSink};
+    use std::sync::Arc;
+    // Extents large enough that answering takes each agent a while: were
+    // the MRQ agent to ask them in turn, no two dispatch spans would meet.
+    const ROWS: i64 = 8000;
+    let mut builder =
+        Community::builder().with_ontology(paper_ontology()).add_broker("broker-agent");
+    for part in 0..4 {
+        let rows: Vec<(i64, i64, &str, f64)> =
+            (0..ROWS).map(|i| (part * ROWS + i, i, "x", 0.5)).collect();
+        let mut cat = Catalog::new();
+        cat.insert(class_table("C2", &rows));
+        builder = builder.add_resource(ResourceDef::new(format!("ra{part}"), "paper-classes", cat));
+    }
+    let community = builder.build().expect("community starts");
+    let sink = Arc::new(RingSink::new(4096));
+    community.runtime().obs().tracer().add_sink(Arc::clone(&sink) as Arc<dyn SpanSink>);
+    let mut user = community.user("user").expect("connects");
+    let r = user.submit_sql("select * from C2", Some("paper-classes")).expect("answers");
+    let mut ids = int_column(&r, "id");
+    ids.sort();
+    assert_eq!(ids, (0..4 * ROWS).collect::<Vec<_>>(), "the union of the four extents");
+    // Joins the workers, so every dispatch span has closed.
+    community.shutdown();
+    let asks: Vec<_> = sink
+        .drain()
+        .into_iter()
+        .filter(|s| s.name == "recv:ask-all" && s.agent.starts_with("ra"))
+        .collect();
+    assert_eq!(asks.len(), 4, "one ask per resource agent");
+    let last_start = asks.iter().map(|s| s.start_unix_micros).max().unwrap();
+    let first_end = asks.iter().map(|s| s.start_unix_micros + s.duration_micros).min().unwrap();
+    assert!(last_start < first_end, "the four asks do not overlap: {asks:?}");
+}
+
+#[test]
 fn vf_stream_vertical_fragments_rejoin_on_key() {
     // Fragment 1 holds (id, a); fragment 2 holds (id, b, c). The MRQ joins
     // them on the key.
