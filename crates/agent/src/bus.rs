@@ -1,21 +1,13 @@
 //! The in-process [`Transport`]: a shared registry of agent mailboxes.
 
-use crate::transport::{
-    mailbox, BusError, Envelope, Mailbox, MailboxSender, Transport, TransportExt, TransportMetrics,
-};
+use crate::transport::{BusError, Mailbox, Registry, Transport, TransportExt, TransportMetrics};
 use infosleuth_kqml::Message;
+use infosleuth_obs::sync::{read, write};
 use infosleuth_obs::Obs;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
-
-#[derive(Default)]
-struct Registry {
-    mailboxes: HashMap<String, MailboxSender>,
-}
 
 /// The shared in-process transport: a registry of agent mailboxes.
 ///
@@ -50,32 +42,30 @@ impl Bus {
     /// like sends to an agent that never existed, modelling agent death or
     /// clean unregistration.
     pub fn unregister(&self, name: &str) -> bool {
-        self.registry.write().mailboxes.remove(name).is_some()
+        write(&self.registry).remove(name)
     }
 
     /// Whether an agent is currently registered ("alive").
     pub fn is_registered(&self, name: &str) -> bool {
-        self.registry.read().mailboxes.contains_key(name)
+        read(&self.registry).contains(name)
     }
 
     /// Registered agent names, sorted.
     pub fn agents(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.registry.read().mailboxes.keys().cloned().collect();
-        names.sort();
-        names
+        read(&self.registry).names()
     }
 
     /// Attaches transport metrics to this bus (and all its clones),
     /// registered under `transport="bus"` in `obs`.
     pub fn set_obs(&self, obs: &Arc<Obs>) {
-        *self.obs.write() = Some(TransportMetrics::new(obs, "bus"));
+        *write(&self.obs) = Some(TransportMetrics::new(obs, "bus"));
     }
 
     /// Delivers a message. Fails if the recipient is not registered.
     pub fn send(&self, from: &str, to: &str, message: Message) -> Result<(), BusError> {
-        self.send_batch(from, vec![(to.to_string(), message)])
-            .pop()
-            .expect("one result per message") // lint: allow-unwrap
+        let metrics = read(&self.obs).clone();
+        let timed = Self::begin(&metrics, 1);
+        Self::deliver(&read(&self.registry), timed, from, to, message)
     }
 
     /// Delivers a batch of messages in order under a single registry
@@ -86,31 +76,43 @@ impl Bus {
         from: &str,
         batch: Vec<(String, Message)>,
     ) -> Vec<Result<(), BusError>> {
-        let metrics = self.obs.read().clone();
-        if let Some(m) = &metrics {
-            m.record_batch(batch.len());
-        }
-        let started = metrics.as_ref().map(|_| Instant::now());
-        let reg = self.registry.read();
+        let metrics = read(&self.obs).clone();
+        let timed = Self::begin(&metrics, batch.len());
+        let reg = read(&self.registry);
         batch
             .into_iter()
-            .map(|(to, message)| {
-                let size = if metrics.is_some() { message.wire_size() } else { 0 };
-                let result = match reg.mailboxes.get(&to) {
-                    None => Err(BusError::UnknownAgent(to.clone())),
-                    Some(tx) => {
-                        tx.deliver(Envelope { from: from.to_string(), to: to.clone(), message })
-                    }
-                };
-                if let (Some(m), Some(started)) = (&metrics, started) {
-                    m.record_send(&to, size, started.elapsed(), result.is_ok());
-                    if result.is_ok() {
-                        m.record_recv(size);
-                    }
-                }
-                result
-            })
+            .map(|(to, message)| Self::deliver(&reg, timed, from, &to, message))
             .collect()
+    }
+
+    /// Records one dispatch of `n` messages in the attached metrics, if
+    /// any, and notes when it began.
+    fn begin(
+        metrics: &Option<Arc<TransportMetrics>>,
+        n: usize,
+    ) -> Option<(&TransportMetrics, Instant)> {
+        let m = metrics.as_deref()?;
+        m.record_batch(n);
+        Some((m, Instant::now()))
+    }
+
+    /// One delivery into `reg`; with metrics attached it is recorded as a
+    /// send and, on success, as its own receipt.
+    fn deliver(
+        reg: &Registry,
+        timed: Option<(&TransportMetrics, Instant)>,
+        from: &str,
+        to: &str,
+        message: Message,
+    ) -> Result<(), BusError> {
+        let Some((m, started)) = timed else { return reg.deliver(from, to, message) };
+        let size = message.wire_size();
+        let result = reg.deliver(from, to, message);
+        m.record_send(to, size, started.elapsed(), result.is_ok());
+        if result.is_ok() {
+            m.record_recv(size);
+        }
+        result
     }
 
     /// A fresh conversation id (for `:reply-with`).
@@ -122,13 +124,7 @@ impl Bus {
 
 impl Transport for Bus {
     fn open_mailbox(&self, name: &str) -> Result<Mailbox, BusError> {
-        let mut reg = self.registry.write();
-        if reg.mailboxes.contains_key(name) {
-            return Err(BusError::DuplicateAgent(name.to_string()));
-        }
-        let (tx, rx) = mailbox();
-        reg.mailboxes.insert(name.to_string(), tx);
-        Ok(rx)
+        write(&self.registry).open(name)
     }
 
     fn unregister(&self, name: &str) -> bool {

@@ -26,7 +26,6 @@ mod bus;
 mod obs_report;
 mod ping;
 mod runtime;
-pub mod sync;
 mod tap;
 mod tcp;
 mod transport;

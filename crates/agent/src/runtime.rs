@@ -11,9 +11,9 @@
 //! is why the pool is sized above one; every request carries a timeout,
 //! so a saturated pool degrades to slow, never to stuck.
 
-use crate::sync::{lock_unpoisoned, wait_unpoisoned};
 use crate::transport::{Envelope, Requester, Transport, TransportError, TransportExt};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::{lock, wait};
 use infosleuth_obs::{Counter, Gauge, Histogram, Obs, SpanGuard, TraceContext, TRACE_PARAM};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -88,6 +88,10 @@ struct RuntimeMetrics {
     dispatch_ticks: Counter,
     handler_message_seconds: Histogram,
     handler_tick_seconds: Histogram,
+    /// Enqueue on the agent's mailbox → drained by the event loop
+    /// (`runtime_mailbox_wait_seconds`): what the poll nap, the in-flight
+    /// cap and a busy pool cost a message before any handler sees it.
+    mailbox_wait_seconds: Histogram,
     queue_depth: Gauge,
     /// Jobs currently dispatched to workers across all hosted agents
     /// (`runtime_inflight`) — the watermark the stock `inflight` health
@@ -107,6 +111,7 @@ impl RuntimeMetrics {
             handler_message_seconds: reg
                 .histogram("runtime_handler_seconds", &[("kind", "message")]),
             handler_tick_seconds: reg.histogram("runtime_handler_seconds", &[("kind", "tick")]),
+            mailbox_wait_seconds: reg.histogram("runtime_mailbox_wait_seconds", &[]),
             queue_depth: reg.gauge("runtime_queue_depth", &[]),
             inflight: reg.gauge("runtime_inflight", &[]),
             batch_size: reg.histogram("runtime_batch_size", &[]),
@@ -376,9 +381,8 @@ struct AgentSlot {
     name: String,
     behavior: Arc<dyn AgentBehavior>,
     ctx: Arc<AgentContext>,
-    /// Only the event loop pulls from the mailbox; the mutex makes the
-    /// single-consumer receiver shareable inside the `Arc`.
-    mailbox: Mutex<crate::transport::Mailbox>,
+    /// Only the event loop pulls from the mailbox.
+    mailbox: crate::transport::Mailbox,
     inflight: AtomicUsize,
     tick_running: AtomicBool,
     stopped: AtomicBool,
@@ -421,7 +425,7 @@ impl JobQueue {
     }
 
     fn push(&self, job: Job) {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock(&self.inner);
         if inner.shutdown {
             return;
         }
@@ -432,7 +436,7 @@ impl JobQueue {
     }
 
     fn pop(&self) -> Option<Job> {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock(&self.inner);
         loop {
             if let Some(job) = inner.jobs.pop_front() {
                 self.depth.add(-1);
@@ -441,12 +445,12 @@ impl JobQueue {
             if inner.shutdown {
                 return None;
             }
-            inner = wait_unpoisoned(&self.available, inner);
+            inner = wait(&self.available, inner);
         }
     }
 
     fn close(&self) {
-        lock_unpoisoned(&self.inner).shutdown = true;
+        lock(&self.inner).shutdown = true;
         self.available.notify_all();
     }
 }
@@ -539,14 +543,14 @@ impl AgentRuntime {
             name: name.clone(),
             behavior,
             ctx,
-            mailbox: Mutex::new(mailbox),
+            mailbox,
             inflight: AtomicUsize::new(0),
             tick_running: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
             last_tick: Mutex::new(Instant::now()),
         });
-        lock_unpoisoned(&self.shared.slots).push(Arc::clone(&slot));
+        lock(&self.shared.slots).push(Arc::clone(&slot));
         Ok(AgentHandle { slot, transport: Arc::clone(&self.shared.transport) })
     }
 
@@ -558,13 +562,13 @@ impl AgentRuntime {
         if self.shared.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        let slots: Vec<_> = lock_unpoisoned(&self.shared.slots).clone();
+        let slots: Vec<_> = lock(&self.shared.slots).clone();
         for slot in &slots {
             slot.stopped.store(true, Ordering::Release);
             self.shared.transport.unregister(&slot.name);
         }
         self.shared.queue.close();
-        let threads: Vec<_> = std::mem::take(&mut *lock_unpoisoned(&self.threads));
+        let threads: Vec<_> = std::mem::take(&mut *lock(&self.threads));
         for t in threads {
             let _ = t.join();
         }
@@ -574,7 +578,7 @@ impl AgentRuntime {
                 slot.behavior.on_stop(&slot.ctx);
             }
         }
-        lock_unpoisoned(&self.shared.slots).clear();
+        lock(&self.shared.slots).clear();
     }
 }
 
@@ -657,7 +661,7 @@ fn event_loop(shared: &RuntimeShared) {
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        let slots: Vec<_> = lock_unpoisoned(&shared.slots).clone();
+        let slots: Vec<_> = lock(&shared.slots).clone();
         let mut dispatched = false;
         let mut any_removed = false;
         for slot in &slots {
@@ -674,14 +678,10 @@ fn event_loop(shared: &RuntimeShared) {
             let limit = slot.behavior.batch_limit().max(1);
             while slot.inflight.load(Ordering::Acquire) < cap {
                 let mut drained = Vec::new();
-                {
-                    let mailbox = lock_unpoisoned(&slot.mailbox);
-                    while drained.len() < limit {
-                        match mailbox.try_recv() {
-                            Some(env) => drained.push(env),
-                            None => break,
-                        }
-                    }
+                while drained.len() < limit {
+                    let Some((enqueued, env)) = slot.mailbox.try_recv_stamped() else { break };
+                    shared.metrics.mailbox_wait_seconds.observe_duration(enqueued.elapsed());
+                    drained.push(env);
                 }
                 if drained.is_empty() {
                     break;
@@ -693,18 +693,18 @@ fn event_loop(shared: &RuntimeShared) {
             }
             if let Some(interval) = slot.behavior.tick_interval() {
                 let due = {
-                    let last = lock_unpoisoned(&slot.last_tick);
+                    let last = lock(&slot.last_tick);
                     last.elapsed() >= interval
                 };
                 if due && !slot.tick_running.swap(true, Ordering::AcqRel) {
-                    *lock_unpoisoned(&slot.last_tick) = Instant::now();
+                    *lock(&slot.last_tick) = Instant::now();
                     shared.queue.push(Job::Tick(Arc::clone(slot)));
                     dispatched = true;
                 }
             }
         }
         if any_removed {
-            lock_unpoisoned(&shared.slots).retain(|s| !s.finalized.load(Ordering::Acquire));
+            lock(&shared.slots).retain(|s| !s.finalized.load(Ordering::Acquire));
         }
         if !dispatched {
             std::thread::sleep(shared.config.poll_interval);

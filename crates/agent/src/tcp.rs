@@ -40,7 +40,11 @@
 //!
 //! A node therefore runs `1 + inbound connections + outbound peers`
 //! threads — O(peer nodes), two per peer it talks to in both directions —
-//! and all of them idle in the kernel.
+//! and all of them idle in the kernel. Delivery into a local mailbox —
+//! the same-node fast path and every inbound frame — is
+//! `Registry::deliver` (`transport.rs`): it takes the mailbox's mutex
+//! for one push and never waits, so a slow agent cannot block a
+//! `tcp-in-*` reader.
 //!
 //! ## Timeouts
 //!
@@ -81,18 +85,16 @@
 //! stream framing can no longer be trusted.
 
 use crate::address::AgentAddress;
-use crate::transport::{
-    mailbox, Envelope, Mailbox, MailboxSender, Transport, TransportError, TransportMetrics,
-};
+use crate::transport::{Mailbox, Registry, Transport, TransportError, TransportMetrics};
 use infosleuth_kqml::Message;
+use infosleuth_obs::sync::{lock, read, write};
 use infosleuth_obs::Obs;
-use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -124,8 +126,16 @@ const ACCEPT_NAP: Duration = Duration::from_millis(1);
 /// frame.
 type AckReply = Result<Vec<bool>, TransportError>;
 
+/// Where [`TcpTransport::hop`] sent one message.
+enum Hop {
+    /// Settled on this node: delivered to a local mailbox, or failed.
+    Local(Result<(), TransportError>),
+    /// Bound for the node at this address, as rendered KQML text.
+    Remote(AgentAddress, String),
+}
+
 struct TcpShared {
-    registry: RwLock<HashMap<String, MailboxSender>>,
+    registry: RwLock<Registry>,
     routes: RwLock<HashMap<String, AgentAddress>>,
     obs: RwLock<Option<Arc<TransportMetrics>>>,
     /// Listener port, naming this node's threads.
@@ -155,7 +165,7 @@ impl TcpTransport {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(TcpShared {
-            registry: RwLock::new(HashMap::new()),
+            registry: RwLock::default(),
             routes: RwLock::new(HashMap::new()),
             obs: RwLock::new(None),
             port: local_addr.port(),
@@ -191,7 +201,7 @@ impl TcpTransport {
     /// `name` connect there; the hosting node still decides whether the
     /// agent is actually alive.
     pub fn add_route(&self, name: impl Into<String>, address: AgentAddress) {
-        self.shared.routes.write().insert(name.into(), address);
+        write(&self.shared.routes).insert(name.into(), address);
     }
 
     /// Attaches transport metrics to this node, registered under
@@ -199,7 +209,7 @@ impl TcpTransport {
     /// sizes, per-peer queue depths, and prefix-fallback route
     /// resolutions.
     pub fn set_obs(&self, obs: &Arc<Obs>) {
-        *self.shared.obs.write() = Some(TransportMetrics::new(obs, "tcp"));
+        *write(&self.shared.obs) = Some(TransportMetrics::new(obs, "tcp"));
     }
 
     /// Resolves `name` to a routed address: exact match first, then
@@ -211,7 +221,7 @@ impl TcpTransport {
     /// entry) resolved the name; misses return `None` and surface as
     /// [`TransportError::NoRoute`] at send time.
     fn lookup_route(&self, name: &str) -> Option<(AgentAddress, bool)> {
-        let routes = self.shared.routes.read();
+        let routes = read(&self.shared.routes);
         let mut candidate = name;
         loop {
             if let Some(address) = routes.get(candidate) {
@@ -221,22 +231,55 @@ impl TcpTransport {
         }
     }
 
+    /// Decides one message's next hop: same-node agents are delivered to
+    /// on the spot and never touch a socket; anything else is rendered
+    /// for the node its route names, or fails for want of one.
+    fn hop(
+        &self,
+        reg: &Registry,
+        metrics: Option<&TransportMetrics>,
+        from: &str,
+        to: &str,
+        message: Message,
+        size: usize,
+    ) -> Hop {
+        if reg.contains(to) {
+            let result = reg.deliver(from, to, message);
+            if let (Some(m), true) = (metrics, result.is_ok()) {
+                // Same-node delivery is also the receipt.
+                m.record_recv(size);
+            }
+            return Hop::Local(result);
+        }
+        match self.lookup_route(to) {
+            // A routing-table gap is a deployment configuration problem,
+            // reported distinctly from a dead-but-routed agent.
+            None => Hop::Local(Err(TransportError::NoRoute(to.to_string()))),
+            Some((address, used_fallback)) => {
+                if let (Some(m), true) = (metrics, used_fallback) {
+                    m.record_route_fallback();
+                }
+                Hop::Remote(address, message.to_string())
+            }
+        }
+    }
+
     /// Stops the node: unparks and joins the acceptor (which drops the
     /// listener), then shuts down every inbound and outbound socket —
     /// waking the reader blocked on it — and joins the readers. Sends in
     /// flight fail with [`TransportError::Closed`]. Local mailboxes
     /// survive until dropped, but no new frames arrive. Idempotent.
     pub fn shutdown(&self) {
-        let Some(acceptor) = self.acceptor.lock().take() else { return };
+        let Some(acceptor) = lock(&self.acceptor).take() else { return };
         self.shared.closed.store(true, Ordering::SeqCst);
         acceptor.thread().unpark();
         let _ = acceptor.join();
-        let inbound = std::mem::take(&mut *self.shared.inbound.lock());
+        let inbound = std::mem::take(&mut *lock(&self.shared.inbound));
         for (stream, reader) in inbound {
             let _ = stream.shutdown(Shutdown::Both);
             let _ = reader.join();
         }
-        let peers = std::mem::take(&mut *self.shared.peers.lock());
+        let peers = std::mem::take(&mut *lock(&self.shared.peers));
         for peer in peers.values() {
             peer.close();
         }
@@ -320,9 +363,7 @@ impl TcpTransport {
     fn send_frame(&self, addr: SocketAddr, frame: &[u8], count: usize) -> AckReply {
         let shared = &self.shared;
         let peer = Arc::clone(
-            shared
-                .peers
-                .lock()
+            lock(&shared.peers)
                 .entry(addr)
                 .or_insert_with(|| Arc::new(Peer { addr, conn: Mutex::new(None) })),
         );
@@ -350,17 +391,11 @@ impl Drop for TcpTransport {
 
 impl Transport for TcpTransport {
     fn open_mailbox(&self, name: &str) -> Result<Mailbox, TransportError> {
-        let mut reg = self.shared.registry.write();
-        if reg.contains_key(name) {
-            return Err(TransportError::DuplicateAgent(name.to_string()));
-        }
-        let (tx, rx) = mailbox();
-        reg.insert(name.to_string(), tx);
-        Ok(rx)
+        write(&self.shared.registry).open(name)
     }
 
     fn unregister(&self, name: &str) -> bool {
-        self.shared.registry.write().remove(name).is_some()
+        write(&self.shared.registry).remove(name)
     }
 
     fn is_registered(&self, name: &str) -> bool {
@@ -368,19 +403,35 @@ impl Transport for TcpTransport {
         // discoverable at send time (ack bitmap / refused connection),
         // exactly the paper's "the transport layer will fail to make the
         // connection".
-        self.shared.registry.read().contains_key(name) || self.lookup_route(name).is_some()
+        read(&self.shared.registry).contains(name) || self.lookup_route(name).is_some()
     }
 
     fn agents(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.registry.read().keys().cloned().collect();
-        names.sort();
-        names
+        read(&self.shared.registry).names()
     }
 
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError> {
-        self.send_batch(from, vec![(to.to_string(), message)])
-            .pop()
-            .expect("one result per message") // lint: allow-unwrap
+        let metrics = read(&self.shared.obs).clone();
+        let metrics = metrics.as_deref();
+        let timed = metrics.map(|m| {
+            m.record_batch(1);
+            (Instant::now(), message.wire_size())
+        });
+        let size = timed.map_or(0, |(_, size)| size);
+        let hop = self.hop(&read(&self.shared.registry), metrics, from, to, message, size);
+        let result = match hop {
+            Hop::Local(result) => result,
+            Hop::Remote(address, text) => {
+                self.send_frames(&address, from, vec![(0, to.to_string(), text)])
+                    .pop()
+                    .expect("one result per message") // lint: allow-unwrap
+                    .1
+            }
+        };
+        if let (Some(m), Some((started, size))) = (metrics, timed) {
+            m.record_send(to, size, started.elapsed(), result.is_ok());
+        }
+        result
     }
 
     fn send_batch(
@@ -391,51 +442,33 @@ impl Transport for TcpTransport {
         if batch.is_empty() {
             return Vec::new();
         }
-        let metrics = self.shared.obs.read().clone();
-        if let Some(m) = &metrics {
+        let metrics = read(&self.shared.obs).clone();
+        let metrics = metrics.as_deref();
+        if let Some(m) = metrics {
             m.record_batch(batch.len());
         }
-        let started = metrics.as_ref().map(|_| Instant::now());
+        let started = metrics.map(|_| Instant::now());
         let mut results: Vec<Option<Result<(), TransportError>>> = vec![None; batch.len()];
         let mut sizes: Vec<usize> = vec![0; batch.len()];
         let mut dests: Vec<String> = Vec::with_capacity(batch.len());
-        // Per remote peer (keyed by its routed address rendered as text,
-        // preserving first-appearance order): the messages bound there,
-        // as (batch index, recipient, serialized KQML body).
+        // Per remote peer (keyed by its routed address, preserving
+        // first-appearance order): the messages bound there, as (batch
+        // index, recipient, serialized KQML body).
         type PeerBound = Vec<(usize, String, String)>;
         let mut remote: Vec<(AgentAddress, PeerBound)> = Vec::new();
         {
-            let reg = self.shared.registry.read();
+            let reg = read(&self.shared.registry);
             for (i, (to, message)) in batch.into_iter().enumerate() {
                 if metrics.is_some() {
                     sizes[i] = message.wire_size();
                 }
-                // Local fast path: same-node agents never touch a socket.
-                if let Some(tx) = reg.get(&to) {
-                    let result =
-                        tx.deliver(Envelope { from: from.to_string(), to: to.clone(), message });
-                    if let (Some(m), true) = (&metrics, result.is_ok()) {
-                        // Same-node delivery is also the receipt.
-                        m.record_recv(sizes[i]);
-                    }
-                    results[i] = Some(result);
-                } else {
-                    match self.lookup_route(&to) {
-                        // A routing-table gap is a deployment
-                        // configuration problem, reported distinctly
-                        // from a dead-but-routed agent.
-                        None => results[i] = Some(Err(TransportError::NoRoute(to.clone()))),
-                        Some((address, used_fallback)) => {
-                            if used_fallback {
-                                if let Some(m) = &metrics {
-                                    m.record_route_fallback();
-                                }
-                            }
-                            let item = (i, to.clone(), message.to_string());
-                            match remote.iter_mut().find(|(a, _)| *a == address) {
-                                Some((_, items)) => items.push(item),
-                                None => remote.push((address, vec![item])),
-                            }
+                match self.hop(&reg, metrics, from, &to, message, sizes[i]) {
+                    Hop::Local(result) => results[i] = Some(result),
+                    Hop::Remote(address, text) => {
+                        let item = (i, to.clone(), text);
+                        match remote.iter_mut().find(|(a, _)| *a == address) {
+                            Some((_, items)) => items.push(item),
+                            None => remote.push((address, vec![item])),
                         }
                     }
                 }
@@ -449,7 +482,7 @@ impl Transport for TcpTransport {
         }
         let results: Vec<Result<(), TransportError>> =
             results.into_iter().map(|r| r.expect("every batch slot resolved")).collect(); // lint: allow-unwrap
-        if let (Some(m), Some(started)) = (&metrics, started) {
+        if let (Some(m), Some(started)) = (metrics, started) {
             let elapsed = started.elapsed();
             for (i, result) in results.iter().enumerate() {
                 m.record_send(&dests[i], sizes[i], elapsed, result.is_ok());
@@ -585,7 +618,7 @@ impl Peer {
         frame: &[u8],
         count: usize,
     ) -> Result<Receiver<AckReply>, (TransportError, bool)> {
-        let mut slot = self.conn.lock();
+        let mut slot = lock(&self.conn);
         let conn = match slot.take() {
             Some(conn) => conn,
             None if shared.closed.load(Ordering::SeqCst) => {
@@ -594,7 +627,7 @@ impl Peer {
             None => Conn::open(self.addr, shared).map_err(|e| (e, false))?,
         };
         let (done, ack) = channel();
-        let depth = conn.acks.lock().as_mut().map(|queue| {
+        let depth = lock(&conn.acks).as_mut().map(|queue| {
             (queue.len() < MAX_PEER_QUEUE).then(|| {
                 queue.push_back(PendingAck { count, done });
                 queue.len()
@@ -612,7 +645,7 @@ impl Peer {
                 Err((TransportError::Io(format!("peer {} write queue full", self.addr)), false))
             }
             Some(Some(depth)) => {
-                if let Some(m) = shared.obs.read().as_ref() {
+                if let Some(m) = read(&shared.obs).as_ref() {
                     m.record_queue_depth(depth);
                 }
                 match write_frame(&conn.stream, frame) {
@@ -631,7 +664,7 @@ impl Peer {
 
     /// Drops the connection, if one is up; the next send opens another.
     fn close(&self) {
-        if let Some(conn) = self.conn.lock().take() {
+        if let Some(conn) = lock(&self.conn).take() {
             conn.close();
         }
     }
@@ -660,14 +693,14 @@ fn read_acks(mut stream: TcpStream, acks: &AckQueue, addr: SocketAddr, shared: &
     let mut status = [0u8];
     while stream.read_exact(&mut status).is_ok() && status[0] == ACK_OK {
         // Queued before its frame was written, so it is there.
-        let Some(count) = acks.lock().as_ref().and_then(|q| q.front()).map(|p| p.count) else {
+        let Some(count) = lock(acks).as_ref().and_then(|q| q.front()).map(|p| p.count) else {
             break;
         };
         let mut bitmap = vec![0u8; ack_len(count) - 1];
         if stream.read_exact(&mut bitmap).is_err() {
             break;
         }
-        let Some(acked) = acks.lock().as_mut().and_then(VecDeque::pop_front) else { break };
+        let Some(acked) = lock(acks).as_mut().and_then(VecDeque::pop_front) else { break };
         let failed = (0..count).map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0).collect();
         let _ = acked.done.send(Ok(failed));
     }
@@ -677,7 +710,7 @@ fn read_acks(mut stream: TcpStream, acks: &AckQueue, addr: SocketAddr, shared: &
     } else {
         connection_failed(addr)
     };
-    for unacked in acks.lock().take().into_iter().flatten() {
+    for unacked in lock(acks).take().into_iter().flatten() {
         let _ = unacked.done.send(Err(error.clone()));
     }
 }
@@ -714,7 +747,7 @@ fn serve(stream: TcpStream, shared: &Arc<TcpShared>) -> io::Result<()> {
             .name(format!("tcp-in-{}", shared.port))
             .spawn(move || read_frames(stream, &shared))?
     };
-    let mut inbound = shared.inbound.lock();
+    let mut inbound = lock(&shared.inbound);
     let (finished, live) =
         std::mem::take(&mut *inbound).into_iter().partition(|(_, r)| r.is_finished());
     *inbound = live;
@@ -808,16 +841,13 @@ fn deliver(shared: &TcpShared, frame: Decoded<'_>) -> Vec<u8> {
     let Decoded { from, messages } = frame;
     let mut ack = vec![0u8; ack_len(messages.len())];
     ack[0] = ACK_OK;
-    let metrics = shared.obs.read().clone();
-    let registry = shared.registry.read();
+    let metrics = read(&shared.obs).clone();
+    let registry = read(&shared.registry);
     for (i, (to, message)) in messages.into_iter().enumerate() {
         if let Some(m) = &metrics {
             m.record_recv(message.wire_size());
         }
-        let delivered = registry.get(to).is_some_and(|tx| {
-            tx.deliver(Envelope { from: from.to_string(), to: to.to_string(), message }).is_ok()
-        });
-        if !delivered {
+        if registry.deliver(from, to, message).is_err() {
             ack[1 + i / 8] |= 1 << (i % 8);
         }
     }

@@ -1,5 +1,6 @@
-//! The pluggable transport fabric: errors, envelopes, mailboxes, the
-//! [`Transport`] trait, and the transport-generic [`Endpoint`].
+//! The pluggable transport fabric: errors, envelopes, mailboxes and the
+//! registry that names them, the [`Transport`] trait, and the
+//! transport-generic [`Endpoint`].
 //!
 //! The paper's agents exchanged KQML over TCP between Sparc workstations;
 //! our seed hardwired every agent to the in-process [`Bus`](crate::Bus).
@@ -12,10 +13,10 @@
 //! in-process or across machines without touching agent code.
 
 use infosleuth_kqml::Message;
+use infosleuth_obs::sync::{lock, read, wait, wait_timeout, write};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// A delivered message with its envelope metadata.
@@ -81,44 +82,224 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// The receiving half of one agent's registered mailbox.
+/// What the two halves of a mailbox share: the queue, and who is still
+/// attached to it. Everything sits under the one mutex, so "push, then
+/// wake" and "find nothing, then sleep" cannot interleave into a lost
+/// wake-up.
+struct MailboxState {
+    /// Envelopes in arrival order, each with the instant it was enqueued.
+    queue: VecDeque<(Instant, Envelope)>,
+    /// Live [`MailboxSender`]s, clones included.
+    senders: u32,
+    /// Receivers asleep on `arrived`. A hosted agent's mailbox is polled,
+    /// never waited on, so a delivery to it can skip the wake-up call.
+    sleepers: u32,
+    receiver_gone: bool,
+}
+
+struct MailboxShared {
+    state: Mutex<MailboxState>,
+    /// Signalled per enqueued envelope, and to every sleeper when the last
+    /// sender goes — in both cases only if somebody is asleep.
+    arrived: Condvar,
+}
+
+/// The receiving half of one agent's registered mailbox. Dropping it
+/// frees whatever is still queued and makes every later
+/// [`MailboxSender::deliver`] fail.
 pub struct Mailbox {
-    rx: Receiver<Envelope>,
+    shared: Arc<MailboxShared>,
 }
 
 /// The delivery half of a mailbox, held inside a transport's registry.
-#[derive(Clone)]
 pub struct MailboxSender {
-    tx: Sender<Envelope>,
+    shared: Arc<MailboxShared>,
 }
 
-/// Creates a fresh (delivery, receive) mailbox pair.
+/// Why a blocking receive came back without an envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Empty {
+    /// The deadline passed with senders still attached.
+    TimedOut,
+    /// The queue is empty and the last sender is gone: nothing can
+    /// arrive any more.
+    HungUp,
+}
+
+/// Creates a fresh (delivery, receive) mailbox pair. The queue allocates
+/// nothing until the first envelope arrives.
 pub fn mailbox() -> (MailboxSender, Mailbox) {
-    let (tx, rx) = channel();
-    (MailboxSender { tx }, Mailbox { rx })
+    let shared = Arc::new(MailboxShared {
+        state: Mutex::new(MailboxState {
+            queue: VecDeque::new(),
+            senders: 1,
+            sleepers: 0,
+            receiver_gone: false,
+        }),
+        arrived: Condvar::new(),
+    });
+    (MailboxSender { shared: Arc::clone(&shared) }, Mailbox { shared })
 }
 
 impl MailboxSender {
-    /// Delivers an envelope; fails if the receiving half is gone.
+    /// Delivers an envelope; fails with [`TransportError::UnknownAgent`]
+    /// naming `env.to` if the receiving half is gone. Envelopes from one
+    /// sender are received in the order they were delivered.
     pub fn deliver(&self, env: Envelope) -> Result<(), TransportError> {
-        let to = env.to.clone();
-        self.tx.send(env).map_err(|_| TransportError::UnknownAgent(to))
+        let enqueued = Instant::now();
+        let mut state = lock(&self.shared.state);
+        if state.receiver_gone {
+            return Err(TransportError::UnknownAgent(env.to));
+        }
+        state.queue.push_back((enqueued, env));
+        let wake = state.sleepers > 0;
+        drop(state);
+        if wake {
+            self.shared.arrived.notify_one();
+        }
+        Ok(())
+    }
+}
+
+impl Clone for MailboxSender {
+    fn clone(&self) -> Self {
+        lock(&self.shared.state).senders += 1;
+        MailboxSender { shared: Arc::clone(&self.shared) }
+    }
+}
+
+impl Drop for MailboxSender {
+    fn drop(&mut self) {
+        let mut state = lock(&self.shared.state);
+        state.senders -= 1;
+        let wake = state.senders == 0 && state.sleepers > 0;
+        drop(state);
+        if wake {
+            self.shared.arrived.notify_all();
+        }
     }
 }
 
 impl Mailbox {
+    /// The next queued envelope, if any. Never blocks.
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
+        self.try_recv_stamped().map(|(_, env)| env)
     }
 
+    /// [`Mailbox::try_recv`] plus the instant the envelope was enqueued.
+    pub(crate) fn try_recv_stamped(&self) -> Option<(Instant, Envelope)> {
+        lock(&self.shared.state).queue.pop_front()
+    }
+
+    /// The next envelope, waiting up to `timeout` for one to arrive.
+    /// Returns at once when the queue is empty and the last sender is
+    /// gone.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        self.rx.recv_timeout(timeout).ok()
+        self.recv_or_why(timeout).ok()
+    }
+
+    /// [`Mailbox::recv_timeout`] that says why it came back empty.
+    pub(crate) fn recv_or_why(&self, timeout: Duration) -> Result<Envelope, Empty> {
+        // A timeout too large to represent as a deadline waits forever.
+        let deadline = Instant::now().checked_add(timeout);
+        let mut state = lock(&self.shared.state);
+        loop {
+            if let Some((_, env)) = state.queue.pop_front() {
+                return Ok(env);
+            }
+            if state.senders == 0 {
+                return Err(Empty::HungUp);
+            }
+            let remaining = match deadline {
+                None => None,
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return Err(Empty::TimedOut);
+                    }
+                    Some(remaining)
+                }
+            };
+            state.sleepers += 1;
+            state = match remaining {
+                None => wait(&self.shared.arrived, state),
+                Some(remaining) => wait_timeout(&self.shared.arrived, state, remaining),
+            };
+            state.sleepers -= 1;
+        }
+    }
+}
+
+impl Drop for Mailbox {
+    fn drop(&mut self) {
+        let mut state = lock(&self.shared.state);
+        state.receiver_gone = true;
+        let queued = std::mem::take(&mut state.queue);
+        drop(state);
+        // Freed outside the lock: a sender must not wait behind it.
+        drop(queued);
     }
 }
 
 impl fmt::Debug for Mailbox {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Mailbox").finish_non_exhaustive()
+    }
+}
+
+/// The local half of every transport: agent name → the delivery half of
+/// its mailbox. Both the in-proc [`Bus`](crate::Bus) and a
+/// [`TcpTransport`](crate::TcpTransport) node keep one behind a
+/// reader-writer lock, and [`Registry::deliver`] is the one place an
+/// envelope is built and enters a queue.
+#[derive(Default)]
+pub(crate) struct Registry {
+    mailboxes: HashMap<String, MailboxSender>,
+}
+
+impl Registry {
+    /// Registers `name` and returns the receiving half of its mailbox.
+    pub(crate) fn open(&mut self, name: &str) -> Result<Mailbox, TransportError> {
+        if self.mailboxes.contains_key(name) {
+            return Err(TransportError::DuplicateAgent(name.to_string()));
+        }
+        let (tx, rx) = mailbox();
+        self.mailboxes.insert(name.to_string(), tx);
+        Ok(rx)
+    }
+
+    /// Drops `name`'s delivery half — a receiver blocked on that mailbox
+    /// sees the hang-up. Returns whether the name was present.
+    pub(crate) fn remove(&mut self, name: &str) -> bool {
+        self.mailboxes.remove(name).is_some()
+    }
+
+    pub(crate) fn contains(&self, name: &str) -> bool {
+        self.mailboxes.contains_key(name)
+    }
+
+    /// Registered names, sorted.
+    pub(crate) fn names(&self) -> Vec<String> {
+        let mut names: Vec<String> = self.mailboxes.keys().cloned().collect();
+        names.sort();
+        names
+    }
+
+    /// Enqueues `message` on `to`'s mailbox. Fails with
+    /// [`TransportError::UnknownAgent`] if `to` is not registered here or
+    /// its receiving half is gone.
+    pub(crate) fn deliver(
+        &self,
+        from: &str,
+        to: &str,
+        message: Message,
+    ) -> Result<(), TransportError> {
+        match self.mailboxes.get(to) {
+            None => Err(TransportError::UnknownAgent(to.to_string())),
+            Some(tx) => {
+                tx.deliver(Envelope { from: from.to_string(), to: to.to_string(), message })
+            }
+        }
     }
 }
 
@@ -201,10 +382,10 @@ pub struct TransportMetrics {
     transport: &'static str,
     obs: Arc<infosleuth_obs::Obs>,
     /// Per-destination-stem latency handles, cached after first use.
-    latency: parking_lot::RwLock<std::collections::BTreeMap<String, infosleuth_obs::Histogram>>,
+    latency: RwLock<std::collections::BTreeMap<String, infosleuth_obs::Histogram>>,
     /// Per-peer unacked-frame count, created lazily on first observation
     /// (only networked transports ever observe it).
-    queue_depth: parking_lot::RwLock<Option<infosleuth_obs::Histogram>>,
+    queue_depth: RwLock<Option<infosleuth_obs::Histogram>>,
 }
 
 /// Destinations like `broker-1.w3` are ephemeral per-worker endpoints;
@@ -228,8 +409,8 @@ impl TransportMetrics {
             batch_size: reg.histogram("transport_batch_size", &labels),
             transport,
             obs: Arc::clone(obs),
-            latency: parking_lot::RwLock::new(std::collections::BTreeMap::new()),
-            queue_depth: parking_lot::RwLock::new(None),
+            latency: RwLock::new(std::collections::BTreeMap::new()),
+            queue_depth: RwLock::new(None),
         })
     }
 
@@ -242,13 +423,13 @@ impl TransportMetrics {
     /// more is queued (the backpressure signal).
     pub fn record_queue_depth(&self, depth: usize) {
         let hist = {
-            let cached = self.queue_depth.read().clone();
+            let cached = read(&self.queue_depth).clone();
             cached.unwrap_or_else(|| {
                 let h = self
                     .obs
                     .registry()
                     .histogram("transport_peer_queue_depth", &[("transport", self.transport)]);
-                self.queue_depth.write().get_or_insert_with(|| h.clone()).clone()
+                write(&self.queue_depth).get_or_insert_with(|| h.clone()).clone()
             })
         };
         hist.observe(depth as f64);
@@ -263,13 +444,13 @@ impl TransportMetrics {
         }
         let stem = dest_stem(to);
         let hist = {
-            let cached = self.latency.read().get(stem).cloned();
+            let cached = read(&self.latency).get(stem).cloned();
             cached.unwrap_or_else(|| {
                 let h = self.obs.registry().histogram(
                     "transport_send_seconds",
                     &[("transport", self.transport), ("dest", stem)],
                 );
-                self.latency.write().entry(stem.to_string()).or_insert_with(|| h.clone());
+                write(&self.latency).entry(stem.to_string()).or_insert_with(|| h.clone());
                 h
             })
         };
@@ -403,7 +584,10 @@ impl Endpoint {
     /// A recipient that unregisters from the transport while we wait
     /// fails fast with [`TransportError::UnknownAgent`] instead of holding
     /// its slot until the deadline (any reply it managed to send before
-    /// dying is still honored); the others keep waiting.
+    /// dying is still honored); the others keep waiting. If this
+    /// endpoint's *own* name is unregistered while it waits, no reply can
+    /// reach it any more: once what was already queued is read, every
+    /// recipient still owed one gets [`TransportError::Closed`].
     pub fn request_all(
         &mut self,
         batch: Vec<(String, Message)>,
@@ -436,9 +620,20 @@ impl Endpoint {
             if remaining.is_zero() {
                 break;
             }
-            if let Some(env) = self.mailbox.recv_timeout(remaining.min(LIVENESS_PROBE)) {
-                self.take_reply(env, &mut waiting, &mut results);
-                continue;
+            match self.mailbox.recv_or_why(remaining.min(LIVENESS_PROBE)) {
+                Ok(env) => {
+                    self.take_reply(env, &mut waiting, &mut results);
+                    continue;
+                }
+                // Our own name was unregistered under us and the queue
+                // is drained: no reply can arrive any more.
+                Err(Empty::HungUp) => {
+                    for (_, i) in waiting.drain() {
+                        results[i] = Some(Err(TransportError::Closed));
+                    }
+                    break;
+                }
+                Err(Empty::TimedOut) => {}
             }
             let gone: Vec<usize> = waiting
                 .values()
@@ -668,5 +863,109 @@ mod tests {
         assert_eq!(results[1].as_ref().map(|m| &m.performative), Ok(&Performative::Reply));
         dying.join().unwrap();
         answering.join().unwrap();
+    }
+
+    #[test]
+    fn a_conversation_whose_own_mailbox_is_closed_ends_at_once() {
+        let bus = Bus::new();
+        let mut client = bus.register("client").unwrap();
+        let _silent = bus.register("silent").unwrap();
+        let closing = {
+            let bus = bus.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                assert!(bus.unregister("client"));
+            })
+        };
+        let started = Instant::now();
+        let result =
+            client.request("silent", Message::new(Performative::AskOne), Duration::from_secs(2));
+        let took = started.elapsed();
+        closing.join().unwrap();
+        assert_eq!(result, Err(TransportError::Closed));
+        assert!(took < Duration::from_millis(200), "waited {took:?} on a closed mailbox");
+    }
+
+    fn envelope(from: &str, n: usize) -> Envelope {
+        let message = Message::new(Performative::Tell).with_content(SExpr::Atom(n.to_string()));
+        Envelope { from: from.into(), to: "rx".into(), message }
+    }
+
+    fn number(env: &Envelope) -> usize {
+        env.message.content().and_then(SExpr::as_text).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn dropping_the_receiver_frees_the_queue_and_refuses_the_next_delivery() {
+        let (tx, rx) = mailbox();
+        for n in 0..100 {
+            tx.deliver(envelope("a", n)).unwrap();
+        }
+        assert_eq!(lock(&tx.shared.state).queue.len(), 100);
+        drop(rx);
+        let state = lock(&tx.shared.state);
+        assert_eq!((state.queue.len(), state.queue.capacity()), (0, 0), "queue not freed");
+        drop(state);
+        assert_eq!(tx.deliver(envelope("a", 100)), Err(TransportError::UnknownAgent("rx".into())));
+        assert_eq!(lock(&tx.shared.state).queue.len(), 0, "a refused envelope was queued");
+    }
+
+    #[test]
+    fn the_last_sender_going_wakes_a_blocked_receiver_and_a_clone_keeps_it_waiting() {
+        let (tx, rx) = mailbox();
+        let clone = tx.clone();
+        let receiving = std::thread::spawn(move || {
+            let started = Instant::now();
+            (rx.recv_or_why(Duration::from_secs(30)).map(|_| ()), started.elapsed())
+        });
+        drop(tx);
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(!receiving.is_finished(), "gave up while a sender was still attached");
+        drop(clone);
+        let (outcome, took) = receiving.join().unwrap();
+        assert_eq!(outcome, Err(Empty::HungUp));
+        assert!(took < T, "woken after {took:?}");
+    }
+
+    #[test]
+    fn a_zero_timeout_on_an_empty_mailbox_returns_without_blocking() {
+        let (_tx, rx) = mailbox();
+        let started = Instant::now();
+        assert_eq!(rx.recv_or_why(Duration::ZERO).map(|_| ()), Err(Empty::TimedOut));
+        assert!(rx.recv_timeout(Duration::ZERO).is_none());
+        assert!(rx.try_recv().is_none());
+        assert!(started.elapsed() < Duration::from_millis(50));
+    }
+
+    #[test]
+    fn two_concurrent_senders_are_each_received_in_their_own_order() {
+        const EACH: usize = 20_000;
+        let (tx, rx) = mailbox();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let senders: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|from| {
+                let (tx, start) = (tx.clone(), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for n in 0..EACH {
+                        tx.deliver(envelope(from, n)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut next = HashMap::from([("a".to_string(), 0), ("b".to_string(), 0)]);
+        // Ends on the hang-up: both senders done, everything read.
+        while let Ok(env) = rx.recv_or_why(T) {
+            let expected = next.get_mut(&env.from).unwrap();
+            assert_eq!(number(&env), *expected, "sender {} out of order", env.from);
+            *expected += 1;
+        }
+        assert_eq!(next["a"], EACH);
+        assert_eq!(next["b"], EACH);
+        for sender in senders {
+            sender.join().unwrap();
+        }
     }
 }

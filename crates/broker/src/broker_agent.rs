@@ -44,11 +44,11 @@ use infosleuth_agent::{
     Transport,
 };
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, Histogram, Obs};
 use infosleuth_ontology::Advertisement;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a handler wants sent once it has let go of the state:
@@ -205,7 +205,7 @@ impl Shared {
     /// overtakes an earlier one, whoever the recipients are.
     fn with_state<T>(&self, ctx: &AgentContext, f: impl FnOnce(&mut State, &mut Outbox) -> T) -> T {
         let mut out = Vec::new();
-        let result = f(&mut self.state.lock(), &mut out);
+        let result = f(&mut lock(&self.state), &mut out);
         for (to, msg) in out {
             let _ = ctx.send(&to, msg);
         }
@@ -249,7 +249,7 @@ impl Shared {
     /// one: the stored digest stays unless the arrival is at least as new. A
     /// `hello` always replaces it — a restarted peer counts from epoch 0.
     fn ingest_digest(&self, digest: CapabilityDigest, hello: bool) {
-        let mut routing = self.routing.lock();
+        let mut routing = lock(&self.routing);
         routing.suspects.remove(&digest.broker);
         let overtaken =
             routing.peers.get(&digest.broker).is_some_and(|held| held.epoch > digest.epoch);
@@ -271,12 +271,12 @@ impl Shared {
 
     /// A peer that answered or advertised stops being suspect.
     fn clear_suspect(&self, peer: &str) {
-        self.routing.lock().suspects.remove(peer);
+        lock(&self.routing).suspects.remove(peer);
     }
 
     /// A departed peer broker takes its digest and suspicion with it.
     fn forget_peer(&self, peer: &str) {
-        let mut routing = self.routing.lock();
+        let mut routing = lock(&self.routing);
         routing.peers.remove(peer);
         routing.suspects.remove(peer);
     }
@@ -483,14 +483,14 @@ impl BrokerCore {
 
     /// Repository mutation epoch (bumps once per applied mutation).
     pub fn repo_epoch(&self) -> u64 {
-        self.shared.state.lock().repo.epoch()
+        lock(&self.shared.state).repo.epoch()
     }
 
     /// Canonical byte-stable digest of the repository: every resource and
     /// broker advertisement rendered to KQML text, sorted. Every schedule
     /// of one scenario must converge to an identical fingerprint.
     pub fn repo_fingerprint(&self) -> String {
-        let state = self.shared.state.lock();
+        let state = lock(&self.shared.state);
         let mut lines: Vec<String> =
             state.repo.agents().map(|ad| codec::advertisement_to_sexpr(ad).to_string()).collect();
         lines.extend(
@@ -505,7 +505,7 @@ impl BrokerCore {
 
     /// Number of standing subscriptions currently registered.
     pub fn subscription_count(&self) -> usize {
-        self.shared.state.lock().subs.len()
+        lock(&self.shared.state).subs.len()
     }
 }
 
@@ -561,14 +561,14 @@ impl BrokerHandle {
     /// This broker's own capability digest, computed from its repository
     /// under the state lock: what a peer saying hello now would be told.
     pub fn digest(&self) -> CapabilityDigest {
-        self.shared.own_digest(&self.shared.state.lock())
+        self.shared.own_digest(&lock(&self.shared.state))
     }
 
     /// Epoch of the digest this broker currently stores for `peer`
     /// (`None` until the peer's first digest arrives). Tests and benches
     /// use it to wait for digest propagation to quiesce.
     pub fn peer_digest_epoch(&self, peer: &str) -> Option<u64> {
-        self.shared.routing.lock().peers.get(peer).map(|d| d.epoch)
+        lock(&self.shared.routing).peers.get(peer).map(|d| d.epoch)
     }
 
     /// Hit/miss/eviction/stale counters of this broker's match cache.
@@ -578,7 +578,7 @@ impl BrokerHandle {
 
     /// Number of standing subscriptions currently registered.
     pub fn subscription_count(&self) -> usize {
-        self.shared.state.lock().subs.len()
+        lock(&self.shared.state).subs.len()
     }
 
     /// Re-evaluates every standing subscription and delivers deltas to the
@@ -615,7 +615,7 @@ impl BrokerHandle {
         if let Some(content) = reply.content() {
             if let Ok(peer_ad) = codec::broker_advertisement_from_sexpr(content) {
                 let name = peer_ad.base.location.name.clone();
-                let _ = shared.state.lock().repo.advertise_broker(peer_ad);
+                let _ = lock(&shared.state).repo.advertise_broker(peer_ad);
                 shared.ingest_embedded_digest(content, true);
                 shared.clear_suspect(&name);
             }

@@ -11,6 +11,7 @@ use crate::matchmaker::{MatchResult, Matchmaker};
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_agent::{AgentContext, BusError, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use infosleuth_ontology::{AgentType, ServiceQuery, SortedSet};
 use std::time::Instant;
 
@@ -63,7 +64,7 @@ pub(super) fn handle_query(
     // when that is stale, piggyback a fresh digest on the reply so the
     // sender repairs its routing table without an extra round trip.
     let refresh = request.digest_epoch.and_then(|seen| {
-        let state = shared.state.lock();
+        let state = lock(&shared.state);
         (state.repo.epoch() != seen).then(|| {
             shared.obs.digest_stale.inc();
             shared.own_digest(&state)
@@ -90,7 +91,7 @@ fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
     };
     let mut out = Vec::new();
     {
-        let state = shared.state.lock();
+        let state = lock(&shared.state);
         for b in state.repo.broker_advertisements() {
             if fits(&b.specialization.ontologies) {
                 out.push(MatchResult {
@@ -136,7 +137,7 @@ fn collaborative_search(
     let mut untruncated = request.query.clone();
     untruncated.max_matches = None;
     let local = {
-        let repo = &mut shared.state.lock().repo;
+        let repo = &mut lock(&shared.state).repo;
         Matchmaker::default().match_query_cached(repo, &shared.cache, &untruncated)
     };
     // Peer expansion and truncation below mutate the list, so the shared
@@ -219,7 +220,7 @@ fn peer_candidates(
     untruncated: &ServiceQuery,
 ) -> Vec<PeerTarget> {
     let names: Vec<String> = {
-        let state = shared.state.lock();
+        let state = lock(&shared.state);
         // §5.2.2: "brokers can advertise their capabilities to other
         // brokers which means that a broker can know in advance which
         // brokers it can immediately rule out from a query" — a peer
@@ -245,7 +246,7 @@ fn peer_candidates(
     };
     let now = Instant::now();
     let terminal = request.policy.next_hop().hop_count == 0;
-    let routing = shared.routing.lock();
+    let routing = lock(&shared.routing);
     let mut out = Vec::new();
     for name in names {
         if routing.suspects.get(&name).is_some_and(|s| now < s.retry_at) {
@@ -277,7 +278,7 @@ fn note_forward_success(shared: &Shared, peer: &PeerTarget, matches: &[MatchResu
 fn note_forward_failure(shared: &Shared, peer: &str) {
     shared.obs.peer_suspect.inc();
     let drop_peer = {
-        let mut routing = shared.routing.lock();
+        let mut routing = lock(&shared.routing);
         let entry = routing
             .suspects
             .entry(peer.to_string())
@@ -290,7 +291,7 @@ fn note_forward_failure(shared: &Shared, peer: &str) {
         entry.failures >= SUSPECT_DROP_AFTER
     };
     if drop_peer {
-        shared.state.lock().repo.unadvertise_broker(peer);
+        lock(&shared.state).repo.unadvertise_broker(peer);
         shared.forget_peer(peer);
     }
 }

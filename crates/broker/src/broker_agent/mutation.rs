@@ -155,6 +155,7 @@ mod tests {
     };
     use infosleuth_agent::Bus;
     use infosleuth_kqml::{Message, Performative, SExpr};
+    use infosleuth_obs::sync::lock;
     use infosleuth_ontology::{AgentType, OntologyContent, ServiceQuery};
 
     #[test]
@@ -270,8 +271,8 @@ mod tests {
         let bus = Bus::new();
         let b1 = spawn_broker(&bus, "broker1");
         let mut client = bus.register("client").unwrap();
-        let advertised_epoch = || b1.shared.state.lock().digest_advertised_epoch;
-        let repo_epoch = || b1.shared.state.lock().repo.epoch();
+        let advertised_epoch = || lock(&b1.shared.state).digest_advertised_epoch;
+        let repo_epoch = || lock(&b1.shared.state).repo.epoch();
         // Nobody to tell: the write is acknowledged, nothing is recorded
         // as advertised.
         assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());

@@ -5,6 +5,7 @@
 use super::{reply_as_broker, subscribe, Shared};
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use std::collections::BTreeSet;
 
 pub(super) fn handle_ping(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
@@ -13,7 +14,7 @@ pub(super) fn handle_ping(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
     // containing no matches" — modelled as `sorry`.
     let perf = match env.message.content().and_then(SExpr::as_text) {
         Some(about) => {
-            let state = shared.state.lock();
+            let state = lock(&shared.state);
             if state.repo.contains_agent(about)
                 || state.repo.peer_brokers().iter().any(|b| b == about)
             {
@@ -30,7 +31,7 @@ pub(super) fn handle_ping(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
 /// Pings every advertised agent and removes the ones that no longer
 /// respond — the repository-maintenance half of §2.2's lifecycle.
 pub(super) fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
-    let agents: Vec<String> = shared.state.lock().repo.agent_names().map(str::to_string).collect();
+    let agents: Vec<String> = lock(&shared.state).repo.agent_names().map(str::to_string).collect();
     // One conversation with the whole repository: an agent is dead iff no
     // reply arrives within `peer_timeout` of its ping. A probe the
     // transport refuses counts as a delivery failure (and is reported to

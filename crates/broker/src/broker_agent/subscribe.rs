@@ -11,6 +11,7 @@ use crate::matchmaker::Matchmaker;
 use crate::sub_index::{result_delta, SubId};
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use infosleuth_ontology::Advertisement;
 use std::collections::BTreeSet;
 
@@ -68,7 +69,7 @@ pub(super) fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &Enve
     let key = msg.content().and_then(SExpr::as_text).or_else(|| msg.in_reply_to());
     let subscriber = msg.get_text("reply-to").unwrap_or(&env.from);
     let removed = key.is_some_and(|key| {
-        let mut state = shared.state.lock();
+        let mut state = lock(&shared.state);
         state.subs.find(key, subscriber).and_then(|id| state.subs.remove(id)).is_some()
     });
     let perf = if removed { Performative::Tell } else { Performative::Sorry };

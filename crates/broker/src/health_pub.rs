@@ -36,6 +36,7 @@ use infosleuth_agent::{
 };
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use infosleuth_obs::{
     sample_once, Gauge, HealthEngine, HealthEvent, HealthState, Obs, Severity, TimeSeriesStore,
     MIN_SAMPLE_INTERVAL,
@@ -44,8 +45,7 @@ use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentType, Capability, ConversationType, OntologyContent,
     SemanticInfo, SyntacticInfo,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Name of the observability ontology ([`infosleuth_ontology::obs_ontology`]).
@@ -114,7 +114,7 @@ impl HealthPublisher {
         let span = self.obs.tracer().agent_span("health:tick", &self.name, None);
         let at_millis = self.started.elapsed().as_millis() as u64;
         let (tick, events, state) = {
-            let mut engine = self.engine.lock();
+            let mut engine = lock(&self.engine);
             sample_once(self.obs.registry(), &self.store, &mut engine, at_millis)
         };
         self.level.set(state.as_level());
@@ -164,7 +164,7 @@ impl HealthPublisher {
     /// Latest reading of a stock rule, scaled and defaulted for the
     /// integer slots of the obs ontology.
     fn reading(&self, rule: &str, scale: f64, default: i64) -> i64 {
-        self.engine.lock().last_value(rule).map(|v| (v * scale).round() as i64).unwrap_or(default)
+        lock(&self.engine).last_value(rule).map(|v| (v * scale).round() as i64).unwrap_or(default)
     }
 
     fn health_fact(&self, tick: u64, state: HealthState) -> Advertisement {
@@ -265,7 +265,7 @@ impl HealthPublisherHandle {
 
     /// The rolled-up health state after the last tick.
     pub fn state(&self) -> HealthState {
-        self.publisher.engine.lock().state()
+        lock(&self.publisher.engine).state()
     }
 
     /// The ring-buffer history the publisher samples into.

@@ -13,7 +13,7 @@
 
 use crate::codec::service_query_to_sexpr;
 use crate::matchmaker::MatchResult;
-use infosleuth_agent::sync::lock_unpoisoned;
+use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, Histogram, MetricsRegistry};
 use infosleuth_ontology::ServiceQuery;
 use std::collections::HashMap;
@@ -145,7 +145,7 @@ impl MatchCache {
     /// [`lookup`](Self::lookup) with a pre-rendered key.
     pub fn lookup_keyed(&self, epoch: u64, key: &QueryKey) -> Option<Arc<Vec<MatchResult>>> {
         let started = Instant::now();
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         let outcome = match inner.map.get_mut(&key.0) {
@@ -189,7 +189,7 @@ impl MatchCache {
 
     /// [`insert`](Self::insert) with a pre-rendered key.
     pub fn insert_keyed(&self, epoch: u64, key: QueryKey, results: Arc<Vec<MatchResult>>) {
-        let mut inner = lock_unpoisoned(&self.inner);
+        let mut inner = lock(&self.inner);
         if inner.gated && !inner.map.contains_key(&key.0) {
             inner.probe += 1;
             if inner.probe % ADMISSION_PROBE_EVERY != 0 {
@@ -213,12 +213,12 @@ impl MatchCache {
 
     /// Drops every entry (e.g. after a broker restart in tests).
     pub fn clear(&self) {
-        lock_unpoisoned(&self.inner).map.clear();
+        lock(&self.inner).map.clear();
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner).map.len()
+        lock(&self.inner).map.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -17,9 +17,10 @@
 //! is for single-transport communities where the tap observes every
 //! send.
 
-use infosleuth_agent::{sync::lock_unpoisoned, MessageTap};
+use infosleuth_agent::MessageTap;
 use infosleuth_analysis::{ConformanceMonitor, Diagnostic};
 use infosleuth_kqml::Message;
+use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, MetricsRegistry};
 use std::sync::Mutex;
 
@@ -62,25 +63,25 @@ impl ProtocolTap {
     /// Total violations observed so far (also the value of
     /// `protocol_violations_total`).
     pub fn total_violations(&self) -> u64 {
-        lock_unpoisoned(&self.monitor).total_violations()
+        lock(&self.monitor).total_violations()
     }
 
     /// All violation diagnostics observed so far, in emission order.
     pub fn violations(&self) -> Vec<Diagnostic> {
-        let mut drained = lock_unpoisoned(&self.drained);
-        drained.extend(lock_unpoisoned(&self.monitor).take_violations());
+        let mut drained = lock(&self.drained);
+        drained.extend(lock(&self.monitor).take_violations());
         drained.clone()
     }
 
     /// Conversations currently open in the monitor.
     pub fn open_conversations(&self) -> usize {
-        lock_unpoisoned(&self.monitor).open_conversations()
+        lock(&self.monitor).open_conversations()
     }
 }
 
 impl MessageTap for ProtocolTap {
     fn on_send(&self, from: &str, to: &str, message: &Message) {
-        let mut monitor = lock_unpoisoned(&self.monitor);
+        let mut monitor = lock(&self.monitor);
         let before = monitor.total_violations();
         monitor.observe(from, to, message);
         let delta = monitor.total_violations() - before;

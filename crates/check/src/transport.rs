@@ -9,9 +9,9 @@
 //! choice is exactly the nondeterminism being model-checked.
 
 use crate::clock::VectorClock;
-use infosleuth_agent::sync::lock_unpoisoned;
 use infosleuth_agent::{mailbox, Mailbox, Transport, TransportError};
 use infosleuth_kqml::Message;
+use infosleuth_obs::sync::lock;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
@@ -54,19 +54,19 @@ impl ScheduledTransport {
 
     /// Pre-registers a scenario agent so sends to it succeed.
     pub fn register(&self, name: &str) {
-        lock_unpoisoned(&self.state).registered.insert(name.to_string());
+        lock(&self.state).registered.insert(name.to_string());
     }
 
     /// Channels with at least one undelivered message, sorted.
     pub fn nonempty_channels(&self) -> Vec<(String, String)> {
-        let state = lock_unpoisoned(&self.state);
+        let state = lock(&self.state);
         state.channels.iter().filter(|(_, q)| !q.is_empty()).map(|(k, _)| k.clone()).collect()
     }
 
     /// Pops the head of channel `(from, to)`, returning the message and
     /// the sender-side clock snapshot taken when it was sent.
     pub fn pop_channel(&self, from: &str, to: &str) -> Option<(Message, VectorClock)> {
-        let mut state = lock_unpoisoned(&self.state);
+        let mut state = lock(&self.state);
         let entry = state.channels.get_mut(&(from.to_string(), to.to_string()))?.pop_front()?;
         Some((entry.message, entry.clock))
     }
@@ -74,7 +74,7 @@ impl ScheduledTransport {
     /// Merges the delivered messages' clocks into `agent`'s clock and
     /// bumps its own component once; returns the updated clock.
     pub fn advance_clock(&self, agent: &str, merged: &[VectorClock]) -> VectorClock {
-        let mut state = lock_unpoisoned(&self.state);
+        let mut state = lock(&self.state);
         let clock = state.clocks.entry(agent.to_string()).or_default();
         for other in merged {
             clock.merge(other);
@@ -85,11 +85,11 @@ impl ScheduledTransport {
 
     /// The global emission log so far, in send order.
     pub fn log(&self) -> Vec<SentRecord> {
-        lock_unpoisoned(&self.state).log.clone()
+        lock(&self.state).log.clone()
     }
 
     pub fn log_len(&self) -> usize {
-        lock_unpoisoned(&self.state).log.len()
+        lock(&self.state).log.len()
     }
 }
 
@@ -104,19 +104,19 @@ impl Transport for ScheduledTransport {
     }
 
     fn unregister(&self, name: &str) -> bool {
-        lock_unpoisoned(&self.state).registered.remove(name)
+        lock(&self.state).registered.remove(name)
     }
 
     fn is_registered(&self, name: &str) -> bool {
-        lock_unpoisoned(&self.state).registered.contains(name)
+        lock(&self.state).registered.contains(name)
     }
 
     fn agents(&self) -> Vec<String> {
-        lock_unpoisoned(&self.state).registered.iter().cloned().collect()
+        lock(&self.state).registered.iter().cloned().collect()
     }
 
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError> {
-        let mut state = lock_unpoisoned(&self.state);
+        let mut state = lock(&self.state);
         if !state.registered.contains(to) {
             return Err(TransportError::UnknownAgent(to.to_string()));
         }
@@ -141,7 +141,7 @@ impl Transport for ScheduledTransport {
     }
 
     fn next_conversation_id(&self, prefix: &str) -> String {
-        let mut state = lock_unpoisoned(&self.state);
+        let mut state = lock(&self.state);
         state.conv_seq += 1;
         format!("{prefix}-v{}", state.conv_seq)
     }

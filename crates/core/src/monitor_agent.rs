@@ -28,6 +28,7 @@ use infosleuth_agent::{
 };
 use infosleuth_broker::{health_state_from_sexpr, query_broker, HEALTH_STATE_HEAD};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use infosleuth_obs::{
     render_merged, HealthEvent, HealthState, Labels, MetricsServer, MetricsSnapshot, SeriesPoint,
     SpanRecord, TimeSeriesStore,
@@ -37,9 +38,8 @@ use infosleuth_ontology::{
     ServiceQuery, SyntacticInfo,
 };
 use infosleuth_relquery::{parse_select, plan, referenced_classes};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Spans retained by the monitor; the oldest are evicted first.
@@ -161,12 +161,12 @@ impl MonitorAgentHandle {
 
     /// Every delivery failure reported to this monitor so far.
     pub fn delivery_log(&self) -> Vec<DeliveryFailure> {
-        self.log.lock().clone()
+        lock(&self.log).clone()
     }
 
     /// Number of delivery-failure reports received.
     pub fn delivery_failure_reports(&self) -> usize {
-        self.log.lock().len()
+        lock(&self.log).len()
     }
 
     /// Sends by the monitor itself that the transport refused.
@@ -182,30 +182,30 @@ impl MonitorAgentHandle {
 
     /// Sources that have forwarded at least one metrics snapshot.
     pub fn snapshot_sources(&self) -> Vec<String> {
-        self.obs_store.lock().snapshots.keys().cloned().collect()
+        lock(&self.obs_store).snapshots.keys().cloned().collect()
     }
 
     /// Every span forwarded to this monitor (bounded; oldest evicted).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.obs_store.lock().spans.clone()
+        lock(&self.obs_store).spans.clone()
     }
 
     /// The latest health roll-up per broker, as reported by each
     /// broker's health publisher.
     pub fn health_states(&self) -> BTreeMap<String, BrokerHealth> {
-        self.obs_store.lock().health.clone()
+        lock(&self.obs_store).health.clone()
     }
 
     /// Recent watermark transitions (fired and cleared), oldest first,
     /// tagged with the reporting broker. Bounded; oldest evicted.
     pub fn recent_alerts(&self) -> Vec<(String, HealthEvent)> {
-        self.obs_store.lock().alerts.clone()
+        lock(&self.obs_store).alerts.clone()
     }
 
     /// The retained history of `metric` from `source`: one
     /// `(labels, points)` row per label set, oldest point first.
     pub fn metric_history(&self, source: &str, metric: &str) -> Vec<(Labels, Vec<SeriesPoint>)> {
-        let store = self.obs_store.lock();
+        let store = lock(&self.obs_store);
         let Some(series) = store.history.get(source) else { return Vec::new() };
         series
             .label_sets(metric)
@@ -256,7 +256,7 @@ impl MonitorBehavior {
         match items.first().and_then(SExpr::as_text) {
             Some("delivery-failure") => {
                 if let Some(report) = parse_delivery_failure(msg) {
-                    self.log.lock().push(report);
+                    lock(&self.log).push(report);
                 }
             }
             Some(METRICS_SNAPSHOT_HEAD) => {
@@ -264,18 +264,18 @@ impl MonitorBehavior {
                 let snap = items.get(2).and_then(MetricsSnapshot::from_sexpr);
                 if let (Some(source), Some(snap)) = (source, snap) {
                     let at_millis = self.started.elapsed().as_millis() as u64;
-                    self.obs_store.lock().absorb_snapshot(source, snap, at_millis);
+                    lock(&self.obs_store).absorb_snapshot(source, snap, at_millis);
                 }
             }
             Some(HEALTH_STATE_HEAD) => {
                 if let Some(content) = msg.content() {
                     if let Some((broker, state, tick, events)) = health_state_from_sexpr(content) {
-                        self.obs_store.lock().absorb_health(broker, state, tick, events);
+                        lock(&self.obs_store).absorb_health(broker, state, tick, events);
                     }
                 }
             }
             Some(SPANS_HEAD) => {
-                let mut store = self.obs_store.lock();
+                let mut store = lock(&self.obs_store);
                 for item in &items[1..] {
                     if let Some(record) = SpanRecord::from_sexpr(item) {
                         store.push_span(record);
@@ -295,7 +295,7 @@ impl MonitorBehavior {
         let head = items.and_then(|l| l.first()).and_then(SExpr::as_text);
         match head {
             Some("health") => {
-                let store = self.obs_store.lock();
+                let store = lock(&self.obs_store);
                 let mut out = vec![SExpr::atom("health")];
                 out.extend(store.health.iter().map(|(broker, h)| {
                     SExpr::list(vec![
@@ -325,7 +325,7 @@ impl MonitorBehavior {
                         .reply_skeleton(Performative::Error)
                         .with_content(SExpr::string("expected (history <source> <metric>)"));
                 };
-                let store = self.obs_store.lock();
+                let store = lock(&self.obs_store);
                 let Some(series) = store.history.get(source) else {
                     return msg.reply_skeleton(Performative::Sorry).with_content(SExpr::string(
                         format!("no metrics history from source {source}"),
@@ -352,11 +352,11 @@ impl MonitorBehavior {
                 msg.reply_skeleton(perf).with_content(SExpr::list(out))
             }
             Some("metrics") => {
-                let text = render_merged(&self.obs_store.lock().snapshots);
+                let text = render_merged(&lock(&self.obs_store).snapshots);
                 msg.reply_skeleton(Performative::Reply).with_content(SExpr::string(text))
             }
             Some("traces") => {
-                let store = self.obs_store.lock();
+                let store = lock(&self.obs_store);
                 let mut out = vec![SExpr::atom("traces")];
                 out.extend(
                     infosleuth_obs::trace_ids(&store.spans)
@@ -371,7 +371,7 @@ impl MonitorBehavior {
                     .and_then(SExpr::as_text)
                     .unwrap_or_default()
                     .to_string();
-                let store = self.obs_store.lock();
+                let store = lock(&self.obs_store);
                 let mut out = vec![SExpr::atom(SPANS_HEAD)];
                 out.extend(
                     store
@@ -384,7 +384,7 @@ impl MonitorBehavior {
                 msg.reply_skeleton(perf).with_content(SExpr::list(out))
             }
             Some("delivery-failures") => {
-                let log = self.log.lock();
+                let log = lock(&self.log);
                 let mut out = vec![SExpr::atom("delivery-failures")];
                 out.extend(log.iter().map(|f| {
                     SExpr::list(vec![
@@ -412,7 +412,7 @@ impl AgentBehavior for MonitorBehavior {
                 let _ = ctx.send(&env.from, reply);
             }
             Performative::Subscribe => {
-                let mut state = self.state.lock();
+                let mut state = lock(&self.state);
                 state.seq += 1;
                 let seq = state.seq;
                 let reply = open_subscription(ctx, &self.spec, &env, seq, &mut state.relays);
@@ -437,7 +437,7 @@ impl AgentBehavior for MonitorBehavior {
                 let Some(upstream_id) = env.message.in_reply_to() else {
                     return;
                 };
-                let state = self.state.lock();
+                let state = lock(&self.state);
                 if let Some(relay) = state.relays.get(upstream_id) {
                     let mut fwd = Message::new(Performative::Tell)
                         .with_in_reply_to(relay.downstream_id.clone());
@@ -511,7 +511,7 @@ pub fn spawn_monitor_agent_on(
         Some(addr) => {
             let store = Arc::clone(&obs_store);
             let render: infosleuth_obs::http::RenderFn =
-                Arc::new(move || render_merged(&store.lock().snapshots));
+                Arc::new(move || render_merged(&lock(&store).snapshots));
             Some(
                 MetricsServer::serve(addr.as_str(), render)
                     .map_err(|e| BusError::Io(e.to_string()))?,
@@ -792,11 +792,13 @@ mod tests {
         )
         .unwrap();
 
-        // Two snapshots build a two-point history for the gauge.
+        // Two snapshots build a two-point history for the gauge — one the
+        // runtime does not write itself, or a job queued between `set`
+        // and `flush` shows up in the snapshot.
         let reporter =
             spawn_obs_reporter(&runtime, "broker-1", "monitor-agent", Duration::from_secs(3600))
                 .unwrap();
-        let depth = runtime.obs().registry().gauge("runtime_queue_depth", &[]);
+        let depth = runtime.obs().registry().gauge("test_queue_depth", &[]);
         depth.set(3);
         reporter.flush();
         depth.set(500);
@@ -805,7 +807,7 @@ mod tests {
         // A health publisher's transition tell.
         let events = vec![HealthEvent {
             rule: "queue-depth".into(),
-            metric: "runtime_queue_depth".into(),
+            metric: "test_queue_depth".into(),
             severity: Severity::Warning,
             value: 500.0,
             threshold: 100.0,
@@ -824,7 +826,7 @@ mod tests {
 
         let deadline = std::time::Instant::now() + Duration::from_secs(3);
         while (monitor.health_states().is_empty()
-            || monitor.metric_history("broker-1", "runtime_queue_depth").is_empty())
+            || monitor.metric_history("broker-1", "test_queue_depth").is_empty())
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(5));
@@ -840,7 +842,7 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].0, "broker-1");
         assert_eq!(alerts[0].1.rule, "queue-depth");
-        let history = monitor.metric_history("broker-1", "runtime_queue_depth");
+        let history = monitor.metric_history("broker-1", "test_queue_depth");
         assert_eq!(history.len(), 1, "one (unlabeled) series: {history:?}");
         let values: Vec<f64> = history[0].1.iter().map(SeriesPoint::scalar).collect();
         assert_eq!(values, vec![3.0, 500.0]);
@@ -867,7 +869,7 @@ mod tests {
                 ask(SExpr::list(vec![
                     SExpr::atom("history"),
                     SExpr::atom("broker-1"),
-                    SExpr::atom("runtime_queue_depth"),
+                    SExpr::atom("test_queue_depth"),
                 ])),
                 Duration::from_secs(2),
             )
@@ -884,7 +886,7 @@ mod tests {
                 ask(SExpr::list(vec![
                     SExpr::atom("history"),
                     SExpr::atom("ghost"),
-                    SExpr::atom("runtime_queue_depth"),
+                    SExpr::atom("test_queue_depth"),
                 ])),
                 Duration::from_secs(2),
             )

@@ -14,10 +14,10 @@ use infosleuth_agent::{
 };
 use infosleuth_broker::advertise_to;
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_obs::sync::lock;
 use infosleuth_ontology::{Advertisement, Ontology};
 use infosleuth_relquery::{execute, parse_select, plan, Catalog, LogicalPlan, Table};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Specification of one resource agent.
@@ -91,7 +91,7 @@ struct ResourceBehavior {
 
 impl AgentBehavior for ResourceBehavior {
     fn on_message(&self, ctx: &AgentContext, env: Envelope) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         match env.message.performative {
             Performative::Ping => {
                 let reply = env.message.reply_skeleton(Performative::Reply);
@@ -175,7 +175,7 @@ impl AgentBehavior for ResourceBehavior {
     }
 
     fn on_tick(&self, ctx: &AgentContext) {
-        let mut state = self.state.lock();
+        let mut state = lock(&self.state);
         let ResourceState { spec, lists, .. } = &mut *state;
         let mut requester = ctx;
         maintain_broker_connections(&mut requester, lists, spec);
@@ -214,7 +214,7 @@ pub fn spawn_resource_agent_on(
     {
         // Initial advertising, synchronously, so callers see a connected
         // agent as soon as the spawn returns.
-        let mut state = behavior.state.lock();
+        let mut state = lock(&behavior.state);
         let ResourceState { spec, lists, .. } = &mut *state;
         let mut requester = &**agent.ctx();
         advertise_per_plan(&mut requester, lists, &spec.advertisement, timeout);

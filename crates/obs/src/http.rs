@@ -7,10 +7,10 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 
 /// Callback producing the current exposition body for each scrape.
 pub type RenderFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -63,7 +63,7 @@ impl MetricsServer {
         }
         // Unblock accept().
         let _ = TcpStream::connect(self.local_addr);
-        if let Some(thread) = self.thread.lock().take() {
+        if let Some(thread) = lock(&self.thread).take() {
             let _ = thread.join();
         }
     }

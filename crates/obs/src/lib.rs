@@ -21,6 +21,7 @@ pub mod http;
 pub mod metrics;
 pub mod sampler;
 pub mod store;
+pub mod sync;
 pub mod trace;
 
 pub use health::{

@@ -6,12 +6,12 @@
 //! The registry itself is only locked on handle creation and on
 //! snapshot/render, both of which are rare.
 
+use crate::sync::{read, write};
 use infosleuth_kqml::SExpr;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Monotonically increasing event count.
@@ -325,7 +325,7 @@ pub struct MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MetricsRegistry({} metrics)", self.inner.read().len())
+        write!(f, "MetricsRegistry({} metrics)", read(&self.inner).len())
     }
 }
 
@@ -339,12 +339,10 @@ impl MetricsRegistry {
     /// corrupting the registered family.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey { name: name.to_string(), labels: canonical_labels(labels) };
-        if let Some(MetricEntry::Counter(c)) = self.inner.read().get(&key) {
+        if let Some(MetricEntry::Counter(c)) = read(&self.inner).get(&key) {
             return c.clone();
         }
-        match self
-            .inner
-            .write()
+        match write(&self.inner)
             .entry(key)
             .or_insert_with(|| MetricEntry::Counter(Counter::default()))
         {
@@ -355,10 +353,10 @@ impl MetricsRegistry {
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = MetricKey { name: name.to_string(), labels: canonical_labels(labels) };
-        if let Some(MetricEntry::Gauge(g)) = self.inner.read().get(&key) {
+        if let Some(MetricEntry::Gauge(g)) = read(&self.inner).get(&key) {
             return g.clone();
         }
-        match self.inner.write().entry(key).or_insert_with(|| MetricEntry::Gauge(Gauge::default()))
+        match write(&self.inner).entry(key).or_insert_with(|| MetricEntry::Gauge(Gauge::default()))
         {
             MetricEntry::Gauge(g) => g.clone(),
             _ => Gauge::detached(),
@@ -368,12 +366,10 @@ impl MetricsRegistry {
     /// Histogram handle for latencies in seconds or for sizes.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let key = MetricKey { name: name.to_string(), labels: canonical_labels(labels) };
-        if let Some(MetricEntry::Histogram(h)) = self.inner.read().get(&key) {
+        if let Some(MetricEntry::Histogram(h)) = read(&self.inner).get(&key) {
             return h.clone();
         }
-        match self
-            .inner
-            .write()
+        match write(&self.inner)
             .entry(key)
             .or_insert_with(|| MetricEntry::Histogram(Histogram::default()))
         {
@@ -384,9 +380,7 @@ impl MetricsRegistry {
 
     /// Point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let samples = self
-            .inner
-            .read()
+        let samples = read(&self.inner)
             .iter()
             .map(|(key, entry)| Sample {
                 name: key.name.clone(),

@@ -11,9 +11,10 @@
 //! every sample tick. See DESIGN.md §16.
 
 use crate::metrics::{Labels, MetricsSnapshot, SampleValue};
-use parking_lot::RwLock;
+use crate::sync::{read, write};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// One recorded observation of one metric.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,7 +82,7 @@ impl TimeSeriesStore {
     /// simply gain no point (they resume where they left off).
     pub fn record(&self, at_millis: u64, snapshot: &MetricsSnapshot) -> u64 {
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut series = self.series.write();
+        let mut series = write(&self.series);
         for sample in &snapshot.samples {
             let key = (sample.name.clone(), sample.labels.clone());
             let buf = series.entry(key).or_default();
@@ -95,13 +96,12 @@ impl TimeSeriesStore {
 
     /// Every series currently held, in sorted order.
     pub fn series_keys(&self) -> Vec<SeriesKey> {
-        self.series.read().keys().cloned().collect()
+        read(&self.series).keys().cloned().collect()
     }
 
     /// Label sets recorded under a metric name, in sorted order.
     pub fn label_sets(&self, name: &str) -> Vec<Labels> {
-        self.series
-            .read()
+        read(&self.series)
             .keys()
             .filter(|(n, _)| n == name)
             .map(|(_, labels)| labels.clone())
@@ -110,8 +110,7 @@ impl TimeSeriesStore {
 
     /// The buffered history of one series, oldest first.
     pub fn snapshot_history(&self, name: &str, labels: &Labels) -> Vec<SeriesPoint> {
-        self.series
-            .read()
+        read(&self.series)
             .get(&(name.to_string(), labels.clone()))
             .map(|buf| buf.iter().cloned().collect())
             .unwrap_or_default()
@@ -119,7 +118,7 @@ impl TimeSeriesStore {
 
     /// The newest point of one series.
     pub fn latest(&self, name: &str, labels: &Labels) -> Option<SeriesPoint> {
-        self.series.read().get(&(name.to_string(), labels.clone()))?.back().cloned()
+        read(&self.series).get(&(name.to_string(), labels.clone()))?.back().cloned()
     }
 
     /// The newest scalar reading of one series (see [`SeriesPoint::scalar`]).
@@ -178,7 +177,7 @@ impl TimeSeriesStore {
         labels: &Labels,
         window: usize,
     ) -> Option<(SeriesPoint, SeriesPoint)> {
-        let series = self.series.read();
+        let series = read(&self.series);
         let buf = series.get(&(name.to_string(), labels.clone()))?;
         if buf.len() < 2 {
             return None;
@@ -192,7 +191,7 @@ impl TimeSeriesStore {
 
 impl std::fmt::Debug for TimeSeriesStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TimeSeriesStore({} series, cap {})", self.series.read().len(), self.capacity)
+        write!(f, "TimeSeriesStore({} series, cap {})", read(&self.series).len(), self.capacity)
     }
 }
 

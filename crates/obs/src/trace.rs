@@ -7,14 +7,14 @@
 //! runtime opens its dispatch span as a child of it. Finished spans
 //! drain to pluggable [`SpanSink`]s.
 
+use crate::sync::{lock, read, write};
 use infosleuth_kqml::SExpr;
-use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Identity of one causally-connected tree of spans.
@@ -177,26 +177,26 @@ impl RingSink {
 
     /// Removes and returns everything buffered, oldest first.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        self.buf.lock().drain(..).collect()
+        lock(&self.buf).drain(..).collect()
     }
 
     /// Copies the buffer without draining it.
     pub fn records(&self) -> Vec<SpanRecord> {
-        self.buf.lock().iter().cloned().collect()
+        lock(&self.buf).iter().cloned().collect()
     }
 
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        lock(&self.buf).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        lock(&self.buf).is_empty()
     }
 }
 
 impl SpanSink for RingSink {
     fn record(&self, span: &SpanRecord) {
-        let mut buf = self.buf.lock();
+        let mut buf = lock(&self.buf);
         if buf.len() == self.cap {
             buf.pop_front();
         }
@@ -247,7 +247,7 @@ impl SpanSink for JsonlSink {
             span.start_unix_micros,
             span.duration_micros,
         );
-        let mut out = self.out.lock();
+        let mut out = lock(&self.out);
         let _ = out.write_all(line.as_bytes());
         let _ = out.flush();
     }
@@ -278,7 +278,7 @@ pub struct Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tracer({} sinks)", self.sinks.read().len())
+        write!(f, "Tracer({} sinks)", read(&self.sinks).len())
     }
 }
 
@@ -288,7 +288,7 @@ impl Tracer {
     }
 
     pub fn add_sink(&self, sink: Arc<dyn SpanSink>) {
-        self.sinks.write().push(sink);
+        write(&self.sinks).push(sink);
     }
 
     /// Opens a span nested under whatever span is active on this
@@ -379,7 +379,7 @@ impl Drop for SpanGuard {
             start_unix_micros: self.start_unix_micros,
             duration_micros: self.started.elapsed().as_micros() as u64,
         };
-        for sink in self.tracer.sinks.read().iter() {
+        for sink in read(&self.tracer.sinks).iter() {
             sink.record(&record);
         }
     }
@@ -563,7 +563,7 @@ mod tests {
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
+                lock(&self.0).extend_from_slice(data);
                 Ok(data.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -580,7 +580,7 @@ mod tests {
             start_unix_micros: 1,
             duration_micros: 2,
         });
-        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        let text = String::from_utf8(lock(&buf).clone()).unwrap();
         assert!(text.ends_with('\n'));
         assert!(text.contains("\"trace\":\"00000000000000ab\""), "{text}");
         assert!(text.contains("\"parent\":null"), "{text}");
