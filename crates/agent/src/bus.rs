@@ -333,7 +333,7 @@ mod tests {
                         ep.send(
                             "sink",
                             Message::new(Performative::Tell)
-                                .with_content(SExpr::Atom(format!("{s}-{i}"))),
+                                .with_content(SExpr::atom(format!("{s}-{i}"))),
                         )
                         .unwrap();
                     }

@@ -247,7 +247,7 @@ impl AgentContext {
     fn stamp_trace(message: &mut Message) {
         if message.get(TRACE_PARAM).is_none() {
             if let Some(ctx) = infosleuth_obs::current_context() {
-                message.set(TRACE_PARAM, SExpr::Str(ctx.encode()));
+                message.set(TRACE_PARAM, SExpr::string(ctx.encode()));
             }
         }
     }
@@ -281,8 +281,8 @@ impl AgentContext {
                     SExpr::atom("delivery-failure"),
                     SExpr::atom(&self.name),
                     SExpr::atom(to),
-                    SExpr::Atom(performative.to_string()),
-                    SExpr::Atom(count.to_string()),
+                    SExpr::atom(performative.to_string()),
+                    SExpr::atom(count.to_string()),
                 ]));
                 log.set("sender", SExpr::atom(&self.name));
                 log.set("receiver", SExpr::atom(monitor));
@@ -785,7 +785,7 @@ mod tests {
             client
                 .send(
                     "slow",
-                    Message::new(Performative::Tell).with_content(SExpr::Atom(i.to_string())),
+                    Message::new(Performative::Tell).with_content(SExpr::atom(i.to_string())),
                 )
                 .unwrap();
         }
@@ -854,7 +854,7 @@ mod tests {
     impl Batcher {
         fn note(&self, env: &Envelope) {
             let text = match env.message.content() {
-                Some(SExpr::Atom(a)) => a.clone(),
+                Some(SExpr::Atom(a)) => a.to_string(),
                 other => format!("{other:?}"),
             };
             self.seen.lock().unwrap().push(text);
@@ -899,7 +899,7 @@ mod tests {
             client
                 .send(
                     "batcher",
-                    Message::new(Performative::Tell).with_content(SExpr::Atom(i.to_string())),
+                    Message::new(Performative::Tell).with_content(SExpr::atom(i.to_string())),
                 )
                 .unwrap();
         }

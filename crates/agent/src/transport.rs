@@ -887,7 +887,7 @@ mod tests {
     }
 
     fn envelope(from: &str, n: usize) -> Envelope {
-        let message = Message::new(Performative::Tell).with_content(SExpr::Atom(n.to_string()));
+        let message = Message::new(Performative::Tell).with_content(SExpr::atom(n.to_string()));
         Envelope { from: from.into(), to: "rx".into(), message }
     }
 

@@ -19,7 +19,7 @@ const ROUND_TRIPS: usize = 200_000;
 const PATIENCE: Duration = Duration::from_secs(1);
 
 fn envelope(n: usize) -> Envelope {
-    let message = Message::new(Performative::Tell).with_content(SExpr::Atom(n.to_string()));
+    let message = Message::new(Performative::Tell).with_content(SExpr::atom(n.to_string()));
     Envelope { from: "ping".into(), to: "pong".into(), message }
 }
 
@@ -41,7 +41,7 @@ fn ping_pong_never_loses_a_wake_up() {
         let env = ping_rx
             .recv_timeout(PATIENCE)
             .unwrap_or_else(|| panic!("ping timed out in round trip {n}"));
-        assert_eq!(env.message.content(), Some(&SExpr::Atom(n.to_string())));
+        assert_eq!(env.message.content(), Some(&SExpr::atom(n.to_string())));
         let took = started.elapsed();
         assert!(took < PATIENCE, "round trip {n} took {took:?}: somebody slept through it");
     }

@@ -394,7 +394,7 @@ mod tests {
     use super::super::{interconnect, BrokerAgent, BrokerConfig, BrokerHandle};
     use crate::{advertise_to, codec, query_broker, BrokerObjective, SearchPolicy};
     use infosleuth_agent::Bus;
-    use infosleuth_kqml::{Message, Performative};
+    use infosleuth_kqml::{Message, Performative, SExpr};
     use infosleuth_ontology::{AgentType, OntologyContent, ServiceQuery};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -577,7 +577,7 @@ mod tests {
         let mut msg = Message::new(Performative::AskAll)
             .with_ontology("infosleuth-service")
             .with_content(codec::search_request_to_sexpr(&request));
-        msg.set(TRACE_PARAM, infosleuth_kqml::SExpr::Str(client.encode()));
+        msg.set(TRACE_PARAM, infosleuth_kqml::SExpr::string(client.encode()));
         let reply = ua.request("broker1", msg, T).unwrap();
         assert_eq!(codec::matches_from_sexpr(reply.content().unwrap()).unwrap().len(), 2);
         assert_eq!(b1.routing_stats().forwards, 2);
@@ -688,5 +688,183 @@ mod tests {
         b1.stop();
         b2.stop();
         b3.stop();
+    }
+
+    #[test]
+    fn interbroker_search_unions_results() {
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let b2 = spawn_broker(&bus, "broker2");
+        interconnect(&[&b1, &b2]).unwrap();
+        let mut ra1 = bus.register("ra1").unwrap();
+        let mut ra2 = bus.register("ra2").unwrap();
+        advertise_to(&mut ra1, "broker1", &resource_ad("ra1", &["C2"]), T).unwrap();
+        advertise_to(&mut ra2, "broker2", &resource_ad("ra2", &["C2"]), T).unwrap();
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C2"]);
+        // Local-only sees one agent.
+        let local = query_broker(&mut ra1, "broker1", &q, Some(SearchPolicy::local()), T).unwrap();
+        assert_eq!(local.len(), 1);
+        // Default policy (hop 1, all repositories) sees both.
+        let all = query_broker(&mut ra1, "broker1", &q, None, T).unwrap();
+        let names: Vec<&str> = all.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, vec!["ra1", "ra2"]);
+        b1.stop();
+        b2.stop();
+    }
+
+    #[test]
+    fn visited_list_prevents_cycles() {
+        // Fully-connected triangle; query must terminate and not duplicate.
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let b2 = spawn_broker(&bus, "broker2");
+        let b3 = spawn_broker(&bus, "broker3");
+        interconnect(&[&b1, &b2, &b3]).unwrap();
+        let mut ra = bus.register("ra1").unwrap();
+        advertise_to(&mut ra, "broker2", &resource_ad("ra1", &["C1"]), T).unwrap();
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let deep = SearchPolicy { hop_count: 10, follow: crate::FollowOption::AllRepositories };
+        let found = query_broker(&mut ra, "broker1", &q, Some(deep), T).unwrap();
+        assert_eq!(found.len(), 1);
+        b1.stop();
+        b2.stop();
+        b3.stop();
+    }
+
+    #[test]
+    fn until_match_stops_early() {
+        let bus = Bus::new();
+        let b1 = spawn_broker(&bus, "broker1");
+        let b2 = spawn_broker(&bus, "broker2");
+        interconnect(&[&b1, &b2]).unwrap();
+        let mut ra = bus.register("ra1").unwrap();
+        advertise_to(&mut ra, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap();
+        let mut ra2 = bus.register("ra2").unwrap();
+        advertise_to(&mut ra2, "broker2", &resource_ad("ra2", &["C1"]), T).unwrap();
+        // ask-one style: local match suffices, no expansion.
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"])
+            .one();
+        let found = query_broker(&mut ra, "broker1", &q, None, T).unwrap();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].name, "ra1");
+        b1.stop();
+        b2.stop();
+    }
+
+    #[test]
+    fn broker_one_forwards_to_the_best_match() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        // A provider that answers ask-one with a canned reply. Register
+        // its endpoint before spawning so the broker can reach it as soon
+        // as it is advertised.
+        let mut ep = bus.register("provider-ra").unwrap();
+        let provider = std::thread::spawn(move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while std::time::Instant::now() < deadline {
+                if let Some(env) = ep.recv_timeout(Duration::from_millis(20)) {
+                    if env.message.performative == Performative::AskOne {
+                        let reply = env
+                            .message
+                            .reply_skeleton(Performative::Reply)
+                            .with_content(SExpr::string("42 rows"));
+                        let _ = ep.send(&env.from, reply);
+                        break;
+                    }
+                }
+            }
+            ep.unregister();
+        });
+        let mut client = bus.register("client").unwrap();
+        advertise_to(&mut client, "broker1", &resource_ad("provider-ra", &["C1"]), T).unwrap();
+        // Delegate: "broker-one, forward my ask-one to whoever has C1".
+        let q = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let embedded = Message::new(Performative::AskOne)
+            .with_language("SQL 2.0")
+            .with_content(SExpr::string("select * from C1"));
+        let msg = Message::new(Performative::BrokerOne)
+            .with_content(crate::broker_one_content(&q, &embedded));
+        let reply = client.request("broker1", msg, T).unwrap();
+        assert_eq!(reply.performative, Performative::Reply, "unexpected reply: {reply}");
+        assert_eq!(reply.content(), Some(&SExpr::string("42 rows")));
+        provider.join().unwrap();
+        // No provider for an unknown class → sorry.
+        let q2 = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C9"]);
+        let msg2 = Message::new(Performative::BrokerOne)
+            .with_content(crate::broker_one_content(&q2, &embedded));
+        let reply2 = client.request("broker1", msg2, T).unwrap();
+        assert_eq!(reply2.performative, Performative::Sorry);
+        broker.stop();
+    }
+
+    #[test]
+    fn broker_one_rejects_malformed_content() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut client = bus.register("client").unwrap();
+        let msg = Message::new(Performative::BrokerOne).with_content(SExpr::atom("nonsense"));
+        let reply = client.request("broker1", msg, T).unwrap();
+        assert_eq!(reply.performative, Performative::Error);
+        broker.stop();
+    }
+
+    #[test]
+    fn malformed_content_is_refused_in_its_own_grammar() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("client").unwrap();
+        let mut error_for = |performative: Performative, content: &str| {
+            let msg = Message::new(performative).with_content(SExpr::parse(content).unwrap());
+            let reply = agent.request("broker1", msg, T).unwrap();
+            assert_eq!(reply.performative, Performative::Error, "{content} -> {reply}");
+            reply.content().and_then(SExpr::as_text).unwrap_or_default().to_string()
+        };
+        // The content head picks the decoder, and the error is that
+        // decoder's own — not a fallback's "expected (service-query ...)".
+        let cases = [
+            (
+                Performative::AskAll,
+                "(broker-search (service-query) (policy (hop-count many) (follow local-only)))",
+                "policy missing hop-count",
+            ),
+            (
+                Performative::AskAll,
+                "(broker-search (policy (hop-count 1) (follow local-only)))",
+                "broker-search missing service-query",
+            ),
+            (
+                Performative::AskAll,
+                "(broker-search (service-query (constraints \"age >\")))",
+                "bad constraints",
+            ),
+            (Performative::Advertise, "(digest (broker broker2))", "digest missing epoch"),
+            (
+                Performative::Advertise,
+                "(broker-advertisement (consortia c1))",
+                "broker-advertisement missing base advertisement",
+            ),
+            // An unknown head is still an error, in the conversation's
+            // default grammar.
+            (Performative::AskAll, "(frobnicate 1 2)", "expected (service-query ...)"),
+            (Performative::Advertise, "(frobnicate 1 2)", "expected (advertisement ...)"),
+        ];
+        for (performative, content, expected) in cases {
+            let text = error_for(performative, content);
+            assert!(text.contains(expected), "{content} -> {text}");
+        }
+        // Nothing malformed was stored or routed.
+        assert_eq!(broker.peer_digest_epoch("broker2"), None);
+        broker.with_repository(|r| assert!(r.is_empty() && r.peer_brokers().is_empty()));
+        broker.stop();
     }
 }

@@ -117,9 +117,10 @@ fn admit(
             // "If no brokers accept the advertisement, the broker …
             // will reply with a sorry message", listing better fits
             // when it has suggestions.
-            let mut items = vec![SExpr::atom("forward-to")];
-            items.extend(candidates.iter().map(|c| SExpr::atom(c.as_str())));
-            env.message.reply_skeleton(Performative::Sorry).with_content(SExpr::List(items))
+            let suggestions = candidates.iter().map(SExpr::atom);
+            let content =
+                SExpr::list(std::iter::once(SExpr::atom("forward-to")).chain(suggestions));
+            env.message.reply_skeleton(Performative::Sorry).with_content(content)
         }
     }
 }

@@ -272,4 +272,15 @@ mod tests {
         assert!(stats.incremental_updates > 0 && stats.full_recomputes == 1, "{stats:?}");
         broker.stop();
     }
+
+    #[test]
+    fn unsupported_performative_gets_error() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut agent = bus.register("client").unwrap();
+        let msg = Message::new(Performative::Other("achieve".into()));
+        let reply = agent.request("broker1", msg, T).unwrap();
+        assert_eq!(reply.performative, Performative::Error);
+        broker.stop();
+    }
 }

@@ -6,13 +6,14 @@ use crate::digest::CapabilityDigest;
 use crate::matchmaker::MatchResult;
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_constraint::{parse_conjunction, Conjunction};
-use infosleuth_kqml::SExpr;
+use infosleuth_kqml::{SExpr, Text};
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentProperties, AgentType, BrokerAdvertisement,
     BrokerSpecialization, Capability, ConversationType, Fragment, OntologyContent, SemanticInfo,
     ServiceQuery, SyntacticInfo,
 };
 use std::fmt;
+use std::iter;
 
 /// Error decoding a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,18 +35,22 @@ fn err(m: impl Into<String>) -> CodecError {
 // Small helpers over the section-list format `(head item item ...)`.
 // ---------------------------------------------------------------------
 
-fn section(head: &str, items: Vec<SExpr>) -> SExpr {
-    let mut v = vec![SExpr::atom(head)];
-    v.extend(items);
-    SExpr::List(v)
+/// `(head item ...)` as one exact-length list. Every head is a word of the
+/// KQML vocabulary, so it is shared, not allocated (the `vocabulary` test
+/// of `infosleuth-core` holds every encoder here to that).
+fn section(head: &str, items: impl IntoIterator<Item = SExpr>) -> SExpr {
+    SExpr::list(iter::once(SExpr::atom(head)).chain(items))
 }
 
-fn texts(head: &str, it: impl IntoIterator<Item = String>) -> SExpr {
-    section(head, it.into_iter().map(SExpr::Str).collect())
+/// A section of free text: every item quoted.
+fn texts<T: Into<String>>(head: &str, it: impl IntoIterator<Item = T>) -> SExpr {
+    section(head, it.into_iter().map(SExpr::string))
 }
 
-fn atoms(head: &str, it: impl IntoIterator<Item = String>) -> SExpr {
-    section(head, it.into_iter().map(SExpr::Atom).collect())
+/// A section of names: each item bare where it reads back as one atom and
+/// quoted where it would not (`Resource Agent 5`, `a(b)`).
+fn atoms<T: Into<Text>>(head: &str, it: impl IntoIterator<Item = T>) -> SExpr {
+    section(head, it.into_iter().map(SExpr::atom))
 }
 
 /// The head atom of a `(head item ...)` payload — what a handler switches
@@ -98,7 +103,7 @@ fn one_bool(items: &[SExpr], head: &str) -> Option<bool> {
 }
 
 fn constraints_to_sexpr(c: &Conjunction) -> SExpr {
-    section("constraints", vec![SExpr::string(c.to_text())])
+    section("constraints", [SExpr::string(c.to_text())])
 }
 
 fn constraints_from(items: &[SExpr]) -> Result<Conjunction, CodecError> {
@@ -115,33 +120,26 @@ fn constraints_from(items: &[SExpr]) -> Result<Conjunction, CodecError> {
 fn fragment_to_sexpr(class: &str, frag: &Fragment) -> SExpr {
     match frag {
         Fragment::Vertical { slots } => {
-            let mut v = vec![SExpr::atom("vertical"), SExpr::atom(class)];
-            v.extend(slots.iter().map(|s| SExpr::atom(s.as_str())));
-            SExpr::List(v)
+            section("vertical", iter::once(SExpr::atom(class)).chain(slots.iter().map(SExpr::atom)))
         }
-        Fragment::Horizontal { constraint } => SExpr::list([
-            SExpr::atom("horizontal"),
-            SExpr::atom(class),
-            SExpr::string(constraint.to_text()),
-        ]),
+        Fragment::Horizontal { constraint } => {
+            section("horizontal", [SExpr::atom(class), SExpr::string(constraint.to_text())])
+        }
     }
 }
 
 fn content_to_sexpr(c: &OntologyContent) -> SExpr {
-    let mut items = vec![
-        section("ontology", vec![SExpr::atom(c.ontology.as_str())]),
-        atoms("classes", c.classes.iter().cloned()),
-        atoms("slots", c.slots.iter().cloned()),
-        atoms("keys", c.keys.iter().cloned()),
+    let fragments = (!c.fragments.is_empty()).then(|| {
+        section("fragments", c.fragments.iter().map(|(class, f)| fragment_to_sexpr(class, f)))
+    });
+    let items = [
+        section("ontology", [SExpr::atom(&c.ontology)]),
+        atoms("classes", &c.classes),
+        atoms("slots", &c.slots),
+        atoms("keys", &c.keys),
         constraints_to_sexpr(&c.constraints),
     ];
-    if !c.fragments.is_empty() {
-        items.push(section(
-            "fragments",
-            c.fragments.iter().map(|(class, f)| fragment_to_sexpr(class, f)).collect(),
-        ));
-    }
-    section("content", items)
+    section("content", items.into_iter().chain(fragments))
 }
 
 fn content_from(items: &[SExpr]) -> Result<OntologyContent, CodecError> {
@@ -192,33 +190,32 @@ fn content_from(items: &[SExpr]) -> Result<OntologyContent, CodecError> {
 
 /// Encodes an advertisement as `(advertisement ...)`.
 pub fn advertisement_to_sexpr(ad: &Advertisement) -> SExpr {
-    let mut items = vec![
-        section("name", vec![SExpr::atom(ad.location.name.as_str())]),
-        section("address", vec![SExpr::string(ad.location.address.as_str())]),
-        section("type", vec![SExpr::atom(ad.location.agent_type.to_string())]),
-        texts("query-languages", ad.syntactic.query_languages.iter().cloned()),
-        texts("comm-languages", ad.syntactic.communication_languages.iter().cloned()),
+    let restrictions = &ad.semantic.capability_restrictions;
+    let items = [
+        section("name", [SExpr::atom(&ad.location.name)]),
+        section("address", [SExpr::string(&ad.location.address)]),
+        section("type", [SExpr::atom(ad.location.agent_type.to_string())]),
+        texts("query-languages", &ad.syntactic.query_languages),
+        texts("comm-languages", &ad.syntactic.communication_languages),
         atoms("conversations", ad.semantic.conversations.iter().map(|c| c.to_string())),
-        atoms("capabilities", ad.semantic.capabilities.iter().map(|c| c.as_str().to_string())),
+        atoms("capabilities", ad.semantic.capabilities.iter().map(|c| c.as_str())),
     ];
-    if !ad.semantic.capability_restrictions.is_empty() {
-        items.push(texts(
-            "capability-restrictions",
-            ad.semantic.capability_restrictions.iter().cloned(),
-        ));
-    }
-    items.extend(ad.semantic.content.iter().map(content_to_sexpr));
-    let mut props = vec![
-        section("mobile", vec![SExpr::atom(ad.properties.mobile.to_string())]),
-        section("cloneable", vec![SExpr::atom(ad.properties.cloneable.to_string())]),
+    let restrictions =
+        (!restrictions.is_empty()).then(|| texts("capability-restrictions", restrictions));
+    let props = &ad.properties;
+    let props = [
+        Some(section("mobile", [SExpr::atom(props.mobile.to_string())])),
+        Some(section("cloneable", [SExpr::atom(props.cloneable.to_string())])),
+        props
+            .estimated_response_time
+            .map(|t| section("response-time", [SExpr::atom(t.to_string())])),
+        props.throughput.map(|t| section("throughput", [SExpr::atom(t.to_string())])),
     ];
-    if let Some(t) = ad.properties.estimated_response_time {
-        props.push(section("response-time", vec![SExpr::atom(t.to_string())]));
-    }
-    if let Some(t) = ad.properties.throughput {
-        props.push(section("throughput", vec![SExpr::atom(t.to_string())]));
-    }
-    items.push(section("properties", props));
+    let items = items
+        .into_iter()
+        .chain(restrictions)
+        .chain(ad.semantic.content.iter().map(content_to_sexpr))
+        .chain([section("properties", props.into_iter().flatten())]);
     section("advertisement", items)
 }
 
@@ -281,17 +278,7 @@ fn parse_conversation(s: &str) -> ConversationType {
 
 /// Encodes a broker advertisement as `(broker-advertisement ...)`.
 pub fn broker_advertisement_to_sexpr(ad: &BrokerAdvertisement) -> SExpr {
-    let mut items = vec![advertisement_to_sexpr(&ad.base)];
-    items.push(atoms("consortia", ad.consortia.iter().cloned()));
-    items.push(section(
-        "specialization",
-        vec![
-            atoms("agent-types", ad.specialization.agent_types.iter().map(|t| t.to_string())),
-            atoms("ontologies", ad.specialization.ontologies.iter().cloned()),
-            texts("restrictions", ad.specialization.restrictions.iter().cloned()),
-        ],
-    ));
-    section("broker-advertisement", items)
+    broker_hello_to_sexpr(ad, None)
 }
 
 /// Decodes a `(broker-advertisement ...)` payload.
@@ -347,31 +334,30 @@ fn hex_to_bits(s: &str) -> Result<Vec<u64>, CodecError> {
 /// `(digest (broker b) (epoch N) (ads N) (k K) (unprunable bool)
 /// (bits "hex") (hulls (hull "slot" lo hi) ...))`.
 pub fn digest_to_sexpr(d: &CapabilityDigest) -> SExpr {
-    let mut items = vec![
-        section("broker", vec![SExpr::atom(d.broker.as_str())]),
-        section("epoch", vec![SExpr::atom(d.epoch.to_string())]),
-        section("ads", vec![SExpr::atom(d.ads.to_string())]),
-        section("k", vec![SExpr::atom(d.k.to_string())]),
-        section("unprunable", vec![SExpr::atom(d.unprunable.to_string())]),
-        section("bits", vec![SExpr::string(bits_to_hex(&d.bits))]),
+    let items = [
+        section("broker", [SExpr::atom(&d.broker)]),
+        section("epoch", [SExpr::atom(d.epoch.to_string())]),
+        section("ads", [SExpr::atom(d.ads.to_string())]),
+        section("k", [SExpr::atom(d.k.to_string())]),
+        section("unprunable", [SExpr::atom(d.unprunable.to_string())]),
+        section("bits", [SExpr::string(bits_to_hex(&d.bits))]),
     ];
-    if !d.slot_hulls.is_empty() {
-        items.push(section(
+    let hulls = (!d.slot_hulls.is_empty()).then(|| {
+        section(
             "hulls",
-            d.slot_hulls
-                .iter()
-                .map(|(slot, (lo, hi))| {
-                    SExpr::list([
-                        SExpr::atom("hull"),
+            d.slot_hulls.iter().map(|(slot, (lo, hi))| {
+                section(
+                    "hull",
+                    [
                         SExpr::string(slot.as_str()),
                         SExpr::atom(lo.to_string()),
                         SExpr::atom(hi.to_string()),
-                    ])
-                })
-                .collect(),
-        ));
-    }
-    section("digest", items)
+                    ],
+                )
+            }),
+        )
+    });
+    section("digest", items.into_iter().chain(hulls))
 }
 
 /// Bloom probe counts the decoder accepts. Brokers emit 4; the ceiling
@@ -384,7 +370,10 @@ const DIGEST_K_RANGE: std::ops::RangeInclusive<u32> = 1..=16;
 /// (advertisements but no filter bits; a hull that is inverted or NaN)
 /// is refused here.
 pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
-    let items = body_of(e, "digest")?;
+    digest_from(body_of(e, "digest")?)
+}
+
+fn digest_from(items: &[SExpr]) -> Result<CapabilityDigest, CodecError> {
     let mut d = CapabilityDigest::empty(
         one_text(items, "broker").ok_or_else(|| err("digest missing broker"))?,
     );
@@ -429,23 +418,26 @@ pub fn digest_from_sexpr(e: &SExpr) -> Result<CapabilityDigest, CodecError> {
 /// a `(broker-advertisement ...)` hello or a `(matches ...)` reply. Both
 /// decoders ignore the section, so old peers interoperate unchanged.
 pub fn embedded_digest(e: &SExpr) -> Option<CapabilityDigest> {
-    let inner = find(e.as_list()?.get(1..)?, "digest")?;
-    let mut rebuilt = vec![SExpr::atom("digest")];
-    rebuilt.extend(inner.iter().cloned());
-    digest_from_sexpr(&SExpr::List(rebuilt)).ok()
+    digest_from(find(e.as_list()?.get(1..)?, "digest")?).ok()
 }
 
 /// Encodes a broker hello: the broker advertisement with the sender's
 /// current routing digest piggybacked as an extra section.
 pub fn broker_hello_to_sexpr(ad: &BrokerAdvertisement, digest: Option<&CapabilityDigest>) -> SExpr {
-    let e = broker_advertisement_to_sexpr(ad);
-    match (e, digest) {
-        (SExpr::List(mut items), Some(d)) => {
-            items.push(digest_to_sexpr(d));
-            SExpr::List(items)
-        }
-        (e, _) => e,
-    }
+    let spec = &ad.specialization;
+    let items = [
+        advertisement_to_sexpr(&ad.base),
+        atoms("consortia", &ad.consortia),
+        section(
+            "specialization",
+            [
+                atoms("agent-types", spec.agent_types.iter().map(|t| t.to_string())),
+                atoms("ontologies", &spec.ontologies),
+                texts("restrictions", &spec.restrictions),
+            ],
+        ),
+    ];
+    section("broker-advertisement", items.into_iter().chain(digest.map(digest_to_sexpr)))
 }
 
 // ---------------------------------------------------------------------
@@ -454,50 +446,26 @@ pub fn broker_hello_to_sexpr(ad: &BrokerAdvertisement, digest: Option<&Capabilit
 
 /// Encodes a service query as `(service-query ...)`.
 pub fn service_query_to_sexpr(q: &ServiceQuery) -> SExpr {
-    let mut items = Vec::new();
-    if let Some(t) = &q.agent_type {
-        items.push(section("type", vec![SExpr::atom(t.to_string())]));
-    }
-    if let Some(n) = &q.agent_name {
-        items.push(section("name", vec![SExpr::atom(n.as_str())]));
-    }
-    if let Some(l) = &q.query_language {
-        items.push(texts("query-language", [l.clone()]));
-    }
-    if let Some(l) = &q.communication_language {
-        items.push(texts("comm-language", [l.clone()]));
-    }
-    if !q.conversations.is_empty() {
-        items.push(atoms("conversations", q.conversations.iter().map(|c| c.to_string())));
-    }
-    if !q.capabilities.is_empty() {
-        items.push(atoms("capabilities", q.capabilities.iter().map(|c| c.as_str().to_string())));
-    }
-    if let Some(o) = &q.ontology {
-        items.push(section("ontology", vec![SExpr::atom(o.as_str())]));
-    }
-    if !q.classes.is_empty() {
-        items.push(atoms("classes", q.classes.iter().cloned()));
-    }
-    if !q.slots.is_empty() {
-        items.push(atoms("slots", q.slots.iter().cloned()));
-    }
-    if !q.constraints.is_trivial() {
-        items.push(constraints_to_sexpr(&q.constraints));
-    }
-    if let Some(t) = q.max_response_time {
-        items.push(section("max-response-time", vec![SExpr::atom(t.to_string())]));
-    }
-    if let Some(m) = q.require_mobile {
-        items.push(section("require-mobile", vec![SExpr::atom(m.to_string())]));
-    }
-    if let Some(c) = q.require_cloneable {
-        items.push(section("require-cloneable", vec![SExpr::atom(c.to_string())]));
-    }
-    if let Some(n) = q.max_matches {
-        items.push(section("max-matches", vec![SExpr::atom(n.to_string())]));
-    }
-    section("service-query", items)
+    let one = |head: &str, value: String| section(head, [SExpr::atom(value)]);
+    let items = [
+        q.agent_type.as_ref().map(|t| one("type", t.to_string())),
+        q.agent_name.as_ref().map(|n| section("name", [SExpr::atom(n)])),
+        q.query_language.as_ref().map(|l| texts("query-language", [l])),
+        q.communication_language.as_ref().map(|l| texts("comm-language", [l])),
+        (!q.conversations.is_empty())
+            .then(|| atoms("conversations", q.conversations.iter().map(|c| c.to_string()))),
+        (!q.capabilities.is_empty())
+            .then(|| atoms("capabilities", q.capabilities.iter().map(|c| c.as_str()))),
+        q.ontology.as_ref().map(|o| section("ontology", [SExpr::atom(o)])),
+        (!q.classes.is_empty()).then(|| atoms("classes", &q.classes)),
+        (!q.slots.is_empty()).then(|| atoms("slots", &q.slots)),
+        (!q.constraints.is_trivial()).then(|| constraints_to_sexpr(&q.constraints)),
+        q.max_response_time.map(|t| one("max-response-time", t.to_string())),
+        q.require_mobile.map(|m| one("require-mobile", m.to_string())),
+        q.require_cloneable.map(|c| one("require-cloneable", c.to_string())),
+        q.max_matches.map(|n| one("max-matches", n.to_string())),
+    ];
+    section("service-query", items.into_iter().flatten())
 }
 
 /// Decodes a `(service-query ...)` payload.
@@ -548,21 +516,19 @@ pub struct SearchRequest {
 
 /// Encodes a search request as `(broker-search ...)`.
 pub fn search_request_to_sexpr(r: &SearchRequest) -> SExpr {
-    let mut items = vec![
+    let items = [
         service_query_to_sexpr(&r.query),
         section(
             "policy",
-            vec![
-                section("hop-count", vec![SExpr::atom(r.policy.hop_count.to_string())]),
-                section("follow", vec![SExpr::atom(r.policy.follow.as_str())]),
+            [
+                section("hop-count", [SExpr::atom(r.policy.hop_count.to_string())]),
+                section("follow", [SExpr::atom(r.policy.follow.as_str())]),
             ],
         ),
-        atoms("visited", r.visited.iter().cloned()),
+        atoms("visited", &r.visited),
     ];
-    if let Some(epoch) = r.digest_epoch {
-        items.push(section("digest-epoch", vec![SExpr::atom(epoch.to_string())]));
-    }
-    section("broker-search", items)
+    let epoch = r.digest_epoch.map(|e| section("digest-epoch", [SExpr::atom(e.to_string())]));
+    section("broker-search", items.into_iter().chain(epoch))
 }
 
 /// Decodes a `(broker-search ...)` payload.
@@ -594,57 +560,43 @@ pub fn search_request_from_sexpr(e: &SExpr) -> Result<SearchRequest, CodecError>
 // Match results
 // ---------------------------------------------------------------------
 
+/// One match row: `(match (name n) (address "a") (score s) ...)`.
+fn match_to_sexpr(m: &MatchResult) -> SExpr {
+    let items = [
+        Some(section("name", [SExpr::atom(&m.name)])),
+        Some(section("address", [SExpr::string(&m.address)])),
+        Some(section("score", [SExpr::atom(m.score.to_string())])),
+        m.estimated_response_time.map(|t| section("response-time", [SExpr::atom(t.to_string())])),
+        m.ontology.as_ref().map(|o| section("ontology", [SExpr::atom(o)])),
+        (!m.classes.is_empty()).then(|| atoms("classes", &m.classes)),
+        (!m.slots.is_empty()).then(|| atoms("slots", &m.slots)),
+        (!m.keys.is_empty()).then(|| atoms("keys", &m.keys)),
+    ];
+    section("match", items.into_iter().flatten())
+}
+
 /// Encodes match results as `(matches (match ...) ...)`.
 pub fn matches_to_sexpr(matches: &[MatchResult]) -> SExpr {
-    section(
-        "matches",
-        matches
-            .iter()
-            .map(|m| {
-                let mut items = vec![
-                    section("name", vec![SExpr::atom(m.name.as_str())]),
-                    section("address", vec![SExpr::string(m.address.as_str())]),
-                    section("score", vec![SExpr::atom(m.score.to_string())]),
-                ];
-                if let Some(t) = m.estimated_response_time {
-                    items.push(section("response-time", vec![SExpr::atom(t.to_string())]));
-                }
-                if let Some(o) = &m.ontology {
-                    items.push(section("ontology", vec![SExpr::atom(o.as_str())]));
-                }
-                if !m.classes.is_empty() {
-                    items.push(atoms("classes", m.classes.iter().cloned()));
-                }
-                if !m.slots.is_empty() {
-                    items.push(atoms("slots", m.slots.iter().cloned()));
-                }
-                if !m.keys.is_empty() {
-                    items.push(atoms("keys", m.keys.iter().cloned()));
-                }
-                section("match", items)
-            })
-            .collect(),
-    )
+    matches_reply_to_sexpr(matches, None)
 }
 
 /// Encodes a matches reply, optionally piggybacking the responder's
 /// fresh digest (stale-digest repair: the querier forwarded with an old
 /// epoch, so the responder ships its current summary along).
 pub fn matches_reply_to_sexpr(matches: &[MatchResult], digest: Option<&CapabilityDigest>) -> SExpr {
-    let e = matches_to_sexpr(matches);
-    match (e, digest) {
-        (SExpr::List(mut items), Some(d)) => {
-            items.push(digest_to_sexpr(d));
-            SExpr::List(items)
-        }
-        (e, _) => e,
-    }
+    let rows = matches.iter().map(match_to_sexpr);
+    section("matches", rows.chain(digest.map(digest_to_sexpr)))
 }
 
 /// Decodes a `(matches ...)` payload.
 pub fn matches_from_sexpr(e: &SExpr) -> Result<Vec<MatchResult>, CodecError> {
+    matches_from(body_of(e, "matches")?)
+}
+
+/// The match rows among `items`.
+fn matches_from(items: &[SExpr]) -> Result<Vec<MatchResult>, CodecError> {
     let mut out = Vec::new();
-    for m in find_all(body_of(e, "matches")?, "match") {
+    for m in find_all(items, "match") {
         out.push(MatchResult {
             name: one_text(m, "name").ok_or_else(|| err("match missing name"))?,
             address: one_text(m, "address").ok_or_else(|| err("match missing address"))?,
@@ -666,12 +618,11 @@ pub fn matches_from_sexpr(e: &SExpr) -> Result<Vec<MatchResult>, CodecError> {
 /// `matched` carries full match rows for agents entering the result set
 /// (or re-ranked within it); `unmatched` lists the names that left.
 pub fn sub_delta_to_sexpr(epoch: u64, matched: &[MatchResult], unmatched: &[String]) -> SExpr {
-    let mut items = vec![section("epoch", vec![SExpr::atom(epoch.to_string())])];
-    if let SExpr::List(mut rows) = matches_to_sexpr(matched) {
-        rows[0] = SExpr::atom("matched");
-        items.push(SExpr::List(rows));
-    }
-    items.push(atoms("unmatched", unmatched.iter().cloned()));
+    let items = [
+        section("epoch", [SExpr::atom(epoch.to_string())]),
+        section("matched", matched.iter().map(match_to_sexpr)),
+        atoms("unmatched", unmatched),
+    ];
     section("sub-delta", items)
 }
 
@@ -681,14 +632,7 @@ pub fn sub_delta_from_sexpr(e: &SExpr) -> Result<(u64, Vec<MatchResult>, Vec<Str
     let epoch = one_text(body, "epoch")
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| err("sub-delta missing epoch"))?;
-    let matched = match find(body, "matched") {
-        Some(items) => {
-            let mut rows = vec![SExpr::atom("matches")];
-            rows.extend(items.iter().cloned());
-            matches_from_sexpr(&SExpr::List(rows))?
-        }
-        None => Vec::new(),
-    };
+    let matched = find(body, "matched").map(matches_from).transpose()?.unwrap_or_default();
     let unmatched = find(body, "unmatched").map(text_items).unwrap_or_default();
     Ok((epoch, matched, unmatched))
 }
@@ -876,10 +820,9 @@ mod tests {
     /// `sample_digest` encoded, with one section dropped or swapped for
     /// the section `with` parses to.
     fn tampered_digest(section: &str, with: Option<&str>) -> SExpr {
-        let SExpr::List(mut items) = digest_to_sexpr(&sample_digest()) else { unreachable!() };
-        items.retain(|e| head(e) != Some(section));
-        items.extend(with.map(|text| SExpr::parse(text).unwrap()));
-        SExpr::List(items)
+        let SExpr::List(items) = digest_to_sexpr(&sample_digest()) else { unreachable!() };
+        let kept = items.into_vec().into_iter().filter(|e| head(e) != Some(section));
+        SExpr::list(kept.chain(with.map(|text| SExpr::parse(text).unwrap())))
     }
 
     #[test]
@@ -978,6 +921,33 @@ mod tests {
         assert_eq!(back, ms);
         // Empty list round-trips too.
         assert_eq!(matches_from_sexpr(&matches_to_sexpr(&[])).unwrap(), vec![]);
+    }
+
+    /// Names and classes the reader would take apart travel quoted, so
+    /// what a peer decodes from the text is what a `Bus` would have handed
+    /// it as one value: nothing split, nothing dropped.
+    #[test]
+    fn names_the_reader_would_split_survive_print_and_parse() {
+        let row = MatchResult {
+            name: "Resource Agent 5".into(),
+            address: "tcp://h:1".into(),
+            score: 3,
+            ontology: Some("".into()),
+            classes: vec!["blood test".into(), "a(b)".into()],
+            keys: vec!["say \"x\";".into()],
+            ..MatchResult::default()
+        };
+        let over_the_wire = |e: SExpr| SExpr::parse(&e.to_string()).unwrap();
+        let rows = vec![row.clone()];
+        assert_eq!(matches_from_sexpr(&over_the_wire(matches_to_sexpr(&rows))).unwrap(), rows);
+        let gone = vec![row.name.clone(), "a(b)".to_string()];
+        let delta = over_the_wire(sub_delta_to_sexpr(7, &rows, &gone));
+        assert_eq!(sub_delta_from_sexpr(&delta).unwrap(), (7, rows, gone));
+        let mut ad = sample_ad();
+        ad.location.name = row.name;
+        ad.semantic.content[0].classes = ["blood test".to_string()].into_iter().collect();
+        let back = advertisement_from_sexpr(&over_the_wire(advertisement_to_sexpr(&ad)));
+        assert_eq!(back.unwrap(), ad);
     }
 
     #[test]

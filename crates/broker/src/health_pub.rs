@@ -357,7 +357,7 @@ pub fn health_state_from_sexpr(
     if items.first()?.as_atom()? != HEALTH_STATE_HEAD || items.len() < 4 {
         return None;
     }
-    let broker = items[1].as_atom()?.to_string();
+    let broker = items[1].as_text()?.to_string();
     let state = HealthState::parse(items[2].as_atom()?)?;
     let tick: u64 = items[3].as_atom()?.parse().ok()?;
     let mut events = Vec::new();
@@ -373,7 +373,7 @@ pub fn health_state_from_sexpr(
             _ => return None,
         };
         events.push(HealthEvent {
-            rule: parts[1].as_atom()?.to_string(),
+            rule: parts[1].as_text()?.to_string(),
             metric: String::new(),
             severity,
             firing: parts[3].as_atom()? == "1",

@@ -2,15 +2,22 @@
 //! advertisement under a ceiling — and nothing per advertisement kept by a
 //! broker beside it, a routing digest being computed, not stored — no
 //! growth under re-advertisement churn, everything returned by a full
-//! drain, and a symbol table that grows by distinct names only.
+//! drain, and a symbol table that grows by distinct names only. And what
+//! a message costs while it waits in a mailbox: a `sub-delta` notification
+//! and an `ask-all` reply, each under a ceiling of its own.
 //!
 //! A counting `#[global_allocator]` sees every allocation of the test
 //! process, so the tests here take one lock and run one at a time. Run
-//! with `--nocapture` for the bytes-per-advertisement table
-//! (EXPERIMENTS.md, "Bytes per advertisement").
+//! with `--nocapture` for the bytes-per-advertisement and bytes-per-message
+//! tables (EXPERIMENTS.md, "Bytes per advertisement", "What a queued
+//! message costs").
 
-use infosleuth_broker::{BrokerAgent, BrokerConfig, CapabilityDigest, Repository};
+use infosleuth_agent::{Bus, Endpoint};
+use infosleuth_broker::{
+    codec, BrokerAgent, BrokerConfig, CapabilityDigest, MatchResult, Repository,
+};
 use infosleuth_constraint::{Conjunction, Predicate};
+use infosleuth_kqml::{Message, Performative};
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentType, Capability, ClassDef, ConversationType, Ontology,
     OntologyContent, SemanticInfo, SlotDef, Sym, SyntacticInfo, ValueType,
@@ -332,4 +339,106 @@ fn the_symbol_table_grows_by_distinct_new_names_only() {
     rejected.semantic.capabilities.insert(Capability::new("sym-no-such-capability"));
     assert!(repo.advertise(rejected).is_err());
     assert_eq!(Sym::table_len(), before + 50);
+}
+
+/// A queued churn-shaped `sub-delta` carrying one match row: the envelope's
+/// two names, the message's five parameters, and the tree of its content.
+/// 255 wire bytes measure 878 B in 14 allocations — one per string, per
+/// non-empty list and per atom longer than 22 bytes, each exactly as long
+/// as what it holds; protocol words are shared and short atoms sit in
+/// their node (1 908 B in 38 when every atom was a `String` and every list
+/// a `Vec`).
+const CEILING_MATCHED_DELTA: (isize, isize) = (980, 16);
+
+/// The same notification when the agent left the result set: 160 wire
+/// bytes, 471 B in 7 allocations (was 1 005 B in 22).
+const CEILING_UNMATCHED_DELTA: (isize, isize) = (530, 8);
+
+/// A queued 16-row `ask-all` reply of `miss_closed_bus`'s shape: 1 719 wire
+/// bytes, 7 127 B in 116 allocations (was 15 393 B in 284).
+const CEILING_ASK_REPLY: (isize, isize) = (7_900, 128);
+
+/// One match row of the benchmark's populations (`benchmark/src/gen.rs`).
+fn row(j: usize) -> MatchResult {
+    let name = format!("ra{j:04}");
+    MatchResult {
+        address: format!("tcp://{name}.bench:4000"),
+        name,
+        score: 5,
+        estimated_response_time: None,
+        ontology: Some("bench".into()),
+        classes: vec![format!("L{:02}x{:02}", j % 5, j % 10)],
+        slots: Vec::new(),
+        keys: Vec::new(),
+    }
+}
+
+/// What the message `build` makes costs from the moment the builder runs
+/// until it is read off the receiver's mailbox — `((bytes, allocations),
+/// wire bytes)`, sent the way a broker sends, through a bus that stamps
+/// `:sender` and `:receiver` and queues an envelope. The counters are the
+/// whole process's, and the test harness's own thread allocates while a
+/// neighbouring test finishes, so the message is measured five times and
+/// the smallest reading kept: each one is the same message.
+fn queued(build: impl Fn() -> Message) -> ((isize, isize), usize) {
+    let bus = Bus::new();
+    let from = bus.register("broker-0").unwrap();
+    let mut to: Endpoint = bus.register("cli-sub").unwrap();
+    // The first delivery sizes the mailbox's ring; a measured one then
+    // adds only itself.
+    from.send("cli-sub", Message::new(Performative::Tell)).unwrap();
+    to.try_recv().unwrap();
+    let mut wire = 0;
+    let cost = (0..5)
+        .map(|_| {
+            let before = live();
+            from.send("cli-sub", build()).unwrap();
+            let after = live();
+            wire = to.try_recv().unwrap().message.to_string().len();
+            (after.0 - before.0, after.1 - before.1)
+        })
+        .min()
+        .unwrap();
+    (cost, wire)
+}
+
+#[test]
+fn a_queued_message_costs_what_it_weighs() {
+    let _alone = alone();
+    let delta = |matched: &[MatchResult], unmatched: &[String]| {
+        Message::new(Performative::Tell)
+            .with_in_reply_to("cli-setup-17")
+            .with_ontology("infosleuth-service")
+            .with_content(codec::sub_delta_to_sexpr(48_213, matched, unmatched))
+    };
+    let matched = queued(|| delta(&[row(123)], &[]));
+    let unmatched = queued(|| delta(&[], &[row(123).name]));
+    let rows: Vec<MatchResult> = (0..16).map(|j| row(100 + 37 * j)).collect();
+    let reply = queued(|| {
+        Message::new(Performative::AskAll)
+            .with_reply_with("cli-ask-4096")
+            .with("sender", infosleuth_kqml::SExpr::atom("cli-sub"))
+            .with("receiver", infosleuth_kqml::SExpr::atom("broker-0"))
+            .reply_skeleton(Performative::Reply)
+            .with_content(codec::matches_reply_to_sexpr(&rows, None))
+    });
+    eprintln!("a message waiting in a mailbox: live heap");
+    let table = [
+        ("sub-delta, one matched row", matched, CEILING_MATCHED_DELTA),
+        ("sub-delta, one unmatched name", unmatched, CEILING_UNMATCHED_DELTA),
+        ("ask-all reply, 16 rows", reply, CEILING_ASK_REPLY),
+    ];
+    for (what, ((bytes, allocs), wire), _) in table {
+        eprintln!("{what:<30} {wire:>5} wire B  {bytes:>6} B in {allocs:>4} allocations");
+    }
+    for (what, (cost, _), ceiling) in table {
+        assert!(
+            cost.0 <= ceiling.0 && cost.1 <= ceiling.1,
+            "{what}: {} B in {} allocations, ceiling {} B in {}",
+            cost.0,
+            cost.1,
+            ceiling.0,
+            ceiling.1
+        );
+    }
 }

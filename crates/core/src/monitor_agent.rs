@@ -302,7 +302,7 @@ impl MonitorBehavior {
                         SExpr::atom("broker"),
                         SExpr::atom(broker),
                         SExpr::atom(h.state.as_str()),
-                        SExpr::Atom(h.tick.to_string()),
+                        SExpr::atom(h.tick.to_string()),
                     ])
                 }));
                 out.extend(store.alerts.iter().map(|(broker, e)| {
@@ -311,8 +311,8 @@ impl MonitorBehavior {
                         SExpr::atom(broker),
                         SExpr::atom(&e.rule),
                         SExpr::atom(e.severity.as_str()),
-                        SExpr::Atom(u8::from(e.firing).to_string()),
-                        SExpr::Atom(e.tick.to_string()),
+                        SExpr::atom(u8::from(e.firing).to_string()),
+                        SExpr::atom(e.tick.to_string()),
                     ])
                 }));
                 msg.reply_skeleton(Performative::Reply).with_content(SExpr::list(out))
@@ -342,8 +342,8 @@ impl MonitorBehavior {
                     let mut entry = vec![SExpr::atom("series"), label_sexpr];
                     entry.extend(series.snapshot_history(metric, &labels).iter().map(|p| {
                         SExpr::list(vec![
-                            SExpr::Atom(p.tick.to_string()),
-                            SExpr::Atom(format!("{}", p.scalar())),
+                            SExpr::atom(p.tick.to_string()),
+                            SExpr::atom(format!("{}", p.scalar())),
                         ])
                     }));
                     out.push(SExpr::list(entry));
@@ -391,7 +391,7 @@ impl MonitorBehavior {
                         SExpr::atom(&f.agent),
                         SExpr::atom(&f.peer),
                         SExpr::atom(&f.performative),
-                        SExpr::Atom(f.count.to_string()),
+                        SExpr::atom(f.count.to_string()),
                     ])
                 }));
                 msg.reply_skeleton(Performative::Reply).with_content(SExpr::list(out))
@@ -616,7 +616,7 @@ fn open_subscription(
     env.message
         .reply_skeleton(Performative::Tell)
         .with_content(SExpr::atom(downstream_id))
-        .with("resources", SExpr::Atom(opened.to_string()))
+        .with("resources", SExpr::atom(opened.to_string()))
 }
 
 #[cfg(test)]

@@ -30,11 +30,11 @@ pub fn ontology_to_sexpr(o: &Ontology) -> SExpr {
             if slot.is_key {
                 s.push(SExpr::atom("key"));
             }
-            c.push(SExpr::List(s));
+            c.push(SExpr::list(s));
         }
-        items.push(SExpr::List(c));
+        items.push(SExpr::list(c));
     }
-    SExpr::List(items)
+    SExpr::list(items)
 }
 
 /// Handle to a running ontology agent.

@@ -15,6 +15,7 @@ use infosleuth_kqml::SExpr;
 use infosleuth_ontology::ValueType;
 use infosleuth_relquery::{Column, Table};
 use std::fmt;
+use std::iter;
 
 /// Error decoding a `(table ...)` payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,16 +35,16 @@ fn err(m: impl Into<String>) -> TableCodecError {
 
 fn value_to_sexpr(v: &Value) -> SExpr {
     match v {
-        Value::Int(i) => SExpr::Atom(i.to_string()),
-        Value::Float(f) => SExpr::Atom(format!("{f:?}")), // keeps .0 on integral floats
-        Value::Str(s) => SExpr::Str(s.clone()),
-        Value::Bool(b) => SExpr::Atom(b.to_string()),
+        Value::Int(i) => SExpr::atom(i.to_string()),
+        Value::Float(f) => SExpr::atom(format!("{f:?}")), // keeps .0 on integral floats
+        Value::Str(s) => SExpr::string(s),
+        Value::Bool(b) => SExpr::atom(b.to_string()),
     }
 }
 
 fn value_from_sexpr(e: &SExpr, vt: ValueType) -> Result<Value, TableCodecError> {
     match (vt, e) {
-        (ValueType::Str, SExpr::Str(s)) => Ok(Value::Str(s.clone())),
+        (ValueType::Str, SExpr::Str(s)) => Ok(Value::str(&**s)),
         (ValueType::Int, SExpr::Atom(a)) => {
             a.parse().map(Value::Int).map_err(|_| err(format!("bad int '{a}'")))
         }
@@ -78,21 +79,16 @@ fn type_from_name(s: &str) -> Result<ValueType, TableCodecError> {
 
 /// Encodes a table as `(table name (columns ...) (row ...) ...)`.
 pub fn table_to_sexpr(t: &Table) -> SExpr {
-    let mut items = vec![SExpr::atom("table"), SExpr::atom(t.name.as_str())];
-    let cols: Vec<SExpr> = t
+    let columns = t
         .columns()
         .iter()
-        .map(|c| SExpr::list([SExpr::atom(c.name.as_str()), SExpr::atom(type_name(c.value_type))]))
-        .collect();
-    let mut col_list = vec![SExpr::atom("columns")];
-    col_list.extend(cols);
-    items.push(SExpr::List(col_list));
-    for row in t.rows() {
-        let mut r = vec![SExpr::atom("row")];
-        r.extend(row.iter().map(value_to_sexpr));
-        items.push(SExpr::List(r));
-    }
-    SExpr::List(items)
+        .map(|c| SExpr::list([SExpr::atom(c.name.as_str()), SExpr::atom(type_name(c.value_type))]));
+    let columns = SExpr::list(iter::once(SExpr::atom("columns")).chain(columns));
+    let rows = t.rows().iter().map(|row| {
+        SExpr::list(iter::once(SExpr::atom("row")).chain(row.iter().map(value_to_sexpr)))
+    });
+    let head = [SExpr::atom("table"), SExpr::atom(t.name.as_str()), columns];
+    SExpr::list(head.into_iter().chain(rows))
 }
 
 /// Option-returning variant of [`table_from_sexpr`], convenient in
@@ -107,7 +103,7 @@ pub fn table_from_sexpr(e: &SExpr) -> Result<Table, TableCodecError> {
     if items.first().and_then(SExpr::as_atom) != Some("table") {
         return Err(err("expected (table ...)"));
     }
-    let name = items.get(1).and_then(SExpr::as_atom).ok_or_else(|| err("table missing name"))?;
+    let name = items.get(1).and_then(SExpr::as_text).ok_or_else(|| err("table missing name"))?;
     let col_list = items
         .get(2)
         .and_then(SExpr::as_list)
@@ -117,7 +113,7 @@ pub fn table_from_sexpr(e: &SExpr) -> Result<Table, TableCodecError> {
     for c in &col_list[1..] {
         let pair = c.as_list().ok_or_else(|| err("column must be (name type)"))?;
         let cname =
-            pair.first().and_then(SExpr::as_atom).ok_or_else(|| err("column missing name"))?;
+            pair.first().and_then(SExpr::as_text).ok_or_else(|| err("column missing name"))?;
         let vt = type_from_name(
             pair.get(1).and_then(SExpr::as_atom).ok_or_else(|| err("column missing type"))?,
         )?;

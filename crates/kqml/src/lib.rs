@@ -28,7 +28,9 @@
 mod message;
 mod sexpr;
 mod template;
+mod text;
 
 pub use message::{KqmlError, Message, Performative};
 pub use sexpr::{SExpr, SExprError};
 pub use template::{standard_templates, unify, Bindings, Template};
+pub use text::Text;

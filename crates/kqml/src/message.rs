@@ -1,6 +1,6 @@
 //! KQML message model.
 
-use crate::{SExpr, SExprError};
+use crate::{SExpr, SExprError, Text};
 use std::fmt;
 
 /// A KQML performative — the speech-act verb of a message.
@@ -113,46 +113,38 @@ impl From<SExprError> for KqmlError {
     }
 }
 
-/// Chooses the s-expression form for a parameter value: a bare atom when
-/// the text survives atom tokenization, a quoted string otherwise (e.g.
-/// `SQL 2.0`, which contains a space).
-fn token(s: String) -> SExpr {
-    let needs_quoting = s.is_empty() || s.chars().any(|c| c.is_whitespace() || "();\"".contains(c));
-    if needs_quoting {
-        SExpr::Str(s)
-    } else {
-        SExpr::Atom(s)
-    }
-}
-
 /// A KQML message: a performative plus keyword parameters.
 ///
 /// Parameter order is preserved for faithful round-tripping; lookup is by
-/// keyword (without the leading `:`).
+/// keyword (without the leading `:`). The parameters are one exact-length
+/// block: a message queued in a mailbox holds no room it does not use.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     pub performative: Performative,
-    params: Vec<(String, SExpr)>,
+    params: Box<[(Text, SExpr)]>,
 }
 
 impl Message {
     pub fn new(performative: Performative) -> Self {
-        Message { performative, params: Vec::new() }
+        Message { performative, params: Box::default() }
     }
 
     /// Sets (or replaces) a keyword parameter. `key` omits the leading `:`.
-    pub fn with(mut self, key: impl Into<String>, value: SExpr) -> Self {
+    pub fn with(mut self, key: impl Into<Text>, value: SExpr) -> Self {
         self.set(key, value);
         self
     }
 
-    pub fn set(&mut self, key: impl Into<String>, value: SExpr) {
+    pub fn set(&mut self, key: impl Into<Text>, value: SExpr) {
         let key = key.into();
         debug_assert!(!key.starts_with(':'), "param keys omit the leading ':'");
         if let Some(slot) = self.params.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = value;
         } else {
-            self.params.push((key, value));
+            let mut params = std::mem::take(&mut self.params).into_vec();
+            params.reserve_exact(1);
+            params.push((key, value));
+            self.params = params.into_boxed_slice();
         }
     }
 
@@ -199,32 +191,32 @@ impl Message {
         self.get_text("in-reply-to")
     }
 
-    pub fn with_sender(self, s: impl Into<String>) -> Self {
-        self.with("sender", token(s.into()))
+    pub fn with_sender(self, s: impl Into<Text>) -> Self {
+        self.with("sender", SExpr::atom(s))
     }
 
-    pub fn with_receiver(self, s: impl Into<String>) -> Self {
-        self.with("receiver", token(s.into()))
+    pub fn with_receiver(self, s: impl Into<Text>) -> Self {
+        self.with("receiver", SExpr::atom(s))
     }
 
     pub fn with_content(self, c: SExpr) -> Self {
         self.with("content", c)
     }
 
-    pub fn with_language(self, s: impl Into<String>) -> Self {
-        self.with("language", token(s.into()))
+    pub fn with_language(self, s: impl Into<Text>) -> Self {
+        self.with("language", SExpr::atom(s))
     }
 
-    pub fn with_ontology(self, s: impl Into<String>) -> Self {
-        self.with("ontology", token(s.into()))
+    pub fn with_ontology(self, s: impl Into<Text>) -> Self {
+        self.with("ontology", SExpr::atom(s))
     }
 
-    pub fn with_reply_with(self, s: impl Into<String>) -> Self {
-        self.with("reply-with", token(s.into()))
+    pub fn with_reply_with(self, s: impl Into<Text>) -> Self {
+        self.with("reply-with", SExpr::atom(s))
     }
 
-    pub fn with_in_reply_to(self, s: impl Into<String>) -> Self {
-        self.with("in-reply-to", token(s.into()))
+    pub fn with_in_reply_to(self, s: impl Into<Text>) -> Self {
+        self.with("in-reply-to", SExpr::atom(s))
     }
 
     /// Encoded trace context (`:x-trace`), when one rode along. The
@@ -236,7 +228,7 @@ impl Message {
 
     /// Attaches an encoded trace context as `:x-trace`.
     pub fn with_trace(self, ctx: impl Into<String>) -> Self {
-        self.with("x-trace", SExpr::Str(ctx.into()))
+        self.with("x-trace", SExpr::string(ctx))
     }
 
     /// Builds a reply skeleton: `reply` performative, sender/receiver
@@ -244,25 +236,26 @@ impl Message {
     pub fn reply_skeleton(&self, performative: Performative) -> Message {
         let mut m = Message::new(performative);
         if let Some(r) = self.receiver() {
-            m.set("sender", token(r.to_string()));
+            m.set("sender", SExpr::atom(r));
         }
         if let Some(s) = self.sender() {
-            m.set("receiver", token(s.to_string()));
+            m.set("receiver", SExpr::atom(s));
         }
         if let Some(rw) = self.reply_with() {
-            m.set("in-reply-to", token(rw.to_string()));
+            m.set("in-reply-to", SExpr::atom(rw));
         }
         m
     }
 
     /// The message as an s-expression.
     pub fn to_sexpr(&self) -> SExpr {
-        let mut items = vec![SExpr::atom(self.performative.as_str())];
-        for (k, v) in &self.params {
-            items.push(SExpr::Atom(format!(":{k}")));
+        let mut items = Vec::with_capacity(1 + 2 * self.params.len());
+        items.push(SExpr::Atom(Text::from(self.performative.as_str())));
+        for (k, v) in self.params.iter() {
+            items.push(SExpr::Atom(Text::from(format!(":{k}"))));
             items.push(v.clone());
         }
-        SExpr::List(items)
+        SExpr::List(items.into_boxed_slice())
     }
 
     /// Parses a message from its textual s-expression form.
@@ -270,19 +263,19 @@ impl Message {
         Self::from_sexpr(SExpr::parse(src)?)
     }
 
-    /// Takes `e` apart into a message: keywords and values move out of
-    /// the tree, nothing is copied.
+    /// Takes `e` apart into a message: values move out of the tree, and
+    /// a keyword becomes its vocabulary word when it has one.
     pub fn from_sexpr(e: SExpr) -> Result<Message, KqmlError> {
         let SExpr::List(items) = e else {
             return Err(KqmlError::Malformed("message must be a list".into()));
         };
-        let mut it = items.into_iter();
+        let mut it = items.into_vec().into_iter();
         let Some(SExpr::Atom(head)) = it.next() else {
             return Err(KqmlError::Malformed("missing performative".into()));
         };
         let mut msg = Message::new(Performative::from(head.as_str()));
         while let Some(kw) = it.next() {
-            let mut key = match kw {
+            let key = match kw {
                 SExpr::Atom(s) if s.starts_with(':') => s,
                 other => {
                     return Err(KqmlError::Malformed(format!("expected keyword, got {other}")))
@@ -291,8 +284,7 @@ impl Message {
             let value = it
                 .next()
                 .ok_or_else(|| KqmlError::Malformed(format!("keyword {key} missing value")))?;
-            key.remove(0);
-            msg.set(key, value);
+            msg.set(&key[1..], value);
         }
         Ok(msg)
     }
@@ -311,7 +303,7 @@ impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("(")?;
         f.write_str(self.performative.as_str())?;
-        for (k, v) in &self.params {
+        for (k, v) in self.params.iter() {
             f.write_str(" :")?;
             f.write_str(k)?;
             f.write_str(" ")?;

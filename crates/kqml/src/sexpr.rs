@@ -1,5 +1,11 @@
 //! S-expression reader and printer for KQML messages.
+//!
+//! A node is 24 bytes: an atom is a [`Text`] (a protocol word shared by
+//! every message, up to 22 bytes held in place, or an exact-length copy),
+//! a string an exact-length `Box<str>`, and a list one exact-length block
+//! of nodes — a queued message holds no capacity it does not use.
 
+use crate::Text;
 use std::fmt;
 
 /// A KQML s-expression: an atom (symbol, keyword, or number), a quoted
@@ -7,11 +13,11 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SExpr {
     /// An unquoted token: `ask-all`, `:sender`, `42`, `?agent-name`.
-    Atom(String),
+    Atom(Text),
     /// A double-quoted string with `\"` and `\\` escapes.
-    Str(String),
+    Str(Box<str>),
     /// `( ... )`
-    List(Vec<SExpr>),
+    List(Box<[SExpr]>),
 }
 
 /// Error produced when reading a malformed s-expression.
@@ -29,13 +35,30 @@ impl fmt::Display for SExprError {
 
 impl std::error::Error for SExprError {}
 
+/// Whether the reader would take `s` apart (or read nothing) if it were
+/// printed bare: empty text, whitespace, and the reader's delimiters
+/// `(`, `)`, `"` and `;`.
+fn needs_quotes(s: &str) -> bool {
+    s.is_empty()
+        || s.bytes().any(|b| matches!(b, b'\t'..=b'\r' | b' ' | b'(' | b')' | b'"' | b';'))
+        || (!s.is_ascii() && s.chars().any(char::is_whitespace))
+}
+
 impl SExpr {
-    pub fn atom(s: impl Into<String>) -> Self {
-        SExpr::Atom(s.into())
+    /// The token for `s`: a bare atom when it reads back as that one atom,
+    /// a quoted string otherwise (`SQL 2.0`, `a(b)`, the empty name) — so
+    /// whatever a sender builds, a peer parses back the same text.
+    pub fn atom(s: impl Into<Text>) -> Self {
+        let text = s.into();
+        if needs_quotes(&text) {
+            SExpr::Str(text.as_str().into())
+        } else {
+            SExpr::Atom(text)
+        }
     }
 
     pub fn string(s: impl Into<String>) -> Self {
-        SExpr::Str(s.into())
+        SExpr::Str(s.into().into_boxed_str())
     }
 
     pub fn list(items: impl IntoIterator<Item = SExpr>) -> Self {
@@ -53,7 +76,8 @@ impl SExpr {
     /// The text content of an atom *or* string.
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            SExpr::Atom(s) | SExpr::Str(s) => Some(s),
+            SExpr::Atom(s) => Some(s),
+            SExpr::Str(s) => Some(s),
             SExpr::List(_) => None,
         }
     }
@@ -77,7 +101,7 @@ impl SExpr {
 
     /// Reads a single s-expression, requiring it to consume the full input.
     pub fn parse(src: &str) -> Result<SExpr, SExprError> {
-        let mut reader = Reader { src, pos: 0 };
+        let mut reader = Reader { src, pos: 0, stack: Vec::new() };
         reader.skip_ws();
         let e = reader.read()?;
         reader.skip_ws();
@@ -103,6 +127,9 @@ impl SExpr {
 struct Reader<'a> {
     src: &'a str,
     pos: usize,
+    /// The items of every list still open, innermost last: a list is
+    /// moved off the top into one exact allocation when it closes.
+    stack: Vec<SExpr>,
 }
 
 impl Reader<'_> {
@@ -134,16 +161,19 @@ impl Reader<'_> {
             None => Err(self.error("unexpected end of input")),
             Some(b'(') => {
                 self.pos += 1;
-                let mut items = Vec::new();
+                let open = self.stack.len();
                 loop {
                     self.skip_ws();
                     match self.peek() {
                         None => return Err(self.error("unterminated list")),
                         Some(b')') => {
                             self.pos += 1;
-                            return Ok(SExpr::List(items));
+                            return Ok(SExpr::List(self.stack.drain(open..).collect()));
                         }
-                        Some(_) => items.push(self.read()?),
+                        Some(_) => {
+                            let item = self.read()?;
+                            self.stack.push(item);
+                        }
                     }
                 }
             }
@@ -160,11 +190,17 @@ impl Reader<'_> {
                         self.pos = self.src.len();
                         return Err(self.error("unterminated string"));
                     };
-                    out.push_str(&rest[..run]);
                     self.pos += run + 1;
                     if rest.as_bytes()[run] == b'"' {
-                        return Ok(SExpr::Str(out));
+                        // With no escape before it, the run is the string:
+                        // one copy at its length.
+                        if out.is_empty() {
+                            return Ok(SExpr::Str(rest[..run].into()));
+                        }
+                        out.push_str(&rest[..run]);
+                        return Ok(SExpr::Str(out.into_boxed_str()));
                     }
+                    out.push_str(&rest[..run]);
                     out.push(match self.peek() {
                         None => return Err(self.error("dangling escape")),
                         Some(b'"') => '"',
@@ -185,7 +221,7 @@ impl Reader<'_> {
                 let len =
                     rest.find([' ', '\t', '\n', '\r', '(', ')', '"', ';']).unwrap_or(rest.len());
                 self.pos += len;
-                Ok(SExpr::Atom(rest[..len].to_string()))
+                Ok(SExpr::Atom(Text::from(&rest[..len])))
             }
         }
     }
@@ -199,7 +235,7 @@ impl fmt::Display for SExpr {
                 f.write_str("\"")?;
                 // Unescaped runs go out whole; only the four escaped
                 // characters are written one at a time.
-                let mut rest = s.as_str();
+                let mut rest: &str = s;
                 while let Some(at) = rest.find(['"', '\\', '\n', '\t']) {
                     f.write_str(&rest[..at])?;
                     f.write_str(match rest.as_bytes()[at] {

@@ -153,14 +153,14 @@ fn unify2(a: &SExpr, b: &SExpr, env: &mut Bindings) -> bool {
             if contains_var(&b, x) {
                 return false; // occurs check
             }
-            env.insert(x.clone(), b.clone());
+            env.insert(x.to_string(), b.clone());
             true
         }
         (_, SExpr::Atom(y)) if y.starts_with('?') => {
             if contains_var(&a, y) {
                 return false;
             }
-            env.insert(y.clone(), a.clone());
+            env.insert(y.to_string(), a.clone());
             true
         }
         (SExpr::Atom(x), SExpr::Atom(y)) => x == y,
@@ -176,7 +176,7 @@ fn resolve(e: &SExpr, env: &Bindings) -> SExpr {
     let mut cur = e.clone();
     while let SExpr::Atom(name) = &cur {
         if name.starts_with('?') {
-            if let Some(next) = env.get(name) {
+            if let Some(next) = env.get(name.as_str()) {
                 cur = next.clone();
                 continue;
             }

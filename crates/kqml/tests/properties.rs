@@ -1,7 +1,10 @@
-//! Property tests: KQML text round-tripping over arbitrary messages.
+//! Property tests: KQML text round-tripping over arbitrary messages, and
+//! the node layout that keeps a queued message small.
 
-use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_kqml::{Message, Performative, SExpr, Text};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// Atom-safe token text (what the lexer tokenizes back into one atom).
 fn arb_atom_text() -> impl Strategy<Value = String> {
@@ -33,18 +36,61 @@ fn arb_string_text() -> impl Strategy<Value = String> {
     .prop_map(|cs| cs.into_iter().collect())
 }
 
+/// Words of the protocol vocabulary, which atoms share rather than copy.
+fn arb_word() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("match"),
+        Just("name"),
+        Just("sub-delta"),
+        Just("epoch"),
+        Just("ask-all"),
+        Just(":sender"),
+        Just("infosleuth-service"),
+        Just("true"),
+    ]
+    .prop_map(str::to_string)
+}
+
+/// Text an atom may be asked to carry: words, safe tokens, and UTF-8 with
+/// whitespace, the reader's delimiters and nothing at all.
+fn arb_any_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_word(),
+        arb_atom_text(),
+        arb_string_text(),
+        Just("Resource Agent 5".to_string()),
+        Just("a(b)".to_string()),
+        Just("no\u{a0}break".to_string()),
+    ]
+}
+
 fn arb_sexpr() -> impl Strategy<Value = SExpr> {
     let leaf = prop_oneof![
-        arb_atom_text().prop_map(SExpr::Atom),
-        arb_string_text().prop_map(SExpr::Str),
-        any::<i32>().prop_map(|i| SExpr::Atom(i.to_string())),
+        arb_word().prop_map(SExpr::atom),
+        arb_any_text().prop_map(SExpr::atom),
+        arb_string_text().prop_map(SExpr::string),
+        any::<i32>().prop_map(|i| SExpr::atom(i.to_string())),
         // Keywords and variables are atoms too, wherever they stand.
-        arb_atom_text().prop_map(|s| SExpr::Atom(format!(":{s}"))),
-        arb_atom_text().prop_map(|s| SExpr::Atom(format!("?{s}"))),
+        arb_atom_text().prop_map(|s| SExpr::atom(format!(":{s}"))),
+        arb_atom_text().prop_map(|s| SExpr::atom(format!("?{s}"))),
     ];
     leaf.prop_recursive(3, 24, 5, |inner| {
-        proptest::collection::vec(inner, 0..5).prop_map(SExpr::List)
+        proptest::collection::vec(inner, 0..5).prop_map(SExpr::list)
     })
+}
+
+fn hash_of(value: &(impl Hash + ?Sized)) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// A node is three words: an atom's text, a string's bytes and a list's
+/// items each live behind one pointer and one length.
+#[test]
+fn a_node_is_24_bytes() {
+    assert_eq!(std::mem::size_of::<SExpr>(), 24);
+    assert_eq!(std::mem::size_of::<Text>(), 24);
 }
 
 fn arb_performative() -> impl Strategy<Value = Performative> {
@@ -122,6 +168,34 @@ proptest! {
         let text = e.to_string();
         let back = SExpr::parse(&text).unwrap();
         prop_assert_eq!(back, e);
+    }
+
+    /// Whatever text an atom is built from, a peer reads that text back:
+    /// what the reader would split or drop travels quoted, and a protocol
+    /// word is the shared one on both sides.
+    #[test]
+    fn an_atom_reads_back_as_its_text(s in arb_any_text()) {
+        let built = SExpr::atom(s.as_str());
+        let back = SExpr::parse(&built.to_string()).unwrap();
+        prop_assert_eq!(back.as_text(), Some(s.as_str()));
+        prop_assert_eq!(&back, &built);
+        if let (SExpr::Atom(sent), SExpr::Atom(read)) = (&built, &back) {
+            prop_assert_eq!(sent.is_static(), read.is_static());
+        }
+    }
+
+    /// A text is its content: two texts compare, order, hash and print
+    /// with `Debug` exactly as their `str`s do, whether each is a word or
+    /// a copy and whichever constructor made it.
+    #[test]
+    fn text_is_its_content(a in arb_any_text(), b in arb_any_text()) {
+        let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(ta.cmp(&tb), a.as_str().cmp(b.as_str()));
+        prop_assert_eq!(hash_of(&ta), hash_of(a.as_str()));
+        prop_assert_eq!(hash_of(&tb), hash_of(b.as_str()));
+        prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
+        prop_assert_eq!(Text::from(a.clone()).is_static(), ta.is_static());
     }
 
     /// Any message survives print → parse, including structured content

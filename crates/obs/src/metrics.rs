@@ -448,42 +448,40 @@ impl MetricsSnapshot {
     /// "name" (labels…) sum count min max (index n)…))`, one pair per
     /// non-empty slot.
     pub fn to_sexpr(&self) -> SExpr {
-        let mut items = vec![SExpr::atom("metrics")];
-        for s in &self.samples {
-            let labels = SExpr::List(
+        let samples = self.samples.iter().map(|s| {
+            let labels = SExpr::list(
                 s.labels
                     .iter()
-                    .map(|(k, v)| SExpr::List(vec![SExpr::atom(k.clone()), SExpr::string(v)]))
-                    .collect(),
+                    .map(|(k, v)| SExpr::list([SExpr::atom(k.as_str()), SExpr::string(v)])),
             );
-            items.push(match &s.value {
-                SampleValue::Counter(n) => SExpr::List(vec![
+            match &s.value {
+                SampleValue::Counter(n) => SExpr::list([
                     SExpr::atom("counter"),
                     SExpr::string(&s.name),
                     labels,
                     SExpr::atom(n.to_string()),
                 ]),
-                SampleValue::Gauge(n) => SExpr::List(vec![
+                SampleValue::Gauge(n) => SExpr::list([
                     SExpr::atom("gauge"),
                     SExpr::string(&s.name),
                     labels,
                     SExpr::atom(n.to_string()),
                 ]),
                 SampleValue::Histogram(h) => {
-                    let mut parts = vec![SExpr::atom("histogram"), SExpr::string(&s.name), labels];
+                    let head = [SExpr::atom("histogram"), SExpr::string(&s.name), labels];
                     let scalars = [h.sum_nanos, h.count, h.min_nanos, h.max_nanos];
-                    parts.extend(scalars.map(|n| SExpr::atom(n.to_string())));
-                    parts.extend(h.buckets.iter().map(|(index, n)| {
-                        SExpr::List(vec![
-                            SExpr::atom(index.to_string()),
-                            SExpr::atom(n.to_string()),
-                        ])
-                    }));
-                    SExpr::List(parts)
+                    let slots = h.buckets.iter().map(|(index, n)| {
+                        SExpr::list([SExpr::atom(index.to_string()), SExpr::atom(n.to_string())])
+                    });
+                    SExpr::list(
+                        head.into_iter()
+                            .chain(scalars.map(|n| SExpr::atom(n.to_string())))
+                            .chain(slots),
+                    )
                 }
-            });
-        }
-        SExpr::List(items)
+            }
+        });
+        SExpr::list(std::iter::once(SExpr::atom("metrics")).chain(samples))
     }
 
     /// `None` for anything [`MetricsSnapshot::to_sexpr`] could not have
@@ -505,7 +503,7 @@ impl MetricsSnapshot {
                 .iter()
                 .map(|pair| {
                     let kv = pair.as_list()?;
-                    Some((kv.first()?.as_atom()?.to_string(), kv.get(1)?.as_text()?.to_string()))
+                    Some((kv.first()?.as_text()?.to_string(), kv.get(1)?.as_text()?.to_string()))
                 })
                 .collect::<Option<Labels>>()?;
             let value = match kind {

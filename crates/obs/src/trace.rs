@@ -122,7 +122,7 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// `(span <trace> <span> <parent|-> <name> <agent> <start> <dur>)`
     pub fn to_sexpr(&self) -> SExpr {
-        SExpr::List(vec![
+        SExpr::list([
             SExpr::atom("span"),
             SExpr::atom(self.trace.to_string()),
             SExpr::atom(self.span.to_string()),

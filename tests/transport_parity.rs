@@ -431,3 +431,53 @@ fn multibroker_walkthrough_is_transport_agnostic() {
     // included.
     assert_eq!(over_bus, over_tcp);
 }
+
+/// Agent names a bare atom cannot carry: a space, parentheses.
+const AWKWARD_NAMES: [&str; 2] = ["Resource Agent 5", "a(b)"];
+
+/// Advertises the awkward names, then reports `(names a C2 query
+/// returns, names the broker stored)`.
+fn run_awkward_names(agents_node: &Arc<dyn Transport>, broker: &BrokerHandle) -> [Vec<String>; 2] {
+    let mut probe = agents_node.endpoint("name-probe").expect("fresh name");
+    for name in AWKWARD_NAMES {
+        let ok = advertise_to(&mut probe, broker.name(), &resource_ad(name, "C2"), T)
+            .expect("broker answers");
+        assert!(ok, "{name} advertises");
+    }
+    let found = query_broker(&mut probe, broker.name(), &class_query("C2"), None, T)
+        .expect("broker answers");
+    let mut stored: Vec<String> =
+        broker.with_repository(|r| r.agents().map(|a| a.location.name.clone()).collect());
+    stored.sort();
+    [sorted_names(found), stored]
+}
+
+/// A name is one value on every transport: what the Bus hands the broker
+/// whole, KQML text over TCP carries whole too — quoted, not split into
+/// `Resource` and two stray atoms.
+#[test]
+fn names_a_bare_atom_cannot_carry_are_transport_agnostic() {
+    let bus = Bus::new();
+    let broker =
+        BrokerAgent::spawn(&bus, broker_config("broker-n", 5004), repo()).expect("broker spawns");
+    let over_bus = run_awkward_names(&bus.as_transport(), &broker);
+    broker.stop();
+
+    let node_a = TcpTransport::bind("127.0.0.1:0").expect("bind node A");
+    let node_b = TcpTransport::bind("127.0.0.1:0").expect("bind node B");
+    node_a.add_route("broker-n", node_b.address());
+    node_b.add_route("name-probe", node_a.address());
+    let broker = BrokerAgent::spawn_over(
+        Arc::clone(&node_b) as Arc<dyn Transport>,
+        broker_config("broker-n", 5004),
+        repo(),
+    )
+    .expect("broker spawns");
+    let over_tcp = run_awkward_names(&(Arc::clone(&node_a) as Arc<dyn Transport>), &broker);
+    broker.stop();
+
+    let mut expected: Vec<String> = AWKWARD_NAMES.map(String::from).to_vec();
+    expected.sort();
+    assert_eq!(over_bus, [expected.clone(), expected]);
+    assert_eq!(over_bus, over_tcp, "names differ between bus and TCP");
+}
