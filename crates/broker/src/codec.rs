@@ -86,8 +86,13 @@ fn find_all<'a>(items: &'a [SExpr], head: &'a str) -> impl Iterator<Item = &'a [
     })
 }
 
+/// The text of every item that has one, in an exact-length list: a decoded
+/// list weighs what a built or cloned one does.
 fn text_items(items: &[SExpr]) -> Vec<String> {
-    items.iter().filter_map(|e| e.as_text().map(str::to_string)).collect()
+    let mut out = Vec::with_capacity(items.len());
+    out.extend(items.iter().filter_map(|e| e.as_text().map(str::to_string)));
+    out.shrink_to_fit();
+    out
 }
 
 fn one_text(items: &[SExpr], head: &str) -> Option<String> {
@@ -164,14 +169,8 @@ fn content_from(items: &[SExpr]) -> Result<OntologyContent, CodecError> {
                 .and_then(SExpr::as_text)
                 .ok_or_else(|| err("fragment class"))?
                 .to_string();
-            match kind {
-                "vertical" => {
-                    let slots = list[2..]
-                        .iter()
-                        .filter_map(|e| e.as_text().map(str::to_string))
-                        .collect::<Vec<_>>();
-                    c.fragments.push((class, Fragment::Vertical { slots }));
-                }
+            let frag = match kind {
+                "vertical" => Fragment::Vertical { slots: text_items(&list[2..]) },
                 "horizontal" => {
                     let text = list
                         .get(2)
@@ -179,10 +178,11 @@ fn content_from(items: &[SExpr]) -> Result<OntologyContent, CodecError> {
                         .ok_or_else(|| err("horizontal fragment constraint"))?;
                     let constraint = parse_conjunction(text)
                         .map_err(|e| err(format!("bad fragment constraint: {e}")))?;
-                    c.fragments.push((class, Fragment::Horizontal { constraint }));
+                    Fragment::Horizontal { constraint }
                 }
                 other => return Err(err(format!("unknown fragment kind '{other}'"))),
-            }
+            };
+            c = c.with_fragment(class, frag);
         }
     }
     Ok(c)
@@ -244,7 +244,7 @@ pub fn advertisement_from_sexpr(e: &SExpr) -> Result<Advertisement, CodecError> 
         sem.capability_restrictions = text_items(rs);
     }
     for c in find_all(items, "content") {
-        sem.content.push(content_from(c)?);
+        sem = sem.with_content(content_from(c)?);
     }
     ad.semantic = sem;
     if let Some(props) = find(items, "properties") {

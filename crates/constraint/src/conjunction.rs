@@ -15,7 +15,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Conjunction {
     /// Sorted by slot name, one entry per slot: most conjunctions
-    /// constrain one or two slots, and every advertisement holds one.
+    /// constrain one or two slots, and every advertisement holds one. Its
+    /// capacity is its length, however it was built: a list grown from
+    /// empty by a bare `insert` would hold room for four entries.
     slots: Vec<(String, SlotDomain)>,
 }
 
@@ -62,10 +64,16 @@ impl Conjunction {
         self.slots.binary_search_by(|(s, _)| s.as_str().cmp(slot))
     }
 
+    /// Puts a new slot's entry at `at`, growing the list by exactly one.
+    fn insert_slot(&mut self, at: usize, slot: String, dom: SlotDomain) {
+        self.slots.reserve_exact(1);
+        self.slots.insert(at, (slot, dom));
+    }
+
     /// Adds one predicate to the conjunction.
     pub fn add(&mut self, pred: &Predicate) {
         let at = self.position(&pred.slot).unwrap_or_else(|at| {
-            self.slots.insert(at, (pred.slot.clone(), SlotDomain::full()));
+            self.insert_slot(at, pred.slot.clone(), SlotDomain::full());
             at
         });
         self.slots[at].1.constrain(pred);
@@ -74,6 +82,12 @@ impl Conjunction {
     /// Whether no slot is constrained.
     pub fn is_trivial(&self) -> bool {
         self.slots.is_empty()
+    }
+
+    /// Heap slots held; equal to the number of constrained slots after
+    /// every construction and mutation.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
     }
 
     /// The slots this conjunction constrains.
@@ -97,7 +111,7 @@ impl Conjunction {
         for (slot, dom) in &other.slots {
             match out.position(slot) {
                 Ok(at) => out.slots[at].1 = out.slots[at].1.intersect(dom),
-                Err(at) => out.slots.insert(at, (slot.clone(), dom.clone())),
+                Err(at) => out.insert_slot(at, slot.clone(), dom.clone()),
             }
         }
         out
@@ -305,6 +319,13 @@ mod tests {
         let text = original.to_text();
         let parsed = crate::parse_conjunction(&text).unwrap();
         assert_eq!(parsed, original);
+        // Allow-sets intersected to nothing: unsatisfiable, and still text.
+        let emptied = Conjunction::from_predicates(vec![
+            Predicate::is_in("city", ["Dallas"]),
+            Predicate::is_in("city", ["Houston"]),
+        ]);
+        assert_eq!(emptied.to_text(), "city in ()");
+        assert_eq!(crate::parse_conjunction(&emptied.to_text()).unwrap(), emptied);
         assert_eq!(Conjunction::always().to_text(), "true");
         assert_eq!(
             crate::parse_conjunction(&Conjunction::always().to_text()).unwrap(),

@@ -263,10 +263,16 @@ impl Parser {
         }
     }
 
+    /// `(v, ...)`, or `()`: two allow-sets intersected to nothing print as
+    /// `in ()`, and must read back as the same unsatisfiable domain.
     fn value_list(&mut self) -> Result<Vec<Value>, ParseError> {
         match self.next() {
             Some(Tok::LParen) => {}
             _ => return Err(self.error("expected '('")),
+        }
+        if matches!(self.peek(), Some(Tok::RParen)) {
+            self.next();
+            return Ok(Vec::new());
         }
         let mut vals = vec![self.value()?];
         loop {

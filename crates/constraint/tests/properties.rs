@@ -38,6 +38,24 @@ fn arb_conjunction() -> impl Strategy<Value = Conjunction> {
     proptest::collection::vec(arb_predicate(), 0..5).prop_map(Conjunction::from_predicates)
 }
 
+/// One step of a conjunction's life after it was built.
+#[derive(Debug, Clone)]
+enum Step {
+    Add(Predicate),
+    Intersect(Conjunction),
+    /// Printed and parsed back, as a decoder rebuilds it off the wire.
+    Reparse,
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        arb_predicate().prop_map(Step::Add),
+        arb_conjunction().prop_map(Step::Intersect),
+        Just(Step::Reparse),
+    ];
+    proptest::collection::vec(step, 0..8)
+}
+
 proptest! {
     /// Range intersection is commutative up to membership.
     #[test]
@@ -157,6 +175,33 @@ proptest! {
         row.insert("c".to_string(), vc);
         if a.matches(&row) && b.matches(&row) {
             prop_assert!(a.overlaps(&b));
+        }
+    }
+
+    /// However a conjunction came by its slots — built from predicates,
+    /// added to, intersected, parsed back from its text — its slot list
+    /// holds no spare capacity, and the text reads back to an equal value.
+    #[test]
+    fn conjunction_capacity_is_its_length(start in arb_conjunction(), steps in arb_steps()) {
+        let slots = |c: &Conjunction| c.constrained_slots().count();
+        let mut c = start;
+        prop_assert_eq!(c.capacity(), slots(&c));
+        for step in steps {
+            c = match step {
+                Step::Add(p) => {
+                    c.add(&p);
+                    c
+                }
+                Step::Intersect(other) => c.intersect(&other),
+                Step::Reparse => {
+                    let text = c.to_text();
+                    let back = infosleuth_constraint::parse_conjunction(&text)
+                        .unwrap_or_else(|e| panic!("{text:?} does not read back: {e}"));
+                    prop_assert_eq!(&back, &c);
+                    back
+                }
+            };
+            prop_assert_eq!(c.capacity(), slots(&c));
         }
     }
 

@@ -147,7 +147,8 @@ pub struct OntologyContent {
     pub slots: SortedSet<String>,
     /// Supported class keys, e.g. `patient.id`.
     pub keys: SortedSet<String>,
-    /// Per-class fragments: `(class, fragment)` pairs.
+    /// Per-class fragments: `(class, fragment)` pairs; as built by
+    /// [`with_fragment`](Self::with_fragment), capacity equals length.
     pub fragments: Vec<(String, Fragment)>,
     /// Restrictions on the data, e.g. `patient.age between 43 and 75`.
     pub constraints: Conjunction,
@@ -193,7 +194,7 @@ impl OntologyContent {
     }
 
     pub fn with_fragment(mut self, class: impl Into<String>, frag: Fragment) -> Self {
-        self.fragments.push((class.into(), frag));
+        push_exact(&mut self.fragments, (class.into(), frag));
         self
     }
 
@@ -214,7 +215,8 @@ pub struct SemanticInfo {
     /// Free-text restrictions on those capabilities (e.g. "no statistical
     /// aggregation within queries").
     pub capability_restrictions: Vec<String>,
-    /// Content per supported ontology.
+    /// Content per supported ontology. This list and the one above have
+    /// capacity equal to length as the builders below make them.
     pub content: Vec<OntologyContent>,
 }
 
@@ -237,14 +239,23 @@ impl SemanticInfo {
     }
 
     pub fn with_capability_restriction(mut self, r: impl Into<String>) -> Self {
-        self.capability_restrictions.push(r.into());
+        push_exact(&mut self.capability_restrictions, r.into());
         self
     }
 
     pub fn with_content(mut self, content: OntologyContent) -> Self {
-        self.content.push(content);
+        push_exact(&mut self.content, content);
         self
     }
+}
+
+/// Appends to one of the lists above, growing it by exactly one slot, so
+/// a list the builders made has no spare capacity — as a
+/// [`SortedSet`](crate::SortedSet) has none. Most such lists hold one
+/// element, where a bare `push` would allocate room for four.
+fn push_exact<T>(list: &mut Vec<T>, item: T) {
+    list.reserve_exact(1);
+    list.push(item);
 }
 
 /// Agent properties (Fig. 9): adaptivity and processing statistics.

@@ -2,9 +2,10 @@
 //! capability and class-hierarchy reasoning is built on must be a strict
 //! partial order that agrees with graph reachability — and for
 //! [`SortedSet`], which must be a `BTreeSet` to every caller and a
-//! no-spare-capacity vector to the allocator.
+//! no-spare-capacity vector to the allocator, as must every list the
+//! advertisement builders append to.
 
-use infosleuth_ontology::{SortedSet, Sym, Taxonomy};
+use infosleuth_ontology::{Fragment, OntologyContent, SemanticInfo, SortedSet, Sym, Taxonomy};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -267,6 +268,45 @@ proptest! {
         prop_assert_eq!(collected.cmp(&other), oracle_a.cmp(&oracle_b));
         prop_assert_eq!(hash_of(&collected), hash_of(&oracle_a));
         prop_assert_eq!(collected.is_subset(&other), oracle_a.is_subset(&oracle_b));
+    }
+}
+
+/// One builder call on an advertisement's semantic information.
+#[derive(Debug, Clone)]
+enum Build {
+    /// A content record carrying this many fragments.
+    Content(usize),
+    Restriction,
+}
+
+proptest! {
+    /// The lists an advertisement's builders append to hold no spare
+    /// capacity, as a `SortedSet` holds none: content records, each
+    /// record's fragments, and capability restrictions, however the calls
+    /// interleave.
+    #[test]
+    fn built_lists_hold_no_spare_capacity(
+        calls in proptest::collection::vec(
+            prop_oneof![(0usize..4).prop_map(Build::Content), Just(Build::Restriction)],
+            0..8,
+        ),
+    ) {
+        let mut sem = SemanticInfo::default();
+        for (i, call) in calls.into_iter().enumerate() {
+            sem = match call {
+                Build::Content(fragments) => {
+                    let content = (0..fragments).fold(OntologyContent::new(format!("o{i}")), |c, f| {
+                        c.with_fragment(format!("c{f}"), Fragment::vertical([format!("s{f}")]))
+                    });
+                    prop_assert_eq!(content.fragments.capacity(), content.fragments.len());
+                    sem.with_content(content)
+                }
+                Build::Restriction => sem.with_capability_restriction(format!("r{i}")),
+            };
+            prop_assert_eq!(sem.content.capacity(), sem.content.len());
+            let restrictions = &sem.capability_restrictions;
+            prop_assert_eq!(restrictions.capacity(), restrictions.len());
+        }
     }
 }
 
