@@ -30,6 +30,9 @@ pub struct RuntimeConfig {
     /// Worker threads shared by every hosted agent. Must be at least 2
     /// when hosted agents query each other (a request from agent A to
     /// agent B needs a free worker to run B's handler while A's blocks).
+    /// An idle worker parks, and a new job goes to the one that parked
+    /// last, so a worker that load never reaches costs one parked thread
+    /// and no malloc arena of its own.
     pub workers: usize,
     /// Maximum envelopes of one agent being handled concurrently. Excess
     /// traffic queues in the transport mailbox — this is the backpressure
@@ -402,56 +405,87 @@ enum Job {
     Tick(Arc<AgentSlot>),
 }
 
-struct JobQueue {
-    inner: Mutex<JobQueueInner>,
-    available: Condvar,
+/// The pool's FIFO of jobs and its idle workers, parked LIFO.
+///
+/// Each worker parks on a condvar of its own, and a push wakes the one
+/// that parked last. A single shared condvar would wake the one that
+/// has waited longest, rotating a steady stream of jobs through every
+/// worker: each of them then keeps its own malloc arena's high-water
+/// pages, and every job lands on the coldest cache.
+struct JobQueue<J> {
+    inner: Mutex<JobQueueInner<J>>,
+    /// `wakers[i]` is the only condvar worker `i` waits on.
+    wakers: Box<[Condvar]>,
     /// Live depth of the shared queue (`runtime_queue_depth`) — the
     /// saturation signal for the worker pool.
     depth: Gauge,
 }
 
-struct JobQueueInner {
-    jobs: VecDeque<Job>,
+struct JobQueueInner<J> {
+    jobs: VecDeque<J>,
+    /// Parked workers, most recently parked last. A worker is on it only
+    /// while it waits and no push has signalled it, so a push never
+    /// signals a busy worker.
+    idle: Vec<usize>,
     shutdown: bool,
 }
 
-impl JobQueue {
-    fn new(depth: Gauge) -> Self {
+impl<J> JobQueue<J> {
+    fn new(workers: usize, depth: Gauge) -> Self {
         JobQueue {
-            inner: Mutex::new(JobQueueInner { jobs: VecDeque::new(), shutdown: false }),
-            available: Condvar::new(),
+            inner: Mutex::new(JobQueueInner {
+                jobs: VecDeque::new(),
+                idle: Vec::with_capacity(workers),
+                shutdown: false,
+            }),
+            wakers: (0..workers).map(|_| Condvar::new()).collect(),
             depth,
         }
     }
 
-    fn push(&self, job: Job) {
+    fn push(&self, job: J) {
         let mut inner = lock(&self.inner);
         if inner.shutdown {
             return;
         }
         inner.jobs.push_back(job);
         self.depth.add(1);
+        let hottest = inner.idle.pop();
         drop(inner);
-        self.available.notify_one();
+        if let Some(worker) = hottest {
+            self.wakers[worker].notify_one();
+        }
     }
 
-    fn pop(&self) -> Option<Job> {
+    /// The next job for worker `me`, parking it until there is one;
+    /// `None` once the queue is closed and drained.
+    fn pop(&self, me: usize) -> Option<J> {
         let mut inner = lock(&self.inner);
         loop {
             if let Some(job) = inner.jobs.pop_front() {
                 self.depth.add(-1);
+                debug_assert!(!inner.idle.contains(&me), "worker {me} took a job while parked");
                 return Some(job);
             }
             if inner.shutdown {
                 return None;
             }
-            inner = wait(&self.available, inner);
+            inner.idle.push(me);
+            inner = wait(&self.wakers[me], inner);
+            // A push takes the worker it signals off the stack; after a
+            // spurious wake (or `close`) it is still there and must leave
+            // before it takes a job, or a later push would signal it busy.
+            if let Some(at) = inner.idle.iter().rposition(|&w| w == me) {
+                inner.idle.remove(at);
+            }
         }
     }
 
     fn close(&self) {
         lock(&self.inner).shutdown = true;
-        self.available.notify_all();
+        for waker in self.wakers.iter() {
+            waker.notify_all();
+        }
     }
 }
 
@@ -459,7 +493,7 @@ struct RuntimeShared {
     transport: Arc<dyn Transport>,
     config: RuntimeConfig,
     slots: Mutex<Vec<Arc<AgentSlot>>>,
-    queue: JobQueue,
+    queue: JobQueue<Job>,
     shutting_down: AtomicBool,
     obs: Arc<Obs>,
     metrics: RuntimeMetrics,
@@ -477,13 +511,17 @@ pub struct AgentRuntime {
 
 impl AgentRuntime {
     pub fn new(transport: Arc<dyn Transport>, config: RuntimeConfig) -> Self {
+        // A struct literal bypasses the builders' clamps, and zero workers
+        // or a zero in-flight cap would hang every hosted agent silently.
+        let (workers, cap) = (config.workers, config.per_agent_inflight);
+        let config = config.with_workers(workers).with_per_agent_inflight(cap);
         let obs = config.obs.clone().unwrap_or_default();
         let metrics = RuntimeMetrics::new(&obs);
         let shared = Arc::new(RuntimeShared {
             transport,
+            queue: JobQueue::new(config.workers, metrics.queue_depth.clone()),
             config,
             slots: Mutex::new(Vec::new()),
-            queue: JobQueue::new(metrics.queue_depth.clone()),
             shutting_down: AtomicBool::new(false),
             obs,
             metrics,
@@ -494,7 +532,7 @@ impl AgentRuntime {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("runtime-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn runtime worker"), // lint: allow-unwrap
             );
         }
@@ -629,8 +667,8 @@ impl Drop for AgentHandle {
     }
 }
 
-fn worker_loop(shared: &RuntimeShared) {
-    while let Some(job) = shared.queue.pop() {
+fn worker_loop(shared: &RuntimeShared, me: usize) {
+    while let Some(job) = shared.queue.pop(me) {
         match job {
             Job::Deliver(slot, batch) => {
                 let n = batch.len();
@@ -740,18 +778,149 @@ mod tests {
 
     #[test]
     fn hosted_agent_replies_to_requests() {
-        let (bus, rt) = runtime_on_bus(RuntimeConfig::default());
-        let _echo = rt.spawn("echo", Arc::new(Echo)).unwrap();
-        let mut client = bus.register("client").unwrap();
-        let reply = client
-            .request(
+        // The struct literals skip the builders' clamps; `new` applies them.
+        for config in [
+            RuntimeConfig::default(),
+            RuntimeConfig { workers: 0, ..RuntimeConfig::default() },
+            RuntimeConfig { per_agent_inflight: 0, ..RuntimeConfig::default() },
+        ] {
+            let label = format!("{config:?}");
+            let (bus, rt) = runtime_on_bus(config);
+            let _echo = rt.spawn("echo", Arc::new(Echo)).unwrap();
+            let mut client = bus.register("client").unwrap();
+            let reply = client.request(
                 "echo",
                 Message::new(Performative::AskOne).with_content(SExpr::atom("hi")),
                 Duration::from_secs(2),
-            )
-            .unwrap();
-        assert_eq!(reply.content(), Some(&SExpr::atom("hi")));
+            );
+            assert_eq!(reply.unwrap().content(), Some(&SExpr::atom("hi")), "{label}");
+            rt.shutdown();
+        }
+    }
+
+    /// An echo that counts the envelopes it handled on each thread.
+    #[derive(Default)]
+    struct ThreadNotingEcho {
+        threads: Mutex<std::collections::BTreeMap<String, usize>>,
+    }
+
+    impl AgentBehavior for ThreadNotingEcho {
+        fn on_message(&self, ctx: &AgentContext, env: Envelope) {
+            let thread = std::thread::current().name().unwrap_or("unnamed").to_string();
+            *self.threads.lock().unwrap().entry(thread).or_default() += 1;
+            Echo.on_message(ctx, env);
+        }
+    }
+
+    /// Blocks until `workers` workers wait on `queue`'s idle stack.
+    fn wait_until_parked<J>(queue: &JobQueue<J>, workers: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while lock(&queue.inner).idle.len() < workers {
+            assert!(Instant::now() < deadline, "workers never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn sequential_requests_stay_on_the_hottest_worker() {
+        let config = RuntimeConfig::default();
+        let workers = config.workers;
+        let (bus, rt) = runtime_on_bus(config);
+        let echo = Arc::new(ThreadNotingEcho::default());
+        let _h = rt.spawn("echo", Arc::clone(&echo) as Arc<dyn AgentBehavior>).unwrap();
+        let mut client = bus.register("client").unwrap();
+        for i in 0..200 {
+            // Each request waits for the whole pool to park: the worker
+            // that answered the last one must be back on the stack, not
+            // preempted by parallel tests between its reply and its park.
+            // This checks the wake order, not the scheduler.
+            wait_until_parked(&rt.shared.queue, workers);
+            let ask = Message::new(Performative::AskOne).with_content(SExpr::atom(i.to_string()));
+            client.request("echo", ask, Duration::from_secs(2)).unwrap();
+        }
+        let threads = echo.threads.lock().unwrap().clone();
+        assert!(threads.keys().all(|t| t.starts_with("runtime-worker-")), "{threads:?}");
+        assert!(threads.len() <= 2, "200 sequential requests rotated through {threads:?}");
         rt.shutdown();
+    }
+
+    fn job_queue(workers: usize) -> Arc<JobQueue<usize>> {
+        Arc::new(JobQueue::new(workers, Obs::default().registry().gauge("queue_depth", &[])))
+    }
+
+    /// Spawns `workers` threads that drain `queue` until it closes,
+    /// counting the jobs they take.
+    fn drain_on_workers(
+        queue: &Arc<JobQueue<usize>>,
+        workers: usize,
+        handled: &Arc<AtomicUsize>,
+    ) -> Vec<JoinHandle<()>> {
+        (0..workers)
+            .map(|me| {
+                let (queue, handled) = (Arc::clone(queue), Arc::clone(handled));
+                std::thread::spawn(move || {
+                    while queue.pop(me).is_some() {
+                        handled.fetch_add(1, Ordering::AcqRel);
+                    }
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spurious_wakes_strand_no_job() {
+        // Every worker is woken over and over without a push; each must
+        // leave the idle stack before it takes a job (`pop`'s
+        // debug_assert), and no push may signal a busy worker and leave
+        // its job behind.
+        const WORKERS: usize = 4;
+        const JOBS: usize = 5_000;
+        let queue = job_queue(WORKERS);
+        let handled = Arc::new(AtomicUsize::new(0));
+        let workers = drain_on_workers(&queue, WORKERS, &handled);
+        let stop = Arc::new(AtomicBool::new(false));
+        let noise = {
+            let (queue, stop) = (Arc::clone(&queue), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    for waker in queue.wakers.iter() {
+                        waker.notify_all();
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        };
+        for job in 0..JOBS {
+            queue.push(job);
+            if job % 8 == 0 {
+                std::thread::yield_now();
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handled.load(Ordering::Acquire) < JOBS && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::Release);
+        noise.join().unwrap();
+        assert_eq!(handled.load(Ordering::Acquire), JOBS, "jobs stranded in the queue");
+        queue.close();
+        for worker in workers {
+            worker.join().expect("a worker took a job while still parked");
+        }
+    }
+
+    #[test]
+    fn close_releases_every_parked_worker() {
+        const WORKERS: usize = 8;
+        let queue = job_queue(WORKERS);
+        let workers = drain_on_workers(&queue, WORKERS, &Arc::new(AtomicUsize::new(0)));
+        wait_until_parked(&queue, WORKERS);
+        let started = Instant::now();
+        queue.close();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        assert!(started.elapsed() < Duration::from_secs(1), "close took {:?}", started.elapsed());
     }
 
     struct Slow {
