@@ -798,6 +798,34 @@ mod tests {
         }
     }
 
+    #[test]
+    fn malformed_trace_context_is_dispatched_under_a_fresh_root() {
+        use infosleuth_obs::{RingSink, SpanId, SpanSink, TraceId};
+        let sink = Arc::new(RingSink::new(64));
+        let obs = Obs::new();
+        obs.tracer().add_sink(Arc::clone(&sink) as Arc<dyn SpanSink>);
+        let (bus, rt) = runtime_on_bus(RuntimeConfig::default().with_obs(obs));
+        let _echo = rt.spawn("echo", Arc::new(Echo)).unwrap();
+        let mut client = bus.register("client").unwrap();
+        let sent = TraceContext { trace: TraceId(0x5eed), span: SpanId(7) };
+        for (rider, content) in [(sent.encode(), "good"), ("zz".to_string(), "bad")] {
+            let mut ask = Message::new(Performative::AskOne).with_content(SExpr::atom(content));
+            ask.set(TRACE_PARAM, SExpr::string(rider));
+            let reply = client.request("echo", ask, Duration::from_secs(2)).unwrap();
+            assert_eq!(reply.content(), Some(&SExpr::atom(content)), "handler reached");
+        }
+        // Join the workers: a dispatch span closes after its reply left.
+        rt.shutdown();
+        let recvs: Vec<_> = sink.drain().into_iter().filter(|r| r.name == "recv:ask-one").collect();
+        assert_eq!(recvs.len(), 2, "{recvs:?}");
+        let good = recvs.iter().find(|r| r.parent.is_some()).expect("a continued span");
+        let bad =
+            recvs.iter().find(|r| r.parent.is_none()).expect("a malformed rider roots a span");
+        assert_eq!((good.trace, good.parent), (sent.trace, Some(sent.span)));
+        assert_ne!(bad.trace, sent.trace);
+        assert_ne!(bad.trace, TraceId(0), "a fresh trace id is allocated");
+    }
+
     /// An echo that counts the envelopes it handled on each thread.
     #[derive(Default)]
     struct ThreadNotingEcho {

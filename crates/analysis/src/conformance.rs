@@ -309,41 +309,6 @@ impl ConformanceMonitor {
     }
 }
 
-/// Replays a textual event trace (one `sender -> receiver (kqml...)` line
-/// per event, `#` comments and blank lines skipped) through a strict
-/// standard monitor and returns the finished report. This is the corpus
-/// entry point for `.trace` fixtures.
-pub fn analyze_trace(origin: &str, src: &str) -> Report {
-    let mut monitor = ConformanceMonitor::standard_strict();
-    let mut report = Report::new(origin);
-    for (lineno, line) in src.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let parsed = line.split_once("->").and_then(|(from, rest)| {
-            let (to, kqml) = rest.split_once('(')?;
-            Some((from.trim().to_string(), to.trim().to_string(), format!("({kqml}")))
-        });
-        let Some((from, to, kqml)) = parsed else {
-            report.push(Diagnostic::new(
-                Code::SyntaxError,
-                format!("trace line {} is not `from -> to (kqml...)`", lineno + 1),
-            ));
-            continue;
-        };
-        match Message::parse(&kqml) {
-            Ok(msg) => monitor.observe(&from, &to, &msg),
-            Err(e) => report.push(Diagnostic::new(
-                Code::SyntaxError,
-                format!("trace line {}: {e}", lineno + 1),
-            )),
-        }
-    }
-    report.absorb(monitor.finish());
-    report.sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,15 +402,5 @@ mod tests {
         assert_eq!(drained, vec![Code::OutOfOrderReply]);
         // Draining leaves the running total intact.
         assert_eq!(m.total_violations(), 1);
-    }
-
-    #[test]
-    fn trace_replay_detects_seeded_violations() {
-        let src = "# duplicate ack trace\n\
-                   client -> broker (advertise :reply-with m1 :content ad)\n\
-                   broker -> client (tell :in-reply-to m1 :content ok)\n\
-                   broker -> client (tell :in-reply-to m1 :content ok)\n";
-        let report = analyze_trace("dup.trace", src);
-        assert_eq!(report.codes(), vec![Code::DuplicateAck]);
     }
 }

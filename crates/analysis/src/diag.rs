@@ -1,10 +1,10 @@
 //! The diagnostics framework: error codes, severities, source spans, and
-//! human/JSON renderers.
+//! a human-readable renderer.
 //!
 //! Every pass reports through [`Report`], so the broker's admission
 //! pipeline, the `infosleuth-lint` binary, and tests all consume the same
 //! structured output. Diagnostic ordering is deterministic (span, then
-//! code, then message) so golden tests and the JSON report are stable.
+//! code, then message) so golden tests are stable.
 
 use std::fmt;
 
@@ -33,8 +33,7 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes. The `IS0xx` numbering groups codes by pass:
 /// `IS00x` syntax/safety, `IS01x` LDL program structure, `IS02x`
-/// advertisements, `IS03x` KQML conformance, `IS04x` conversation-protocol
-/// statics, `IS05x` runtime conversation conformance, `IS06x` source
+/// advertisements, `IS04x` conversation-protocol statics, `IS05x` runtime conversation conformance, `IS06x` source
 /// hygiene. Variant declaration order mirrors the numbering so the
 /// derived `Ord` sorts diagnostics by code group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,18 +79,6 @@ pub enum Code {
     /// IS027: a subscription constrains nothing at all — it would fire on
     /// every repository mutation and match every agent.
     VacuousSubscription,
-    /// IS030: a performative outside the known KQML vocabulary.
-    UnknownPerformative,
-    /// IS031: a parameter required (or strongly expected) by the
-    /// performative is missing.
-    MissingParameter,
-    /// IS032: a message template is structurally malformed.
-    MalformedTemplate,
-    /// IS033: a reserved KQML parameter holds a non-text value.
-    NonTextReservedParameter,
-    /// IS034: a `:x-trace` parameter does not hold a valid encoded
-    /// trace context (`"<trace-hex16>-<span-hex16>"`).
-    InvalidTraceContext,
     /// IS040: a protocol transition names a state that is never declared.
     UndefinedProtocolState,
     /// IS041: a declared protocol state is unreachable from the initial
@@ -145,11 +132,6 @@ impl Code {
             Code::InvalidFragment => "IS025",
             Code::UnsatisfiableSubscription => "IS026",
             Code::VacuousSubscription => "IS027",
-            Code::UnknownPerformative => "IS030",
-            Code::MissingParameter => "IS031",
-            Code::MalformedTemplate => "IS032",
-            Code::NonTextReservedParameter => "IS033",
-            Code::InvalidTraceContext => "IS034",
             Code::UndefinedProtocolState => "IS040",
             Code::UnreachableProtocolState => "IS041",
             Code::NondeterministicTransition => "IS042",
@@ -185,11 +167,6 @@ impl Code {
         Code::InvalidFragment,
         Code::UnsatisfiableSubscription,
         Code::VacuousSubscription,
-        Code::UnknownPerformative,
-        Code::MissingParameter,
-        Code::MalformedTemplate,
-        Code::NonTextReservedParameter,
-        Code::InvalidTraceContext,
         Code::UndefinedProtocolState,
         Code::UnreachableProtocolState,
         Code::NondeterministicTransition,
@@ -204,15 +181,15 @@ impl Code {
     ];
 
     /// The severity a pass assigns by default. Advisory findings (dead
-    /// rules, duplicates, subsumption, unknown performatives) warn;
-    /// everything else is an admission-blocking error.
+    /// rules, duplicates, subsumption, unhandled performatives, orphan
+    /// conversations) warn; everything else is an admission-blocking
+    /// error.
     pub fn default_severity(&self) -> Severity {
         match self {
             Code::UnreachableRule
             | Code::ImpossibleComparison
             | Code::DuplicateRule
             | Code::SubsumedAdvertisement
-            | Code::UnknownPerformative
             | Code::UnreachableProtocolState
             | Code::UnhandledPerformative
             | Code::OrphanConversation => Severity::Warning,
@@ -370,42 +347,6 @@ impl Report {
         }
         out
     }
-
-    /// Renders the report as a JSON object. Hand-rolled (the workspace has
-    /// no serialization dependency), deterministic given a
-    /// [`Self::sorted`] report.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\"origin\":");
-        json_string(&mut out, &self.origin);
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"code\":\"");
-            out.push_str(d.code.as_str());
-            out.push_str("\",\"severity\":\"");
-            out.push_str(d.severity.as_str());
-            out.push_str("\",\"message\":");
-            json_string(&mut out, &d.message);
-            match d.span {
-                Some(s) => {
-                    out.push_str(&format!(",\"span\":{{\"start\":{},\"end\":{}}}", s.start, s.end))
-                }
-                None => out.push_str(",\"span\":null"),
-            }
-            out.push_str(",\"notes\":[");
-            for (j, n) in d.notes.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, n);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 /// 1-based line and column of a byte offset.
@@ -417,22 +358,6 @@ fn line_col(src: &str, at: usize) -> (usize, usize) {
     (line, col + 1)
 }
 
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,7 +367,6 @@ mod tests {
         assert_eq!(Code::SyntaxError.as_str(), "IS001");
         assert_eq!(Code::RecursionThroughNegation.as_str(), "IS010");
         assert_eq!(Code::UnsatisfiableConstraints.as_str(), "IS020");
-        assert_eq!(Code::UnknownPerformative.as_str(), "IS030");
         assert_eq!(Code::UndefinedProtocolState.as_str(), "IS040");
         assert_eq!(Code::OutOfOrderReply.as_str(), "IS050");
         assert_eq!(Code::UncheckedUnwrap.as_str(), "IS060");
@@ -466,7 +390,7 @@ mod tests {
         // `ALL` must stay exhaustive: the derived Ord follows declaration
         // order, so the last variant in the table must compare >= every
         // variant the table contains.
-        assert_eq!(Code::ALL.len(), 33, "update Code::ALL when adding a variant");
+        assert_eq!(Code::ALL.len(), 28, "update Code::ALL when adding a variant");
     }
 
     #[test]
@@ -493,16 +417,6 @@ mod tests {
         assert!(text.contains("rules.ldl:2:1"), "{text}");
         assert!(text.contains("bad(X, Y) :- base(X)."), "{text}");
         assert!(text.contains('^'), "{text}");
-    }
-
-    #[test]
-    fn json_rendering_escapes_and_is_wellformed() {
-        let mut r = Report::new("a\"b");
-        r.push(Diagnostic::new(Code::SyntaxError, "line1\nline2").with_span(Span::point(3)));
-        let json = r.render_json();
-        assert!(json.contains("\"origin\":\"a\\\"b\""), "{json}");
-        assert!(json.contains("\"message\":\"line1\\nline2\""), "{json}");
-        assert!(json.contains("\"span\":{\"start\":3,\"end\":4}"), "{json}");
     }
 
     #[test]

@@ -14,19 +14,6 @@
 //! broker's actual conversation behaviour, which
 //! [`crate::conformance::ConformanceMonitor`] interprets at runtime.
 //!
-//! Specs can also be written as s-expressions (see [`parse_protocol`])
-//! so the lint corpus can pin each diagnostic with a fixture:
-//!
-//! ```text
-//! (protocol advertise
-//!   (states start awaiting done)
-//!   (final done)
-//!   (declares advertise tell sorry)
-//!   (t start advertise awaiting (opens reply))
-//!   (t awaiting tell done (discharges reply))
-//!   (t awaiting sorry done (discharges reply)))
-//! ```
-//!
 //! Trigger matching is *most-specific-wins*: a trigger may name a bare
 //! performative (`tell`) or refine it with a content head
 //! (`tell/sub-delta`, matching a `tell` whose content is a list headed by
@@ -34,8 +21,8 @@
 //! one from the same state, so the pair is deterministic; two transitions
 //! with *identical* triggers from one state are IS042.
 
-use crate::diag::{Code, Diagnostic, Report, Span};
-use infosleuth_kqml::{Message, SExpr};
+use crate::diag::{Code, Diagnostic, Report};
+use infosleuth_kqml::Message;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Effect a transition has on the standing-subscription registry the
@@ -65,14 +52,6 @@ impl Trigger {
 
     pub fn with_head(performative: impl Into<String>, head: impl Into<String>) -> Self {
         Trigger { performative: performative.into(), content_head: Some(head.into()) }
-    }
-
-    /// Parses `perf` or `perf/content-head`.
-    pub fn parse(s: &str) -> Self {
-        match s.split_once('/') {
-            Some((p, h)) => Trigger::with_head(p, h),
-            None => Trigger::new(s),
-        }
     }
 
     /// Does `msg` satisfy this trigger? Bare triggers match any content;
@@ -111,8 +90,6 @@ pub struct ProtoTransition {
     /// Obligation label this transition discharges.
     pub discharges: Option<String>,
     pub sub: Option<SubEffect>,
-    /// Byte span in the s-expression source, when parsed from text.
-    pub span: Option<Span>,
 }
 
 impl ProtoTransition {
@@ -124,7 +101,6 @@ impl ProtoTransition {
             opens: None,
             discharges: None,
             sub: None,
-            span: None,
         }
     }
 
@@ -228,17 +204,13 @@ pub fn analyze_protocol(spec: &ProtocolSpec) -> Report {
     for t in &spec.transitions {
         for (role, name) in [("source", &t.from), ("target", &t.to)] {
             if !states.contains(name.as_str()) {
-                let mut d = Diagnostic::new(
+                report.push(Diagnostic::new(
                     Code::UndefinedProtocolState,
                     format!(
                         "transition on `{}` names undeclared {role} state `{name}`",
                         t.on.render()
                     ),
-                );
-                if let Some(span) = t.span {
-                    d = d.with_span(span);
-                }
-                report.push(d);
+                ));
             }
         }
     }
@@ -283,7 +255,7 @@ pub fn analyze_protocol(spec: &ProtocolSpec) -> Report {
     for (i, t) in spec.transitions.iter().enumerate() {
         let key = (t.from.as_str(), t.on.render());
         if let Some(&first) = seen.get(&key) {
-            let mut d = Diagnostic::new(
+            report.push(Diagnostic::new(
                 Code::NondeterministicTransition,
                 format!(
                     "state `{}` has two transitions on `{}` (targets `{}` and `{}`)",
@@ -292,11 +264,7 @@ pub fn analyze_protocol(spec: &ProtocolSpec) -> Report {
                     spec.transitions[first].to,
                     t.to
                 ),
-            );
-            if let Some(span) = t.span {
-                d = d.with_span(span);
-            }
-            report.push(d);
+            ));
         } else {
             seen.insert(key, i);
         }
@@ -341,19 +309,16 @@ pub fn analyze_protocol(spec: &ProtocolSpec) -> Report {
         }
         for t in spec.transitions.iter().filter(|t| t.opens.as_deref() == Some(o)) {
             if reachable.contains(t.from.as_str()) && !can_discharge.contains(t.to.as_str()) {
-                let mut d =
-                    Diagnostic::new(
-                        Code::UndischargeableObligation,
-                        format!(
+                report.push(Diagnostic::new(
+                    Code::UndischargeableObligation,
+                    format!(
                         "obligation `{o}` opened by `{}` from state `{}` can never be discharged \
                          from state `{}`",
-                        t.on.render(), t.from, t.to
+                        t.on.render(),
+                        t.from,
+                        t.to
                     ),
-                    );
-                if let Some(span) = t.span {
-                    d = d.with_span(span);
-                }
-                report.push(d);
+                ));
             }
         }
     }
@@ -508,121 +473,10 @@ pub fn standard_protocols() -> Vec<ProtocolSpec> {
     vec![mutation, ask, broker_one, subscribe, unsubscribe, ping]
 }
 
-/// Parses one `(protocol name ...)` s-expression into a spec. Returns the
-/// spec (possibly partial) plus a report of structural problems; a syntax
-/// error yields `None` and an IS001 diagnostic.
-pub fn parse_protocol(origin: &str, src: &str) -> (Option<ProtocolSpec>, Report) {
-    let mut report = Report::new(origin);
-    let expr = match SExpr::parse(src) {
-        Ok(e) => e,
-        Err(e) => {
-            report.push(
-                Diagnostic::new(
-                    Code::SyntaxError,
-                    format!("malformed s-expression: {}", e.message),
-                )
-                .with_span(Span::point(e.position.min(src.len().saturating_sub(1)))),
-            );
-            return (None, report);
-        }
-    };
-    let Some(items) = expr.as_list() else {
-        report.push(Diagnostic::new(Code::SyntaxError, "expected a (protocol ...) list"));
-        return (None, report);
-    };
-    if items.first().and_then(SExpr::as_atom) != Some("protocol") {
-        report.push(Diagnostic::new(Code::SyntaxError, "expected a (protocol ...) list"));
-        return (None, report);
-    }
-    let Some(name) = items.get(1).and_then(SExpr::as_atom) else {
-        report.push(Diagnostic::new(Code::SyntaxError, "protocol is missing its name atom"));
-        return (None, report);
-    };
-
-    let mut spec = ProtocolSpec {
-        name: name.to_string(),
-        states: Vec::new(),
-        finals: Vec::new(),
-        declares: Vec::new(),
-        transitions: Vec::new(),
-    };
-    for clause in &items[2..] {
-        let Some(parts) = clause.as_list() else {
-            report.push(Diagnostic::new(Code::SyntaxError, "protocol clause is not a list"));
-            continue;
-        };
-        match parts.first().and_then(SExpr::as_atom) {
-            Some("states") => {
-                spec.states.extend(parts[1..].iter().filter_map(SExpr::as_atom).map(String::from));
-            }
-            Some("final") => {
-                spec.finals.extend(parts[1..].iter().filter_map(SExpr::as_atom).map(String::from));
-            }
-            Some("declares") => {
-                spec.declares
-                    .extend(parts[1..].iter().filter_map(SExpr::as_atom).map(String::from));
-            }
-            Some("t") => {
-                let (Some(from), Some(on), Some(to)) = (
-                    parts.get(1).and_then(SExpr::as_atom),
-                    parts.get(2).and_then(SExpr::as_atom),
-                    parts.get(3).and_then(SExpr::as_atom),
-                ) else {
-                    report.push(Diagnostic::new(
-                        Code::SyntaxError,
-                        "transition needs (t from trigger to ...)",
-                    ));
-                    continue;
-                };
-                let mut t = ProtoTransition::new(from, Trigger::parse(on), to);
-                for ann in &parts[4..] {
-                    let Some(pair) = ann.as_list() else {
-                        report.push(Diagnostic::new(
-                            Code::SyntaxError,
-                            "transition annotation is not a list",
-                        ));
-                        continue;
-                    };
-                    match (
-                        pair.first().and_then(SExpr::as_atom),
-                        pair.get(1).and_then(SExpr::as_atom),
-                    ) {
-                        (Some("opens"), Some(o)) => t.opens = Some(o.to_string()),
-                        (Some("discharges"), Some(o)) => t.discharges = Some(o.to_string()),
-                        (Some("sub"), Some("activate")) => t.sub = Some(SubEffect::Activate),
-                        (Some("sub"), Some("close")) => t.sub = Some(SubEffect::Close),
-                        (Some("sub"), Some("delta")) => t.sub = Some(SubEffect::Delta),
-                        _ => report.push(Diagnostic::new(
-                            Code::SyntaxError,
-                            format!("unknown transition annotation in protocol `{name}`"),
-                        )),
-                    }
-                }
-                spec.transitions.push(t);
-            }
-            _ => report.push(Diagnostic::new(
-                Code::SyntaxError,
-                "unknown protocol clause (expected states/final/declares/t)",
-            )),
-        }
-    }
-    (Some(spec), report)
-}
-
-/// Parses a `.proto` source and runs the static pass over it: structural
-/// problems and IS04x findings land in one report.
-pub fn analyze_protocol_source(origin: &str, src: &str) -> Report {
-    let (spec, mut report) = parse_protocol(origin, src);
-    if let Some(spec) = spec {
-        report.absorb(analyze_protocol(&spec));
-    }
-    report.sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infosleuth_kqml::Performative;
+    use infosleuth_kqml::{Performative, SExpr};
 
     fn msg(p: Performative) -> Message {
         Message::new(p)
@@ -695,27 +549,5 @@ mod tests {
         assert_eq!(unhandled.len(), 2, "{}", report.render_human(None));
         assert!(unhandled.iter().all(|d| d.severity == crate::Severity::Warning));
         assert!(!report.has_errors());
-    }
-
-    #[test]
-    fn sexpr_roundtrip_parses_and_analyzes() {
-        let src = "(protocol advertise\n  (states start awaiting done)\n  (final done)\n  \
-                   (declares advertise tell sorry)\n  (t start advertise awaiting (opens reply))\n  \
-                   (t awaiting tell done (discharges reply))\n  \
-                   (t awaiting sorry done (discharges reply)))";
-        let report = analyze_protocol_source("good.proto", src);
-        assert!(report.is_clean(), "{}", report.render_human(Some(src)));
-
-        let bad = "(protocol p (states a b) (final b) (t a ping c))";
-        let report = analyze_protocol_source("bad.proto", bad);
-        assert!(report.codes().contains(&Code::UndefinedProtocolState), "{:?}", report.codes());
-    }
-
-    #[test]
-    fn parse_errors_are_is001() {
-        let report = analyze_protocol_source("x.proto", "(protocol");
-        assert_eq!(report.codes(), vec![Code::SyntaxError]);
-        let report = analyze_protocol_source("x.proto", "(not-a-protocol)");
-        assert_eq!(report.codes(), vec![Code::SyntaxError]);
     }
 }

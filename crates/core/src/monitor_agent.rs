@@ -799,8 +799,17 @@ mod tests {
             spawn_obs_reporter(&runtime, "broker-1", "monitor-agent", Duration::from_secs(3600))
                 .unwrap();
         let depth = runtime.obs().registry().gauge("test_queue_depth", &[]);
+        let points = || {
+            monitor.metric_history("broker-1", "test_queue_depth").first().map_or(0, |s| s.1.len())
+        };
         depth.set(3);
         reporter.flush();
+        // The monitor handles up to `per_agent_inflight` tells at once, so
+        // the second snapshot waits until the first has landed.
+        let deadline = std::time::Instant::now() + Duration::from_secs(3);
+        while points() < 1 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         depth.set(500);
         reporter.flush();
 
@@ -825,8 +834,7 @@ mod tests {
             .unwrap();
 
         let deadline = std::time::Instant::now() + Duration::from_secs(3);
-        while (monitor.health_states().is_empty()
-            || monitor.metric_history("broker-1", "test_queue_depth").is_empty())
+        while (monitor.health_states().is_empty() || points() < 2)
             && std::time::Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(5));

@@ -32,5 +32,5 @@ mod text;
 
 pub use message::{KqmlError, Message, Performative};
 pub use sexpr::{SExpr, SExprError};
-pub use template::{standard_templates, unify, Bindings, Template};
+pub use template::{unify, Bindings, Template};
 pub use text::Text;

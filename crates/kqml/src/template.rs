@@ -74,37 +74,6 @@ impl Template {
     }
 }
 
-/// The conversation templates the InfoSleuth agents ship — one request
-/// shape per conversation-opening performative, as advertised to peers.
-/// Named so tooling (`infosleuth-lint`) can check each one for
-/// conformance.
-pub fn standard_templates() -> Vec<(&'static str, Template)> {
-    const SOURCES: &[(&str, &str)] = &[
-        ("advertise", "(advertise :sender ?agent :receiver ?broker :content ?ad)"),
-        ("unadvertise", "(unadvertise :sender ?agent :receiver ?broker :content ?ad)"),
-        (
-            "ask-all",
-            "(ask-all :sender ?agent :receiver ?peer :reply-with ?id :language ?lang :content ?query)",
-        ),
-        (
-            "ask-one",
-            "(ask-one :sender ?agent :receiver ?peer :reply-with ?id :language ?lang :content ?query)",
-        ),
-        ("subscribe", "(subscribe :sender ?agent :receiver ?peer :reply-with ?id :content ?query)"),
-        ("tell", "(tell :sender ?agent :receiver ?peer :in-reply-to ?id :content ?result)"),
-        ("reply", "(reply :sender ?agent :receiver ?peer :in-reply-to ?id :content ?result)"),
-        ("sorry", "(sorry :sender ?agent :receiver ?peer :in-reply-to ?id)"),
-        ("broker-one", "(broker-one :sender ?agent :receiver ?broker :content ?request)"),
-        ("recruit-all", "(recruit-all :sender ?agent :receiver ?broker :content ?query)"),
-        ("recruit-one", "(recruit-one :sender ?agent :receiver ?broker :content ?query)"),
-        ("ping", "(ping :sender ?agent :receiver ?peer :reply-with ?id)"),
-    ];
-    SOURCES
-        .iter()
-        .map(|(name, src)| (*name, Template::parse(src).expect("standard template parses")))
-        .collect()
-}
-
 /// Unifies two s-expressions where *either* side may contain variables.
 /// Returns the merged bindings on success. (Template matching, where only
 /// the pattern has variables, is the common case; advertisement-vs-request
@@ -198,19 +167,6 @@ fn contains_var(e: &SExpr, var: &str) -> bool {
 mod tests {
     use super::*;
     use crate::Performative;
-
-    #[test]
-    fn standard_templates_match_their_messages() {
-        let templates: BTreeMap<&str, Template> = standard_templates().into_iter().collect();
-        let ask = Message::parse(
-            r#"(ask-all :sender ua1 :receiver ra1 :reply-with q1 :language "LDL" :content (q))"#,
-        )
-        .unwrap();
-        assert!(templates["ask-all"].match_message(&ask).is_some());
-        assert!(templates["subscribe"].match_message(&ask).is_none());
-        let sorry = Message::parse("(sorry :sender b :receiver ua1 :in-reply-to q1)").unwrap();
-        assert!(templates["sorry"].match_message(&sorry).is_some());
-    }
 
     #[test]
     fn simple_variable_binding() {

@@ -6,27 +6,23 @@
 //!   broker's matchmaking rule base, representative example-scenario
 //!   advertisements derived over the sample ontologies exactly the way
 //!   the `Community` builder derives them, the monitor agent's
-//!   advertisement, and the standard KQML conversation templates. A clean
+//!   advertisement, the conversation-protocol table the conformance
+//!   monitor interprets, and the runtime crates' sources (IS060). A clean
 //!   tree reports zero diagnostics.
-//! - [`lint_corpus`] runs the analyzers over a directory of deliberately
-//!   broken inputs (`*.ldl`, `*.ad`, `*.kqml`, `*.sq`, `*.proto`
-//!   conversation-protocol specs, `*.trace` conversation event traces) and
-//!   compares each file's diagnostics against its `*.expected` fixture,
-//!   one `IS0xx` code per line. This is the analyzer's own regression
-//!   suite.
-//! - [`lint_protocols`] analyzes the shipped conversation-protocol table
-//!   (the `--protocol` mode of the binary).
+//! - [`lint_corpus`] runs the admission passes over a directory of
+//!   deliberately broken inputs (`*.ldl`, `*.ad`, `*.sq`) and compares
+//!   each file's diagnostics against its `*.expected` fixture, one
+//!   `IS0xx` code per line. This is the analyzer's own regression suite.
 
 #![forbid(unsafe_code)]
 
 use infosleuth_analysis::{
-    analyze_advertisement, analyze_ldl_source, analyze_message, analyze_protocol_source,
-    analyze_protocol_table, analyze_service_query, analyze_template, analyze_trace,
+    analyze_advertisement, analyze_ldl_source, analyze_protocol_table, analyze_service_query,
     standard_protocols, AdContext, Code, Diagnostic, Report, Span,
 };
 use infosleuth_core::broker::codec;
 use infosleuth_core::constraint::parse_conjunction;
-use infosleuth_core::kqml::{standard_templates, Message, SExpr};
+use infosleuth_core::kqml::SExpr;
 use infosleuth_core::ontology::{
     healthcare_ontology, paper_class_ontology, standard_capability_taxonomy, Ontology,
 };
@@ -59,25 +55,15 @@ pub fn lint_repo() -> Vec<Report> {
         reports.push(analyze_advertisement(&ad, &ctx));
     }
 
-    // The standard KQML conversation templates.
-    for (name, template) in standard_templates() {
-        reports.push(analyze_template(&format!("kqml/template/{name}"), &template));
-    }
-
-    // The shipped conversation-protocol table (IS04x statics).
-    reports.push(lint_protocols());
+    // The conversation-protocol table the conformance monitor interprets
+    // (IS04x statics).
+    reports.push(analyze_protocol_table(&standard_protocols()));
 
     // Source hygiene (IS060) over the runtime crates: `.unwrap()` /
     // `.expect(` outside test modules must carry an explicit
     // `// lint: allow-unwrap` waiver.
     reports.extend(scan_source_hygiene(Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))));
     reports
-}
-
-/// Analyzes the shipped conversation-protocol table — the `--protocol`
-/// mode of the binary, and part of [`lint_repo`].
-pub fn lint_protocols() -> Report {
-    analyze_protocol_table(&standard_protocols())
 }
 
 /// Directories (relative to the repo root) whose non-test sources must be
@@ -198,22 +184,20 @@ impl CorpusCase {
     }
 }
 
-/// Runs the analyzers over every `*.ldl`, `*.ad`, `*.kqml`, `*.sq`
-/// (standing service query), `*.proto` (conversation-protocol spec), and
-/// `*.trace` (conversation event trace) file in `dir` and compares
-/// against the `*.expected` fixtures. An `.ldl` file whose first line
-/// contains `% env: matchmaking` is analyzed against the broker's fact
-/// schema; others are analyzed permissively.
+/// The corpus inputs, by extension; each may sit beside an `.expected`
+/// fixture of the same stem.
+const CORPUS_SOURCES: &[&str] = &["ldl", "ad", "sq"];
+
+/// Runs the admission passes over every `*.ldl`, `*.ad` and `*.sq`
+/// (standing service query) file in `dir` and compares against the
+/// `*.expected` fixtures. An `.ldl` file whose first line contains
+/// `% env: matchmaking` is analyzed against the broker's fact schema;
+/// others are analyzed permissively. Any other file — an `.expected`
+/// whose source is gone, or an extension no pass reads — is a failing
+/// case of its own, so nothing in the corpus goes unchecked.
 pub fn lint_corpus(dir: &Path) -> io::Result<Vec<CorpusCase>> {
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            matches!(
-                p.extension().and_then(|e| e.to_str()),
-                Some("ldl" | "ad" | "kqml" | "sq" | "proto" | "trace")
-            )
-        })
-        .collect();
+    let mut paths: Vec<PathBuf> =
+        fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<io::Result<_>>()?;
     paths.sort();
     let tax = standard_capability_taxonomy();
     let healthcare = healthcare_ontology();
@@ -221,24 +205,36 @@ pub fn lint_corpus(dir: &Path) -> io::Result<Vec<CorpusCase>> {
     let ctx = AdContext::new().with_taxonomy(&tax).with_ontologies([&healthcare, &paper]);
     let mut cases = Vec::new();
     for path in paths {
-        let src = fs::read_to_string(&path)?;
         let origin = path.file_name().and_then(|n| n.to_str()).unwrap_or("corpus").to_string();
-        let report = match path.extension().and_then(|e| e.to_str()) {
-            Some("ldl") => analyze_corpus_ldl(&origin, &src),
-            Some("ad") => analyze_corpus_ad(&origin, &src, &ctx),
-            Some("kqml") => analyze_corpus_kqml(&origin, &src),
-            Some("sq") => analyze_corpus_sq(&origin, &src, &ctx),
-            Some("proto") => analyze_protocol_source(&origin, &src),
-            Some("trace") => analyze_trace(&origin, &src),
-            _ => unreachable!("filtered above"),
+        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or_default();
+        let report = match ext {
+            "ldl" => analyze_corpus_ldl(&origin, &fs::read_to_string(&path)?),
+            "ad" => analyze_corpus_ad(&origin, &fs::read_to_string(&path)?, &ctx),
+            "sq" => analyze_corpus_sq(&origin, &fs::read_to_string(&path)?, &ctx),
+            "expected" if CORPUS_SOURCES.iter().any(|e| path.with_extension(e).is_file()) => {
+                continue; // read beside its source
+            }
+            "expected" => stray(&origin, "fixture has no `.ldl`, `.ad` or `.sq` source beside it"),
+            _ => stray(&origin, "not a corpus input: the passes read `.ldl`, `.ad` and `.sq`"),
         };
-        let expected = read_expected(&path.with_extension("expected"))?;
+        // A stray file expects nothing: its presence alone fails the case.
+        let expected = if CORPUS_SOURCES.contains(&ext) {
+            read_expected(&path.with_extension("expected"))?
+        } else {
+            Vec::new()
+        };
         let mut actual: Vec<String> =
             report.diagnostics.iter().map(|d| d.code.as_str().to_string()).collect();
         actual.sort();
         cases.push(CorpusCase { path, expected, actual, report });
     }
     Ok(cases)
+}
+
+fn stray(origin: &str, why: &str) -> Report {
+    let mut report = Report::new(origin);
+    report.push(Diagnostic::new(Code::SyntaxError, why));
+    report
 }
 
 fn analyze_corpus_ldl(origin: &str, src: &str) -> Report {
@@ -277,22 +273,6 @@ fn analyze_corpus_sq(origin: &str, src: &str, ctx: &AdContext<'_>) -> Report {
         Err(message) => {
             let mut report = Report::new(origin);
             report.push(Diagnostic::new(Code::SyntaxError, message).with_span(Span::point(0)));
-            report
-        }
-    }
-}
-
-fn analyze_corpus_kqml(origin: &str, src: &str) -> Report {
-    match Message::parse(src.trim()) {
-        Ok(msg) => {
-            let mut report = analyze_message(&msg);
-            report.origin = origin.to_string();
-            report
-        }
-        Err(e) => {
-            let mut report = Report::new(origin);
-            report
-                .push(Diagnostic::new(Code::SyntaxError, e.to_string()).with_span(Span::point(0)));
             report
         }
     }
@@ -359,8 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn protocol_table_lint_is_clean() {
-        let report = lint_protocols();
-        assert!(report.is_clean(), "{}", report.render_human(None));
+    fn orphans_in_the_corpus_fail() {
+        let fixture = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/orphans"));
+        let cases = lint_corpus(fixture).expect("fixture readable");
+        let names: Vec<&str> = cases.iter().filter_map(|c| c.path.file_name()?.to_str()).collect();
+        assert_eq!(names, ["notes.txt", "orphan.expected"]);
+        for case in &cases {
+            assert!(!case.passed(), "{} passed", case.path.display());
+            assert_eq!(case.actual, ["IS001"]);
+        }
     }
 }

@@ -2,87 +2,61 @@
 //! regression corpus.
 //!
 //! ```text
-//! infosleuth-lint [--json]                 lint every shipped artifact
-//! infosleuth-lint [--json] --corpus DIR    run the expected-diagnostic corpus
-//! infosleuth-lint [--json] --protocol      verify the conversation-protocol table
+//! infosleuth-lint                 lint every shipped artifact
+//! infosleuth-lint --corpus DIR    run the expected-diagnostic corpus
 //! ```
 //!
 //! Repo mode exits nonzero if *any* diagnostic (including warnings) is
 //! reported — the shipped tree must be spotless. Corpus mode exits nonzero
-//! if any file's diagnostics differ from its `.expected` fixture. Protocol
-//! mode runs only the IS04x statics over the shipped protocol table.
+//! if any file's diagnostics differ from its `.expected` fixture, or if the
+//! directory holds a file no pass reads.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: infosleuth-lint [--corpus DIR]";
+
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut protocol = false;
     let mut corpus: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
-            "--protocol" => protocol = true,
             "--corpus" => match args.next() {
                 Some(dir) => corpus = Some(PathBuf::from(dir)),
                 None => return usage("--corpus needs a directory"),
             },
             "--help" | "-h" => {
-                eprintln!("usage: infosleuth-lint [--json] [--corpus DIR | --protocol]");
+                eprintln!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument '{other}'")),
         }
     }
-    match (corpus, protocol) {
-        (Some(_), true) => usage("--corpus and --protocol are mutually exclusive"),
-        (Some(dir), false) => run_corpus(&dir, json),
-        (None, true) => run_protocol(json),
-        (None, false) => run_repo(json),
+    match corpus {
+        Some(dir) => run_corpus(&dir),
+        None => run_repo(),
     }
 }
 
 fn usage(problem: &str) -> ExitCode {
     eprintln!("infosleuth-lint: {problem}");
-    eprintln!("usage: infosleuth-lint [--json] [--corpus DIR | --protocol]");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
-fn run_protocol(json: bool) -> ExitCode {
-    let report = infosleuth_lint::lint_protocols();
-    if json {
-        println!("[{}]", report.render_json());
-    } else if report.is_clean() {
-        println!("ok    {} (conversation-protocol table)", report.origin);
-    } else {
-        print!("{}", report.render_human(None));
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn run_repo(json: bool) -> ExitCode {
+fn run_repo() -> ExitCode {
     let reports = infosleuth_lint::lint_repo();
     let total: usize = reports.iter().map(|r| r.diagnostics.len()).sum();
-    if json {
-        let items: Vec<String> = reports.iter().map(|r| r.render_json()).collect();
-        println!("[{}]", items.join(","));
-    } else {
-        for report in &reports {
-            if report.is_clean() {
-                println!("ok    {}", report.origin);
-            } else {
-                print!("{}", report.render_human(None));
-            }
+    for report in &reports {
+        if report.is_clean() {
+            println!("ok    {}", report.origin);
+        } else {
+            print!("{}", report.render_human(None));
         }
-        println!("{} artifact(s) checked, {} diagnostic(s)", reports.len(), total);
     }
+    println!("{} artifact(s) checked, {} diagnostic(s)", reports.len(), total);
     if total == 0 {
         ExitCode::SUCCESS
     } else {
@@ -90,7 +64,7 @@ fn run_repo(json: bool) -> ExitCode {
     }
 }
 
-fn run_corpus(dir: &std::path::Path, json: bool) -> ExitCode {
+fn run_corpus(dir: &std::path::Path) -> ExitCode {
     let cases = match infosleuth_lint::lint_corpus(dir) {
         Ok(cases) => cases,
         Err(e) => {
@@ -103,27 +77,21 @@ fn run_corpus(dir: &std::path::Path, json: bool) -> ExitCode {
         return ExitCode::from(2);
     }
     let mut failed = 0usize;
-    if json {
-        let items: Vec<String> = cases.iter().map(|c| c.report.render_json()).collect();
-        println!("[{}]", items.join(","));
-        failed = cases.iter().filter(|c| !c.passed()).count();
-    } else {
-        for case in &cases {
-            if case.passed() {
-                println!("PASS  {}  [{}]", case.path.display(), case.actual.join(", "));
-            } else {
-                failed += 1;
-                println!(
-                    "FAIL  {}  expected [{}], got [{}]",
-                    case.path.display(),
-                    case.expected.join(", "),
-                    case.actual.join(", ")
-                );
-                print!("{}", case.report.render_human(None));
-            }
+    for case in &cases {
+        if case.passed() {
+            println!("PASS  {}  [{}]", case.path.display(), case.actual.join(", "));
+        } else {
+            failed += 1;
+            println!(
+                "FAIL  {}  expected [{}], got [{}]",
+                case.path.display(),
+                case.expected.join(", "),
+                case.actual.join(", ")
+            );
+            print!("{}", case.report.render_human(None));
         }
-        println!("{} corpus case(s), {} failure(s)", cases.len(), failed);
     }
+    println!("{} corpus case(s), {} failure(s)", cases.len(), failed);
     if failed == 0 {
         ExitCode::SUCCESS
     } else {

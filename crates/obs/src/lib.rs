@@ -40,9 +40,9 @@ pub use trace::{
 };
 
 /// KQML parameter carrying the trace context across agents, written
-/// as `:x-trace "<trace-hex16>-<span-hex16>"` on the wire. The
-/// analysis KQML pass whitelists it (and flags malformed values as
-/// IS034), so traced deployments stay lint-clean.
+/// as `:x-trace "<trace-hex16>-<span-hex16>"` on the wire. A value
+/// [`TraceContext::parse`] rejects is ignored: the message is still
+/// dispatched, under a fresh root span.
 pub const TRACE_PARAM: &str = "x-trace";
 
 use std::sync::Arc;

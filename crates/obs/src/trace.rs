@@ -58,8 +58,8 @@ impl TraceContext {
     }
 
     /// Strict parse of the wire form: exactly two 16-hexdigit halves
-    /// joined by `-`. Anything else is rejected (the analysis pass
-    /// flags it as IS034).
+    /// joined by `-`. Anything else is rejected, and the receiving
+    /// runtime dispatches the message under a fresh root span.
     pub fn parse(s: &str) -> Option<TraceContext> {
         if s.len() != 33 || s.as_bytes()[16] != b'-' {
             return None;

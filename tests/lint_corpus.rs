@@ -31,9 +31,14 @@ fn corpus_diagnostics_match_fixtures() {
 
 #[test]
 fn shipped_artifacts_are_spotless() {
-    for report in lint_repo() {
+    let reports = lint_repo();
+    for report in &reports {
         assert!(report.is_clean(), "{}", report.render_human(None));
     }
+    assert!(
+        reports.iter().any(|r| r.origin == "protocol-table"),
+        "repo mode must check the conversation-protocol table"
+    );
 }
 
 #[test]
