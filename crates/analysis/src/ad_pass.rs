@@ -8,6 +8,7 @@
 //! subsumed by one already registered for the same agent (IS024).
 
 use crate::diag::{Code, Diagnostic, Report};
+use infosleuth_kqml::Text;
 use infosleuth_ontology::{Advertisement, Ontology, OntologyContent, Taxonomy};
 use std::collections::BTreeMap;
 
@@ -172,7 +173,7 @@ fn slot_known(slot: &str, content: &OntologyContent, onto: &Ontology) -> bool {
             Err(_) => false,
         };
     }
-    let mut candidates: Vec<&str> = content.classes.iter().map(String::as_str).collect();
+    let mut candidates: Vec<&str> = content.classes.iter().map(Text::as_str).collect();
     if candidates.is_empty() {
         candidates = onto.class_names().collect();
     }

@@ -11,6 +11,7 @@
 
 use crate::ad_pass::AdContext;
 use crate::diag::{Code, Diagnostic, Report};
+use infosleuth_kqml::Text;
 use infosleuth_ontology::{Ontology, ServiceQuery};
 
 /// Runs every subscription-query check; `origin` names the artifact (an
@@ -110,7 +111,7 @@ fn slot_known(slot: &str, query: &ServiceQuery, onto: &Ontology) -> bool {
             Err(_) => false,
         };
     }
-    let mut candidates: Vec<&str> = query.classes.iter().map(String::as_str).collect();
+    let mut candidates: Vec<&str> = query.classes.iter().map(Text::as_str).collect();
     if candidates.is_empty() {
         candidates = onto.class_names().collect();
     }

@@ -10,7 +10,7 @@ use crate::codec::{self, SearchRequest};
 use crate::matchmaker::{MatchResult, Matchmaker};
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_agent::{AgentContext, BusError, Envelope};
-use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_kqml::{Message, Performative, SExpr, Text};
 use infosleuth_obs::sync::lock;
 use infosleuth_ontology::{AgentType, ServiceQuery, SortedSet};
 use std::time::Instant;
@@ -83,7 +83,7 @@ pub(super) fn handle_query(
 /// the system with the capabilities and data domain that it is interested
 /// in" and reconfigure its preferred-broker list.
 fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
-    let fits = |ontologies: &SortedSet<String>| match &query.ontology {
+    let fits = |ontologies: &SortedSet<Text>| match &query.ontology {
         None => true,
         // A specialist fits if it covers the domain; a general-purpose
         // broker (empty specialization) fits anything.
@@ -95,10 +95,10 @@ fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
         for b in state.repo.broker_advertisements() {
             if fits(&b.specialization.ontologies) {
                 out.push(MatchResult {
-                    name: b.base.location.name.clone(),
-                    address: b.base.location.address.clone(),
+                    name: b.base.location.name.to_string(),
+                    address: b.base.location.address.to_string(),
                     score: if b.specialization.ontologies.is_empty() { 1 } else { 2 },
-                    ontology: query.ontology.clone(),
+                    ontology: query.ontology.as_deref().map(str::to_string),
                     ..MatchResult::default()
                 });
             }
@@ -110,7 +110,7 @@ fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
             name: shared.config.name.clone(),
             address: shared.config.address.clone(),
             score: if shared.config.objective.is_general_purpose() { 1 } else { 2 },
-            ontology: query.ontology.clone(),
+            ontology: query.ontology.as_deref().map(str::to_string),
             ..MatchResult::default()
         });
     }
@@ -231,7 +231,9 @@ fn peer_candidates(
             .broker_advertisements()
             .filter(|b| {
                 let name = &b.base.location.name;
-                if request.visited.contains(name) || name == &shared.config.name {
+                if request.visited.iter().any(|v| name == v.as_str())
+                    || name == shared.config.name.as_str()
+                {
                     return false;
                 }
                 match (&request.query.ontology, b.specialization.ontologies.is_empty()) {
@@ -241,7 +243,7 @@ fn peer_candidates(
                     (Some(o), false) => b.specialization.ontologies.contains(o),
                 }
             })
-            .map(|b| b.base.location.name.clone())
+            .map(|b| b.base.location.name.to_string())
             .collect()
     };
     let now = Instant::now();

@@ -94,7 +94,7 @@ fn admit(
             } else {
                 BrokerObjective::Specialized { ontologies: b.specialization.ontologies.clone() }
             };
-            (b.base.location.name.clone(), objective.fit(&ad))
+            (b.base.location.name.to_string(), objective.fit(&ad))
         })
         .collect();
     match shared.config.objective.admit(&ad, &peer_fits) {

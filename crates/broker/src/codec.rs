@@ -95,16 +95,41 @@ fn text_items(items: &[SExpr]) -> Vec<String> {
     out
 }
 
+/// An item's text as a name field holds it: an atom's own `Text`, or a
+/// quoted string's text in one — never by way of a `String`, so a decoded
+/// name weighs what a built or cloned one does.
+fn text_of(e: &SExpr) -> Option<Text> {
+    match e {
+        SExpr::Atom(text) => Some(text.clone()),
+        SExpr::Str(s) => Some(Text::from(&**s)),
+        SExpr::List(_) => None,
+    }
+}
+
+/// The names of every item that has one.
+fn name_items<C: FromIterator<Text>>(items: &[SExpr]) -> C {
+    items.iter().filter_map(text_of).collect()
+}
+
+/// The text of the first item of the first `(head ...)` section.
+fn one_str<'a>(items: &'a [SExpr], head: &'a str) -> Option<&'a str> {
+    find(items, head)?.first()?.as_text()
+}
+
 fn one_text(items: &[SExpr], head: &str) -> Option<String> {
-    find(items, head).and_then(|s| s.first()).and_then(|e| e.as_text()).map(str::to_string)
+    one_str(items, head).map(str::to_string)
+}
+
+fn one_name(items: &[SExpr], head: &str) -> Option<Text> {
+    find(items, head)?.first().and_then(text_of)
 }
 
 fn one_f64(items: &[SExpr], head: &str) -> Option<f64> {
-    one_text(items, head).and_then(|t| t.parse().ok())
+    one_str(items, head).and_then(|t| t.parse().ok())
 }
 
 fn one_bool(items: &[SExpr], head: &str) -> Option<bool> {
-    one_text(items, head).and_then(|t| t.parse().ok())
+    one_str(items, head).and_then(|t| t.parse().ok())
 }
 
 fn constraints_to_sexpr(c: &Conjunction) -> SExpr {
@@ -112,9 +137,9 @@ fn constraints_to_sexpr(c: &Conjunction) -> SExpr {
 }
 
 fn constraints_from(items: &[SExpr]) -> Result<Conjunction, CodecError> {
-    match one_text(items, "constraints") {
+    match one_str(items, "constraints") {
         None => Ok(Conjunction::always()),
-        Some(text) => parse_conjunction(&text).map_err(|e| err(format!("bad constraints: {e}"))),
+        Some(text) => parse_conjunction(text).map_err(|e| err(format!("bad constraints: {e}"))),
     }
 }
 
@@ -148,27 +173,23 @@ fn content_to_sexpr(c: &OntologyContent) -> SExpr {
 }
 
 fn content_from(items: &[SExpr]) -> Result<OntologyContent, CodecError> {
-    let ontology = one_text(items, "ontology").ok_or_else(|| err("content missing ontology"))?;
+    let ontology = one_name(items, "ontology").ok_or_else(|| err("content missing ontology"))?;
     let mut c = OntologyContent::new(ontology);
     if let Some(classes) = find(items, "classes") {
-        c.classes = text_items(classes).into_iter().collect();
+        c.classes = name_items(classes);
     }
     if let Some(slots) = find(items, "slots") {
-        c.slots = text_items(slots).into_iter().collect();
+        c.slots = name_items(slots);
     }
     if let Some(keys) = find(items, "keys") {
-        c.keys = text_items(keys).into_iter().collect();
+        c.keys = name_items(keys);
     }
     c.constraints = constraints_from(items)?;
     if let Some(frags) = find(items, "fragments") {
         for f in frags {
             let list = f.as_list().ok_or_else(|| err("fragment must be a list"))?;
             let kind = list.first().and_then(SExpr::as_atom).ok_or_else(|| err("fragment kind"))?;
-            let class = list
-                .get(1)
-                .and_then(SExpr::as_text)
-                .ok_or_else(|| err("fragment class"))?
-                .to_string();
+            let class = list.get(1).and_then(text_of).ok_or_else(|| err("fragment class"))?;
             let frag = match kind {
                 "vertical" => Fragment::Vertical { slots: text_items(&list[2..]) },
                 "horizontal" => {
@@ -197,7 +218,7 @@ pub fn advertisement_to_sexpr(ad: &Advertisement) -> SExpr {
         section("type", [SExpr::atom(ad.location.agent_type.to_string())]),
         texts("query-languages", &ad.syntactic.query_languages),
         texts("comm-languages", &ad.syntactic.communication_languages),
-        atoms("conversations", ad.semantic.conversations.iter().map(|c| c.to_string())),
+        atoms("conversations", ad.semantic.conversations.iter().map(ConversationType::as_str)),
         atoms("capabilities", ad.semantic.capabilities.iter().map(|c| c.as_str())),
     ];
     let restrictions =
@@ -222,23 +243,24 @@ pub fn advertisement_to_sexpr(ad: &Advertisement) -> SExpr {
 /// Decodes an `(advertisement ...)` payload.
 pub fn advertisement_from_sexpr(e: &SExpr) -> Result<Advertisement, CodecError> {
     let items = body_of(e, "advertisement")?;
-    let name = one_text(items, "name").ok_or_else(|| err("advertisement missing name"))?;
-    let address = one_text(items, "address").ok_or_else(|| err("advertisement missing address"))?;
-    let agent_type: AgentType = one_text(items, "type")
+    let name = one_name(items, "name").ok_or_else(|| err("advertisement missing name"))?;
+    let address = one_name(items, "address").ok_or_else(|| err("advertisement missing address"))?;
+    let agent_type: AgentType = one_str(items, "type")
         .ok_or_else(|| err("advertisement missing type"))?
         .parse()
         .expect("AgentType parsing is infallible"); // lint: allow-unwrap
     let mut ad = Advertisement::new(AgentLocation::new(name, address, agent_type));
-    ad.syntactic = SyntacticInfo::new(
-        find(items, "query-languages").map(text_items).unwrap_or_default(),
-        find(items, "comm-languages").map(text_items).unwrap_or_default(),
-    );
+    ad.syntactic = SyntacticInfo {
+        query_languages: find(items, "query-languages").map(name_items).unwrap_or_default(),
+        communication_languages: find(items, "comm-languages").map(name_items).unwrap_or_default(),
+    };
     let mut sem = SemanticInfo::default();
     if let Some(convs) = find(items, "conversations") {
-        sem.conversations = text_items(convs).into_iter().map(|s| parse_conversation(&s)).collect();
+        sem.conversations =
+            convs.iter().filter_map(SExpr::as_text).map(parse_conversation).collect();
     }
     if let Some(caps) = find(items, "capabilities") {
-        sem.capabilities = text_items(caps).into_iter().map(Capability::new).collect();
+        sem.capabilities = caps.iter().filter_map(text_of).map(Capability).collect();
     }
     if let Some(rs) = find(items, "capability-restrictions") {
         sem.capability_restrictions = text_items(rs);
@@ -291,18 +313,19 @@ pub fn broker_advertisement_from_sexpr(e: &SExpr) -> Result<BrokerAdvertisement,
     let base = advertisement_from_sexpr(base_expr)?;
     let mut ad = BrokerAdvertisement::new(base);
     if let Some(cons) = find(items, "consortia") {
-        ad.consortia = text_items(cons).into_iter().collect();
+        ad.consortia = name_items(cons);
     }
     if let Some(spec) = find(items, "specialization") {
         let mut s = BrokerSpecialization::default();
         if let Some(tys) = find(spec, "agent-types") {
-            s.agent_types = text_items(tys)
-                .into_iter()
+            s.agent_types = tys
+                .iter()
+                .filter_map(SExpr::as_text)
                 .map(|t| t.parse().expect("AgentType parsing is infallible")) // lint: allow-unwrap
                 .collect();
         }
         if let Some(os) = find(spec, "ontologies") {
-            s.ontologies = text_items(os).into_iter().collect();
+            s.ontologies = name_items(os);
         }
         if let Some(rs) = find(spec, "restrictions") {
             s.restrictions = text_items(rs);
@@ -386,7 +409,7 @@ fn digest_from(items: &[SExpr]) -> Result<CapabilityDigest, CodecError> {
         .filter(|k| DIGEST_K_RANGE.contains(k))
         .ok_or_else(|| err(format!("digest k must be in {DIGEST_K_RANGE:?}")))?;
     d.unprunable = one_bool(items, "unprunable").unwrap_or(false);
-    d.bits = hex_to_bits(&one_text(items, "bits").unwrap_or_default())?;
+    d.bits = hex_to_bits(one_str(items, "bits").unwrap_or_default())?;
     if d.ads > 0 && d.bits.is_empty() && !d.unprunable {
         return Err(err("digest summarizes advertisements but carries no filter bits"));
     }
@@ -453,7 +476,7 @@ pub fn service_query_to_sexpr(q: &ServiceQuery) -> SExpr {
         q.query_language.as_ref().map(|l| texts("query-language", [l])),
         q.communication_language.as_ref().map(|l| texts("comm-language", [l])),
         (!q.conversations.is_empty())
-            .then(|| atoms("conversations", q.conversations.iter().map(|c| c.to_string()))),
+            .then(|| atoms("conversations", q.conversations.iter().map(ConversationType::as_str))),
         (!q.capabilities.is_empty())
             .then(|| atoms("capabilities", q.capabilities.iter().map(|c| c.as_str()))),
         q.ontology.as_ref().map(|o| section("ontology", [SExpr::atom(o)])),
@@ -472,25 +495,25 @@ pub fn service_query_to_sexpr(q: &ServiceQuery) -> SExpr {
 pub fn service_query_from_sexpr(e: &SExpr) -> Result<ServiceQuery, CodecError> {
     let items = body_of(e, "service-query")?;
     let mut q = ServiceQuery::any();
-    if let Some(t) = one_text(items, "type") {
+    if let Some(t) = one_str(items, "type") {
         // Infallible: unknown type strings become AgentType::Other.
         q.agent_type = t.parse().ok();
     }
-    q.agent_name = one_text(items, "name");
-    q.query_language = one_text(items, "query-language");
-    q.communication_language = one_text(items, "comm-language");
+    q.agent_name = one_name(items, "name");
+    q.query_language = one_name(items, "query-language");
+    q.communication_language = one_name(items, "comm-language");
     if let Some(convs) = find(items, "conversations") {
-        q.conversations = text_items(convs).iter().map(|s| parse_conversation(s)).collect();
+        q.conversations = convs.iter().filter_map(SExpr::as_text).map(parse_conversation).collect();
     }
     if let Some(caps) = find(items, "capabilities") {
-        q.capabilities = text_items(caps).into_iter().map(Capability::new).collect();
+        q.capabilities = caps.iter().filter_map(text_of).map(Capability).collect();
     }
-    q.ontology = one_text(items, "ontology");
+    q.ontology = one_name(items, "ontology");
     if let Some(cs) = find(items, "classes") {
-        q.classes = text_items(cs).into_iter().collect();
+        q.classes = name_items(cs);
     }
     if let Some(ss) = find(items, "slots") {
-        q.slots = text_items(ss).into_iter().collect();
+        q.slots = name_items(ss);
     }
     q.constraints = constraints_from(items)?;
     q.max_response_time = one_f64(items, "max-response-time");
@@ -735,7 +758,7 @@ mod tests {
             Advertisement::new(AgentLocation::new("b1", "tcp://h:1", AgentType::Broker))
                 .with_syntactic(SyntacticInfo::new(["LDL"], ["KQML"])),
         );
-        ad.consortia = ["alpha".to_string(), "beta".to_string()].into_iter().collect();
+        ad.consortia = ["alpha".into(), "beta".into()].into();
         ad.specialization.ontologies.insert("healthcare".into());
         ad.specialization.agent_types.insert(AgentType::Resource);
         ad.specialization.restrictions.push("patients only".into());
@@ -944,10 +967,48 @@ mod tests {
         let delta = over_the_wire(sub_delta_to_sexpr(7, &rows, &gone));
         assert_eq!(sub_delta_from_sexpr(&delta).unwrap(), (7, rows, gone));
         let mut ad = sample_ad();
-        ad.location.name = row.name;
-        ad.semantic.content[0].classes = ["blood test".to_string()].into_iter().collect();
+        ad.location.name = row.name.into();
+        ad.semantic.content[0].classes = ["blood test".into()].into();
         let back = advertisement_from_sexpr(&over_the_wire(advertisement_to_sexpr(&ad)));
         assert_eq!(back.unwrap(), ad);
+    }
+
+    /// Names on either side of the 22 bytes a `Text` holds in place, a
+    /// vocabulary word, and names that travel quoted come back from the
+    /// wire as the same advertisement and query, each in every field that
+    /// holds a name.
+    #[test]
+    fn names_at_the_inline_boundary_survive_the_wire() {
+        const NAMES: [&str; 5] =
+            ["twenty-two-bytes-long!", "twenty-three-bytes-long", "KQML", "SQL 2.0", "a(b) c"];
+        assert_eq!((NAMES[0].len(), NAMES[1].len()), (22, 23));
+        let over_the_wire = |e: SExpr| SExpr::parse(&e.to_string()).unwrap();
+        for name in NAMES {
+            let ad = Advertisement::new(AgentLocation::new(name, name, AgentType::Resource))
+                .with_syntactic(SyntacticInfo::new([name, "SQL 2.0"], [name]))
+                .with_semantic(
+                    SemanticInfo::default().with_capabilities([name]).with_content(
+                        OntologyContent::new(name)
+                            .with_classes([name])
+                            .with_slots([name, "KQML"])
+                            .with_keys([name])
+                            .with_fragment(name, Fragment::vertical([name])),
+                    ),
+                );
+            let back = advertisement_from_sexpr(&over_the_wire(advertisement_to_sexpr(&ad)));
+            assert_eq!(back.unwrap(), ad, "{name}");
+
+            let mut q = ServiceQuery::any()
+                .with_query_language(name)
+                .with_communication_language(name)
+                .with_capability(name)
+                .with_ontology(name)
+                .with_classes([name, "twenty-three-bytes-long"])
+                .with_slots([name]);
+            q.agent_name = Some(name.into());
+            let back = service_query_from_sexpr(&over_the_wire(service_query_to_sexpr(&q)));
+            assert_eq!(back.unwrap(), q, "{name}");
+        }
     }
 
     #[test]

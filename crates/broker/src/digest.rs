@@ -97,7 +97,7 @@ fn term_symbol(term: Term<'_>) -> u64 {
         Term::AgentType(t) => symbol(b't', &t.to_string()),
         Term::QueryLanguage(lang) => symbol(b'q', lang),
         Term::CommunicationLanguage(lang) => symbol(b'l', lang),
-        Term::Conversation(conv) => symbol(b'v', &conv.to_string()),
+        Term::Conversation(conv) => symbol(b'v', conv.as_str()),
         Term::Capability(cap) => symbol(b'p', cap),
         Term::Ontology(onto) => symbol(b'o', onto),
         Term::Class(onto, class) => symbol(b'c', &format!("{onto}\u{1}{class}")),

@@ -59,7 +59,7 @@ fn assert_agent_facts(db: &mut Database, ad: &Advertisement) {
         db.assert("comm", [name, Const::str(l)]);
     }
     for c in &ad.semantic.conversations {
-        db.assert("conv", [name, Const::sym(c.to_string())]);
+        db.assert("conv", [name, Const::sym(c.as_str())]);
     }
     for c in &ad.semantic.capabilities {
         db.assert("cap", [name, Const::sym(c.as_str())]);

@@ -9,8 +9,9 @@
 
 use crate::repository::{ClassCredit, IdSet, Repository};
 use crate::sub_index::numeric_hull;
+use infosleuth_kqml::Text;
 use infosleuth_ldl::Saturated;
-use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, Sym};
+use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, SortedSet, Sym};
 use std::sync::Arc;
 
 /// One recommended agent, with the ranking score that ordered it and the
@@ -213,8 +214,11 @@ impl Matchmaker {
         query: &ServiceQuery,
     ) -> Vec<MatchResult> {
         let probe = Probe::model(model, query);
+        // Every advertisement, in the index's order: `rank` orders the rows.
         let results = repo
-            .agents()
+            .ad_index()
+            .iter()
+            .map(|ad| &**ad)
             .filter(|ad| match &query.agent_name {
                 Some(name) => name == &ad.location.name,
                 None => true,
@@ -303,7 +307,7 @@ impl Matchmaker {
         }
         match survivors {
             Some(words) => index.ads_in(&words),
-            None => repo.agents().collect(),
+            None => index.iter().map(|ad| &**ad).collect(),
         }
     }
 
@@ -316,14 +320,14 @@ impl Matchmaker {
     ) -> Option<MatchResult> {
         let MatchOutcome { score, content } = self.score_agent(ad, query, probe)?;
         Some(MatchResult {
-            name: ad.location.name.clone(),
-            address: ad.location.address.clone(),
+            name: String::from(&ad.location.name),
+            address: String::from(&ad.location.address),
             score,
             estimated_response_time: ad.properties.estimated_response_time,
-            ontology: content.map(|c| c.ontology.clone()),
-            classes: content.map(|c| c.classes.iter().cloned().collect()).unwrap_or_default(),
-            slots: content.map(|c| c.slots.iter().cloned().collect()).unwrap_or_default(),
-            keys: content.map(|c| c.keys.iter().cloned().collect()).unwrap_or_default(),
+            ontology: content.map(|c| String::from(&c.ontology)),
+            classes: content.map(|c| names(&c.classes)).unwrap_or_default(),
+            slots: content.map(|c| names(&c.slots)).unwrap_or_default(),
+            keys: content.map(|c| names(&c.keys)).unwrap_or_default(),
         })
     }
 
@@ -456,16 +460,12 @@ impl Matchmaker {
         }
 
         // Fragments: a fragment advertised for a requested class must be
-        // able to contribute to the request. The requested-slot list is
-        // only materialized when a fragment actually needs checking.
-        if !content.fragments.is_empty() {
-            let requested_slots: Vec<String> = query.slots.iter().cloned().collect();
-            for (class, frag) in &content.fragments {
-                if query.classes.contains(class)
-                    && !frag.contributes_to(&requested_slots, &query.constraints)
-                {
-                    return None;
-                }
+        // able to contribute to the request.
+        for (class, frag) in &content.fragments {
+            if query.classes.contains(class)
+                && !frag.contributes_to(query.slots.as_slice(), &query.constraints)
+            {
+                return None;
             }
         }
 
@@ -490,6 +490,11 @@ impl Matchmaker {
 
 /// Orders results best-first (score descending, then name — a total
 /// order) and applies the requested truncation.
+/// A result row's copy of a name list.
+fn names(set: &SortedSet<Text>) -> Vec<String> {
+    set.iter().map(String::from).collect()
+}
+
 fn rank(mut results: Vec<MatchResult>, query: &ServiceQuery) -> Vec<MatchResult> {
     results.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
     if let Some(n) = query.max_matches {

@@ -5,6 +5,7 @@
 //! develop a specialty in brokering over certain chosen domains, then it
 //! should only accept advertisements that overlap with its chosen domains."
 
+use infosleuth_kqml::Text;
 use infosleuth_ontology::{Advertisement, SortedSet};
 
 /// What a broker decides to do with an incoming advertisement.
@@ -29,14 +30,14 @@ pub enum BrokerObjective {
     GeneralPurpose,
     /// Accepts only advertisements whose content overlaps the chosen
     /// ontologies.
-    Specialized { ontologies: SortedSet<String> },
+    Specialized { ontologies: SortedSet<Text> },
 }
 
 impl BrokerObjective {
     pub fn specialized<I, S>(ontologies: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         BrokerObjective::Specialized {
             ontologies: ontologies.into_iter().map(Into::into).collect(),
@@ -83,7 +84,7 @@ impl BrokerObjective {
     }
 
     /// The specialty ontologies (empty for general-purpose brokers).
-    pub fn ontologies(&self) -> SortedSet<String> {
+    pub fn ontologies(&self) -> SortedSet<Text> {
         match self {
             BrokerObjective::GeneralPurpose => SortedSet::new(),
             BrokerObjective::Specialized { ontologies } => ontologies.clone(),

@@ -11,6 +11,7 @@ use crate::facts::{compile_agent_facts, compile_facts, matchmaking_env, matchmak
 use crate::sub_index::ad_slot_hulls;
 use infosleuth_agent::AgentAddress;
 use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, Report, Severity};
+use infosleuth_kqml::Text;
 use infosleuth_ldl::{parse_rules, Database, LdlParseError, Program, Rule, Saturated};
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
@@ -80,9 +81,10 @@ pub(crate) enum ClassCredit {
     Contributes,
 }
 
-/// Whether a closure run (ascending by name) holds `name`.
-fn names(run: &[Sym], name: &str) -> bool {
-    run.binary_search_by(|held| held.as_str().cmp(name)).is_ok()
+/// Whether a closure run (ascending by name) holds `name`, compared as
+/// bytes: an advertised name's bytes are read without a UTF-8 check.
+fn names(run: &[Sym], name: &[u8]) -> bool {
+    run.binary_search_by(|held| held.as_str().as_bytes().cmp(name)).is_ok()
 }
 
 /// A set of dense advertisement ids as a bitmap, kept trimmed (the last
@@ -143,7 +145,7 @@ where
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct OntologyPostings {
     any: IdSet,
-    by_class: HashMap<String, IdSet>,
+    by_class: HashMap<Text, IdSet>,
 }
 
 impl OntologyPostings {
@@ -202,33 +204,34 @@ pub(crate) enum Term<'a> {
 
 /// The narrowing index over the advertisements, maintained on every
 /// advertise/unadvertise so matchmaking intersects machine words instead
-/// of scanning the repository. Each stored advertisement holds a dense
-/// `u32` id (recycled on unadvertise); the seven posting dimensions are
-/// bitmaps over those ids, and each constrained slot has a column of
-/// per-advertisement hulls filled by [`ad_slot_hulls`].
+/// of scanning the repository. It is also the repository's one store of
+/// advertisements: each holds a dense `u32` id (recycled on unadvertise),
+/// found by agent name; the seven posting dimensions are bitmaps over
+/// those ids, and each constrained slot has a column of per-advertisement
+/// hulls filled by [`ad_slot_hulls`]. Every key is a [`Text`], so a name
+/// of up to 22 bytes is held in its map entry.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct AdIndex {
-    ids: HashMap<String, u32>,
+    ids: HashMap<Text, u32>,
     /// Advertisement by id; `None` marks an id on the free list.
     ads: Vec<Option<Arc<Advertisement>>>,
     free: Vec<u32>,
     by_agent_type: HashMap<AgentType, IdSet>,
-    by_query_language: HashMap<String, IdSet>,
-    by_communication_language: HashMap<String, IdSet>,
-    by_capability: HashMap<String, IdSet>,
+    by_query_language: HashMap<Text, IdSet>,
+    by_communication_language: HashMap<Text, IdSet>,
+    by_capability: HashMap<Text, IdSet>,
     by_conversation: HashMap<ConversationType, IdSet>,
-    by_ontology: HashMap<String, OntologyPostings>,
-    hulls: HashMap<String, HullColumn>,
+    by_ontology: HashMap<Text, OntologyPostings>,
+    hulls: HashMap<Text, HullColumn>,
 }
 
 impl AdIndex {
-    fn insert(&mut self, ad: &Arc<Advertisement>) {
+    fn insert(&mut self, ad: Arc<Advertisement>) {
         let id = self.free.pop().unwrap_or_else(|| {
             let id = u32::try_from(self.ads.len()).expect("fewer than 2^32 ads"); // lint: allow-unwrap
             self.ads.push(None);
             id
         });
-        self.ads[id as usize] = Some(Arc::clone(ad));
         self.ids.insert(ad.location.name.clone(), id);
         self.by_agent_type.entry(ad.location.agent_type.clone()).or_default().insert(id);
         for lang in &ad.syntactic.query_languages {
@@ -238,7 +241,7 @@ impl AdIndex {
             self.by_communication_language.entry(lang.clone()).or_default().insert(id);
         }
         for c in &ad.semantic.capabilities {
-            self.by_capability.entry(c.as_str().to_string()).or_default().insert(id);
+            self.by_capability.entry(c.0.clone()).or_default().insert(id);
         }
         for c in &ad.semantic.conversations {
             self.by_conversation.entry(c.clone()).or_default().insert(id);
@@ -250,19 +253,36 @@ impl AdIndex {
                 postings.by_class.entry(class.clone()).or_default().insert(id);
             }
         }
-        for (slot, hull) in ad_slot_hulls(ad) {
-            let column = self.hulls.entry(slot.to_string()).or_default();
+        for (slot, hull) in ad_slot_hulls(&ad) {
+            let column = self.hulls.entry(Text::from(slot)).or_default();
             if column.bounds.len() <= id as usize {
                 column.bounds.resize(id as usize + 1, OPEN);
             }
             column.bounds[id as usize] = hull;
             column.constrained += 1;
         }
+        self.ads[id as usize] = Some(ad);
     }
 
-    fn remove(&mut self, ad: &Advertisement) {
-        let Some(id) = self.ids.remove(&ad.location.name) else { return };
-        self.ads[id as usize] = None;
+    /// The advertisement stored for `agent`.
+    fn get(&self, agent: &str) -> Option<&Arc<Advertisement>> {
+        let id = *self.ids.get(agent)?;
+        self.ads[id as usize].as_ref()
+    }
+
+    /// Every stored advertisement, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Advertisement>> {
+        self.ads.iter().flatten()
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Takes `agent`'s advertisement out of the index, if it holds one.
+    fn remove(&mut self, agent: &str) -> Option<Arc<Advertisement>> {
+        let id = self.ids.remove(agent)?;
+        let ad = self.ads[id as usize].take()?;
         self.free.push(id);
         unpost(&mut self.by_agent_type, &ad.location.agent_type, id);
         for lang in &ad.syntactic.query_languages {
@@ -290,7 +310,7 @@ impl AdIndex {
         // The freed id must read as open to whoever is advertised into it.
         // The slots are `insert`'s own, so `constrained` stays exact even for
         // a hull whose union over the content records came out unbounded.
-        for slot in ad_slot_hulls(ad).into_keys() {
+        for slot in ad_slot_hulls(&ad).into_keys() {
             let Some(column) = self.hulls.get_mut(slot) else { continue };
             column.bounds[id as usize] = OPEN;
             column.constrained -= 1;
@@ -298,6 +318,7 @@ impl AdIndex {
                 self.hulls.remove(slot);
             }
         }
+        Some(ad)
     }
 
     /// Advertisements of agent type `t`.
@@ -457,15 +478,15 @@ impl FactBase {
 /// [`saturated`](Self::saturated) model; only derived rules need one.
 #[derive(Clone)]
 pub struct Repository {
-    /// Advertisements are `Arc`ed so the narrowing index and a mutation's
-    /// before/after pair share one body each.
-    agents: BTreeMap<String, Arc<Advertisement>>,
     brokers: BTreeMap<String, BrokerAdvertisement>,
     capability_taxonomy: Taxonomy,
     ontologies: BTreeMap<String, Ontology>,
     /// Extra LDL rules defining derived concepts (§2.1), appended to the
     /// standard matchmaking rule base.
     derived_rules: Vec<Rule>,
+    /// The advertisements, by agent name, and the postings over them.
+    /// Each is `Arc`ed so a mutation's before/after pair and a caller
+    /// holding one across a mutation share its body.
     index: AdIndex,
     /// `None` until something asks for the model, the EDB or the program.
     facts: Option<Box<FactBase>>,
@@ -505,7 +526,6 @@ impl Repository {
 
     pub fn with_capability_taxonomy(capability_taxonomy: Taxonomy) -> Self {
         Repository {
-            agents: BTreeMap::new(),
             brokers: BTreeMap::new(),
             capability_taxonomy,
             ontologies: BTreeMap::new(),
@@ -660,7 +680,7 @@ impl Repository {
         let mut ctx = AdContext::new()
             .with_taxonomy(&self.capability_taxonomy)
             .with_ontologies(self.ontologies.values());
-        if let Some(old) = self.agents.get(&ad.location.name) {
+        if let Some(old) = self.index.get(&ad.location.name) {
             ctx = ctx.with_registered(old);
         }
         analyze_advertisement(ad, &ctx)
@@ -684,8 +704,8 @@ impl Repository {
         }
         if let Err(e) = AgentAddress::parse(&ad.location.address) {
             return Err(RepositoryError::InvalidAddress {
-                agent: ad.location.name.clone(),
-                address: ad.location.address.clone(),
+                agent: ad.location.name.to_string(),
+                address: ad.location.address.to_string(),
                 reason: e.to_string(),
             });
         }
@@ -702,7 +722,7 @@ impl Repository {
         let report = self.analyze(ad);
         if report.has_errors() {
             return Err(RepositoryError::Rejected {
-                agent: ad.location.name.clone(),
+                agent: ad.location.name.to_string(),
                 report: report.render_human(None),
             });
         }
@@ -722,11 +742,8 @@ impl Repository {
         }
         let mutation = self.stage("repository");
         let ad = Arc::new(ad);
-        let old = self.agents.insert(ad.location.name.clone(), Arc::clone(&ad));
-        if let Some(old) = &old {
-            self.index.remove(old);
-        }
-        self.index.insert(&ad);
+        let old = self.index.remove(&ad.location.name);
+        self.index.insert(Arc::clone(&ad));
         self.epoch += 1;
         drop(mutation);
         self.patch_facts(old.as_deref(), Some(&ad));
@@ -737,17 +754,15 @@ impl Repository {
     /// first unregisters itself from the broker"; the broker also removes
     /// agents whose pings fail). Returns whether it was present.
     pub fn unadvertise(&mut self, agent: &str) -> bool {
-        match self.agents.remove(agent) {
-            Some(old) => {
-                let mutation = self.stage("repository");
-                self.index.remove(&old);
-                self.epoch += 1;
-                drop(mutation);
-                self.patch_facts(Some(&old), None);
-                true
-            }
-            None => false,
+        if !self.contains_agent(agent) {
+            return false;
         }
+        let mutation = self.stage("repository");
+        let old = self.index.remove(agent);
+        self.epoch += 1;
+        drop(mutation);
+        self.patch_facts(old.as_deref(), None);
+        true
     }
 
     /// Carries one advertisement's replacement into the fact base, where
@@ -762,7 +777,7 @@ impl Repository {
     /// Stores a peer broker's advertisement (Fig. 13 content).
     pub fn advertise_broker(&mut self, ad: BrokerAdvertisement) -> Result<(), RepositoryError> {
         self.admit(&ad.base)?;
-        self.brokers.insert(ad.base.location.name.clone(), ad);
+        self.brokers.insert(ad.base.location.name.to_string(), ad);
         // Broker advertisements do not participate in agent matchmaking
         // facts, so a fact base stays as it is.
         Ok(())
@@ -773,25 +788,31 @@ impl Repository {
     }
 
     pub fn advertisement(&self, agent: &str) -> Option<&Advertisement> {
-        self.agents.get(agent).map(|a| &**a)
+        self.index.get(agent).map(|a| &**a)
     }
 
     /// The shared handle for an agent's advertisement — what a caller
     /// keeps across a mutation instead of cloning the advertisement body.
     pub fn advertisement_arc(&self, agent: &str) -> Option<&Arc<Advertisement>> {
-        self.agents.get(agent)
+        self.index.get(agent)
     }
 
     pub fn contains_agent(&self, agent: &str) -> bool {
-        self.agents.contains_key(agent)
+        self.index.get(agent).is_some()
     }
 
+    /// Every advertisement, in agent-name order. The index keeps them by
+    /// id, so this sorts a list of references on each call: it is for
+    /// renderings and the fact compiler, not for the ask path.
     pub fn agents(&self) -> impl Iterator<Item = &Advertisement> {
-        self.agents.values().map(|a| &**a)
+        let mut ads: Vec<&Advertisement> = self.index.iter().map(|a| &**a).collect();
+        ads.sort_unstable_by(|a, b| a.location.name.cmp(&b.location.name));
+        ads.into_iter()
     }
 
+    /// Every agent name, in order.
     pub fn agent_names(&self) -> impl Iterator<Item = &str> {
-        self.agents.keys().map(String::as_str)
+        self.agents().map(Advertisement::agent_name)
     }
 
     pub fn broker_advertisements(&self) -> impl Iterator<Item = &BrokerAdvertisement> {
@@ -803,11 +824,11 @@ impl Repository {
     }
 
     pub fn len(&self) -> usize {
-        self.agents.len()
+        self.index.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.agents.is_empty()
+        self.len() == 0
     }
 
     /// Total *advertised* bytes — the unit the simulator charges reasoning
@@ -815,7 +836,7 @@ impl Repository {
     /// what the repository keeps resident per advertisement is several
     /// times this and is bounded by `tests/footprint.rs`.
     pub fn approx_size_bytes(&self) -> usize {
-        self.agents.values().map(|a| a.approx_size_bytes()).sum()
+        self.index.iter().map(|a| a.approx_size_bytes()).sum()
     }
 
     /// The compiled rule program (standard matchmaking base plus derived
@@ -928,7 +949,7 @@ impl Repository {
         ad.semantic
             .capabilities
             .iter()
-            .any(|adv| adv.as_str() == capability || names(above, adv.as_str()))
+            .any(|adv| adv.0 == capability || names(above, adv.0.as_bytes()))
     }
 
     /// What `ad` holds of a requested `class` of `ontology`, as the LDL
@@ -945,9 +966,9 @@ impl Repository {
             let of_ontology = ad.semantic.content.iter().filter(|c| c.ontology == ontology);
             of_ontology.flat_map(|c| &c.classes)
         };
-        if advertised().any(|adv| adv == class || names(above, adv)) {
+        if advertised().any(|adv| adv == class || names(above, adv.as_bytes())) {
             Some(ClassCredit::Serves)
-        } else if advertised().any(|adv| names(below, adv)) {
+        } else if advertised().any(|adv| names(below, adv.as_bytes())) {
             Some(ClassCredit::Contributes)
         } else {
             None
@@ -969,7 +990,7 @@ impl Default for Repository {
 impl fmt::Debug for Repository {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Repository")
-            .field("agents", &self.agents.keys().collect::<Vec<_>>())
+            .field("agents", &self.agent_names().collect::<Vec<_>>())
             .field("brokers", &self.brokers.keys().collect::<Vec<_>>())
             .finish()
     }
@@ -1265,7 +1286,7 @@ mod tests {
         let name = |id: usize| {
             let ad = index.ads[id].as_ref().unwrap_or_else(|| panic!("id {id} is free"));
             assert_eq!(index.ids[&ad.location.name] as usize, id);
-            ad.location.name.clone()
+            ad.location.name.to_string()
         };
         let posting = |set: &IdSet| {
             assert_ne!(set.0.last(), Some(&0), "untrimmed bitmap");
@@ -1360,7 +1381,7 @@ mod tests {
             repo.advertise(ad).unwrap();
             if step % 50 == 0 {
                 let mut fresh = AdIndex::default();
-                repo.agents.values().for_each(|ad| fresh.insert(ad));
+                repo.index.iter().for_each(|ad| fresh.insert(Arc::clone(ad)));
                 assert_eq!(by_name(&repo.index), by_name(&fresh), "after step {step}");
             }
         }

@@ -241,7 +241,7 @@ impl SubscriptionIndex {
             return BucketRef::Ontology(Sym::new(onto));
         }
         if let Some(conv) = query.conversations.iter().next() {
-            return BucketRef::Conversation(Sym::new(&conv.to_string()));
+            return BucketRef::Conversation(Sym::new(conv.as_str()));
         }
         BucketRef::CatchAll
     }
@@ -304,7 +304,7 @@ impl SubscriptionIndex {
             probe(Sym::lookup(cap.as_str()).and_then(|s| self.by_capability.get(&s)));
         }
         for conv in &ad.semantic.conversations {
-            probe(Sym::lookup(&conv.to_string()).and_then(|s| self.by_conversation.get(&s)));
+            probe(Sym::lookup(conv.as_str()).and_then(|s| self.by_conversation.get(&s)));
         }
         if candidates.is_empty() {
             return;

@@ -5,7 +5,9 @@
 //! not stored — no growth under re-advertisement churn, everything
 //! returned by a full drain, and a symbol table that grows by distinct
 //! names only. A decoded subscription query weighs what a cloned one
-//! does. And what a message costs while it waits in a mailbox: a
+//! does, and so does a decoded advertisement whose names sit on either
+//! side of the 22 bytes a name holds in place. And what a message costs
+//! while it waits in a mailbox: a
 //! `sub-delta` notification and an `ask-all` reply, each under a ceiling
 //! of its own.
 //!
@@ -23,8 +25,8 @@ use infosleuth_broker::{
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_ontology::{
-    Advertisement, AgentLocation, AgentType, Capability, ClassDef, ConversationType, Ontology,
-    OntologyContent, SemanticInfo, ServiceQuery, SlotDef, Sym, SyntacticInfo, ValueType,
+    Advertisement, AgentLocation, AgentType, Capability, ClassDef, ConversationType, Fragment,
+    Ontology, OntologyContent, SemanticInfo, ServiceQuery, SlotDef, Sym, SyntacticInfo, ValueType,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
@@ -132,24 +134,37 @@ fn saturated_empty_repo() -> Repository {
 }
 
 /// A repository somebody asked a model of — one with derived rules, or an
-/// oracle's. This layout measures 3 810 B in 47 allocations per
-/// advertisement of this population (advertisement 745 B, narrowing index
-/// 189 B, EDB and a model saturated once 2 428 B; ≈ 450 B more for tables
+/// oracle's. This layout measures 3 584 B in 34 allocations per
+/// advertisement of this population (advertisement 594 B, narrowing index
+/// 113 B, EDB and a model saturated once 2 428 B; ≈ 450 B more for tables
 /// grown one patch at a time and the agent names interned). The ceiling
-/// leaves a tenth for where hash tables and vectors happen to have last
+/// leaves room for where hash tables and vectors happen to have last
 /// doubled.
 const CEILING_BYTES_PER_AD: f64 = 4_200.0;
 
 /// A repository nobody asked a model of: the advertisement and the
-/// narrowing index, no fact — 934 B in 18.2 allocations, whether each
+/// narrowing index, no fact — 707 B in 5 allocations, whether each
 /// advertisement was cloned in or decoded off the wire, as a live broker
-/// without derived rules decodes it (935 B in 18.2 held by such a broker).
-const CEILING_MODEL_FREE_BYTES_PER_AD: f64 = 1_300.0;
+/// without derived rules decodes it (708 B in 5 held by such a broker).
+/// The index is the one map from agent name to advertisement, and its
+/// keys hold short names in place (934 B in 18.2 with a second, B-tree
+/// name map beside it and every key a `String`). A tenth over.
+const CEILING_MODEL_FREE_BYTES_PER_AD: f64 = 778.0;
 
-/// The advertisement record itself: 233 advertised bytes cost 745 B in 15
-/// allocations — its strings, and one exactly-sized block per non-empty
-/// list. One B-tree leaf under any of those lists would add ≈ 280 B.
-const CEILING_AD_RECORD_BYTES: f64 = 900.0;
+/// The advertisement record itself: 233 advertised bytes cost 594 B in 4
+/// allocations — the address and the capability, longer than the 22 bytes
+/// a name holds in place, and the content and constraint-slot lists. Its
+/// six short names and five sets of one sit inside the record (745 B in
+/// 15 when each took a heap block of its own). A tenth over, in bytes and
+/// in allocations.
+const CEILING_AD_RECORD_BYTES: f64 = 654.0;
+const CEILING_AD_RECORD_ALLOCS: f64 = 4.4;
+
+/// A decoded standing query of `churn_mixed_bus`'s shape, registered: 1 301
+/// B in 6.5 allocations, the same as a clone (1 339 B in 10.5 when its
+/// ontology and class each took a `String` and its class list a block). A
+/// tenth over.
+const CEILING_SUB_QUERY_ALLOCS: f64 = 7.2;
 
 /// What a broker may keep per advertisement beyond the repository it was
 /// handed. Its match cache, counters and routing table do not grow with
@@ -305,9 +320,11 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
         stored.0
     );
     assert!(
-        record.0 <= CEILING_AD_RECORD_BYTES,
-        "an advertisement record keeps {:.0} live bytes, ceiling {CEILING_AD_RECORD_BYTES}",
-        record.0
+        record.0 <= CEILING_AD_RECORD_BYTES && record.1 <= CEILING_AD_RECORD_ALLOCS,
+        "an advertisement record keeps {:.0} live bytes in {:.1} allocations, \
+         ceiling {CEILING_AD_RECORD_BYTES} in {CEILING_AD_RECORD_ALLOCS}",
+        record.0,
+        record.1
     );
     assert_eq!(digest_ads, N as u64);
     assert_eq!(t4, t3, "(bytes, allocations) still live after a digest was taken and dropped");
@@ -365,6 +382,69 @@ fn a_decoded_subscription_query_weighs_what_a_cloned_one_does() {
     assert_eq!(
         decoded, cloned,
         "(bytes, allocations) for {N} subscriptions, decoded against cloned"
+    );
+    let allocs = per(N, decoded).1;
+    assert!(
+        allocs <= CEILING_SUB_QUERY_ALLOCS,
+        "a decoded standing query takes {allocs:.1} allocations, ceiling {CEILING_SUB_QUERY_ALLOCS}"
+    );
+}
+
+/// An advertisement whose names sit on either side of the 22 bytes a name
+/// holds in place — a 22-byte agent name and key, a 23-byte class — or
+/// are vocabulary words (`KQML`), or travel quoted (`SQL 2.0`, a slot
+/// with parentheses and a space).
+fn boundary_ad(j: usize) -> Advertisement {
+    let name = format!("ra-{j:019}");
+    let class = format!("class-of-{j:014}");
+    Advertisement::new(AgentLocation::new(
+        name.as_str(),
+        format!("tcp://{name}.bench:4000"),
+        AgentType::Resource,
+    ))
+    .with_syntactic(SyntacticInfo::sql_kqml())
+    .with_semantic(
+        SemanticInfo::default()
+            .with_conversations([ConversationType::AskAll])
+            .with_capabilities(["KQML"])
+            .with_content(
+                OntologyContent::new("bench")
+                    .with_classes([class.as_str()])
+                    .with_slots(["a(b) c", "R.a"])
+                    .with_keys([name.as_str()])
+                    .with_fragment(class.as_str(), Fragment::vertical(["a(b) c"])),
+            ),
+    )
+}
+
+/// Decoded off the wire, such an advertisement is the one that was sent
+/// and weighs what a clone of it does, to the byte and the allocation.
+#[test]
+fn names_at_the_inline_boundary_weigh_the_same_decoded() {
+    let _alone = alone();
+    const N: usize = 500;
+    let ads: Vec<Advertisement> = (0..N).map(boundary_ad).collect();
+    assert_eq!(
+        (ads[0].location.name.len(), ads[0].semantic.content[0].classes.as_slice()[0].len()),
+        (22, 23)
+    );
+    let wire: Vec<SExpr> = ads.iter().map(codec::advertisement_to_sexpr).collect();
+    let hold = |make: &dyn Fn(usize) -> Advertisement| {
+        let mut held = Vec::with_capacity(N);
+        let before = live();
+        held.extend((0..N).map(make));
+        (delta(before, live()), held)
+    };
+    let (cloned, _) = hold(&|j| ads[j].clone());
+    let (decoded, back) = hold(&|j| codec::advertisement_from_sexpr(&wire[j]).unwrap());
+    eprintln!("per advertisement with names at the inline boundary: live heap");
+    for (what, (bytes, allocs)) in [("cloned", per(N, cloned)), ("decoded", per(N, decoded))] {
+        eprintln!("{what:<30} {bytes:>6.0} B in {allocs:>5.1} allocations");
+    }
+    assert_eq!(back, ads);
+    assert_eq!(
+        decoded, cloned,
+        "(bytes, allocations) for {N} advertisements, decoded against cloned"
     );
 }
 

@@ -154,15 +154,15 @@ fn arb_query() -> impl Strategy<Value = ServiceQuery> {
             let mut q = ServiceQuery::any()
                 .with_classes(classes.into_iter().map(|c| CLASSES[c]))
                 .with_constraints(constraints);
-            q.ontology = onto.map(str::to_string);
+            q.ontology = onto.map(Into::into);
             q.capabilities.extend(cap);
             q.conversations.extend(conv);
             q.max_matches = max;
             let (agent_type, query_language, communication_language) = syntactic;
             q.agent_type = agent_type.map(|t| AGENT_TYPES[t].clone());
-            q.query_language = query_language.map(|l| QUERY_LANGUAGES[l].to_string());
+            q.query_language = query_language.map(|l| QUERY_LANGUAGES[l].into());
             q.communication_language =
-                communication_language.map(|l| COMMUNICATION_LANGUAGES[l].to_string());
+                communication_language.map(|l| COMMUNICATION_LANGUAGES[l].into());
             q
         })
 }
@@ -401,7 +401,7 @@ fn arb_dag_query() -> impl Strategy<Value = ServiceQuery> {
         .prop_map(move |(onto, classes, caps)| {
             let class = |c: usize| CLASSES.get(c).copied().unwrap_or(STRAY_CLASS);
             let mut q = ServiceQuery::any().with_classes(classes.into_iter().map(class));
-            q.ontology = onto.map(str::to_string);
+            q.ontology = onto.map(Into::into);
             q.capabilities.extend(caps.into_iter().map(|c| Capability::new(names[c])));
             q
         })

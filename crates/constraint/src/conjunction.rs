@@ -1,6 +1,7 @@
 //! Conjunctions of predicates, normalized per slot.
 
 use crate::{Predicate, SlotDomain, Value};
+use infosleuth_kqml::Text;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,8 +18,9 @@ pub struct Conjunction {
     /// Sorted by slot name, one entry per slot: most conjunctions
     /// constrain one or two slots, and every advertisement holds one. Its
     /// capacity is its length, however it was built: a list grown from
-    /// empty by a bare `insert` would hold room for four entries.
-    slots: Vec<(String, SlotDomain)>,
+    /// empty by a bare `insert` would hold room for four entries. A slot
+    /// name of up to 22 bytes sits in its entry.
+    slots: Vec<(Text, SlotDomain)>,
 }
 
 /// The two sorted slot runs walked in step: each slot either side
@@ -61,11 +63,11 @@ impl Conjunction {
     }
 
     fn position(&self, slot: &str) -> Result<usize, usize> {
-        self.slots.binary_search_by(|(s, _)| s.as_str().cmp(slot))
+        self.slots.binary_search_by(|(s, _)| s.as_bytes().cmp(slot.as_bytes()))
     }
 
     /// Puts a new slot's entry at `at`, growing the list by exactly one.
-    fn insert_slot(&mut self, at: usize, slot: String, dom: SlotDomain) {
+    fn insert_slot(&mut self, at: usize, slot: Text, dom: SlotDomain) {
         self.slots.reserve_exact(1);
         self.slots.insert(at, (slot, dom));
     }
@@ -73,7 +75,7 @@ impl Conjunction {
     /// Adds one predicate to the conjunction.
     pub fn add(&mut self, pred: &Predicate) {
         let at = self.position(&pred.slot).unwrap_or_else(|at| {
-            self.insert_slot(at, pred.slot.clone(), SlotDomain::full());
+            self.insert_slot(at, Text::from(&pred.slot), SlotDomain::full());
             at
         });
         self.slots[at].1.constrain(pred);
@@ -154,32 +156,32 @@ impl Conjunction {
         let mut out = Vec::new();
         for (slot, dom) in &self.slots {
             if let Some(p) = dom.range.as_point() {
-                out.push(Predicate::new(slot.clone(), CompareOp::Eq(p.clone())));
+                out.push(Predicate::new(slot.as_str(), CompareOp::Eq(p.clone())));
             } else {
                 match &dom.range.lo {
                     Bound::Incl(v) => {
-                        out.push(Predicate::new(slot.clone(), CompareOp::Ge(v.clone())))
+                        out.push(Predicate::new(slot.as_str(), CompareOp::Ge(v.clone())))
                     }
                     Bound::Excl(v) => {
-                        out.push(Predicate::new(slot.clone(), CompareOp::Gt(v.clone())))
+                        out.push(Predicate::new(slot.as_str(), CompareOp::Gt(v.clone())))
                     }
                     Bound::Unbounded => {}
                 }
                 match &dom.range.hi {
                     Bound::Incl(v) => {
-                        out.push(Predicate::new(slot.clone(), CompareOp::Le(v.clone())))
+                        out.push(Predicate::new(slot.as_str(), CompareOp::Le(v.clone())))
                     }
                     Bound::Excl(v) => {
-                        out.push(Predicate::new(slot.clone(), CompareOp::Lt(v.clone())))
+                        out.push(Predicate::new(slot.as_str(), CompareOp::Lt(v.clone())))
                     }
                     Bound::Unbounded => {}
                 }
             }
             if let Some(allowed) = &dom.allowed {
-                out.push(Predicate::new(slot.clone(), CompareOp::In(allowed.clone())));
+                out.push(Predicate::new(slot.as_str(), CompareOp::In(allowed.clone())));
             }
             if !dom.excluded.is_empty() {
-                out.push(Predicate::new(slot.clone(), CompareOp::NotIn(dom.excluded.clone())));
+                out.push(Predicate::new(slot.as_str(), CompareOp::NotIn(dom.excluded.clone())));
             }
         }
         out
@@ -199,9 +201,9 @@ impl Conjunction {
     /// conjunction. Slots absent from the assignment fail closed-world:
     /// a constrained slot must be present.
     pub fn matches(&self, assignment: &BTreeMap<String, Value>) -> bool {
-        self.slots
-            .iter()
-            .all(|(slot, dom)| assignment.get(slot).map(|v| dom.contains(v)).unwrap_or(false))
+        self.slots.iter().all(|(slot, dom)| {
+            assignment.get(slot.as_str()).map(|v| dom.contains(v)).unwrap_or(false)
+        })
     }
 }
 

@@ -204,7 +204,7 @@ pub fn spawn_resource_agent_on(
     brokers: &[String],
     timeout: Duration,
 ) -> Result<ResourceAgentHandle, BusError> {
-    let name = spec.advertisement.location.name.clone();
+    let name = spec.advertisement.location.name.to_string();
     let lists = BrokerLists::new(brokers.iter().cloned(), spec.redundancy);
     let behavior = Arc::new(ResourceBehavior {
         maintenance_interval: spec.maintenance_interval,

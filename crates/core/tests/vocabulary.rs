@@ -188,7 +188,7 @@ fn monitor_replies() -> Vec<(String, SExpr)> {
 fn every_section_head_the_encoders_write_is_a_vocabulary_word() {
     let ad = advertisement();
     let mut broker = BrokerAdvertisement::new(ad.clone());
-    broker.consortia = ["alpha".to_string()].into_iter().collect();
+    broker.consortia = ["alpha".into()].into();
     broker.specialization.agent_types.insert(AgentType::Resource);
     broker.specialization.ontologies.insert("healthcare".into());
     broker.specialization.restrictions.push("patients only".into());

@@ -253,6 +253,18 @@ impl Text {
         }
     }
 
+    /// The text's bytes, read without the UTF-8 check that turning bytes
+    /// held in place back into a `str` costs on every call — so equality
+    /// and order, which a broker runs per candidate it scores, compare
+    /// these. Byte order is `str` order.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Word(w) => w.as_bytes(),
+            Repr::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Repr::Owned(s) => s.as_bytes(),
+        }
+    }
+
     /// Whether this is a vocabulary word rather than a copy of its own.
     pub fn is_static(&self) -> bool {
         matches!(self.0, Repr::Word(_))
@@ -274,6 +286,27 @@ impl From<&String> for Text {
 impl From<String> for Text {
     fn from(s: String) -> Text {
         Text(Text::small(&s).unwrap_or_else(|| Repr::Owned(s.into_boxed_str())))
+    }
+}
+
+impl From<&Text> for Text {
+    fn from(t: &Text) -> Text {
+        t.clone()
+    }
+}
+
+impl From<&Text> for String {
+    fn from(t: &Text) -> String {
+        t.as_str().to_string()
+    }
+}
+
+impl From<Text> for String {
+    fn from(t: Text) -> String {
+        match t.0 {
+            Repr::Owned(s) => s.into(),
+            _ => t.as_str().to_string(),
+        }
     }
 }
 
@@ -299,7 +332,7 @@ impl Borrow<str> for Text {
 
 impl PartialEq for Text {
     fn eq(&self, other: &Text) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -307,13 +340,13 @@ impl Eq for Text {}
 
 impl PartialEq<str> for Text {
     fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl PartialEq<&str> for Text {
     fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -325,7 +358,7 @@ impl PartialOrd for Text {
 
 impl Ord for Text {
     fn cmp(&self, other: &Text) -> Ordering {
-        self.as_str().cmp(other.as_str())
+        self.as_bytes().cmp(other.as_bytes())
     }
 }
 

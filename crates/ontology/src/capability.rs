@@ -1,15 +1,16 @@
 //! Agent capabilities and the standard capability taxonomy of Fig. 2.
 
 use crate::Taxonomy;
+use infosleuth_kqml::Text;
 use std::fmt;
 
 /// A named agent capability (a node of the capability taxonomy), e.g.
 /// `relational-query-processing` or `subscription`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Capability(pub String);
+pub struct Capability(pub Text);
 
 impl Capability {
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Text>) -> Self {
         Capability(name.into())
     }
 
@@ -26,13 +27,13 @@ impl fmt::Display for Capability {
 
 impl From<&str> for Capability {
     fn from(s: &str) -> Self {
-        Capability(s.to_string())
+        Capability(s.into())
     }
 }
 
 impl From<String> for Capability {
     fn from(s: String) -> Self {
-        Capability(s)
+        Capability(s.into())
     }
 }
 

@@ -8,6 +8,7 @@
 //! fragments are first-class in the service ontology.
 
 use infosleuth_constraint::Conjunction;
+use infosleuth_kqml::Text;
 use std::fmt;
 
 /// A fragment of a class held by a resource agent.
@@ -39,10 +40,11 @@ impl Fragment {
     /// requested slot (fragments are combined by joining on the key); a
     /// horizontal fragment contributes if its constraint overlaps the
     /// request's.
-    pub fn contributes_to(&self, requested_slots: &[String], requested: &Conjunction) -> bool {
+    pub fn contributes_to(&self, requested_slots: &[Text], requested: &Conjunction) -> bool {
         match self {
             Fragment::Vertical { slots } => {
-                requested_slots.is_empty() || requested_slots.iter().any(|r| slots.contains(r))
+                requested_slots.is_empty()
+                    || requested_slots.iter().any(|r| slots.iter().any(|s| r == s.as_str()))
             }
             Fragment::Horizontal { constraint } => constraint.overlaps(requested),
         }
@@ -84,9 +86,9 @@ mod tests {
     #[test]
     fn vertical_fragment_contributes_on_slot_overlap() {
         let frag = Fragment::vertical(["id", "name"]);
-        let wanted = vec!["name".to_string(), "age".to_string()];
+        let wanted = ["name".into(), "age".into()];
         assert!(frag.contributes_to(&wanted, &Conjunction::always()));
-        let unwanted = vec!["age".to_string()];
+        let unwanted = ["age".into()];
         assert!(!frag.contributes_to(&unwanted, &Conjunction::always()));
         // A `select *`-style request (no explicit slots) touches everything.
         assert!(frag.contributes_to(&[], &Conjunction::always()));

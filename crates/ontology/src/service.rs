@@ -8,6 +8,7 @@
 
 use crate::{Capability, Fragment, SortedSet};
 use infosleuth_constraint::Conjunction;
+use infosleuth_kqml::Text;
 use std::fmt;
 
 /// The kind of agent, part of the syntactic service-ontology information.
@@ -73,19 +74,26 @@ pub enum ConversationType {
     Other(String),
 }
 
+impl ConversationType {
+    /// The conversation's name, as advertised and as written on the wire.
+    pub fn as_str(&self) -> &str {
+        match self {
+            ConversationType::AskAll => "ask-all",
+            ConversationType::AskOne => "ask-one",
+            ConversationType::Subscribe => "subscribe",
+            ConversationType::Update => "update",
+            ConversationType::Tell => "tell",
+            ConversationType::Delegation => "delegation",
+            ConversationType::Forwarding => "forwarding",
+            ConversationType::Emergent => "emergent",
+            ConversationType::Other(s) => s,
+        }
+    }
+}
+
 impl fmt::Display for ConversationType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConversationType::AskAll => write!(f, "ask-all"),
-            ConversationType::AskOne => write!(f, "ask-one"),
-            ConversationType::Subscribe => write!(f, "subscribe"),
-            ConversationType::Update => write!(f, "update"),
-            ConversationType::Tell => write!(f, "tell"),
-            ConversationType::Delegation => write!(f, "delegation"),
-            ConversationType::Forwarding => write!(f, "forwarding"),
-            ConversationType::Emergent => write!(f, "emergent"),
-            ConversationType::Other(s) => write!(f, "{s}"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -93,14 +101,14 @@ impl fmt::Display for ConversationType {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgentLocation {
     /// Directions on how to contact the agent, e.g. `tcp://b1.mcc.com:4356`.
-    pub address: String,
+    pub address: Text,
     /// Unique agent name, e.g. `ResourceAgent5`.
-    pub name: String,
+    pub name: Text,
     pub agent_type: AgentType,
 }
 
 impl AgentLocation {
-    pub fn new(name: impl Into<String>, address: impl Into<String>, agent_type: AgentType) -> Self {
+    pub fn new(name: impl Into<Text>, address: impl Into<Text>, agent_type: AgentType) -> Self {
         AgentLocation { address: address.into(), name: name.into(), agent_type }
     }
 }
@@ -109,18 +117,18 @@ impl AgentLocation {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SyntacticInfo {
     /// Content / interface query languages, e.g. `SQL 2.0`, `LDL`.
-    pub query_languages: SortedSet<String>,
+    pub query_languages: SortedSet<Text>,
     /// Communication languages/services, e.g. `KQML`, `CORBA`.
-    pub communication_languages: SortedSet<String>,
+    pub communication_languages: SortedSet<Text>,
 }
 
 impl SyntacticInfo {
     pub fn new<Q, C>(query_languages: Q, communication_languages: C) -> Self
     where
         Q: IntoIterator,
-        Q::Item: Into<String>,
+        Q::Item: Into<Text>,
         C: IntoIterator,
-        C::Item: Into<String>,
+        C::Item: Into<Text>,
     {
         SyntacticInfo {
             query_languages: query_languages.into_iter().map(Into::into).collect(),
@@ -140,22 +148,22 @@ impl SyntacticInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OntologyContent {
     /// Supported ontology name, e.g. `healthcare`.
-    pub ontology: String,
+    pub ontology: Text,
     /// Supported ontology classes, e.g. `diagnosis`, `patient`.
-    pub classes: SortedSet<String>,
+    pub classes: SortedSet<Text>,
     /// Supported ontology slots, dotted, e.g. `patient.age`.
-    pub slots: SortedSet<String>,
+    pub slots: SortedSet<Text>,
     /// Supported class keys, e.g. `patient.id`.
-    pub keys: SortedSet<String>,
+    pub keys: SortedSet<Text>,
     /// Per-class fragments: `(class, fragment)` pairs; as built by
     /// [`with_fragment`](Self::with_fragment), capacity equals length.
-    pub fragments: Vec<(String, Fragment)>,
+    pub fragments: Vec<(Text, Fragment)>,
     /// Restrictions on the data, e.g. `patient.age between 43 and 75`.
     pub constraints: Conjunction,
 }
 
 impl OntologyContent {
-    pub fn new(ontology: impl Into<String>) -> Self {
+    pub fn new(ontology: impl Into<Text>) -> Self {
         OntologyContent {
             ontology: ontology.into(),
             classes: SortedSet::new(),
@@ -169,7 +177,7 @@ impl OntologyContent {
     pub fn with_classes<I, S>(mut self, classes: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         self.classes.extend(classes.into_iter().map(Into::into));
         self
@@ -178,7 +186,7 @@ impl OntologyContent {
     pub fn with_slots<I, S>(mut self, slots: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         self.slots.extend(slots.into_iter().map(Into::into));
         self
@@ -187,13 +195,13 @@ impl OntologyContent {
     pub fn with_keys<I, S>(mut self, keys: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         self.keys.extend(keys.into_iter().map(Into::into));
         self
     }
 
-    pub fn with_fragment(mut self, class: impl Into<String>, frag: Fragment) -> Self {
+    pub fn with_fragment(mut self, class: impl Into<Text>, frag: Fragment) -> Self {
         push_exact(&mut self.fragments, (class.into(), frag));
         self
     }
@@ -344,7 +352,7 @@ pub struct BrokerSpecialization {
     /// Agent types in the broker's repository (empty = any).
     pub agent_types: SortedSet<AgentType>,
     /// Ontologies the broker specializes in (empty = general purpose).
-    pub ontologies: SortedSet<String>,
+    pub ontologies: SortedSet<Text>,
     /// Free-text restrictions on brokered services.
     pub restrictions: Vec<String>,
 }
@@ -362,7 +370,7 @@ impl BrokerSpecialization {
 pub struct BrokerAdvertisement {
     pub base: Advertisement,
     /// Consortium memberships.
-    pub consortia: SortedSet<String>,
+    pub consortia: SortedSet<Text>,
     pub specialization: BrokerSpecialization,
 }
 
@@ -378,7 +386,7 @@ impl BrokerAdvertisement {
     pub fn with_consortia<I, S>(mut self, consortia: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         self.consortia.extend(consortia.into_iter().map(Into::into));
         self
@@ -398,24 +406,24 @@ pub struct ServiceQuery {
     /// Required agent type (`agent type: resource` in the example).
     pub agent_type: Option<AgentType>,
     /// Required specific agent name (rarely used; exact match).
-    pub agent_name: Option<String>,
+    pub agent_name: Option<Text>,
     /// Required interface query language, e.g. `SQL 2.0`.
-    pub query_language: Option<String>,
+    pub query_language: Option<Text>,
     /// Required communication language, e.g. `KQML`.
-    pub communication_language: Option<String>,
+    pub communication_language: Option<Text>,
     /// Required conversation types.
     pub conversations: SortedSet<ConversationType>,
     /// Required capabilities; each must be covered by an advertised
     /// capability via taxonomy subsumption.
     pub capabilities: SortedSet<Capability>,
     /// Required ontology name, e.g. `healthcare`.
-    pub ontology: Option<String>,
+    pub ontology: Option<Text>,
     /// Classes the request involves; the advertisement must cover at least
     /// one (the broker returns partial matches for fragmented classes, and
     /// the requester combines them).
-    pub classes: SortedSet<String>,
+    pub classes: SortedSet<Text>,
     /// Slots the request involves.
-    pub slots: SortedSet<String>,
+    pub slots: SortedSet<Text>,
     /// Data constraints that must overlap the advertised restrictions.
     pub constraints: Conjunction,
     /// Upper bound on estimated response time, when the requester cares.
@@ -440,12 +448,12 @@ impl ServiceQuery {
         ServiceQuery { agent_type: Some(agent_type), ..ServiceQuery::default() }
     }
 
-    pub fn with_query_language(mut self, lang: impl Into<String>) -> Self {
+    pub fn with_query_language(mut self, lang: impl Into<Text>) -> Self {
         self.query_language = Some(lang.into());
         self
     }
 
-    pub fn with_communication_language(mut self, lang: impl Into<String>) -> Self {
+    pub fn with_communication_language(mut self, lang: impl Into<Text>) -> Self {
         self.communication_language = Some(lang.into());
         self
     }
@@ -460,7 +468,7 @@ impl ServiceQuery {
         self
     }
 
-    pub fn with_ontology(mut self, o: impl Into<String>) -> Self {
+    pub fn with_ontology(mut self, o: impl Into<Text>) -> Self {
         self.ontology = Some(o.into());
         self
     }
@@ -468,7 +476,7 @@ impl ServiceQuery {
     pub fn with_classes<I, S>(mut self, classes: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         self.classes.extend(classes.into_iter().map(Into::into));
         self
@@ -477,7 +485,7 @@ impl ServiceQuery {
     pub fn with_slots<I, S>(mut self, slots: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<Text>,
     {
         self.slots.extend(slots.into_iter().map(Into::into));
         self
@@ -593,7 +601,7 @@ mod tests {
         ));
         let spec = BrokerSpecialization {
             agent_types: SortedSet::from([AgentType::Resource]),
-            ontologies: SortedSet::from(["healthcare".to_string()]),
+            ontologies: SortedSet::from(["healthcare".into()]),
             restrictions: vec![],
         };
         let ad = BrokerAdvertisement::new(base)

@@ -126,7 +126,8 @@ fn run_walkthrough(
         .iter()
         .map(|b| {
             b.with_repository(|r| {
-                let mut agents: Vec<String> = r.agents().map(|a| a.location.name.clone()).collect();
+                let mut agents: Vec<String> =
+                    r.agents().map(|a| a.location.name.to_string()).collect();
                 agents.sort();
                 let mut peers: Vec<String> =
                     r.peer_brokers().iter().map(|p| p.to_string()).collect();
@@ -447,7 +448,7 @@ fn run_awkward_names(agents_node: &Arc<dyn Transport>, broker: &BrokerHandle) ->
     let found = query_broker(&mut probe, broker.name(), &class_query("C2"), None, T)
         .expect("broker answers");
     let mut stored: Vec<String> =
-        broker.with_repository(|r| r.agents().map(|a| a.location.name.clone()).collect());
+        broker.with_repository(|r| r.agents().map(|a| a.location.name.to_string()).collect());
     stored.sort();
     [sorted_names(found), stored]
 }
