@@ -91,7 +91,7 @@ struct RuntimeMetrics {
     dispatch_ticks: Counter,
     handler_message_seconds: Histogram,
     handler_tick_seconds: Histogram,
-    /// Enqueue on the agent's mailbox → drained by the event loop
+    /// Enqueue on the agent's mailbox → its handler starts on a worker
     /// (`runtime_mailbox_wait_seconds`): what the poll nap, the in-flight
     /// cap and a busy pool cost a message before any handler sees it.
     mailbox_wait_seconds: Histogram,
@@ -100,9 +100,6 @@ struct RuntimeMetrics {
     /// (`runtime_inflight`) — the watermark the stock `inflight` health
     /// rule watches.
     inflight: Gauge,
-    /// Envelopes per delivery job (`runtime_batch_size`): 1 for a plain
-    /// agent, up to N when a batching agent drained N at once.
-    batch_size: Histogram,
 }
 
 impl RuntimeMetrics {
@@ -117,7 +114,6 @@ impl RuntimeMetrics {
             mailbox_wait_seconds: reg.histogram("runtime_mailbox_wait_seconds", &[]),
             queue_depth: reg.gauge("runtime_queue_depth", &[]),
             inflight: reg.gauge("runtime_inflight", &[]),
-            batch_size: reg.histogram("runtime_batch_size", &[]),
         }
     }
 }
@@ -128,37 +124,14 @@ impl RuntimeMetrics {
 /// Handlers receive `&self` and run concurrently (up to the per-agent
 /// in-flight cap), so behaviors guard their state internally — exactly
 /// like the seed's thread-per-envelope agents did, minus the unbounded
-/// spawning.
+/// spawning. Every delivery carries one envelope, so at most
+/// `per_agent_inflight` messages of one agent are in handlers at once;
+/// the rest wait in its mailbox.
 pub trait AgentBehavior: Send + Sync + 'static {
-    /// Handles one delivered envelope. Runs on a pool worker; may block
-    /// on (timeout-bounded) requests.
+    /// Handles one delivered envelope. Runs on a pool worker, inside the
+    /// envelope's [`recv` span](AgentContext::recv_span); may block on
+    /// (timeout-bounded) requests.
     fn on_message(&self, ctx: &AgentContext, env: Envelope);
-
-    /// Maximum envelopes the event loop may drain into one delivery.
-    ///
-    /// At the default of 1 every delivery carries one envelope. Returning
-    /// N > 1 lets the event loop hand [`AgentBehavior::on_batch`] up to N
-    /// queued envelopes at once under load, so an overriding agent can
-    /// amortize lock acquisitions across them. Each delivery
-    /// counts as *one* in-flight job against the per-agent cap, so the
-    /// message-level backpressure bound becomes
-    /// `per_agent_inflight × batch_limit`.
-    fn batch_limit(&self) -> usize {
-        1
-    }
-
-    /// The entry point of every delivery: the envelopes one job drained
-    /// from the mailbox, in arrival order (one, unless
-    /// [`AgentBehavior::batch_limit`] > 1). The provided implementation
-    /// opens each envelope's [`recv` span](AgentContext::recv_span) and
-    /// calls [`AgentBehavior::on_message`]; an agent that overrides this
-    /// with an amortized path opens the per-envelope spans itself.
-    fn on_batch(&self, ctx: &AgentContext, batch: Vec<Envelope>) {
-        for env in batch {
-            let _span = ctx.recv_span(&env);
-            self.on_message(ctx, env);
-        }
-    }
 
     /// If `Some`, [`AgentBehavior::on_tick`] fires roughly this often.
     fn tick_interval(&self) -> Option<Duration> {
@@ -400,8 +373,9 @@ impl AgentSlot {
 }
 
 enum Job {
-    /// The envelopes one drain took from the agent's mailbox.
-    Deliver(Arc<AgentSlot>, Vec<Envelope>),
+    /// One envelope from the agent's mailbox, stamped with the instant it
+    /// was enqueued there.
+    Deliver(Arc<AgentSlot>, Instant, Envelope),
     Tick(Arc<AgentSlot>),
 }
 
@@ -670,13 +644,15 @@ impl Drop for AgentHandle {
 fn worker_loop(shared: &RuntimeShared, me: usize) {
     while let Some(job) = shared.queue.pop(me) {
         match job {
-            Job::Deliver(slot, batch) => {
-                let n = batch.len();
+            Job::Deliver(slot, enqueued, env) => {
                 let started = Instant::now();
-                slot.behavior.on_batch(&slot.ctx, batch);
+                shared.metrics.mailbox_wait_seconds.observe_duration(started - enqueued);
+                {
+                    let _span = slot.ctx.recv_span(&env);
+                    slot.behavior.on_message(&slot.ctx, env);
+                }
                 shared.metrics.handler_message_seconds.observe_duration(started.elapsed());
-                shared.metrics.dispatch_messages.add(n as u64);
-                shared.metrics.batch_size.observe(n as f64);
+                shared.metrics.dispatch_messages.inc();
                 slot.inflight.fetch_sub(1, Ordering::AcqRel);
                 shared.metrics.inflight.add(-1);
             }
@@ -711,22 +687,12 @@ fn event_loop(shared: &RuntimeShared) {
                 continue;
             }
             // Pull messages while under the in-flight cap; the rest wait
-            // in the transport mailbox (backpressure). Each job carries
-            // up to `batch_limit` envelopes — one, for a plain agent.
-            let limit = slot.behavior.batch_limit().max(1);
+            // in the transport mailbox (backpressure).
             while slot.inflight.load(Ordering::Acquire) < cap {
-                let mut drained = Vec::new();
-                while drained.len() < limit {
-                    let Some((enqueued, env)) = slot.mailbox.try_recv_stamped() else { break };
-                    shared.metrics.mailbox_wait_seconds.observe_duration(enqueued.elapsed());
-                    drained.push(env);
-                }
-                if drained.is_empty() {
-                    break;
-                }
+                let Some((enqueued, env)) = slot.mailbox.try_recv_stamped() else { break };
                 slot.inflight.fetch_add(1, Ordering::AcqRel);
                 shared.metrics.inflight.add(1);
-                shared.queue.push(Job::Deliver(Arc::clone(slot), drained));
+                shared.queue.push(Job::Deliver(Arc::clone(slot), enqueued, env));
                 dispatched = true;
             }
             if let Some(interval) = slot.behavior.tick_interval() {
@@ -1042,75 +1008,82 @@ mod tests {
         rt.shutdown();
     }
 
-    struct Batcher {
-        limit: usize,
-        sizes: Mutex<Vec<usize>>,
+    /// Notes the content of every envelope it handles, slowly enough that
+    /// later ones queue up behind it.
+    #[derive(Default)]
+    struct Recorder {
         seen: Mutex<Vec<String>>,
     }
 
-    impl Batcher {
-        fn note(&self, env: &Envelope) {
-            let text = match env.message.content() {
-                Some(SExpr::Atom(a)) => a.to_string(),
-                other => format!("{other:?}"),
-            };
-            self.seen.lock().unwrap().push(text);
-        }
-    }
-
-    impl AgentBehavior for Batcher {
+    impl AgentBehavior for Recorder {
         fn on_message(&self, _ctx: &AgentContext, env: Envelope) {
-            self.sizes.lock().unwrap().push(1);
-            self.note(&env);
-            std::thread::sleep(Duration::from_millis(15));
-        }
-
-        fn batch_limit(&self) -> usize {
-            self.limit
-        }
-
-        fn on_batch(&self, _ctx: &AgentContext, batch: Vec<Envelope>) {
-            self.sizes.lock().unwrap().push(batch.len());
-            for env in &batch {
-                self.note(env);
-            }
-            std::thread::sleep(Duration::from_millis(15));
+            let text = env.message.content().map(SExpr::to_string).unwrap_or_default();
+            self.seen.lock().unwrap().push(text);
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 
     #[test]
-    fn batching_agent_drains_multiple_envelopes_in_order() {
-        // inflight cap 1 serializes jobs, so cross-job order is the
-        // mailbox order; the slow handler lets the mailbox accumulate,
-        // so later drains must coalesce.
+    fn capped_agent_handles_queued_envelopes_in_send_order() {
+        // An in-flight cap of 1 serializes the agent's jobs, so the order
+        // its handler sees is the mailbox order, on however many workers.
         let (bus, rt) =
             runtime_on_bus(RuntimeConfig::default().with_workers(4).with_per_agent_inflight(1));
-        let batcher = Arc::new(Batcher {
-            limit: 4,
-            sizes: Mutex::new(Vec::new()),
-            seen: Mutex::new(Vec::new()),
-        });
-        let _h = rt.spawn("batcher", Arc::clone(&batcher) as Arc<dyn AgentBehavior>).unwrap();
+        let recorder = Arc::new(Recorder::default());
+        let _h = rt.spawn("recorder", Arc::clone(&recorder) as Arc<dyn AgentBehavior>).unwrap();
         let client = bus.register("client").unwrap();
         for i in 0..12 {
-            client
-                .send(
-                    "batcher",
-                    Message::new(Performative::Tell).with_content(SExpr::atom(i.to_string())),
-                )
-                .unwrap();
+            let ask = Message::new(Performative::AskOne).with_content(SExpr::atom(i.to_string()));
+            client.send("recorder", ask).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
-        while batcher.seen.lock().unwrap().len() < 12 && Instant::now() < deadline {
+        while recorder.seen.lock().unwrap().len() < 12 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let seen = batcher.seen.lock().unwrap().clone();
+        let seen = recorder.seen.lock().unwrap().clone();
         let expected: Vec<String> = (0..12).map(|i| i.to_string()).collect();
-        assert_eq!(seen, expected, "mailbox order preserved across batch jobs");
-        let sizes = batcher.sizes.lock().unwrap().clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 12);
-        assert!(sizes.iter().all(|&s| s <= 4), "batch limit respected: {sizes:?}");
-        assert!(sizes.iter().any(|&s| s > 1), "no batch coalesced: {sizes:?}");
+        assert_eq!(seen, expected, "mailbox order preserved across jobs");
+        rt.shutdown();
+    }
+
+    /// Holds its worker for 50 ms once it has said that it started.
+    struct Hog {
+        started: AtomicBool,
+    }
+
+    impl AgentBehavior for Hog {
+        fn on_message(&self, _ctx: &AgentContext, _env: Envelope) {
+            self.started.store(true, Ordering::Release);
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
+
+    #[test]
+    fn mailbox_wait_includes_the_wait_for_a_worker() {
+        // One worker: while the hog holds it, the recorder's envelope is
+        // drained at once but waits in the job queue. That wait is part of
+        // what a message costs before its handler runs.
+        let (bus, rt) = runtime_on_bus(RuntimeConfig::default().with_workers(1));
+        let hog = Arc::new(Hog { started: AtomicBool::new(false) });
+        let recorder = Arc::new(Recorder::default());
+        let _hog = rt.spawn("hog", Arc::clone(&hog) as Arc<dyn AgentBehavior>).unwrap();
+        let _rec = rt.spawn("recorder", Arc::clone(&recorder) as Arc<dyn AgentBehavior>).unwrap();
+        let client = bus.register("client").unwrap();
+        client.send("hog", Message::new(Performative::Tell)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !hog.started.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "the hog never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        client.send("recorder", Message::new(Performative::Tell)).unwrap();
+        while recorder.seen.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "the recorder never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let waits = rt.obs().registry().histogram("runtime_mailbox_wait_seconds", &[]).snapshot();
+        assert_eq!(waits.count, 2, "one wait per envelope");
+        let longest = waits.max();
+        assert!(longest >= 0.040, "the wait for the worker went unseen: longest {longest}s");
         rt.shutdown();
     }
 

@@ -1,6 +1,6 @@
-//! Explorer harness: sweeps the interleaving explorer over the standard
-//! broker scenarios at batch limits 1 and 8 and writes the search-space
-//! statistics to `BENCH_check.json` for tracking across revisions.
+//! Explorer harness: runs the interleaving explorer over the standard
+//! broker scenarios and writes the search-space statistics to
+//! `BENCH_check.json` for tracking across revisions.
 //!
 //! Exit status is nonzero if any schedule violates an invariant or any
 //! search is truncated, so CI can use this binary as a gate as well as a
@@ -12,7 +12,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
     let config = if quick { ExploreConfig::quick() } else { ExploreConfig::default() };
-    let batch_limits = [1usize, 8];
 
     println!("=== Schedule-space exploration over the standard scenarios ===");
     println!(
@@ -22,45 +21,41 @@ fn main() -> ExitCode {
         if quick { " [--quick]" } else { "" }
     );
     println!();
-    println!("  scenario             batch   schedules     pruned    wall     status");
+    println!("  scenario             schedules     pruned    wall     status");
 
     let mut rows = Vec::new();
     let mut failed = false;
     for scenario in standard_scenarios() {
-        for batch_limit in batch_limits {
-            let result =
-                explore(&scenario, WorldConfig { batch_limit, seeded_reorder: false }, config);
-            let status = if !result.is_clean() {
-                failed = true;
-                "VIOLATED"
-            } else if result.truncated {
-                failed = true;
-                "truncated"
-            } else {
-                "clean"
-            };
-            println!(
-                "  {:<20} {batch_limit:>5}   {:>9}   {:>8}   {:>5.2}s   {status}",
-                result.scenario, result.schedules, result.pruned, result.wall_seconds
-            );
-            for violation in &result.violations {
-                eprintln!("  !! {}", violation.kind.lines().next().unwrap_or(""));
-            }
-            rows.push(format!(
-                concat!(
-                    "    {{\"scenario\": \"{}\", \"batch_limit\": {}, \"schedules\": {}, ",
-                    "\"pruned\": {}, \"truncated\": {}, \"violations\": {}, ",
-                    "\"wall_seconds\": {:.3}}}"
-                ),
-                result.scenario,
-                batch_limit,
-                result.schedules,
-                result.pruned,
-                result.truncated,
-                result.violations.len(),
-                result.wall_seconds
-            ));
+        let result = explore(&scenario, WorldConfig::default(), config);
+        let status = if !result.is_clean() {
+            failed = true;
+            "VIOLATED"
+        } else if result.truncated {
+            failed = true;
+            "truncated"
+        } else {
+            "clean"
+        };
+        println!(
+            "  {:<20} {:>9}   {:>8}   {:>5.2}s   {status}",
+            result.scenario, result.schedules, result.pruned, result.wall_seconds
+        );
+        for violation in &result.violations {
+            eprintln!("  !! {}", violation.kind.lines().next().unwrap_or(""));
         }
+        rows.push(format!(
+            concat!(
+                "    {{\"scenario\": \"{}\", \"schedules\": {}, ",
+                "\"pruned\": {}, \"truncated\": {}, \"violations\": {}, ",
+                "\"wall_seconds\": {:.3}}}"
+            ),
+            result.scenario,
+            result.schedules,
+            result.pruned,
+            result.truncated,
+            result.violations.len(),
+            result.wall_seconds
+        ));
     }
 
     let json = format!(

@@ -186,6 +186,10 @@ impl BrokerObs {
 
 impl Shared {
     fn new(obs: &Arc<Obs>, config: BrokerConfig, mut repo: Repository) -> Arc<Shared> {
+        assert_eq!(
+            config.batch_limit, 1,
+            "BrokerConfig::batch_limit is pinned at 1 for the benchmark harness's report"
+        );
         repo.set_obs(obs, &config.name);
         let state =
             State { repo, subs: SubscriptionRegistry::default(), digest_advertised_epoch: None };
@@ -283,31 +287,29 @@ impl Shared {
 }
 
 impl AgentBehavior for Shared {
+    /// Dispatches on the performative to its conversation's handler.
     fn on_message(&self, ctx: &AgentContext, env: Envelope) {
-        handle_envelope(self, ctx, env);
-    }
-
-    fn batch_limit(&self) -> usize {
-        self.config.batch_limit
-    }
-
-    /// Consecutive runs of repository mutations are applied under one
-    /// state lock, their outgoing traffic (sub-deltas then acks, in
-    /// mutation order) leaving once it is released; everything else
-    /// dispatches in place, so arrival order is preserved across the whole
-    /// delivery.
-    fn on_batch(&self, ctx: &AgentContext, batch: Vec<Envelope>) {
-        let mut run = Vec::new();
-        for env in batch {
-            if is_repo_mutation(&env.message.performative) {
-                run.push(env);
-            } else {
-                flush_mutation_run(self, ctx, &mut run);
-                let _span = ctx.recv_span(&env);
-                handle_envelope(self, ctx, env);
+        match env.message.performative {
+            Performative::Advertise | Performative::Update | Performative::Unadvertise => {
+                self.with_state(ctx, |state, out| mutation::apply(self, state, &env, out))
+            }
+            Performative::Ping => ping::handle_ping(self, ctx, &env),
+            Performative::AskAll | Performative::RecruitAll => {
+                ask::handle_query(self, ctx, &env, None)
+            }
+            Performative::AskOne | Performative::RecruitOne => {
+                ask::handle_query(self, ctx, &env, Some(1))
+            }
+            Performative::BrokerOne => ask::handle_broker_one(self, ctx, &env),
+            Performative::Subscribe => subscribe::handle_subscribe(self, ctx, &env),
+            Performative::Other(ref other) if other == "unsubscribe" => {
+                subscribe::handle_unsubscribe(self, ctx, &env)
+            }
+            _ => {
+                let text = format!("unsupported performative '{}'", env.message.performative);
+                reply_as_broker(ctx, &env.from, error_reply(&env, text));
             }
         }
-        flush_mutation_run(self, ctx, &mut run);
     }
 
     fn tick_interval(&self) -> Option<Duration> {
@@ -316,51 +318,6 @@ impl AgentBehavior for Shared {
 
     fn on_tick(&self, ctx: &AgentContext) {
         ping::liveness_sweep(self, ctx);
-    }
-}
-
-/// True for the performatives [`mutation::apply`] handles.
-fn is_repo_mutation(p: &Performative) -> bool {
-    matches!(p, Performative::Advertise | Performative::Update | Performative::Unadvertise)
-}
-
-/// Applies a run of queued mutations strictly in order — each one still
-/// bumps the epoch, probes the subscription index, and emits its own
-/// deltas, exactly as if it had arrived alone; only the lock round-trips
-/// are amortized.
-fn flush_mutation_run(shared: &Shared, ctx: &AgentContext, run: &mut Vec<Envelope>) {
-    if run.is_empty() {
-        return;
-    }
-    shared.with_state(ctx, |state, out| {
-        for env in run.drain(..) {
-            let _span = ctx.recv_span(&env);
-            mutation::apply(shared, state, &env, out);
-        }
-    });
-}
-
-fn handle_envelope(shared: &Shared, ctx: &AgentContext, env: Envelope) {
-    match env.message.performative {
-        ref p if is_repo_mutation(p) => {
-            shared.with_state(ctx, |state, out| mutation::apply(shared, state, &env, out))
-        }
-        Performative::Ping => ping::handle_ping(shared, ctx, &env),
-        Performative::AskAll | Performative::RecruitAll => {
-            ask::handle_query(shared, ctx, &env, None)
-        }
-        Performative::AskOne | Performative::RecruitOne => {
-            ask::handle_query(shared, ctx, &env, Some(1))
-        }
-        Performative::BrokerOne => ask::handle_broker_one(shared, ctx, &env),
-        Performative::Subscribe => subscribe::handle_subscribe(shared, ctx, &env),
-        Performative::Other(ref other) if other == "unsubscribe" => {
-            subscribe::handle_unsubscribe(shared, ctx, &env)
-        }
-        _ => {
-            let text = format!("unsupported performative '{}'", env.message.performative);
-            reply_as_broker(ctx, &env.from, error_reply(&env, text));
-        }
     }
 }
 
@@ -465,20 +422,15 @@ pub struct BrokerCore {
 }
 
 impl BrokerCore {
-    /// The behavior to dispatch envelopes into (`on_batch`, exactly as the
-    /// runtime's event loop would, or `on_message` for one envelope with
-    /// no dispatch span).
+    /// The behavior to dispatch envelopes into: open the envelope's
+    /// [`recv` span](AgentContext::recv_span), then call `on_message`,
+    /// exactly as a runtime worker does.
     pub fn behavior(&self) -> Arc<dyn AgentBehavior> {
         Arc::clone(&self.shared) as Arc<dyn AgentBehavior>
     }
 
     pub fn name(&self) -> &str {
         &self.shared.config.name
-    }
-
-    /// Effective batch limit of the wrapped behavior.
-    pub fn batch_limit(&self) -> usize {
-        self.shared.config.batch_limit
     }
 
     /// Repository mutation epoch (bumps once per applied mutation).
@@ -682,5 +634,12 @@ mod tests {
             seeded_repo(),
         )
         .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "pinned at 1 for the benchmark harness")]
+    fn a_broker_handles_one_envelope_per_dispatch() {
+        let config = BrokerConfig { batch_limit: 8, ..BrokerConfig::new("b", "tcp://b:1") };
+        BrokerAgent::core(&Obs::new(), config, seeded_repo());
     }
 }

@@ -672,6 +672,9 @@ mod tests {
         });
         let mut ra = bus.register("ra3").unwrap();
         advertise_to(&mut ra, "broker3", &resource_ad("ra3", &["C1"]), T).unwrap();
+        // broker3's digest update is ahead of the ask in broker1's mailbox,
+        // but two workers may handle them at once: wait until it is taken in.
+        await_digest(&b1, &b3);
         let q = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_ontology("paper-classes")
             .with_classes(["C1"]);

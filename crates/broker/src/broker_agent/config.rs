@@ -28,13 +28,9 @@ pub struct BrokerConfig {
     /// failed. The broker removes from its repository all information about
     /// agents that have failed". `None` disables the sweep.
     pub ping_interval: Option<Duration>,
-    /// Maximum envelopes the hosting runtime may drain into one broker
-    /// dispatch (1 by default). Above 1, consecutive queued repository
-    /// mutations (advertise / update / unadvertise) are applied under a
-    /// single state lock, their sub-deltas and acks leaving when it is
-    /// released — mutations are still processed strictly in arrival
-    /// order, one at a time, so the emitted sequences are byte-identical
-    /// at every limit.
+    /// Always 1: a broker handles one envelope per dispatch. Kept only
+    /// because the `benchmark/` harness reports it; building a broker
+    /// with any other value panics.
     pub batch_limit: usize,
 }
 
@@ -50,13 +46,6 @@ impl BrokerConfig {
             ping_interval: Some(Duration::from_secs(30)),
             batch_limit: 1,
         }
-    }
-
-    /// Opts the broker into batched dispatch: up to `n` queued envelopes
-    /// per job (clamped to at least 1).
-    pub fn with_batch_limit(mut self, n: usize) -> Self {
-        self.batch_limit = n.max(1);
-        self
     }
 
     pub fn with_ping_interval(mut self, interval: Option<Duration>) -> Self {

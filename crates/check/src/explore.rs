@@ -69,7 +69,6 @@ pub struct ScheduleViolation {
 #[derive(Debug, Default)]
 pub struct ExploreResult {
     pub scenario: String,
-    pub batch_limit: usize,
     /// Complete schedules executed and checked.
     pub schedules: usize,
     /// Sibling subtrees skipped by the sleep set.
@@ -224,11 +223,7 @@ pub fn explore(
         scenario,
         world_config,
         config,
-        result: ExploreResult {
-            scenario: scenario.name.to_string(),
-            batch_limit: world_config.batch_limit,
-            ..ExploreResult::default()
-        },
+        result: ExploreResult { scenario: scenario.name.to_string(), ..ExploreResult::default() },
     };
     let root = World::new(scenario, world_config);
     search.dfs(root, &mut Vec::new(), BTreeSet::new());

@@ -1,4 +1,4 @@
-//! Schedule-space race detection for the batched message plane.
+//! Schedule-space race detection for the broker's message plane.
 //!
 //! The production stack delivers KQML over threads and sockets, so any
 //! one test run sees a single arbitrary interleaving. This crate runs
@@ -9,17 +9,18 @@
 //! * [`ScheduledTransport`] — per-`(from, to)` FIFO channels plus a
 //!   global emission log; nothing moves until the explorer says so.
 //! * [`World`] — one scenario instance advanced by explicit
-//!   [`Action`]s (`Deliver` into an arrival queue, `Dispatch` of up to
-//!   `batch_limit` envelopes into the behavior).
+//!   [`Action`]s (`Deliver` into an arrival queue, `Dispatch` of one
+//!   envelope into the behavior).
 //! * [`explore`] — bounded stateless DFS with happens-before vector
 //!   clocks and sleep-set (DPOR-lite) pruning, checking every complete
 //!   schedule for conversation-protocol conformance (IS05x), per-channel
 //!   sub-delta epoch monotonicity, and byte-identical repository
 //!   convergence.
 //!
-//! [`WorldConfig::seeded_reorder`] arms a deliberate bug in the
-//! explorer's own dispatcher (batches reach the broker reversed); the
-//! oracle test in `tests/` proves the explorer catches it. See DESIGN.md
+//! [`WorldConfig::seeded_overtake`] arms a deliberate bug in the
+//! explorer's own dispatcher (a sender's later envelope reaches the
+//! broker before its earlier one); the oracle test in `tests/` proves
+//! the explorer catches it. See DESIGN.md
 //! §15.
 
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //!
 //! Each scenario is a handful of in-flight client requests against one
 //! broker — small enough that the schedule space is exhaustively
-//! explorable, chosen so the racy parts of the message plane (mutation
-//! batching, subscription churn, query/mutation interleaving) are all
+//! explorable, chosen so the racy parts of the message plane (racing
+//! mutations, subscription churn, query/mutation interleaving) are all
 //! exercised.
 
 use crate::world::Scenario;
@@ -74,9 +74,9 @@ fn unsubscribe(sub_key: &str, watcher: &str, reply_with: &str) -> Message {
 
 /// Three clients race repository mutations; one of them retracts its own
 /// advertisement in the same flight. Every schedule must converge to
-/// `{ra1, ra2}` — this is the scenario the seeded reordering bug breaks,
-/// because an advertise/unadvertise pair coalesced into one reversed
-/// batch retracts *before* it registers.
+/// `{ra1, ra2}` — this is the scenario the seeded overtaking bug breaks,
+/// because when c3's unadvertise overtakes its advertise the broker
+/// retracts ra3 *before* it registers it, and ra3 stays.
 pub fn racing_mutations() -> Scenario {
     Scenario {
         name: "racing_mutations",

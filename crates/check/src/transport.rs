@@ -71,14 +71,12 @@ impl ScheduledTransport {
         Some((entry.message, entry.clock))
     }
 
-    /// Merges the delivered messages' clocks into `agent`'s clock and
+    /// Merges the delivered message's clock into `agent`'s clock and
     /// bumps its own component once; returns the updated clock.
-    pub fn advance_clock(&self, agent: &str, merged: &[VectorClock]) -> VectorClock {
+    pub fn advance_clock(&self, agent: &str, delivered: &VectorClock) -> VectorClock {
         let mut state = lock(&self.state);
         let clock = state.clocks.entry(agent.to_string()).or_default();
-        for other in merged {
-            clock.merge(other);
-        }
+        clock.merge(delivered);
         clock.bump(agent);
         clock.clone()
     }
@@ -185,7 +183,7 @@ mod tests {
         t.send("a", "b", Message::new(Performative::Ping)).unwrap();
         let (_, vc) = t.pop_channel("a", "b").unwrap();
         assert_eq!(vc.get("a"), 1);
-        let after = t.advance_clock("b", std::slice::from_ref(&vc));
+        let after = t.advance_clock("b", &vc);
         assert_eq!(after.get("a"), 1);
         assert_eq!(after.get("b"), 1);
     }

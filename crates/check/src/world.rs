@@ -8,11 +8,11 @@
 //!   `(from, to)` channel into `to`'s arrival queue (or hands it to a
 //!   passive client). Per-channel FIFO is preserved; *which* channel
 //!   advances next is the race.
-//! * **Dispatch { to }** — the event loop drains up to `batch_limit`
-//!   queued envelopes into the behavior's `on_batch`, exactly like
-//!   [`AgentRuntime`](infosleuth_agent::AgentRuntime)'s event loop. When
-//!   the dispatch fires relative to arrivals decides the batch
-//!   boundaries — the second race.
+//! * **Dispatch { to }** — the head of the arrival queue goes to the
+//!   behavior: its `recv` span opens and `on_message` runs, exactly as
+//!   on an [`AgentRuntime`](infosleuth_agent::AgentRuntime) worker with
+//!   an in-flight cap of 1. When a dispatch fires relative to the
+//!   arrivals decides what the handler sees — the second race.
 //!
 //! Handlers run synchronously inside `apply`, so every send they make is
 //! enqueued (and logged) before the next action is chosen.
@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub enum Action {
     /// Move the head of channel `(from, to)` into `to`'s arrival queue.
     Deliver { from: String, to: String },
-    /// Drain up to `batch_limit` arrived envelopes into `to`'s behavior.
+    /// Hand the first arrived envelope to `to`'s behavior.
     Dispatch { to: String },
 }
 
@@ -68,21 +68,15 @@ pub struct Scenario {
     pub injections: Vec<(String, Message)>,
 }
 
-/// Per-world knobs the explorer sweeps.
-#[derive(Clone, Copy, Debug)]
+/// How a world dispatches.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WorldConfig {
-    /// The broker's `batch_limit` (1 = classic per-message dispatch).
-    pub batch_limit: usize,
-    /// Arms the seeded dispatcher bug: [`Action::Dispatch`] hands the
-    /// behavior each drained batch in *reverse* arrival order. The oracle
-    /// test proves the explorer catches the resulting divergence.
-    pub seeded_reorder: bool,
-}
-
-impl Default for WorldConfig {
-    fn default() -> Self {
-        WorldConfig { batch_limit: 1, seeded_reorder: false }
-    }
+    /// Arms the seeded dispatcher bug: when a later arrival has the same
+    /// sender as the head of the queue, [`Action::Dispatch`] hands the
+    /// behavior that later envelope first, so a sender's second message
+    /// overtakes its first. The oracle test proves the explorer catches
+    /// the resulting divergence.
+    pub seeded_overtake: bool,
 }
 
 /// The name every scenario's broker registers under.
@@ -94,8 +88,7 @@ pub struct World {
     core: BrokerCore,
     ctx: AgentContext,
     behavior: Arc<dyn AgentBehavior>,
-    batch_limit: usize,
-    seeded_reorder: bool,
+    seeded_overtake: bool,
     /// Broker arrival queue: delivered but not yet dispatched.
     arrivals: VecDeque<(Envelope, VectorClock)>,
     /// Applied actions with the destination clock after each.
@@ -110,9 +103,7 @@ impl World {
         for (client, _) in &scenario.injections {
             transport.register(client);
         }
-        let broker_config = BrokerConfig::new(BROKER, "virtual://broker")
-            .with_batch_limit(config.batch_limit)
-            .with_ping_interval(None);
+        let broker_config = BrokerConfig::new(BROKER, "virtual://broker").with_ping_interval(None);
         let core = BrokerAgent::core(&obs, broker_config, (scenario.repo)());
         let behavior = core.behavior();
         let ctx = AgentContext::detached(
@@ -130,8 +121,7 @@ impl World {
             core,
             ctx,
             behavior,
-            batch_limit: config.batch_limit.max(1),
-            seeded_reorder: config.seeded_reorder,
+            seeded_overtake: config.seeded_overtake,
             arrivals: VecDeque::new(),
             trace: Vec::new(),
         }
@@ -164,26 +154,25 @@ impl World {
                     self.arrivals.push_back((env, clock.clone()));
                     self.trace.push((action.clone(), clock));
                 } else {
-                    let after = self.transport.advance_clock(to, std::slice::from_ref(&clock));
+                    let after = self.transport.advance_clock(to, &clock);
                     self.trace.push((action.clone(), after));
                 }
             }
             Action::Dispatch { .. } => {
-                let take = self.batch_limit.min(self.arrivals.len()).max(1);
-                let mut batch = Vec::with_capacity(take);
-                let mut clocks = Vec::with_capacity(take);
-                for _ in 0..take {
-                    let Some((env, clock)) = self.arrivals.pop_front() else { break };
-                    batch.push(env);
-                    clocks.push(clock);
-                }
-                assert!(!batch.is_empty(), "dispatch on an empty arrival queue");
-                if self.seeded_reorder {
-                    batch.reverse();
-                }
-                let after = self.transport.advance_clock(BROKER, &clocks);
+                let at = match self.arrivals.front() {
+                    Some((head, _)) if self.seeded_overtake => self
+                        .arrivals
+                        .iter()
+                        .rposition(|(env, _)| env.from == head.from)
+                        .unwrap_or(0),
+                    _ => 0,
+                };
+                let (env, clock) =
+                    self.arrivals.remove(at).expect("dispatch on an empty arrival queue"); // lint: allow-unwrap
+                let after = self.transport.advance_clock(BROKER, &clock);
                 self.trace.push((action.clone(), after));
-                self.behavior.on_batch(&self.ctx, batch);
+                let _span = self.ctx.recv_span(&env);
+                self.behavior.on_message(&self.ctx, env);
             }
         }
     }
