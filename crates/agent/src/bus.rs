@@ -61,53 +61,17 @@ impl Bus {
         *write(&self.obs) = Some(TransportMetrics::new(obs, "bus"));
     }
 
-    /// Delivers a message. Fails if the recipient is not registered.
+    /// Delivers a message. Fails if the recipient is not registered. With
+    /// metrics attached the delivery is recorded as a send and, on
+    /// success, as its own receipt.
     pub fn send(&self, from: &str, to: &str, message: Message) -> Result<(), BusError> {
         let metrics = read(&self.obs).clone();
-        let timed = Self::begin(&metrics, 1);
-        Self::deliver(&read(&self.registry), timed, from, to, message)
-    }
-
-    /// Delivers a batch of messages in order under a single registry
-    /// read lock, returning one result per message; a failure for one
-    /// message never prevents delivery of the others.
-    pub fn send_batch(
-        &self,
-        from: &str,
-        batch: Vec<(String, Message)>,
-    ) -> Vec<Result<(), BusError>> {
-        let metrics = read(&self.obs).clone();
-        let timed = Self::begin(&metrics, batch.len());
-        let reg = read(&self.registry);
-        batch
-            .into_iter()
-            .map(|(to, message)| Self::deliver(&reg, timed, from, &to, message))
-            .collect()
-    }
-
-    /// Records one dispatch of `n` messages in the attached metrics, if
-    /// any, and notes when it began.
-    fn begin(
-        metrics: &Option<Arc<TransportMetrics>>,
-        n: usize,
-    ) -> Option<(&TransportMetrics, Instant)> {
-        let m = metrics.as_deref()?;
-        m.record_batch(n);
-        Some((m, Instant::now()))
-    }
-
-    /// One delivery into `reg`; with metrics attached it is recorded as a
-    /// send and, on success, as its own receipt.
-    fn deliver(
-        reg: &Registry,
-        timed: Option<(&TransportMetrics, Instant)>,
-        from: &str,
-        to: &str,
-        message: Message,
-    ) -> Result<(), BusError> {
-        let Some((m, started)) = timed else { return reg.deliver(from, to, message) };
+        let Some(m) = metrics.as_deref() else {
+            return read(&self.registry).deliver(from, to, message);
+        };
+        let started = Instant::now();
         let size = message.wire_size();
-        let result = reg.deliver(from, to, message);
+        let result = read(&self.registry).deliver(from, to, message);
         m.record_send(to, size, started.elapsed(), result.is_ok());
         if result.is_ok() {
             m.record_recv(size);
@@ -141,10 +105,6 @@ impl Transport for Bus {
 
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), BusError> {
         Bus::send(self, from, to, message)
-    }
-
-    fn send_batch(&self, from: &str, batch: Vec<(String, Message)>) -> Vec<Result<(), BusError>> {
-        Bus::send_batch(self, from, batch)
     }
 
     fn next_conversation_id(&self, prefix: &str) -> String {
@@ -353,15 +313,15 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_preserves_order_and_isolates_failures() {
+    fn send_preserves_order_and_isolates_failures() {
         let bus = Bus::new();
         let _a = bus.register("a").unwrap();
         let mut b = bus.register("b").unwrap();
         let mk = |s: &str| Message::new(Performative::Tell).with_content(SExpr::atom(s));
-        let results = bus.send_batch(
-            "a",
-            vec![("b".into(), mk("one")), ("ghost".into(), mk("lost")), ("b".into(), mk("two"))],
-        );
+        let results: Vec<_> = [("b", "one"), ("ghost", "lost"), ("b", "two")]
+            .into_iter()
+            .map(|(to, tag)| bus.send("a", to, mk(tag)))
+            .collect();
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(BusError::UnknownAgent(_))));
         assert!(results[2].is_ok());

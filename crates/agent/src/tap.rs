@@ -3,8 +3,8 @@
 //! A [`MessageTap`] sees each message at *send* time — before delivery,
 //! in the global order messages enter the fabric. Wrapping a transport
 //! in a [`TappedTransport`] catches every path an agent can emit on:
-//! `AgentContext::send`, `Transport::send_batch`, *and* the ephemeral reply
-//! endpoints `AgentContext::request` conjures (which talk straight to
+//! `AgentContext::send` *and* the ephemeral reply endpoints
+//! `AgentContext::request` conjures (which talk straight to
 //! `Transport::send` and would slip past any higher-level hook).
 //!
 //! The broker crate uses this to feed the conversation-conformance
@@ -63,17 +63,6 @@ impl Transport for TappedTransport {
         self.inner.send(from, to, message)
     }
 
-    fn send_batch(
-        &self,
-        from: &str,
-        batch: Vec<(String, Message)>,
-    ) -> Vec<Result<(), TransportError>> {
-        for (to, message) in &batch {
-            self.tap.on_send(from, to, message);
-        }
-        self.inner.send_batch(from, batch)
-    }
-
     fn next_conversation_id(&self, prefix: &str) -> String {
         self.inner.next_conversation_id(prefix)
     }
@@ -100,7 +89,7 @@ mod tests {
     }
 
     #[test]
-    fn tap_sees_sends_batches_and_failures() {
+    fn tap_sees_sends_and_failures() {
         let bus = Bus::new();
         let recorder = Arc::new(Recorder(Mutex::new(Vec::new())));
         let tapped = TappedTransport::wrap(bus.as_transport(), recorder.clone());
@@ -110,15 +99,11 @@ mod tests {
         a.send("b", Message::new(Performative::Tell).with_content(SExpr::atom("x"))).unwrap();
         assert!(b.recv_timeout(std::time::Duration::from_secs(1)).is_some());
 
-        let results = tapped.send_batch(
-            "a",
-            vec![
-                ("b".into(), Message::new(Performative::Ping)),
-                ("ghost".into(), Message::new(Performative::Ping)),
-            ],
+        assert!(tapped.send("a", "b", Message::new(Performative::Ping)).is_ok());
+        assert!(
+            tapped.send("a", "ghost", Message::new(Performative::Ping)).is_err(),
+            "unknown agent still fails through the tap"
         );
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err(), "unknown agent still fails through the tap");
 
         let seen = recorder.0.lock().unwrap().clone();
         let triples: Vec<(&str, &str, &str)> =

@@ -1,5 +1,5 @@
-//! The networked [`Transport`]: batched, length-prefixed KQML frames
-//! over TCP, on blocking sockets that wake in the kernel.
+//! The networked [`Transport`]: one length-prefixed KQML message per
+//! frame over TCP, on blocking sockets that wake in the kernel.
 //!
 //! This is the deployment story the paper actually ran — agents on
 //! distinct machines exchanging KQML over TCP, each reachable at the
@@ -17,11 +17,11 @@
 //! * **Inbound.** Each accepted connection has one reader thread
 //!   (`tcp-in-<port>`). It blocks in `read` for the 4-byte length, checks
 //!   it against [`MAX_FRAME`], reads exactly that frame into a heap buffer
-//!   freed after use, decodes *all* of it, delivers the messages to the
-//!   local registry and writes the frame's coalesced ack itself. A frame
-//!   that is not wholly well-formed delivers nothing.
+//!   freed after use, decodes *all* of it, delivers its message to the
+//!   local registry and writes the frame's ack itself. A frame that is
+//!   not wholly well-formed delivers nothing.
 //! * **Outbound.** Each peer node has one persistent connection. The
-//!   *sending* thread queues a [`PendingAck`] and writes its own frame
+//!   *sending* thread queues its ack slot and writes its own frame
 //!   under the per-peer lock — frames reach the socket whole, in queue
 //!   order — then waits for that one ack. One ack-reader thread per peer
 //!   (`tcp-ack-<port>`) blocks in `read` and completes the queue oldest
@@ -66,23 +66,22 @@
 //!
 //! ## Framing
 //!
-//! One frame carries a whole batch of messages from one sender:
+//! One frame carries one message:
 //!
 //! ```text
 //! u32 BE  payload length (everything after these 4 bytes)
 //! u16 BE  sender-name length, then that many UTF-8 bytes
-//! u16 BE  message count N
-//! N ×  {  u16 BE receiver-name length + bytes,
-//!         u32 BE body length + the KQML message rendered as text  }
+//! u16 BE  receiver-name length, then that many UTF-8 bytes
+//! u32 BE  body length, then the KQML message rendered as text
 //! ```
 //!
-//! The receiver answers one coalesced ack per frame: a status byte `0`
-//! followed by ⌈N/8⌉ bitmap bytes in which bit `i` (LSB-first) set means
-//! message `i` named an agent not registered here (surfacing as
+//! The body keeps its own length, so a byte after it makes the frame
+//! malformed. The receiver answers every frame with one status byte:
+//! `0` delivered, `1` no such agent is registered here (surfacing as
 //! [`TransportError::UnknownAgent`], preserving the in-proc `Bus`
-//! semantics for dead peers). A structurally invalid frame is answered
-//! with the single status byte `2` and the connection is closed, since
-//! stream framing can no longer be trusted.
+//! semantics for dead peers), or `2` for a structurally invalid frame,
+//! after which the connection is closed, since stream framing can no
+//! longer be trusted.
 
 use crate::address::AgentAddress;
 use crate::transport::{Mailbox, Registry, Transport, TransportError, TransportMetrics};
@@ -98,17 +97,16 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Frame delivered; per-message failures are in the ack bitmap.
+/// Frame delivered.
 const ACK_OK: u8 = 0;
+/// Frame well-formed, but its addressee is not registered here.
+const ACK_UNKNOWN: u8 = 1;
 /// Frame was structurally invalid; the connection is closed after this.
 const ACK_MALFORMED: u8 = 2;
 
 /// Refuse frames above this size; a wild length prefix must not make the
 /// receiver allocate unboundedly.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
-/// Messages per wire frame; larger batches are split across frames.
-const MAX_WIRE_BATCH: usize = 4096;
 
 /// Per-peer cap on unacked frames: further sends are rejected
 /// (backpressure) instead of piling up behind a slow or stuck peer.
@@ -121,18 +119,9 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// listener; a new connection waits at most this long to be accepted.
 const ACCEPT_NAP: Duration = Duration::from_millis(1);
 
-/// Per-message failure flags from one coalesced ack (`true` = the
-/// receiver had no such agent), or a wire-level error for the whole
-/// frame.
-type AckReply = Result<Vec<bool>, TransportError>;
-
-/// Where [`TcpTransport::hop`] sent one message.
-enum Hop {
-    /// Settled on this node: delivered to a local mailbox, or failed.
-    Local(Result<(), TransportError>),
-    /// Bound for the node at this address, as rendered KQML text.
-    Remote(AgentAddress, String),
-}
+/// One frame's ack: whether the receiver had the addressee (`ACK_OK`
+/// rather than `ACK_UNKNOWN`), or a wire-level error.
+type AckReply = Result<bool, TransportError>;
 
 struct TcpShared {
     registry: RwLock<Registry>,
@@ -205,9 +194,8 @@ impl TcpTransport {
     }
 
     /// Attaches transport metrics to this node, registered under
-    /// `transport="tcp"` in `obs`. Covers frame sends, receipts, batch
-    /// sizes, per-peer queue depths, and prefix-fallback route
-    /// resolutions.
+    /// `transport="tcp"` in `obs`. Covers frame sends, receipts, per-peer
+    /// queue depths, and prefix-fallback route resolutions.
     pub fn set_obs(&self, obs: &Arc<Obs>) {
         *write(&self.shared.obs) = Some(TransportMetrics::new(obs, "tcp"));
     }
@@ -231,36 +219,41 @@ impl TcpTransport {
         }
     }
 
-    /// Decides one message's next hop: same-node agents are delivered to
-    /// on the spot and never touch a socket; anything else is rendered
-    /// for the node its route names, or fails for want of one.
+    /// Delivers one message: to a same-node agent on the spot, without
+    /// touching a socket; anything else as one frame to the node its
+    /// route names, or not at all for want of a route. `size` is the
+    /// message's wire size when `metrics` are attached.
     fn hop(
         &self,
-        reg: &Registry,
         metrics: Option<&TransportMetrics>,
         from: &str,
         to: &str,
         message: Message,
         size: usize,
-    ) -> Hop {
-        if reg.contains(to) {
-            let result = reg.deliver(from, to, message);
-            if let (Some(m), true) = (metrics, result.is_ok()) {
-                // Same-node delivery is also the receipt.
-                m.record_recv(size);
-            }
-            return Hop::Local(result);
-        }
-        match self.lookup_route(to) {
-            // A routing-table gap is a deployment configuration problem,
-            // reported distinctly from a dead-but-routed agent.
-            None => Hop::Local(Err(TransportError::NoRoute(to.to_string()))),
-            Some((address, used_fallback)) => {
-                if let (Some(m), true) = (metrics, used_fallback) {
-                    m.record_route_fallback();
+    ) -> Result<(), TransportError> {
+        {
+            let reg = read(&self.shared.registry);
+            if reg.contains(to) {
+                let result = reg.deliver(from, to, message);
+                if let (Some(m), true) = (metrics, result.is_ok()) {
+                    // Same-node delivery is also the receipt.
+                    m.record_recv(size);
                 }
-                Hop::Remote(address, message.to_string())
+                return result;
             }
+        }
+        // A routing-table gap is a deployment configuration problem,
+        // reported distinctly from a dead-but-routed agent.
+        let (address, used_fallback) =
+            self.lookup_route(to).ok_or_else(|| TransportError::NoRoute(to.to_string()))?;
+        if let (Some(m), true) = (metrics, used_fallback) {
+            m.record_route_fallback();
+        }
+        let frame = encode_frame(from, to, &message.to_string())?;
+        if self.send_frame(resolve(&address)?, &frame)? {
+            Ok(())
+        } else {
+            Err(TransportError::UnknownAgent(to.to_string()))
         }
     }
 
@@ -285,100 +278,27 @@ impl TcpTransport {
         }
     }
 
-    /// Packs `items` (original batch index, receiver, rendered message)
-    /// into as few wire frames as fit, writes each to the peer's connection
-    /// and blocks for its coalesced ack.
-    fn send_frames(
-        &self,
-        address: &AgentAddress,
-        from: &str,
-        items: Vec<(usize, String, String)>,
-    ) -> Vec<(usize, Result<(), TransportError>)> {
-        let mut out = Vec::with_capacity(items.len());
-        let sock_addr = match resolve(address) {
-            Ok(a) => a,
-            Err(e) => {
-                return items.into_iter().map(|(i, _, _)| (i, Err(e.clone()))).collect();
-            }
-        };
-        if from.len() > u16::MAX as usize {
-            let e = TransportError::Io("agent name too long for frame".into());
-            return items.into_iter().map(|(i, _, _)| (i, Err(e.clone()))).collect();
-        }
-        let mut chunk: Vec<(usize, String, String)> = Vec::new();
-        let mut chunk_len = frame_header_len(from);
-        for (i, to, text) in items {
-            let item_len = 2 + to.len() + 4 + text.len();
-            if to.len() > u16::MAX as usize
-                || frame_header_len(from) + item_len > MAX_FRAME as usize
-            {
-                out.push((i, Err(TransportError::Io(format!("frame too large for '{to}'")))));
-                continue;
-            }
-            if !chunk.is_empty()
-                && (chunk_len + item_len > MAX_FRAME as usize || chunk.len() >= MAX_WIRE_BATCH)
-            {
-                self.flush_chunk(sock_addr, from, std::mem::take(&mut chunk), &mut out);
-                chunk_len = frame_header_len(from);
-            }
-            chunk_len += item_len;
-            chunk.push((i, to, text));
-        }
-        if !chunk.is_empty() {
-            self.flush_chunk(sock_addr, from, chunk, &mut out);
-        }
-        out
-    }
-
-    /// Encodes one wire frame for `chunk`, sends it, and translates the
-    /// failure bitmap of its coalesced ack back to per-message results.
-    fn flush_chunk(
-        &self,
-        addr: SocketAddr,
-        from: &str,
-        chunk: Vec<(usize, String, String)>,
-        out: &mut Vec<(usize, Result<(), TransportError>)>,
-    ) {
-        match self.send_frame(addr, &encode_frame(from, &chunk), chunk.len()) {
-            Ok(failed) => {
-                for (slot, (i, to, _)) in chunk.into_iter().enumerate() {
-                    if failed.get(slot).copied().unwrap_or(true) {
-                        out.push((i, Err(TransportError::UnknownAgent(to))));
-                    } else {
-                        out.push((i, Ok(())));
-                    }
-                }
-            }
-            Err(e) => {
-                for (i, _, _) in chunk {
-                    out.push((i, Err(e.clone())));
-                }
-            }
-        }
-    }
-
-    /// Writes one encoded frame of `count` messages to the peer at `addr`
-    /// from the calling thread and blocks until the peer's ack reader
-    /// hands back its coalesced ack.
-    fn send_frame(&self, addr: SocketAddr, frame: &[u8], count: usize) -> AckReply {
+    /// Writes one encoded frame to the peer at `addr` from the calling
+    /// thread and blocks until the peer's ack reader hands back its ack.
+    fn send_frame(&self, addr: SocketAddr, frame: &[u8]) -> AckReply {
         let shared = &self.shared;
         let peer = Arc::clone(
             lock(&shared.peers)
                 .entry(addr)
                 .or_insert_with(|| Arc::new(Peer { addr, conn: Mutex::new(None) })),
         );
-        let mut submitted = peer.submit(shared, frame, count);
+        let mut submitted = peer.submit(shared, frame);
         if let Err((_, true)) = submitted {
             // The pooled connection was stale and not a byte of this
             // frame left it: one transparent attempt on a fresh one.
-            submitted = peer.submit(shared, frame, count);
+            submitted = peer.submit(shared, frame);
         }
         let ack = submitted.map_err(|(e, _)| e)?;
         ack.recv_timeout(IO_TIMEOUT).unwrap_or_else(|_| {
             // Still unacked: the connection is stuck. Dropping it fails
             // every frame queued behind this one too.
             peer.close();
-            Err(TransportError::Io("timed out waiting for batch ack".into()))
+            Err(TransportError::Io("timed out waiting for an ack".into()))
         })
     }
 }
@@ -400,7 +320,7 @@ impl Transport for TcpTransport {
 
     fn is_registered(&self, name: &str) -> bool {
         // A routed remote agent counts as reachable: its death is only
-        // discoverable at send time (ack bitmap / refused connection),
+        // discoverable at send time (`ACK_UNKNOWN` / refused connection),
         // exactly the paper's "the transport layer will fail to make the
         // connection".
         read(&self.shared.registry).contains(name) || self.lookup_route(name).is_some()
@@ -413,82 +333,13 @@ impl Transport for TcpTransport {
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError> {
         let metrics = read(&self.shared.obs).clone();
         let metrics = metrics.as_deref();
-        let timed = metrics.map(|m| {
-            m.record_batch(1);
-            (Instant::now(), message.wire_size())
-        });
+        let timed = metrics.map(|_| (Instant::now(), message.wire_size()));
         let size = timed.map_or(0, |(_, size)| size);
-        let hop = self.hop(&read(&self.shared.registry), metrics, from, to, message, size);
-        let result = match hop {
-            Hop::Local(result) => result,
-            Hop::Remote(address, text) => {
-                self.send_frames(&address, from, vec![(0, to.to_string(), text)])
-                    .pop()
-                    .expect("one result per message") // lint: allow-unwrap
-                    .1
-            }
-        };
+        let result = self.hop(metrics, from, to, message, size);
         if let (Some(m), Some((started, size))) = (metrics, timed) {
             m.record_send(to, size, started.elapsed(), result.is_ok());
         }
         result
-    }
-
-    fn send_batch(
-        &self,
-        from: &str,
-        batch: Vec<(String, Message)>,
-    ) -> Vec<Result<(), TransportError>> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let metrics = read(&self.shared.obs).clone();
-        let metrics = metrics.as_deref();
-        if let Some(m) = metrics {
-            m.record_batch(batch.len());
-        }
-        let started = metrics.map(|_| Instant::now());
-        let mut results: Vec<Option<Result<(), TransportError>>> = vec![None; batch.len()];
-        let mut sizes: Vec<usize> = vec![0; batch.len()];
-        let mut dests: Vec<String> = Vec::with_capacity(batch.len());
-        // Per remote peer (keyed by its routed address, preserving
-        // first-appearance order): the messages bound there, as (batch
-        // index, recipient, serialized KQML body).
-        type PeerBound = Vec<(usize, String, String)>;
-        let mut remote: Vec<(AgentAddress, PeerBound)> = Vec::new();
-        {
-            let reg = read(&self.shared.registry);
-            for (i, (to, message)) in batch.into_iter().enumerate() {
-                if metrics.is_some() {
-                    sizes[i] = message.wire_size();
-                }
-                match self.hop(&reg, metrics, from, &to, message, sizes[i]) {
-                    Hop::Local(result) => results[i] = Some(result),
-                    Hop::Remote(address, text) => {
-                        let item = (i, to.clone(), text);
-                        match remote.iter_mut().find(|(a, _)| *a == address) {
-                            Some((_, items)) => items.push(item),
-                            None => remote.push((address, vec![item])),
-                        }
-                    }
-                }
-                dests.push(to);
-            }
-        }
-        for (address, items) in remote {
-            for (i, result) in self.send_frames(&address, from, items) {
-                results[i] = Some(result);
-            }
-        }
-        let results: Vec<Result<(), TransportError>> =
-            results.into_iter().map(|r| r.expect("every batch slot resolved")).collect(); // lint: allow-unwrap
-        if let (Some(m), Some(started)) = (metrics, started) {
-            let elapsed = started.elapsed();
-            for (i, result) in results.iter().enumerate() {
-                m.record_send(&dests[i], sizes[i], elapsed, result.is_ok());
-            }
-        }
-        results
     }
 
     fn next_conversation_id(&self, prefix: &str) -> String {
@@ -524,46 +375,32 @@ fn resolve(address: &AgentAddress) -> Result<SocketAddr, TransportError> {
         .ok_or_else(|| TransportError::Io(format!("unresolvable host '{}'", address.host)))
 }
 
-/// Frame bytes before the first message record: length prefix, sender
-/// name, message count.
-fn frame_header_len(from: &str) -> usize {
-    2 + from.len() + 2
-}
-
-/// Encodes one batch frame (length prefix included).
-fn encode_frame(from: &str, chunk: &[(usize, String, String)]) -> Vec<u8> {
-    let payload_len = frame_header_len(from)
-        + chunk.iter().map(|(_, to, text)| 2 + to.len() + 4 + text.len()).sum::<usize>();
+/// Encodes the frame carrying `text` from `from` to `to`, length prefix
+/// included. A frame the receiver would refuse is an error here, before
+/// any byte of it is written.
+fn encode_frame(from: &str, to: &str, text: &str) -> Result<Vec<u8>, TransportError> {
+    let payload_len = 2 + from.len() + 2 + to.len() + 4 + text.len();
+    if from.len() > u16::MAX as usize
+        || to.len() > u16::MAX as usize
+        || payload_len > MAX_FRAME as usize
+    {
+        return Err(TransportError::Io(format!("frame too large for '{to}'")));
+    }
     let mut frame = Vec::with_capacity(4 + payload_len);
     frame.extend_from_slice(&(payload_len as u32).to_be_bytes());
-    frame.extend_from_slice(&(from.len() as u16).to_be_bytes());
-    frame.extend_from_slice(from.as_bytes());
-    frame.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
-    for (_, to, text) in chunk {
-        frame.extend_from_slice(&(to.len() as u16).to_be_bytes());
-        frame.extend_from_slice(to.as_bytes());
-        frame.extend_from_slice(&(text.len() as u32).to_be_bytes());
-        frame.extend_from_slice(text.as_bytes());
+    for name in [from, to] {
+        frame.extend_from_slice(&(name.len() as u16).to_be_bytes());
+        frame.extend_from_slice(name.as_bytes());
     }
-    frame
+    frame.extend_from_slice(&(text.len() as u32).to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
+    Ok(frame)
 }
 
-/// Coalesced-ack length for a frame of `count` messages: the status byte
-/// plus the failure bitmap.
-fn ack_len(count: usize) -> usize {
-    1 + count.div_ceil(8)
-}
-
-/// An unacked frame: how many messages its ack covers and who waits.
-struct PendingAck {
-    count: usize,
-    done: Sender<AckReply>,
-}
-
-/// The unacked frames of one connection, oldest first. The ack reader
-/// leaves `None` behind when it exits, which is how the next sender
-/// learns the connection is gone.
-type AckQueue = Mutex<Option<VecDeque<PendingAck>>>;
+/// Where each unacked frame of one connection waits for its ack, oldest
+/// first. The ack reader leaves `None` behind when it exits, which is how
+/// the next sender learns the connection is gone.
+type AckQueue = Mutex<Option<VecDeque<Sender<AckReply>>>>;
 
 /// The persistent outbound connection to one peer node.
 struct Conn {
@@ -600,9 +437,8 @@ impl Conn {
 /// One peer node: its address and, while one is up, the connection to it.
 struct Peer {
     addr: SocketAddr,
-    /// Also the per-peer write lock: held from queueing a frame's
-    /// [`PendingAck`] until the frame is written, so acks come back in
-    /// queue order.
+    /// Also the per-peer write lock: held from queueing a frame's ack
+    /// slot until the frame is written, so acks come back in queue order.
     conn: Mutex<Option<Conn>>,
 }
 
@@ -616,7 +452,6 @@ impl Peer {
         &self,
         shared: &Arc<TcpShared>,
         frame: &[u8],
-        count: usize,
     ) -> Result<Receiver<AckReply>, (TransportError, bool)> {
         let mut slot = lock(&self.conn);
         let conn = match slot.take() {
@@ -629,7 +464,7 @@ impl Peer {
         let (done, ack) = channel();
         let depth = lock(&conn.acks).as_mut().map(|queue| {
             (queue.len() < MAX_PEER_QUEUE).then(|| {
-                queue.push_back(PendingAck { count, done });
+                queue.push_back(done);
                 queue.len()
             })
         });
@@ -686,23 +521,15 @@ fn write_frame(mut stream: &TcpStream, frame: &[u8]) -> Result<(), bool> {
 }
 
 /// The ack-reader thread of one outbound connection: blocks for each
-/// coalesced ack and completes the oldest unacked frame with it. Any
-/// error, EOF, non-`ACK_OK` status or local `close` ends it, failing the
-/// frames still queued.
+/// status byte and completes the oldest unacked frame with it. Any error,
+/// EOF, `ACK_MALFORMED` or local `close` ends it, failing the frames
+/// still queued.
 fn read_acks(mut stream: TcpStream, acks: &AckQueue, addr: SocketAddr, shared: &TcpShared) {
     let mut status = [0u8];
-    while stream.read_exact(&mut status).is_ok() && status[0] == ACK_OK {
+    while stream.read_exact(&mut status).is_ok() && matches!(status[0], ACK_OK | ACK_UNKNOWN) {
         // Queued before its frame was written, so it is there.
-        let Some(count) = lock(acks).as_ref().and_then(|q| q.front()).map(|p| p.count) else {
-            break;
-        };
-        let mut bitmap = vec![0u8; ack_len(count) - 1];
-        if stream.read_exact(&mut bitmap).is_err() {
-            break;
-        }
-        let Some(acked) = lock(acks).as_mut().and_then(VecDeque::pop_front) else { break };
-        let failed = (0..count).map(|i| bitmap[i / 8] & (1 << (i % 8)) != 0).collect();
-        let _ = acked.done.send(Ok(failed));
+        let Some(done) = lock(acks).as_mut().and_then(VecDeque::pop_front) else { break };
+        let _ = done.send(Ok(status[0] == ACK_OK));
     }
     let _ = stream.shutdown(Shutdown::Both);
     let error = if shared.closed.load(Ordering::SeqCst) {
@@ -710,8 +537,8 @@ fn read_acks(mut stream: TcpStream, acks: &AckQueue, addr: SocketAddr, shared: &
     } else {
         connection_failed(addr)
     };
-    for unacked in lock(acks).take().into_iter().flatten() {
-        let _ = unacked.done.send(Err(error.clone()));
+    for done in lock(acks).take().into_iter().flatten() {
+        let _ = done.send(Err(error.clone()));
     }
 }
 
@@ -759,8 +586,8 @@ fn serve(stream: TcpStream, shared: &Arc<TcpShared>) -> io::Result<()> {
     Ok(())
 }
 
-/// The reader thread of one accepted connection: frame in, messages
-/// delivered, coalesced ack out, until the remote closes, a frame stalls
+/// The reader thread of one accepted connection: frame in, message
+/// delivered, status byte out, until the remote closes, a frame stalls
 /// half-read past `IO_TIMEOUT`, a frame is malformed (answered
 /// `ACK_MALFORMED`), or `shutdown` wakes it.
 fn read_frames(mut stream: TcpStream, shared: &TcpShared) {
@@ -768,12 +595,12 @@ fn read_frames(mut stream: TcpStream, shared: &TcpShared) {
         let ack = match read_frame(&mut stream) {
             Ok(payload) => match decode_payload(&payload) {
                 Ok(frame) => deliver(shared, frame),
-                Err(()) => vec![ACK_MALFORMED],
+                Err(()) => ACK_MALFORMED,
             },
-            Err(e) if e.kind() == ErrorKind::InvalidData => vec![ACK_MALFORMED],
+            Err(e) if e.kind() == ErrorKind::InvalidData => ACK_MALFORMED,
             Err(_) => break,
         };
-        if stream.write_all(&ack).is_err() || ack[0] != ACK_OK {
+        if stream.write_all(&[ack]).is_err() || ack == ACK_MALFORMED {
             break;
         }
     }
@@ -806,52 +633,43 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// A wholly decoded frame: its sender and every (receiver, message).
+/// A wholly decoded frame.
 struct Decoded<'a> {
     from: &'a str,
-    messages: Vec<(&'a str, Message)>,
+    to: &'a str,
+    message: Message,
 }
 
-/// Decodes one whole batch payload before anything of it is delivered.
-/// Any structural problem, unparsable body or trailing byte is `Err` for
-/// the frame as a whole.
+/// Decodes one whole payload before anything of it is delivered. Any
+/// structural problem, unparsable body or trailing byte is `Err` for the
+/// frame as a whole.
 fn decode_payload(payload: &[u8]) -> Result<Decoded<'_>, ()> {
     let mut cursor = 0usize;
-    let from_len = be_u16(take(payload, &mut cursor, 2)?) as usize;
-    let from = std::str::from_utf8(take(payload, &mut cursor, from_len)?).map_err(|_| ())?;
-    let count = be_u16(take(payload, &mut cursor, 2)?) as usize;
-    // Every message takes at least its two length fields.
-    let mut messages = Vec::with_capacity(count.min(payload.len() / 6));
-    for _ in 0..count {
-        let to_len = be_u16(take(payload, &mut cursor, 2)?) as usize;
-        let to = std::str::from_utf8(take(payload, &mut cursor, to_len)?).map_err(|_| ())?;
-        let body_len = be_u32(take(payload, &mut cursor, 4)?) as usize;
-        let text = std::str::from_utf8(take(payload, &mut cursor, body_len)?).map_err(|_| ())?;
-        messages.push((to, Message::parse(text).map_err(|_| ())?));
-    }
+    let from = field(payload, &mut cursor, 2)?;
+    let to = field(payload, &mut cursor, 2)?;
+    let text = field(payload, &mut cursor, 4)?;
     if cursor != payload.len() {
         return Err(());
     }
-    Ok(Decoded { from, messages })
+    Ok(Decoded { from, to, message: Message::parse(text).map_err(|_| ())? })
 }
 
-/// Delivers a decoded frame to the local registry and returns its
-/// coalesced ack (status byte + failure bitmap).
-fn deliver(shared: &TcpShared, frame: Decoded<'_>) -> Vec<u8> {
-    let Decoded { from, messages } = frame;
-    let mut ack = vec![0u8; ack_len(messages.len())];
-    ack[0] = ACK_OK;
-    let metrics = read(&shared.obs).clone();
-    let registry = read(&shared.registry);
-    for (i, (to, message)) in messages.into_iter().enumerate() {
-        if let Some(m) = &metrics {
-            m.record_recv(message.wire_size());
-        }
-        if registry.deliver(from, to, message).is_err() {
-            ack[1 + i / 8] |= 1 << (i % 8);
-        }
+/// Delivers a decoded frame to the local registry and returns its ack.
+fn deliver(shared: &TcpShared, Decoded { from, to, message }: Decoded<'_>) -> u8 {
+    if let Some(m) = read(&shared.obs).as_ref() {
+        m.record_recv(message.wire_size());
     }
-    ack
+    match read(&shared.registry).deliver(from, to, message) {
+        Ok(()) => ACK_OK,
+        Err(_) => ACK_UNKNOWN,
+    }
+}
+
+/// Reads one UTF-8 field at `cursor`: a big-endian length of `width`
+/// bytes, then that many bytes, all bounds-checked.
+fn field<'a>(payload: &'a [u8], cursor: &mut usize, width: usize) -> Result<&'a str, ()> {
+    let len = be(take(payload, cursor, width)?);
+    std::str::from_utf8(take(payload, cursor, len)?).map_err(|_| ())
 }
 
 /// Advances `cursor` by `n` bytes into `payload`, bounds-checked.
@@ -862,14 +680,9 @@ fn take<'a>(payload: &'a [u8], cursor: &mut usize, n: usize) -> Result<&'a [u8],
     Ok(slice)
 }
 
-/// Big-endian u16 from a slice whose length the caller already checked.
-fn be_u16(b: &[u8]) -> u16 {
-    u16::from_be_bytes([b[0], b[1]])
-}
-
-/// Big-endian u32 from a slice whose length the caller already checked.
-fn be_u32(b: &[u8]) -> u32 {
-    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+/// The big-endian unsigned integer in `bytes` (at most 4 of them).
+fn be(bytes: &[u8]) -> usize {
+    bytes.iter().fold(0, |n, &b| n << 8 | usize::from(b))
 }
 
 #[cfg(test)]
@@ -973,6 +786,10 @@ mod tests {
             text.contains("transport_route_fallback_total{transport=\"tcp\"} 1"),
             "fallback resolution must be visible: {text}"
         );
+        assert!(
+            text.contains("transport_peer_queue_depth"),
+            "queue depth histogram registered on remote send: {text}"
+        );
         // Exact-match routes do not count as fallbacks.
         server.send("client", Message::new(Performative::Tell)).unwrap_err(); // no mailbox, but routed
         assert!(obs
@@ -1022,8 +839,8 @@ mod tests {
         n1.add_route("ghost", n2.address());
         let t1 = as_dyn(&n1);
         let a = t1.endpoint("a").unwrap();
-        // The remote node is up but hosts no such agent: the coalesced
-        // ack's failure bitmap flags the message.
+        // The remote node is up but hosts no such agent: it answers
+        // `ACK_UNKNOWN`.
         let err = a.send("ghost", Message::new(Performative::Tell)).unwrap_err();
         assert!(matches!(err, TransportError::UnknownAgent(_)), "got {err:?}");
     }
@@ -1055,73 +872,31 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_crosses_the_wire_in_order_with_partial_failures() {
+    fn an_oversized_frame_is_refused_before_a_byte_is_written() {
         let n1 = node();
         let n2 = node();
         n1.add_route("sink", n2.address());
-        n1.add_route("ghost", n2.address());
-        let t1 = as_dyn(&n1);
-        let t2 = as_dyn(&n2);
-        let _src = t1.endpoint("src").unwrap();
-        let mut sink = t2.endpoint("sink").unwrap();
-        let mut local = t1.endpoint("here").unwrap();
-        let mk = |s: &str| Message::new(Performative::Tell).with_content(SExpr::atom(s));
-        // One frame to node 2 (sink ok, ghost unknown), one local
-        // delivery, one routing gap — all in a single batch call.
-        let results = t1.send_batch(
-            "src",
-            vec![
-                ("sink".into(), mk("one")),
-                ("ghost".into(), mk("lost")),
-                ("here".into(), mk("local")),
-                ("nowhere".into(), mk("gap")),
-                ("sink".into(), mk("two")),
-            ],
-        );
-        assert!(results[0].is_ok(), "got {results:?}");
-        assert!(matches!(&results[1], Err(TransportError::UnknownAgent(_))), "got {results:?}");
-        assert!(results[2].is_ok(), "got {results:?}");
-        assert!(matches!(&results[3], Err(TransportError::NoRoute(_))), "got {results:?}");
-        assert!(results[4].is_ok(), "got {results:?}");
-        let first = sink.recv_timeout(Duration::from_secs(2)).expect("first delivery");
-        let second = sink.recv_timeout(Duration::from_secs(2)).expect("second delivery");
-        assert_eq!(first.message.content(), Some(&SExpr::atom("one")));
-        assert_eq!(second.message.content(), Some(&SExpr::atom("two")));
-        assert_eq!(
-            local.recv_timeout(Duration::from_secs(2)).unwrap().message.content(),
-            Some(&SExpr::atom("local"))
-        );
-    }
-
-    #[test]
-    fn batch_size_histogram_counts_coalesced_sends() {
-        let n1 = node();
-        let n2 = node();
-        n1.add_route("sink", n2.address());
-        let obs = Obs::new();
-        n1.set_obs(&obs);
-        let t1 = as_dyn(&n1);
-        let _src = t1.endpoint("src").unwrap();
+        let src = as_dyn(&n1).endpoint("src").unwrap();
         let mut sink = as_dyn(&n2).endpoint("sink").unwrap();
-        let mk = || Message::new(Performative::Tell).with_content(SExpr::atom("x"));
-        let results = t1.send_batch(
-            "src",
-            vec![("sink".into(), mk()), ("sink".into(), mk()), ("sink".into(), mk())],
-        );
-        assert!(results.iter().all(Result::is_ok), "got {results:?}");
-        for _ in 0..3 {
-            assert!(sink.recv_timeout(Duration::from_secs(2)).is_some());
-        }
-        let text = obs.registry().render();
-        assert!(
-            text.contains("transport_batch_size_sum{transport=\"tcp\"} 3\n")
-                && text.contains("transport_batch_size_count{transport=\"tcp\"} 1\n"),
-            "one 3-message batch observed: {text}"
-        );
-        assert!(
-            text.contains("transport_peer_queue_depth"),
-            "queue depth histogram registered on remote send: {text}"
-        );
+        let tell = |word: String| Message::new(Performative::Tell).with_content(SExpr::atom(word));
+        // The local port of `n1`'s pooled connection to `n2`.
+        let connection = || {
+            let peer = Arc::clone(&lock(&n1.shared.peers)[&n2.local_addr()]);
+            let conn = lock(&peer.conn);
+            conn.as_ref().expect("connection up").stream.local_addr().unwrap()
+        };
+        src.send("sink", tell("first".into())).unwrap();
+        assert!(sink.recv_timeout(Duration::from_secs(2)).is_some());
+        let before = connection();
+        let huge = tell("x".repeat(MAX_FRAME as usize));
+        let err = src.send("sink", huge).unwrap_err();
+        assert!(matches!(&err, TransportError::Io(e) if e.contains("frame too large")), "{err:?}");
+        // Had a byte of it left, `n2` would have answered `ACK_MALFORMED`
+        // and hung up, and the next send would need a new connection.
+        src.send("sink", tell("next".into())).unwrap();
+        let env = sink.recv_timeout(Duration::from_secs(2)).expect("the next send arrives");
+        assert_eq!(env.message.content(), Some(&SExpr::atom("next")));
+        assert_eq!(connection(), before, "the oversized frame cost the connection");
     }
 
     /// Live threads of the node listening on `port`: its acceptor,
@@ -1140,11 +915,9 @@ mod tests {
         live
     }
 
-    /// A frame from `"src"` carrying `bodies` to the agent `"sink"`.
-    fn frame_for_sink(bodies: &[&str]) -> Vec<u8> {
-        let chunk: Vec<_> =
-            bodies.iter().map(|body| (0, "sink".to_string(), body.to_string())).collect();
-        encode_frame("src", &chunk)
+    /// A frame from `"src"` carrying `body` to `to`.
+    fn frame(to: &str, body: &str) -> Vec<u8> {
+        encode_frame("src", to, body).expect("a small frame")
     }
 
     /// Connects to `addr` as a raw client, writes `bytes`, half-closes,
@@ -1185,18 +958,20 @@ mod tests {
         let n = node();
         let mut sink = as_dyn(&n).endpoint("sink").unwrap();
         let good = Message::new(Performative::Tell).with_content(SExpr::atom("ok")).to_string();
-        let bad_second = frame_for_sink(&[&good, "(tell :content"]);
-        let mut trailing = frame_for_sink(&[&good]);
+        let bad_body = frame("sink", "(tell :content");
+        let mut trailing = frame("sink", &good);
         trailing.push(b'x');
         let payload_len = (trailing.len() - 4) as u32;
         trailing[..4].copy_from_slice(&payload_len.to_be_bytes());
-        for frame in [bad_second, trailing] {
+        for bytes in [bad_body, trailing] {
             // Answered malformed, then closed (`raw_exchange` read to EOF).
-            assert_eq!(raw_exchange(n.local_addr(), &frame), [ACK_MALFORMED]);
+            assert_eq!(raw_exchange(n.local_addr(), &bytes), [ACK_MALFORMED]);
             // Delivery precedes the ack, so anything delivered is here by now.
             assert!(sink.try_recv().is_none(), "a malformed frame must deliver nothing");
         }
-        assert_eq!(raw_exchange(n.local_addr(), &frame_for_sink(&[&good])), [ACK_OK, 0]);
+        // An unknown addressee is answered and the connection kept.
+        let unknown_then_good = [frame("ghost", &good), frame("sink", &good)].concat();
+        assert_eq!(raw_exchange(n.local_addr(), &unknown_then_good), [ACK_UNKNOWN, ACK_OK]);
         let env = sink.recv_timeout(Duration::from_secs(2)).expect("node still serves");
         assert_eq!(env.message.content(), Some(&SExpr::atom("ok")));
     }
@@ -1214,42 +989,35 @@ mod tests {
         assert_eq!(answer, [ACK_MALFORMED]);
     }
 
-    /// What [`Transport::send_batch`] promises on every transport: each
-    /// recipient sees its own messages in batch order.
-    fn assert_batch_keeps_order_per_recipient(
-        sender: &Arc<dyn Transport>,
-        mut recipients: Vec<Endpoint>,
-    ) {
-        let _src = sender.endpoint("src").unwrap();
-        let batch: Vec<(String, Message)> = (0..12)
+    /// What [`Transport::send`] promises on every transport: each
+    /// recipient sees one sender's messages in the order they were sent.
+    fn assert_sends_arrive_in_order(sender: &Arc<dyn Transport>, mut recipients: Vec<Endpoint>) {
+        let src = sender.endpoint("src").unwrap();
+        let sent: Vec<(String, String)> = (0..12)
             .map(|i| {
                 // r0 r1 r2 r0 r2 r1 …: no recipient's messages are adjacent.
-                let to = recipients[[0, 1, 2, 0, 2, 1][i % 6]].name().to_string();
-                (to, Message::new(Performative::Tell).with_content(SExpr::atom(i.to_string())))
+                (recipients[[0, 1, 2, 0, 2, 1][i % 6]].name().to_string(), i.to_string())
             })
             .collect();
-        let expected: Vec<(String, String)> =
-            batch.iter().map(|(to, m)| (to.clone(), m.content().unwrap().to_string())).collect();
-        assert!(sender.send_batch("src", batch).iter().all(Result::is_ok));
+        for (to, tag) in &sent {
+            let tell = Message::new(Performative::Tell).with_content(SExpr::atom(tag));
+            src.send(to, tell).unwrap();
+        }
         for recipient in &mut recipients {
-            let own: Vec<&str> = expected
-                .iter()
-                .filter(|(to, _)| to == recipient.name())
-                .map(|(_, tag)| tag.as_str())
-                .collect();
-            for tag in own {
+            let name = recipient.name().to_string();
+            for (_, tag) in sent.iter().filter(|(to, _)| *to == name) {
                 let env = recipient.recv_timeout(Duration::from_secs(2)).expect("delivered");
-                assert_eq!(env.message.content(), Some(&SExpr::atom(tag)), "{}", recipient.name());
+                assert_eq!(env.message.content(), Some(&SExpr::atom(tag)), "{name}");
             }
             assert!(recipient.try_recv().is_none());
         }
     }
 
     #[test]
-    fn send_batch_keeps_order_per_recipient_on_bus_and_tcp() {
+    fn send_keeps_order_per_sender_on_bus_and_tcp() {
         let bus = crate::Bus::new().as_transport();
         let on_bus = ["r0", "r1", "r2"].map(|name| bus.endpoint(name).unwrap());
-        assert_batch_keeps_order_per_recipient(&bus, on_bus.into());
+        assert_sends_arrive_in_order(&bus, on_bus.into());
 
         // One recipient local to the sending node, two on a node each.
         let nodes = [node(), node(), node()];
@@ -1257,7 +1025,7 @@ mod tests {
         nodes[0].add_route("r2", nodes[2].address());
         let over_tcp: Vec<Endpoint> =
             (0..3).map(|i| as_dyn(&nodes[i]).endpoint(format!("r{i}")).unwrap()).collect();
-        assert_batch_keeps_order_per_recipient(&as_dyn(&nodes[0]), over_tcp);
+        assert_sends_arrive_in_order(&as_dyn(&nodes[0]), over_tcp);
     }
 
     #[test]
@@ -1317,7 +1085,7 @@ mod tests {
             // Half a frame, then silence: n1's reader for this connection
             // is blocked mid-frame when shutdown comes.
             let mut slow = TcpStream::connect(addr).unwrap();
-            slow.write_all(&frame_for_sink(&["(tell)"])[..9]).unwrap();
+            slow.write_all(&frame("sink", "(tell)")[..9]).unwrap();
             #[cfg(target_os = "linux")]
             {
                 // Both nodes idle with every connection open: one acceptor,
@@ -1365,7 +1133,7 @@ mod tests {
         // …and one that stalls *inside* a frame.
         let mut slow = TcpStream::connect(n.local_addr()).unwrap();
         let started = Instant::now();
-        slow.write_all(&frame_for_sink(&["(tell)"])[..9]).unwrap();
+        slow.write_all(&frame("sink", "(tell)")[..9]).unwrap();
         assert!(hung_up(&mut slow), "the node says nothing and hangs up");
         let waited = started.elapsed();
         assert!(waited >= IO_TIMEOUT && waited < IO_TIMEOUT * 2, "dropped after {waited:?}");
@@ -1387,28 +1155,28 @@ mod tests {
 
     // ---- Decoder fuzzing: arbitrary and corrupted bytes at a live listener ----
 
-    /// A well-formed frame of one to three small messages, each to the
-    /// registered `"sink"` or the unregistered `"ghost"`.
+    /// A well-formed frame of one small message to the registered
+    /// `"sink"` or the unregistered `"ghost"`.
     fn arb_frame() -> impl Strategy<Value = Vec<u8>> {
-        let message = (prop_oneof![Just("sink"), Just("ghost")], "[a-z]{1,8}")
-            .prop_map(|(to, word)| (0, to.to_string(), format!("(tell :content {word})")));
-        ("[a-z]{1,6}", proptest::collection::vec(message, 1..4))
-            .prop_map(|(from, chunk)| encode_frame(&from, &chunk))
+        ("[a-z]{1,6}", prop_oneof![Just("sink"), Just("ghost")], "[a-z]{1,8}").prop_map(
+            |(from, to, word)| encode_frame(&from, to, &format!("(tell :content {word})")).unwrap(),
+        )
     }
 
     /// Breaks one field of a well-formed `frame` in a way that is certain
     /// to make it malformed. Offsets follow the layout in the module doc.
     fn corrupt(mut frame: Vec<u8>, kind: usize) -> Vec<u8> {
-        let from_len = be_u16(&frame[4..6]) as usize;
-        let count_at = 6 + from_len;
-        let count = be_u16(&frame[count_at..]);
-        let to_at = count_at + 4;
-        let body_len_at = to_at + be_u16(&frame[count_at + 2..]) as usize;
+        let to_len_at = 6 + be(&frame[4..6]);
+        let to_at = to_len_at + 2;
+        let to_len = be(&frame[to_len_at..to_at]) as u16;
+        let body_len_at = to_at + usize::from(to_len);
         let body_at = body_len_at + 4;
-        let payload_len = be_u32(&frame[..4]);
+        let payload_len = be(&frame[..4]) as u32;
         match kind {
-            0 => frame[count_at..count_at + 2].copy_from_slice(&(count + 1).to_be_bytes()),
-            1 => frame[count_at..count_at + 2].copy_from_slice(&(count - 1).to_be_bytes()),
+            // The receiver's name runs into the body length, or leaves
+            // its last byte to it: either way the body length is wild.
+            0 => frame[to_len_at..to_at].copy_from_slice(&(to_len + 1).to_be_bytes()),
+            1 => frame[to_len_at..to_at].copy_from_slice(&(to_len - 1).to_be_bytes()),
             2 => {
                 frame.push(b' ');
                 frame[..4].copy_from_slice(&(payload_len + 1).to_be_bytes());
@@ -1425,32 +1193,30 @@ mod tests {
     }
 
     /// What a node hosting only `"sink"` answers to `bytes` followed by
-    /// EOF, and how many messages it delivers: one ack per whole
+    /// EOF, and how many messages it delivers: one status byte per whole
     /// well-formed frame, `ACK_MALFORMED` at the first bad one, nothing
     /// for a frame the stream ends inside.
     fn modelled_answer(mut bytes: &[u8]) -> (Vec<u8>, usize) {
         let (mut answer, mut delivered) = (Vec::new(), 0);
         while bytes.len() >= 4 {
-            let len = be_u32(bytes);
-            if len > MAX_FRAME {
+            let len = be(&bytes[..4]);
+            if len > MAX_FRAME as usize {
                 answer.push(ACK_MALFORMED);
                 break;
             }
-            let Some(payload) = bytes.get(4..4 + len as usize) else { break };
-            let Ok(Decoded { messages, .. }) = decode_payload(payload) else {
-                answer.push(ACK_MALFORMED);
-                break;
-            };
-            let mut ack = vec![0u8; ack_len(messages.len())];
-            for (i, (to, _)) in messages.iter().enumerate() {
-                if *to == "sink" {
-                    delivered += 1;
-                } else {
-                    ack[1 + i / 8] |= 1 << (i % 8);
+            let Some(payload) = bytes.get(4..4 + len) else { break };
+            match decode_payload(payload) {
+                Err(()) => {
+                    answer.push(ACK_MALFORMED);
+                    break;
                 }
+                Ok(Decoded { to: "sink", .. }) => {
+                    answer.push(ACK_OK);
+                    delivered += 1;
+                }
+                Ok(_) => answer.push(ACK_UNKNOWN),
             }
-            answer.extend(ack);
-            bytes = &bytes[4 + len as usize..];
+            bytes = &bytes[4 + len..];
         }
         (answer, delivered)
     }
@@ -1464,10 +1230,10 @@ mod tests {
         let mut bystander = TcpStream::connect(n.local_addr()).unwrap();
         bystander.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let mut serve_bystander = |sink: &mut Endpoint| {
-            bystander.write_all(&frame_for_sink(&["(ping)"])).unwrap();
-            let mut ack = [0xFFu8; 2];
+            bystander.write_all(&frame("sink", "(ping)")).unwrap();
+            let mut ack = [0xFFu8];
             bystander.read_exact(&mut ack).expect("bystander connection unaffected");
-            assert_eq!(ack, [ACK_OK, 0]);
+            assert_eq!(ack, [ACK_OK]);
             let env = sink.recv_timeout(Duration::from_secs(2)).expect("bystander delivery");
             assert_eq!(env.message.performative, Performative::Ping);
         };

@@ -334,29 +334,6 @@ pub trait Transport: Send + Sync + 'static {
     /// Delivers a message. Fails if the recipient is not reachable.
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError>;
 
-    /// Delivers a batch of messages from one sender and returns one
-    /// result per message (same length and order as `batch`). Each
-    /// recipient receives its own messages in batch order; *across*
-    /// recipients no order is promised — a networked transport delivers
-    /// same-node messages before any frame leaves, and one peer's frame
-    /// before the next peer's. A caller that needs one recipient to see
-    /// a message before another does must send them one by one. A
-    /// failure for one message never prevents delivery of the others.
-    ///
-    /// Implementations coalesce work where they can: the in-proc
-    /// [`Bus`](crate::Bus) takes its registry lock once for the whole
-    /// batch, and the [`TcpTransport`](crate::TcpTransport) packs all
-    /// messages bound for one peer into a single wire frame answered by
-    /// a single coalesced ack carrying a per-message failure bitmap.
-    /// The default implementation simply loops over [`Transport::send`].
-    fn send_batch(
-        &self,
-        from: &str,
-        batch: Vec<(String, Message)>,
-    ) -> Vec<Result<(), TransportError>> {
-        batch.into_iter().map(|(to, message)| self.send(from, &to, message)).collect()
-    }
-
     /// A fresh conversation id (for `:reply-with`), unique across every
     /// node of the deployment.
     fn next_conversation_id(&self, prefix: &str) -> String;
@@ -375,10 +352,6 @@ pub struct TransportMetrics {
     recv_total: infosleuth_obs::Counter,
     recv_bytes: infosleuth_obs::Counter,
     route_fallback: infosleuth_obs::Counter,
-    /// Messages per send call (1 for plain sends); observed on every
-    /// dispatch so a scraped transport always has a non-empty batch-size
-    /// histogram.
-    batch_size: infosleuth_obs::Histogram,
     transport: &'static str,
     obs: Arc<infosleuth_obs::Obs>,
     /// Per-destination-stem latency handles, cached after first use.
@@ -406,17 +379,11 @@ impl TransportMetrics {
             recv_total: reg.counter("transport_recv_total", &labels),
             recv_bytes: reg.counter("transport_recv_bytes_total", &labels),
             route_fallback: reg.counter("transport_route_fallback_total", &labels),
-            batch_size: reg.histogram("transport_batch_size", &labels),
             transport,
             obs: Arc::clone(obs),
             latency: RwLock::new(std::collections::BTreeMap::new()),
             queue_depth: RwLock::new(None),
         })
-    }
-
-    /// Records one dispatch of `n` messages (plain sends record `n = 1`).
-    pub fn record_batch(&self, n: usize) {
-        self.batch_size.observe(n as f64);
     }
 
     /// Records how many frames are unacked on a peer's connection as one
@@ -573,13 +540,13 @@ impl Endpoint {
     }
 
     /// A one-to-many conversation: stamps every message with a fresh
-    /// `:reply-with` id, hands them to the transport as one
-    /// [`Transport::send_batch`], and gathers the `:in-reply-to` replies
-    /// on this endpoint's mailbox under one shared deadline. The result
-    /// is index-aligned with `batch`: the reply, the send error, or
-    /// [`TransportError::Timeout`] for a recipient still silent at the
-    /// deadline. Unrelated messages that arrive meanwhile are buffered
-    /// for later `recv` calls.
+    /// `:reply-with` id, sends them one by one with [`Transport::send`] in
+    /// input order — a refused send settles its recipient at once — and
+    /// gathers the `:in-reply-to` replies on this endpoint's mailbox under
+    /// one shared deadline. The result is index-aligned with `batch`: the
+    /// reply, the send error, or [`TransportError::Timeout`] for a
+    /// recipient still silent at the deadline. Unrelated messages that
+    /// arrive meanwhile are buffered for later `recv` calls.
     ///
     /// A recipient that unregisters from the transport while we wait
     /// fails fast with [`TransportError::UnknownAgent`] instead of holding
@@ -597,23 +564,18 @@ impl Endpoint {
         let mut recipients = Vec::with_capacity(batch.len());
         // Issued id → batch index, for the recipients still owed a reply.
         let mut waiting = HashMap::with_capacity(batch.len());
-        let stamped = batch
-            .into_iter()
-            .map(|(to, mut message)| {
-                let id = self.transport.next_conversation_id(&self.name);
-                message.set("reply-with", infosleuth_kqml::SExpr::atom(&id));
-                self.address(&to, &mut message);
-                waiting.insert(id, recipients.len());
-                recipients.push(to.clone());
-                (to, message)
-            })
-            .collect();
-        for (i, sent) in self.transport.send_batch(&self.name, stamped).into_iter().enumerate() {
-            if let Err(e) = sent {
-                results[i] = Some(Err(e));
+        for (i, (to, mut message)) in batch.into_iter().enumerate() {
+            let id = self.transport.next_conversation_id(&self.name);
+            message.set("reply-with", infosleuth_kqml::SExpr::atom(&id));
+            self.address(&to, &mut message);
+            match self.transport.send(&self.name, &to, message) {
+                Ok(()) => {
+                    waiting.insert(id, i);
+                }
+                Err(e) => results[i] = Some(Err(e)),
             }
+            recipients.push(to);
         }
-        waiting.retain(|_, i| results[*i].is_none());
         let deadline = Instant::now() + timeout;
         while !waiting.is_empty() {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -794,13 +756,16 @@ mod tests {
         assert_eq!(conversations(tcp(), ask_all_of_one), on_tcp);
     }
 
-    /// Five asks — `a`, an unknown name, `b`, a silent peer, `c` — whose
-    /// three replies come back in reverse order.
-    fn five_asks((near, far): Net) -> Vec<Result<Option<SExpr>, TransportError>> {
+    /// Six asks — `a`, an unknown name, `here` on the client's own node,
+    /// `b`, a silent peer, `c` — whose four replies come back in reverse
+    /// order.
+    fn six_asks((near, far): Net) -> Vec<Result<Option<SExpr>, TransportError>> {
         let mut client = near.endpoint("client").unwrap();
         let _silent = far.endpoint("silent").unwrap();
-        let mut servers: Vec<Endpoint> =
-            ["a", "b", "c"].iter().map(|n| far.endpoint(*n).unwrap()).collect();
+        let mut servers: Vec<Endpoint> = [(&far, "a"), (&near, "here"), (&far, "b"), (&far, "c")]
+            .into_iter()
+            .map(|(transport, name)| transport.endpoint(name).unwrap())
+            .collect();
         let serving = std::thread::spawn(move || {
             let asks: Vec<Envelope> =
                 servers.iter_mut().map(|s| s.recv_timeout(T).expect("the ask arrives")).collect();
@@ -809,7 +774,7 @@ mod tests {
                 server.send(&ask.from, reply.with_content(SExpr::atom(server.name()))).unwrap();
             }
         });
-        let batch = ["a", "dead", "b", "silent", "c"]
+        let batch = ["a", "dead", "here", "b", "silent", "c"]
             .iter()
             .map(|to| (to.to_string(), Message::new(Performative::AskOne)))
             .collect();
@@ -824,10 +789,11 @@ mod tests {
     fn request_all_is_index_aligned_whatever_the_arrival_order() {
         for net in [bus(), tcp()] {
             assert_eq!(
-                five_asks(net),
+                six_asks(net),
                 vec![
                     Ok(Some(SExpr::atom("a"))),
                     Err(TransportError::UnknownAgent("dead".into())),
+                    Ok(Some(SExpr::atom("here"))),
                     Ok(Some(SExpr::atom("b"))),
                     Err(TransportError::Timeout { waiting_on: "silent".into() }),
                     Ok(Some(SExpr::atom("c"))),

@@ -400,12 +400,12 @@ fn main() -> ExitCode {
     let sub_notes = sample_total(&text, "broker_sub_notifications_total");
     println!("scrape: broker_sub_notifications_total = {sub_notes}");
     assert!(sub_notes >= 4.0, "subscription churn produced no notifications in:\n{text}");
-    // The batched message plane must be visible end to end: every TCP
-    // send records into transport_batch_size (singles observe 1.0), so a
-    // zero count means the batch path was bypassed or unreported.
-    let batches = sample_total(&text, "transport_batch_size_count");
-    println!("scrape: transport_batch_size_count = {batches}");
-    assert!(batches > 0.0, "transport_batch_size histogram is empty in:\n{text}");
+    // The TCP transport's metrics must reach the merged scrape: every
+    // send counts into transport_send_total, so zero means the
+    // transport's metrics were never attached or never merged.
+    let sends = sample_total(&text, "transport_send_total");
+    println!("scrape: transport_send_total = {sends}");
+    assert!(sends > 0.0, "transport_send_total is zero in:\n{text}");
     // Every registered histogram must have observations — including each
     // broker's broker_sub_notify_seconds, fed by the churn above.
     let empty = empty_histograms(&text);
