@@ -1,10 +1,8 @@
 //! Semantic routing digests for inter-broker search pruning.
 //!
 //! Each broker summarizes its repository as a [`CapabilityDigest`]: a
-//! Bloom filter over hashed (dimension, symbol) pairs expanded through
-//! the class hierarchy and capability taxonomy — the same expansion
-//! [`SubscriptionIndex`](crate::SubscriptionIndex) applies when bucketing
-//! standing queries — plus per-slot numeric constraint hulls. Peers
+//! Bloom filter over the symbols of the terms its narrowing index posts
+//! advertisements under, plus per-slot numeric constraint hulls. Peers
 //! exchange digests piggybacked on broker advertisements and delta
 //! re-advertisements (see `broker_agent`), and consult them before
 //! forwarding a search: a peer whose digest *cannot* match the query is
@@ -20,31 +18,27 @@
 //! every advertisement.
 //!
 //! The contract holds by construction: a digest is a pure function of the
-//! repository. [`CapabilityDigest::of`] hashes the distinct keys of the very
-//! index `candidates` intersects — agent names and the seven posting
-//! dimensions, expanded as below — and unites the hull columns every
-//! advertisement fills; [`CapabilityDigest::can_match`] probes with the
-//! query's terms of the same dimensions. Nothing is stored between calls
-//! for a mutation to leave behind. The hashing itself (dimension tags,
-//! FNV-1a, probe mixing, sizing) decides which bits a peer sees set, so it
-//! is a wire format.
+//! repository. [`CapabilityDigest::of`] hashes the posting keys of the very
+//! index `candidates` intersects, plus the agent names, and unites the hull
+//! columns every advertisement fills; [`CapabilityDigest::can_match`]
+//! probes with the query's own terms, the ones `candidates` looks up.
+//! Nothing is stored between calls for a mutation to leave behind. The
+//! hashing itself (`Term::symbol`'s tags and FNV-1a, probe mixing, sizing)
+//! decides which bits a peer sees set, so it is a wire format.
 //!
-//! The expansion is candidate narrowing's own — all three of narrowing,
-//! the subscription index and this digest expand through
-//! [`Repository::satisfying_classes`] and
-//! [`Repository::satisfying_capabilities`] (read from the advertiser's
-//! side as [`Repository::satisfied_capabilities`]):
+//! An advertisement is expanded once, when it is posted
+//! (`Repository::posted_terms`), so the filter needs no taxonomy walk:
 //!
 //! * a query class `q` reaches an advertisement holding class `a` iff
 //!   `a ∈ {q} ∪ ancestors(q) ∪ descendants(q)`; because ancestry is
 //!   symmetric this equals `q ∈ {a} ∪ ancestors(a) ∪ descendants(a)`, so
-//!   the digest inserts each advertised class *with its expansion* and
+//!   each advertised class is posted *with its expansion* and the digest
 //!   probes with the bare query class;
 //! * a query capability `q` is provided by an agent advertising `q` or an
-//!   ancestor of `q`, so the digest inserts each advertised capability
-//!   with its *descendants* and probes with the bare query capability;
+//!   ancestor of `q`, so each advertised capability is posted with its
+//!   *descendants* and the digest probes with the bare query capability;
 //! * agent names, agent types, languages, and conversation types are
-//!   matched verbatim, so they are inserted and probed exactly;
+//!   matched verbatim, so they are posted and probed exactly;
 //! * a slot hull is recorded only when **every** advertisement constrains
 //!   the slot in every content record — otherwise some agent is open on
 //!   the slot and could match any window, so the dimension must not
@@ -71,40 +65,7 @@ const BLOOM_BITS_PER_SYMBOL: usize = 14;
 /// stable, honestly-sized filter.
 const BLOOM_MIN_BITS: usize = 1024;
 
-/// FNV-1a 64-bit over a dimension tag and a symbol string. Collisions
-/// only ever *add* false positives, which the soundness contract allows.
-fn symbol(tag: u8, text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(tag);
-    eat(0x1f);
-    for b in text.as_bytes() {
-        eat(*b);
-    }
-    h
-}
-
-/// The filter symbol of one term, for insertion and for probing alike.
-/// Each dimension hashes under its own tag, so dimensions never alias each
-/// other inside the filter; an (ontology, class) pair is the two names
-/// joined by `U+0001`.
-fn term_symbol(term: Term<'_>) -> u64 {
-    match term {
-        Term::Name(name) => symbol(b'n', name),
-        Term::AgentType(t) => symbol(b't', &t.to_string()),
-        Term::QueryLanguage(lang) => symbol(b'q', lang),
-        Term::CommunicationLanguage(lang) => symbol(b'l', lang),
-        Term::Conversation(conv) => symbol(b'v', conv.as_str()),
-        Term::Capability(cap) => symbol(b'p', cap),
-        Term::Ontology(onto) => symbol(b'o', onto),
-        Term::Class(onto, class) => symbol(b'c', &format!("{onto}\u{1}{class}")),
-    }
-}
-
-/// splitmix64 finalizer: decorrelates the FNV symbol into the two Bloom
+/// splitmix64 finalizer: decorrelates a term symbol into the two Bloom
 /// probe seeds.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -159,27 +120,14 @@ impl CapabilityDigest {
     }
 
     /// The digest of `repo` as it stands, read off its narrowing index:
-    /// every distinct term the index posts an advertisement under, expanded
-    /// and hashed, plus the hull of every slot all advertisements constrain.
-    /// Costs the index's vocabulary and one pass over the advertisement ids
-    /// — nothing is kept between calls, so nothing can fall out of step with
-    /// the repository.
+    /// the symbol of every term the index posts an advertisement under and
+    /// of every agent name, plus the hull of every slot all advertisements
+    /// constrain. Costs the index's vocabulary and one pass over the
+    /// advertisement ids — nothing is kept between calls, so nothing can
+    /// fall out of step with the repository.
     pub fn of(broker: &str, repo: &Repository) -> Self {
         let index = repo.ad_index();
-        let mut symbols = Vec::new();
-        for term in index.terms() {
-            match term {
-                Term::Capability(cap) => symbols.extend(
-                    repo.satisfied_capabilities(cap)
-                        .map(|satisfied| term_symbol(Term::Capability(satisfied))),
-                ),
-                Term::Class(onto, class) => symbols.extend(
-                    repo.satisfying_classes(onto, class)
-                        .map(|related| term_symbol(Term::Class(onto, related))),
-                ),
-                verbatim => symbols.push(term_symbol(verbatim)),
-            }
-        }
+        let mut symbols: Vec<u64> = index.symbols().collect();
         // The filter is sized from the distinct symbols, so its bits are a
         // function of the repository's vocabulary alone.
         symbols.sort_unstable();
@@ -223,21 +171,11 @@ impl CapabilityDigest {
         if self.unprunable {
             return true;
         }
-        // Every term a match must be posted under — narrowing's own
-        // dimensions — has to be in the filter. Class pruning requires the
-        // ontology: without one the match may come from any content record,
-        // which a Bloom filter cannot enumerate.
-        let has = |term| self.contains(term_symbol(term));
+        // Every term a match must be posted under — narrowing's own — has
+        // to be in the filter.
+        let has = |term: Term<'_>| self.contains(term.symbol());
         let posted = query.agent_name.iter().all(|name| has(Term::Name(name)))
-            && query.agent_type.iter().all(|t| has(Term::AgentType(t)))
-            && query.query_language.iter().all(|lang| has(Term::QueryLanguage(lang)))
-            && query.communication_language.iter().all(|l| has(Term::CommunicationLanguage(l)))
-            && query.conversations.iter().all(|conv| has(Term::Conversation(conv)))
-            && query.capabilities.iter().all(|cap| has(Term::Capability(cap.as_str())))
-            && query.ontology.iter().all(|onto| {
-                has(Term::Ontology(onto))
-                    && query.classes.iter().all(|class| has(Term::Class(onto, class)))
-            });
+            && Term::of_query(query).all(has);
         if !posted {
             return false;
         }
@@ -251,17 +189,6 @@ impl CapabilityDigest {
             }
         }
         true
-    }
-
-    /// The filter's fill ratio (set bits / total bits) — the bench
-    /// reports it next to the measured false-positive rate.
-    pub fn fill_ratio(&self) -> f64 {
-        let m = self.bits.len() * 64;
-        if m == 0 {
-            return 0.0;
-        }
-        let ones: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        f64::from(ones) / m as f64
     }
 }
 
@@ -459,12 +386,18 @@ mod tests {
         assert!(queries.iter().any(|q| !d.can_match(q)));
     }
 
+    /// Set bits over filter bits: none for an empty repository, and well
+    /// under half once the filter is sized to its symbols.
     #[test]
     fn fill_ratio_reflects_population() {
+        let fill_ratio = |d: &CapabilityDigest| {
+            let ones: u32 = d.bits.iter().map(|w| w.count_ones()).sum();
+            f64::from(ones) / (d.bits.len() * 64).max(1) as f64
+        };
         let mut r = repo();
-        assert_eq!(digest_of(&r).fill_ratio(), 0.0);
+        assert_eq!(fill_ratio(&digest_of(&r)), 0.0);
         r.advertise(resource("ra", &["C1"])).unwrap();
         let d = digest_of(&r);
-        assert!(d.fill_ratio() > 0.0 && d.fill_ratio() < 0.5);
+        assert!(fill_ratio(&d) > 0.0 && fill_ratio(&d) < 0.5);
     }
 }

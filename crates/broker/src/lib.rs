@@ -68,6 +68,4 @@ pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;
 pub use repository::{MaintenanceStats, Repository, RepositoryError};
 pub use shard::{connect_community, ShardPlan};
-pub use sub_index::{
-    result_delta, StandingSubscription, SubId, SubscriptionIndex, SubscriptionRegistry,
-};
+pub use sub_index::{result_delta, StandingSubscription, SubId, SubscriptionRegistry};

@@ -7,11 +7,11 @@
 //! intended." (§2.3) — so the matchmaker always applies both, in that
 //! order.
 
-use crate::repository::{ClassCredit, IdSet, Repository};
+use crate::repository::{ClassCredit, Repository, Term};
 use crate::sub_index::numeric_hull;
 use infosleuth_kqml::Text;
-use infosleuth_ldl::Saturated;
-use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, SortedSet, Sym};
+use infosleuth_ldl::{Saturated, Sym};
+use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, SortedSet};
 use std::sync::Arc;
 
 /// One recommended agent, with the ranking score that ordered it and the
@@ -229,13 +229,15 @@ impl Matchmaker {
     }
 
     /// Narrows the scoring set through the repository's `AdIndex`:
-    /// bitmaps over dense advertisement ids. Each dimension is the OR of
-    /// the postings that satisfy one query term — a sound
-    /// over-approximation of the agents that can match it — and the
-    /// dimensions are ANDed word by word, so the result still contains
-    /// every true match. Dimensions that cannot be soundly pruned
-    /// (derived rules in play) do not take part; with none at all this
-    /// degrades to the full scan.
+    /// bitmaps over dense advertisement ids. An advertisement is posted
+    /// under every term a query it can match may ask for — the subsumption
+    /// rule was expanded when it was posted — so each of the query's own
+    /// terms picks one posting, a sound over-approximation of the agents
+    /// that can match it, and the postings are ANDed word by word: the
+    /// result still contains every true match. Capability and class terms
+    /// do not take part while derived rules are in play (those can grant
+    /// what the index never saw); with no term at all this degrades to the
+    /// full scan.
     ///
     /// The survivors then meet the data constraints: an advertisement
     /// whose hull on a slot (see `ad_slot_hulls`) is disjoint from the
@@ -244,57 +246,24 @@ impl Matchmaker {
     /// That check reads the content records themselves, never the model,
     /// so derived rules do not switch it off.
     ///
-    /// An intersection that runs empty short-circuits the whole query
-    /// before the remaining dimensions are looked at.
+    /// A term nobody is posted under, or an intersection that runs empty,
+    /// short-circuits the whole query before the remaining terms are
+    /// looked at.
     fn candidates<'r>(&self, repo: &'r Repository, query: &ServiceQuery) -> Vec<&'r Advertisement> {
         if let Some(name) = &query.agent_name {
             return repo.advertisement(name).into_iter().collect();
         }
         let index = repo.ad_index();
-        // `None` until a dimension narrows: every advertisement survives.
+        let derived = repo.has_derived_rules();
+        // `None` until a term narrows: every advertisement survives.
         let mut survivors: Option<Vec<u64>> = None;
-        // ANDs one dimension in; nothing left proves no agent can match.
-        macro_rules! dimension {
-            ($postings:expr) => {{
-                let postings: Vec<&[u64]> = $postings.map(IdSet::words).collect();
-                if !intersect_union(&mut survivors, &postings) {
-                    return Vec::new();
-                }
-            }};
-        }
-        // The syntactic layer is matched verbatim against the
-        // advertisement, so the index is exact — derived rules or not.
-        if let Some(t) = &query.agent_type {
-            dimension!(index.agent_type(t).into_iter());
-        }
-        if let Some(lang) = &query.query_language {
-            dimension!(index.query_language(lang).into_iter());
-        }
-        if let Some(lang) = &query.communication_language {
-            dimension!(index.communication_language(lang).into_iter());
-        }
-        for conv in &query.conversations {
-            dimension!(index.conversation(conv).into_iter());
-        }
-        // A required ontology means only content records of that ontology
-        // can carry the semantic match.
-        if let Some(onto) = &query.ontology {
-            let Some(of_onto) = index.ontology(onto) else { return Vec::new() };
-            dimension!(std::iter::once(of_onto.any()));
-            // Derived rules can invent class memberships the index never
-            // saw, so this pruning is disabled when any are registered.
-            if !repo.has_derived_rules() {
-                for class in &query.classes {
-                    let related = repo.satisfying_classes(onto, class);
-                    dimension!(related.filter_map(|c| of_onto.class(c)));
-                }
+        for term in Term::of_query(query) {
+            if derived && matches!(term, Term::Capability(_) | Term::Class(..)) {
+                continue;
             }
-        }
-        // Likewise derived rules can grant capabilities indirectly.
-        if !repo.has_derived_rules() {
-            for cap in &query.capabilities {
-                let covering = repo.satisfying_capabilities(cap.as_str());
-                dimension!(covering.filter_map(|c| index.capability(c)));
+            let Some(posting) = index.posting(term) else { return Vec::new() };
+            if !intersect(&mut survivors, posting.words()) {
+                return Vec::new();
             }
         }
         for slot in query.constraints.constrained_slots() {
@@ -503,21 +472,18 @@ fn rank(mut results: Vec<MatchResult>, query: &ServiceQuery) -> Vec<MatchResult>
     results
 }
 
-/// `acc ∧= ∨ postings`, starting from the union itself while `acc` is
+/// `acc ∧= posting`, starting from the posting itself while `acc` is
 /// still "everything". Returns whether any id is left.
-fn intersect_union(acc: &mut Option<Vec<u64>>, postings: &[&[u64]]) -> bool {
-    let union_at =
-        |i: usize| postings.iter().fold(0, |word, p| word | p.get(i).copied().unwrap_or(0));
-    let len = postings.iter().map(|p| p.len()).max().unwrap_or(0);
+fn intersect(acc: &mut Option<Vec<u64>>, posting: &[u64]) -> bool {
     let words = match acc {
         Some(words) => {
-            words.truncate(len);
-            for (i, word) in words.iter_mut().enumerate() {
-                *word &= union_at(i);
+            words.truncate(posting.len());
+            for (word, posted) in words.iter_mut().zip(posting) {
+                *word &= posted;
             }
             words
         }
-        None => acc.insert((0..len).map(union_at).collect()),
+        None => acc.insert(posting.to_vec()),
     };
     words.iter().any(|word| *word != 0)
 }

@@ -16,12 +16,10 @@ use infosleuth_ldl::{parse_rules, Database, LdlParseError, Program, Rule, Satura
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
     standard_capability_taxonomy, Advertisement, AgentType, BrokerAdvertisement, ConversationType,
-    Ontology, ServiceQuery, Sym, Taxonomy,
+    Ontology, ServiceQuery, Taxonomy,
 };
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Validation errors for incoming advertisements.
@@ -83,8 +81,8 @@ pub(crate) enum ClassCredit {
 
 /// Whether a closure run (ascending by name) holds `name`, compared as
 /// bytes: an advertised name's bytes are read without a UTF-8 check.
-fn names(run: &[Sym], name: &[u8]) -> bool {
-    run.binary_search_by(|held| held.as_str().as_bytes().cmp(name)).is_ok()
+fn names(run: &[Text], name: &[u8]) -> bool {
+    run.binary_search_by(|held| held.as_bytes().cmp(name)).is_ok()
 }
 
 /// A set of dense advertisement ids as a bitmap, kept trimmed (the last
@@ -126,38 +124,6 @@ fn set_ids(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Removes `id` from the posting under `key`, dropping an emptied posting.
-fn unpost<K, Q>(map: &mut HashMap<K, IdSet>, key: &Q, id: u32)
-where
-    K: Borrow<Q> + Hash + Eq,
-    Q: Hash + Eq + ?Sized,
-{
-    if let Some(set) = map.get_mut(key) {
-        set.remove(id);
-        if set.0.is_empty() {
-            map.remove(key);
-        }
-    }
-}
-
-/// The postings of one ontology: every advertisement with a content
-/// record for it, and those per advertised class.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct OntologyPostings {
-    any: IdSet,
-    by_class: HashMap<Text, IdSet>,
-}
-
-impl OntologyPostings {
-    pub(crate) fn any(&self) -> &IdSet {
-        &self.any
-    }
-
-    pub(crate) fn class(&self, class: &str) -> Option<&IdSet> {
-        self.by_class.get(class)
-    }
-}
-
 /// The hull of an advertisement that says nothing about a slot.
 const OPEN: (f64, f64) = (f64::NEG_INFINITY, f64::INFINITY);
 
@@ -185,10 +151,20 @@ impl HullColumn {
     }
 }
 
-/// One key the index posts advertisements under: an agent name or a value
-/// of one of the seven posting dimensions. A posting lives exactly as long
-/// as some advertisement holds its term, so [`AdIndex::terms`] is the
-/// repository's vocabulary — what the routing digest summarizes.
+/// FNV-1a 64 over the texts it is fed, in order.
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(mut self, text: &str) -> Fnv {
+        for b in text.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+}
+
+/// One term an advertisement is posted under and a query probes: an agent
+/// name or a value of one of the seven posting dimensions.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Term<'a> {
     Name(&'a str),
@@ -202,57 +178,83 @@ pub(crate) enum Term<'a> {
     Class(&'a str, &'a str),
 }
 
+impl<'a> Term<'a> {
+    /// The terms a match for `query` must be posted under, agent name
+    /// aside, each as the query states it: the advertisement side was
+    /// expanded when it was posted ([`Repository::posted_terms`]). Classes
+    /// count only under a required ontology; without one the match may
+    /// come from any content record.
+    pub(crate) fn of_query(query: &'a ServiceQuery) -> impl Iterator<Item = Term<'a>> {
+        let content = query.ontology.iter().flat_map(|onto| {
+            let classes = query.classes.iter().map(move |class| Term::Class(onto, class));
+            std::iter::once(Term::Ontology(onto)).chain(classes)
+        });
+        (query.agent_type.iter().map(Term::AgentType))
+            .chain(query.query_language.iter().map(|lang| Term::QueryLanguage(lang)))
+            .chain(
+                query.communication_language.iter().map(|lang| Term::CommunicationLanguage(lang)),
+            )
+            .chain(query.conversations.iter().map(Term::Conversation))
+            .chain(query.capabilities.iter().map(|cap| Term::Capability(cap.as_str())))
+            .chain(content)
+    }
+
+    /// The term's 64-bit symbol, the one key it has in the narrowing
+    /// index, the subscription index and the routing digest: FNV-1a over a
+    /// dimension tag, `0x1f` and the text, an (ontology, class) pair being
+    /// the two names joined by `U+0001`. Dimensions hash under their own
+    /// tags, so they never alias; two terms that collide only ever add a
+    /// candidate, which scoring re-checks. Peers probe the digest with
+    /// these symbols, so the bytes are a wire format.
+    pub(crate) fn symbol(self) -> u64 {
+        let h = Fnv(0xcbf2_9ce4_8422_2325);
+        let h = match self {
+            Term::Name(name) => h.eat("n\u{1f}").eat(name),
+            Term::AgentType(t) => h.eat("t\u{1f}").eat(t.as_str()),
+            Term::QueryLanguage(lang) => h.eat("q\u{1f}").eat(lang),
+            Term::CommunicationLanguage(lang) => h.eat("l\u{1f}").eat(lang),
+            Term::Conversation(conv) => h.eat("v\u{1f}").eat(conv.as_str()),
+            Term::Capability(cap) => h.eat("p\u{1f}").eat(cap),
+            Term::Ontology(onto) => h.eat("o\u{1f}").eat(onto),
+            Term::Class(onto, class) => h.eat("c\u{1f}").eat(onto).eat("\u{1}").eat(class),
+        };
+        h.0
+    }
+}
+
 /// The narrowing index over the advertisements, maintained on every
 /// advertise/unadvertise so matchmaking intersects machine words instead
 /// of scanning the repository. It is also the repository's one store of
 /// advertisements: each holds a dense `u32` id (recycled on unadvertise),
-/// found by agent name; the seven posting dimensions are bitmaps over
-/// those ids, and each constrained slot has a column of per-advertisement
-/// hulls filled by [`ad_slot_hulls`]. Every key is a [`Text`], so a name
-/// of up to 22 bytes is held in its map entry.
+/// found by agent name — a [`Text`], so a name of up to 22 bytes is held
+/// in its map entry. Each advertisement is posted, in one bitmap over those
+/// ids per term, under the symbol of every term
+/// [`Repository::posted_terms`] yields for it, and each constrained slot
+/// has a column of per-advertisement hulls filled by [`ad_slot_hulls`]. A
+/// posting lives exactly as long as some advertisement is posted under it,
+/// so the posting keys and the names are the repository's vocabulary —
+/// what the routing digest summarizes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct AdIndex {
     ids: HashMap<Text, u32>,
     /// Advertisement by id; `None` marks an id on the free list.
     ads: Vec<Option<Arc<Advertisement>>>,
     free: Vec<u32>,
-    by_agent_type: HashMap<AgentType, IdSet>,
-    by_query_language: HashMap<Text, IdSet>,
-    by_communication_language: HashMap<Text, IdSet>,
-    by_capability: HashMap<Text, IdSet>,
-    by_conversation: HashMap<ConversationType, IdSet>,
-    by_ontology: HashMap<Text, OntologyPostings>,
+    /// The ids posted under each term symbol.
+    postings: HashMap<u64, IdSet>,
     hulls: HashMap<Text, HullColumn>,
 }
 
 impl AdIndex {
-    fn insert(&mut self, ad: Arc<Advertisement>) {
+    /// Stores `ad` under a free id and posts it under `terms`.
+    fn insert(&mut self, ad: Arc<Advertisement>, terms: &[u64]) {
         let id = self.free.pop().unwrap_or_else(|| {
             let id = u32::try_from(self.ads.len()).expect("fewer than 2^32 ads"); // lint: allow-unwrap
             self.ads.push(None);
             id
         });
         self.ids.insert(ad.location.name.clone(), id);
-        self.by_agent_type.entry(ad.location.agent_type.clone()).or_default().insert(id);
-        for lang in &ad.syntactic.query_languages {
-            self.by_query_language.entry(lang.clone()).or_default().insert(id);
-        }
-        for lang in &ad.syntactic.communication_languages {
-            self.by_communication_language.entry(lang.clone()).or_default().insert(id);
-        }
-        for c in &ad.semantic.capabilities {
-            self.by_capability.entry(c.0.clone()).or_default().insert(id);
-        }
-        for c in &ad.semantic.conversations {
-            self.by_conversation.entry(c.clone()).or_default().insert(id);
-        }
-        for content in &ad.semantic.content {
-            let postings = self.by_ontology.entry(content.ontology.clone()).or_default();
-            postings.any.insert(id);
-            for class in &content.classes {
-                postings.by_class.entry(class.clone()).or_default().insert(id);
-            }
-        }
+        self.post(id, terms);
         for (slot, hull) in ad_slot_hulls(&ad) {
             let column = self.hulls.entry(Text::from(slot)).or_default();
             if column.bounds.len() <= id as usize {
@@ -262,6 +264,12 @@ impl AdIndex {
             column.constrained += 1;
         }
         self.ads[id as usize] = Some(ad);
+    }
+
+    fn post(&mut self, id: u32, terms: &[u64]) {
+        for term in terms {
+            self.postings.entry(*term).or_default().insert(id);
+        }
     }
 
     /// The advertisement stored for `agent`.
@@ -279,32 +287,17 @@ impl AdIndex {
         self.ids.len()
     }
 
-    /// Takes `agent`'s advertisement out of the index, if it holds one.
-    fn remove(&mut self, agent: &str) -> Option<Arc<Advertisement>> {
+    /// Takes `agent`'s advertisement, posted under `terms`, out of the
+    /// index, if it holds one. An emptied posting goes.
+    fn remove(&mut self, agent: &str, terms: &[u64]) -> Option<Arc<Advertisement>> {
         let id = self.ids.remove(agent)?;
         let ad = self.ads[id as usize].take()?;
         self.free.push(id);
-        unpost(&mut self.by_agent_type, &ad.location.agent_type, id);
-        for lang in &ad.syntactic.query_languages {
-            unpost(&mut self.by_query_language, lang.as_str(), id);
-        }
-        for lang in &ad.syntactic.communication_languages {
-            unpost(&mut self.by_communication_language, lang.as_str(), id);
-        }
-        for c in &ad.semantic.capabilities {
-            unpost(&mut self.by_capability, c.as_str(), id);
-        }
-        for c in &ad.semantic.conversations {
-            unpost(&mut self.by_conversation, c, id);
-        }
-        for content in &ad.semantic.content {
-            let Some(postings) = self.by_ontology.get_mut(&content.ontology) else { continue };
-            postings.any.remove(id);
-            for class in &content.classes {
-                unpost(&mut postings.by_class, class.as_str(), id);
-            }
-            if postings.any.0.is_empty() {
-                self.by_ontology.remove(&content.ontology);
+        for term in terms {
+            let Some(set) = self.postings.get_mut(term) else { continue };
+            set.remove(id);
+            if set.0.is_empty() {
+                self.postings.remove(term);
             }
         }
         // The freed id must read as open to whoever is advertised into it.
@@ -321,34 +314,9 @@ impl AdIndex {
         Some(ad)
     }
 
-    /// Advertisements of agent type `t`.
-    pub(crate) fn agent_type(&self, t: &AgentType) -> Option<&IdSet> {
-        self.by_agent_type.get(t)
-    }
-
-    /// Advertisements speaking query language `lang`.
-    pub(crate) fn query_language(&self, lang: &str) -> Option<&IdSet> {
-        self.by_query_language.get(lang)
-    }
-
-    /// Advertisements speaking communication language `lang`.
-    pub(crate) fn communication_language(&self, lang: &str) -> Option<&IdSet> {
-        self.by_communication_language.get(lang)
-    }
-
-    /// Advertisements advertising capability `cap` (exact, pre-subsumption).
-    pub(crate) fn capability(&self, cap: &str) -> Option<&IdSet> {
-        self.by_capability.get(cap)
-    }
-
-    /// Advertisements supporting conversation type `conv`.
-    pub(crate) fn conversation(&self, conv: &ConversationType) -> Option<&IdSet> {
-        self.by_conversation.get(conv)
-    }
-
-    /// Advertisements with a content record for ontology `onto`.
-    pub(crate) fn ontology(&self, onto: &str) -> Option<&OntologyPostings> {
-        self.by_ontology.get(onto)
+    /// The advertisements posted under `term`.
+    pub(crate) fn posting(&self, term: Term<'_>) -> Option<&IdSet> {
+        self.postings.get(&term.symbol())
     }
 
     /// The hull column of `slot`, when any advertisement holds a hull on it.
@@ -357,7 +325,7 @@ impl AdIndex {
     }
 
     /// Every live id as a bitmap — the start of a narrowing no posting
-    /// dimension took part in.
+    /// took part in.
     pub(crate) fn all_ids(&self) -> Vec<u64> {
         let mut words = vec![0u64; self.ads.len().div_ceil(64)];
         for (id, ad) in self.ads.iter().enumerate() {
@@ -375,21 +343,11 @@ impl AdIndex {
             .collect()
     }
 
-    /// Every distinct term some advertisement is posted under, each once.
-    pub(crate) fn terms(&self) -> impl Iterator<Item = Term<'_>> {
-        let content = self.by_ontology.iter().flat_map(|(onto, postings)| {
-            let classes = postings.by_class.keys().map(move |class| Term::Class(onto, class));
-            std::iter::once(Term::Ontology(onto)).chain(classes)
-        });
-        (self.ids.keys().map(|name| Term::Name(name)))
-            .chain(self.by_agent_type.keys().map(Term::AgentType))
-            .chain(self.by_query_language.keys().map(|lang| Term::QueryLanguage(lang)))
-            .chain(
-                self.by_communication_language.keys().map(|lang| Term::CommunicationLanguage(lang)),
-            )
-            .chain(self.by_conversation.keys().map(Term::Conversation))
-            .chain(self.by_capability.keys().map(|cap| Term::Capability(cap)))
-            .chain(content)
+    /// Every distinct symbol an advertisement is posted under, then the
+    /// symbol of every agent name.
+    pub(crate) fn symbols(&self) -> impl Iterator<Item = u64> + '_ {
+        let names = self.ids.keys().map(|name| Term::Name(name).symbol());
+        self.postings.keys().copied().chain(names)
     }
 
     /// The slots *every* advertisement holds a hull on, each with the union
@@ -573,6 +531,17 @@ impl Repository {
     /// class-subclasses and derived concepts relationships".
     pub fn register_ontology(&mut self, ontology: Ontology) {
         self.ontologies.insert(ontology.name.clone(), ontology);
+        // An advertisement's class terms follow the hierarchy: post every
+        // advertisement again under the terms it has now.
+        let reposted: Vec<(u32, Vec<u64>)> = (self.index.ids.values())
+            .filter_map(|&id| {
+                Some((id, self.posted_symbols(self.index.ads[id as usize].as_ref()?)))
+            })
+            .collect();
+        self.index.postings.clear();
+        for (id, terms) in reposted {
+            self.index.post(id, &terms);
+        }
         // Global hierarchy facts changed: recompile the EDB and drop the
         // model (ontology registration is rare; churn is advertisements).
         if self.facts.is_some() {
@@ -742,8 +711,9 @@ impl Repository {
         }
         let mutation = self.stage("repository");
         let ad = Arc::new(ad);
-        let old = self.index.remove(&ad.location.name);
-        self.index.insert(Arc::clone(&ad));
+        let old = self.withdraw(&ad.location.name);
+        let terms = self.posted_symbols(&ad);
+        self.index.insert(Arc::clone(&ad), &terms);
         self.epoch += 1;
         drop(mutation);
         self.patch_facts(old.as_deref(), Some(&ad));
@@ -758,11 +728,63 @@ impl Repository {
             return false;
         }
         let mutation = self.stage("repository");
-        let old = self.index.remove(agent);
+        let old = self.withdraw(agent);
         self.epoch += 1;
         drop(mutation);
         self.patch_facts(old.as_deref(), None);
         true
+    }
+
+    /// Takes `agent`'s advertisement out of the index and out of every
+    /// posting it is in.
+    fn withdraw(&mut self, agent: &str) -> Option<Arc<Advertisement>> {
+        let terms = self.posted_symbols(self.index.get(agent)?);
+        self.index.remove(agent, &terms)
+    }
+
+    /// The symbols of `ad`'s [`posted_terms`](Self::posted_terms).
+    fn posted_symbols(&self, ad: &Advertisement) -> Vec<u64> {
+        self.posted_terms(ad).map(Term::symbol).collect()
+    }
+
+    /// The terms `ad` is posted under, its agent name aside: its agent
+    /// type, languages, conversations and ontologies as advertised; each
+    /// capability with its descendants in the capability taxonomy
+    /// ([`satisfied_capabilities`](Self::satisfied_capabilities)); each
+    /// class with its ancestors and descendants in its content record's
+    /// ontology ([`satisfying_classes`](Self::satisfying_classes)).
+    ///
+    /// This is where §2.1 subsumption is expanded for candidate narrowing,
+    /// the subscription index and the routing digest, once, when the
+    /// advertisement is posted; each of them probes a query's own terms
+    /// bare ([`Term::of_query`]). Both relations are symmetric — a class
+    /// `a` is in `{q} ∪ ancestors(q) ∪ descendants(q)` iff `q` is in
+    /// `{a} ∪ ancestors(a) ∪ descendants(a)`, and a capability `c` is in
+    /// `{q} ∪ ancestors(q)` iff `q` is in `{c} ∪ descendants(c)` — so a
+    /// bare probe finds exactly the advertisements that expanding the query
+    /// would.
+    pub(crate) fn posted_terms<'a>(
+        &'a self,
+        ad: &'a Advertisement,
+    ) -> impl Iterator<Item = Term<'a>> + 'a {
+        let (syntactic, semantic) = (&ad.syntactic, &ad.semantic);
+        let capabilities = semantic
+            .capabilities
+            .iter()
+            .flat_map(|cap| self.satisfied_capabilities(cap.as_str()).map(Term::Capability));
+        let content = semantic.content.iter().flat_map(move |c| {
+            let classes = c.classes.iter().flat_map(move |class| {
+                self.satisfying_classes(&c.ontology, class)
+                    .map(move |related| Term::Class(&c.ontology, related))
+            });
+            std::iter::once(Term::Ontology(&c.ontology)).chain(classes)
+        });
+        std::iter::once(Term::AgentType(&ad.location.agent_type))
+            .chain(syntactic.query_languages.iter().map(|lang| Term::QueryLanguage(lang)))
+            .chain(syntactic.communication_languages.iter().map(|l| Term::CommunicationLanguage(l)))
+            .chain(semantic.conversations.iter().map(Term::Conversation))
+            .chain(capabilities)
+            .chain(content)
     }
 
     /// Carries one advertisement's replacement into the fact base, where
@@ -898,10 +920,9 @@ impl Repository {
     /// for an ontology nobody registered, the class alone. The relation is
     /// symmetric, so this is equally the set of requested classes an
     /// advertisement of `class` satisfies. It is the LDL base's
-    /// `contributes_class`, read off the hierarchy's closure; candidate
-    /// narrowing, the subscription index, the routing digest and — without
-    /// derived rules — scoring (through `class_credit`) are sound only
-    /// while they agree on it, so all four read it here.
+    /// `contributes_class`, read off the hierarchy's closure; the posted
+    /// terms and — without derived rules — scoring (through
+    /// `class_credit`) are sound only while they agree on it.
     pub fn satisfying_classes<'a>(
         &'a self,
         ontology: &str,
@@ -913,27 +934,16 @@ impl Repository {
 
     /// The strict ancestors and strict descendants of `class` in a
     /// registered `ontology`'s hierarchy.
-    fn related_classes(&self, ontology: &str, class: &str) -> (&[Sym], &[Sym]) {
+    fn related_classes(&self, ontology: &str, class: &str) -> (&[Text], &[Text]) {
         self.ontologies.get(ontology).map_or((&[], &[]), |o| {
             let hierarchy = o.hierarchy();
             (hierarchy.ancestors(class), hierarchy.descendants(class))
         })
     }
 
-    /// The advertised capabilities that satisfy a request for
-    /// `capability`: the capability itself or any ancestor of it — the LDL
-    /// base's `provides`, read off the taxonomy's closure.
-    pub fn satisfying_capabilities<'a>(
-        &'a self,
-        capability: &'a str,
-    ) -> impl Iterator<Item = &'a str> + 'a {
-        let above = self.capability_taxonomy.ancestors(capability);
-        std::iter::once(capability).chain(above.iter().map(|c| c.as_str()))
-    }
-
-    /// [`satisfying_capabilities`](Self::satisfying_capabilities) read from
-    /// the advertiser's side: the requested capabilities an advertisement
-    /// of `capability` satisfies — itself or any descendant.
+    /// The requested capabilities an advertisement of `capability`
+    /// satisfies: itself or any descendant — the LDL base's `provides`,
+    /// read off the taxonomy's closure from the advertiser's side.
     pub fn satisfied_capabilities<'a>(
         &'a self,
         capability: &'a str,
@@ -943,7 +953,7 @@ impl Repository {
     }
 
     /// Whether some capability `ad` advertises satisfies a request for
-    /// `capability` ([`satisfying_capabilities`](Self::satisfying_capabilities)).
+    /// `capability`: is it or one of its ancestors.
     pub(crate) fn provides(&self, ad: &Advertisement, capability: &str) -> bool {
         let above = self.capability_taxonomy.ancestors(capability);
         ad.semantic
@@ -1294,26 +1304,8 @@ mod tests {
             set_ids(&set.0).map(|id| (name(id), (0, 0))).collect::<BTreeMap<_, _>>()
         };
         let mut out = BTreeMap::new();
-        for (agent_type, set) in &index.by_agent_type {
-            out.insert(format!("type {agent_type}"), posting(set));
-        }
-        for (lang, set) in &index.by_query_language {
-            out.insert(format!("query language {lang}"), posting(set));
-        }
-        for (lang, set) in &index.by_communication_language {
-            out.insert(format!("communication language {lang}"), posting(set));
-        }
-        for (cap, set) in &index.by_capability {
-            out.insert(format!("capability {cap}"), posting(set));
-        }
-        for (conv, set) in &index.by_conversation {
-            out.insert(format!("conversation {conv}"), posting(set));
-        }
-        for (onto, postings) in &index.by_ontology {
-            out.insert(format!("ontology {onto}"), posting(&postings.any));
-            for (class, set) in &postings.by_class {
-                out.insert(format!("class {onto} {class}"), posting(set));
-            }
+        for (term, set) in &index.postings {
+            out.insert(format!("term {term:016x}"), posting(set));
         }
         for (slot, column) in &index.hulls {
             let hulls: BTreeMap<_, _> = column
@@ -1381,7 +1373,9 @@ mod tests {
             repo.advertise(ad).unwrap();
             if step % 50 == 0 {
                 let mut fresh = AdIndex::default();
-                repo.index.iter().for_each(|ad| fresh.insert(Arc::clone(ad)));
+                for ad in repo.index.iter() {
+                    fresh.insert(Arc::clone(ad), &repo.posted_symbols(ad));
+                }
                 assert_eq!(by_name(&repo.index), by_name(&fresh), "after step {step}");
             }
         }

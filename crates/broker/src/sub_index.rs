@@ -2,44 +2,40 @@
 //! that one repository mutation yields the (small) set of subscriptions it
 //! can possibly affect, instead of re-evaluating every standing query.
 //!
-//! The shape follows S-ToPSS-style semantic pub/sub matching: each
-//! subscription registers under its most selective *required* dimension
-//! (agent name, then ontology classes, then capabilities, then the
-//! ontology itself, then conversation types), expanded through the class
-//! hierarchy / capability taxonomy by the same
-//! [`Repository::satisfying_classes`] /
-//! [`Repository::satisfying_capabilities`] rule
-//! [`Matchmaker`](crate::Matchmaker) narrows candidates with. An advertise/unadvertise/update event probes the
-//! buckets with the changed advertisement's own dimensions (old *and* new
-//! versions), so the result is a sound over-approximation: every
-//! subscription whose match set could have changed is in the candidate
-//! set, and false positives only cost one cached re-score that produces an
-//! empty delta.
+//! The shape follows S-ToPSS-style semantic pub/sub matching: the *event*
+//! is expanded through the hierarchies and the subscriptions are stored
+//! bare. Each subscription sits in one bucket, keyed by the symbol of its
+//! most selective *required* term (agent name, then an ontology class,
+//! then a capability, then the ontology itself, then a conversation type)
+//! exactly as the query states it. An advertise/unadvertise/update event
+//! probes the buckets with the changed advertisement's posted terms — its
+//! name and [`Repository::posted_terms`], the expansion candidate
+//! narrowing posts it under — for the old *and* the new version, so the
+//! result is a sound over-approximation: every subscription whose match
+//! set could have changed is in the candidate set, and false positives
+//! (a 64-bit symbol collision among them) only cost one cached re-score
+//! that produces an empty delta. The expansion is read from the
+//! repository at the event, so a hierarchy re-registered under live
+//! subscriptions is followed at once.
 //!
 //! Numeric data constraints refine the candidate set through per-slot
 //! windows: a subscription constraining `patient.age` to `[25, 65]` is
 //! ruled out for an advertisement restricted to `[80, 90]` without ever
-//! re-scoring it. Each candidate's window is one hash lookup, so the
+//! re-scoring it. Each candidate's window is one lookup, so the
 //! refinement costs `O(candidates)` however many subscriptions constrain
 //! the slot.
 //!
-//! Bucket keys (class, capability, ontology, conversation, slot and agent
-//! names) are [`Sym`]s from the process-wide symbol table the LDL facts
-//! use. Registration interns; a mutation only looks names up, since a name
-//! nobody interned keys no bucket.
-//!
-//! Soundness limits, mirroring the matchmaker's own pruning rules: when
+//! Soundness limit, mirroring the matchmaker's own pruning rules: when
 //! the repository has derived concept rules registered, class membership
 //! and capability coverage can be invented by inference, so the index
 //! refuses to prune and reports every subscription as affected
-//! ([`SubscriptionRegistry::affected`] checks `has_derived_rules`). The
-//! class expansion is computed against the hierarchy at registration time;
-//! ontologies are expected to be registered before subscriptions open
-//! (re-registering an ontology requires re-registering subscriptions).
+//! ([`SubscriptionRegistry::affected`] checks `has_derived_rules`).
 
+use crate::repository::Term;
 use crate::{MatchResult, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
-use infosleuth_ontology::{Advertisement, ServiceQuery, Sym};
+use infosleuth_kqml::Text;
+use infosleuth_ontology::{Advertisement, ServiceQuery};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -68,33 +64,18 @@ pub struct StandingSubscription {
     pub last: Arc<Vec<MatchResult>>,
 }
 
-/// The dimension a subscription was bucketed under, kept for removal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BucketRef {
-    AgentName(Sym),
-    /// `(ontology, class)` pairs.
-    Classes(Vec<(Sym, Sym)>),
-    Capabilities(Vec<Sym>),
-    Ontology(Sym),
-    Conversation(Sym),
-    CatchAll,
-}
-
-/// The inverted index proper: dimension buckets plus each subscription's
-/// constraint windows.
+/// The inverted index proper: one bucket per subscription plus each
+/// subscription's constraint windows.
 #[derive(Debug, Default)]
-pub struct SubscriptionIndex {
-    buckets: HashMap<SubId, BucketRef>,
-    by_agent_name: HashMap<Sym, BTreeSet<SubId>>,
-    /// Keyed by `(ontology, class)`.
-    by_class: HashMap<(Sym, Sym), BTreeSet<SubId>>,
-    by_capability: HashMap<Sym, BTreeSet<SubId>>,
-    by_ontology: HashMap<Sym, BTreeSet<SubId>>,
-    by_conversation: HashMap<Sym, BTreeSet<SubId>>,
+pub(crate) struct SubscriptionIndex {
+    /// The term symbol each subscription is bucketed under, kept for
+    /// removal; `None` for the catch-all.
+    bucket_of: HashMap<SubId, Option<u64>>,
+    buckets: HashMap<u64, BTreeSet<SubId>>,
     catch_all: BTreeSet<SubId>,
     /// The numeric hull of every slot a subscription constrains (for
     /// refinement, not primary candidacy).
-    windows: HashMap<SubId, Vec<(Sym, Hull)>>,
+    windows: HashMap<SubId, Vec<(Text, Hull)>>,
 }
 
 /// The numeric hull of one slot's domain under a conjunction, when one
@@ -163,148 +144,93 @@ pub(crate) fn ad_slot_hulls(ad: &Advertisement) -> BTreeMap<&str, (f64, f64)> {
 }
 
 impl SubscriptionIndex {
-    pub fn new() -> Self {
-        SubscriptionIndex::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Registers a subscription under its most selective required
-    /// dimension. `repo` supplies the class hierarchy and capability
-    /// taxonomy for expansion (mirroring `Matchmaker::candidates`).
-    pub fn insert(&mut self, id: SubId, query: &ServiceQuery, repo: &Repository) {
+    /// Registers a subscription under its representative term.
+    pub(crate) fn insert(&mut self, id: SubId, query: &ServiceQuery) {
         self.remove(id);
-        let bucket = Self::choose_bucket(query, repo);
-        match &bucket {
-            BucketRef::AgentName(s) => {
-                self.by_agent_name.entry(*s).or_default().insert(id);
-            }
-            BucketRef::Classes(syms) => {
-                for s in syms {
-                    self.by_class.entry(*s).or_default().insert(id);
-                }
-            }
-            BucketRef::Capabilities(syms) => {
-                for s in syms {
-                    self.by_capability.entry(*s).or_default().insert(id);
-                }
-            }
-            BucketRef::Ontology(s) => {
-                self.by_ontology.entry(*s).or_default().insert(id);
-            }
-            BucketRef::Conversation(s) => {
-                self.by_conversation.entry(*s).or_default().insert(id);
-            }
-            BucketRef::CatchAll => {
-                self.catch_all.insert(id);
-            }
-        }
-        self.buckets.insert(id, bucket);
+        let bucket = Self::representative(query).map(Term::symbol);
+        match bucket {
+            Some(symbol) => self.buckets.entry(symbol).or_default().insert(id),
+            None => self.catch_all.insert(id),
+        };
+        self.bucket_of.insert(id, bucket);
         let windows: Vec<_> = query
             .constraints
             .constrained_slots()
-            .filter_map(|slot| Some((Sym::new(slot), numeric_hull(&query.constraints, slot)?)))
+            .filter_map(|slot| Some((Text::from(slot), numeric_hull(&query.constraints, slot)?)))
             .collect();
         if !windows.is_empty() {
             self.windows.insert(id, windows);
         }
     }
 
-    /// Picks the most selective dimension the query *requires*: agent
-    /// name, then classes (hierarchy-expanded, requires an ontology),
-    /// then capabilities (taxonomy-expanded), then the bare ontology,
-    /// then a conversation type; with no required dimension the
-    /// subscription can be affected by any mutation (catch-all).
-    fn choose_bucket(query: &ServiceQuery, repo: &Repository) -> BucketRef {
+    /// The most selective term the query *requires*, bare: agent name,
+    /// then a class (requires an ontology), then a capability, then the
+    /// ontology, then a conversation type. With none the subscription can
+    /// be affected by any mutation (catch-all). One class or capability
+    /// suffices: a matching advertisement must be posted under *every*
+    /// requested one.
+    fn representative(query: &ServiceQuery) -> Option<Term<'_>> {
         if let Some(name) = &query.agent_name {
-            return BucketRef::AgentName(Sym::new(name));
+            return Some(Term::Name(name));
         }
         if let (Some(onto), Some(class)) = (&query.ontology, query.classes.iter().next()) {
-            // One representative class suffices: a matching advertisement
-            // must cover *every* requested class, so probing with any
-            // single class's expansion finds it.
-            let names = repo.satisfying_classes(onto, class);
-            let onto = Sym::new(onto);
-            return BucketRef::Classes(names.map(|c| (onto, Sym::new(c))).collect());
+            return Some(Term::Class(onto, class));
         }
         if let Some(cap) = query.capabilities.iter().next() {
-            let names = repo.satisfying_capabilities(cap.as_str());
-            return BucketRef::Capabilities(names.map(Sym::new).collect());
+            return Some(Term::Capability(cap.as_str()));
         }
         if let Some(onto) = &query.ontology {
-            return BucketRef::Ontology(Sym::new(onto));
+            return Some(Term::Ontology(onto));
         }
-        if let Some(conv) = query.conversations.iter().next() {
-            return BucketRef::Conversation(Sym::new(conv.as_str()));
-        }
-        BucketRef::CatchAll
+        query.conversations.iter().next().map(Term::Conversation)
     }
 
-    pub fn remove(&mut self, id: SubId) {
-        if let Some(bucket) = self.buckets.remove(&id) {
-            match bucket {
-                BucketRef::AgentName(s) => prune(&mut self.by_agent_name, s, id),
-                BucketRef::Classes(syms) => {
-                    for s in syms {
-                        prune(&mut self.by_class, s, id);
+    pub(crate) fn remove(&mut self, id: SubId) {
+        match self.bucket_of.remove(&id) {
+            Some(Some(symbol)) => {
+                if let Some(bucket) = self.buckets.get_mut(&symbol) {
+                    bucket.remove(&id);
+                    if bucket.is_empty() {
+                        self.buckets.remove(&symbol);
                     }
-                }
-                BucketRef::Capabilities(syms) => {
-                    for s in syms {
-                        prune(&mut self.by_capability, s, id);
-                    }
-                }
-                BucketRef::Ontology(s) => prune(&mut self.by_ontology, s, id),
-                BucketRef::Conversation(s) => prune(&mut self.by_conversation, s, id),
-                BucketRef::CatchAll => {
-                    self.catch_all.remove(&id);
                 }
             }
+            Some(None) => {
+                self.catch_all.remove(&id);
+            }
+            None => {}
         }
         self.windows.remove(&id);
     }
 
     /// The candidate set for a changed advertisement: every subscription
     /// whose match set could have changed when `old` was replaced by
-    /// `new` (either side `None` for pure advertise/unadvertise).
+    /// `new` (either side `None` for pure advertise/unadvertise), each
+    /// expanded through `repo`'s hierarchies.
     ///
     /// Sound over-approximation; the caller re-scores candidates and
     /// drops empty deltas.
-    pub fn affected_by_change(
+    pub(crate) fn affected_by_change(
         &self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
+        repo: &Repository,
     ) -> BTreeSet<SubId> {
-        let mut out: BTreeSet<SubId> = self.catch_all.iter().copied().collect();
+        let mut out = self.catch_all.clone();
         for ad in [old, new].into_iter().flatten() {
-            self.collect_for_ad(ad, &mut out);
+            self.collect_for_ad(ad, repo, &mut out);
         }
         out
     }
 
-    fn collect_for_ad(&self, ad: &Advertisement, out: &mut BTreeSet<SubId>) {
+    fn collect_for_ad(&self, ad: &Advertisement, repo: &Repository, out: &mut BTreeSet<SubId>) {
+        if self.buckets.is_empty() {
+            return;
+        }
         let mut candidates: HashSet<SubId> = HashSet::new();
-        let mut probe =
-            |bucket: Option<&BTreeSet<SubId>>| candidates.extend(bucket.into_iter().flatten());
-        probe(Sym::lookup(&ad.location.name).and_then(|s| self.by_agent_name.get(&s)));
-        for content in &ad.semantic.content {
-            let Some(onto) = Sym::lookup(&content.ontology) else { continue };
-            probe(self.by_ontology.get(&onto));
-            for class in &content.classes {
-                probe(Sym::lookup(class).and_then(|c| self.by_class.get(&(onto, c))));
-            }
-        }
-        for cap in &ad.semantic.capabilities {
-            probe(Sym::lookup(cap.as_str()).and_then(|s| self.by_capability.get(&s)));
-        }
-        for conv in &ad.semantic.conversations {
-            probe(Sym::lookup(conv.as_str()).and_then(|s| self.by_conversation.get(&s)));
+        let posted = std::iter::once(Term::Name(&ad.location.name)).chain(repo.posted_terms(ad));
+        for term in posted {
+            candidates.extend(self.buckets.get(&term.symbol()).into_iter().flatten());
         }
         if candidates.is_empty() {
             return;
@@ -316,12 +242,11 @@ impl SubscriptionIndex {
         // version. Bounds are treated as closed — a conservative
         // relaxation of bound exclusivity — and only the candidates are
         // looked at, never every subscription on the slot.
-        let hulls: Vec<(Sym, Hull)> = ad_slot_hulls(ad)
-            .into_iter()
-            .filter_map(|(slot, hull)| Some((Sym::lookup(slot)?, hull)))
-            .collect();
-        let meets = |&(slot, (s_lo, s_hi)): &(Sym, Hull)| {
-            hulls.iter().all(|&(h, (lo, hi))| h != slot || (s_lo <= hi && s_hi >= lo))
+        let hulls = ad_slot_hulls(ad);
+        let meets = |(slot, (s_lo, s_hi)): &(Text, Hull)| {
+            hulls
+                .iter()
+                .all(|(h, (lo, hi))| h.as_bytes() != slot.as_bytes() || (s_lo <= hi && s_hi >= lo))
         };
         candidates.retain(|id| self.windows.get(id).map_or(true, |w| w.iter().all(meets)));
         out.extend(candidates);
@@ -329,17 +254,8 @@ impl SubscriptionIndex {
 
     /// Every registered subscription id, for the conservative fallbacks
     /// (derived rules, global mutations).
-    pub fn all(&self) -> BTreeSet<SubId> {
-        self.buckets.keys().copied().collect()
-    }
-}
-
-fn prune<K: Eq + std::hash::Hash>(map: &mut HashMap<K, BTreeSet<SubId>>, key: K, id: SubId) {
-    if let Some(set) = map.get_mut(&key) {
-        set.remove(&id);
-        if set.is_empty() {
-            map.remove(&key);
-        }
+    pub(crate) fn all(&self) -> BTreeSet<SubId> {
+        self.bucket_of.keys().copied().collect()
     }
 }
 
@@ -376,6 +292,9 @@ impl SubscriptionRegistry {
     }
 
     /// Registers a standing subscription and returns its internal id.
+    /// `_repo` is not read — a subscription is bucketed as it is stated,
+    /// and each event is expanded against the repository as it then
+    /// stands — but it keeps the call shape `benchmark/` uses.
     #[allow(clippy::too_many_arguments)]
     pub fn register(
         &mut self,
@@ -384,11 +303,11 @@ impl SubscriptionRegistry {
         trace: Option<String>,
         query: ServiceQuery,
         last: Arc<Vec<MatchResult>>,
-        repo: &Repository,
+        _repo: &Repository,
     ) -> SubId {
         self.next_id += 1;
         let id = self.next_id;
-        self.index.insert(id, &query, repo);
+        self.index.insert(id, &query);
         self.entries
             .insert(id, StandingSubscription { id, sub_key, subscriber, trace, query, last });
         id
@@ -436,7 +355,7 @@ impl SubscriptionRegistry {
         if repo.has_derived_rules() {
             return self.index.all();
         }
-        self.index.affected_by_change(old, new)
+        self.index.affected_by_change(old, new, repo)
     }
 }
 
@@ -466,7 +385,8 @@ mod tests {
     use super::*;
     use infosleuth_constraint::{Conjunction, Predicate};
     use infosleuth_ontology::{
-        paper_class_ontology, AgentLocation, AgentType, Capability, OntologyContent, SemanticInfo,
+        paper_class_ontology, AgentLocation, AgentType, Capability, ClassDef, Ontology,
+        OntologyContent, SemanticInfo,
     };
 
     fn repo() -> Repository {
@@ -496,16 +416,19 @@ mod tests {
     #[test]
     fn class_buckets_prune_unrelated_subscriptions() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::new();
-        idx.insert(1, &class_query("C1"), &repo);
-        idx.insert(2, &class_query("C2"), &repo);
-        let hit = idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)));
+        let mut idx = SubscriptionIndex::default();
+        idx.insert(1, &class_query("C1"));
+        idx.insert(2, &class_query("C2"));
+        let hit = idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1));
         assert!(!hit.contains(&2));
         // Both old and new versions probe: moving an agent from C2 to C1
         // affects both subscriptions.
-        let hit =
-            idx.affected_by_change(Some(&ad("ra", &["C2"], None)), Some(&ad("ra", &["C1"], None)));
+        let hit = idx.affected_by_change(
+            Some(&ad("ra", &["C2"], None)),
+            Some(&ad("ra", &["C1"], None)),
+            &repo,
+        );
         assert!(hit.contains(&1) && hit.contains(&2));
     }
 
@@ -520,72 +443,72 @@ mod tests {
             .find(|c| !h.ancestors(c).is_empty())
             .expect("paper ontology has a subclass");
         let parent = h.ancestors(child)[0].as_str();
-        let mut idx = SubscriptionIndex::new();
-        idx.insert(7, &class_query(child), &repo);
+        let mut idx = SubscriptionIndex::default();
+        idx.insert(7, &class_query(child));
         // An agent advertising only the ancestor still affects the child
         // subscription (full-coverage matches).
-        let hit = idx.affected_by_change(None, Some(&ad("ra", &[parent], None)));
+        let hit = idx.affected_by_change(None, Some(&ad("ra", &[parent], None)), &repo);
         assert!(hit.contains(&7), "ancestor advertisement must hit the subscription");
     }
 
     #[test]
     fn catch_all_subscriptions_always_probe() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::new();
-        idx.insert(1, &ServiceQuery::for_agent_type(AgentType::Resource), &repo);
-        let hit = idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)));
+        let mut idx = SubscriptionIndex::default();
+        idx.insert(1, &ServiceQuery::for_agent_type(AgentType::Resource));
+        let hit = idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1));
     }
 
     #[test]
     fn agent_name_bucket_is_exact() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = SubscriptionIndex::default();
         let mut q = ServiceQuery::any();
         q.agent_name = Some("ra-1".into());
-        idx.insert(1, &q, &repo);
-        assert!(idx.affected_by_change(None, Some(&ad("ra-1", &["C1"], None))).contains(&1));
-        assert!(idx.affected_by_change(None, Some(&ad("ra-2", &["C1"], None))).is_empty());
+        idx.insert(1, &q);
+        assert!(idx.affected_by_change(None, Some(&ad("ra-1", &["C1"], None)), &repo).contains(&1));
+        assert!(idx.affected_by_change(None, Some(&ad("ra-2", &["C1"], None)), &repo).is_empty());
     }
 
     #[test]
     fn capability_bucket_expands_ancestors() {
         let mut r = Repository::new();
         r.register_ontology(paper_class_ontology());
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = SubscriptionIndex::default();
         let q = ServiceQuery::any().with_capability(Capability::subscription());
-        idx.insert(1, &q, &r);
+        idx.insert(1, &q);
         let mut a = ad("ra", &[], None);
         a.semantic.capabilities.insert(Capability::subscription());
-        assert!(idx.affected_by_change(None, Some(&a)).contains(&1));
+        assert!(idx.affected_by_change(None, Some(&a), &r).contains(&1));
         let b = ad("rb", &[], None);
-        assert!(idx.affected_by_change(None, Some(&b)).is_empty());
+        assert!(idx.affected_by_change(None, Some(&b), &r).is_empty());
     }
 
     #[test]
     fn interval_trees_rule_out_disjoint_constraint_windows() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = SubscriptionIndex::default();
         let q_lo = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 0, 10),
         ]));
         let q_hi = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 100, 110),
         ]));
-        idx.insert(1, &q_lo, &repo);
-        idx.insert(2, &q_hi, &repo);
+        idx.insert(1, &q_lo);
+        idx.insert(2, &q_hi);
         let narrow = ad(
             "ra",
             &["C1"],
             Some(Conjunction::from_predicates(vec![Predicate::between("C1.a", 5, 8)])),
         );
-        let hit = idx.affected_by_change(None, Some(&narrow));
+        let hit = idx.affected_by_change(None, Some(&narrow), &repo);
         assert!(hit.contains(&1), "overlapping window stays a candidate");
         assert!(!hit.contains(&2), "disjoint window is pruned");
         // An advertisement without a restriction on the slot can match
         // either subscription: nothing is pruned.
         let open = ad("rb", &["C1"], None);
-        let hit = idx.affected_by_change(None, Some(&open));
+        let hit = idx.affected_by_change(None, Some(&open), &repo);
         assert!(hit.contains(&1) && hit.contains(&2));
     }
 
@@ -606,34 +529,34 @@ mod tests {
         let q = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 100, 110),
         ]));
-        let mut idx = SubscriptionIndex::new();
-        idx.insert(1, &q, &repo);
+        let mut idx = SubscriptionIndex::default();
+        idx.insert(1, &q);
         repo.advertise(two.clone()).unwrap();
         let matched = crate::Matchmaker::default().match_query_mut(&mut repo, &q);
         assert_eq!(matched.len(), 1, "the second record matches the subscription");
-        assert!(idx.affected_by_change(None, Some(&two)).contains(&1));
+        assert!(idx.affected_by_change(None, Some(&two), &repo).contains(&1));
         // A record open on the slot takes the slot out of the hull.
         let mut half_open = two.clone();
         half_open.semantic.content[1] = OntologyContent::new("paper-classes").with_classes(["C1"]);
-        assert!(idx.affected_by_change(None, Some(&half_open)).contains(&1));
+        assert!(idx.affected_by_change(None, Some(&half_open), &repo).contains(&1));
         // Both records disjoint from the subscription still prune it.
         let mut both_low = two;
         both_low.semantic.content[1] = window(20, 30);
-        assert!(!idx.affected_by_change(None, Some(&both_low)).contains(&1));
+        assert!(!idx.affected_by_change(None, Some(&both_low), &repo).contains(&1));
     }
 
     #[test]
     fn removal_unregisters_every_bucket() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::new();
+        let mut idx = SubscriptionIndex::default();
         let q = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 0, 10),
         ]));
-        idx.insert(1, &q, &repo);
-        assert_eq!(idx.len(), 1);
+        idx.insert(1, &q);
+        assert_eq!(idx.all().len(), 1);
         idx.remove(1);
-        assert_eq!(idx.len(), 0);
-        assert!(idx.affected_by_change(None, Some(&ad("ra", &["C1"], None))).is_empty());
+        assert!(idx.all().is_empty());
+        assert!(idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo).is_empty());
     }
 
     #[test]
@@ -653,6 +576,33 @@ mod tests {
         r.register_derived_rules("cap(A, polling) :- cap(A, subscription).").expect("rules admit");
         let all = reg.affected(None, Some(&ad("ra", &["C2"], None)), &r);
         assert!(all.contains(&id), "derived rules disable pruning");
+    }
+
+    /// A subclass added to a live hierarchy reaches the subscriptions
+    /// standing on its new ancestors: the event is expanded against the
+    /// hierarchy as it is now, not as it was when they registered.
+    #[test]
+    fn a_subclass_registered_after_a_subscription_reaches_it() {
+        let version = |subclasses: &[&str]| {
+            let mut o = Ontology::new("zoo");
+            o.add_class(ClassDef::new("q", Vec::new())).unwrap();
+            for class in subclasses {
+                o.add_subclass("q", ClassDef::new(*class, Vec::new())).unwrap();
+            }
+            o
+        };
+        let mut repo = Repository::new();
+        repo.register_ontology(version(&[]));
+        let mut reg = SubscriptionRegistry::default();
+        let query = ServiceQuery::any().with_ontology("zoo").with_classes(["q"]);
+        let id = reg.register("s1".into(), "watcher".into(), None, query, Arc::default(), &repo);
+        repo.register_ontology(version(&["d"]));
+        let of_d = Advertisement::new(AgentLocation::new("ra", "tcp://h:1", AgentType::Resource))
+            .with_semantic(
+                SemanticInfo::default()
+                    .with_content(OntologyContent::new("zoo").with_classes(["d"])),
+            );
+        assert!(reg.affected(None, Some(&of_d), &repo).contains(&id));
     }
 
     #[test]

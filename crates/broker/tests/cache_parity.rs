@@ -6,10 +6,10 @@
 
 use infosleuth_broker::{MatchCache, Matchmaker, Repository};
 use infosleuth_constraint::{Conjunction, Predicate};
-use infosleuth_ldl::{Atom, Literal, Term};
+use infosleuth_ldl::{Atom, Literal, Sym, Term};
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
-    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, Sym, SyntacticInfo,
+    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, SyntacticInfo,
 };
 
 /// The names as the symbols a probe takes: looked up, never interned.

@@ -24,9 +24,10 @@ use infosleuth_broker::{
 };
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_ldl::Sym;
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentType, Capability, ClassDef, ConversationType, Fragment,
-    Ontology, OntologyContent, SemanticInfo, ServiceQuery, SlotDef, Sym, SyntacticInfo, ValueType,
+    Ontology, OntologyContent, SemanticInfo, ServiceQuery, SlotDef, SyntacticInfo, ValueType,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};

@@ -21,12 +21,18 @@
 //! `CapabilityDigest::of`, read off the narrowing index, equals field for
 //! field the digest built by walking every advertisement, and admits every
 //! query the linear scan finds a match for.
+//!
+//! An advertisement is expanded through the hierarchies when it is posted,
+//! so one arm registers the class hierarchy again, a subclass added, under
+//! live advertisements, and holds both contracts across it.
 
 use infosleuth_broker::{CapabilityDigest, Matchmaker, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Predicate, Value};
+use infosleuth_ldl::Sym;
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
-    ConversationType, OntologyContent, SemanticInfo, ServiceQuery, Sym, SyntacticInfo, Taxonomy,
+    ClassDef, ConversationType, Ontology, OntologyContent, SemanticInfo, ServiceQuery,
+    SyntacticInfo, Taxonomy,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -342,6 +348,48 @@ proptest! {
              class(A, healthcare, provider) :- class(A, healthcare, patient).",
         )
         .expect("rules admit");
+        assert_narrowing_is_invisible(&mut repo, &queries);
+    }
+}
+
+/// Registered with `paper-classes` once advertisements exist, under `C2a`.
+const NEW_SUBCLASS: &str = "C2a-late";
+
+fn paper_classes_with_a_new_subclass() -> Ontology {
+    let mut o = paper_class_ontology();
+    o.add_subclass("C2a", ClassDef::new(NEW_SUBCLASS, Vec::new())).expect("C2a exists");
+    o
+}
+
+proptest! {
+    /// An ontology registered again, with a subclass added, after
+    /// advertisements arrived: every advertisement is posted again under
+    /// the hierarchy as it now stands, so narrowing and the digest follow
+    /// the new class — before and after it is advertised, and through the
+    /// churn that comes after.
+    #[test]
+    fn a_hierarchy_registered_again_is_followed_by_narrowing_and_the_digest(
+        script in arb_script(),
+        later in arb_script(),
+        queries in prop::collection::vec(arb_query(), 1..8),
+    ) {
+        let mut repo = repo_after(script);
+        repo.register_ontology(paper_classes_with_a_new_subclass());
+        let mut queries = queries;
+        queries.extend(["C2", "C2a", "C2b", NEW_SUBCLASS].map(|class| {
+            ServiceQuery::any().with_ontology("paper-classes").with_classes([class])
+        }));
+        assert_narrowing_is_invisible(&mut repo, &queries);
+        let newcomer = SemanticInfo::default()
+            .with_content(OntologyContent::new("paper-classes").with_classes([NEW_SUBCLASS]));
+        repo.advertise(ad("agent-late", resource(newcomer))).expect("the new subclass admits");
+        for (n, step) in later {
+            let name = format!("agent{n}");
+            match step {
+                Some(body) => drop(repo.advertise(ad(&name, body))),
+                None => drop(repo.unadvertise(&name)),
+            }
+        }
         assert_narrowing_is_invisible(&mut repo, &queries);
     }
 }

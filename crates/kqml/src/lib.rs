@@ -17,20 +17,15 @@
 //! ```
 //!
 //! This crate implements the s-expression reader/printer ([`SExpr`]), the
-//! message model ([`Message`], [`Performative`]), and KQML-style **template
-//! unification** ([`Template`]) — the purely *syntactic* matching that the
-//! paper contrasts with InfoSleuth's semantic brokering: "A match between a
-//! request and an agent takes place when the agent's advertisement unifies
-//! with the performative specified in the broker or recruit message."
+//! message model ([`Message`], [`Performative`]) and the [`Text`] of atoms
+//! and parameter keys.
 
 #![forbid(unsafe_code)]
 
 mod message;
 mod sexpr;
-mod template;
 mod text;
 
 pub use message::{KqmlError, Message, Performative};
 pub use sexpr::{SExpr, SExprError};
-pub use template::{unify, Bindings, Template};
 pub use text::Text;

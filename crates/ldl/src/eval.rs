@@ -5,7 +5,7 @@ use crate::db::Database;
 use crate::program::Program;
 use crate::rule::{Literal, Rule};
 use crate::term::{Bindings, Const, Term};
-use infosleuth_ontology::Sym;
+use crate::Sym;
 
 impl Program {
     /// Computes the full model of the program over an extensional database,

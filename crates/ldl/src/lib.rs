@@ -38,6 +38,7 @@ mod eval;
 mod parse;
 mod program;
 mod rule;
+mod symbol;
 mod term;
 
 pub use builtins::CmpOp;
@@ -49,7 +50,5 @@ pub use parse::{
 };
 pub use program::{Program, ProgramError};
 pub use rule::{Literal, Rule, RuleError};
+pub use symbol::Sym;
 pub use term::{Atom, Bindings, Const, Term};
-
-/// The interned symbol [`Const::Sym`] and [`Const::Str`] carry.
-pub use infosleuth_ontology::Sym;

@@ -1,5 +1,5 @@
-//! The process-wide symbol table: every name the reasoning engine and the
-//! subscription index key on, interned once to a `u32`.
+//! The process-wide symbol table: every name the reasoning engine keys a
+//! fact on, interned once to a `u32`.
 //!
 //! The table is append-only — an id, once handed out, names the same
 //! string for the life of the process — so a [`Sym`] is `Copy`, compares

@@ -1,6 +1,6 @@
 //! Ground constants, terms, atoms, and bindings.
 
-use infosleuth_ontology::Sym;
+use crate::Sym;
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -16,9 +16,7 @@
 //!   records that flow between agents and brokers;
 //! * [`SortedSet`], the exactly-sized ordered set those records hold their
 //!   lists in;
-//! * the sample healthcare ontology used across the paper's examples;
-//! * [`Sym`], the process-wide symbol table those names are interned in
-//!   once they reach the reasoning engine.
+//! * the sample healthcare ontology used across the paper's examples.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +26,6 @@ mod model;
 mod samples;
 mod service;
 mod set;
-mod symbol;
 mod taxonomy;
 
 pub use capability::{standard_capability_taxonomy, Capability};
@@ -41,5 +38,4 @@ pub use service::{
     SyntacticInfo,
 };
 pub use set::SortedSet;
-pub use symbol::Sym;
 pub use taxonomy::{Taxonomy, TaxonomyError};

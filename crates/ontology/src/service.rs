@@ -25,19 +25,26 @@ pub enum AgentType {
     Other(String),
 }
 
+impl AgentType {
+    /// The type's name, as advertised and as written on the wire.
+    pub fn as_str(&self) -> &str {
+        match self {
+            AgentType::User => "user",
+            AgentType::Resource => "resource",
+            AgentType::Broker => "broker",
+            AgentType::MultiResourceQuery => "multiresource-query",
+            AgentType::TaskPlanning => "task-planning",
+            AgentType::DataMining => "data-mining",
+            AgentType::Ontology => "ontology",
+            AgentType::Monitor => "monitor",
+            AgentType::Other(s) => s,
+        }
+    }
+}
+
 impl fmt::Display for AgentType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AgentType::User => write!(f, "user"),
-            AgentType::Resource => write!(f, "resource"),
-            AgentType::Broker => write!(f, "broker"),
-            AgentType::MultiResourceQuery => write!(f, "multiresource-query"),
-            AgentType::TaskPlanning => write!(f, "task-planning"),
-            AgentType::DataMining => write!(f, "data-mining"),
-            AgentType::Ontology => write!(f, "ontology"),
-            AgentType::Monitor => write!(f, "monitor"),
-            AgentType::Other(s) => write!(f, "{s}"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

@@ -5,7 +5,8 @@
 //! uses it to answer subsumption questions such as *"an agent that does all
 //! query processing certainly does relational query processing"*.
 
-use crate::{SortedSet, Sym};
+use crate::SortedSet;
+use infosleuth_kqml::Text;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -48,8 +49,8 @@ pub struct Taxonomy {
 struct Node {
     parents: BTreeSet<String>,
     children: BTreeSet<String>,
-    ancestors: SortedSet<Sym>,
-    descendants: SortedSet<Sym>,
+    ancestors: SortedSet<Text>,
+    descendants: SortedSet<Text>,
 }
 
 impl Taxonomy {
@@ -110,19 +111,19 @@ impl Taxonomy {
     /// `parent` and everything above it now sit above `child` and
     /// everything below it.
     fn link(&mut self, parent: &str, child: &str) {
-        let above: Vec<Sym> = std::iter::once(Sym::new(parent))
-            .chain(self.ancestors(parent).iter().copied())
+        let above: Vec<Text> = std::iter::once(Text::from(parent))
+            .chain(self.ancestors(parent).iter().cloned())
             .collect();
-        let below: Vec<Sym> = std::iter::once(Sym::new(child))
-            .chain(self.descendants(child).iter().copied())
+        let below: Vec<Text> = std::iter::once(Text::from(child))
+            .chain(self.descendants(child).iter().cloned())
             .collect();
         self.node_mut(parent).children.insert(child.to_string());
         self.node_mut(child).parents.insert(parent.to_string());
         for a in &above {
-            self.node_mut(a.as_str()).descendants.extend(below.iter().copied());
+            self.node_mut(a).descendants.extend(below.iter().cloned());
         }
         for d in &below {
-            self.node_mut(d.as_str()).ancestors.extend(above.iter().copied());
+            self.node_mut(d).ancestors.extend(above.iter().cloned());
         }
     }
 
@@ -160,7 +161,7 @@ impl Taxonomy {
 
     /// Whether `node` is a strict descendant of `ancestor`.
     pub fn is_descendant(&self, node: &str, ancestor: &str) -> bool {
-        self.ancestors(node).binary_search_by(|a| a.as_str().cmp(ancestor)).is_ok()
+        self.ancestors(node).binary_search_by(|a| a.as_bytes().cmp(ancestor.as_bytes())).is_ok()
     }
 
     /// Whether `node` is `ancestor` or one of its descendants. This is the
@@ -174,13 +175,13 @@ impl Taxonomy {
 
     /// All strict ancestors of a node, in name order (no duplicates);
     /// empty for an undeclared name.
-    pub fn ancestors(&self, name: &str) -> &[Sym] {
+    pub fn ancestors(&self, name: &str) -> &[Text] {
         self.nodes.get(name).map_or(&[], |n| n.ancestors.as_slice())
     }
 
     /// All strict descendants of a node, in name order (no duplicates);
     /// empty for an undeclared name.
-    pub fn descendants(&self, name: &str) -> &[Sym] {
+    pub fn descendants(&self, name: &str) -> &[Text] {
         self.nodes.get(name).map_or(&[], |n| n.descendants.as_slice())
     }
 
@@ -226,6 +227,10 @@ impl Taxonomy {
 mod tests {
     use super::*;
 
+    fn names(run: &[Text]) -> Vec<&str> {
+        run.iter().map(Text::as_str).collect()
+    }
+
     /// Builds the Fig. 2 capability hierarchy shape.
     fn fig2() -> Taxonomy {
         let mut t = Taxonomy::new();
@@ -261,11 +266,10 @@ mod tests {
     #[test]
     fn ancestors_and_descendants() {
         let t = fig2();
-        let names = |run: &[Sym]| run.iter().map(|s| s.as_str()).collect::<Vec<_>>();
         assert_eq!(names(t.ancestors("select")), ["query-processing", "relational"]);
         let d = t.descendants("query-processing");
         assert_eq!(d.len(), 6);
-        assert!(d.contains(&Sym::new("join")));
+        assert!(d.contains(&Text::from("join")));
         assert!(t.descendants("select").is_empty());
         assert!(t.ancestors("nope").is_empty() && t.descendants("nope").is_empty());
     }
@@ -287,7 +291,6 @@ mod tests {
     }
 
     fn assert_closure_is_the_walk(t: &Taxonomy) {
-        let names = |run: &[Sym]| run.iter().map(|s| s.as_str()).collect::<Vec<_>>();
         for node in t.nodes() {
             assert_eq!(names(t.ancestors(node)), walked(node, |n| t.parents_of(n)), "above {node}");
             assert_eq!(

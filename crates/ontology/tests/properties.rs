@@ -5,7 +5,8 @@
 //! no-spare-capacity vector to the allocator, as must every list the
 //! advertisement builders append to.
 
-use infosleuth_ontology::{Fragment, OntologyContent, SemanticInfo, SortedSet, Sym, Taxonomy};
+use infosleuth_kqml::Text;
+use infosleuth_ontology::{Fragment, OntologyContent, SemanticInfo, SortedSet, Taxonomy};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -118,7 +119,7 @@ proptest! {
     fn ancestors_and_descendants_are_inverse(t in arb_taxonomy()) {
         let nodes: Vec<String> = t.nodes().map(str::to_string).collect();
         for a in &nodes {
-            let a_sym = Sym::new(a);
+            let a_sym = Text::from(a.as_str());
             for anc in t.ancestors(a) {
                 prop_assert!(t.descendants(anc.as_str()).contains(&a_sym));
                 prop_assert!(t.is_descendant(a, anc.as_str()));
