@@ -72,7 +72,7 @@ impl Bus {
         let started = Instant::now();
         let size = message.wire_size();
         let result = read(&self.registry).deliver(from, to, message);
-        m.record_send(to, size, started.elapsed(), result.is_ok());
+        m.record_send(size, started.elapsed(), result.is_ok());
         if result.is_ok() {
             m.record_recv(size);
         }

@@ -20,14 +20,13 @@
 //!   freed after use, decodes *all* of it, delivers its message to the
 //!   local registry and writes the frame's ack itself. A frame that is
 //!   not wholly well-formed delivers nothing.
-//! * **Outbound.** Each peer node has one persistent connection. The
-//!   *sending* thread queues its ack slot and writes its own frame
-//!   under the per-peer lock — frames reach the socket whole, in queue
-//!   order — then waits for that one ack. One ack-reader thread per peer
-//!   (`tcp-ack-<port>`) blocks in `read` and completes the queue oldest
-//!   first, so senders pipeline: nobody waits for another sender's ack.
-//!   The number of unacked frames is the `transport_peer_queue_depth`
-//!   histogram; at [`MAX_PEER_QUEUE`] a send is rejected (backpressure).
+//! * **Outbound.** Each peer node has one persistent connection and one
+//!   frame in flight on it. The *sending* thread takes the per-peer lock,
+//!   writes its frame and reads that frame's status byte itself, then
+//!   lets go: frames and acks alternate, and a sender waits behind
+//!   whoever holds the lock. Before it writes on a pooled connection, it
+//!   peeks at the socket without blocking, to find a connection that the
+//!   remote closed while it sat idle.
 //! * **Accept.** `std` has no way to wake a thread blocked in `accept`,
 //!   so the acceptor (`tcp-acc-<port>`) is the one exception: it looks at
 //!   a nonblocking listener every [`ACCEPT_NAP`] and parks in between,
@@ -38,31 +37,32 @@
 //!   not connectable from the node itself, and a failed wake-up would hang
 //!   `shutdown` for good.
 //!
-//! A node therefore runs `1 + inbound connections + outbound peers`
-//! threads — O(peer nodes), two per peer it talks to in both directions —
-//! and all of them idle in the kernel. Delivery into a local mailbox —
-//! the same-node fast path and every inbound frame — is
-//! `Registry::deliver` (`transport.rs`): it takes the mailbox's mutex
-//! for one push and never waits, so a slow agent cannot block a
-//! `tcp-in-*` reader.
+//! A node therefore runs `1 + inbound connections` threads — one per
+//! peer node that sends to it — and all of them idle in the kernel.
+//! Delivery into a local mailbox — the same-node fast path and every
+//! inbound frame — is `Registry::deliver` (`transport.rs`): it takes the
+//! mailbox's mutex for one push and never waits, so a slow agent cannot
+//! block a `tcp-in-*` reader.
 //!
 //! ## Timeouts
 //!
 //! [`CONNECT_TIMEOUT`] bounds connection establishment. [`IO_TIMEOUT`] is
-//! the read and write timeout of accepted sockets and the write timeout
-//! of outbound ones: a connection idle *between* frames may wait forever,
-//! a half-read frame or an unwritable socket may not, and the connection
-//! is dropped. A sender waits at most `IO_TIMEOUT` for its ack and then
-//! drops the connection, which fails every frame still unacked on it.
+//! the read and write timeout of every socket: a connection idle
+//! *between* frames may wait forever, a half-read frame or an unwritable
+//! socket may not, and the connection is dropped. A sender waits at most
+//! `IO_TIMEOUT` for its ack and then marks the connection failed; the
+//! senders already waiting for it fail with it instead of each waiting
+//! out another `IO_TIMEOUT`.
 //!
 //! A send whose connection turns out stale is retried once on a fresh
 //! one, and only if not one byte of its frame left the old socket — the
 //! remote closing a pooled connection while it sat idle is seen by the
-//! ack reader at once, so this is the common case. Anything else could
-//! deliver twice and fails with [`TransportError::Io`] instead.
+//! peek, so this is the common case. Anything else could deliver twice
+//! and fails with [`TransportError::Io`] instead.
 //!
-//! `shutdown` wakes every blocked reader with `TcpStream::shutdown` on a
-//! kept clone of its socket and joins every thread the node started.
+//! `shutdown` wakes every blocked reader — an inbound reader, or a sender
+//! waiting for its ack — with `TcpStream::shutdown` on a kept clone of its
+//! socket, and joins every thread the node started.
 //!
 //! ## Framing
 //!
@@ -88,11 +88,10 @@ use crate::transport::{Mailbox, Registry, Transport, TransportError, TransportMe
 use infosleuth_kqml::Message;
 use infosleuth_obs::sync::{lock, read, write};
 use infosleuth_obs::Obs;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,10 +106,6 @@ const ACK_MALFORMED: u8 = 2;
 /// Refuse frames above this size; a wild length prefix must not make the
 /// receiver allocate unboundedly.
 const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
-/// Per-peer cap on unacked frames: further sends are rejected
-/// (backpressure) instead of piling up behind a slow or stuck peer.
-const MAX_PEER_QUEUE: usize = 1024;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
@@ -194,8 +189,8 @@ impl TcpTransport {
     }
 
     /// Attaches transport metrics to this node, registered under
-    /// `transport="tcp"` in `obs`. Covers frame sends, receipts, per-peer
-    /// queue depths, and prefix-fallback route resolutions.
+    /// `transport="tcp"` in `obs`. Covers frame sends, receipts and
+    /// prefix-fallback route resolutions.
     pub fn set_obs(&self, obs: &Arc<Obs>) {
         *write(&self.shared.obs) = Some(TransportMetrics::new(obs, "tcp"));
     }
@@ -259,9 +254,10 @@ impl TcpTransport {
 
     /// Stops the node: unparks and joins the acceptor (which drops the
     /// listener), then shuts down every inbound and outbound socket —
-    /// waking the reader blocked on it — and joins the readers. Sends in
-    /// flight fail with [`TransportError::Closed`]. Local mailboxes
-    /// survive until dropped, but no new frames arrive. Idempotent.
+    /// waking the reader blocked on it, or the sender waiting for its
+    /// ack — and joins the readers. Sends in flight fail with
+    /// [`TransportError::Closed`]. Local mailboxes survive until dropped,
+    /// but no new frames arrive. Idempotent.
     pub fn shutdown(&self) {
         let Some(acceptor) = lock(&self.acceptor).take() else { return };
         self.shared.closed.store(true, Ordering::SeqCst);
@@ -274,32 +270,27 @@ impl TcpTransport {
         }
         let peers = std::mem::take(&mut *lock(&self.shared.peers));
         for peer in peers.values() {
-            peer.close();
+            if let Some(stream) = lock(&peer.wake).as_ref() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
     }
 
-    /// Writes one encoded frame to the peer at `addr` from the calling
-    /// thread and blocks until the peer's ack reader hands back its ack.
+    /// Writes one encoded frame to the peer at `addr` and reads its ack,
+    /// both from the calling thread.
     fn send_frame(&self, addr: SocketAddr, frame: &[u8]) -> AckReply {
-        let shared = &self.shared;
-        let peer = Arc::clone(
-            lock(&shared.peers)
-                .entry(addr)
-                .or_insert_with(|| Arc::new(Peer { addr, conn: Mutex::new(None) })),
-        );
-        let mut submitted = peer.submit(shared, frame);
-        if let Err((_, true)) = submitted {
+        let arrived = Instant::now();
+        let peer = Arc::clone(lock(&self.shared.peers).entry(addr).or_insert_with(|| {
+            Arc::new(Peer { addr, conn: Mutex::new(None), wake: Mutex::new(None) })
+        }));
+        let mut conn = lock(&peer.conn);
+        let mut sent = peer.exchange(&mut conn, &self.shared, frame, arrived);
+        if let Err((_, true)) = sent {
             // The pooled connection was stale and not a byte of this
             // frame left it: one transparent attempt on a fresh one.
-            submitted = peer.submit(shared, frame);
+            sent = peer.exchange(&mut conn, &self.shared, frame, arrived);
         }
-        let ack = submitted.map_err(|(e, _)| e)?;
-        ack.recv_timeout(IO_TIMEOUT).unwrap_or_else(|_| {
-            // Still unacked: the connection is stuck. Dropping it fails
-            // every frame queued behind this one too.
-            peer.close();
-            Err(TransportError::Io("timed out waiting for an ack".into()))
-        })
+        sent.map_err(|(e, _)| e)
     }
 }
 
@@ -337,7 +328,7 @@ impl Transport for TcpTransport {
         let size = timed.map_or(0, |(_, size)| size);
         let result = self.hop(metrics, from, to, message, size);
         if let (Some(m), Some((started, size))) = (metrics, timed) {
-            m.record_send(to, size, started.elapsed(), result.is_ok());
+            m.record_send(size, started.elapsed(), result.is_ok());
         }
         result
     }
@@ -397,112 +388,124 @@ fn encode_frame(from: &str, to: &str, text: &str) -> Result<Vec<u8>, TransportEr
     Ok(frame)
 }
 
-/// Where each unacked frame of one connection waits for its ack, oldest
-/// first. The ack reader leaves `None` behind when it exits, which is how
-/// the next sender learns the connection is gone.
-type AckQueue = Mutex<Option<VecDeque<Sender<AckReply>>>>;
-
 /// The persistent outbound connection to one peer node.
 struct Conn {
     stream: TcpStream,
-    acks: Arc<AckQueue>,
-    ack_reader: JoinHandle<()>,
-}
-
-impl Conn {
-    fn open(addr: SocketAddr, shared: &Arc<TcpShared>) -> Result<Conn, TransportError> {
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(io_err)?;
-        let acks = Arc::new(Mutex::new(Some(VecDeque::new())));
-        let ack_reader = {
-            let stream = stream.try_clone().map_err(io_err)?;
-            let (acks, shared) = (Arc::clone(&acks), Arc::clone(shared));
-            std::thread::Builder::new()
-                .name(format!("tcp-ack-{}", shared.port))
-                .spawn(move || read_acks(stream, &acks, addr, &shared))
-                .map_err(io_err)?
-        };
-        Ok(Conn { stream, acks, ack_reader })
-    }
-
-    /// Wakes the ack reader out of its `read`; on its way out it fails
-    /// whatever is still unacked.
-    fn close(self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        let _ = self.ack_reader.join();
-    }
+    /// When a send timed out waiting for its ack here and shut the socket
+    /// down. A sender that was already waiting for the connection fails
+    /// with it; a later one opens a new connection.
+    failed: Option<Instant>,
 }
 
 /// One peer node: its address and, while one is up, the connection to it.
 struct Peer {
     addr: SocketAddr,
-    /// Also the per-peer write lock: held from queueing a frame's ack
-    /// slot until the frame is written, so acks come back in queue order.
+    /// Also the per-peer lock: a sender holds it from writing its frame
+    /// until it has read that frame's ack.
     conn: Mutex<Option<Conn>>,
+    /// A clone of the connection's socket, through which `shutdown` wakes
+    /// a sender blocked on its ack.
+    wake: Mutex<Option<TcpStream>>,
 }
 
 impl Peer {
-    /// Queues and writes `frame` on the peer's connection (opening one if
-    /// none is up) and returns where its ack will arrive. On failure the
-    /// flag says whether a retry is safe from duplicate delivery: the
-    /// connection was found dead or broke before any byte of `frame`
-    /// left the socket.
-    fn submit(
+    /// Writes `frame` on the peer's connection (opening one if none is
+    /// up) and reads its ack. `arrived` is when the sender asked for the
+    /// connection. On failure the flag says whether a retry is safe from
+    /// duplicate delivery: the connection was found dead or broke before
+    /// any byte of `frame` left the socket.
+    fn exchange(
         &self,
-        shared: &Arc<TcpShared>,
+        slot: &mut Option<Conn>,
+        shared: &TcpShared,
         frame: &[u8],
-    ) -> Result<Receiver<AckReply>, (TransportError, bool)> {
-        let mut slot = lock(&self.conn);
-        let conn = match slot.take() {
+        arrived: Instant,
+    ) -> Result<bool, (TransportError, bool)> {
+        match slot {
+            Some(Conn { failed: Some(at), .. }) if arrived < *at => {
+                let timed_out = format!("connection to {} timed out", self.addr);
+                return Err((TransportError::Io(timed_out), false));
+            }
+            Some(Conn { failed: Some(_), .. }) => *slot = None,
+            // The remote closed this connection while it sat idle.
+            Some(conn) if !idle_and_open(&conn.stream) => {
+                close(slot);
+                return Err((connection_failed(self.addr), true));
+            }
+            _ => {}
+        }
+        let conn = match slot {
             Some(conn) => conn,
-            None if shared.closed.load(Ordering::SeqCst) => {
-                return Err((TransportError::Closed, false))
-            }
-            None => Conn::open(self.addr, shared).map_err(|e| (e, false))?,
+            None => slot.insert(self.open(shared).map_err(|e| (e, false))?),
         };
-        let (done, ack) = channel();
-        let depth = lock(&conn.acks).as_mut().map(|queue| {
-            (queue.len() < MAX_PEER_QUEUE).then(|| {
-                queue.push_back(done);
-                queue.len()
-            })
-        });
-        match depth {
-            // The ack reader is gone: the remote closed this connection
-            // while it sat idle.
-            None => {
-                conn.close();
-                Err((connection_failed(self.addr), true))
+        if let Err(untouched) = write_frame(&conn.stream, frame) {
+            close(slot);
+            return Err((broken(shared, self.addr), untouched));
+        }
+        let mut status = [0u8];
+        match (&conn.stream).read_exact(&mut status) {
+            Ok(()) if matches!(status[0], ACK_OK | ACK_UNKNOWN) => Ok(status[0] == ACK_OK),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                conn.failed = Some(Instant::now());
+                Err((TransportError::Io("timed out waiting for an ack".into()), false))
             }
-            Some(None) => {
-                *slot = Some(conn);
-                Err((TransportError::Io(format!("peer {} write queue full", self.addr)), false))
-            }
-            Some(Some(depth)) => {
-                if let Some(m) = read(&shared.obs).as_ref() {
-                    m.record_queue_depth(depth);
-                }
-                match write_frame(&conn.stream, frame) {
-                    Ok(()) => {
-                        *slot = Some(conn);
-                        Ok(ack)
-                    }
-                    Err(untouched) => {
-                        conn.close();
-                        Err((connection_failed(self.addr), untouched))
-                    }
-                }
+            // EOF, a reset, `ACK_MALFORMED`, or `shutdown` waking us.
+            _ => {
+                close(slot);
+                Err((broken(shared, self.addr), false))
             }
         }
     }
 
-    /// Drops the connection, if one is up; the next send opens another.
-    fn close(&self) {
-        if let Some(conn) = lock(&self.conn).take() {
-            conn.close();
+    /// Connects to the peer and keeps a clone of the socket in `wake` —
+    /// unless the node is shutting down.
+    fn open(&self, shared: &TcpShared) -> Result<Conn, TransportError> {
+        if shared.closed.load(Ordering::SeqCst) {
+            return Err(TransportError::Closed);
         }
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT).map_err(io_err)?;
+        stream.set_nodelay(true).map_err(io_err)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(io_err)?;
+        stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(io_err)?;
+        *lock(&self.wake) = Some(stream.try_clone().map_err(io_err)?);
+        // `shutdown` sets `closed` before it reads `wake`: it has seen
+        // this clone, or this sees `closed`.
+        if shared.closed.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Both);
+            return Err(TransportError::Closed);
+        }
+        Ok(Conn { stream, failed: None })
     }
+}
+
+/// Drops the connection in `slot`, shutting its socket down, since the
+/// clone in `wake` would keep it open; the next send opens another.
+fn close(slot: &mut Option<Conn>) {
+    if let Some(conn) = slot.take() {
+        let _ = conn.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The error of a send whose connection broke: `Closed` when it broke
+/// because this node is shutting down.
+fn broken(shared: &TcpShared, addr: SocketAddr) -> TransportError {
+    if shared.closed.load(Ordering::SeqCst) {
+        TransportError::Closed
+    } else {
+        connection_failed(addr)
+    }
+}
+
+/// Whether a pooled connection is open and quiet. With no frame in
+/// flight the remote has nothing to say, so a waiting byte, EOF or an
+/// error means the connection is gone.
+fn idle_and_open(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let quiet = matches!(stream.peek(&mut [0u8]), Err(e) if e.kind() == ErrorKind::WouldBlock);
+    stream.set_nonblocking(false).is_ok() && quiet
 }
 
 /// `write_all`, except that a failure says whether the socket was still
@@ -518,28 +521,6 @@ fn write_frame(mut stream: &TcpStream, frame: &[u8]) -> Result<(), bool> {
         }
     }
     Ok(())
-}
-
-/// The ack-reader thread of one outbound connection: blocks for each
-/// status byte and completes the oldest unacked frame with it. Any error,
-/// EOF, `ACK_MALFORMED` or local `close` ends it, failing the frames
-/// still queued.
-fn read_acks(mut stream: TcpStream, acks: &AckQueue, addr: SocketAddr, shared: &TcpShared) {
-    let mut status = [0u8];
-    while stream.read_exact(&mut status).is_ok() && matches!(status[0], ACK_OK | ACK_UNKNOWN) {
-        // Queued before its frame was written, so it is there.
-        let Some(done) = lock(acks).as_mut().and_then(VecDeque::pop_front) else { break };
-        let _ = done.send(Ok(status[0] == ACK_OK));
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    let error = if shared.closed.load(Ordering::SeqCst) {
-        TransportError::Closed
-    } else {
-        connection_failed(addr)
-    };
-    for done in lock(acks).take().into_iter().flatten() {
-        let _ = done.send(Err(error.clone()));
-    }
 }
 
 /// The acceptor thread: hands every new connection its own reader thread
@@ -691,6 +672,7 @@ mod tests {
     use crate::transport::{Endpoint, TransportExt};
     use infosleuth_kqml::{Performative, SExpr};
     use proptest::prelude::*;
+    use std::sync::mpsc::{channel, Receiver};
 
     fn node() -> Arc<TcpTransport> {
         TcpTransport::bind("127.0.0.1:0").expect("bind localhost")
@@ -785,10 +767,6 @@ mod tests {
         assert!(
             text.contains("transport_route_fallback_total{transport=\"tcp\"} 1"),
             "fallback resolution must be visible: {text}"
-        );
-        assert!(
-            text.contains("transport_peer_queue_depth"),
-            "queue depth histogram registered on remote send: {text}"
         );
         // Exact-match routes do not count as fallbacks.
         server.send("client", Message::new(Performative::Tell)).unwrap_err(); // no mailbox, but routed
@@ -899,12 +877,12 @@ mod tests {
         assert_eq!(connection(), before, "the oversized frame cost the connection");
     }
 
-    /// Live threads of the node listening on `port`: its acceptor,
-    /// inbound readers and ack readers. Matching on the port keeps the
-    /// count exact while sibling tests run nodes of their own.
+    /// Live threads of the node listening on `port`: its acceptor and
+    /// inbound readers. Matching on the port keeps the count exact while
+    /// sibling tests run nodes of their own.
     #[cfg(target_os = "linux")]
     fn node_threads(port: u16) -> Vec<String> {
-        let names = ["acc", "in", "ack"].map(|role| format!("tcp-{role}-{port}"));
+        let names = ["acc", "in"].map(|role| format!("tcp-{role}-{port}"));
         let mut live: Vec<String> = std::fs::read_dir("/proc/self/task")
             .expect("/proc/self/task is readable")
             .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
@@ -1055,8 +1033,8 @@ mod tests {
 
     #[test]
     fn repeated_open_close_cycles_leak_nothing() {
-        // Shutdown must join every thread the node started — acceptor,
-        // inbound readers, ack readers — while connections are open in
+        // Shutdown must join every thread the node started — acceptor and
+        // inbound readers — while connections are open in
         // both directions and a slow client sits half-way through a
         // frame, and must free the port for an immediate rebind.
         let probe = node();
@@ -1089,18 +1067,18 @@ mod tests {
             #[cfg(target_os = "linux")]
             {
                 // Both nodes idle with every connection open: one acceptor,
-                // one ack reader, and on n1 two inbound readers (n2's
-                // connection and `slow`), all blocked. A thread carries its
+                // and on n1 two inbound readers (n2's connection and
+                // `slow`), on n2 one, all blocked. A thread carries its
                 // spawner's name until it has set its own, so wait for the
                 // acceptor to have taken `slow` and the names to settle.
                 let port = addr.port();
-                let expected = ["acc", "ack", "in", "in"].map(|role| format!("tcp-{role}-{port}"));
+                let expected = ["acc", "in", "in"].map(|role| format!("tcp-{role}-{port}"));
                 let deadline = Instant::now() + Duration::from_secs(2);
                 while node_threads(port) != expected && Instant::now() < deadline {
                     std::thread::yield_now();
                 }
                 assert_eq!(node_threads(port), expected, "cycle {cycle}");
-                assert_eq!(node_threads(n2.local_addr().port()).len(), 3, "cycle {cycle}");
+                assert_eq!(node_threads(n2.local_addr().port()).len(), 2, "cycle {cycle}");
             }
             let started = Instant::now();
             n1.shutdown();
@@ -1151,6 +1129,89 @@ mod tests {
         }
         src.send("sink", Message::new(Performative::Tell)).unwrap();
         assert!(sink.recv_timeout(Duration::from_secs(2)).is_some());
+    }
+
+    #[test]
+    fn a_pooled_connection_to_a_restarted_node_is_replaced_and_delivers_once() {
+        let n1 = node();
+        let n2 = node();
+        let addr = n2.local_addr();
+        n1.add_route("sink", n2.address());
+        let src = as_dyn(&n1).endpoint("src").unwrap();
+        let tell = |word: &str| Message::new(Performative::Tell).with_content(SExpr::atom(word));
+        let sink = as_dyn(&n2).endpoint("sink").unwrap();
+        src.send("sink", tell("first")).unwrap();
+        drop(sink);
+        // The remote node goes while `n1`'s pooled connection to it sits
+        // idle, and another is bound in its place.
+        n2.shutdown();
+        drop(n2);
+        let n2 = TcpTransport::bind(addr).expect("address is free again");
+        let mut sink = as_dyn(&n2).endpoint("sink").unwrap();
+        src.send("sink", tell("second")).expect("sent on a fresh connection");
+        let env = sink.recv_timeout(Duration::from_secs(2)).expect("delivered");
+        assert_eq!(env.message.content(), Some(&SExpr::atom("second")));
+        assert!(sink.recv_timeout(Duration::from_millis(200)).is_none(), "delivered twice");
+    }
+
+    /// A raw listener that takes one connection and reads frames off it
+    /// without ever answering, until the connection closes: its address,
+    /// a receiver told of each frame read, and its thread.
+    fn mute_peer() -> (AgentAddress, Receiver<()>, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let address = AgentAddress::tcp("127.0.0.1", listener.local_addr().unwrap().port());
+        let (read, frames) = channel();
+        let reader = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            while read_frame(&mut stream).is_ok() {
+                let _ = read.send(());
+            }
+        });
+        (address, frames, reader)
+    }
+
+    #[test]
+    fn shutdown_wakes_a_sender_waiting_for_its_ack() {
+        let (address, frames, mute) = mute_peer();
+        let n = node();
+        n.add_route("mute", address);
+        let src = as_dyn(&n).endpoint("src").unwrap();
+        let sending = std::thread::spawn(move || {
+            let sent = src.send("mute", Message::new(Performative::Tell));
+            (sent, Instant::now())
+        });
+        frames.recv_timeout(Duration::from_secs(2)).expect("the frame is written");
+        let started = Instant::now();
+        n.shutdown();
+        let (sent, returned) = sending.join().unwrap();
+        assert!(matches!(sent, Err(TransportError::Closed)), "{sent:?}");
+        let waited = returned.duration_since(started);
+        assert!(waited < Duration::from_secs(1), "the send returned {waited:?} after shutdown");
+        mute.join().unwrap();
+    }
+
+    #[test]
+    fn senders_waiting_behind_a_timed_out_ack_fail_with_it() {
+        let (address, frames, mute) = mute_peer();
+        let n = node();
+        n.add_route("mute", address);
+        let started = Instant::now();
+        let senders: Vec<_> = (0..2)
+            .map(|i| {
+                let src = as_dyn(&n).endpoint(format!("src{i}")).unwrap();
+                std::thread::spawn(move || {
+                    (src.send("mute", Message::new(Performative::Tell)), started.elapsed())
+                })
+            })
+            .collect();
+        frames.recv_timeout(Duration::from_secs(2)).expect("a frame is written");
+        for sender in senders {
+            let (sent, after) = sender.join().unwrap();
+            assert!(matches!(sent, Err(TransportError::Io(_))), "{sent:?}");
+            assert!(after < IO_TIMEOUT + Duration::from_secs(1), "failed after {after:?}");
+        }
+        n.shutdown();
+        mute.join().unwrap();
     }
 
     // ---- Decoder fuzzing: arbitrary and corrupted bytes at a live listener ----

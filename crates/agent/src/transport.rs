@@ -13,10 +13,10 @@
 //! in-process or across machines without touching agent code.
 
 use infosleuth_kqml::Message;
-use infosleuth_obs::sync::{lock, read, wait, wait_timeout, write};
+use infosleuth_obs::sync::{lock, wait, wait_timeout};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A delivered message with its envelope metadata.
@@ -340,9 +340,9 @@ pub trait Transport: Send + Sync + 'static {
 }
 
 /// Shared instrumentation for a transport implementation: counters for
-/// send/recv volume and failures, plus per-destination latency
-/// histograms, all registered in one [`Obs`](infosleuth_obs::Obs)
-/// bundle. Both the in-proc [`Bus`](crate::Bus) and the
+/// send/recv volume and failures, plus one send-latency histogram, all
+/// registered in one [`Obs`](infosleuth_obs::Obs) bundle. Both the
+/// in-proc [`Bus`](crate::Bus) and the
 /// [`TcpTransport`](crate::TcpTransport) attach one of these via their
 /// `set_obs` methods.
 pub struct TransportMetrics {
@@ -352,20 +352,7 @@ pub struct TransportMetrics {
     recv_total: infosleuth_obs::Counter,
     recv_bytes: infosleuth_obs::Counter,
     route_fallback: infosleuth_obs::Counter,
-    transport: &'static str,
-    obs: Arc<infosleuth_obs::Obs>,
-    /// Per-destination-stem latency handles, cached after first use.
-    latency: RwLock<std::collections::BTreeMap<String, infosleuth_obs::Histogram>>,
-    /// Per-peer unacked-frame count, created lazily on first observation
-    /// (only networked transports ever observe it).
-    queue_depth: RwLock<Option<infosleuth_obs::Histogram>>,
-}
-
-/// Destinations like `broker-1.w3` are ephemeral per-worker endpoints;
-/// metrics label them by the stable stem (`broker-1`) to bound
-/// cardinality.
-fn dest_stem(to: &str) -> &str {
-    to.split('.').next().unwrap_or(to)
+    latency: infosleuth_obs::Histogram,
 }
 
 impl TransportMetrics {
@@ -379,49 +366,18 @@ impl TransportMetrics {
             recv_total: reg.counter("transport_recv_total", &labels),
             recv_bytes: reg.counter("transport_recv_bytes_total", &labels),
             route_fallback: reg.counter("transport_route_fallback_total", &labels),
-            transport,
-            obs: Arc::clone(obs),
-            latency: RwLock::new(std::collections::BTreeMap::new()),
-            queue_depth: RwLock::new(None),
+            latency: reg.histogram("transport_send_seconds", &labels),
         })
     }
 
-    /// Records how many frames are unacked on a peer's connection as one
-    /// more is queued (the backpressure signal).
-    pub fn record_queue_depth(&self, depth: usize) {
-        let hist = {
-            let cached = read(&self.queue_depth).clone();
-            cached.unwrap_or_else(|| {
-                let h = self
-                    .obs
-                    .registry()
-                    .histogram("transport_peer_queue_depth", &[("transport", self.transport)]);
-                write(&self.queue_depth).get_or_insert_with(|| h.clone()).clone()
-            })
-        };
-        hist.observe(depth as f64);
-    }
-
-    pub fn record_send(&self, to: &str, bytes: usize, elapsed: Duration, ok: bool) {
+    pub fn record_send(&self, bytes: usize, elapsed: Duration, ok: bool) {
         self.send_total.inc();
         if ok {
             self.send_bytes.add(bytes as u64);
         } else {
             self.send_failures.inc();
         }
-        let stem = dest_stem(to);
-        let hist = {
-            let cached = read(&self.latency).get(stem).cloned();
-            cached.unwrap_or_else(|| {
-                let h = self.obs.registry().histogram(
-                    "transport_send_seconds",
-                    &[("transport", self.transport), ("dest", stem)],
-                );
-                write(&self.latency).entry(stem.to_string()).or_insert_with(|| h.clone());
-                h
-            })
-        };
-        hist.observe_duration(elapsed);
+        self.latency.observe_duration(elapsed);
     }
 
     pub fn record_recv(&self, bytes: usize) {

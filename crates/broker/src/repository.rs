@@ -11,7 +11,7 @@ use crate::facts::{compile_agent_facts, compile_facts, matchmaking_env, matchmak
 use crate::sub_index::ad_slot_hulls;
 use infosleuth_agent::AgentAddress;
 use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, Report, Severity};
-use infosleuth_kqml::Text;
+use infosleuth_kqml::{Fnv, Text};
 use infosleuth_ldl::{parse_rules, Database, LdlParseError, Program, Rule, Saturated};
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
@@ -151,18 +151,6 @@ impl HullColumn {
     }
 }
 
-/// FNV-1a 64 over the texts it is fed, in order.
-struct Fnv(u64);
-
-impl Fnv {
-    fn eat(mut self, text: &str) -> Fnv {
-        for b in text.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-}
-
 /// One term an advertisement is posted under and a query probes: an agent
 /// name or a value of one of the seven posting dimensions.
 #[derive(Debug, Clone, Copy)]
@@ -207,7 +195,7 @@ impl<'a> Term<'a> {
     /// candidate, which scoring re-checks. Peers probe the digest with
     /// these symbols, so the bytes are a wire format.
     pub(crate) fn symbol(self) -> u64 {
-        let h = Fnv(0xcbf2_9ce4_8422_2325);
+        let h = Fnv::EMPTY;
         let h = match self {
             Term::Name(name) => h.eat("n\u{1f}").eat(name),
             Term::AgentType(t) => h.eat("t\u{1f}").eat(t.as_str()),
@@ -218,7 +206,7 @@ impl<'a> Term<'a> {
             Term::Ontology(onto) => h.eat("o\u{1f}").eat(onto),
             Term::Class(onto, class) => h.eat("c\u{1f}").eat(onto).eat("\u{1}").eat(class),
         };
-        h.0
+        h.finish()
     }
 }
 

@@ -12,10 +12,12 @@
 //! of its own.
 //!
 //! A counting `#[global_allocator]` sees every allocation of the test
-//! process, so the tests here take one lock and run one at a time. Run
-//! with `--nocapture` for the bytes-per-advertisement and bytes-per-message
-//! tables (EXPERIMENTS.md, "Bytes per advertisement", "What a queued
-//! message costs").
+//! process, so the tests here take one lock and run one at a time. Even
+//! so, the test harness starts the next test on a thread of its own while
+//! one runs, and that thread allocates: a window that runs on one thread
+//! counts that thread's allocations alone. Run with `--nocapture` for the
+//! bytes-per-advertisement and bytes-per-message tables (EXPERIMENTS.md,
+//! "Bytes per advertisement", "What a queued message costs").
 
 use infosleuth_agent::{AgentRuntime, Bus, Endpoint, RuntimeConfig};
 use infosleuth_broker::{
@@ -30,6 +32,7 @@ use infosleuth_ontology::{
     Ontology, OntologyContent, SemanticInfo, ServiceQuery, SlotDef, SyntacticInfo, ValueType,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -39,25 +42,39 @@ struct Counting;
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCS: AtomicIsize = AtomicIsize::new(0);
 
+thread_local! {
+    /// What this thread has allocated less what it has freed.
+    static MINE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
+}
+
+/// Counts `bytes` more live in `allocs` more allocations, for the process
+/// and for the calling thread.
+fn count(bytes: isize, allocs: isize) {
+    LIVE_BYTES.fetch_add(bytes, Relaxed);
+    LIVE_ALLOCS.fetch_add(allocs, Relaxed);
+    let _ = MINE.try_with(|mine| {
+        let (b, a) = mine.get();
+        mine.set((b + bytes, a + allocs));
+    });
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counters are statistics and publish nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
-        LIVE_ALLOCS.fetch_add(1, Relaxed);
+        count(layout.size() as isize, 1);
         // SAFETY: the caller's obligations are `System.alloc`'s own.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
-        LIVE_ALLOCS.fetch_sub(1, Relaxed);
+        count(-(layout.size() as isize), -1);
         // SAFETY: `ptr` came from `alloc` above, hence from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        count(new_size as isize - layout.size() as isize, 0);
         // SAFETY: as for `dealloc`; `new_size` is the caller's to get right.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,8 +83,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Live heap of the whole process: `(bytes, allocations)`.
+/// Live heap of the calling thread — what it allocated less what it
+/// freed — as `(bytes, allocations)`: what a window that runs on this
+/// thread alone reads.
 fn live() -> (isize, isize) {
+    MINE.with(Cell::get)
+}
+
+/// Live heap of the whole process, for the one window whose work runs on
+/// a runtime's threads.
+fn process_live() -> (isize, isize) {
     (LIVE_BYTES.load(Relaxed), LIVE_ALLOCS.load(Relaxed))
 }
 
@@ -209,7 +234,7 @@ fn held_by_a_live_broker(ads: &[Advertisement]) -> (isize, isize) {
     // have been idle a while.
     let settled = || {
         std::thread::sleep(Duration::from_millis(50));
-        live()
+        process_live()
     };
     let bus = Bus::new();
     let rt = AgentRuntime::new(bus.as_transport(), RuntimeConfig::default().with_workers(2));
@@ -589,10 +614,7 @@ fn row(j: usize) -> MatchResult {
 /// What the message `build` makes costs from the moment the builder runs
 /// until it is read off the receiver's mailbox — `((bytes, allocations),
 /// wire bytes)`, sent the way a broker sends, through a bus that stamps
-/// `:sender` and `:receiver` and queues an envelope. The counters are the
-/// whole process's, and the test harness's own thread allocates while a
-/// neighbouring test finishes, so the message is measured five times and
-/// the smallest reading kept: each one is the same message.
+/// `:sender` and `:receiver` and queues an envelope.
 fn queued(build: impl Fn() -> Message) -> ((isize, isize), usize) {
     let bus = Bus::new();
     let from = bus.register("broker-0").unwrap();
@@ -601,17 +623,10 @@ fn queued(build: impl Fn() -> Message) -> ((isize, isize), usize) {
     // adds only itself.
     from.send("cli-sub", Message::new(Performative::Tell)).unwrap();
     to.try_recv().unwrap();
-    let mut wire = 0;
-    let cost = (0..5)
-        .map(|_| {
-            let before = live();
-            from.send("cli-sub", build()).unwrap();
-            let after = live();
-            wire = to.try_recv().unwrap().message.to_string().len();
-            (after.0 - before.0, after.1 - before.1)
-        })
-        .min()
-        .unwrap();
+    let before = live();
+    from.send("cli-sub", build()).unwrap();
+    let cost = delta(before, live());
+    let wire = to.try_recv().unwrap().message.to_string().len();
     (cost, wire)
 }
 

@@ -17,15 +17,18 @@
 //! ```
 //!
 //! This crate implements the s-expression reader/printer ([`SExpr`]), the
-//! message model ([`Message`], [`Performative`]) and the [`Text`] of atoms
-//! and parameter keys.
+//! message model ([`Message`], [`Performative`]), the [`Text`] of atoms
+//! and parameter keys, and [`Fnv`], the workspace's one stable string
+//! hash.
 
 #![forbid(unsafe_code)]
 
+mod fnv;
 mod message;
 mod sexpr;
 mod text;
 
+pub use fnv::Fnv;
 pub use message::{KqmlError, Message, Performative};
 pub use sexpr::{SExpr, SExprError};
 pub use text::Text;

@@ -1,6 +1,7 @@
 //! The text of an atom or a parameter key, and the protocol vocabulary
 //! most of it is drawn from.
 
+use crate::Fnv;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
@@ -169,7 +170,7 @@ const VOCABULARY: [&str; 147] = [
 const SLOTS: usize = 512;
 
 /// An open-addressing hash index over [`VOCABULARY`], built at compile
-/// time: probing starts at `fnv(word) % SLOTS`, and a slot holds one plus
+/// time: probing starts at [`slot`]`(word)`, and a slot holds one plus
 /// the word's position (0 = empty). A binary search over the array cost
 /// eight `memcmp` calls — most of an atom's construction.
 const INDEX: [u8; SLOTS] = {
@@ -177,7 +178,7 @@ const INDEX: [u8; SLOTS] = {
     let mut index = [0u8; SLOTS];
     let mut w = 0;
     while w < VOCABULARY.len() {
-        let mut slot = fnv(VOCABULARY[w].as_bytes()) % SLOTS;
+        let mut slot = slot(VOCABULARY[w]);
         while index[slot] != 0 {
             slot = (slot + 1) % SLOTS;
         }
@@ -187,15 +188,9 @@ const INDEX: [u8; SLOTS] = {
     index
 };
 
-/// FNV-1a over `bytes`.
-const fn fnv(bytes: &[u8]) -> usize {
-    let mut hash: u32 = 0x811c_9dc5;
-    let mut i = 0;
-    while i < bytes.len() {
-        hash = (hash ^ bytes[i] as u32).wrapping_mul(0x0100_0193);
-        i += 1;
-    }
-    hash as usize
+/// Where probing for `word` starts in [`INDEX`].
+const fn slot(word: &str) -> usize {
+    (Fnv::EMPTY.eat(word).finish() % SLOTS as u64) as usize
 }
 
 /// The longest text held inside the node rather than behind a pointer:
@@ -222,7 +217,7 @@ enum Repr {
 impl Text {
     /// The vocabulary word equal to `s`, if there is one.
     fn word(s: &str) -> Option<&'static str> {
-        let mut slot = fnv(s.as_bytes()) % SLOTS;
+        let mut slot = slot(s);
         loop {
             let word = VOCABULARY[usize::from(INDEX[slot]).checked_sub(1)?];
             if word == s {

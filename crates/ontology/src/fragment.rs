@@ -8,7 +8,7 @@
 //! fragments are first-class in the service ontology.
 
 use infosleuth_constraint::Conjunction;
-use infosleuth_kqml::Text;
+use infosleuth_kqml::{Fnv, Text};
 use std::fmt;
 
 /// A fragment of a class held by a resource agent.
@@ -55,18 +55,11 @@ impl Fragment {
 /// `(ontology, class)` pair that identifies one unit of advertised
 /// content. Shard planners partition advertisements across brokers by
 /// this hash, so it must be identical across processes and runs; the
-/// standard library's `HashMap` hasher is seed-randomized, hence the
-/// hand-rolled FNV. A NUL separator keeps `("ab", "c")` and
-/// `("a", "bc")` distinct.
+/// standard library's `HashMap` hasher is seed-randomized, hence
+/// [`Fnv`]. A NUL separator keeps `("ab", "c")` and `("a", "bc")`
+/// distinct.
 pub fn fragment_hash(ontology: &str, class: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for b in ontology.bytes().chain(std::iter::once(0u8)).chain(class.bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    Fnv::EMPTY.eat(ontology).eat("\0").eat(class).finish()
 }
 
 impl fmt::Display for Fragment {
