@@ -60,6 +60,9 @@ pub enum Code {
     ImpossibleComparison,
     /// IS015: an exact duplicate of an earlier rule.
     DuplicateRule,
+    /// IS016: a rule derives facts about one agent from another agent's
+    /// facts, or defines an agent-free predicate.
+    NonLocalRule,
     /// IS020: an advertisement's data constraints are unsatisfiable.
     UnsatisfiableConstraints,
     /// IS021: an advertised class is unknown to the declared ontology.
@@ -124,6 +127,7 @@ impl Code {
             Code::ArityMismatch => "IS013",
             Code::ImpossibleComparison => "IS014",
             Code::DuplicateRule => "IS015",
+            Code::NonLocalRule => "IS016",
             Code::UnsatisfiableConstraints => "IS020",
             Code::UnknownClass => "IS021",
             Code::UnknownSlot => "IS022",
@@ -159,6 +163,7 @@ impl Code {
         Code::ArityMismatch,
         Code::ImpossibleComparison,
         Code::DuplicateRule,
+        Code::NonLocalRule,
         Code::UnsatisfiableConstraints,
         Code::UnknownClass,
         Code::UnknownSlot,
@@ -390,7 +395,7 @@ mod tests {
         // `ALL` must stay exhaustive: the derived Ord follows declaration
         // order, so the last variant in the table must compare >= every
         // variant the table contains.
-        assert_eq!(Code::ALL.len(), 28, "update Code::ALL when adding a variant");
+        assert_eq!(Code::ALL.len(), 29, "update Code::ALL when adding a variant");
     }
 
     #[test]

@@ -14,15 +14,19 @@
 //! 4. **Builtin consistency** (IS014): comparisons that can never hold —
 //!    statically false constant tests, or a variable compared against
 //!    constants of incomparable kinds.
+//! 5. **Agent locality** (IS016, when the agent-keyed predicates are
+//!    known): every rule derives facts about one agent from that agent's
+//!    own facts and agent-free ones.
 
 use crate::diag::{Code, Diagnostic, Report, Span};
 use infosleuth_ldl::{parse_rules_spanned, Const, Literal, Rule, RuleError, Term};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What the analyzer may assume about the world around a rule program.
-/// Both fields are optional: without an EDB schema, undefined-predicate
+/// Every field is optional: without an EDB schema, undefined-predicate
 /// and EDB-arity checks are skipped (any predicate may be a fact); without
-/// roots, reachability is not checked (any rule may be queried directly).
+/// roots, reachability is not checked (any rule may be queried directly);
+/// without agent-keyed predicates, locality is not checked.
 #[derive(Debug, Clone, Default)]
 pub struct LdlEnv {
     /// Known extensional (fact) predicates, with their arities.
@@ -30,6 +34,9 @@ pub struct LdlEnv {
     /// Predicates queried from outside the program. Rules not (transitively)
     /// feeding a root are dead code.
     pub roots: Option<BTreeSet<String>>,
+    /// Known predicates whose first argument names an agent. The other
+    /// known predicates are agent-free, and only these may head a rule.
+    pub agent_keyed: Option<BTreeSet<String>>,
 }
 
 impl LdlEnv {
@@ -54,6 +61,15 @@ impl LdlEnv {
         S: Into<String>,
     {
         self.roots = Some(roots.into_iter().map(Into::into).collect());
+        self
+    }
+
+    pub fn with_agent_keyed<I, S>(mut self, predicates: I) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        self.agent_keyed = Some(predicates.into_iter().map(Into::into).collect());
         self
     }
 }
@@ -88,6 +104,7 @@ pub fn analyze_rules(origin: &str, rules: &[(Rule, Option<Span>)], env: &LdlEnv)
     check_stratification(rules, &mut report);
     check_reachability(rules, env, &mut report);
     check_builtins(rules, &mut report);
+    check_locality(rules, env, &mut report);
     report.sorted()
 }
 
@@ -395,6 +412,52 @@ fn check_reachability(rules: &[(Rule, Option<Span>)], env: &LdlEnv, report: &mut
     }
 }
 
+/// IS016: a rule is *agent-local* when its head's first argument is a
+/// variable and that variable is the first argument of every agent-keyed
+/// atom of its body, negated ones included. Agent-keyed are the
+/// environment's agent-keyed predicates and whatever the rules themselves
+/// define; a rule may not define another known predicate (those are
+/// agent-free, shared by every agent). Under local rules the facts a
+/// model holds about one agent follow from that agent's facts and the
+/// agent-free ones alone, so they can be derived from those.
+fn check_locality(rules: &[(Rule, Option<Span>)], env: &LdlEnv, report: &mut Report) {
+    let Some(agent_keyed) = &env.agent_keyed else { return };
+    let known = |pred: &str| env.edb.as_ref().is_some_and(|edb| edb.contains_key(pred));
+    let keyed =
+        |pred: &str| agent_keyed.contains(pred) || rules.iter().any(|(r, _)| r.head.pred == pred);
+    for (rule, span) in rules {
+        let head = &rule.head;
+        let why = if known(&head.pred) && !agent_keyed.contains(&head.pred) {
+            Some(format!("it defines '{}', which no agent keys", head.pred))
+        } else if let Some(Term::Var(agent)) = head.args.first() {
+            rule.body
+                .iter()
+                .filter_map(|lit| match lit {
+                    Literal::Pos(a) | Literal::Neg(a) => Some(a),
+                    _ => None,
+                })
+                .find(|a| keyed(&a.pred) && a.args.first() != Some(&Term::Var(agent.clone())))
+                .map(|a| format!("'{a}' is not about the head's agent {agent}"))
+        } else {
+            Some("its head is keyed by no agent variable".to_string())
+        };
+        if let Some(why) = why {
+            push_at(
+                report,
+                Diagnostic::new(
+                    Code::NonLocalRule,
+                    format!("rule '{rule}' is not agent-local: {why}"),
+                )
+                .with_note(
+                    "a derived rule may read only the facts of the agent it derives for, \
+                         and the agent-free hierarchy facts",
+                ),
+                *span,
+            );
+        }
+    }
+}
+
 /// The comparability class of a constant: symbols, strings, and numbers
 /// are three mutually incomparable families (`Const::compare` bridges
 /// `Int` and `Float` but nothing else).
@@ -590,6 +653,38 @@ mod tests {
         let r = analyze_ldl_source("t", "p(X) :- q(X). p(X) :- q(X).", &LdlEnv::permissive());
         assert_eq!(r.codes(), vec![Code::DuplicateRule]);
         assert_eq!(r.diagnostics[0].severity, Severity::Warning);
+    }
+
+    #[test]
+    fn non_local_rules_are_is016() {
+        let env = LdlEnv::permissive()
+            .with_edb([("agent", 2), ("cap", 2), ("conv", 2), ("isa_cap", 2)])
+            .with_agent_keyed(["agent", "cap", "conv"]);
+        let local = [
+            "cap(A, polling) :- cap(A, subscription).",
+            "cap(A, x) :- agent(A, resource), not conv(A, subscribe).",
+            "cap(A, x) :- cap(A, C), isa_cap(C, y).",
+            "helper(A) :- cap(A, x). cap(A, y) :- helper(A).",
+        ];
+        for src in local {
+            assert!(codes(src, &env).is_empty(), "{src}");
+            assert!(codes(src, &LdlEnv::permissive()).is_empty(), "{src}");
+        }
+        let non_local = [
+            // Another agent's facts, positive or negated.
+            "cap(A, popular) :- agent(A, resource), cap(B, subscription).",
+            "cap(A, x) :- agent(A, resource), agent(B, resource), not conv(B, subscribe).",
+            // No agent variable in the head.
+            "cap(ra1, x) :- agent(ra1, resource).",
+            // An agent-free head.
+            "isa_cap(X, Y) :- cap(X, Y).",
+            // Through a helper the rules define.
+            "helper(B) :- cap(B, x). cap(A, y) :- agent(A, resource), helper(B).",
+        ];
+        for src in non_local {
+            assert_eq!(codes(src, &env), vec![Code::NonLocalRule], "{src}");
+            assert!(codes(src, &LdlEnv::permissive()).is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! Churn harness: measures interleaved advertise/unadvertise/match
-//! throughput under the three ways a repository's LDL model can be kept
-//! — not at all, patched, recomputed — and writes the results to
-//! `BENCH_churn.json` for tracking across revisions.
+//! throughput of a repository without and with a derived-concept rule,
+//! against rebuilding the whole repository's model every step, and writes
+//! the results to `BENCH_churn.json` for tracking across revisions.
 //!
 //! One churn step = unadvertise an agent + advertise a replacement + run
-//! one service query. The model-free column never asks the repository for
-//! a model, so it keeps no fact base: what a live broker without derived
-//! rules does, matching off the taxonomies' closures. The incremental
-//! column warms the repository's cached model once, so every mutation
-//! also patches it by delta saturation (additions) and delete-and-rederive
-//! (retractions) — what keeping a model costs a broker whose derived rules
-//! need one. The full-resaturation column asks for the EDB only — so
-//! there is no model to patch — and recomputes `program().saturate(edb())`
-//! each step, the full recompute `churn_oracle` compares the patched
-//! model with.
+//! one service query. The model-free column has no derived rules: what a
+//! live broker without them does, matching off the taxonomies' closures.
+//! The rules column registers `cap(A, polling) :- cap(A, subscription).`
+//! first, so every advertise also saturates the advertisement's own facts
+//! with the hierarchy facts under the rules, once, when it is posted —
+//! what a rule costs a broker. The full-resaturation column has no rules
+//! and asks for the reference model (`Repository::saturated`) each step:
+//! the whole repository compiled and saturated from scratch, what the
+//! oracles pay.
 
 use infosleuth_analysis::ConformanceMonitor;
 use infosleuth_bench::{median_sample, MEASURE_PASSES};
@@ -75,14 +74,17 @@ fn query() -> ServiceQuery {
         )]))
 }
 
-/// How the repository's model is kept across the churn steps.
+/// The rule the rules column registers.
+const RULE: &str = "cap(A, polling) :- cap(A, subscription).";
+
+/// How a repository is set up and churned.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Model {
-    /// Never asked for: no fact base exists.
+    /// No derived rules, no model.
     None,
-    /// Saturated once, patched by every mutation.
-    Patched,
-    /// Resaturated from the EDB on every step.
+    /// [`RULE`] registered: each advertisement saturated when posted.
+    Rules,
+    /// No derived rules; the reference model rebuilt on every step.
     Recomputed,
 }
 
@@ -104,7 +106,11 @@ impl Variant {
             o.tracer().add_sink(Arc::new(RingSink::new(4096)) as Arc<dyn SpanSink>);
             o
         });
-        Variant { repo: empty_repo(bundle.as_ref()), model, timed: Duration::ZERO }
+        let mut repo = empty_repo(bundle.as_ref());
+        if model == Model::Rules {
+            repo.register_derived_rules(RULE).expect("the rule is agent-local");
+        }
+        Variant { repo, model, timed: Duration::ZERO }
     }
 
     fn step(&mut self, victim: usize, q: &ServiceQuery) {
@@ -112,7 +118,7 @@ impl Variant {
         repo.unadvertise(&format!("ra{victim}"));
         repo.advertise(resource_ad(victim)).expect("valid advertisement");
         if self.model == Model::Recomputed {
-            black_box(repo.program().saturate(repo.edb()).expect("stratified program"));
+            black_box(repo.saturated());
         }
         black_box(Matchmaker::default().match_query_mut(repo, q));
     }
@@ -141,9 +147,6 @@ fn measure(
             v.repo.advertise(resource_ad(i)).expect("valid advertisement");
         }
     }
-    for v in variants.iter_mut().filter(|v| v.model == Model::Patched) {
-        v.repo.saturated();
-    }
     let q = query();
     for i in 0..warmup {
         variants.iter_mut().for_each(|v| v.step(i % n, &q));
@@ -158,13 +161,7 @@ fn measure(
         }
         steps += 1;
     }
-    variants
-        .iter()
-        .map(|v| {
-            assert_eq!(v.repo.has_fact_base(), v.model != Model::None);
-            (v.timed.as_nanos() as f64 / steps as f64, steps)
-        })
-        .collect()
+    variants.iter().map(|v| (v.timed.as_nanos() as f64 / steps as f64, steps)).collect()
 }
 
 /// The six conversation events a message tap would see for one churn
@@ -228,20 +225,20 @@ fn human(ns: f64) -> String {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let sizes: &[usize] = if quick { &[100, 1_000] } else { &[100, 1_000, 10_000] };
-    let (inc_steps, full_steps) = if quick { (100, 5) } else { (500, 30) };
+    let (quick_steps, full_steps) = if quick { (100, 5) } else { (500, 30) };
     let budget = Duration::from_secs(if quick { 5 } else { 60 });
 
-    println!("=== Repository churn: no model vs incremental vs full-resaturation maintenance ===");
+    println!("=== Repository churn: no rules vs a derived rule vs full resaturation ===");
     println!("one step = unadvertise + advertise + match{}", if quick { " [--quick]" } else { "" });
     println!();
     println!(
-        "  agents   model-free/step   incremental/step   full-resat/step   speedup   +obs/step   \
+        "  agents   model-free/step   rules/step   full-resat/step   speedup   +obs/step   \
          obs overhead   conf overhead"
     );
 
     // The instrumentation overhead (obs on vs off) and, at the larger
-    // sizes, the model's upkeep are small relative to machine noise, so
-    // those three variants run side by side (see `measure`) in passes long
+    // sizes, the rule's cost are small relative to machine noise, so those
+    // three variants run side by side (see `measure`) in passes long
     // enough that each is meaningful. Each measurement is warmed up and
     // the *median* pass is reported; best-of-N favoured whichever
     // variant got the luckiest pass and once produced a negative
@@ -249,7 +246,7 @@ fn main() {
     let passes = if quick { 1 } else { MEASURE_PASSES };
     let obs_steps_for = |n: usize| {
         if quick {
-            inc_steps
+            quick_steps
         } else {
             // Aim for seconds-long samples at every size.
             match n {
@@ -264,30 +261,29 @@ fn main() {
         let steps = obs_steps_for(n);
         let warmup = (steps / 10).clamp(2, 200);
         let mut free_samples = Vec::with_capacity(passes);
-        let mut inc_samples = Vec::with_capacity(passes);
+        let mut rules_samples = Vec::with_capacity(passes);
         let mut obs_samples = Vec::with_capacity(passes);
         let mut conf_samples = Vec::with_capacity(passes);
         for _ in 0..passes {
-            let side_by_side =
-                [(Model::None, false), (Model::Patched, false), (Model::Patched, true)];
+            let side_by_side = [(Model::None, false), (Model::Rules, false), (Model::Rules, true)];
             let samples = measure(n, &side_by_side, warmup, steps, 3 * budget);
             free_samples.push(samples[0]);
-            inc_samples.push(samples[1]);
+            rules_samples.push(samples[1]);
             obs_samples.push(samples[2]);
             conf_samples.push(measure_conf(steps));
         }
         let (free_ns, free_n) = median_sample(free_samples);
-        let (inc_ns, inc_n) = median_sample(inc_samples);
+        let (rules_ns, rules_n) = median_sample(rules_samples);
         let (obs_ns, obs_n) = median_sample(obs_samples);
         conf_samples.sort_by(|a, b| a.total_cmp(b));
         let conf_ns = conf_samples[(conf_samples.len() - 1) / 2];
         let (full_ns, full_n) = measure(n, &[(Model::Recomputed, false)], 1, full_steps, budget)[0];
-        let speedup = full_ns / inc_ns;
-        let overhead_pct = (obs_ns / inc_ns - 1.0) * 100.0;
+        let speedup = full_ns / rules_ns;
+        let overhead_pct = (obs_ns / rules_ns - 1.0) * 100.0;
         // The conformance monitor is timed directly (see measure_conf)
         // and reported as its share of a baseline step, so unlike the obs
         // delta it cannot go negative.
-        let conf_pct = conf_ns / inc_ns * 100.0;
+        let conf_pct = conf_ns / rules_ns * 100.0;
         // Anything the median still reports below zero is measurement
         // floor, not a real speedup from instrumentation: clamp so the
         // tracked JSON never claims an impossible negative overhead.
@@ -296,17 +292,17 @@ fn main() {
             "  {n:6}   {:>15}   {:>16}   {:>15}   {speedup:6.1}x   {:>9}   {overhead_pct:+10.1}%   \
              {conf_pct:+11.2}%",
             human(free_ns),
-            human(inc_ns),
+            human(rules_ns),
             human(full_ns),
             human(obs_ns),
         );
         rows.push(format!(
             concat!(
                 "    {{\"agents\": {}, \"model_free_ns_per_step\": {:.0}, ",
-                "\"model_free_steps\": {}, \"incremental_ns_per_step\": {:.0}, ",
-                "\"incremental_steps\": {}, \"full_ns_per_step\": {:.0}, ",
+                "\"model_free_steps\": {}, \"rules_ns_per_step\": {:.0}, ",
+                "\"rules_steps\": {}, \"full_ns_per_step\": {:.0}, ",
                 "\"full_steps\": {}, \"speedup\": {:.2}, ",
-                "\"incremental_obs_ns_per_step\": {:.0}, \"incremental_obs_steps\": {}, ",
+                "\"rules_obs_ns_per_step\": {:.0}, \"rules_obs_steps\": {}, ",
                 "\"obs_overhead_pct\": {:.2}, ",
                 "\"conf_ns_per_step\": {:.0}, ",
                 "\"conformance_overhead_pct\": {:.2}}}"
@@ -314,8 +310,8 @@ fn main() {
             n,
             free_ns,
             free_n,
-            inc_ns,
-            inc_n,
+            rules_ns,
+            rules_n,
             full_ns,
             full_n,
             speedup,

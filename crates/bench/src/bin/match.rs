@@ -8,10 +8,9 @@
 //!   first; repeated queries are answered without narrowing or scoring.
 //! * **indexed** — `match_query`: candidate narrowing, then the scoring
 //!   loop over the survivors, subsumption read off the taxonomies'
-//!   closures (the repository has no derived rules) — what a live broker
-//!   runs on a cache miss.
+//!   closures — what a live broker runs on a cache miss.
 //! * **linear** — `match_query_linear`: the same scoring loop over every
-//!   advertisement, subsumption probed on the saturated model; the
+//!   advertisement, subsumption probed on the reference model; the
 //!   reference path, and the baseline the speed-ups are stated against.
 //!
 //! Two workloads: **repeated** (one query re-issued — the cache's
@@ -134,7 +133,7 @@ fn measure(
                 black_box(mm.match_query_cached(repo, &cache, &q));
             }
             Path::Indexed => {
-                black_box(mm.match_query(repo, &model, &q));
+                black_box(mm.match_query(repo, &q));
             }
             Path::Linear => {
                 black_box(mm.match_query_linear(repo, &model, &q));

@@ -112,7 +112,6 @@ fn measure(
     for i in 0..AGENTS {
         repo.advertise(ad(i, 0)).expect("valid advertisement");
     }
-    repo.saturated();
     let mm = Matchmaker::default();
     let cache = MatchCache::new(64);
     let mut reg = SubscriptionRegistry::default();

@@ -37,7 +37,7 @@ pub use config::BrokerConfig;
 use crate::codec;
 use crate::digest::CapabilityDigest;
 use crate::match_cache::{MatchCache, MatchCacheStats, DEFAULT_MATCH_CACHE_CAPACITY};
-use crate::repository::{Repository, RepositoryError};
+use crate::repository::Repository;
 use crate::sub_index::SubscriptionRegistry;
 use infosleuth_agent::{
     AgentBehavior, AgentContext, AgentHandle, AgentRuntime, Bus, BusError, Envelope, RuntimeConfig,
@@ -46,7 +46,6 @@ use infosleuth_agent::{
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, Histogram, Obs};
-use infosleuth_ontology::Advertisement;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -79,26 +78,6 @@ struct State {
     /// Epoch of the last digest broadcast to peers — re-advertisements are
     /// delta-driven: nothing is sent while this matches the repository.
     digest_advertised_epoch: Option<u64>,
-}
-
-/// An agent's advertisement before and after a mutation.
-type AdChange = (Option<Arc<Advertisement>>, Option<Arc<Advertisement>>);
-
-impl State {
-    /// Stores `ad`, handing back what the agent held before and holds now.
-    fn advertise(&mut self, ad: Advertisement) -> Result<AdChange, RepositoryError> {
-        let name = ad.location.name.clone();
-        let old = self.repo.advertisement_arc(&name).cloned();
-        self.repo.advertise(ad)?;
-        Ok((old, self.repo.advertisement_arc(&name).cloned()))
-    }
-
-    /// Removes an agent's advertisement; `None` when it held none.
-    fn unadvertise(&mut self, name: &str) -> Option<Arc<Advertisement>> {
-        let old = self.repo.advertisement_arc(name).cloned()?;
-        self.repo.unadvertise(name);
-        Some(old)
-    }
 }
 
 /// The routing half of the digest layer: the latest digest each peer
@@ -602,8 +581,8 @@ pub fn interconnect(brokers: &[&BrokerHandle]) -> Result<(), BusError> {
 mod tests {
     use super::*;
     use infosleuth_ontology::{
-        paper_class_ontology, AgentLocation, AgentType, Capability, ConversationType,
-        OntologyContent, SemanticInfo, SyntacticInfo,
+        paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
+        ConversationType, OntologyContent, SemanticInfo, SyntacticInfo,
     };
 
     pub(super) const T: Duration = Duration::from_secs(5);

@@ -99,14 +99,13 @@ fn admit(
         .collect();
     match shared.config.objective.admit(&ad, &peer_fits) {
         AdmissionDecision::Accept => {
-            let result = state.advertise(ad);
-            let affected = match &result {
-                Ok((old, new)) => {
-                    subscribe::affected(shared, state, old.as_deref(), new.as_deref())
-                }
-                Err(_) => BTreeSet::new(),
-            };
-            subscribe::notify(shared, state, affected, out);
+            let name = ad.location.name.clone();
+            let mut result = Ok(());
+            let affected = subscribe::mutate(shared, state, &name, |repo| {
+                result = repo.advertise(ad);
+                result.is_ok()
+            });
+            subscribe::notify(shared, state, affected.unwrap_or_default(), out);
             shared.broadcast_digest(state, out);
             match result {
                 Ok(_) => env.message.reply_skeleton(Performative::Tell),
@@ -130,8 +129,9 @@ fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Out
     // Content is the agent name (atom) or absent (sender unadvertises
     // itself).
     let name = env.message.content().and_then(SExpr::as_text).unwrap_or(&env.from);
-    let (removed, affected) = match state.unadvertise(name) {
-        Some(old) => (true, subscribe::affected(shared, state, Some(&old), None)),
+    let (removed, affected) = match subscribe::mutate(shared, state, name, |r| r.unadvertise(name))
+    {
+        Some(affected) => (true, affected),
         None => {
             let was_broker = state.repo.unadvertise_broker(name);
             if was_broker {

@@ -3,6 +3,7 @@
 //! periodic sweep over the agents that advertised to it (§2.2).
 
 use super::{reply_as_broker, subscribe, Shared};
+use crate::Repository;
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::sync::lock;
@@ -47,8 +48,9 @@ pub(super) fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
     shared.with_state(ctx, |state, out| {
         let mut affected = BTreeSet::new();
         for agent in dead {
-            if let Some(old) = state.unadvertise(&agent) {
-                affected.append(&mut subscribe::affected(shared, state, Some(&old), None));
+            let unadvertise = |repo: &mut Repository| repo.unadvertise(&agent);
+            if let Some(mut more) = subscribe::mutate(shared, state, &agent, unadvertise) {
+                affected.append(&mut more);
             }
         }
         subscribe::notify(shared, state, affected, out);

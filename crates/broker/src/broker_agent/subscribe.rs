@@ -9,10 +9,10 @@ use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared,
 use crate::codec;
 use crate::matchmaker::Matchmaker;
 use crate::sub_index::{result_delta, SubId};
+use crate::Repository;
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::sync::lock;
-use infosleuth_ontology::Advertisement;
 use std::collections::BTreeSet;
 
 /// Registers a standing service query and sends the initial snapshot —
@@ -76,19 +76,28 @@ pub(super) fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &Enve
     reply_as_broker(ctx, &env.from, msg.reply_skeleton(perf));
 }
 
-/// The subscriptions a repository mutation must re-score: the inverted
-/// index's candidate set (or everything, under derived rules).
-pub(super) fn affected(
+/// Applies `mutate`, a change to `agent`'s advertisement that reports
+/// whether it took effect, and hands back the subscriptions it must
+/// re-score: the inverted index's candidates for the advertisement as
+/// posted before the change — what derived rules granted it is withdrawn
+/// with it — and after. `None` when nothing changed.
+pub(super) fn mutate(
     shared: &Shared,
     state: &mut State,
-    old: Option<&Advertisement>,
-    new: Option<&Advertisement>,
-) -> BTreeSet<SubId> {
+    agent: &str,
+    mutate: impl FnOnce(&mut Repository) -> bool,
+) -> Option<BTreeSet<SubId>> {
     if state.subs.is_empty() {
-        return BTreeSet::new();
+        return mutate(&mut state.repo).then(BTreeSet::new);
+    }
+    let State { repo, subs, .. } = state;
+    let mut affected = subs.affected(repo.advertisement(agent), None, repo);
+    if !mutate(repo) {
+        return None;
     }
     shared.obs.sub_events.inc();
-    state.subs.affected(old, new, &state.repo)
+    affected.append(&mut subs.affected(None, repo.advertisement(agent), repo));
+    Some(affected)
 }
 
 /// Re-scores each affected subscription (through the epoch-tagged match
@@ -130,12 +139,12 @@ pub(super) fn notify(
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{resource_ad, spawn_broker, T};
+    use super::super::tests::{resource_ad, seeded_repo, spawn_broker, T};
     use crate::{
         advertise_to, codec, query_broker, subscribe_to, unadvertise_from, unsubscribe_from,
-        MaintenanceStats, SearchPolicy,
+        BrokerAgent, BrokerConfig, SearchPolicy,
     };
-    use infosleuth_agent::Bus;
+    use infosleuth_agent::{AgentRuntime, Bus, RuntimeConfig};
     use infosleuth_kqml::{Message, Performative, SExpr};
     use infosleuth_ontology::{AgentType, Capability, ServiceQuery};
     use std::time::Duration;
@@ -229,13 +238,20 @@ mod tests {
         broker.stop();
     }
 
-    /// Every kind of traffic a broker without derived rules takes leaves
-    /// it without a fact base; the first ask after a rule arrives builds
-    /// one, and writes patch it from then on.
+    /// A broker under a derived rule never builds a model of its
+    /// repository: registering the rule posts the one advertisement again
+    /// and each advertise saturates its own facts — the `saturation` stage,
+    /// once each — while asks, subscription re-scores and unadvertise never
+    /// enter it. What the rule grants is matched and notified like what is
+    /// advertised.
     #[test]
-    fn a_broker_builds_no_fact_base_until_a_derived_rule_needs_the_model() {
+    fn a_broker_under_rules_builds_no_fact_base() {
         let bus = Bus::new();
-        let broker = spawn_broker(&bus, "broker1");
+        let runtime = AgentRuntime::new(bus.as_transport(), RuntimeConfig::default());
+        let config = BrokerConfig::new("broker1", "tcp://broker1.mcc.com:5500");
+        let broker = BrokerAgent::spawn_on(&runtime, config, seeded_repo()).unwrap();
+        let labels = [("broker", "broker1"), ("stage", "saturation")];
+        let saturations = runtime.obs().registry().histogram("broker_stage_seconds", &labels);
         let mut inbox = bus.register("watcher").unwrap();
         let mut client = bus.register("client").unwrap();
         let query = ServiceQuery::any().with_capability(Capability::subscription());
@@ -248,28 +264,25 @@ mod tests {
         assert!(ask(&mut client).is_empty());
         subscribe_to(&mut client, "broker1", &query, "watcher", T).unwrap().unwrap();
         inbox.recv_timeout(T).unwrap();
-        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C2"]), T).unwrap());
-        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C1"]), T).unwrap());
-        assert!(unadvertise_from(&mut client, "broker1", "ra2", T).unwrap());
-        assert!(ask(&mut client).is_empty());
-        broker.with_repository(|r| {
-            assert!(!r.has_fact_base());
-            assert_eq!(r.maintenance_stats(), MaintenanceStats::default());
-        });
+        assert_eq!(saturations.count(), 0, "no rule, no saturation");
 
         broker.with_repository(|r| {
-            r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap();
-            assert!(!r.has_fact_base());
+            r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap()
         });
+        broker.resync_subscriptions();
+        inbox.recv_timeout(T).unwrap();
+        assert_eq!(saturations.count(), 1, "ra1 posted again");
         assert_eq!(ask(&mut client), ["ra1"]);
-        broker.with_repository(|r| {
-            assert!(r.has_fact_base());
-            assert_eq!(r.maintenance_stats().full_recomputes, 1);
-        });
         assert!(advertise_to(&mut client, "broker1", &resource_ad("ra2", &["C1"]), T).unwrap());
+        let note = inbox.recv_timeout(T).unwrap().message;
+        let (_, matched, _) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
+        assert_eq!(matched.iter().map(|m| m.name.as_str()).collect::<Vec<_>>(), ["ra2"]);
         assert_eq!(ask(&mut client), ["ra1", "ra2"]);
-        let stats = broker.with_repository(|r| r.maintenance_stats());
-        assert!(stats.incremental_updates > 0 && stats.full_recomputes == 1, "{stats:?}");
+        assert!(unadvertise_from(&mut client, "broker1", "ra2", T).unwrap());
+        let note = inbox.recv_timeout(T).unwrap().message;
+        let (_, _, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
+        assert_eq!(unmatched, ["ra2"]);
+        assert_eq!(saturations.count(), 2, "one more for ra2's advertise, none for the rest");
         broker.stop();
     }
 

@@ -354,15 +354,14 @@ fn hex_to_bits(s: &str) -> Result<Vec<u64>, CodecError> {
 }
 
 /// Encodes a routing digest as a KQML fact:
-/// `(digest (broker b) (epoch N) (ads N) (k K) (unprunable bool)
-/// (bits "hex") (hulls (hull "slot" lo hi) ...))`.
+/// `(digest (broker b) (epoch N) (ads N) (k K) (bits "hex")
+/// (hulls (hull "slot" lo hi) ...))`.
 pub fn digest_to_sexpr(d: &CapabilityDigest) -> SExpr {
     let items = [
         section("broker", [SExpr::atom(&d.broker)]),
         section("epoch", [SExpr::atom(d.epoch.to_string())]),
         section("ads", [SExpr::atom(d.ads.to_string())]),
         section("k", [SExpr::atom(d.k.to_string())]),
-        section("unprunable", [SExpr::atom(d.unprunable.to_string())]),
         section("bits", [SExpr::string(bits_to_hex(&d.bits))]),
     ];
     let hulls = (!d.slot_hulls.is_empty()).then(|| {
@@ -408,9 +407,8 @@ fn digest_from(items: &[SExpr]) -> Result<CapabilityDigest, CodecError> {
         .and_then(|t| t.parse().ok())
         .filter(|k| DIGEST_K_RANGE.contains(k))
         .ok_or_else(|| err(format!("digest k must be in {DIGEST_K_RANGE:?}")))?;
-    d.unprunable = one_bool(items, "unprunable").unwrap_or(false);
     d.bits = hex_to_bits(one_str(items, "bits").unwrap_or_default())?;
-    if d.ads > 0 && d.bits.is_empty() && !d.unprunable {
+    if d.ads > 0 && d.bits.is_empty() {
         return Err(err("digest summarizes advertisements but carries no filter bits"));
     }
     if let Some(hulls) = find(items, "hulls") {
@@ -820,7 +818,6 @@ mod tests {
         let mut d = CapabilityDigest::empty("b1");
         d.epoch = 12;
         d.ads = 3;
-        d.unprunable = false;
         d.bits = vec![0x0123_4567_89ab_cdef, 0xffff_0000_dead_beef];
         d.slot_hulls.insert("patient.age".into(), (25.0, 65.0));
         d.slot_hulls.insert("open.low".into(), (f64::NEG_INFINITY, 10.5));
@@ -865,11 +862,6 @@ mod tests {
         // constrained search, a false negative.
         assert!(digest_from_sexpr(&tampered_digest("bits", None)).is_err());
         assert!(digest_from_sexpr(&tampered_digest("bits", Some("(bits \"\")"))).is_err());
-        // An unprunable digest is never probed, so it needs no filter.
-        let mut open = sample_digest();
-        open.unprunable = true;
-        open.bits.clear();
-        assert_eq!(digest_from_sexpr(&digest_to_sexpr(&open)).unwrap(), open);
     }
 
     #[test]

@@ -39,15 +39,13 @@
 //!   *descendants* and the digest probes with the bare query capability;
 //! * agent names, agent types, languages, and conversation types are
 //!   matched verbatim, so they are posted and probed exactly;
+//! * what derived rules grant an advertisement — capabilities and classes
+//!   it never advertised — is posted with it, so a repository with rules
+//!   is summarized, and pruned, like any other;
 //! * a slot hull is recorded only when **every** advertisement constrains
 //!   the slot in every content record — otherwise some agent is open on
 //!   the slot and could match any window, so the dimension must not
 //!   prune.
-//!
-//! When the repository has derived inference rules registered, class and
-//! capability membership can be invented outside the index's view; the
-//! digest then carries `unprunable = true` and peers never prune that
-//! broker — exactly the fallback `Matchmaker::candidates` itself takes.
 
 use crate::repository::{Repository, Term};
 use crate::sub_index::numeric_hull;
@@ -93,9 +91,6 @@ pub struct CapabilityDigest {
     /// Advertisements summarized. Zero means the repository holds no
     /// agents at all — always prunable.
     pub ads: u64,
-    /// Set when the repository cannot be soundly summarized (derived
-    /// rules registered): peers must forward.
-    pub unprunable: bool,
     /// Bloom probe count.
     pub k: u32,
     /// The filter, `bits.len() * 64` bits wide.
@@ -112,7 +107,6 @@ impl CapabilityDigest {
             broker: broker.into(),
             epoch: 0,
             ads: 0,
-            unprunable: false,
             k: BLOOM_K,
             bits: Vec::new(),
             slot_hulls: BTreeMap::new(),
@@ -144,7 +138,6 @@ impl CapabilityDigest {
             broker: broker.to_string(),
             epoch: repo.epoch(),
             ads: repo.len() as u64,
-            unprunable: repo.has_derived_rules(),
             k: BLOOM_K,
             bits,
             slot_hulls: index
@@ -167,9 +160,6 @@ impl CapabilityDigest {
     pub fn can_match(&self, query: &ServiceQuery) -> bool {
         if self.ads == 0 {
             return false;
-        }
-        if self.unprunable {
-            return true;
         }
         // Every term a match must be posted under — narrowing's own — has
         // to be in the filter.
@@ -301,14 +291,20 @@ mod tests {
         assert!(d.can_match(&window(50, 60)), "open agent disables slot pruning");
     }
 
+    /// A capability only a derived rule grants reaches the digest, and the
+    /// digest still prunes what nobody holds.
     #[test]
-    fn derived_rules_make_the_digest_unprunable() {
+    fn derived_rules_keep_the_digest_prunable() {
         let mut r = repo();
-        r.advertise(resource("ra", &["C1"])).unwrap();
+        let mut ad = resource("ra", &["C1"]);
+        ad.semantic.capabilities.insert(Capability::subscription());
+        r.advertise(ad).unwrap();
+        let polling = ServiceQuery::any().with_capability(Capability::new("polling"));
+        assert!(!digest_of(&r).can_match(&polling));
         r.register_derived_rules("cap(A, polling) :- cap(A, subscription).").expect("rules admit");
         let d = digest_of(&r);
-        assert!(d.unprunable);
-        assert!(d.can_match(&class_query("C9-not-even-a-class")));
+        assert!(d.can_match(&polling));
+        assert!(!d.can_match(&class_query("C9-not-even-a-class")));
     }
 
     #[test]

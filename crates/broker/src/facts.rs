@@ -174,16 +174,26 @@ pub fn derived_schema() -> [(&'static str, usize); 5] {
     ]
 }
 
+/// The agent-free predicates: the two hierarchies' edges and their
+/// closures, the same for every advertisement. Only the standard base
+/// defines them; a derived rule may not (IS016).
+pub(crate) const HIERARCHY_PREDICATES: [&str; 4] =
+    ["isa_cap", "isa_class", "cap_desc", "class_desc"];
+
 /// The analysis environment for rule deltas registered against the
 /// matchmaking base: the EDB schema plus the base's derived predicates
-/// count as defined, and any of them is a legitimate head for a delta
-/// rule (the base consumes the EDB predicates, so feeding one is useful
-/// work, not dead code).
+/// count as defined, and any of them is a root (the base consumes the EDB
+/// predicates, so feeding one is useful work, not dead code). Every delta
+/// rule must be agent-local (IS016): all but the four hierarchy
+/// predicates lead with an agent name, and the hierarchy predicates are
+/// the base's alone.
 pub fn matchmaking_env() -> infosleuth_analysis::LdlEnv {
     let known = edb_schema().into_iter().chain(derived_schema());
+    let agent_keyed = known.clone().map(|(name, _)| name);
     infosleuth_analysis::LdlEnv::permissive()
         .with_edb(known.clone().map(|(name, arity)| (name.to_string(), arity)))
         .with_roots(known.map(|(name, _)| name.to_string()))
+        .with_agent_keyed(agent_keyed.filter(|name| !HIERARCHY_PREDICATES.contains(name)))
 }
 
 #[cfg(test)]

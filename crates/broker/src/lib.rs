@@ -66,6 +66,6 @@ pub use matchmaker::{MatchResult, Matchmaker};
 pub use objective::{AdmissionDecision, BrokerObjective};
 pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;
-pub use repository::{MaintenanceStats, Repository, RepositoryError};
+pub use repository::{Repository, RepositoryError};
 pub use shard::{connect_community, ShardPlan};
 pub use sub_index::{result_delta, StandingSubscription, SubId, SubscriptionRegistry};

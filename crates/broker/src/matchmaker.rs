@@ -61,13 +61,14 @@ const SCORE_CONSTRAINT_OVERLAP: u32 = 1;
 /// Where scoring reads the three derived predicates of §2.1 subsumption
 /// (`provides`, `serves_class`, `contributes_class`) from.
 enum Probe<'a> {
-    /// No derived rules: the predicates are a function of the
-    /// advertisement's own lists and the taxonomies' closures
-    /// ([`Repository::provides`], [`Repository::class_credit`]).
+    /// The matching path: the predicates are a function of the
+    /// advertisement's own lists, the taxonomies' closures and what derived
+    /// rules granted it when it was posted ([`Repository::provides`],
+    /// [`Repository::class_credit`]).
     Closure(&'a Repository),
-    /// Ground facts probed on the saturated model — all that can see what
-    /// a derived rule grants. The query's own names are resolved to
-    /// symbols once here, not once per candidate.
+    /// The oracle's: ground facts probed on the reference model. The
+    /// query's own names are resolved to symbols once here, not once per
+    /// candidate.
     Model {
         model: &'a Saturated,
         /// `query.capabilities` and `query.classes`, in iteration order.
@@ -124,37 +125,14 @@ impl Matchmaker {
     /// recommendations ordered best-first (score descending, then name).
     /// Truncated to `query.max_matches` when set.
     ///
-    /// Read-only: takes the repository's saturated model explicitly (see
-    /// [`Repository::saturated`]) so concurrent matchmaking never needs
-    /// `&mut Repository`. The model is read only when the repository has
-    /// derived rules; without them subsumption comes off the taxonomies'
-    /// closures, which is what [`match_query_mut`](Self::match_query_mut)
-    /// and [`match_query_cached`](Self::match_query_cached) rely on to
-    /// never build one. Candidates are narrowed through the repository's
-    /// inverted indexes before scoring. Both are behavior-preserving (see
+    /// Read-only, with or without derived rules: candidates are narrowed
+    /// through the repository's inverted indexes, and subsumption is read
+    /// off the taxonomies' closures and what the rules granted each
+    /// advertisement when it was posted. Both are behavior-preserving (see
     /// [`match_query_linear`](Self::match_query_linear), the reference
-    /// path: no index, always the model).
-    pub fn match_query(
-        &self,
-        repo: &Repository,
-        model: &Saturated,
-        query: &ServiceQuery,
-    ) -> Vec<MatchResult> {
-        self.match_narrowed(repo, repo.has_derived_rules().then_some(model), query)
-    }
-
-    /// [`match_query`](Self::match_query) handed the model exactly when
-    /// the repository has derived rules.
-    fn match_narrowed(
-        &self,
-        repo: &Repository,
-        model: Option<&Saturated>,
-        query: &ServiceQuery,
-    ) -> Vec<MatchResult> {
-        let probe = match model {
-            Some(model) => Probe::model(model, query),
-            None => Probe::Closure(repo),
-        };
+    /// path: no index, the reference model).
+    pub fn match_query(&self, repo: &Repository, query: &ServiceQuery) -> Vec<MatchResult> {
+        let probe = Probe::Closure(repo);
         let results = self
             .candidates(repo, query)
             .into_iter()
@@ -163,25 +141,17 @@ impl Matchmaker {
         rank(results, query)
     }
 
-    /// The repository's model when its derived rules make scoring need it.
-    /// Obtaining it records the "saturation" stage.
-    fn model_if_needed(repo: &mut Repository) -> Option<Arc<Saturated>> {
-        repo.has_derived_rules().then(|| repo.saturated())
-    }
-
-    /// Convenience wrapper that saturates (or reuses) the repository's
-    /// cached model first, when derived rules need one — the call shape
-    /// mutation-path callers want.
+    /// [`match_query`](Self::match_query) for callers holding the
+    /// repository mutably.
     pub fn match_query_mut(&self, repo: &mut Repository, query: &ServiceQuery) -> Vec<MatchResult> {
-        let model = Self::model_if_needed(repo);
-        self.match_narrowed(repo, model.as_deref(), query)
+        self.match_query(repo, query)
     }
 
     /// The fully cached query path: consult `cache` at the repository's
-    /// current mutation epoch, and only on a miss (saturate, with derived
-    /// rules) + score + populate. A hit skips candidate narrowing and
-    /// scoring entirely, and both hit and miss exchange `Arc` clones — no
-    /// result row is ever deep-copied by the cache machinery.
+    /// current mutation epoch, and only on a miss score + populate. A hit
+    /// skips candidate narrowing and scoring entirely, and both hit and
+    /// miss exchange `Arc` clones — no result row is ever deep-copied by
+    /// the cache machinery.
     pub fn match_query_cached(
         &self,
         repo: &mut Repository,
@@ -193,19 +163,16 @@ impl Matchmaker {
         if let Some(hit) = cache.lookup_keyed(epoch, &key) {
             return hit;
         }
-        // Narrowing + scoring is its own stage after "saturation", so a
-        // trace shows the full pipeline.
-        let model = Self::model_if_needed(repo);
         let _scoring = repo.stage("scoring");
-        let results = Arc::new(self.match_narrowed(repo, model.as_deref(), query));
+        let results = Arc::new(self.match_query(repo, query));
         cache.insert_keyed(epoch, key, Arc::clone(&results));
         results
     }
 
     /// The reference path: score every advertisement serially against the
-    /// model, with or without derived rules. Kept as the correctness
-    /// oracle for the indexed, closure-reading
-    /// [`match_query`](Self::match_query); tests assert both agree.
+    /// reference model ([`Repository::saturated`]), with or without derived
+    /// rules. Kept as the correctness oracle for the indexed, posted-term
+    /// reading [`match_query`](Self::match_query); tests assert both agree.
     #[doc(hidden)]
     pub fn match_query_linear(
         &self,
@@ -234,17 +201,14 @@ impl Matchmaker {
     /// rule was expanded when it was posted — so each of the query's own
     /// terms picks one posting, a sound over-approximation of the agents
     /// that can match it, and the postings are ANDed word by word: the
-    /// result still contains every true match. Capability and class terms
-    /// do not take part while derived rules are in play (those can grant
-    /// what the index never saw); with no term at all this degrades to the
-    /// full scan.
+    /// result still contains every true match. What derived rules grant an
+    /// advertisement is posted with it, so they switch no term off; with no
+    /// term at all this degrades to the full scan.
     ///
     /// The survivors then meet the data constraints: an advertisement
     /// whose hull on a slot (see `ad_slot_hulls`) is disjoint from the
     /// requested window overlaps the request in none of its content
     /// records, which both constraint checks of `score_agent` require.
-    /// That check reads the content records themselves, never the model,
-    /// so derived rules do not switch it off.
     ///
     /// A term nobody is posted under, or an intersection that runs empty,
     /// short-circuits the whole query before the remaining terms are
@@ -254,13 +218,9 @@ impl Matchmaker {
             return repo.advertisement(name).into_iter().collect();
         }
         let index = repo.ad_index();
-        let derived = repo.has_derived_rules();
         // `None` until a term narrows: every advertisement survives.
         let mut survivors: Option<Vec<u64>> = None;
         for term in Term::of_query(query) {
-            if derived && matches!(term, Term::Capability(_) | Term::Class(..)) {
-                continue;
-            }
             let Some(posting) = index.posting(term) else { return Vec::new() };
             if !intersect(&mut survivors, posting.words()) {
                 return Vec::new();
@@ -855,14 +815,14 @@ mod tests {
             .with_ontology("paper-classes")
             .with_classes(["C3"]);
         let mm = Matchmaker::default();
-        for m in [mm.match_query(&r, &model, &q), mm.match_query_linear(&r, &model, &q)] {
+        for m in [mm.match_query(&r, &q), mm.match_query_linear(&r, &model, &q)] {
             assert_eq!(m.len(), 1);
             assert_eq!(m[0].ontology.as_deref(), Some("paper-classes"));
             assert_eq!((&m[0].classes, &m[0].keys), (&vec!["C3".into()], &vec!["C3.id".into()]));
         }
         // Records that score alike: the one advertised first.
         let any = ServiceQuery::for_agent_type(AgentType::Resource).with_ontology("paper-classes");
-        assert_eq!(mm.match_query(&r, &model, &any)[0].classes, ["C1"]);
+        assert_eq!(mm.match_query(&r, &any)[0].classes, ["C1"]);
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! exactly as the query states it. An advertise/unadvertise/update event
 //! probes the buckets with the changed advertisement's posted terms — its
 //! name and [`Repository::posted_terms`], the expansion candidate
-//! narrowing posts it under — for the old *and* the new version, so the
-//! result is a sound over-approximation: every subscription whose match
-//! set could have changed is in the candidate set, and false positives
-//! (a 64-bit symbol collision among them) only cost one cached re-score
-//! that produces an empty delta. The expansion is read from the
-//! repository at the event, so a hierarchy re-registered under live
-//! subscriptions is followed at once.
+//! narrowing posts it under — for the old version before the mutation
+//! *and* the new one after it, so the result is a sound
+//! over-approximation: every subscription whose match set could have
+//! changed is in the candidate set, and false positives (a 64-bit symbol
+//! collision among them) only cost one cached re-score that produces an
+//! empty delta. The expansion is read from the repository, so a hierarchy
+//! re-registered under live subscriptions is followed at once.
 //!
 //! Numeric data constraints refine the candidate set through per-slot
 //! windows: a subscription constraining `patient.age` to `[25, 65]` is
@@ -25,11 +25,10 @@
 //! refinement costs `O(candidates)` however many subscriptions constrain
 //! the slot.
 //!
-//! Soundness limit, mirroring the matchmaker's own pruning rules: when
-//! the repository has derived concept rules registered, class membership
-//! and capability coverage can be invented by inference, so the index
-//! refuses to prune and reports every subscription as affected
-//! ([`SubscriptionRegistry::affected`] checks `has_derived_rules`).
+//! Derived concept rules change nothing here: what they grant an
+//! advertisement — capabilities and classes it never advertised — is
+//! among its posted terms while it is posted, which is why the old
+//! version is probed before the mutation withdraws it.
 
 use crate::repository::Term;
 use crate::{MatchResult, Repository};
@@ -206,7 +205,9 @@ impl SubscriptionIndex {
     /// The candidate set for a changed advertisement: every subscription
     /// whose match set could have changed when `old` was replaced by
     /// `new` (either side `None` for pure advertise/unadvertise), each
-    /// expanded through `repo`'s hierarchies.
+    /// version's terms as `repo` posts it — see
+    /// [`SubscriptionRegistry::affected`] for what that asks of the old
+    /// one under derived rules.
     ///
     /// Sound over-approximation; the caller re-scores candidates and
     /// drops empty deltas.
@@ -228,7 +229,8 @@ impl SubscriptionIndex {
             return;
         }
         let mut candidates: HashSet<SubId> = HashSet::new();
-        let posted = std::iter::once(Term::Name(&ad.location.name)).chain(repo.posted_terms(ad));
+        let terms = repo.posted_terms(ad, repo.granted(ad));
+        let posted = std::iter::once(Term::Name(&ad.location.name)).chain(terms);
         for term in posted {
             candidates.extend(self.buckets.get(&term.symbol()).into_iter().flatten());
         }
@@ -250,12 +252,6 @@ impl SubscriptionIndex {
         };
         candidates.retain(|id| self.windows.get(id).map_or(true, |w| w.iter().all(meets)));
         out.extend(candidates);
-    }
-
-    /// Every registered subscription id, for the conservative fallbacks
-    /// (derived rules, global mutations).
-    pub(crate) fn all(&self) -> BTreeSet<SubId> {
-        self.bucket_of.keys().copied().collect()
     }
 }
 
@@ -344,17 +340,19 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// The subscriptions to re-score for an advertisement change. Indexed
-    /// when sound; otherwise (derived rules registered) every subscription.
+    /// The subscriptions to re-score when `old` is replaced by `new`
+    /// (either side `None` for a pure advertise or unadvertise), each
+    /// version probed with the terms `repo` posts it under. What derived
+    /// rules granted a version is read by its agent's name, so under
+    /// rules ask about the old version while it is still posted: with
+    /// `new` `None` before the mutation, then with `old` `None` after it,
+    /// as the broker does.
     pub fn affected(
         &self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
         repo: &Repository,
     ) -> BTreeSet<SubId> {
-        if repo.has_derived_rules() {
-            return self.index.all();
-        }
         self.index.affected_by_change(old, new, repo)
     }
 }
@@ -553,29 +551,42 @@ mod tests {
             Predicate::between("C1.a", 0, 10),
         ]));
         idx.insert(1, &q);
-        assert_eq!(idx.all().len(), 1);
+        assert_eq!(idx.bucket_of.len(), 1);
         idx.remove(1);
-        assert!(idx.all().is_empty());
+        assert!(idx.bucket_of.is_empty());
         assert!(idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo).is_empty());
     }
 
+    /// What a derived rule grants an advertisement is among its posted
+    /// terms, so the index stays as narrow under rules as without them:
+    /// the subscription only the rule lets the advertisement match is
+    /// affected, the unrelated ones are not — before the advertisement is
+    /// withdrawn as after it is posted.
     #[test]
-    fn registry_falls_back_to_all_under_derived_rules() {
+    fn registry_stays_narrow_under_derived_rules() {
         let mut r = repo();
-        let mut reg = SubscriptionRegistry::new(true);
-        let id = reg.register(
-            "s1".into(),
-            "watcher".into(),
-            None,
-            class_query("C1"),
-            Arc::new(Vec::new()),
-            &r,
-        );
-        let other = reg.affected(None, Some(&ad("ra", &["C2"], None)), &r);
-        assert!(!other.contains(&id), "index prunes the unrelated class");
         r.register_derived_rules("cap(A, polling) :- cap(A, subscription).").expect("rules admit");
-        let all = reg.affected(None, Some(&ad("ra", &["C2"], None)), &r);
-        assert!(all.contains(&id), "derived rules disable pruning");
+        let mut reg = SubscriptionRegistry::new(true);
+        let mut register = |key: &str, query: ServiceQuery| {
+            reg.register(key.into(), "watcher".into(), None, query, Arc::default(), &r)
+        };
+        let polling =
+            register("s1", ServiceQuery::any().with_capability(Capability::new("polling")));
+        let c1 = register("s2", class_query("C1"));
+        let c3 = register("s3", class_query("C3"));
+        let mut subscriber = ad("ra", &["C2"], None);
+        subscriber.semantic.capabilities.insert(Capability::subscription());
+        r.advertise(subscriber).unwrap();
+        let posted = reg.affected(None, r.advertisement("ra"), &r);
+        assert_eq!(posted, [polling].into(), "only the derived capability's subscription");
+        assert!(!posted.contains(&c1) && !posted.contains(&c3));
+        // Asked about while it is posted, the advertisement about to be
+        // withdrawn reaches the polling subscription; withdrawn, its grants
+        // are gone with it.
+        let withdrawn = r.advertisement_arc("ra").cloned().unwrap();
+        assert_eq!(reg.affected(Some(&withdrawn), None, &r), [polling].into());
+        assert!(r.unadvertise("ra"));
+        assert!(!reg.affected(Some(&withdrawn), None, &r).contains(&polling));
     }
 
     /// A subclass added to a live hierarchy reaches the subscriptions

@@ -1,8 +1,9 @@
 //! Correctness oracles for the hot-path machinery: candidate narrowing,
-//! the direct model probe and the epoch-tagged match cache must all be
-//! *invisible* — every fast path returns exactly what the serial linear
-//! scan returns, on every repository shape (randomized churn, derived
-//! rules, stale snapshots) and at every point of the mutation timeline.
+//! the posted terms, the direct model probe and the epoch-tagged match
+//! cache must all be *invisible* — every fast path returns exactly what
+//! the serial linear scan over the reference model returns, on every
+//! repository shape (randomized churn, derived rules, held snapshots) and
+//! at every point of the mutation timeline.
 
 use infosleuth_broker::{MatchCache, Matchmaker, Repository};
 use infosleuth_constraint::{Conjunction, Predicate};
@@ -152,7 +153,7 @@ fn indexed_and_probe_paths_equal_linear_over_churn() {
             for qi in 0..4 {
                 let q = random_query(&mut rng);
                 assert_eq!(
-                    mm.match_query(&repo, &model, &q),
+                    mm.match_query(&repo, &q),
                     mm.match_query_linear(&repo, &model, &q),
                     "indexed path and linear scan disagree (seed {seed} step {step} query {qi})"
                 );
@@ -161,7 +162,7 @@ fn indexed_and_probe_paths_equal_linear_over_churn() {
     }
 }
 
-/// After every incremental patch the direct probe scoring reads
+/// After every mutation the direct probe the linear scan reads
 /// (`Saturated::holds_fact`) must answer what the conjunctive-query
 /// evaluator answers for the same ground atom: for every agent that was
 /// ever advertised — live, replaced or withdrawn — and one that never was.
@@ -173,7 +174,6 @@ fn model_probe_equals_holds_after_every_patch() {
     };
     let mut rng = XorShift(55);
     let mut repo = fresh_repo();
-    repo.saturated(); // warm the cache so churn exercises patching
     for step in 0..120 {
         let i = rng.below(30);
         if rng.next() % 100 < 60 {
@@ -250,10 +250,10 @@ fn cached_path_equals_linear_across_epochs() {
     }
 }
 
-/// Derived rules invent facts no advertisement states, so pruning on the
-/// advertised dimensions is off — and the cached path must still agree
-/// with the linear scan, including for capabilities that only exist
-/// through the derived rule.
+/// Derived rules invent facts no advertisement states; what they grant is
+/// posted with each advertisement, and the cached path must agree with
+/// the linear scan, including for capabilities that only exist through
+/// the derived rule.
 #[test]
 fn cached_path_with_derived_rules_stays_correct() {
     let mut rng = XorShift(91);
@@ -301,9 +301,9 @@ fn cached_path_with_derived_rules_stays_correct() {
     }
 }
 
-/// A stale model snapshot (held across a mutation) is scored on itself —
-/// same answers as the linear scan over it, nothing read from the
-/// repository's newer model.
+/// A model snapshot held across a mutation is the repository as it stood:
+/// the mutation builds a new one and leaves the held one alone, and the
+/// linear scan over it answers what the indexed path answered then.
 #[test]
 fn stale_model_snapshot_scores_correctly_without_index() {
     let mut rng = XorShift(7001);
@@ -312,19 +312,20 @@ fn stale_model_snapshot_scores_correctly_without_index() {
     for i in 0..50 {
         repo.advertise(random_ad(&mut rng, i)).unwrap();
     }
+    let then = repo.clone();
     let snapshot = repo.saturated();
     // Mutate underneath the held snapshot.
     repo.advertise(random_ad(&mut rng, 50)).unwrap();
     repo.unadvertise("agent3");
     let fresh = repo.saturated();
-    assert!(!std::sync::Arc::ptr_eq(&snapshot, &fresh), "the held snapshot forced a copy");
+    assert!(!std::sync::Arc::ptr_eq(&snapshot, &fresh), "the mutation built a new model");
     assert!(snapshot.holds_fact("agent", syms(["agent3", "resource"])));
     assert!(!fresh.holds_fact("agent", syms(["agent3", "resource"])));
     for qi in 0..8 {
         let q = random_query(&mut rng);
         assert_eq!(
-            mm.match_query(&repo, &snapshot, &q),
-            mm.match_query_linear(&repo, &snapshot, &q),
+            mm.match_query(&then, &q),
+            mm.match_query_linear(&then, &snapshot, &q),
             "stale-snapshot scoring diverged on query {qi}"
         );
     }

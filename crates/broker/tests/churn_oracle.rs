@@ -1,13 +1,13 @@
-//! Correctness oracles for the two matchmaking fast paths:
-//!
-//! 1. **Incremental model maintenance** — a long randomized churn of
-//!    advertise/unadvertise, where after every step the incrementally
-//!    patched saturated model must equal a full recompute from the facts.
-//! 2. **Indexed matchmaking** — `match_query` (candidate pruning
-//!    through the inverted indexes) must return exactly what the pre-index linear scan returns, on the paper's
-//!    Figure 6/7 walkthrough repositories and under randomized churn.
+//! Correctness oracles for the matchmaking fast path: `match_query`
+//! (candidate pruning through the inverted indexes, subsumption off the
+//! closures and the terms derived rules grant when an advertisement is
+//! posted) must return exactly what the linear scan over the from-scratch
+//! model returns — on the paper's Figure 6/7 walkthrough repositories, and
+//! under randomized churn with and without derived rules.
 
-use infosleuth_broker::{compile_facts, matchmaking_program, Matchmaker, Repository};
+use infosleuth_broker::{
+    compile_facts, matchmaking_program_with, CapabilityDigest, Matchmaker, Repository,
+};
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
@@ -93,48 +93,70 @@ fn fresh_repo() -> Repository {
     r
 }
 
-/// The full-recompute oracle for a repository's saturated model.
+/// Agent-local rules over both registered ontologies: one grants a
+/// capability, one a class.
+const RULES: &str = "cap(A, polling) :- cap(A, subscription).\n\
+                     class(A, healthcare, provider) :- class(A, healthcare, patient).";
+
+/// The oracle for a repository's reference model: every advertisement
+/// compiled and saturated from scratch under the base and [`RULES`].
 fn oracle_model(repo: &Repository) -> infosleuth_ldl::Saturated {
     let facts = compile_facts(
         repo.agents(),
         repo.capability_taxonomy(),
         [paper_class_ontology(), healthcare_ontology()].iter(),
     );
-    matchmaking_program().saturate(&facts).unwrap()
+    let rules = infosleuth_ldl::parse_rules(RULES).unwrap();
+    matchmaking_program_with(rules.rules()).unwrap().saturate(&facts).unwrap()
 }
 
+/// Under derived rules, matching off the posted terms answers what the
+/// linear scan over the from-scratch model answers, after every step of a
+/// randomized churn — for the capability and the class only the rules
+/// grant, and for what is advertised.
 #[test]
-fn incremental_repository_model_matches_full_recompute_over_churn() {
-    // 3 seeds x 350 steps = 1050 randomized advertise/unadvertise steps,
-    // each checked against a from-scratch compile + saturate.
+fn posted_matching_under_rules_equals_the_from_scratch_oracle_over_churn() {
+    let mm = Matchmaker::default();
+    let healthcare =
+        |class: &str| ServiceQuery::any().with_ontology("healthcare").with_classes([class]);
+    let queries = [
+        ServiceQuery::any().with_capability(Capability::new("polling")),
+        ServiceQuery::any().with_capability(Capability::subscription()),
+        ServiceQuery::any().with_capability(Capability::select()),
+        healthcare("provider"),
+        healthcare("patient"),
+        healthcare("provider").with_constraints(Conjunction::from_predicates(vec![
+            Predicate::between("patient.age", 30, 40),
+        ])),
+        ServiceQuery::any().with_ontology("paper-classes").with_classes(["C2"]),
+    ];
+    // 3 seeds x 350 steps = 1050 randomized advertise/unadvertise steps.
     for seed in [11u64, 4242, 0xC0FFEE] {
         let mut rng = XorShift(seed | 1);
         let mut repo = fresh_repo();
-        repo.saturated(); // warm the cache so churn exercises patching
+        repo.register_derived_rules(RULES).unwrap();
         let pool = 20;
+        let mut granted = 0;
         for step in 0..350 {
             let i = rng.below(pool);
-            let name = format!("agent{i}");
             if rng.next() % 100 < 60 {
                 repo.advertise(random_ad(&mut rng, i)).unwrap();
             } else {
-                repo.unadvertise(&name);
+                repo.unadvertise(&format!("agent{i}"));
             }
-            assert_eq!(
-                repo.saturated().db(),
-                oracle_model(&repo).db(),
-                "model diverged at seed {seed} step {step}"
-            );
+            let model = repo.saturated();
+            assert_eq!(model.db(), oracle_model(&repo).db(), "model at seed {seed} step {step}");
+            for (qi, q) in queries.iter().enumerate() {
+                let posted = mm.match_query(&repo, q);
+                assert_eq!(
+                    posted,
+                    mm.match_query_linear(&repo, &model, q),
+                    "query {qi} at seed {seed} step {step}"
+                );
+                granted += usize::from(qi == 0 && !posted.is_empty());
+            }
         }
-        let stats = repo.maintenance_stats();
-        assert_eq!(stats.fallbacks, 0, "standard rule base never falls back");
-        // Not every step patches the model: unadvertising an agent that is
-        // not currently registered is a no-op.
-        assert!(
-            stats.incremental_updates >= 250,
-            "churn should ride the incremental path, got {stats:?}"
-        );
-        assert_eq!(stats.full_recomputes, 1, "only the initial warm-up recompute");
+        assert!(granted > 100, "the rules granted too rarely at seed {seed}: {granted}");
     }
 }
 
@@ -201,13 +223,13 @@ fn indexed_matchmaking_equals_linear_scan_on_walkthrough() {
     let mm = Matchmaker::default();
     for (i, q) in walkthrough_queries().iter().enumerate() {
         assert_eq!(
-            mm.match_query(&repo, &model, q),
+            mm.match_query(&repo, q),
             mm.match_query_linear(&repo, &model, q),
             "indexed and linear matchmaking disagree on walkthrough query {i}"
         );
     }
     // Sanity: the walkthrough answers themselves are the paper's.
-    let m = mm.match_query(&repo, &model, &walkthrough_queries()[1]);
+    let m = mm.match_query(&repo, &walkthrough_queries()[1]);
     let names: Vec<&str> = m.iter().map(|r| r.name.as_str()).collect();
     assert_eq!(names, vec!["db1", "db2"]);
 }
@@ -248,7 +270,7 @@ fn indexed_matchmaking_equals_linear_scan_under_churn() {
         ];
         for (qi, q) in queries.iter().enumerate() {
             assert_eq!(
-                mm.match_query(&repo, &model, q),
+                mm.match_query(&repo, q),
                 mm.match_query_linear(&repo, &model, q),
                 "indexed and linear matchmaking disagree at step {step}, query {qi}"
             );
@@ -269,15 +291,15 @@ fn unprunable_scoring_preserves_order_and_results() {
     let model = repo.saturated();
     let mm = Matchmaker::default();
     let q = ServiceQuery::for_agent_type(AgentType::Resource).with_query_language("SQL 2.0");
-    let indexed = mm.match_query(&repo, &model, &q);
+    let indexed = mm.match_query(&repo, &q);
     assert!(indexed.len() > 100, "query should match most of the repo");
     assert_eq!(indexed, mm.match_query_linear(&repo, &model, &q));
     // Deterministic across runs.
-    assert_eq!(indexed, mm.match_query(&repo, &model, &q));
+    assert_eq!(indexed, mm.match_query(&repo, &q));
 }
 
 #[test]
-fn derived_rules_disable_pruning_but_not_correctness() {
+fn derived_rules_keep_pruning_and_correctness() {
     let mut repo = fresh_repo();
     // Subscription implies pollability — a capability never advertised.
     repo.register_derived_rules("cap(A, polling) :- cap(A, subscription).").unwrap();
@@ -294,8 +316,12 @@ fn derived_rules_disable_pruning_but_not_correctness() {
     let mm = Matchmaker::default();
     let q = ServiceQuery::for_agent_type(AgentType::Resource)
         .with_capability(Capability::new("polling"));
-    let m = mm.match_query(&repo, &model, &q);
+    let m = mm.match_query(&repo, &q);
     assert_eq!(m.len(), 1, "derived capability must still be found");
     assert_eq!(m[0].name, "sub1");
     assert_eq!(m, mm.match_query_linear(&repo, &model, &q));
+    // The digest admits the derived capability and prunes the rest.
+    let digest = CapabilityDigest::of("b", &repo);
+    assert!(digest.can_match(&q));
+    assert!(!digest.can_match(&ServiceQuery::any().with_capability(Capability::data_mining())));
 }

@@ -159,17 +159,26 @@ fn saturated_empty_repo() -> Repository {
     repo
 }
 
-/// A repository somebody asked a model of — one with derived rules, or an
-/// oracle's. This layout measures 3 584 B in 34 allocations per
-/// advertisement of this population (advertisement 594 B, narrowing index
-/// 113 B, EDB and a model saturated once 2 428 B; ≈ 450 B more for tables
-/// grown one patch at a time and the agent names interned). The ceiling
-/// leaves room for where hash tables and vectors happen to have last
-/// doubled.
+/// A repository under a rule that grants every advertisement of this
+/// population one capability: each advertise saturates its own facts.
+fn ruled_repo() -> Repository {
+    let mut repo = model_free_repo();
+    repo.register_derived_rules(RULE).unwrap();
+    repo
+}
+
+const RULE: &str = "cap(A, subscription) :- agent(A, resource).";
+
+/// A repository somebody asked the reference model of — an oracle's. This
+/// layout measures 2 723 B in 25.7 allocations per advertisement of this
+/// population (advertisement 594 B, narrowing index 114 B, the model
+/// saturated once 1 940 B; ≈ 75 B more for the agent names interned). The
+/// ceiling leaves room for where hash tables and vectors happen to have
+/// last doubled.
 const CEILING_BYTES_PER_AD: f64 = 4_200.0;
 
 /// A repository nobody asked a model of: the advertisement and the
-/// narrowing index, no fact — 707 B in 5 allocations, whether each
+/// narrowing index, no fact — 708 B in 5 allocations, whether each
 /// advertisement was cloned in or decoded off the wire, as a live broker
 /// without derived rules decodes it (708 B in 5 held by such a broker).
 /// The index is the one map from agent name to advertisement, and its
@@ -261,9 +270,9 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
         (0..N).map(|j| ad(&format!("ra{j:04}"), j, window(j, 0))).collect();
     let per_ad = |from: (isize, isize), to: (isize, isize)| per(N, delta(from, to));
 
-    // The first asserted figure: a repository whose model was saturated
-    // before the population arrived and patched by every advertise, as a
-    // live broker's with derived rules is.
+    // The first asserted figure: a repository whose reference model was
+    // asked for before the population arrived and after, as an oracle's
+    // is.
     let mut repo = saturated_empty_repo();
     let before = live();
     for a in &ads {
@@ -274,7 +283,7 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
 
     // The second, and the table of where the bytes sit: another repository
     // takes the same population and is asked for no model — it then holds
-    // no fact base at all — then saturates once.
+    // no fact at all — then saturates once.
     let mut cold = model_free_repo();
     let t0 = live();
     let ads_copy = ads.clone();
@@ -283,7 +292,6 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
         cold.advertise(a.clone()).unwrap();
     }
     let t2 = live();
-    assert!(!cold.has_fact_base());
     let _ = cold.saturated();
     let t3 = live();
     let digest = CapabilityDigest::of("broker", &cold);
@@ -301,6 +309,16 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     let decoded = decoded_into_a_repository(&ads);
     let live_broker = per(N, held_by_a_live_broker(&ads));
 
+    // Reported, not bounded: a repository under a rule that grants every
+    // advertisement one capability it never advertised.
+    let mut ruled = ruled_repo();
+    let t6 = live();
+    for a in &ads {
+        ruled.advertise(a.clone()).unwrap();
+    }
+    let under_a_rule = per_ad(t6, live());
+    drop(ruled);
+
     let advertised = repo.approx_size_bytes() as f64 / N as f64;
     eprintln!(
         "per advertisement: {advertised:.1} advertised bytes (approx_size_bytes); live heap:"
@@ -308,12 +326,13 @@ fn bytes_per_advertisement_stay_under_the_ceiling() {
     let stored = per_ad(t1, t2);
     let record = per_ad(t0, t1);
     let rows = [
-        ("repository, model patched", (bytes, allocs)),
+        ("repository, model saturated", (bytes, allocs)),
         ("repository, no model asked", stored),
         ("  advertisement", record),
         ("  narrowing index", (stored.0 - record.0, stored.1 - record.1)),
         ("  EDB + model, saturated once", per_ad(t2, t3)),
         ("no model asked, ads decoded", per(N, decoded)),
+        ("under a rule granting one cap", under_a_rule),
         ("broker core, beside it", broker),
         ("live broker, fed over a Bus", live_broker),
     ];
@@ -474,17 +493,18 @@ fn names_at_the_inline_boundary_weigh_the_same_decoded() {
     );
 }
 
-/// Once on a repository whose model is kept patched, once on one nobody
-/// asks a model of.
+/// Once on a repository under a rule, whose every advertise saturates the
+/// advertisement's own facts and keeps what the rule grants, once on one
+/// without rules.
 #[test]
 fn churn_does_not_grow_and_a_drain_returns_everything() {
     let _alone = alone();
-    for with_model in [true, false] {
-        churn_then_drain(with_model);
+    for under_a_rule in [true, false] {
+        churn_then_drain(under_a_rule);
     }
 }
 
-fn churn_then_drain(with_model: bool) {
+fn churn_then_drain(under_a_rule: bool) {
     const N: usize = 200;
     let names: Vec<String> = (0..N).map(|j| format!("churn{j:03}")).collect();
     let fill = |repo: &mut Repository| {
@@ -492,22 +512,14 @@ fn churn_then_drain(with_model: bool) {
             repo.advertise(ad(name, j, window(j, 0))).unwrap();
         }
     };
-    // Where there is a model, a reading is taken with it brought up to date.
-    let settled = |repo: &mut Repository| {
-        if with_model {
-            let _ = repo.saturated();
-        }
-        live()
-    };
     let drain = |repo: &mut Repository| {
         for name in &names {
             assert!(repo.unadvertise(name));
         }
-        settled(repo)
+        live()
     };
-    let mut repo = Repository::new();
-    repo.register_ontology(taxonomy());
-    let fresh = settled(&mut repo);
+    let mut repo = if under_a_rule { ruled_repo() } else { model_free_repo() };
+    let fresh = live();
 
     // A first fill and drain. What stays is what is meant to: one symbol
     // table entry per name seen (its bytes plus 36, before the table's own
@@ -532,7 +544,7 @@ fn churn_then_drain(with_model: bool) {
         let j = (k * 37) % N;
         repo.advertise(ad(&names[j], j, window(j, 1 + k / N))).unwrap();
         if k == 999 || k == 9_999 {
-            let now = settled(&mut repo);
+            let now = live();
             marks.push((now.0 - empty.0, now.1 - empty.1));
         }
     }
@@ -553,13 +565,12 @@ fn churn_then_drain(with_model: bool) {
         drained.0 - empty.0
     );
     assert_eq!(Sym::table_len(), symbols, "the drain interns nothing");
-    assert_eq!(repo.has_fact_base(), with_model);
 }
 
 #[test]
 fn the_symbol_table_grows_by_distinct_new_names_only() {
     let _alone = alone();
-    let mut repo = saturated_empty_repo();
+    let mut repo = ruled_repo();
     repo.advertise(ad("sym-seed", 0, 0)).unwrap();
     let before = Sym::table_len();
     // Name churn: 50 agents nobody has seen, each advertised twice and

@@ -9,18 +9,20 @@
 //! and, for the three syntactic postings, agent types and languages varied
 //! on both sides, a type and a language nobody advertises included.
 //!
-//! Without derived rules the two sides also read subsumption from
-//! different places — `match_query` off the taxonomies' closures,
-//! `match_query_linear` off the saturated model — so one more arm aims at
+//! The two sides also read subsumption from different places —
+//! `match_query` off the taxonomies' closures and what derived rules
+//! granted each advertisement when it was posted, `match_query_linear` off
+//! the reference model of the whole repository — so one more arm aims at
 //! where those could part: a multi-parent capability DAG, the requested
 //! class held by another content record of the same agent and ontology, a
 //! content ontology nobody registered, and requested names outside the
-//! taxonomy or never interned.
+//! taxonomy or never interned, with and without a derived rule.
 //!
 //! The same scripts hold the routing digest to its contract:
 //! `CapabilityDigest::of`, read off the narrowing index, equals field for
-//! field the digest built by walking every advertisement, and admits every
-//! query the linear scan finds a match for.
+//! field the digest built by walking every advertisement — its terms
+//! expanded through the hierarchies and read off the reference model —
+//! and admits every query the linear scan finds a match for.
 //!
 //! An advertisement is expanded through the hierarchies when it is posted,
 //! so one arm registers the class hierarchy again, a subclass added, under
@@ -28,7 +30,7 @@
 
 use infosleuth_broker::{CapabilityDigest, Matchmaker, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Predicate, Value};
-use infosleuth_ldl::Sym;
+use infosleuth_ldl::{Const, Saturated, Sym};
 use infosleuth_ontology::{
     healthcare_ontology, paper_class_ontology, Advertisement, AgentLocation, AgentType, Capability,
     ClassDef, ConversationType, Ontology, OntologyContent, SemanticInfo, ServiceQuery,
@@ -255,12 +257,26 @@ fn ad_hulls(ad: &Advertisement) -> BTreeMap<&str, (f64, f64)> {
 }
 
 /// The oracle: the digest built by walking the repository one
-/// advertisement at a time — each one's terms expanded and hashed into one
-/// set, a slot hull kept when every advertisement has one.
-fn digest_by_walking_every_advertisement(broker: &str, repo: &Repository) -> CapabilityDigest {
+/// advertisement at a time — each one's terms expanded, together with the
+/// capabilities it provides and the classes it contributes to in the
+/// reference `model` (what derived rules grant included), and hashed into
+/// one set, a slot hull kept when every advertisement has one.
+fn digest_by_walking_every_advertisement(
+    broker: &str,
+    repo: &Repository,
+    model: &Saturated,
+) -> CapabilityDigest {
     let mut symbols = BTreeSet::new();
     let mut hulls: BTreeMap<&str, (usize, f64, f64)> = BTreeMap::new();
     for ad in repo.agents() {
+        let agent = Const::Sym(Sym::lookup(&ad.location.name).expect("in the model"));
+        let facts = |pred| model.db().tuples_with_first(pred, &agent);
+        let name = |c: &Const| c.as_sym().expect("a symbol");
+        symbols.extend(facts("provides").map(|t| symbol(b'p', name(&t[1]))));
+        symbols.extend(
+            facts("contributes_class")
+                .map(|t| symbol(b'c', &format!("{}\u{1}{}", name(&t[1]), name(&t[2])))),
+        );
         symbols.insert(symbol(b'n', &ad.location.name));
         symbols.insert(symbol(b't', &ad.location.agent_type.to_string()));
         symbols.extend(ad.syntactic.query_languages.iter().map(|l| symbol(b'q', l)));
@@ -296,7 +312,6 @@ fn digest_by_walking_every_advertisement(broker: &str, repo: &Repository) -> Cap
         broker: broker.to_string(),
         epoch: repo.epoch(),
         ads: repo.len() as u64,
-        unprunable: repo.has_derived_rules(),
         k: 4,
         bits,
         slot_hulls: hulls
@@ -313,11 +328,11 @@ fn assert_narrowing_is_invisible(repo: &mut Repository, queries: &[ServiceQuery]
     let model = repo.saturated();
     let mm = Matchmaker::default();
     let digest = CapabilityDigest::of("b", repo);
-    assert_eq!(digest, digest_by_walking_every_advertisement("b", repo));
+    assert_eq!(digest, digest_by_walking_every_advertisement("b", repo, &model));
     for q in queries {
         let linear = mm.match_query_linear(repo, &model, q);
         assert_eq!(
-            mm.match_query(repo, &model, q),
+            mm.match_query(repo, q),
             linear,
             "narrowed differently from the linear scan on {q:?}"
         );
@@ -334,9 +349,9 @@ proptest! {
         assert_narrowing_is_invisible(&mut repo_after(script), &queries);
     }
 
-    /// Derived rules switch the class and capability dimensions off; the
-    /// hull columns stay on, because constraints are checked on the content
-    /// record and never through the model.
+    /// What derived rules grant an advertisement — a capability, a class —
+    /// is posted with it, so narrowing and the digest keep every dimension
+    /// under rules.
     #[test]
     fn narrowed_matches_equal_the_linear_scan_under_derived_rules(
         script in arb_script(),
@@ -350,6 +365,32 @@ proptest! {
         .expect("rules admit");
         assert_narrowing_is_invisible(&mut repo, &queries);
     }
+}
+
+/// Under a derived rule the digest is summarized like any other: it equals
+/// its walked oracle bit for bit, admits the capability only the rule
+/// grants, and prunes a query no advertisement can match.
+#[test]
+fn a_digest_under_derived_rules_is_prunable() {
+    let holds = |classes: &[&str]| {
+        resource(SemanticInfo::default().with_content(
+            OntologyContent::new("paper-classes").with_classes(classes.iter().copied()),
+        ))
+    };
+    let mut repo = repo_after(vec![(0, Some(holds(&["C1"]))), (1, Some(holds(&["C1", "C2a"])))]);
+    repo.register_derived_rules("cap(A, subscription) :- agent(A, resource).")
+        .expect("rule admits");
+    let granted = ServiceQuery::any().with_capability(Capability::subscription());
+    let nobody = ServiceQuery::any().with_ontology("paper-classes").with_classes(["C3"]);
+    assert_narrowing_is_invisible(&mut repo, &[granted.clone(), nobody.clone()]);
+    let model = repo.saturated();
+    let mm = Matchmaker::default();
+    assert_eq!(mm.match_query_linear(&repo, &model, &granted).len(), 2);
+    assert!(mm.match_query_linear(&repo, &model, &nobody).is_empty());
+    let digest = CapabilityDigest::of("b", &repo);
+    assert_eq!(digest, digest_by_walking_every_advertisement("b", &repo, &model));
+    assert!(digest.can_match(&granted));
+    assert!(!digest.can_match(&nobody), "a digest under rules prunes");
 }
 
 /// Registered with `paper-classes` once advertisements exist, under `C2a`.

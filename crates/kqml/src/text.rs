@@ -15,7 +15,7 @@ use std::ops::Deref;
 /// heads of the log ontology's metric, span, health and table payloads.
 /// Kept sorted by bytes, which the tests use to prove every word appears
 /// once; lookups go through [`INDEX`].
-const VOCABULARY: [&str; 147] = [
+const VOCABULARY: [&str; 146] = [
     ":content",
     ":in-reply-to",
     ":language",
@@ -154,7 +154,6 @@ const VOCABULARY: [&str; 147] = [
     "type",
     "unadvertise",
     "unmatched",
-    "unprunable",
     "unsubscribe",
     "until-match",
     "update",

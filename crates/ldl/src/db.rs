@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn retract_leaves_no_empty_residue() {
         // Structural equality must not distinguish "never asserted" from
-        // "asserted then retracted" — incremental maintenance relies on it.
+        // "asserted then retracted".
         let mut db = Database::new();
         db.assert("p", vec![Const::sym("a"), Const::int(1)]);
         db.retract("p", &[Const::sym("a"), Const::int(1)]);

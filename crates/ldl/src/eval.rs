@@ -70,15 +70,6 @@ impl Program {
         }
         Ok(Saturated { db })
     }
-
-    /// Whether any rule body contains a negative literal. Incremental
-    /// maintenance ([`Saturated::add_facts`], [`Saturated::remove_facts`])
-    /// is only sound for negation-free programs, where the model is
-    /// monotone in the EDB; `Cmp`/`Overlaps` builtins are pure filters and
-    /// do not break monotonicity.
-    pub fn has_negation(&self) -> bool {
-        self.rules().iter().any(|r| r.body.iter().any(|l| matches!(l, Literal::Neg(_))))
-    }
 }
 
 /// The saturated (materialized) model of a program over a database.
@@ -133,165 +124,6 @@ impl Saturated {
         }
         self.db.contains(pred, &tuple)
     }
-
-    /// Incrementally extends the model with newly asserted EDB facts,
-    /// running semi-naive evaluation seeded with only the delta rather
-    /// than resaturating from scratch.
-    ///
-    /// Sound only for negation-free programs (the model is then monotone
-    /// in the EDB, so the new model is exactly the old model closed under
-    /// the rules together with the delta). Returns `None` when `program`
-    /// has a negative literal — callers must fall back to a full
-    /// [`Program::saturate`] from the updated EDB.
-    pub fn add_facts(&self, program: &Program, delta: &Database) -> Option<Saturated> {
-        let mut next = self.clone();
-        next.add_facts_mut(program, delta).then_some(next)
-    }
-
-    /// In-place variant of [`add_facts`](Self::add_facts): patches this
-    /// model directly instead of cloning it first (cloning a large model
-    /// costs more than the delta propagation itself). Returns `false` —
-    /// leaving the model untouched — when `program` has negation.
-    pub fn add_facts_mut(&mut self, program: &Program, delta: &Database) -> bool {
-        if program.has_negation() {
-            return false;
-        }
-        // Seed with only the genuinely new facts.
-        let mut frontier = Database::new();
-        for (pred, tuple) in delta.iter() {
-            if !self.db.contains(pred, tuple) {
-                frontier.assert(pred, tuple);
-            }
-        }
-        self.db.merge(&frontier);
-        let rules: Vec<&Rule> = program.rules().iter().collect();
-        while !frontier.is_empty() {
-            let mut next = Database::new();
-            for rule in &rules {
-                for fact in eval_rule(rule, &self.db, Some(&frontier)) {
-                    if !self.db.contains(&rule.head.pred, &fact) {
-                        next.assert(rule.head.pred.clone(), fact);
-                    }
-                }
-            }
-            self.db.merge(&next);
-            frontier = next;
-        }
-        true
-    }
-
-    /// Incrementally retracts EDB facts using delete-and-rederive (DRed):
-    /// overdelete everything whose derivation touched a retracted fact,
-    /// then rederive overdeleted facts that still have alternative support,
-    /// then propagate the rederivations back to a fixpoint.
-    ///
-    /// Like [`add_facts`](Self::add_facts), this is sound only for
-    /// negation-free programs and returns `None` otherwise. `removed`
-    /// should contain EDB facts being retracted; retracting a fact that
-    /// rules still derive leaves it in the model (it is rederived).
-    pub fn remove_facts(&self, program: &Program, removed: &Database) -> Option<Saturated> {
-        let mut next = self.clone();
-        next.remove_facts_mut(program, removed).then_some(next)
-    }
-
-    /// In-place variant of [`remove_facts`](Self::remove_facts). The
-    /// overdeletion fixpoint only *reads* the model and the subtraction
-    /// happens after it completes, so no pristine copy is needed. Returns
-    /// `false` — leaving the model untouched — when `program` has negation.
-    pub fn remove_facts_mut(&mut self, program: &Program, removed: &Database) -> bool {
-        if program.has_negation() {
-            return false;
-        }
-        let rules: Vec<&Rule> = program.rules().iter().collect();
-
-        // Phase 1: overdeletion. Starting from the explicit retractions,
-        // delete every fact with at least one derivation (evaluated against
-        // the *original* model, which stays intact until the fixpoint is
-        // done) that uses a deleted fact. This may delete too much — facts
-        // with alternative support come back in phase 2.
-        let mut deleted = Database::new();
-        let mut frontier = Database::new();
-        for (pred, tuple) in removed.iter() {
-            if self.db.contains(pred, tuple) && deleted.assert(pred, tuple) {
-                frontier.assert(pred, tuple);
-            }
-        }
-        if deleted.is_empty() {
-            return true;
-        }
-        while !frontier.is_empty() {
-            let mut next = Database::new();
-            for rule in &rules {
-                for fact in eval_rule(rule, &self.db, Some(&frontier)) {
-                    if !deleted.contains(&rule.head.pred, &fact) {
-                        next.assert(rule.head.pred.clone(), fact);
-                    }
-                }
-            }
-            deleted.merge(&next);
-            frontier = next;
-        }
-
-        self.db.subtract(&deleted);
-
-        // Phase 2: rederivation. An overdeleted fact (other than the
-        // explicit retractions themselves, which can only return via a
-        // rule) survives if some rule still derives it from the surviving
-        // model: unify the rule head with the fact, then evaluate the body
-        // seeded with those bindings.
-        let mut rederived = Database::new();
-        for (pred, tuple) in deleted.iter() {
-            if derivable(&rules, &self.db, pred, tuple) {
-                rederived.assert(pred, tuple);
-            }
-        }
-
-        // Phase 3: propagate rederived facts back to a fixpoint; anything
-        // they (transitively) support is restored. Facts produced here were
-        // all in the old model, so this touches only the deleted fringe.
-        self.db.merge(&rederived);
-        let mut frontier = rederived;
-        while !frontier.is_empty() {
-            let mut next = Database::new();
-            for rule in &rules {
-                for fact in eval_rule(rule, &self.db, Some(&frontier)) {
-                    if !self.db.contains(&rule.head.pred, &fact) {
-                        next.assert(rule.head.pred.clone(), fact);
-                    }
-                }
-            }
-            self.db.merge(&next);
-            frontier = next;
-        }
-        true
-    }
-}
-
-/// Whether some rule derives `pred(tuple)` from `db`: unifies the head
-/// with the fact and evaluates the body under the resulting bindings.
-fn derivable(rules: &[&Rule], db: &Database, pred: &str, tuple: &[Const]) -> bool {
-    for rule in rules {
-        if rule.head.pred != pred {
-            continue;
-        }
-        let mut seed = Bindings::new();
-        if !rule.head.match_fact(tuple, &mut seed) {
-            continue;
-        }
-        let mut envs = vec![seed];
-        for lit in &rule.body {
-            envs = step_literal(lit, db, None, envs);
-            if envs.is_empty() {
-                break;
-            }
-        }
-        // The head may not bind every body variable, so re-check that some
-        // surviving environment actually grounds the head to this tuple.
-        if envs.iter().any(|env| rule.head.ground(env).as_deref() == Some(tuple)) {
-            return true;
-        }
-    }
-    false
 }
 
 /// Evaluates one rule, returning derived ground head tuples. When `delta`

@@ -37,11 +37,17 @@ use std::path::{Path, PathBuf};
 pub fn lint_repo() -> Vec<Report> {
     let mut reports = Vec::new();
 
-    // The broker's matchmaking rule base, against its own fact schema.
+    // The broker's matchmaking rule base, against its own fact schema. It
+    // defines the hierarchy closures, which no delta may: agent locality
+    // (IS016) is a rule for deltas.
+    let base_env = infosleuth_analysis::LdlEnv {
+        agent_keyed: None,
+        ..infosleuth_core::broker::matchmaking_env()
+    };
     reports.push(analyze_ldl_source(
         "broker/matchmaking-rules",
         infosleuth_core::broker::matchmaking_rules_text(),
-        &infosleuth_core::broker::matchmaking_env(),
+        &base_env,
     ));
 
     // Example-scenario advertisements, derived from resource catalogs the

@@ -61,6 +61,28 @@ fn broker_refuses_corpus_rule_delta_with_diagnostic() {
     assert!(err.message.contains("IS011"), "{}", err.message);
 }
 
+/// A derived rule is applied to one advertisement when it is posted, so it
+/// may read only that advertisement's agent: the corpus's rule, which reads
+/// another agent's capability, is refused with IS016; the four rules the
+/// repository's suites register are admitted, each on its own repository.
+#[test]
+fn broker_refuses_a_non_local_rule_and_admits_the_local_ones() {
+    let src = std::fs::read_to_string(corpus_dir().join("non_local_rule.ldl")).unwrap();
+    let mut repo = Repository::new();
+    let err = repo.register_derived_rules(&src).unwrap_err();
+    assert!(err.message.contains("IS016"), "{}", err.message);
+    assert!(err.message.contains("cap(B, subscription)"), "{}", err.message);
+    for rule in [
+        "cap(A, polling) :- cap(A, subscription).",
+        "cap(A, subscription) :- agent(A, resource).",
+        "class(A, healthcare, provider) :- class(A, healthcare, patient).",
+        "cap(A, aside) :- cap(A, left).",
+    ] {
+        let mut repo = Repository::new();
+        repo.register_derived_rules(rule).unwrap_or_else(|e| panic!("{rule}: {}", e.message));
+    }
+}
+
 /// The analyzer must never accept a program the engine then chokes on:
 /// no error-severity diagnostics (under the weakest environment) implies
 /// `parse_rules` + `saturate` succeed. Conversely, when the analyzer flags

@@ -190,9 +190,10 @@ fn indexed_and_naive_notification_sequences_are_identical() {
     let mut rng = Rng(0x5eed_cafe_d00d_0042);
     let mut live: Vec<String> = Vec::new();
     for step in 0..120 {
-        // Halfway through, register a derived rule out-of-band: the
-        // broker's index pruning turns off, full re-evaluation on every
-        // later event — and it must notice existing matches shift.
+        // Halfway through, register a derived rule out-of-band: every
+        // advertisement is posted again with what the rule grants it, the
+        // index keeps pruning on the granted terms — and the broker must
+        // notice existing matches shift.
         if step == 60 {
             let rule = "cap(A, subscription) :- agent(A, resource).";
             broker.with_repository(|r| r.register_derived_rules(rule).unwrap());
