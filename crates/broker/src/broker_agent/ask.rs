@@ -7,7 +7,7 @@ use super::{
     SUSPECT_MAX_BACKOFF,
 };
 use crate::codec::{self, SearchRequest};
-use crate::matchmaker::{MatchResult, Matchmaker};
+use crate::matchmaker::{MatchResult, MatchRow, Matchmaker};
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_agent::{AgentContext, BusError, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr, Text};
@@ -58,8 +58,8 @@ pub(super) fn handle_query(
             env.message.reply_skeleton(perf).with_content(codec::matches_to_sexpr(&matches));
         return reply_as_broker(ctx, &env.from, reply);
     }
-    let matches = collaborative_search(shared, ctx, &request);
-    let perf = if matches.is_empty() { Performative::Sorry } else { Performative::Reply };
+    let rows = collaborative_search(shared, ctx, &request);
+    let perf = if rows.is_empty() { Performative::Sorry } else { Performative::Reply };
     // A forwarding broker stamps the epoch of our digest it consulted;
     // when that is stale, piggyback a fresh digest on the reply so the
     // sender repairs its routing table without an extra round trip.
@@ -70,10 +70,8 @@ pub(super) fn handle_query(
             shared.own_digest(&state)
         })
     });
-    let reply = env
-        .message
-        .reply_skeleton(perf)
-        .with_content(codec::matches_reply_to_sexpr(&matches, refresh.as_ref()));
+    let reply =
+        env.message.reply_skeleton(perf).with_content(codec::matches_reply(rows, refresh.as_ref()));
     reply_as_broker(ctx, &env.from, reply);
 }
 
@@ -121,15 +119,31 @@ fn broker_discovery(shared: &Shared, query: &ServiceQuery) -> Vec<MatchResult> {
     out
 }
 
+/// One row of a merged answer: the name and score it is merged and
+/// ordered by, and the item the reply carries — a held row's shared
+/// block, or a peer's row as it was received.
+struct Answer {
+    name: Text,
+    score: u32,
+    item: SExpr,
+}
+
+impl From<&MatchRow> for Answer {
+    fn from(row: &MatchRow) -> Answer {
+        Answer { name: row.name.clone(), score: row.score, item: codec::ResultRow::item(row) }
+    }
+}
+
 /// Local matchmaking plus the §3.3 collaborative expansion: "Each broker
 /// request is forwarded to relevant other brokers … The response to the
 /// broker query contains the union of all agents which have advertised to
 /// some broker that the broker query reached, and which match the request."
+/// Returns the reply's row items, best first.
 fn collaborative_search(
     shared: &Shared,
     ctx: &AgentContext,
     request: &SearchRequest,
-) -> Vec<MatchResult> {
+) -> Vec<SExpr> {
     // Local matches first. The expansion decision must see the matches
     // *without* the max_matches truncation, so match untruncated and
     // truncate at the very end; every policy variant of one request then
@@ -140,64 +154,70 @@ fn collaborative_search(
         let repo = &mut lock(&shared.state).repo;
         Matchmaker::default().match_query_cached(repo, &shared.cache, &untruncated)
     };
-    // Peer expansion and truncation below mutate the list, so the shared
-    // rows are copied out; the copy is proportional to the answer, not to
-    // the scoring work a cache hit skipped.
-    let mut matches = (*local).clone();
-
-    if request.policy.should_expand(matches.len()) {
-        let peers = peer_candidates(shared, request, &untruncated);
-        if !peers.is_empty() {
-            // The forwarded visited list contains everywhere the request
-            // has been or is being sent, preventing loops and duplicate
-            // work even across consortium overlaps.
-            let mut visited = request.visited.clone();
-            visited.push(shared.config.name.clone());
-            visited.extend(peers.iter().map(|p| p.name.clone()));
-            let forwarded = SearchRequest {
-                query: untruncated.clone(),
-                policy: request.policy.next_hop(),
-                visited,
-                digest_epoch: None,
-            };
-            // Until-match stays serial, one peer per round: the point is
-            // to stop asking as soon as anyone answers.
-            let until_match = matches!(request.policy.follow, FollowOption::UntilMatch);
-            for round in peers.chunks(if until_match { 1 } else { peers.len() }) {
-                for (peer, result) in forward_to_peers(shared, ctx, round, &forwarded) {
-                    match result {
-                        Ok(peer_matches) => {
-                            note_forward_success(shared, peer, &peer_matches);
-                            matches.extend(peer_matches);
-                        }
-                        Err(_) => note_forward_failure(shared, &peer.name),
-                    }
+    let peers = if request.policy.should_expand(local.len()) {
+        peer_candidates(shared, request, &untruncated)
+    } else {
+        Vec::new()
+    };
+    if peers.is_empty() {
+        // The held rows are ranked already: the reply shares their blocks.
+        let n = request.query.max_matches.unwrap_or(local.len()).min(local.len());
+        return local[..n].iter().map(codec::ResultRow::item).collect();
+    }
+    let mut answers: Vec<Answer> = local.iter().map(Answer::from).collect();
+    // The forwarded visited list contains everywhere the request has been
+    // or is being sent, preventing loops and duplicate work even across
+    // consortium overlaps.
+    let mut visited = request.visited.clone();
+    visited.push(shared.config.name.clone());
+    visited.extend(peers.iter().map(|p| p.name.clone()));
+    let forwarded = SearchRequest {
+        query: untruncated.clone(),
+        policy: request.policy.next_hop(),
+        visited,
+        digest_epoch: None,
+    };
+    // Until-match stays serial, one peer per round: the point is to stop
+    // asking as soon as anyone answers.
+    let until_match = matches!(request.policy.follow, FollowOption::UntilMatch);
+    for round in peers.chunks(if until_match { 1 } else { peers.len() }) {
+        for (peer, result) in forward_to_peers(shared, ctx, round, &forwarded) {
+            match result {
+                Ok(peer_answers) => {
+                    note_forward_success(shared, peer, peer_answers.is_empty());
+                    answers.extend(peer_answers);
                 }
-                if until_match && !matches.is_empty() {
-                    break;
-                }
+                Err(_) => note_forward_failure(shared, &peer.name),
             }
         }
-    }
-
-    // "…combines them with its own (possibly empty) list of providing
-    // agents, eliminating duplicated entries."
-    let mut deduped: Vec<MatchResult> = Vec::new();
-    for m in matches {
-        match deduped.iter_mut().find(|d| d.name == m.name) {
-            Some(existing) => {
-                if m.score > existing.score {
-                    *existing = m;
-                }
-            }
-            None => deduped.push(m),
+        if until_match && !answers.is_empty() {
+            break;
         }
     }
-    deduped.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
-    if let Some(n) = request.query.max_matches {
-        deduped.truncate(n);
+    union(answers, request.query.max_matches)
+}
+
+/// "…combines them with its own (possibly empty) list of providing
+/// agents, eliminating duplicated entries": of the rows that share a name,
+/// the first with the highest score stays. Sorted stably by name, the rows
+/// of one name sit together in the order they came; the survivors are
+/// then ranked (score descending, then name) and truncated to `max`.
+fn union(mut answers: Vec<Answer>, max: Option<usize>) -> Vec<SExpr> {
+    answers.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut kept: Vec<Answer> = Vec::with_capacity(answers.len());
+    for answer in answers {
+        match kept.last_mut() {
+            Some(last) if last.name == answer.name => {
+                if answer.score > last.score {
+                    *last = answer;
+                }
+            }
+            _ => kept.push(answer),
+        }
     }
-    deduped
+    kept.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
+    kept.truncate(max.unwrap_or(kept.len()));
+    kept.into_iter().map(|a| a.item).collect()
 }
 
 /// A peer eligible for one forwarded search, with the epoch of the digest
@@ -266,9 +286,9 @@ fn peer_candidates(
 
 /// Forward success: clear suspicion, and count a digest false positive
 /// when the digest admitted the peer but it had nothing.
-fn note_forward_success(shared: &Shared, peer: &PeerTarget, matches: &[MatchResult]) {
+fn note_forward_success(shared: &Shared, peer: &PeerTarget, empty: bool) {
     shared.clear_suspect(&peer.name);
-    if peer.digest_epoch.is_some() && matches.is_empty() {
+    if peer.digest_epoch.is_some() && empty {
         shared.obs.digest_fp.inc();
     }
 }
@@ -307,12 +327,14 @@ fn forward_message(request: &SearchRequest, peer: &PeerTarget) -> Message {
         .with_content(codec::search_request_to_sexpr(&stamped))
 }
 
-/// The matches a peer replied with, after taking in any digest refresh it
+/// The rows a peer replied with, passed through as they came
+/// ([`codec::reply_rows`]), after taking in any digest refresh it
 /// piggybacked (the staleness-repair half of the epoch protocol).
-fn read_peer_reply(shared: &Shared, reply: &Message) -> Vec<MatchResult> {
-    let Some(content) = reply.content() else { return Vec::new() };
-    shared.ingest_embedded_digest(content, false);
-    codec::matches_from_sexpr(content).unwrap_or_default()
+fn read_peer_reply(shared: &Shared, reply: Message) -> Vec<Answer> {
+    let Some(content) = reply.into_content() else { return Vec::new() };
+    shared.ingest_embedded_digest(&content, false);
+    let rows = codec::reply_rows(content).unwrap_or_default();
+    rows.into_iter().map(|(name, score, item)| Answer { name, score, item }).collect()
 }
 
 /// Forwards one search to `peers` as one
@@ -322,14 +344,14 @@ fn forward_to_peers<'p>(
     ctx: &AgentContext,
     peers: &'p [PeerTarget],
     request: &SearchRequest,
-) -> Vec<(&'p PeerTarget, Result<Vec<MatchResult>, BusError>)> {
+) -> Vec<(&'p PeerTarget, Result<Vec<Answer>, BusError>)> {
     shared.obs.forwards.add(peers.len() as u64);
     let batch = peers.iter().map(|p| (p.name.clone(), forward_message(request, p))).collect();
     let replies = ctx.request_all(batch, shared.config.peer_timeout);
     peers
         .iter()
         .zip(replies)
-        .map(|(peer, reply)| (peer, reply.map(|reply| read_peer_reply(shared, &reply))))
+        .map(|(peer, reply)| (peer, reply.map(|reply| read_peer_reply(shared, reply))))
         .collect()
 }
 
@@ -372,12 +394,12 @@ pub(super) fn handle_broker_one(shared: &Shared, ctx: &AgentContext, env: &Envel
         visited: Vec::new(),
         digest_epoch: None,
     };
-    let matches = collaborative_search(shared, ctx, &request);
-    let Some(target) = matches.first() else {
+    let rows = collaborative_search(shared, ctx, &request);
+    let Some((target, _)) = rows.first().and_then(|row| codec::row_head(row).ok().flatten()) else {
         return reply_as_broker(ctx, &env.from, env.message.reply_skeleton(Performative::Sorry));
     };
     // Forward and relay.
-    match ctx.request(&target.name, embedded, shared.config.peer_timeout) {
+    match ctx.request(&target, embedded, shared.config.peer_timeout) {
         Ok(answer) => {
             let mut relay = env.message.reply_skeleton(answer.performative.clone());
             if let Some(content) = answer.content() {
@@ -386,7 +408,7 @@ pub(super) fn handle_broker_one(shared: &Shared, ctx: &AgentContext, env: &Envel
             relay.set("language", SExpr::atom("KQML"));
             reply_as_broker(ctx, &env.from, relay);
         }
-        Err(e) => fail(format!("provider '{}' failed: {e}", target.name)),
+        Err(e) => fail(format!("provider '{target}' failed: {e}")),
     }
 }
 

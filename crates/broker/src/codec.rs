@@ -3,17 +3,19 @@
 //! of these forms.
 
 use crate::digest::CapabilityDigest;
-use crate::matchmaker::MatchResult;
+use crate::matchmaker::{MatchResult, MatchRow};
 use crate::policy::{FollowOption, SearchPolicy};
 use infosleuth_constraint::{parse_conjunction, Conjunction};
-use infosleuth_kqml::{SExpr, Text};
+use infosleuth_kqml::{Block, BlockWriter, SExpr, Text};
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentProperties, AgentType, BrokerAdvertisement,
     BrokerSpecialization, Capability, ConversationType, Fragment, OntologyContent, SemanticInfo,
-    ServiceQuery, SyntacticInfo,
+    ServiceQuery, SortedSet, SyntacticInfo,
 };
+use std::borrow::Cow;
 use std::fmt;
 use std::iter;
+use std::sync::Arc;
 
 /// Error decoding a payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,7 +104,7 @@ fn text_of(e: &SExpr) -> Option<Text> {
     match e {
         SExpr::Atom(text) => Some(text.clone()),
         SExpr::Str(s) => Some(Text::from(&**s)),
-        SExpr::List(_) => None,
+        SExpr::List(_) | SExpr::Block(..) => None,
     }
 }
 
@@ -581,32 +583,139 @@ pub fn search_request_from_sexpr(e: &SExpr) -> Result<SearchRequest, CodecError>
 // Match results
 // ---------------------------------------------------------------------
 
-/// One match row: `(match (name n) (address "a") (score s) ...)`.
-fn match_to_sexpr(m: &MatchResult) -> SExpr {
-    let items = [
-        Some(section("name", [SExpr::atom(&m.name)])),
-        Some(section("address", [SExpr::string(&m.address)])),
-        Some(section("score", [SExpr::atom(m.score.to_string())])),
-        m.estimated_response_time.map(|t| section("response-time", [SExpr::atom(t.to_string())])),
-        m.ontology.as_ref().map(|o| section("ontology", [SExpr::atom(o)])),
-        (!m.classes.is_empty()).then(|| atoms("classes", &m.classes)),
-        (!m.slots.is_empty()).then(|| atoms("slots", &m.slots)),
-        (!m.keys.is_empty()).then(|| atoms("keys", &m.keys)),
-    ];
-    section("match", items.into_iter().flatten())
+/// A result row a reply or a notification carries, and what a broker
+/// merges, diffs and orders rows by: the broker's [`MatchRow`], or a
+/// decoded [`MatchResult`].
+pub trait ResultRow: Clone + PartialEq {
+    fn name(&self) -> &str;
+    fn score(&self) -> u32;
+    /// The row's `(match ...)` item.
+    fn item(&self) -> SExpr;
 }
 
-/// Encodes match results as `(matches (match ...) ...)`.
-pub fn matches_to_sexpr(matches: &[MatchResult]) -> SExpr {
+/// The held row's shared block.
+impl ResultRow for MatchRow {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn score(&self) -> u32 {
+        self.score
+    }
+
+    fn item(&self) -> SExpr {
+        SExpr::Block(Arc::clone(&self.block), self.score)
+    }
+}
+
+/// A block of its own, rendered from the decoded fields.
+impl ResultRow for MatchResult {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn score(&self) -> u32 {
+        self.score
+    }
+
+    fn item(&self) -> SExpr {
+        SExpr::Block(Arc::new(result_block(self)), self.score)
+    }
+}
+
+/// Writes `(head item ...)` when there are items, and nothing otherwise.
+fn write_names<'a>(w: &mut BlockWriter, head: &str, items: impl IntoIterator<Item = &'a str>) {
+    let mut items = items.into_iter().peekable();
+    if items.peek().is_some() {
+        w.open().atom(head);
+        for item in items {
+            w.atom(item);
+        }
+        w.close();
+    }
+}
+
+/// One match row, its score left open:
+/// `(match (name n) (address "a") (score _) (response-time t) (ontology o)
+/// (classes ...) (slots ...) (keys ...))`, the last five only when set.
+fn write_row<'a>(
+    name: &str,
+    address: &str,
+    response_time: Option<f64>,
+    ontology: Option<&str>,
+    [classes, slots, keys]: [impl IntoIterator<Item = &'a str>; 3],
+) -> Block {
+    // Room for the sections of a row of a few names: one growth at most.
+    let mut w = BlockWriter::with_capacity(128 + name.len() + address.len());
+    w.open().atom("match");
+    w.open().atom("name").atom(name).close();
+    w.open().atom("address").string(address).close();
+    w.open().atom("score").hole().close();
+    if let Some(t) = response_time {
+        w.open().atom("response-time").atom(&t.to_string()).close();
+    }
+    if let Some(o) = ontology {
+        w.open().atom("ontology").atom(o).close();
+    }
+    write_names(&mut w, "classes", classes);
+    write_names(&mut w, "slots", slots);
+    write_names(&mut w, "keys", keys);
+    w.close();
+    w.finish()
+}
+
+/// The block of `ad`'s result row naming content record `content`: what
+/// [`Posted::row`](crate::repository::Posted::row) renders once per
+/// advertisement version and record.
+pub(crate) fn row_block(ad: &Advertisement, content: Option<&OntologyContent>) -> Block {
+    let names = |f: fn(&OntologyContent) -> &SortedSet<Text>| {
+        content.into_iter().flat_map(f).map(Text::as_str)
+    };
+    write_row(
+        &ad.location.name,
+        &ad.location.address,
+        ad.properties.estimated_response_time,
+        content.map(|c| c.ontology.as_str()),
+        [names(|c| &c.classes), names(|c| &c.slots), names(|c| &c.keys)],
+    )
+}
+
+/// The block of a decoded row.
+fn result_block(m: &MatchResult) -> Block {
+    fn names(list: &[String]) -> impl Iterator<Item = &str> {
+        list.iter().map(String::as_str)
+    }
+    write_row(
+        &m.name,
+        &m.address,
+        m.estimated_response_time,
+        m.ontology.as_deref(),
+        [names(&m.classes), names(&m.slots), names(&m.keys)],
+    )
+}
+
+/// Encodes result rows as `(matches (match ...) ...)`.
+pub fn matches_to_sexpr<R: ResultRow>(matches: &[R]) -> SExpr {
     matches_reply_to_sexpr(matches, None)
 }
 
 /// Encodes a matches reply, optionally piggybacking the responder's
 /// fresh digest (stale-digest repair: the querier forwarded with an old
 /// epoch, so the responder ships its current summary along).
-pub fn matches_reply_to_sexpr(matches: &[MatchResult], digest: Option<&CapabilityDigest>) -> SExpr {
-    let rows = matches.iter().map(match_to_sexpr);
-    section("matches", rows.chain(digest.map(digest_to_sexpr)))
+pub fn matches_reply_to_sexpr<R: ResultRow>(
+    matches: &[R],
+    digest: Option<&CapabilityDigest>,
+) -> SExpr {
+    matches_reply(matches.iter().map(ResultRow::item), digest)
+}
+
+/// A matches reply of row items as they are: held blocks, or rows a peer
+/// sent, passed through.
+pub(crate) fn matches_reply(
+    items: impl IntoIterator<Item = SExpr>,
+    digest: Option<&CapabilityDigest>,
+) -> SExpr {
+    section("matches", items.into_iter().chain(digest.map(digest_to_sexpr)))
 }
 
 /// Decodes a `(matches ...)` payload.
@@ -614,34 +723,107 @@ pub fn matches_from_sexpr(e: &SExpr) -> Result<Vec<MatchResult>, CodecError> {
     matches_from(body_of(e, "matches")?)
 }
 
+/// The tree of a row item: a block read back as the text a peer would
+/// have received, anything else as it is.
+fn row_tree(item: &SExpr) -> Result<Cow<'_, SExpr>, CodecError> {
+    match item {
+        SExpr::Block(block, fill) => {
+            block.tree(*fill).map(Cow::Owned).map_err(|e| err(format!("match row: {e}")))
+        }
+        _ => Ok(Cow::Borrowed(item)),
+    }
+}
+
 /// The match rows among `items`.
 fn matches_from(items: &[SExpr]) -> Result<Vec<MatchResult>, CodecError> {
     let mut out = Vec::new();
-    for m in find_all(items, "match") {
-        out.push(MatchResult {
-            name: one_text(m, "name").ok_or_else(|| err("match missing name"))?,
-            address: one_text(m, "address").ok_or_else(|| err("match missing address"))?,
-            score: one_text(m, "score")
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("match missing score"))?,
-            estimated_response_time: one_f64(m, "response-time"),
-            ontology: one_text(m, "ontology"),
-            classes: find(m, "classes").map(text_items).unwrap_or_default(),
-            slots: find(m, "slots").map(text_items).unwrap_or_default(),
-            keys: find(m, "keys").map(text_items).unwrap_or_default(),
-        });
+    for item in items {
+        let tree = row_tree(item)?;
+        if head(&tree) == Some("match") {
+            out.push(match_from(body_of(&tree, "match")?)?);
+        }
     }
     Ok(out)
+}
+
+/// The fields of one `(match ...)` row.
+fn match_from(m: &[SExpr]) -> Result<MatchResult, CodecError> {
+    Ok(MatchResult {
+        name: one_text(m, "name").ok_or_else(|| err("match missing name"))?,
+        address: one_text(m, "address").ok_or_else(|| err("match missing address"))?,
+        score: one_text(m, "score")
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| err("match missing score"))?,
+        estimated_response_time: one_f64(m, "response-time"),
+        ontology: one_text(m, "ontology"),
+        classes: find(m, "classes").map(text_items).unwrap_or_default(),
+        slots: find(m, "slots").map(text_items).unwrap_or_default(),
+        keys: find(m, "keys").map(text_items).unwrap_or_default(),
+    })
+}
+
+/// A row item's name and score, read without decoding the rest: what a
+/// forwarding broker merges and orders a peer's rows by. `Ok(None)` for an
+/// item that is no match row, an error for one the decoder would refuse.
+pub(crate) fn row_head(item: &SExpr) -> Result<Option<(Text, u32)>, CodecError> {
+    let tree = row_tree(item)?;
+    if head(&tree) != Some("match") {
+        return Ok(None);
+    }
+    let m = body_of(&tree, "match")?;
+    let name = one_name(m, "name").ok_or_else(|| err("match missing name"))?;
+    one_str(m, "address").ok_or_else(|| err("match missing address"))?;
+    let score = one_str(m, "score").and_then(|t| t.parse().ok());
+    Ok(Some((name, score.ok_or_else(|| err("match missing score"))?)))
+}
+
+/// The rows of a `(matches ...)` reply, each read for its name and score
+/// only and kept as it was received, so a forwarding broker passes a
+/// peer's rows through; `None` where [`matches_from_sexpr`] would refuse
+/// the reply.
+pub(crate) fn reply_rows(content: SExpr) -> Option<Vec<(Text, u32, SExpr)>> {
+    body_of(&content, "matches").ok()?;
+    let SExpr::List(items) = content else { return None };
+    let mut rows = Vec::new();
+    for item in items.into_vec().into_iter().skip(1) {
+        if let Some((name, score)) = row_head(&item).ok()? {
+            rows.push((name, score, item));
+        }
+    }
+    Some(rows)
+}
+
+impl MatchRow {
+    /// The row as a client decodes it.
+    pub fn decode(&self) -> Result<MatchResult, CodecError> {
+        let tree = self.block.tree(self.score).map_err(|e| err(format!("match row: {e}")))?;
+        match_from(body_of(&tree, "match")?)
+    }
+}
+
+/// A held row equals a decoded one when it decodes to it.
+impl PartialEq<MatchResult> for MatchRow {
+    fn eq(&self, other: &MatchResult) -> bool {
+        self.decode().is_ok_and(|m| m == *other)
+    }
+}
+
+/// A row of its own, for a result no advertisement rendered (a broker
+/// answering with its peers' advertisements).
+impl From<&MatchResult> for MatchRow {
+    fn from(m: &MatchResult) -> MatchRow {
+        MatchRow { name: Text::from(&m.name), score: m.score, block: Arc::new(result_block(m)) }
+    }
 }
 
 /// Encodes an incremental subscription notification:
 /// `(sub-delta (epoch N) (matched (match ...) ...) (unmatched a b))`.
 /// `matched` carries full match rows for agents entering the result set
 /// (or re-ranked within it); `unmatched` lists the names that left.
-pub fn sub_delta_to_sexpr(epoch: u64, matched: &[MatchResult], unmatched: &[String]) -> SExpr {
+pub fn sub_delta_to_sexpr<R: ResultRow>(epoch: u64, matched: &[R], unmatched: &[String]) -> SExpr {
     let items = [
         section("epoch", [SExpr::atom(epoch.to_string())]),
-        section("matched", matched.iter().map(match_to_sexpr)),
+        section("matched", matched.iter().map(ResultRow::item)),
         atoms("unmatched", unmatched),
     ];
     section("sub-delta", items)
@@ -935,7 +1117,7 @@ mod tests {
         let back = matches_from_sexpr(&SExpr::parse(&text).unwrap()).unwrap();
         assert_eq!(back, ms);
         // Empty list round-trips too.
-        assert_eq!(matches_from_sexpr(&matches_to_sexpr(&[])).unwrap(), vec![]);
+        assert_eq!(matches_from_sexpr(&matches_to_sexpr::<MatchResult>(&[])).unwrap(), vec![]);
     }
 
     /// Names and classes the reader would take apart travel quoted, so
@@ -1039,7 +1221,7 @@ mod tests {
         assert_eq!(m, matched);
         assert_eq!(u, unmatched);
         // An empty delta round-trips too (snapshot of an empty repo).
-        let e = sub_delta_to_sexpr(0, &[], &[]);
+        let e = sub_delta_to_sexpr::<MatchResult>(0, &[], &[]);
         let (epoch, m, u) = sub_delta_from_sexpr(&e).unwrap();
         assert_eq!((epoch, m.len(), u.len()), (0, 0, 0));
         assert!(sub_delta_from_sexpr(&SExpr::parse("(nonsense)").unwrap()).is_err());

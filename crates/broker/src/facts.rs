@@ -229,7 +229,7 @@ mod tests {
         let tax = standard_capability_taxonomy();
         let onto = paper_class_ontology();
         let db = compile_facts([&general, &narrow], &tax, [&onto]);
-        let model = matchmaking_program().saturate(&db).unwrap();
+        let model = matchmaking_program().saturate(db).unwrap();
         // The general agent provides select; the narrow one does not
         // provide full query processing.
         assert!(model.holds(&parse_query("provides(g, select)").unwrap()));
@@ -247,7 +247,7 @@ mod tests {
         let tax = standard_capability_taxonomy();
         let onto = paper_class_ontology();
         let db = compile_facts([&db1, &db2], &tax, [&onto]);
-        let model = matchmaking_program().saturate(&db).unwrap();
+        let model = matchmaking_program().saturate(db).unwrap();
         // Request for C2a: db1 serves it fully (C2 is an ancestor); db2
         // serves it exactly.
         assert!(model.holds(&parse_query("serves_class(db1, paper-classes, 'C2a')").unwrap()));

@@ -62,7 +62,7 @@ pub use health_pub::{
     HEALTH_STATE_HEAD, OBS_ONTOLOGY_NAME,
 };
 pub use match_cache::{MatchCache, MatchCacheStats, QueryKey, DEFAULT_MATCH_CACHE_CAPACITY};
-pub use matchmaker::{MatchResult, Matchmaker};
+pub use matchmaker::{MatchResult, MatchRow, Matchmaker};
 pub use objective::{AdmissionDecision, BrokerObjective};
 pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;

@@ -12,7 +12,7 @@
 //! but only runs on insert-past-capacity.
 
 use crate::codec::service_query_to_sexpr;
-use crate::matchmaker::MatchResult;
+use crate::matchmaker::MatchRow;
 use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, Histogram, MetricsRegistry};
 use infosleuth_ontology::ServiceQuery;
@@ -27,7 +27,7 @@ struct Entry {
     epoch: u64,
     /// Shared, immutable ranked results: hits and inserts exchange an
     /// `Arc` clone, never a deep copy of the result rows.
-    results: Arc<Vec<MatchResult>>,
+    results: Arc<Vec<MatchRow>>,
     stamp: u64,
 }
 
@@ -138,12 +138,12 @@ impl MatchCache {
 
     /// Returns the ranked results cached for `query` at `epoch`, if any.
     /// An entry from an older epoch counts as stale (removed) + miss.
-    pub fn lookup(&self, epoch: u64, query: &ServiceQuery) -> Option<Arc<Vec<MatchResult>>> {
+    pub fn lookup(&self, epoch: u64, query: &ServiceQuery) -> Option<Arc<Vec<MatchRow>>> {
         self.lookup_keyed(epoch, &Self::query_key(query))
     }
 
     /// [`lookup`](Self::lookup) with a pre-rendered key.
-    pub fn lookup_keyed(&self, epoch: u64, key: &QueryKey) -> Option<Arc<Vec<MatchResult>>> {
+    pub fn lookup_keyed(&self, epoch: u64, key: &QueryKey) -> Option<Arc<Vec<MatchRow>>> {
         let started = Instant::now();
         let mut inner = lock(&self.inner);
         inner.clock += 1;
@@ -183,12 +183,12 @@ impl MatchCache {
 
     /// Stores ranked results for `query` computed at `epoch`, evicting
     /// the least-recently-used entry when full.
-    pub fn insert(&self, epoch: u64, query: &ServiceQuery, results: Arc<Vec<MatchResult>>) {
+    pub fn insert(&self, epoch: u64, query: &ServiceQuery, results: Arc<Vec<MatchRow>>) {
         self.insert_keyed(epoch, Self::query_key(query), results);
     }
 
     /// [`insert`](Self::insert) with a pre-rendered key.
-    pub fn insert_keyed(&self, epoch: u64, key: QueryKey, results: Arc<Vec<MatchResult>>) {
+    pub fn insert_keyed(&self, epoch: u64, key: QueryKey, results: Arc<Vec<MatchRow>>) {
         let mut inner = lock(&self.inner);
         if inner.gated && !inner.map.contains_key(&key.0) {
             inner.probe += 1;
@@ -255,6 +255,7 @@ impl std::fmt::Debug for MatchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MatchResult;
     use infosleuth_ontology::AgentType;
 
     fn query(i: usize) -> ServiceQuery {
@@ -265,8 +266,8 @@ mod tests {
         MatchResult { name: name.into(), score: 3, ..MatchResult::default() }
     }
 
-    fn results(name: &str) -> Arc<Vec<MatchResult>> {
-        Arc::new(vec![result(name)])
+    fn results(name: &str) -> Arc<Vec<MatchRow>> {
+        Arc::new(vec![MatchRow::from(&result(name))])
     }
 
     #[test]

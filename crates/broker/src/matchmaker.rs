@@ -7,9 +7,10 @@
 //! intended." (§2.3) — so the matchmaker always applies both, in that
 //! order.
 
-use crate::repository::{ClassCredit, Repository, Term};
+use crate::codec::ResultRow;
+use crate::repository::{ClassCredit, Posted, Repository, Term};
 use crate::sub_index::numeric_hull;
-use infosleuth_kqml::Text;
+use infosleuth_kqml::{Block, Text};
 use infosleuth_ldl::{Saturated, Sym};
 use infosleuth_ontology::{Advertisement, OntologyContent, ServiceQuery, SortedSet};
 use std::sync::Arc;
@@ -34,12 +35,25 @@ pub struct MatchResult {
     pub keys: Vec<String>,
 }
 
+/// One result row as a broker holds it: the row's block, rendered once per
+/// advertisement version and content record and shared by every cache
+/// entry, subscription, reply and notification that carries the row (see
+/// [`codec::ResultRow`](crate::codec::ResultRow)), plus the score this
+/// query gave it. The name beside them is what rows are merged, diffed and
+/// ordered by; a client reads rows as [`MatchResult`]s
+/// ([`decode`](Self::decode)).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MatchRow {
+    pub name: Text,
+    pub score: u32,
+    pub(crate) block: Arc<Block>,
+}
+
 /// Internal per-agent match outcome: the ranking score and which content
-/// record carried the semantic match. Borrows the record from the
-/// advertisement; its lists are cloned once, for the winning record only.
-struct MatchOutcome<'a> {
+/// record, by position, carried the semantic match.
+struct MatchOutcome {
     score: u32,
-    content: Option<&'a OntologyContent>,
+    record: Option<usize>,
 }
 
 /// The matchmaking engine: the syntactic layer, then the semantic one
@@ -131,19 +145,23 @@ impl Matchmaker {
     /// advertisement when it was posted. Both are behavior-preserving (see
     /// [`match_query_linear`](Self::match_query_linear), the reference
     /// path: no index, the reference model).
-    pub fn match_query(&self, repo: &Repository, query: &ServiceQuery) -> Vec<MatchResult> {
+    pub fn match_query(&self, repo: &Repository, query: &ServiceQuery) -> Vec<MatchRow> {
         let probe = Probe::Closure(repo);
         let results = self
             .candidates(repo, query)
             .into_iter()
-            .filter_map(|ad| self.score_candidate(ad, query, &probe))
+            .filter_map(|posted| {
+                let MatchOutcome { score, record } = self.score_agent(&posted.ad, query, &probe)?;
+                let name = posted.ad.location.name.clone();
+                Some(MatchRow { name, score, block: posted.row(record) })
+            })
             .collect();
         rank(results, query)
     }
 
     /// [`match_query`](Self::match_query) for callers holding the
     /// repository mutably.
-    pub fn match_query_mut(&self, repo: &mut Repository, query: &ServiceQuery) -> Vec<MatchResult> {
+    pub fn match_query_mut(&self, repo: &mut Repository, query: &ServiceQuery) -> Vec<MatchRow> {
         self.match_query(repo, query)
     }
 
@@ -157,7 +175,7 @@ impl Matchmaker {
         repo: &mut Repository,
         cache: &crate::MatchCache,
         query: &ServiceQuery,
-    ) -> Arc<Vec<MatchResult>> {
+    ) -> Arc<Vec<MatchRow>> {
         let epoch = repo.epoch();
         let key = crate::MatchCache::query_key(query);
         if let Some(hit) = cache.lookup_keyed(epoch, &key) {
@@ -213,11 +231,11 @@ impl Matchmaker {
     /// A term nobody is posted under, or an intersection that runs empty,
     /// short-circuits the whole query before the remaining terms are
     /// looked at.
-    fn candidates<'r>(&self, repo: &'r Repository, query: &ServiceQuery) -> Vec<&'r Advertisement> {
-        if let Some(name) = &query.agent_name {
-            return repo.advertisement(name).into_iter().collect();
-        }
+    fn candidates<'r>(&self, repo: &'r Repository, query: &ServiceQuery) -> Vec<&'r Posted> {
         let index = repo.ad_index();
+        if let Some(name) = &query.agent_name {
+            return index.posted(name).into_iter().collect();
+        }
         // `None` until a term narrows: every advertisement survives.
         let mut survivors: Option<Vec<u64>> = None;
         for term in Term::of_query(query) {
@@ -236,18 +254,20 @@ impl Matchmaker {
         }
         match survivors {
             Some(words) => index.ads_in(&words),
-            None => index.iter().map(|ad| &**ad).collect(),
+            None => index.all().collect(),
         }
     }
 
-    /// Scores one advertisement and assembles its result row.
+    /// Scores one advertisement and assembles its result row field by
+    /// field, as the reference path's client would decode it.
     fn score_candidate(
         &self,
         ad: &Advertisement,
         query: &ServiceQuery,
         probe: &Probe<'_>,
     ) -> Option<MatchResult> {
-        let MatchOutcome { score, content } = self.score_agent(ad, query, probe)?;
+        let MatchOutcome { score, record } = self.score_agent(ad, query, probe)?;
+        let content = record.map(|i| &ad.semantic.content[i]);
         Some(MatchResult {
             name: String::from(&ad.location.name),
             address: String::from(&ad.location.address),
@@ -261,12 +281,12 @@ impl Matchmaker {
     }
 
     /// Scores one advertisement against the query; `None` means no match.
-    fn score_agent<'a>(
+    fn score_agent(
         &self,
-        ad: &'a Advertisement,
+        ad: &Advertisement,
         query: &ServiceQuery,
         probe: &Probe<'_>,
-    ) -> Option<MatchOutcome<'a>> {
+    ) -> Option<MatchOutcome> {
         // ---- Syntactic layer -------------------------------------------
         if let Some(t) = &query.agent_type {
             if t != &ad.location.agent_type {
@@ -289,7 +309,7 @@ impl Matchmaker {
             }
         }
         let mut score = 1; // base score for a syntactic match
-        let mut content = None;
+        let mut record = None;
 
         // ---- Semantic layer: capabilities ------------------------------
         for (i, cap) in query.capabilities.iter().enumerate() {
@@ -312,12 +332,13 @@ impl Matchmaker {
                 .semantic
                 .content
                 .iter()
+                .enumerate()
                 .rev()
-                .filter(|c| query.ontology.as_ref().map_or(true, |o| &c.ontology == o))
-                .filter_map(|c| self.score_content(ad, c, query, probe).map(|s| (s, c)))
+                .filter(|(_, c)| query.ontology.as_ref().map_or(true, |o| &c.ontology == o))
+                .filter_map(|(i, c)| self.score_content(ad, c, query, probe).map(|s| (s, i)))
                 .max_by_key(|(s, _)| *s)?;
             score += best_score;
-            content = Some(best);
+            record = Some(best);
         } else if !query.constraints.is_trivial() {
             // No specific ontology/classes requested, but data constraints
             // given: any advertised content must not rule out overlap.
@@ -346,7 +367,7 @@ impl Matchmaker {
                 }
             }
         }
-        Some(MatchOutcome { score, content })
+        Some(MatchOutcome { score, record })
     }
 
     /// Scores one content record; `None` means this record cannot serve the
@@ -417,15 +438,15 @@ impl Matchmaker {
     }
 }
 
-/// Orders results best-first (score descending, then name — a total
-/// order) and applies the requested truncation.
 /// A result row's copy of a name list.
 fn names(set: &SortedSet<Text>) -> Vec<String> {
     set.iter().map(String::from).collect()
 }
 
-fn rank(mut results: Vec<MatchResult>, query: &ServiceQuery) -> Vec<MatchResult> {
-    results.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)));
+/// Orders results best-first (score descending, then name — a total
+/// order) and applies the requested truncation.
+fn rank<R: ResultRow>(mut results: Vec<R>, query: &ServiceQuery) -> Vec<R> {
+    results.sort_by(|a, b| b.score().cmp(&a.score()).then_with(|| a.name().cmp(b.name())));
     if let Some(n) = query.max_matches {
         results.truncate(n);
     }
@@ -456,6 +477,11 @@ mod tests {
         healthcare_ontology, paper_class_ontology, AgentLocation, AgentProperties, AgentType,
         Capability, ConversationType, Fragment, SemanticInfo, SyntacticInfo,
     };
+
+    /// The rows as a client reads them.
+    fn decoded(rows: Vec<MatchRow>) -> Vec<MatchResult> {
+        rows.iter().map(|row| row.decode().unwrap()).collect()
+    }
 
     fn repo() -> Repository {
         let mut r = Repository::new();
@@ -659,7 +685,7 @@ mod tests {
                 Predicate::between("patient.age", 25, 65),
                 Predicate::eq("patient.diagnosis_code", "40W"),
             ]));
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = decoded(Matchmaker::default().match_query_mut(&mut r, &q));
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "ResourceAgent5");
         assert_eq!(m[0].address, "tcp://b1.mcc.com:4356");
@@ -815,14 +841,14 @@ mod tests {
             .with_ontology("paper-classes")
             .with_classes(["C3"]);
         let mm = Matchmaker::default();
-        for m in [mm.match_query(&r, &q), mm.match_query_linear(&r, &model, &q)] {
+        for m in [decoded(mm.match_query(&r, &q)), mm.match_query_linear(&r, &model, &q)] {
             assert_eq!(m.len(), 1);
             assert_eq!(m[0].ontology.as_deref(), Some("paper-classes"));
             assert_eq!((&m[0].classes, &m[0].keys), (&vec!["C3".into()], &vec!["C3.id".into()]));
         }
         // Records that score alike: the one advertised first.
         let any = ServiceQuery::for_agent_type(AgentType::Resource).with_ontology("paper-classes");
-        assert_eq!(mm.match_query(&r, &any)[0].classes, ["C1"]);
+        assert_eq!(decoded(mm.match_query(&r, &any))[0].classes, ["C1"]);
     }
 
     #[test]

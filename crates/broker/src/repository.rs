@@ -17,12 +17,12 @@ use crate::facts::{
 use crate::sub_index::ad_slot_hulls;
 use infosleuth_agent::AgentAddress;
 use infosleuth_analysis::{analyze_advertisement, analyze_ldl_source, AdContext, Report, Severity};
-use infosleuth_kqml::{Fnv, Text};
+use infosleuth_kqml::{Block, Fnv, Text};
 use infosleuth_ldl::{parse_rules, Const, Database, LdlParseError, Program, Rule, Saturated};
 use infosleuth_obs::{Histogram, Obs, StageTimer};
 use infosleuth_ontology::{
     standard_capability_taxonomy, Advertisement, AgentType, BrokerAdvertisement, ConversationType,
-    Ontology, ServiceQuery, Taxonomy,
+    Ontology, OntologyContent, ServiceQuery, Taxonomy,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -222,6 +222,40 @@ pub(crate) enum Grant {
 /// Everything the rules grant one advertisement.
 pub(crate) type Granted = Box<[Grant]>;
 
+/// A stored advertisement with the blocks of its result rows
+/// ([`codec::row_block`](crate::codec::row_block)): one per content record
+/// and one for a row that names none, each rendered when a match first
+/// needs it and shared by every row that carries it until the
+/// advertisement is replaced. Nothing is rendered at admission.
+#[derive(Debug, Clone)]
+pub(crate) struct Posted {
+    pub(crate) ad: Arc<Advertisement>,
+    rows: OnceLock<Box<[OnceLock<Arc<Block>>]>>,
+}
+
+impl Posted {
+    fn new(ad: Arc<Advertisement>) -> Posted {
+        Posted { ad, rows: OnceLock::new() }
+    }
+
+    /// The block of the row that names content record `record` (`None`:
+    /// the row that names none).
+    pub(crate) fn row(&self, record: Option<usize>) -> Arc<Block> {
+        let records = &self.ad.semantic.content;
+        let rows = self.rows.get_or_init(|| (0..=records.len()).map(|_| OnceLock::new()).collect());
+        let slot = &rows[record.unwrap_or(records.len())];
+        let content: Option<&OntologyContent> = record.map(|i| &records[i]);
+        Arc::clone(slot.get_or_init(|| Arc::new(crate::codec::row_block(&self.ad, content))))
+    }
+}
+
+/// The advertisement is the posting; its rendered rows follow from it.
+impl PartialEq for Posted {
+    fn eq(&self, other: &Posted) -> bool {
+        self.ad == other.ad
+    }
+}
+
 /// The narrowing index over the advertisements, maintained on every
 /// advertise/unadvertise so matchmaking intersects machine words instead
 /// of scanning the repository. It is also the repository's one store of
@@ -238,7 +272,7 @@ pub(crate) type Granted = Box<[Grant]>;
 pub(crate) struct AdIndex {
     ids: HashMap<Text, u32>,
     /// Advertisement by id; `None` marks an id on the free list.
-    ads: Vec<Option<Arc<Advertisement>>>,
+    ads: Vec<Option<Posted>>,
     free: Vec<u32>,
     /// The ids posted under each term symbol.
     postings: HashMap<u64, IdSet>,
@@ -270,7 +304,7 @@ impl AdIndex {
             column.bounds[id as usize] = hull;
             column.constrained += 1;
         }
-        self.ads[id as usize] = Some(ad);
+        self.ads[id as usize] = Some(Posted::new(ad));
     }
 
     fn post(&mut self, id: u32, terms: &[u64]) {
@@ -281,12 +315,22 @@ impl AdIndex {
 
     /// The advertisement stored for `agent`.
     fn get(&self, agent: &str) -> Option<&Arc<Advertisement>> {
+        self.posted(agent).map(|p| &p.ad)
+    }
+
+    /// `agent`'s advertisement with its rows.
+    pub(crate) fn posted(&self, agent: &str) -> Option<&Posted> {
         let id = *self.ids.get(agent)?;
         self.ads[id as usize].as_ref()
     }
 
     /// Every stored advertisement, in id order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<Advertisement>> {
+        self.all().map(|p| &p.ad)
+    }
+
+    /// Every stored advertisement with its rows, in id order.
+    pub(crate) fn all(&self) -> impl Iterator<Item = &Posted> {
         self.ads.iter().flatten()
     }
 
@@ -298,7 +342,7 @@ impl AdIndex {
     /// index, if it holds one. An emptied posting goes.
     fn remove(&mut self, agent: &str, terms: &[u64]) -> Option<Arc<Advertisement>> {
         let id = self.ids.remove(agent)?;
-        let ad = self.ads[id as usize].take()?;
+        let ad = self.ads[id as usize].take()?.ad;
         self.free.push(id);
         self.granted.remove(agent);
         for term in terms {
@@ -345,9 +389,9 @@ impl AdIndex {
     }
 
     /// The advertisements whose ids are set in `words`.
-    pub(crate) fn ads_in(&self, words: &[u64]) -> Vec<&Advertisement> {
+    pub(crate) fn ads_in(&self, words: &[u64]) -> Vec<&Posted> {
         set_ids(words)
-            .map(|id| &**self.ads[id].as_ref().expect("posted ids are live")) // lint: allow-unwrap
+            .map(|id| self.ads[id].as_ref().expect("posted ids are live")) // lint: allow-unwrap
             .collect()
     }
 
@@ -439,7 +483,7 @@ struct ObsHooks {
 /// ontologies stand.
 fn hierarchy(taxonomy: &Taxonomy, ontologies: &BTreeMap<String, Ontology>) -> Database {
     let edges = compile_global_facts(taxonomy, ontologies.values());
-    let closed = matchmaking_program().saturate(&edges).expect("the base is stratified"); // lint: allow-unwrap
+    let closed = matchmaking_program().saturate(edges).expect("the base is stratified"); // lint: allow-unwrap
     closed.db().clone()
 }
 
@@ -517,7 +561,7 @@ impl Repository {
         self.index.postings.clear();
         self.index.granted.clear();
         let ads: Vec<(u32, Arc<Advertisement>)> = (self.index.ids.values())
-            .filter_map(|&id| Some((id, Arc::clone(self.index.ads[id as usize].as_ref()?))))
+            .filter_map(|&id| Some((id, Arc::clone(&self.index.ads[id as usize].as_ref()?.ad))))
             .collect();
         for (id, ad) in ads {
             let granted = self.grant(&ad);
@@ -710,7 +754,7 @@ impl Repository {
         let _t = self.stage("saturation");
         let mut facts = compile_agent_facts(ad);
         facts.merge(&rules.hierarchy);
-        let model = rules.local.saturate(&facts).expect("stratified at registration"); // lint: allow-unwrap
+        let model = rules.local.saturate(facts).expect("stratified at registration"); // lint: allow-unwrap
         let agent = Const::sym(&ad.location.name);
         // A fact's names after the agent's; a string constant is in no
         // fact the reference model is probed for.
@@ -859,7 +903,7 @@ impl Repository {
             compile_facts(self.agents(), &self.capability_taxonomy, self.ontologies.values());
         let rules = self.rules.as_ref().map_or(&[][..], |r| &r.rules);
         let program = matchmaking_program_with(rules).expect("stratified at registration"); // lint: allow-unwrap
-        let model = Arc::new(program.saturate(&facts).expect("stratified at registration")); // lint: allow-unwrap
+        let model = Arc::new(program.saturate(facts).expect("stratified at registration")); // lint: allow-unwrap
         self.model = Some((self.epoch, Arc::clone(&model)));
         model
     }
@@ -1133,7 +1177,7 @@ mod tests {
         let model = repo.saturated();
         assert!(model.holds(&infosleuth_ldl::parse_query("provides(ra2, select)").unwrap()));
         let compiled = compile_facts(repo.agents(), repo.capability_taxonomy(), repo.ontologies());
-        assert_eq!(*model, matchmaking_program().saturate(&compiled).unwrap());
+        assert_eq!(*model, matchmaking_program().saturate(compiled).unwrap());
         assert!(Arc::ptr_eq(&model, &repo.saturated()), "memoized while the epoch stands");
         repo.advertise(valid_ad("ra3")).unwrap();
         assert!(repo
@@ -1291,7 +1335,7 @@ mod tests {
     /// bit or a hull left behind at a free id, and on an untrimmed bitmap.
     fn by_name(index: &AdIndex) -> BTreeMap<String, BTreeMap<String, (u64, u64)>> {
         let name = |id: usize| {
-            let ad = index.ads[id].as_ref().unwrap_or_else(|| panic!("id {id} is free"));
+            let ad = &index.ads[id].as_ref().unwrap_or_else(|| panic!("id {id} is free")).ad;
             assert_eq!(index.ids[&ad.location.name] as usize, id);
             ad.location.name.to_string()
         };

@@ -30,8 +30,9 @@
 //! among its posted terms while it is posted, which is why the old
 //! version is probed before the mutation withdraws it.
 
+use crate::codec::ResultRow;
 use crate::repository::Term;
-use crate::{MatchResult, Repository};
+use crate::{MatchRow, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
 use infosleuth_kqml::Text;
 use infosleuth_ontology::{Advertisement, ServiceQuery};
@@ -60,7 +61,7 @@ pub struct StandingSubscription {
     pub trace: Option<String>,
     pub query: ServiceQuery,
     /// The result set as of the last notification.
-    pub last: Arc<Vec<MatchResult>>,
+    pub last: Arc<Vec<MatchRow>>,
 }
 
 /// The inverted index proper: one bucket per subscription plus each
@@ -298,7 +299,7 @@ impl SubscriptionRegistry {
         subscriber: String,
         trace: Option<String>,
         query: ServiceQuery,
-        last: Arc<Vec<MatchResult>>,
+        last: Arc<Vec<MatchRow>>,
         _repo: &Repository,
     ) -> SubId {
         self.next_id += 1;
@@ -334,7 +335,7 @@ impl SubscriptionRegistry {
     }
 
     /// Replaces a subscription's last-delivered result set.
-    pub fn update_last(&mut self, id: SubId, last: Arc<Vec<MatchResult>>) {
+    pub fn update_last(&mut self, id: SubId, last: Arc<Vec<MatchRow>>) {
         if let Some(e) = self.entries.get_mut(&id) {
             e.last = last;
         }
@@ -358,22 +359,23 @@ impl SubscriptionRegistry {
 }
 
 /// The notification delta between two result sets: `matched` carries every
-/// result row that is new or whose score/address changed, `unmatched` the
-/// names that left the set. The broker and the parity suite's naive
-/// oracle feed the same diff, so parity reduces to result-set equality.
-pub fn result_delta(old: &[MatchResult], new: &[MatchResult]) -> (Vec<MatchResult>, Vec<String>) {
-    let old_by_name: HashMap<&str, &MatchResult> =
-        old.iter().map(|m| (m.name.as_str(), m)).collect();
-    let new_names: HashSet<&str> = new.iter().map(|m| m.name.as_str()).collect();
+/// result row that is new or that changed — a different block, read back
+/// by text where the two are not one shared block, or a different score —
+/// `unmatched` the names that left the set. The broker and the parity
+/// suite's naive oracle, which diffs decoded rows field by field, feed the
+/// same diff, so parity reduces to result-set equality.
+pub fn result_delta<R: ResultRow>(old: &[R], new: &[R]) -> (Vec<R>, Vec<String>) {
+    let old_by_name: HashMap<&str, &R> = old.iter().map(|m| (m.name(), m)).collect();
+    let new_names: HashSet<&str> = new.iter().map(ResultRow::name).collect();
     let matched = new
         .iter()
-        .filter(|m| old_by_name.get(m.name.as_str()).map_or(true, |o| *o != *m))
+        .filter(|m| old_by_name.get(m.name()).map_or(true, |o| *o != *m))
         .cloned()
         .collect();
     let unmatched = old
         .iter()
-        .filter(|m| !new_names.contains(m.name.as_str()))
-        .map(|m| m.name.clone())
+        .filter(|m| !new_names.contains(m.name()))
+        .map(|m| m.name().to_string())
         .collect();
     (matched, unmatched)
 }
@@ -381,6 +383,7 @@ pub fn result_delta(old: &[MatchResult], new: &[MatchResult]) -> (Vec<MatchResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MatchResult;
     use infosleuth_constraint::{Conjunction, Predicate};
     use infosleuth_ontology::{
         paper_class_ontology, AgentLocation, AgentType, Capability, ClassDef, Ontology,

@@ -107,7 +107,7 @@ fn oracle_model(repo: &Repository) -> infosleuth_ldl::Saturated {
         [paper_class_ontology(), healthcare_ontology()].iter(),
     );
     let rules = infosleuth_ldl::parse_rules(RULES).unwrap();
-    matchmaking_program_with(rules.rules()).unwrap().saturate(&facts).unwrap()
+    matchmaking_program_with(rules.rules()).unwrap().saturate(facts).unwrap()
 }
 
 /// Under derived rules, matching off the posted terms answers what the

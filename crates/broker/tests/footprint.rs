@@ -9,7 +9,9 @@
 //! side of the 22 bytes a name holds in place. And what a message costs
 //! while it waits in a mailbox: a
 //! `sub-delta` notification and an `ask-all` reply, each under a ceiling
-//! of its own.
+//! of its own. And what a broker holds per result row: a row of a match
+//! cache entry and of a subscription's last result set are a name, a
+//! score and a pointer to the block the repository rendered once.
 //!
 //! A counting `#[global_allocator]` sees every allocation of the test
 //! process, so the tests here take one lock and run one at a time. Even
@@ -21,8 +23,8 @@
 
 use infosleuth_agent::{AgentRuntime, Bus, Endpoint, RuntimeConfig};
 use infosleuth_broker::{
-    advertise_to, codec, BrokerAgent, BrokerConfig, CapabilityDigest, MatchResult, Repository,
-    SubscriptionRegistry,
+    advertise_to, codec, BrokerAgent, BrokerConfig, CapabilityDigest, MatchCache, MatchResult,
+    MatchRow, Matchmaker, Repository, SubscriptionRegistry,
 };
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_kqml::{Message, Performative, SExpr};
@@ -178,12 +180,14 @@ const RULE: &str = "cap(A, subscription) :- agent(A, resource).";
 const CEILING_BYTES_PER_AD: f64 = 4_200.0;
 
 /// A repository nobody asked a model of: the advertisement and the
-/// narrowing index, no fact — 708 B in 5 allocations, whether each
+/// narrowing index, no fact — 732 B in 5 allocations, whether each
 /// advertisement was cloned in or decoded off the wire, as a live broker
-/// without derived rules decodes it (708 B in 5 held by such a broker).
+/// without derived rules decodes it (733 B in 5 held by such a broker).
 /// The index is the one map from agent name to advertisement, and its
 /// keys hold short names in place (934 B in 18.2 with a second, B-tree
-/// name map beside it and every key a `String`). A tenth over.
+/// name map beside it and every key a `String`); 24 B of its 138 are the
+/// empty slot of the rows a first match renders (708 B before rows were
+/// rendered once). A tenth over the 708.
 const CEILING_MODEL_FREE_BYTES_PER_AD: f64 = 778.0;
 
 /// The advertisement record itself: 233 advertised bytes cost 594 B in 4
@@ -591,21 +595,24 @@ fn the_symbol_table_grows_by_distinct_new_names_only() {
 }
 
 /// A queued churn-shaped `sub-delta` carrying one match row: the envelope's
-/// two names, the message's five parameters, and the tree of its content.
-/// 255 wire bytes measure 878 B in 14 allocations — one per string, per
-/// non-empty list and per atom longer than 22 bytes, each exactly as long
-/// as what it holds; protocol words are shared and short atoms sit in
-/// their node (1 908 B in 38 when every atom was a `String` and every list
-/// a `Vec`).
-const CEILING_MATCHED_DELTA: (isize, isize) = (980, 16);
+/// two names, the message's five parameters, and the tree of its content,
+/// whose row is the block the repository rendered once. 255 wire bytes
+/// measure 471 B in 7 allocations — one per string, per non-empty list and
+/// per atom longer than 22 bytes, each exactly as long as what it holds;
+/// protocol words are shared and short atoms sit in their node (878 B in
+/// 14 with the row a tree of its own; 1 908 B in 38 when every atom was a
+/// `String` and every list a `Vec`). A tenth over.
+const CEILING_MATCHED_DELTA: (isize, isize) = (518, 7);
 
 /// The same notification when the agent left the result set: 160 wire
 /// bytes, 471 B in 7 allocations (was 1 005 B in 22).
 const CEILING_UNMATCHED_DELTA: (isize, isize) = (530, 8);
 
-/// A queued 16-row `ask-all` reply of `miss_closed_bus`'s shape: 1 719 wire
-/// bytes, 7 127 B in 116 allocations (was 15 393 B in 284).
-const CEILING_ASK_REPLY: (isize, isize) = (7_900, 128);
+/// A queued 16-row `ask-all` reply of `miss_closed_bus`'s shape, its rows
+/// the held blocks: 1 719 wire bytes, 615 B in 4 allocations (7 127 B in
+/// 116 with each row a tree of its own; 15 393 B in 284 before that). A
+/// tenth over.
+const CEILING_ASK_REPLY: (isize, isize) = (676, 4);
 
 /// One match row of the benchmark's populations (`benchmark/src/gen.rs`).
 fn row(j: usize) -> MatchResult {
@@ -644,15 +651,17 @@ fn queued(build: impl Fn() -> Message) -> ((isize, isize), usize) {
 #[test]
 fn a_queued_message_costs_what_it_weighs() {
     let _alone = alone();
-    let delta = |matched: &[MatchResult], unmatched: &[String]| {
+    let delta = |matched: &[MatchRow], unmatched: &[String]| {
         Message::new(Performative::Tell)
             .with_in_reply_to("cli-setup-17")
             .with_ontology("infosleuth-service")
             .with_content(codec::sub_delta_to_sexpr(48_213, matched, unmatched))
     };
-    let matched = queued(|| delta(&[row(123)], &[]));
+    // Rows as a broker holds them: their blocks rendered before the window.
+    let one = [MatchRow::from(&row(123))];
+    let matched = queued(|| delta(&one, &[]));
     let unmatched = queued(|| delta(&[], &[row(123).name]));
-    let rows: Vec<MatchResult> = (0..16).map(|j| row(100 + 37 * j)).collect();
+    let rows: Vec<MatchRow> = (0..16).map(|j| MatchRow::from(&row(100 + 37 * j))).collect();
     let reply = queued(|| {
         Message::new(Performative::AskAll)
             .with_reply_with("cli-ask-4096")
@@ -676,6 +685,72 @@ fn a_queued_message_costs_what_it_weighs() {
             "{what}: {} B in {} allocations, ceiling {} B in {}",
             cost.0,
             cost.1,
+            ceiling.0,
+            ceiling.1
+        );
+    }
+}
+
+/// One row of a match cache entry whose blocks the repository already
+/// rendered: 40.7 B in 0.008 allocations — a 40 B row of name, score and
+/// pointer, with the entry's list, key and map slot shared out over its
+/// 512 rows (a row was a `MatchResult` of 168 B with its address,
+/// ontology and class list each a heap copy of its own). The first match
+/// renders each block once, into the repository: 220 B in 3 allocations
+/// per row, the row itself included. A tenth over.
+const CEILING_CACHE_ROW: (f64, f64) = (44.8, 0.009);
+
+/// One row of a subscription's last result set, registered the way the
+/// benchmark's replay registers one: 43.8 B in 0.016 allocations, the
+/// list and the standing query shared out. A tenth over.
+const CEILING_LAST_ROW: (f64, f64) = (48.2, 0.018);
+
+#[test]
+fn a_held_result_row_is_a_pointer_to_its_block() {
+    let _alone = alone();
+    const N: usize = 512;
+    let mut repo = model_free_repo();
+    for j in 0..N {
+        repo.advertise(ad(&format!("ra{j:04}"), j, window(j, 0))).unwrap();
+    }
+    let mm = Matchmaker::default();
+    let everyone = ServiceQuery::for_agent_type(AgentType::Resource).with_ontology("bench");
+    // The first match renders every block, once, into the repository.
+    let before = live();
+    let first = mm.match_query(&repo, &everyone);
+    let rendered = per(N, delta(before, live()));
+    assert_eq!(first.len(), N);
+    drop(first);
+
+    let cache = MatchCache::new(8);
+    let asked = everyone.clone().with_conversation(ConversationType::AskAll);
+    let before = live();
+    let held = mm.match_query_cached(&mut repo, &cache, &asked);
+    let cache_row = per(N, delta(before, live()));
+    assert_eq!(held.len(), N);
+    drop(held);
+
+    let mut registry = SubscriptionRegistry::new(true);
+    let query = everyone.clone();
+    let before = live();
+    let last = Arc::new(mm.match_query_mut(&mut repo, &query));
+    registry.register("sub-1".into(), "cli-sub".into(), None, query, last, &repo);
+    let last_row = per(N, delta(before, live()));
+
+    eprintln!("per result row held: live heap");
+    let table = [
+        ("first match, blocks rendered", rendered, None),
+        ("match cache entry", cache_row, Some(CEILING_CACHE_ROW)),
+        ("subscription's last set", last_row, Some(CEILING_LAST_ROW)),
+    ];
+    for (what, (bytes, allocs), _) in table {
+        eprintln!("{what:<30} {bytes:>6.1} B in {allocs:>5.3} allocations");
+    }
+    for (what, (bytes, allocs), ceiling) in table {
+        let Some(ceiling) = ceiling else { continue };
+        assert!(
+            bytes <= ceiling.0 && allocs <= ceiling.1,
+            "{what}: {bytes:.1} B in {allocs:.2} allocations per row, ceiling {} B in {}",
             ceiling.0,
             ceiling.1
         );

@@ -18,16 +18,18 @@
 //!
 //! This crate implements the s-expression reader/printer ([`SExpr`]), the
 //! message model ([`Message`], [`Performative`]), the [`Text`] of atoms
-//! and parameter keys, and [`Fnv`], the workspace's one stable string
-//! hash.
+//! and parameter keys, the [`Block`] of text printed once and carried by
+//! many messages, and [`Fnv`], the workspace's one stable string hash.
 
 #![forbid(unsafe_code)]
 
+mod block;
 mod fnv;
 mod message;
 mod sexpr;
 mod text;
 
+pub use block::{Block, BlockWriter};
 pub use fnv::Fnv;
 pub use message::{KqmlError, Message, Performative};
 pub use sexpr::{SExpr, SExprError};

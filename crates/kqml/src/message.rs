@@ -175,6 +175,11 @@ impl Message {
         self.get("content")
     }
 
+    /// Takes the message apart for its content, which moves out whole.
+    pub fn into_content(self) -> Option<SExpr> {
+        self.params.into_vec().into_iter().find(|(k, _)| k == "content").map(|(_, v)| v)
+    }
+
     pub fn language(&self) -> Option<&str> {
         self.get_text("language")
     }

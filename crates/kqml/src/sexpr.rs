@@ -3,13 +3,15 @@
 //! A node is 24 bytes: an atom is a [`Text`] (a protocol word shared by
 //! every message, up to 22 bytes held in place, or an exact-length copy),
 //! a string an exact-length `Box<str>`, and a list one exact-length block
-//! of nodes — a queued message holds no capacity it does not use.
+//! of nodes — a queued message holds no capacity it does not use. A
+//! [`Block`] printed ahead of time is one shared pointer and its number.
 
-use crate::Text;
+use crate::{Block, Text};
 use std::fmt;
+use std::sync::Arc;
 
 /// A KQML s-expression: an atom (symbol, keyword, or number), a quoted
-/// string, or a parenthesized list.
+/// string, a parenthesized list, or a block of them printed ahead of time.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SExpr {
     /// An unquoted token: `ask-all`, `:sender`, `42`, `?agent-name`.
@@ -18,6 +20,10 @@ pub enum SExpr {
     Str(Box<str>),
     /// `( ... )`
     List(Box<[SExpr]>),
+    /// A [`Block`] printed ahead of time, with the number in its hole:
+    /// printed verbatim, sized as the tree it stands for, and read by
+    /// decoders through [`Block::tree`]. [`SExpr::parse`] never makes one.
+    Block(Arc<Block>, u32),
 }
 
 /// Error produced when reading a malformed s-expression.
@@ -38,7 +44,7 @@ impl std::error::Error for SExprError {}
 /// Whether the reader would take `s` apart (or read nothing) if it were
 /// printed bare: empty text, whitespace, and the reader's delimiters
 /// `(`, `)`, `"` and `;`.
-fn needs_quotes(s: &str) -> bool {
+pub(crate) fn needs_quotes(s: &str) -> bool {
     s.is_empty()
         || s.bytes().any(|b| matches!(b, b'\t'..=b'\r' | b' ' | b'(' | b')' | b'"' | b';'))
         || (!s.is_ascii() && s.chars().any(char::is_whitespace))
@@ -78,7 +84,7 @@ impl SExpr {
         match self {
             SExpr::Atom(s) => Some(s),
             SExpr::Str(s) => Some(s),
-            SExpr::List(_) => None,
+            SExpr::List(_) | SExpr::Block(..) => None,
         }
     }
 
@@ -120,6 +126,7 @@ impl SExpr {
             SExpr::Atom(s) => s.len() + 1,
             SExpr::Str(s) => s.len() + 3,
             SExpr::List(items) => 2 + items.iter().map(SExpr::wire_size).sum::<usize>(),
+            SExpr::Block(block, fill) => block.wire_size(*fill),
         }
     }
 }
@@ -227,28 +234,30 @@ impl Reader<'_> {
     }
 }
 
+/// Writes `s` as a quoted string: unescaped runs go out whole; only the
+/// four escaped characters are written one at a time.
+pub(crate) fn write_quoted(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    let mut rest = s;
+    while let Some(at) = rest.find(['"', '\\', '\n', '\t']) {
+        f.write_str(&rest[..at])?;
+        f.write_str(match rest.as_bytes()[at] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            _ => "\\t",
+        })?;
+        rest = &rest[at + 1..];
+    }
+    f.write_str(rest)?;
+    f.write_str("\"")
+}
+
 impl fmt::Display for SExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SExpr::Atom(s) => f.write_str(s),
-            SExpr::Str(s) => {
-                f.write_str("\"")?;
-                // Unescaped runs go out whole; only the four escaped
-                // characters are written one at a time.
-                let mut rest: &str = s;
-                while let Some(at) = rest.find(['"', '\\', '\n', '\t']) {
-                    f.write_str(&rest[..at])?;
-                    f.write_str(match rest.as_bytes()[at] {
-                        b'"' => "\\\"",
-                        b'\\' => "\\\\",
-                        b'\n' => "\\n",
-                        _ => "\\t",
-                    })?;
-                    rest = &rest[at + 1..];
-                }
-                f.write_str(rest)?;
-                f.write_str("\"")
-            }
+            SExpr::Str(s) => write_quoted(f, s),
             SExpr::List(items) => {
                 f.write_str("(")?;
                 for (i, item) in items.iter().enumerate() {
@@ -259,6 +268,7 @@ impl fmt::Display for SExpr {
                 }
                 f.write_str(")")
             }
+            SExpr::Block(block, fill) => block.write(*fill, f),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests: KQML text round-tripping over arbitrary messages, and
 //! the node layout that keeps a queued message small.
 
-use infosleuth_kqml::{Message, Performative, SExpr, Text};
+use infosleuth_kqml::{BlockWriter, Message, Performative, SExpr, Text};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -146,6 +146,25 @@ fn reference_print(e: &SExpr, out: &mut String) {
             }
             out.push(')');
         }
+        SExpr::Block(block, fill) => reference_print(&block.tree(*fill).unwrap(), out),
+    }
+}
+
+/// Writes `e` into `w` item by item.
+fn write_tree(e: &SExpr, w: &mut BlockWriter) {
+    match e {
+        SExpr::Atom(s) => {
+            w.atom(s);
+        }
+        SExpr::Str(s) => {
+            w.string(s);
+        }
+        SExpr::List(items) => {
+            w.open();
+            items.iter().for_each(|item| write_tree(item, w));
+            w.close();
+        }
+        SExpr::Block(..) => unreachable!("the strategy builds trees"),
     }
 }
 
@@ -160,6 +179,27 @@ proptest! {
         prop_assert_eq!(m.to_string(), reference.clone());
         prop_assert_eq!(m.to_sexpr().to_string(), reference);
         prop_assert_eq!(m.wire_size(), m.to_sexpr().wire_size());
+    }
+
+    /// A block written item by item from a tree, with a number left open
+    /// after it, prints, sizes and reads back as that tree with the number
+    /// in place — alone and inside a message.
+    #[test]
+    fn a_block_is_the_tree_it_was_written_from(e in arb_sexpr(), fill in any::<u32>()) {
+        let tree = SExpr::list([e.clone(), SExpr::atom(fill.to_string())]);
+        let mut w = BlockWriter::default();
+        w.open();
+        write_tree(&e, &mut w);
+        w.hole().close();
+        let block = SExpr::Block(std::sync::Arc::new(w.finish()), fill);
+        prop_assert_eq!(block.to_string(), tree.to_string());
+        prop_assert_eq!(block.wire_size(), tree.wire_size());
+        prop_assert_eq!(SExpr::parse(&block.to_string()).unwrap(), tree.clone());
+        let SExpr::Block(b, _) = &block else { unreachable!() };
+        prop_assert_eq!(b.tree(fill).unwrap(), tree.clone());
+        let m = Message::new(Performative::Reply).with_content(block);
+        prop_assert_eq!(m.wire_size(), m.to_sexpr().wire_size());
+        prop_assert_eq!(Message::parse(&m.to_string()).unwrap().content(), Some(&tree));
     }
 
     /// Any s-expression survives print → parse.

@@ -10,9 +10,11 @@ use crate::Sym;
 impl Program {
     /// Computes the full model of the program over an extensional database,
     /// stratum by stratum, using semi-naive evaluation within each stratum.
-    pub fn saturate(&self, edb: &Database) -> Result<Saturated, crate::ProgramError> {
+    /// The model is grown in `edb` itself: a caller that still needs the
+    /// base clones it first.
+    pub fn saturate(&self, edb: Database) -> Result<Saturated, crate::ProgramError> {
         self.validate()?;
-        let mut db = edb.clone();
+        let mut db = edb;
         for stratum in 0..self.num_strata() {
             let rules: Vec<&Rule> = self.rules_in_stratum(stratum).collect();
             if rules.is_empty() {
@@ -280,7 +282,7 @@ mod tests {
     fn transitive_closure() {
         let p = parse_rules("path(X,Y) :- edge(X,Y). path(X,Y) :- edge(X,Z), path(Z,Y).").unwrap();
         let db = edges(&[("a", "b"), ("b", "c"), ("c", "d")]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         let answers = s.query(&parse_query("path(a, X)").unwrap());
         let mut xs: Vec<String> =
             answers.iter().map(|b| b["X"].as_sym().unwrap().to_string()).collect();
@@ -293,7 +295,7 @@ mod tests {
         let p = parse_rules("path(X,Y) :- edge(X,Y). path(X,Y) :- path(X,Z), path(Z,Y).").unwrap();
         // A small dense graph with cycles.
         let db = edges(&[("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "d")]);
-        let semi = p.saturate(&db).unwrap();
+        let semi = p.saturate(db.clone()).unwrap();
         let naive = p.saturate_naive(&db).unwrap();
         assert_eq!(semi.db(), naive.db());
     }
@@ -302,7 +304,7 @@ mod tests {
     fn cyclic_graph_terminates() {
         let p = parse_rules("path(X,Y) :- edge(X,Y). path(X,Y) :- edge(X,Z), path(Z,Y).").unwrap();
         let db = edges(&[("a", "b"), ("b", "a")]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert_eq!(s.db().tuples("path").count(), 4); // aa ab ba bb
     }
 
@@ -315,7 +317,7 @@ mod tests {
         )
         .unwrap();
         let db = edges(&[("a", "b"), ("b", "c")]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert!(s.holds(&parse_query("unreach(c, a)").unwrap()));
         assert!(!s.holds(&parse_query("unreach(a, c)").unwrap()));
         // a cannot reach itself (no self loop).
@@ -329,7 +331,7 @@ mod tests {
         for i in 0..5 {
             db.assert("num", vec![Const::int(i)]);
         }
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert_eq!(s.query(&parse_query("small(X)").unwrap()).len(), 3);
     }
 
@@ -344,7 +346,7 @@ mod tests {
         db.assert("range", vec![Const::sym("ra5"), Const::int(43), Const::int(75)]);
         db.assert("range", vec![Const::sym("q"), Const::int(25), Const::int(65)]);
         db.assert("range", vec![Const::sym("far"), Const::int(90), Const::int(99)]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert!(s.holds(&parse_query("match(ra5, q)").unwrap()));
         assert!(!s.holds(&parse_query("match(ra5, far)").unwrap()));
     }
@@ -355,7 +357,7 @@ mod tests {
         let mut db = Database::new();
         db.assert("e", vec![Const::sym("a"), Const::int(1)]);
         db.assert("e", vec![Const::sym("a"), Const::int(2)]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         let answers = s.query(&parse_query("p(X)").unwrap());
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0]["X"], Const::sym("a"));
@@ -367,7 +369,7 @@ mod tests {
         let mut db = Database::new();
         db.assert("e", vec![Const::sym("a")]);
         db.assert("f", vec![Const::sym("a")]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert!(s.holds(&parse_query("p(a)").unwrap()));
         assert!(!s.holds(&parse_query("p(b)").unwrap()));
         assert!(!s.holds(&parse_query("p(X), not f(X)").unwrap()));
@@ -378,7 +380,7 @@ mod tests {
         let p = parse_rules("").unwrap();
         let mut db = Database::new();
         db.assert("e", vec![Const::sym("a")]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert_eq!(s.db().len(), 1);
     }
 
@@ -388,7 +390,7 @@ mod tests {
         let mut db = Database::new();
         db.assert("a", vec![Const::int(1)]);
         db.assert("b", vec![Const::int(2)]);
-        let s = p.saturate(&db).unwrap();
+        let s = p.saturate(db).unwrap();
         assert_eq!(s.db().tuples("h").count(), 2);
     }
 }

@@ -24,7 +24,7 @@
 //! let mut db = Database::new();
 //! db.assert_str("isa(query-processing, relational).").unwrap();
 //! db.assert_str("isa(relational, select).").unwrap();
-//! let saturated = program.saturate(&db).unwrap();
+//! let saturated = program.saturate(db).unwrap();
 //! let goals = parse_query("covers(query-processing, X)").unwrap();
 //! let answers = saturated.query(&goals);
 //! assert_eq!(answers.len(), 2); // relational, select

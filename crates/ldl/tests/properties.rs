@@ -158,7 +158,7 @@ proptest! {
         let p = parse_rules(
             "reach(X,Y) :- edge(X,Y). reach(X,Y) :- edge(X,Z), reach(Z,Y).",
         ).expect("parses");
-        let model = p.saturate(&edge_db(&edges)).expect("stratified");
+        let model = p.saturate(edge_db(&edges)).expect("stratified");
         let nodes = (0..8).map(|n| format!("n{n}"));
         let pairs: Vec<(String, String)> = nodes
             .clone()
@@ -183,7 +183,7 @@ proptest! {
             "reach(X,Y) :- edge(X,Y). reach(X,Y) :- edge(X,Z), reach(Z,Y).",
         ).expect("parses");
         let db = edge_db(&edges);
-        let semi = p.saturate(&db).expect("stratified");
+        let semi = p.saturate(db.clone()).expect("stratified");
         let naive = p.saturate_naive(&db).expect("stratified");
         prop_assert_eq!(semi.db(), naive.db());
     }
@@ -196,7 +196,7 @@ proptest! {
             "reach(X,Y) :- edge(X,Y). reach(X,Y) :- reach(X,Z), reach(Z,Y).",
         ).expect("parses");
         let db = edge_db(&edges);
-        let semi = p.saturate(&db).expect("stratified");
+        let semi = p.saturate(db.clone()).expect("stratified");
         let naive = p.saturate_naive(&db).expect("stratified");
         prop_assert_eq!(semi.db(), naive.db());
     }
@@ -210,7 +210,7 @@ proptest! {
              unreach(X,Y) :- node(X), node(Y), not reach(X,Y).",
         ).expect("parses");
         let db = edge_db(&edges);
-        let semi = p.saturate(&db).expect("stratified");
+        let semi = p.saturate(db.clone()).expect("stratified");
         let naive = p.saturate_naive(&db).expect("stratified");
         prop_assert_eq!(semi.db(), naive.db());
     }
@@ -221,7 +221,7 @@ proptest! {
         let p = parse_rules(
             "reach(X,Y) :- edge(X,Y). reach(X,Y) :- edge(X,Z), reach(Z,Y).",
         ).expect("parses");
-        let model = p.saturate(&edge_db(&edges)).expect("stratified");
+        let model = p.saturate(edge_db(&edges)).expect("stratified");
         // Reference: BFS per node over the same graph.
         let mut adj = vec![vec![]; 8];
         for (a, b) in &edges {
@@ -258,10 +258,10 @@ proptest! {
         let p = parse_rules(
             "reach(X,Y) :- edge(X,Y). reach(X,Y) :- edge(X,Z), reach(Z,Y).",
         ).expect("parses");
-        let base = p.saturate(&edge_db(&edges)).expect("stratified");
+        let base = p.saturate(edge_db(&edges)).expect("stratified");
         let mut bigger_edges = edges.clone();
         bigger_edges.push(extra);
-        let bigger = p.saturate(&edge_db(&bigger_edges)).expect("stratified");
+        let bigger = p.saturate(edge_db(&bigger_edges)).expect("stratified");
         for t in base.db().tuples("reach") {
             prop_assert!(bigger.db().contains("reach", t));
         }

@@ -108,13 +108,11 @@ fn analyzer_accepted_programs_saturate() {
         .map(|p| std::fs::read_to_string(p).unwrap())
         .collect();
     let sources = handcrafted.iter().map(|s| s.to_string()).chain(corpus_sources);
-    let empty = Database::new();
     for src in sources {
         let report = analyze_ldl_source("oracle", &src, &LdlEnv::permissive());
         let engine = parse_rules(&src).and_then(|p| {
-            p.saturate(&empty).map(|_| ()).map_err(|e| infosleuth_core::ldl::LdlParseError {
-                message: e.to_string(),
-                position: 0,
+            p.saturate(Database::new()).map(|_| ()).map_err(|e| {
+                infosleuth_core::ldl::LdlParseError { message: e.to_string(), position: 0 }
             })
         });
         if !report.has_errors() {
