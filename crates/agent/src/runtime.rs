@@ -12,12 +12,12 @@
 //! so a saturated pool degrades to slow, never to stuck.
 
 use crate::transport::{Envelope, Requester, Transport, TransportError, TransportExt};
-use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_kqml::{Message, Performative, SExpr, Text};
 use infosleuth_obs::sync::{lock, wait};
 use infosleuth_obs::{Counter, Gauge, Histogram, Obs, SpanGuard, TraceContext, TRACE_PARAM};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -147,38 +147,41 @@ pub trait AgentBehavior: Send + Sync + 'static {
     fn on_stop(&self, _ctx: &AgentContext) {}
 }
 
-/// The runtime-provided face of the transport for one hosted agent:
-/// sends that stamp the agent's name and account for delivery failures,
-/// and request/reply conversations over ephemeral endpoints.
-pub struct AgentContext {
-    name: String,
+/// What every agent of one runtime reaches through one shared pointer
+/// rather than holding a copy of: the transport, the monitor to tell
+/// about failed sends, and the observability bundle.
+struct Host {
     transport: Arc<dyn Transport>,
-    worker_seq: AtomicU64,
-    /// Failed sends, registered as
-    /// `agent_delivery_failures_total{agent=…}` in the runtime's
-    /// metrics registry (the seed kept a bespoke per-handle atomic; the
-    /// registry handle serves both the accessor API and the scrape).
-    delivery_failures: Counter,
     monitor: Option<String>,
     obs: Arc<Obs>,
 }
 
+/// The runtime-provided face of the transport for one hosted agent:
+/// sends that stamp the agent's name and account for delivery failures,
+/// and request/reply conversations over ephemeral endpoints.
+pub struct AgentContext {
+    /// Held in place up to 22 bytes: a hosted agent's one copy of its
+    /// name.
+    name: Text,
+    host: Arc<Host>,
+    worker_seq: AtomicU64,
+    /// Failed sends: what [`AgentContext::delivery_failures`] reads and
+    /// the monitor's log tell counts.
+    delivery_failures: AtomicU64,
+    /// `agent_delivery_failures_total{agent=…}`, registered by the
+    /// agent's first failed send: an agent that never failed one exports
+    /// no series.
+    failure_series: OnceLock<Counter>,
+}
+
 impl AgentContext {
-    fn new(
-        name: String,
-        transport: Arc<dyn Transport>,
-        monitor: Option<String>,
-        obs: Arc<Obs>,
-    ) -> Self {
-        let delivery_failures =
-            obs.registry().counter("agent_delivery_failures_total", &[("agent", &name)]);
+    fn new(name: Text, host: Arc<Host>) -> Self {
         AgentContext {
             name,
-            transport,
+            host,
             worker_seq: AtomicU64::new(0),
-            delivery_failures,
-            monitor,
-            obs,
+            delivery_failures: AtomicU64::new(0),
+            failure_series: OnceLock::new(),
         }
     }
 
@@ -188,7 +191,7 @@ impl AgentContext {
     /// virtual transport and needs the same send/request surface hosted
     /// handlers see).
     pub fn detached(name: impl Into<String>, transport: Arc<dyn Transport>, obs: Arc<Obs>) -> Self {
-        AgentContext::new(name.into(), transport, None, obs)
+        AgentContext::new(Text::from(name.into()), Arc::new(Host { transport, monitor: None, obs }))
     }
 
     pub fn name(&self) -> &str {
@@ -196,12 +199,12 @@ impl AgentContext {
     }
 
     pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
+        &self.host.transport
     }
 
     /// The observability bundle this agent reports into.
     pub fn obs(&self) -> &Arc<Obs> {
-        &self.obs
+        &self.host.obs
     }
 
     /// Opens the dispatch span `recv:<performative>` for one delivered
@@ -211,7 +214,7 @@ impl AgentContext {
     /// (stamped from the thread-local context) — hangs off it.
     pub fn recv_span(&self, env: &Envelope) -> SpanGuard {
         let parent = env.message.trace().and_then(TraceContext::parse);
-        self.obs.tracer().agent_span(
+        self.host.obs.tracer().agent_span(
             format!("recv:{}", env.message.performative),
             &self.name,
             parent,
@@ -237,7 +240,7 @@ impl AgentContext {
         message.set("receiver", SExpr::atom(to));
         Self::stamp_trace(&mut message);
         let performative = message.performative.clone();
-        match self.transport.send(&self.name, to, message) {
+        match self.host.transport.send(&self.name, to, message) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.note_delivery_failure(to, performative);
@@ -249,10 +252,10 @@ impl AgentContext {
     /// Records a failed delivery and notifies the monitor agent
     /// (best-effort; monitor logging never recurses or counts itself).
     pub fn note_delivery_failure(&self, to: &str, performative: Performative) {
-        self.delivery_failures.inc();
-        let count = self.delivery_failures.get();
-        if let Some(monitor) = &self.monitor {
-            if monitor != &self.name && monitor != to {
+        let count = self.delivery_failures.fetch_add(1, Ordering::Relaxed) + 1;
+        self.failure_series().inc();
+        if let Some(monitor) = &self.host.monitor {
+            if monitor != self.name.as_str() && monitor != to {
                 let mut log = Message::new(Performative::Tell).with_content(SExpr::list(vec![
                     SExpr::atom("delivery-failure"),
                     SExpr::atom(&self.name),
@@ -263,14 +266,23 @@ impl AgentContext {
                 log.set("sender", SExpr::atom(&self.name));
                 log.set("receiver", SExpr::atom(monitor));
                 log.set("ontology", SExpr::atom(LOG_ONTOLOGY));
-                let _ = self.transport.send(&self.name, monitor, log);
+                let _ = self.host.transport.send(&self.name, monitor, log);
             }
         }
     }
 
+    /// The agent's failure series, registered on the first call — which
+    /// only a failed send makes.
+    fn failure_series(&self) -> &Counter {
+        self.failure_series.get_or_init(|| {
+            let registry = self.host.obs.registry();
+            registry.counter("agent_delivery_failures_total", &[("agent", self.name.as_str())])
+        })
+    }
+
     /// Total sends by this agent that the transport refused.
     pub fn delivery_failures(&self) -> u64 {
-        self.delivery_failures.get()
+        self.delivery_failures.load(Ordering::Relaxed)
     }
 
     /// Runs a request/reply conversation — [`AgentContext::request_all`]
@@ -330,7 +342,7 @@ impl AgentContext {
     fn ephemeral_endpoint(&self) -> Result<crate::Endpoint, TransportError> {
         loop {
             let seq = self.worker_seq.fetch_add(1, Ordering::Relaxed);
-            match self.transport.endpoint(format!("{}.w{seq}", self.name)) {
+            match self.host.transport.endpoint(format!("{}.w{seq}", self.name)) {
                 Err(TransportError::DuplicateAgent(_)) => continue,
                 other => return other,
             }
@@ -353,17 +365,20 @@ impl Requester for &AgentContext {
     }
 }
 
+/// Everything the runtime keeps per hosted agent, in one allocation
+/// beside the mailbox the transport shares.
 struct AgentSlot {
-    name: String,
+    ctx: AgentContext,
     behavior: Arc<dyn AgentBehavior>,
-    ctx: Arc<AgentContext>,
     /// Only the event loop pulls from the mailbox.
     mailbox: crate::transport::Mailbox,
     inflight: AtomicUsize,
+    /// When the last tick was dispatched, in nanoseconds since the
+    /// runtime started.
+    last_tick: AtomicU64,
     tick_running: AtomicBool,
     stopped: AtomicBool,
     finalized: AtomicBool,
-    last_tick: Mutex<Instant>,
 }
 
 impl AgentSlot {
@@ -464,13 +479,21 @@ impl<J> JobQueue<J> {
 }
 
 struct RuntimeShared {
-    transport: Arc<dyn Transport>,
+    host: Arc<Host>,
     config: RuntimeConfig,
     slots: Mutex<Vec<Arc<AgentSlot>>>,
     queue: JobQueue<Job>,
     shutting_down: AtomicBool,
-    obs: Arc<Obs>,
     metrics: RuntimeMetrics,
+    /// The origin of every slot's `last_tick`.
+    started: Instant,
+}
+
+impl RuntimeShared {
+    /// Nanoseconds since the runtime started.
+    fn now(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
+    }
 }
 
 /// A shared event loop hosting many agents over one transport.
@@ -491,14 +514,15 @@ impl AgentRuntime {
         let config = config.with_workers(workers).with_per_agent_inflight(cap);
         let obs = config.obs.clone().unwrap_or_default();
         let metrics = RuntimeMetrics::new(&obs);
+        let host = Arc::new(Host { transport, monitor: config.monitor.clone(), obs });
         let shared = Arc::new(RuntimeShared {
-            transport,
+            host,
             queue: JobQueue::new(config.workers, metrics.queue_depth.clone()),
             config,
             slots: Mutex::new(Vec::new()),
             shutting_down: AtomicBool::new(false),
-            obs,
             metrics,
+            started: Instant::now(),
         });
         let mut threads = Vec::new();
         for i in 0..shared.config.workers {
@@ -524,14 +548,14 @@ impl AgentRuntime {
 
     /// The transport every hosted agent is registered on.
     pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.shared.transport
+        &self.shared.host.transport
     }
 
     /// The observability bundle shared by this runtime and every agent
     /// it hosts (the one from [`RuntimeConfig::with_obs`], or a private
     /// default).
     pub fn obs(&self) -> &Arc<Obs> {
-        &self.shared.obs
+        &self.shared.host.obs
     }
 
     /// Registers `name` on the transport and hosts `behavior` under it.
@@ -543,27 +567,20 @@ impl AgentRuntime {
         if self.shared.shutting_down.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
-        let name = name.into();
-        let mailbox = self.shared.transport.open_mailbox(&name)?;
-        let ctx = Arc::new(AgentContext::new(
-            name.clone(),
-            Arc::clone(&self.shared.transport),
-            self.shared.config.monitor.clone(),
-            Arc::clone(&self.shared.obs),
-        ));
+        let name = Text::from(name.into());
+        let mailbox = self.shared.host.transport.open_mailbox(&name)?;
         let slot = Arc::new(AgentSlot {
-            name: name.clone(),
+            ctx: AgentContext::new(name, Arc::clone(&self.shared.host)),
             behavior,
-            ctx,
             mailbox,
             inflight: AtomicUsize::new(0),
+            last_tick: AtomicU64::new(self.shared.now()),
             tick_running: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             finalized: AtomicBool::new(false),
-            last_tick: Mutex::new(Instant::now()),
         });
         lock(&self.shared.slots).push(Arc::clone(&slot));
-        Ok(AgentHandle { slot, transport: Arc::clone(&self.shared.transport) })
+        Ok(AgentHandle { slot })
     }
 
     /// Stops every hosted agent and joins the worker pool. Agents are
@@ -577,7 +594,7 @@ impl AgentRuntime {
         let slots: Vec<_> = lock(&self.shared.slots).clone();
         for slot in &slots {
             slot.stopped.store(true, Ordering::Release);
-            self.shared.transport.unregister(&slot.name);
+            self.shared.host.transport.unregister(&slot.ctx.name);
         }
         self.shared.queue.close();
         let threads: Vec<_> = std::mem::take(&mut *lock(&self.threads));
@@ -608,17 +625,16 @@ impl Drop for AgentRuntime {
 /// like the seed's detached per-envelope threads.
 pub struct AgentHandle {
     slot: Arc<AgentSlot>,
-    transport: Arc<dyn Transport>,
 }
 
 impl AgentHandle {
     pub fn name(&self) -> &str {
-        &self.slot.name
+        self.slot.ctx.name()
     }
 
     /// The agent's runtime context (for sends/requests from outside a
     /// handler, and for reading the delivery-failure counter).
-    pub fn ctx(&self) -> &Arc<AgentContext> {
+    pub fn ctx(&self) -> &AgentContext {
         &self.slot.ctx
     }
 
@@ -630,7 +646,7 @@ impl AgentHandle {
     /// Unregisters the agent and stops dispatching to it. Idempotent.
     pub fn stop(&self) {
         if !self.slot.stopped.swap(true, Ordering::AcqRel) {
-            self.transport.unregister(&self.slot.name);
+            self.slot.ctx.transport().unregister(self.name());
         }
     }
 }
@@ -696,12 +712,11 @@ fn event_loop(shared: &RuntimeShared) {
                 dispatched = true;
             }
             if let Some(interval) = slot.behavior.tick_interval() {
-                let due = {
-                    let last = lock(&slot.last_tick);
-                    last.elapsed() >= interval
-                };
+                let now = shared.now();
+                let due = now.saturating_sub(slot.last_tick.load(Ordering::Relaxed))
+                    >= interval.as_nanos() as u64;
                 if due && !slot.tick_running.swap(true, Ordering::AcqRel) {
-                    *lock(&slot.last_tick) = Instant::now();
+                    slot.last_tick.store(now, Ordering::Relaxed);
                     shared.queue.push(Job::Tick(Arc::clone(slot)));
                     dispatched = true;
                 }

@@ -12,7 +12,7 @@
 //! written against `Arc<dyn Transport>`, so a community can be deployed
 //! in-process or across machines without touching agent code.
 
-use infosleuth_kqml::Message;
+use infosleuth_kqml::{Message, Text};
 use infosleuth_obs::sync::{lock, wait, wait_timeout};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -251,10 +251,11 @@ impl fmt::Debug for Mailbox {
 /// its mailbox. Both the in-proc [`Bus`](crate::Bus) and a
 /// [`TcpTransport`](crate::TcpTransport) node keep one behind a
 /// reader-writer lock, and [`Registry::deliver`] is the one place an
-/// envelope is built and enters a queue.
+/// envelope is built and enters a queue. A key is a [`Text`], so a name of
+/// up to 22 bytes costs the map no allocation of its own.
 #[derive(Default)]
 pub(crate) struct Registry {
-    mailboxes: HashMap<String, MailboxSender>,
+    mailboxes: HashMap<Text, MailboxSender>,
 }
 
 impl Registry {
@@ -264,7 +265,7 @@ impl Registry {
             return Err(TransportError::DuplicateAgent(name.to_string()));
         }
         let (tx, rx) = mailbox();
-        self.mailboxes.insert(name.to_string(), tx);
+        self.mailboxes.insert(Text::from(name), tx);
         Ok(rx)
     }
 
@@ -280,7 +281,7 @@ impl Registry {
 
     /// Registered names, sorted.
     pub(crate) fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.mailboxes.keys().cloned().collect();
+        let mut names: Vec<String> = self.mailboxes.keys().map(String::from).collect();
         names.sort();
         names
     }

@@ -11,6 +11,7 @@ use infosleuth_agent::{
     AgentBehavior, AgentContext, AgentRuntime, Bus, Envelope, RuntimeConfig, TcpTransport,
     Transport,
 };
+use infosleuth_kqml::{Message, Performative};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -119,6 +120,11 @@ fn an_idle_hosted_agent_and_an_idle_mailbox_stay_under_their_ceilings() {
     let after = live();
     let per_agent = ((after.0 - before.0) as usize).div_ceil(AGENTS);
     let agent_allocs = (after.1 - before.1) as f64 / AGENTS as f64;
+    let idle_series = failure_series(&rt);
+    // One failed send registers the sender's series, and only its own.
+    let failed = handles[0].ctx().send("nobody", Message::new(Performative::Tell));
+    assert!(failed.is_err(), "a send to an unregistered name fails");
+    let after_one_failure = failure_series(&rt);
     drop(handles);
     rt.shutdown();
 
@@ -126,13 +132,24 @@ fn an_idle_hosted_agent_and_an_idle_mailbox_stay_under_their_ceilings() {
     println!("|---|---:|---:|");
     println!("| hosted agent       | {per_agent} | {agent_allocs:.1} |");
     println!("| registered mailbox | {per_mailbox} | {mailbox_allocs:.1} |");
-    // 666–669 B and 165 B as measured on a release build (the first moves
-    // by a few bytes as the event loop allocates beside the count; the
-    // `std::sync::mpsc` channel this replaced: 1 121 B and 621 B), with a
-    // little room for a std whose `HashMap` or `Mutex` is laid out
-    // differently.
-    assert!(per_agent <= 720, "an idle hosted agent costs {per_agent} B");
+    println!("| failure series, {AGENTS} agents that never failed | {idle_series} | |");
+    // 292–300 B in 2.0 allocations and 156 B in 1.0 as measured on a release
+    // build (the slot and the mailbox; the registry's and the slot list's
+    // growth make up the rest of the bytes), with a tenth of room for a std
+    // whose `HashMap` or `Mutex` is laid out differently. Before the slot
+    // held its context, name and tick stamp in place and the failure
+    // series waited for a failure: 666–669 B in 11.2 allocations.
+    assert!(per_agent <= 320, "an idle hosted agent costs {per_agent} B");
+    assert!(agent_allocs <= 3.0, "an idle hosted agent costs {agent_allocs:.1} allocations");
     assert!(per_mailbox <= 200, "an idle registered mailbox costs {per_mailbox} B");
+    assert_eq!(idle_series, 0, "a hosted agent that never failed a send registered a series");
+    assert_eq!(after_one_failure, 1, "the first failed send registers its sender's series");
+}
+
+/// `agent_delivery_failures_total` series in `rt`'s registry.
+fn failure_series(rt: &AgentRuntime) -> usize {
+    let snapshot = rt.obs().registry().snapshot();
+    snapshot.samples.iter().filter(|s| s.name == "agent_delivery_failures_total").count()
 }
 
 /// `laps` × 100 agents spawned and stopped under the same hundred names,

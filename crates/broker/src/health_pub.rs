@@ -516,6 +516,53 @@ mod tests {
         rt.shutdown();
     }
 
+    /// An agent whose failure series nothing registered before its first
+    /// failed send: the stock `delivery-failures` rule must still see that
+    /// failure on the next tick, and the health fact must carry it.
+    #[test]
+    fn a_first_delivery_failure_fires_the_rule_on_the_next_tick() {
+        struct Quiet;
+        impl AgentBehavior for Quiet {
+            fn on_message(&self, _ctx: &AgentContext, _env: Envelope) {}
+        }
+        let bus = Bus::new();
+        let rt = infosleuth_agent::AgentRuntime::new(bus.as_transport(), RuntimeConfig::default());
+        let broker = BrokerAgent::spawn_on(
+            &rt,
+            BrokerConfig::new("broker-1", "tcp://localhost:6000"),
+            obs_repo(),
+        )
+        .expect("broker spawns");
+        let engine = HealthEngine::new(infosleuth_obs::default_broker_rules("broker-1"))
+            .with_hysteresis(1, 1);
+        let publisher = spawn_health_publisher_with(
+            &rt,
+            HealthPublisherConfig::new("broker-1").with_interval(Duration::from_secs(3600)),
+            engine,
+        )
+        .expect("publisher spawns");
+        publisher.publish();
+        assert_eq!(publisher.state(), HealthState::Healthy);
+
+        let talker = rt.spawn("talker", Arc::new(Quiet)).expect("fresh name");
+        let series = || {
+            let snapshot = rt.obs().registry().snapshot();
+            snapshot.samples.iter().filter(|s| s.name == "agent_delivery_failures_total").count()
+        };
+        assert_eq!(series(), 0, "no agent has failed a send yet");
+        assert!(talker.ctx().send("ghost", Message::new(Performative::Tell)).is_err());
+        assert_eq!(talker.delivery_failures(), 1);
+        assert_eq!(series(), 1, "the first failure registers the talker's series");
+
+        publisher.publish();
+        assert_eq!(publisher.state(), HealthState::Critical, "delivery-failures fired");
+        assert_eq!(publisher.publisher.reading("delivery-failures", 1.0, 0), 1);
+        talker.stop();
+        publisher.stop();
+        broker.stop();
+        rt.shutdown();
+    }
+
     const TIMEOUT: Duration = Duration::from_secs(5);
 
     /// Drains the watcher until a sub-delta for `sub_key` arrives whose

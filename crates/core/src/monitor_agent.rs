@@ -521,7 +521,7 @@ pub fn spawn_monitor_agent_on(
     };
     let agent = runtime.spawn(&name, behavior)?;
     {
-        let mut requester = &**agent.ctx();
+        let mut requester = agent.ctx();
         for broker in &brokers {
             let _ = infosleuth_broker::advertise_to(&mut requester, broker, &ad, timeout);
         }

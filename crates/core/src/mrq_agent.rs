@@ -134,7 +134,7 @@ pub fn spawn_mrq_agent_on(
     let timeout = spec.timeout;
     let agent = runtime.spawn(&name, Arc::new(MrqBehavior { spec }))?;
     {
-        let mut requester = &**agent.ctx();
+        let mut requester = agent.ctx();
         for broker in &brokers {
             let _ = infosleuth_broker::advertise_to(&mut requester, broker, &ad, timeout);
         }

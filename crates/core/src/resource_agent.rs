@@ -216,7 +216,7 @@ pub fn spawn_resource_agent_on(
         // agent as soon as the spawn returns.
         let mut state = lock(&behavior.state);
         let ResourceState { spec, lists, .. } = &mut *state;
-        let mut requester = &**agent.ctx();
+        let mut requester = agent.ctx();
         advertise_per_plan(&mut requester, lists, &spec.advertisement, timeout);
     }
     Ok(ResourceAgentHandle { name, agent, _runtime: None })

@@ -6,8 +6,8 @@
 //! s-expression with at most one unsigned number left open — a row's
 //! score, which differs per query — and [`SExpr::Block`] fills it in.
 
-use crate::sexpr::{needs_quotes, write_quoted};
-use crate::{SExpr, SExprError};
+use crate::sexpr::{needs_quotes, tree, write_quoted};
+use crate::{SExpr, SExprError, Tokens};
 use std::fmt::{self, Write};
 
 /// One s-expression printed ahead of time, shared by every message that
@@ -43,13 +43,50 @@ impl Block {
         self.wire + self.hole.map_or(0, |_| digits + 1)
     }
 
+    /// The tokens of the text [`Block::write`] prints with `fill` in the
+    /// hole, read in place.
+    pub fn tokens<'a>(&'a self, fill: &'a Digits) -> Tokens<'a> {
+        match self.hole {
+            None => Tokens::new(&self.text),
+            Some(at) => {
+                let (head, tail) = self.text.split_at(at as usize);
+                Tokens::with_hole(head, fill.as_str(), tail)
+            }
+        }
+    }
+
     /// The tree the block stands for, with `fill` in its hole: what a peer
     /// that received the printed text would parse.
     pub fn tree(&self, fill: u32) -> Result<SExpr, SExprError> {
-        let mut text = String::with_capacity(self.text.len() + 10);
-        // Writing into a `String` cannot fail.
-        let _ = self.write(fill, &mut text);
-        SExpr::parse(&text)
+        let fill = Digits::new(fill);
+        tree(&mut self.tokens(&fill))
+    }
+}
+
+/// A `u32` in decimal, held in place: the text a block's hole reads as
+/// (see [`Block::tokens`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Digits {
+    bytes: [u8; 10],
+    from: usize,
+}
+
+impl Digits {
+    pub fn new(mut n: u32) -> Digits {
+        let mut digits = Digits { bytes: [b'0'; 10], from: 10 };
+        loop {
+            digits.from -= 1;
+            digits.bytes[digits.from] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return digits;
+            }
+        }
+    }
+
+    pub fn as_str(&self) -> &str {
+        // ASCII digits only.
+        std::str::from_utf8(&self.bytes[self.from..]).unwrap_or_default()
     }
 }
 
@@ -163,6 +200,20 @@ mod tests {
             SExpr::Block(block, 12).to_string(),
             r#"(match (name ra1) (address "tcp://h 1") (score 12) (classes a "b c"))"#
         );
+    }
+
+    /// The block's tokens are the printed text's, hole included.
+    #[test]
+    fn a_block_reads_as_its_printed_text() {
+        let block = row();
+        for fill in [0, 7, 10, 4_294_967_295] {
+            let digits = Digits::new(fill);
+            assert_eq!(digits.as_str(), fill.to_string());
+            let mut printed = String::new();
+            block.write(fill, &mut printed).unwrap();
+            let read: Vec<_> = block.tokens(&digits).collect();
+            assert_eq!(read, Tokens::new(&printed).collect::<Vec<_>>(), "{fill}");
+        }
     }
 
     #[test]

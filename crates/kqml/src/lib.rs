@@ -16,7 +16,8 @@
 //!          :content "select * from C2")
 //! ```
 //!
-//! This crate implements the s-expression reader/printer ([`SExpr`]), the
+//! This crate implements the s-expression reader ([`Tokens`], which
+//! [`SExpr::parse`] builds its tree from) and printer ([`SExpr`]), the
 //! message model ([`Message`], [`Performative`]), the [`Text`] of atoms
 //! and parameter keys, the [`Block`] of text printed once and carried by
 //! many messages, and [`Fnv`], the workspace's one stable string hash.
@@ -29,8 +30,8 @@ mod message;
 mod sexpr;
 mod text;
 
-pub use block::{Block, BlockWriter};
+pub use block::{Block, BlockWriter, Digits};
 pub use fnv::Fnv;
 pub use message::{KqmlError, Message, Performative};
-pub use sexpr::{SExpr, SExprError};
+pub use sexpr::{SExpr, SExprError, Token, Tokens};
 pub use text::Text;

@@ -50,9 +50,18 @@ pub type SeriesKey = (String, Labels);
 /// the last `w` recorded points of that series (clamped to what is
 /// actually buffered), so a fixed sampling interval makes them
 /// time-based too.
+///
+/// A counter or histogram registered on first use (an agent's failure
+/// series, a saturation histogram) first appears with its first event
+/// already counted. When it appears after the store's first tick, the
+/// store records that it read zero at the tick before, so the windowed
+/// views count that first event.
 pub struct TimeSeriesStore {
     capacity: usize,
     ticks: AtomicU64,
+    /// `at_millis` of the last recorded tick: where a late series' zero
+    /// point is put.
+    last_at_millis: AtomicU64,
     series: RwLock<BTreeMap<SeriesKey, VecDeque<SeriesPoint>>>,
 }
 
@@ -63,6 +72,7 @@ impl TimeSeriesStore {
         TimeSeriesStore {
             capacity: capacity.max(2),
             ticks: AtomicU64::new(0),
+            last_at_millis: AtomicU64::new(0),
             series: RwLock::new(BTreeMap::new()),
         }
     }
@@ -79,13 +89,26 @@ impl TimeSeriesStore {
 
     /// Appends one snapshot as a new point on every contained series and
     /// returns the tick it landed on. Series absent from the snapshot
-    /// simply gain no point (they resume where they left off).
+    /// simply gain no point (they resume where they left off). A counter
+    /// or histogram new after the first tick gets a zero point at the tick
+    /// before, first.
     pub fn record(&self, at_millis: u64, snapshot: &MetricsSnapshot) -> u64 {
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed) + 1;
         let mut series = write(&self.series);
+        let before = self.last_at_millis.swap(at_millis, Ordering::Relaxed);
         for sample in &snapshot.samples {
             let key = (sample.name.clone(), sample.labels.clone());
             let buf = series.entry(key).or_default();
+            if buf.is_empty() && tick > 1 {
+                let zero = match sample.value {
+                    SampleValue::Counter(_) => Some(SampleValue::Counter(0)),
+                    SampleValue::Histogram(_) => Some(SampleValue::Histogram(Default::default())),
+                    SampleValue::Gauge(_) => None,
+                };
+                if let Some(value) = zero {
+                    buf.push_back(SeriesPoint { tick: tick - 1, at_millis: before, value });
+                }
+            }
             if buf.len() == self.capacity {
                 buf.pop_front();
             }
@@ -219,6 +242,25 @@ mod tests {
         let ticks: Vec<u64> = hist.iter().map(|p| p.tick).collect();
         assert_eq!(ticks, vec![3, 4, 5], "oldest points evicted first");
         assert_eq!(store.latest_scalar("events_total", &labels()), Some(50.0));
+    }
+
+    #[test]
+    fn a_counter_that_appears_after_the_first_tick_counts_from_zero() {
+        let reg = MetricsRegistry::new();
+        let store = TimeSeriesStore::new(8);
+        store.record(0, &reg.snapshot());
+        reg.counter("events_total", &[("broker", "b1")]).add(3);
+        store.record(1000, &reg.snapshot());
+        assert_eq!(store.windowed_delta("events_total", &labels(), 4), Some(3.0));
+        assert_eq!(store.windowed_rate("events_total", &labels(), 4), Some(3.0));
+        // A gauge reads a level, not a growth: it gets no zero point.
+        reg.gauge("depth", &[]).set(5);
+        store.record(2000, &reg.snapshot());
+        assert_eq!(store.snapshot_history("depth", &Vec::new()).len(), 1);
+        // A series present at the first tick starts where it was found.
+        let first = TimeSeriesStore::new(8);
+        first.record(0, &reg.snapshot());
+        assert_eq!(first.windowed_delta("events_total", &labels(), 4), None);
     }
 
     #[test]
