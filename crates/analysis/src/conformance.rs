@@ -312,7 +312,9 @@ impl ConformanceMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infosleuth_kqml::{Performative, SExpr};
+    use crate::protocol::Trigger;
+    use infosleuth_kqml::{BlockWriter, Performative, SExpr};
+    use std::sync::Arc;
 
     fn advertise(rw: &str) -> Message {
         Message::new(Performative::Advertise).with_content(SExpr::atom("ad")).with_reply_with(rw)
@@ -378,6 +380,43 @@ mod tests {
         m.observe("broker", "watch", &delta("sub-1"));
         let report = m.finish();
         assert_eq!(report.codes(), vec![Code::TellAfterUnsubscribe]);
+    }
+
+    /// A broker shares one printed body among the notifications of one
+    /// change: a `tell` whose content is a block headed `sub-delta` is
+    /// `tell/sub-delta`, and one after the unsubscribe ack is IS051.
+    #[test]
+    fn a_block_sub_delta_is_a_sub_delta() {
+        let mut w = BlockWriter::default();
+        w.open().atom("sub-delta");
+        w.open().atom("epoch").atom("3").close();
+        w.open().atom("matched").close();
+        w.open().atom("unmatched").atom("ra1").close();
+        w.close();
+        let body = Arc::new(w.finish());
+        let delta = |key: &str| {
+            Message::new(Performative::Tell)
+                .with_content(SExpr::Block(Arc::clone(&body), 0))
+                .with_in_reply_to(key)
+        };
+        assert_eq!(content_head(&delta("sub-1")), Some("sub-delta"));
+        assert!(Trigger::with_head("tell", "sub-delta").matches(&delta("sub-1")));
+        let mut m = ConformanceMonitor::standard_strict();
+        let sub = Message::new(Performative::Subscribe)
+            .with_content(SExpr::atom("q"))
+            .with_reply_with("sub-1");
+        m.observe("client", "broker", &sub);
+        m.observe("broker", "watch", &delta("sub-1"));
+        m.observe("broker", "client", &ack("sub-1"));
+        m.observe("broker", "watch", &delta("sub-1"));
+        let unsub = Message::new(Performative::Other("unsubscribe".into()))
+            .with_content(SExpr::atom("sub-1"))
+            .with_reply_with("m9");
+        m.observe("client", "broker", &unsub);
+        m.observe("broker", "client", &ack("m9"));
+        assert_eq!(m.total_violations(), 0);
+        m.observe("broker", "watch", &delta("sub-1"));
+        assert_eq!(m.finish().codes(), vec![Code::TellAfterUnsubscribe]);
     }
 
     #[test]

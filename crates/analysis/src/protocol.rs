@@ -17,7 +17,7 @@
 //! Trigger matching is *most-specific-wins*: a trigger may name a bare
 //! performative (`tell`) or refine it with a content head
 //! (`tell/sub-delta`, matching a `tell` whose content is a list headed by
-//! the atom `sub-delta`). A refined trigger takes precedence over a bare
+//! the atom `sub-delta`, a tree or a block alike). A refined trigger takes precedence over a bare
 //! one from the same state, so the pair is deterministic; two transitions
 //! with *identical* triggers from one state are IS042.
 
@@ -74,9 +74,10 @@ impl Trigger {
     }
 }
 
-/// The head atom of a message's content list, if any.
+/// The head atom of a message's content list, if any — built as a tree or
+/// printed ahead of time as a block.
 pub fn content_head(msg: &Message) -> Option<&str> {
-    msg.content()?.as_list()?.first()?.as_atom()
+    msg.content()?.head()
 }
 
 /// One edge of the conversation machine.

@@ -9,11 +9,12 @@ use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared,
 use crate::codec;
 use crate::matchmaker::Matchmaker;
 use crate::sub_index::{result_delta, SubId};
-use crate::Repository;
+use crate::{MatchRow, Repository};
 use infosleuth_agent::{AgentContext, Envelope};
-use infosleuth_kqml::{Message, Performative, SExpr};
+use infosleuth_kqml::{Block, Message, Performative, SExpr, Text};
 use infosleuth_obs::sync::lock;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Registers a standing service query and sends the initial snapshot —
 /// the delta against the empty set, so the subscriber learns the baseline
@@ -27,7 +28,7 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         Ok(q) => q,
         Err(e) => return reply_as_broker(ctx, &env.from, error_reply(env, e.to_string())),
     };
-    let subscriber = msg.get_text("reply-to").unwrap_or(&env.from).to_string();
+    let subscriber = Text::from(msg.get_text("reply-to").unwrap_or(&env.from));
     let trace = msg.trace().map(str::to_string);
     // Queued unstamped: this handler's span is still open when the state
     // is released, so the send stamps them like any direct reply.
@@ -43,17 +44,23 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         let initial = Matchmaker::default().match_query_cached(repo, &shared.cache, &query);
         let sub_key = msg
             .reply_with()
-            .map(str::to_string)
-            .unwrap_or_else(|| format!("sub-{}", subs.next_key()));
+            .map(Text::from)
+            .unwrap_or_else(|| format!("sub-{}", subs.next_key()).into());
+        let last = Arc::clone(&initial);
+        let registered =
+            subs.register(sub_key.clone(), subscriber.clone(), trace.clone(), query, last, repo);
+        if registered.is_none() {
+            let refusal = format!("{subscriber} already holds subscription {sub_key}");
+            return out.push((env.from.clone(), sorry_reply(env, refusal)));
+        }
         let mut snapshot = Message::new(Performative::Tell)
             .with_in_reply_to(sub_key.clone())
             .with_ontology("infosleuth-service")
             .with_content(codec::sub_delta_to_sexpr(repo.epoch(), &initial, &[]));
-        if let Some(t) = &trace {
-            snapshot = snapshot.with_trace(t.clone());
+        if let Some(t) = trace {
+            snapshot = snapshot.with_trace(t);
         }
-        out.push((subscriber.clone(), snapshot));
-        subs.register(sub_key.clone(), subscriber, trace, query, initial, repo);
+        out.push((subscriber.into(), snapshot));
         shared.obs.subscribes.inc();
         // Ack after the snapshot so a subscriber that is also the
         // requester observes a deterministic sequence.
@@ -70,7 +77,7 @@ pub(super) fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &Enve
     let subscriber = msg.get_text("reply-to").unwrap_or(&env.from);
     let removed = key.is_some_and(|key| {
         let mut state = lock(&shared.state);
-        state.subs.find(key, subscriber).and_then(|id| state.subs.remove(id)).is_some()
+        state.subs.find(key, subscriber).is_some_and(|id| state.subs.remove(id))
     });
     let perf = if removed { Performative::Tell } else { Performative::Sorry };
     reply_as_broker(ctx, &env.from, msg.reply_skeleton(perf));
@@ -105,6 +112,8 @@ pub(super) fn mutate(
 /// set actually changed. Index false positives die here as empty deltas.
 /// Iteration is in ascending id order, so notification sequences are
 /// deterministic and identical to a naive re-evaluation of everything.
+/// Each distinct delta is printed once, into a block every notification
+/// that carries it shares.
 pub(super) fn notify(
     shared: &Shared,
     state: &mut State,
@@ -117,6 +126,8 @@ pub(super) fn notify(
     shared.obs.sub_affected.add(affected.len() as u64);
     let _timer = shared.obs.obs.stage(&shared.obs.sub_notify, "sub-notify");
     let State { repo, subs, .. } = state;
+    let epoch = repo.epoch();
+    let mut bodies: HashMap<(Vec<MatchRow>, Vec<String>), Arc<Block>> = HashMap::new();
     for id in affected {
         let Some(sub) = subs.entry(id) else { continue };
         let new = Matchmaker::default().match_query_cached(repo, &shared.cache, &sub.query);
@@ -124,12 +135,15 @@ pub(super) fn notify(
         if matched.is_empty() && unmatched.is_empty() {
             continue;
         }
+        let body = bodies.entry((matched, unmatched)).or_insert_with_key(|(matched, unmatched)| {
+            Arc::new(codec::sub_delta_block(epoch, matched, unmatched))
+        });
         let mut note = Message::new(Performative::Tell)
             .with_in_reply_to(sub.sub_key.clone())
             .with_ontology("infosleuth-service")
-            .with_content(codec::sub_delta_to_sexpr(repo.epoch(), &matched, &unmatched));
+            .with_content(SExpr::Block(Arc::clone(body), 0));
         if let Some(t) = &sub.trace {
-            note = note.with_trace(t.clone());
+            note = note.with_trace(&**t);
         }
         shared.obs.sub_notifications.inc();
         push_out(out, &sub.subscriber, note);
@@ -190,6 +204,46 @@ mod tests {
         assert_eq!(broker.subscription_count(), 0);
         assert!(advertise_to(&mut client, "broker1", &resource_ad("ra3", &["C1"]), T).unwrap());
         assert!(inbox.recv_timeout(Duration::from_millis(200)).is_none());
+        broker.stop();
+    }
+
+    /// A subscriber holds one subscription per key: a second `subscribe`
+    /// under a key it already holds is refused, so the one unsubscribe
+    /// leaves nothing behind to notify.
+    #[test]
+    fn a_repeated_key_is_refused_and_unsubscribe_leaves_nothing() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut inbox = bus.register("watcher").unwrap();
+        let mut client = bus.register("client").unwrap();
+        let query = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let subscribe = || {
+            Message::new(Performative::Subscribe)
+                .with("reply-to", SExpr::atom("watcher"))
+                .with_content(codec::service_query_to_sexpr(&query))
+                .with_reply_with("dup")
+        };
+        // Sent as they are: a request would key each under a fresh
+        // `:reply-with` of its own.
+        let mut ask = |msg: Message| {
+            client.send("broker1", msg).unwrap();
+            client.recv_timeout(T).expect("a reply").message
+        };
+        let first = ask(subscribe());
+        assert_eq!(first.performative, Performative::Tell);
+        assert_eq!(first.content().and_then(SExpr::as_text), Some("dup"));
+        inbox.recv_timeout(T).expect("the snapshot");
+        let second = ask(subscribe());
+        assert_eq!(second.performative, Performative::Sorry, "{second}");
+        assert!(inbox.recv_timeout(Duration::from_millis(100)).is_none(), "no second snapshot");
+        assert_eq!(broker.subscription_count(), 1);
+
+        assert!(unsubscribe_from(&mut client, "broker1", "dup", "watcher", T).unwrap());
+        assert_eq!(broker.subscription_count(), 0);
+        assert!(advertise_to(&mut client, "broker1", &resource_ad("ra1", &["C1"]), T).unwrap());
+        assert!(inbox.recv_timeout(Duration::from_millis(200)).is_none(), "no delta after cancel");
         broker.stop();
     }
 

@@ -58,7 +58,7 @@ fn atoms<T: Into<Text>>(head: &str, it: impl IntoIterator<Item = T>) -> SExpr {
 /// The head atom of a `(head item ...)` payload — what a handler switches
 /// on to pick the one decoder a message is run through.
 pub fn head(e: &SExpr) -> Option<&str> {
-    e.as_list()?.first()?.as_atom()
+    e.head()
 }
 
 /// The items of a `(name item ...)` payload: every decoder's entry check,
@@ -975,8 +975,33 @@ pub fn sub_delta_to_sexpr<R: ResultRow>(epoch: u64, matched: &[R], unmatched: &[
     section("sub-delta", items)
 }
 
-/// Decodes a `(sub-delta ...)` payload into `(epoch, matched, unmatched)`.
+/// [`sub_delta_to_sexpr`]'s notification printed once, for every `tell`
+/// that carries it to share: each matched row's text is written in, its
+/// score filled, so the block has no open number.
+pub fn sub_delta_block<R: ResultRow>(epoch: u64, matched: &[R], unmatched: &[String]) -> Block {
+    let mut w = BlockWriter::default();
+    w.open().atom("sub-delta");
+    w.open().atom("epoch").atom(&epoch.to_string()).close();
+    w.open().atom("matched");
+    for row in matched {
+        w.sexpr(&row.item());
+    }
+    w.close();
+    w.open().atom("unmatched");
+    for name in unmatched {
+        w.atom(name);
+    }
+    w.close().close();
+    w.finish()
+}
+
+/// Decodes a `(sub-delta ...)` payload into `(epoch, matched, unmatched)`,
+/// a block read as the tree it prints.
 pub fn sub_delta_from_sexpr(e: &SExpr) -> Result<(u64, Vec<MatchResult>, Vec<String>), CodecError> {
+    if let SExpr::Block(block, fill) = e {
+        let tree = block.tree(*fill).map_err(|e| err(format!("sub-delta: {e}")))?;
+        return sub_delta_from_sexpr(&tree);
+    }
     let body = body_of(e, "sub-delta")?;
     let epoch = one_text(body, "epoch")
         .and_then(|t| t.parse().ok())
@@ -1371,6 +1396,38 @@ mod tests {
         let (epoch, m, u) = sub_delta_from_sexpr(&e).unwrap();
         assert_eq!((epoch, m.len(), u.len()), (0, 0, 0));
         assert!(sub_delta_from_sexpr(&SExpr::parse("(nonsense)").unwrap()).is_err());
+    }
+
+    /// The shared notification body prints, sizes and decodes as the tree
+    /// the snapshot is built as, its rows' scores written in.
+    #[test]
+    fn a_sub_delta_block_is_its_tree() {
+        let rows: Vec<MatchRow> = ["ra-1", "Resource Agent 2"]
+            .iter()
+            .enumerate()
+            .map(|(j, name)| {
+                let mut ad = sample_ad();
+                ad.location.name = Text::from(*name);
+                MatchRow {
+                    name: Text::from(*name),
+                    score: 3 + j as u32,
+                    block: Arc::new(row_block(&ad, ad.semantic.content.first())),
+                }
+            })
+            .collect();
+        let gone = ["ra-3".to_string(), "a(b)".to_string()];
+        for (matched, unmatched) in
+            [(&rows[..], &gone[..]), (&rows[..1], &[][..]), (&[][..], &gone[..1])]
+        {
+            let tree = sub_delta_to_sexpr(17, matched, unmatched);
+            let held = SExpr::Block(Arc::new(sub_delta_block(17, matched, unmatched)), 0);
+            assert_eq!(held.to_string(), tree.to_string());
+            assert_eq!(held.wire_size(), tree.wire_size());
+            assert_eq!(head(&held), Some("sub-delta"));
+            let decoded = sub_delta_from_sexpr(&tree).unwrap();
+            assert_eq!(sub_delta_from_sexpr(&held).unwrap(), decoded);
+            assert_eq!(decoded.1.len(), matched.len());
+        }
     }
 
     /// A block is read off its text as its tree is read: the first section

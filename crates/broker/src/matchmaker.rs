@@ -42,7 +42,7 @@ pub struct MatchResult {
 /// query gave it. The name beside them is what rows are merged, diffed and
 /// ordered by; a client reads rows as [`MatchResult`]s
 /// ([`decode`](Self::decode)).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MatchRow {
     pub name: Text,
     pub score: u32,

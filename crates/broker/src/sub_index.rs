@@ -36,6 +36,7 @@ use crate::{MatchRow, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
 use infosleuth_kqml::Text;
 use infosleuth_ontology::{Advertisement, ServiceQuery};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -45,37 +46,29 @@ pub type SubId = u64;
 /// The closed numeric `(lo, hi)` hull of a slot's domain.
 type Hull = (f64, f64);
 
-/// A registered standing subscription: the query, where notifications go,
-/// and the last result set delivered (the base for delta computation).
-#[derive(Debug, Clone)]
+/// A registered standing subscription, one boxed record: the query, where
+/// notifications go, the last result set delivered (the base for delta
+/// computation), and where the index holds it.
+#[derive(Debug)]
 pub struct StandingSubscription {
-    pub id: SubId,
     /// The external subscription id (from `:reply-with` or generated);
     /// notifications carry it as `:in-reply-to`.
-    pub sub_key: String,
+    pub sub_key: Text,
     /// The agent name notifications are delivered to (`:reply-to` of the
     /// subscribe message, falling back to the sender).
-    pub subscriber: String,
+    pub subscriber: Text,
     /// Encoded `:x-trace` context from the subscribe message, propagated
     /// onto every notification.
-    pub trace: Option<String>,
+    pub trace: Option<Box<str>>,
     pub query: ServiceQuery,
     /// The result set as of the last notification.
     pub last: Arc<Vec<MatchRow>>,
-}
-
-/// The inverted index proper: one bucket per subscription plus each
-/// subscription's constraint windows.
-#[derive(Debug, Default)]
-pub(crate) struct SubscriptionIndex {
-    /// The term symbol each subscription is bucketed under, kept for
-    /// removal; `None` for the catch-all.
-    bucket_of: HashMap<SubId, Option<u64>>,
-    buckets: HashMap<u64, BTreeSet<SubId>>,
-    catch_all: BTreeSet<SubId>,
-    /// The numeric hull of every slot a subscription constrains (for
+    /// The symbol of the term bucket the subscription sits in; `None` for
+    /// the catch-all.
+    bucket: Option<u64>,
+    /// The numeric hull of every slot the query constrains (for
     /// refinement, not primary candidacy).
-    windows: HashMap<SubId, Vec<(Text, Hull)>>,
+    windows: Box<[(Text, Hull)]>,
 }
 
 /// The numeric hull of one slot's domain under a conjunction, when one
@@ -143,51 +136,108 @@ pub(crate) fn ad_slot_hulls(ad: &Advertisement) -> BTreeMap<&str, (f64, f64)> {
     hulls
 }
 
-impl SubscriptionIndex {
-    /// Registers a subscription under its representative term.
-    pub(crate) fn insert(&mut self, id: SubId, query: &ServiceQuery) {
-        self.remove(id);
-        let bucket = Self::representative(query).map(Term::symbol);
+/// The most selective term `query` *requires*, bare: agent name, then a
+/// class (requires an ontology), then a capability, then the ontology,
+/// then a conversation type. With none the subscription can be affected by
+/// any mutation (catch-all). One class or capability suffices: a matching
+/// advertisement must be posted under *every* requested one.
+fn representative(query: &ServiceQuery) -> Option<Term<'_>> {
+    if let Some(name) = &query.agent_name {
+        return Some(Term::Name(name));
+    }
+    if let (Some(onto), Some(class)) = (&query.ontology, query.classes.iter().next()) {
+        return Some(Term::Class(onto, class));
+    }
+    if let Some(cap) = query.capabilities.iter().next() {
+        return Some(Term::Capability(cap.as_str()));
+    }
+    if let Some(onto) = &query.ontology {
+        return Some(Term::Ontology(onto));
+    }
+    query.conversations.iter().next().map(Term::Conversation)
+}
+
+/// The broker-level registry and its inverted index: every standing
+/// subscription as one boxed record, the subscription each subscriber's
+/// key names, and the term buckets.
+#[derive(Debug, Default)]
+pub struct SubscriptionRegistry {
+    entries: HashMap<SubId, Box<StandingSubscription>>,
+    /// `(subscriber, key)` → id: what `unsubscribe` names, one
+    /// subscription per pair.
+    keys: HashMap<(Text, Text), SubId>,
+    buckets: HashMap<u64, BTreeSet<SubId>>,
+    catch_all: BTreeSet<SubId>,
+    next_id: SubId,
+}
+
+impl SubscriptionRegistry {
+    /// [`default`](Self::default) under the name and arity the
+    /// `benchmark/` harness calls (`new(true)`). The registry is always
+    /// indexed; the naive all-subscriptions oracle lives in
+    /// `tests/sub_parity.rs`.
+    pub fn new(indexed: bool) -> Self {
+        assert!(indexed, "the unindexed registry left production");
+        SubscriptionRegistry::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The id the next [`register`](Self::register) call will assign (used
+    /// to mint an external `sub-N` key before registering).
+    pub fn next_key(&self) -> SubId {
+        self.next_id + 1
+    }
+
+    /// Registers a standing subscription under its representative term and
+    /// returns its internal id — or `None`, registering nothing, when
+    /// `subscriber` already holds a subscription under `sub_key`. `_repo`
+    /// is not read — a subscription is bucketed as it is stated, and each
+    /// event is expanded against the repository as it then stands — but it
+    /// keeps the call shape `benchmark/` uses.
+    pub fn register(
+        &mut self,
+        sub_key: impl Into<Text>,
+        subscriber: Text,
+        trace: Option<String>,
+        query: ServiceQuery,
+        last: Arc<Vec<MatchRow>>,
+        _repo: &Repository,
+    ) -> Option<SubId> {
+        let sub_key = sub_key.into();
+        let Entry::Vacant(slot) = self.keys.entry((subscriber.clone(), sub_key.clone())) else {
+            return None;
+        };
+        self.next_id += 1;
+        let id = *slot.insert(self.next_id);
+        let bucket = representative(&query).map(Term::symbol);
         match bucket {
             Some(symbol) => self.buckets.entry(symbol).or_default().insert(id),
             None => self.catch_all.insert(id),
         };
-        self.bucket_of.insert(id, bucket);
-        let windows: Vec<_> = query
+        let windows = query
             .constraints
             .constrained_slots()
             .filter_map(|slot| Some((Text::from(slot), numeric_hull(&query.constraints, slot)?)))
             .collect();
-        if !windows.is_empty() {
-            self.windows.insert(id, windows);
-        }
+        let trace = trace.map(String::into_boxed_str);
+        let sub = StandingSubscription { sub_key, subscriber, trace, query, last, bucket, windows };
+        self.entries.insert(id, Box::new(sub));
+        Some(id)
     }
 
-    /// The most selective term the query *requires*, bare: agent name,
-    /// then a class (requires an ontology), then a capability, then the
-    /// ontology, then a conversation type. With none the subscription can
-    /// be affected by any mutation (catch-all). One class or capability
-    /// suffices: a matching advertisement must be posted under *every*
-    /// requested one.
-    fn representative(query: &ServiceQuery) -> Option<Term<'_>> {
-        if let Some(name) = &query.agent_name {
-            return Some(Term::Name(name));
-        }
-        if let (Some(onto), Some(class)) = (&query.ontology, query.classes.iter().next()) {
-            return Some(Term::Class(onto, class));
-        }
-        if let Some(cap) = query.capabilities.iter().next() {
-            return Some(Term::Capability(cap.as_str()));
-        }
-        if let Some(onto) = &query.ontology {
-            return Some(Term::Ontology(onto));
-        }
-        query.conversations.iter().next().map(Term::Conversation)
-    }
-
-    pub(crate) fn remove(&mut self, id: SubId) {
-        match self.bucket_of.remove(&id) {
-            Some(Some(symbol)) => {
+    /// Unregisters a subscription from every map that holds it; `false`
+    /// when there is none under `id`.
+    pub fn remove(&mut self, id: SubId) -> bool {
+        let Some(sub) = self.entries.remove(&id) else { return false };
+        match sub.bucket {
+            Some(symbol) => {
                 if let Some(bucket) = self.buckets.get_mut(&symbol) {
                     bucket.remove(&id);
                     if bucket.is_empty() {
@@ -195,24 +245,49 @@ impl SubscriptionIndex {
                     }
                 }
             }
-            Some(None) => {
+            None => {
                 self.catch_all.remove(&id);
             }
-            None => {}
         }
-        self.windows.remove(&id);
+        let StandingSubscription { subscriber, sub_key, .. } = *sub;
+        self.keys.remove(&(subscriber, sub_key));
+        true
     }
 
-    /// The candidate set for a changed advertisement: every subscription
-    /// whose match set could have changed when `old` was replaced by
-    /// `new` (either side `None` for pure advertise/unadvertise), each
-    /// version's terms as `repo` posts it — see
-    /// [`SubscriptionRegistry::affected`] for what that asks of the old
-    /// one under derived rules.
+    pub fn entry(&self, id: SubId) -> Option<&StandingSubscription> {
+        self.entries.get(&id).map(|sub| &**sub)
+    }
+
+    /// Every registered subscription id, ascending (deterministic order
+    /// for full re-evaluation sweeps).
+    pub fn ids(&self) -> BTreeSet<SubId> {
+        self.entries.keys().copied().collect()
+    }
+
+    /// The subscription `subscriber` holds under `sub_key` (the
+    /// unsubscribe path: only the registering subscriber may cancel).
+    pub fn find(&self, sub_key: &str, subscriber: &str) -> Option<SubId> {
+        self.keys.get(&(Text::from(subscriber), Text::from(sub_key))).copied()
+    }
+
+    /// Replaces a subscription's last-delivered result set.
+    pub fn update_last(&mut self, id: SubId, last: Arc<Vec<MatchRow>>) {
+        if let Some(sub) = self.entries.get_mut(&id) {
+            sub.last = last;
+        }
+    }
+
+    /// The subscriptions to re-score when `old` is replaced by `new`
+    /// (either side `None` for a pure advertise or unadvertise), each
+    /// version probed with the terms `repo` posts it under. What derived
+    /// rules granted a version is read by its agent's name, so under
+    /// rules ask about the old version while it is still posted: with
+    /// `new` `None` before the mutation, then with `old` `None` after it,
+    /// as the broker does.
     ///
     /// Sound over-approximation; the caller re-scores candidates and
     /// drops empty deltas.
-    pub(crate) fn affected_by_change(
+    pub fn affected(
         &self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
@@ -251,110 +326,8 @@ impl SubscriptionIndex {
                 .iter()
                 .all(|(h, (lo, hi))| h.as_bytes() != slot.as_bytes() || (s_lo <= hi && s_hi >= lo))
         };
-        candidates.retain(|id| self.windows.get(id).map_or(true, |w| w.iter().all(meets)));
+        candidates.retain(|id| self.entries.get(id).map_or(true, |s| s.windows.iter().all(meets)));
         out.extend(candidates);
-    }
-}
-
-/// The broker-level registry: standing subscriptions plus the index.
-#[derive(Debug, Default)]
-pub struct SubscriptionRegistry {
-    entries: HashMap<SubId, StandingSubscription>,
-    index: SubscriptionIndex,
-    next_id: SubId,
-}
-
-impl SubscriptionRegistry {
-    /// [`default`](Self::default) under the name and arity the
-    /// `benchmark/` harness calls (`new(true)`). The registry is always
-    /// indexed; the naive all-subscriptions oracle lives in
-    /// `tests/sub_parity.rs`.
-    pub fn new(indexed: bool) -> Self {
-        assert!(indexed, "the unindexed registry left production");
-        SubscriptionRegistry::default()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The id the next [`register`](Self::register) call will assign (used
-    /// to mint an external `sub-N` key before registering).
-    pub fn next_key(&self) -> SubId {
-        self.next_id + 1
-    }
-
-    /// Registers a standing subscription and returns its internal id.
-    /// `_repo` is not read — a subscription is bucketed as it is stated,
-    /// and each event is expanded against the repository as it then
-    /// stands — but it keeps the call shape `benchmark/` uses.
-    #[allow(clippy::too_many_arguments)]
-    pub fn register(
-        &mut self,
-        sub_key: String,
-        subscriber: String,
-        trace: Option<String>,
-        query: ServiceQuery,
-        last: Arc<Vec<MatchRow>>,
-        _repo: &Repository,
-    ) -> SubId {
-        self.next_id += 1;
-        let id = self.next_id;
-        self.index.insert(id, &query);
-        self.entries
-            .insert(id, StandingSubscription { id, sub_key, subscriber, trace, query, last });
-        id
-    }
-
-    pub fn remove(&mut self, id: SubId) -> Option<StandingSubscription> {
-        self.index.remove(id);
-        self.entries.remove(&id)
-    }
-
-    pub fn entry(&self, id: SubId) -> Option<&StandingSubscription> {
-        self.entries.get(&id)
-    }
-
-    /// Every registered subscription id, ascending (deterministic order
-    /// for full re-evaluation sweeps).
-    pub fn ids(&self) -> BTreeSet<SubId> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// Looks up a subscription by its external key and subscriber (the
-    /// unsubscribe path: only the registering subscriber may cancel).
-    pub fn find(&self, sub_key: &str, subscriber: &str) -> Option<SubId> {
-        self.entries
-            .values()
-            .find(|s| s.sub_key == sub_key && s.subscriber == subscriber)
-            .map(|s| s.id)
-    }
-
-    /// Replaces a subscription's last-delivered result set.
-    pub fn update_last(&mut self, id: SubId, last: Arc<Vec<MatchRow>>) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.last = last;
-        }
-    }
-
-    /// The subscriptions to re-score when `old` is replaced by `new`
-    /// (either side `None` for a pure advertise or unadvertise), each
-    /// version probed with the terms `repo` posts it under. What derived
-    /// rules granted a version is read by its agent's name, so under
-    /// rules ask about the old version while it is still posted: with
-    /// `new` `None` before the mutation, then with `old` `None` after it,
-    /// as the broker does.
-    pub fn affected(
-        &self,
-        old: Option<&Advertisement>,
-        new: Option<&Advertisement>,
-        repo: &Repository,
-    ) -> BTreeSet<SubId> {
-        self.index.affected_by_change(old, new, repo)
     }
 }
 
@@ -414,22 +387,29 @@ mod tests {
         ServiceQuery::any().with_ontology("paper-classes").with_classes([class])
     }
 
+    /// A registry holding `queries` in order, so the `i`-th has id `i + 1`.
+    fn registry<const N: usize>(queries: [ServiceQuery; N]) -> SubscriptionRegistry {
+        let repo = Repository::new();
+        let mut reg = SubscriptionRegistry::default();
+        for (i, query) in queries.into_iter().enumerate() {
+            let id =
+                reg.register(format!("s{i}"), "watcher".into(), None, query, Arc::default(), &repo);
+            assert_eq!(id, Some(i as SubId + 1));
+        }
+        reg
+    }
+
     #[test]
     fn class_buckets_prune_unrelated_subscriptions() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::default();
-        idx.insert(1, &class_query("C1"));
-        idx.insert(2, &class_query("C2"));
-        let hit = idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo);
+        let idx = registry([class_query("C1"), class_query("C2")]);
+        let hit = idx.affected(None, Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1));
         assert!(!hit.contains(&2));
         // Both old and new versions probe: moving an agent from C2 to C1
         // affects both subscriptions.
-        let hit = idx.affected_by_change(
-            Some(&ad("ra", &["C2"], None)),
-            Some(&ad("ra", &["C1"], None)),
-            &repo,
-        );
+        let hit =
+            idx.affected(Some(&ad("ra", &["C2"], None)), Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1) && hit.contains(&2));
     }
 
@@ -444,72 +424,65 @@ mod tests {
             .find(|c| !h.ancestors(c).is_empty())
             .expect("paper ontology has a subclass");
         let parent = h.ancestors(child)[0].as_str();
-        let mut idx = SubscriptionIndex::default();
-        idx.insert(7, &class_query(child));
+        let idx = registry([class_query(child)]);
         // An agent advertising only the ancestor still affects the child
         // subscription (full-coverage matches).
-        let hit = idx.affected_by_change(None, Some(&ad("ra", &[parent], None)), &repo);
-        assert!(hit.contains(&7), "ancestor advertisement must hit the subscription");
+        let hit = idx.affected(None, Some(&ad("ra", &[parent], None)), &repo);
+        assert!(hit.contains(&1), "ancestor advertisement must hit the subscription");
     }
 
     #[test]
     fn catch_all_subscriptions_always_probe() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::default();
-        idx.insert(1, &ServiceQuery::for_agent_type(AgentType::Resource));
-        let hit = idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo);
+        let idx = registry([ServiceQuery::for_agent_type(AgentType::Resource)]);
+        let hit = idx.affected(None, Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1));
     }
 
     #[test]
     fn agent_name_bucket_is_exact() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::default();
         let mut q = ServiceQuery::any();
         q.agent_name = Some("ra-1".into());
-        idx.insert(1, &q);
-        assert!(idx.affected_by_change(None, Some(&ad("ra-1", &["C1"], None)), &repo).contains(&1));
-        assert!(idx.affected_by_change(None, Some(&ad("ra-2", &["C1"], None)), &repo).is_empty());
+        let idx = registry([q]);
+        assert!(idx.affected(None, Some(&ad("ra-1", &["C1"], None)), &repo).contains(&1));
+        assert!(idx.affected(None, Some(&ad("ra-2", &["C1"], None)), &repo).is_empty());
     }
 
     #[test]
     fn capability_bucket_expands_ancestors() {
         let mut r = Repository::new();
         r.register_ontology(paper_class_ontology());
-        let mut idx = SubscriptionIndex::default();
-        let q = ServiceQuery::any().with_capability(Capability::subscription());
-        idx.insert(1, &q);
+        let idx = registry([ServiceQuery::any().with_capability(Capability::subscription())]);
         let mut a = ad("ra", &[], None);
         a.semantic.capabilities.insert(Capability::subscription());
-        assert!(idx.affected_by_change(None, Some(&a), &r).contains(&1));
+        assert!(idx.affected(None, Some(&a), &r).contains(&1));
         let b = ad("rb", &[], None);
-        assert!(idx.affected_by_change(None, Some(&b), &r).is_empty());
+        assert!(idx.affected(None, Some(&b), &r).is_empty());
     }
 
     #[test]
     fn interval_trees_rule_out_disjoint_constraint_windows() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::default();
         let q_lo = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 0, 10),
         ]));
         let q_hi = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 100, 110),
         ]));
-        idx.insert(1, &q_lo);
-        idx.insert(2, &q_hi);
+        let idx = registry([q_lo, q_hi]);
         let narrow = ad(
             "ra",
             &["C1"],
             Some(Conjunction::from_predicates(vec![Predicate::between("C1.a", 5, 8)])),
         );
-        let hit = idx.affected_by_change(None, Some(&narrow), &repo);
+        let hit = idx.affected(None, Some(&narrow), &repo);
         assert!(hit.contains(&1), "overlapping window stays a candidate");
         assert!(!hit.contains(&2), "disjoint window is pruned");
         // An advertisement without a restriction on the slot can match
         // either subscription: nothing is pruned.
         let open = ad("rb", &["C1"], None);
-        let hit = idx.affected_by_change(None, Some(&open), &repo);
+        let hit = idx.affected(None, Some(&open), &repo);
         assert!(hit.contains(&1) && hit.contains(&2));
     }
 
@@ -530,34 +503,33 @@ mod tests {
         let q = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 100, 110),
         ]));
-        let mut idx = SubscriptionIndex::default();
-        idx.insert(1, &q);
+        let idx = registry([q.clone()]);
         repo.advertise(two.clone()).unwrap();
         let matched = crate::Matchmaker::default().match_query_mut(&mut repo, &q);
         assert_eq!(matched.len(), 1, "the second record matches the subscription");
-        assert!(idx.affected_by_change(None, Some(&two), &repo).contains(&1));
+        assert!(idx.affected(None, Some(&two), &repo).contains(&1));
         // A record open on the slot takes the slot out of the hull.
         let mut half_open = two.clone();
         half_open.semantic.content[1] = OntologyContent::new("paper-classes").with_classes(["C1"]);
-        assert!(idx.affected_by_change(None, Some(&half_open), &repo).contains(&1));
+        assert!(idx.affected(None, Some(&half_open), &repo).contains(&1));
         // Both records disjoint from the subscription still prune it.
         let mut both_low = two;
         both_low.semantic.content[1] = window(20, 30);
-        assert!(!idx.affected_by_change(None, Some(&both_low), &repo).contains(&1));
+        assert!(!idx.affected(None, Some(&both_low), &repo).contains(&1));
     }
 
     #[test]
     fn removal_unregisters_every_bucket() {
         let repo = repo();
-        let mut idx = SubscriptionIndex::default();
         let q = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
             Predicate::between("C1.a", 0, 10),
         ]));
-        idx.insert(1, &q);
-        assert_eq!(idx.bucket_of.len(), 1);
-        idx.remove(1);
-        assert!(idx.bucket_of.is_empty());
-        assert!(idx.affected_by_change(None, Some(&ad("ra", &["C1"], None)), &repo).is_empty());
+        let mut idx = registry([q]);
+        assert_eq!(idx.buckets.len(), 1);
+        assert!(idx.remove(1));
+        assert!(!idx.remove(1), "removed once");
+        assert!(idx.buckets.is_empty() && idx.entries.is_empty() && idx.keys.is_empty());
+        assert!(idx.affected(None, Some(&ad("ra", &["C1"], None)), &repo).is_empty());
     }
 
     /// What a derived rule grants an advertisement is among its posted
@@ -571,7 +543,7 @@ mod tests {
         r.register_derived_rules("cap(A, polling) :- cap(A, subscription).").expect("rules admit");
         let mut reg = SubscriptionRegistry::new(true);
         let mut register = |key: &str, query: ServiceQuery| {
-            reg.register(key.into(), "watcher".into(), None, query, Arc::default(), &r)
+            reg.register(key, "watcher".into(), None, query, Arc::default(), &r).unwrap()
         };
         let polling =
             register("s1", ServiceQuery::any().with_capability(Capability::new("polling")));
@@ -609,7 +581,7 @@ mod tests {
         repo.register_ontology(version(&[]));
         let mut reg = SubscriptionRegistry::default();
         let query = ServiceQuery::any().with_ontology("zoo").with_classes(["q"]);
-        let id = reg.register("s1".into(), "watcher".into(), None, query, Arc::default(), &repo);
+        let id = reg.register("s1", "watcher".into(), None, query, Arc::default(), &repo).unwrap();
         repo.register_ontology(version(&["d"]));
         let of_d = Advertisement::new(AgentLocation::new("ra", "tcp://h:1", AgentType::Resource))
             .with_semantic(
@@ -617,6 +589,30 @@ mod tests {
                     .with_content(OntologyContent::new("zoo").with_classes(["d"])),
             );
         assert!(reg.affected(None, Some(&of_d), &repo).contains(&id));
+    }
+
+    /// A subscriber holds one subscription per key: a second under the same
+    /// key is refused, the same key under another subscriber is not, and
+    /// unsubscribing frees the key.
+    #[test]
+    fn a_key_names_one_subscription_per_subscriber() {
+        let repo = repo();
+        let mut reg = SubscriptionRegistry::default();
+        let mut register = |key: &str, subscriber: &str| {
+            reg.register(key, subscriber.into(), None, class_query("C1"), Arc::default(), &repo)
+        };
+        let first = register("k", "watcher").unwrap();
+        assert_eq!(register("k", "watcher"), None);
+        let other = register("k", "other-watcher").unwrap();
+        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.find("k", "watcher"), Some(first));
+        assert_eq!(reg.find("k", "other-watcher"), Some(other));
+        assert!(reg.remove(first));
+        assert_eq!(reg.find("k", "watcher"), None);
+        assert_eq!(reg.affected(None, Some(&ad("ra", &["C1"], None)), &repo), [other].into());
+        let again =
+            reg.register("k", "watcher".into(), None, class_query("C1"), Arc::default(), &repo);
+        assert!(again.is_some_and(|id| id > other), "the key is free again, under a new id");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use infosleuth_ontology::{
     ServiceQuery, SyntacticInfo,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Choices read off one generated byte string, so a single strategy
 /// drives every builder below.
@@ -321,9 +322,16 @@ proptest! {
         prop_assert_eq!(codec::embedded_digest(&e), Some(digest.clone()));
         let e = over_the_wire(&codec::digest_to_sexpr(&digest));
         prop_assert_eq!(codec::digest_from_sexpr(&e).unwrap(), digest.clone());
-        let e = over_the_wire(&codec::sub_delta_to_sexpr(digest.epoch, &matches, &unmatched));
+        let tree = codec::sub_delta_to_sexpr(digest.epoch, &matches, &unmatched);
+        let e = over_the_wire(&tree);
+        // The body a broker shares among a change's notifications: printed
+        // once, it prints and decodes as the tree.
+        let block = codec::sub_delta_block(digest.epoch, &matches, &unmatched);
+        let held = SExpr::Block(Arc::new(block), 0);
+        prop_assert_eq!(held.to_string(), tree.to_string());
         let delta = (digest.epoch, matches, unmatched);
-        prop_assert_eq!(codec::sub_delta_from_sexpr(&e).unwrap(), delta);
+        prop_assert_eq!(codec::sub_delta_from_sexpr(&e).unwrap(), delta.clone());
+        prop_assert_eq!(codec::sub_delta_from_sexpr(&held).unwrap(), delta);
     }
 
     /// Whatever a repository digests to — empty, closed and half-open

@@ -4,12 +4,13 @@
 //! by a broker beside it, live or not, a routing digest being computed,
 //! not stored — no growth under re-advertisement churn, everything
 //! returned by a full drain, and a symbol table that grows by distinct
-//! names only. A decoded subscription query weighs what a cloned one
-//! does, and so does a decoded advertisement whose names sit on either
-//! side of the 22 bytes a name holds in place. And what a message costs
-//! while it waits in a mailbox: a
-//! `sub-delta` notification and an `ask-all` reply, each under a ceiling
-//! of its own. And what a broker holds per result row: a row of a match
+//! names only. A standing subscription stays under a ceiling, and its
+//! decoded query weighs what a cloned one does, and so does a decoded
+//! advertisement whose names sit on either side of the 22 bytes a name
+//! holds in place. And what a message costs while it waits in a mailbox:
+//! a `sub-delta` notification and an `ask-all` reply, each under a
+//! ceiling of its own, and the tells one write sends to 20 subscriptions —
+//! one shared body and a skeleton each. And what a broker holds per result row: a row of a match
 //! cache entry and of a subscription's last result set are a name, a
 //! score and a pointer to the block the repository rendered once.
 //!
@@ -21,10 +22,10 @@
 //! bytes-per-advertisement and bytes-per-message tables (EXPERIMENTS.md,
 //! "Bytes per advertisement", "What a queued message costs").
 
-use infosleuth_agent::{AgentRuntime, Bus, Endpoint, RuntimeConfig};
+use infosleuth_agent::{AgentRuntime, Bus, Endpoint, Envelope, RuntimeConfig};
 use infosleuth_broker::{
-    advertise_to, codec, BrokerAgent, BrokerConfig, CapabilityDigest, MatchCache, MatchResult,
-    MatchRow, Matchmaker, Repository, SubscriptionRegistry,
+    advertise_to, codec, subscribe_to, BrokerAgent, BrokerConfig, CapabilityDigest, MatchCache,
+    MatchResult, MatchRow, Matchmaker, Repository, SubscriptionRegistry,
 };
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_kqml::{Message, Performative, SExpr};
@@ -594,7 +595,8 @@ fn the_symbol_table_grows_by_distinct_new_names_only() {
     assert_eq!(Sym::table_len(), before + 50);
 }
 
-/// A queued churn-shaped `sub-delta` carrying one match row: the envelope's
+/// A queued churn-shaped `sub-delta` carrying one match row, built as the
+/// snapshot a `subscribe` is answered with is built: the envelope's
 /// two names, the message's five parameters, and the tree of its content,
 /// whose row is the block the repository rendered once. 255 wire bytes
 /// measure 471 B in 7 allocations — one per string, per non-empty list and
@@ -734,7 +736,7 @@ fn a_held_result_row_is_a_pointer_to_its_block() {
     let query = everyone.clone();
     let before = live();
     let last = Arc::new(mm.match_query_mut(&mut repo, &query));
-    registry.register("sub-1".into(), "cli-sub".into(), None, query, last, &repo);
+    registry.register("sub-1", "cli-sub".into(), None, query, last, &repo);
     let last_row = per(N, delta(before, live()));
 
     eprintln!("per result row held: live heap");
@@ -755,4 +757,107 @@ fn a_held_result_row_is_a_pointer_to_its_block() {
             ceiling.1
         );
     }
+}
+
+/// One write that reaches 20 subscriptions of one subscriber: each `tell`
+/// waiting in the subscriber's mailbox is a skeleton — the envelope's two
+/// names and the message's five parameters, 255 B in 3 allocations —
+/// around the one body the broker printed for the delta, shared by all of
+/// them (each tell held a 216 B tree of its own in 4 more allocations
+/// before). A live broker's tells also carry the `:x-trace` every handler
+/// send is stamped with: one more parameter and its text.
+const CEILING_SHARED_DELTA_SKELETON: (isize, isize) = (280, 3);
+
+/// What `tells` hold, freed on this thread one at a time: `(each but the
+/// last, the last)` — the last takes whatever they share with it.
+fn held_by(mut tells: Vec<Envelope>) -> ((isize, isize), (isize, isize)) {
+    let n = tells.len() as isize;
+    let before = live();
+    tells.truncate(1);
+    let (bytes, allocs) = delta(live(), before);
+    assert!(
+        bytes % (n - 1) == 0 && allocs % (n - 1) == 0,
+        "the tells differ: {bytes} B in {allocs}"
+    );
+    let before = live();
+    tells.clear();
+    ((bytes / (n - 1), allocs / (n - 1)), delta(live(), before))
+}
+
+#[test]
+fn one_write_is_one_body_for_every_subscription_it_reaches() {
+    let _alone = alone();
+    const N: usize = 20;
+    let bus = Bus::new();
+    let config = BrokerConfig::new("broker-0", "tcp://broker-0.bench:5500");
+    let broker = BrokerAgent::spawn(&bus, config, model_free_repo()).unwrap();
+    let mut client = bus.register("cli-setup").unwrap();
+    let mut watcher = bus.register("cli-sub").unwrap();
+    let lo = window(0, 0);
+    for k in 0..N as i64 {
+        let query = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("bench")
+            .with_classes(["L00x00"])
+            .with_constraints(Conjunction::from_predicates(vec![Predicate::between(
+                "R.a",
+                lo - 1_000 * (k + 1),
+                lo + 12_000 + 1_000 * (k + 1),
+            )]));
+        assert!(subscribe_to(&mut client, "broker-0", &query, "cli-sub", T).unwrap().is_some());
+        watcher.recv_timeout(T).expect("the snapshot");
+    }
+    assert!(advertise_to(&mut client, "broker-0", &ad("ra0000", 0, lo), T).unwrap());
+    let notes: Vec<Envelope> = (0..N).map(|_| watcher.recv_timeout(T).expect("a tell")).collect();
+    assert!(watcher.recv_timeout(Duration::from_millis(50)).is_none(), "one tell each");
+    broker.stop();
+    let body_of = |env: &Envelope| match env.message.content() {
+        Some(SExpr::Block(body, _)) => Arc::clone(body),
+        other => panic!("a sub-delta body printed once, not {other:?}"),
+    };
+    let body = body_of(&notes[0]);
+    assert!(notes.iter().all(|env| Arc::ptr_eq(&body_of(env), &body)), "one body for all");
+    let (_, matched, _) = codec::sub_delta_from_sexpr(notes[0].message.content().unwrap()).unwrap();
+    assert_eq!(matched.iter().map(|m| m.name.as_str()).collect::<Vec<_>>(), ["ra0000"]);
+    let keys: Vec<String> = notes.iter().map(|e| e.message.in_reply_to().unwrap().into()).collect();
+    let stamp = notes[0].message.trace().unwrap().len() as isize;
+
+    // The same tells as a queued row builds them, unstamped, through a bus
+    // that stamps `:sender` and `:receiver` under the same two names.
+    let from = bus.register("broker-0").unwrap();
+    for key in &keys {
+        let tell = Message::new(Performative::Tell)
+            .with_in_reply_to(key.as_str())
+            .with_ontology("infosleuth-service")
+            .with_content(SExpr::Block(Arc::clone(&body), 0));
+        from.send("cli-sub", tell).unwrap();
+    }
+    let queued: Vec<Envelope> = (0..N).map(|_| watcher.try_recv().unwrap()).collect();
+    drop(body);
+
+    let (stamped, stamped_last) = held_by(notes);
+    let (skeleton, last) = held_by(queued);
+    let shared = delta(skeleton, last);
+    eprintln!("one write reaching {N} subscriptions of one subscriber: live heap");
+    for (what, (bytes, allocs)) in [
+        ("the shared body", shared),
+        ("each tell, queued", skeleton),
+        ("each tell, stamped by a broker", stamped),
+    ] {
+        eprintln!("{what:<30} {bytes:>6} B in {allocs:>4} allocations");
+    }
+    assert_eq!(delta(stamped, stamped_last), (0, 0), "the last stamped tell held no body");
+    assert_eq!(
+        stamped,
+        (skeleton.0 + 48 + stamp, skeleton.1 + 1),
+        "a stamped tell is the skeleton, one more parameter and the stamp's text"
+    );
+    assert!(
+        skeleton.0 <= CEILING_SHARED_DELTA_SKELETON.0
+            && skeleton.1 <= CEILING_SHARED_DELTA_SKELETON.1,
+        "each tell holds {} B in {} allocations beside the shared body, ceiling {} B in {}",
+        skeleton.0,
+        skeleton.1,
+        CEILING_SHARED_DELTA_SKELETON.0,
+        CEILING_SHARED_DELTA_SKELETON.1
+    );
 }

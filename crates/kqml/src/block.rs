@@ -7,7 +7,7 @@
 //! score, which differs per query — and [`SExpr::Block`] fills it in.
 
 use crate::sexpr::{needs_quotes, tree, write_quoted};
-use crate::{SExpr, SExprError, Tokens};
+use crate::{SExpr, SExprError, Token, Tokens};
 use std::fmt::{self, Write};
 
 /// One s-expression printed ahead of time, shared by every message that
@@ -52,6 +52,18 @@ impl Block {
                 let (head, tail) = self.text.split_at(at as usize);
                 Tokens::with_hole(head, fill.as_str(), tail)
             }
+        }
+    }
+
+    /// The head atom of the list the block prints, when it prints a list
+    /// headed by an atom other than its open number: what
+    /// [`SExpr::head`] reads, read off the text in place.
+    pub fn head(&self) -> Option<&str> {
+        let text = self.hole.map_or(&*self.text, |at| &self.text[..at as usize]);
+        let mut tokens = Tokens::new(text);
+        match (tokens.next()?, tokens.next()?) {
+            (Ok(Token::Open), Ok(Token::Atom(head))) => Some(head),
+            _ => None,
         }
     }
 
@@ -155,6 +167,16 @@ impl BlockWriter {
         self
     }
 
+    /// `e` as one item, printed as it prints: a tree, or a block with its
+    /// number filled in — so a block can carry others written in.
+    pub fn sexpr(&mut self, e: &SExpr) -> &mut Self {
+        self.item();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.text, "{e}");
+        self.wire += e.wire_size();
+        self
+    }
+
     /// The open number: an atom each use of the block fills in.
     pub fn hole(&mut self) -> &mut Self {
         debug_assert!(self.hole.is_none(), "a block has one hole");
@@ -214,6 +236,74 @@ mod tests {
             let read: Vec<_> = block.tokens(&digits).collect();
             assert_eq!(read, Tokens::new(&printed).collect::<Vec<_>>(), "{fill}");
         }
+    }
+
+    /// A block written into another prints, sizes and heads its list as
+    /// the tree holding the inner one's tree does.
+    #[test]
+    fn a_block_carries_another_written_in() {
+        let inner = SExpr::Block(Arc::new(row()), 42);
+        let mut w = BlockWriter::default();
+        w.open().atom("sub-delta");
+        w.open().atom("matched").sexpr(&inner).close();
+        w.open().atom("unmatched").atom("ra2").close();
+        w.close();
+        let outer = Arc::new(w.finish());
+        let tree = SExpr::list([
+            SExpr::atom("sub-delta"),
+            SExpr::list([SExpr::atom("matched"), inner.clone()]),
+            SExpr::list([SExpr::atom("unmatched"), SExpr::atom("ra2")]),
+        ]);
+        let held = SExpr::Block(Arc::clone(&outer), 0);
+        assert_eq!(held.to_string(), tree.to_string());
+        assert_eq!(held.wire_size(), tree.wire_size());
+        assert_eq!(outer.tree(0).unwrap(), SExpr::parse(&tree.to_string()).unwrap());
+        assert_eq!((held.head(), tree.head()), (Some("sub-delta"), Some("sub-delta")));
+        assert_eq!(SExpr::Block(Arc::new(row()), 1).head(), Some("match"));
+    }
+
+    /// Only a list headed by an atom has a head, held or built; a block's
+    /// open number is never its head.
+    #[test]
+    fn a_head_is_a_leading_atom() {
+        fn held(write: impl Fn(&mut BlockWriter)) -> SExpr {
+            let mut w = BlockWriter::default();
+            write(&mut w);
+            SExpr::Block(Arc::new(w.finish()), 7)
+        }
+        let cases = [
+            (
+                "bare",
+                held(|w| {
+                    w.atom("bare");
+                }),
+            ),
+            (
+                r#"("quoted")"#,
+                held(|w| {
+                    w.open().string("quoted").close();
+                }),
+            ),
+            (
+                "(())",
+                held(|w| {
+                    w.open().open().close().close();
+                }),
+            ),
+            (
+                "()",
+                held(|w| {
+                    w.open().close();
+                }),
+            ),
+        ];
+        for (text, held) in cases {
+            assert_eq!(held.to_string(), text);
+            assert_eq!((held.head(), SExpr::parse(text).unwrap().head()), (None, None), "{text}");
+        }
+        let mut w = BlockWriter::default();
+        w.open().hole().close();
+        assert_eq!(w.finish().head(), None);
     }
 
     #[test]

@@ -96,6 +96,17 @@ impl SExpr {
         }
     }
 
+    /// The head atom of a list, or of the list a block prints — what a
+    /// reader switches on to tell one payload from another. A block's open
+    /// number is never read as its head.
+    pub fn head(&self) -> Option<&str> {
+        match self {
+            SExpr::List(items) => items.first()?.as_atom(),
+            SExpr::Block(block, _) => block.head(),
+            SExpr::Atom(_) | SExpr::Str(_) => None,
+        }
+    }
+
     /// Whether this atom is a KQML keyword (starts with `:`).
     pub fn is_keyword(&self) -> bool {
         matches!(self, SExpr::Atom(s) if s.starts_with(':'))

@@ -1,8 +1,9 @@
 //! Subscription-notification parity: the broker's inverted-index
 //! incremental path must deliver *exactly* the notification sequences of
-//! naive full re-evaluation — same deltas, same order, same epochs — under
-//! randomized advertisement churn, including a mid-stream derived-rule
-//! registration (which turns index pruning off in the broker).
+//! naive full re-evaluation — same deltas, same order, same epochs, the
+//! same wire text — under randomized advertisement churn, including a
+//! mid-stream derived-rule registration (which turns index pruning off in
+//! the broker).
 //!
 //! The naive side is an oracle built here, not a broker mode: a mirror
 //! `Repository` takes the same mutations, and after each one every
@@ -28,8 +29,9 @@ use std::time::Duration;
 
 const T: Duration = Duration::from_secs(5);
 
-/// One decoded `sub-delta` notification: `(epoch, matched, unmatched)`.
-type Delta = (u64, Vec<MatchResult>, Vec<String>);
+/// One `sub-delta` notification, decoded as `(epoch, matched, unmatched)`
+/// and as the wire text of its content.
+type Delta = ((u64, Vec<MatchResult>, Vec<String>), String);
 
 /// Deterministic xorshift64* PRNG — the churn script must be identical
 /// across runs.
@@ -124,9 +126,9 @@ fn drain(watcher: &mut Endpoint, keys: &[String]) -> BTreeMap<usize, Vec<Delta>>
             .iter()
             .position(|k| k == key)
             .unwrap_or_else(|| panic!("unknown subscription key {key}"));
-        let delta = codec::sub_delta_from_sexpr(msg.content().expect("delta content"))
-            .expect("well-formed sub-delta");
-        by_sub.entry(pos).or_default().push(delta);
+        let content = msg.content().expect("delta content");
+        let delta = codec::sub_delta_from_sexpr(content).expect("well-formed sub-delta");
+        by_sub.entry(pos).or_default().push((delta, content.to_string()));
     }
     by_sub
 }
@@ -160,7 +162,9 @@ impl Oracle {
             if !snapshot && matched.is_empty() && unmatched.is_empty() {
                 continue;
             }
-            self.expected.entry(pos).or_default().push((self.repo.epoch(), matched, unmatched));
+            let epoch = self.repo.epoch();
+            let text = codec::sub_delta_to_sexpr(epoch, &matched, &unmatched).to_string();
+            self.expected.entry(pos).or_default().push(((epoch, matched, unmatched), text));
             *last = new;
         }
     }

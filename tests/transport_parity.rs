@@ -304,6 +304,10 @@ struct SubOutcome {
     vacuous_rejected: bool,
     /// `(epoch, sorted matched names, unmatched names)` in arrival order.
     deltas: Vec<(u64, Vec<String>, Vec<String>)>,
+    /// Each notification's content as the wire carries it, in arrival
+    /// order: a body the broker printed once and a tree a peer parsed print
+    /// byte for byte alike.
+    texts: Vec<String>,
     /// The cancel round-trip succeeded.
     unsubscribed: bool,
 }
@@ -347,7 +351,7 @@ fn run_subscription_scenario(
     let ok = advertise_to(&mut probe, b, &resource_ad("sx-3", "C2"), T).expect("broker answers");
     assert!(ok, "post-cancel churn is admitted");
 
-    let mut deltas = Vec::new();
+    let (mut deltas, mut texts) = (Vec::new(), Vec::new());
     while let Some(env) = watcher.recv_timeout(Duration::from_millis(300)) {
         assert_eq!(
             env.message.in_reply_to(),
@@ -360,8 +364,9 @@ fn run_subscription_scenario(
         let mut names: Vec<String> = matched.into_iter().map(|m| m.name).collect();
         names.sort();
         deltas.push((epoch, names, unmatched));
+        texts.push(env.message.content().expect("delta content").to_string());
     }
-    SubOutcome { vacuous_rejected, deltas, unsubscribed }
+    SubOutcome { vacuous_rejected, deltas, texts, unsubscribed }
 }
 
 fn run_subscription_over_bus() -> SubOutcome {
