@@ -17,9 +17,10 @@
 //! Trigger matching is *most-specific-wins*: a trigger may name a bare
 //! performative (`tell`) or refine it with a content head
 //! (`tell/sub-delta`, matching a `tell` whose content is a list headed by
-//! the atom `sub-delta`, a tree or a block alike). A refined trigger takes precedence over a bare
-//! one from the same state, so the pair is deterministic; two transitions
-//! with *identical* triggers from one state are IS042.
+//! the atom `sub-delta`, built as a tree or printed as a block). A refined
+//! trigger takes precedence over a bare one from the same state, so the
+//! pair is deterministic; two transitions with *identical* triggers from
+//! one state are IS042.
 
 use crate::diag::{Code, Diagnostic, Report};
 use infosleuth_kqml::Message;

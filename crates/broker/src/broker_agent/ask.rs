@@ -28,7 +28,7 @@ pub(super) fn handle_query(
     // The content head says which grammar this is: a full broker-search,
     // or a bare service-query that takes the broker's default policy.
     let parse_timer = shared.obs.obs.stage(&shared.obs.parse, "parse");
-    let decoded = match codec::head(content) {
+    let decoded = match content.head() {
         Some("broker-search") => codec::search_request_from_sexpr(content),
         _ => codec::service_query_from_sexpr(content).map(|mut query| {
             if let Some(n) = force_max {
@@ -368,7 +368,7 @@ pub(super) fn handle_broker_one(shared: &Shared, ctx: &AgentContext, env: &Envel
     if items.first().and_then(SExpr::as_atom) != Some("broker-one") {
         return fail("expected (broker-one ...) content".into());
     }
-    let Some(query_expr) = items.iter().find(|e| codec::head(e) == Some("service-query")) else {
+    let Some(query_expr) = items.iter().find(|e| e.head() == Some("service-query")) else {
         return fail("broker-one missing service-query".into());
     };
     let mut query = match codec::service_query_from_sexpr(query_expr) {
@@ -378,7 +378,7 @@ pub(super) fn handle_broker_one(shared: &Shared, ctx: &AgentContext, env: &Envel
     query.max_matches = Some(1);
     let Some(embedded_text) = items
         .iter()
-        .filter(|e| codec::head(e) == Some("message"))
+        .filter(|e| e.head() == Some("message"))
         .find_map(|e| e.as_list()?.get(1)?.as_text())
     else {
         return fail("broker-one missing embedded message".into());

@@ -31,7 +31,7 @@ fn advertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbo
     let Some(content) = env.message.content() else {
         return push_out(out, &env.from, error_reply(env, "advertise without content"));
     };
-    let reply = match codec::head(content) {
+    let reply = match content.head() {
         Some("digest") => match codec::digest_from_sexpr(content) {
             // Delta-driven and one-way: refresh the routing entry; no
             // reply is owed.

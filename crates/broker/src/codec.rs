@@ -55,12 +55,6 @@ fn atoms<T: Into<Text>>(head: &str, it: impl IntoIterator<Item = T>) -> SExpr {
     section(head, it.into_iter().map(SExpr::atom))
 }
 
-/// The head atom of a `(head item ...)` payload — what a handler switches
-/// on to pick the one decoder a message is run through.
-pub fn head(e: &SExpr) -> Option<&str> {
-    e.head()
-}
-
 /// The items of a `(name item ...)` payload: every decoder's entry check,
 /// so a payload run through the wrong decoder is refused in one wording.
 fn body_of<'a>(e: &'a SExpr, name: &str) -> Result<&'a [SExpr], CodecError> {
@@ -310,7 +304,7 @@ pub fn broker_advertisement_from_sexpr(e: &SExpr) -> Result<BrokerAdvertisement,
     let items = body_of(e, "broker-advertisement")?;
     let base_expr = items
         .iter()
-        .find(|e| head(e) == Some("advertisement"))
+        .find(|e| e.head() == Some("advertisement"))
         .ok_or_else(|| err("broker-advertisement missing base advertisement"))?;
     let base = advertisement_from_sexpr(base_expr)?;
     let mut ad = BrokerAdvertisement::new(base);
@@ -559,7 +553,7 @@ pub fn search_request_from_sexpr(e: &SExpr) -> Result<SearchRequest, CodecError>
     let items = body_of(e, "broker-search")?;
     let query_expr = items
         .iter()
-        .find(|e| head(e) == Some("service-query"))
+        .find(|e| e.head() == Some("service-query"))
         .ok_or_else(|| err("broker-search missing service-query"))?;
     let query = service_query_from_sexpr(query_expr)?;
     let policy = match find(items, "policy") {
@@ -768,7 +762,7 @@ fn row_sections(
             block_sections(block.tokens(&fill), section).map_err(|e| err(format!("match row: {e}")))
         }
         _ => {
-            if head(item) != Some("match") {
+            if item.head() != Some("match") {
                 return Ok(false);
             }
             for list in body_of(item, "match")?.iter().filter_map(SExpr::as_list) {
@@ -1194,7 +1188,7 @@ mod tests {
     /// the section `with` parses to.
     fn tampered_digest(section: &str, with: Option<&str>) -> SExpr {
         let SExpr::List(items) = digest_to_sexpr(&sample_digest()) else { unreachable!() };
-        let kept = items.into_vec().into_iter().filter(|e| head(e) != Some(section));
+        let kept = items.into_vec().into_iter().filter(|e| e.head() != Some(section));
         SExpr::list(kept.chain(with.map(|text| SExpr::parse(text).unwrap())))
     }
 
@@ -1423,7 +1417,7 @@ mod tests {
             let held = SExpr::Block(Arc::new(sub_delta_block(17, matched, unmatched)), 0);
             assert_eq!(held.to_string(), tree.to_string());
             assert_eq!(held.wire_size(), tree.wire_size());
-            assert_eq!(head(&held), Some("sub-delta"));
+            assert_eq!(held.head(), Some("sub-delta"));
             let decoded = sub_delta_from_sexpr(&tree).unwrap();
             assert_eq!(sub_delta_from_sexpr(&held).unwrap(), decoded);
             assert_eq!(decoded.1.len(), matched.len());

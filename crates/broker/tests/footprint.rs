@@ -703,7 +703,7 @@ fn a_queued_message_costs_what_it_weighs() {
 const CEILING_CACHE_ROW: (f64, f64) = (44.8, 0.009);
 
 /// One row of a subscription's last result set, registered the way the
-/// benchmark's replay registers one: 43.8 B in 0.016 allocations, the
+/// benchmark's replay registers one: 42.0 B in 0.014 allocations, the
 /// list and the standing query shared out. A tenth over.
 const CEILING_LAST_ROW: (f64, f64) = (48.2, 0.018);
 

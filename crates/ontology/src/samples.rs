@@ -86,7 +86,7 @@ pub fn paper_class_ontology() -> Ontology {
 /// state plus the watermark readings the stock rules observe — and a
 /// `health_alert` fact per fired rule, so standing subscriptions with
 /// constraint queries ("queue_depth > 100 on any broker") are matched by
-/// the same `SubscriptionIndex` delta path as any domain subscription.
+/// the same `SubscriptionRegistry` delta path as any domain subscription.
 ///
 /// Slot units: gauges are raw readings, `*_ms` slots are milliseconds
 /// (integer slots keep the constraint algebra simple), `*_pct` slots are
