@@ -120,7 +120,7 @@ impl Variant {
         if self.model == Model::Recomputed {
             black_box(repo.saturated());
         }
-        black_box(Matchmaker::default().match_query_mut(repo, q));
+        black_box(Matchmaker::default().match_query(repo, q));
     }
 }
 

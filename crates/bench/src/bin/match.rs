@@ -4,8 +4,9 @@
 //!
 //! The paths, fastest to slowest on a warm broker:
 //!
-//! * **cache on** — `match_query_cached`: epoch-tagged LRU consulted
-//!   first; repeated queries are answered without narrowing or scoring.
+//! * **cache on** — `match_query_cached`: the table of stored answers
+//!   consulted first; repeated queries are answered without narrowing or
+//!   scoring.
 //! * **indexed** — `match_query`: candidate narrowing, then the scoring
 //!   loop over the survivors, subsumption read off the taxonomies'
 //!   closures — what a live broker runs on a cache miss.

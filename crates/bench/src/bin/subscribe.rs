@@ -1,20 +1,21 @@
 //! Standing-subscription harness: measures per-churn-step notification
-//! cost with the inverted subscription index on (incremental: intersect
-//! the changed advertisement against the index, re-score only the
-//! candidates) and off (naive: re-evaluate every standing query on every
-//! change), and writes the results to `BENCH_sub.json`.
+//! cost the way the broker's write path pays it (indexed: intersect the
+//! changed advertisement against the table of stored answers, patch the
+//! records it reaches) and naively (re-evaluate every standing query on
+//! every change and diff it against its last result set), and writes the
+//! results to `BENCH_sub.json`.
 //!
-//! One churn step = re-advertise one agent with a shifted constraint
-//! window + re-score the affected subscriptions through the epoch-tagged
-//! match cache + diff against each subscription's last-delivered result
-//! set. The workload spreads subscriptions across a synthetic
-//! many-class ontology so each step touches well under 1% of them —
-//! the regime where the naive path's cost scales with the *total*
-//! subscription count while the indexed path scales with the *affected*
-//! count.
+//! One indexed churn step = re-advertise one agent with a shifted
+//! constraint window + `affected` for its old and new versions + `patch`,
+//! which drops the agent's row from each record reached, scores its new
+//! version and returns the deltas owed. The workload spreads
+//! subscriptions across a synthetic many-class ontology so each step
+//! touches well under 1% of them — the regime where the naive path's cost
+//! scales with the *total* subscription count while the indexed path
+//! scales with the *affected* count.
 
 use infosleuth_bench::{median_sample, MEASURE_PASSES};
-use infosleuth_broker::{result_delta, MatchCache, Matchmaker, Repository, SubscriptionRegistry};
+use infosleuth_broker::{result_delta, MatchRow, Matchmaker, Repository, SubscriptionRegistry};
 use infosleuth_constraint::{Conjunction, Predicate};
 use infosleuth_ontology::{
     Advertisement, AgentLocation, AgentType, ClassDef, ConversationType, Ontology, OntologyContent,
@@ -98,8 +99,9 @@ struct Measured {
 
 /// Builds a repository with AGENTS live advertisements and `n_subs`
 /// standing subscriptions, then churns: per step, one agent re-advertises
-/// with a shifted window and every affected subscription is re-scored and
-/// diffed exactly the way the broker's notification path does it.
+/// with a shifted window and the records it reaches are patched exactly
+/// the way the broker's write path patches them (`use_index`), or every
+/// standing query is matched again and diffed (the naive baseline).
 fn measure(
     n_subs: usize,
     use_index: bool,
@@ -113,14 +115,19 @@ fn measure(
         repo.advertise(ad(i, 0)).expect("valid advertisement");
     }
     let mm = Matchmaker::default();
-    let cache = MatchCache::new(64);
     let mut reg = SubscriptionRegistry::default();
+    // The naive baseline's own last result sets, one per subscription.
+    let mut naive: Vec<(ServiceQuery, Arc<Vec<MatchRow>>)> = Vec::new();
     let mut register_ns = 0u64;
     for j in 0..n_subs {
         let q = subscription(j);
-        let last = mm.match_query_cached(&mut repo, &cache, &q);
+        let rows = Arc::new(mm.match_query(&repo, &q));
+        if !use_index {
+            naive.push((q, rows));
+            continue;
+        }
         let t0 = Instant::now();
-        reg.register(format!("sub-{j}"), "watcher".into(), None, q, last, &repo);
+        reg.register(format!("sub-{j}"), "watcher".into(), None, q, rows, &repo);
         register_ns += t0.elapsed().as_nanos() as u64;
     }
 
@@ -129,27 +136,27 @@ fn measure(
     let mut step = |s: usize, affected_total: &mut u64, notified_total: &mut u64| {
         let victim = s % AGENTS;
         let name = format!("ra{victim}");
-        let old = repo.advertisement_arc(&name).cloned();
-        repo.advertise(ad(victim, s / AGENTS + 1)).expect("valid advertisement");
-        let new = repo.advertisement_arc(&name).cloned();
-        // The naive baseline is bench-side: every standing query, every step.
-        let affected =
-            if use_index { reg.affected(old.as_deref(), new.as_deref(), &repo) } else { reg.ids() };
-        *affected_total += affected.len() as u64;
-        for id in affected {
-            let (query, last) = {
-                let e = reg.entry(id).expect("registered");
-                (e.query.clone(), Arc::clone(&e.last))
-            };
-            let new_res = mm.match_query_cached(&mut repo, &cache, &query);
-            let (matched, unmatched) = result_delta(&last, &new_res);
-            if matched.is_empty() && unmatched.is_empty() {
-                continue;
+        if !use_index {
+            repo.advertise(ad(victim, s / AGENTS + 1)).expect("valid advertisement");
+            *affected_total += naive.len() as u64;
+            for (query, last) in &mut naive {
+                let new = Arc::new(mm.match_query(&repo, query));
+                let (matched, unmatched) = result_delta(last, &new);
+                if !matched.is_empty() || !unmatched.is_empty() {
+                    *notified_total += 1;
+                    *last = new;
+                }
+                black_box((&matched, &unmatched));
             }
-            *notified_total += 1;
-            reg.update_last(id, new_res);
-            black_box((&matched, &unmatched));
+            return;
         }
+        let mut reached = reg.affected(repo.advertisement(&name), None, &repo);
+        repo.advertise(ad(victim, s / AGENTS + 1)).expect("valid advertisement");
+        reached.append(&mut reg.affected(None, repo.advertisement(&name), &repo));
+        *affected_total += reached.len() as u64;
+        let notes = reg.patch(&repo, &[name.as_str().into()], &reached);
+        *notified_total += notes.len() as u64;
+        black_box(notes);
     };
     let mut sink = (0u64, 0u64);
     for s in 0..warmup {
@@ -190,7 +197,7 @@ fn main() {
 
     println!("=== Standing subscriptions: inverted index vs naive re-evaluation ===");
     println!(
-        "one step = re-advertise + re-score affected + diff ({CLASSES} classes, {AGENTS} agents){}",
+        "one step = re-advertise + affected + patch ({CLASSES} classes, {AGENTS} agents){}",
         if quick { " [--quick]" } else { "" }
     );
     println!();
@@ -247,7 +254,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"subscribe\",\n  \"step\": \"re-advertise + re-score affected + diff\",\n  \"classes\": {CLASSES},\n  \"agents\": {AGENTS},\n  \"quick\": {quick},\n  \"meta\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"subscribe\",\n  \"step\": \"re-advertise + affected + patch\",\n  \"classes\": {CLASSES},\n  \"agents\": {AGENTS},\n  \"quick\": {quick},\n  \"meta\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
         infosleuth_bench::run_meta(),
         rows.join(",\n")
     );

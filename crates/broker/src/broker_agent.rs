@@ -37,8 +37,8 @@ pub use config::BrokerConfig;
 use crate::codec;
 use crate::digest::CapabilityDigest;
 use crate::match_cache::{MatchCache, MatchCacheStats, DEFAULT_MATCH_CACHE_CAPACITY};
+use crate::matchmaker::{MatchResult, MatchRow, Matchmaker};
 use crate::repository::Repository;
-use crate::sub_index::SubscriptionRegistry;
 use infosleuth_agent::{
     AgentBehavior, AgentContext, AgentHandle, AgentRuntime, Bus, BusError, Envelope, RuntimeConfig,
     Transport,
@@ -49,6 +49,9 @@ use infosleuth_obs::{Counter, Histogram, Obs};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// What one subscription reads of its record: `(subscriber, key, rows)`.
+pub type StoredView = (String, String, Vec<MatchResult>);
 
 /// What a handler wants sent once it has let go of the state:
 /// `(recipient, message)` in send order.
@@ -63,18 +66,18 @@ struct Shared {
     /// What this broker believes about its peers. Taken for one table
     /// operation at a time by the methods below, so never across a send.
     routing: Mutex<RoutingTable>,
-    /// Epoch-tagged LRU over local match results; consulted (and filled)
-    /// by every ask/recommend before any scoring happens.
+    /// The stored answers: every standing subscription's record and the
+    /// LRU of recent asks, one table patched by each write; consulted (and
+    /// filled) by every ask/recommend before any scoring happens. Taken
+    /// with the state held, never the other way round.
     cache: MatchCache,
     obs: BrokerObs,
 }
 
-/// The writer state: a repository mutation and the subscriptions it affects
-/// are applied under the one lock around this.
+/// The writer state: a repository mutation and the stored answers it
+/// patches are applied under the one lock around this.
 struct State {
     repo: Repository,
-    /// Standing subscriptions plus their inverted index.
-    subs: SubscriptionRegistry,
     /// Epoch of the last digest broadcast to peers — re-advertisements are
     /// delta-driven: nothing is sent while this matches the repository.
     digest_advertised_epoch: Option<u64>,
@@ -113,10 +116,10 @@ struct BrokerObs {
     unadvertises: Counter,
     /// `subscribe` performatives accepted into the registry.
     subscribes: Counter,
-    /// Repository mutations intersected against the subscription index.
+    /// Repository mutations intersected against the stored answers' index.
     sub_events: Counter,
-    /// Subscriptions selected for re-scoring by those intersections
-    /// (includes index false positives, which yield empty deltas).
+    /// Records those intersections reached and patched (index false
+    /// positives included: their rows come out as they were).
     sub_affected: Counter,
     /// Non-empty delta notifications actually delivered.
     sub_notifications: Counter,
@@ -134,8 +137,8 @@ struct BrokerObs {
     /// Forwarded requests that arrived carrying a stale digest epoch.
     digest_stale: Counter,
     parse: Histogram,
-    /// End-to-end cost of one mutation's notification fan-out: intersect +
-    /// re-score affected + diff + send.
+    /// Cost of one write's patch: score the changed agents against each
+    /// record reached, re-rank, and diff each subscription's view.
     sub_notify: Histogram,
 }
 
@@ -170,8 +173,7 @@ impl Shared {
             "BrokerConfig::batch_limit is pinned at 1 for the benchmark harness's report"
         );
         repo.set_obs(obs, &config.name);
-        let state =
-            State { repo, subs: SubscriptionRegistry::default(), digest_advertised_epoch: None };
+        let state = State { repo, digest_advertised_epoch: None };
         Arc::new(Shared {
             state: Mutex::new(state),
             routing: Mutex::new(RoutingTable::default()),
@@ -262,6 +264,32 @@ impl Shared {
         let mut routing = lock(&self.routing);
         routing.peers.remove(peer);
         routing.suspects.remove(peer);
+    }
+
+    /// See [`BrokerHandle::stored_answers`].
+    fn stored_answers(&self) -> Result<Vec<StoredView>, String> {
+        let mut state = lock(&self.state);
+        let table = self.cache.table();
+        let (records, views) = table.records.stored();
+        if !records.is_empty() && table.epoch() != state.repo.epoch() {
+            let (table, repo) = (table.epoch(), state.repo.epoch());
+            return Err(format!("the table is current at epoch {table}, the repository at {repo}"));
+        }
+        let model = state.repo.saturated();
+        for (query, rows) in records {
+            if rows != Matchmaker::default().match_query_linear(&state.repo, &model, query) {
+                let query = codec::service_query_to_sexpr(query);
+                return Err(format!("the stored rows of {query} are not the linear scan's"));
+            }
+        }
+        let mut out = Vec::new();
+        for (sub, rows) in views {
+            let rows = rows.iter().map(MatchRow::decode).collect::<Result<_, _>>();
+            let rows = rows.map_err(|e| format!("{}: {e}", sub.sub_key))?;
+            out.push((sub.subscriber.to_string(), sub.sub_key.to_string(), rows));
+        }
+        out.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        Ok(out)
     }
 }
 
@@ -436,7 +464,12 @@ impl BrokerCore {
 
     /// Number of standing subscriptions currently registered.
     pub fn subscription_count(&self) -> usize {
-        lock(&self.shared.state).subs.len()
+        self.shared.cache.subscription_count()
+    }
+
+    /// The broker's stored answers (see [`BrokerHandle::stored_answers`]).
+    pub fn stored_answers(&self) -> Result<Vec<StoredView>, String> {
+        self.shared.stored_answers()
     }
 }
 
@@ -465,12 +498,15 @@ impl BrokerHandle {
     }
 
     /// Runs a closure against the broker's repository (tests, metrics, and
-    /// pre-seeding). An out-of-band mutation that bumps the epoch also
-    /// triggers a digest re-advertisement to peers, exactly as a mutation
-    /// arriving as a performative would.
+    /// pre-seeding). An out-of-band mutation that bumps the epoch leaves
+    /// the stored answers current — the records no subscription pins are
+    /// dropped, the pinned ones matched again and their subscribers told
+    /// what changed — and triggers a digest re-advertisement to peers,
+    /// exactly as a mutation arriving as a performative would.
     pub fn with_repository<T>(&self, f: impl FnOnce(&mut Repository) -> T) -> T {
         self.shared.with_state(self.agent.ctx(), |state, out| {
             let result = f(&mut state.repo);
+            subscribe::resync(&self.shared, state, out);
             self.shared.broadcast_digest(state, out);
             result
         })
@@ -509,19 +545,15 @@ impl BrokerHandle {
 
     /// Number of standing subscriptions currently registered.
     pub fn subscription_count(&self) -> usize {
-        lock(&self.shared.state).subs.len()
+        self.shared.cache.subscription_count()
     }
 
-    /// Re-evaluates every standing subscription and delivers deltas to the
-    /// ones whose result set changed. Call after mutating the repository
-    /// out-of-band (via [`with_repository`](Self::with_repository), e.g. a
-    /// derived-rule registration or ontology load) — mutations arriving as
-    /// performatives notify automatically.
-    pub fn resync_subscriptions(&self) {
-        self.shared.with_state(self.agent.ctx(), |state, out| {
-            let all = state.subs.ids();
-            subscribe::notify(&self.shared, state, all, out);
-        });
+    /// The stored answers checked against the repository as it stands:
+    /// `Err` names the first record whose rows are not what the linear
+    /// reference scan returns; `Ok` holds what each subscription reads of
+    /// its record, sorted by subscriber and key.
+    pub fn stored_answers(&self) -> Result<Vec<StoredView>, String> {
+        self.shared.stored_answers()
     }
 
     /// Sends by this broker that the transport refused (each one was also

@@ -9,7 +9,6 @@ use crate::objective::{AdmissionDecision, BrokerObjective};
 use infosleuth_agent::Envelope;
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_ontology::{Advertisement, BrokerAdvertisement};
-use std::collections::BTreeSet;
 
 /// Applies one mutation against the locked state. Outgoing traffic is
 /// queued on `out` in send order: sub-deltas first, so a subscriber that
@@ -101,11 +100,12 @@ fn admit(
         AdmissionDecision::Accept => {
             let name = ad.location.name.clone();
             let mut result = Ok(());
-            let affected = subscribe::mutate(shared, state, &name, |repo| {
+            let mut reach = subscribe::Reach::new(state);
+            subscribe::mutate(shared, state, &mut reach, &name, |repo| {
                 result = repo.advertise(ad);
                 result.is_ok()
             });
-            subscribe::notify(shared, state, affected.unwrap_or_default(), out);
+            subscribe::notify(shared, state, reach, out);
             shared.broadcast_digest(state, out);
             match result {
                 Ok(_) => env.message.reply_skeleton(Performative::Tell),
@@ -129,18 +129,15 @@ fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Out
     // Content is the agent name (atom) or absent (sender unadvertises
     // itself).
     let name = env.message.content().and_then(SExpr::as_text).unwrap_or(&env.from);
-    let (removed, affected) = match subscribe::mutate(shared, state, name, |r| r.unadvertise(name))
-    {
-        Some(affected) => (true, affected),
-        None => {
-            let was_broker = state.repo.unadvertise_broker(name);
-            if was_broker {
-                shared.forget_peer(name);
-            }
-            (was_broker, BTreeSet::new())
+    let mut reach = subscribe::Reach::new(state);
+    let removed = subscribe::mutate(shared, state, &mut reach, name, |r| r.unadvertise(name)) || {
+        let was_broker = state.repo.unadvertise_broker(name);
+        if was_broker {
+            shared.forget_peer(name);
         }
+        was_broker
     };
-    subscribe::notify(shared, state, affected, out);
+    subscribe::notify(shared, state, reach, out);
     shared.broadcast_digest(state, out);
     let perf = if removed { Performative::Tell } else { Performative::Sorry };
     push_out(out, &env.from, env.message.reply_skeleton(perf));

@@ -7,7 +7,6 @@ use crate::Repository;
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::sync::lock;
-use std::collections::BTreeSet;
 
 pub(super) fn handle_ping(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
     // "In the event that a broker is alive but does not have information
@@ -46,14 +45,12 @@ pub(super) fn liveness_sweep(shared: &Shared, ctx: &AgentContext) {
         return;
     }
     shared.with_state(ctx, |state, out| {
-        let mut affected = BTreeSet::new();
+        let mut reach = subscribe::Reach::new(state);
         for agent in dead {
             let unadvertise = |repo: &mut Repository| repo.unadvertise(&agent);
-            if let Some(mut more) = subscribe::mutate(shared, state, &agent, unadvertise) {
-                affected.append(&mut more);
-            }
+            subscribe::mutate(shared, state, &mut reach, &agent, unadvertise);
         }
-        subscribe::notify(shared, state, affected, out);
+        subscribe::notify(shared, state, reach, out);
         shared.broadcast_digest(state, out);
     });
 }

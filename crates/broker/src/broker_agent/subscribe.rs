@@ -8,17 +8,19 @@
 use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared, State};
 use crate::codec;
 use crate::matchmaker::Matchmaker;
-use crate::sub_index::{result_delta, SubId};
+use crate::sub_index::{view, Note, RecordId, SubscriptionRegistry};
 use crate::{MatchRow, Repository};
 use infosleuth_agent::{AgentContext, Envelope};
 use infosleuth_kqml::{Block, Message, Performative, SExpr, Text};
 use infosleuth_obs::sync::lock;
+use infosleuth_ontology::ServiceQuery;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Registers a standing service query and sends the initial snapshot —
-/// the delta against the empty set, so the subscriber learns the baseline
-/// the following deltas build on — then the ack carrying the key.
+/// Registers a standing service query on the record of its untruncated
+/// form and sends the initial snapshot — the delta against the empty set,
+/// so the subscriber learns the baseline the following deltas build on —
+/// then the ack carrying the key.
 pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelope) {
     let msg = &env.message;
     let Some(content) = msg.content() else {
@@ -33,7 +35,7 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
     // Queued unstamped: this handler's span is still open when the state
     // is released, so the send stamps them like any direct reply.
     shared.with_state(ctx, |state, out| {
-        let State { repo, subs, .. } = state;
+        let repo = &mut state.repo;
         // Admission: an unsatisfiable or vacuous standing query would be
         // paid for on every repository mutation — reject it with the
         // rendered diagnostics instead.
@@ -41,14 +43,23 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         if report.has_errors() {
             return out.push((env.from.clone(), sorry_reply(env, report.render_human(None))));
         }
-        let initial = Matchmaker::default().match_query_cached(repo, &shared.cache, &query);
+        let whole = ServiceQuery { max_matches: None, ..query.clone() };
+        let rows = Matchmaker::default().match_query_cached(repo, &shared.cache, &whole);
+        let cut = query.max_matches;
+        let mut table = shared.cache.table();
         let sub_key = msg
             .reply_with()
             .map(Text::from)
-            .unwrap_or_else(|| format!("sub-{}", subs.next_key()).into());
-        let last = Arc::clone(&initial);
-        let registered =
-            subs.register(sub_key.clone(), subscriber.clone(), trace.clone(), query, last, repo);
+            .unwrap_or_else(|| table.records.fresh_key(&subscriber));
+        let registered = table.records.register(
+            sub_key.clone(),
+            subscriber.clone(),
+            trace.clone(),
+            query,
+            Arc::clone(&rows),
+            repo,
+        );
+        drop(table);
         if registered.is_none() {
             let refusal = format!("{subscriber} already holds subscription {sub_key}");
             return out.push((env.from.clone(), sorry_reply(env, refusal)));
@@ -56,7 +67,7 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         let mut snapshot = Message::new(Performative::Tell)
             .with_in_reply_to(sub_key.clone())
             .with_ontology("infosleuth-service")
-            .with_content(codec::sub_delta_to_sexpr(repo.epoch(), &initial, &[]));
+            .with_content(codec::sub_delta_to_sexpr(repo.epoch(), view(&rows, cut), &[]));
         if let Some(t) = trace {
             snapshot = snapshot.with_trace(t);
         }
@@ -76,65 +87,107 @@ pub(super) fn handle_unsubscribe(shared: &Shared, ctx: &AgentContext, env: &Enve
     let key = msg.content().and_then(SExpr::as_text).or_else(|| msg.in_reply_to());
     let subscriber = msg.get_text("reply-to").unwrap_or(&env.from);
     let removed = key.is_some_and(|key| {
-        let mut state = lock(&shared.state);
-        state.subs.find(key, subscriber).is_some_and(|id| state.subs.remove(id))
+        let _state = lock(&shared.state);
+        shared.cache.table().records.unsubscribe(key, subscriber)
     });
     let perf = if removed { Performative::Tell } else { Performative::Sorry };
     reply_as_broker(ctx, &env.from, msg.reply_skeleton(perf));
 }
 
+/// A write in progress: the repository epoch it starts from, the agents it
+/// changed, and the stored records their versions reach.
+pub(super) struct Reach {
+    from: u64,
+    changed: Vec<Text>,
+    records: BTreeSet<RecordId>,
+}
+
+impl Reach {
+    pub(super) fn new(state: &State) -> Reach {
+        Reach { from: state.repo.epoch(), changed: Vec::new(), records: BTreeSet::new() }
+    }
+}
+
 /// Applies `mutate`, a change to `agent`'s advertisement that reports
-/// whether it took effect, and hands back the subscriptions it must
-/// re-score: the inverted index's candidates for the advertisement as
-/// posted before the change — what derived rules granted it is withdrawn
-/// with it — and after. `None` when nothing changed.
+/// whether it took effect, and adds to `reach` the records it must patch:
+/// the index's candidates for the advertisement as posted before the
+/// change — what derived rules granted it is withdrawn with it — and
+/// after.
 pub(super) fn mutate(
     shared: &Shared,
     state: &mut State,
+    reach: &mut Reach,
     agent: &str,
     mutate: impl FnOnce(&mut Repository) -> bool,
-) -> Option<BTreeSet<SubId>> {
-    if state.subs.is_empty() {
-        return mutate(&mut state.repo).then(BTreeSet::new);
+) -> bool {
+    let table = shared.cache.table();
+    let repo = &mut state.repo;
+    if table.records.records() == 0 {
+        return mutate(repo);
     }
-    let State { repo, subs, .. } = state;
-    let mut affected = subs.affected(repo.advertisement(agent), None, repo);
+    let mut before = table.records.affected(repo.advertisement(agent), None, repo);
     if !mutate(repo) {
-        return None;
+        return false;
     }
     shared.obs.sub_events.inc();
-    affected.append(&mut subs.affected(None, repo.advertisement(agent), repo));
-    Some(affected)
+    reach.records.append(&mut before);
+    reach.records.append(&mut table.records.affected(None, repo.advertisement(agent), repo));
+    if !reach.changed.iter().any(|name| name == agent) {
+        reach.changed.push(agent.into());
+    }
+    true
 }
 
-/// Re-scores each affected subscription (through the epoch-tagged match
-/// cache) and queues a `sub-delta` notification for every one whose result
-/// set actually changed. Index false positives die here as empty deltas.
-/// Iteration is in ascending id order, so notification sequences are
-/// deterministic and identical to a naive re-evaluation of everything.
-/// Each distinct delta is printed once, into a block every notification
-/// that carries it shares.
-pub(super) fn notify(
-    shared: &Shared,
-    state: &mut State,
-    affected: BTreeSet<SubId>,
-    out: &mut Outbox,
-) {
-    if affected.is_empty() {
+/// Patches each record `reach` holds — records it does not hold stay
+/// valid — advances the table to the repository's epoch, and queues a
+/// `sub-delta` for every subscription whose view changed. A table that
+/// was not current when the write began is matched again instead.
+pub(super) fn notify(shared: &Shared, state: &State, reach: Reach, out: &mut Outbox) {
+    let mut table = shared.cache.table();
+    let notes = if table.epoch() == reach.from {
+        if reach.records.is_empty() {
+            Vec::new()
+        } else {
+            shared.obs.sub_affected.add(reach.records.len() as u64);
+            let _timer = shared.obs.obs.stage(&shared.obs.sub_notify, "sub-notify");
+            table.records.patch(&state.repo, &reach.changed, &reach.records)
+        }
+    } else {
+        table.records.rematch(&state.repo)
+    };
+    table.advance(state.repo.epoch());
+    send(shared, &table.records, state.repo.epoch(), notes, out);
+}
+
+/// Makes the table current after a mutation no write patched (an ontology
+/// or rule registration, or seeding through the handle): the records no
+/// subscription pins are dropped, each pinned one is matched again, and
+/// every subscription whose view changed is notified.
+pub(super) fn resync(shared: &Shared, state: &State, out: &mut Outbox) {
+    let mut table = shared.cache.table();
+    let epoch = state.repo.epoch();
+    if table.epoch() == epoch {
         return;
     }
-    shared.obs.sub_affected.add(affected.len() as u64);
-    let _timer = shared.obs.obs.stage(&shared.obs.sub_notify, "sub-notify");
-    let State { repo, subs, .. } = state;
-    let epoch = repo.epoch();
+    let notes = table.records.rematch(&state.repo);
+    table.advance(epoch);
+    send(shared, &table.records, epoch, notes, out);
+}
+
+/// Queues one `sub-delta` per note, ascending by subscription id, so
+/// notification sequences are deterministic and identical to a naive
+/// re-evaluation of everything. Each distinct delta is printed once, into
+/// a block every notification that carries it shares.
+fn send(
+    shared: &Shared,
+    records: &SubscriptionRegistry,
+    epoch: u64,
+    notes: Vec<Note>,
+    out: &mut Outbox,
+) {
     let mut bodies: HashMap<(Vec<MatchRow>, Vec<String>), Arc<Block>> = HashMap::new();
-    for id in affected {
-        let Some(sub) = subs.entry(id) else { continue };
-        let new = Matchmaker::default().match_query_cached(repo, &shared.cache, &sub.query);
-        let (matched, unmatched) = result_delta(&sub.last, &new);
-        if matched.is_empty() && unmatched.is_empty() {
-            continue;
-        }
+    for (id, record, matched, unmatched) in notes {
+        let Some(sub) = records.subscription(record, id) else { continue };
         let body = bodies.entry((matched, unmatched)).or_insert_with_key(|(matched, unmatched)| {
             Arc::new(codec::sub_delta_block(epoch, matched, unmatched))
         });
@@ -147,7 +200,6 @@ pub(super) fn notify(
         }
         shared.obs.sub_notifications.inc();
         push_out(out, &sub.subscriber, note);
-        subs.update_last(id, new);
     }
 }
 
@@ -247,6 +299,39 @@ mod tests {
         broker.stop();
     }
 
+    /// A subscribe that names no key gets one its subscriber does not
+    /// hold: `sub-2`, the key the broker would mint next, is taken.
+    #[test]
+    fn a_keyless_subscribe_is_given_a_key_its_subscriber_does_not_hold() {
+        let bus = Bus::new();
+        let broker = spawn_broker(&bus, "broker1");
+        let mut inbox = bus.register("watcher").unwrap();
+        let mut client = bus.register("client").unwrap();
+        let query = ServiceQuery::for_agent_type(AgentType::Resource)
+            .with_ontology("paper-classes")
+            .with_classes(["C1"]);
+        let mut subscribe = |key: Option<&str>| {
+            let mut msg = Message::new(Performative::Subscribe)
+                .with("reply-to", SExpr::atom("watcher"))
+                .with_content(codec::service_query_to_sexpr(&query));
+            if let Some(key) = key {
+                msg = msg.with_reply_with(key);
+            }
+            client.send("broker1", msg).unwrap();
+            client.recv_timeout(T).expect("a reply").message
+        };
+        let named = subscribe(Some("sub-2"));
+        assert_eq!(named.content().and_then(SExpr::as_text), Some("sub-2"));
+        let minted = subscribe(None);
+        assert_eq!(minted.performative, Performative::Tell, "{minted}");
+        assert_eq!(minted.content().and_then(SExpr::as_text), Some("sub-3"));
+        assert_eq!(broker.subscription_count(), 2);
+        for _ in 0..2 {
+            inbox.recv_timeout(T).expect("a snapshot");
+        }
+        broker.stop();
+    }
+
     #[test]
     fn subscription_admission_rejects_vacuous_queries() {
         let bus = Bus::new();
@@ -282,7 +367,6 @@ mod tests {
         broker.with_repository(|r| {
             r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap()
         });
-        broker.resync_subscriptions();
         let note = inbox.recv_timeout(T).unwrap().message;
         assert_eq!(note.in_reply_to(), Some(key.as_str()));
         let (_, matched, unmatched) = codec::sub_delta_from_sexpr(note.content().unwrap()).unwrap();
@@ -323,7 +407,6 @@ mod tests {
         broker.with_repository(|r| {
             r.register_derived_rules("cap(A, subscription) :- agent(A, resource).").unwrap()
         });
-        broker.resync_subscriptions();
         inbox.recv_timeout(T).unwrap();
         assert_eq!(saturations.count(), 1, "ra1 posted again");
         assert_eq!(ask(&mut client), ["ra1"]);

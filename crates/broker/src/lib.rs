@@ -50,6 +50,7 @@ mod sub_index;
 pub use broker_agent::{
     advertise_to, broker_one_content, interconnect, query_broker, subscribe_to, unadvertise_from,
     unsubscribe_from, BrokerAgent, BrokerConfig, BrokerCore, BrokerHandle, RoutingStats,
+    StoredView,
 };
 pub use digest::CapabilityDigest;
 pub use facts::{
@@ -68,4 +69,6 @@ pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;
 pub use repository::{Repository, RepositoryError};
 pub use shard::{connect_community, ShardPlan};
-pub use sub_index::{result_delta, StandingSubscription, SubId, SubscriptionRegistry};
+pub use sub_index::{
+    result_delta, Note, RecordId, StandingSubscription, SubId, SubscriptionRegistry,
+};

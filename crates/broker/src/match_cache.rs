@@ -1,38 +1,46 @@
-//! An epoch-tagged, bounded LRU cache of ranked match results.
+//! The table of stored answers behind its lock: the match cache and the
+//! standing subscriptions are one [`SubscriptionRegistry`] of query
+//! records, bounded, stamped with the repository epoch it is current at,
+//! and counted.
 //!
-//! Repeated service queries are the broker's steady-state workload; a
-//! cache hit skips candidate narrowing and scoring entirely. Entries are
-//! tagged with the repository's mutation epoch (see
-//! [`Repository::epoch`](crate::Repository::epoch)): any
-//! advertise/unadvertise/ontology/rule mutation bumps the epoch, so a
-//! stale entry can never be served — it is dropped on the next lookup and
-//! counted. No external dependencies: the LRU is a `HashMap` keyed by
-//! the query's canonical KQML s-expression text, with a monotonic access
-//! stamp per entry; eviction scans for the oldest stamp, which is O(capacity)
-//! but only runs on insert-past-capacity.
+//! Repeated service queries are the broker's steady-state workload; a hit
+//! skips candidate narrowing and scoring entirely. A broker write patches
+//! the records it reaches and advances the table's epoch with the patch
+//! (see [`crate::sub_index`]), so a write leaves every other answer
+//! servable. A lookup at an epoch the table is not current at — a
+//! repository someone mutated without patching the table, as standalone
+//! users do — drops every record no subscription pins, counts them stale,
+//! and misses; while pinned records remain, only a patch or a re-match
+//! makes the table current again, so a path that skipped the patch can
+//! never serve stale rows.
+//!
+//! Records no subscription pins are bounded LRU: a monotonic access stamp
+//! per record, and eviction scans for the oldest, which is O(records) but
+//! only runs on insert-past-capacity. An admission gate stops inserting
+//! while recent lookups never hit (a query stream that never repeats),
+//! admitting one insert in [`ADMISSION_PROBE_EVERY`] so a stream that
+//! starts repeating reopens it.
 
 use crate::codec::service_query_to_sexpr;
 use crate::matchmaker::MatchRow;
+use crate::sub_index::SubscriptionRegistry;
 use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, Histogram, MetricsRegistry};
 use infosleuth_ontology::ServiceQuery;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default number of distinct queries a broker remembers.
+/// Default number of distinct queries a broker remembers beyond the ones
+/// its subscriptions pin.
 pub const DEFAULT_MATCH_CACHE_CAPACITY: usize = 256;
 
-struct Entry {
+/// The records with the epoch they are current at.
+pub(crate) struct Table {
+    pub(crate) records: SubscriptionRegistry,
     epoch: u64,
-    /// Shared, immutable ranked results: hits and inserts exchange an
-    /// `Arc` clone, never a deep copy of the result rows.
-    results: Arc<Vec<MatchRow>>,
-    stamp: u64,
-}
-
-struct Inner {
-    map: HashMap<String, Entry>,
     clock: u64,
     /// Lookups seen in the current admission window.
     window_lookups: u32,
@@ -44,6 +52,19 @@ struct Inner {
     probe: u64,
 }
 
+impl Table {
+    /// The epoch every record's rows are current at.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Records the table current at `epoch`: a patch or a re-match brought
+    /// every record there.
+    pub(crate) fn advance(&mut self, epoch: u64) {
+        self.epoch = epoch;
+    }
+}
+
 /// Lookups per admission-rate sample. Small enough to adapt within one
 /// bench pass, large enough that a single hit is a real signal.
 const ADMISSION_WINDOW: u32 = 64;
@@ -53,11 +74,43 @@ const ADMISSION_WINDOW: u32 = 64;
 /// reopens the gate.
 const ADMISSION_PROBE_EVERY: u64 = 64;
 
-/// A pre-rendered canonical cache key (see [`MatchCache::query_key`]).
-/// Opaque: the only way to make one is to render a query, so a key can
-/// never disagree with the query it stands for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryKey(String);
+/// A pre-rendered canonical key (see [`MatchCache::query_key`]) with the
+/// untruncated query it was rendered from. The only way to make one is to
+/// render a query, so a key can never disagree with the query it stands
+/// for.
+#[derive(Debug, Clone)]
+pub struct QueryKey<'q> {
+    hash: u64,
+    query: Cow<'q, ServiceQuery>,
+}
+
+impl<'q> QueryKey<'q> {
+    /// The key of `query` with its `max_matches` dropped: a record holds
+    /// the whole ranking, and each reader cuts it.
+    pub(crate) fn new(query: &'q ServiceQuery) -> QueryKey<'q> {
+        let query = match query.max_matches {
+            None => Cow::Borrowed(query),
+            Some(_) => Cow::Owned(ServiceQuery { max_matches: None, ..query.clone() }),
+        };
+        let mut hasher = DefaultHasher::new();
+        service_query_to_sexpr(&query).to_string().hash(&mut hasher);
+        QueryKey { hash: hasher.finish(), query }
+    }
+
+    /// The hash of the canonical text.
+    pub(crate) fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// The untruncated query.
+    pub(crate) fn query(&self) -> &ServiceQuery {
+        &self.query
+    }
+
+    pub(crate) fn into_parts(self) -> (u64, ServiceQuery) {
+        (self.hash, self.query.into_owned())
+    }
+}
 
 /// Cache counters, readable without the obs registry (used by tests and
 /// the bench harness).
@@ -66,19 +119,20 @@ pub struct MatchCacheStats {
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
-    /// Entries dropped because their epoch no longer matched.
+    /// Records dropped because the table was not current at a lookup's
+    /// epoch.
     pub stale: u64,
     /// Inserts skipped by the admission gate (recent hit rate ~0, so
     /// caching the result would only pay eviction cost for no reuse).
     pub skipped_inserts: u64,
 }
 
-/// A bounded, epoch-validated LRU over normalized service queries.
+/// The bounded, epoch-stamped table of stored answers.
 ///
 /// Thread-safe behind an internal mutex; the broker consults it while
 /// already holding the repository lock, so contention is nil in practice.
 pub struct MatchCache {
-    inner: Mutex<Inner>,
+    table: Mutex<Table>,
     capacity: usize,
     hits: Counter,
     misses: Counter,
@@ -91,8 +145,9 @@ pub struct MatchCache {
 impl MatchCache {
     pub fn new(capacity: usize) -> MatchCache {
         MatchCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
+            table: Mutex::new(Table {
+                records: SubscriptionRegistry::with_capacity(capacity.max(1)),
+                epoch: 0,
                 clock: 0,
                 window_lookups: 0,
                 window_hits: 0,
@@ -127,52 +182,57 @@ impl MatchCache {
         self
     }
 
-    /// Renders the canonical cache key: the query's KQML s-expression.
-    /// Canonical because every set-valued field is ordered (`BTreeSet`)
-    /// and the codec is the wire format queries already round-trip
-    /// through. Callers that both look up and insert (the miss path)
-    /// render once and reuse the [`QueryKey`].
-    pub fn query_key(query: &ServiceQuery) -> QueryKey {
-        QueryKey(service_query_to_sexpr(query).to_string())
+    /// Renders the canonical key: the untruncated query's KQML
+    /// s-expression. Canonical because every set-valued field is ordered
+    /// (`BTreeSet`) and the codec is the wire format queries already
+    /// round-trip through. Callers that both look up and insert (the miss
+    /// path) render once and reuse the [`QueryKey`].
+    pub fn query_key(query: &ServiceQuery) -> QueryKey<'_> {
+        QueryKey::new(query)
     }
 
-    /// Returns the ranked results cached for `query` at `epoch`, if any.
-    /// An entry from an older epoch counts as stale (removed) + miss.
-    pub fn lookup(&self, epoch: u64, query: &ServiceQuery) -> Option<Arc<Vec<MatchRow>>> {
-        self.lookup_keyed(epoch, &Self::query_key(query))
+    /// The table, for the broker's write path.
+    pub(crate) fn table(&self) -> MutexGuard<'_, Table> {
+        lock(&self.table)
     }
 
-    /// [`lookup`](Self::lookup) with a pre-rendered key.
-    pub fn lookup_keyed(&self, epoch: u64, key: &QueryKey) -> Option<Arc<Vec<MatchRow>>> {
+    /// Whether `table` is current at `epoch`, making it so when no
+    /// subscription pins a record: the records nobody pins are dropped
+    /// and counted stale.
+    fn current(&self, table: &mut Table, epoch: u64) -> bool {
+        if table.epoch == epoch {
+            return true;
+        }
+        self.stale.add(table.records.drop_unpinned() as u64);
+        if table.records.records() > 0 {
+            return false;
+        }
+        table.epoch = epoch;
+        true
+    }
+
+    /// The untruncated ranked rows stored for `key`'s query at `epoch`, if
+    /// any.
+    pub fn lookup_keyed(&self, epoch: u64, key: &QueryKey<'_>) -> Option<Arc<Vec<MatchRow>>> {
         let started = Instant::now();
-        let mut inner = lock(&self.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        let outcome = match inner.map.get_mut(&key.0) {
-            Some(entry) if entry.epoch == epoch => {
-                entry.stamp = clock;
-                Some(Arc::clone(&entry.results))
-            }
-            Some(_) => {
-                inner.map.remove(&key.0);
-                self.stale.inc();
-                None
-            }
-            None => None,
-        };
+        let mut table = lock(&self.table);
+        table.clock += 1;
+        let clock = table.clock;
+        let outcome =
+            if self.current(&mut table, epoch) { table.records.lookup(key, clock) } else { None };
         // Admission-rate sample: one closed window with zero hits means
         // the workload is not repeating itself, so inserts stop paying
         // the eviction scan until a probe-admitted entry hits again.
-        inner.window_lookups += 1;
+        table.window_lookups += 1;
         if outcome.is_some() {
-            inner.window_hits += 1;
+            table.window_hits += 1;
         }
-        if inner.window_lookups >= ADMISSION_WINDOW {
-            inner.gated = inner.window_hits == 0;
-            inner.window_lookups = 0;
-            inner.window_hits = 0;
+        if table.window_lookups >= ADMISSION_WINDOW {
+            table.gated = table.window_hits == 0;
+            table.window_lookups = 0;
+            table.window_hits = 0;
         }
-        drop(inner);
+        drop(table);
         match &outcome {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
@@ -181,48 +241,48 @@ impl MatchCache {
         outcome
     }
 
-    /// Stores ranked results for `query` computed at `epoch`, evicting
-    /// the least-recently-used entry when full.
-    pub fn insert(&self, epoch: u64, query: &ServiceQuery, results: Arc<Vec<MatchRow>>) {
-        self.insert_keyed(epoch, Self::query_key(query), results);
-    }
-
-    /// [`insert`](Self::insert) with a pre-rendered key.
-    pub fn insert_keyed(&self, epoch: u64, key: QueryKey, results: Arc<Vec<MatchRow>>) {
-        let mut inner = lock(&self.inner);
-        if inner.gated && !inner.map.contains_key(&key.0) {
-            inner.probe += 1;
-            if inner.probe % ADMISSION_PROBE_EVERY != 0 {
-                drop(inner);
+    /// Stores the untruncated ranked `results` for `key`'s query, computed
+    /// at `epoch`, evicting the least-recently-used record no subscription
+    /// pins when full.
+    pub fn insert_keyed(&self, epoch: u64, key: QueryKey<'_>, results: Arc<Vec<MatchRow>>) {
+        let mut table = lock(&self.table);
+        if !self.current(&mut table, epoch) {
+            return;
+        }
+        if table.gated {
+            table.probe += 1;
+            if table.probe % ADMISSION_PROBE_EVERY != 0 {
+                drop(table);
                 self.skipped.inc();
                 return;
             }
         }
-        inner.clock += 1;
-        let clock = inner.clock;
-        if !inner.map.contains_key(&key.0) && inner.map.len() >= self.capacity {
-            if let Some(oldest) =
-                inner.map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&oldest);
-                self.evictions.inc();
-            }
+        table.clock += 1;
+        let clock = table.clock;
+        let (_, created) = table.records.insert(key, results, clock);
+        if created && table.records.unpinned() > self.capacity && table.records.evict_lru() {
+            self.evictions.inc();
         }
-        inner.map.insert(key.0, Entry { epoch, results, stamp: clock });
     }
 
-    /// Drops every entry (e.g. after a broker restart in tests).
+    /// Drops every record no subscription pins (e.g. after a broker
+    /// restart in tests).
     pub fn clear(&self) {
-        lock(&self.inner).map.clear();
+        lock(&self.table).records.drop_unpinned();
     }
 
-    /// Number of live entries.
+    /// Number of records, pinned or not.
     pub fn len(&self) -> usize {
-        lock(&self.inner).map.len()
+        lock(&self.table).records.records()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of standing subscriptions.
+    pub fn subscription_count(&self) -> usize {
+        lock(&self.table).records.len()
     }
 
     pub fn stats(&self) -> MatchCacheStats {
@@ -270,6 +330,21 @@ mod tests {
         Arc::new(vec![MatchRow::from(&result(name))])
     }
 
+    trait ByQuery {
+        fn lookup(&self, epoch: u64, query: &ServiceQuery) -> Option<Arc<Vec<MatchRow>>>;
+        fn insert(&self, epoch: u64, query: &ServiceQuery, rows: Arc<Vec<MatchRow>>);
+    }
+
+    impl ByQuery for MatchCache {
+        fn lookup(&self, epoch: u64, query: &ServiceQuery) -> Option<Arc<Vec<MatchRow>>> {
+            self.lookup_keyed(epoch, &MatchCache::query_key(query))
+        }
+
+        fn insert(&self, epoch: u64, query: &ServiceQuery, rows: Arc<Vec<MatchRow>>) {
+            self.insert_keyed(epoch, MatchCache::query_key(query), rows)
+        }
+    }
+
     #[test]
     fn hit_after_insert_at_same_epoch() {
         let cache = MatchCache::new(8);
@@ -293,11 +368,30 @@ mod tests {
     fn epoch_mismatch_is_a_stale_miss() {
         let cache = MatchCache::new(8);
         cache.insert(1, &query(0), results("a"));
+        cache.insert(1, &query(1), results("b"));
         assert_eq!(cache.lookup(2, &query(0)), None);
         let stats = cache.stats();
-        assert_eq!(stats.stale, 1);
+        assert_eq!(stats.stale, 2, "every record nobody pins is dropped");
         assert_eq!(stats.misses, 1);
-        assert_eq!(cache.len(), 0, "stale entry must be dropped");
+        assert_eq!(cache.len(), 0, "stale records must be dropped");
+        cache.insert(2, &query(0), results("a2"));
+        assert_eq!(cache.lookup(2, &query(0)).unwrap().as_slice(), &[result("a2")]);
+    }
+
+    #[test]
+    fn a_pinned_record_keeps_a_table_that_missed_a_patch_from_serving() {
+        let cache = MatchCache::new(8);
+        let repo = crate::Repository::new();
+        cache.insert(1, &query(0), results("a"));
+        let sub =
+            cache.table().records.register("k", "w".into(), None, query(1), results("b"), &repo);
+        assert!(sub.is_some());
+        assert_eq!(cache.lookup(2, &query(1)), None, "the pinned record is not current at 2");
+        assert_eq!(cache.len(), 1, "the unpinned record is gone, the pinned one stays");
+        cache.insert(2, &query(0), results("a2"));
+        assert_eq!(cache.lookup(2, &query(0)), None, "no insert into a table that is not current");
+        cache.table().advance(2);
+        assert_eq!(cache.lookup(2, &query(1)).unwrap().as_slice(), &[result("b")]);
     }
 
     #[test]
@@ -316,14 +410,28 @@ mod tests {
     }
 
     #[test]
+    fn pinned_records_are_never_evicted_nor_counted() {
+        let cache = MatchCache::new(1);
+        let repo = crate::Repository::new();
+        let mut table = cache.table();
+        table.records.register("k", "w".into(), None, query(0), results("a"), &repo).unwrap();
+        table.advance(1);
+        drop(table);
+        cache.insert(1, &query(1), results("b"));
+        cache.insert(1, &query(2), results("c"));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+        assert!(cache.lookup(1, &query(0)).is_some(), "the pinned record stays");
+        assert!(cache.lookup(1, &query(2)).is_some());
+    }
+
+    #[test]
     fn reinsert_does_not_evict() {
         let cache = MatchCache::new(2);
         cache.insert(1, &query(0), results("a"));
         cache.insert(1, &query(1), results("b"));
-        cache.insert(2, &query(1), results("b2"));
+        cache.insert(1, &query(1), results("b2"));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.lookup(2, &query(1)).unwrap().as_slice(), &[result("b2")]);
     }
 
     #[test]
@@ -379,6 +487,10 @@ mod tests {
         cache.insert(1, &query(0), results("a"));
         assert_eq!(cache.lookup(1, &query(1)), None);
         let truncated = query(0).one();
-        assert_eq!(cache.lookup(1, &truncated), None, "max_matches is part of the key");
+        assert_eq!(
+            cache.lookup(1, &truncated).unwrap().as_slice(),
+            &[result("a")],
+            "max_matches is the reader's cut, not part of the key"
+        );
     }
 }

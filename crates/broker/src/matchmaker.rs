@@ -146,17 +146,29 @@ impl Matchmaker {
     /// [`match_query_linear`](Self::match_query_linear), the reference
     /// path: no index, the reference model).
     pub fn match_query(&self, repo: &Repository, query: &ServiceQuery) -> Vec<MatchRow> {
-        let probe = Probe::Closure(repo);
         let results = self
             .candidates(repo, query)
             .into_iter()
-            .filter_map(|posted| {
-                let MatchOutcome { score, record } = self.score_agent(&posted.ad, query, &probe)?;
-                let name = posted.ad.location.name.clone();
-                Some(MatchRow { name, score, block: posted.row(record) })
-            })
+            .filter_map(|posted| self.score_row(repo, posted, query))
             .collect();
         rank(results, query)
+    }
+
+    /// `posted`'s row for `query`, scored as [`match_query`](Self::match_query)
+    /// scores a candidate; `None` when it does not match.
+    pub(crate) fn score_row(
+        &self,
+        repo: &Repository,
+        posted: &Posted,
+        query: &ServiceQuery,
+    ) -> Option<MatchRow> {
+        let name = &posted.ad.location.name;
+        if query.agent_name.as_ref().is_some_and(|wanted| wanted != name) {
+            return None;
+        }
+        let MatchOutcome { score, record } =
+            self.score_agent(&posted.ad, query, &Probe::Closure(repo))?;
+        Some(MatchRow { name: name.clone(), score, block: posted.row(record) })
     }
 
     /// [`match_query`](Self::match_query) for callers holding the
@@ -166,10 +178,11 @@ impl Matchmaker {
     }
 
     /// The fully cached query path: consult `cache` at the repository's
-    /// current mutation epoch, and only on a miss score + populate. A hit
-    /// skips candidate narrowing and scoring entirely, and both hit and
-    /// miss exchange `Arc` clones — no result row is ever deep-copied by
-    /// the cache machinery.
+    /// current mutation epoch, and only on a miss score + populate. The
+    /// cache holds the untruncated ranking, and `query.max_matches` cuts
+    /// it here. A hit skips candidate narrowing and scoring entirely, and
+    /// an untruncated hit or miss exchanges `Arc` clones — no result row
+    /// is deep-copied by the cache machinery.
     pub fn match_query_cached(
         &self,
         repo: &mut Repository,
@@ -178,13 +191,19 @@ impl Matchmaker {
     ) -> Arc<Vec<MatchRow>> {
         let epoch = repo.epoch();
         let key = crate::MatchCache::query_key(query);
-        if let Some(hit) = cache.lookup_keyed(epoch, &key) {
-            return hit;
+        let rows = match cache.lookup_keyed(epoch, &key) {
+            Some(hit) => hit,
+            None => {
+                let _scoring = repo.stage("scoring");
+                let rows = Arc::new(self.match_query(repo, key.query()));
+                cache.insert_keyed(epoch, key, Arc::clone(&rows));
+                rows
+            }
+        };
+        match query.max_matches {
+            Some(n) if n < rows.len() => Arc::new(rows[..n].to_vec()),
+            _ => rows,
         }
-        let _scoring = repo.stage("scoring");
-        let results = Arc::new(self.match_query(repo, query));
-        cache.insert_keyed(epoch, key, Arc::clone(&results));
-        results
     }
 
     /// The reference path: score every advertisement serially against the
@@ -453,6 +472,12 @@ fn rank<R: ResultRow>(mut results: Vec<R>, query: &ServiceQuery) -> Vec<R> {
     results
 }
 
+/// Inserts `row` where [`rank`] would have placed it among `rows`.
+pub(crate) fn insert_ranked(rows: &mut Vec<MatchRow>, row: MatchRow) {
+    let at = rows.partition_point(|r| (r.score, &row.name) > (row.score, &r.name));
+    rows.insert(at, row);
+}
+
 /// `acc ∧= posting`, starting from the posting itself while `acc` is
 /// still "everything". Returns whether any id is left.
 fn intersect(acc: &mut Option<Vec<u64>>, posting: &[u64]) -> bool {
@@ -525,24 +550,24 @@ mod tests {
 
     #[test]
     fn figure6_query_for_mrq_agent() {
-        let mut r = walkthrough_repo();
+        let r = walkthrough_repo();
         let q = ServiceQuery::for_agent_type(AgentType::MultiResourceQuery)
             .with_query_language("SQL 2.0")
             .with_capability(Capability::multiresource_query_processing())
             .one();
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "mrq");
     }
 
     #[test]
     fn figure7_query_for_resources_holding_c2() {
-        let mut r = walkthrough_repo();
+        let r = walkthrough_repo();
         let q = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_query_language("SQL 2.0")
             .with_ontology("paper-classes")
             .with_classes(["C2"]);
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         let names: Vec<&str> = m.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["db1", "db2"]);
         // "if the original query had been for class C3, then only DB2
@@ -551,7 +576,7 @@ mod tests {
             .with_query_language("SQL 2.0")
             .with_ontology("paper-classes")
             .with_classes(["C3"]);
-        let m3 = Matchmaker::default().match_query_mut(&mut r, &q3);
+        let m3 = Matchmaker::default().match_query(&r, &q3);
         assert_eq!(m3.len(), 1);
         assert_eq!(m3[0].name, "db2");
     }
@@ -581,7 +606,7 @@ mod tests {
             .with_ontology("paper-classes")
             .with_classes(["C2"])
             .one();
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "mrq2");
     }
@@ -597,7 +622,7 @@ mod tests {
         // input in a relational subset of OQL … the semantics are not
         // sufficient to distinguish."
         let q = ServiceQuery::for_agent_type(AgentType::Resource).with_query_language("SQL 2.0");
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "sql");
     }
@@ -608,10 +633,10 @@ mod tests {
         r.advertise(resource("ra", &["C1"])).unwrap(); // ask-all only
         let q = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_conversation(ConversationType::Subscribe);
-        assert!(Matchmaker::default().match_query_mut(&mut r, &q).is_empty());
+        assert!(Matchmaker::default().match_query(&r, &q).is_empty());
         let q2 = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_conversation(ConversationType::AskAll);
-        assert_eq!(Matchmaker::default().match_query_mut(&mut r, &q2).len(), 1);
+        assert_eq!(Matchmaker::default().match_query(&r, &q2).len(), 1);
     }
 
     #[test]
@@ -626,17 +651,17 @@ mod tests {
         // Request select: both qualify.
         let q =
             ServiceQuery::for_agent_type(AgentType::Resource).with_capability(Capability::select());
-        assert_eq!(Matchmaker::default().match_query_mut(&mut r, &q).len(), 2);
+        assert_eq!(Matchmaker::default().match_query(&r, &q).len(), 2);
         // Request join: only the general agent qualifies.
         let q =
             ServiceQuery::for_agent_type(AgentType::Resource).with_capability(Capability::join());
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "general");
         // Exact capability scores above covered capability.
         let q =
             ServiceQuery::for_agent_type(AgentType::Resource).with_capability(Capability::select());
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m[0].name, "selector");
     }
 
@@ -685,7 +710,7 @@ mod tests {
                 Predicate::between("patient.age", 25, 65),
                 Predicate::eq("patient.diagnosis_code", "40W"),
             ]));
-        let m = decoded(Matchmaker::default().match_query_mut(&mut r, &q));
+        let m = decoded(Matchmaker::default().match_query(&r, &q));
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "ResourceAgent5");
         assert_eq!(m[0].address, "tcp://b1.mcc.com:4356");
@@ -704,7 +729,7 @@ mod tests {
                 1,
                 10,
             )]));
-        assert!(Matchmaker::default().match_query_mut(&mut r, &q2).is_empty());
+        assert!(Matchmaker::default().match_query(&r, &q2).is_empty());
     }
 
     #[test]
@@ -732,7 +757,7 @@ mod tests {
                 30,
                 70,
             )]));
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         let names: Vec<&str> = m.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, vec!["wide", "narrow", "partial"]);
     }
@@ -745,7 +770,7 @@ mod tests {
         let q = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_ontology("paper-classes")
             .with_classes(["C2"]);
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         let names: Vec<&str> = m.iter().map(|r| r.name.as_str()).collect();
         // Exact holder first, subclass contributor second.
         assert_eq!(names, vec!["whole", "part"]);
@@ -753,7 +778,7 @@ mod tests {
         let q2 = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_ontology("paper-classes")
             .with_classes(["C2a"]);
-        let m2 = Matchmaker::default().match_query_mut(&mut r, &q2);
+        let m2 = Matchmaker::default().match_query(&r, &q2);
         let names2: Vec<&str> = m2.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names2, vec!["part", "whole"]);
     }
@@ -772,13 +797,13 @@ mod tests {
             .with_ontology("paper-classes")
             .with_classes(["C1"])
             .with_slots(["b"]);
-        assert!(Matchmaker::default().match_query_mut(&mut r, &q).is_empty());
+        assert!(Matchmaker::default().match_query(&r, &q).is_empty());
         // Request slot `a`: match.
         let q2 = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_ontology("paper-classes")
             .with_classes(["C1"])
             .with_slots(["a"]);
-        assert_eq!(Matchmaker::default().match_query_mut(&mut r, &q2).len(), 1);
+        assert_eq!(Matchmaker::default().match_query(&r, &q2).len(), 1);
     }
 
     #[test]
@@ -791,7 +816,7 @@ mod tests {
         r.advertise(slow).unwrap();
         r.advertise(fast).unwrap();
         let q = ServiceQuery::for_agent_type(AgentType::Resource).with_max_response_time(10.0);
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "fast");
     }
@@ -810,15 +835,15 @@ mod tests {
         r.advertise(mobile).unwrap();
         r.advertise(fixed).unwrap();
         let q = ServiceQuery::for_agent_type(AgentType::Resource).with_mobility(true);
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "rover");
         let q = ServiceQuery::for_agent_type(AgentType::Resource).with_mobility(false);
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "anchor");
         let q = ServiceQuery::for_agent_type(AgentType::Resource).with_cloneability(true);
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "anchor");
     }
@@ -858,7 +883,7 @@ mod tests {
             r.advertise(resource(&format!("ra{i}"), &["C1"])).unwrap();
         }
         let q = ServiceQuery::for_agent_type(AgentType::Resource).one();
-        assert_eq!(Matchmaker::default().match_query_mut(&mut r, &q).len(), 1);
+        assert_eq!(Matchmaker::default().match_query(&r, &q).len(), 1);
     }
 
     #[test]
@@ -868,7 +893,7 @@ mod tests {
         r.advertise(resource("ra2", &["C1"])).unwrap();
         let mut q = ServiceQuery::for_agent_type(AgentType::Resource);
         q.agent_name = Some("ra2".into());
-        let m = Matchmaker::default().match_query_mut(&mut r, &q);
+        let m = Matchmaker::default().match_query(&r, &q);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].name, "ra2");
     }

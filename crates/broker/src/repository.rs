@@ -1169,7 +1169,7 @@ mod tests {
         repo.advertise(valid_ad("ra1")).unwrap();
         let q = ServiceQuery::any().with_capability(Capability::select());
         let mm = crate::Matchmaker::default();
-        assert_eq!(mm.match_query_mut(&mut repo, &q).len(), 1);
+        assert_eq!(mm.match_query(&repo, &q).len(), 1);
         assert_eq!(mm.match_query_cached(&mut repo, &crate::MatchCache::default(), &q).len(), 1);
         assert!(repo.unadvertise("ra1"));
         assert!(repo.model.is_none());

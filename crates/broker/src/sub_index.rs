@@ -1,29 +1,39 @@
-//! The inverted subscription index: standing service queries bucketed so
-//! that one repository mutation yields the (small) set of subscriptions it
-//! can possibly affect, instead of re-evaluating every standing query.
+//! The table of stored answers: one record per distinct untruncated
+//! service query, holding its ranked rows and the standing subscriptions
+//! that read them, bucketed so that one repository mutation yields the
+//! (small) set of records it can possibly change. A record nobody
+//! subscribes to is a match-cache entry ([`crate::MatchCache`] bounds and
+//! evicts those); a subscribed one is pinned.
 //!
 //! The shape follows S-ToPSS-style semantic pub/sub matching: the *event*
-//! is expanded through the hierarchies and the subscriptions are stored
-//! bare. Each subscription sits in one bucket, keyed by the symbol of its
-//! most selective *required* term (agent name, then an ontology class,
-//! then a capability, then the ontology itself, then a conversation type)
-//! exactly as the query states it. An advertise/unadvertise/update event
-//! probes the buckets with the changed advertisement's posted terms — its
-//! name and [`Repository::posted_terms`], the expansion candidate
-//! narrowing posts it under — for the old version before the mutation
-//! *and* the new one after it, so the result is a sound
-//! over-approximation: every subscription whose match set could have
-//! changed is in the candidate set, and false positives (a 64-bit symbol
-//! collision among them) only cost one cached re-score that produces an
-//! empty delta. The expansion is read from the repository, so a hierarchy
-//! re-registered under live subscriptions is followed at once.
+//! is expanded through the hierarchies and the queries are stored bare.
+//! Each record sits in one bucket, keyed by the symbol of its query's most
+//! selective *required* term (agent name, then an ontology class, then a
+//! capability, then the ontology itself, then a conversation type) exactly
+//! as the query states it. An advertise/unadvertise/update event probes
+//! the buckets with the changed advertisement's posted terms — its name
+//! and [`Repository::posted_terms`], the expansion candidate narrowing
+//! posts it under — for the old version before the mutation *and* the new
+//! one after it, so the result is a sound over-approximation: every record
+//! whose rows could have changed is in the candidate set, and a false
+//! positive (a 64-bit symbol collision among them) only costs one score
+//! that leaves the rows as they were. The expansion is read from the
+//! repository, so a hierarchy re-registered under live records is
+//! followed at once.
+//!
+//! A write to advertisement X can change a stored answer only in X's row
+//! (an advertisement's score depends on it, its grants and the taxonomy
+//! alone), so each record reached is patched, not re-matched: X's row is
+//! dropped, the new X is scored against the record's query and inserted at
+//! its rank. Records the write does not reach stay valid. A subscription
+//! reads the first `max_matches` rows of its record; its delta is the
+//! difference between that view before and after the patch.
 //!
 //! Numeric data constraints refine the candidate set through per-slot
-//! windows: a subscription constraining `patient.age` to `[25, 65]` is
-//! ruled out for an advertisement restricted to `[80, 90]` without ever
-//! re-scoring it. Each candidate's window is one lookup, so the
-//! refinement costs `O(candidates)` however many subscriptions constrain
-//! the slot.
+//! windows: a query constraining `patient.age` to `[25, 65]` is ruled out
+//! for an advertisement restricted to `[80, 90]` without ever scoring it.
+//! Each candidate's window is one lookup, so the refinement costs
+//! `O(candidates)` however many records constrain the slot.
 //!
 //! Derived concept rules change nothing here: what they grant an
 //! advertisement — capabilities and classes it never advertised — is
@@ -31,27 +41,33 @@
 //! version is probed before the mutation withdraws it.
 
 use crate::codec::ResultRow;
+use crate::match_cache::QueryKey;
+use crate::matchmaker::insert_ranked;
 use crate::repository::Term;
-use crate::{MatchRow, Repository};
+use crate::{MatchRow, Matchmaker, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
 use infosleuth_kqml::Text;
 use infosleuth_ontology::{Advertisement, ServiceQuery};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Internal subscription identifier.
 pub type SubId = u64;
 
+/// Internal record identifier: a slot of the record table, reused once
+/// its record is evicted.
+pub type RecordId = u32;
+
 /// The closed numeric `(lo, hi)` hull of a slot's domain.
 type Hull = (f64, f64);
 
-/// A registered standing subscription, one boxed record: the query, where
-/// notifications go, the last result set delivered (the base for delta
-/// computation), and where the index holds it.
+/// One standing subscription: where its notifications go and how many of
+/// its record's rows it reads.
 #[derive(Debug)]
 pub struct StandingSubscription {
-    /// The external subscription id (from `:reply-with` or generated);
+    /// Notifications go out in ascending id order.
+    pub id: SubId,
+    /// The external subscription id (from `:reply-with` or minted);
     /// notifications carry it as `:in-reply-to`.
     pub sub_key: Text,
     /// The agent name notifications are delivered to (`:reply-to` of the
@@ -60,16 +76,37 @@ pub struct StandingSubscription {
     /// Encoded `:x-trace` context from the subscribe message, propagated
     /// onto every notification.
     pub trace: Option<Box<str>>,
-    pub query: ServiceQuery,
-    /// The result set as of the last notification.
-    pub last: Arc<Vec<MatchRow>>,
-    /// The symbol of the term bucket the subscription sits in; `None` for
-    /// the catch-all.
+    /// The subscriber reads the first `max_matches` rows of the record.
+    pub max_matches: Option<usize>,
+}
+
+/// One stored answer, boxed: the untruncated query, its ranked rows, where
+/// the index holds it, and who reads it.
+#[derive(Debug)]
+struct QueryRecord {
+    query: ServiceQuery,
+    /// The hash of the query's canonical text.
+    hash: u64,
+    /// Best first, untruncated; shared with every reader it was handed to.
+    rows: Arc<Vec<MatchRow>>,
+    /// The symbol of the term bucket the record sits in; `None` for the
+    /// catch-all.
     bucket: Option<u64>,
+    /// The next record of the same bucket.
+    next: Option<RecordId>,
     /// The numeric hull of every slot the query constrains (for
     /// refinement, not primary candidacy).
     windows: Box<[(Text, Hull)]>,
+    /// The subscriptions reading this record, ascending by id; empty for
+    /// a match-cache entry.
+    subs: Vec<StandingSubscription>,
+    /// LRU access stamp.
+    stamp: u64,
 }
+
+/// A `sub-delta` owed to one subscription: `(id, its record, matched,
+/// unmatched)`.
+pub type Note = (SubId, RecordId, Vec<MatchRow>, Vec<String>);
 
 /// The numeric hull of one slot's domain under a conjunction, when one
 /// exists. `None` means "not numerically constrained" — never used to
@@ -157,23 +194,33 @@ fn representative(query: &ServiceQuery) -> Option<Term<'_>> {
     query.conversations.iter().next().map(Term::Conversation)
 }
 
-/// The broker-level registry and its inverted index: every standing
-/// subscription as one boxed record, the subscription each subscriber's
-/// key names, and the term buckets.
+/// The table of stored answers and its inverted index: every record in
+/// one slot, the record each canonical query names, the subscription each
+/// subscriber's key names, and the term buckets.
 #[derive(Debug, Default)]
 pub struct SubscriptionRegistry {
-    entries: HashMap<SubId, Box<StandingSubscription>>,
-    /// `(subscriber, key)` → id: what `unsubscribe` names, one
-    /// subscription per pair.
-    keys: HashMap<(Text, Text), SubId>,
-    buckets: HashMap<u64, BTreeSet<SubId>>,
-    catch_all: BTreeSet<SubId>,
+    records: Vec<Option<Box<QueryRecord>>>,
+    /// Empty slots of `records`, reused before the table grows.
+    free: Vec<RecordId>,
+    /// Hash of the canonical untruncated query text → record; a hit is
+    /// confirmed against the record's query.
+    by_key: HashMap<u64, RecordId>,
+    /// `(subscriber, key)` → the subscription and its record: what
+    /// `unsubscribe` names, one subscription per pair.
+    keys: HashMap<(Text, Text), (SubId, RecordId)>,
+    /// Term symbol → the first record of the bucket's chain (each record
+    /// links the next one).
+    buckets: HashMap<u64, RecordId>,
+    /// The first record of the catch-all chain.
+    catch_all: Option<RecordId>,
     next_id: SubId,
+    /// Records no subscription pins: the match-cache entries.
+    unpinned: usize,
 }
 
 impl SubscriptionRegistry {
     /// [`default`](Self::default) under the name and arity the
-    /// `benchmark/` harness calls (`new(true)`). The registry is always
+    /// `benchmark/` harness calls (`new(true)`). The table is always
     /// indexed; the naive all-subscriptions oracle lives in
     /// `tests/sub_parity.rs`.
     pub fn new(indexed: bool) -> Self {
@@ -181,24 +228,51 @@ impl SubscriptionRegistry {
         SubscriptionRegistry::default()
     }
 
+    /// A table whose slots and key map hold `records` records before they
+    /// grow.
+    pub(crate) fn with_capacity(records: usize) -> Self {
+        SubscriptionRegistry {
+            records: Vec::with_capacity(records),
+            by_key: HashMap::with_capacity(records),
+            ..SubscriptionRegistry::default()
+        }
+    }
+
+    /// Number of standing subscriptions.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
-    /// The id the next [`register`](Self::register) call will assign (used
-    /// to mint an external `sub-N` key before registering).
-    pub fn next_key(&self) -> SubId {
-        self.next_id + 1
+    /// Number of records, pinned or not.
+    pub(crate) fn records(&self) -> usize {
+        self.records.len() - self.free.len()
     }
 
-    /// Registers a standing subscription under its representative term and
-    /// returns its internal id — or `None`, registering nothing, when
-    /// `subscriber` already holds a subscription under `sub_key`. `_repo`
-    /// is not read — a subscription is bucketed as it is stated, and each
+    /// Number of records no subscription pins.
+    pub(crate) fn unpinned(&self) -> usize {
+        self.unpinned
+    }
+
+    /// A `sub-N` key `subscriber` does not hold yet, for a subscribe that
+    /// named none.
+    pub(crate) fn fresh_key(&self, subscriber: &str) -> Text {
+        let subscriber = Text::from(subscriber);
+        (self.next_id + 1..)
+            .map(|n| Text::from(format!("sub-{n}")))
+            .find(|key| !self.keys.contains_key(&(subscriber.clone(), key.clone())))
+            .expect("an unbounded range holds a free key") // lint: allow-unwrap
+    }
+
+    /// Registers a standing subscription on the record of `query`'s
+    /// untruncated form — created with `rows`, its untruncated ranking,
+    /// when there is none — and returns its id; or `None`, registering
+    /// nothing, when `subscriber` already holds a subscription under
+    /// `sub_key`. The subscription reads `query.max_matches` rows. `_repo`
+    /// is not read — a record is bucketed as its query is stated, and each
     /// event is expanded against the repository as it then stands — but it
     /// keeps the call shape `benchmark/` uses.
     pub fn register(
@@ -207,77 +281,160 @@ impl SubscriptionRegistry {
         subscriber: Text,
         trace: Option<String>,
         query: ServiceQuery,
-        last: Arc<Vec<MatchRow>>,
+        rows: Arc<Vec<MatchRow>>,
         _repo: &Repository,
     ) -> Option<SubId> {
         let sub_key = sub_key.into();
-        let Entry::Vacant(slot) = self.keys.entry((subscriber.clone(), sub_key.clone())) else {
+        let pair = (subscriber.clone(), sub_key.clone());
+        if self.keys.contains_key(&pair) {
             return None;
-        };
+        }
         self.next_id += 1;
-        let id = *slot.insert(self.next_id);
+        let id = self.next_id;
+        let max_matches = query.max_matches;
+        let (record, _) = self.insert(QueryKey::new(&query), rows, 0);
+        self.keys.insert(pair, (id, record));
+        let held = self.records[record as usize].as_mut().expect("a live record"); // lint: allow-unwrap
+        if held.subs.is_empty() {
+            self.unpinned -= 1;
+        }
+        let trace = trace.map(String::into_boxed_str);
+        held.subs.reserve_exact(1);
+        held.subs.push(StandingSubscription { id, sub_key, subscriber, trace, max_matches });
+        Some(id)
+    }
+
+    /// Cancels the subscription `subscriber` holds under `sub_key` (only
+    /// the registering subscriber may cancel); `false` when it holds none.
+    /// Its record stays, as a match-cache entry once nobody reads it.
+    pub(crate) fn unsubscribe(&mut self, sub_key: &str, subscriber: &str) -> bool {
+        let pair = (Text::from(subscriber), Text::from(sub_key));
+        let Some((id, record)) = self.keys.remove(&pair) else { return false };
+        if let Some(record) = self.records[record as usize].as_mut() {
+            record.subs.retain(|s| s.id != id);
+            if record.subs.is_empty() {
+                self.unpinned += 1;
+            }
+        }
+        true
+    }
+
+    /// Subscription `id`, which reads `record`.
+    pub(crate) fn subscription(
+        &self,
+        record: RecordId,
+        id: SubId,
+    ) -> Option<&StandingSubscription> {
+        self.records.get(record as usize)?.as_ref()?.subs.iter().find(|s| s.id == id)
+    }
+
+    /// The record `key` names, if any.
+    fn find_record(&self, key: &QueryKey<'_>) -> Option<RecordId> {
+        let id = *self.by_key.get(&key.hash())?;
+        let record = self.records[id as usize].as_ref()?;
+        (record.query == *key.query()).then_some(id)
+    }
+
+    /// The rows of the record `key` names, stamping it used at `stamp`.
+    pub(crate) fn lookup(&mut self, key: &QueryKey<'_>, stamp: u64) -> Option<Arc<Vec<MatchRow>>> {
+        let id = self.find_record(key)?;
+        let record = self.records[id as usize].as_mut()?;
+        record.stamp = stamp;
+        Some(Arc::clone(&record.rows))
+    }
+
+    /// The record `key` names, created with `rows` when there is none —
+    /// and listed under the key's hash unless another query holds it, in
+    /// which case lookups never find it but writes patch it all the same;
+    /// `true` when it was created.
+    pub(crate) fn insert(
+        &mut self,
+        key: QueryKey<'_>,
+        rows: Arc<Vec<MatchRow>>,
+        stamp: u64,
+    ) -> (RecordId, bool) {
+        if let Some(id) = self.find_record(&key) {
+            return (id, false);
+        }
+        let (hash, query) = key.into_parts();
         let bucket = representative(&query).map(Term::symbol);
-        match bucket {
-            Some(symbol) => self.buckets.entry(symbol).or_default().insert(id),
-            None => self.catch_all.insert(id),
-        };
         let windows = query
             .constraints
             .constrained_slots()
             .filter_map(|slot| Some((Text::from(slot), numeric_hull(&query.constraints, slot)?)))
             .collect();
-        let trace = trace.map(String::into_boxed_str);
-        let sub = StandingSubscription { sub_key, subscriber, trace, query, last, bucket, windows };
-        self.entries.insert(id, Box::new(sub));
-        Some(id)
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.records.push(None);
+            (self.records.len() - 1) as RecordId
+        });
+        let next = match bucket {
+            Some(symbol) => self.buckets.insert(symbol, id),
+            None => self.catch_all.replace(id),
+        };
+        let subs = Vec::new();
+        let record = QueryRecord { query, hash, rows, bucket, next, windows, subs, stamp };
+        self.records[id as usize] = Some(Box::new(record));
+        self.by_key.entry(hash).or_insert(id);
+        self.unpinned += 1;
+        (id, true)
     }
 
-    /// Unregisters a subscription from every map that holds it; `false`
-    /// when there is none under `id`.
-    pub fn remove(&mut self, id: SubId) -> bool {
-        let Some(sub) = self.entries.remove(&id) else { return false };
-        match sub.bucket {
-            Some(symbol) => {
-                if let Some(bucket) = self.buckets.get_mut(&symbol) {
-                    bucket.remove(&id);
-                    if bucket.is_empty() {
-                        self.buckets.remove(&symbol);
-                    }
-                }
-            }
-            None => {
-                self.catch_all.remove(&id);
-            }
-        }
-        let StandingSubscription { subscriber, sub_key, .. } = *sub;
-        self.keys.remove(&(subscriber, sub_key));
+    /// Drops the least recently used record no subscription pins; `false`
+    /// when there is none.
+    pub(crate) fn evict_lru(&mut self) -> bool {
+        let oldest = self.records.iter().enumerate().filter_map(|(id, r)| {
+            let r = r.as_ref().filter(|r| r.subs.is_empty())?;
+            Some((r.stamp, id as RecordId))
+        });
+        let Some((_, oldest)) = oldest.min() else { return false };
+        self.drop_record(oldest);
         true
     }
 
-    pub fn entry(&self, id: SubId) -> Option<&StandingSubscription> {
-        self.entries.get(&id).map(|sub| &**sub)
-    }
-
-    /// Every registered subscription id, ascending (deterministic order
-    /// for full re-evaluation sweeps).
-    pub fn ids(&self) -> BTreeSet<SubId> {
-        self.entries.keys().copied().collect()
-    }
-
-    /// The subscription `subscriber` holds under `sub_key` (the
-    /// unsubscribe path: only the registering subscriber may cancel).
-    pub fn find(&self, sub_key: &str, subscriber: &str) -> Option<SubId> {
-        self.keys.get(&(Text::from(subscriber), Text::from(sub_key))).copied()
-    }
-
-    /// Replaces a subscription's last-delivered result set.
-    pub fn update_last(&mut self, id: SubId, last: Arc<Vec<MatchRow>>) {
-        if let Some(sub) = self.entries.get_mut(&id) {
-            sub.last = last;
+    /// Drops every record no subscription pins; returns how many.
+    pub(crate) fn drop_unpinned(&mut self) -> usize {
+        let unpinned =
+            self.records.iter().enumerate().filter_map(|(id, r)| {
+                r.as_ref().filter(|r| r.subs.is_empty()).map(|_| id as RecordId)
+            });
+        let doomed: Vec<RecordId> = unpinned.collect();
+        for &id in &doomed {
+            self.drop_record(id);
         }
+        doomed.len()
     }
 
-    /// The subscriptions to re-score when `old` is replaced by `new`
+    /// Takes record `id`, which no subscription pins, out of every map.
+    fn drop_record(&mut self, id: RecordId) {
+        let Some(record) = self.records[id as usize].take() else { return };
+        let head = match record.bucket {
+            Some(symbol) => self.buckets.get(&symbol).copied(),
+            None => self.catch_all,
+        };
+        if head == Some(id) {
+            match (record.bucket, record.next) {
+                (Some(symbol), Some(next)) => self.buckets.insert(symbol, next),
+                (Some(symbol), None) => self.buckets.remove(&symbol),
+                (None, next) => std::mem::replace(&mut self.catch_all, next),
+            };
+        } else {
+            let mut at = head;
+            while let Some(earlier) = at.and_then(|at| self.records[at as usize].as_mut()) {
+                if earlier.next == Some(id) {
+                    earlier.next = record.next;
+                    break;
+                }
+                at = earlier.next;
+            }
+        }
+        if self.by_key.get(&record.hash) == Some(&id) {
+            self.by_key.remove(&record.hash);
+        }
+        self.free.push(id);
+        self.unpinned -= 1;
+    }
+
+    /// The records whose rows `old` being replaced by `new` can change
     /// (either side `None` for a pure advertise or unadvertise), each
     /// version probed with the terms `repo` posts it under. What derived
     /// rules granted a version is read by its agent's name, so under
@@ -285,50 +442,188 @@ impl SubscriptionRegistry {
     /// `new` `None` before the mutation, then with `old` `None` after it,
     /// as the broker does.
     ///
-    /// Sound over-approximation; the caller re-scores candidates and
-    /// drops empty deltas.
+    /// Sound over-approximation; a record reached in vain is patched to
+    /// the rows it had.
     pub fn affected(
         &self,
         old: Option<&Advertisement>,
         new: Option<&Advertisement>,
         repo: &Repository,
-    ) -> BTreeSet<SubId> {
-        let mut out = self.catch_all.clone();
+    ) -> BTreeSet<RecordId> {
+        let mut out: BTreeSet<RecordId> = self.chain(self.catch_all).collect();
         for ad in [old, new].into_iter().flatten() {
             self.collect_for_ad(ad, repo, &mut out);
         }
         out
     }
 
-    fn collect_for_ad(&self, ad: &Advertisement, repo: &Repository, out: &mut BTreeSet<SubId>) {
+    /// The records of the chain that starts at `head`.
+    fn chain(&self, head: Option<RecordId>) -> impl Iterator<Item = RecordId> + '_ {
+        std::iter::successors(head, |id| self.records[*id as usize].as_ref()?.next)
+    }
+
+    fn collect_for_ad(&self, ad: &Advertisement, repo: &Repository, out: &mut BTreeSet<RecordId>) {
         if self.buckets.is_empty() {
             return;
         }
-        let mut candidates: HashSet<SubId> = HashSet::new();
+        let mut candidates: HashSet<RecordId> = HashSet::new();
         let terms = repo.posted_terms(ad, repo.granted(ad));
         let posted = std::iter::once(Term::Name(&ad.location.name)).chain(terms);
         for term in posted {
-            candidates.extend(self.buckets.get(&term.symbol()).into_iter().flatten());
+            candidates.extend(self.chain(self.buckets.get(&term.symbol()).copied()));
         }
         if candidates.is_empty() {
             return;
         }
-        // Interval refinement: a subscription constraining a slot to a
-        // window disjoint from the advertisement's hull on that slot
-        // overlaps none of its content records (constraint overlap is
-        // required for any score), so it cannot be affected by this
-        // version. Bounds are treated as closed — a conservative
-        // relaxation of bound exclusivity — and only the candidates are
-        // looked at, never every subscription on the slot.
+        // Interval refinement: a query constraining a slot to a window
+        // disjoint from the advertisement's hull on that slot overlaps
+        // none of its content records (constraint overlap is required for
+        // any score), so this version has no row in its record. Bounds
+        // are treated as closed — a conservative relaxation of bound
+        // exclusivity — and only the candidates are looked at, never every
+        // record on the slot.
         let hulls = ad_slot_hulls(ad);
         let meets = |(slot, (s_lo, s_hi)): &(Text, Hull)| {
             hulls
                 .iter()
                 .all(|(h, (lo, hi))| h.as_bytes() != slot.as_bytes() || (s_lo <= hi && s_hi >= lo))
         };
-        candidates.retain(|id| self.entries.get(id).map_or(true, |s| s.windows.iter().all(meets)));
+        candidates.retain(|id| {
+            self.records[*id as usize].as_ref().map_or(true, |r| r.windows.iter().all(meets))
+        });
         out.extend(candidates);
     }
+
+    /// Patches each record in `reached` for a write that changed the
+    /// advertisements of `changed`: their rows are dropped, their versions
+    /// now posted are scored against the record's query and inserted at
+    /// their rank. Returns the deltas owed, ascending by subscription id,
+    /// each the difference between the subscription's view before and
+    /// after.
+    pub fn patch(
+        &mut self,
+        repo: &Repository,
+        changed: &[Text],
+        reached: &BTreeSet<RecordId>,
+    ) -> Vec<Note> {
+        let posted: Vec<_> =
+            changed.iter().filter_map(|name| repo.ad_index().posted(name)).collect();
+        let mut notes = Vec::new();
+        for &id in reached {
+            let Some(record) = self.records[id as usize].as_mut() else { continue };
+            let is_changed = |row: &MatchRow| changed.contains(&row.name);
+            let scored: Vec<MatchRow> = posted
+                .iter()
+                .filter_map(|p| Matchmaker::default().score_row(repo, p, &record.query))
+                .collect();
+            if scored.is_empty() && !record.rows.iter().any(is_changed) {
+                continue;
+            }
+            let old = (!record.subs.is_empty()).then(|| Arc::clone(&record.rows));
+            let rows = Arc::make_mut(&mut record.rows);
+            rows.retain(|row| !is_changed(row));
+            for row in scored {
+                insert_ranked(rows, row);
+            }
+            let Some(old) = old else { continue };
+            for sub in &record.subs {
+                let (matched, unmatched) = view_delta(&old, &record.rows, sub.max_matches, changed);
+                if !matched.is_empty() || !unmatched.is_empty() {
+                    notes.push((sub.id, id, matched, unmatched));
+                }
+            }
+        }
+        notes.sort_by_key(|note| note.0);
+        notes
+    }
+
+    /// Makes the table current after a mutation no patch followed: drops
+    /// every record no subscription pins and matches each pinned one
+    /// again. Returns the deltas owed, ascending by subscription id.
+    pub(crate) fn rematch(&mut self, repo: &Repository) -> Vec<Note> {
+        self.drop_unpinned();
+        let mut notes = Vec::new();
+        for (id, slot) in self.records.iter_mut().enumerate() {
+            let Some(record) = slot else { continue };
+            let rows = Arc::new(Matchmaker::default().match_query(repo, &record.query));
+            for sub in &record.subs {
+                let cut = sub.max_matches;
+                let (matched, unmatched) = result_delta(view(&record.rows, cut), view(&rows, cut));
+                if !matched.is_empty() || !unmatched.is_empty() {
+                    notes.push((sub.id, id as RecordId, matched, unmatched));
+                }
+            }
+            record.rows = rows;
+        }
+        notes.sort_by_key(|note| note.0);
+        notes
+    }
+
+    /// Every record's query with its rows, then every subscription with
+    /// the view it reads: what a check of the stored answers compares.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn stored(
+        &self,
+    ) -> (Vec<(&ServiceQuery, &[MatchRow])>, Vec<(&StandingSubscription, &[MatchRow])>) {
+        let records = self.records.iter().flatten().map(|r| (&r.query, r.rows.as_slice()));
+        let views = self.records.iter().flatten().flat_map(|record| {
+            record.subs.iter().map(|sub| (sub, view(&record.rows, sub.max_matches)))
+        });
+        (records.collect(), views.collect())
+    }
+}
+
+/// The first `cut` rows: what a subscription reads of its record.
+pub(crate) fn view<R>(rows: &[R], cut: Option<usize>) -> &[R] {
+    &rows[..cut.map_or(rows.len(), |n| n.min(rows.len()))]
+}
+
+/// The delta between a subscription's views of a record before and after a
+/// patch that changed only the rows named in `changed`: what
+/// [`result_delta`] over the two views returns, found without hashing
+/// either. Every other row keeps its order, so each view holds a prefix of
+/// them, and a row beyond the shorter prefix is one that crossed the cut.
+fn view_delta(
+    old: &[MatchRow],
+    new: &[MatchRow],
+    cut: Option<usize>,
+    changed: &[Text],
+) -> (Vec<MatchRow>, Vec<String>) {
+    let (old, new) = (view(old, cut), view(new, cut));
+    let is_changed = |row: &MatchRow| changed.contains(&row.name);
+    let kept = |rows: &[MatchRow]| rows.iter().filter(|r| !is_changed(r)).count();
+    let (kept_old, kept_new) = match cut {
+        Some(_) => (kept(old), kept(new)),
+        None => (usize::MAX, usize::MAX),
+    };
+    let mut matched = Vec::new();
+    let mut k = 0;
+    for row in new {
+        if is_changed(row) {
+            if old.iter().find(|o| o.name == row.name) != Some(row) {
+                matched.push(row.clone());
+            }
+        } else {
+            k += 1;
+            if k > kept_old {
+                matched.push(row.clone());
+            }
+        }
+    }
+    let mut unmatched = Vec::new();
+    let mut k = 0;
+    for row in old {
+        let gone = if is_changed(row) {
+            !new.iter().any(|n| n.name == row.name)
+        } else {
+            k += 1;
+            k > kept_new
+        };
+        if gone {
+            unmatched.push(row.name.to_string());
+        }
+    }
+    (matched, unmatched)
 }
 
 /// The notification delta between two result sets: `matched` carries every
@@ -399,17 +694,29 @@ mod tests {
         reg
     }
 
+    /// The subscriptions reading the records a write reaches.
+    fn reached(
+        reg: &SubscriptionRegistry,
+        old: Option<&Advertisement>,
+        new: Option<&Advertisement>,
+        repo: &Repository,
+    ) -> BTreeSet<SubId> {
+        let records = reg.affected(old, new, repo);
+        let reading = |id: &RecordId| reg.records[*id as usize].iter().flat_map(|r| &r.subs);
+        records.iter().flat_map(reading).map(|sub| sub.id).collect()
+    }
+
     #[test]
     fn class_buckets_prune_unrelated_subscriptions() {
         let repo = repo();
         let idx = registry([class_query("C1"), class_query("C2")]);
-        let hit = idx.affected(None, Some(&ad("ra", &["C1"], None)), &repo);
+        let hit = reached(&idx, None, Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1));
         assert!(!hit.contains(&2));
         // Both old and new versions probe: moving an agent from C2 to C1
         // affects both subscriptions.
         let hit =
-            idx.affected(Some(&ad("ra", &["C2"], None)), Some(&ad("ra", &["C1"], None)), &repo);
+            reached(&idx, Some(&ad("ra", &["C2"], None)), Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1) && hit.contains(&2));
     }
 
@@ -427,7 +734,7 @@ mod tests {
         let idx = registry([class_query(child)]);
         // An agent advertising only the ancestor still affects the child
         // subscription (full-coverage matches).
-        let hit = idx.affected(None, Some(&ad("ra", &[parent], None)), &repo);
+        let hit = reached(&idx, None, Some(&ad("ra", &[parent], None)), &repo);
         assert!(hit.contains(&1), "ancestor advertisement must hit the subscription");
     }
 
@@ -435,7 +742,7 @@ mod tests {
     fn catch_all_subscriptions_always_probe() {
         let repo = repo();
         let idx = registry([ServiceQuery::for_agent_type(AgentType::Resource)]);
-        let hit = idx.affected(None, Some(&ad("ra", &["C1"], None)), &repo);
+        let hit = reached(&idx, None, Some(&ad("ra", &["C1"], None)), &repo);
         assert!(hit.contains(&1));
     }
 
@@ -445,8 +752,8 @@ mod tests {
         let mut q = ServiceQuery::any();
         q.agent_name = Some("ra-1".into());
         let idx = registry([q]);
-        assert!(idx.affected(None, Some(&ad("ra-1", &["C1"], None)), &repo).contains(&1));
-        assert!(idx.affected(None, Some(&ad("ra-2", &["C1"], None)), &repo).is_empty());
+        assert!(reached(&idx, None, Some(&ad("ra-1", &["C1"], None)), &repo).contains(&1));
+        assert!(reached(&idx, None, Some(&ad("ra-2", &["C1"], None)), &repo).is_empty());
     }
 
     #[test]
@@ -456,9 +763,9 @@ mod tests {
         let idx = registry([ServiceQuery::any().with_capability(Capability::subscription())]);
         let mut a = ad("ra", &[], None);
         a.semantic.capabilities.insert(Capability::subscription());
-        assert!(idx.affected(None, Some(&a), &r).contains(&1));
+        assert!(reached(&idx, None, Some(&a), &r).contains(&1));
         let b = ad("rb", &[], None);
-        assert!(idx.affected(None, Some(&b), &r).is_empty());
+        assert!(reached(&idx, None, Some(&b), &r).is_empty());
     }
 
     #[test]
@@ -476,13 +783,13 @@ mod tests {
             &["C1"],
             Some(Conjunction::from_predicates(vec![Predicate::between("C1.a", 5, 8)])),
         );
-        let hit = idx.affected(None, Some(&narrow), &repo);
+        let hit = reached(&idx, None, Some(&narrow), &repo);
         assert!(hit.contains(&1), "overlapping window stays a candidate");
         assert!(!hit.contains(&2), "disjoint window is pruned");
         // An advertisement without a restriction on the slot can match
         // either subscription: nothing is pruned.
         let open = ad("rb", &["C1"], None);
-        let hit = idx.affected(None, Some(&open), &repo);
+        let hit = reached(&idx, None, Some(&open), &repo);
         assert!(hit.contains(&1) && hit.contains(&2));
     }
 
@@ -505,17 +812,17 @@ mod tests {
         ]));
         let idx = registry([q.clone()]);
         repo.advertise(two.clone()).unwrap();
-        let matched = crate::Matchmaker::default().match_query_mut(&mut repo, &q);
+        let matched = crate::Matchmaker::default().match_query(&repo, &q);
         assert_eq!(matched.len(), 1, "the second record matches the subscription");
-        assert!(idx.affected(None, Some(&two), &repo).contains(&1));
+        assert!(reached(&idx, None, Some(&two), &repo).contains(&1));
         // A record open on the slot takes the slot out of the hull.
         let mut half_open = two.clone();
         half_open.semantic.content[1] = OntologyContent::new("paper-classes").with_classes(["C1"]);
-        assert!(idx.affected(None, Some(&half_open), &repo).contains(&1));
+        assert!(reached(&idx, None, Some(&half_open), &repo).contains(&1));
         // Both records disjoint from the subscription still prune it.
         let mut both_low = two;
         both_low.semantic.content[1] = window(20, 30);
-        assert!(!idx.affected(None, Some(&both_low), &repo).contains(&1));
+        assert!(!reached(&idx, None, Some(&both_low), &repo).contains(&1));
     }
 
     #[test]
@@ -525,11 +832,14 @@ mod tests {
             Predicate::between("C1.a", 0, 10),
         ]));
         let mut idx = registry([q]);
-        assert_eq!(idx.buckets.len(), 1);
-        assert!(idx.remove(1));
-        assert!(!idx.remove(1), "removed once");
-        assert!(idx.buckets.is_empty() && idx.entries.is_empty() && idx.keys.is_empty());
-        assert!(idx.affected(None, Some(&ad("ra", &["C1"], None)), &repo).is_empty());
+        assert_eq!((idx.buckets.len(), idx.unpinned()), (1, 0));
+        assert!(idx.unsubscribe("s0", "watcher"));
+        assert!(!idx.unsubscribe("s0", "watcher"), "removed once");
+        assert!(idx.keys.is_empty());
+        assert_eq!((idx.records(), idx.unpinned()), (1, 1), "the record stays, unpinned");
+        assert_eq!(idx.drop_unpinned(), 1);
+        assert!(idx.buckets.is_empty() && idx.by_key.is_empty() && idx.records() == 0);
+        assert!(reached(&idx, None, Some(&ad("ra", &["C1"], None)), &repo).is_empty());
     }
 
     /// What a derived rule grants an advertisement is among its posted
@@ -552,16 +862,16 @@ mod tests {
         let mut subscriber = ad("ra", &["C2"], None);
         subscriber.semantic.capabilities.insert(Capability::subscription());
         r.advertise(subscriber).unwrap();
-        let posted = reg.affected(None, r.advertisement("ra"), &r);
+        let posted = reached(&reg, None, r.advertisement("ra"), &r);
         assert_eq!(posted, [polling].into(), "only the derived capability's subscription");
         assert!(!posted.contains(&c1) && !posted.contains(&c3));
         // Asked about while it is posted, the advertisement about to be
         // withdrawn reaches the polling subscription; withdrawn, its grants
         // are gone with it.
         let withdrawn = r.advertisement_arc("ra").cloned().unwrap();
-        assert_eq!(reg.affected(Some(&withdrawn), None, &r), [polling].into());
+        assert_eq!(reached(&reg, Some(&withdrawn), None, &r), [polling].into());
         assert!(r.unadvertise("ra"));
-        assert!(!reg.affected(Some(&withdrawn), None, &r).contains(&polling));
+        assert!(!reached(&reg, Some(&withdrawn), None, &r).contains(&polling));
     }
 
     /// A subclass added to a live hierarchy reaches the subscriptions
@@ -588,7 +898,7 @@ mod tests {
                 SemanticInfo::default()
                     .with_content(OntologyContent::new("zoo").with_classes(["d"])),
             );
-        assert!(reg.affected(None, Some(&of_d), &repo).contains(&id));
+        assert!(reached(&reg, None, Some(&of_d), &repo).contains(&id));
     }
 
     /// A subscriber holds one subscription per key: a second under the same
@@ -601,15 +911,13 @@ mod tests {
         let mut register = |key: &str, subscriber: &str| {
             reg.register(key, subscriber.into(), None, class_query("C1"), Arc::default(), &repo)
         };
-        let first = register("k", "watcher").unwrap();
+        register("k", "watcher").unwrap();
         assert_eq!(register("k", "watcher"), None);
         let other = register("k", "other-watcher").unwrap();
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.find("k", "watcher"), Some(first));
-        assert_eq!(reg.find("k", "other-watcher"), Some(other));
-        assert!(reg.remove(first));
-        assert_eq!(reg.find("k", "watcher"), None);
-        assert_eq!(reg.affected(None, Some(&ad("ra", &["C1"], None)), &repo), [other].into());
+        assert_eq!((reg.len(), reg.records()), (2, 1), "one query, one record");
+        assert!(reg.unsubscribe("k", "watcher"));
+        assert!(!reg.unsubscribe("k", "watcher"));
+        assert_eq!(reached(&reg, None, Some(&ad("ra", &["C1"], None)), &repo), [other].into());
         let again =
             reg.register("k", "watcher".into(), None, class_query("C1"), Arc::default(), &repo);
         assert!(again.is_some_and(|id| id > other), "the key is free again, under a new id");
@@ -636,5 +944,77 @@ mod tests {
         // Identical sets produce an empty delta (no notification).
         let (matched, unmatched) = result_delta(&old, &old.clone());
         assert!(matched.is_empty() && unmatched.is_empty());
+    }
+    fn row(name: &str, score: u32) -> MatchRow {
+        MatchRow::from(&MatchResult { name: name.into(), score, ..MatchResult::default() })
+    }
+
+    /// Over random rankings, random single-row changes and random cuts,
+    /// the delta between the two views is `result_delta`'s.
+    #[test]
+    fn view_delta_is_result_delta_over_the_views() {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for _ in 0..4000 {
+            let names: Vec<String> = (0..next(8)).map(|i| format!("a{i}")).collect();
+            let mut old: Vec<MatchRow> = names.iter().map(|n| row(n, next(4) as u32 + 1)).collect();
+            let rank = |rows: &mut Vec<MatchRow>| {
+                rows.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.name.cmp(&b.name)))
+            };
+            rank(&mut old);
+            let changed = [Text::from(format!("a{}", next(9)))];
+            let mut new: Vec<MatchRow> =
+                old.iter().filter(|r| r.name != changed[0]).cloned().collect();
+            if next(3) > 0 {
+                insert_ranked(&mut new, row(&changed[0], next(4) as u32 + 1));
+            }
+            let cut = match next(3) {
+                0 => None,
+                _ => Some(next(6) as usize),
+            };
+            assert_eq!(
+                view_delta(&old, &new, cut, &changed),
+                result_delta(view(&old, cut), view(&new, cut)),
+                "{old:?} -> {new:?} cut {cut:?}"
+            );
+        }
+    }
+
+    /// A record reached by a write is patched to what a fresh match
+    /// returns, and each subscription hears what crossed its cut.
+    #[test]
+    fn a_patch_equals_a_fresh_match_and_notes_each_cut() {
+        let mut repo = repo();
+        for (name, lo) in [("ra", 0), ("rb", 5), ("rc", 50)] {
+            let c = Conjunction::from_predicates(vec![Predicate::between("C1.a", lo, lo + 10)]);
+            repo.advertise(ad(name, &["C1"], Some(c))).unwrap();
+        }
+        let query = class_query("C1").with_constraints(Conjunction::from_predicates(vec![
+            Predicate::between("C1.a", 0, 12),
+        ]));
+        let rows = Arc::new(crate::Matchmaker::default().match_query(&repo, &query));
+        let mut reg = SubscriptionRegistry::default();
+        let one = ServiceQuery { max_matches: Some(1), ..query.clone() };
+        reg.register("all", "w".into(), None, query.clone(), Arc::clone(&rows), &repo).unwrap();
+        reg.register("top", "w".into(), None, one, rows, &repo).unwrap();
+        assert_eq!(reg.records(), 1, "both read one record");
+        let moved = ad("rc", &["C1"], None);
+        let old = repo.advertisement_arc("rc").cloned();
+        let mut reached = reg.affected(old.as_deref(), None, &repo);
+        repo.advertise(moved).unwrap();
+        reached.append(&mut reg.affected(None, repo.advertisement("rc"), &repo));
+        let notes = reg.patch(&repo, &["rc".into()], &reached);
+        let (records, views) = reg.stored();
+        assert_eq!(records[0].1, crate::Matchmaker::default().match_query(&repo, &query));
+        let top = views.iter().find(|(s, _)| s.sub_key == "top").unwrap().1;
+        assert_eq!(top.len(), 1);
+        let ids: Vec<SubId> = notes.iter().map(|n| n.0).collect();
+        assert!(ids.contains(&1), "the whole view gained rc: {notes:?}");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending ids");
     }
 }

@@ -1,6 +1,7 @@
 //! Correctness oracles for the hot-path machinery: candidate narrowing,
-//! the posted terms, the direct model probe and the epoch-tagged match
-//! cache must all be *invisible* — every fast path returns exactly what
+//! the posted terms, the direct model probe and the match cache, which a
+//! repository mutated behind its back drops at the next lookup, must all
+//! be *invisible* — every fast path returns exactly what
 //! the serial linear scan over the reference model returns, on every
 //! repository shape (randomized churn, derived rules, held snapshots) and
 //! at every point of the mutation timeline.

@@ -440,6 +440,66 @@ fn a_decoded_subscription_query_weighs_what_a_cloned_one_does() {
     );
 }
 
+/// A standing subscription of `churn_mixed_bus`'s shape, the record it
+/// reads included: 779 B in 4.2 allocations when the subscription was a
+/// record of its own, then a tenth over. The record also answers asks, so
+/// its canonical key's bytes are allowed on top.
+const CEILING_SUB_RECORD_BYTES: f64 = 857.0;
+
+/// A record of the table of stored answers costs what a standing
+/// subscription cost before the two were one table, plus its canonical
+/// key: subscribed, each one registered the way the broker registers it;
+/// unsubscribed, each one a match-cache entry of the same query, inserted
+/// the way an ask's miss inserts it.
+#[test]
+fn a_record_weighs_a_subscription_and_its_key() {
+    let _alone = alone();
+    const N: usize = 1_000;
+    let queries: Vec<ServiceQuery> = (0..N).map(sub_query).collect();
+    let key_bytes =
+        queries.iter().map(|q| codec::service_query_to_sexpr(q).to_string().len()).sum::<usize>()
+            as f64
+            / N as f64;
+    let repo = model_free_repo();
+    let subscribed = || {
+        let mut subs = SubscriptionRegistry::default();
+        let before = live();
+        for (j, q) in queries.iter().enumerate() {
+            let q = q.clone();
+            subs.register(format!("sub-{j}"), "cli-sub".into(), None, q, Arc::default(), &repo);
+        }
+        (delta(before, live()), subs)
+    };
+    let unsubscribed = || {
+        let cache = MatchCache::new(N);
+        let before = live();
+        for q in &queries {
+            cache.insert_keyed(1, MatchCache::query_key(q), Arc::default());
+        }
+        (delta(before, live()), cache)
+    };
+    // A first fill interns every name the index keys on.
+    drop(subscribed());
+    let (pinned, _subs) = subscribed();
+    let (entry, cache) = unsubscribed();
+    assert_eq!((cache.len(), cache.stats().evictions), (N, 0));
+    let (pinned, entry) = (per(N, pinned), per(N, entry));
+    eprintln!("per record of the stored answers: live heap (key {key_bytes:.0} B)");
+    for (what, (bytes, allocs)) in [("subscribed record", pinned), ("unsubscribed record", entry)] {
+        eprintln!("{what:<30} {bytes:>6.0} B in {allocs:>5.1} allocations");
+    }
+    assert!(
+        pinned.0 <= CEILING_SUB_RECORD_BYTES + key_bytes,
+        "a subscribed record takes {:.0} B, ceiling {CEILING_SUB_RECORD_BYTES} + {key_bytes:.0}",
+        pinned.0
+    );
+    assert!(
+        entry.0 <= pinned.0,
+        "an unsubscribed record weighs {:.0} B, more than a subscribed one",
+        entry.0
+    );
+}
+
 /// An advertisement whose names sit on either side of the 22 bytes a name
 /// holds in place — a 22-byte agent name and key, a 23-byte class — or
 /// are vocabulary words (`KQML`), or travel quoted (`SQL 2.0`, a slot
@@ -735,7 +795,7 @@ fn a_held_result_row_is_a_pointer_to_its_block() {
     let mut registry = SubscriptionRegistry::new(true);
     let query = everyone.clone();
     let before = live();
-    let last = Arc::new(mm.match_query_mut(&mut repo, &query));
+    let last = Arc::new(mm.match_query(&repo, &query));
     registry.register("sub-1", "cli-sub".into(), None, query, last, &repo);
     let last_row = per(N, delta(before, live()));
 

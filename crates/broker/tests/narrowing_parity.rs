@@ -546,11 +546,8 @@ fn a_recycled_id_does_not_inherit_the_hull() {
         .with_ontology("paper-classes")
         .with_classes(["C1"])
         .with_constraints(Conjunction::from_predicates(vec![Predicate::between("x", 50, 60)]));
-    let names: Vec<String> = Matchmaker::default()
-        .match_query_mut(&mut repo, &q)
-        .into_iter()
-        .map(|m| m.name.into())
-        .collect();
+    let names: Vec<String> =
+        Matchmaker::default().match_query(&repo, &q).into_iter().map(|m| m.name.into()).collect();
     assert_eq!(names, vec!["agent2"]);
     assert_narrowing_is_invisible(&mut repo, &[q]);
 }
@@ -577,7 +574,7 @@ fn a_recycled_id_does_not_inherit_the_agent_type_or_the_languages() {
             .with_communication_language("KQML"),
     ];
     let names = |repo: &mut Repository, q: &ServiceQuery| -> Vec<String> {
-        Matchmaker::default().match_query_mut(repo, q).into_iter().map(|m| m.name.into()).collect()
+        Matchmaker::default().match_query(repo, q).into_iter().map(|m| m.name.into()).collect()
     };
     for gone in &queries[..3] {
         assert!(names(&mut repo, gone).is_empty(), "{gone:?}");

@@ -16,7 +16,7 @@
 //! by an action independent of `a` would re-explore `a`'s interleavings
 //! in a different order and is skipped.
 //!
-//! Every complete (quiescent) schedule is checked against three
+//! Every complete (quiescent) schedule is checked against four
 //! invariants:
 //!
 //! 1. **Conformance** — the emission log replayed through the strict
@@ -25,11 +25,15 @@
 //! 2. **Epoch monotonicity** — `sub-delta` notifications on each
 //!    `(broker, watcher)` channel carry nondecreasing repository epochs;
 //! 3. **Convergence** — the terminal repository fingerprint is
-//!    byte-identical across every schedule of the scenario.
+//!    byte-identical across every schedule of the scenario;
+//! 4. **Stored answers are current** — every record of the broker's table
+//!    holds what a fresh match over the terminal repository returns, and
+//!    what each subscriber was told, its snapshot folded with every delta
+//!    after it, is what its subscription reads of its record.
 
 use crate::world::{Action, Scenario, World, WorldConfig};
 use infosleuth_analysis::ConformanceMonitor;
-use infosleuth_broker::codec;
+use infosleuth_broker::{codec, MatchResult};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
@@ -191,6 +195,43 @@ impl Search<'_> {
                 }
             }
             last_epoch.insert(key, epoch);
+        }
+
+        // 4. Stored answers are current: the table against a fresh match,
+        // and each subscription's view against what its subscriber was
+        // told.
+        match world.stored_answers() {
+            Err(stale) => self.violate(format!("stale stored answer: {stale}"), schedule),
+            Ok(views) => {
+                let mut told: BTreeMap<(String, String), BTreeMap<String, MatchResult>> =
+                    BTreeMap::new();
+                for record in world.log() {
+                    let message = &record.message;
+                    let (Some(content), Some(key)) = (message.content(), message.in_reply_to())
+                    else {
+                        continue;
+                    };
+                    let Ok((_, matched, unmatched)) = codec::sub_delta_from_sexpr(content) else {
+                        continue;
+                    };
+                    let view = told.entry((record.to.clone(), key.to_string())).or_default();
+                    for name in unmatched {
+                        view.remove(&name);
+                    }
+                    view.extend(matched.into_iter().map(|row| (row.name.clone(), row)));
+                }
+                for (subscriber, key, rows) in views {
+                    let view = told.remove(&(subscriber.clone(), key.clone())).unwrap_or_default();
+                    let mut reads: Vec<MatchResult> = rows;
+                    reads.sort_by(|a, b| a.name.cmp(&b.name));
+                    if view.into_values().collect::<Vec<_>>() != reads {
+                        self.violate(
+                            format!("{subscriber} was told another view of {key} than it reads"),
+                            schedule,
+                        );
+                    }
+                }
+            }
         }
 
         // 3. Convergence: byte-identical terminal repository across all

@@ -20,7 +20,7 @@
 use crate::clock::VectorClock;
 use crate::transport::{ScheduledTransport, SentRecord};
 use infosleuth_agent::{AgentBehavior, AgentContext, Envelope, Transport};
-use infosleuth_broker::{BrokerAgent, BrokerConfig, BrokerCore, Repository};
+use infosleuth_broker::{BrokerAgent, BrokerConfig, BrokerCore, Repository, StoredView};
 use infosleuth_kqml::Message;
 use infosleuth_obs::Obs;
 use std::collections::VecDeque;
@@ -189,6 +189,12 @@ impl World {
 
     pub fn subscription_count(&self) -> usize {
         self.core.subscription_count()
+    }
+
+    /// The broker's stored answers checked against its repository (see
+    /// [`BrokerCore::stored_answers`]).
+    pub fn stored_answers(&self) -> Result<Vec<StoredView>, String> {
+        self.core.stored_answers()
     }
 
     /// Global emission log (scenario injections first, then everything

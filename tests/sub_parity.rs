@@ -201,7 +201,6 @@ fn indexed_and_naive_notification_sequences_are_identical() {
         if step == 60 {
             let rule = "cap(A, subscription) :- agent(A, resource).";
             broker.with_repository(|r| r.register_derived_rules(rule).unwrap());
-            broker.resync_subscriptions();
             nav.repo.register_derived_rules(rule).unwrap();
             nav.reevaluate(false);
         }
