@@ -56,14 +56,6 @@ impl BrokerLists {
         lists
     }
 
-    pub fn redundancy(&self) -> usize {
-        self.redundancy
-    }
-
-    pub fn known(&self) -> &[String] {
-        &self.known
-    }
-
     pub fn connected(&self) -> impl Iterator<Item = &str> {
         self.connected.iter().map(String::as_str)
     }
@@ -192,14 +184,18 @@ mod tests {
         let mut lists = BrokerLists::new(["b1"], 3);
         lists.discover("b2");
         lists.discover("b1");
-        assert_eq!(lists.known(), &["b1".to_string(), "b2".to_string()]);
+        assert_eq!(lists.plan_readvertise().advertise_to, vec!["b1", "b2"]);
         lists.record_advertised("b9"); // success implies discovery
-        assert!(lists.known().contains(&"b9".to_string()));
+        lists.record_lost("b9");
+        assert_eq!(lists.plan_readvertise().advertise_to, vec!["b1", "b2", "b9"]);
     }
 
     #[test]
     fn redundancy_is_at_least_one() {
-        let lists = BrokerLists::new(["b1"], 0);
-        assert_eq!(lists.redundancy(), 1);
+        let mut lists = BrokerLists::new(["b1"], 0);
+        assert!(lists.needs_advertising());
+        assert_eq!(lists.plan_readvertise().advertise_to, vec!["b1"]);
+        lists.record_advertised("b1");
+        assert!(!lists.needs_advertising());
     }
 }

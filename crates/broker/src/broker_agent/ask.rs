@@ -543,6 +543,9 @@ mod tests {
         interconnect(&[&b1, &b2, &b3]).unwrap();
         let mut ra = bus.register("ra1").unwrap();
         advertise_to(&mut ra, "broker3", &resource_ad("ra1", &["C1"]), T).unwrap();
+        // broker3's digest update is one-way and may still be in flight
+        // when the ack arrives (or be dispatched beside the query below).
+        await_digest(&b1, &b3);
         b2.stop(); // broker2 dies without unadvertising
         let q = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_ontology("paper-classes")

@@ -13,8 +13,11 @@ use infosleuth_ontology::{Advertisement, BrokerAdvertisement};
 /// Applies one mutation against the locked state. Outgoing traffic is
 /// queued on `out` in send order: sub-deltas first, so a subscriber that
 /// is also the advertiser sees a deterministic sequence; then digest
-/// re-advertisements, so an advertiser that queries right after its ack
-/// already has the updates ahead of it in peer inboxes; the ack last.
+/// re-advertisements; the ack last. The updates are sent before the ack,
+/// but a peer may still handle a query that follows the ack first: its
+/// runtime can dispatch both in one pass to two workers, and the query
+/// may take the state lock before the update does. A caller that needs a
+/// peer to route on the new digest waits until that peer holds it.
 pub(super) fn apply(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbox) {
     if env.message.performative == Performative::Unadvertise {
         unadvertise(shared, state, env, out);

@@ -7,6 +7,7 @@
 
 use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared, State};
 use crate::codec;
+use crate::match_cache::QueryKey;
 use crate::matchmaker::Matchmaker;
 use crate::sub_index::{view, Note, RecordId, SubscriptionRegistry};
 use crate::{MatchRow, Repository};
@@ -43,21 +44,24 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         if report.has_errors() {
             return out.push((env.from.clone(), sorry_reply(env, report.render_human(None))));
         }
-        let whole = ServiceQuery { max_matches: None, ..query.clone() };
-        let rows = Matchmaker::default().match_query_cached(repo, &shared.cache, &whole);
+        // One rendering of the untruncated query keys both the match
+        // cache and the subscription's record.
         let cut = query.max_matches;
+        let whole = ServiceQuery { max_matches: None, ..query };
+        let key = QueryKey::new(&whole);
+        let rows = Matchmaker::default().match_key_cached(repo, &shared.cache, key.clone());
         let mut table = shared.cache.table();
         let sub_key = msg
             .reply_with()
             .map(Text::from)
             .unwrap_or_else(|| table.records.fresh_key(&subscriber));
-        let registered = table.records.register(
+        let registered = table.records.register_keyed(
             sub_key.clone(),
             subscriber.clone(),
             trace.clone(),
-            query,
+            cut,
+            key,
             Arc::clone(&rows),
-            repo,
         );
         drop(table);
         if registered.is_none() {

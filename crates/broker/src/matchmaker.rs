@@ -8,6 +8,7 @@
 //! order.
 
 use crate::codec::ResultRow;
+use crate::match_cache::QueryKey;
 use crate::repository::{ClassCredit, Posted, Repository, Term};
 use crate::sub_index::numeric_hull;
 use infosleuth_kqml::{Block, Text};
@@ -189,9 +190,23 @@ impl Matchmaker {
         cache: &crate::MatchCache,
         query: &ServiceQuery,
     ) -> Arc<Vec<MatchRow>> {
+        let rows = self.match_key_cached(repo, cache, QueryKey::new(query));
+        match query.max_matches {
+            Some(n) if n < rows.len() => Arc::new(rows[..n].to_vec()),
+            _ => rows,
+        }
+    }
+
+    /// [`match_query_cached`](Self::match_query_cached) on a key already
+    /// rendered, returning the untruncated ranking.
+    pub(crate) fn match_key_cached(
+        &self,
+        repo: &mut Repository,
+        cache: &crate::MatchCache,
+        key: QueryKey<'_>,
+    ) -> Arc<Vec<MatchRow>> {
         let epoch = repo.epoch();
-        let key = crate::MatchCache::query_key(query);
-        let rows = match cache.lookup_keyed(epoch, &key) {
+        match cache.lookup_keyed(epoch, &key) {
             Some(hit) => hit,
             None => {
                 let _scoring = repo.stage("scoring");
@@ -199,10 +214,6 @@ impl Matchmaker {
                 cache.insert_keyed(epoch, key, Arc::clone(&rows));
                 rows
             }
-        };
-        match query.max_matches {
-            Some(n) if n < rows.len() => Arc::new(rows[..n].to_vec()),
-            _ => rows,
         }
     }
 

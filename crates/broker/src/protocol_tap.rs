@@ -13,7 +13,9 @@
 //! Distributed deployments should use the lenient monitor
 //! ([`ProtocolTap::lenient`]): a tap on one node sees replies to
 //! conversations whose opening request left from another node, and a
-//! strict monitor would flag those as out-of-order. The strict variant
+//! strict monitor would flag those as out-of-order. A strict monitor
+//! ([`ProtocolTap::over`] with
+//! [`ConformanceMonitor::standard_strict`](infosleuth_analysis::ConformanceMonitor::standard_strict))
 //! is for single-transport communities where the tap observes every
 //! send.
 
@@ -39,12 +41,6 @@ impl ProtocolTap {
     /// deployments where this tap sees only one node's sends.
     pub fn lenient(registry: &MetricsRegistry, node: &str) -> ProtocolTap {
         ProtocolTap::over(ConformanceMonitor::standard_lenient(), registry, node)
-    }
-
-    /// A strict tap (every reply must resolve to an observed opening) —
-    /// for single-transport communities observed in full.
-    pub fn strict(registry: &MetricsRegistry, node: &str) -> ProtocolTap {
-        ProtocolTap::over(ConformanceMonitor::standard_strict(), registry, node)
     }
 
     /// A tap over an explicitly configured monitor.
@@ -99,6 +95,11 @@ mod tests {
     use infosleuth_obs::Obs;
     use std::sync::Arc;
 
+    /// A tap over the strict monitor: these tests observe every send.
+    fn strict_tap(obs: &Obs) -> Arc<ProtocolTap> {
+        Arc::new(ProtocolTap::over(ConformanceMonitor::standard_strict(), obs.registry(), "node1"))
+    }
+
     fn scrape_total(obs: &Obs) -> Option<f64> {
         obs.registry().render().lines().find_map(|l| {
             l.strip_prefix("protocol_violations_total")
@@ -110,7 +111,7 @@ mod tests {
     #[test]
     fn clean_conversation_leaves_counter_at_zero() {
         let obs = Obs::new();
-        let tap = Arc::new(ProtocolTap::strict(obs.registry(), "node1"));
+        let tap = strict_tap(&obs);
         tap.on_send("client", "broker", &Message::new(Performative::Ping).with_reply_with("p1"));
         tap.on_send("broker", "client", &Message::new(Performative::Reply).with_in_reply_to("p1"));
         assert_eq!(tap.total_violations(), 0);
@@ -121,7 +122,7 @@ mod tests {
     #[test]
     fn duplicate_ack_is_counted_and_kept() {
         let obs = Obs::new();
-        let tap = Arc::new(ProtocolTap::strict(obs.registry(), "node1"));
+        let tap = strict_tap(&obs);
         tap.on_send("client", "broker", &Message::new(Performative::Ping).with_reply_with("p1"));
         let ack = Message::new(Performative::Reply).with_in_reply_to("p1");
         tap.on_send("broker", "client", &ack);
@@ -138,7 +139,7 @@ mod tests {
     fn tapped_transport_feeds_the_monitor_and_metric() {
         let bus = Bus::new();
         let obs = Obs::new();
-        let tap = Arc::new(ProtocolTap::strict(obs.registry(), "node1"));
+        let tap = strict_tap(&obs);
         let tap_obj: Arc<dyn infosleuth_agent::MessageTap> = Arc::clone(&tap) as _;
         let tapped = TappedTransport::wrap(bus.as_transport(), tap_obj);
         let _broker = tapped.open_mailbox("broker").unwrap();

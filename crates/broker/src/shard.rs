@@ -47,11 +47,6 @@ impl ShardPlan {
         self.shards.is_empty()
     }
 
-    /// The owner names, in shard order.
-    pub fn owners(&self) -> &[String] {
-        &self.shards
-    }
-
     /// The shard owning one ontology fragment.
     pub fn shard_of(&self, ontology: &str, class: &str) -> usize {
         (fragment_hash(ontology, class) % self.shards.len() as u64) as usize

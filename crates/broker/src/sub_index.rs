@@ -284,15 +284,35 @@ impl SubscriptionRegistry {
         rows: Arc<Vec<MatchRow>>,
         _repo: &Repository,
     ) -> Option<SubId> {
-        let sub_key = sub_key.into();
+        let max_matches = query.max_matches;
+        self.register_keyed(
+            sub_key.into(),
+            subscriber,
+            trace,
+            max_matches,
+            QueryKey::new(&query),
+            rows,
+        )
+    }
+
+    /// [`register`](Self::register) on a key already rendered: the
+    /// subscription reads `max_matches` rows of the record `key` names.
+    pub(crate) fn register_keyed(
+        &mut self,
+        sub_key: Text,
+        subscriber: Text,
+        trace: Option<String>,
+        max_matches: Option<usize>,
+        key: QueryKey<'_>,
+        rows: Arc<Vec<MatchRow>>,
+    ) -> Option<SubId> {
         let pair = (subscriber.clone(), sub_key.clone());
         if self.keys.contains_key(&pair) {
             return None;
         }
         self.next_id += 1;
         let id = self.next_id;
-        let max_matches = query.max_matches;
-        let (record, _) = self.insert(QueryKey::new(&query), rows, 0);
+        let (record, _) = self.insert(key, rows, 0);
         self.keys.insert(pair, (id, record));
         let held = self.records[record as usize].as_mut().expect("a live record"); // lint: allow-unwrap
         if held.subs.is_empty() {

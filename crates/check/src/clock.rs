@@ -2,8 +2,8 @@
 //!
 //! Every send snapshots the sender's clock into the message's channel
 //! entry; every delivery merges that snapshot into the receiver's clock.
-//! Two schedule events with incomparable clocks are concurrent — the
-//! racing pairs a divergence report points at.
+//! A divergence report prints each event's clock: two events whose clocks
+//! are incomparable are concurrent, the racing pairs it points at.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -33,17 +33,6 @@ impl VectorClock {
     pub fn get(&self, agent: &str) -> u64 {
         self.0.get(agent).copied().unwrap_or(0)
     }
-
-    /// Whether `self` happens-before-or-equals `other` (every component
-    /// ≤). Two clocks where neither leq the other are concurrent.
-    pub fn leq(&self, other: &VectorClock) -> bool {
-        self.0.iter().all(|(agent, &t)| t <= other.get(agent))
-    }
-
-    /// True when neither event can have caused the other.
-    pub fn concurrent_with(&self, other: &VectorClock) -> bool {
-        !self.leq(other) && !other.leq(self)
-    }
 }
 
 impl fmt::Display for VectorClock {
@@ -69,12 +58,10 @@ mod tests {
         let mut b = VectorClock::new();
         a.bump("x");
         b.bump("y");
-        assert!(a.concurrent_with(&b));
+        assert_eq!((a.get("y"), b.get("x")), (0, 0));
         let snapshot = a.clone();
         b.merge(&snapshot);
         b.bump("y");
-        assert!(snapshot.leq(&b));
-        assert!(!b.leq(&snapshot));
         assert_eq!(b.get("x"), 1);
         assert_eq!(b.get("y"), 2);
         assert_eq!(format!("{b}"), "{x:1 y:2}");

@@ -85,10 +85,6 @@ impl ScheduledTransport {
     pub fn log(&self) -> Vec<SentRecord> {
         lock(&self.state).log.clone()
     }
-
-    pub fn log_len(&self) -> usize {
-        lock(&self.state).log.len()
-    }
 }
 
 impl Transport for ScheduledTransport {
@@ -163,7 +159,7 @@ mod tests {
         // Per-channel FIFO: a's ping precedes a's tell.
         let (first, _) = t.pop_channel("a", "b").unwrap();
         assert_eq!(first.performative, Performative::Ping);
-        assert_eq!(t.log_len(), 3);
+        assert_eq!(t.log().len(), 3);
         assert_eq!(t.log()[1].from, "c");
     }
 

@@ -107,16 +107,6 @@ impl SExpr {
         }
     }
 
-    /// Whether this atom is a KQML keyword (starts with `:`).
-    pub fn is_keyword(&self) -> bool {
-        matches!(self, SExpr::Atom(s) if s.starts_with(':'))
-    }
-
-    /// Whether this atom is a KQML variable (starts with `?`).
-    pub fn is_variable(&self) -> bool {
-        matches!(self, SExpr::Atom(s) if s.starts_with('?'))
-    }
-
     /// Reads a single s-expression, requiring it to consume the full input.
     pub fn parse(src: &str) -> Result<SExpr, SExprError> {
         let mut tokens = Tokens::new(src);
@@ -363,13 +353,6 @@ mod tests {
                 SExpr::string("d"),
             ])
         );
-    }
-
-    #[test]
-    fn keywords_and_variables() {
-        assert!(SExpr::parse(":sender").unwrap().is_keyword());
-        assert!(SExpr::parse("?agent-name").unwrap().is_variable());
-        assert!(!SExpr::parse("sender").unwrap().is_keyword());
     }
 
     #[test]

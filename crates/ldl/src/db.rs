@@ -107,10 +107,6 @@ impl Relation {
         self.members.insert(Arc::clone(&tuple)) && self.rows.insert(Row(tuple))
     }
 
-    fn remove(&mut self, tuple: &[Const]) -> bool {
-        self.members.remove(tuple) && self.rows.remove::<dyn Cells>(&tuple)
-    }
-
     fn contains(&self, tuple: &[Const]) -> bool {
         self.members.contains(tuple)
     }
@@ -167,29 +163,6 @@ impl Database {
         self.assert_atom(&atom).map_err(|m| crate::LdlParseError { message: m, position: 0 })
     }
 
-    /// Removes a fact. Returns `true` if it was present.
-    pub fn retract(&mut self, pred: &str, tuple: &[Const]) -> bool {
-        let Some(rel) = self.facts.get_mut(pred) else { return false };
-        let removed = rel.remove(tuple);
-        if removed && rel.len() == 0 {
-            self.facts.remove(pred);
-        }
-        removed
-    }
-
-    /// Removes every fact of a predicate whose tuple satisfies `drop`.
-    pub fn retract_where(&mut self, pred: &str, mut drop: impl FnMut(&[Const]) -> bool) -> usize {
-        let Some(rel) = self.facts.get_mut(pred) else { return 0 };
-        let before = rel.len();
-        rel.members.retain(|tuple| !drop(tuple));
-        rel.rows.retain(|row| rel.members.contains(&row.0));
-        let removed = before - rel.len();
-        if rel.len() == 0 {
-            self.facts.remove(pred);
-        }
-        removed
-    }
-
     pub fn contains(&self, pred: &str, tuple: &[Const]) -> bool {
         self.facts.get(pred).is_some_and(|r| r.contains(tuple))
     }
@@ -209,10 +182,6 @@ impl Database {
     ) -> impl Iterator<Item = &'a [Const]> {
         let first = *first;
         self.facts.get(pred).into_iter().flat_map(move |r| r.with_first(first))
-    }
-
-    pub fn predicates(&self) -> impl Iterator<Item = &str> {
-        self.facts.keys().map(String::as_str)
     }
 
     /// Total number of facts.
@@ -236,20 +205,6 @@ impl Database {
             }
         }
         added
-    }
-
-    /// Removes every fact of `other` from this database, returning how
-    /// many were actually present.
-    pub fn subtract(&mut self, other: &Database) -> usize {
-        let mut removed = 0;
-        for (pred, rel) in &other.facts {
-            for t in rel.tuples() {
-                if self.retract(pred, t) {
-                    removed += 1;
-                }
-            }
-        }
-        removed
     }
 
     /// Iterates every `(predicate, tuple)` pair.
@@ -294,27 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn retract() {
-        let mut db = Database::new();
-        db.assert("p", vec![Const::int(1)]);
-        db.assert("p", vec![Const::int(2)]);
-        assert!(db.retract("p", &[Const::int(1)]));
-        assert!(!db.retract("p", &[Const::int(1)]));
-        assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn retract_where_filters() {
-        let mut db = Database::new();
-        for i in 0..10 {
-            db.assert("p", vec![Const::int(i), Const::sym("x")]);
-        }
-        let removed = db.retract_where("p", |t| matches!(t[0], Const::Int(i) if i % 2 == 0));
-        assert_eq!(removed, 5);
-        assert_eq!(db.len(), 5);
-    }
-
-    #[test]
     fn merge_counts_new_facts() {
         let mut a = Database::new();
         a.assert("p", vec![Const::int(1)]);
@@ -324,21 +258,6 @@ mod tests {
         b.assert("q", vec![Const::sym("z")]);
         assert_eq!(a.merge(&b), 2);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn subtract_inverts_merge() {
-        let mut a = Database::new();
-        a.assert("p", vec![Const::int(1)]);
-        let snapshot = a.clone();
-        let mut b = Database::new();
-        b.assert("p", vec![Const::int(2)]);
-        b.assert("q", vec![Const::sym("z")]);
-        a.merge(&b);
-        assert_eq!(a.subtract(&b), 2);
-        assert_eq!(a, snapshot);
-        // Subtracting facts that are absent is a no-op.
-        assert_eq!(a.subtract(&b), 0);
     }
 
     #[test]
@@ -368,17 +287,6 @@ mod tests {
         assert_eq!(hits, vec![&[Const::sym("a3"), Const::int(3)][..]]);
         assert!(db.tuples_with_first("cap", &Const::sym("zz")).next().is_none());
         assert!(db.tuples_with_first("nope", &Const::sym("a3")).next().is_none());
-    }
-
-    #[test]
-    fn retract_leaves_no_empty_residue() {
-        // Structural equality must not distinguish "never asserted" from
-        // "asserted then retracted".
-        let mut db = Database::new();
-        db.assert("p", vec![Const::sym("a"), Const::int(1)]);
-        db.retract("p", &[Const::sym("a"), Const::int(1)]);
-        assert_eq!(db, Database::new());
-        assert_eq!(db.predicates().count(), 0);
     }
 
     #[test]

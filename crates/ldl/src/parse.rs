@@ -397,7 +397,7 @@ mod tests {
     fn parses_facts_and_rules() {
         let r = parse_rule("p(a, 1).").unwrap();
         assert!(r.body.is_empty());
-        assert!(r.head.is_ground());
+        assert_eq!(r.head.vars().count(), 0);
         let r = parse_rule("path(X,Y) :- edge(X,Z), path(Z,Y).").unwrap();
         assert_eq!(r.body.len(), 2);
     }

@@ -125,10 +125,6 @@ impl Term {
         Term::Const(c.into())
     }
 
-    pub fn is_var(&self) -> bool {
-        matches!(self, Term::Var(_))
-    }
-
     /// Resolves the term under bindings; variables without a binding stay
     /// variables.
     pub fn resolve(&self, b: &Bindings) -> Term {
@@ -172,10 +168,6 @@ impl Atom {
             Term::Var(v) => Some(v.as_str()),
             Term::Const(_) => None,
         })
-    }
-
-    pub fn is_ground(&self) -> bool {
-        self.args.iter().all(|t| !t.is_var())
     }
 
     /// Grounds the atom under bindings; fails if any variable is unbound.

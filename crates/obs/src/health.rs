@@ -275,19 +275,6 @@ impl HealthEngine {
         events
     }
 
-    /// Rules currently firing, worst severity first.
-    pub fn firing(&self) -> Vec<&HealthRule> {
-        let mut firing: Vec<&HealthRule> = self
-            .rules
-            .iter()
-            .zip(self.states.iter())
-            .filter(|(_, s)| s.firing)
-            .map(|(r, _)| r)
-            .collect();
-        firing.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.name.cmp(&b.name)));
-        firing
-    }
-
     /// The rolled-up state: `Critical` if any critical rule fires,
     /// `Degraded` if anything else fires, else `Healthy`.
     pub fn state(&self) -> HealthState {
@@ -409,7 +396,6 @@ mod tests {
         assert_eq!(events[0].rule, "queue-depth");
         assert_eq!(events[0].value, 500.0);
         assert_eq!(engine.state(), HealthState::Degraded);
-        assert_eq!(engine.firing().len(), 1);
 
         // Recovery: first clean tick holds the alert, second clears it.
         depth.set(3);
@@ -421,7 +407,6 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert!(!events[0].firing);
         assert_eq!(engine.state(), HealthState::Healthy);
-        assert!(engine.firing().is_empty());
     }
 
     #[test]

@@ -117,11 +117,6 @@ impl TimeSeriesStore {
         tick
     }
 
-    /// Every series currently held, in sorted order.
-    pub fn series_keys(&self) -> Vec<SeriesKey> {
-        read(&self.series).keys().cloned().collect()
-    }
-
     /// Label sets recorded under a metric name, in sorted order.
     pub fn label_sets(&self, name: &str) -> Vec<Labels> {
         read(&self.series)
@@ -321,6 +316,5 @@ mod tests {
         let a = vec![("agent".to_string(), "a".to_string())];
         assert_eq!(store.latest_scalar("depth", &a), Some(7.0));
         assert_eq!(store.snapshot_history("missing", &Vec::new()), Vec::new());
-        assert!(store.series_keys().len() == 2);
     }
 }

@@ -45,9 +45,6 @@ impl Capability {
     pub fn relational_query_processing() -> Self {
         "relational-query-processing".into()
     }
-    pub fn oo_query_processing() -> Self {
-        "oo-query-processing".into()
-    }
     pub fn select() -> Self {
         "select".into()
     }
@@ -77,12 +74,6 @@ impl Capability {
     }
     pub fn brokering() -> Self {
         "brokering".into()
-    }
-    pub fn task_planning() -> Self {
-        "task-planning".into()
-    }
-    pub fn ontology_service() -> Self {
-        "ontology-service".into()
     }
 }
 
@@ -170,7 +161,6 @@ mod tests {
         for c in [
             Capability::query_processing(),
             Capability::relational_query_processing(),
-            Capability::oo_query_processing(),
             Capability::select(),
             Capability::project(),
             Capability::join(),
@@ -181,8 +171,6 @@ mod tests {
             Capability::data_mining(),
             Capability::statistical_aggregation(),
             Capability::brokering(),
-            Capability::task_planning(),
-            Capability::ontology_service(),
         ] {
             assert!(t.contains(c.as_str()), "taxonomy missing {c}");
         }

@@ -6,8 +6,8 @@ use std::collections::BinaryHeap;
 /// A point in virtual time, stored as the IEEE-754 bit pattern of a
 /// non-negative finite f64. For such floats the bit patterns order
 /// exactly as the values do, so every heap comparison is a single `u64`
-/// compare instead of a `total_cmp` call — the flat event queue's hot
-/// path at 10⁵–10⁶ agents is sift-up/sift-down over these keys.
+/// compare instead of a `total_cmp` call on the queue's sift-up and
+/// sift-down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TimeKey(u64);
 
@@ -98,17 +98,10 @@ pub struct SimCore<T> {
 
 impl<T> SimCore<T> {
     pub fn new(link: LinkModel) -> Self {
-        SimCore::with_capacity(link, 0)
-    }
-
-    /// Like [`SimCore::new`], but preallocates the event queue for a
-    /// known outstanding-event population — large-scale runs avoid
-    /// rehash-style heap regrowth on the dispatch path.
-    pub fn with_capacity(link: LinkModel, events: usize) -> Self {
         SimCore {
             time: 0.0,
             seq: 0,
-            heap: BinaryHeap::with_capacity(events),
+            heap: BinaryHeap::new(),
             procs: Vec::new(),
             link,
             local_latency_s: 1e-4,
@@ -185,17 +178,6 @@ impl<T> SimCore<T> {
         debug_assert!(at >= self.time, "time went backwards");
         self.time = at;
         Some((self.time, ev.tag))
-    }
-
-    /// Queue length (for tests and diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Seconds of FIFO work queued ahead of processor `p` right now —
-    /// the hot-spot signal the scale harness's health sampling watches.
-    pub fn backlog_s(&self, p: ProcId) -> f64 {
-        (self.procs[p.0].busy_until - self.time).max(0.0)
     }
 }
 

@@ -17,9 +17,6 @@
 //! * [`scalability`] — response time across system sizes (Figure 17);
 //! * [`robustness`] — broker failures × advertisement redundancy
 //!   (Tables 5–6);
-//! * [`scale`] — the population-scale harness: a flat timestamp-ordered
-//!   event queue over arena-stored agents, pushed to 10⁵–10⁶ simulated
-//!   agents under Zipf / flash-crowd / churn-burst scenarios;
 //! * [`infosleuth`] — the real-system experiment grid of Tables 1–4
 //!   (query streams SA/DA/4A/VF/CH/FH over the full user → broker → MRQ →
 //!   resource pipeline) re-run in virtual time.
@@ -36,11 +33,9 @@ pub mod params;
 pub mod rng;
 pub mod robustness;
 pub mod scalability;
-pub mod scale;
 pub mod strategies;
 
 pub use engine::{LinkModel, ProcId, SimCore};
 pub use metrics::RunningStats;
 pub use params::SimParams;
 pub use rng::SimRng;
-pub use scale::{ScaleConfig, ScaleReport, Scenario};

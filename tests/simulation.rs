@@ -103,9 +103,8 @@ fn table4_specialization_always_helps() {
     }
 }
 
-/// Determinism across the flat-queue engine: same seed + same config must
-/// reproduce metrics byte-for-byte, on both the classic experiment path
-/// (strategies grid) and the population-scale harness. Any drift here
+/// Determinism of the event queue: same seed + same config must
+/// reproduce the strategies grid's metrics byte-for-byte. Any drift here
 /// means the event queue's ordering (timestamp, then insertion order)
 /// leaked nondeterminism.
 #[test]
@@ -125,15 +124,4 @@ fn same_seed_runs_are_byte_identical() {
         )
     };
     assert_eq!(classic(), classic(), "classic strategies run is nondeterministic");
-
-    let scale = || {
-        let mut cfg = infosleuth_core::sim::ScaleConfig::new(
-            5_000,
-            infosleuth_core::sim::Scenario::ZipfQueries { exponent: 1.1 },
-            0x5eed,
-        );
-        cfg.duration_s = 15.0;
-        infosleuth_core::sim::scale::run(&cfg).render_json()
-    };
-    assert_eq!(scale(), scale(), "scale harness run is nondeterministic");
 }
