@@ -27,15 +27,11 @@
 //!   whoever holds the lock. Before it writes on a pooled connection, it
 //!   peeks at the socket without blocking, to find a connection that the
 //!   remote closed while it sat idle.
-//! * **Accept.** `std` has no way to wake a thread blocked in `accept`,
-//!   so the acceptor (`tcp-acc-<port>`) is the one exception: it looks at
-//!   a nonblocking listener every [`ACCEPT_NAP`] and parks in between,
-//!   where `shutdown` unparks it. The nap is paid once per pair of nodes,
-//!   when the persistent connection is made, never per message. The
-//!   alternative — a node connecting to its own listener to unblock a
-//!   blocking `accept` — was rejected: it fails where the bind address is
-//!   not connectable from the node itself, and a failed wake-up would hang
-//!   `shutdown` for good.
+//! * **Accept.** The acceptor (`tcp-acc-<port>`) blocks in `accept`.
+//!   `shutdown` sets `closed` and then wakes it by connecting to the
+//!   node's own listener — the loopback address of its family when the
+//!   node is bound to an unspecified one. The acceptor checks `closed`
+//!   as soon as `accept` returns, so that connection never gets a reader.
 //!
 //! A node therefore runs `1 + inbound connections` threads — one per
 //! peer node that sends to it — and all of them idle in the kernel.
@@ -90,7 +86,7 @@ use infosleuth_obs::sync::{lock, read, write};
 use infosleuth_obs::Obs;
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -109,10 +105,6 @@ const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// How long the acceptor parks between looks at its nonblocking
-/// listener; a new connection waits at most this long to be accepted.
-const ACCEPT_NAP: Duration = Duration::from_millis(1);
 
 /// One frame's ack: whether the receiver had the addressee (`ACK_OK`
 /// rather than `ACK_UNKNOWN`), or a wire-level error.
@@ -146,7 +138,6 @@ impl TcpTransport {
     /// starts the node's acceptor thread.
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Arc<TcpTransport>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(TcpShared {
             registry: RwLock::default(),
@@ -252,7 +243,7 @@ impl TcpTransport {
         }
     }
 
-    /// Stops the node: unparks and joins the acceptor (which drops the
+    /// Stops the node: wakes and joins the acceptor (which drops the
     /// listener), then shuts down every inbound and outbound socket —
     /// waking the reader blocked on it, or the sender waiting for its
     /// ack — and joins the readers. Sends in flight fail with
@@ -261,8 +252,18 @@ impl TcpTransport {
     pub fn shutdown(&self) {
         let Some(acceptor) = lock(&self.acceptor).take() else { return };
         self.shared.closed.store(true, Ordering::SeqCst);
-        acceptor.thread().unpark();
-        let _ = acceptor.join();
+        let mut nudge = self.local_addr;
+        if nudge.ip().is_unspecified() {
+            nudge.set_ip(match nudge {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Without the nudge the acceptor never returns from `accept`, and
+        // joining it would hang; it is left to exit with the process.
+        if TcpStream::connect_timeout(&nudge, CONNECT_TIMEOUT).is_ok() {
+            let _ = acceptor.join();
+        }
         let inbound = std::mem::take(&mut *lock(&self.shared.inbound));
         for (stream, reader) in inbound {
             let _ = stream.shutdown(Shutdown::Both);
@@ -524,17 +525,18 @@ fn write_frame(mut stream: &TcpStream, frame: &[u8]) -> Result<(), bool> {
 }
 
 /// The acceptor thread: hands every new connection its own reader thread
-/// until `shutdown` sets `closed` and unparks it.
+/// until `shutdown` sets `closed` and wakes it with a connection of its
+/// own, which is dropped unread.
 fn accept_loop(listener: &TcpListener, shared: &Arc<TcpShared>) {
-    while !shared.closed.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // A connection that cannot be set up is dropped: the
-                // remote sees it closed and reports `Io`.
-                let _ = serve(stream, shared);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => std::thread::park_timeout(ACCEPT_NAP),
+    loop {
+        let accepted = listener.accept();
+        if shared.closed.load(Ordering::SeqCst) {
+            return;
+        }
+        // A connection that cannot be set up is dropped: the remote sees
+        // it closed and reports `Io`.
+        if let Ok((stream, _)) = accepted {
+            let _ = serve(stream, shared);
         }
     }
 }
@@ -543,8 +545,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<TcpShared>) {
 /// with a clone of its socket, for `shutdown`; readers that have finished
 /// since the last accept are joined here.
 fn serve(stream: TcpStream, shared: &Arc<TcpShared>) -> io::Result<()> {
-    // Some platforms hand the listener's nonblocking mode down.
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -891,6 +891,41 @@ mod tests {
             .collect();
         live.sort();
         live
+    }
+
+    /// Voluntary context switches made so far by the acceptor of the node
+    /// listening on `port`, read as `node_threads` reads thread names.
+    #[cfg(target_os = "linux")]
+    fn acceptor_switches(port: u16) -> u64 {
+        let name = format!("tcp-acc-{port}");
+        let task = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task is readable")
+            .filter_map(|task| Some(task.ok()?.path()))
+            .find(|task| {
+                std::fs::read_to_string(task.join("comm")).is_ok_and(|comm| comm.trim_end() == name)
+            })
+            .expect("the acceptor is running");
+        let status = std::fs::read_to_string(task.join("status")).expect("status is readable");
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|count| count.trim().parse().ok())
+            .expect("status has voluntary_ctxt_switches")
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_acceptor_sleeps_in_the_kernel() {
+        let n = node();
+        let port = n.local_addr().port();
+        // Let the acceptor reach `accept` before the window opens.
+        std::thread::sleep(Duration::from_millis(20));
+        let before = acceptor_switches(port);
+        std::thread::sleep(Duration::from_millis(200));
+        let woke = acceptor_switches(port) - before;
+        assert!(woke <= 2, "the idle acceptor woke {woke} times in 200 ms");
+        n.shutdown();
+        assert_eq!(node_threads(port), [""; 0], "the nudge joined the acceptor");
     }
 
     /// A frame from `"src"` carrying `body` to `to`.

@@ -11,8 +11,9 @@
 //! ask-one / recruit-* and `broker-one`, with the inter-broker forward),
 //! [`subscribe`] (subscribe / unsubscribe and the notification fan-out)
 //! and [`ping`] (ping and the liveness sweep). This module holds what they
-//! share: the configuration, the two locks, and the dispatch that routes a
-//! delivered envelope to its handler.
+//! share: the configuration, the state lock (the repository and the
+//! routing table under it), the stored answers, and the dispatch that
+//! routes a delivered envelope to its handler.
 //!
 //! Incoming messages are handled concurrently on the runtime's bounded
 //! worker pool (up to the per-agent in-flight cap) so that a broker
@@ -38,7 +39,7 @@ use crate::codec;
 use crate::digest::CapabilityDigest;
 use crate::match_cache::{MatchCache, MatchCacheStats, DEFAULT_MATCH_CACHE_CAPACITY};
 use crate::matchmaker::{MatchResult, MatchRow, Matchmaker};
-use crate::repository::Repository;
+use crate::repository::{Repository, RepositoryError};
 use infosleuth_agent::{
     AgentBehavior, AgentContext, AgentHandle, AgentRuntime, Bus, BusError, Envelope, RuntimeConfig,
     Transport,
@@ -46,6 +47,7 @@ use infosleuth_agent::{
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::sync::lock;
 use infosleuth_obs::{Counter, Histogram, Obs};
+use infosleuth_ontology::BrokerAdvertisement;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -63,9 +65,6 @@ struct Shared {
     config: BrokerConfig,
     /// The repository and everything that changes in step with it.
     state: Mutex<State>,
-    /// What this broker believes about its peers. Taken for one table
-    /// operation at a time by the methods below, so never across a send.
-    routing: Mutex<RoutingTable>,
     /// The stored answers: every standing subscription's record and the
     /// LRU of recent asks, one table patched by each write; consulted (and
     /// filled) by every ask/recommend before any scoring happens. Taken
@@ -81,6 +80,8 @@ struct State {
     /// Epoch of the last digest broadcast to peers — re-advertisements are
     /// delta-driven: nothing is sent while this matches the repository.
     digest_advertised_epoch: Option<u64>,
+    /// What this broker believes about its peers.
+    routing: RoutingTable,
 }
 
 /// The routing half of the digest layer: the latest digest each peer
@@ -89,6 +90,14 @@ struct State {
 struct RoutingTable {
     peers: HashMap<String, CapabilityDigest>,
     suspects: HashMap<String, SuspectEntry>,
+}
+
+impl RoutingTable {
+    /// A departed peer broker takes its digest and suspicion with it.
+    fn forget(&mut self, peer: &str) {
+        self.peers.remove(peer);
+        self.suspects.remove(peer);
+    }
 }
 
 /// A peer that failed a forward: retried with exponential backoff instead
@@ -173,10 +182,9 @@ impl Shared {
             "BrokerConfig::batch_limit is pinned at 1 for the benchmark harness's report"
         );
         repo.set_obs(obs, &config.name);
-        let state = State { repo, digest_advertised_epoch: None };
+        let state = State { repo, digest_advertised_epoch: None, routing: RoutingTable::default() };
         Arc::new(Shared {
             state: Mutex::new(state),
-            routing: Mutex::new(RoutingTable::default()),
             cache: MatchCache::new(DEFAULT_MATCH_CACHE_CAPACITY)
                 .with_obs(obs.registry(), &config.name),
             obs: BrokerObs::new(obs, &config.name),
@@ -233,37 +241,34 @@ impl Shared {
     /// write, so an update or a reply piggyback can arrive behind a newer
     /// one: the stored digest stays unless the arrival is at least as new. A
     /// `hello` always replaces it — a restarted peer counts from epoch 0.
-    fn ingest_digest(&self, digest: CapabilityDigest, hello: bool) {
-        let mut routing = lock(&self.routing);
+    fn ingest_digest(&self, state: &mut State, digest: CapabilityDigest, hello: bool) {
+        let routing = &mut state.routing;
         routing.suspects.remove(&digest.broker);
         let overtaken =
             routing.peers.get(&digest.broker).is_some_and(|held| held.epoch > digest.epoch);
         if hello || !overtaken {
             routing.peers.insert(digest.broker.clone(), digest);
         }
-        // Counted with the table still held: whoever reads the count and
+        // Counted with the state still held: whoever reads the count and
         // then the table sees this arrival applied.
         self.obs.digest_updates.inc();
     }
 
-    /// Takes in the digest of whichever broker embedded one in a hello or
-    /// a matches reply.
-    fn ingest_embedded_digest(&self, content: &SExpr, hello: bool) {
+    /// A peer broker introducing itself, in a hello or the reply to ours:
+    /// stored, its embedded digest taken in, and no longer suspect.
+    fn store_peer(
+        &self,
+        state: &mut State,
+        content: &SExpr,
+        peer: BrokerAdvertisement,
+    ) -> Result<(), RepositoryError> {
+        let name = peer.base.location.name.to_string();
+        state.repo.advertise_broker(peer)?;
         if let Some(digest) = codec::embedded_digest(content) {
-            self.ingest_digest(digest, hello);
+            self.ingest_digest(state, digest, true);
         }
-    }
-
-    /// A peer that answered or advertised stops being suspect.
-    fn clear_suspect(&self, peer: &str) {
-        lock(&self.routing).suspects.remove(peer);
-    }
-
-    /// A departed peer broker takes its digest and suspicion with it.
-    fn forget_peer(&self, peer: &str) {
-        let mut routing = lock(&self.routing);
-        routing.peers.remove(peer);
-        routing.suspects.remove(peer);
+        state.routing.suspects.remove(&name);
+        Ok(())
     }
 
     /// See [`BrokerHandle::stored_answers`].
@@ -535,7 +540,7 @@ impl BrokerHandle {
     /// (`None` until the peer's first digest arrives). Tests and benches
     /// use it to wait for digest propagation to quiesce.
     pub fn peer_digest_epoch(&self, peer: &str) -> Option<u64> {
-        lock(&self.shared.routing).peers.get(peer).map(|d| d.epoch)
+        lock(&self.shared.state).routing.peers.get(peer).map(|d| d.epoch)
     }
 
     /// Hit/miss/eviction/stale counters of this broker's match cache.
@@ -577,10 +582,7 @@ impl BrokerHandle {
         let reply = self.agent.ctx().request(peer, msg, shared.config.peer_timeout)?;
         if let Some(content) = reply.content() {
             if let Ok(peer_ad) = codec::broker_advertisement_from_sexpr(content) {
-                let name = peer_ad.base.location.name.clone();
-                let _ = lock(&shared.state).repo.advertise_broker(peer_ad);
-                shared.ingest_embedded_digest(content, true);
-                shared.clear_suspect(&name);
+                let _ = shared.store_peer(&mut lock(&shared.state), content, peer_ad);
             }
         }
         Ok(())

@@ -239,47 +239,40 @@ fn peer_candidates(
     request: &SearchRequest,
     untruncated: &ServiceQuery,
 ) -> Vec<PeerTarget> {
-    let names: Vec<String> = {
-        let state = lock(&shared.state);
+    let now = Instant::now();
+    let terminal = request.policy.next_hop().hop_count == 0;
+    let state = lock(&shared.state);
+    let mut out = Vec::new();
+    for b in state.repo.broker_advertisements() {
+        let name = &b.base.location.name;
+        if request.visited.iter().any(|v| name == v.as_str()) || name == shared.config.name.as_str()
+        {
+            continue;
+        }
         // §5.2.2: "brokers can advertise their capabilities to other
         // brokers which means that a broker can know in advance which
         // brokers it can immediately rule out from a query" — a peer
         // specialized in other ontologies cannot hold a match for this
         // query's ontology, so we skip it without a network round trip.
-        state
-            .repo
-            .broker_advertisements()
-            .filter(|b| {
-                let name = &b.base.location.name;
-                if request.visited.iter().any(|v| name == v.as_str())
-                    || name == shared.config.name.as_str()
-                {
-                    return false;
-                }
-                match (&request.query.ontology, b.specialization.ontologies.is_empty()) {
-                    // General-purpose peers, or no ontology requested:
-                    // always worth asking.
-                    (_, true) | (None, _) => true,
-                    (Some(o), false) => b.specialization.ontologies.contains(o),
-                }
-            })
-            .map(|b| b.base.location.name.to_string())
-            .collect()
-    };
-    let now = Instant::now();
-    let terminal = request.policy.next_hop().hop_count == 0;
-    let routing = lock(&shared.routing);
-    let mut out = Vec::new();
-    for name in names {
-        if routing.suspects.get(&name).is_some_and(|s| now < s.retry_at) {
+        // General-purpose peers, or no ontology requested: always worth
+        // asking.
+        let specialized_away =
+            match (&request.query.ontology, b.specialization.ontologies.is_empty()) {
+                (_, true) | (None, _) => false,
+                (Some(o), false) => !b.specialization.ontologies.contains(o),
+            };
+        if specialized_away {
             continue;
         }
-        let digest = if terminal { routing.peers.get(&name) } else { None };
+        if state.routing.suspects.get(name.as_str()).is_some_and(|s| now < s.retry_at) {
+            continue;
+        }
+        let digest = if terminal { state.routing.peers.get(name.as_str()) } else { None };
         if digest.is_some_and(|d| !d.can_match(untruncated)) {
             shared.obs.digest_pruned.inc();
             continue;
         }
-        out.push(PeerTarget { name, digest_epoch: digest.map(|d| d.epoch) });
+        out.push(PeerTarget { name: name.to_string(), digest_epoch: digest.map(|d| d.epoch) });
     }
     out
 }
@@ -287,7 +280,7 @@ fn peer_candidates(
 /// Forward success: clear suspicion, and count a digest false positive
 /// when the digest admitted the peer but it had nothing.
 fn note_forward_success(shared: &Shared, peer: &PeerTarget, empty: bool) {
-    shared.clear_suspect(&peer.name);
+    lock(&shared.state).routing.suspects.remove(&peer.name);
     if peer.digest_epoch.is_some() && empty {
         shared.obs.digest_fp.inc();
     }
@@ -299,22 +292,20 @@ fn note_forward_success(shared: &Shared, peer: &PeerTarget, empty: bool) {
 /// advertisement or digest re-admits it.
 fn note_forward_failure(shared: &Shared, peer: &str) {
     shared.obs.peer_suspect.inc();
-    let drop_peer = {
-        let mut routing = lock(&shared.routing);
-        let entry = routing
-            .suspects
-            .entry(peer.to_string())
-            .or_insert(SuspectEntry { failures: 0, retry_at: Instant::now() });
-        entry.failures = entry.failures.saturating_add(1);
-        let backoff = SUSPECT_BASE_BACKOFF
-            .saturating_mul(1u32 << (entry.failures - 1).min(6))
-            .min(SUSPECT_MAX_BACKOFF);
-        entry.retry_at = Instant::now() + backoff;
-        entry.failures >= SUSPECT_DROP_AFTER
-    };
-    if drop_peer {
-        lock(&shared.state).repo.unadvertise_broker(peer);
-        shared.forget_peer(peer);
+    let mut state = lock(&shared.state);
+    let entry = state
+        .routing
+        .suspects
+        .entry(peer.to_string())
+        .or_insert(SuspectEntry { failures: 0, retry_at: Instant::now() });
+    entry.failures = entry.failures.saturating_add(1);
+    let backoff = SUSPECT_BASE_BACKOFF
+        .saturating_mul(1u32 << (entry.failures - 1).min(6))
+        .min(SUSPECT_MAX_BACKOFF);
+    entry.retry_at = Instant::now() + backoff;
+    if entry.failures >= SUSPECT_DROP_AFTER {
+        state.repo.unadvertise_broker(peer);
+        state.routing.forget(peer);
     }
 }
 
@@ -332,7 +323,9 @@ fn forward_message(request: &SearchRequest, peer: &PeerTarget) -> Message {
 /// piggybacked (the staleness-repair half of the epoch protocol).
 fn read_peer_reply(shared: &Shared, reply: Message) -> Vec<Answer> {
     let Some(content) = reply.into_content() else { return Vec::new() };
-    shared.ingest_embedded_digest(&content, false);
+    if let Some(digest) = codec::embedded_digest(&content) {
+        shared.ingest_digest(&mut lock(&shared.state), digest, false);
+    }
     let rows = codec::reply_rows(content).unwrap_or_default();
     rows.into_iter().map(|(name, score, item)| Answer { name, score, item }).collect()
 }

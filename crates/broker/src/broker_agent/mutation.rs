@@ -37,7 +37,7 @@ fn advertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbo
         Some("digest") => match codec::digest_from_sexpr(content) {
             // Delta-driven and one-way: refresh the routing entry; no
             // reply is owed.
-            Ok(digest) => return shared.ingest_digest(digest, false),
+            Ok(digest) => return shared.ingest_digest(state, digest, false),
             Err(e) => error_reply(env, e.to_string()),
         },
         Some("broker-advertisement") => match codec::broker_advertisement_from_sexpr(content) {
@@ -62,14 +62,9 @@ fn peer_hello(
     content: &SExpr,
     peer: BrokerAdvertisement,
 ) -> Message {
-    let name = peer.base.location.name.clone();
-    if let Err(e) = state.repo.advertise_broker(peer) {
+    if let Err(e) = shared.store_peer(state, content, peer) {
         return sorry_reply(env, e.to_string());
     }
-    // The hello may carry the peer's digest; either way a peer that
-    // advertises stops being suspect.
-    shared.ingest_embedded_digest(content, true);
-    shared.clear_suspect(&name);
     let digest = shared.own_digest(state);
     env.message.reply_skeleton(Performative::Tell).with_content(codec::broker_hello_to_sexpr(
         &shared.config.broker_advertisement(),
@@ -136,7 +131,7 @@ fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Out
     let removed = subscribe::mutate(shared, state, &mut reach, name, |r| r.unadvertise(name)) || {
         let was_broker = state.repo.unadvertise_broker(name);
         if was_broker {
-            shared.forget_peer(name);
+            state.routing.forget(name);
         }
         was_broker
     };

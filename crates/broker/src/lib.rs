@@ -69,6 +69,4 @@ pub use policy::{FollowOption, SearchPolicy};
 pub use protocol_tap::ProtocolTap;
 pub use repository::{Repository, RepositoryError};
 pub use shard::{connect_community, ShardPlan};
-pub use sub_index::{
-    result_delta, Note, RecordId, StandingSubscription, SubId, SubscriptionRegistry,
-};
+pub use sub_index::{result_delta, SubscriptionRegistry};

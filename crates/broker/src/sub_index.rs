@@ -520,7 +520,7 @@ impl SubscriptionRegistry {
     /// their rank. Returns the deltas owed, ascending by subscription id,
     /// each the difference between the subscription's view before and
     /// after.
-    pub fn patch(
+    pub(crate) fn patch(
         &mut self,
         repo: &Repository,
         changed: &[Text],

@@ -1,8 +1,8 @@
 //! Minimal HTTP/1.0 responder for Prometheus scrapes.
 //!
 //! One listener thread, connections handled inline — scrapes are rare
-//! and tiny, so there is nothing to pool. The shutdown nudge (connect
-//! to self to unblock `accept`) mirrors the TCP transport's.
+//! and tiny, so there is nothing to pool. `shutdown` connects to the
+//! listener itself to unblock `accept`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

@@ -28,21 +28,6 @@ use crate::metrics::RunningStats;
 use crate::params::SimParams;
 use crate::rng::SimRng;
 
-/// How a specialized broker propagates an inter-broker search (§3.2: "we
-/// may be able to reduce the connectivity cost on a per-search basis by
-/// only propagating requests along a spanning tree of the current broker
-/// digraph" — future work in the paper, implemented here as an ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fanout {
-    /// The origin contacts every peer directly and handles every reply:
-    /// the tree of degree `brokers - 1`.
-    Star,
-    /// Requests propagate down a spanning tree of the given degree;
-    /// replies aggregate back up it, so each broker handles at most
-    /// `degree` replies instead of `brokers - 1`.
-    Tree { degree: usize },
-}
-
 /// The three brokering arrangements of Figure 14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -79,8 +64,6 @@ pub struct BrokerSimConfig {
     /// Per-message CPU cost on a receiving broker (parse + dispatch +
     /// combine) in seconds.
     pub msg_handling_s: f64,
-    /// Inter-broker propagation shape (specialized strategy only).
-    pub fanout: Fanout,
     pub params: SimParams,
     pub seed: u64,
 }
@@ -97,7 +80,6 @@ impl BrokerSimConfig {
             broker_mean_fail_s: None,
             broker_mean_repair_s: 2700.0,
             msg_handling_s: 0.25,
-            fanout: Fanout::Star,
             params: SimParams::default(),
             seed: 1,
         }
@@ -285,11 +267,10 @@ impl Sim {
         (0..self.cfg.brokers).filter(|&b| b != origin).collect()
     }
 
+    /// The origin contacts every peer directly and handles every reply:
+    /// the star is the tree of degree `brokers - 1`.
     fn tree_degree(&self) -> usize {
-        match self.cfg.fanout {
-            Fanout::Star => self.cfg.brokers.saturating_sub(1).max(1),
-            Fanout::Tree { degree } => degree.max(1),
-        }
+        self.cfg.brokers.saturating_sub(1).max(1)
     }
 
     /// Children of `node` in the d-ary spanning tree rooted at `origin`
@@ -660,70 +641,6 @@ mod tests {
             "specialized {} vs replicated {}",
             spec.response.mean(),
             repl.response.mean()
-        );
-    }
-
-    #[test]
-    fn tree_fanout_answers_everything_and_finds_matches() {
-        for degree in [1usize, 2, 4] {
-            let mut cfg = quick(Strategy::Specialized, 30.0);
-            cfg.fanout = Fanout::Tree { degree };
-            cfg.unique_domains = true;
-            let r = run_broker_sim(cfg);
-            assert!(r.issued > 20, "degree {degree}: issued {}", r.issued);
-            assert_eq!(r.issued, r.replied, "degree {degree}");
-            assert!(
-                (r.located_fraction() - 1.0).abs() < 1e-9,
-                "degree {degree}: located {}",
-                r.located_fraction()
-            );
-        }
-    }
-
-    #[test]
-    fn star_is_a_tree_of_degree_brokers_minus_one() {
-        // `Star` is only the name of that degree: the same run, field for
-        // field, with and without failures, redundancy and unique domains.
-        for seed in 1..=20 {
-            for fail in [None, Some(900.0), Some(3600.0)] {
-                for redundancy in 1..=3 {
-                    for unique_domains in [false, true] {
-                        let mut star = quick(Strategy::Specialized, 30.0);
-                        star.seed = seed;
-                        star.broker_mean_fail_s = fail;
-                        star.redundancy = redundancy;
-                        star.unique_domains = unique_domains;
-                        let degree = star.brokers - 1;
-                        let tree =
-                            BrokerSimConfig { fanout: Fanout::Tree { degree }, ..star.clone() };
-                        let (s, t) = (run_broker_sim(star.clone()), run_broker_sim(tree));
-                        assert_eq!(
-                            (s.response, s.issued, s.replied, s.located),
-                            (t.response, t.issued, t.replied, t.located),
-                            "{star:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_fanout_trades_latency_for_origin_load() {
-        // Deep trees chain reply latency; at modest load the star is
-        // faster, which is exactly the trade-off the paper's future-work
-        // remark is about.
-        let mut star = quick(Strategy::Specialized, 30.0);
-        star.fanout = Fanout::Star;
-        let mut chain = quick(Strategy::Specialized, 30.0);
-        chain.fanout = Fanout::Tree { degree: 1 };
-        let star_r = run_broker_sim(star);
-        let chain_r = run_broker_sim(chain);
-        assert!(
-            chain_r.response.mean() > star_r.response.mean(),
-            "chain {} should be slower than star {} when the origin is unloaded",
-            chain_r.response.mean(),
-            star_r.response.mean()
         );
     }
 
