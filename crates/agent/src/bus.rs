@@ -3,7 +3,7 @@
 use crate::transport::{BusError, Mailbox, Registry, Transport, TransportExt, TransportMetrics};
 use infosleuth_kqml::Message;
 use infosleuth_obs::sync::{read, write};
-use infosleuth_obs::Obs;
+use infosleuth_obs::{Obs, TraceContext};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -61,17 +61,30 @@ impl Bus {
         *write(&self.obs) = Some(TransportMetrics::new(obs, "bus"));
     }
 
-    /// Delivers a message. Fails if the recipient is not registered. With
-    /// metrics attached the delivery is recorded as a send and, on
-    /// success, as its own receipt.
+    /// Delivers a message, untraced. Fails if the recipient is not
+    /// registered.
     pub fn send(&self, from: &str, to: &str, message: Message) -> Result<(), BusError> {
+        self.send_traced(from, to, message, None)
+    }
+
+    /// Delivers a message with the sender's trace context beside it. With
+    /// metrics attached the delivery is recorded as a send and, on
+    /// success, as its own receipt, each of the bytes a TCP frame would
+    /// carry for it: the message with its names and trace printed in.
+    pub fn send_traced(
+        &self,
+        from: &str,
+        to: &str,
+        message: Message,
+        trace: Option<TraceContext>,
+    ) -> Result<(), BusError> {
         let metrics = read(&self.obs).clone();
         let Some(m) = metrics.as_deref() else {
-            return read(&self.registry).deliver(from, to, message);
+            return read(&self.registry).deliver(from, to, trace, message);
         };
         let started = Instant::now();
-        let size = message.wire_size();
-        let result = read(&self.registry).deliver(from, to, message);
+        let size = crate::tcp::printed_len(from, to, trace, &message);
+        let result = read(&self.registry).deliver(from, to, trace, message);
         m.record_send(size, started.elapsed(), result.is_ok());
         if result.is_ok() {
             m.record_recv(size);
@@ -107,6 +120,16 @@ impl Transport for Bus {
         Bus::send(self, from, to, message)
     }
 
+    fn send_traced(
+        &self,
+        from: &str,
+        to: &str,
+        message: Message,
+        trace: Option<TraceContext>,
+    ) -> Result<(), BusError> {
+        Bus::send_traced(self, from, to, message, trace)
+    }
+
     fn next_conversation_id(&self, prefix: &str) -> String {
         Bus::next_conversation_id(self, prefix)
     }
@@ -132,8 +155,8 @@ mod tests {
         a.send("b", Message::new(Performative::Tell).with_content(SExpr::atom("hi"))).unwrap();
         let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(env.from, "a");
-        assert_eq!(env.message.sender(), Some("a"));
-        assert_eq!(env.message.receiver(), Some("b"));
+        assert_eq!(env.to, "b");
+        assert_eq!(env.message.sender(), None, "the names are the envelope's");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! is why the pool is sized above one; every request carries a timeout,
 //! so a saturated pool degrades to slow, never to stuck.
 
-use crate::transport::{Envelope, Requester, Transport, TransportError, TransportExt};
+use crate::transport::{Envelope, Requester, Taken, Transport, TransportError, TransportExt};
 use infosleuth_kqml::{Message, Performative, SExpr, Text};
 use infosleuth_obs::sync::{lock, wait};
-use infosleuth_obs::{Counter, Gauge, Histogram, Obs, SpanGuard, TraceContext, TRACE_PARAM};
+use infosleuth_obs::{current_context, Counter, Gauge, Histogram, Obs, SpanGuard, TraceContext};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -157,8 +157,9 @@ struct Host {
 }
 
 /// The runtime-provided face of the transport for one hosted agent:
-/// sends that stamp the agent's name and account for delivery failures,
-/// and request/reply conversations over ephemeral endpoints.
+/// sends under the agent's name, beside the calling thread's trace
+/// context, that account for delivery failures, and request/reply
+/// conversations over ephemeral endpoints.
 pub struct AgentContext {
     /// Held in place up to 22 bytes: a hosted agent's one copy of its
     /// name.
@@ -208,12 +209,11 @@ impl AgentContext {
     }
 
     /// Opens the dispatch span `recv:<performative>` for one delivered
-    /// envelope. It continues the sender's trace when the envelope carried
-    /// `:x-trace` and roots a fresh one otherwise; everything the handler
-    /// does while the guard lives — nested stage spans, outgoing sends
-    /// (stamped from the thread-local context) — hangs off it.
-    pub fn recv_span(&self, env: &Envelope) -> SpanGuard {
-        let parent = env.message.trace().and_then(TraceContext::parse);
+    /// envelope. It continues `parent`, the trace context the envelope
+    /// arrived with, and roots a fresh trace without one; everything the
+    /// handler does while the guard lives — nested stage spans, outgoing
+    /// sends (carrying the thread-local context) — hangs off it.
+    pub fn recv_span(&self, env: &Envelope, parent: Option<TraceContext>) -> SpanGuard {
         self.host.obs.tracer().agent_span(
             format!("recv:{}", env.message.performative),
             &self.name,
@@ -221,26 +221,26 @@ impl AgentContext {
         )
     }
 
-    /// Stamps the calling thread's active trace context into the
-    /// message as `:x-trace`, unless the caller already attached one.
-    fn stamp_trace(message: &mut Message) {
-        if message.get(TRACE_PARAM).is_none() {
-            if let Some(ctx) = infosleuth_obs::current_context() {
-                message.set(TRACE_PARAM, SExpr::string(ctx.encode()));
-            }
-        }
+    /// Sends a message as this agent, beside the calling thread's active
+    /// trace context. A failure is *counted* (and reported to the
+    /// configured monitor agent) rather than silently dropped: a peer that
+    /// cannot be reached is exactly the §4.2.2 death signal the brokers
+    /// act on.
+    pub fn send(&self, to: &str, message: Message) -> Result<(), TransportError> {
+        self.send_traced(to, message, current_context())
     }
 
-    /// Sends a message as this agent. A failure is *counted* (and
-    /// reported to the configured monitor agent) rather than silently
-    /// dropped: a peer that cannot be reached is exactly the §4.2.2 death
-    /// signal the brokers act on.
-    pub fn send(&self, to: &str, mut message: Message) -> Result<(), TransportError> {
-        message.set("sender", SExpr::atom(&self.name));
-        message.set("receiver", SExpr::atom(to));
-        Self::stamp_trace(&mut message);
+    /// [`AgentContext::send`] beside `trace` instead of the calling
+    /// thread's context: for a message queued under one span and sent
+    /// after it closed.
+    pub fn send_traced(
+        &self,
+        to: &str,
+        message: Message,
+        trace: Option<TraceContext>,
+    ) -> Result<(), TransportError> {
         let performative = message.performative.clone();
-        match self.host.transport.send(&self.name, to, message) {
+        match self.host.transport.send_traced(&self.name, to, message, trace) {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.note_delivery_failure(to, performative);
@@ -256,16 +256,15 @@ impl AgentContext {
         self.failure_series().inc();
         if let Some(monitor) = &self.host.monitor {
             if monitor != self.name.as_str() && monitor != to {
-                let mut log = Message::new(Performative::Tell).with_content(SExpr::list(vec![
-                    SExpr::atom("delivery-failure"),
-                    SExpr::atom(&self.name),
-                    SExpr::atom(to),
-                    SExpr::atom(performative.to_string()),
-                    SExpr::atom(count.to_string()),
-                ]));
-                log.set("sender", SExpr::atom(&self.name));
-                log.set("receiver", SExpr::atom(monitor));
-                log.set("ontology", SExpr::atom(LOG_ONTOLOGY));
+                let log = Message::new(Performative::Tell)
+                    .with_content(SExpr::list(vec![
+                        SExpr::atom("delivery-failure"),
+                        SExpr::atom(&self.name),
+                        SExpr::atom(to),
+                        SExpr::atom(performative.to_string()),
+                        SExpr::atom(count.to_string()),
+                    ]))
+                    .with_ontology(LOG_ONTOLOGY);
                 let _ = self.host.transport.send(&self.name, monitor, log);
             }
         }
@@ -300,13 +299,13 @@ impl AgentContext {
 
     /// Runs one [conversation](crate::Endpoint::request_all) through a
     /// fresh ephemeral endpoint (`{name}.w{seq}`), so concurrent handlers
-    /// never steal each other's replies. Every message carries the
+    /// never steal each other's replies. Every message is sent beside the
     /// calling thread's trace context, and every recipient the request
     /// never reached (or never came back from) is accounted for like any
     /// other failed delivery.
     pub fn request_all(
         &self,
-        mut batch: Vec<(String, Message)>,
+        batch: Vec<(String, Message)>,
         timeout: Duration,
     ) -> Vec<Result<Message, TransportError>> {
         if batch.is_empty() {
@@ -316,14 +315,9 @@ impl AgentContext {
             Ok(ep) => ep,
             Err(e) => return batch.iter().map(|_| Err(e.clone())).collect(),
         };
-        let sent: Vec<(String, Performative)> = batch
-            .iter_mut()
-            .map(|(to, message)| {
-                Self::stamp_trace(message);
-                (to.clone(), message.performative.clone())
-            })
-            .collect();
-        let results = ep.request_all(batch, timeout);
+        let sent: Vec<(String, Performative)> =
+            batch.iter().map(|(to, message)| (to.clone(), message.performative.clone())).collect();
+        let results = ep.converse(batch, timeout, current_context());
         ep.unregister();
         for ((to, performative), result) in sent.into_iter().zip(&results) {
             if matches!(
@@ -388,9 +382,9 @@ impl AgentSlot {
 }
 
 enum Job {
-    /// One envelope from the agent's mailbox, stamped with the instant it
-    /// was enqueued there.
-    Deliver(Arc<AgentSlot>, Instant, Envelope),
+    /// One envelope from the agent's mailbox, with the instant it was
+    /// enqueued there and the trace context it arrived with.
+    Deliver(Arc<AgentSlot>, Taken),
     Tick(Arc<AgentSlot>),
 }
 
@@ -660,11 +654,11 @@ impl Drop for AgentHandle {
 fn worker_loop(shared: &RuntimeShared, me: usize) {
     while let Some(job) = shared.queue.pop(me) {
         match job {
-            Job::Deliver(slot, enqueued, env) => {
+            Job::Deliver(slot, Taken { enqueued, trace, env }) => {
                 let started = Instant::now();
                 shared.metrics.mailbox_wait_seconds.observe_duration(started - enqueued);
                 {
-                    let _span = slot.ctx.recv_span(&env);
+                    let _span = slot.ctx.recv_span(&env, trace);
                     slot.behavior.on_message(&slot.ctx, env);
                 }
                 shared.metrics.handler_message_seconds.observe_duration(started.elapsed());
@@ -705,10 +699,10 @@ fn event_loop(shared: &RuntimeShared) {
             // Pull messages while under the in-flight cap; the rest wait
             // in the transport mailbox (backpressure).
             while slot.inflight.load(Ordering::Acquire) < cap {
-                let Some((enqueued, env)) = slot.mailbox.try_recv_stamped() else { break };
+                let Some(taken) = slot.mailbox.try_take() else { break };
                 slot.inflight.fetch_add(1, Ordering::AcqRel);
                 shared.metrics.inflight.add(1);
-                shared.queue.push(Job::Deliver(Arc::clone(slot), enqueued, env));
+                shared.queue.push(Job::Deliver(Arc::clone(slot), taken));
                 dispatched = true;
             }
             if let Some(interval) = slot.behavior.tick_interval() {
@@ -789,11 +783,16 @@ mod tests {
         let _echo = rt.spawn("echo", Arc::new(Echo)).unwrap();
         let mut client = bus.register("client").unwrap();
         let sent = TraceContext { trace: TraceId(0x5eed), span: SpanId(7) };
-        for (rider, content) in [(sent.encode(), "good"), ("zz".to_string(), "bad")] {
-            let mut ask = Message::new(Performative::AskOne).with_content(SExpr::atom(content));
-            ask.set(TRACE_PARAM, SExpr::string(rider));
-            let reply = client.request("echo", ask, Duration::from_secs(2)).unwrap();
-            assert_eq!(reply.content(), Some(&SExpr::atom(content)), "handler reached");
+        // In process the context rides beside the message; a rider written
+        // into the text is a parameter like any other, never parsed.
+        let good = Message::new(Performative::AskOne).with_content(SExpr::atom("good"));
+        let bad =
+            Message::new(Performative::AskOne).with_content(SExpr::atom("bad")).with_trace("zz");
+        for (ask, trace) in [(good, Some(sent)), (bad, None)] {
+            let content = ask.content().cloned();
+            bus.send_traced("client", "echo", ask.with_reply_with("r"), trace).unwrap();
+            let reply = client.recv_timeout(Duration::from_secs(2)).unwrap().message;
+            assert_eq!(reply.content(), content.as_ref(), "handler reached");
         }
         // Join the workers: a dispatch span closes after its reply left.
         rt.shutdown();

@@ -14,6 +14,7 @@
 
 use crate::transport::{Mailbox, Transport, TransportError};
 use infosleuth_kqml::Message;
+use infosleuth_obs::TraceContext;
 use std::sync::Arc;
 
 /// A passive observer of outbound traffic. Implementations must be cheap
@@ -61,6 +62,17 @@ impl Transport for TappedTransport {
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError> {
         self.tap.on_send(from, to, &message);
         self.inner.send(from, to, message)
+    }
+
+    fn send_traced(
+        &self,
+        from: &str,
+        to: &str,
+        message: Message,
+        trace: Option<TraceContext>,
+    ) -> Result<(), TransportError> {
+        self.tap.on_send(from, to, &message);
+        self.inner.send_traced(from, to, message, trace)
     }
 
     fn next_conversation_id(&self, prefix: &str) -> String {

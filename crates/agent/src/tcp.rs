@@ -71,6 +71,16 @@
 //! u32 BE  body length, then the KQML message rendered as text
 //! ```
 //!
+//! The body is the only place a message's `:sender`, `:receiver` and
+//! `:x-trace` are printed: in process the names are the envelope's and the
+//! trace context rides beside the message as a value. The framer prints
+//! the message's own parameters, less any of those three it carries, then
+//! `:sender` and `:receiver` from the header's names and, when the send
+//! was traced, `:x-trace "<trace-hex16>-<span-hex16>"`. The reader takes
+//! the three back out: the header's names are the envelope's whatever the
+//! text says, and a malformed `:x-trace` is dropped, so the message is
+//! dispatched under a fresh root span.
+//!
 //! The body keeps its own length, so a byte after it makes the frame
 //! malformed. The receiver answers every frame with one status byte:
 //! `0` delivered, `1` no such agent is registered here (surfacing as
@@ -81,10 +91,11 @@
 
 use crate::address::AgentAddress;
 use crate::transport::{Mailbox, Registry, Transport, TransportError, TransportMetrics};
-use infosleuth_kqml::Message;
+use infosleuth_kqml::{Message, SExpr};
 use infosleuth_obs::sync::{lock, read, write};
-use infosleuth_obs::Obs;
+use infosleuth_obs::{Obs, TraceContext};
 use std::collections::HashMap;
+use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -105,6 +116,9 @@ const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The KQML parameter a frame carries the trace context in.
+const TRACE_PARAM: &str = "x-trace";
 
 /// One frame's ack: whether the receiver had the addressee (`ACK_OK`
 /// rather than `ACK_UNKNOWN`), or a wire-level error.
@@ -208,19 +222,20 @@ impl TcpTransport {
     /// Delivers one message: to a same-node agent on the spot, without
     /// touching a socket; anything else as one frame to the node its
     /// route names, or not at all for want of a route. `size` is the
-    /// message's wire size when `metrics` are attached.
+    /// frame body's length when `metrics` are attached.
     fn hop(
         &self,
         metrics: Option<&TransportMetrics>,
         from: &str,
         to: &str,
         message: Message,
+        trace: Option<TraceContext>,
         size: usize,
     ) -> Result<(), TransportError> {
         {
             let reg = read(&self.shared.registry);
             if reg.contains(to) {
-                let result = reg.deliver(from, to, message);
+                let result = reg.deliver(from, to, trace, message);
                 if let (Some(m), true) = (metrics, result.is_ok()) {
                     // Same-node delivery is also the receipt.
                     m.record_recv(size);
@@ -235,7 +250,10 @@ impl TcpTransport {
         if let (Some(m), true) = (metrics, used_fallback) {
             m.record_route_fallback();
         }
-        let frame = encode_frame(from, to, &message.to_string())?;
+        let mut body = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = write_body(&mut body, from, to, trace, &message);
+        let frame = encode_frame(from, to, &body)?;
         if self.send_frame(resolve(&address)?, &frame)? {
             Ok(())
         } else {
@@ -323,11 +341,21 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError> {
+        self.send_traced(from, to, message, None)
+    }
+
+    fn send_traced(
+        &self,
+        from: &str,
+        to: &str,
+        message: Message,
+        trace: Option<TraceContext>,
+    ) -> Result<(), TransportError> {
         let metrics = read(&self.shared.obs).clone();
         let metrics = metrics.as_deref();
-        let timed = metrics.map(|_| (Instant::now(), message.wire_size()));
+        let timed = metrics.map(|_| (Instant::now(), printed_len(from, to, trace, &message)));
         let size = timed.map_or(0, |(_, size)| size);
-        let result = self.hop(metrics, from, to, message, size);
+        let result = self.hop(metrics, from, to, message, trace, size);
         if let (Some(m), Some((started, size))) = (metrics, timed) {
             m.record_send(size, started.elapsed(), result.is_ok());
         }
@@ -365,6 +393,52 @@ fn resolve(address: &AgentAddress) -> Result<SocketAddr, TransportError> {
         .map_err(io_err)?
         .next()
         .ok_or_else(|| TransportError::Io(format!("unresolvable host '{}'", address.host)))
+}
+
+/// Prints the body of the frame carrying `message` from `from` to `to`:
+/// its own parameters in order, less any `:sender`, `:receiver` or
+/// `:x-trace`, then those three from the envelope — the trace only when
+/// there is one.
+fn write_body(
+    w: &mut impl fmt::Write,
+    from: &str,
+    to: &str,
+    trace: Option<TraceContext>,
+    message: &Message,
+) -> fmt::Result {
+    w.write_str("(")?;
+    w.write_str(message.performative.as_str())?;
+    for (key, value) in message.params() {
+        if !matches!(key, "sender" | "receiver" | TRACE_PARAM) {
+            write!(w, " :{key} {value}")?;
+        }
+    }
+    write!(w, " :sender {} :receiver {}", SExpr::atom(from), SExpr::atom(to))?;
+    if let Some(ctx) = trace {
+        write!(w, " :{TRACE_PARAM} \"{}-{}\"", ctx.trace, ctx.span)?;
+    }
+    w.write_str(")")
+}
+
+/// The length of the body [`write_body`] prints, counted without
+/// printing it: what a transport's byte counters record for one message,
+/// on the wire or not.
+pub(crate) fn printed_len(
+    from: &str,
+    to: &str,
+    trace: Option<TraceContext>,
+    message: &Message,
+) -> usize {
+    struct Count(usize);
+    impl fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut count = Count(0);
+    let _ = write_body(&mut count, from, to, trace, message);
+    count.0
 }
 
 /// Encodes the frame carrying `text` from `from` to `to`, length prefix
@@ -614,16 +688,20 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// A wholly decoded frame.
+/// A wholly decoded frame: the header's names, the trace context its
+/// body carried, the message without its names and trace, and the body's
+/// length.
 struct Decoded<'a> {
     from: &'a str,
     to: &'a str,
+    trace: Option<TraceContext>,
     message: Message,
+    size: usize,
 }
 
 /// Decodes one whole payload before anything of it is delivered. Any
 /// structural problem, unparsable body or trailing byte is `Err` for the
-/// frame as a whole.
+/// frame as a whole; a malformed `:x-trace` is only dropped.
 fn decode_payload(payload: &[u8]) -> Result<Decoded<'_>, ()> {
     let mut cursor = 0usize;
     let from = field(payload, &mut cursor, 2)?;
@@ -632,15 +710,18 @@ fn decode_payload(payload: &[u8]) -> Result<Decoded<'_>, ()> {
     if cursor != payload.len() {
         return Err(());
     }
-    Ok(Decoded { from, to, message: Message::parse(text).map_err(|_| ())? })
+    let mut message = Message::parse(text).map_err(|_| ())?;
+    let [_, _, trace] = message.take(["sender", "receiver", TRACE_PARAM]);
+    let trace = trace.as_ref().and_then(SExpr::as_text).and_then(TraceContext::parse);
+    Ok(Decoded { from, to, trace, message, size: text.len() })
 }
 
 /// Delivers a decoded frame to the local registry and returns its ack.
-fn deliver(shared: &TcpShared, Decoded { from, to, message }: Decoded<'_>) -> u8 {
+fn deliver(shared: &TcpShared, Decoded { from, to, trace, message, size }: Decoded<'_>) -> u8 {
     if let Some(m) = read(&shared.obs).as_ref() {
-        m.record_recv(message.wire_size());
+        m.record_recv(size);
     }
-    match read(&shared.registry).deliver(from, to, message) {
+    match read(&shared.registry).deliver(from, to, trace, message) {
         Ok(()) => ACK_OK,
         Err(_) => ACK_UNKNOWN,
     }
@@ -794,7 +875,8 @@ mod tests {
         assert_eq!(env.from, "src");
         assert_eq!(env.message.performative, Performative::Advertise);
         assert_eq!(env.message.get_text("ontology"), Some("infosleuth-services"));
-        assert_eq!(env.message.sender(), Some("src"));
+        assert_eq!(env.to, "sink");
+        assert_eq!(env.message.sender(), None, "the reader takes the names out");
         assert_eq!(
             env.message.content(),
             Some(&SExpr::list(vec![SExpr::atom("svc"), SExpr::atom("x")]))
@@ -964,6 +1046,207 @@ mod tests {
             Ok(n) => n == 0,
             Err(e) => e.kind() == ErrorKind::ConnectionReset,
         }
+    }
+
+    /// A bare listener standing in for a peer node: it acks every frame
+    /// it reads and hands on its `(from, to, body)`. It exits when the
+    /// sending node closes the connection.
+    fn catcher() -> (AgentAddress, Receiver<(String, String, String)>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let address = AgentAddress::tcp("127.0.0.1", listener.local_addr().unwrap().port());
+        let (caught, frames) = channel();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            while let Ok(payload) = read_frame(&mut stream) {
+                let mut cursor = 0;
+                let mut next = |width| field(&payload, &mut cursor, width).unwrap().to_string();
+                let frame = (next(2), next(2), next(4));
+                if caught.send(frame).is_err() || stream.write_all(&[ACK_OK]).is_err() {
+                    break;
+                }
+            }
+        });
+        (address, frames)
+    }
+
+    /// A frame body's parameters in order, each printed.
+    fn printed_params(body: &str) -> Vec<(String, String)> {
+        let message = Message::parse(body).expect("a frame body parses");
+        message.params().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    /// The trace context a frame body carries, which it must carry last.
+    fn printed_trace(body: &str) -> TraceContext {
+        let params = printed_params(body);
+        let (key, value) = params.last().expect("a parameter");
+        assert_eq!(key, TRACE_PARAM, "{body}");
+        TraceContext::parse(value.trim_matches('"')).expect("a well-formed trace")
+    }
+
+    /// A hosted agent that sends to `peer` on every path a hosted agent
+    /// has: a plain send, a request, and a reply to what `peer` sent it.
+    struct Talker;
+
+    impl crate::AgentBehavior for Talker {
+        fn on_message(&self, ctx: &crate::AgentContext, env: crate::Envelope) {
+            match env.message.content().and_then(SExpr::as_text) {
+                Some("send") => {
+                    let tell = Message::new(Performative::Tell).with_content(SExpr::atom("sent"));
+                    ctx.send("peer", tell).unwrap();
+                }
+                Some("ask") => {
+                    let ask = Message::new(Performative::AskOne).with_content(SExpr::atom("asked"));
+                    let _ = ctx.request("peer", ask, Duration::from_millis(100));
+                }
+                _ => {
+                    let reply = env.message.reply_skeleton(Performative::Reply);
+                    ctx.send(&env.from, reply.with_content(SExpr::atom("echoed"))).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_send_path_prints_the_names_and_the_trace_into_the_frame_only() {
+        use infosleuth_obs::{RingSink, SpanSink};
+        let sink = Arc::new(RingSink::new(64));
+        let obs = Obs::new();
+        obs.tracer().add_sink(Arc::clone(&sink) as Arc<dyn SpanSink>);
+        let n = node();
+        let (address, frames) = catcher();
+        n.add_route("peer", address);
+        let rt =
+            crate::AgentRuntime::new(as_dyn(&n), crate::RuntimeConfig::default().with_obs(obs));
+        let _talker = rt.spawn("talker", Arc::new(Talker)).unwrap();
+        let driver = as_dyn(&n).endpoint("driver").unwrap();
+        let next = || frames.recv_timeout(Duration::from_secs(5)).expect("a frame");
+        let keys = |body: &str| -> Vec<String> {
+            printed_params(body).into_iter().map(|(k, _)| k).collect()
+        };
+
+        // Endpoint::send: no span, so no trace.
+        driver
+            .send("peer", Message::new(Performative::Tell).with_content(SExpr::atom("x")))
+            .unwrap();
+        let (from, to, body) = next();
+        assert_eq!((from.as_str(), to.as_str()), ("driver", "peer"));
+        assert_eq!(body, "(tell :content x :sender driver :receiver peer)");
+
+        // A hosted send, beside its dispatch span's context.
+        driver
+            .send("talker", Message::new(Performative::Tell).with_content(SExpr::atom("send")))
+            .unwrap();
+        let (from, to, sent) = next();
+        assert_eq!((from.as_str(), to.as_str()), ("talker", "peer"));
+        assert_eq!(keys(&sent), ["content", "sender", "receiver", "x-trace"]);
+        assert!(sent.starts_with("(tell :content sent :sender talker :receiver peer :x-trace"));
+
+        // A request, from the agent's ephemeral endpoint.
+        driver
+            .send("talker", Message::new(Performative::Tell).with_content(SExpr::atom("ask")))
+            .unwrap();
+        let (from, to, asked) = next();
+        assert_eq!((from.as_str(), to.as_str()), ("talker.w0", "peer"));
+        assert_eq!(keys(&asked), ["content", "reply-with", "sender", "receiver", "x-trace"]);
+        let params = printed_params(&asked);
+        assert_eq!(params[0].1, "asked");
+        assert_eq!((params[2].1.as_str(), params[3].1.as_str()), ("talker.w0", "peer"));
+
+        // A `reply_skeleton` reply to a frame from the peer.
+        let ask = encode_frame("peer", "talker", "(ask-one :reply-with r1 :sender peer)").unwrap();
+        assert_eq!(raw_exchange(n.local_addr(), &ask), [ACK_OK]);
+        let (from, to, replied) = next();
+        assert_eq!((from.as_str(), to.as_str()), ("talker", "peer"));
+        assert!(
+            replied.starts_with(
+                "(reply :in-reply-to r1 :content echoed :sender talker :receiver peer :x-trace"
+            ),
+            "{replied}"
+        );
+
+        // Join the workers: a dispatch span closes after its send left.
+        rt.shutdown();
+        let spans = sink.drain();
+        for (body, handled) in
+            [(&sent, "recv:tell"), (&asked, "recv:tell"), (&replied, "recv:ask-one")]
+        {
+            let ctx = printed_trace(body);
+            let span = spans.iter().find(|r| r.span == ctx.span).expect("the sending span");
+            assert_eq!((span.name.as_str(), span.agent.as_str()), (handled, "talker"), "{body}");
+            assert_eq!(span.trace, ctx.trace);
+        }
+    }
+
+    #[test]
+    fn a_frame_with_a_malformed_trace_is_dispatched_under_a_fresh_root() {
+        use infosleuth_obs::{RingSink, SpanSink};
+        let sink = Arc::new(RingSink::new(64));
+        let obs = Obs::new();
+        obs.tracer().add_sink(Arc::clone(&sink) as Arc<dyn SpanSink>);
+        let n = node();
+        let (address, frames) = catcher();
+        n.add_route("peer", address);
+        let rt =
+            crate::AgentRuntime::new(as_dyn(&n), crate::RuntimeConfig::default().with_obs(obs));
+        let _talker = rt.spawn("talker", Arc::new(Talker)).unwrap();
+        let sent = "0000000000005eed-0000000000000007";
+        for rider in [sent, "zz", "0000000000005eed_0000000000000007", ""] {
+            let body = format!("(ask-one :reply-with r :x-trace \"{rider}\")");
+            let frame = encode_frame("peer", "talker", &body).unwrap();
+            assert_eq!(raw_exchange(n.local_addr(), &frame), [ACK_OK], "{rider:?}");
+            let (_, _, reply) = frames.recv_timeout(Duration::from_secs(5)).expect("a reply");
+            assert!(reply.starts_with("(reply :in-reply-to r :content echoed"), "{reply}");
+        }
+        rt.shutdown();
+        let recvs: Vec<_> = sink.drain().into_iter().filter(|r| r.name == "recv:ask-one").collect();
+        assert_eq!(recvs.len(), 4, "{recvs:?}");
+        let sent = TraceContext::parse(sent).unwrap();
+        assert_eq!((recvs[0].trace, recvs[0].parent), (sent.trace, Some(sent.span)));
+        for bad in &recvs[1..] {
+            assert_eq!(bad.parent, None, "a malformed rider roots a span");
+            assert_ne!(bad.trace, sent.trace);
+        }
+    }
+
+    #[test]
+    fn the_header_names_outrank_the_names_in_a_frames_text() {
+        let n = node();
+        let mut sink = as_dyn(&n).endpoint("sink").unwrap();
+        let body = "(tell :sender forged :content x :receiver elsewhere)";
+        assert_eq!(raw_exchange(n.local_addr(), &frame("sink", body)), [ACK_OK]);
+        let env = sink.recv_timeout(Duration::from_secs(5)).expect("delivered");
+        assert_eq!((env.from.as_str(), env.to.as_str()), ("src", "sink"));
+        assert_eq!(env.message.to_string(), "(tell :content x)", "the text's names are dropped");
+    }
+
+    #[test]
+    fn bus_and_tcp_count_the_bytes_of_the_frame_body() {
+        let message = Message::new(Performative::Tell)
+            .with_content(SExpr::list([SExpr::string("two words"), SExpr::atom("|bar|")]))
+            .with_sender("forged");
+        let trace = TraceContext {
+            trace: infosleuth_obs::TraceId(0x5eed),
+            span: infosleuth_obs::SpanId(7),
+        };
+        let sent_bytes = |obs: &Obs, transport| {
+            obs.registry().counter("transport_send_bytes_total", &[("transport", transport)]).get()
+        };
+        let bus = crate::Bus::new();
+        let bus_obs = Obs::new();
+        bus.set_obs(&bus_obs);
+        let _peer = bus.register("peer").unwrap();
+        bus.send_traced("src", "peer", message.clone(), Some(trace)).unwrap();
+
+        let n = node();
+        let tcp_obs = Obs::new();
+        n.set_obs(&tcp_obs);
+        let (address, frames) = catcher();
+        n.add_route("peer", address);
+        n.send_traced("src", "peer", message, Some(trace)).unwrap();
+        let (_, _, body) = frames.recv_timeout(Duration::from_secs(5)).expect("a frame");
+        assert_eq!(printed_trace(&body), trace);
+        assert_eq!(sent_bytes(&tcp_obs, "tcp"), body.len() as u64);
+        assert_eq!(sent_bytes(&bus_obs, "bus"), body.len() as u64);
     }
 
     #[test]
@@ -1368,6 +1651,26 @@ mod tests {
         ) {
             prop_assert!(decode_payload(&frame[4..]).is_ok());
             assert_answer(&corrupt(frame, kind), &[ACK_MALFORMED], 0);
+        }
+
+        #[test]
+        fn a_frames_names_and_trace_are_read_out_of_its_text(
+            rider in ".{0,40}",
+            forged in "[a-z]{1,8}",
+            hex in (any::<u64>(), any::<u64>()),
+            well_formed in any::<bool>(),
+        ) {
+            let rider = if well_formed { format!("{:016x}-{:016x}", hex.0, hex.1) } else { rider };
+            let text = format!(
+                "(tell :receiver {forged} :x-trace {} :content x :sender {forged})",
+                SExpr::string(&rider)
+            );
+            let frame = encode_frame("src", "sink", &text).unwrap();
+            let decoded = decode_payload(&frame[4..]).expect("a well-formed frame");
+            prop_assert_eq!((decoded.from, decoded.to), ("src", "sink"));
+            prop_assert_eq!(decoded.trace, TraceContext::parse(&rider));
+            prop_assert_eq!(decoded.message.to_string(), "(tell :content x)");
+            prop_assert_eq!(decoded.size, text.len());
         }
 
         #[test]

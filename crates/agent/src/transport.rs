@@ -14,12 +14,16 @@
 
 use infosleuth_kqml::{Message, Text};
 use infosleuth_obs::sync::{lock, wait, wait_timeout};
+use infosleuth_obs::TraceContext;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A delivered message with its envelope metadata.
+/// A delivered message with its envelope metadata. The names are the
+/// envelope's alone: in process a message carries no `:sender` or
+/// `:receiver` of its own, and only the TCP framer prints them (with the
+/// trace context) into a frame.
 #[derive(Debug, Clone)]
 pub struct Envelope {
     pub from: String,
@@ -82,13 +86,40 @@ impl fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
+/// One message waiting in a mailbox: the envelope's names held in place,
+/// the sender's trace context beside the message, and when it was
+/// enqueued. A name of up to 22 bytes costs no allocation of its own.
+struct Queued {
+    enqueued: Instant,
+    from: Text,
+    to: Text,
+    trace: Option<TraceContext>,
+    message: Message,
+}
+
+/// A message taken off a mailbox, for the runtime's dispatch: when it was
+/// enqueued, the trace context it arrived with, and its envelope.
+pub(crate) struct Taken {
+    pub(crate) enqueued: Instant,
+    pub(crate) trace: Option<TraceContext>,
+    pub(crate) env: Envelope,
+}
+
+impl Queued {
+    /// The queued record becomes an envelope as it is taken.
+    fn take(self) -> Taken {
+        let Queued { enqueued, from, to, trace, message } = self;
+        Taken { enqueued, trace, env: Envelope { from: from.into(), to: to.into(), message } }
+    }
+}
+
 /// What the two halves of a mailbox share: the queue, and who is still
 /// attached to it. Everything sits under the one mutex, so "push, then
 /// wake" and "find nothing, then sleep" cannot interleave into a lost
 /// wake-up.
 struct MailboxState {
-    /// Envelopes in arrival order, each with the instant it was enqueued.
-    queue: VecDeque<(Instant, Envelope)>,
+    /// Messages in arrival order.
+    queue: VecDeque<Queued>,
     /// Live [`MailboxSender`]s, clones included.
     senders: u32,
     /// Receivers asleep on `arrived`. A hosted agent's mailbox is polled,
@@ -142,16 +173,26 @@ pub fn mailbox() -> (MailboxSender, Mailbox) {
 }
 
 impl MailboxSender {
-    /// Delivers an envelope; fails with [`TransportError::UnknownAgent`]
-    /// naming `env.to` if the receiving half is gone. Envelopes from one
-    /// sender are received in the order they were delivered.
+    /// Delivers an envelope, untraced; fails with
+    /// [`TransportError::UnknownAgent`] naming `env.to` if the receiving
+    /// half is gone. Envelopes from one sender are received in the order
+    /// they were delivered.
     pub fn deliver(&self, env: Envelope) -> Result<(), TransportError> {
-        let enqueued = Instant::now();
+        self.push(Queued {
+            enqueued: Instant::now(),
+            from: env.from.into(),
+            to: env.to.into(),
+            trace: None,
+            message: env.message,
+        })
+    }
+
+    fn push(&self, queued: Queued) -> Result<(), TransportError> {
         let mut state = lock(&self.shared.state);
         if state.receiver_gone {
-            return Err(TransportError::UnknownAgent(env.to));
+            return Err(TransportError::UnknownAgent(queued.to.into()));
         }
-        state.queue.push_back((enqueued, env));
+        state.queue.push_back(queued);
         let wake = state.sleepers > 0;
         drop(state);
         if wake {
@@ -183,12 +224,14 @@ impl Drop for MailboxSender {
 impl Mailbox {
     /// The next queued envelope, if any. Never blocks.
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.try_recv_stamped().map(|(_, env)| env)
+        self.try_take().map(|taken| taken.env)
     }
 
-    /// [`Mailbox::try_recv`] plus the instant the envelope was enqueued.
-    pub(crate) fn try_recv_stamped(&self) -> Option<(Instant, Envelope)> {
-        lock(&self.shared.state).queue.pop_front()
+    /// [`Mailbox::try_recv`] plus the instant the envelope was enqueued
+    /// and the trace context it arrived with.
+    pub(crate) fn try_take(&self) -> Option<Taken> {
+        let queued = lock(&self.shared.state).queue.pop_front();
+        queued.map(Queued::take)
     }
 
     /// The next envelope, waiting up to `timeout` for one to arrive.
@@ -204,8 +247,9 @@ impl Mailbox {
         let deadline = Instant::now().checked_add(timeout);
         let mut state = lock(&self.shared.state);
         loop {
-            if let Some((_, env)) = state.queue.pop_front() {
-                return Ok(env);
+            if let Some(queued) = state.queue.pop_front() {
+                drop(state);
+                return Ok(queued.take().env);
             }
             if state.senders == 0 {
                 return Err(Empty::HungUp);
@@ -286,20 +330,25 @@ impl Registry {
         names
     }
 
-    /// Enqueues `message` on `to`'s mailbox. Fails with
-    /// [`TransportError::UnknownAgent`] if `to` is not registered here or
-    /// its receiving half is gone.
+    /// Enqueues `message` on `to`'s mailbox, with the sender's trace
+    /// context beside it. Fails with [`TransportError::UnknownAgent`] if
+    /// `to` is not registered here or its receiving half is gone.
     pub(crate) fn deliver(
         &self,
         from: &str,
         to: &str,
+        trace: Option<TraceContext>,
         message: Message,
     ) -> Result<(), TransportError> {
         match self.mailboxes.get(to) {
             None => Err(TransportError::UnknownAgent(to.to_string())),
-            Some(tx) => {
-                tx.deliver(Envelope { from: from.to_string(), to: to.to_string(), message })
-            }
+            Some(tx) => tx.push(Queued {
+                enqueued: Instant::now(),
+                from: Text::from(from),
+                to: Text::from(to),
+                trace,
+                message,
+            }),
         }
     }
 }
@@ -334,6 +383,20 @@ pub trait Transport: Send + Sync + 'static {
 
     /// Delivers a message. Fails if the recipient is not reachable.
     fn send(&self, from: &str, to: &str, message: Message) -> Result<(), TransportError>;
+
+    /// [`Transport::send`] with the sending span's trace context beside
+    /// the message, for the recipient's dispatch span to continue. A
+    /// transport that carries no trace drops it.
+    fn send_traced(
+        &self,
+        from: &str,
+        to: &str,
+        message: Message,
+        trace: Option<TraceContext>,
+    ) -> Result<(), TransportError> {
+        let _ = trace;
+        self.send(from, to, message)
+    }
 
     /// A fresh conversation id (for `:reply-with`), unique across every
     /// node of the deployment.
@@ -455,15 +518,9 @@ impl Endpoint {
         &self.transport
     }
 
-    /// Sends a message, stamping `:sender` and `:receiver`.
-    pub fn send(&self, to: &str, mut message: Message) -> Result<(), TransportError> {
-        self.address(to, &mut message);
+    /// Sends a message under this endpoint's name.
+    pub fn send(&self, to: &str, message: Message) -> Result<(), TransportError> {
         self.transport.send(&self.name, to, message)
-    }
-
-    fn address(&self, to: &str, message: &mut Message) {
-        message.set("sender", infosleuth_kqml::SExpr::atom(&self.name));
-        message.set("receiver", infosleuth_kqml::SExpr::atom(to));
     }
 
     /// Receives the next message, if one is queued.
@@ -517,6 +574,16 @@ impl Endpoint {
         batch: Vec<(String, Message)>,
         timeout: Duration,
     ) -> Vec<Result<Message, TransportError>> {
+        self.converse(batch, timeout, None)
+    }
+
+    /// [`Endpoint::request_all`] with every message sent beside `trace`.
+    pub(crate) fn converse(
+        &mut self,
+        batch: Vec<(String, Message)>,
+        timeout: Duration,
+        trace: Option<TraceContext>,
+    ) -> Vec<Result<Message, TransportError>> {
         let mut results: Vec<Option<Result<Message, TransportError>>> = vec![None; batch.len()];
         let mut recipients = Vec::with_capacity(batch.len());
         // Issued id → batch index, for the recipients still owed a reply.
@@ -524,8 +591,7 @@ impl Endpoint {
         for (i, (to, mut message)) in batch.into_iter().enumerate() {
             let id = self.transport.next_conversation_id(&self.name);
             message.set("reply-with", infosleuth_kqml::SExpr::atom(&id));
-            self.address(&to, &mut message);
-            match self.transport.send(&self.name, &to, message) {
+            match self.transport.send_traced(&self.name, &to, message, trace) {
                 Ok(()) => {
                     waiting.insert(id, i);
                 }

@@ -46,7 +46,7 @@ use infosleuth_agent::{
 };
 use infosleuth_kqml::{Message, Performative, SExpr};
 use infosleuth_obs::sync::lock;
-use infosleuth_obs::{Counter, Histogram, Obs};
+use infosleuth_obs::{Counter, Histogram, Obs, TraceContext};
 use infosleuth_ontology::BrokerAdvertisement;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -57,7 +57,9 @@ pub type StoredView = (String, String, Vec<MatchResult>);
 
 /// What a handler wants sent once it has let go of the state:
 /// `(recipient, message)` in send order.
-type Outbox = Vec<(String, Message)>;
+/// Messages a handler queued under the state lock, each with the trace
+/// context it is to be sent beside.
+type Outbox = Vec<(String, Message, Option<TraceContext>)>;
 
 /// Everything one broker's handlers share; also the [`AgentBehavior`] the
 /// runtime drives.
@@ -199,8 +201,8 @@ impl Shared {
     fn with_state<T>(&self, ctx: &AgentContext, f: impl FnOnce(&mut State, &mut Outbox) -> T) -> T {
         let mut out = Vec::new();
         let result = f(&mut lock(&self.state), &mut out);
-        for (to, msg) in out {
-            let _ = ctx.send(&to, msg);
+        for (to, msg, trace) in out {
+            let _ = ctx.send_traced(&to, msg, trace);
         }
         result
     }
@@ -231,7 +233,7 @@ impl Shared {
             let msg = Message::new(Performative::Update)
                 .with_ontology("infosleuth-service")
                 .with_content(fact.clone());
-            push_out(out, &peer, msg);
+            push_out(out, &peer, msg, None);
         }
     }
 
@@ -333,16 +335,12 @@ impl AgentBehavior for Shared {
     }
 }
 
-/// Queues an outgoing message, stamping the active span's trace context
-/// the way [`AgentContext::send`] would have at this point — buffered
-/// sends otherwise leave the handler span before they hit the wire.
-fn push_out(out: &mut Outbox, to: &str, mut msg: Message) {
-    if msg.trace().is_none() {
-        if let Some(c) = infosleuth_obs::current_context() {
-            msg = msg.with_trace(c.encode());
-        }
-    }
-    out.push((to.to_string(), msg));
+/// Queues an outgoing message beside `trace`, or beside the active span's
+/// context — the one [`AgentContext::send`] would have sent it with at
+/// this point — when `trace` is `None`: buffered sends otherwise leave
+/// the handler span before they hit the wire.
+fn push_out(out: &mut Outbox, to: &str, msg: Message, trace: Option<TraceContext>) {
+    out.push((to.to_string(), msg, trace.or_else(infosleuth_obs::current_context)));
 }
 
 /// Sends `reply` as the broker (not as a worker's ephemeral endpoint).

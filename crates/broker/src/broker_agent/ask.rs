@@ -566,7 +566,7 @@ mod tests {
     fn fan_out_forwards_join_the_clients_trace() {
         use infosleuth_agent::{AgentRuntime, RuntimeConfig};
         use infosleuth_obs::{
-            build_trace_tree, Obs, RingSink, SpanId, SpanSink, TraceContext, TraceId, TRACE_PARAM,
+            build_trace_tree, Obs, RingSink, SpanId, SpanSink, TraceContext, TraceId,
         };
         let bus = Bus::new();
         let obs = Obs::new();
@@ -594,11 +594,12 @@ mod tests {
             digest_epoch: None,
         };
         let client = TraceContext { trace: TraceId(0xc11e), span: SpanId(1) };
-        let mut msg = Message::new(Performative::AskAll)
+        let msg = Message::new(Performative::AskAll)
             .with_ontology("infosleuth-service")
-            .with_content(codec::search_request_to_sexpr(&request));
-        msg.set(TRACE_PARAM, infosleuth_kqml::SExpr::string(client.encode()));
-        let reply = ua.request("broker1", msg, T).unwrap();
+            .with_content(codec::search_request_to_sexpr(&request))
+            .with_reply_with("q1");
+        bus.send_traced("ua1", "broker1", msg, Some(client)).unwrap();
+        let reply = ua.recv_timeout(T).unwrap().message;
         assert_eq!(codec::matches_from_sexpr(reply.content().unwrap()).unwrap().len(), 2);
         assert_eq!(b1.routing_stats().forwards, 2);
         for b in [b1, b2, b3] {

@@ -31,7 +31,7 @@ pub(super) fn apply(shared: &Shared, state: &mut State, env: &Envelope, out: &mu
 fn advertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbox) {
     shared.obs.advertises.inc();
     let Some(content) = env.message.content() else {
-        return push_out(out, &env.from, error_reply(env, "advertise without content"));
+        return push_out(out, &env.from, error_reply(env, "advertise without content"), None);
     };
     let reply = match content.head() {
         Some("digest") => match codec::digest_from_sexpr(content) {
@@ -49,7 +49,7 @@ fn advertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Outbo
             Err(e) => error_reply(env, e.to_string()),
         },
     };
-    push_out(out, &env.from, reply);
+    push_out(out, &env.from, reply, None);
 }
 
 /// A peer broker advertising itself: store it and reciprocate with our own
@@ -138,7 +138,7 @@ fn unadvertise(shared: &Shared, state: &mut State, env: &Envelope, out: &mut Out
     subscribe::notify(shared, state, reach, out);
     shared.broadcast_digest(state, out);
     let perf = if removed { Performative::Tell } else { Performative::Sorry };
-    push_out(out, &env.from, env.message.reply_skeleton(perf));
+    push_out(out, &env.from, env.message.reply_skeleton(perf), None);
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! fan-out they set up: "subscribe to changes in the set of matching
 //! agents" (§2.2). Notifications are `tell`s carrying a `sub-delta` (only
 //! agents that entered or left the match set) to the `:reply-to` endpoint,
-//! tagged with the subscription key as `:in-reply-to` and the subscribe
-//! message's `:x-trace`.
+//! tagged with the subscription key as `:in-reply-to` and sent beside the
+//! trace context the subscribe message arrived with.
 
 use super::{error_reply, push_out, reply_as_broker, sorry_reply, Outbox, Shared, State};
 use crate::codec;
@@ -32,9 +32,9 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         Err(e) => return reply_as_broker(ctx, &env.from, error_reply(env, e.to_string())),
     };
     let subscriber = Text::from(msg.get_text("reply-to").unwrap_or(&env.from));
-    let trace = msg.trace().map(str::to_string);
-    // Queued unstamped: this handler's span is still open when the state
-    // is released, so the send stamps them like any direct reply.
+    // This runs directly under the dispatch span, which continued the
+    // subscriber's context.
+    let trace = infosleuth_obs::continued_context();
     shared.with_state(ctx, |state, out| {
         let repo = &mut state.repo;
         // Admission: an unsatisfiable or vacuous standing query would be
@@ -42,7 +42,8 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         // rendered diagnostics instead.
         let report = repo.analyze_subscription(&subscriber, &query);
         if report.has_errors() {
-            return out.push((env.from.clone(), sorry_reply(env, report.render_human(None))));
+            let sorry = sorry_reply(env, report.render_human(None));
+            return push_out(out, &env.from, sorry, None);
         }
         // One rendering of the untruncated query keys both the match
         // cache and the subscription's record.
@@ -58,7 +59,7 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         let registered = table.records.register_keyed(
             sub_key.clone(),
             subscriber.clone(),
-            trace.clone(),
+            trace,
             cut,
             key,
             Arc::clone(&rows),
@@ -66,21 +67,18 @@ pub(super) fn handle_subscribe(shared: &Shared, ctx: &AgentContext, env: &Envelo
         drop(table);
         if registered.is_none() {
             let refusal = format!("{subscriber} already holds subscription {sub_key}");
-            return out.push((env.from.clone(), sorry_reply(env, refusal)));
+            return push_out(out, &env.from, sorry_reply(env, refusal), None);
         }
-        let mut snapshot = Message::new(Performative::Tell)
+        let snapshot = Message::new(Performative::Tell)
             .with_in_reply_to(sub_key.clone())
             .with_ontology("infosleuth-service")
             .with_content(codec::sub_delta_to_sexpr(repo.epoch(), view(&rows, cut), &[]));
-        if let Some(t) = trace {
-            snapshot = snapshot.with_trace(t);
-        }
-        out.push((subscriber.into(), snapshot));
+        push_out(out, &subscriber, snapshot, trace);
         shared.obs.subscribes.inc();
         // Ack after the snapshot so a subscriber that is also the
         // requester observes a deterministic sequence.
         let ack = msg.reply_skeleton(Performative::Tell).with_content(SExpr::atom(sub_key));
-        out.push((env.from.clone(), ack));
+        push_out(out, &env.from, ack, None);
     });
 }
 
@@ -195,15 +193,12 @@ fn send(
         let body = bodies.entry((matched, unmatched)).or_insert_with_key(|(matched, unmatched)| {
             Arc::new(codec::sub_delta_block(epoch, matched, unmatched))
         });
-        let mut note = Message::new(Performative::Tell)
+        let note = Message::new(Performative::Tell)
             .with_in_reply_to(sub.sub_key.clone())
             .with_ontology("infosleuth-service")
             .with_content(SExpr::Block(Arc::clone(body), 0));
-        if let Some(t) = &sub.trace {
-            note = note.with_trace(&**t);
-        }
         shared.obs.sub_notifications.inc();
-        push_out(out, &sub.subscriber, note);
+        push_out(out, &sub.subscriber, note, sub.trace);
     }
 }
 
@@ -218,6 +213,95 @@ mod tests {
     use infosleuth_kqml::{Message, Performative, SExpr};
     use infosleuth_ontology::{AgentType, Capability, ServiceQuery};
     use std::time::Duration;
+
+    /// One frame as the wire carries it: `(from, to, body)`.
+    type Frame = (String, String, String);
+
+    /// A bare listener standing in for a subscriber's node: it acks the
+    /// first `n` frames it reads and returns them.
+    fn catch_frames(n: usize) -> (u16, std::thread::JoinHandle<Vec<Frame>>) {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let catcher = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            (0..n)
+                .map(|_| {
+                    let mut len = [0u8; 4];
+                    stream.read_exact(&mut len).unwrap();
+                    let mut payload = vec![0; u32::from_be_bytes(len) as usize];
+                    stream.read_exact(&mut payload).unwrap();
+                    stream.write_all(&[0]).unwrap();
+                    let mut at = 0;
+                    let mut field = |width: usize| {
+                        let len =
+                            payload[at..at + width].iter().fold(0, |n, &b| n << 8 | b as usize);
+                        at += width + len;
+                        String::from_utf8(payload[at - len..at].to_vec()).unwrap()
+                    };
+                    (field(2), field(2), field(4))
+                })
+                .collect()
+        });
+        (port, catcher)
+    }
+
+    #[test]
+    fn the_outbox_sends_beside_the_sending_span_or_the_subscribers_context() {
+        use infosleuth_agent::{AgentAddress, TcpTransport, Transport, TransportExt};
+        use infosleuth_obs::{Obs, RingSink, SpanId, SpanSink, TraceContext, TraceId};
+        use std::sync::Arc;
+        let (port, catcher) = catch_frames(2);
+        let node = TcpTransport::bind("127.0.0.1:0").unwrap();
+        node.add_route("watcher", AgentAddress::tcp("127.0.0.1", port));
+        let transport: Arc<dyn Transport> = node;
+        let sink = Arc::new(RingSink::new(64));
+        let obs = Obs::new();
+        obs.tracer().add_sink(Arc::clone(&sink) as Arc<dyn SpanSink>);
+        let runtime =
+            AgentRuntime::new(Arc::clone(&transport), RuntimeConfig::default().with_obs(obs));
+        let config =
+            BrokerConfig::new("broker1", "tcp://broker1.mcc.com:5500").with_ping_interval(None);
+        let broker = BrokerAgent::spawn_on(&runtime, config, seeded_repo()).unwrap();
+        let mut client = transport.endpoint("client").unwrap();
+        let query = |class: &str| {
+            ServiceQuery::for_agent_type(AgentType::Resource)
+                .with_ontology("paper-classes")
+                .with_classes([class])
+        };
+        // An untraced subscribe: its snapshot leaves the outbox beside the
+        // broker's dispatch span.
+        let first = subscribe_to(&mut client, "broker1", &query("C1"), "watcher", T).unwrap();
+        // A traced one: its snapshot goes beside the subscriber's context.
+        let sent = TraceContext { trace: TraceId(0x5eed), span: SpanId(7) };
+        let subscribe = Message::new(Performative::Subscribe)
+            .with_ontology("infosleuth-service")
+            .with("reply-to", SExpr::atom("watcher"))
+            .with_content(codec::service_query_to_sexpr(&query("C2")))
+            .with_reply_with("sub-2");
+        transport.send_traced("client", "broker1", subscribe, Some(sent)).unwrap();
+        let frames = catcher.join().unwrap();
+        broker.stop();
+        runtime.shutdown();
+        let mut contexts = Vec::new();
+        for ((from, to, body), key) in frames.iter().zip([first.unwrap(), "sub-2".into()]) {
+            assert_eq!((from.as_str(), to.as_str()), ("broker1", "watcher"));
+            let tell = Message::parse(body).unwrap();
+            let keys: Vec<&str> = tell.params().map(|(k, _)| k).collect();
+            assert_eq!(
+                keys,
+                ["in-reply-to", "ontology", "content", "sender", "receiver", "x-trace"]
+            );
+            assert_eq!(tell.in_reply_to(), Some(key.as_str()));
+            assert_eq!((tell.sender(), tell.receiver()), (Some("broker1"), Some("watcher")));
+            contexts.push(TraceContext::parse(tell.trace().unwrap()).unwrap());
+        }
+        let spans = sink.drain();
+        let span = spans.iter().find(|r| r.span == contexts[0].span).expect("the sending span");
+        assert_eq!((span.name.as_str(), span.agent.as_str()), ("recv:subscribe", "broker1"));
+        assert_eq!(span.trace, contexts[0].trace);
+        assert_eq!(contexts[1], sent, "the subscriber's context");
+    }
 
     #[test]
     fn subscribe_notifies_on_churn_and_unsubscribe_stops_it() {

@@ -22,9 +22,9 @@
 //!    Prometheus scrape carries per-broker health labels.
 //!
 //! Every tick opens a `health:tick` root span before sending, so the
-//! advertise carries `:x-trace` and the broker's `recv:advertise` span
-//! — and the alert `tell`s its notification fan-out stamps — parent on
-//! the sampler tick: the trace connects sampler tick → alert delivery.
+//! advertise goes beside its context and the broker's `recv:advertise`
+//! span — and the alert `tell`s its notification fan-out sends — parent
+//! on the sampler tick: the trace connects sampler tick → alert delivery.
 //!
 //! The target broker's repository must have
 //! [`infosleuth_ontology::obs_ontology`] registered, or the
@@ -110,7 +110,7 @@ impl HealthPublisher {
     /// the interval.
     fn publish(&self, ctx: &AgentContext) {
         // Root span: the advertise (and everything the broker's
-        // notification fan-out stamps downstream) parents on this tick.
+        // notification fan-out sends downstream) parents on this tick.
         let span = self.obs.tracer().agent_span("health:tick", &self.name, None);
         let at_millis = self.started.elapsed().as_millis() as u64;
         let (tick, events, state) = {

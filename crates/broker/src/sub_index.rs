@@ -47,6 +47,7 @@ use crate::repository::Term;
 use crate::{MatchRow, Matchmaker, Repository};
 use infosleuth_constraint::{Bound, Conjunction, Value};
 use infosleuth_kqml::Text;
+use infosleuth_obs::TraceContext;
 use infosleuth_ontology::{Advertisement, ServiceQuery};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -73,9 +74,9 @@ pub struct StandingSubscription {
     /// The agent name notifications are delivered to (`:reply-to` of the
     /// subscribe message, falling back to the sender).
     pub subscriber: Text,
-    /// Encoded `:x-trace` context from the subscribe message, propagated
-    /// onto every notification.
-    pub trace: Option<Box<str>>,
+    /// The trace context the subscribe message arrived with; every
+    /// notification is sent beside it.
+    pub trace: Option<TraceContext>,
     /// The subscriber reads the first `max_matches` rows of the record.
     pub max_matches: Option<usize>,
 }
@@ -279,7 +280,7 @@ impl SubscriptionRegistry {
         &mut self,
         sub_key: impl Into<Text>,
         subscriber: Text,
-        trace: Option<String>,
+        trace: Option<TraceContext>,
         query: ServiceQuery,
         rows: Arc<Vec<MatchRow>>,
         _repo: &Repository,
@@ -301,7 +302,7 @@ impl SubscriptionRegistry {
         &mut self,
         sub_key: Text,
         subscriber: Text,
-        trace: Option<String>,
+        trace: Option<TraceContext>,
         max_matches: Option<usize>,
         key: QueryKey<'_>,
         rows: Arc<Vec<MatchRow>>,
@@ -318,7 +319,6 @@ impl SubscriptionRegistry {
         if held.subs.is_empty() {
             self.unpinned -= 1;
         }
-        let trace = trace.map(String::into_boxed_str);
         held.subs.reserve_exact(1);
         held.subs.push(StandingSubscription { id, sub_key, subscriber, trace, max_matches });
         Some(id)

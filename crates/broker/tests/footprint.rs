@@ -656,25 +656,28 @@ fn the_symbol_table_grows_by_distinct_new_names_only() {
 }
 
 /// A queued churn-shaped `sub-delta` carrying one match row, built as the
-/// snapshot a `subscribe` is answered with is built: the envelope's
-/// two names, the message's five parameters, and the tree of its content,
-/// whose row is the block the repository rendered once. 255 wire bytes
-/// measure 471 B in 7 allocations — one per string, per non-empty list and
-/// per atom longer than 22 bytes, each exactly as long as what it holds;
-/// protocol words are shared and short atoms sit in their node (878 B in
-/// 14 with the row a tree of its own; 1 908 B in 38 when every atom was a
-/// `String` and every list a `Vec`). A tenth over.
-const CEILING_MATCHED_DELTA: (isize, isize) = (518, 7);
+/// snapshot a `subscribe` is answered with is built: the message's three
+/// parameters and the tree of its content, whose row is the block the
+/// repository rendered once; the envelope's names sit in place in the
+/// mailbox's slot. 220 bytes of text measure 360 B in 5 allocations — one
+/// per string, per non-empty list and per atom longer than 22 bytes, each
+/// exactly as long as what it holds; protocol words are shared and short
+/// atoms sit in their node (471 B in 7 with the names as two more
+/// parameters and two `String`s; 878 B in 14 with the row a tree of its
+/// own; 1 908 B in 38 when every atom was a `String` and every list a
+/// `Vec`). A tenth over.
+const CEILING_MATCHED_DELTA: (isize, isize) = (396, 5);
 
-/// The same notification when the agent left the result set: 160 wire
-/// bytes, 471 B in 7 allocations (was 1 005 B in 22).
-const CEILING_UNMATCHED_DELTA: (isize, isize) = (530, 8);
+/// The same notification when the agent left the result set: 125 bytes of
+/// text, 360 B in 5 allocations (471 B in 7 with the names in the message;
+/// 1 005 B in 22 before that). A tenth over.
+const CEILING_UNMATCHED_DELTA: (isize, isize) = (396, 5);
 
 /// A queued 16-row `ask-all` reply of `miss_closed_bus`'s shape, its rows
-/// the held blocks: 1 719 wire bytes, 615 B in 4 allocations (7 127 B in
-/// 116 with each row a tree of its own; 15 393 B in 284 before that). A
-/// tenth over.
-const CEILING_ASK_REPLY: (isize, isize) = (676, 4);
+/// the held blocks: 1 719 bytes of text, 600 B in 2 allocations (615 B in
+/// 4 with the envelope's names as `String`s; 7 127 B in 116 with each row
+/// a tree of its own; 15 393 B in 284 before that). A tenth over.
+const CEILING_ASK_REPLY: (isize, isize) = (660, 2);
 
 /// One match row of the benchmark's populations (`benchmark/src/gen.rs`).
 fn row(j: usize) -> MatchResult {
@@ -693,8 +696,8 @@ fn row(j: usize) -> MatchResult {
 
 /// What the message `build` makes costs from the moment the builder runs
 /// until it is read off the receiver's mailbox — `((bytes, allocations),
-/// wire bytes)`, sent the way a broker sends, through a bus that stamps
-/// `:sender` and `:receiver` and queues an envelope.
+/// bytes of text)`, sent the way a broker sends, through a bus that queues
+/// it with the envelope's names in place beside it.
 fn queued(build: impl Fn() -> Message) -> ((isize, isize), usize) {
     let bus = Bus::new();
     let from = bus.register("broker-0").unwrap();
@@ -739,7 +742,7 @@ fn a_queued_message_costs_what_it_weighs() {
         ("ask-all reply, 16 rows", reply, CEILING_ASK_REPLY),
     ];
     for (what, ((bytes, allocs), wire), _) in table {
-        eprintln!("{what:<30} {wire:>5} wire B  {bytes:>6} B in {allocs:>4} allocations");
+        eprintln!("{what:<30} {wire:>5} text B  {bytes:>6} B in {allocs:>4} allocations");
     }
     for (what, (cost, _), ceiling) in table {
         assert!(
@@ -820,28 +823,40 @@ fn a_held_result_row_is_a_pointer_to_its_block() {
 }
 
 /// One write that reaches 20 subscriptions of one subscriber: each `tell`
-/// waiting in the subscriber's mailbox is a skeleton — the envelope's two
-/// names and the message's five parameters, 255 B in 3 allocations —
-/// around the one body the broker printed for the delta, shared by all of
-/// them (each tell held a 216 B tree of its own in 4 more allocations
-/// before). A live broker's tells also carry the `:x-trace` every handler
-/// send is stamped with: one more parameter and its text.
-const CEILING_SHARED_DELTA_SKELETON: (isize, isize) = (280, 3);
+/// waiting in the subscriber's mailbox is a skeleton — the message's three
+/// parameters, 144 B in 1 allocation — around the one body the broker
+/// printed for the delta, shared by all of them (each tell held a 216 B
+/// tree of its own in 4 more allocations before). The envelope's names sit
+/// in place in the mailbox's slot and the sender's trace context beside
+/// them, so a tell a broker sent from inside its handler's span costs what
+/// an untraced one does: the names as two more parameters and two
+/// `String`s made it 255 B in 3, and the trace as `:x-trace` text 336 B
+/// in 4.
+const CEILING_SHARED_DELTA_SKELETON: (isize, isize) = (144, 1);
 
-/// What `tells` hold, freed on this thread one at a time: `(each but the
-/// last, the last)` — the last takes whatever they share with it.
-fn held_by(mut tells: Vec<Envelope>) -> ((isize, isize), (isize, isize)) {
-    let n = tells.len() as isize;
+/// What the first `n` envelopes waiting in `mailbox` hold, freed on this
+/// thread one at a time as they are read and handed to `check`: `(each but
+/// the last, the last)` — the last takes whatever they share with it.
+/// Reading one makes its two name `String`s, which it frees again.
+fn held_by(
+    mailbox: &mut Endpoint,
+    n: usize,
+    check: impl Fn(&Envelope),
+) -> ((isize, isize), (isize, isize)) {
+    let mut read = || {
+        let env = mailbox.try_recv().expect("a queued envelope");
+        check(&env);
+    };
     let before = live();
-    tells.truncate(1);
+    for _ in 1..n {
+        read();
+    }
     let (bytes, allocs) = delta(live(), before);
-    assert!(
-        bytes % (n - 1) == 0 && allocs % (n - 1) == 0,
-        "the tells differ: {bytes} B in {allocs}"
-    );
+    let each = n as isize - 1;
+    assert!(bytes % each == 0 && allocs % each == 0, "the tells differ: {bytes} B in {allocs}");
     let before = live();
-    tells.clear();
-    ((bytes / (n - 1), allocs / (n - 1)), delta(live(), before))
+    read();
+    ((bytes / each, allocs / each), delta(live(), before))
 }
 
 #[test]
@@ -854,6 +869,7 @@ fn one_write_is_one_body_for_every_subscription_it_reaches() {
     let mut client = bus.register("cli-setup").unwrap();
     let mut watcher = bus.register("cli-sub").unwrap();
     let lo = window(0, 0);
+    let mut keys = Vec::new();
     for k in 0..N as i64 {
         let query = ServiceQuery::for_agent_type(AgentType::Resource)
             .with_ontology("bench")
@@ -863,26 +879,24 @@ fn one_write_is_one_body_for_every_subscription_it_reaches() {
                 lo - 1_000 * (k + 1),
                 lo + 12_000 + 1_000 * (k + 1),
             )]));
-        assert!(subscribe_to(&mut client, "broker-0", &query, "cli-sub", T).unwrap().is_some());
+        keys.push(subscribe_to(&mut client, "broker-0", &query, "cli-sub", T).unwrap().unwrap());
         watcher.recv_timeout(T).expect("the snapshot");
     }
+    // The broker queues the tells before the reply, so all of them wait in
+    // the watcher's mailbox once the advertisement is answered.
     assert!(advertise_to(&mut client, "broker-0", &ad("ra0000", 0, lo), T).unwrap());
-    let notes: Vec<Envelope> = (0..N).map(|_| watcher.recv_timeout(T).expect("a tell")).collect();
-    assert!(watcher.recv_timeout(Duration::from_millis(50)).is_none(), "one tell each");
     broker.stop();
     let body_of = |env: &Envelope| match env.message.content() {
         Some(SExpr::Block(body, _)) => Arc::clone(body),
         other => panic!("a sub-delta body printed once, not {other:?}"),
     };
-    let body = body_of(&notes[0]);
-    assert!(notes.iter().all(|env| Arc::ptr_eq(&body_of(env), &body)), "one body for all");
-    let (_, matched, _) = codec::sub_delta_from_sexpr(notes[0].message.content().unwrap()).unwrap();
+    let first = watcher.try_recv().expect("a tell");
+    let body = body_of(&first);
+    let (_, matched, _) = codec::sub_delta_from_sexpr(first.message.content().unwrap()).unwrap();
     assert_eq!(matched.iter().map(|m| m.name.as_str()).collect::<Vec<_>>(), ["ra0000"]);
-    let keys: Vec<String> = notes.iter().map(|e| e.message.in_reply_to().unwrap().into()).collect();
-    let stamp = notes[0].message.trace().unwrap().len() as isize;
 
-    // The same tells as a queued row builds them, unstamped, through a bus
-    // that stamps `:sender` and `:receiver` under the same two names.
+    // The same tells as a queued row builds them, sent untraced under the
+    // same two names.
     let from = bus.register("broker-0").unwrap();
     for key in &keys {
         let tell = Message::new(Performative::Tell)
@@ -891,26 +905,26 @@ fn one_write_is_one_body_for_every_subscription_it_reaches() {
             .with_content(SExpr::Block(Arc::clone(&body), 0));
         from.send("cli-sub", tell).unwrap();
     }
-    let queued: Vec<Envelope> = (0..N).map(|_| watcher.try_recv().unwrap()).collect();
-    drop(body);
 
-    let (stamped, stamped_last) = held_by(notes);
-    let (skeleton, last) = held_by(queued);
+    let one_body = |env: &Envelope| {
+        assert_eq!(env.from, "broker-0");
+        assert!(Arc::ptr_eq(&body_of(env), &body), "one body for all");
+    };
+    let (stamped, stamped_last) = held_by(&mut watcher, N - 1, one_body);
+    drop((first, body));
+    let (skeleton, last) = held_by(&mut watcher, N, |_| {});
+    assert!(watcher.try_recv().is_none(), "one tell each");
     let shared = delta(skeleton, last);
     eprintln!("one write reaching {N} subscriptions of one subscriber: live heap");
     for (what, (bytes, allocs)) in [
         ("the shared body", shared),
         ("each tell, queued", skeleton),
-        ("each tell, stamped by a broker", stamped),
+        ("each tell, sent by a broker", stamped),
     ] {
         eprintln!("{what:<30} {bytes:>6} B in {allocs:>4} allocations");
     }
-    assert_eq!(delta(stamped, stamped_last), (0, 0), "the last stamped tell held no body");
-    assert_eq!(
-        stamped,
-        (skeleton.0 + 48 + stamp, skeleton.1 + 1),
-        "a stamped tell is the skeleton, one more parameter and the stamp's text"
-    );
+    assert_eq!(delta(stamped, stamped_last), (0, 0), "the last broker tell held no body");
+    assert_eq!(stamped, skeleton, "a tell sent beside a trace context costs its skeleton");
     assert!(
         skeleton.0 <= CEILING_SHARED_DELTA_SKELETON.0
             && skeleton.1 <= CEILING_SHARED_DELTA_SKELETON.1,

@@ -171,7 +171,8 @@ impl World {
                     self.arrivals.remove(at).expect("dispatch on an empty arrival queue"); // lint: allow-unwrap
                 let after = self.transport.advance_clock(BROKER, &clock);
                 self.trace.push((action.clone(), after));
-                let _span = self.ctx.recv_span(&env);
+                // The explorer's transport carries no trace context.
+                let _span = self.ctx.recv_span(&env, None);
                 self.behavior.on_message(&self.ctx, env);
             }
         }

@@ -148,6 +148,24 @@ impl Message {
         }
     }
 
+    /// Takes out the parameters named in `keys`: what each held, in `keys`
+    /// order. The rest keep their order, in a block rebuilt once, and
+    /// only when something was taken.
+    pub fn take<const N: usize>(&mut self, keys: [&str; N]) -> [Option<SExpr>; N] {
+        let mut taken = std::array::from_fn(|_| None);
+        if self.params.iter().any(|(k, _)| keys.contains(&k.as_str())) {
+            let mut kept = Vec::with_capacity(self.params.len());
+            for (k, v) in std::mem::take(&mut self.params).into_vec() {
+                match keys.iter().position(|key| *key == k.as_str()) {
+                    Some(i) => taken[i] = Some(v),
+                    None => kept.push((k, v)),
+                }
+            }
+            self.params = kept.into_boxed_slice();
+        }
+        taken
+    }
+
     pub fn get(&self, key: &str) -> Option<&SExpr> {
         self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
@@ -423,6 +441,18 @@ mod tests {
         // reply_skeleton deliberately does not copy the trace: replies
         // to untraced requesters stay untraced.
         assert!(m.reply_skeleton(Performative::Reply).trace().is_none());
+    }
+
+    #[test]
+    fn take_removes_the_named_params_and_keeps_the_rest_in_order() {
+        let mut m = sample();
+        let [receiver, missing, sender] = m.take(["receiver", "x-trace", "sender"]);
+        assert_eq!(sender, Some(SExpr::atom("mhn-user-agent")));
+        assert_eq!(receiver, Some(SExpr::atom("broker-1")));
+        assert_eq!(missing, None);
+        let keys: Vec<&str> = m.params().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["language", "ontology", "reply-with", "content"]);
+        assert_eq!(m.take(["sender"]), [None]);
     }
 
     #[test]

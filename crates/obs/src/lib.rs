@@ -1,7 +1,7 @@
 //! Observability plane for the InfoSleuth reproduction: a lock-cheap
 //! metrics registry with Prometheus text exposition ([`metrics`]), a
-//! span tracer whose context rides KQML messages in the `:x-trace`
-//! parameter ([`trace`]), and a tiny HTTP/1.0 scrape responder
+//! span tracer whose context rides beside a message in process and in
+//! its `:x-trace` parameter on the wire ([`trace`]), and a tiny HTTP/1.0 scrape responder
 //! ([`http`]). See DESIGN.md §11. On top of those sits the temporal +
 //! reactive layer (DESIGN.md §16): ring-buffer metric history
 //! ([`store`]), a one-tick sampler ([`sampler`]), and a declarative
@@ -35,15 +35,10 @@ pub use metrics::{
 pub use sampler::{sample_once, MIN_SAMPLE_INTERVAL};
 pub use store::{SeriesKey, SeriesPoint, TimeSeriesStore};
 pub use trace::{
-    build_trace_tree, current_context, forest_topology, topology, trace_ids, JsonlSink, RingSink,
-    SpanGuard, SpanId, SpanNode, SpanRecord, SpanSink, TraceContext, TraceId, Tracer,
+    build_trace_tree, continued_context, current_context, forest_topology, topology, trace_ids,
+    JsonlSink, RingSink, SpanGuard, SpanId, SpanNode, SpanRecord, SpanSink, TraceContext, TraceId,
+    Tracer,
 };
-
-/// KQML parameter carrying the trace context across agents, written
-/// as `:x-trace "<trace-hex16>-<span-hex16>"` on the wire. A value
-/// [`TraceContext::parse`] rejects is ignored: the message is still
-/// dispatched, under a fresh root span.
-pub const TRACE_PARAM: &str = "x-trace";
 
 use std::sync::Arc;
 

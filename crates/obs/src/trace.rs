@@ -2,9 +2,10 @@
 //!
 //! A span records one named unit of work inside one agent. Spans form
 //! trees: within a thread, nesting is tracked through a thread-local
-//! stack; across agents, the parent context travels inside the KQML
-//! `:x-trace` parameter (see [`crate::TRACE_PARAM`]) and the receiving
-//! runtime opens its dispatch span as a child of it. Finished spans
+//! stack; across agents, the parent context travels beside the message —
+//! a [`TraceContext`] value in process, printed as the KQML `:x-trace`
+//! parameter only on the wire — and the receiving runtime opens its
+//! dispatch span as a child of it. Finished spans
 //! drain to pluggable [`SpanSink`]s.
 
 use crate::sync::{lock, read, write};
@@ -256,6 +257,7 @@ impl SpanSink for JsonlSink {
 #[derive(Clone)]
 struct ActiveSpan {
     ctx: TraceContext,
+    parent: Option<SpanId>,
     agent: Arc<str>,
 }
 
@@ -267,6 +269,17 @@ thread_local! {
 /// The runtime stamps this into outgoing KQML messages.
 pub fn current_context() -> Option<TraceContext> {
     ACTIVE.with(|stack| stack.borrow().last().map(|a| a.ctx))
+}
+
+/// The context the innermost span open on this thread continued: its
+/// trace and its parent span, or `None` for a root. Inside a dispatch
+/// span, this is the context its message arrived with.
+pub fn continued_context() -> Option<TraceContext> {
+    ACTIVE.with(|stack| {
+        let stack = stack.borrow();
+        let top = stack.last()?;
+        Some(TraceContext { trace: top.ctx.trace, span: top.parent? })
+    })
 }
 
 /// Hands out spans and fans finished ones out to registered sinks.
@@ -326,7 +339,9 @@ impl Tracer {
         parent: Option<SpanId>,
     ) -> SpanGuard {
         let ctx = TraceContext { trace, span: SpanId(fresh_id()) };
-        ACTIVE.with(|stack| stack.borrow_mut().push(ActiveSpan { ctx, agent: Arc::clone(&agent) }));
+        ACTIVE.with(|stack| {
+            stack.borrow_mut().push(ActiveSpan { ctx, parent, agent: Arc::clone(&agent) })
+        });
         SpanGuard {
             tracer: self.clone(),
             ctx,
@@ -520,6 +535,19 @@ mod tests {
         let records = ring.drain();
         assert_eq!(records[1].trace, remote_ctx.trace);
         assert_eq!(records[1].parent, Some(remote_ctx.span));
+    }
+
+    #[test]
+    fn a_dispatch_span_names_the_context_it_continued() {
+        let tracer = Tracer::new();
+        let sent = TraceContext { trace: TraceId(0x5eed), span: SpanId(7) };
+        assert_eq!(continued_context(), None, "no span open");
+        {
+            let _root = tracer.agent_span("recv:tell", "a", None);
+            assert_eq!(continued_context(), None, "a root continues nothing");
+        }
+        let _recv = tracer.agent_span("recv:subscribe", "broker-1", Some(sent));
+        assert_eq!(continued_context(), Some(sent));
     }
 
     #[test]
